@@ -200,6 +200,36 @@ pub struct EnsembleScore {
     pub dropped: Vec<usize>,
 }
 
+/// What reducing a subset's member scores yields besides the scores
+/// themselves, which [`VehiGan::score_with_members_int8_into`] writes into
+/// the caller's buffer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScoreSummary {
+    /// The ensemble threshold (mean of the surviving members' τ).
+    pub threshold: f32,
+    /// Deployed members that produced non-finite scores and were excluded
+    /// from the mean. Empty (and unallocated) on a healthy run.
+    pub dropped: Vec<usize>,
+}
+
+impl ScoreSummary {
+    /// Joins the summary with its score vector; the contributing members
+    /// are `indices` minus the dropped ones, in `indices` order.
+    pub(crate) fn into_score(self, indices: &[usize], scores: Vec<f32>) -> EnsembleScore {
+        let members = indices
+            .iter()
+            .copied()
+            .filter(|i| !self.dropped.contains(i))
+            .collect();
+        EnsembleScore {
+            scores,
+            threshold: self.threshold,
+            members,
+            dropped: self.dropped,
+        }
+    }
+}
+
 impl EnsembleScore {
     /// Per-snapshot detection decisions (`score > threshold`).
     pub fn detections(&self) -> Vec<bool> {
@@ -442,17 +472,7 @@ impl VehiGan {
         indices: &[usize],
         x: &Tensor,
     ) -> Result<EnsembleScore, EnsembleError> {
-        if indices.is_empty() {
-            return Err(EnsembleError::EmptySubset);
-        }
-        for &i in indices {
-            if i >= self.members.len() {
-                return Err(EnsembleError::MemberOutOfBounds {
-                    index: i,
-                    m: self.members.len(),
-                });
-            }
-        }
+        self.check_subset(indices)?;
         let n = x.shape()[0];
         let score_one = |i: usize| -> Option<Vec<f32>> {
             let member = &self.members[i];
@@ -481,46 +501,67 @@ impl VehiGan {
             })
             .expect("ensemble scoring scope")
         };
-        self.reduce_member_scores(indices, &per_member, n)
+        let mut scores = vec![0.0f32; n];
+        let per_member = per_member.iter().map(Option::as_deref);
+        let summary = self.reduce_member_scores(indices, per_member, &mut scores)?;
+        Ok(summary.into_score(indices, scores))
     }
 
-    /// Reduces per-member score vectors (in `indices` order) into the
-    /// ensemble mean, dropping failed members — the shared tail of the
-    /// float and int8 scoring paths.
-    pub(crate) fn reduce_member_scores(
+    /// Rejects an empty subset or an index past the last member.
+    pub(crate) fn check_subset(&self, indices: &[usize]) -> Result<(), EnsembleError> {
+        if indices.is_empty() {
+            return Err(EnsembleError::EmptySubset);
+        }
+        match indices.iter().find(|&&i| i >= self.members.len()) {
+            Some(&index) => Err(EnsembleError::MemberOutOfBounds {
+                index,
+                m: self.members.len(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Reduces per-member score vectors (in `indices` order; `None` marks
+    /// a failed member) into the ensemble mean written to `out`, dropping
+    /// failed members — the shared tail of the float and int8 scoring
+    /// paths.
+    pub(crate) fn reduce_member_scores<'s>(
         &self,
         indices: &[usize],
-        per_member: &[Option<Vec<f32>>],
-        n: usize,
-    ) -> Result<EnsembleScore, EnsembleError> {
-        let mut sum = vec![0.0f32; n];
+        per_member: impl Iterator<Item = Option<&'s [f32]>>,
+        out: &mut [f32],
+    ) -> Result<ScoreSummary, EnsembleError> {
+        out.fill(0.0);
         let mut tau = 0.0f32;
-        let mut survivors = Vec::with_capacity(indices.len());
+        let mut survivors = 0usize;
         let mut dropped = Vec::new();
-        for (scores, &i) in per_member.iter().zip(indices) {
+        for (scores, &i) in per_member.zip(indices) {
             let Some(scores) = scores else {
                 dropped.push(i);
                 continue;
             };
-            for (acc, s) in sum.iter_mut().zip(scores) {
+            assert_eq!(
+                scores.len(),
+                out.len(),
+                "member {i} scored a different batch"
+            );
+            for (acc, s) in out.iter_mut().zip(scores) {
                 *acc += s;
             }
             tau += self.members[i].threshold;
-            survivors.push(i);
+            survivors += 1;
         }
-        if survivors.is_empty() {
+        if survivors == 0 {
             return Err(EnsembleError::AllMembersFailed {
                 attempted: indices.to_vec(),
             });
         }
-        let k = survivors.len() as f32;
-        for s in &mut sum {
+        let k = survivors as f32;
+        for s in out.iter_mut() {
             *s /= k;
         }
-        Ok(EnsembleScore {
-            scores: sum,
+        Ok(ScoreSummary {
             threshold: tau / k,
-            members: survivors,
             dropped,
         })
     }

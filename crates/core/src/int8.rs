@@ -19,7 +19,7 @@
 //! [`EnsembleScore::dropped`]; only when every deployed member fails does
 //! scoring return [`EnsembleError::AllMembersFailed`].
 
-use crate::ensemble::{EnsembleError, EnsembleScore, VehiGan};
+use crate::ensemble::{EnsembleError, EnsembleScore, ScoreSummary, VehiGan};
 use parking_lot::Mutex;
 use vehigan_lite::Int8Ensemble;
 use vehigan_tensor::Tensor;
@@ -31,12 +31,28 @@ type TopologyKey = Vec<(String, Vec<(String, usize)>)>;
 /// Compiled int8 scorers for a [`VehiGan`]'s members, grouped by critic
 /// topology.
 pub struct Int8Backend {
-    /// One fused scorer per topology group.
-    groups: Vec<Mutex<Int8Ensemble>>,
+    /// The fused scorers and the per-call buffers, behind one lock: a
+    /// scoring call needs every scorer's scratch mutably anyway.
+    state: Mutex<State>,
     /// `member index → (group, local index within the group)`.
     member_map: Vec<(usize, usize)>,
     /// Flat snapshot length each scorer expects.
     input_len: usize,
+}
+
+/// The mutable half of [`Int8Backend`]. The three vectors are reused by
+/// every scoring call, so a warm backend allocates nothing.
+struct State {
+    /// One fused scorer per topology group.
+    groups: Vec<Int8Ensemble>,
+    /// Group-local member indices of the subset being scored, group by
+    /// group.
+    locals: Vec<usize>,
+    /// `rows[pos]`: which `n`-float row of `scores` holds the member at
+    /// position `pos` of the caller's subset.
+    rows: Vec<usize>,
+    /// Member scores of the current call, grouped like `locals`.
+    scores: Vec<f32>,
 }
 
 impl std::fmt::Debug for Int8Backend {
@@ -45,7 +61,7 @@ impl std::fmt::Debug for Int8Backend {
             f,
             "Int8Backend({} members in {} topology groups, {} packed weight bytes)",
             self.member_map.len(),
-            self.groups.len(),
+            self.groups(),
             self.weight_bytes(),
         )
     }
@@ -59,44 +75,52 @@ impl Int8Backend {
 
     /// Number of distinct critic topologies.
     pub fn groups(&self) -> usize {
-        self.groups.len()
+        self.state.lock().groups.len()
     }
 
     /// Total packed int8 weight bytes — the deployable artifact size,
     /// roughly 4× smaller than the float weights.
     pub fn weight_bytes(&self) -> usize {
-        self.groups.iter().map(|g| g.lock().weight_bytes()).sum()
+        let state = self.state.lock();
+        state.groups.iter().map(Int8Ensemble::weight_bytes).sum()
     }
+}
 
-    /// Scores `indices` on a flat batch, returning per-member score
-    /// vectors in `indices` order (`None` marks a member whose scores
-    /// came back non-finite).
-    fn member_scores(&self, indices: &[usize], windows: &[f32], n: usize) -> Vec<Option<Vec<f32>>> {
-        // Partition the subset by topology group, preserving each
-        // member's position in `indices` so the reduction order is
-        // identical to the float path.
-        let mut by_group: Vec<(Vec<usize>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new()); self.groups.len()];
-        for (pos, &i) in indices.iter().enumerate() {
-            let (g, local) = self.member_map[i];
-            by_group[g].0.push(local);
-            by_group[g].1.push(pos);
-        }
-        let mut out: Vec<Option<Vec<f32>>> = vec![None; indices.len()];
-        for (g, (locals, positions)) in by_group.into_iter().enumerate() {
-            if locals.is_empty() {
-                continue;
+impl State {
+    /// Scores `indices` on a flat batch into `self.scores`, one fused
+    /// call per topology group; `self.rows` maps each position of
+    /// `indices` to its row, so the caller can reduce in `indices` order
+    /// — the float path's order — whatever the grouping.
+    fn score(
+        &mut self,
+        member_map: &[(usize, usize)],
+        indices: &[usize],
+        windows: &[f32],
+        n: usize,
+    ) {
+        self.rows.clear();
+        self.rows.resize(indices.len(), 0);
+        self.scores.clear();
+        self.scores.resize(indices.len() * n, 0.0);
+        let mut first = 0;
+        for (g, group) in self.groups.iter_mut().enumerate() {
+            self.locals.clear();
+            for (pos, &i) in indices.iter().enumerate() {
+                let (member_group, local) = member_map[i];
+                if member_group == g {
+                    self.rows[pos] = first + self.locals.len();
+                    self.locals.push(local);
+                }
             }
-            let mut scores = vec![0.0f32; locals.len() * n];
-            self.groups[g]
-                .lock()
-                .score_subset_into(&locals, windows, n, &mut scores);
-            for (s, &pos) in positions.iter().enumerate() {
-                let member = scores[s * n..(s + 1) * n].to_vec();
-                out[pos] = member.iter().all(|v| v.is_finite()).then_some(member);
-            }
+            let end = first + self.locals.len();
+            group.score_subset_into(
+                &self.locals,
+                windows,
+                n,
+                &mut self.scores[first * n..end * n],
+            );
+            first = end;
         }
-        out
     }
 }
 
@@ -168,10 +192,15 @@ impl VehiGan {
                         reason: e.to_string(),
                     }
                 })?;
-            groups.push(Mutex::new(fused));
+            groups.push(fused);
         }
         self.set_int8_backend(Int8Backend {
-            groups,
+            state: Mutex::new(State {
+                groups,
+                locals: Vec::new(),
+                rows: Vec::new(),
+                scores: Vec::new(),
+            }),
             member_map,
             input_len,
         });
@@ -192,40 +221,54 @@ impl VehiGan {
         indices: &[usize],
         x: &Tensor,
     ) -> Result<EnsembleScore, EnsembleError> {
-        let backend = self.int8_backend().ok_or(EnsembleError::Int8NotCompiled)?;
-        if indices.is_empty() {
-            return Err(EnsembleError::EmptySubset);
-        }
-        for &i in indices {
-            if i >= self.m() {
-                return Err(EnsembleError::MemberOutOfBounds {
-                    index: i,
-                    m: self.m(),
-                });
-            }
-        }
         let n = x.shape()[0];
+        let mut scores = vec![0.0f32; n];
+        let summary = self.score_with_members_int8_into(indices, x.as_slice(), n, &mut scores)?;
+        Ok(summary.into_score(indices, scores))
+    }
+
+    /// [`VehiGan::score_with_members_int8`] over borrowed memory: `n`
+    /// flat windows in, `n` ensemble scores written to `out` — bitwise
+    /// the scores the `Tensor` entry point returns. Nothing is copied or
+    /// allocated on the way (once the backend's buffers have grown to the
+    /// batch size; a dropped member or an error does allocate its index
+    /// list), which is what the serve plane's per-tile gate calls need.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`VehiGan::score_with_members_int8`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is not `n` compiled-length snapshots or `out`
+    /// is not `n` long.
+    pub fn score_with_members_int8_into(
+        &self,
+        indices: &[usize],
+        windows: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) -> Result<ScoreSummary, EnsembleError> {
+        let backend = self.int8_backend().ok_or(EnsembleError::Int8NotCompiled)?;
+        self.check_subset(indices)?;
         assert_eq!(
-            x.as_slice().len(),
+            windows.len(),
             n * backend.input_len,
-            "batch shape {:?} does not match the compiled input length {}",
-            x.shape(),
+            "{} floats are not {n} windows of the compiled input length {}",
+            windows.len(),
             backend.input_len
         );
-        let mut per_member = backend.member_scores(indices, x.as_slice(), n);
-        // Chaos fault injection (see [`VehiGan::chaos_poison_member`]):
-        // overwrite the poisoned member's scores with NaN and re-apply
-        // the same finiteness filter `member_scores` uses, so the drop
-        // machinery is exercised identically to a real poisoning.
-        for (slot, &i) in per_member.iter_mut().zip(indices) {
-            if self.member_poisoned(i) {
-                if let Some(scores) = slot.as_mut() {
-                    scores.fill(f32::NAN);
-                }
-                *slot = slot.take().filter(|s| s.iter().all(|v| v.is_finite()));
-            }
-        }
-        self.reduce_member_scores(indices, &per_member, n)
+        let mut state = backend.state.lock();
+        state.score(&backend.member_map, indices, windows, n);
+        let state = &*state;
+        let per_member = indices.iter().zip(&state.rows).map(|(&i, &row)| {
+            let scores = &state.scores[row * n..(row + 1) * n];
+            // A chaos-poisoned member ([`VehiGan::chaos_poison_member`])
+            // counts as having scored NaN: it takes the same exit as a
+            // member whose scores really came back non-finite.
+            (!self.member_poisoned(i) && scores.iter().all(|v| v.is_finite())).then_some(scores)
+        });
+        self.reduce_member_scores(indices, per_member, out)
     }
 
     /// Scores snapshots through the int8 backend with a fresh random

@@ -60,7 +60,9 @@ pub use checkpoint::{
     CHECKPOINT_VERSION, CHECKPOINT_VERSION_V1,
 };
 pub use config::{GridConfig, LipschitzMode, WganConfig};
-pub use ensemble::{CriticMember, EnsembleError, EnsembleScore, MisbehaviorReport, VehiGan};
+pub use ensemble::{
+    CriticMember, EnsembleError, EnsembleScore, MisbehaviorReport, ScoreSummary, VehiGan,
+};
 pub use int8::Int8Backend;
 pub use pipeline::{Pipeline, PipelineConfig, PipelineError};
 pub use wgan::{

@@ -1,0 +1,93 @@
+//! `VehiGan::score_with_members_int8_into` — the slice-based gate entry
+//! the serve plane calls per tile — allocates nothing once the backend's
+//! buffers have grown to the batch size. Counted per thread by a global
+//! allocator, across a mixed-depth subset (two topology groups) at the
+//! batch sizes the serve plane issues.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use vehigan_core::{CriticMember, VehiGan, Wgan, WganConfig};
+use vehigan_tensor::Tensor;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: defers every operation to `System`; the counter is a
+// const-initialized thread-local `Cell` with no destructor, so touching
+// it inside the allocator cannot itself allocate or run after teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn warm_slice_scoring_never_allocates() {
+    let windows: Vec<f32> = (0..128 * 120)
+        .map(|i| 0.3 * (i as f32 * 0.61).sin())
+        .collect();
+    let benign = Tensor::from_vec(windows.clone(), &[128, 10, 12, 1]);
+    // Untrained critics score like trained ones as far as the allocator
+    // can tell; depths 3/4/3 make two topology groups.
+    let members: Vec<CriticMember> = [3usize, 4, 3]
+        .iter()
+        .zip(0u64..)
+        .map(|(&layers, seed)| {
+            let config = WganConfig {
+                layers,
+                seed,
+                ..WganConfig::default()
+            };
+            CriticMember::calibrate(Wgan::new(config), 0.9, &benign, 99.0).unwrap()
+        })
+        .collect();
+    let mut vehigan = VehiGan::new(members, 3, 7).unwrap();
+    vehigan.compile_int8(&benign).unwrap();
+
+    let subset = [1usize, 2, 0];
+    let mut out = vec![0.0f32; 128];
+    // Largest batch first, so the backend's buffers are at full size.
+    for n in [128usize, 37, 1] {
+        let (x, scores) = (&windows[..n * 120], &mut out[..n]);
+        let warm = vehigan
+            .score_with_members_int8_into(&subset, x, n, scores)
+            .unwrap();
+        assert!(warm.dropped.is_empty());
+        let before = ALLOCS.with(Cell::get);
+        for _ in 0..100 {
+            let r = vehigan.score_with_members_int8_into(&subset, x, n, scores);
+            assert!(r.is_ok());
+        }
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(
+            allocs, 0,
+            "{allocs} allocations over 100 warm calls at n = {n}"
+        );
+    }
+
+    // Same scores as the Tensor entry point, bit for bit.
+    let tile = Tensor::from_vec(windows[..37 * 120].to_vec(), &[37, 10, 12, 1]);
+    let via_tensor = vehigan.score_with_members_int8(&subset, &tile).unwrap();
+    let summary = vehigan
+        .score_with_members_int8_into(&subset, tile.as_slice(), 37, &mut out[..37])
+        .unwrap();
+    assert_eq!(via_tensor.threshold, summary.threshold);
+    assert_eq!(via_tensor.members, subset);
+    for (a, b) in via_tensor.scores.iter().zip(&out[..37]) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+}

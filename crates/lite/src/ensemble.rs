@@ -1,8 +1,10 @@
 //! The fused int8 multi-member inference backend.
 //!
 //! [`Int8Ensemble`] compiles `m` same-topology critics into one packed
-//! int8 artifact and scores any sampled subset of them through **one
-//! fused i8 GEMM per layer** instead of `k` separate model walks:
+//! int8 artifact and scores any sampled subset of them **window-major**:
+//! one window at a time walks every layer of a member back to back over a
+//! few kilobytes of scratch that never leave L1, instead of pushing a
+//! whole batch through one layer at a time:
 //!
 //! - **per-channel symmetric weight quantization** — each output channel
 //!   of every conv kernel / dense matrix gets its own scale
@@ -19,24 +21,36 @@
 //!   once at compile time into the [`vehigan_tensor::gemm::PackedI8`]
 //!   strip layout, so inference never repacks (the f32 path packs `B` on
 //!   every call);
-//! - **fused layer sweep** — layer 1 quantizes the shared window batch
-//!   once and runs a single [`vehigan_tensor::gemm::gemm_i8_fused`] call
-//!   over all deployed members' packed weights; deeper layers quantize
-//!   each member's activations and sweep them through the same fused
-//!   call.
+//! - **direct convolution on a padded plane** — a layer's input is
+//!   quantized straight into a zero-bordered
+//!   `[h + kh − 1, w + kw − 1, cin]` byte plane, where an output pixel's
+//!   patch is `kh` contiguous `kw·cin`-byte spans the micro-kernel reads
+//!   in place ([`vehigan_tensor::gemm::Patches`]) — no im2col copy;
+//! - **register-resident epilogue** —
+//!   [`vehigan_tensor::gemm::gemm_i8_dequant`] finishes each accumulator
+//!   block as the next layer's f32 activations (dequantize, bias,
+//!   LeakyReLU) and tracks their max-abs while they are still in
+//!   registers, so there is no i32 accumulator buffer, no zeroing pass
+//!   and no separate range scan.
 //!
 //! # Determinism
 //!
 //! The i8×i8→i32 accumulation is exact integer arithmetic, bitwise
-//! identical between the portable and AVX2 kernels; the dequantize /
-//! bias / activation / requantize stages are plain scalar f32 code shared
-//! by every ISA. The whole int8 scoring pipeline is therefore **bitwise
-//! reproducible across machines** — stronger than the f32 path, whose
-//! AVX2 FMA kernels are only bit-stable per machine.
+//! identical between the portable, AVX2 and VNNI kernels; the quantize
+//! and dequantize / bias / activation stages perform the same IEEE
+//! operations lane for lane on every ISA. **Given equal calibrated
+//! scales**, the int8 scoring pipeline is therefore bitwise reproducible
+//! across machines and kernel legs. The scales themselves are not: they
+//! come out of [`Int8Ensemble::compile`]'s float reference walk, which
+//! runs on the dispatched f32 [`gemm`] (fused multiply-add on AVX2 hosts,
+//! separate multiply and add on the portable leg), so two hosts can
+//! compile slightly different `in_scale`s — and then score differently —
+//! from the same snapshots. Ship the compiled artifact, not the recipe,
+//! when scores must match across machines.
 
 use crate::critic::CompileError;
-use crate::quant::{activation_scale, quantize_activations, PerChannelQuantized};
-use vehigan_tensor::gemm::{gemm, gemm_i8_fused, PackedI8};
+use crate::quant::{activation_scale, quantize_biased, PerChannelQuantized};
+use vehigan_tensor::gemm::{gemm, gemm_i8_dequant, i8_activation_bias, Dequant, PackedI8, Patches};
 use vehigan_tensor::serialize::ModelSnapshot;
 
 /// One member's quantized parameters for one fused op.
@@ -118,11 +132,62 @@ impl FusedOp {
         }
     }
 
-    /// GEMM row count for a batch of `n` snapshots.
-    fn gemm_rows(&self, n: usize) -> usize {
+    /// GEMM rows per snapshot: one per output pixel, one per dense layer.
+    fn rows(&self) -> usize {
         match self {
-            FusedOp::Conv { h, w, .. } => n * h * w,
-            FusedOp::Dense { .. } => n,
+            FusedOp::Conv { h, w, .. } => h * w,
+            FusedOp::Dense { .. } => 1,
+        }
+    }
+
+    /// Where the GEMM rows live in this op's quantized input plane: the
+    /// patches of the padded conv plane, or the one flat dense row.
+    fn patches(&self) -> Patches {
+        match self {
+            FusedOp::Conv { w, cin, kw, .. } => Patches {
+                width: *w,
+                row_stride: (w + kw - 1) * cin,
+                col_stride: *cin,
+            },
+            FusedOp::Dense { in_dim, .. } => Patches::matrix(*in_dim),
+        }
+    }
+
+    /// A fresh input plane for this op: every byte the biased zero, so
+    /// the same-padding border is in place once and for all (quantization
+    /// only ever rewrites the interior), plus the slack that lets the
+    /// kernels read the last span as whole quads.
+    fn new_plane(&self) -> Vec<u8> {
+        const QUAD_SLACK: usize = 3;
+        let len = match self {
+            FusedOp::Conv {
+                h, w, cin, kh, kw, ..
+            } => (h + kh - 1) * (w + kw - 1) * cin,
+            FusedOp::Dense { in_dim, .. } => *in_dim,
+        };
+        vec![i8_activation_bias(); len + QUAD_SLACK]
+    }
+
+    /// Quantizes one snapshot's activations into this op's plane.
+    fn quantize_into(&self, src: &[f32], inv: f32, plane: &mut [u8]) {
+        let bias = i8_activation_bias();
+        match self {
+            FusedOp::Conv {
+                h,
+                w,
+                cin,
+                kw,
+                pad_top,
+                pad_left,
+                ..
+            } => {
+                let (row, stride) = (w * cin, (w + kw - 1) * cin);
+                for (y, src_row) in src.chunks_exact(row).enumerate().take(*h) {
+                    let at = (y + pad_top) * stride + pad_left * cin;
+                    quantize_biased(src_row, inv, bias, &mut plane[at..at + row]);
+                }
+            }
+            FusedOp::Dense { in_dim, .. } => quantize_biased(src, inv, bias, &mut plane[..*in_dim]),
         }
     }
 
@@ -145,14 +210,16 @@ impl FusedOp {
     }
 }
 
-/// Gathers a same-padding conv input into im2col rows.
+/// The f32 patch matrix of a same-padding conv input — what the float
+/// reference walk in [`Int8Ensemble::calibrate`] multiplies. Compile time
+/// only: inference reads patches in place from the padded int8 plane.
 ///
 /// Row `(img·h + oy)·w + ox` holds the `[ky][kx][ic]` patch around output
-/// pixel `(oy, ox)`, matching the `[ky·kw·ic, oc]` weight layout.
-/// Out-of-bounds taps stay `Default` (0 — exact for symmetric int8).
+/// pixel `(oy, ox)`, matching the `[ky·kw·ic, oc]` weight layout;
+/// out-of-bounds taps are 0.
 #[allow(clippy::too_many_arguments)]
-fn im2col<T: Copy + Default>(
-    src: &[T],
+fn patch_matrix(
+    src: &[f32],
     n: usize,
     h: usize,
     w: usize,
@@ -161,168 +228,106 @@ fn im2col<T: Copy + Default>(
     kw: usize,
     pad_top: usize,
     pad_left: usize,
-    dst: &mut [T],
-) {
+) -> Vec<f32> {
     let kk = kh * kw * cin;
-    debug_assert_eq!(src.len(), n * h * w * cin);
-    debug_assert_eq!(dst.len(), n * h * w * kk);
-    for img in 0..n {
-        let src_img = &src[img * h * w * cin..(img + 1) * h * w * cin];
-        for oy in 0..h {
-            let ky_lo = pad_top.saturating_sub(oy);
-            let ky_hi = kh.min(h + pad_top - oy);
-            for ox in 0..w {
-                let kx_lo = pad_left.saturating_sub(ox);
-                let kx_hi = kw.min(w + pad_left - ox);
-                let row = &mut dst[((img * h + oy) * w + ox) * kk..][..kk];
-                // Zero only the clipped taps (a full-dst memset would
-                // rewrite the whole gather buffer just to feed the edge
-                // pixels); interior pixels skip this entirely.
-                if ky_lo > 0 || ky_hi < kh || kx_lo > 0 || kx_hi < kw {
-                    for v in row.iter_mut() {
-                        *v = T::default();
-                    }
-                }
-                // The in-range kx taps are contiguous in both src
-                // (consecutive x) and dst (consecutive kx), so the whole
-                // horizontal extent moves as one copy per ky.
-                let span = (kx_hi - kx_lo) * cin;
-                for ky in ky_lo..ky_hi {
-                    let iy = oy + ky - pad_top;
-                    let ix = ox + kx_lo - pad_left;
-                    let src_off = (iy * w + ix) * cin;
-                    let dst_off = (ky * kw + kx_lo) * cin;
-                    row[dst_off..dst_off + span].copy_from_slice(&src_img[src_off..src_off + span]);
-                }
+    let mut col = vec![0.0f32; n * h * w * kk];
+    for (pixel, patch) in col.chunks_exact_mut(kk).enumerate() {
+        let (img, oy, ox) = (pixel / (h * w), pixel / w % h, pixel % w);
+        for ky in pad_top.saturating_sub(oy)..kh.min(h + pad_top - oy) {
+            for kx in pad_left.saturating_sub(ox)..kw.min(w + pad_left - ox) {
+                let at = ((img * h + oy + ky - pad_top) * w + ox + kx - pad_left) * cin;
+                patch[(ky * kw + kx) * cin..][..cin].copy_from_slice(&src[at..at + cin]);
             }
         }
     }
+    col
 }
 
-/// Dequantizes one window of GEMM accumulators:
-/// `dst[r·cout + j] = acc[r·cout + j] · mult[j] + bias[j]`, optionally
-/// through select-form LeakyReLU (`v > 0 ? v : α·v`).
-///
-/// Dispatches to an AVX-512 body that mirrors the scalar ops lane for
-/// lane (i32→f32 convert, multiply, add, compare-blend — all with the
-/// same IEEE rounding), so both paths are **bitwise identical** and
-/// `VEHIGAN_FORCE_PORTABLE` stays a pure performance switch.
-fn dequant_window(acc: &[i32], mult: &[f32], bias: &[f32], alpha: Option<f32>, dst: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if vehigan_tensor::gemm::avx512_available() {
-        // SAFETY: guarded by cached runtime detection of avx512f.
-        unsafe { dequant_window_avx512(acc, mult, bias, alpha, dst) };
-        return;
-    }
-    dequant_window_portable(acc, mult, bias, alpha, dst);
-}
-
-/// Portable scalar body of [`dequant_window`].
-fn dequant_window_portable(
-    acc: &[i32],
-    mult: &[f32],
-    bias: &[f32],
-    alpha: Option<f32>,
-    dst: &mut [f32],
-) {
-    let cout = mult.len();
-    match alpha {
-        Some(alpha) => {
-            for (row_acc, row_dst) in acc.chunks_exact(cout).zip(dst.chunks_exact_mut(cout)) {
-                for ((d, &a), (&mu, &b)) in
-                    row_dst.iter_mut().zip(row_acc).zip(mult.iter().zip(bias))
-                {
-                    let v = a as f32 * mu + b;
-                    // Select-form LeakyReLU — a single blend per lane;
-                    // the max+min form costs two maxnum NaN-checked ops.
-                    *d = if v > 0.0 { v } else { alpha * v };
-                }
-            }
-        }
-        None => {
-            for (row_acc, row_dst) in acc.chunks_exact(cout).zip(dst.chunks_exact_mut(cout)) {
-                for ((d, &a), (&mu, &b)) in
-                    row_dst.iter_mut().zip(row_acc).zip(mult.iter().zip(bias))
-                {
-                    *d = a as f32 * mu + b;
-                }
+/// Largest `|v|` of a window, NaN skipped.
+fn max_abs(values: &[f32]) -> f32 {
+    // Sixteen parallel max lanes: a single fold is a serial dependency
+    // chain the compiler can't vectorize. Max is order-independent, so
+    // the result is bit-exact.
+    let (chunks, tail) = values.as_chunks::<16>();
+    let mut lanes = [0.0f32; 16];
+    for ch in chunks {
+        for (l, &v) in lanes.iter_mut().zip(ch) {
+            // `if a > l` instead of `f32::max`: the plain ordered compare
+            // + select vectorizes to vmaxps; maxnum's NaN bookkeeping
+            // does not. Identical result: NaN compares false, so NaN
+            // lanes are skipped exactly like maxnum.
+            let a = v.abs();
+            if a > *l {
+                *l = a;
             }
         }
     }
-}
-
-/// AVX-512 body of [`dequant_window`]: masked 16-lane chunks over each
-/// `cout`-channel row. Every lane performs exactly the scalar sequence
-/// (cvt, mul, add, ordered-greater blend), so the result is bitwise
-/// identical to [`dequant_window_portable`] — including ±0 handling in
-/// the LeakyReLU blend (`-0.0 > 0.0` is false in both forms).
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dequant_window_avx512(
-    acc: &[i32],
-    mult: &[f32],
-    bias: &[f32],
-    alpha: Option<f32>,
-    dst: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    let cout = mult.len();
-    let zero = _mm512_setzero_ps();
-    for (row_acc, row_dst) in acc.chunks_exact(cout).zip(dst.chunks_exact_mut(cout)) {
-        let mut j = 0;
-        while j < cout {
-            let width = (cout - j).min(16);
-            let mask: __mmask16 = if width == 16 {
-                0xffff
-            } else {
-                (1u16 << width) - 1
-            };
-            let av = _mm512_maskz_loadu_epi32(mask, row_acc.as_ptr().add(j));
-            let mv = _mm512_maskz_loadu_ps(mask, mult.as_ptr().add(j));
-            let bv = _mm512_maskz_loadu_ps(mask, bias.as_ptr().add(j));
-            // Separate mul + add (not FMA): the scalar body rounds twice.
-            let v = _mm512_add_ps(_mm512_mul_ps(_mm512_cvtepi32_ps(av), mv), bv);
-            let out = match alpha {
-                Some(alpha) => {
-                    let leak = _mm512_mul_ps(v, _mm512_set1_ps(alpha));
-                    let pos = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, zero);
-                    _mm512_mask_mov_ps(leak, pos, v)
-                }
-                None => v,
-            };
-            _mm512_mask_storeu_ps(row_dst.as_mut_ptr().add(j), mask, out);
-            j += 16;
+    let mut max_abs = 0.0f32;
+    for &v in tail.iter().chain(&lanes) {
+        let a = v.abs();
+        if a > max_abs {
+            max_abs = a;
         }
     }
+    max_abs
 }
 
-/// Reusable runtime buffers (grow once, steady state allocates nothing).
-#[derive(Default)]
+/// One window's runtime buffers, sized once at compile time from the op
+/// list — scoring allocates nothing, and the whole set (two activation
+/// maps, one byte plane per op, a multiplier row) stays L1-resident.
 struct Scratch {
-    /// Quantized activations, member-major.
-    q: Vec<i8>,
-    /// im2col gather, member-major.
-    col: Vec<i8>,
-    /// i32 GEMM accumulators, member-major.
-    acc: Vec<i32>,
-    /// f32 activations ping-pong, member-major.
-    act_a: Vec<f32>,
-    act_b: Vec<f32>,
-    /// Per-(member, window) effective activation scales for the current op.
-    eff: Vec<f32>,
-    /// Per-channel dequantization multipliers for the current window.
+    /// Quantized input plane per op ([`FusedOp::new_plane`]).
+    planes: Vec<Vec<u8>>,
+    /// f32 activations of the current window, ping-pong.
+    act: [Vec<f32>; 2],
+    /// Per-channel dequantization multipliers for the current op.
     mult: Vec<f32>,
 }
 
-fn grown<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
-    if buf.len() < len {
-        buf.resize(len, T::default());
+impl Scratch {
+    fn for_ops(ops: &[FusedOp]) -> Scratch {
+        let widest = ops.iter().map(FusedOp::out_len).max().unwrap_or(0);
+        let channels = ops.iter().map(|op| op.out_len() / op.rows()).max();
+        Scratch {
+            planes: ops.iter().map(FusedOp::new_plane).collect(),
+            act: [vec![0.0; widest], vec![0.0; widest]],
+            mult: vec![0.0; channels.unwrap_or(0)],
+        }
     }
-    &mut buf[..len]
+}
+
+/// Raw critic output `D(x)` of member `g` on one window: every layer back
+/// to back. Per layer: the range guard widens the calibrated floor scale
+/// to the window's own max-abs (out-of-distribution inputs — attacks! —
+/// widen their step instead of clipping; the scale depends only on this
+/// window and member, so scores are independent of the rest of the
+/// batch), the activations are quantized into the op's plane, and one
+/// fused product writes the next activations and reports their max-abs.
+fn infer_window(ops: &[FusedOp], g: usize, scratch: &mut Scratch, window: &[f32]) -> f32 {
+    let [cur, nxt] = &mut scratch.act;
+    let (mut cur, mut nxt) = (cur, nxt);
+    let mut range = max_abs(window);
+    for (oi, op) in ops.iter().enumerate() {
+        let m = &op.members()[g];
+        let src = if oi == 0 { window } else { &cur[..op.in_len()] };
+        let eff = m.in_scale.max(range / 127.0);
+        let plane = &mut scratch.planes[oi];
+        op.quantize_into(src, 1.0 / eff, plane);
+        let mult = &mut scratch.mult[..m.w_scales.len()];
+        for (mu, &ws) in mult.iter_mut().zip(&m.w_scales) {
+            *mu = eff * ws;
+        }
+        let epi = Dequant {
+            mult,
+            bias: &m.bias,
+            alpha: m.alpha,
+        };
+        let dst = &mut nxt[..op.out_len()];
+        range = gemm_i8_dequant(op.rows(), plane, op.patches(), &m.pack, epi, dst);
+        std::mem::swap(&mut cur, &mut nxt);
+    }
+    // The final op produced the critic's one scalar.
+    cur[0]
 }
 
 /// A compiled fused int8 multi-member ensemble scorer.
@@ -411,7 +416,7 @@ fn parse_member(
                 let q = PerChannelQuantized::quantize(kh * kw * cin, cout, raw)?;
                 let deq = q.dequantize();
                 let member = OpMember {
-                    pack: PackedI8::pack(kh * kw * cin, cout, &q.values),
+                    pack: PackedI8::pack_spans(kh, kw * cin, cout, &q.values),
                     w_scales: q.scales,
                     bias: layer.tensor("b")?.as_slice().to_vec(),
                     alpha: fused_next,
@@ -527,11 +532,12 @@ impl Int8Ensemble {
             }
         }
 
+        let scratch = Scratch::for_ops(&ops);
         let mut this = Int8Ensemble {
             ops,
             members: snaps.len(),
             input_len,
-            scratch: Scratch::default(),
+            scratch,
         };
         this.calibrate(calibration)?;
         // Calibration done — drop the dequantized float copies.
@@ -554,7 +560,7 @@ impl Int8Ensemble {
             for oi in 0..self.ops.len() {
                 let scale = activation_scale(&act)?;
                 let op = &self.ops[oi];
-                let rows = op.gemm_rows(n);
+                let rows = n * op.rows();
                 let kk = op.kk();
                 let m = &op.members()[g];
                 let mut out = vec![0.0f32; rows * m.bias.len()];
@@ -569,10 +575,8 @@ impl Int8Ensemble {
                         pad_left,
                         ..
                     } => {
-                        let mut col = vec![0.0f32; rows * kk];
-                        im2col(
-                            &act, n, *h, *w, *cin, *kh, *kw, *pad_top, *pad_left, &mut col,
-                        );
+                        let col =
+                            patch_matrix(&act, n, *h, *w, *cin, *kh, *kw, *pad_top, *pad_left);
                         gemm(rows, kk, m.bias.len(), &col, &m.deq, &mut out);
                     }
                     FusedOp::Dense { in_dim, .. } => {
@@ -625,8 +629,9 @@ impl Int8Ensemble {
     ///
     /// `windows` holds `n` flat snapshots; `out` receives member-major
     /// results: `out[s·n + i]` is subset member `s`'s output on snapshot
-    /// `i`. Each layer is one fused GEMM over every subset member's
-    /// packed weights.
+    /// `i`. Members go one after another so each one's packed weights
+    /// stay cache-hot across the batch; within a member every window
+    /// runs all layers back to back (see the module docs).
     ///
     /// # Panics
     ///
@@ -643,196 +648,13 @@ impl Int8Ensemble {
         for &g in subset {
             assert!(g < self.members, "member {g} out of range");
         }
-        if subset.is_empty() || n == 0 {
+        if n == 0 {
             return;
         }
-        let gsel = subset.len();
-
-        // Widest activation slab any layer needs, per member.
-        let max_len = self
-            .ops
-            .iter()
-            .map(|op| (op.in_len().max(op.out_len())) * n)
-            .max()
-            .expect("at least one op");
-        let act_cur = grown(&mut self.scratch.act_a, gsel * max_len);
-        // Seed every member's slab with the shared input.
-        for s in 0..gsel {
-            act_cur[s * max_len..s * max_len + windows.len()].copy_from_slice(windows);
-        }
-        let act_nxt = grown(&mut self.scratch.act_b, gsel * max_len);
-
-        let (mut cur, mut nxt) = (act_cur, act_nxt);
-        for (oi, op) in self.ops.iter().enumerate() {
-            let rows = op.gemm_rows(n);
-            let kk = op.kk();
-            let in_per = op.in_len();
-            let in_len = in_per * n;
-            let out_per = op.out_len() * n;
-
-            // Per-(member, window) effective scales: the calibrated scale
-            // is the floor, expanded when a window's own activations
-            // exceed the calibrated range — out-of-distribution inputs
-            // (attacks!) widen their step instead of clipping. A window's
-            // scale depends only on that window and the member, so scores
-            // are independent of what else is in the batch.
-            let eff = grown(&mut self.scratch.eff, gsel * n);
-            for (s, &g) in subset.iter().enumerate() {
-                let floor = op.members()[g].in_scale;
-                for i in 0..n {
-                    let win = &cur[s * max_len + i * in_per..s * max_len + (i + 1) * in_per];
-                    // Eight parallel max lanes: a single fold is a serial
-                    // dependency chain the compiler can't vectorize. Max
-                    // is order-independent, so the result is bit-exact.
-                    let (chunks, tail) = win.as_chunks::<16>();
-                    let mut lanes = [0.0f32; 16];
-                    for ch in chunks {
-                        for (l, &v) in lanes.iter_mut().zip(ch) {
-                            // `if a > l` instead of `f32::max`: the plain
-                            // ordered compare + select vectorizes to
-                            // vmaxps; maxnum's NaN bookkeeping does not.
-                            // Identical result: NaN compares false, so
-                            // NaN lanes are skipped exactly like maxnum.
-                            let a = v.abs();
-                            if a > *l {
-                                *l = a;
-                            }
-                        }
-                    }
-                    let mut max_abs = 0.0f32;
-                    for &v in tail {
-                        let a = v.abs();
-                        if a > max_abs {
-                            max_abs = a;
-                        }
-                    }
-                    for &l in &lanes {
-                        if l > max_abs {
-                            max_abs = l;
-                        }
-                    }
-                    eff[s * n + i] = floor.max(max_abs / 127.0);
-                }
+        for (&g, member_out) in subset.iter().zip(out.chunks_exact_mut(n)) {
+            for (window, o) in windows.chunks_exact(self.input_len).zip(member_out) {
+                *o = infer_window(&self.ops, g, &mut self.scratch, window);
             }
-
-            // Quantize + gather activations, member-major, per window.
-            let col = match op {
-                FusedOp::Conv {
-                    h,
-                    w,
-                    cin,
-                    kh,
-                    kw,
-                    pad_top,
-                    pad_left,
-                    ..
-                } => {
-                    let col = grown(&mut self.scratch.col, gsel * rows * kk);
-                    if oi == 0 {
-                        // Shared input: every member sees the same windows
-                        // and the same layer-0 scale (identical calibrated
-                        // floor, identical range guard), so one quantize +
-                        // one gather feed the whole fused GEMM.
-                        let q = grown(&mut self.scratch.q, in_len);
-                        for i in 0..n {
-                            quantize_activations(
-                                &cur[i * in_per..(i + 1) * in_per],
-                                eff[i],
-                                &mut q[i * in_per..(i + 1) * in_per],
-                            );
-                        }
-                        im2col(
-                            &q[..in_len],
-                            n,
-                            *h,
-                            *w,
-                            *cin,
-                            *kh,
-                            *kw,
-                            *pad_top,
-                            *pad_left,
-                            &mut col[..rows * kk],
-                        );
-                        &col[..rows * kk]
-                    } else {
-                        let q = grown(&mut self.scratch.q, gsel * in_len);
-                        for s in 0..gsel {
-                            for i in 0..n {
-                                quantize_activations(
-                                    &cur[s * max_len + i * in_per..s * max_len + (i + 1) * in_per],
-                                    eff[s * n + i],
-                                    &mut q[s * in_len + i * in_per..s * in_len + (i + 1) * in_per],
-                                );
-                            }
-                        }
-                        for s in 0..gsel {
-                            im2col(
-                                &q[s * in_len..(s + 1) * in_len],
-                                n,
-                                *h,
-                                *w,
-                                *cin,
-                                *kh,
-                                *kw,
-                                *pad_top,
-                                *pad_left,
-                                &mut col[s * rows * kk..(s + 1) * rows * kk],
-                            );
-                        }
-                        &col[..gsel * rows * kk]
-                    }
-                }
-                FusedOp::Dense { .. } => {
-                    let q = grown(&mut self.scratch.q, gsel * in_len);
-                    for s in 0..gsel {
-                        for i in 0..n {
-                            quantize_activations(
-                                &cur[s * max_len + i * in_per..s * max_len + (i + 1) * in_per],
-                                eff[s * n + i],
-                                &mut q[s * in_len + i * in_per..s * in_len + (i + 1) * in_per],
-                            );
-                        }
-                    }
-                    &self.scratch.q[..gsel * in_len]
-                }
-            };
-
-            // One fused GEMM over every deployed member's packed weights.
-            let packs: Vec<&PackedI8> = subset.iter().map(|&g| &op.members()[g].pack).collect();
-            let acc = grown(&mut self.scratch.acc, gsel * out_per);
-            for v in acc.iter_mut() {
-                *v = 0;
-            }
-            gemm_i8_fused(rows, col, &packs, acc);
-
-            // Dequantize + bias + fused activation, per member, with each
-            // window's effective input scale. The per-channel multipliers
-            // are hoisted per window; `dequant_window` dispatches to an
-            // AVX-512 mirror that is bitwise identical to the portable loop.
-            let per_win = rows / n;
-            let mult = grown(&mut self.scratch.mult, op.out_len() / per_win);
-            for (s, &g) in subset.iter().enumerate() {
-                let m = &op.members()[g];
-                let cout = m.bias.len();
-                let mult = &mut mult[..cout];
-                let acc_m = &acc[s * out_per..(s + 1) * out_per];
-                let dst = &mut nxt[s * max_len..s * max_len + out_per];
-                for i in 0..n {
-                    let es = eff[s * n + i];
-                    for (mu, &ws) in mult.iter_mut().zip(&m.w_scales) {
-                        *mu = es * ws;
-                    }
-                    let a_win = &acc_m[i * per_win * cout..(i + 1) * per_win * cout];
-                    let d_win = &mut dst[i * per_win * cout..(i + 1) * per_win * cout];
-                    dequant_window(a_win, mult, &m.bias, m.alpha, d_win);
-                }
-            }
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-
-        // Final op produced one scalar per snapshot per member.
-        for s in 0..gsel {
-            out[s * n..(s + 1) * n].copy_from_slice(&cur[s * max_len..s * max_len + n]);
         }
     }
 
@@ -1010,5 +832,177 @@ mod tests {
         let text = format!("{fused:?}");
         assert!(text.contains("2 members"), "{text}");
         assert!(fused.weight_bytes() > 0);
+    }
+
+    // ---- Bitwise oracle for the fused window walk -------------------
+    //
+    // A layer-major scalar walk over unpacked operands: quantize, gather
+    // the same-padded patches, `naive_i8`, dequantize. It shares only
+    // `quantize_activations` and the weight quantizer with the fused
+    // path, so plane geometry, span packing, the micro-kernels and the
+    // register epilogue are all on trial.
+
+    use crate::quant::quantize_activations;
+    use proptest::prelude::*;
+    use vehigan_tensor::gemm::naive_i8;
+
+    /// The pre-fusion scalar dequantize loop, kept as the reference.
+    fn dequant_window_portable(
+        acc: &[i32],
+        mult: &[f32],
+        bias: &[f32],
+        alpha: Option<f32>,
+        dst: &mut [f32],
+    ) {
+        let cout = mult.len();
+        for (row_acc, row_dst) in acc.chunks_exact(cout).zip(dst.chunks_exact_mut(cout)) {
+            for ((d, &a), (&mu, &b)) in row_dst.iter_mut().zip(row_acc).zip(mult.iter().zip(bias)) {
+                let v = a as f32 * mu + b;
+                *d = match alpha {
+                    Some(alpha) => {
+                        if v > 0.0 {
+                            v
+                        } else {
+                            alpha * v
+                        }
+                    }
+                    None => v,
+                };
+            }
+        }
+    }
+
+    fn reference_infer(
+        fused: &Int8Ensemble,
+        snap: &ModelSnapshot,
+        g: usize,
+        (h, w): (usize, usize),
+        window: &[f32],
+    ) -> f32 {
+        let mut act = window.to_vec();
+        let mut ops = fused.ops.iter();
+        for (li, layer) in snap.layers.iter().enumerate() {
+            let conv = match layer.kind.as_str() {
+                "Conv2D" => true,
+                "Dense" => false,
+                _ => continue,
+            };
+            let attr = |name: &'static str| layer.usize_attr(name).unwrap();
+            let (kh, kw, cin, cout, rows) = if conv {
+                (attr("kh"), attr("kw"), attr("cin"), attr("cout"), h * w)
+            } else {
+                (1, 1, attr("in_dim"), attr("out_dim"), 1)
+            };
+            let kk = kh * kw * cin;
+            let m = &ops.next().unwrap().members()[g];
+            let mut range = 0.0f32;
+            for v in &act {
+                if v.abs() > range {
+                    range = v.abs();
+                }
+            }
+            let eff = m.in_scale.max(range / 127.0);
+            let mut q = vec![0i8; act.len()];
+            quantize_activations(&act, eff, &mut q);
+            let mut a = vec![0i8; rows * kk];
+            let (hh, ww) = if conv { (h, w) } else { (1, 1) };
+            for (pixel, patch) in a.chunks_exact_mut(kk).enumerate() {
+                for (tap, dst) in patch.chunks_exact_mut(cin).enumerate() {
+                    let iy = (pixel / ww + tap / kw).wrapping_sub((kh - 1) / 2);
+                    let ix = (pixel % ww + tap % kw).wrapping_sub((kw - 1) / 2);
+                    if iy < hh && ix < ww {
+                        dst.copy_from_slice(&q[(iy * ww + ix) * cin..][..cin]);
+                    }
+                }
+            }
+            let wq = PerChannelQuantized::quantize(kk, cout, layer.tensor("w").unwrap().as_slice())
+                .unwrap();
+            let mut acc = vec![0i32; rows * cout];
+            naive_i8(rows, kk, cout, &a, &wq.values, &mut acc);
+            let mult: Vec<f32> = wq.scales.iter().map(|&ws| eff * ws).collect();
+            let alpha = snap
+                .layers
+                .get(li + 1)
+                .filter(|l| l.kind == "LeakyReLU")
+                .map(|l| l.f32_attr("alpha").unwrap());
+            act = vec![0.0; rows * cout];
+            dequant_window_portable(&acc, &mult, &m.bias, alpha, &mut act);
+        }
+        act[0]
+    }
+
+    /// A random same-padded conv stack + dense head over `[h, w, c]`.
+    fn random_critic(
+        rng: &mut rand::rngs::StdRng,
+        (h, w, c): (usize, usize, usize),
+        convs: &[(usize, usize, usize)],
+    ) -> Sequential {
+        let mut m = Sequential::new();
+        let mut cin = c;
+        for &(cout, kh, kw) in convs {
+            m.push(Conv2D::new(
+                cin,
+                cout,
+                (kh, kw),
+                Padding::Same,
+                Init::HeUniform,
+                rng,
+            ));
+            m.push(Activation::leaky_relu(0.2));
+            cin = cout;
+        }
+        m.push(Flatten::new());
+        m.push(Dense::new(h * w * cin, 1, Init::XavierUniform, rng));
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn fused_walk_is_bitwise_the_scalar_reference(
+            seed in any::<u64>(),
+            (h, w, c) in (1usize..6, 1usize..7, 1usize..4),
+            // (cout, kh, kw): odd widths, spans that are not whole pairs
+            // or quads (kw·cin ∈ {1, 2, 3, 5, 6, 7, 9, …}), both paddings.
+            convs in proptest::collection::vec((1usize..20, 1usize..4, 1usize..4), 1..4),
+            members in 1usize..4,
+            kinds in proptest::collection::vec(0u8..4, 1..5),
+        ) {
+            use rand::Rng;
+            let mut rng = seeded_rng(seed);
+            let snaps: Vec<ModelSnapshot> = (0..members)
+                .map(|_| random_critic(&mut rng, (h, w, c), &convs).save())
+                .collect();
+            let refs: Vec<&ModelSnapshot> = snaps.iter().collect();
+            let len = h * w * c;
+            let calibration: Vec<f32> = (0..4 * len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut fused = Int8Ensemble::compile(&refs, (h, w, c), &calibration).unwrap();
+
+            // In-range, range-guard-tripping, all-zero and NaN-bearing.
+            let n = kinds.len();
+            let mut windows: Vec<f32> = Vec::with_capacity(n * len);
+            for &kind in &kinds {
+                let amp = [1.0f32, 40.0, 0.0, 1.0][kind as usize];
+                let at = windows.len();
+                windows.extend((0..len).map(|_| amp * rng.gen_range(-1.0f32..1.0)));
+                if kind == 3 {
+                    windows[at + len / 2] = f32::NAN;
+                }
+            }
+            let subset: Vec<usize> = (0..members).rev().collect();
+            let mut got = vec![0.0f32; members * n];
+            fused.score_subset_into(&subset, &windows, n, &mut got);
+            for (s, &g) in subset.iter().enumerate() {
+                for (i, window) in windows.chunks_exact(len).enumerate() {
+                    let want = -reference_infer(&fused, &snaps[g], g, (h, w), window);
+                    prop_assert_eq!(
+                        got[s * n + i].to_bits(), want.to_bits(),
+                        "member {} window {} (kind {}): fused {} vs reference {}",
+                        g, i, kinds[i], got[s * n + i], want
+                    );
+                }
+            }
+        }
     }
 }

@@ -225,77 +225,97 @@ pub fn activation_scale(observed: &[f32]) -> Result<f32, QuantError> {
 /// can use `to_int_unchecked` — Rust's saturating `as i32` cast carries
 /// NaN/range fixups that keep LLVM from vectorizing the narrowing loop,
 /// and `f32::round` would be a libm call per element.
+///
+/// # Panics
+///
+/// Panics if `values` and `out` differ in length.
 pub fn quantize_activations(values: &[f32], scale: f32, out: &mut [i8]) {
-    debug_assert_eq!(values.len(), out.len());
-    let inv = 1.0 / scale;
-    #[cfg(target_arch = "x86_64")]
-    if vehigan_tensor::gemm::avx512_available() {
-        // SAFETY: guarded by cached runtime detection of avx512f.
-        unsafe { quantize_activations_avx512(values, inv, out) };
-        return;
-    }
-    quantize_activations_portable(values, inv, out);
+    // SAFETY: i8 and u8 have identical size, alignment and validity, and
+    // the exclusive borrow of `out` moves into the reinterpreted slice.
+    let out = unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), out.len()) };
+    quantize_biased(values, 1.0 / scale, 0, out);
 }
 
-/// Portable scalar body of [`quantize_activations`] (post-reciprocal).
-fn quantize_activations_portable(values: &[f32], inv: f32, out: &mut [i8]) {
+/// [`quantize_activations`] given the reciprocal scale, with every output
+/// byte XORed with `bias` — `vehigan_tensor::gemm::i8_activation_bias`,
+/// so the quantized plane is already in the form the dispatched int8
+/// kernel multiplies and nothing re-biases it per row block.
+pub(crate) fn quantize_biased(values: &[f32], inv: f32, bias: u8, out: &mut [u8]) {
+    // The vector body stores through raw pointers sized by `values`.
+    assert_eq!(values.len(), out.len(), "quantize: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if vehigan_tensor::gemm::avx512_available() {
+        // SAFETY: guarded by cached runtime detection of avx512f; lengths
+        // checked above.
+        unsafe { quantize_biased_avx512(values, inv, bias, out) };
+        return;
+    }
+    quantize_biased_portable(values, inv, bias, out);
+}
+
+/// Portable scalar body of [`quantize_biased`].
+fn quantize_biased_portable(values: &[f32], inv: f32, bias: u8, out: &mut [u8]) {
     for (o, &v) in out.iter_mut().zip(values) {
         let x = (v * inv).clamp(-127.0, 127.0);
         let x = x + 0.5f32.copysign(x);
         let x = if x.is_nan() { 0.0 } else { x };
         // SAFETY: `x` is NaN-free (previous line) and clamped to
         // [-127.5, 127.5], well inside i32 range.
-        *o = unsafe { x.to_int_unchecked::<i32>() as i8 };
+        *o = unsafe { x.to_int_unchecked::<i32>() as u8 } ^ bias;
     }
 }
 
-/// AVX-512 lane-for-lane mirror of the scalar quantizer — every step
-/// reproduces the portable op exactly (clamp via ordered compares so NaN
-/// passes through like `f32::clamp`, copysign via sign-bit OR, NaN→0 via
-/// an unordered-compare mask, truncating convert, wrapping narrow), so
-/// the two paths are **bitwise identical** on every input including NaN
-/// and the ±x.5 rounding boundaries.
+/// AVX-512 mirror of the scalar quantizer, **bitwise identical** on every
+/// input including NaN, ±Inf and the ±x.5 rounding boundaries, in nine
+/// vector µops per 16 floats (the int8 gate is bound by the two 512-bit
+/// ALU ports, and every layer's activations pass through here):
+///
+/// - clamp is `vmaxps`/`vminps` with the bound as *first* operand: both
+///   return their second operand when either is NaN, so NaN passes
+///   through exactly like `f32::clamp`;
+/// - `copysign(0.5, x)` is one `vpternlogd` (`half | (x & sign_bit)`);
+/// - NaN → 0 costs nothing: `vcvttps2dq` turns NaN into `0x8000_0000`,
+///   whose low byte — all the narrowing store keeps — is 0; every other
+///   lane is in [-127.5, 127.5] and truncates like `to_int_unchecked`;
+/// - the bias XOR is applied to the i32 lanes (only the low byte
+///   survives the wrapping narrow, `as u8`).
+///
+/// The ragged tail runs the same lanes under a mask: the 12-float rows
+/// of a one-channel plane never see a scalar loop.
 ///
 /// # Safety
 ///
-/// Callers must ensure the CPU supports AVX-512F.
+/// Callers must ensure the CPU supports AVX-512F and
+/// `values.len() == out.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn quantize_activations_avx512(values: &[f32], inv: f32, out: &mut [i8]) {
+unsafe fn quantize_biased_avx512(values: &[f32], inv: f32, bias: u8, out: &mut [u8]) {
     use std::arch::x86_64::*;
+    /// `vpternlogd` truth table of `a | (b & c)`.
+    const A_OR_B_AND_C: i32 = 0xF8;
     let n = values.len();
     let vinv = _mm512_set1_ps(inv);
     let lo = _mm512_set1_ps(-127.0);
     let hi = _mm512_set1_ps(127.0);
-    let half = _mm512_set1_ps(0.5);
-    let sign_bit = _mm512_set1_ps(-0.0);
+    let half = _mm512_castps_si512(_mm512_set1_ps(0.5));
+    let sign_bit = _mm512_castps_si512(_mm512_set1_ps(-0.0));
+    let vbias = _mm512_set1_epi32(bias as i32);
     let mut i = 0;
-    while i + 16 <= n {
-        let t = _mm512_mul_ps(_mm512_loadu_ps(values.as_ptr().add(i)), vinv);
-        // f32::clamp semantics: `x < lo → lo`, `x > hi → hi`, NaN stays.
-        let below = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(t, lo);
-        let t = _mm512_mask_mov_ps(t, below, lo);
-        let above = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(t, hi);
-        let t = _mm512_mask_mov_ps(t, above, hi);
-        // x + copysign(0.5, x)
-        let signed_half = _mm512_castsi512_ps(_mm512_or_si512(
-            _mm512_castps_si512(half),
-            _mm512_and_si512(_mm512_castps_si512(t), _mm512_castps_si512(sign_bit)),
+    while i < n {
+        let width = (n - i).min(16);
+        let mask = ((1u32 << width) - 1) as __mmask16;
+        let t = _mm512_mul_ps(_mm512_maskz_loadu_ps(mask, values.as_ptr().add(i)), vinv);
+        let t = _mm512_min_ps(hi, _mm512_max_ps(lo, t));
+        let signed_half = _mm512_castsi512_ps(_mm512_ternarylogic_epi32::<A_OR_B_AND_C>(
+            half,
+            _mm512_castps_si512(t),
+            sign_bit,
         ));
-        let t = _mm512_add_ps(t, signed_half);
-        // NaN → 0 (unordered self-compare), then truncate like
-        // `to_int_unchecked::<i32>` — every lane is in [-127.5, 127.5].
-        let ord = _mm512_cmp_ps_mask::<_CMP_ORD_Q>(t, t);
-        let t = _mm512_maskz_mov_ps(ord, t);
-        let q = _mm512_cvttps_epi32(t);
-        // Wrapping i32→i8 narrow (`as i8`); lanes already fit.
-        _mm_storeu_si128(
-            out.as_mut_ptr().add(i) as *mut __m128i,
-            _mm512_cvtepi32_epi8(q),
-        );
+        let q = _mm512_cvttps_epi32(_mm512_add_ps(t, signed_half));
+        let q = _mm512_xor_si512(q, vbias);
+        _mm512_mask_cvtepi32_storeu_epi8(out.as_mut_ptr().add(i) as *mut i8, mask, q);
         i += 16;
     }
-    quantize_activations_portable(&values[i..], inv, &mut out[i..]);
 }
 
 #[cfg(test)]
@@ -392,12 +412,30 @@ mod tests {
         }
         for &scale in &[1.0f32, 0.037, 2.5] {
             let inv = 1.0 / scale;
-            let mut scalar = vec![0i8; values.len()];
-            let mut simd = vec![0i8; values.len()];
-            quantize_activations_portable(&values, inv, &mut scalar);
-            // SAFETY: avx512f presence checked above.
-            unsafe { quantize_activations_avx512(&values, inv, &mut simd) };
-            assert_eq!(scalar, simd, "scale {scale}");
+            // Every tail length the masked last step can see, both biases.
+            for (len, bias) in
+                (values.len() - 17..=values.len()).zip([0u8, 0x80].into_iter().cycle())
+            {
+                let mut scalar = vec![0u8; len];
+                let mut simd = vec![0u8; len];
+                quantize_biased_portable(&values[..len], inv, bias, &mut scalar);
+                // SAFETY: avx512f presence checked above; equal lengths.
+                unsafe { quantize_biased_avx512(&values[..len], inv, bias, &mut simd) };
+                assert_eq!(scalar, simd, "scale {scale} len {len} bias {bias}");
+            }
+        }
+    }
+
+    #[test]
+    fn bias_is_an_xor_on_the_unbiased_byte() {
+        let values = [0.0, 1.0, -1.0, 0.3, f32::NAN];
+        let mut plain = [0i8; 5];
+        let scale = 1.0 / 127.0;
+        quantize_activations(&values, scale, &mut plain);
+        let mut biased = [0u8; 5];
+        quantize_biased(&values, 1.0 / scale, 0x80, &mut biased);
+        for (p, b) in plain.iter().zip(biased) {
+            assert_eq!(*p as u8 ^ 0x80, b);
         }
     }
 

@@ -1,0 +1,87 @@
+//! The fused int8 scorer's steady state allocates nothing: every runtime
+//! buffer is sized when the ensemble is compiled. A counting global
+//! allocator (per thread, so the harness's other threads cannot bleed in)
+//! asserts it across the batch sizes the serve plane issues — a single
+//! window, a ragged tile, a full tile.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use vehigan_lite::Int8Ensemble;
+use vehigan_tensor::init::seeded_rng;
+use vehigan_tensor::layers::{Activation, Conv2D, Dense, Flatten, Padding};
+use vehigan_tensor::{Init, Sequential};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: defers every operation to `System`; the counter is a
+// const-initialized thread-local `Cell` with no destructor, so touching
+// it inside the allocator cannot itself allocate or run after teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const H: usize = 10;
+const W: usize = 12;
+
+fn critic(seed: u64) -> Sequential {
+    let mut rng = seeded_rng(seed);
+    let mut m = Sequential::new();
+    let mut cin = 1;
+    for cout in [8, 16, 32] {
+        m.push(Conv2D::new(
+            cin,
+            cout,
+            (2, 2),
+            Padding::Same,
+            Init::HeUniform,
+            &mut rng,
+        ));
+        m.push(Activation::leaky_relu(0.2));
+        cin = cout;
+    }
+    m.push(Flatten::new());
+    m.push(Dense::new(H * W * cin, 1, Init::XavierUniform, &mut rng));
+    m
+}
+
+#[test]
+fn warm_scoring_never_allocates() {
+    let snaps: Vec<_> = (0..3).map(|s| critic(s).save()).collect();
+    let refs: Vec<&_> = snaps.iter().collect();
+    let windows: Vec<f32> = (0..128 * H * W).map(|i| (i as f32 * 0.61).sin()).collect();
+    let mut fused = Int8Ensemble::compile(&refs, (H, W, 1), &windows[..16 * H * W]).unwrap();
+    let subset = [2usize, 0, 1];
+    let mut out = vec![0.0f32; subset.len() * 128];
+    for n in [1usize, 37, 128] {
+        let (x, scores) = (&windows[..n * H * W], &mut out[..subset.len() * n]);
+        // Warm: first use of the kernels' thread-local scratch.
+        fused.score_subset_into(&subset, x, n, scores);
+        let before = ALLOCS.with(Cell::get);
+        for _ in 0..100 {
+            fused.score_subset_into(&subset, x, n, scores);
+        }
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(
+            allocs, 0,
+            "{allocs} allocations over 100 warm calls at n = {n}"
+        );
+        assert!(scores.iter().all(|s| s.is_finite()));
+    }
+}

@@ -84,9 +84,12 @@ pub enum ServeMode {
 
 /// Tile size for batched scoring passes. Both backends are batch-row
 /// independent, so splitting a tick's batch into tiles changes nothing
-/// bitwise — but it keeps each pass's activations resident in cache: the
-/// fused int8 path degrades ~4× per window when hundreds of windows are
-/// scored in one monolithic call.
+/// bitwise. The f32 tier-2 path is layer-major over the whole tile, so
+/// the tile bounds its activation slabs (and the `Tensor` copied per
+/// tile); the int8 gate walks one window at a time whatever the tile
+/// size and only takes its per-call bookkeeping from it. A tile is also
+/// the unit a member failure is confined to: τ and the survivor set are
+/// per tile.
 pub const SCORE_TILE: usize = 128;
 
 /// Admission-control and degradation parameters (DESIGN.md §11).
@@ -350,6 +353,16 @@ impl IngestReport {
             .first()
             .map(|&shard| ServeError::ShardPanic { shard })
     }
+}
+
+/// One backend's verdict on a batch scored tile by tile.
+struct TiledScores {
+    /// Ensemble score per window.
+    scores: Vec<f32>,
+    /// Detection threshold τ per window: that of the window's own tile.
+    thresholds: Vec<f32>,
+    /// Members dropped for non-finite scores in any tile.
+    dropped: Vec<usize>,
 }
 
 /// The degrade/restore hysteresis core, kept free of server state so the
@@ -839,11 +852,17 @@ impl<'a> StreamServer<'a> {
         if self.tier0.is_none() {
             return;
         }
-        let n_shards = self.shards.len();
-        for (w, &g) in meta.iter().zip(gate_scores) {
-            self.shards[shard_for(w.vehicle, n_shards)]
-                .lock()
-                .record_gate(w.vehicle, g);
+        // `meta` comes out of `tick` shard by shard, so one lock per run
+        // of same-shard windows is one lock per shard per batch instead
+        // of one per window.
+        let shard_of = |w: &PendingWindow| shard_for(w.vehicle, self.shards.len());
+        let mut done = 0;
+        for run in meta.chunk_by(|a, b| shard_of(a) == shard_of(b)) {
+            let mut shard = self.shards[shard_of(&run[0])].lock();
+            for (w, &g) in run.iter().zip(&gate_scores[done..]) {
+                shard.record_gate(w.vehicle, g);
+            }
+            done += run.len();
         }
     }
 
@@ -863,65 +882,47 @@ impl<'a> StreamServer<'a> {
     ) -> Result<Vec<Decision>, ServeError> {
         let n = meta.len();
         debug_assert_eq!(batch.len(), n * self.window_len);
+        // One decision per window from a tier's scores; τ is the window's
+        // own tile's (a member can fail in some tiles only, and each
+        // tile's mean and threshold come from its own survivor set).
+        let decide = |tier: &TiledScores, escalated: bool, flag: bool| -> Vec<Decision> {
+            meta.iter()
+                .zip(tier.scores.iter().zip(&tier.thresholds))
+                .map(|(w, (&score, &threshold))| Decision {
+                    vehicle: w.vehicle,
+                    timestamp: w.timestamp,
+                    score,
+                    threshold,
+                    escalated,
+                    flagged: flag && score > threshold,
+                    suppressed: false,
+                })
+                .collect()
+        };
         match policy {
             EscalationPolicy::Always => {
-                let (scores, threshold, dropped) = self.score_tiled(batch, n, false, members)?;
-                dropped_union.extend(dropped);
+                let tier2 = self.score_tiled(batch, n, false, members)?;
                 self.stats.escalated += n as u64;
                 self.stats.tier2_escalated += n as u64;
-                Ok(meta
-                    .iter()
-                    .zip(&scores)
-                    .map(|(w, &score)| Decision {
-                        vehicle: w.vehicle,
-                        timestamp: w.timestamp,
-                        score,
-                        threshold,
-                        escalated: true,
-                        flagged: score > threshold,
-                        suppressed: false,
-                    })
-                    .collect())
+                let decisions = decide(&tier2, true, true);
+                dropped_union.extend(tier2.dropped);
+                Ok(decisions)
             }
             EscalationPolicy::Never => {
-                let (scores, threshold, dropped) =
-                    self.score_tiled(batch, n, true, gate_members)?;
-                dropped_union.extend(dropped);
-                self.record_gates(meta, &scores);
+                let gate = self.score_tiled(batch, n, true, gate_members)?;
+                self.record_gates(meta, &gate.scores);
                 self.stats.tier1_screened += n as u64;
-                Ok(meta
-                    .iter()
-                    .zip(&scores)
-                    .map(|(w, &score)| Decision {
-                        vehicle: w.vehicle,
-                        timestamp: w.timestamp,
-                        score,
-                        threshold,
-                        escalated: false,
-                        flagged: score > threshold,
-                        suppressed: false,
-                    })
-                    .collect())
+                let decisions = decide(&gate, false, true);
+                dropped_union.extend(gate.dropped);
+                Ok(decisions)
             }
             EscalationPolicy::Threshold(tau_esc) => {
-                let (gate_scores, gate_tau, dropped) =
-                    self.score_tiled(batch, n, true, gate_members)?;
-                dropped_union.extend(dropped);
-                self.record_gates(meta, &gate_scores);
-                let escalate: Vec<usize> = (0..n).filter(|&i| gate_scores[i] > tau_esc).collect();
-                let mut decisions: Vec<Decision> = meta
-                    .iter()
-                    .zip(&gate_scores)
-                    .map(|(w, &score)| Decision {
-                        vehicle: w.vehicle,
-                        timestamp: w.timestamp,
-                        score,
-                        threshold: gate_tau,
-                        escalated: false,
-                        flagged: false,
-                        suppressed: false,
-                    })
-                    .collect();
+                let gate = self.score_tiled(batch, n, true, gate_members)?;
+                self.record_gates(meta, &gate.scores);
+                let escalate: Vec<usize> = (0..n).filter(|&i| gate.scores[i] > tau_esc).collect();
+                // A gate score under τ_esc is never a detection on its own.
+                let mut decisions = decide(&gate, false, false);
+                dropped_union.extend(gate.dropped);
                 if !escalate.is_empty() {
                     let mut sub = Vec::with_capacity(escalate.len() * self.window_len);
                     for &i in &escalate {
@@ -929,15 +930,17 @@ impl<'a> StreamServer<'a> {
                             &batch[i * self.window_len..(i + 1) * self.window_len],
                         );
                     }
-                    let (scores, threshold, dropped) =
-                        self.score_tiled(&sub, escalate.len(), false, members)?;
-                    dropped_union.extend(dropped);
-                    for (&i, &score) in escalate.iter().zip(&scores) {
+                    let tier2 = self.score_tiled(&sub, escalate.len(), false, members)?;
+                    for (&i, (&score, &threshold)) in escalate
+                        .iter()
+                        .zip(tier2.scores.iter().zip(&tier2.thresholds))
+                    {
                         decisions[i].score = score;
                         decisions[i].threshold = threshold;
                         decisions[i].escalated = true;
                         decisions[i].flagged = score > threshold;
                     }
+                    dropped_union.extend(tier2.dropped);
                     self.stats.escalated += escalate.len() as u64;
                 }
                 self.stats.tier1_screened += (n - escalate.len()) as u64;
@@ -957,40 +960,50 @@ impl<'a> StreamServer<'a> {
     }
 
     /// Scores `n` flat windows through one backend in [`SCORE_TILE`]-sized
-    /// tiles, concatenating per-tile scores. Tile boundaries cannot change
-    /// any score — both backends are batch-row independent — but they keep
-    /// each pass's activations cache-resident. Also returns the union of
-    /// members dropped for non-finite scores across tiles, so the caller
-    /// can bench them.
+    /// tiles. Tile boundaries cannot change any score — both backends are
+    /// batch-row independent — but a tile is scored by the members that
+    /// survived *it*: every window carries its own tile's τ. Also returns
+    /// the members dropped for non-finite scores in any tile, so the
+    /// caller can bench them.
     fn score_tiled(
         &self,
         data: &[f32],
         n: usize,
         int8: bool,
         members: &[usize],
-    ) -> Result<(Vec<f32>, f32, Vec<usize>), ServeError> {
-        let mut scores = Vec::with_capacity(n);
-        let mut threshold = 0.0f32;
-        let mut dropped: Vec<usize> = Vec::new();
-        let mut start = 0;
-        while start < n {
+    ) -> Result<TiledScores, ServeError> {
+        let mut out = TiledScores {
+            scores: vec![0.0; n],
+            thresholds: vec![0.0; n],
+            dropped: Vec::new(),
+        };
+        let wl = self.window_len;
+        for start in (0..n).step_by(SCORE_TILE) {
             let end = (start + SCORE_TILE).min(n);
-            let tile = Tensor::from_vec(
-                data[start * self.window_len..end * self.window_len].to_vec(),
-                &[end - start, self.window, self.features, 1],
-            );
-            let r = if int8 {
-                self.vehigan.score_with_members_int8(members, &tile)
+            let tile = &data[start * wl..end * wl];
+            let (threshold, dropped) = if int8 {
+                // The gate reads the tile where it lies and writes its
+                // scores in place.
+                let r = self.vehigan.score_with_members_int8_into(
+                    members,
+                    tile,
+                    end - start,
+                    &mut out.scores[start..end],
+                );
+                let r = r.map_err(ServeError::Score)?;
+                (r.threshold, r.dropped)
             } else {
-                self.vehigan.score_with_members(members, &tile)
-            }
-            .map_err(ServeError::Score)?;
-            threshold = r.threshold;
-            scores.extend_from_slice(&r.scores);
-            dropped.extend(r.dropped);
-            start = end;
+                let shape = [end - start, self.window, self.features, 1];
+                let tile = Tensor::from_vec(tile.to_vec(), &shape);
+                let r = self.vehigan.score_with_members(members, &tile);
+                let r = r.map_err(ServeError::Score)?;
+                out.scores[start..end].copy_from_slice(&r.scores);
+                (r.threshold, r.dropped)
+            };
+            out.thresholds[start..end].fill(threshold);
+            out.dropped.extend(dropped);
         }
-        Ok((scores, threshold, dropped))
+        Ok(out)
     }
 
     /// Runs TTL eviction on every shard at stream time `now`, returning
@@ -1182,6 +1195,81 @@ mod tests {
         assert_eq!(m.mode, ServeMode::Degraded);
         assert!(m.observe(false, 2, 3));
         assert_eq!(m.mode, ServeMode::Normal);
+    }
+
+    #[test]
+    fn each_window_carries_the_threshold_of_its_own_tiles_survivors() {
+        use vehigan_core::{CriticMember, Wgan, WganConfig};
+
+        // Two untrained critics with distinct calibrated thresholds.
+        let benign: Vec<f32> = (0..32 * 120).map(|i| (i as f32 * 0.37).sin()).collect();
+        let benign = Tensor::from_vec(benign, &[32, 10, 12, 1]);
+        let members: Vec<CriticMember> = (0..2)
+            .map(|seed| {
+                let config = WganConfig {
+                    layers: 3,
+                    seed,
+                    ..WganConfig::default()
+                };
+                CriticMember::calibrate(Wgan::new(config), 0.9, &benign, 99.0).unwrap()
+            })
+            .collect();
+        let taus = [members[0].threshold, members[1].threshold];
+        assert_ne!(taus[0], taus[1]);
+        let mut vehigan = VehiGan::new(members, 2, 1).unwrap();
+        // Member 1 becomes a critic that is finite on an all-zero window
+        // (0·w = 0 all the way down) and overflows to ±inf on anything
+        // else: huge positive weights, zero biases.
+        for param in vehigan.members_mut()[1].wgan.critic_mut().params_mut() {
+            let value = if param.value.shape().len() == 1 {
+                0.0
+            } else {
+                1e20
+            };
+            param.value.as_mut_slice().fill(value);
+        }
+
+        let scaler = MinMaxScaler::fit_flat(12, (0..24).map(f64::from));
+        let config = ServerConfig {
+            n_shards: 1,
+            policy: EscalationPolicy::Always,
+            members: Some(vec![0, 1]),
+            ..ServerConfig::default()
+        };
+        let mut server = StreamServer::new(&vehigan, scaler, config).unwrap();
+
+        // Tile 1: all-zero windows, both members finite. Tile 2: windows
+        // of ones, member 1 non-finite and dropped — for that tile only.
+        let n = SCORE_TILE + 2;
+        let mut batch = vec![0.0f32; n * 120];
+        batch[SCORE_TILE * 120..].fill(1.0);
+        let meta: Vec<PendingWindow> = (0..n)
+            .map(|i| PendingWindow {
+                vehicle: VehicleId(i as u32),
+                timestamp: i as f64,
+                suppressed: false,
+                pinned: 0.0,
+            })
+            .collect();
+        let mut dropped = Vec::new();
+        let decisions = server
+            .score_windows(
+                &batch,
+                &meta,
+                EscalationPolicy::Always,
+                &[0, 1],
+                &[0, 1],
+                &mut dropped,
+            )
+            .unwrap();
+        assert_eq!(dropped, vec![1]);
+        let both = (taus[0] + taus[1]) / 2.0;
+        for (i, d) in decisions.iter().enumerate() {
+            let want = if i < SCORE_TILE { both } else { taus[0] };
+            assert_eq!(d.threshold, want, "window {i}");
+            assert!(d.score.is_finite());
+            assert_eq!(d.flagged, d.score > d.threshold);
+        }
     }
 
     #[test]

@@ -59,28 +59,41 @@
 //!   time) into `NR`-column strips with the shared dimension interleaved
 //!   in `k`-pairs, the exact layout `_mm256_madd_epi16` consumes, plus a
 //!   `k`-quad mirror in [`NR_VNNI`]-column strips (with per-column sums)
-//!   for the AVX-512 VNNI kernel;
-//! - [`gemm_i8`] — `C += A·B` over a packed `B`: a portable blocked
-//!   kernel, an AVX2 variant (`cvtepi8_epi16` widening + `madd_epi16`
-//!   pair-dot, the `maddubs`/`madd` idiom without the unsigned-operand
-//!   offset dance), and an AVX-512 VNNI variant (`vpdpbusd`, one
-//!   4-deep dot per lane per instruction — `vpdpbusd` takes *unsigned*
-//!   left operands, so activations are biased by +128 via XOR and the
-//!   exact correction `128·Σ_k b[k][j]` is subtracted from the packed
-//!   per-column sums at store);
-//! - [`gemm_i8_fused`] — the multi-member sweep: one call walks several
-//!   packed weight matrices over shared or per-member activations, so a
-//!   `k`-of-`m` ensemble layer is one kernel invocation, not `k` model
-//!   walks.
+//!   for the AVX-512 VNNI kernel. The shared dimension may be cut into
+//!   equal **spans** ([`PackedI8::pack_spans`]), each padded to a whole
+//!   pair/quad, so a convolution patch — `kh` separate `kw·cin`-byte runs
+//!   of a padded activation plane — is multiplied where it lies;
+//! - [`Patches`] — where the rows of the left operand live: a plain
+//!   row-major matrix, or the patches of a same-padded convolution read
+//!   straight out of the padded plane (no im2col copy);
+//! - one micro-kernel sweep per ISA — portable, AVX2 (`cvtepi8_epi16`
+//!   widening + `madd_epi16` pair-dot, 4 rows × 2 strips) and AVX-512
+//!   VNNI (`vpdpbusd`, one 4-deep dot per lane per instruction, 8 rows ×
+//!   2 strips = 16 independent accumulators) — whose register block is
+//!   finished in place by one of two epilogues: [`gemm_i8`] adds the i32
+//!   block into `C`; [`gemm_i8_dequant`] turns it into the next layer's
+//!   f32 activations (`acc · mult[j] + bias[j]`, optional LeakyReLU) and
+//!   tracks their max-abs, so the accumulators never touch memory;
+//! - `vpdpbusd` takes *unsigned* left operands, so on the VNNI leg
+//!   activations carry a +128 bias ([`i8_activation_bias`], an XOR with
+//!   `0x80` applied once when they are quantized) and every accumulator
+//!   starts at the exact correction `−128·Σ_k b[k][j]`, taken from the
+//!   packed per-column sums;
+//! - a single-column `B` (the critic's dense head) is a dot product, not
+//!   a strip sweep: it is kept in plain `k` order and multiplied 64 bytes
+//!   per step.
 //!
 //! Integer accumulation is exact, so **portable, AVX2, and VNNI int8
 //! kernels produce bitwise-identical i32 accumulators** on every ISA —
 //! stronger than the f32 contract, and the property the int8 backend's
-//! determinism rests on. Exactness requires the accumulator not to
-//! overflow: with operands in `[-128, 127]` any `k ≤ 65534` is safe
-//! (`k/2` pair-sums of magnitude ≤ 2·128² against an i32; the VNNI
-//! path's biased `u8×i8` quad-dots stay within the same bound), far
-//! above any critic shape in this stack.
+//! determinism rests on. The dequantizing epilogue performs the same
+//! IEEE operations lane for lane on every leg (convert, multiply, add,
+//! ordered-greater select), so its f32 results are bitwise identical
+//! too. Exactness requires the accumulator not to overflow: with
+//! operands in `[-128, 127]` any `k ≤ 65534` is safe (`k/2` pair-sums of
+//! magnitude ≤ 2·128² against an i32; the VNNI path's biased `u8×i8`
+//! quad-dots stay within the same bound), far above any critic shape in
+//! this stack.
 //!
 //! Setting the environment variable `VEHIGAN_FORCE_PORTABLE` (to any
 //! value, before first use) pins **all** kernel dispatch to the portable
@@ -515,9 +528,19 @@ pub const NR_I8: usize = 8;
 /// worth of i32 lanes.
 pub const NR_VNNI: usize = 16;
 
-/// Rows of `A` swept per int8 micro-kernel pass (amortizes each packed-`B`
-/// load across four accumulator registers).
-const MR_I8: usize = 4;
+/// Rows per AVX2 micro-kernel pass: 4 rows × 2 strips fill eight of the
+/// sixteen YMM registers with accumulators.
+#[cfg(target_arch = "x86_64")]
+const MR_AVX2: usize = 4;
+
+/// Rows per VNNI micro-kernel pass: 8 rows × 2 strips are sixteen
+/// independent `vpdpbusd` chains — enough to cover the instruction's
+/// latency on both ports — and every packed-`B` load feeds eight rows.
+#[cfg(target_arch = "x86_64")]
+const MR_VNNI: usize = 8;
+
+/// Bytes the `n = 1` dot product consumes per step.
+const DOT_CHUNK: usize = 64;
 
 /// A weight matrix packed for the int8 micro-kernels.
 ///
@@ -526,8 +549,10 @@ const MR_I8: usize = 4;
 /// strips and interleaves the shared dimension in pairs: strip `s`,
 /// pair `p` stores `[b[2p][j], b[2p+1][j]]` for each column `j` of the
 /// strip — sixteen i8 values, exactly one `cvtepi8_epi16` +
-/// `madd_epi16` step. Ragged edges (odd `k`, `n` not a multiple of
-/// [`NR_I8`]) are zero-padded, which is exact for integer accumulation.
+/// `madd_epi16` step. The shared dimension is `spans` runs of `span_len`
+/// rows; pairs (and the VNNI mirror's quads) never straddle two spans.
+/// Ragged edges (odd `span_len`, `n` not a multiple of [`NR_I8`]) are
+/// zero-padded, which is exact for integer accumulation.
 ///
 /// Packing happens **once** per weight matrix (at quantized-model compile
 /// time); every inference call then reads the packed form directly — the
@@ -536,19 +561,26 @@ const MR_I8: usize = 4;
 pub struct PackedI8 {
     k: usize,
     n: usize,
-    k_pairs: usize,
-    /// `[n_strips][k_pairs][NR_I8 · 2]`, pair-interleaved as above.
+    spans: usize,
+    span_len: usize,
+    /// `[n_strips][spans · span_pairs][NR_I8 · 2]`, pair-interleaved as
+    /// above.
     data: Vec<i8>,
-    /// `[n_strips16][k_quads][NR_VNNI · 4]`, quad-interleaved: strip `s`,
-    /// quad `q` stores `[b[4q][j], b[4q+1][j], b[4q+2][j], b[4q+3][j]]`
-    /// for each of the strip's 16 columns — one 512-bit `vpdpbusd` step.
-    /// A runtime acceleration mirror of `data` (not counted as artifact
-    /// bytes); zero-padded at ragged edges, exact for integer math.
+    /// `[n_strips16][spans · span_quads][NR_VNNI · 4]`, quad-interleaved:
+    /// strip `s`, quad `q` stores `[b[4q][j], …, b[4q+3][j]]` for each of
+    /// the strip's 16 columns — one 512-bit `vpdpbusd` step. A runtime
+    /// acceleration mirror of `data` (not counted as artifact bytes);
+    /// zero-padded at ragged edges, exact for integer math.
     quad: Vec<i8>,
     /// Per-column sums `Σ_k b[k][j]`: the exact correction for running
     /// `vpdpbusd`'s unsigned×signed form on biased activations
     /// (`Σ(a+128)·b = Σa·b + 128·S_j`).
     col_sums: Vec<i32>,
+    /// The matrix itself in plain `k` order, zero-padded to a whole
+    /// [`DOT_CHUNK`], when it is a single unspanned column: such a
+    /// product is a dot per row, and a strip layout would stream 16× the
+    /// bytes for one useful lane. Empty otherwise.
+    column: Vec<i8>,
 }
 
 impl PackedI8 {
@@ -558,55 +590,66 @@ impl PackedI8 {
     ///
     /// Panics if `b.len() != k·n`.
     pub fn pack(k: usize, n: usize, b: &[i8]) -> PackedI8 {
+        PackedI8::pack_spans(1, k, n, b)
+    }
+
+    /// Packs a row-major `(spans · span_len) × n` i8 matrix whose shared
+    /// dimension the left operand supplies as `spans` separate runs of
+    /// `span_len` bytes (see [`Patches`]) — a `[ky][kx·cin]` convolution
+    /// kernel is `kh` spans of `kw·cin`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != spans·span_len·n`.
+    pub fn pack_spans(spans: usize, span_len: usize, n: usize, b: &[i8]) -> PackedI8 {
+        let k = spans * span_len;
         assert_eq!(b.len(), k * n, "pack: matrix length {} != {k}×{n}", b.len());
-        let k_pairs = k.div_ceil(2);
-        let n_strips = n.div_ceil(NR_I8);
-        let mut data = vec![0i8; n_strips * k_pairs * NR_I8 * 2];
-        for s in 0..n_strips {
-            let js = s * NR_I8;
-            let width = NR_I8.min(n - js);
-            for p in 0..k_pairs {
-                let base = (s * k_pairs + p) * NR_I8 * 2;
-                for j in 0..width {
-                    data[base + 2 * j] = b[2 * p * n + js + j];
-                    if 2 * p + 1 < k {
-                        data[base + 2 * j + 1] = b[(2 * p + 1) * n + js + j];
-                    }
-                }
+        let mut packed = PackedI8 {
+            k,
+            n,
+            spans,
+            span_len,
+            data: Vec::new(),
+            quad: Vec::new(),
+            col_sums: vec![0i32; n],
+            column: Vec::new(),
+        };
+        packed.data = packed.interleave(b, 2, NR_I8);
+        packed.quad = packed.interleave(b, 4, NR_VNNI);
+        for row in b.chunks_exact(n.max(1)) {
+            for (s, &v) in packed.col_sums.iter_mut().zip(row) {
+                *s += v as i32;
             }
         }
-        let k_quads = k.div_ceil(4);
-        let n_strips16 = n.div_ceil(NR_VNNI);
-        let mut quad = vec![0i8; n_strips16 * k_quads * NR_VNNI * 4];
-        for s in 0..n_strips16 {
-            let js = s * NR_VNNI;
-            let width = NR_VNNI.min(n - js);
-            for q in 0..k_quads {
-                let base = (s * k_quads + q) * NR_VNNI * 4;
-                for j in 0..width {
-                    for t in 0..4 {
-                        if 4 * q + t < k {
-                            quad[base + 4 * j + t] = b[(4 * q + t) * n + js + j];
+        if packed.is_column() {
+            packed.column = b.to_vec();
+            packed.column.resize(k.div_ceil(DOT_CHUNK) * DOT_CHUNK, 0);
+        }
+        packed
+    }
+
+    /// `[n.div_ceil(nr)][spans · span_len.div_ceil(group)][nr · group]`:
+    /// `group` consecutive rows of one span side by side per column.
+    fn interleave(&self, b: &[i8], group: usize, nr: usize) -> Vec<i8> {
+        let per_span = self.span_len.div_ceil(group);
+        let n_strips = self.n.div_ceil(nr);
+        let mut out = vec![0i8; n_strips * self.spans * per_span * nr * group];
+        for s in 0..n_strips {
+            let js = s * nr;
+            let width = nr.min(self.n - js);
+            for span in 0..self.spans {
+                for g in 0..per_span {
+                    let base = ((s * self.spans + span) * per_span + g) * nr * group;
+                    for t in 0..group.min(self.span_len - g * group) {
+                        let row = span * self.span_len + g * group + t;
+                        for j in 0..width {
+                            out[base + group * j + t] = b[row * self.n + js + j];
                         }
                     }
                 }
             }
         }
-        let mut col_sums = vec![0i32; n];
-        for (kk, row) in b.chunks_exact(n).enumerate() {
-            debug_assert!(kk < k);
-            for (s, &v) in col_sums.iter_mut().zip(row) {
-                *s += v as i32;
-            }
-        }
-        PackedI8 {
-            k,
-            n,
-            k_pairs,
-            data,
-            quad,
-            col_sums,
-        }
+        out
     }
 
     /// Shared dimension `k` of the packed matrix.
@@ -623,20 +666,262 @@ impl PackedI8 {
     pub fn packed_bytes(&self) -> usize {
         self.data.len()
     }
+
+    /// Whether products against this matrix take the dot-product path.
+    fn is_column(&self) -> bool {
+        self.n == 1 && self.spans == 1
+    }
+
+    /// Bytes of one span as the kernels read it: padded to a whole quad,
+    /// the widest group any leg loads.
+    fn span_bytes(&self) -> usize {
+        self.span_len.div_ceil(4) * 4
+    }
+}
+
+/// Where the rows of an int8 left operand live inside a byte plane.
+///
+/// Row `r`'s span `s` starts at byte
+/// `(r / width + s)·row_stride + (r % width)·col_stride`. For a
+/// same-padded convolution over a padded `[h + kh − 1, w + kw − 1, cin]`
+/// plane that is `width = w`, `row_stride = (w + kw − 1)·cin`,
+/// `col_stride = cin`: output pixel `(y, x)` reads `kh` spans of `kw·cin`
+/// bytes, one per kernel row, exactly where the plane holds them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Patches {
+    /// Rows of the left operand per plane row.
+    pub width: usize,
+    /// Bytes between plane rows, and between a row's successive spans.
+    pub row_stride: usize,
+    /// Bytes between horizontally adjacent rows of the left operand.
+    pub col_stride: usize,
+}
+
+impl Patches {
+    /// A plain row-major matrix with `k` bytes per row.
+    pub fn matrix(k: usize) -> Patches {
+        Patches {
+            width: 1,
+            row_stride: k,
+            col_stride: 0,
+        }
+    }
+
+    fn offset(&self, r: usize) -> usize {
+        (r / self.width) * self.row_stride + (r % self.width) * self.col_stride
+    }
+
+    /// One past the last byte a sweep of `rows` rows against `b` reads.
+    /// Every kernel leg stays below it; the vector legs read whole quads,
+    /// hence [`PackedI8::span_bytes`] rather than `span_len`.
+    fn extent(&self, rows: usize, b: &PackedI8) -> usize {
+        if rows == 0 || b.spans == 0 {
+            return 0;
+        }
+        let last = rows - 1;
+        (last / self.width + b.spans - 1) * self.row_stride
+            + last.min(self.width - 1) * self.col_stride
+            + b.span_bytes()
+    }
+}
+
+/// The XOR mask quantized activations must carry for [`gemm_i8_dequant`]:
+/// `0x80` (`a + 128` as u8, what `vpdpbusd` multiplies) when the VNNI
+/// kernel is dispatched, `0` (plain two's-complement i8) otherwise.
+/// Padding bytes of a plane hold the mask itself — a biased zero.
+pub fn i8_activation_bias() -> u8 {
+    #[cfg(target_arch = "x86_64")]
+    if vnni_available() {
+        return 0x80;
+    }
+    0
+}
+
+/// Per-column dequantization applied to a finished accumulator block:
+/// `acc as f32 · mult[j] + bias[j]`, then select-form LeakyReLU
+/// (`v > 0 ? v : α·v`) when `alpha` is set.
+#[derive(Debug, Clone, Copy)]
+pub struct Dequant<'a> {
+    /// Per-column multipliers (activation scale × weight scale).
+    pub mult: &'a [f32],
+    /// Per-column float bias.
+    pub bias: &'a [f32],
+    /// LeakyReLU slope, if the layer has a fused activation.
+    pub alpha: Option<f32>,
+}
+
+/// What a micro-kernel does with a finished register block.
+enum Sink<'a> {
+    /// `c[row·n + j] += acc` — the plain GEMM contract.
+    Accumulate(&'a mut [i32]),
+    /// `dst[row·n + j] = dequant(acc)`, remembering the largest `|dst|`
+    /// written (NaN skipped, like an ordered-compare scan).
+    Dequant {
+        epi: Dequant<'a>,
+        dst: &'a mut [f32],
+        max_abs: f32,
+    },
+}
+
+impl Sink<'_> {
+    /// Finishes exact accumulators for columns `j0..j0 + acc.len()` of
+    /// `row`. The scalar body every leg's result is defined by.
+    #[inline(always)]
+    fn finish(&mut self, n: usize, row: usize, j0: usize, acc: &[i32]) {
+        let at = row * n + j0;
+        match self {
+            Sink::Accumulate(c) => {
+                for (cv, &a) in c[at..at + acc.len()].iter_mut().zip(acc) {
+                    *cv += a;
+                }
+            }
+            Sink::Dequant { epi, dst, max_abs } => {
+                let cols = j0..j0 + acc.len();
+                let params = epi.mult[cols.clone()].iter().zip(&epi.bias[cols]);
+                for ((d, &a), (&mu, &b)) in dst[at..at + acc.len()].iter_mut().zip(acc).zip(params)
+                {
+                    let v = a as f32 * mu + b;
+                    // Select-form LeakyReLU — a single blend per lane;
+                    // the max+min form costs two maxnum NaN-checked ops.
+                    let v = match epi.alpha {
+                        Some(alpha) => {
+                            if v > 0.0 {
+                                v
+                            } else {
+                                alpha * v
+                            }
+                        }
+                        None => v,
+                    };
+                    *d = v;
+                    // Ordered compare, not `f32::max`: NaN never wins.
+                    let mag = v.abs();
+                    if mag > *max_abs {
+                        *max_abs = mag;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Folds a vector leg's lane-wise max tracker into the scalar one.
+    fn fold_max(&mut self, lanes_max: f32) {
+        if let Sink::Dequant { max_abs, .. } = self {
+            if lanes_max > *max_abs {
+                *max_abs = lanes_max;
+            }
+        }
+    }
+
+    /// Finishes `R` rows of one VNNI strip straight from the (exact)
+    /// accumulator registers: either adds into `C` or dequantizes with
+    /// exactly the scalar sequence of [`Sink::finish`] per lane — convert,
+    /// multiply, add (separate, not FMA: the scalar body rounds twice),
+    /// ordered-greater blend — so the result is bitwise identical, ±0 and
+    /// NaN included. `max` tracks `|v|` per lane; `vmaxps` returns its
+    /// second operand when the first is NaN, which is the scalar compare's
+    /// skip.
+    ///
+    /// # Safety
+    ///
+    /// Callers must ensure the CPU supports AVX-512F, rows `r0..r0 + R`
+    /// exist in the sink, and `strip` is a valid strip index of `b`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn finish_zmm<const R: usize>(
+        &mut self,
+        b: &PackedI8,
+        r0: usize,
+        strip: usize,
+        acc: &[std::arch::x86_64::__m512i; R],
+        max: &mut std::arch::x86_64::__m512,
+    ) {
+        use std::arch::x86_64::*;
+        let n = b.n;
+        let js = strip * NR_VNNI;
+        let width = NR_VNNI.min(n - js);
+        let mask = lane_mask(width);
+        match self {
+            Sink::Accumulate(c) => {
+                debug_assert!((r0 + R) * n <= c.len());
+                for (r, accr) in acc.iter().enumerate() {
+                    let cp = c.as_mut_ptr().add((r0 + r) * n + js);
+                    let cv = _mm512_maskz_loadu_epi32(mask, cp);
+                    let sum = _mm512_add_epi32(cv, *accr);
+                    _mm512_mask_storeu_epi32(cp, mask, sum);
+                }
+            }
+            Sink::Dequant { epi, dst, .. } => {
+                debug_assert!((r0 + R) * n <= dst.len());
+                let mv = _mm512_maskz_loadu_ps(mask, epi.mult.as_ptr().add(js));
+                let bv = _mm512_maskz_loadu_ps(mask, epi.bias.as_ptr().add(js));
+                let zero = _mm512_setzero_ps();
+                for (r, accr) in acc.iter().enumerate() {
+                    let v = _mm512_add_ps(_mm512_mul_ps(_mm512_cvtepi32_ps(*accr), mv), bv);
+                    let v = match epi.alpha {
+                        Some(alpha) => {
+                            let leak = _mm512_mul_ps(v, _mm512_set1_ps(alpha));
+                            let pos = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, zero);
+                            _mm512_mask_mov_ps(leak, pos, v)
+                        }
+                        None => v,
+                    };
+                    _mm512_mask_storeu_ps(dst.as_mut_ptr().add((r0 + r) * n + js), mask, v);
+                    *max = _mm512_mask_max_ps(*max, mask, _mm512_abs_ps(v), *max);
+                }
+            }
+        }
+    }
+}
+
+/// The AVX-512 write mask selecting the first `width ≤ 16` lanes.
+#[cfg(target_arch = "x86_64")]
+fn lane_mask(width: usize) -> std::arch::x86_64::__mmask16 {
+    ((1u32 << width) - 1) as u16
+}
+
+/// Reinterprets unbiased activation bytes as the i8 values they encode.
+fn as_i8(bytes: &[u8]) -> &[i8] {
+    // SAFETY: u8 and i8 have identical size, alignment and validity.
+    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<i8>(), bytes.len()) }
 }
 
 /// `C += A·B` for row-major i8 `a` (`m×k`) against a pre-packed `b`,
 /// accumulating into i32 `c` (`m×n`).
 ///
-/// Dispatches to the AVX2 `madd` kernel when available, the portable
-/// blocked kernel otherwise; both produce **bitwise-identical** i32
-/// accumulators (integer arithmetic is exact — see module docs for the
-/// no-overflow bound `k ≤ 65534`).
+/// Dispatches to the VNNI or AVX2 kernel when available, the portable
+/// kernel otherwise; all produce **bitwise-identical** i32 accumulators
+/// (integer arithmetic is exact — see module docs for the no-overflow
+/// bound `k ≤ 65534`).
 ///
 /// # Panics
 ///
 /// Panics if `a`/`c` lengths disagree with `m` and the packed dimensions.
 pub fn gemm_i8(m: usize, a: &[i8], b: &PackedI8, c: &mut [i32]) {
+    check_dims_i8(m, a, b, c);
+    if m == 0 || b.n == 0 || b.k == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if vnni_available() {
+        // Safety: guarded by cached runtime detection of avx512f+vnni.
+        unsafe { gemm_i8_vnni(m, a, b, c) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // Safety: guarded by cached runtime detection of avx2; `a` holds
+        // every row `Patches::matrix` addresses (checked above).
+        unsafe { sweep_avx2(m, a, Patches::matrix(b.k), b, &mut Sink::Accumulate(c)) };
+        return;
+    }
+    sweep_portable(m, a, Patches::matrix(b.k), b, &mut Sink::Accumulate(c));
+}
+
+fn check_dims_i8(m: usize, a: &[i8], b: &PackedI8, c: &[i32]) {
+    // The patch sweeps address `a` by `Patches::matrix(k)`, which only
+    // describes a matrix whose shared dimension is one span.
+    assert_eq!(b.spans, 1, "gemm_i8: rhs was packed in spans");
     assert_eq!(
         a.len(),
         m * b.k,
@@ -651,122 +936,123 @@ pub fn gemm_i8(m: usize, a: &[i8], b: &PackedI8, c: &mut [i32]) {
         c.len(),
         b.n
     );
-    if m == 0 || b.n == 0 || b.k == 0 {
-        return;
-    }
+}
+
+/// The portable [`gemm_i8`]. Public within the crate's test surface so
+/// property tests can pin portable-vs-dispatched equality.
+pub fn gemm_i8_portable(m: usize, a: &[i8], b: &PackedI8, c: &mut [i32]) {
+    check_dims_i8(m, a, b, c);
+    sweep_portable(m, a, Patches::matrix(b.k), b, &mut Sink::Accumulate(c));
+}
+
+/// The fused layer product: `dst[r·n + j] = dequant(Σ_k a[r][k]·b[k][j])`
+/// for `rows` rows of quantized activations addressed by `patches` inside
+/// `plane`, returning the largest `|dst|` written (0 when every output is
+/// zero or NaN) — the next layer's range-guard input, tracked in the
+/// epilogue so nothing rescans `dst`.
+///
+/// `plane` holds activations quantized to `[-127, 127]` and XORed with
+/// [`i8_activation_bias`]. The accumulators are exact and the epilogue
+/// performs one IEEE multiply and one add per element on every leg, so
+/// `dst` is bitwise identical across the portable, AVX2 and VNNI kernels.
+///
+/// # Panics
+///
+/// Panics if `epi`/`dst` lengths disagree with `rows` and `b.n()`, or
+/// `plane` is shorter than the bytes `patches` addresses — whole quads:
+/// the last span of the last row must have `span_len` rounded up to a
+/// multiple of 4 readable bytes (their values beyond `span_len` are
+/// multiplied by zero weights).
+pub fn gemm_i8_dequant(
+    rows: usize,
+    plane: &[u8],
+    patches: Patches,
+    b: &PackedI8,
+    epi: Dequant<'_>,
+    dst: &mut [f32],
+) -> f32 {
+    assert_eq!(epi.mult.len(), b.n, "gemm_i8_dequant: mult length");
+    assert_eq!(epi.bias.len(), b.n, "gemm_i8_dequant: bias length");
+    assert_eq!(dst.len(), rows * b.n, "gemm_i8_dequant: out length");
+    assert!(patches.width > 0, "gemm_i8_dequant: zero patch width");
+    let mut sink = Sink::Dequant {
+        epi,
+        dst,
+        max_abs: 0.0,
+    };
+    sweep(rows, plane, patches, b, &mut sink);
+    let Sink::Dequant { max_abs, .. } = sink else {
+        unreachable!("sink was built as Dequant above")
+    };
+    max_abs
+}
+
+/// Runs the dispatched micro-kernel sweep over a plane whose bytes carry
+/// [`i8_activation_bias`] and cover `p.extent(rows, b)`.
+fn sweep(rows: usize, plane: &[u8], p: Patches, b: &PackedI8, sink: &mut Sink<'_>) {
+    assert!(plane.len() >= p.extent(rows, b), "int8 plane too short");
     #[cfg(target_arch = "x86_64")]
     if vnni_available() {
-        // Safety: guarded by cached runtime detection of avx512f+vnni.
-        unsafe { gemm_i8_vnni(m, a, b, c) };
+        // Safety: guarded by cached runtime detection of avx512f+vnni;
+        // the extent check above covers every byte the sweep reads.
+        unsafe { sweep_vnni(rows, plane, p, b, sink) };
         return;
     }
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // Safety: guarded by cached runtime detection of avx2.
-        unsafe { gemm_i8_avx2(m, a, b, c) };
+        unsafe { sweep_avx2(rows, as_i8(plane), p, b, sink) };
         return;
     }
-    gemm_i8_portable(m, a, b, c);
+    sweep_portable(rows, as_i8(plane), p, b, sink);
 }
 
-/// The fused multi-member sweep: for each member `g`,
-/// `C_g += A_g · B_g`, in one kernel invocation.
-///
-/// `members` are per-member packed weight matrices that must share the
-/// same `k`. `a` is either **shared** activations (`m·k` values — every
-/// member reads the same input, the layer-1 case where all critics see
-/// the same window batch) or **per-member** activations (`members.len()
-/// · m·k` values, member-major). `c` holds the member outputs
-/// back-to-back: member `g`'s `m × n_g` block starts where member
-/// `g−1`'s ended.
-///
-/// This is what turns `k` sampled critics from `k` model walks into one
-/// packed-weight GEMM per layer: weights were packed at compile time,
-/// activations are quantized once, and a single call (one dispatch, one
-/// hot loop) sweeps every member.
-///
-/// # Panics
-///
-/// Panics if the members disagree on `k`, or `a`/`c` lengths match
-/// neither the shared nor the per-member layout.
-pub fn gemm_i8_fused(m: usize, a: &[i8], members: &[&PackedI8], c: &mut [i32]) {
-    let Some(first) = members.first() else {
+/// Scalar i8·i8 dot product (the AVX2 and portable `n = 1` path).
+fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
+    a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
+}
+
+/// Portable micro-kernel sweep: one row × one [`NR_I8`] strip at a time
+/// over the pair-interleaved layout.
+fn sweep_portable(rows: usize, a: &[i8], p: Patches, b: &PackedI8, sink: &mut Sink<'_>) {
+    let n = b.n;
+    if b.is_column() {
+        for r in 0..rows {
+            let row = &a[p.offset(r)..][..b.k];
+            sink.finish(n, r, 0, &[dot_i8(row, &b.column)]);
+        }
         return;
-    };
-    let k = first.k;
-    for b in members {
-        assert_eq!(b.k, k, "gemm_i8_fused: members disagree on k");
     }
-    let shared = a.len() == m * k;
-    assert!(
-        shared || a.len() == members.len() * m * k,
-        "gemm_i8_fused: lhs length {} is neither shared ({}) nor per-member ({})",
-        a.len(),
-        m * k,
-        members.len() * m * k
-    );
-    let total_n: usize = members.iter().map(|b| b.n).sum();
-    assert_eq!(
-        c.len(),
-        m * total_n,
-        "gemm_i8_fused: out length {} != {m}×{total_n}",
-        c.len()
-    );
-    let mut c_off = 0;
-    for (g, b) in members.iter().enumerate() {
-        let a_g = if shared {
-            a
-        } else {
-            &a[g * m * k..(g + 1) * m * k]
-        };
-        gemm_i8(m, a_g, b, &mut c[c_off..c_off + m * b.n]);
-        c_off += m * b.n;
-    }
-}
-
-/// Portable int8 micro-kernel sweep. Public within the crate's test
-/// surface so property tests can pin portable-vs-dispatched equality.
-pub fn gemm_i8_portable(m: usize, a: &[i8], b: &PackedI8, c: &mut [i32]) {
-    let (k, n, k_pairs) = (b.k, b.n, b.k_pairs);
-    let n_strips = n.div_ceil(NR_I8);
-    for s in 0..n_strips {
-        let js = s * NR_I8;
-        let width = NR_I8.min(n - js);
-        let strip = &b.data[s * k_pairs * NR_I8 * 2..(s + 1) * k_pairs * NR_I8 * 2];
-        let mut i0 = 0;
-        while i0 < m {
-            let h = MR_I8.min(m - i0);
-            let mut acc = [[0i32; NR_I8]; MR_I8];
-            for (p, pb) in strip.chunks_exact(NR_I8 * 2).enumerate() {
-                for (r, row) in acc.iter_mut().enumerate().take(h) {
-                    let arow = &a[(i0 + r) * k..];
-                    let a0 = arow[2 * p] as i32;
-                    let a1 = if 2 * p + 1 < k {
-                        arow[2 * p + 1] as i32
-                    } else {
-                        0
-                    };
-                    for (j, cell) in row.iter_mut().enumerate() {
+    let pairs = b.span_len.div_ceil(2);
+    let strip_len = b.spans * pairs * NR_I8 * 2;
+    for r in 0..rows {
+        let base = p.offset(r);
+        for s in 0..n.div_ceil(NR_I8) {
+            let strip = &b.data[s * strip_len..][..strip_len];
+            let mut acc = [0i32; NR_I8];
+            for span in 0..b.spans {
+                let arow = &a[base + span * p.row_stride..][..b.span_len];
+                let bspan = &strip[span * pairs * NR_I8 * 2..][..pairs * NR_I8 * 2];
+                for (pi, pb) in bspan.chunks_exact(NR_I8 * 2).enumerate() {
+                    let a0 = arow[2 * pi] as i32;
+                    let a1 = arow.get(2 * pi + 1).map_or(0, |&v| v as i32);
+                    for (j, cell) in acc.iter_mut().enumerate() {
                         *cell += a0 * pb[2 * j] as i32 + a1 * pb[2 * j + 1] as i32;
                     }
                 }
             }
-            for (r, row) in acc.iter().enumerate().take(h) {
-                let base = (i0 + r) * n + js;
-                for (j, &v) in row.iter().enumerate().take(width) {
-                    c[base + j] += v;
-                }
-            }
-            i0 += h;
+            let js = s * NR_I8;
+            sink.finish(n, r, js, &acc[..NR_I8.min(n - js)]);
         }
     }
 }
 
-/// Sign-extends one row of i8 activations into pair-interleaved i16
+/// Sign-extends one span of i8 activations into pair-interleaved i16
 /// values viewed as one i32 per pair: `dst[p] = (a[2p+1] ⊔ a[2p])`, with
-/// an implicit zero for the dangling element of an odd `k`. This is the
-/// exact operand layout `madd_epi16` wants broadcast across its lanes,
-/// built once per row instead of reconstructed per strip × per pair.
+/// an implicit zero for the dangling element of an odd length. This is
+/// the exact operand layout `madd_epi16` wants broadcast across its
+/// lanes, built once per row instead of reconstructed per strip × per
+/// pair.
 ///
 /// # Safety
 ///
@@ -799,284 +1085,124 @@ unsafe fn extend_row_pairs(row: &[i8], dst: &mut [i32]) {
     }
 }
 
-/// AVX2 int8 micro-kernel sweep: per row block the activations are
-/// sign-extended once into pair-interleaved i16 ([`extend_row_pairs`]),
+/// AVX2 micro-kernel sweep: per row block the patches are sign-extended
+/// once into pair-interleaved i16 ([`extend_row_pairs`], span by span, so
+/// a patch scattered over `kh` plane rows becomes one contiguous run),
 /// then each inner step is a single broadcast load + `madd_epi16` +
 /// `add_epi32` against the pre-packed weight strips — two strips at a
 /// time so every activation broadcast feeds sixteen output columns. The
-/// row count is a const generic, so short blocks (the `m = 1` dense tail)
-/// do exactly their own work instead of a padded 4-row pass. Exact
-/// integer arithmetic ⇒ bitwise identical to the portable kernel.
+/// row count is a const generic, so short blocks do exactly their own
+/// work instead of a padded 4-row pass. Exact integer arithmetic ⇒
+/// bitwise identical to the portable kernel.
 ///
 /// # Safety
 ///
-/// Callers must ensure the CPU supports AVX2.
+/// Callers must ensure the CPU supports AVX2 and `a` covers
+/// `p.extent(rows, b)` bytes (span tails excepted: this leg reads exactly
+/// `span_len` bytes per span).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_i8_avx2(m: usize, a: &[i8], b: &PackedI8, c: &mut [i32]) {
-    use std::cell::RefCell;
+unsafe fn sweep_avx2(rows: usize, a: &[i8], p: Patches, b: &PackedI8, sink: &mut Sink<'_>) {
+    if b.is_column() {
+        for r in 0..rows {
+            let row = &a[p.offset(r)..][..b.k];
+            sink.finish(b.n, r, 0, &[dot_i8(row, &b.column)]);
+        }
+        return;
+    }
     // Reused pair-extension scratch: one row block per live call.
     thread_local! {
         static A16: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
     }
     A16.with(|cell| {
         let mut a16 = cell.take();
-        if a16.len() < MR_I8 * b.k_pairs {
-            a16.resize(MR_I8 * b.k_pairs, 0);
+        let k_pairs = b.spans * b.span_len.div_ceil(2);
+        if a16.len() < MR_AVX2 * k_pairs {
+            a16.resize(MR_AVX2 * k_pairs, 0);
         }
-        let mut i0 = 0;
-        while i0 < m {
-            let h = MR_I8.min(m - i0);
+        let mut r0 = 0;
+        while r0 < rows {
+            let h = MR_AVX2.min(rows - r0);
             match h {
-                4 => gemm_i8_avx2_block::<4>(i0, a, b, c, &mut a16),
-                3 => gemm_i8_avx2_block::<3>(i0, a, b, c, &mut a16),
-                2 => gemm_i8_avx2_block::<2>(i0, a, b, c, &mut a16),
-                _ => gemm_i8_avx2_block::<1>(i0, a, b, c, &mut a16),
+                4 => avx2_block::<4>(r0, a, p, b, sink, &mut a16),
+                3 => avx2_block::<3>(r0, a, p, b, sink, &mut a16),
+                2 => avx2_block::<2>(r0, a, p, b, sink, &mut a16),
+                _ => avx2_block::<1>(r0, a, p, b, sink, &mut a16),
             }
-            i0 += h;
+            r0 += h;
         }
         cell.replace(a16);
     });
 }
 
-/// One `H`-row block of the AVX2 sweep (`H ≤` [`MR_I8`]).
+/// One `R`-row block of the AVX2 sweep (`R ≤` [`MR_AVX2`]).
 ///
 /// # Safety
 ///
-/// Callers must ensure the CPU supports AVX2, `i0 + H ≤ m`, and
-/// `a16.len() ≥ H · k_pairs`.
+/// Callers must ensure the CPU supports AVX2, rows `r0..r0 + R` exist,
+/// and `a16.len() ≥ R · spans · span_len.div_ceil(2)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_i8_avx2_block<const H: usize>(
-    i0: usize,
+unsafe fn avx2_block<const R: usize>(
+    r0: usize,
     a: &[i8],
+    p: Patches,
     b: &PackedI8,
-    c: &mut [i32],
+    sink: &mut Sink<'_>,
     a16: &mut [i32],
 ) {
     use std::arch::x86_64::*;
-    let (k, n, k_pairs) = (b.k, b.n, b.k_pairs);
+    let n = b.n;
+    let pairs = b.span_len.div_ceil(2);
+    let k_pairs = b.spans * pairs;
     let n_strips = n.div_ceil(NR_I8);
-    for r in 0..H {
-        extend_row_pairs(
-            &a[(i0 + r) * k..(i0 + r) * k + k],
-            &mut a16[r * k_pairs..(r + 1) * k_pairs],
-        );
+    for r in 0..R {
+        let base = p.offset(r0 + r);
+        for span in 0..b.spans {
+            extend_row_pairs(
+                &a[base + span * p.row_stride..][..b.span_len],
+                &mut a16[r * k_pairs + span * pairs..][..pairs],
+            );
+        }
     }
     let mut s = 0;
-    // Two-strip main kernel: H rows × 16 columns per pass.
+    // Two-strip main kernel: R rows × 16 columns per pass.
     while s + 2 <= n_strips {
         let strip0 = b.data.as_ptr().add(s * k_pairs * NR_I8 * 2);
         let strip1 = b.data.as_ptr().add((s + 1) * k_pairs * NR_I8 * 2);
-        let mut acc0 = [_mm256_setzero_si256(); H];
-        let mut acc1 = [_mm256_setzero_si256(); H];
-        for p in 0..k_pairs {
+        let mut acc0 = [_mm256_setzero_si256(); R];
+        let mut acc1 = [_mm256_setzero_si256(); R];
+        for q in 0..k_pairs {
             let b0 =
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(strip0.add(p * NR_I8 * 2) as *const __m128i));
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(strip0.add(q * NR_I8 * 2) as *const __m128i));
             let b1 =
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(strip1.add(p * NR_I8 * 2) as *const __m128i));
-            for r in 0..H {
-                let ap = _mm256_set1_epi32(*a16.get_unchecked(r * k_pairs + p));
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(strip1.add(q * NR_I8 * 2) as *const __m128i));
+            for r in 0..R {
+                let ap = _mm256_set1_epi32(*a16.get_unchecked(r * k_pairs + q));
                 acc0[r] = _mm256_add_epi32(acc0[r], _mm256_madd_epi16(ap, b0));
                 acc1[r] = _mm256_add_epi32(acc1[r], _mm256_madd_epi16(ap, b1));
             }
         }
-        store_acc_block(&acc0, c, i0, n, s * NR_I8);
-        store_acc_block(&acc1, c, i0, n, (s + 1) * NR_I8);
+        finish_ymm(sink, n, r0, s, &acc0);
+        finish_ymm(sink, n, r0, s + 1, &acc1);
         s += 2;
     }
     if s < n_strips {
         let strip = b.data.as_ptr().add(s * k_pairs * NR_I8 * 2);
-        let mut acc = [_mm256_setzero_si256(); H];
-        for p in 0..k_pairs {
+        let mut acc = [_mm256_setzero_si256(); R];
+        for q in 0..k_pairs {
             let bv =
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(strip.add(p * NR_I8 * 2) as *const __m128i));
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(strip.add(q * NR_I8 * 2) as *const __m128i));
             for (r, accr) in acc.iter_mut().enumerate() {
-                let ap = _mm256_set1_epi32(*a16.get_unchecked(r * k_pairs + p));
+                let ap = _mm256_set1_epi32(*a16.get_unchecked(r * k_pairs + q));
                 *accr = _mm256_add_epi32(*accr, _mm256_madd_epi16(ap, bv));
             }
         }
-        store_acc_block(&acc, c, i0, n, s * NR_I8);
+        finish_ymm(sink, n, r0, s, &acc);
     }
 }
 
-/// AVX-512 VNNI int8 micro-kernel sweep. Each inner step is one
-/// `vpdpbusd` — sixteen output columns × four `k`-steps per instruction,
-/// four times the `madd_epi16` idiom's throughput. `vpdpbusd` multiplies
-/// **unsigned** bytes by signed bytes, so activations are biased once per
-/// row block (`a XOR 0x80 = a + 128` in u8) and the exact integer
-/// correction `128·Σ_k b[k][j]` (precomputed per column at pack time) is
-/// subtracted at store. The four 16-bit products are summed into the i32
-/// lane without saturation, so the whole path is exact integer
-/// arithmetic ⇒ bitwise identical to the portable kernel.
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX-512F and AVX-512 VNNI.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vnni")]
-unsafe fn gemm_i8_vnni(m: usize, a: &[i8], b: &PackedI8, c: &mut [i32]) {
-    use std::cell::RefCell;
-    // Reused biased-quad scratch: one row block per live call.
-    thread_local! {
-        static AQ: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
-    }
-    AQ.with(|cell| {
-        let mut aq = cell.take();
-        let k_quads = b.k.div_ceil(4);
-        if aq.len() < MR_I8 * k_quads {
-            aq.resize(MR_I8 * k_quads, 0);
-        }
-        let mut i0 = 0;
-        while i0 < m {
-            let h = MR_I8.min(m - i0);
-            match h {
-                4 => gemm_i8_vnni_block::<4>(i0, a, b, c, &mut aq),
-                3 => gemm_i8_vnni_block::<3>(i0, a, b, c, &mut aq),
-                2 => gemm_i8_vnni_block::<2>(i0, a, b, c, &mut aq),
-                _ => gemm_i8_vnni_block::<1>(i0, a, b, c, &mut aq),
-            }
-            i0 += h;
-        }
-        cell.replace(aq);
-    });
-}
-
-/// Biases one row of i8 activations to u8 (`a + 128`, i.e. `a XOR 0x80`)
-/// packed four-per-i32 in `k` order, zero-padding the dangling quad with
-/// the bias value 128 (exact: the packed `B` is zero there).
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX-512F and
-/// `dst.len() == row.len().div_ceil(4)`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn bias_row_quads(row: &[i8], dst: &mut [i32]) {
-    let k = row.len();
-    debug_assert_eq!(dst.len(), k.div_ceil(4));
-    let dst8 = dst.as_mut_ptr() as *mut u8;
-    let mut j = 0;
-    while j + 64 <= k {
-        use std::arch::x86_64::*;
-        let v = _mm512_loadu_si512(row.as_ptr().add(j) as *const __m512i);
-        let biased = _mm512_xor_si512(v, _mm512_set1_epi8(-128));
-        _mm512_storeu_si512(dst8.add(j) as *mut __m512i, biased);
-        j += 64;
-    }
-    while j < k {
-        *dst8.add(j) = (row[j] as u8) ^ 0x80;
-        j += 1;
-    }
-    let padded = k.div_ceil(4) * 4;
-    while j < padded {
-        // Bias of zero: the matching packed `B` bytes are zero-padded,
-        // so the product contributes nothing either way.
-        *dst8.add(j) = 0x80;
-        j += 1;
-    }
-}
-
-/// One `H`-row block of the VNNI sweep (`H ≤` [`MR_I8`]).
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX-512F and AVX-512 VNNI,
-/// `i0 + H ≤ m`, and `aq.len() ≥ H · k_quads`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vnni")]
-unsafe fn gemm_i8_vnni_block<const H: usize>(
-    i0: usize,
-    a: &[i8],
-    b: &PackedI8,
-    c: &mut [i32],
-    aq: &mut [i32],
-) {
-    use std::arch::x86_64::*;
-    let (k, n) = (b.k, b.n);
-    let k_quads = k.div_ceil(4);
-    let n_strips = n.div_ceil(NR_VNNI);
-    for r in 0..H {
-        bias_row_quads(
-            &a[(i0 + r) * k..(i0 + r) * k + k],
-            &mut aq[r * k_quads..(r + 1) * k_quads],
-        );
-    }
-    // Strip pairs: both strips share one broadcast of each activation
-    // quad, and the 2·H independent dpbusd chains hide the instruction's
-    // latency (a single strip gives the scheduler only H chains).
-    let mut s = 0;
-    while s + 2 <= n_strips {
-        let strip0 = b.quad.as_ptr().add(s * k_quads * NR_VNNI * 4);
-        let strip1 = b.quad.as_ptr().add((s + 1) * k_quads * NR_VNNI * 4);
-        let mut acc0 = [_mm512_setzero_si512(); H];
-        let mut acc1 = [_mm512_setzero_si512(); H];
-        for q in 0..k_quads {
-            let bv0 = _mm512_loadu_si512(strip0.add(q * NR_VNNI * 4) as *const __m512i);
-            let bv1 = _mm512_loadu_si512(strip1.add(q * NR_VNNI * 4) as *const __m512i);
-            for r in 0..H {
-                let av = _mm512_set1_epi32(*aq.get_unchecked(r * k_quads + q));
-                acc0[r] = _mm512_dpbusd_epi32(acc0[r], av, bv0);
-                acc1[r] = _mm512_dpbusd_epi32(acc1[r], av, bv1);
-            }
-        }
-        gemm_vnni_epilogue::<H>(&acc0, i0, b, s, c);
-        gemm_vnni_epilogue::<H>(&acc1, i0, b, s + 1, c);
-        s += 2;
-    }
-    if s < n_strips {
-        let strip = b.quad.as_ptr().add(s * k_quads * NR_VNNI * 4);
-        let mut acc = [_mm512_setzero_si512(); H];
-        for q in 0..k_quads {
-            let bv = _mm512_loadu_si512(strip.add(q * NR_VNNI * 4) as *const __m512i);
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_epi32(*aq.get_unchecked(r * k_quads + q));
-                *accr = _mm512_dpbusd_epi32(*accr, av, bv);
-            }
-        }
-        gemm_vnni_epilogue::<H>(&acc, i0, b, s, c);
-    }
-}
-
-/// Masked vector epilogue of the VNNI sweep: `c += acc − 128·S_j` for one
-/// strip, one shot per row (the shift is exact — col sums are far below
-/// 2^24). A scalar epilogue here costs more than the dpbusd core at
-/// these widths.
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX-512F, `i0 + H ≤ m`, and `s`
-/// is a valid strip index.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn gemm_vnni_epilogue<const H: usize>(
-    acc: &[std::arch::x86_64::__m512i; H],
-    i0: usize,
-    b: &PackedI8,
-    s: usize,
-    c: &mut [i32],
-) {
-    use std::arch::x86_64::*;
-    let n = b.n;
-    let js = s * NR_VNNI;
-    let width = NR_VNNI.min(n - js);
-    let mask: __mmask16 = if width == NR_VNNI {
-        0xffff
-    } else {
-        (1u16 << width) - 1
-    };
-    let cs = _mm512_maskz_loadu_epi32(mask, b.col_sums.as_ptr().add(js));
-    let corr = _mm512_slli_epi32::<7>(cs);
-    for (r, accr) in acc.iter().enumerate() {
-        let cp = c.as_mut_ptr().add((i0 + r) * n + js);
-        let cv = _mm512_maskz_loadu_epi32(mask, cp);
-        // Undo the u8 bias: Σ(a+128)·b − 128·S_j = Σ a·b.
-        let sum = _mm512_add_epi32(cv, _mm512_sub_epi32(*accr, corr));
-        _mm512_mask_storeu_epi32(cp, mask, sum);
-    }
-}
-
-/// Adds a block of `H` strip accumulators into `c`, clipping to the
+/// Hands `R` rows of one AVX2 strip to [`Sink::finish`], clipping to the
 /// ragged strip width at the matrix edge.
 ///
 /// # Safety
@@ -1084,23 +1210,229 @@ unsafe fn gemm_vnni_epilogue<const H: usize>(
 /// Callers must ensure the CPU supports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn store_acc_block<const H: usize>(
-    acc: &[std::arch::x86_64::__m256i; H],
-    c: &mut [i32],
-    i0: usize,
+unsafe fn finish_ymm<const R: usize>(
+    sink: &mut Sink<'_>,
     n: usize,
-    js: usize,
+    r0: usize,
+    s: usize,
+    acc: &[std::arch::x86_64::__m256i; R],
 ) {
     use std::arch::x86_64::*;
-    let width = NR_I8.min(n - js);
+    let js = s * NR_I8;
     let mut lanes = [0i32; NR_I8];
     for (r, accr) in acc.iter().enumerate() {
         _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, *accr);
-        let base = (i0 + r) * n + js;
-        for (j, &v) in lanes.iter().enumerate().take(width) {
-            c[base + j] += v;
+        sink.finish(n, r0 + r, js, &lanes[..NR_I8.min(n - js)]);
+    }
+}
+
+/// [`gemm_i8`] on the VNNI leg: `vpdpbusd` wants unsigned left operands,
+/// so each block of [`MR_VNNI`] rows is biased (`a XOR 0x80 = a + 128`)
+/// into a quad-padded scratch and swept from there.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F and AVX-512 VNNI and the
+/// operand lengths passed [`check_dims_i8`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+unsafe fn gemm_i8_vnni(m: usize, a: &[i8], b: &PackedI8, c: &mut [i32]) {
+    // Reused biased scratch: one row block per live call.
+    thread_local! {
+        static BIASED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
+    BIASED.with(|cell| {
+        let mut biased = cell.take();
+        let (k, n) = (b.k, b.n);
+        let stride = b.span_bytes();
+        // Pad bytes keep the bias of zero; the packed `B` is zero there,
+        // so the product contributes nothing either way.
+        biased.clear();
+        biased.resize(MR_VNNI * stride, 0x80);
+        let mut r0 = 0;
+        while r0 < m {
+            let h = MR_VNNI.min(m - r0);
+            for (row, dst) in a[r0 * k..(r0 + h) * k]
+                .chunks_exact(k)
+                .zip(biased.chunks_exact_mut(stride))
+            {
+                for (d, &v) in dst.iter_mut().zip(row) {
+                    *d = v as u8 ^ 0x80;
+                }
+            }
+            let mut sink = Sink::Accumulate(&mut c[r0 * n..(r0 + h) * n]);
+            sweep_vnni(h, &biased, Patches::matrix(stride), b, &mut sink);
+            r0 += h;
+        }
+        cell.replace(biased);
+    });
+}
+
+/// AVX-512 VNNI micro-kernel sweep over biased (`a + 128`) activations
+/// read in place. Each inner step is one `vpdpbusd` — sixteen output
+/// columns × four `k`-steps per instruction — whose left operand is a
+/// 4-byte broadcast straight from the plane. The four 16-bit products are
+/// summed into the i32 lane without saturation, so the whole path is
+/// exact integer arithmetic ⇒ bitwise identical to the portable kernel.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F and AVX-512 VNNI, `a`
+/// covers `p.extent(rows, b)` bytes, and the sink holds `rows` rows.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+unsafe fn sweep_vnni(rows: usize, a: &[u8], p: Patches, b: &PackedI8, sink: &mut Sink<'_>) {
+    use std::arch::x86_64::*;
+    debug_assert!(a.len() >= p.extent(rows, b));
+    if b.is_column() {
+        let corr = b.col_sums[0] << 7;
+        for r in 0..rows {
+            let dot = dot_vnni(&a[p.offset(r)..][..b.k], &b.column);
+            sink.finish(b.n, r, 0, &[dot - corr]);
+        }
+        return;
+    }
+    let mut max = _mm512_setzero_ps();
+    let mut r0 = 0;
+    while r0 < rows {
+        let left = rows - r0;
+        let h = if left >= MR_VNNI {
+            vnni_block::<MR_VNNI>(r0, a, p, b, sink, &mut max);
+            MR_VNNI
+        } else if left >= 4 {
+            vnni_block::<4>(r0, a, p, b, sink, &mut max);
+            4
+        } else if left >= 2 {
+            vnni_block::<2>(r0, a, p, b, sink, &mut max);
+            2
+        } else {
+            vnni_block::<1>(r0, a, p, b, sink, &mut max);
+            1
+        };
+        r0 += h;
+    }
+    sink.fold_max(_mm512_reduce_max_ps(max));
+}
+
+/// `Σ a[i]·b[i]` over biased u8 `a` and a [`DOT_CHUNK`]-padded i8 column,
+/// 64 products per `vpdpbusd` on four independent accumulators. The
+/// ragged tail goes through a zeroed stack copy (zero × zero padding).
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F and AVX-512 VNNI and
+/// `col.len() == a.len()` rounded up to a multiple of [`DOT_CHUNK`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+unsafe fn dot_vnni(a: &[u8], col: &[i8]) -> i32 {
+    use std::arch::x86_64::*;
+    debug_assert_eq!(col.len(), a.len().div_ceil(DOT_CHUNK) * DOT_CHUNK);
+    let mut acc = [_mm512_setzero_si512(); 4];
+    let (chunks, tail) = a.as_chunks::<DOT_CHUNK>();
+    for (i, chunk) in chunks.iter().enumerate() {
+        let av = _mm512_loadu_si512(chunk.as_ptr() as *const __m512i);
+        let bv = _mm512_loadu_si512(col.as_ptr().add(i * DOT_CHUNK) as *const __m512i);
+        acc[i % 4] = _mm512_dpbusd_epi32(acc[i % 4], av, bv);
+    }
+    if !tail.is_empty() {
+        let mut last = [0u8; DOT_CHUNK];
+        last[..tail.len()].copy_from_slice(tail);
+        let av = _mm512_loadu_si512(last.as_ptr() as *const __m512i);
+        let bv = _mm512_loadu_si512(col.as_ptr().add(chunks.len() * DOT_CHUNK) as *const __m512i);
+        acc[0] = _mm512_dpbusd_epi32(acc[0], av, bv);
+    }
+    let sum = _mm512_add_epi32(
+        _mm512_add_epi32(acc[0], acc[1]),
+        _mm512_add_epi32(acc[2], acc[3]),
+    );
+    _mm512_reduce_add_epi32(sum)
+}
+
+/// One `R`-row block of the VNNI sweep (`R ≤` [`MR_VNNI`]) across every
+/// strip. Strips go in pairs: both share one broadcast of each activation
+/// quad, and the `2·R` independent `vpdpbusd` chains hide the
+/// instruction's latency.
+///
+/// # Safety
+///
+/// As [`sweep_vnni`], with rows `r0..r0 + R` in range.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+unsafe fn vnni_block<const R: usize>(
+    r0: usize,
+    a: &[u8],
+    p: Patches,
+    b: &PackedI8,
+    sink: &mut Sink<'_>,
+    max: &mut std::arch::x86_64::__m512,
+) {
+    let mut base = [a.as_ptr(); R];
+    for (r, ptr) in base.iter_mut().enumerate() {
+        *ptr = ptr.add(p.offset(r0 + r));
+    }
+    let n_strips = b.n.div_ceil(NR_VNNI);
+    let mut s = 0;
+    while s + 2 <= n_strips {
+        let acc = vnni_strips::<R, 2>(&base, p.row_stride, b, s);
+        sink.finish_zmm(b, r0, s, &acc[0], max);
+        sink.finish_zmm(b, r0, s + 1, &acc[1], max);
+        s += 2;
+    }
+    if s < n_strips {
+        let acc = vnni_strips::<R, 1>(&base, p.row_stride, b, s);
+        sink.finish_zmm(b, r0, s, &acc[0], max);
+    }
+}
+
+/// The `vpdpbusd` core: `R` patches × `S` adjacent strips, returning the
+/// exact accumulators `[strip][row]`. Each starts at `−128·S_j` rather
+/// than zero, which undoes the activations' u8 bias
+/// (`Σ(a+128)·b − 128·S_j = Σ a·b`; i32 wrap-around on the way is
+/// harmless, the final value is in range) without an epilogue subtract.
+///
+/// # Safety
+///
+/// As [`sweep_vnni`]: every `base[r]` must have `spans` spans of
+/// [`PackedI8::span_bytes`] readable bytes `row_stride` apart, and strips
+/// `s..s + S` must exist.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+#[inline]
+unsafe fn vnni_strips<const R: usize, const S: usize>(
+    base: &[*const u8; R],
+    row_stride: usize,
+    b: &PackedI8,
+    s: usize,
+) -> [[std::arch::x86_64::__m512i; R]; S] {
+    use std::arch::x86_64::*;
+    const STEP: usize = NR_VNNI * 4;
+    let quads = b.span_len.div_ceil(4);
+    let strip_len = b.spans * quads * STEP;
+    let strip0 = b.quad.as_ptr().add(s * strip_len);
+    let mut acc = [[_mm512_setzero_si512(); R]; S];
+    for (t, rows) in acc.iter_mut().enumerate() {
+        let js = (s + t) * NR_VNNI;
+        let live = lane_mask(NR_VNNI.min(b.n - js));
+        let sums = _mm512_maskz_loadu_epi32(live, b.col_sums.as_ptr().add(js));
+        *rows = [_mm512_sub_epi32(_mm512_setzero_si512(), _mm512_slli_epi32::<7>(sums)); R];
+    }
+    for span in 0..b.spans {
+        for q in 0..quads {
+            let step = (span * quads + q) * STEP;
+            let mut bv = [_mm512_setzero_si512(); S];
+            for (t, v) in bv.iter_mut().enumerate() {
+                *v = _mm512_loadu_si512(strip0.add(t * strip_len + step) as *const __m512i);
+            }
+            for r in 0..R {
+                let quad = base[r].add(span * row_stride + 4 * q) as *const i32;
+                let av = _mm512_set1_epi32(quad.read_unaligned());
+                for t in 0..S {
+                    acc[t][r] = _mm512_dpbusd_epi32(acc[t][r], av, bv[t]);
+                }
+            }
         }
     }
+    acc
 }
 
 /// Reference i8 GEMM: the naive i-k-j triple loop over unpacked operands,
@@ -1364,46 +1696,127 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_shared_input_equals_per_member_calls() {
-        let (m, k) = (6, 16);
-        let a = fill_i8(3, m * k);
-        let b1 = fill_i8(4, k * 8);
-        let b2 = fill_i8(5, k * 8);
-        let p1 = PackedI8::pack(k, 8, &b1);
-        let p2 = PackedI8::pack(k, 8, &b2);
-        let mut fused = vec![0i32; m * 16];
-        gemm_i8_fused(m, &a, &[&p1, &p2], &mut fused);
-        let mut c1 = vec![0i32; m * 8];
-        let mut c2 = vec![0i32; m * 8];
-        gemm_i8(m, &a, &p1, &mut c1);
-        gemm_i8(m, &a, &p2, &mut c2);
-        assert_eq!(&fused[..m * 8], &c1[..]);
-        assert_eq!(&fused[m * 8..], &c2[..]);
+    /// Gathers the patches `p` addresses out of a plane of unbiased i8
+    /// bytes into the row-major matrix a plain GEMM would take.
+    fn gather(plane: &[i8], rows: usize, p: Patches, spans: usize, span_len: usize) -> Vec<i8> {
+        let mut a = Vec::with_capacity(rows * spans * span_len);
+        for r in 0..rows {
+            for s in 0..spans {
+                a.extend_from_slice(&plane[p.offset(r) + s * p.row_stride..][..span_len]);
+            }
+        }
+        a
     }
 
     #[test]
-    fn fused_per_member_input_slices_correctly() {
-        let (m, k) = (4, 7);
-        let a = fill_i8(6, 2 * m * k); // two members' activations
-        let b1 = fill_i8(7, k * 3);
-        let b2 = fill_i8(8, k * 5);
-        let p1 = PackedI8::pack(k, 3, &b1);
-        let p2 = PackedI8::pack(k, 5, &b2);
-        let mut fused = vec![0i32; m * 8];
-        gemm_i8_fused(m, &a, &[&p1, &p2], &mut fused);
-        let mut c1 = vec![0i32; m * 3];
-        let mut c2 = vec![0i32; m * 5];
-        gemm_i8(m, &a[..m * k], &p1, &mut c1);
-        gemm_i8(m, &a[m * k..], &p2, &mut c2);
-        assert_eq!(&fused[..m * 3], &c1[..]);
-        assert_eq!(&fused[m * 3..], &c2[..]);
+    fn dequant_over_patches_matches_naive_on_every_leg() {
+        // (h, w, cin, kh, kw, cout): the critic's layer shapes plus ragged
+        // spans (kw·cin not a multiple of 2 or 4) and odd column counts.
+        for &(h, w, cin, kh, kw, cout) in &[
+            (10usize, 12usize, 1usize, 2usize, 2usize, 8usize),
+            (10, 12, 8, 2, 2, 16),
+            (10, 12, 16, 2, 2, 32),
+            (3, 5, 3, 2, 3, 5),
+            (4, 3, 1, 3, 1, 17),
+            (1, 1, 37, 1, 1, 1),
+            (1, 1, 130, 1, 1, 3),
+        ] {
+            let (ph, pw) = (h + kh - 1, w + kw - 1);
+            let (spans, span_len) = (kh, kw * cin);
+            let p = Patches {
+                width: w,
+                row_stride: pw * cin,
+                col_stride: cin,
+            };
+            let plane = fill_i8(h as u64 * 7 + cin as u64, ph * pw * cin + 3);
+            let bmat = fill_i8(cout as u64 * 13 + 1, spans * span_len * cout);
+            let packed = PackedI8::pack_spans(spans, span_len, cout, &bmat);
+            let rows = h * w;
+            let mut want_acc = vec![0i32; rows * cout];
+            let a = gather(&plane, rows, p, spans, span_len);
+            naive_i8(rows, spans * span_len, cout, &a, &bmat, &mut want_acc);
+
+            let mult: Vec<f32> = (0..cout).map(|j| 0.01 + j as f32 * 1e-3).collect();
+            let bias: Vec<f32> = (0..cout).map(|j| j as f32 - 2.5).collect();
+            for alpha in [None, Some(0.2f32)] {
+                let epi = Dequant {
+                    mult: &mult,
+                    bias: &bias,
+                    alpha,
+                };
+                let mut want = vec![0.0f32; rows * cout];
+                let mut sink = Sink::Dequant {
+                    epi,
+                    dst: &mut want,
+                    max_abs: 0.0,
+                };
+                for r in 0..rows {
+                    sink.finish(cout, r, 0, &want_acc[r * cout..(r + 1) * cout]);
+                }
+                let Sink::Dequant {
+                    max_abs: want_max, ..
+                } = sink
+                else {
+                    unreachable!()
+                };
+
+                let mut port = vec![0.0f32; rows * cout];
+                let mut sink = Sink::Dequant {
+                    epi,
+                    dst: &mut port,
+                    max_abs: 0.0,
+                };
+                sweep_portable(rows, &plane, p, &packed, &mut sink);
+                assert_eq!(bits(&want), bits(&port), "portable {h}×{w}×{cin}→{cout}");
+
+                // The AVX2 leg is never dispatched on a VNNI host; pin it
+                // here so every leg is exercised wherever the tests run.
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    let mut avx2 = vec![0.0f32; rows * cout];
+                    let mut sink = Sink::Dequant {
+                        epi,
+                        dst: &mut avx2,
+                        max_abs: 0.0,
+                    };
+                    // SAFETY: avx2 presence checked above; `plane` covers
+                    // the patch extent (it backs the portable sweep too).
+                    unsafe { sweep_avx2(rows, &plane, p, &packed, &mut sink) };
+                    assert_eq!(bits(&want), bits(&avx2), "avx2 {h}×{w}×{cin}→{cout}");
+                }
+
+                let biased: Vec<u8> = plane
+                    .iter()
+                    .map(|&v| v as u8 ^ i8_activation_bias())
+                    .collect();
+                let mut fast = vec![0.0f32; rows * cout];
+                let got_max = gemm_i8_dequant(rows, &biased, p, &packed, epi, &mut fast);
+                assert_eq!(bits(&want), bits(&fast), "dispatched {h}×{w}×{cin}→{cout}");
+                assert_eq!(want_max.to_bits(), got_max.to_bits());
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn fused_empty_member_list_is_a_noop() {
-        let mut c: Vec<i32> = Vec::new();
-        gemm_i8_fused(4, &[0; 8], &[], &mut c);
+    #[should_panic(expected = "int8 plane too short")]
+    fn dequant_rejects_a_plane_without_quad_slack() {
+        // span_len 2 reads a whole quad: the last patch needs 2 spare bytes.
+        let packed = PackedI8::pack_spans(2, 2, 1, &[1; 4]);
+        let p = Patches {
+            width: 2,
+            row_stride: 3,
+            col_stride: 1,
+        };
+        let epi = Dequant {
+            mult: &[1.0],
+            bias: &[0.0],
+            alpha: None,
+        };
+        gemm_i8_dequant(2, &[0u8; 6], p, &packed, epi, &mut [0.0; 2]);
     }
 
     #[test]

@@ -1,14 +1,20 @@
 //! Property-based tests for the int8 GEMM kernel family (satellite of the
 //! int8-backend ISSUE): across random shapes and values — including the
 //! k=1 / n=1 edges and the ±127 saturation extremes — the dispatched
-//! `gemm_i8`, the portable `gemm_i8_portable`, and the fused
-//! `gemm_i8_fused` must agree **exactly** (i32 equality, not tolerance)
-//! with the naive i8×i8→i32 reference. Integer accumulation is
-//! associative, so any mismatch is a packing or kernel bug, never
-//! rounding.
+//! `gemm_i8` and the portable `gemm_i8_portable` must agree **exactly**
+//! (i32 equality, not tolerance) with the naive i8×i8→i32 reference, and
+//! the fused `gemm_i8_dequant` — the same micro-kernels reading
+//! convolution patches in place and finishing in registers — must equal
+//! the scalar dequantization of that reference bit for bit. Integer
+//! accumulation is associative, so any mismatch is a packing or kernel
+//! bug, never rounding. CI runs this file on the dispatched leg and again
+//! under `VEHIGAN_FORCE_PORTABLE=1`.
 
 use proptest::prelude::*;
-use vehigan_tensor::gemm::{gemm_i8, gemm_i8_fused, gemm_i8_portable, naive_i8, PackedI8};
+use vehigan_tensor::gemm::{
+    gemm_i8, gemm_i8_dequant, gemm_i8_portable, i8_activation_bias, naive_i8, Dequant, PackedI8,
+    Patches,
+};
 
 fn buf_i8(len: usize) -> impl Strategy<Value = Vec<i8>> {
     proptest::collection::vec(any::<i8>(), len)
@@ -76,25 +82,53 @@ proptest! {
     }
 
     #[test]
-    fn fused_shared_input_equals_member_loop(
-        (m, k, n, g, a, bs) in (dim(), dim(), 1usize..9, 1usize..5).prop_flat_map(|(m, k, n, g)| {
-            (Just(m), Just(k), Just(n), Just(g), buf_i8(m * k), buf_i8(g * k * n))
-        })
+    fn dequant_over_conv_patches_is_exactly_scalar(
+        ((h, w, cin, kh, kw, cout, alpha), plane, b) in
+            (1usize..6, 1usize..8, 1usize..10, 1usize..4, 1usize..4, dim(), any::<bool>())
+                .prop_flat_map(|shape| {
+                    let (h, w, cin, kh, kw, cout, _) = shape;
+                    let plane = (h + kh - 1) * (w + kw - 1) * cin;
+                    (Just(shape), buf_i8(plane), buf_i8(kh * kw * cin * cout))
+                })
     ) {
-        let packs: Vec<PackedI8> = (0..g)
-            .map(|gi| PackedI8::pack(k, n, &bs[gi * k * n..(gi + 1) * k * n]))
-            .collect();
-        let refs: Vec<&PackedI8> = packs.iter().collect();
-        let mut fused = vec![0i32; g * m * n];
-        gemm_i8_fused(m, &a, &refs, &mut fused);
-        for gi in 0..g {
-            let mut want = vec![0i32; m * n];
-            naive_i8(m, k, n, &a, &bs[gi * k * n..(gi + 1) * k * n], &mut want);
-            prop_assert_eq!(
-                &fused[gi * m * n..(gi + 1) * m * n], &want[..],
-                "fused member {} diverged at ({},{},{})", gi, m, k, n
-            );
+        // Patches of a padded `[h+kh−1, w+kw−1, cin]` plane: `kh` spans of
+        // `kw·cin` bytes (whole pairs/quads or not), `(w+kw−1)·cin` apart.
+        let (rows, span_len, row_stride) = (h * w, kw * cin, (w + kw - 1) * cin);
+        let mut a = Vec::with_capacity(rows * kh * span_len);
+        for r in 0..rows {
+            for ky in 0..kh {
+                let at = (r / w + ky) * row_stride + (r % w) * cin;
+                a.extend_from_slice(&plane[at..at + span_len]);
+            }
         }
+        let mut acc = vec![0i32; rows * cout];
+        naive_i8(rows, kh * span_len, cout, &a, &b, &mut acc);
+        let mult: Vec<f32> = (0..cout).map(|j| 3e-3 * (1 + j % 5) as f32).collect();
+        let bias: Vec<f32> = (0..cout).map(|j| j as f32 * 0.25 - 1.0).collect();
+        let alpha = alpha.then_some(0.2f32);
+        let want: Vec<f32> = acc.iter().enumerate().map(|(i, &v)| {
+            let v = v as f32 * mult[i % cout] + bias[i % cout];
+            match alpha {
+                Some(alpha) if v <= 0.0 => alpha * v,
+                _ => v,
+            }
+        }).collect();
+        let want_max = want.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+
+        // Quad slack after the last span, as the kernel contract asks.
+        let mut bytes: Vec<u8> = plane.iter().map(|&v| v as u8 ^ i8_activation_bias()).collect();
+        bytes.extend([0u8; 3]);
+        let packed = PackedI8::pack_spans(kh, span_len, cout, &b);
+        let patches = Patches { width: w, row_stride, col_stride: cin };
+        let epi = Dequant { mult: &mult, bias: &bias, alpha };
+        let mut got = vec![f32::NAN; rows * cout];
+        let got_max = gemm_i8_dequant(rows, &bytes, patches, &packed, epi, &mut got);
+        prop_assert_eq!(
+            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "dequant diverged at {}x{}x{} k{}x{} -> {}", h, w, cin, kh, kw, cout
+        );
+        prop_assert_eq!(got_max.to_bits(), want_max.to_bits());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! poisoning the ensemble mean. Only when no deployed member survives does
 //! scoring return a typed [`EnsembleError`].
 
+use crate::forkjoin::{fork_join, workers_for};
 use crate::wgan::Wgan;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -186,6 +187,12 @@ impl CriticMember {
     }
 }
 
+/// What one member costs the f32 path per window, for
+/// [`workers_for`]: 155–200 µs per window through a `k = 5` subset on
+/// the ledger host (`core.ensemble_f32.ns_per_window`), a fifth of it
+/// per member.
+const F32_NS_PER_MEMBER_ROW: usize = 35_000;
+
 /// The result of one ensemble inference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleScore {
@@ -201,8 +208,9 @@ pub struct EnsembleScore {
 }
 
 /// What reducing a subset's member scores yields besides the scores
-/// themselves, which [`VehiGan::score_with_members_int8_into`] writes into
-/// the caller's buffer.
+/// themselves, which [`VehiGan::score_with_members_into`] and
+/// [`VehiGan::score_with_members_int8_into`] write into the caller's
+/// buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoreSummary {
     /// The ensemble threshold (mean of the surviving members' τ).
@@ -453,9 +461,10 @@ impl VehiGan {
     /// Scores snapshots with an explicit member subset (used by the
     /// evaluation harness for deterministic sweeps).
     ///
-    /// Members are scored in parallel on crossbeam scoped threads; the
-    /// per-member results are joined and reduced in `indices` order, so the
-    /// output is bitwise identical to scoring the members serially.
+    /// Members are scored in parallel (see
+    /// [`VehiGan::score_with_members_into`], which this wraps); the
+    /// per-member results are reduced in `indices` order, so the output
+    /// is bitwise identical to scoring the members serially.
     ///
     /// Failures are isolated per member: a panic while scoring, or a score
     /// vector containing NaN/Inf, drops that member from the reduction (its
@@ -472,39 +481,93 @@ impl VehiGan {
         indices: &[usize],
         x: &Tensor,
     ) -> Result<EnsembleScore, EnsembleError> {
-        self.check_subset(indices)?;
         let n = x.shape()[0];
-        let score_one = |i: usize| -> Option<Vec<f32>> {
-            let member = &self.members[i];
-            panic::catch_unwind(AssertUnwindSafe(|| member.wgan.score_batch(x)))
-                .ok()
-                .map(|mut scores| {
-                    if self.member_poisoned(i) {
-                        scores.fill(f32::NAN);
-                    }
-                    scores
-                })
-                .filter(|scores| scores.iter().all(|s| s.is_finite()))
-        };
-        let per_member: Vec<Option<Vec<f32>>> = if indices.len() == 1 {
-            vec![score_one(indices[0])]
-        } else {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = indices
-                    .iter()
-                    .map(|&i| scope.spawn(move |_| score_one(i)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("member scoring join"))
-                    .collect()
-            })
-            .expect("ensemble scoring scope")
-        };
         let mut scores = vec![0.0f32; n];
-        let per_member = per_member.iter().map(Option::as_deref);
-        let summary = self.reduce_member_scores(indices, per_member, &mut scores)?;
+        let summary = self.score_with_members_into(indices, x.as_slice(), n, &mut scores)?;
         Ok(summary.into_score(indices, scores))
+    }
+
+    /// [`VehiGan::score_with_members`] over borrowed memory — the float
+    /// twin of [`VehiGan::score_with_members_int8_into`]: `n` flat windows
+    /// in, `n` ensemble scores written to `out`, bitwise the scores the
+    /// `Tensor` entry point returns.
+    ///
+    /// Each member is one task (its activations live in its own
+    /// [`Wgan`]'s workspace, so two threads cannot share a member); up to
+    /// [`workers_for`] threads — the caller among them — pull the tasks
+    /// deepest critic first. Nothing is spawned when the call is too
+    /// small to repay it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`VehiGan::score_with_members`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `n` long; a `windows` that is not `n`
+    /// snapshots of a member's configured shape fails that member.
+    pub fn score_with_members_into(
+        &self,
+        indices: &[usize],
+        windows: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) -> Result<ScoreSummary, EnsembleError> {
+        let workers = workers_for(n * indices.len() * F32_NS_PER_MEMBER_ROW);
+        self.score_f32_forked(indices, windows, n, out, workers)
+    }
+
+    /// [`VehiGan::score_with_members_into`] on exactly `workers` threads
+    /// (capped at one per member); the result does not depend on it.
+    pub(crate) fn score_f32_forked(
+        &self,
+        indices: &[usize],
+        windows: &[f32],
+        n: usize,
+        out: &mut [f32],
+        workers: usize,
+    ) -> Result<ScoreSummary, EnsembleError> {
+        self.check_subset(indices)?;
+        assert_eq!(out.len(), n, "output is not one score per window");
+        /// One member's share of a call: its row of the score matrix.
+        struct Task<'r> {
+            pos: usize,
+            member: usize,
+            row: &'r mut [f32],
+            alive: bool,
+        }
+        let mut rows = vec![0.0f32; indices.len() * n];
+        let mut rest = rows.as_mut_slice();
+        let mut tasks = Vec::with_capacity(indices.len());
+        for (pos, &member) in indices.iter().enumerate() {
+            let (row, tail) = rest.split_at_mut(n);
+            rest = tail;
+            tasks.push(Task {
+                pos,
+                member,
+                row,
+                alive: false,
+            });
+        }
+        // Deepest critic first: the longest task must not start last.
+        tasks.sort_by_key(|t| std::cmp::Reverse(self.members[t.member].wgan.config().layers));
+        let mut threads = vec![(); workers.clamp(1, tasks.len())];
+        fork_join(&mut threads, tasks.iter_mut(), |_, _, task| {
+            let wgan = &self.members[task.member].wgan;
+            let scored = panic::catch_unwind(AssertUnwindSafe(|| {
+                wgan.score_slice_into(windows, task.row);
+            }));
+            // A chaos-poisoned member ([`VehiGan::chaos_poison_member`])
+            // counts as having scored NaN.
+            task.alive = scored.is_ok()
+                && !self.member_poisoned(task.member)
+                && task.row.iter().all(|s| s.is_finite());
+        });
+        tasks.sort_unstable_by_key(|t| t.pos);
+        let per_member = tasks
+            .iter()
+            .map(|t| t.alive.then(|| std::iter::once(&*t.row)));
+        self.reduce_member_scores(indices, per_member, out)
     }
 
     /// Rejects an empty subset or an index past the last member.
@@ -521,33 +584,44 @@ impl VehiGan {
         }
     }
 
-    /// Reduces per-member score vectors (in `indices` order; `None` marks
-    /// a failed member) into the ensemble mean written to `out`, dropping
+    /// Reduces per-member score rows (in `indices` order; `None` marks a
+    /// failed member) into the ensemble mean written to `out`, dropping
     /// failed members — the shared tail of the float and int8 scoring
-    /// paths.
-    pub(crate) fn reduce_member_scores<'s>(
+    /// paths. A member's row arrives as consecutive pieces (one per
+    /// chunk the batch's rows were scored in); the sum runs member by
+    /// member in `indices` order whatever the pieces, so the result is
+    /// bitwise independent of how the rows were split.
+    pub(crate) fn reduce_member_scores<'s, P>(
         &self,
         indices: &[usize],
-        per_member: impl Iterator<Item = Option<&'s [f32]>>,
+        per_member: impl Iterator<Item = Option<P>>,
         out: &mut [f32],
-    ) -> Result<ScoreSummary, EnsembleError> {
+    ) -> Result<ScoreSummary, EnsembleError>
+    where
+        P: Iterator<Item = &'s [f32]>,
+    {
         out.fill(0.0);
         let mut tau = 0.0f32;
         let mut survivors = 0usize;
         let mut dropped = Vec::new();
-        for (scores, &i) in per_member.zip(indices) {
-            let Some(scores) = scores else {
+        for (pieces, &i) in per_member.zip(indices) {
+            let Some(pieces) = pieces else {
                 dropped.push(i);
                 continue;
             };
-            assert_eq!(
-                scores.len(),
-                out.len(),
-                "member {i} scored a different batch"
-            );
-            for (acc, s) in out.iter_mut().zip(scores) {
-                *acc += s;
+            let mut rest = &mut *out;
+            for piece in pieces {
+                assert!(
+                    piece.len() <= rest.len(),
+                    "member {i} scored a different batch"
+                );
+                let (acc, tail) = rest.split_at_mut(piece.len());
+                for (acc, s) in acc.iter_mut().zip(piece) {
+                    *acc += s;
+                }
+                rest = tail;
             }
+            assert!(rest.is_empty(), "member {i} scored a different batch");
             tau += self.members[i].threshold;
             survivors += 1;
         }

@@ -14,25 +14,38 @@
 //! afterwards (e.g. adaptive attack fine-tuning) leaves the backend
 //! stale — recompile it.
 //!
+//! A call splits its rows over worker threads (DESIGN.md §10): every row
+//! costs the same and the packed weights are shared read-only, so rows
+//! split cleanly and each thread only needs its own scratch.
+//!
 //! Degraded-tolerance matches the float path: a member whose int8 scores
 //! come back non-finite is dropped from the reduction and recorded in
 //! [`EnsembleScore::dropped`]; only when every deployed member fails does
 //! scoring return [`EnsembleError::AllMembersFailed`].
 
 use crate::ensemble::{EnsembleError, EnsembleScore, ScoreSummary, VehiGan};
+use crate::forkjoin::{fork_join, workers_for};
 use parking_lot::Mutex;
-use vehigan_lite::Int8Ensemble;
+use vehigan_lite::{Int8Ensemble, Int8Weights, Scratch};
 use vehigan_tensor::Tensor;
 
 /// Structural topology key of one critic: per-layer `(kind, usize_attrs)`,
 /// weights excluded. Members with equal keys fuse into one scorer.
 type TopologyKey = Vec<(String, Vec<(String, usize)>)>;
 
+/// What one member costs the gate per window, for [`workers_for`]: the
+/// window-major walk measures 20–22 µs per window through a `k = 5`
+/// subset on the ledger host (`core.int8_backend.ns_per_window`).
+const INT8_NS_PER_MEMBER_ROW: usize = 4_000;
+
 /// Compiled int8 scorers for a [`VehiGan`]'s members, grouped by critic
 /// topology.
 pub struct Int8Backend {
-    /// The fused scorers and the per-call buffers, behind one lock: a
-    /// scoring call needs every scorer's scratch mutably anyway.
+    /// One fused scorer's weights per topology group, shared read-only by
+    /// every worker of a call.
+    groups: Vec<Int8Weights>,
+    /// The per-call plan and the workers' buffers, behind one lock: calls
+    /// take turns, the threads of one call run inside it.
     state: Mutex<State>,
     /// `member index → (group, local index within the group)`.
     member_map: Vec<(usize, usize)>,
@@ -40,19 +53,38 @@ pub struct Int8Backend {
     input_len: usize,
 }
 
-/// The mutable half of [`Int8Backend`]. The three vectors are reused by
-/// every scoring call, so a warm backend allocates nothing.
+/// Rows per task of a forked call. A thread spawned for the call reaches
+/// its core 30–130 µs after the caller has started (measured on the
+/// ledger host), sometimes much later; with the rows in small chunks the
+/// caller simply scores more of them meanwhile, and whoever finishes
+/// last is at most one chunk (≈ 80 µs at `k = 5`) behind. Four rows keep
+/// a member's packed weights hot across a chunk and the queue's lock
+/// under 1 % of the work.
+const CHUNK_ROWS: usize = 4;
+
+/// The mutable half of [`Int8Backend`], reused by every scoring call, so
+/// a warm backend allocates nothing (a forked call: nothing but the
+/// spawns). It lives here, not in whoever calls, so that it is built once
+/// per compiled detector and stays warm across servers.
 struct State {
-    /// One fused scorer per topology group.
-    groups: Vec<Int8Ensemble>,
+    /// Per thread of a call, one scratch per topology group.
+    workers: Vec<Vec<Scratch>>,
     /// Group-local member indices of the subset being scored, group by
-    /// group.
+    /// group; group `g`'s are `locals[bounds[g]..bounds[g + 1]]`.
     locals: Vec<usize>,
-    /// `rows[pos]`: which `n`-float row of `scores` holds the member at
+    bounds: Vec<usize>,
+    /// `rows[pos]`: which row of a chunk's block holds the member at
     /// position `pos` of the caller's subset.
     rows: Vec<usize>,
-    /// Member scores of the current call, grouped like `locals`.
+    /// Member scores of the current call: one block per chunk of
+    /// windows (the last may be shorter), member-major inside a block,
+    /// rows grouped like `locals`.
     scores: Vec<f32>,
+}
+
+/// One scratch per topology group: what a scoring thread needs.
+fn new_worker(groups: &[Int8Weights]) -> Vec<Scratch> {
+    groups.iter().map(Int8Weights::new_scratch).collect()
 }
 
 impl std::fmt::Debug for Int8Backend {
@@ -75,52 +107,77 @@ impl Int8Backend {
 
     /// Number of distinct critic topologies.
     pub fn groups(&self) -> usize {
-        self.state.lock().groups.len()
+        self.groups.len()
     }
 
     /// Total packed int8 weight bytes — the deployable artifact size,
     /// roughly 4× smaller than the float weights.
     pub fn weight_bytes(&self) -> usize {
-        let state = self.state.lock();
-        state.groups.iter().map(Int8Ensemble::weight_bytes).sum()
+        self.groups.iter().map(Int8Weights::weight_bytes).sum()
     }
-}
 
-impl State {
-    /// Scores `indices` on a flat batch into `self.scores`, one fused
-    /// call per topology group; `self.rows` maps each position of
-    /// `indices` to its row, so the caller can reduce in `indices` order
-    /// — the float path's order — whatever the grouping.
+    /// Heap bytes held by the workers' scratch and score buffers. Stable
+    /// across repeated calls of one shape once every worker a call forks
+    /// to has run — the invariant the no-allocation tests assert.
+    pub fn scratch_bytes(&self) -> usize {
+        let state = self.state.lock();
+        let scratch = state.workers.iter().flatten().map(Scratch::bytes);
+        scratch.sum::<usize>() + state.scores.capacity() * std::mem::size_of::<f32>()
+    }
+
+    /// Scores `indices` on `n` flat windows into `state.scores`, the rows
+    /// cut into chunks that `workers` threads pull, and returns the
+    /// chunk length in windows; `state.rows` maps each position of
+    /// `indices` to its row of a block, so the caller can reduce in
+    /// `indices` order (the float path's order) whatever the grouping
+    /// and the split.
     fn score(
-        &mut self,
-        member_map: &[(usize, usize)],
+        &self,
+        state: &mut State,
         indices: &[usize],
         windows: &[f32],
         n: usize,
-    ) {
-        self.rows.clear();
-        self.rows.resize(indices.len(), 0);
-        self.scores.clear();
-        self.scores.resize(indices.len() * n, 0.0);
-        let mut first = 0;
-        for (g, group) in self.groups.iter_mut().enumerate() {
-            self.locals.clear();
+        workers: usize,
+    ) -> usize {
+        state.rows.clear();
+        state.rows.resize(indices.len(), 0);
+        state.locals.clear();
+        state.bounds.clear();
+        state.bounds.push(0);
+        for g in 0..self.groups.len() {
             for (pos, &i) in indices.iter().enumerate() {
-                let (member_group, local) = member_map[i];
+                let (member_group, local) = self.member_map[i];
                 if member_group == g {
-                    self.rows[pos] = first + self.locals.len();
-                    self.locals.push(local);
+                    state.rows[pos] = state.locals.len();
+                    state.locals.push(local);
                 }
             }
-            let end = first + self.locals.len();
-            group.score_subset_into(
-                &self.locals,
-                windows,
-                n,
-                &mut self.scores[first * n..end * n],
-            );
-            first = end;
+            state.bounds.push(state.locals.len());
         }
+        let workers = workers.clamp(1, n.max(1));
+        while state.workers.len() < workers {
+            state.workers.push(new_worker(&self.groups));
+        }
+        let chunk = if workers == 1 { n.max(1) } else { CHUNK_ROWS };
+        state.scores.clear();
+        state.scores.resize(indices.len() * n, 0.0);
+        let (locals, bounds) = (&state.locals, &state.bounds);
+        let blocks = state.scores.chunks_mut(indices.len() * chunk);
+        let shares = windows.chunks(self.input_len * chunk);
+        fork_join(
+            &mut state.workers[..workers],
+            blocks.zip(shares),
+            |scratch, _, (block, share)| {
+                let len = share.len() / self.input_len;
+                for (g, group) in self.groups.iter().enumerate() {
+                    let (first, end) = (bounds[g], bounds[g + 1]);
+                    let members = &locals[first..end];
+                    let out = &mut block[first * len..end * len];
+                    group.score_subset_into(&mut scratch[g], members, share, len, out);
+                }
+            },
+        );
+        chunk
     }
 }
 
@@ -192,12 +249,19 @@ impl VehiGan {
                         reason: e.to_string(),
                     }
                 })?;
-            groups.push(fused);
+            groups.push(fused.into_weights());
         }
+        // One worker per core a call can fork to, built now so the first
+        // server's first tick allocates none of it.
+        let workers = (0..workers_for(usize::MAX))
+            .map(|_| new_worker(&groups))
+            .collect();
         self.set_int8_backend(Int8Backend {
+            groups,
             state: Mutex::new(State {
-                groups,
+                workers,
                 locals: Vec::new(),
+                bounds: Vec::new(),
                 rows: Vec::new(),
                 scores: Vec::new(),
             }),
@@ -232,7 +296,13 @@ impl VehiGan {
     /// the scores the `Tensor` entry point returns. Nothing is copied or
     /// allocated on the way (once the backend's buffers have grown to the
     /// batch size; a dropped member or an error does allocate its index
-    /// list), which is what the serve plane's per-tile gate calls need.
+    /// list, and a call large enough to fork pays its spawns), which is
+    /// what the serve plane's per-tile gate calls need.
+    ///
+    /// The rows are shared out over up to [`workers_for`] threads, the
+    /// caller among them; the reduction, the survivor set and τ come
+    /// after the join, over the whole call, so scores, threshold and
+    /// dropped members are bitwise the same for any worker count.
     ///
     /// # Errors
     ///
@@ -249,6 +319,20 @@ impl VehiGan {
         n: usize,
         out: &mut [f32],
     ) -> Result<ScoreSummary, EnsembleError> {
+        let workers = workers_for(n * indices.len() * INT8_NS_PER_MEMBER_ROW);
+        self.score_int8_forked(indices, windows, n, out, workers)
+    }
+
+    /// [`VehiGan::score_with_members_int8_into`] on exactly `workers`
+    /// threads (capped at one per row); the result does not depend on it.
+    pub(crate) fn score_int8_forked(
+        &self,
+        indices: &[usize],
+        windows: &[f32],
+        n: usize,
+        out: &mut [f32],
+        workers: usize,
+    ) -> Result<ScoreSummary, EnsembleError> {
         let backend = self.int8_backend().ok_or(EnsembleError::Int8NotCompiled)?;
         self.check_subset(indices)?;
         assert_eq!(
@@ -259,14 +343,21 @@ impl VehiGan {
             backend.input_len
         );
         let mut state = backend.state.lock();
-        state.score(&backend.member_map, indices, windows, n);
-        let state = &*state;
+        let chunk = backend.score(&mut state, indices, windows, n, workers);
+        let members = indices.len();
         let per_member = indices.iter().zip(&state.rows).map(|(&i, &row)| {
-            let scores = &state.scores[row * n..(row + 1) * n];
+            // The member's row, block by block.
+            let pieces = || {
+                state.scores.chunks(members * chunk).map(move |block| {
+                    let len = block.len() / members;
+                    &block[row * len..(row + 1) * len]
+                })
+            };
             // A chaos-poisoned member ([`VehiGan::chaos_poison_member`])
             // counts as having scored NaN: it takes the same exit as a
             // member whose scores really came back non-finite.
-            (!self.member_poisoned(i) && scores.iter().all(|v| v.is_finite())).then_some(scores)
+            let finite = pieces().all(|p| p.iter().all(|v| v.is_finite()));
+            (!self.member_poisoned(i) && finite).then(pieces)
         });
         self.reduce_member_scores(indices, per_member, out)
     }
@@ -409,6 +500,76 @@ mod tests {
             a.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
             b.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    /// `n` windows cycling through in-range, range-guard-tripping,
+    /// all-zero and (with `nan`) NaN-bearing ones.
+    fn mixed_windows(n: usize, nan: bool) -> Vec<f32> {
+        let mut windows = benign(n, 17).as_slice().to_vec();
+        for (i, w) in windows.chunks_exact_mut(120).enumerate() {
+            match i % 4 {
+                1 => w.iter_mut().for_each(|v| *v *= 40.0),
+                2 => w.fill(0.0),
+                3 if nan => w[60] = f32::NAN,
+                _ => {}
+            }
+        }
+        windows
+    }
+
+    #[test]
+    fn scores_are_bitwise_independent_of_worker_count() {
+        type Forked = fn(
+            &VehiGan,
+            &[usize],
+            &[f32],
+            usize,
+            &mut [f32],
+            usize,
+        ) -> Result<ScoreSummary, EnsembleError>;
+        let (v, _train) = compiled_ensemble();
+        let subset = [2usize, 0, 1];
+        // The float path turns a NaN input into NaN scores from every
+        // member; the int8 quantizer maps it to 0 and scores on.
+        let backends: [(&str, Forked, bool); 2] = [
+            ("int8", VehiGan::score_int8_forked, true),
+            ("f32", VehiGan::score_f32_forked, false),
+        ];
+        for (name, forked, nan) in backends {
+            for poisoned in [false, true] {
+                v.chaos_poison_member(0, poisoned);
+                for n in [1usize, 7, 37, 128] {
+                    let windows = mixed_windows(n, nan);
+                    let run = |workers: usize| {
+                        let mut out = vec![0.0f32; n];
+                        let summary = forked(&v, &subset, &windows, n, &mut out, workers).unwrap();
+                        let bits: Vec<u32> = out.iter().map(|s| s.to_bits()).collect();
+                        (bits, summary.threshold.to_bits(), summary.dropped)
+                    };
+                    let serial = run(1);
+                    assert_eq!(serial.2, if poisoned { vec![0] } else { vec![] });
+                    for workers in [2usize, 3, 8] {
+                        assert_eq!(
+                            run(workers),
+                            serial,
+                            "{name}, n = {n}, {workers} workers, poisoned = {poisoned}"
+                        );
+                    }
+                }
+            }
+        }
+        v.chaos_poison_member(0, false);
+        // Every member failing is the same typed error however it is split.
+        let windows = mixed_windows(8, true);
+        for workers in [1usize, 2, 8] {
+            let mut out = vec![0.0f32; 8];
+            assert_eq!(
+                v.score_f32_forked(&subset, &windows, 8, &mut out, workers),
+                Err(EnsembleError::AllMembersFailed {
+                    attempted: subset.to_vec()
+                })
+            );
+        }
     }
 
     #[test]

@@ -822,12 +822,37 @@ impl Wgan {
     /// Panics if `out.len()` differs from the batch size.
     pub fn score_into(&self, x: &Tensor, out: &mut [f32]) {
         assert_eq!(out.len(), x.shape()[0], "score_into output length mismatch");
+        self.score_shaped_into(x.as_slice(), x.shape(), out);
+    }
+
+    /// [`Wgan::score_into`] over borrowed memory: `windows` holds
+    /// `out.len()` flat `window × features` snapshots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is not `out.len()` snapshots of the configured
+    /// shape.
+    pub fn score_slice_into(&self, windows: &[f32], out: &mut [f32]) {
+        let shape = [out.len(), self.config.window, self.config.features, 1];
+        assert_eq!(
+            windows.len(),
+            shape.iter().product::<usize>(),
+            "{} floats are not {} snapshots of {} x {}",
+            windows.len(),
+            shape[0],
+            shape[1],
+            shape[2]
+        );
+        self.score_shaped_into(windows, &shape, out);
+    }
+
+    fn score_shaped_into(&self, data: &[f32], shape: &[usize], out: &mut [f32]) {
         let mut ws = self.scratch.lock();
         // Copy the input into a workspace buffer so the activations that
         // flow out of it can be recycled without consuming the caller's x.
-        let mut buf = ws.take(x.len());
-        buf.copy_from_slice(x.as_slice());
-        let scores = self.critic.infer(Tensor::from_vec(buf, x.shape()), &mut ws);
+        let mut buf = ws.take(data.len());
+        buf.copy_from_slice(data);
+        let scores = self.critic.infer(Tensor::from_vec(buf, shape), &mut ws);
         for (o, &v) in out.iter_mut().zip(scores.as_slice()) {
             *o = -v;
         }

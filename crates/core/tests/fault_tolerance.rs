@@ -602,7 +602,15 @@ fn v1_checkpoint_fixture_still_loads() {
     let restored = store.load_member(config).unwrap();
 
     // The fixture was produced by training this exact config on this
-    // exact data; the deterministic retrain must agree bit for bit.
+    // exact data; the deterministic retrain must agree bit for bit — on
+    // the kernel leg that wrote it. The fixture comes from the FMA f32
+    // `gemm`; the portable one rounds differently, so on that leg only
+    // the load above is checked.
+    if std::env::var_os("VEHIGAN_FORCE_PORTABLE").is_some() {
+        eprintln!("skipping the bit-exact retrain: VEHIGAN_FORCE_PORTABLE is set");
+        let _ = fs::remove_dir_all(&dir);
+        return;
+    }
     let mut retrained = Wgan::new(config);
     retrained.train(&benign(32, 1));
     assert_eq!(restored.critic_bytes(), retrained.critic_bytes());

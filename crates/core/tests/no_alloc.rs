@@ -2,10 +2,13 @@
 //! the serve plane calls per tile — allocates nothing once the backend's
 //! buffers have grown to the batch size. Counted per thread by a global
 //! allocator, across a mixed-depth subset (two topology groups) at the
-//! batch sizes the serve plane issues.
+//! batch sizes the serve plane issues. A call big enough to fork (on a
+//! host with a second core) allocates its spawns and nothing that stays:
+//! the backend's scratch does not grow.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use vehigan_core::forkjoin::workers_for;
 use vehigan_core::{CriticMember, VehiGan, Wgan, WganConfig};
 use vehigan_tensor::Tensor;
 
@@ -61,21 +64,34 @@ fn warm_slice_scoring_never_allocates() {
     let subset = [1usize, 2, 0];
     let mut out = vec![0.0f32; 128];
     // Largest batch first, so the backend's buffers are at full size.
+    let one_core = workers_for(usize::MAX) == 1;
     for n in [128usize, 37, 1] {
         let (x, scores) = (&windows[..n * 120], &mut out[..n]);
         let warm = vehigan
             .score_with_members_int8_into(&subset, x, n, scores)
             .unwrap();
         assert!(warm.dropped.is_empty());
+        let scratch = vehigan.int8_backend().unwrap().scratch_bytes();
         let before = ALLOCS.with(Cell::get);
         for _ in 0..100 {
             let r = vehigan.score_with_members_int8_into(&subset, x, n, scores);
             assert!(r.is_ok());
         }
         let allocs = ALLOCS.with(Cell::get) - before;
+        // One window never forks; on one core nothing does.
+        if n == 1 || one_core {
+            assert_eq!(
+                allocs, 0,
+                "{allocs} allocations over 100 warm calls at n = {n}"
+            );
+        } else {
+            // Spawn bookkeeping only: a handful of small blocks per call.
+            assert!(allocs <= 100 * 16, "{allocs} allocations at n = {n}");
+        }
         assert_eq!(
-            allocs, 0,
-            "{allocs} allocations over 100 warm calls at n = {n}"
+            vehigan.int8_backend().unwrap().scratch_bytes(),
+            scratch,
+            "scratch grew over 100 warm calls at n = {n}"
         );
     }
 

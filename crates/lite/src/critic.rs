@@ -623,32 +623,4 @@ mod tests {
         let e = CompileError::UnsupportedLayer("Tanh".into());
         assert!(e.to_string().contains("Tanh"));
     }
-
-    #[test]
-    fn lite_is_faster_than_float_path() {
-        // The whole point of Fig 8b. Compare single-snapshot latency.
-        let mut critic = sample_critic(9, 5);
-        let mut lite = LiteCritic::compile(&critic, (10, 12, 1)).unwrap();
-        let mut rng = seeded_rng(10);
-        let x = rand_uniform(&[1, 10, 12, 1], -1.0, 1.0, &mut rng);
-        let flat: Vec<f32> = x.as_slice().to_vec();
-        // Warm up.
-        let _ = critic.forward(&x);
-        let _ = lite.infer(&flat);
-        let reps = 50;
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            let _ = critic.forward(&x);
-        }
-        let float_t = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        for _ in 0..reps {
-            let _ = lite.infer(&flat);
-        }
-        let lite_t = t1.elapsed();
-        assert!(
-            lite_t < float_t,
-            "lite ({lite_t:?}) must beat the float path ({float_t:?})"
-        );
-    }
 }

@@ -158,6 +158,11 @@ impl FusedOp {
     /// only ever rewrites the interior), plus the slack that lets the
     /// kernels read the last span as whole quads.
     fn new_plane(&self) -> Vec<u8> {
+        vec![i8_activation_bias(); self.plane_len()]
+    }
+
+    /// Byte length of this op's input plane, quad slack included.
+    fn plane_len(&self) -> usize {
         const QUAD_SLACK: usize = 3;
         let len = match self {
             FusedOp::Conv {
@@ -165,7 +170,7 @@ impl FusedOp {
             } => (h + kh - 1) * (w + kw - 1) * cin,
             FusedOp::Dense { in_dim, .. } => *in_dim,
         };
-        vec![i8_activation_bias(); len + QUAD_SLACK]
+        len + QUAD_SLACK
     }
 
     /// Quantizes one snapshot's activations into this op's plane.
@@ -211,7 +216,7 @@ impl FusedOp {
 }
 
 /// The f32 patch matrix of a same-padding conv input — what the float
-/// reference walk in [`Int8Ensemble::calibrate`] multiplies. Compile time
+/// reference walk in [`Int8Weights::calibrate`] multiplies. Compile time
 /// only: inference reads patches in place from the padded int8 plane.
 ///
 /// Row `(img·h + oy)·w + ox` holds the `[ky][kx][ic]` patch around output
@@ -272,10 +277,13 @@ fn max_abs(values: &[f32]) -> f32 {
     max_abs
 }
 
-/// One window's runtime buffers, sized once at compile time from the op
-/// list — scoring allocates nothing, and the whole set (two activation
-/// maps, one byte plane per op, a multiplier row) stays L1-resident.
-struct Scratch {
+/// One window's runtime buffers, sized once from the op list — scoring
+/// allocates nothing, and the whole set (two activation maps, one byte
+/// plane per op, a multiplier row) stays L1-resident. One per scoring
+/// thread: [`Int8Weights::new_scratch`] makes them, and any number of
+/// threads may score through one shared [`Int8Weights`], each with its
+/// own.
+pub struct Scratch {
     /// Quantized input plane per op ([`FusedOp::new_plane`]).
     planes: Vec<Vec<u8>>,
     /// f32 activations of the current window, ping-pong.
@@ -293,6 +301,22 @@ impl Scratch {
             act: [vec![0.0; widest], vec![0.0; widest]],
             mult: vec![0.0; channels.unwrap_or(0)],
         }
+    }
+
+    /// Whether this scratch was sized for `ops` (plane by plane).
+    fn fits(&self, ops: &[FusedOp]) -> bool {
+        self.planes.len() == ops.len()
+            && ops
+                .iter()
+                .zip(&self.planes)
+                .all(|(op, plane)| plane.len() == op.plane_len())
+    }
+
+    /// Heap bytes this scratch holds — fixed from the moment it is made.
+    pub fn bytes(&self) -> usize {
+        let planes: usize = self.planes.iter().map(Vec::capacity).sum();
+        let floats = self.act[0].capacity() + self.act[1].capacity() + self.mult.capacity();
+        planes + floats * std::mem::size_of::<f32>()
     }
 }
 
@@ -359,10 +383,18 @@ fn infer_window(ops: &[FusedOp], g: usize, scratch: &mut Scratch, window: &[f32]
 /// # Ok::<(), vehigan_lite::CompileError>(())
 /// ```
 pub struct Int8Ensemble {
+    weights: Int8Weights,
+    scratch: Scratch,
+}
+
+/// The read-only half of a compiled [`Int8Ensemble`]: packed weights,
+/// scales and biases of every member. Scoring through it takes a
+/// caller-owned [`Scratch`], so threads can share one `Int8Weights` and
+/// score disjoint rows of a batch at once.
+pub struct Int8Weights {
     ops: Vec<FusedOp>,
     members: usize,
     input_len: usize,
-    scratch: Scratch,
 }
 
 impl std::fmt::Debug for Int8Ensemble {
@@ -370,10 +402,10 @@ impl std::fmt::Debug for Int8Ensemble {
         write!(
             f,
             "Int8Ensemble({} members, {} fused ops, input {} floats, {} packed weight bytes)",
-            self.members,
-            self.ops.len(),
-            self.input_len,
-            self.weight_bytes(),
+            self.weights.members,
+            self.weights.ops.len(),
+            self.weights.input_len,
+            self.weights.weight_bytes(),
         )
     }
 }
@@ -532,24 +564,57 @@ impl Int8Ensemble {
             }
         }
 
-        let scratch = Scratch::for_ops(&ops);
-        let mut this = Int8Ensemble {
+        let mut weights = Int8Weights {
             ops,
             members: snaps.len(),
             input_len,
-            scratch,
         };
-        this.calibrate(calibration)?;
+        weights.calibrate(calibration)?;
         // Calibration done — drop the dequantized float copies.
-        for op in &mut this.ops {
+        for op in &mut weights.ops {
             for m in op.members_mut() {
                 m.deq = Vec::new();
                 m.deq.shrink_to_fit();
             }
         }
-        Ok(this)
+        let scratch = weights.new_scratch();
+        Ok(Int8Ensemble { weights, scratch })
     }
 
+    /// The shareable weights alone, for callers that hand each scoring
+    /// thread its own [`Int8Weights::new_scratch`].
+    pub fn into_weights(self) -> Int8Weights {
+        self.weights
+    }
+
+    /// Anomaly scores `s(x) = −D(x)` for a batch through a member subset
+    /// on this ensemble's own scratch — see
+    /// [`Int8Weights::score_subset_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches or an out-of-range member index.
+    pub fn score_subset_into(
+        &mut self,
+        subset: &[usize],
+        windows: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) {
+        self.weights
+            .score_subset_into(&mut self.scratch, subset, windows, n, out);
+    }
+
+    /// Convenience: anomaly scores for all members, member-major.
+    pub fn score_all(&mut self, windows: &[f32], n: usize) -> Vec<f32> {
+        let subset: Vec<usize> = (0..self.weights.members).collect();
+        let mut out = vec![0.0f32; subset.len() * n];
+        self.score_subset_into(&subset, windows, n, &mut out);
+        out
+    }
+}
+
+impl Int8Weights {
     /// Runs the dequantized float reference over the calibration windows,
     /// recording each member's per-layer input activation *floor* scale
     /// (the runtime range guard widens it for out-of-range windows).
@@ -625,19 +690,29 @@ impl Int8Ensemble {
             .sum()
     }
 
-    /// Raw critic outputs `D(x)` for a batch through a member subset.
+    /// A scratch sized for these weights; give each scoring thread one.
+    pub fn new_scratch(&self) -> Scratch {
+        Scratch::for_ops(&self.ops)
+    }
+
+    /// Anomaly scores `s(x) = −D(x)` for a batch through a member subset.
     ///
     /// `windows` holds `n` flat snapshots; `out` receives member-major
-    /// results: `out[s·n + i]` is subset member `s`'s output on snapshot
+    /// results: `out[s·n + i]` is subset member `s`'s score on snapshot
     /// `i`. Members go one after another so each one's packed weights
     /// stay cache-hot across the batch; within a member every window
-    /// runs all layers back to back (see the module docs).
+    /// runs all layers back to back (see the module docs). A window's
+    /// score depends on that window and member alone, so any split of a
+    /// batch's rows over threads (one `scratch` each) scores bitwise what
+    /// one call over the whole batch does.
     ///
     /// # Panics
     ///
-    /// Panics on length mismatches or an out-of-range member index.
-    pub fn infer_subset_into(
-        &mut self,
+    /// Panics on length mismatches, an out-of-range member index, or a
+    /// `scratch` made for other weights.
+    pub fn score_subset_into(
+        &self,
+        scratch: &mut Scratch,
         subset: &[usize],
         windows: &[f32],
         n: usize,
@@ -645,6 +720,7 @@ impl Int8Ensemble {
     ) {
         assert_eq!(windows.len(), n * self.input_len, "windows length mismatch");
         assert_eq!(out.len(), subset.len() * n, "output length mismatch");
+        assert!(scratch.fits(&self.ops), "scratch made for other weights");
         for &g in subset {
             assert!(g < self.members, "member {g} out of range");
         }
@@ -653,36 +729,9 @@ impl Int8Ensemble {
         }
         for (&g, member_out) in subset.iter().zip(out.chunks_exact_mut(n)) {
             for (window, o) in windows.chunks_exact(self.input_len).zip(member_out) {
-                *o = infer_window(&self.ops, g, &mut self.scratch, window);
+                *o = -infer_window(&self.ops, g, scratch, window);
             }
         }
-    }
-
-    /// Anomaly scores `s(x) = −D(x)` for a batch through a member subset
-    /// (member-major, like [`Int8Ensemble::infer_subset_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Int8Ensemble::infer_subset_into`].
-    pub fn score_subset_into(
-        &mut self,
-        subset: &[usize],
-        windows: &[f32],
-        n: usize,
-        out: &mut [f32],
-    ) {
-        self.infer_subset_into(subset, windows, n, out);
-        for v in out.iter_mut() {
-            *v = -*v;
-        }
-    }
-
-    /// Convenience: anomaly scores for all members, member-major.
-    pub fn score_all(&mut self, windows: &[f32], n: usize) -> Vec<f32> {
-        let subset: Vec<usize> = (0..self.members).collect();
-        let mut out = vec![0.0f32; self.members * n];
-        self.score_subset_into(&subset, windows, n, &mut out);
-        out
     }
 }
 
@@ -831,7 +880,7 @@ mod tests {
         let (fused, _floats) = compile_fused(4, 2, &calibration);
         let text = format!("{fused:?}");
         assert!(text.contains("2 members"), "{text}");
-        assert!(fused.weight_bytes() > 0);
+        assert!(fused.weights.weight_bytes() > 0);
     }
 
     // ---- Bitwise oracle for the fused window walk -------------------
@@ -880,7 +929,7 @@ mod tests {
         window: &[f32],
     ) -> f32 {
         let mut act = window.to_vec();
-        let mut ops = fused.ops.iter();
+        let mut ops = fused.weights.ops.iter();
         for (li, layer) in snap.layers.iter().enumerate() {
             let conv = match layer.kind.as_str() {
                 "Conv2D" => true,

@@ -29,4 +29,4 @@ pub mod ensemble;
 pub mod quant;
 
 pub use critic::{CompileError, LiteCritic};
-pub use ensemble::Int8Ensemble;
+pub use ensemble::{Int8Ensemble, Int8Weights, Scratch};

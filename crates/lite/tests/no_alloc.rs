@@ -2,7 +2,8 @@
 //! buffer is sized when the ensemble is compiled. A counting global
 //! allocator (per thread, so the harness's other threads cannot bleed in)
 //! asserts it across the batch sizes the serve plane issues — a single
-//! window, a ragged tile, a full tile.
+//! window, a ragged tile, a full tile — and again on two threads sharing
+//! one set of weights, each scoring half the rows on its own scratch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,5 +84,45 @@ fn warm_scoring_never_allocates() {
             "{allocs} allocations over 100 warm calls at n = {n}"
         );
         assert!(scores.iter().all(|s| s.is_finite()));
+    }
+}
+
+#[test]
+fn threads_sharing_the_weights_allocate_nothing_and_grow_no_scratch() {
+    let snaps: Vec<_> = (0..3).map(|s| critic(s).save()).collect();
+    let refs: Vec<&_> = snaps.iter().collect();
+    let windows: Vec<f32> = (0..128 * H * W).map(|i| (i as f32 * 0.61).sin()).collect();
+    let mut fused = Int8Ensemble::compile(&refs, (H, W, 1), &windows[..16 * H * W]).unwrap();
+    let subset = [2usize, 0, 1];
+    let n = 128;
+    let mut serial = vec![0.0f32; subset.len() * n];
+    fused.score_subset_into(&subset, &windows, n, &mut serial);
+
+    let weights = &fused.into_weights();
+    let half = n / 2;
+    let mut halves: Vec<Vec<f32>> = vec![vec![0.0; subset.len() * half]; 2];
+    std::thread::scope(|scope| {
+        for (rows, out) in windows.chunks(half * H * W).zip(&mut halves) {
+            scope.spawn(move || {
+                let mut scratch = weights.new_scratch();
+                let bytes = scratch.bytes();
+                // Warm: this thread's first use of the kernels.
+                weights.score_subset_into(&mut scratch, &subset, rows, half, out);
+                let before = ALLOCS.with(Cell::get);
+                for _ in 0..100 {
+                    weights.score_subset_into(&mut scratch, &subset, rows, half, out);
+                }
+                assert_eq!(ALLOCS.with(Cell::get) - before, 0);
+                assert_eq!(scratch.bytes(), bytes);
+            });
+        }
+    });
+    // Member-major halves side by side are the serial call, bit for bit.
+    for (s, member) in serial.chunks(n).enumerate() {
+        let joined = halves.iter().flat_map(|h| &h[s * half..(s + 1) * half]);
+        assert!(member
+            .iter()
+            .zip(joined)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 }

@@ -4,8 +4,9 @@
 //! Data flow per tick (DESIGN.md §10):
 //!
 //! 1. **Ingest** — [`StreamServer::ingest_batch`] partitions incoming
-//!    BSMs by [`shard_for`] and runs every non-empty shard on its own
-//!    scoped thread. A vehicle maps to exactly one shard, so its
+//!    BSMs by [`shard_for`] and runs the shards' buckets on as many
+//!    threads as the batch is worth (the caller is one of them; see
+//!    [`vehigan_core::forkjoin`]). A vehicle maps to exactly one shard, so its
 //!    messages are always processed in arrival order. Each shard's
 //!    `IngestGuard` rejects malformed/stale messages before they touch
 //!    window state, and a shard worker that panics is captured and
@@ -40,14 +41,14 @@ use crate::shard::{shard_for, PendingWindow, Shard};
 use parking_lot::Mutex;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use vehigan_core::forkjoin::{fork_join, workers_for};
 use vehigan_core::{EnsembleError, VehiGan};
 use vehigan_features::{
     EvictionConfig, IngestGuard, MinMaxScaler, RejectCounters, Tier0Calibration,
 };
 use vehigan_mbr::Mbr;
 use vehigan_sim::{Bsm, VehicleId};
-use vehigan_tensor::Tensor;
 
 /// What the tier-1 gate does with a scored window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,11 +86,11 @@ pub enum ServeMode {
 /// Tile size for batched scoring passes. Both backends are batch-row
 /// independent, so splitting a tick's batch into tiles changes nothing
 /// bitwise. The f32 tier-2 path is layer-major over the whole tile, so
-/// the tile bounds its activation slabs (and the `Tensor` copied per
-/// tile); the int8 gate walks one window at a time whatever the tile
-/// size and only takes its per-call bookkeeping from it. A tile is also
-/// the unit a member failure is confined to: τ and the survivor set are
-/// per tile.
+/// the tile bounds its activation slabs; the int8 gate walks one window
+/// at a time whatever the tile size and only takes its per-call
+/// bookkeeping from it. A tile is one scoring call, so it is also the
+/// unit that is split over threads, and the unit a member failure is
+/// confined to: τ and the survivor set are per tile.
 pub const SCORE_TILE: usize = 128;
 
 /// Admission-control and degradation parameters (DESIGN.md §11).
@@ -356,6 +357,7 @@ impl IngestReport {
 }
 
 /// One backend's verdict on a batch scored tile by tile.
+#[derive(Default)]
 struct TiledScores {
     /// Ensemble score per window.
     scores: Vec<f32>,
@@ -364,6 +366,63 @@ struct TiledScores {
     /// Members dropped for non-finite scores in any tile.
     dropped: Vec<usize>,
 }
+
+/// What one tick scores with: the policy in effect and the member
+/// subsets left after health probation.
+struct Deployment {
+    policy: EscalationPolicy,
+    members: Vec<usize>,
+    gate_members: Vec<usize>,
+}
+
+/// Working memory of [`StreamServer::score_windows`]. Like everything in
+/// [`TickArena`] it is cleared, never dropped, between ticks.
+#[derive(Default)]
+struct TierScratch {
+    gate: TiledScores,
+    tier2: TiledScores,
+    /// Batch rows whose gate score crossed τ_esc.
+    escalate: Vec<usize>,
+    /// Those rows' windows, packed for the tier-2 call.
+    sub: Vec<f32>,
+    /// Members either tier dropped in any tile since the tick began.
+    dropped: Vec<usize>,
+}
+
+/// The buffers a tick fills, owned by the server so that a steady-state
+/// tick allocates only what it hands out (its decisions and reports).
+#[derive(Default)]
+struct TickArena {
+    /// The admitted windows' metadata, shard by shard, and the snapshots
+    /// of those to be scored.
+    meta: Vec<PendingWindow>,
+    batch: Vec<f32>,
+    /// The windows tier 0 did not suppress, and what they scored.
+    screened_meta: Vec<PendingWindow>,
+    screened: Vec<Decision>,
+    tiers: TierScratch,
+}
+
+/// One shard's share of an [`StreamServer::ingest_batch`] call; the
+/// server keeps one per shard and refills it every call.
+#[derive(Default)]
+struct IngestTask {
+    /// Positions in the call's `bsms` of this shard's messages, in
+    /// arrival order.
+    bucket: Vec<usize>,
+    /// Panic before touching state (chaos injection), once.
+    inject_panic: bool,
+    /// Panics observed while running the bucket.
+    panics: u32,
+    /// What the bucket added to the shard's lifetime counters.
+    processed: u64,
+    rejected: RejectCounters,
+    shed: u64,
+}
+
+/// What [`Shard::ingest`] costs per message, for [`workers_for`]: the
+/// ledger's `serve.shard.ingest_ns_per_bsm` reads 220–250 ns.
+const INGEST_NS_PER_BSM: usize = 240;
 
 /// The degrade/restore hysteresis core, kept free of server state so the
 /// edge conditions are unit-testable.
@@ -436,7 +495,7 @@ fn budgeted_take(lens: &[usize], budget: Option<usize>) -> Vec<usize> {
 /// Runs one shard's bucket with panic capture: a panicked worker is
 /// resumed once past the message it died on; a second panic quarantines
 /// the rest of the bucket for this batch. Returns observed panics.
-fn ingest_bucket(shard: &Mutex<Shard>, bucket: &[&Bsm], inject_panic: bool) -> u32 {
+fn ingest_bucket(shard: &Mutex<Shard>, bsms: &[Bsm], bucket: &[usize], inject_panic: bool) -> u32 {
     // Index of the message being processed; usize::MAX = none yet, so a
     // panic before the loop (the chaos injection point) resumes from 0
     // with zero message loss.
@@ -450,9 +509,9 @@ fn ingest_bucket(shard: &Mutex<Shard>, bucket: &[&Bsm], inject_panic: bool) -> u
                 panic!("chaos: injected shard-ingest panic");
             }
             let mut guard = shard.lock();
-            for (offset, bsm) in bucket[start..].iter().enumerate() {
+            for (offset, &at) in bucket[start..].iter().enumerate() {
                 progress.store(start + offset, Ordering::Relaxed);
-                guard.ingest(bsm);
+                guard.ingest(&bsms[at]);
             }
         }));
         match result {
@@ -491,13 +550,13 @@ pub struct StreamServer<'a> {
     /// fault. The shards keep updating their monitors, so clearing the
     /// flag restores gating without a warmup gap.
     chaos_monitor_poison: bool,
-    /// Shards whose next ingest worker run should panic before touching
-    /// state (deterministic fault injection; consumed by the next
+    /// Per-shard ingest work lists. A shard whose `inject_panic` is set
+    /// panics at the start of its next ingest run, before touching state
+    /// (deterministic fault injection; consumed by the next
     /// [`StreamServer::ingest_batch`]).
-    chaos_panic_shards: Vec<usize>,
+    ingest_tasks: Vec<IngestTask>,
+    arena: TickArena,
     window_len: usize,
-    window: usize,
-    features: usize,
     reporter: Option<VehicleId>,
     /// Misbehavior reports emitted since the last `take_reports`.
     reports: Vec<Mbr>,
@@ -545,7 +604,7 @@ impl<'a> StreamServer<'a> {
                 }
             }
         }
-        let features = scaler.width();
+        let window_len = config.window * scaler.width();
         let shards = (0..config.n_shards)
             .map(|_| {
                 Mutex::new(
@@ -573,10 +632,11 @@ impl<'a> StreamServer<'a> {
             tick_index: 0,
             tier0: config.tier0,
             chaos_monitor_poison: false,
-            chaos_panic_shards: Vec::new(),
-            window_len: config.window * features,
-            window: config.window,
-            features,
+            ingest_tasks: (0..config.n_shards)
+                .map(|_| IngestTask::default())
+                .collect(),
+            arena: TickArena::default(),
+            window_len,
             reporter: config.reporter,
             reports: Vec::new(),
             stats: ServerStats::default(),
@@ -594,57 +654,46 @@ impl<'a> StreamServer<'a> {
     /// [`IngestReport`]).
     pub fn ingest_batch(&mut self, bsms: &[Bsm]) -> IngestReport {
         let n_shards = self.shards.len();
-        let mut buckets: Vec<Vec<&Bsm>> = vec![Vec::new(); n_shards];
-        for bsm in bsms {
-            buckets[shard_for(bsm.vehicle_id, n_shards)].push(bsm);
+        for task in &mut self.ingest_tasks {
+            task.bucket.clear();
+            (task.panics, task.processed, task.shed) = (0, 0, 0);
+            task.rejected = RejectCounters::default();
         }
-        let panic_shards = std::mem::take(&mut self.chaos_panic_shards);
-        let inject: Vec<bool> = (0..n_shards).map(|i| panic_shards.contains(&i)).collect();
+        for (at, bsm) in bsms.iter().enumerate() {
+            self.ingest_tasks[shard_for(bsm.vehicle_id, n_shards)]
+                .bucket
+                .push(at);
+        }
 
-        let before: Vec<(u64, RejectCounters, u64)> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let g = s.lock();
-                (g.ingested(), g.rejects(), g.shed())
-            })
-            .collect();
-
-        let panics: Vec<AtomicU32> = (0..n_shards).map(|_| AtomicU32::new(0)).collect();
-        if n_shards == 1 || bsms.len() < 64 {
-            for (i, (shard, bucket)) in self.shards.iter().zip(&buckets).enumerate() {
-                if bucket.is_empty() && !inject[i] {
-                    continue;
-                }
-                let p = ingest_bucket(shard, bucket, inject[i]);
-                panics[i].store(p, Ordering::Relaxed);
+        let shards = &self.shards;
+        let run = |_: &mut (), i: usize, task: &mut IngestTask| {
+            let inject = std::mem::take(&mut task.inject_panic);
+            if task.bucket.is_empty() && !inject {
+                return;
             }
-        } else {
-            let shards = &self.shards;
-            let panics_ref = &panics;
-            let inject_ref = &inject;
-            // Worker panics are captured inside ingest_bucket, so the
-            // scope result is always Ok; a panic that somehow escaped
-            // capture (panic-while-panicking aborts before reaching
-            // here) still must not take the server down with it.
-            let scope = crossbeam::thread::scope(|s| {
-                for (i, (shard, bucket)) in shards.iter().zip(&buckets).enumerate() {
-                    if bucket.is_empty() && !inject_ref[i] {
-                        continue;
-                    }
-                    s.spawn(move |_| {
-                        let p = ingest_bucket(shard, bucket, inject_ref[i]);
-                        panics_ref[i].store(p, Ordering::Relaxed);
-                    });
-                }
-            });
-            if scope.is_err() {
-                // Attribute the escaped panic to every shard we cannot
-                // vouch for rather than crash; counters below still
-                // reflect whatever work completed.
-                for p in &panics {
-                    p.fetch_add(1, Ordering::Relaxed);
-                }
+            let counters = || {
+                let g = shards[i].lock();
+                (g.ingested(), g.rejects(), g.shed())
+            };
+            let (ingested0, rejects0, shed0) = counters();
+            task.panics = ingest_bucket(&shards[i], bsms, &task.bucket, inject);
+            let (ingested, rejects, shed) = counters();
+            task.processed = ingested - ingested0;
+            task.rejected = rejects.since(&rejects0);
+            task.shed = shed - shed0;
+        };
+        let workers = workers_for(bsms.len() * INGEST_NS_PER_BSM).min(n_shards);
+        let mut threads = vec![(); workers];
+        // Worker panics are captured inside ingest_bucket; a panic that
+        // somehow escaped capture (panic-while-panicking aborts before
+        // reaching here) still must not take the server down with it.
+        let tasks = self.ingest_tasks.iter_mut();
+        if catch_unwind(AssertUnwindSafe(|| fork_join(&mut threads, tasks, run))).is_err() {
+            // Attribute the escaped panic to every shard we cannot vouch
+            // for rather than crash; the counters below still reflect
+            // whatever work completed.
+            for task in &mut self.ingest_tasks {
+                task.panics += 1;
             }
         }
         self.stats.ingested += bsms.len() as u64;
@@ -654,17 +703,13 @@ impl<'a> StreamServer<'a> {
             ..IngestReport::default()
         };
         let mut processed = 0u64;
-        for (i, (shard, (ingested0, rejects0, shed0))) in
-            self.shards.iter().zip(&before).enumerate()
-        {
-            let g = shard.lock();
-            processed += g.ingested() - ingested0;
-            report.rejected += g.rejects().since(rejects0);
-            report.shed += g.shed() - shed0;
-            let p = panics[i].load(Ordering::Relaxed);
-            if p > 0 {
+        for (i, task) in self.ingest_tasks.iter().enumerate() {
+            processed += task.processed;
+            report.rejected += task.rejected;
+            report.shed += task.shed;
+            if task.panics > 0 {
                 report.panicked_shards.push(i);
-                self.stats.shard_panics += u64::from(p);
+                self.stats.shard_panics += u64::from(task.panics);
             }
         }
         report.accepted = processed - report.rejected.total();
@@ -689,6 +734,15 @@ impl<'a> StreamServer<'a> {
     ///
     /// [`ServeError::Score`] when a scoring pass fails.
     pub fn tick(&mut self) -> Result<Vec<Decision>, ServeError> {
+        // The arena steps out of `self` for the tick, so its buffers and
+        // the server can be borrowed side by side.
+        let mut arena = std::mem::take(&mut self.arena);
+        let decisions = self.tick_in(&mut arena);
+        self.arena = arena;
+        decisions
+    }
+
+    fn tick_in(&mut self, arena: &mut TickArena) -> Result<Vec<Decision>, ServeError> {
         self.tick_index += 1;
         self.stats.ticks += 1;
 
@@ -715,133 +769,126 @@ impl<'a> StreamServer<'a> {
 
         self.stats.member_reinstatements += self.health.release_expired(self.tick_index) as u64;
 
-        let take = budgeted_take(&lens, self.admission.windows_per_tick);
-        let mut batch: Vec<f32> = Vec::new();
-        let mut meta: Vec<PendingWindow> = Vec::new();
-        for (shard, &k) in self.shards.iter().zip(&take) {
-            if k == 0 {
-                continue;
-            }
-            let (floats, windows) = shard.lock().take_pending(k);
-            batch.extend_from_slice(&floats);
-            meta.extend_from_slice(&windows);
-        }
-        if meta.is_empty() {
-            return Ok(Vec::new());
-        }
-        let n = meta.len();
-        debug_assert_eq!(batch.len(), n * self.window_len);
-        self.stats.windows_scored += n as u64;
-
-        let members = self.health.active(&self.members);
-        let gate_members = self.health.active(&self.gate_members);
-        let policy = self.effective_policy();
-        let mut dropped_union: Vec<usize> = Vec::new();
-
         // Tier-0 split: suppressed windows skip the ensemble entirely.
         // The gate is bypassed under `Always` (the pure-f32 reference
         // path has no gate) and while the monitor-poisoning chaos fault
         // distrusts the monitors.
+        let policy = self.effective_policy();
         let gate_on = self.tier0.is_some()
             && !self.chaos_monitor_poison
             && !matches!(policy, EscalationPolicy::Always);
+
+        let take = budgeted_take(&lens, self.admission.windows_per_tick);
+        let TickArena {
+            batch,
+            meta,
+            screened_meta,
+            screened,
+            tiers,
+        } = arena;
+        batch.clear();
+        meta.clear();
+        tiers.dropped.clear();
+        // With the gate on, only the windows that will be scored bring
+        // their snapshots along: `batch` holds the unsuppressed windows
+        // of `meta`, in order.
+        for (shard, &k) in self.shards.iter().zip(&take) {
+            if k > 0 {
+                shard.lock().take_pending_into(k, !gate_on, batch, meta);
+            }
+        }
+        if meta.is_empty() {
+            return Ok(Vec::new());
+        }
+        let (batch, meta) = (&batch[..], &meta[..]);
+        let n = meta.len();
+        self.stats.windows_scored += n as u64;
+        let deploy = Deployment {
+            policy,
+            members: self.health.active(&self.members),
+            gate_members: self.health.active(&self.gate_members),
+        };
         let n_suppressed = if gate_on {
             meta.iter().filter(|w| w.suppressed).count()
         } else {
             0
         };
+        debug_assert_eq!(batch.len(), (n - n_suppressed) * self.window_len);
 
-        let decisions = if n_suppressed == 0 {
+        let mut decisions = Vec::with_capacity(n);
+        if n_suppressed == 0 {
             // No suppression this tick: the whole batch flows through
             // the historical path, bitwise identical to a gateless
             // server (both backends are batch-row independent, so the
             // branch itself cannot change any score).
-            self.score_windows(
-                &batch,
-                &meta,
-                policy,
-                &members,
-                &gate_members,
-                &mut dropped_union,
-            )?
+            self.score_windows(batch, meta, &deploy, tiers, &mut decisions)?;
+            self.emit_reports(batch, &decisions);
         } else {
             let cal = self.tier0.expect("gate_on implies a calibration");
-            let wl = self.window_len;
-            let mut screened_batch: Vec<f32> = Vec::with_capacity((n - n_suppressed) * wl);
-            let mut screened_meta: Vec<PendingWindow> = Vec::with_capacity(n - n_suppressed);
-            for (i, w) in meta.iter().enumerate() {
-                if !w.suppressed {
-                    screened_batch.extend_from_slice(&batch[i * wl..(i + 1) * wl]);
-                    screened_meta.push(*w);
-                }
-            }
-            let screened = self.score_windows(
-                &screened_batch,
-                &screened_meta,
-                policy,
-                &members,
-                &gate_members,
-                &mut dropped_union,
-            )?;
+            screened_meta.clear();
+            screened_meta.extend(meta.iter().filter(|w| !w.suppressed));
+            self.score_windows(batch, screened_meta, &deploy, tiers, screened)?;
+            self.emit_reports(batch, screened);
             self.stats.tier0_suppressed += n_suppressed as u64;
             // Merge back in admitted order: suppressed windows emit the
             // vehicle's carried tier-1 gate score (below the detection
             // threshold by the suppression policy) against the
             // calibration's τ; screened windows keep their ensemble
             // decision bitwise intact.
-            let mut it = screened.into_iter();
-            meta.iter()
-                .map(|w| {
-                    if w.suppressed {
-                        Decision {
-                            vehicle: w.vehicle,
-                            timestamp: w.timestamp,
-                            score: w.pinned,
-                            threshold: cal.tau,
-                            escalated: false,
-                            flagged: w.pinned > cal.tau,
-                            suppressed: true,
-                        }
-                    } else {
-                        it.next().expect("one screened decision per window")
+            let mut it = screened.iter();
+            decisions.extend(meta.iter().map(|w| {
+                if w.suppressed {
+                    Decision {
+                        vehicle: w.vehicle,
+                        timestamp: w.timestamp,
+                        score: w.pinned,
+                        threshold: cal.tau,
+                        escalated: false,
+                        flagged: w.pinned > cal.tau,
+                        suppressed: true,
                     }
-                })
-                .collect()
-        };
-
-        // Misbehavior reporting: every flagged tier-2 escalation becomes
-        // an MBR carrying the scored window as evidence. Decisions align
-        // index-wise with `batch`/`meta` on both tick branches (tier-0
-        // suppressed windows are never escalated), so decision i's
-        // evidence is batch row i. The scaler clamps rows to [-1, 1], so
-        // emitted reports always pass `Mbr::validate`'s domain check.
-        if let Some(reporter) = self.reporter {
-            let wl = self.window_len;
-            for (i, d) in decisions.iter().enumerate() {
-                if d.flagged && d.escalated && d.vehicle != reporter {
-                    self.reports.push(Mbr {
-                        reporter,
-                        suspect: d.vehicle,
-                        timestamp: d.timestamp,
-                        score: d.score,
-                        threshold: d.threshold,
-                        evidence: batch[i * wl..(i + 1) * wl].to_vec(),
-                    });
-                    self.stats.reports_emitted += 1;
+                } else {
+                    *it.next().expect("one screened decision per window")
                 }
-            }
+            }));
         }
 
-        if !dropped_union.is_empty() {
-            dropped_union.sort_unstable();
-            dropped_union.dedup();
+        if !tiers.dropped.is_empty() {
+            tiers.dropped.sort_unstable();
+            tiers.dropped.dedup();
             let until = self.tick_index + self.probation_ticks;
-            for m in dropped_union {
+            for &m in &tiers.dropped {
                 self.health.bench(m, until);
             }
         }
         self.stats.member_demotions = self.health.demotions();
         Ok(decisions)
+    }
+
+    /// Misbehavior reporting: every flagged tier-2 escalation among
+    /// `scored` — the decisions of the windows in `batch`, row for row —
+    /// becomes an MBR carrying the scored window as evidence (tier-0
+    /// suppressed windows are never escalated, so none is missed). The
+    /// scaler clamps rows to [-1, 1], so emitted reports always pass
+    /// `Mbr::validate`'s domain check.
+    fn emit_reports(&mut self, batch: &[f32], scored: &[Decision]) {
+        let Some(reporter) = self.reporter else {
+            return;
+        };
+        let rows = batch.chunks_exact(self.window_len);
+        for (d, row) in scored.iter().zip(rows) {
+            if d.flagged && d.escalated && d.vehicle != reporter {
+                self.reports.push(Mbr {
+                    reporter,
+                    suspect: d.vehicle,
+                    timestamp: d.timestamp,
+                    score: d.score,
+                    threshold: d.threshold,
+                    evidence: row.to_vec(),
+                });
+                self.stats.reports_emitted += 1;
+            }
+        }
     }
 
     /// Feeds the real tier-1 gate scores of a screened batch back to
@@ -867,70 +914,78 @@ impl<'a> StreamServer<'a> {
     }
 
     /// Scores one admitted (sub-)batch through the tier-1 → tier-2
-    /// pipeline under `policy`, emitting one decision per `meta` entry
-    /// in order and maintaining the per-tier counters: every window here
-    /// lands in `tier1_screened` or `tier2_escalated` depending on which
-    /// path produced its final score.
+    /// pipeline under `deploy.policy`, writing one decision per `meta`
+    /// entry in order to `decisions` (cleared first) and maintaining the
+    /// per-tier counters: every window here lands in `tier1_screened` or
+    /// `tier2_escalated` depending on which path produced its final
+    /// score. Members either tier dropped are appended to
+    /// `tiers.dropped`.
     fn score_windows(
         &mut self,
         batch: &[f32],
         meta: &[PendingWindow],
-        policy: EscalationPolicy,
-        members: &[usize],
-        gate_members: &[usize],
-        dropped_union: &mut Vec<usize>,
-    ) -> Result<Vec<Decision>, ServeError> {
+        deploy: &Deployment,
+        tiers: &mut TierScratch,
+        decisions: &mut Vec<Decision>,
+    ) -> Result<(), ServeError> {
         let n = meta.len();
-        debug_assert_eq!(batch.len(), n * self.window_len);
+        let wl = self.window_len;
+        debug_assert_eq!(batch.len(), n * wl);
+        let TierScratch {
+            gate,
+            tier2,
+            escalate,
+            sub,
+            dropped,
+        } = tiers;
+        decisions.clear();
         // One decision per window from a tier's scores; τ is the window's
         // own tile's (a member can fail in some tiles only, and each
         // tile's mean and threshold come from its own survivor set).
-        let decide = |tier: &TiledScores, escalated: bool, flag: bool| -> Vec<Decision> {
-            meta.iter()
-                .zip(tier.scores.iter().zip(&tier.thresholds))
-                .map(|(w, (&score, &threshold))| Decision {
-                    vehicle: w.vehicle,
-                    timestamp: w.timestamp,
-                    score,
-                    threshold,
-                    escalated,
-                    flagged: flag && score > threshold,
-                    suppressed: false,
-                })
-                .collect()
-        };
-        match policy {
+        let mut decide =
+            |tier: &TiledScores, escalated: bool, flag: bool| {
+                let scored = tier.scores.iter().zip(&tier.thresholds);
+                decisions.extend(meta.iter().zip(scored).map(|(w, (&score, &threshold))| {
+                    Decision {
+                        vehicle: w.vehicle,
+                        timestamp: w.timestamp,
+                        score,
+                        threshold,
+                        escalated,
+                        flagged: flag && score > threshold,
+                        suppressed: false,
+                    }
+                }));
+            };
+        match deploy.policy {
             EscalationPolicy::Always => {
-                let tier2 = self.score_tiled(batch, n, false, members)?;
+                self.score_tiled(batch, n, false, &deploy.members, tier2)?;
                 self.stats.escalated += n as u64;
                 self.stats.tier2_escalated += n as u64;
-                let decisions = decide(&tier2, true, true);
-                dropped_union.extend(tier2.dropped);
-                Ok(decisions)
+                decide(tier2, true, true);
+                dropped.extend_from_slice(&tier2.dropped);
             }
             EscalationPolicy::Never => {
-                let gate = self.score_tiled(batch, n, true, gate_members)?;
+                self.score_tiled(batch, n, true, &deploy.gate_members, gate)?;
                 self.record_gates(meta, &gate.scores);
                 self.stats.tier1_screened += n as u64;
-                let decisions = decide(&gate, false, true);
-                dropped_union.extend(gate.dropped);
-                Ok(decisions)
+                decide(gate, false, true);
+                dropped.extend_from_slice(&gate.dropped);
             }
             EscalationPolicy::Threshold(tau_esc) => {
-                let gate = self.score_tiled(batch, n, true, gate_members)?;
+                self.score_tiled(batch, n, true, &deploy.gate_members, gate)?;
                 self.record_gates(meta, &gate.scores);
-                let escalate: Vec<usize> = (0..n).filter(|&i| gate.scores[i] > tau_esc).collect();
+                escalate.clear();
+                escalate.extend((0..n).filter(|&i| gate.scores[i] > tau_esc));
                 // A gate score under τ_esc is never a detection on its own.
-                let mut decisions = decide(&gate, false, false);
-                dropped_union.extend(gate.dropped);
+                decide(gate, false, false);
+                dropped.extend_from_slice(&gate.dropped);
                 if !escalate.is_empty() {
-                    let mut sub = Vec::with_capacity(escalate.len() * self.window_len);
-                    for &i in &escalate {
-                        sub.extend_from_slice(
-                            &batch[i * self.window_len..(i + 1) * self.window_len],
-                        );
+                    sub.clear();
+                    for &i in escalate.iter() {
+                        sub.extend_from_slice(&batch[i * wl..(i + 1) * wl]);
                     }
-                    let tier2 = self.score_tiled(&sub, escalate.len(), false, members)?;
+                    self.score_tiled(sub, escalate.len(), false, &deploy.members, tier2)?;
                     for (&i, (&score, &threshold)) in escalate
                         .iter()
                         .zip(tier2.scores.iter().zip(&tier2.thresholds))
@@ -940,14 +995,14 @@ impl<'a> StreamServer<'a> {
                         decisions[i].escalated = true;
                         decisions[i].flagged = score > threshold;
                     }
-                    dropped_union.extend(tier2.dropped);
+                    dropped.extend_from_slice(&tier2.dropped);
                     self.stats.escalated += escalate.len() as u64;
                 }
                 self.stats.tier1_screened += (n - escalate.len()) as u64;
                 self.stats.tier2_escalated += escalate.len() as u64;
-                Ok(decisions)
             }
         }
+        Ok(())
     }
 
     /// The policy actually applied this tick: `Threshold` steps down to
@@ -960,50 +1015,42 @@ impl<'a> StreamServer<'a> {
     }
 
     /// Scores `n` flat windows through one backend in [`SCORE_TILE`]-sized
-    /// tiles. Tile boundaries cannot change any score — both backends are
-    /// batch-row independent — but a tile is scored by the members that
-    /// survived *it*: every window carries its own tile's τ. Also returns
-    /// the members dropped for non-finite scores in any tile, so the
-    /// caller can bench them.
+    /// tiles into `out` (resized to `n`). Tile boundaries cannot change
+    /// any score — both backends are batch-row independent — but a tile
+    /// is scored by the members that survived *it*: every window carries
+    /// its own tile's τ. `out.dropped` collects the members dropped for
+    /// non-finite scores in any tile, so the caller can bench them. Both
+    /// backends read the tile where it lies and write its scores in
+    /// place.
     fn score_tiled(
         &self,
         data: &[f32],
         n: usize,
         int8: bool,
         members: &[usize],
-    ) -> Result<TiledScores, ServeError> {
-        let mut out = TiledScores {
-            scores: vec![0.0; n],
-            thresholds: vec![0.0; n],
-            dropped: Vec::new(),
-        };
+        out: &mut TiledScores,
+    ) -> Result<(), ServeError> {
+        out.scores.clear();
+        out.scores.resize(n, 0.0);
+        out.thresholds.clear();
+        out.thresholds.resize(n, 0.0);
+        out.dropped.clear();
         let wl = self.window_len;
         for start in (0..n).step_by(SCORE_TILE) {
             let end = (start + SCORE_TILE).min(n);
-            let tile = &data[start * wl..end * wl];
-            let (threshold, dropped) = if int8 {
-                // The gate reads the tile where it lies and writes its
-                // scores in place.
-                let r = self.vehigan.score_with_members_int8_into(
-                    members,
-                    tile,
-                    end - start,
-                    &mut out.scores[start..end],
-                );
-                let r = r.map_err(ServeError::Score)?;
-                (r.threshold, r.dropped)
+            let (tile, scores) = (&data[start * wl..end * wl], &mut out.scores[start..end]);
+            let summary = if int8 {
+                self.vehigan
+                    .score_with_members_int8_into(members, tile, end - start, scores)
             } else {
-                let shape = [end - start, self.window, self.features, 1];
-                let tile = Tensor::from_vec(tile.to_vec(), &shape);
-                let r = self.vehigan.score_with_members(members, &tile);
-                let r = r.map_err(ServeError::Score)?;
-                out.scores[start..end].copy_from_slice(&r.scores);
-                (r.threshold, r.dropped)
-            };
-            out.thresholds[start..end].fill(threshold);
-            out.dropped.extend(dropped);
+                self.vehigan
+                    .score_with_members_into(members, tile, end - start, scores)
+            }
+            .map_err(ServeError::Score)?;
+            out.thresholds[start..end].fill(summary.threshold);
+            out.dropped.extend(summary.dropped);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Runs TTL eviction on every shard at stream time `now`, returning
@@ -1099,7 +1146,7 @@ impl<'a> StreamServer<'a> {
     /// its bucket.
     pub fn chaos_panic_on_ingest(&mut self, shard: usize) {
         assert!(shard < self.shards.len(), "shard index out of range");
-        self.chaos_panic_shards.push(shard);
+        self.ingest_tasks[shard].inject_panic = true;
     }
 
     /// Toggles the monitor-poisoning chaos fault: while active, tier-0
@@ -1203,7 +1250,7 @@ mod tests {
 
         // Two untrained critics with distinct calibrated thresholds.
         let benign: Vec<f32> = (0..32 * 120).map(|i| (i as f32 * 0.37).sin()).collect();
-        let benign = Tensor::from_vec(benign, &[32, 10, 12, 1]);
+        let benign = vehigan_tensor::Tensor::from_vec(benign, &[32, 10, 12, 1]);
         let members: Vec<CriticMember> = (0..2)
             .map(|seed| {
                 let config = WganConfig {
@@ -1251,18 +1298,16 @@ mod tests {
                 pinned: 0.0,
             })
             .collect();
-        let mut dropped = Vec::new();
-        let decisions = server
-            .score_windows(
-                &batch,
-                &meta,
-                EscalationPolicy::Always,
-                &[0, 1],
-                &[0, 1],
-                &mut dropped,
-            )
+        let deploy = Deployment {
+            policy: EscalationPolicy::Always,
+            members: vec![0, 1],
+            gate_members: vec![0, 1],
+        };
+        let (mut tiers, mut decisions) = (TierScratch::default(), Vec::new());
+        server
+            .score_windows(&batch, &meta, &deploy, &mut tiers, &mut decisions)
             .unwrap();
-        assert_eq!(dropped, vec![1]);
+        assert_eq!(tiers.dropped, vec![1]);
         let both = (taus[0] + taus[1]) / 2.0;
         for (i, d) in decisions.iter().enumerate() {
             let want = if i < SCORE_TILE { both } else { taus[0] };

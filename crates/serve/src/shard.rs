@@ -362,22 +362,43 @@ impl Shard {
     /// (FIFO service order), leaving the rest queued for later ticks and
     /// clearing the taken windows' in-flight marks.
     pub fn take_pending(&mut self, n: usize) -> (Vec<f32>, Vec<PendingWindow>) {
+        let (mut floats, mut meta) = (Vec::new(), Vec::new());
+        self.take_pending_into(n, true, &mut floats, &mut meta);
+        (floats, meta)
+    }
+
+    /// [`Shard::take_pending`], appending to the caller's buffers. The
+    /// queue keeps its own storage, so a shard drained every tick stops
+    /// re-growing it from nothing on the next ingest.
+    ///
+    /// With `suppressed_floats` off, the snapshots of windows tier 0
+    /// suppressed are left out of `floats` (their `meta` entries are
+    /// still taken): a caller that honours the verdict never reads them.
+    pub fn take_pending_into(
+        &mut self,
+        n: usize,
+        suppressed_floats: bool,
+        floats: &mut Vec<f32>,
+        meta: &mut Vec<PendingWindow>,
+    ) {
         let n = n.min(self.pending_meta.len());
-        if n == self.pending_meta.len() {
-            let floats = std::mem::take(&mut self.pending);
-            let meta = std::mem::take(&mut self.pending_meta);
-            for w in &meta {
-                self.dec_in_flight(w.vehicle);
-            }
-            return (floats, meta);
-        }
         let len = self.window_len();
-        let floats: Vec<f32> = self.pending.drain(..n * len).collect();
-        let meta: Vec<PendingWindow> = self.pending_meta.drain(..n).collect();
-        for w in &meta {
+        if suppressed_floats {
+            floats.extend_from_slice(&self.pending[..n * len]);
+        } else {
+            let snapshots = self.pending.chunks_exact(len);
+            for (w, snapshot) in self.pending_meta[..n].iter().zip(snapshots) {
+                if !w.suppressed {
+                    floats.extend_from_slice(snapshot);
+                }
+            }
+        }
+        self.pending.drain(..n * len);
+        let first = meta.len();
+        meta.extend(self.pending_meta.drain(..n));
+        for w in &meta[first..] {
             self.dec_in_flight(w.vehicle);
         }
-        (floats, meta)
     }
 
     /// Drains the whole pending queue: the flat snapshot floats and their

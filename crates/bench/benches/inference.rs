@@ -1,7 +1,7 @@
 //! Fig 8 Criterion benches: per-snapshot critic inference latency.
 //!
-//! - `standard/layersN` — the float `Sequential` forward pass (Fig 8a,
-//!   the paper's Keras path);
+//! - `standard/layersN` — the served float scorer `Wgan::score_*`
+//!   (Fig 8a, the paper's Keras path);
 //! - `lite/layersN` — the compiled int8 fused path (Fig 8b, the paper's
 //!   TFLite path);
 //! - `ensemble/*` — full `VEHIGAN_k` scoring cost (k critics per BSM).
@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use vehigan_core::{build_critic, WganConfig};
+use vehigan_core::{build_critic, Wgan, WganConfig};
 use vehigan_lite::LiteCritic;
 use vehigan_tensor::init::{rand_uniform, seeded_rng};
 
@@ -25,11 +25,12 @@ fn bench_standard(c: &mut Criterion) {
     let mut group = c.benchmark_group("standard");
     for layers in [6usize, 7, 8] {
         let cfg = config(layers);
-        let mut critic = build_critic(&cfg, &mut seeded_rng(layers as u64));
+        let wgan = Wgan::new(cfg);
         let mut rng = seeded_rng(1);
         let x = rand_uniform(&[1, cfg.window, cfg.features, 1], -1.0, 1.0, &mut rng);
+        let mut score = [0.0f32; 1];
         group.bench_function(format!("layers{layers}"), |b| {
-            b.iter(|| black_box(critic.forward(black_box(&x))));
+            b.iter(|| wgan.score_into(black_box(&x), black_box(&mut score)));
         });
     }
     group.finish();

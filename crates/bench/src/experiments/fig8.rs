@@ -8,7 +8,7 @@
 
 use crate::harness::write_csv;
 use std::time::Instant;
-use vehigan_core::{build_critic, WganConfig};
+use vehigan_core::{build_critic, Wgan, WganConfig};
 use vehigan_lite::{Int8Ensemble, LiteCritic};
 use vehigan_tensor::init::{rand_uniform, seeded_rng};
 
@@ -47,7 +47,9 @@ pub fn run() {
     for layers in LAYER_COUNTS {
         let config = critic_config(layers);
         let shape = (config.window, config.features, 1);
-        let mut critic = build_critic(&config, &mut seeded_rng(layers as u64));
+        let critic = build_critic(&config, &mut seeded_rng(layers as u64));
+        // Column 8a is the served float scorer, not the training pass.
+        let standard = Wgan::from_critic_bytes(config, &critic.to_bytes()).expect("critic loads");
         let mut lite = LiteCritic::compile(&critic, shape).expect("critic compiles");
         let calibration = rand_uniform(
             &[16, config.window, config.features, 1],
@@ -62,12 +64,7 @@ pub fn run() {
         let flat: Vec<f32> = x.as_slice().to_vec();
         let mut score = [0.0f32; 1];
 
-        let std_ms = time_ms(
-            || {
-                let _ = critic.forward(&x);
-            },
-            50,
-        );
+        let std_ms = time_ms(|| standard.score_slice_into(&flat, &mut score), 500);
         let lite_ms = time_ms(
             || {
                 let _ = lite.infer(&flat);

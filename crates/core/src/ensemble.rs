@@ -15,6 +15,7 @@
 
 use crate::forkjoin::{fork_join, workers_for};
 use crate::wgan::Wgan;
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -22,7 +23,7 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use vehigan_metrics::percentile;
 use vehigan_sim::VehicleId;
-use vehigan_tensor::Tensor;
+use vehigan_tensor::{CriticScratch, Tensor, HEAD_ROWS};
 
 /// Error constructing or scoring a [`VehiGan`] ensemble.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,10 +189,24 @@ impl CriticMember {
 }
 
 /// What one member costs the f32 path per window, for
-/// [`workers_for`]: 155–200 µs per window through a `k = 5` subset on
-/// the ledger host (`core.ensemble_f32.ns_per_window`), a fifth of it
-/// per member.
-const F32_NS_PER_MEMBER_ROW: usize = 35_000;
+/// [`workers_for`]: the fused walk measures 30–45 µs per window through a
+/// `k = 5` subset on one core of the ledger host
+/// (`core.ensemble_f32.ns_per_window`), a fifth of it per member.
+const F32_NS_PER_MEMBER_ROW: usize = 8_000;
+
+/// The mutable half of the f32 scoring path, reused by every call and
+/// built with the ensemble — like [`crate::int8::Int8Backend`]'s — so a
+/// warm call allocates nothing (a forked one: nothing but the spawns).
+struct F32State {
+    /// One scratch per thread of a call, each fitted to every member.
+    workers: Vec<CriticScratch>,
+    /// Member scores of the current call: one block per chunk of windows
+    /// (the last may be shorter), member-major inside a block.
+    scores: Vec<f32>,
+    /// Per block and member, whether the member scored it without
+    /// panicking.
+    scored: Vec<bool>,
+}
 
 /// The result of one ensemble inference.
 #[derive(Debug, Clone, PartialEq)]
@@ -276,6 +291,9 @@ pub struct VehiGan {
     members: Vec<CriticMember>,
     k: usize,
     rng: StdRng,
+    /// The f32 path's buffers, behind one lock: calls take turns, the
+    /// threads of one call run inside it.
+    f32: Mutex<F32State>,
     /// Compiled int8 sidecar ([`VehiGan::compile_int8`]); `None` until
     /// compiled, stale if member critics are mutated afterwards.
     int8: Option<crate::int8::Int8Backend>,
@@ -285,6 +303,15 @@ pub struct VehiGan {
     /// Atomic so the serve plane's chaos harness can flip it through a
     /// shared `&VehiGan`. Always zero outside fault-injection runs.
     chaos_poison: std::sync::atomic::AtomicU64,
+}
+
+/// A scoring thread's scratch, grown to the deepest of `members`.
+fn new_worker(members: &[CriticMember]) -> CriticScratch {
+    let mut scratch = CriticScratch::new();
+    for member in members {
+        member.wgan.fit_scratch(&mut scratch);
+    }
+    scratch
 }
 
 impl std::fmt::Debug for VehiGan {
@@ -316,10 +343,20 @@ impl VehiGan {
                 m: members.len(),
             });
         }
+        // One worker per core a call can fork to, built now so the first
+        // server's first tier-2 tile allocates none of it.
+        let workers = (0..workers_for(usize::MAX))
+            .map(|_| new_worker(&members))
+            .collect();
         Ok(VehiGan {
             members,
             k,
             rng: StdRng::seed_from_u64(seed),
+            f32: Mutex::new(F32State {
+                workers,
+                scores: Vec::new(),
+                scored: Vec::new(),
+            }),
             int8: None,
             chaos_poison: std::sync::atomic::AtomicU64::new(0),
         })
@@ -490,13 +527,16 @@ impl VehiGan {
     /// [`VehiGan::score_with_members`] over borrowed memory — the float
     /// twin of [`VehiGan::score_with_members_int8_into`]: `n` flat windows
     /// in, `n` ensemble scores written to `out`, bitwise the scores the
-    /// `Tensor` entry point returns.
+    /// `Tensor` entry point returns, and nothing allocated on the way
+    /// (once the score buffer has grown to the batch size; a dropped
+    /// member or an error does allocate its index list, and a call large
+    /// enough to fork pays its spawns).
     ///
-    /// Each member is one task (its activations live in its own
-    /// [`Wgan`]'s workspace, so two threads cannot share a member); up to
-    /// [`workers_for`] threads — the caller among them — pull the tasks
-    /// deepest critic first. Nothing is spawned when the call is too
-    /// small to repay it.
+    /// The rows are shared out over up to [`workers_for`] threads, the
+    /// caller among them, each on its own scratch; the reduction, the
+    /// survivor set and τ come after the join, over the whole call, so
+    /// scores, threshold and dropped members are bitwise the same for any
+    /// worker count.
     ///
     /// # Errors
     ///
@@ -517,8 +557,19 @@ impl VehiGan {
         self.score_f32_forked(indices, windows, n, out, workers)
     }
 
+    /// Heap bytes held by the f32 path's scratch and score buffers.
+    /// Stable across repeated calls of one shape — the invariant the
+    /// no-allocation tests assert.
+    pub fn scratch_bytes(&self) -> usize {
+        let state = self.f32.lock();
+        let scratch = state.workers.iter().map(CriticScratch::bytes);
+        scratch.sum::<usize>()
+            + state.scores.capacity() * std::mem::size_of::<f32>()
+            + state.scored.capacity()
+    }
+
     /// [`VehiGan::score_with_members_into`] on exactly `workers` threads
-    /// (capped at one per member); the result does not depend on it.
+    /// (capped at one per task); the result does not depend on it.
     pub(crate) fn score_f32_forked(
         &self,
         indices: &[usize],
@@ -529,44 +580,58 @@ impl VehiGan {
     ) -> Result<ScoreSummary, EnsembleError> {
         self.check_subset(indices)?;
         assert_eq!(out.len(), n, "output is not one score per window");
-        /// One member's share of a call: its row of the score matrix.
-        struct Task<'r> {
-            pos: usize,
-            member: usize,
-            row: &'r mut [f32],
-            alive: bool,
+        let k = indices.len();
+        let mut state = self.f32.lock();
+        let state = &mut *state;
+        // A task is one member over one chunk of rows; whole head groups,
+        // so that no thread's dense head runs part empty.
+        let chunk = if workers == 1 { n.max(1) } else { HEAD_ROWS };
+        let workers = workers.clamp(1, n.div_ceil(chunk).max(1) * k);
+        while state.workers.len() < workers {
+            state.workers.push(new_worker(&self.members));
         }
-        let mut rows = vec![0.0f32; indices.len() * n];
-        let mut rest = rows.as_mut_slice();
-        let mut tasks = Vec::with_capacity(indices.len());
-        for (pos, &member) in indices.iter().enumerate() {
-            let (row, tail) = rest.split_at_mut(n);
-            rest = tail;
-            tasks.push(Task {
-                pos,
-                member,
-                row,
-                alive: false,
-            });
-        }
-        // Deepest critic first: the longest task must not start last.
-        tasks.sort_by_key(|t| std::cmp::Reverse(self.members[t.member].wgan.config().layers));
-        let mut threads = vec![(); workers.clamp(1, tasks.len())];
-        fork_join(&mut threads, tasks.iter_mut(), |_, _, task| {
-            let wgan = &self.members[task.member].wgan;
-            let scored = panic::catch_unwind(AssertUnwindSafe(|| {
-                wgan.score_slice_into(windows, task.row);
-            }));
+        state.scores.clear();
+        state.scores.resize(k * n, 0.0);
+        state.scored.clear();
+        state.scored.resize(k * n.div_ceil(chunk), false);
+        let window_len = windows.len().checked_div(n).unwrap_or(0);
+        let blocks = state.scores.chunks_mut(k * chunk);
+        let shares = windows.chunks((window_len * chunk).max(1));
+        let tasks = blocks.zip(shares).zip(state.scored.chunks_mut(k)).flat_map(
+            |((block, share), scored)| {
+                let rows = block.chunks_mut(block.len() / k);
+                rows.zip(scored)
+                    .zip(indices)
+                    .map(move |((row, scored), &member)| (row, scored, member, share))
+            },
+        );
+        fork_join(
+            &mut state.workers[..workers],
+            tasks,
+            |scratch, _, (row, scored, member, share)| {
+                let wgan = &self.members[member].wgan;
+                *scored = panic::catch_unwind(AssertUnwindSafe(|| {
+                    wgan.score_slice_with(scratch, share, row);
+                }))
+                .is_ok();
+            },
+        );
+        let (scores, scored) = (&state.scores, &state.scored);
+        let per_member = indices.iter().enumerate().map(|(pos, &i)| {
+            // The member's row, block by block.
+            let pieces = || {
+                scores.chunks(k * chunk).map(move |block| {
+                    let len = block.len() / k;
+                    &block[pos * len..(pos + 1) * len]
+                })
+            };
             // A chaos-poisoned member ([`VehiGan::chaos_poison_member`])
             // counts as having scored NaN.
-            task.alive = scored.is_ok()
-                && !self.member_poisoned(task.member)
-                && task.row.iter().all(|s| s.is_finite());
+            let alive = scored.iter().skip(pos).step_by(k).all(|&ok| ok)
+                && !self.member_poisoned(i)
+                && pieces().all(|p| p.iter().all(|s| s.is_finite()));
+            alive.then(pieces)
         });
-        tasks.sort_unstable_by_key(|t| t.pos);
-        let per_member = tasks
-            .iter()
-            .map(|t| t.alive.then(|| std::iter::once(&*t.row)));
         self.reduce_member_scores(indices, per_member, out)
     }
 

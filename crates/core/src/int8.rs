@@ -573,6 +573,50 @@ mod tests {
     }
 
     #[test]
+    fn faulty_float_members_are_dropped_alike_for_any_worker_count() {
+        // A member whose weights went NaN, and one that panics (its critic
+        // is built for other windows), are confined to themselves — the
+        // same way however the rows are split.
+        let train = benign(96, 0);
+        let other_shape = WganConfig {
+            window: 8,
+            layers: 3,
+            ..WganConfig::default()
+        };
+        let members = vec![
+            member(0, 3, &train),
+            member(1, 4, &train),
+            CriticMember {
+                id: "other-shape".into(),
+                wgan: Wgan::new(other_shape),
+                threshold: 0.0,
+                ads: 0.0,
+                quarantined: false,
+            },
+            member(2, 3, &train),
+        ];
+        let mut faulty = VehiGan::new(members, 2, 7).unwrap();
+        let weights = faulty.members_mut()[1].wgan.critic_mut();
+        weights.params_mut()[0].value.as_mut_slice()[0] = f32::NAN;
+        for n in [1usize, 7, 37, 128] {
+            let windows = mixed_windows(n, false);
+            let run = |workers: usize| {
+                let mut out = vec![0.0f32; n];
+                let summary = faulty
+                    .score_f32_forked(&[3, 2, 1, 0], &windows, n, &mut out, workers)
+                    .unwrap();
+                let bits: Vec<u32> = out.iter().map(|s| s.to_bits()).collect();
+                (bits, summary.threshold.to_bits(), summary.dropped)
+            };
+            let serial = run(1);
+            assert_eq!(serial.2, vec![2, 1]);
+            for workers in [2usize, 3, 8] {
+                assert_eq!(run(workers), serial, "n = {n}, {workers} workers");
+            }
+        }
+    }
+
+    #[test]
     fn score_batch_int8_samples_random_subsets() {
         let (mut v, _train) = compiled_ensemble();
         let x = benign(4, 11);

@@ -25,7 +25,7 @@ use vehigan_tensor::init::{randn, seeded_rng};
 use vehigan_tensor::layers::{Activation, Conv2D, Dense, Flatten, Padding, Reshape, UpSample2D};
 use vehigan_tensor::optim::{Optimizer, RmsProp};
 use vehigan_tensor::serialize::{ModelFormatError, ModelSnapshot};
-use vehigan_tensor::{Init, Sequential, Tensor, Workspace};
+use vehigan_tensor::{CriticScratch, Init, Sequential, Tensor};
 
 /// Rollback state captured at every healthy epoch boundary (in-memory, so
 /// no wire-format validation gets in the way of snapshotting).
@@ -253,11 +253,11 @@ pub struct Wgan {
     /// Power-iteration vectors for spectral normalization, one per
     /// critic weight matrix (empty until first use).
     sn_state: Vec<Vec<f32>>,
-    /// Scratch arena for the inference path: `score_batch` works through
-    /// `&self`, so the workspace sits behind a mutex (uncontended in the
-    /// serial case; parallel ensemble scoring gives each member its own
-    /// `Wgan`, so there is no cross-thread contention either).
-    scratch: Mutex<Workspace>,
+    /// Planes of the fused scoring walk for this critic, built with it:
+    /// `score_batch` works through `&self`, so they sit behind a mutex.
+    /// Ensemble scoring brings each thread's own
+    /// ([`Wgan::score_slice_with`]) and never takes it.
+    scratch: Mutex<CriticScratch>,
     /// Test-only scheduled divergences: `(attempt, epoch)` pairs at which a
     /// critic weight is poisoned (see [`Wgan::inject_training_fault`]).
     fault_plan: Vec<(usize, usize)>,
@@ -294,6 +294,8 @@ impl Wgan {
         let critic = build_critic(&config, &mut rng);
         let opt_g = RmsProp::new(config.learning_rate);
         let opt_d = RmsProp::new(config.learning_rate);
+        let scratch = fitted_scratch(&config, &critic)
+            .expect("build_critic stacks only what the scoring walk runs");
         Wgan {
             config,
             generator,
@@ -302,7 +304,7 @@ impl Wgan {
             opt_d,
             history: Vec::new(),
             sn_state: Vec::new(),
-            scratch: Mutex::new(Workspace::new()),
+            scratch,
             fault_plan: Vec::new(),
             cursor: None,
         }
@@ -802,12 +804,11 @@ impl Wgan {
 
     /// Anomaly scores `s(x) = −D(x)` for snapshots `[n, w, f, 1]` (Eq. 5).
     ///
-    /// Scoring is read-only: it runs the critic's inference path
-    /// ([`Sequential::infer`] — numerically identical to `forward`) with
-    /// scratch served from an internal [`Workspace`], so it needs only
-    /// `&self` and, once warmed up, performs no per-call heap allocation
-    /// beyond the returned `Vec` (use [`Wgan::score_into`] to avoid even
-    /// that).
+    /// Scoring is read-only: it runs the critic through
+    /// [`Sequential::score_fused`] — bitwise what `forward` computes, on
+    /// planes built with the model — so it needs only `&self` and
+    /// allocates nothing beyond the returned `Vec` (use
+    /// [`Wgan::score_into`] to avoid even that).
     pub fn score_batch(&self, x: &Tensor) -> Vec<f32> {
         let mut scores = vec![0.0f32; x.shape()[0]];
         self.score_into(x, &mut scores);
@@ -822,7 +823,7 @@ impl Wgan {
     /// Panics if `out.len()` differs from the batch size.
     pub fn score_into(&self, x: &Tensor, out: &mut [f32]) {
         assert_eq!(out.len(), x.shape()[0], "score_into output length mismatch");
-        self.score_shaped_into(x.as_slice(), x.shape(), out);
+        self.score_slice_into(x.as_slice(), out);
     }
 
     /// [`Wgan::score_into`] over borrowed memory: `windows` holds
@@ -833,37 +834,28 @@ impl Wgan {
     /// Panics if `windows` is not `out.len()` snapshots of the configured
     /// shape.
     pub fn score_slice_into(&self, windows: &[f32], out: &mut [f32]) {
-        let shape = [out.len(), self.config.window, self.config.features, 1];
-        assert_eq!(
-            windows.len(),
-            shape.iter().product::<usize>(),
-            "{} floats are not {} snapshots of {} x {}",
-            windows.len(),
-            shape[0],
-            shape[1],
-            shape[2]
-        );
-        self.score_shaped_into(windows, &shape, out);
+        self.score_slice_with(&mut self.scratch.lock(), windows, out);
     }
 
-    fn score_shaped_into(&self, data: &[f32], shape: &[usize], out: &mut [f32]) {
-        let mut ws = self.scratch.lock();
-        // Copy the input into a workspace buffer so the activations that
-        // flow out of it can be recycled without consuming the caller's x.
-        let mut buf = ws.take(data.len());
-        buf.copy_from_slice(data);
-        let scores = self.critic.infer(Tensor::from_vec(buf, shape), &mut ws);
-        for (o, &v) in out.iter_mut().zip(scores.as_slice()) {
-            *o = -v;
+    /// [`Wgan::score_slice_into`] on the caller's scratch, so any number
+    /// of threads can score through one `&Wgan` at once.
+    pub(crate) fn score_slice_with(
+        &self,
+        scratch: &mut CriticScratch,
+        windows: &[f32],
+        out: &mut [f32],
+    ) {
+        self.critic
+            .score_fused(scratch, snapshot_shape(&self.config), windows, out);
+        for s in out {
+            *s = -*s;
         }
-        ws.recycle(scores.into_vec());
     }
 
-    /// Bytes currently pooled in the internal scoring workspace. Stable
-    /// across repeated identical `score_batch` calls once warmed up — the
-    /// invariant the no-allocation test asserts.
-    pub fn scratch_bytes(&self) -> usize {
-        self.scratch.lock().pooled_bytes()
+    /// Grows `scratch` to what scoring this critic needs.
+    pub(crate) fn fit_scratch(&self, scratch: &mut CriticScratch) {
+        // A critic restructured through `critic_mut` fails when scored.
+        let _ = scratch.fit(&self.critic, snapshot_shape(&self.config));
     }
 
     /// Generates `n` fake snapshots from fresh noise.
@@ -883,9 +875,12 @@ impl Wgan {
     ///
     /// # Errors
     ///
-    /// Returns an error if the bytes are not a valid model file.
+    /// Returns an error if the bytes are not a valid model file, or the
+    /// model is not a critic the scoring walk runs on `config`'s windows
+    /// ([`ModelFormatError::NotACritic`]).
     pub fn from_critic_bytes(config: WganConfig, bytes: &[u8]) -> Result<Self, ModelFormatError> {
         let critic = Sequential::from_bytes(bytes)?;
+        let scratch = fitted_scratch(&config, &critic)?;
         let mut rng = seeded_rng(config.seed);
         let generator = build_generator(&config, &mut rng);
         Ok(Wgan {
@@ -896,7 +891,7 @@ impl Wgan {
             critic,
             history: Vec::new(),
             sn_state: Vec::new(),
-            scratch: Mutex::new(Workspace::new()),
+            scratch,
             fault_plan: Vec::new(),
             cursor: None,
         })
@@ -1033,6 +1028,7 @@ impl Wgan {
             "generator optimizer cache shape mismatch",
         )?;
         ts_check_cache(&opt_d, &critic, "critic optimizer cache shape mismatch")?;
+        let scratch = fitted_scratch(&config, &critic)?;
         Ok(Wgan {
             opt_g,
             opt_d,
@@ -1041,11 +1037,27 @@ impl Wgan {
             critic,
             history: Vec::new(),
             sn_state,
-            scratch: Mutex::new(Workspace::new()),
+            scratch,
             fault_plan: Vec::new(),
             cursor,
         })
     }
+}
+
+/// The scoring planes for `critic` on `config`'s windows — or why the
+/// fused walk cannot run it.
+fn fitted_scratch(
+    config: &WganConfig,
+    critic: &Sequential,
+) -> Result<Mutex<CriticScratch>, ModelFormatError> {
+    let mut scratch = CriticScratch::new();
+    scratch.fit(critic, snapshot_shape(config))?;
+    Ok(Mutex::new(scratch))
+}
+
+/// The `[h, w, c]` of one snapshot: `window × features`, one channel.
+fn snapshot_shape(config: &WganConfig) -> (usize, usize, usize) {
+    (config.window, config.features, 1)
 }
 
 /// Version tag of the [`Wgan::training_state_bytes`] encoding (independent
@@ -1288,23 +1300,23 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_scoring_does_not_allocate() {
+    fn a_model_that_is_not_a_critic_is_a_typed_error() {
+        // The generator loads as a model but ends in a conv and a tanh.
         let wgan = Wgan::new(quick_config());
-        let x = benign_snapshots(16, 30);
-        for _ in 0..3 {
-            let _ = wgan.score_batch(&x); // warm up the workspace pool
-        }
-        let settled = wgan.scratch_bytes();
-        assert!(settled > 0, "workspace should hold pooled buffers");
-        let mut out = vec![0.0f32; 16];
-        for _ in 0..10 {
-            wgan.score_into(&x, &mut out);
-            assert_eq!(
-                wgan.scratch_bytes(),
-                settled,
-                "steady-state scoring must not allocate"
-            );
-        }
+        let bytes = wgan.generator.to_bytes();
+        assert!(matches!(
+            Wgan::from_critic_bytes(quick_config(), &bytes),
+            Err(ModelFormatError::NotACritic(_))
+        ));
+        // So does a critic built for other windows.
+        let other = WganConfig {
+            window: 8,
+            ..quick_config()
+        };
+        assert!(matches!(
+            Wgan::from_critic_bytes(other, &wgan.critic_bytes()),
+            Err(ModelFormatError::NotACritic(_))
+        ));
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! `VehiGan::score_with_members_int8_into` — the slice-based gate entry
-//! the serve plane calls per tile — allocates nothing once the backend's
-//! buffers have grown to the batch size. Counted per thread by a global
-//! allocator, across a mixed-depth subset (two topology groups) at the
-//! batch sizes the serve plane issues. A call big enough to fork (on a
-//! host with a second core) allocates its spawns and nothing that stays:
-//! the backend's scratch does not grow.
+//! `VehiGan::score_with_members_int8_into` and `score_with_members_into`
+//! — the slice-based gate and escalation entries the serve plane calls
+//! per tile — allocate nothing once their buffers have grown to the batch
+//! size. Counted per thread by a global allocator, across a mixed-depth
+//! subset (two topology groups) at the batch sizes the serve plane
+//! issues. A call big enough to fork (on a host with a second core)
+//! allocates its spawns and nothing that stays: the scratch does not
+//! grow.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -61,38 +62,54 @@ fn warm_slice_scoring_never_allocates() {
     let mut vehigan = VehiGan::new(members, 3, 7).unwrap();
     vehigan.compile_int8(&benign).unwrap();
 
+    type Entry = fn(&VehiGan, &[usize], &[f32], usize, &mut [f32]) -> bool;
+    let int8: Entry = |v, subset, x, n, out| {
+        let r = v.score_with_members_int8_into(subset, x, n, out);
+        r.is_ok_and(|s| s.dropped.is_empty())
+    };
+    let f32: Entry = |v, subset, x, n, out| {
+        let r = v.score_with_members_into(subset, x, n, out);
+        r.is_ok_and(|s| s.dropped.is_empty())
+    };
+    let int8_scratch: fn(&VehiGan) -> usize = |v| v.int8_backend().unwrap().scratch_bytes();
+    let backends = [
+        ("int8", int8, int8_scratch),
+        ("f32", f32, VehiGan::scratch_bytes as fn(&VehiGan) -> usize),
+    ];
+
     let subset = [1usize, 2, 0];
     let mut out = vec![0.0f32; 128];
-    // Largest batch first, so the backend's buffers are at full size.
     let one_core = workers_for(usize::MAX) == 1;
-    for n in [128usize, 37, 1] {
-        let (x, scores) = (&windows[..n * 120], &mut out[..n]);
-        let warm = vehigan
-            .score_with_members_int8_into(&subset, x, n, scores)
-            .unwrap();
-        assert!(warm.dropped.is_empty());
-        let scratch = vehigan.int8_backend().unwrap().scratch_bytes();
-        let before = ALLOCS.with(Cell::get);
-        for _ in 0..100 {
-            let r = vehigan.score_with_members_int8_into(&subset, x, n, scores);
-            assert!(r.is_ok());
-        }
-        let allocs = ALLOCS.with(Cell::get) - before;
-        // One window never forks; on one core nothing does.
-        if n == 1 || one_core {
+    for (name, score, scratch_bytes) in backends {
+        // Largest batch first, so the score buffers are at full size.
+        for n in [128usize, 37, 20, 1] {
+            let (x, scores) = (&windows[..n * 120], &mut out[..n]);
+            assert!(score(&vehigan, &subset, x, n, scores), "{name} warm-up");
+            let scratch = scratch_bytes(&vehigan);
+            let before = ALLOCS.with(Cell::get);
+            for _ in 0..100 {
+                assert!(score(&vehigan, &subset, x, n, scores));
+            }
+            let allocs = ALLOCS.with(Cell::get) - before;
+            // One window never forks; on one core nothing does.
+            if n == 1 || one_core {
+                assert_eq!(
+                    allocs, 0,
+                    "{name}: {allocs} allocations over 100 warm calls at n = {n}"
+                );
+            } else {
+                // Spawn bookkeeping only: a handful of small blocks per call.
+                assert!(
+                    allocs <= 100 * 16,
+                    "{name}: {allocs} allocations at n = {n}"
+                );
+            }
             assert_eq!(
-                allocs, 0,
-                "{allocs} allocations over 100 warm calls at n = {n}"
+                scratch_bytes(&vehigan),
+                scratch,
+                "{name}: scratch grew over 100 warm calls at n = {n}"
             );
-        } else {
-            // Spawn bookkeeping only: a handful of small blocks per call.
-            assert!(allocs <= 100 * 16, "{allocs} allocations at n = {n}");
         }
-        assert_eq!(
-            vehigan.int8_backend().unwrap().scratch_bytes(),
-            scratch,
-            "scratch grew over 100 warm calls at n = {n}"
-        );
     }
 
     // Same scores as the Tensor entry point, bit for bit.
@@ -103,6 +120,14 @@ fn warm_slice_scoring_never_allocates() {
         .unwrap();
     assert_eq!(via_tensor.threshold, summary.threshold);
     assert_eq!(via_tensor.members, subset);
+    for (a, b) in via_tensor.scores.iter().zip(&out[..37]) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    let via_tensor = vehigan.score_with_members(&subset, &tile).unwrap();
+    let summary = vehigan
+        .score_with_members_into(&subset, tile.as_slice(), 37, &mut out[..37])
+        .unwrap();
+    assert_eq!(via_tensor.threshold, summary.threshold);
     for (a, b) in via_tensor.scores.iter().zip(&out[..37]) {
         assert_eq!(a.to_bits(), b.to_bits());
     }

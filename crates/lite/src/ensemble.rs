@@ -19,8 +19,7 @@
 //!   only on that window, so scores are batch-independent;
 //! - **packed multi-member weights** — every member's weights are packed
 //!   once at compile time into the [`vehigan_tensor::gemm::PackedI8`]
-//!   strip layout, so inference never repacks (the f32 path packs `B` on
-//!   every call);
+//!   strip layout, so inference never repacks;
 //! - **direct convolution on a padded plane** — a layer's input is
 //!   quantized straight into a zero-bordered
 //!   `[h + kh − 1, w + kw − 1, cin]` byte plane, where an output pixel's
@@ -42,15 +41,17 @@
 //! scales**, the int8 scoring pipeline is therefore bitwise reproducible
 //! across machines and kernel legs. The scales themselves are not: they
 //! come out of [`Int8Ensemble::compile`]'s float reference walk, which
-//! runs on the dispatched f32 [`gemm`] (fused multiply-add on AVX2 hosts,
-//! separate multiply and add on the portable leg), so two hosts can
+//! runs on the dispatched [`gemm_f32_fused`] (fused multiply-add on AVX2
+//! hosts, separate multiply and add on the portable leg), so two hosts can
 //! compile slightly different `in_scale`s — and then score differently —
 //! from the same snapshots. Ship the compiled artifact, not the recipe,
 //! when scores must match across machines.
 
 use crate::critic::CompileError;
 use crate::quant::{activation_scale, quantize_biased, PerChannelQuantized};
-use vehigan_tensor::gemm::{gemm, gemm_i8_dequant, i8_activation_bias, Dequant, PackedI8, Patches};
+use vehigan_tensor::gemm::{
+    gemm_f32_fused, gemm_i8_dequant, i8_activation_bias, Dequant, FusedF32, PackedI8, Patches,
+};
 use vehigan_tensor::serialize::ModelSnapshot;
 
 /// One member's quantized parameters for one fused op.
@@ -213,39 +214,6 @@ impl FusedOp {
             } => (0, 0, *in_dim, *out_dim, 0, 0),
         }
     }
-}
-
-/// The f32 patch matrix of a same-padding conv input — what the float
-/// reference walk in [`Int8Weights::calibrate`] multiplies. Compile time
-/// only: inference reads patches in place from the padded int8 plane.
-///
-/// Row `(img·h + oy)·w + ox` holds the `[ky][kx][ic]` patch around output
-/// pixel `(oy, ox)`, matching the `[ky·kw·ic, oc]` weight layout;
-/// out-of-bounds taps are 0.
-#[allow(clippy::too_many_arguments)]
-fn patch_matrix(
-    src: &[f32],
-    n: usize,
-    h: usize,
-    w: usize,
-    cin: usize,
-    kh: usize,
-    kw: usize,
-    pad_top: usize,
-    pad_left: usize,
-) -> Vec<f32> {
-    let kk = kh * kw * cin;
-    let mut col = vec![0.0f32; n * h * w * kk];
-    for (pixel, patch) in col.chunks_exact_mut(kk).enumerate() {
-        let (img, oy, ox) = (pixel / (h * w), pixel / w % h, pixel % w);
-        for ky in pad_top.saturating_sub(oy)..kh.min(h + pad_top - oy) {
-            for kx in pad_left.saturating_sub(ox)..kw.min(w + pad_left - ox) {
-                let at = ((img * h + oy + ky - pad_top) * w + ox + kx - pad_left) * cin;
-                patch[(ky * kw + kx) * cin..][..cin].copy_from_slice(&src[at..at + cin]);
-            }
-        }
-    }
-    col
 }
 
 /// Largest `|v|` of a window, NaN skipped.
@@ -617,7 +585,10 @@ impl Int8Ensemble {
 impl Int8Weights {
     /// Runs the dequantized float reference over the calibration windows,
     /// recording each member's per-layer input activation *floor* scale
-    /// (the runtime range guard widens it for out-of-range windows).
+    /// (the runtime range guard widens it for out-of-range windows). The
+    /// reference is the f32 scoring kernel on the dequantized weights: a
+    /// conv reads each window from a zero-bordered float plane, the
+    /// mirror of the int8 one.
     fn calibrate(&mut self, calibration: &[f32]) -> Result<(), CompileError> {
         let n = calibration.len() / self.input_len;
         for g in 0..self.members {
@@ -625,10 +596,16 @@ impl Int8Weights {
             for oi in 0..self.ops.len() {
                 let scale = activation_scale(&act)?;
                 let op = &self.ops[oi];
-                let rows = n * op.rows();
-                let kk = op.kk();
                 let m = &op.members()[g];
-                let mut out = vec![0.0f32; rows * m.bias.len()];
+                let mut layer = FusedF32 {
+                    spans: 1,
+                    span_len: op.kk(),
+                    w: &m.deq,
+                    bias: &m.bias,
+                    alpha: m.alpha,
+                };
+                let mut out = vec![0.0f32; n * op.out_len()];
+                let to = Patches::matrix(m.bias.len());
                 match op {
                     FusedOp::Conv {
                         h,
@@ -640,23 +617,20 @@ impl Int8Weights {
                         pad_left,
                         ..
                     } => {
-                        let col =
-                            patch_matrix(&act, n, *h, *w, *cin, *kh, *kw, *pad_top, *pad_left);
-                        gemm(rows, kk, m.bias.len(), &col, &m.deq, &mut out);
-                    }
-                    FusedOp::Dense { in_dim, .. } => {
-                        gemm(rows, *in_dim, m.bias.len(), &act, &m.deq, &mut out);
-                    }
-                }
-                let cout = m.bias.len();
-                for row in out.chunks_exact_mut(cout) {
-                    for (v, &b) in row.iter_mut().zip(&m.bias) {
-                        *v += b;
-                        if let Some(alpha) = m.alpha {
-                            if *v < 0.0 {
-                                *v *= alpha;
+                        (layer.spans, layer.span_len) = (*kh, kw * cin);
+                        let (row, stride) = (w * cin, (w + kw - 1) * cin);
+                        let mut plane = vec![0.0f32; (h + kh - 1) * stride];
+                        let windows = act.chunks_exact(op.in_len());
+                        for (window, dst) in windows.zip(out.chunks_exact_mut(op.out_len())) {
+                            for (y, line) in window.chunks_exact(row).enumerate() {
+                                let at = (y + pad_top) * stride + pad_left * cin;
+                                plane[at..at + row].copy_from_slice(line);
                             }
+                            gemm_f32_fused(op.rows(), &plane, op.patches(), layer, dst, to);
                         }
+                    }
+                    FusedOp::Dense { .. } => {
+                        gemm_f32_fused(n, &act, op.patches(), layer, &mut out, to);
                     }
                 }
                 self.ops[oi].members_mut()[g].in_scale = scale;

@@ -46,9 +46,21 @@
 //!   from the scalar loop (property tests bound the difference at ≤ 1e-4).
 //!
 //! All kernels *accumulate* into `C` (`beta = 1`); callers that want a
-//! plain product must zero `C` first (a zero-filled buffer is what
-//! [`crate::workspace::Workspace`] hands out). This is what lets
+//! plain product must zero `C` first. This is what lets
 //! `Dense::backward` add `dW` straight into the gradient buffer.
+//!
+//! # Fused f32 inference kernel
+//!
+//! Scoring does not pack at all. [`gemm_f32_fused`] is the float twin of
+//! the int8 family's [`gemm_i8_dequant`] below: it reads convolution
+//! patches in place from a zero-bordered f32 plane ([`Patches`]), reads
+//! the weights where the layer stores them (`[k, cout]` row-major is
+//! already a strip layout: row `k`'s `cout` floats are one or two vector
+//! loads), and finishes each register block — bias, LeakyReLU — before it
+//! touches memory. Per output element it performs the operations of
+//! [`gemm`] + bias sweep + activation sweep in the same order, so its
+//! results are bitwise theirs on each leg (portable / AVX2+FMA /
+//! AVX-512F; the two vector legs agree with each other).
 //!
 //! # Int8 kernels
 //!
@@ -63,7 +75,7 @@
 //!   equal **spans** ([`PackedI8::pack_spans`]), each padded to a whole
 //!   pair/quad, so a convolution patch — `kh` separate `kw·cin`-byte runs
 //!   of a padded activation plane — is multiplied where it lies;
-//! - [`Patches`] — where the rows of the left operand live: a plain
+//! - [`Patches`] — where the rows of a left operand live: a plain
 //!   row-major matrix, or the patches of a same-padded convolution read
 //!   straight out of the padded plane (no im2col copy);
 //! - one micro-kernel sweep per ISA — portable, AVX2 (`cvtepi8_epi16`
@@ -679,26 +691,27 @@ impl PackedI8 {
     }
 }
 
-/// Where the rows of an int8 left operand live inside a byte plane.
+/// Where the rows of a left operand live inside a plane, in elements
+/// (bytes for the int8 kernels, floats for [`gemm_f32_fused`]).
 ///
-/// Row `r`'s span `s` starts at byte
+/// Row `r`'s span `s` starts at element
 /// `(r / width + s)·row_stride + (r % width)·col_stride`. For a
 /// same-padded convolution over a padded `[h + kh − 1, w + kw − 1, cin]`
 /// plane that is `width = w`, `row_stride = (w + kw − 1)·cin`,
 /// `col_stride = cin`: output pixel `(y, x)` reads `kh` spans of `kw·cin`
-/// bytes, one per kernel row, exactly where the plane holds them.
+/// elements, one per kernel row, exactly where the plane holds them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Patches {
     /// Rows of the left operand per plane row.
     pub width: usize,
-    /// Bytes between plane rows, and between a row's successive spans.
+    /// Elements between plane rows, and between a row's successive spans.
     pub row_stride: usize,
-    /// Bytes between horizontally adjacent rows of the left operand.
+    /// Elements between horizontally adjacent rows of the left operand.
     pub col_stride: usize,
 }
 
 impl Patches {
-    /// A plain row-major matrix with `k` bytes per row.
+    /// A plain row-major matrix with `k` elements per row.
     pub fn matrix(k: usize) -> Patches {
         Patches {
             width: 1,
@@ -707,21 +720,23 @@ impl Patches {
         }
     }
 
-    fn offset(&self, r: usize) -> usize {
+    /// Where row `r` starts (its first span, for a left operand).
+    pub fn offset(&self, r: usize) -> usize {
         (r / self.width) * self.row_stride + (r % self.width) * self.col_stride
     }
 
-    /// One past the last byte a sweep of `rows` rows against `b` reads.
-    /// Every kernel leg stays below it; the vector legs read whole quads,
-    /// hence [`PackedI8::span_bytes`] rather than `span_len`.
-    fn extent(&self, rows: usize, b: &PackedI8) -> usize {
-        if rows == 0 || b.spans == 0 {
+    /// One past the last element a sweep of `rows` rows of `spans` spans
+    /// touches when it reads `span_len` elements of each. Every kernel leg
+    /// stays below it; the int8 vector legs read whole quads, so they pass
+    /// [`PackedI8::span_bytes`] rather than the span length.
+    fn extent(&self, rows: usize, spans: usize, span_len: usize) -> usize {
+        if rows == 0 || spans == 0 {
             return 0;
         }
         let last = rows - 1;
-        (last / self.width + b.spans - 1) * self.row_stride
+        (last / self.width + spans - 1) * self.row_stride
             + last.min(self.width - 1) * self.col_stride
-            + b.span_bytes()
+            + span_len
     }
 }
 
@@ -988,9 +1003,12 @@ pub fn gemm_i8_dequant(
 }
 
 /// Runs the dispatched micro-kernel sweep over a plane whose bytes carry
-/// [`i8_activation_bias`] and cover `p.extent(rows, b)`.
+/// [`i8_activation_bias`] and cover the extent of `rows` quad-padded patches.
 fn sweep(rows: usize, plane: &[u8], p: Patches, b: &PackedI8, sink: &mut Sink<'_>) {
-    assert!(plane.len() >= p.extent(rows, b), "int8 plane too short");
+    assert!(
+        plane.len() >= p.extent(rows, b.spans, b.span_bytes()),
+        "int8 plane too short"
+    );
     #[cfg(target_arch = "x86_64")]
     if vnni_available() {
         // Safety: guarded by cached runtime detection of avx512f+vnni;
@@ -1098,7 +1116,7 @@ unsafe fn extend_row_pairs(row: &[i8], dst: &mut [i32]) {
 /// # Safety
 ///
 /// Callers must ensure the CPU supports AVX2 and `a` covers
-/// `p.extent(rows, b)` bytes (span tails excepted: this leg reads exactly
+/// the patch extent `sweep` checks (span tails excepted: this leg reads exactly
 /// `span_len` bytes per span).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -1278,12 +1296,12 @@ unsafe fn gemm_i8_vnni(m: usize, a: &[i8], b: &PackedI8, c: &mut [i32]) {
 /// # Safety
 ///
 /// Callers must ensure the CPU supports AVX-512F and AVX-512 VNNI, `a`
-/// covers `p.extent(rows, b)` bytes, and the sink holds `rows` rows.
+/// covers the patch extent `sweep` checks, and the sink holds `rows` rows.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vnni")]
 unsafe fn sweep_vnni(rows: usize, a: &[u8], p: Patches, b: &PackedI8, sink: &mut Sink<'_>) {
     use std::arch::x86_64::*;
-    debug_assert!(a.len() >= p.extent(rows, b));
+    debug_assert!(a.len() >= p.extent(rows, b.spans, b.span_bytes()));
     if b.is_column() {
         let corr = b.col_sums[0] << 7;
         for r in 0..rows {
@@ -1433,6 +1451,352 @@ unsafe fn vnni_strips<const R: usize, const S: usize>(
         }
     }
     acc
+}
+
+/// One layer of the fused f32 inference walk, as [`gemm_f32_fused`]
+/// multiplies it: a `[spans · span_len, bias.len()]` row-major weight
+/// matrix **where the layer stores it** (`Conv2D`'s `[kh·kw·cin, cout]` is
+/// `kh` spans of `kw·cin`; `Dense`'s `[in, out]` is one span), its bias,
+/// and the LeakyReLU slope that follows it, if one does.
+#[derive(Debug, Clone, Copy)]
+pub struct FusedF32<'a> {
+    /// Spans per patch (kernel rows).
+    pub spans: usize,
+    /// Floats per span.
+    pub span_len: usize,
+    /// The weights, one row per shared-dimension step.
+    pub w: &'a [f32],
+    /// Per-column bias; its length is the column count.
+    pub bias: &'a [f32],
+    /// LeakyReLU slope applied to the biased sum, if any.
+    pub alpha: Option<f32>,
+}
+
+/// `dst[out(r) + j] = act(Σ_k a[r][k]·w[k][j] + bias[j])` for `rows` rows
+/// of f32 activations addressed by `patches` inside `plane` — the float
+/// twin of [`gemm_i8_dequant`], with the weights read in place instead of
+/// packed. Row `r`'s `bias.len()` results go to `dst[out.offset(r)..]`
+/// (`out.row_stride`/`col_stride` address the interior of the next
+/// layer's padded plane, or `Patches::matrix(n)` a plain matrix).
+///
+/// Per output element the arithmetic is `0 → fused (or, on the portable
+/// leg, separate) multiply-add over k ascending → + bias →
+/// x ≥ 0 ? x : α·x`: exactly what [`gemm`] into a zeroed buffer followed
+/// by a bias sweep and a LeakyReLU sweep computes on the same leg, so the
+/// result is **bitwise** that — per leg, not across legs (FMA rounds
+/// once, mul + add twice). The AVX2 and AVX-512 legs agree bit for bit.
+///
+/// # Panics
+///
+/// Panics if `w` is not `spans·span_len × bias.len()`, or `plane` / `dst`
+/// are shorter than the elements `patches` / `out` address.
+pub fn gemm_f32_fused(
+    rows: usize,
+    plane: &[f32],
+    patches: Patches,
+    layer: FusedF32<'_>,
+    dst: &mut [f32],
+    out: Patches,
+) {
+    let n = layer.bias.len();
+    assert_eq!(
+        layer.w.len(),
+        layer.spans * layer.span_len * n,
+        "gemm_f32_fused: weights are not {}·{}×{n}",
+        layer.spans,
+        layer.span_len
+    );
+    assert!(
+        patches.width > 0 && out.width > 0,
+        "gemm_f32_fused: zero patch width"
+    );
+    assert!(
+        plane.len() >= patches.extent(rows, layer.spans, layer.span_len),
+        "gemm_f32_fused: plane too short"
+    );
+    assert!(
+        dst.len() >= out.extent(rows, 1, n),
+        "gemm_f32_fused: output too short"
+    );
+    if rows == 0 || n == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx512_available() && fma_available() {
+        // SAFETY: guarded by cached runtime detection of avx512f; the
+        // asserts above cover every element the sweep reads or writes.
+        unsafe { fused_avx512(rows, plane, patches, &layer, dst, out) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: guarded by cached runtime detection of avx2+fma; extents
+        // as above.
+        unsafe { fused_avx2(rows, plane, patches, &layer, dst, out) };
+        return;
+    }
+    fused_portable(rows, plane, patches, &layer, dst, out);
+}
+
+/// The scalar tail every leg's epilogue is defined by.
+#[inline(always)]
+fn bias_act(acc: f32, bias: f32, alpha: Option<f32>) -> f32 {
+    let v = acc + bias;
+    match alpha {
+        Some(_) if v >= 0.0 => v,
+        Some(alpha) => alpha * v,
+        None => v,
+    }
+}
+
+/// Portable [`gemm_f32_fused`]: one row × sixteen columns at a time,
+/// separate multiply and add (bitwise the portable [`gemm`]).
+fn fused_portable(
+    rows: usize,
+    plane: &[f32],
+    p: Patches,
+    l: &FusedF32<'_>,
+    dst: &mut [f32],
+    out: Patches,
+) {
+    const NR: usize = 16;
+    let n = l.bias.len();
+    for r in 0..rows {
+        let (base, at) = (p.offset(r), out.offset(r));
+        for js in (0..n).step_by(NR) {
+            let width = NR.min(n - js);
+            let mut acc = [0.0f32; NR];
+            for span in 0..l.spans {
+                let a = &plane[base + span * p.row_stride..][..l.span_len];
+                let w = &l.w[span * l.span_len * n + js..];
+                for (t, &av) in a.iter().enumerate() {
+                    let wr = &w[t * n..][..width];
+                    // A whole strip has a length the compiler can see.
+                    if let Ok(wr) = <&[f32; NR]>::try_from(wr) {
+                        for (x, &wv) in acc.iter_mut().zip(wr) {
+                            *x += av * wv;
+                        }
+                    } else {
+                        for (x, &wv) in acc.iter_mut().zip(wr) {
+                            *x += av * wv;
+                        }
+                    }
+                }
+            }
+            let bias = &l.bias[js..js + width];
+            for ((d, &x), &b) in dst[at + js..][..width].iter_mut().zip(&acc).zip(bias) {
+                *d = bias_act(x, b, l.alpha);
+            }
+        }
+    }
+}
+
+/// Where rows `r0..r0 + R` of a block start under `p`, stepping `(y, x)`
+/// instead of dividing per row. Rows from `live` on repeat the last live
+/// one: the block recomputes it and stores nothing for them.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn block_offsets<const R: usize>(p: Patches, r0: usize, live: usize) -> [usize; R] {
+    let (mut x, mut at) = (r0 % p.width, p.offset(r0));
+    std::array::from_fn(|r| {
+        let here = at;
+        if r + 1 < live {
+            (x, at) = (x + 1, at + p.col_stride);
+            if x == p.width {
+                (x, at) = (0, at + p.row_stride - p.width * p.col_stride);
+            }
+        }
+        here
+    })
+}
+
+/// Declares a vector leg of [`gemm_f32_fused`]: row blocks × column
+/// blocks of two vectors, or one for the last `$lanes` columns or fewer.
+/// In a block, `R` patches share every weight load, and `R × S`
+/// accumulator registers (`S` ≤ 2 vectors of columns) are the independent
+/// FMA chains that hide the instruction's latency; a call of at most
+/// `$few` rows — the dense head over a handful of windows — takes the
+/// smaller block, so it does not pay for chains it cannot fill. The
+/// blocks are called by name so that they inline into the sweep, where
+/// the full-vector masks of a two-vector block fold to constants.
+#[cfg(target_arch = "x86_64")]
+macro_rules! fused_leg {
+    ($(#[$doc:meta])* $name:ident, $block:ident, $features:literal, $lanes:expr, $rows:expr, $few:expr) => {
+        $(#[$doc])*
+        ///
+        /// # Safety
+        ///
+        /// Callers must ensure the CPU supports the leg's features and
+        /// the operands passed [`gemm_f32_fused`]'s checks.
+        #[target_feature(enable = $features)]
+        unsafe fn $name(
+            rows: usize,
+            plane: &[f32],
+            p: Patches,
+            l: &FusedF32<'_>,
+            dst: &mut [f32],
+            out: Patches,
+        ) {
+            let n = l.bias.len();
+            let few = rows <= $few;
+            for r0 in (0..rows).step_by(if few { $few } else { $rows }) {
+                for js in (0..n).step_by(2 * $lanes) {
+                    match (few, n - js > $lanes) {
+                        (false, true) => $block::<$rows, 2>(r0, rows, plane, p, l, js, dst, out),
+                        (false, false) => $block::<$rows, 1>(r0, rows, plane, p, l, js, dst, out),
+                        (true, true) => $block::<$few, 2>(r0, rows, plane, p, l, js, dst, out),
+                        (true, false) => $block::<$few, 1>(r0, rows, plane, p, l, js, dst, out),
+                    }
+                }
+            }
+        }
+    };
+}
+
+fused_leg!(
+    /// AVX-512: twelve 512-bit rows × 2 leave room for the two weight
+    /// vectors and a broadcast in 32 registers.
+    fused_avx512, zmm_block, "avx512f", 16, 12, 8
+);
+fused_leg!(
+    /// AVX2 + FMA: the AVX-512 leg at half the width, lane for lane the
+    /// same operations — six 256-bit rows × 2 in 16 registers.
+    fused_avx2, ymm_block, "avx2,fma", 8, 6, 4
+);
+
+/// One `R`-row × `S`-vector block of the AVX-512 leg: every `k`-step is
+/// `S` (masked) weight loads straight from the layer's matrix and `R`
+/// activation broadcasts feeding `R·S` `vfmadd231ps`; the block is
+/// finished — bias, ordered-≥ blend — in registers and stored once. Rows
+/// past the last one recompute it and are not stored.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F, the operands passed
+/// [`gemm_f32_fused`]'s checks, `r0 < rows` and `js < bias.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn zmm_block<const R: usize, const S: usize>(
+    r0: usize,
+    rows: usize,
+    plane: &[f32],
+    p: Patches,
+    l: &FusedF32<'_>,
+    js: usize,
+    dst: &mut [f32],
+    out: Patches,
+) {
+    use std::arch::x86_64::*;
+    let n = l.bias.len();
+    let live = R.min(rows - r0);
+    let mut a = block_offsets::<R>(p, r0, live).map(|at| plane.as_ptr().add(at));
+    let to = block_offsets::<R>(out, r0, live);
+    let mut mask = [0; S];
+    for (s, m) in mask.iter_mut().enumerate() {
+        *m = lane_mask(16.min(n - js - 16 * s));
+    }
+    let mut acc = [[_mm512_setzero_ps(); S]; R];
+    let mut w = l.w.as_ptr().add(js);
+    for _ in 0..l.spans {
+        for t in 0..l.span_len {
+            let mut wv = [_mm512_setzero_ps(); S];
+            for (s, v) in wv.iter_mut().enumerate() {
+                *v = _mm512_maskz_loadu_ps(mask[s], w.add(16 * s));
+            }
+            for r in 0..R {
+                let av = _mm512_set1_ps(*a[r].add(t));
+                for s in 0..S {
+                    acc[r][s] = _mm512_fmadd_ps(av, wv[s], acc[r][s]);
+                }
+            }
+            w = w.add(n);
+        }
+        for ptr in &mut a {
+            *ptr = ptr.add(p.row_stride);
+        }
+    }
+    let zero = _mm512_setzero_ps();
+    for s in 0..S {
+        let col = js + 16 * s;
+        let bias = _mm512_maskz_loadu_ps(mask[s], l.bias.as_ptr().add(col));
+        for (r, row) in acc.iter().enumerate().take(live) {
+            let mut v = _mm512_add_ps(row[s], bias);
+            if let Some(alpha) = l.alpha {
+                let leak = _mm512_mul_ps(_mm512_set1_ps(alpha), v);
+                v = _mm512_mask_mov_ps(leak, _mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, zero), v);
+            }
+            _mm512_mask_storeu_ps(dst.as_mut_ptr().add(to[r] + col), mask[s], v);
+        }
+    }
+}
+
+/// [`zmm_block`] on 256-bit registers; `vmaskmovps` takes its lane mask
+/// as a vector, cut from a run of ones followed by zeros.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX2 and FMA, the operands
+/// passed [`gemm_f32_fused`]'s checks, `r0 < rows` and `js < bias.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn ymm_block<const R: usize, const S: usize>(
+    r0: usize,
+    rows: usize,
+    plane: &[f32],
+    p: Patches,
+    l: &FusedF32<'_>,
+    js: usize,
+    dst: &mut [f32],
+    out: Patches,
+) {
+    use std::arch::x86_64::*;
+    const LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    let n = l.bias.len();
+    let live = R.min(rows - r0);
+    let mut a = block_offsets::<R>(p, r0, live).map(|at| plane.as_ptr().add(at));
+    let to = block_offsets::<R>(out, r0, live);
+    let mut mask = [_mm256_setzero_si256(); S];
+    for (s, m) in mask.iter_mut().enumerate() {
+        let width = 8.min(n - js - 8 * s);
+        *m = _mm256_loadu_si256(LANES.as_ptr().add(8 - width) as *const __m256i);
+    }
+    let mut acc = [[_mm256_setzero_ps(); S]; R];
+    let mut w = l.w.as_ptr().add(js);
+    for _ in 0..l.spans {
+        for t in 0..l.span_len {
+            let mut wv = [_mm256_setzero_ps(); S];
+            for (s, v) in wv.iter_mut().enumerate() {
+                *v = _mm256_maskload_ps(w.add(8 * s), mask[s]);
+            }
+            for r in 0..R {
+                let av = _mm256_set1_ps(*a[r].add(t));
+                for s in 0..S {
+                    acc[r][s] = _mm256_fmadd_ps(av, wv[s], acc[r][s]);
+                }
+            }
+            w = w.add(n);
+        }
+        for ptr in &mut a {
+            *ptr = ptr.add(p.row_stride);
+        }
+    }
+    let zero = _mm256_setzero_ps();
+    for s in 0..S {
+        let col = js + 8 * s;
+        let bias = _mm256_maskload_ps(l.bias.as_ptr().add(col), mask[s]);
+        for (r, row) in acc.iter().enumerate().take(live) {
+            let mut v = _mm256_add_ps(row[s], bias);
+            if let Some(alpha) = l.alpha {
+                let leak = _mm256_mul_ps(_mm256_set1_ps(alpha), v);
+                v = _mm256_blendv_ps(leak, v, _mm256_cmp_ps::<_CMP_GE_OQ>(v, zero));
+            }
+            _mm256_maskstore_ps(dst.as_mut_ptr().add(to[r] + col), mask[s], v);
+        }
+    }
 }
 
 /// Reference i8 GEMM: the naive i-k-j triple loop over unpacked operands,
@@ -1799,6 +2163,144 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `gemm_f32_fused` by the book: per element `0 → madd over k
+    /// ascending → + bias → x ≥ 0 ? x : α·x`, into a zeroed `dst`.
+    #[allow(clippy::too_many_arguments)]
+    fn fused_reference(
+        rows: usize,
+        plane: &[f32],
+        p: Patches,
+        l: &FusedF32<'_>,
+        dst: &mut [f32],
+        out: Patches,
+        madd: fn(f32, f32, f32) -> f32,
+    ) {
+        let n = l.bias.len();
+        for r in 0..rows {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for k in 0..l.spans * l.span_len {
+                    let a = plane[p.offset(r) + k / l.span_len * p.row_stride + k % l.span_len];
+                    acc = madd(a, l.w[k * n + j], acc);
+                }
+                dst[out.offset(r) + j] = bias_act(acc, l.bias[j], l.alpha);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_f32_legs_match_their_references() {
+        // (h, w, cin, kh, kw, cout): the critic's layers, masked column
+        // tails on both vector widths, a ragged last row block, the dense
+        // head's few-rows block and a 1×1 plane.
+        for &(h, w, cin, kh, kw, cout) in &[
+            (10usize, 12usize, 1usize, 2usize, 2usize, 8usize),
+            (10, 12, 8, 2, 2, 16),
+            (10, 12, 16, 2, 2, 32),
+            (5, 7, 3, 3, 2, 17),
+            (4, 5, 2, 1, 3, 40),
+            (3, 3, 5, 2, 1, 1),
+            (1, 7, 64, 1, 1, 1),
+            (1, 1, 9, 1, 1, 3),
+        ] {
+            let (spans, span_len, rows) = (kh, kw * cin, h * w);
+            let p = Patches {
+                width: w,
+                row_stride: (w + kw - 1) * cin,
+                col_stride: cin,
+            };
+            let mut plane = fill(h as u64 * 7 + cout as u64, (h + kh - 1) * p.row_stride);
+            // Values a range-tripping window, an idle one and a flushed
+            // one would leave behind.
+            for (i, v) in plane.iter_mut().enumerate() {
+                match i % 11 {
+                    3 => *v *= 1e30,
+                    5 => *v = 0.0,
+                    7 => *v *= 1e-41,
+                    _ => {}
+                }
+            }
+            let weights = fill(cout as u64 * 13 + 1, spans * span_len * cout);
+            let bias = fill(cin as u64 + 5, cout);
+            // Straight rows, and the interior of a wider, bordered plane.
+            let outs = [
+                (0, Patches::matrix(cout)),
+                (
+                    (w + 2) * cout + cout,
+                    Patches {
+                        width: w,
+                        row_stride: (w + 2) * cout,
+                        col_stride: cout,
+                    },
+                ),
+            ];
+            for alpha in [None, Some(0.2f32)] {
+                let l = FusedF32 {
+                    spans,
+                    span_len,
+                    w: &weights,
+                    bias: &bias,
+                    alpha,
+                };
+                for (origin, out) in outs {
+                    let len = origin + out.extent(rows, 1, cout);
+                    let run = |leg: &dyn Fn(&mut [f32])| {
+                        let mut dst = vec![0.0f32; len];
+                        leg(&mut dst[origin..]);
+                        bits(&dst)
+                    };
+                    let what = format!("{h}×{w}×{cin}→{cout}, k {kh}×{kw}, {alpha:?}");
+                    let scalar =
+                        run(&|d| fused_reference(rows, &plane, p, &l, d, out, |a, b, c| a * b + c));
+                    let port = run(&|d| fused_portable(rows, &plane, p, &l, d, out));
+                    assert_eq!(scalar, port, "portable {what}");
+                    let mut want = scalar;
+                    // The vector legs are pinned here wherever the CPU has
+                    // them: a VNNI host never dispatches AVX2.
+                    #[cfg(target_arch = "x86_64")]
+                    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                        let fused =
+                            run(&|d| fused_reference(rows, &plane, p, &l, d, out, f32::mul_add));
+                        // SAFETY: avx2+fma checked above; `plane` and `d`
+                        // cover the extents (they back the portable run).
+                        let avx2 = run(&|d| unsafe { fused_avx2(rows, &plane, p, &l, d, out) });
+                        assert_eq!(fused, avx2, "avx2 {what}");
+                        if is_x86_feature_detected!("avx512f") {
+                            // SAFETY: avx512f checked; extents as above.
+                            let avx512 =
+                                run(&|d| unsafe { fused_avx512(rows, &plane, p, &l, d, out) });
+                            assert_eq!(avx2, avx512, "avx512 {what}");
+                        }
+                        if fma_available() {
+                            want = fused;
+                        }
+                    }
+                    let got = run(&|d| gemm_f32_fused(rows, &plane, p, l, d, out));
+                    assert_eq!(want, got, "dispatched {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_f32_fused: plane too short")]
+    fn fused_f32_rejects_a_short_plane() {
+        let l = FusedF32 {
+            spans: 2,
+            span_len: 2,
+            w: &[1.0; 4],
+            bias: &[0.0],
+            alpha: None,
+        };
+        let p = Patches {
+            width: 2,
+            row_stride: 3,
+            col_stride: 1,
+        };
+        // Two pixels of a 2×3 plane need all six floats.
+        gemm_f32_fused(2, &[0.0; 5], p, l, &mut [0.0; 2], Patches::matrix(1));
     }
 
     #[test]

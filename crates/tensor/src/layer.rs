@@ -7,7 +7,6 @@
 //! enables both WGAN training and the FGSM adversarial attacks of the paper
 //! (Eqs. 6–7), which differentiate the critic score w.r.t. the BSM window.
 
-use crate::workspace::Workspace;
 use crate::Tensor;
 
 /// A trainable parameter: a value tensor paired with its gradient
@@ -33,6 +32,38 @@ impl Param {
     }
 }
 
+/// What the fused scoring walk needs of a layer it can run: the critic
+/// stack is same-padded convolutions, LeakyReLUs, a flatten and a dense
+/// head.
+#[derive(Debug, Clone, Copy)]
+pub enum FusedView<'a> {
+    /// A same-padded stride-1 convolution: `[kh·kw·cin, cout]` row-major
+    /// weights and `cout` biases.
+    Conv {
+        /// Input channels.
+        cin: usize,
+        /// Kernel height.
+        kh: usize,
+        /// Kernel width.
+        kw: usize,
+        /// The weight matrix as stored.
+        w: &'a [f32],
+        /// The bias vector as stored.
+        b: &'a [f32],
+    },
+    /// `x ≥ 0 ? x : α·x`.
+    LeakyRelu(f32),
+    /// `[h, w, c] → [h·w·c]`: a no-op on row-major activations.
+    Flatten,
+    /// `[in, out]` row-major weights and `out` biases.
+    Dense {
+        /// The weight matrix as stored.
+        w: &'a [f32],
+        /// The bias vector as stored.
+        b: &'a [f32],
+    },
+}
+
 /// A differentiable network layer.
 ///
 /// Layers are stateful: `forward` caches activations needed by `backward`.
@@ -44,15 +75,13 @@ pub trait Layer: Send + Sync {
     /// The leading axis of `input` is always the batch dimension.
     fn forward(&mut self, input: &Tensor) -> Tensor;
 
-    /// Inference-only forward pass: numerically identical to [`forward`]
-    /// (same kernels, same reduction order) but caches nothing, works
-    /// through `&self`, and serves scratch from `ws` so the steady state
-    /// performs no heap allocation. Takes `input` by value so intermediate
-    /// activations can be recycled into the workspace (or mutated in
-    /// place) as they flow through a [`crate::Sequential`].
-    ///
-    /// [`forward`]: Layer::forward
-    fn infer(&self, input: Tensor, ws: &mut Workspace) -> Tensor;
+    /// This layer as a step of the fused scoring walk
+    /// ([`crate::Sequential::score_fused`]), which reads the parameters
+    /// where the layer keeps them; `None` (the default) for a layer the
+    /// walk cannot run.
+    fn fused_view(&self) -> Option<FusedView<'_>> {
+        None
+    }
 
     /// Back-propagates `grad_out` (gradient w.r.t. this layer's output),
     /// accumulating parameter gradients and returning the gradient w.r.t.

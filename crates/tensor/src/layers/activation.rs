@@ -1,8 +1,7 @@
 //! Element-wise activation layers.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{FusedView, Layer, Param};
 use crate::serialize::LayerSnapshot;
-use crate::workspace::Workspace;
 use crate::Tensor;
 
 /// The activation function applied by an [`Activation`] layer.
@@ -152,12 +151,6 @@ impl Layer for Activation {
         out
     }
 
-    fn infer(&self, mut input: Tensor, _ws: &mut Workspace) -> Tensor {
-        let kind = self.kind;
-        input.map_in_place(|x| kind.apply(x));
-        input
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self
             .cached_input
@@ -170,6 +163,13 @@ impl Layer for Activation {
             *g *= self.kind.derivative(x, y);
         }
         grad
+    }
+
+    fn fused_view(&self) -> Option<FusedView<'_>> {
+        match self.kind {
+            ActivationKind::LeakyRelu { alpha } => Some(FusedView::LeakyRelu(alpha)),
+            _ => None,
+        }
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

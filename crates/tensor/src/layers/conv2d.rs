@@ -5,9 +5,8 @@
 //! activations (paper §IV-A.1). Snapshots are laid out `[batch, height,
 //! width, channels]` with `height = w` (time) and `width = f` (features).
 
-use crate::layer::{Layer, Param};
+use crate::layer::{FusedView, Layer, Param};
 use crate::serialize::LayerSnapshot;
-use crate::workspace::Workspace;
 use crate::{Init, Tensor};
 use rand::rngs::StdRng;
 
@@ -273,7 +272,7 @@ impl Layer for Conv2D {
         self.im2col_into(input, cols.as_mut_slice());
         // The output buffer is served from the reclaim cache (see
         // `Layer::reclaim`) and fed straight through the blocked GEMM — same
-        // kernel and reduction order as `matmul`/`infer`, minus the per-step
+        // kernel and reduction order as `matmul`, minus the per-step
         // allocation. The GEMM accumulates, so the buffer is zeroed first.
         let mut out = match self.cached_out.take() {
             Some(mut v) if v.len() == rows * self.cout => {
@@ -304,34 +303,6 @@ impl Layer for Conv2D {
             slot => *slot = Some(input.shape().to_vec()),
         }
         self.cached_cols = Some(cols);
-        Tensor::from_vec(out, &[n, ho, wo, self.cout])
-    }
-
-    fn infer(&self, input: Tensor, ws: &mut Workspace) -> Tensor {
-        let (n, h, w, c) = dims4(&input);
-        assert_eq!(c, self.cin, "conv cin {} vs input channels {c}", self.cin);
-        let (ho, wo) = self.out_spatial(h, w);
-        let rows = n * ho * wo;
-        let cols_w = self.kh * self.kw * c;
-        let mut cols = ws.take(rows * cols_w); // zero-filled, as im2col needs
-        self.im2col_into(&input, &mut cols);
-        let mut out = ws.take(rows * self.cout);
-        crate::gemm::gemm(
-            rows,
-            cols_w,
-            self.cout,
-            &cols,
-            self.w.value.as_slice(),
-            &mut out,
-        );
-        let bias = self.b.value.as_slice();
-        for r in 0..rows {
-            for j in 0..self.cout {
-                out[r * self.cout + j] += bias[j];
-            }
-        }
-        ws.recycle(cols);
-        ws.recycle(input.into_vec());
         Tensor::from_vec(out, &[n, ho, wo, self.cout])
     }
 
@@ -384,6 +355,16 @@ impl Layer for Conv2D {
 
     fn reclaim(&mut self, output: Tensor) {
         self.cached_out = Some(output.into_vec());
+    }
+
+    fn fused_view(&self) -> Option<FusedView<'_>> {
+        (self.padding == Padding::Same).then(|| FusedView::Conv {
+            cin: self.cin,
+            kh: self.kh,
+            kw: self.kw,
+            w: self.w.value.as_slice(),
+            b: self.b.value.as_slice(),
+        })
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -1,8 +1,7 @@
 //! Fully-connected (dense) layer.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{FusedView, Layer, Param};
 use crate::serialize::LayerSnapshot;
-use crate::workspace::Workspace;
 use crate::{Init, Tensor};
 use rand::rngs::StdRng;
 
@@ -108,40 +107,6 @@ impl Layer for Dense {
         out
     }
 
-    fn infer(&self, input: Tensor, ws: &mut Workspace) -> Tensor {
-        assert_eq!(
-            input.ndim(),
-            2,
-            "Dense expects [batch, in], got {:?}",
-            input.shape()
-        );
-        assert_eq!(
-            input.shape()[1],
-            self.in_dim,
-            "Dense in_dim {} vs input {:?}",
-            self.in_dim,
-            input.shape()
-        );
-        let batch = input.shape()[0];
-        let mut out = ws.take(batch * self.out_dim);
-        crate::gemm::gemm(
-            batch,
-            self.in_dim,
-            self.out_dim,
-            input.as_slice(),
-            self.w.value.as_slice(),
-            &mut out,
-        );
-        let bias = self.b.value.as_slice();
-        for i in 0..batch {
-            for j in 0..self.out_dim {
-                out[i * self.out_dim + j] += bias[j];
-            }
-        }
-        ws.recycle(input.into_vec());
-        Tensor::from_vec(out, &[batch, self.out_dim])
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self
             .cached_input
@@ -171,6 +136,13 @@ impl Layer for Dense {
         }
         // dX = dY · Wᵀ with W read in its stored layout.
         grad_out.matmul_nt(&self.w.value)
+    }
+
+    fn fused_view(&self) -> Option<FusedView<'_>> {
+        Some(FusedView::Dense {
+            w: self.w.value.as_slice(),
+            b: self.b.value.as_slice(),
+        })
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

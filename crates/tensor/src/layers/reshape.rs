@@ -1,8 +1,7 @@
 //! Shape-manipulation layers: [`Flatten`] and [`Reshape`].
 
-use crate::layer::{Layer, Param};
+use crate::layer::{FusedView, Layer, Param};
 use crate::serialize::LayerSnapshot;
-use crate::workspace::Workspace;
 use crate::Tensor;
 
 /// Flattens all non-batch dimensions: `[N, d1, …, dk] → [N, d1·…·dk]`.
@@ -33,19 +32,16 @@ impl Layer for Flatten {
         input.reshape(&[batch, rest])
     }
 
-    fn infer(&self, mut input: Tensor, _ws: &mut Workspace) -> Tensor {
-        let batch = input.shape()[0];
-        let rest: usize = input.shape()[1..].iter().product();
-        input.reshape_in_place(&[batch, rest]);
-        input
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let shape = self
             .cached_shape
             .as_ref()
             .expect("Flatten::backward called before forward");
         grad_out.reshape(shape)
+    }
+
+    fn fused_view(&self) -> Option<FusedView<'_>> {
+        Some(FusedView::Flatten)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -120,14 +116,6 @@ impl Layer for Reshape {
         let mut shape = vec![input.shape()[0]];
         shape.extend_from_slice(&self.target);
         input.reshape(&shape)
-    }
-
-    fn infer(&self, mut input: Tensor, _ws: &mut Workspace) -> Tensor {
-        let mut shape = Vec::with_capacity(1 + self.target.len());
-        shape.push(input.shape()[0]);
-        shape.extend_from_slice(&self.target);
-        input.reshape_in_place(&shape);
-        input
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -2,7 +2,6 @@
 
 use crate::layer::{Layer, Param};
 use crate::serialize::LayerSnapshot;
-use crate::workspace::Workspace;
 use crate::Tensor;
 
 /// Nearest-neighbor upsampling of NHWC tensors by integer factors.
@@ -86,37 +85,6 @@ impl Layer for UpSample2D {
             }
         }
         self.cached_input_shape = Some(input.shape().to_vec());
-        Tensor::from_vec(out, &[n, ho, wo, c])
-    }
-
-    fn infer(&self, input: Tensor, ws: &mut Workspace) -> Tensor {
-        assert_eq!(
-            input.ndim(),
-            4,
-            "UpSample2D expects NHWC, got {:?}",
-            input.shape()
-        );
-        let (n, h, w, c) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let (ho, wo) = (h * self.fy, w * self.fx);
-        let mut out = ws.take(n * ho * wo * c);
-        let src = input.as_slice();
-        for ni in 0..n {
-            for oy in 0..ho {
-                let iy = oy / self.fy;
-                for ox in 0..wo {
-                    let ix = ox / self.fx;
-                    let s = ((ni * h + iy) * w + ix) * c;
-                    let d = ((ni * ho + oy) * wo + ox) * c;
-                    out[d..d + c].copy_from_slice(&src[s..s + c]);
-                }
-            }
-        }
-        ws.recycle(input.into_vec());
         Tensor::from_vec(out, &[n, ho, wo, c])
     }
 

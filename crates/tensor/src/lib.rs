@@ -53,12 +53,10 @@ mod model;
 pub mod optim;
 pub mod serialize;
 mod tensor;
-pub mod workspace;
 
 pub use init::Init;
-pub use model::Sequential;
+pub use model::{CriticScratch, Sequential, HEAD_ROWS};
 pub use tensor::Tensor;
-pub use workspace::Workspace;
 
 #[cfg(test)]
 mod send_sync_tests {

@@ -1,10 +1,173 @@
 //! The [`Sequential`] model container.
 
-use crate::layer::{Layer, Param};
+use crate::gemm::{gemm_f32_fused, FusedF32, Patches};
+use crate::layer::{FusedView, Layer, Param};
 use crate::layers::{Activation, Conv2D, Dense, Flatten, Reshape, UpSample2D};
 use crate::serialize::{ModelFormatError, ModelSnapshot};
-use crate::workspace::Workspace;
 use crate::Tensor;
+
+/// Windows [`Sequential::score_fused`] carries to the dense head at once:
+/// the head is one sequential multiply-add chain per window, and a
+/// register block of this many rows is what overlaps them. Callers that
+/// split a batch keep the head full by cutting at multiples of it.
+pub const HEAD_ROWS: usize = 12;
+
+/// One convolution of a critic as the fused walk runs it, LeakyReLU
+/// folded in.
+#[derive(Debug, Clone, Copy)]
+struct ConvStep {
+    /// Index of the convolution in the model.
+    layer: usize,
+    h: usize,
+    w: usize,
+    cin: usize,
+    cout: usize,
+    kh: usize,
+    kw: usize,
+    alpha: Option<f32>,
+}
+
+impl ConvStep {
+    /// What decides the layout of this step's zero-bordered
+    /// `[h + kh − 1, w + kw − 1, cin]` input plane.
+    fn geometry(&self) -> [usize; 5] {
+        [self.h, self.w, self.cin, self.kh, self.kw]
+    }
+
+    fn row_stride(&self) -> usize {
+        (self.w + self.kw - 1) * self.cin
+    }
+
+    fn plane_len(&self) -> usize {
+        (self.h + self.kh - 1) * self.row_stride()
+    }
+
+    /// Where pixels lie in the plane: the patches from its first element,
+    /// the pixels themselves from [`ConvStep::origin`].
+    fn patches(&self) -> Patches {
+        Patches {
+            width: self.w,
+            row_stride: self.row_stride(),
+            col_stride: self.cin,
+        }
+    }
+
+    /// First interior element (Keras-style same padding: the smaller half
+    /// of `k − 1` goes on top and on the left).
+    fn origin(&self) -> usize {
+        (self.kh - 1) / 2 * self.row_stride() + (self.kw - 1) / 2 * self.cin
+    }
+}
+
+/// One scoring thread's buffers for [`Sequential::score_fused`]: a
+/// zero-bordered input plane per convolution (the walk only ever writes
+/// interiors, so a border is zeroed once per geometry) and the dense
+/// head's [`HEAD_ROWS`] input rows. It grows to the largest model it has
+/// been [fitted](CriticScratch::fit) to and never shrinks, so models of
+/// different depths share one scratch.
+#[derive(Debug, Default)]
+pub struct CriticScratch {
+    /// The model last fitted, step by step.
+    convs: Vec<ConvStep>,
+    /// Per conv position, the geometry its plane is laid out for.
+    planes: Vec<([usize; 5], Vec<f32>)>,
+    head: Vec<f32>,
+    /// Index of the dense head in the model last fitted.
+    head_layer: usize,
+}
+
+impl CriticScratch {
+    /// An empty scratch; [`CriticScratch::fit`] sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Lays the scratch out for `critic` on `[h, w, c]` windows, growing
+    /// what is too small — nothing, when it was fitted to this critic (or
+    /// a deeper one over the same layers) before.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelFormatError::NotACritic`] unless `critic` is same-padded
+    /// convolutions, each optionally followed by a LeakyReLU, then an
+    /// optional flatten and one dense layer with a single output.
+    pub fn fit(
+        &mut self,
+        critic: &Sequential,
+        (h, w, mut c): (usize, usize, usize),
+    ) -> Result<(), ModelFormatError> {
+        if h * w * c == 0 {
+            return Err(ModelFormatError::NotACritic(format!(
+                "empty input {h}×{w}×{c}"
+            )));
+        }
+        let view = |i: usize| critic.layers.get(i).and_then(|l| l.fused_view());
+        let refuse = |i: usize| {
+            let what = critic
+                .layers
+                .get(i)
+                .map_or("a missing dense head", |l| l.name());
+            ModelFormatError::NotACritic(format!("layer {i}: {what}"))
+        };
+        self.convs.clear();
+        let mut i = 0;
+        while let Some(FusedView::Conv { cin, kh, kw, b, .. }) = view(i) {
+            if cin != c {
+                return Err(refuse(i));
+            }
+            let mut step = ConvStep {
+                layer: i,
+                h,
+                w,
+                cin,
+                cout: b.len(),
+                kh,
+                kw,
+                alpha: None,
+            };
+            i += 1;
+            if let Some(FusedView::LeakyRelu(alpha)) = view(i) {
+                step.alpha = Some(alpha);
+                i += 1;
+            }
+            c = step.cout;
+            self.convs.push(step);
+        }
+        if let Some(FusedView::Flatten) = view(i) {
+            i += 1;
+        }
+        match view(i) {
+            Some(FusedView::Dense { w: weights, b })
+                if b.len() == 1 && weights.len() == h * w * c && i + 1 == critic.len() => {}
+            _ => return Err(refuse(i)),
+        }
+        self.head_layer = i;
+        for (j, step) in self.convs.iter().enumerate() {
+            match self.planes.get_mut(j) {
+                Some((geometry, _)) if *geometry == step.geometry() => {}
+                Some((geometry, plane)) => {
+                    *geometry = step.geometry();
+                    plane.clear();
+                    plane.resize(step.plane_len(), 0.0);
+                }
+                None => self
+                    .planes
+                    .push((step.geometry(), vec![0.0; step.plane_len()])),
+            }
+        }
+        if self.head.len() < HEAD_ROWS * h * w * c {
+            self.head.resize(HEAD_ROWS * h * w * c, 0.0);
+        }
+        Ok(())
+    }
+
+    /// Heap bytes held — constant across calls once fitted.
+    pub fn bytes(&self) -> usize {
+        let planes: usize = self.planes.iter().map(|(_, p)| p.capacity()).sum();
+        (planes + self.head.capacity()) * std::mem::size_of::<f32>()
+            + self.convs.capacity() * std::mem::size_of::<ConvStep>()
+    }
+}
 
 /// An ordered stack of layers trained end-to-end.
 ///
@@ -94,20 +257,94 @@ impl Sequential {
         x
     }
 
-    /// Inference-only forward pass through `&self`: numerically identical
-    /// to [`Sequential::forward`] (same kernels, same reduction order) but
-    /// caches nothing, and serves all intermediate activations from `ws` so
-    /// the steady state performs no heap allocation.
+    /// Critic outputs `D(x)` for `out.len()` flat `[h, w, c]` windows,
+    /// through `&self` and bitwise what [`Sequential::forward`] returns
+    /// on the same kernel leg — the scoring path. Each window walks every
+    /// layer back to back over `scratch`'s few kilobytes of zero-bordered
+    /// planes ([`gemm_f32_fused`] reads conv patches and weights in place
+    /// and finishes bias and LeakyReLU in registers); the dense head, one
+    /// strictly sequential multiply-add chain per window, runs once per
+    /// [`HEAD_ROWS`] windows so that their chains overlap. A window's
+    /// output depends on that window alone, so any split of a batch
+    /// scores what one call does. Allocates nothing once `scratch` fits.
     ///
-    /// Takes `input` by value; its buffer is recycled into the workspace as
-    /// activations flow through the stack, so pass a workspace-backed copy
-    /// when the original must be kept.
-    pub fn infer(&self, input: Tensor, ws: &mut Workspace) -> Tensor {
-        let mut x = input;
-        for layer in &self.layers {
-            x = layer.infer(x, ws);
+    /// # Panics
+    ///
+    /// Panics if [`CriticScratch::fit`] rejects the model or `windows` is
+    /// not `out.len()` windows of `input`'s shape.
+    pub fn score_fused(
+        &self,
+        scratch: &mut CriticScratch,
+        input: (usize, usize, usize),
+        windows: &[f32],
+        out: &mut [f32],
+    ) {
+        if let Err(e) = scratch.fit(self, input) {
+            panic!("score_fused: {e}");
         }
-        x
+        let len = input.0 * input.1 * input.2;
+        assert_eq!(
+            windows.len(),
+            out.len() * len,
+            "{} floats are not {} windows of {input:?}",
+            windows.len(),
+            out.len()
+        );
+        let CriticScratch {
+            convs,
+            planes,
+            head,
+            head_layer,
+        } = scratch;
+        let Some(FusedView::Dense { w, b }) = self.layers[*head_layer].fused_view() else {
+            unreachable!("fit found the dense head here")
+        };
+        let in_dim = w.len();
+        let dense = FusedF32 {
+            spans: 1,
+            span_len: in_dim,
+            w,
+            bias: b,
+            alpha: None,
+        };
+        let groups = windows.chunks(HEAD_ROWS * len);
+        for (group, scores) in groups.zip(out.chunks_mut(HEAD_ROWS)) {
+            for (window, row) in group.chunks_exact(len).zip(head.chunks_exact_mut(in_dim)) {
+                // The network input goes where the first layer reads it.
+                let (dst, to) = match (convs.first(), planes.first_mut()) {
+                    (Some(first), Some((_, plane))) => {
+                        (&mut plane[first.origin()..], first.patches())
+                    }
+                    _ => (&mut *row, Patches::matrix(input.2)),
+                };
+                for (y, line) in window.chunks_exact(input.1 * input.2).enumerate() {
+                    dst[to.offset(y * input.1)..][..line.len()].copy_from_slice(line);
+                }
+                for (j, step) in convs.iter().enumerate() {
+                    let Some(FusedView::Conv { w, b, .. }) = self.layers[step.layer].fused_view()
+                    else {
+                        unreachable!("fit found a convolution here")
+                    };
+                    let layer = FusedF32 {
+                        spans: step.kh,
+                        span_len: step.kw * step.cin,
+                        w,
+                        bias: b,
+                        alpha: step.alpha,
+                    };
+                    let (src, rest) = planes[j..].split_first_mut().expect("one plane per conv");
+                    let (dst, to) = match (convs.get(j + 1), rest.first_mut()) {
+                        (Some(next), Some((_, plane))) => {
+                            (&mut plane[next.origin()..], next.patches())
+                        }
+                        _ => (&mut *row, Patches::matrix(step.cout)),
+                    };
+                    gemm_f32_fused(step.h * step.w, &src.1, step.patches(), layer, dst, to);
+                }
+            }
+            let rows = Patches::matrix(in_dim);
+            gemm_f32_fused(scores.len(), head, rows, dense, scores, Patches::matrix(1));
+        }
     }
 
     /// Back-propagates `grad_out` through all layers, accumulating parameter
@@ -403,36 +640,72 @@ mod tests {
     }
 
     #[test]
-    fn infer_is_numerically_identical_to_forward() {
+    fn fused_score_is_bitwise_forward() {
         let mut m = small_critic(13);
         let mut rng = seeded_rng(14);
-        let x = randn(&[3, 4, 4, 1], &mut rng);
-        let y_train = m.forward(&x);
-        let mut ws = Workspace::new();
-        let y_inf = m.infer(x.clone(), &mut ws);
-        assert_eq!(y_train, y_inf, "infer must match forward bitwise");
+        // More windows than one head group, and not a multiple of it.
+        let n = 2 * HEAD_ROWS + 3;
+        let x = randn(&[n, 4, 4, 1], &mut rng);
+        let want = m.forward(&x);
+        let mut scratch = CriticScratch::new();
+        let mut got = vec![0.0f32; n];
+        m.score_fused(&mut scratch, (4, 4, 1), x.as_slice(), &mut got);
+        let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(want.as_slice()), bits(&got));
+        // Any split of the batch scores the same.
+        let mut split = vec![0.0f32; n];
+        for (xs, out) in x.as_slice().chunks(5 * 16).zip(split.chunks_mut(5)) {
+            m.score_fused(&mut scratch, (4, 4, 1), xs, out);
+        }
+        assert_eq!(bits(&got), bits(&split));
     }
 
     #[test]
-    fn infer_steady_state_does_not_allocate() {
+    fn warm_scoring_allocates_nothing() {
         let m = small_critic(15);
         let mut rng = seeded_rng(16);
         let x = randn(&[3, 4, 4, 1], &mut rng);
-        let mut ws = Workspace::new();
-        let run = |ws: &mut Workspace| {
-            let mut buf = ws.take(x.len());
-            buf.copy_from_slice(x.as_slice());
-            let y = m.infer(Tensor::from_vec(buf, x.shape()), ws);
-            ws.recycle(y.into_vec());
-        };
-        for _ in 0..3 {
-            run(&mut ws); // warm-up: the pool grows until shapes settle
-        }
-        let settled = ws.pooled_bytes();
+        let mut scratch = CriticScratch::new();
+        scratch.fit(&m, (4, 4, 1)).unwrap();
+        let settled = scratch.bytes();
+        assert!(settled > 0);
+        let mut out = [0.0f32; 3];
         for _ in 0..10 {
-            run(&mut ws);
-            assert_eq!(ws.pooled_bytes(), settled, "steady state must not allocate");
+            m.score_fused(&mut scratch, (4, 4, 1), x.as_slice(), &mut out);
+            assert_eq!(scratch.bytes(), settled, "a fitted scratch must not grow");
         }
+    }
+
+    #[test]
+    fn stacks_the_walk_cannot_run_are_typed_errors() {
+        let mut rng = seeded_rng(19);
+        let mut scratch = CriticScratch::new();
+        let refused = |m: &Sequential, scratch: &mut CriticScratch| {
+            matches!(
+                scratch.fit(m, (4, 4, 1)),
+                Err(ModelFormatError::NotACritic(_))
+            )
+        };
+        // Valid padding, a tanh, a hidden dense layer, no head at all.
+        let mut valid = Sequential::new();
+        valid.push(Conv2D::new(
+            1,
+            2,
+            (2, 2),
+            Padding::Valid,
+            Init::HeUniform,
+            &mut rng,
+        ));
+        valid.push(Flatten::new());
+        valid.push(Dense::new(3 * 3 * 2, 1, Init::XavierUniform, &mut rng));
+        assert!(refused(&valid, &mut scratch));
+        let mut tanh = small_critic(20);
+        tanh.push(Activation::tanh());
+        assert!(refused(&tanh, &mut scratch));
+        assert!(refused(&small_mlp(21), &mut scratch));
+        assert!(refused(&Sequential::new(), &mut scratch));
+        // A refusal leaves the scratch usable.
+        assert!(scratch.fit(&small_critic(22), (4, 4, 1)).is_ok());
     }
 
     #[test]

@@ -30,6 +30,9 @@ pub enum ModelFormatError {
     MissingField(&'static str),
     /// Structural corruption (lengths, shapes, UTF-8).
     Corrupt(&'static str),
+    /// The model loaded, but is not a stack the fused scoring walk runs
+    /// ([`crate::CriticScratch::fit`] names the offending layer).
+    NotACritic(String),
     /// A tensor held a non-finite (NaN/Inf) value — a poisoned model that
     /// must never be loaded into a scoring path.
     NonFinite {
@@ -47,6 +50,9 @@ impl fmt::Display for ModelFormatError {
             ModelFormatError::UnknownLayer(k) => write!(f, "unknown layer kind `{k}`"),
             ModelFormatError::MissingField(k) => write!(f, "missing field `{k}`"),
             ModelFormatError::Corrupt(what) => write!(f, "corrupt model file: {what}"),
+            ModelFormatError::NotACritic(what) => {
+                write!(f, "not a critic the scoring walk runs ({what})")
+            }
             ModelFormatError::NonFinite { index } => {
                 write!(
                     f,

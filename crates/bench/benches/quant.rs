@@ -1,4 +1,4 @@
-//! Criterion benches for the fused int8 ensemble backend.
+//! Criterion benches for the int8 ensemble backend.
 //!
 //! Run with `cargo bench -p vehigan-bench --bench quant`. The quick
 //! JSON-emitting variant (on a trained system, with acceptance gates) is
@@ -7,15 +7,13 @@
 //! Groups:
 //! - `i8_gemm/*` — the raw i8×i8→i32 kernel on critic shapes, dispatched
 //!   vs portable vs naive;
-//! - `fused_ensemble/kN` — one snapshot through N paper-depth critics via
-//!   the single fused int8 sweep;
-//! - `lite_ensemble/kN` — the same N critics walked one-by-one through
-//!   `LiteCritic` (the pre-fusion int8 baseline).
+//! - `fused_ensemble/kN` — one snapshot through N paper-depth int8
+//!   critics, one after another on one scratch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use vehigan_core::{build_critic, WganConfig};
-use vehigan_lite::{Int8Ensemble, LiteCritic};
+use vehigan_lite::Int8Ensemble;
 use vehigan_tensor::gemm::{gemm_i8, gemm_i8_portable, naive_i8, PackedI8};
 use vehigan_tensor::init::{rand_uniform, seeded_rng};
 
@@ -82,10 +80,9 @@ fn bench_fused_ensemble(c: &mut Criterion) {
     let flat: Vec<f32> = x.as_slice().to_vec();
 
     for k in [1usize, 5, 10] {
-        let critics: Vec<_> = (0..k)
-            .map(|s| build_critic(&cfg, &mut seeded_rng(s as u64)))
+        let snaps: Vec<_> = (0..k)
+            .map(|s| build_critic(&cfg, &mut seeded_rng(s as u64)).save())
             .collect();
-        let snaps: Vec<_> = critics.iter().map(|m| m.save()).collect();
         let refs: Vec<&_> = snaps.iter().collect();
         let mut fused =
             Int8Ensemble::compile(&refs, shape, calibration.as_slice()).expect("compiles");
@@ -96,23 +93,6 @@ fn bench_fused_ensemble(c: &mut Criterion) {
             b.iter(|| {
                 fused.score_subset_into(&subset, black_box(&flat), 1, &mut scores);
                 black_box(scores[0])
-            })
-        });
-        group.finish();
-
-        // Baseline: the same members walked separately through LiteCritic.
-        let mut lites: Vec<LiteCritic> = critics
-            .iter()
-            .map(|m| LiteCritic::compile(m, shape).expect("compiles"))
-            .collect();
-        let mut group = c.benchmark_group("lite_ensemble");
-        group.bench_function(format!("k{k}"), |b| {
-            b.iter(|| {
-                let mut sum = 0.0f32;
-                for lite in &mut lites {
-                    sum += lite.infer(black_box(&flat));
-                }
-                black_box(sum)
             })
         });
         group.finish();

@@ -25,8 +25,8 @@
 //!   per-suspect authority state stays constant-size (the naive path
 //!   retains every in-window report); every attacker's time-limited
 //!   revocation is still active at the end of the horizon (extension
-//!   churn instead of lapse); and an RSU mirror syncing by [`CrlDelta`]
-//!   converges to the authority CRL.
+//!   churn instead of lapse); and an RSU mirror syncing by
+//!   [`vehigan_mbr::CrlDelta`] converges to the authority CRL.
 
 use crate::experiments::serve_driver::{city_fleet, mixed_stream, slice_ranges};
 use crate::harness::{results_dir, Harness};

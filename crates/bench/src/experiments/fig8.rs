@@ -1,15 +1,15 @@
-//! Fig 8: single-snapshot inference latency of standard (float) vs lite
-//! (int8 fused) critics, by critic depth.
+//! Fig 8: single-snapshot inference latency of the standard (served f32)
+//! vs lite (int8) critic, by critic depth.
 //!
 //! The paper's claim is about the shape: both paths sit far below the
-//! 100 ms BSM interval; the lite path is orders of magnitude faster; depth
-//! adds a mild slope. Criterion benches (`cargo bench -p vehigan-bench`)
+//! 100 ms BSM interval; the lite path is the faster one; depth adds a
+//! mild slope. Criterion benches (`cargo bench -p vehigan-bench`)
 //! provide the rigorous timings; this experiment prints a quick summary.
 
 use crate::harness::write_csv;
 use std::time::Instant;
 use vehigan_core::{build_critic, Wgan, WganConfig};
-use vehigan_lite::{Int8Ensemble, LiteCritic};
+use vehigan_lite::Int8Ensemble;
 use vehigan_tensor::init::{rand_uniform, seeded_rng};
 
 /// Critic depths swept by the paper (§IV-A.1).
@@ -40,8 +40,8 @@ pub fn run() {
     let mut rng = seeded_rng(8);
     println!("Fig 8 — per-snapshot inference latency (ms), BSM budget = 100 ms");
     println!(
-        "{:>7} {:>14} {:>14} {:>11} {:>9}",
-        "layers", "standard (8a)", "lite (8b)", "quant (i8)", "speedup"
+        "{:>7} {:>14} {:>14} {:>9}",
+        "layers", "standard (8a)", "lite (8b)", "speedup"
     );
     let mut rows = Vec::new();
     for layers in LAYER_COUNTS {
@@ -50,49 +50,31 @@ pub fn run() {
         let critic = build_critic(&config, &mut seeded_rng(layers as u64));
         // Column 8a is the served float scorer, not the training pass.
         let standard = Wgan::from_critic_bytes(config, &critic.to_bytes()).expect("critic loads");
-        let mut lite = LiteCritic::compile(&critic, shape).expect("critic compiles");
         let calibration = rand_uniform(
             &[16, config.window, config.features, 1],
             -1.0,
             1.0,
             &mut seeded_rng(layers as u64 + 80),
         );
-        let snap = critic.save();
-        let mut quant = Int8Ensemble::compile(&[&snap], shape, calibration.as_slice())
-            .expect("critic quantizes");
+        // Column 8b is the served int8 critic, a single member.
+        let mut lite = Int8Ensemble::compile(&[&critic.save()], shape, calibration.as_slice())
+            .expect("critic compiles");
         let x = rand_uniform(&[1, config.window, config.features, 1], -1.0, 1.0, &mut rng);
         let flat: Vec<f32> = x.as_slice().to_vec();
         let mut score = [0.0f32; 1];
 
         let std_ms = time_ms(|| standard.score_slice_into(&flat, &mut score), 500);
-        let lite_ms = time_ms(
-            || {
-                let _ = lite.infer(&flat);
-            },
-            500,
-        );
-        let quant_ms = time_ms(
-            || {
-                quant.score_subset_into(&[0], &flat, 1, &mut score);
-            },
-            500,
-        );
+        let lite_ms = time_ms(|| lite.score_subset_into(&[0], &flat, 1, &mut score), 500);
         println!(
-            "{layers:>7} {std_ms:>14.3} {lite_ms:>14.4} {quant_ms:>11.4} {:>8.1}x",
-            std_ms / quant_ms
+            "{layers:>7} {std_ms:>14.3} {lite_ms:>14.4} {:>8.1}x",
+            std_ms / lite_ms
         );
-        rows.push(format!("{layers},{std_ms:.5},{lite_ms:.5},{quant_ms:.5}"));
+        rows.push(format!("{layers},{std_ms:.5},{lite_ms:.5}"));
         assert!(
-            std_ms < 100.0 && lite_ms < 100.0 && quant_ms < 100.0,
+            std_ms < 100.0 && lite_ms < 100.0,
             "inference must beat the 100 ms BSM interval"
         );
     }
-    write_csv(
-        "fig8_inference_ms.csv",
-        "layers,standard_ms,lite_ms,quant_ms",
-        &rows,
-    );
-    println!(
-        "\nall paths beat the 100 ms BSM interval; lite/quant are the OBU fallbacks (paper Fig 8)"
-    );
+    write_csv("fig8_inference_ms.csv", "layers,standard_ms,lite_ms", &rows);
+    println!("\nboth paths beat the 100 ms BSM interval; lite is the OBU fallback (paper Fig 8)");
 }

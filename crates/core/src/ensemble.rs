@@ -194,18 +194,51 @@ impl CriticMember {
 /// (`core.ensemble_f32.ns_per_window`), a fifth of it per member.
 const F32_NS_PER_MEMBER_ROW: usize = 8_000;
 
-/// The mutable half of the f32 scoring path, reused by every call and
-/// built with the ensemble — like [`crate::int8::Int8Backend`]'s — so a
-/// warm call allocates nothing (a forked one: nothing but the spawns).
-struct F32State {
+/// The mutable half of one precision's scoring path, reused by every call
+/// and built with the detector — so a warm call allocates nothing (a
+/// forked one: nothing but the spawns), and the buffers stay warm across
+/// servers and outside a server's peak heap.
+pub(crate) struct ForkState<S> {
+    /// Rows per task of a forked call.
+    chunk_rows: usize,
     /// One scratch per thread of a call, each fitted to every member.
-    workers: Vec<CriticScratch>,
+    workers: Vec<S>,
     /// Member scores of the current call: one block per chunk of windows
     /// (the last may be shorter), member-major inside a block.
     scores: Vec<f32>,
     /// Per block and member, whether the member scored it without
     /// panicking.
     scored: Vec<bool>,
+}
+
+impl<S> ForkState<S> {
+    /// One worker per core a call can fork to, built now so the first
+    /// server's first tile allocates none of it.
+    pub(crate) fn new(chunk_rows: usize, new_worker: impl Fn() -> S) -> Self {
+        let mut state = ForkState {
+            chunk_rows,
+            workers: Vec::new(),
+            scores: Vec::new(),
+            scored: Vec::new(),
+        };
+        state.grow_to(workers_for(usize::MAX), new_worker);
+        state
+    }
+
+    /// Makes sure a call can run on `workers` threads.
+    pub(crate) fn grow_to(&mut self, workers: usize, new_worker: impl Fn() -> S) {
+        while self.workers.len() < workers {
+            self.workers.push(new_worker());
+        }
+    }
+
+    /// Heap bytes held by the workers' scratch (`scratch_bytes` of each)
+    /// and the score buffers.
+    pub(crate) fn bytes(&self, scratch_bytes: impl Fn(&S) -> usize) -> usize {
+        self.workers.iter().map(scratch_bytes).sum::<usize>()
+            + self.scores.capacity() * std::mem::size_of::<f32>()
+            + self.scored.capacity()
+    }
 }
 
 /// The result of one ensemble inference.
@@ -293,7 +326,7 @@ pub struct VehiGan {
     rng: StdRng,
     /// The f32 path's buffers, behind one lock: calls take turns, the
     /// threads of one call run inside it.
-    f32: Mutex<F32State>,
+    f32: Mutex<ForkState<CriticScratch>>,
     /// Compiled int8 sidecar ([`VehiGan::compile_int8`]); `None` until
     /// compiled, stale if member critics are mutated afterwards.
     int8: Option<crate::int8::Int8Backend>,
@@ -343,20 +376,14 @@ impl VehiGan {
                 m: members.len(),
             });
         }
-        // One worker per core a call can fork to, built now so the first
-        // server's first tier-2 tile allocates none of it.
-        let workers = (0..workers_for(usize::MAX))
-            .map(|_| new_worker(&members))
-            .collect();
+        // Whole head groups a task, so that no thread's dense head runs
+        // part empty.
+        let f32 = Mutex::new(ForkState::new(HEAD_ROWS, || new_worker(&members)));
         Ok(VehiGan {
             members,
             k,
             rng: StdRng::seed_from_u64(seed),
-            f32: Mutex::new(F32State {
-                workers,
-                scores: Vec::new(),
-                scored: Vec::new(),
-            }),
+            f32,
             int8: None,
             chaos_poison: std::sync::atomic::AtomicU64::new(0),
         })
@@ -561,11 +588,7 @@ impl VehiGan {
     /// Stable across repeated calls of one shape — the invariant the
     /// no-allocation tests assert.
     pub fn scratch_bytes(&self) -> usize {
-        let state = self.f32.lock();
-        let scratch = state.workers.iter().map(CriticScratch::bytes);
-        scratch.sum::<usize>()
-            + state.scores.capacity() * std::mem::size_of::<f32>()
-            + state.scored.capacity()
+        self.f32.lock().bytes(CriticScratch::bytes)
     }
 
     /// [`VehiGan::score_with_members_into`] on exactly `workers` threads
@@ -578,18 +601,48 @@ impl VehiGan {
         out: &mut [f32],
         workers: usize,
     ) -> Result<ScoreSummary, EnsembleError> {
-        self.check_subset(indices)?;
         assert_eq!(out.len(), n, "output is not one score per window");
-        let k = indices.len();
         let mut state = self.f32.lock();
-        let state = &mut *state;
-        // A task is one member over one chunk of rows; whole head groups,
-        // so that no thread's dense head runs part empty.
-        let chunk = if workers == 1 { n.max(1) } else { HEAD_ROWS };
+        state.grow_to(workers, || new_worker(&self.members));
+        let score = |scratch: &mut CriticScratch, member: usize, rows: &[f32], out: &mut [f32]| {
+            let wgan = &self.members[member].wgan;
+            wgan.score_slice_with(scratch, rows, out);
+        };
+        self.score_forked(&mut state, workers, indices, windows, out, score)
+    }
+
+    /// The one ensemble walk, shared by both precisions: `score(scratch,
+    /// member, rows, scores)` runs once per member of `indices` and chunk
+    /// of `state.chunk_rows` windows (the whole batch on one worker), as
+    /// the tasks of one [`fork_join`] over `workers` threads, each on its
+    /// own scratch of `state`; then the member rows are reduced over the
+    /// whole call into `out`, one score per window. A task that panics,
+    /// scores non-finite or belongs to a chaos-poisoned member fails its
+    /// member, never the call.
+    ///
+    /// A thread spawned for the call reaches its core 30–130 µs after the
+    /// caller has started (measured on the ledger host), sometimes much
+    /// later; with the rows in small chunks the caller simply scores more
+    /// of them meanwhile, and whoever finishes last is at most one task
+    /// behind.
+    pub(crate) fn score_forked<S: Send>(
+        &self,
+        state: &mut ForkState<S>,
+        workers: usize,
+        indices: &[usize],
+        windows: &[f32],
+        out: &mut [f32],
+        score: impl Fn(&mut S, usize, &[f32], &mut [f32]) + Sync,
+    ) -> Result<ScoreSummary, EnsembleError> {
+        self.check_subset(indices)?;
+        let (k, n) = (indices.len(), out.len());
+        let chunk = if workers == 1 {
+            n.max(1)
+        } else {
+            state.chunk_rows
+        };
         let workers = workers.clamp(1, n.div_ceil(chunk).max(1) * k);
-        while state.workers.len() < workers {
-            state.workers.push(new_worker(&self.members));
-        }
+        assert!(workers <= state.workers.len(), "state has too few workers");
         state.scores.clear();
         state.scores.resize(k * n, 0.0);
         state.scored.clear();
@@ -609,11 +662,8 @@ impl VehiGan {
             &mut state.workers[..workers],
             tasks,
             |scratch, _, (row, scored, member, share)| {
-                let wgan = &self.members[member].wgan;
-                *scored = panic::catch_unwind(AssertUnwindSafe(|| {
-                    wgan.score_slice_with(scratch, share, row);
-                }))
-                .is_ok();
+                let run = AssertUnwindSafe(|| score(scratch, member, share, row));
+                *scored = panic::catch_unwind(run).is_ok();
             },
         );
         let (scores, scored) = (&state.scores, &state.scored);
@@ -636,7 +686,7 @@ impl VehiGan {
     }
 
     /// Rejects an empty subset or an index past the last member.
-    pub(crate) fn check_subset(&self, indices: &[usize]) -> Result<(), EnsembleError> {
+    fn check_subset(&self, indices: &[usize]) -> Result<(), EnsembleError> {
         if indices.is_empty() {
             return Err(EnsembleError::EmptySubset);
         }
@@ -656,7 +706,7 @@ impl VehiGan {
     /// chunk the batch's rows were scored in); the sum runs member by
     /// member in `indices` order whatever the pieces, so the result is
     /// bitwise independent of how the rows were split.
-    pub(crate) fn reduce_member_scores<'s, P>(
+    fn reduce_member_scores<'s, P>(
         &self,
         indices: &[usize],
         per_member: impl Iterator<Item = Option<P>>,

@@ -1,11 +1,11 @@
 //! Int8 ensemble scoring backend for [`VehiGan`].
 //!
-//! [`VehiGan::compile_int8`] snapshots every member's trained critic into
-//! [`vehigan_lite::Int8Ensemble`] fused scorers — one per critic
-//! *topology group*, since zoo members differ only in depth — and
-//! [`VehiGan::score_with_members_int8`] then runs each deployed subset
-//! through one fused i8 GEMM per layer instead of `k` separate float
-//! model walks.
+//! [`VehiGan::compile_int8`] compiles every member's trained critic into
+//! its own [`vehigan_lite::Int8Weights`] — members differ in depth, and
+//! each one's calibration and walk depend on that member alone — and
+//! [`VehiGan::score_with_members_int8`] then scores a deployed subset
+//! through the same forked walk as the float path (DESIGN.md §10), with
+//! the int8 critic in place of the float one.
 //!
 //! The backend is a **sidecar**: the float members stay authoritative
 //! (thresholds, gradients for the adversarial experiments, quarantine
@@ -14,86 +14,51 @@
 //! afterwards (e.g. adaptive attack fine-tuning) leaves the backend
 //! stale — recompile it.
 //!
-//! A call splits its rows over worker threads (DESIGN.md §10): every row
-//! costs the same and the packed weights are shared read-only, so rows
-//! split cleanly and each thread only needs its own scratch.
-//!
 //! Degraded-tolerance matches the float path: a member whose int8 scores
 //! come back non-finite is dropped from the reduction and recorded in
 //! [`EnsembleScore::dropped`]; only when every deployed member fails does
 //! scoring return [`EnsembleError::AllMembersFailed`].
 
-use crate::ensemble::{EnsembleError, EnsembleScore, ScoreSummary, VehiGan};
-use crate::forkjoin::{fork_join, workers_for};
+use crate::ensemble::{EnsembleError, EnsembleScore, ForkState, ScoreSummary, VehiGan};
+use crate::forkjoin::workers_for;
 use parking_lot::Mutex;
-use vehigan_lite::{Int8Ensemble, Int8Weights, Scratch};
+use vehigan_lite::{Int8Weights, Scratch};
 use vehigan_tensor::Tensor;
-
-/// Structural topology key of one critic: per-layer `(kind, usize_attrs)`,
-/// weights excluded. Members with equal keys fuse into one scorer.
-type TopologyKey = Vec<(String, Vec<(String, usize)>)>;
 
 /// What one member costs the gate per window, for [`workers_for`]: the
 /// window-major walk measures 20–22 µs per window through a `k = 5`
 /// subset on the ledger host (`core.int8_backend.ns_per_window`).
 const INT8_NS_PER_MEMBER_ROW: usize = 4_000;
 
-/// Compiled int8 scorers for a [`VehiGan`]'s members, grouped by critic
-/// topology.
-pub struct Int8Backend {
-    /// One fused scorer's weights per topology group, shared read-only by
-    /// every worker of a call.
-    groups: Vec<Int8Weights>,
-    /// The per-call plan and the workers' buffers, behind one lock: calls
-    /// take turns, the threads of one call run inside it.
-    state: Mutex<State>,
-    /// `member index → (group, local index within the group)`.
-    member_map: Vec<(usize, usize)>,
-    /// Flat snapshot length each scorer expects.
-    input_len: usize,
-}
-
-/// Rows per task of a forked call. A thread spawned for the call reaches
-/// its core 30–130 µs after the caller has started (measured on the
-/// ledger host), sometimes much later; with the rows in small chunks the
-/// caller simply scores more of them meanwhile, and whoever finishes
-/// last is at most one chunk (≈ 80 µs at `k = 5`) behind. Four rows keep
-/// a member's packed weights hot across a chunk and the queue's lock
-/// under 1 % of the work.
+/// Rows per task of a forked call: four keep a member's packed weights
+/// hot across a task (≈ 16 µs) and the queue's lock around 1 % of the
+/// work.
 const CHUNK_ROWS: usize = 4;
 
-/// The mutable half of [`Int8Backend`], reused by every scoring call, so
-/// a warm backend allocates nothing (a forked call: nothing but the
-/// spawns). It lives here, not in whoever calls, so that it is built once
-/// per compiled detector and stays warm across servers.
-struct State {
-    /// Per thread of a call, one scratch per topology group.
-    workers: Vec<Vec<Scratch>>,
-    /// Group-local member indices of the subset being scored, group by
-    /// group; group `g`'s are `locals[bounds[g]..bounds[g + 1]]`.
-    locals: Vec<usize>,
-    bounds: Vec<usize>,
-    /// `rows[pos]`: which row of a chunk's block holds the member at
-    /// position `pos` of the caller's subset.
-    rows: Vec<usize>,
-    /// Member scores of the current call: one block per chunk of
-    /// windows (the last may be shorter), member-major inside a block,
-    /// rows grouped like `locals`.
-    scores: Vec<f32>,
+/// Every member's critic compiled to int8, indexed like the members.
+pub struct Int8Backend {
+    /// Shared read-only by every worker of a call.
+    critics: Vec<Int8Weights>,
+    /// The workers' buffers, behind one lock: calls take turns, the
+    /// threads of one call run inside it.
+    state: Mutex<ForkState<Scratch>>,
 }
 
-/// One scratch per topology group: what a scoring thread needs.
-fn new_worker(groups: &[Int8Weights]) -> Vec<Scratch> {
-    groups.iter().map(Int8Weights::new_scratch).collect()
+/// A scoring thread's scratch, fitted to every critic.
+fn new_worker(critics: &[Int8Weights]) -> Scratch {
+    let mut scratch = Scratch::new();
+    for critic in critics {
+        scratch.fit(critic);
+    }
+    scratch
 }
 
 impl std::fmt::Debug for Int8Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "Int8Backend({} members in {} topology groups, {} packed weight bytes)",
-            self.member_map.len(),
-            self.groups(),
+            "Int8Backend({} members, {} packed weight bytes)",
+            self.members(),
             self.weight_bytes(),
         )
     }
@@ -102,82 +67,20 @@ impl std::fmt::Debug for Int8Backend {
 impl Int8Backend {
     /// Number of compiled members.
     pub fn members(&self) -> usize {
-        self.member_map.len()
-    }
-
-    /// Number of distinct critic topologies.
-    pub fn groups(&self) -> usize {
-        self.groups.len()
+        self.critics.len()
     }
 
     /// Total packed int8 weight bytes — the deployable artifact size,
     /// roughly 4× smaller than the float weights.
     pub fn weight_bytes(&self) -> usize {
-        self.groups.iter().map(Int8Weights::weight_bytes).sum()
+        self.critics.iter().map(Int8Weights::weight_bytes).sum()
     }
 
     /// Heap bytes held by the workers' scratch and score buffers. Stable
-    /// across repeated calls of one shape once every worker a call forks
-    /// to has run — the invariant the no-allocation tests assert.
+    /// across repeated calls of one shape — the invariant the
+    /// no-allocation tests assert.
     pub fn scratch_bytes(&self) -> usize {
-        let state = self.state.lock();
-        let scratch = state.workers.iter().flatten().map(Scratch::bytes);
-        scratch.sum::<usize>() + state.scores.capacity() * std::mem::size_of::<f32>()
-    }
-
-    /// Scores `indices` on `n` flat windows into `state.scores`, the rows
-    /// cut into chunks that `workers` threads pull, and returns the
-    /// chunk length in windows; `state.rows` maps each position of
-    /// `indices` to its row of a block, so the caller can reduce in
-    /// `indices` order (the float path's order) whatever the grouping
-    /// and the split.
-    fn score(
-        &self,
-        state: &mut State,
-        indices: &[usize],
-        windows: &[f32],
-        n: usize,
-        workers: usize,
-    ) -> usize {
-        state.rows.clear();
-        state.rows.resize(indices.len(), 0);
-        state.locals.clear();
-        state.bounds.clear();
-        state.bounds.push(0);
-        for g in 0..self.groups.len() {
-            for (pos, &i) in indices.iter().enumerate() {
-                let (member_group, local) = self.member_map[i];
-                if member_group == g {
-                    state.rows[pos] = state.locals.len();
-                    state.locals.push(local);
-                }
-            }
-            state.bounds.push(state.locals.len());
-        }
-        let workers = workers.clamp(1, n.max(1));
-        while state.workers.len() < workers {
-            state.workers.push(new_worker(&self.groups));
-        }
-        let chunk = if workers == 1 { n.max(1) } else { CHUNK_ROWS };
-        state.scores.clear();
-        state.scores.resize(indices.len() * n, 0.0);
-        let (locals, bounds) = (&state.locals, &state.bounds);
-        let blocks = state.scores.chunks_mut(indices.len() * chunk);
-        let shares = windows.chunks(self.input_len * chunk);
-        fork_join(
-            &mut state.workers[..workers],
-            blocks.zip(shares),
-            |scratch, _, (block, share)| {
-                let len = share.len() / self.input_len;
-                for (g, group) in self.groups.iter().enumerate() {
-                    let (first, end) = (bounds[g], bounds[g + 1]);
-                    let members = &locals[first..end];
-                    let out = &mut block[first * len..end * len];
-                    group.score_subset_into(&mut scratch[g], members, share, len, out);
-                }
-            },
-        );
-        chunk
+        self.state.lock().bytes(Scratch::bytes)
     }
 }
 
@@ -185,10 +88,6 @@ impl VehiGan {
     /// Compiles every member's critic into the fused int8 backend,
     /// calibrating activation scales on `calibration` (benign training
     /// windows `[n, w, f, 1]`; a few hundred are plenty).
-    ///
-    /// Members are grouped by critic topology (zoo members differ only in
-    /// depth) and each group becomes one fused
-    /// [`vehigan_lite::Int8Ensemble`].
     ///
     /// # Errors
     ///
@@ -205,74 +104,24 @@ impl VehiGan {
             "calibration must be a non-empty [n, w, f, c] batch, got {shape:?}"
         );
         let input_shape = (shape[1], shape[2], shape[3]);
-        let input_len = shape[1] * shape[2] * shape[3];
-
-        let snaps: Vec<_> = self
+        let critics = self
             .members()
             .iter()
-            .map(|m| m.wgan.critic().save())
-            .collect();
-
-        // Group members by structural topology: layer kinds plus integer
-        // hyperparameters (depth, channels, kernel) — weights excluded.
-        let keys: Vec<TopologyKey> = snaps
-            .iter()
-            .map(|s| {
-                s.layers
-                    .iter()
-                    .map(|l| (l.kind.clone(), l.usize_attrs.clone()))
-                    .collect()
+            .map(|m| {
+                let snap = m.wgan.critic().save();
+                Int8Weights::compile(&snap, input_shape, calibration.as_slice())
             })
-            .collect();
-        let mut group_keys: Vec<&TopologyKey> = Vec::new();
-        let mut group_members: Vec<Vec<usize>> = Vec::new();
-        let mut member_map = vec![(0usize, 0usize); snaps.len()];
-        for (i, key) in keys.iter().enumerate() {
-            let g = match group_keys.iter().position(|k| *k == key) {
-                Some(g) => g,
-                None => {
-                    group_keys.push(key);
-                    group_members.push(Vec::new());
-                    group_keys.len() - 1
-                }
-            };
-            member_map[i] = (g, group_members[g].len());
-            group_members[g].push(i);
-        }
-
-        let mut groups = Vec::with_capacity(group_members.len());
-        for members in &group_members {
-            let refs: Vec<_> = members.iter().map(|&i| &snaps[i]).collect();
-            let fused =
-                Int8Ensemble::compile(&refs, input_shape, calibration.as_slice()).map_err(|e| {
-                    EnsembleError::Int8Compile {
-                        reason: e.to_string(),
-                    }
-                })?;
-            groups.push(fused.into_weights());
-        }
-        // One worker per core a call can fork to, built now so the first
-        // server's first tick allocates none of it.
-        let workers = (0..workers_for(usize::MAX))
-            .map(|_| new_worker(&groups))
-            .collect();
-        self.set_int8_backend(Int8Backend {
-            groups,
-            state: Mutex::new(State {
-                workers,
-                locals: Vec::new(),
-                bounds: Vec::new(),
-                rows: Vec::new(),
-                scores: Vec::new(),
-            }),
-            member_map,
-            input_len,
-        });
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| EnsembleError::Int8Compile {
+                reason: e.to_string(),
+            })?;
+        let state = Mutex::new(ForkState::new(CHUNK_ROWS, || new_worker(&critics)));
+        self.set_int8_backend(Int8Backend { critics, state });
         Ok(())
     }
 
     /// Scores snapshots through the int8 backend with an explicit member
-    /// subset — the fused counterpart of [`VehiGan::score_with_members`],
+    /// subset — the int8 counterpart of [`VehiGan::score_with_members`],
     /// with identical subset validation, reduction order, and
     /// degraded-tolerance semantics.
     ///
@@ -324,7 +173,7 @@ impl VehiGan {
     }
 
     /// [`VehiGan::score_with_members_int8_into`] on exactly `workers`
-    /// threads (capped at one per row); the result does not depend on it.
+    /// threads (capped at one per task); the result does not depend on it.
     pub(crate) fn score_int8_forked(
         &self,
         indices: &[usize],
@@ -334,36 +183,24 @@ impl VehiGan {
         workers: usize,
     ) -> Result<ScoreSummary, EnsembleError> {
         let backend = self.int8_backend().ok_or(EnsembleError::Int8NotCompiled)?;
-        self.check_subset(indices)?;
+        assert_eq!(out.len(), n, "output is not one score per window");
+        let input_len = backend.critics[0].input_len();
         assert_eq!(
             windows.len(),
-            n * backend.input_len,
-            "{} floats are not {n} windows of the compiled input length {}",
+            n * input_len,
+            "{} floats are not {n} windows of the compiled input length {input_len}",
             windows.len(),
-            backend.input_len
         );
         let mut state = backend.state.lock();
-        let chunk = backend.score(&mut state, indices, windows, n, workers);
-        let members = indices.len();
-        let per_member = indices.iter().zip(&state.rows).map(|(&i, &row)| {
-            // The member's row, block by block.
-            let pieces = || {
-                state.scores.chunks(members * chunk).map(move |block| {
-                    let len = block.len() / members;
-                    &block[row * len..(row + 1) * len]
-                })
-            };
-            // A chaos-poisoned member ([`VehiGan::chaos_poison_member`])
-            // counts as having scored NaN: it takes the same exit as a
-            // member whose scores really came back non-finite.
-            let finite = pieces().all(|p| p.iter().all(|v| v.is_finite()));
-            (!self.member_poisoned(i) && finite).then(pieces)
-        });
-        self.reduce_member_scores(indices, per_member, out)
+        state.grow_to(workers, || new_worker(&backend.critics));
+        let score = |scratch: &mut Scratch, member: usize, rows: &[f32], out: &mut [f32]| {
+            backend.critics[member].score_into(scratch, rows, out);
+        };
+        self.score_forked(&mut state, workers, indices, windows, out, score)
     }
 
     /// Scores snapshots through the int8 backend with a fresh random
-    /// subset of `k` healthy members — the fused counterpart of
+    /// subset of `k` healthy members — the int8 counterpart of
     /// [`VehiGan::score_batch`].
     ///
     /// # Errors
@@ -411,8 +248,8 @@ mod tests {
         CriticMember::calibrate(wgan, 0.9, train, 99.0).unwrap()
     }
 
-    /// Mixed-depth ensemble (two topology groups) with the backend
-    /// compiled, plus the benign training batch.
+    /// Mixed-depth ensemble with the backend compiled, plus the benign
+    /// training batch.
     fn compiled_ensemble() -> (VehiGan, Tensor) {
         let train = benign(96, 0);
         let members = vec![
@@ -436,14 +273,27 @@ mod tests {
     }
 
     #[test]
-    fn members_group_by_topology() {
-        let (v, _train) = compiled_ensemble();
+    fn mixed_depth_members_score_what_each_scores_alone() {
+        let (v, train) = compiled_ensemble();
         let backend = v.int8_backend().unwrap();
         assert_eq!(backend.members(), 3);
-        assert_eq!(backend.groups(), 2, "depths 3/4 are two topology groups");
         assert!(backend.weight_bytes() > 0);
         let text = format!("{backend:?}");
-        assert!(text.contains("2 topology groups"), "{text}");
+        assert!(text.contains("3 members"), "{text}");
+        // A member's calibration and walk depend on that member alone:
+        // compiled on its own it scores the same bits, whatever depths
+        // sit beside it in the backend and share its workers' scratch.
+        let x = Tensor::from_vec(mixed_windows(9, true), &[9, 10, 12, 1]);
+        for (i, (seed, layers)) in [(0, 3), (1, 4), (2, 3)].into_iter().enumerate() {
+            let mut alone = VehiGan::new(vec![member(seed, layers, &train)], 1, 7).unwrap();
+            alone.compile_int8(&train).unwrap();
+            let want = alone.score_with_members_int8(&[0], &x).unwrap();
+            let got = v.score_with_members_int8(&[i], &x).unwrap();
+            assert_eq!(got.threshold, want.threshold);
+            for (a, b) in got.scores.iter().zip(&want.scores) {
+                assert_eq!(a.to_bits(), b.to_bits(), "member {i}");
+            }
+        }
     }
 
     #[test]
@@ -475,11 +325,11 @@ mod tests {
     }
 
     #[test]
-    fn subset_scoring_spans_topology_groups() {
+    fn subset_scoring_spans_depths() {
         let (v, _train) = compiled_ensemble();
         let x = benign(6, 5);
-        // Members 1 (depth 4) and 2 (depth 3) live in different groups;
-        // the reduction must still follow `indices` order.
+        // Members 1 (depth 4) and 2 (depth 3) differ in depth; the
+        // reduction must still follow `indices` order.
         let mixed = v.score_with_members_int8(&[1, 2], &x).unwrap();
         assert_eq!(mixed.members, vec![1, 2]);
         let single = v.score_with_members_int8(&[2], &x).unwrap();

@@ -407,7 +407,7 @@ impl Wgan {
     /// never reach it) with the model in a consistent, serializable state —
     /// the zoo uses it to persist an epoch-granular partial checkpoint.
     /// Returning `false` stops the call early with `stopped = true` in the
-    /// report; the model keeps its mid-call [`TrainCursor`] so a later
+    /// report; the model keeps its mid-call `TrainCursor` so a later
     /// resumable call (on this instance, or on one rebuilt via
     /// [`Wgan::resume_from_state`]) continues the exact RNG stream, making
     /// stop-and-continue bitwise identical to running straight through.

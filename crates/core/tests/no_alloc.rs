@@ -2,10 +2,10 @@
 //! — the slice-based gate and escalation entries the serve plane calls
 //! per tile — allocate nothing once their buffers have grown to the batch
 //! size. Counted per thread by a global allocator, across a mixed-depth
-//! subset (two topology groups) at the batch sizes the serve plane
-//! issues. A call big enough to fork (on a host with a second core)
-//! allocates its spawns and nothing that stays: the scratch does not
-//! grow.
+//! subset (every member switch re-lays a plane of the worker's scratch)
+//! at the batch sizes the serve plane issues. A call big enough to fork
+//! (on a host with a second core) allocates its spawns and nothing that
+//! stays: the scratch does not grow.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -46,7 +46,7 @@ fn warm_slice_scoring_never_allocates() {
         .collect();
     let benign = Tensor::from_vec(windows.clone(), &[128, 10, 12, 1]);
     // Untrained critics score like trained ones as far as the allocator
-    // can tell; depths 3/4/3 make two topology groups.
+    // can tell; depths 3/4/3 share each worker's scratch.
     let members: Vec<CriticMember> = [3usize, 4, 3]
         .iter()
         .zip(0u64..)

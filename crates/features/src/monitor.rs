@@ -192,7 +192,7 @@ pub struct Tier0Calibration {
 /// Runs on every accepted BSM in the serve hot path, so the two libm
 /// calls a naive implementation would make are replaced with cheap
 /// deterministic equivalents: `√(Δx² + Δy²)` instead of `hypot` (city
-/// coordinates cannot overflow the square), and [`fast_atan2`] instead
+/// coordinates cannot overflow the square), and `fast_atan2` instead
 /// of `atan2` for the movement direction (≤ 2 mrad error, far below
 /// the sensor's heading noise and self-consistent because calibration
 /// fits the decision intervals from the same approximation).
@@ -342,7 +342,7 @@ pub fn fast_atan2(y: f64, x: f64) -> f64 {
 }
 
 /// Saturates a residual into `[0, RESIDUAL_CLAMP]` as f32; NaN
-/// saturates high (see [`RESIDUAL_CLAMP`]). Not `f64::clamp`, which
+/// saturates high (see `RESIDUAL_CLAMP`). Not `f64::clamp`, which
 /// propagates NaN instead of saturating it: `min` discards the NaN
 /// operand, so the chain lands on `RESIDUAL_CLAMP`.
 #[allow(clippy::manual_clamp)]
@@ -623,7 +623,7 @@ impl Tier0Monitor {
 
     /// The current statistics vector: the folded two-sided CUSUM
     /// `max(s⁺, s⁻)` per residual, then the EWMA deviation `|z − μ|`
-    /// per residual. Always finite (see [`RESIDUAL_CLAMP`]).
+    /// per residual. Always finite (see `RESIDUAL_CLAMP`).
     pub fn statistics(&self) -> [f32; NUM_STATISTICS] {
         let mut s = [0f32; NUM_STATISTICS];
         for i in 0..NUM_RESIDUALS {

@@ -1,30 +1,34 @@
-//! The fused int8 multi-member inference backend.
+//! The int8 critic: one compiled scorer per critic, and the thin
+//! ensemble of them.
 //!
-//! [`Int8Ensemble`] compiles `m` same-topology critics into one packed
-//! int8 artifact and scores any sampled subset of them **window-major**:
-//! one window at a time walks every layer of a member back to back over a
-//! few kilobytes of scratch that never leave L1, instead of pushing a
-//! whole batch through one layer at a time:
+//! [`Int8Weights::compile`] turns one trained critic into a packed int8
+//! artifact that scores **window-major**: one window at a time walks
+//! every layer back to back over a few kilobytes of [`Scratch`] that never
+//! leave L1, instead of pushing a whole batch through one layer at a
+//! time. [`Int8Ensemble`] is a `Vec` of them, of any mix of depths, over
+//! one scratch:
 //!
 //! - **per-channel symmetric weight quantization** — each output channel
 //!   of every conv kernel / dense matrix gets its own scale
 //!   ([`crate::quant::PerChannelQuantized`]);
-//! - **range-guarded activation scales** — per member and per layer, a
-//!   floor scale is calibrated from representative windows pushed through
-//!   the dequantized float reference; at runtime each window whose
+//! - **range-guarded activation scales** — per layer, a floor scale is
+//!   calibrated from representative windows pushed through the
+//!   dequantized float reference; at runtime each window whose
 //!   activations exceed the calibrated range widens its own scale
 //!   (`max(calibrated, window_max/127)`) instead of clipping, so
 //!   out-of-distribution inputs — the attack windows the detector
 //!   exists for — keep their score ranking. A window's scale depends
 //!   only on that window, so scores are batch-independent;
-//! - **packed multi-member weights** — every member's weights are packed
-//!   once at compile time into the [`vehigan_tensor::gemm::PackedI8`]
-//!   strip layout, so inference never repacks;
+//! - **packed weights** — a critic's weights are packed once at compile
+//!   time into the [`vehigan_tensor::gemm::PackedI8`] strip layout, so
+//!   inference never repacks;
 //! - **direct convolution on a padded plane** — a layer's input is
 //!   quantized straight into a zero-bordered
 //!   `[h + kh − 1, w + kw − 1, cin]` byte plane, where an output pixel's
 //!   patch is `kh` contiguous `kw·cin`-byte spans the micro-kernel reads
-//!   in place ([`vehigan_tensor::gemm::Patches`]) — no im2col copy;
+//!   in place ([`vehigan_tensor::gemm::Patches`]) — no im2col copy. A
+//!   dense layer is the 1×1 convolution over a 1×1 image: its plane has
+//!   no border and its one patch is the whole input;
 //! - **register-resident epilogue** —
 //!   [`vehigan_tensor::gemm::gemm_i8_dequant`] finishes each accumulator
 //!   block as the next layer's f32 activations (dequantize, bias,
@@ -40,23 +44,79 @@
 //! operations lane for lane on every ISA. **Given equal calibrated
 //! scales**, the int8 scoring pipeline is therefore bitwise reproducible
 //! across machines and kernel legs. The scales themselves are not: they
-//! come out of [`Int8Ensemble::compile`]'s float reference walk, which
+//! come out of [`Int8Weights::compile`]'s float reference walk, which
 //! runs on the dispatched [`gemm_f32_fused`] (fused multiply-add on AVX2
 //! hosts, separate multiply and add on the portable leg), so two hosts can
 //! compile slightly different `in_scale`s — and then score differently —
 //! from the same snapshots. Ship the compiled artifact, not the recipe,
 //! when scores must match across machines.
 
-use crate::critic::CompileError;
-use crate::quant::{activation_scale, quantize_biased, PerChannelQuantized};
+use crate::quant::{activation_scale, quantize_biased, PerChannelQuantized, QuantError};
+use std::fmt;
 use vehigan_tensor::gemm::{
     gemm_f32_fused, gemm_i8_dequant, i8_activation_bias, Dequant, FusedF32, PackedI8, Patches,
 };
-use vehigan_tensor::serialize::ModelSnapshot;
+use vehigan_tensor::serialize::{ModelFormatError, ModelSnapshot};
 
-/// One member's quantized parameters for one fused op.
-struct OpMember {
-    /// Packed int8 weights `[kk, cout]` / `[in, out]`.
+/// Error compiling a model into an int8 critic.
+#[derive(Debug)]
+pub enum CompileError {
+    /// The model contains a layer the int8 walk does not support.
+    UnsupportedLayer(String),
+    /// The model format itself was invalid.
+    Format(ModelFormatError),
+    /// The model topology is not a critic (must end in a scalar).
+    NotACritic(&'static str),
+    /// Quantization failed (non-finite weights or calibration
+    /// activations).
+    Quant(QuantError),
+}
+
+impl fmt::Display for CompileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CompileError::UnsupportedLayer(k) => write!(f, "unsupported layer kind `{k}`"),
+            CompileError::Format(e) => write!(f, "invalid model: {e}"),
+            CompileError::NotACritic(why) => write!(f, "model is not a critic: {why}"),
+            CompileError::Quant(e) => write!(f, "weight quantization failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CompileError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CompileError::Format(e) => Some(e),
+            CompileError::Quant(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<ModelFormatError> for CompileError {
+    fn from(e: ModelFormatError) -> Self {
+        CompileError::Format(e)
+    }
+}
+
+impl From<QuantError> for CompileError {
+    fn from(e: QuantError) -> Self {
+        CompileError::Quant(e)
+    }
+}
+
+/// One fused op of a compiled critic: a same-padded convolution
+/// `[h, w, cin] → [h, w, cout]` with its quantized parameters. A dense
+/// layer `in → out` is the op with `h = w = kh = kw = 1` and `cin = in`
+/// (its `[in, out]` weights are exactly that kernel, no transpose needed).
+struct FusedOp {
+    h: usize,
+    w: usize,
+    cin: usize,
+    cout: usize,
+    kh: usize,
+    kw: usize,
+    /// Packed int8 weights `[kh·kw·cin, cout]`, `kh` spans of `kw·cin`.
     pack: PackedI8,
     /// Per-output-channel weight scales.
     w_scales: Vec<f32>,
@@ -68,151 +128,82 @@ struct OpMember {
     /// Calibrated floor scale for this op's *input* activations (the
     /// runtime range guard may widen it per window, never narrow it).
     in_scale: f32,
-    /// Dequantized weights, kept only between parsing and calibration.
-    deq: Vec<f32>,
-}
-
-/// One fused op shared by all members (topology is identical; only the
-/// per-member parameters differ).
-enum FusedOp {
-    /// Same-padding conv `[h, w, cin] → [h, w, cout]`.
-    Conv {
-        h: usize,
-        w: usize,
-        cin: usize,
-        cout: usize,
-        kh: usize,
-        kw: usize,
-        pad_top: usize,
-        pad_left: usize,
-        members: Vec<OpMember>,
-    },
-    /// Dense `in → out` (weights stay `[in, out]` — exactly the GEMM
-    /// orientation, no transpose needed).
-    Dense {
-        in_dim: usize,
-        out_dim: usize,
-        members: Vec<OpMember>,
-    },
 }
 
 impl FusedOp {
-    fn members(&self) -> &[OpMember] {
-        match self {
-            FusedOp::Conv { members, .. } | FusedOp::Dense { members, .. } => members,
-        }
-    }
-
-    fn members_mut(&mut self) -> &mut Vec<OpMember> {
-        match self {
-            FusedOp::Conv { members, .. } | FusedOp::Dense { members, .. } => members,
-        }
-    }
-
     /// Output length per input snapshot.
     fn out_len(&self) -> usize {
-        match self {
-            FusedOp::Conv { h, w, cout, .. } => h * w * cout,
-            FusedOp::Dense { out_dim, .. } => *out_dim,
-        }
+        self.h * self.w * self.cout
     }
 
     /// Input length per input snapshot.
     fn in_len(&self) -> usize {
-        match self {
-            FusedOp::Conv { h, w, cin, .. } => h * w * cin,
-            FusedOp::Dense { in_dim, .. } => *in_dim,
-        }
+        self.h * self.w * self.cin
     }
 
-    /// GEMM shared dimension.
-    fn kk(&self) -> usize {
-        match self {
-            FusedOp::Conv { kh, kw, cin, .. } => kh * kw * cin,
-            FusedOp::Dense { in_dim, .. } => *in_dim,
-        }
-    }
-
-    /// GEMM rows per snapshot: one per output pixel, one per dense layer.
+    /// GEMM rows per snapshot: one per output pixel.
     fn rows(&self) -> usize {
-        match self {
-            FusedOp::Conv { h, w, .. } => h * w,
-            FusedOp::Dense { .. } => 1,
-        }
+        self.h * self.w
     }
 
-    /// Where the GEMM rows live in this op's quantized input plane: the
-    /// patches of the padded conv plane, or the one flat dense row.
+    /// Elements between the rows of the padded input plane.
+    fn row_stride(&self) -> usize {
+        (self.w + self.kw - 1) * self.cin
+    }
+
+    /// Where the GEMM rows live in this op's padded input plane.
     fn patches(&self) -> Patches {
-        match self {
-            FusedOp::Conv { w, cin, kw, .. } => Patches {
-                width: *w,
-                row_stride: (w + kw - 1) * cin,
-                col_stride: *cin,
-            },
-            FusedOp::Dense { in_dim, .. } => Patches::matrix(*in_dim),
+        Patches {
+            width: self.w,
+            row_stride: self.row_stride(),
+            col_stride: self.cin,
         }
     }
 
-    /// A fresh input plane for this op: every byte the biased zero, so
-    /// the same-padding border is in place once and for all (quantization
-    /// only ever rewrites the interior), plus the slack that lets the
-    /// kernels read the last span as whole quads.
-    fn new_plane(&self) -> Vec<u8> {
-        vec![i8_activation_bias(); self.plane_len()]
+    /// What a plane must be laid out for to serve this op.
+    fn geometry(&self) -> [usize; 5] {
+        [self.h, self.w, self.cin, self.kh, self.kw]
     }
 
-    /// Byte length of this op's input plane, quad slack included.
+    /// Elements of this op's padded input plane.
     fn plane_len(&self) -> usize {
-        const QUAD_SLACK: usize = 3;
-        let len = match self {
-            FusedOp::Conv {
-                h, w, cin, kh, kw, ..
-            } => (h + kh - 1) * (w + kw - 1) * cin,
-            FusedOp::Dense { in_dim, .. } => *in_dim,
+        (self.h + self.kh - 1) * self.row_stride()
+    }
+
+    /// Copies one snapshot's activations into the interior of a padded
+    /// plane, row by row through `put` (Keras-style same padding: the
+    /// smaller half of `k − 1` goes on top and on the left).
+    fn fill_interior<T>(&self, src: &[f32], plane: &mut [T], put: impl Fn(&[f32], &mut [T])) {
+        let (row, stride) = (self.w * self.cin, self.row_stride());
+        let origin = (self.kh - 1) / 2 * stride + (self.kw - 1) / 2 * self.cin;
+        for (y, src_row) in src.chunks_exact(row).enumerate().take(self.h) {
+            let at = origin + y * stride;
+            put(src_row, &mut plane[at..at + row]);
+        }
+    }
+
+    /// The float reference of this op on its dequantized weights `deq`,
+    /// over every window of `act`: the f32 scoring kernel reading each
+    /// window from a zero-bordered float plane, the mirror of the int8
+    /// one. Calibration only.
+    fn float_reference(&self, deq: &[f32], act: &[f32]) -> Vec<f32> {
+        let layer = FusedF32 {
+            spans: self.kh,
+            span_len: self.kw * self.cin,
+            w: deq,
+            bias: &self.bias,
+            alpha: self.alpha,
         };
-        len + QUAD_SLACK
-    }
-
-    /// Quantizes one snapshot's activations into this op's plane.
-    fn quantize_into(&self, src: &[f32], inv: f32, plane: &mut [u8]) {
-        let bias = i8_activation_bias();
-        match self {
-            FusedOp::Conv {
-                h,
-                w,
-                cin,
-                kw,
-                pad_top,
-                pad_left,
-                ..
-            } => {
-                let (row, stride) = (w * cin, (w + kw - 1) * cin);
-                for (y, src_row) in src.chunks_exact(row).enumerate().take(*h) {
-                    let at = (y + pad_top) * stride + pad_left * cin;
-                    quantize_biased(src_row, inv, bias, &mut plane[at..at + row]);
-                }
-            }
-            FusedOp::Dense { in_dim, .. } => quantize_biased(src, inv, bias, &mut plane[..*in_dim]),
+        let n = act.len() / self.in_len();
+        let mut out = vec![0.0f32; n * self.out_len()];
+        let mut plane = vec![0.0f32; self.plane_len()];
+        let to = Patches::matrix(self.cout);
+        let windows = act.chunks_exact(self.in_len());
+        for (window, dst) in windows.zip(out.chunks_exact_mut(self.out_len())) {
+            self.fill_interior(window, &mut plane, |src, dst| dst.copy_from_slice(src));
+            gemm_f32_fused(self.rows(), &plane, self.patches(), layer, dst, to);
         }
-    }
-
-    /// Structural fingerprint for topology equality across members.
-    fn signature(&self) -> (usize, usize, usize, usize, usize, usize) {
-        match self {
-            FusedOp::Conv {
-                h,
-                w,
-                cin,
-                cout,
-                kh,
-                kw,
-                ..
-            } => (*h, *w, *cin, *cout, *kh, *kw),
-            FusedOp::Dense {
-                in_dim, out_dim, ..
-            } => (0, 0, *in_dim, *out_dim, 0, 0),
-        }
+        out
     }
 }
 
@@ -245,15 +236,24 @@ fn max_abs(values: &[f32]) -> f32 {
     max_abs
 }
 
-/// One window's runtime buffers, sized once from the op list — scoring
-/// allocates nothing, and the whole set (two activation maps, one byte
-/// plane per op, a multiplier row) stays L1-resident. One per scoring
-/// thread: [`Int8Weights::new_scratch`] makes them, and any number of
-/// threads may score through one shared [`Int8Weights`], each with its
+/// Bytes past a plane's last element that the kernels may read as part
+/// of its last whole quad.
+const QUAD_SLACK: usize = 3;
+
+/// One scoring thread's buffers: a quantized input plane per op position,
+/// two activation maps and a multiplier row — a few kilobytes that stay
+/// L1-resident. It grows to the largest critic it has been
+/// [fitted](Scratch::fit) to and never shrinks, so critics of different
+/// depths share one scratch and a warm one allocates nothing. Any number
+/// of threads may score through one shared [`Int8Weights`], each with its
 /// own.
+#[derive(Default)]
 pub struct Scratch {
-    /// Quantized input plane per op ([`FusedOp::new_plane`]).
-    planes: Vec<Vec<u8>>,
+    /// Per op position, the geometry the plane is laid out for and the
+    /// plane: every byte outside the interior is the biased zero, so the
+    /// same-padding border is in place for as long as the geometry holds
+    /// (quantization only ever rewrites the interior).
+    planes: Vec<([usize; 5], Vec<u8>)>,
     /// f32 activations of the current window, ping-pong.
     act: [Vec<f32>; 2],
     /// Per-channel dequantization multipliers for the current op.
@@ -261,68 +261,222 @@ pub struct Scratch {
 }
 
 impl Scratch {
-    fn for_ops(ops: &[FusedOp]) -> Scratch {
-        let widest = ops.iter().map(FusedOp::out_len).max().unwrap_or(0);
-        let channels = ops.iter().map(|op| op.out_len() / op.rows()).max();
-        Scratch {
-            planes: ops.iter().map(FusedOp::new_plane).collect(),
-            act: [vec![0.0; widest], vec![0.0; widest]],
-            mult: vec![0.0; channels.unwrap_or(0)],
+    /// An empty scratch; [`Scratch::fit`] sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Lays the scratch out for `critic`, growing what is too small.
+    /// Scoring does this itself; fit a scratch beforehand to every critic
+    /// it will serve and scoring never allocates. A plane is rewritten
+    /// only where the critic last scored had another geometry at that
+    /// position.
+    pub fn fit(&mut self, critic: &Int8Weights) {
+        for (i, op) in critic.ops.iter().enumerate() {
+            if i == self.planes.len() {
+                self.planes.push(([0; 5], Vec::new()));
+            }
+            let (geometry, plane) = &mut self.planes[i];
+            if *geometry != op.geometry() {
+                *geometry = op.geometry();
+                plane.clear();
+                plane.resize(op.plane_len() + QUAD_SLACK, i8_activation_bias());
+            }
+            for act in &mut self.act {
+                if act.len() < op.out_len() {
+                    act.resize(op.out_len(), 0.0);
+                }
+            }
+            if self.mult.len() < op.cout {
+                self.mult.resize(op.cout, 0.0);
+            }
         }
     }
 
-    /// Whether this scratch was sized for `ops` (plane by plane).
-    fn fits(&self, ops: &[FusedOp]) -> bool {
-        self.planes.len() == ops.len()
-            && ops
-                .iter()
-                .zip(&self.planes)
-                .all(|(op, plane)| plane.len() == op.plane_len())
-    }
-
-    /// Heap bytes this scratch holds — fixed from the moment it is made.
+    /// Heap bytes this scratch holds — constant once fitted.
     pub fn bytes(&self) -> usize {
-        let planes: usize = self.planes.iter().map(Vec::capacity).sum();
+        let planes: usize = self.planes.iter().map(|(_, p)| p.capacity()).sum();
         let floats = self.act[0].capacity() + self.act[1].capacity() + self.mult.capacity();
         planes + floats * std::mem::size_of::<f32>()
     }
 }
 
-/// Raw critic output `D(x)` of member `g` on one window: every layer back
-/// to back. Per layer: the range guard widens the calibrated floor scale
-/// to the window's own max-abs (out-of-distribution inputs — attacks! —
-/// widen their step instead of clipping; the scale depends only on this
-/// window and member, so scores are independent of the rest of the
-/// batch), the activations are quantized into the op's plane, and one
-/// fused product writes the next activations and reports their max-abs.
-fn infer_window(ops: &[FusedOp], g: usize, scratch: &mut Scratch, window: &[f32]) -> f32 {
-    let [cur, nxt] = &mut scratch.act;
-    let (mut cur, mut nxt) = (cur, nxt);
-    let mut range = max_abs(window);
-    for (oi, op) in ops.iter().enumerate() {
-        let m = &op.members()[g];
-        let src = if oi == 0 { window } else { &cur[..op.in_len()] };
-        let eff = m.in_scale.max(range / 127.0);
-        let plane = &mut scratch.planes[oi];
-        op.quantize_into(src, 1.0 / eff, plane);
-        let mult = &mut scratch.mult[..m.w_scales.len()];
-        for (mu, &ws) in mult.iter_mut().zip(&m.w_scales) {
-            *mu = eff * ws;
-        }
-        let epi = Dequant {
-            mult,
-            bias: &m.bias,
-            alpha: m.alpha,
-        };
-        let dst = &mut nxt[..op.out_len()];
-        range = gemm_i8_dequant(op.rows(), plane, op.patches(), &m.pack, epi, dst);
-        std::mem::swap(&mut cur, &mut nxt);
-    }
-    // The final op produced the critic's one scalar.
-    cur[0]
+/// One critic compiled to int8: packed weights, scales and biases, read
+/// only. Scoring takes a caller-owned [`Scratch`], so threads can share
+/// one `Int8Weights` and score disjoint rows of a batch at once.
+pub struct Int8Weights {
+    ops: Vec<FusedOp>,
+    input_len: usize,
 }
 
-/// A compiled fused int8 multi-member ensemble scorer.
+impl Int8Weights {
+    /// Compiles one critic snapshot over `[h, w, c]` windows, calibrating
+    /// each op's activation floor scale on `calibration` (flat
+    /// `n × h·w·c` representative windows, at least one) pushed through
+    /// the dequantized float reference.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::UnsupportedLayer`] for layers beyond
+    /// Conv2D(same)/LeakyReLU/Flatten/Dense, [`CompileError::NotACritic`]
+    /// when shapes do not chain or the output is not a scalar,
+    /// [`CompileError::Quant`] when weights or calibration activations
+    /// are non-finite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `calibration` is empty or not a whole number of windows.
+    pub fn compile(
+        snap: &ModelSnapshot,
+        input_shape: (usize, usize, usize),
+        calibration: &[f32],
+    ) -> Result<Self, CompileError> {
+        let (mut h, mut w, mut c) = input_shape;
+        let input_len = h * w * c;
+        assert!(
+            !calibration.is_empty() && calibration.len().is_multiple_of(input_len),
+            "calibration must be a non-empty whole number of windows"
+        );
+        let mut act = calibration.to_vec();
+        let mut flattened = false;
+        let mut ops: Vec<FusedOp> = Vec::new();
+        let mut layers = snap.layers.iter().peekable();
+        while let Some(layer) = layers.next() {
+            let (cin, cout, kh, kw) = match layer.kind.as_str() {
+                "Conv2D" => {
+                    if layer.usize_attr("padding")? != 0 {
+                        return Err(CompileError::UnsupportedLayer(
+                            "Conv2D(valid) — int8 critics use same padding".into(),
+                        ));
+                    }
+                    let cin = layer.usize_attr("cin")?;
+                    if cin != c {
+                        return Err(CompileError::NotACritic("conv channel mismatch"));
+                    }
+                    let (kh, kw) = (layer.usize_attr("kh")?, layer.usize_attr("kw")?);
+                    (cin, layer.usize_attr("cout")?, kh, kw)
+                }
+                "Flatten" => {
+                    flattened = true;
+                    continue;
+                }
+                "Dense" => {
+                    if !flattened && (h != 1 || w != 1) {
+                        return Err(CompileError::NotACritic("dense before flatten"));
+                    }
+                    let in_dim = layer.usize_attr("in_dim")?;
+                    if in_dim != h * w * c {
+                        return Err(CompileError::NotACritic("dense input size mismatch"));
+                    }
+                    (h, w) = (1, 1);
+                    (in_dim, layer.usize_attr("out_dim")?, 1, 1)
+                }
+                other => return Err(CompileError::UnsupportedLayer(other.to_string())),
+            };
+            let alpha = layers
+                .next_if(|next| next.kind == "LeakyReLU")
+                .map(|next| next.f32_attr("alpha"))
+                .transpose()?;
+            let raw = layer.tensor("w")?.as_slice();
+            let q = PerChannelQuantized::quantize(kh * kw * cin, cout, raw)?;
+            let deq = q.dequantize();
+            let op = FusedOp {
+                h,
+                w,
+                cin,
+                cout,
+                kh,
+                kw,
+                pack: PackedI8::pack_spans(kh, kw * cin, cout, &q.values),
+                bias: layer.tensor("b")?.as_slice().to_vec(),
+                alpha,
+                in_scale: activation_scale(&act)?,
+                w_scales: q.scales,
+            };
+            act = op.float_reference(&deq, &act);
+            ops.push(op);
+            c = cout;
+        }
+        if h * w * c != 1 {
+            return Err(CompileError::NotACritic("output is not a scalar"));
+        }
+        Ok(Int8Weights { ops, input_len })
+    }
+
+    /// Number of fused ops (layers after activation fusion).
+    pub fn num_ops(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Compiled input length per snapshot.
+    pub fn input_len(&self) -> usize {
+        self.input_len
+    }
+
+    /// Packed int8 weight bytes (the deployable artifact size).
+    pub fn weight_bytes(&self) -> usize {
+        self.ops.iter().map(|op| op.pack.packed_bytes()).sum()
+    }
+
+    /// Anomaly scores `s(x) = −D(x)` of the `out.len()` flat snapshots in
+    /// `windows`. Every window runs all layers back to back (see the
+    /// module docs) and its score depends on that window alone, so any
+    /// split of a batch's rows over threads (one `scratch` each) scores
+    /// bitwise what one call over the whole batch does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is not `out.len()` compiled-length snapshots.
+    pub fn score_into(&self, scratch: &mut Scratch, windows: &[f32], out: &mut [f32]) {
+        assert_eq!(
+            windows.len(),
+            out.len() * self.input_len,
+            "windows length mismatch"
+        );
+        scratch.fit(self);
+        for (window, o) in windows.chunks_exact(self.input_len).zip(out) {
+            *o = -self.infer_window(scratch, window);
+        }
+    }
+
+    /// Raw critic output `D(x)` on one window: every layer back to back.
+    /// Per layer: the range guard widens the calibrated floor scale to the
+    /// window's own max-abs (out-of-distribution inputs — attacks! — widen
+    /// their step instead of clipping; the scale depends only on this
+    /// window, so scores are independent of the rest of the batch), the
+    /// activations are quantized into the op's plane, and one fused
+    /// product writes the next activations and reports their max-abs.
+    fn infer_window(&self, scratch: &mut Scratch, window: &[f32]) -> f32 {
+        let [cur, nxt] = &mut scratch.act;
+        let (mut cur, mut nxt) = (cur, nxt);
+        let mut range = max_abs(window);
+        let bias = i8_activation_bias();
+        for (oi, op) in self.ops.iter().enumerate() {
+            let src = if oi == 0 { window } else { &cur[..op.in_len()] };
+            let eff = op.in_scale.max(range / 127.0);
+            let inv = 1.0 / eff;
+            let plane = &mut scratch.planes[oi].1;
+            op.fill_interior(src, plane, |src, dst| quantize_biased(src, inv, bias, dst));
+            let mult = &mut scratch.mult[..op.cout];
+            for (mu, &ws) in mult.iter_mut().zip(&op.w_scales) {
+                *mu = eff * ws;
+            }
+            let epi = Dequant {
+                mult,
+                bias: &op.bias,
+                alpha: op.alpha,
+            };
+            let dst = &mut nxt[..op.out_len()];
+            range = gemm_i8_dequant(op.rows(), plane, op.patches(), &op.pack, epi, dst);
+            std::mem::swap(&mut cur, &mut nxt);
+        }
+        // The final op produced the critic's one scalar.
+        cur[0]
+    }
+}
+
+/// Critics compiled to int8, of any mix of depths, over one [`Scratch`]
+/// fitted to all of them.
 ///
 /// # Examples
 ///
@@ -351,151 +505,30 @@ fn infer_window(ops: &[FusedOp], g: usize, scratch: &mut Scratch, window: &[f32]
 /// # Ok::<(), vehigan_lite::CompileError>(())
 /// ```
 pub struct Int8Ensemble {
-    weights: Int8Weights,
+    critics: Vec<Int8Weights>,
     scratch: Scratch,
 }
 
-/// The read-only half of a compiled [`Int8Ensemble`]: packed weights,
-/// scales and biases of every member. Scoring through it takes a
-/// caller-owned [`Scratch`], so threads can share one `Int8Weights` and
-/// score disjoint rows of a batch at once.
-pub struct Int8Weights {
-    ops: Vec<FusedOp>,
-    members: usize,
-    input_len: usize,
-}
-
-impl std::fmt::Debug for Int8Ensemble {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Int8Ensemble {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "Int8Ensemble({} members, {} fused ops, input {} floats, {} packed weight bytes)",
-            self.weights.members,
-            self.weights.ops.len(),
-            self.weights.input_len,
-            self.weights.weight_bytes(),
+            "Int8Ensemble({} members, {} fused ops, {} packed weight bytes)",
+            self.critics.len(),
+            self.critics.iter().map(Int8Weights::num_ops).sum::<usize>(),
+            self.weight_bytes(),
         )
     }
 }
 
-/// Parses one member snapshot into per-op quantized parameters, checking
-/// the same topology constraints as `LiteCritic`.
-fn parse_member(
-    snap: &ModelSnapshot,
-    input_shape: (usize, usize, usize),
-) -> Result<Vec<FusedOp>, CompileError> {
-    let (h, w, mut c) = input_shape;
-    let mut flat = h * w * c;
-    let mut flattened = false;
-    let mut ops: Vec<FusedOp> = Vec::new();
-    let mut i = 0;
-    while i < snap.layers.len() {
-        let layer = &snap.layers[i];
-        let fused_next = snap
-            .layers
-            .get(i + 1)
-            .filter(|l| l.kind == "LeakyReLU")
-            .map(|l| l.f32_attr("alpha"))
-            .transpose()?;
-        match layer.kind.as_str() {
-            "Conv2D" => {
-                let cin = layer.usize_attr("cin")?;
-                let cout = layer.usize_attr("cout")?;
-                let kh = layer.usize_attr("kh")?;
-                let kw = layer.usize_attr("kw")?;
-                let padding = layer.usize_attr("padding")?;
-                if padding != 0 {
-                    return Err(CompileError::UnsupportedLayer(
-                        "Conv2D(valid) — int8 critics use same padding".into(),
-                    ));
-                }
-                if cin != c {
-                    return Err(CompileError::NotACritic("conv channel mismatch"));
-                }
-                let raw = layer.tensor("w")?.as_slice();
-                let q = PerChannelQuantized::quantize(kh * kw * cin, cout, raw)?;
-                let deq = q.dequantize();
-                let member = OpMember {
-                    pack: PackedI8::pack_spans(kh, kw * cin, cout, &q.values),
-                    w_scales: q.scales,
-                    bias: layer.tensor("b")?.as_slice().to_vec(),
-                    alpha: fused_next,
-                    in_scale: 1.0,
-                    deq,
-                };
-                if fused_next.is_some() {
-                    i += 1;
-                }
-                ops.push(FusedOp::Conv {
-                    h,
-                    w,
-                    cin,
-                    cout,
-                    kh,
-                    kw,
-                    pad_top: (kh - 1) / 2,
-                    pad_left: (kw - 1) / 2,
-                    members: vec![member],
-                });
-                c = cout;
-                flat = h * w * c;
-            }
-            "Flatten" => {
-                flattened = true;
-            }
-            "Dense" => {
-                if !flattened && (h != 1 || w != 1) {
-                    return Err(CompileError::NotACritic("dense before flatten"));
-                }
-                let in_dim = layer.usize_attr("in_dim")?;
-                let out_dim = layer.usize_attr("out_dim")?;
-                if in_dim != flat {
-                    return Err(CompileError::NotACritic("dense input size mismatch"));
-                }
-                let raw = layer.tensor("w")?.as_slice();
-                let q = PerChannelQuantized::quantize(in_dim, out_dim, raw)?;
-                let deq = q.dequantize();
-                let member = OpMember {
-                    pack: PackedI8::pack(in_dim, out_dim, &q.values),
-                    w_scales: q.scales,
-                    bias: layer.tensor("b")?.as_slice().to_vec(),
-                    alpha: fused_next,
-                    in_scale: 1.0,
-                    deq,
-                };
-                if fused_next.is_some() {
-                    i += 1;
-                }
-                ops.push(FusedOp::Dense {
-                    in_dim,
-                    out_dim,
-                    members: vec![member],
-                });
-                flat = out_dim;
-                c = out_dim;
-                flattened = true;
-            }
-            other => return Err(CompileError::UnsupportedLayer(other.to_string())),
-        }
-        i += 1;
-    }
-    if flat != 1 {
-        return Err(CompileError::NotACritic("output is not a scalar"));
-    }
-    Ok(ops)
-}
-
 impl Int8Ensemble {
-    /// Compiles same-topology critic snapshots into the fused int8
-    /// representation, calibrating activation scales on `calibration`
-    /// (flat `n × h·w·c` representative windows, at least one).
+    /// Compiles each critic snapshot with [`Int8Weights::compile`] on the
+    /// same `calibration` windows.
     ///
     /// # Errors
     ///
-    /// Everything [`crate::LiteCritic::compile`] rejects, plus
-    /// [`CompileError::NotACritic`] when members disagree on topology and
-    /// [`CompileError::Quant`] when weights or calibration activations
-    /// are non-finite.
+    /// Whatever [`Int8Weights::compile`] rejects, for the first member
+    /// that fails.
     ///
     /// # Panics
     ///
@@ -507,57 +540,28 @@ impl Int8Ensemble {
         calibration: &[f32],
     ) -> Result<Self, CompileError> {
         assert!(!snaps.is_empty(), "need at least one member");
-        let input_len = input_shape.0 * input_shape.1 * input_shape.2;
-        assert!(
-            !calibration.is_empty() && calibration.len().is_multiple_of(input_len),
-            "calibration must be a non-empty whole number of windows"
-        );
-
-        // Parse every member and merge into the fused per-op layout.
-        let mut ops = parse_member(snaps[0], input_shape)?;
-        for snap in &snaps[1..] {
-            let member_ops = parse_member(snap, input_shape)?;
-            if member_ops.len() != ops.len()
-                || member_ops
-                    .iter()
-                    .zip(&ops)
-                    .any(|(a, b)| a.signature() != b.signature())
-            {
-                return Err(CompileError::NotACritic(
-                    "members disagree on topology — fuse per topology group",
-                ));
-            }
-            for (fused, mut single) in ops.iter_mut().zip(member_ops) {
-                fused.members_mut().append(single.members_mut());
-            }
+        let critics = snaps
+            .iter()
+            .map(|snap| Int8Weights::compile(snap, input_shape, calibration))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut scratch = Scratch::new();
+        for critic in &critics {
+            scratch.fit(critic);
         }
-
-        let mut weights = Int8Weights {
-            ops,
-            members: snaps.len(),
-            input_len,
-        };
-        weights.calibrate(calibration)?;
-        // Calibration done — drop the dequantized float copies.
-        for op in &mut weights.ops {
-            for m in op.members_mut() {
-                m.deq = Vec::new();
-                m.deq.shrink_to_fit();
-            }
-        }
-        let scratch = weights.new_scratch();
-        Ok(Int8Ensemble { weights, scratch })
+        Ok(Int8Ensemble { critics, scratch })
     }
 
-    /// The shareable weights alone, for callers that hand each scoring
-    /// thread its own [`Int8Weights::new_scratch`].
-    pub fn into_weights(self) -> Int8Weights {
-        self.weights
+    /// Total packed int8 weight bytes across all members.
+    pub fn weight_bytes(&self) -> usize {
+        self.critics.iter().map(Int8Weights::weight_bytes).sum()
     }
 
-    /// Anomaly scores `s(x) = −D(x)` for a batch through a member subset
-    /// on this ensemble's own scratch — see
-    /// [`Int8Weights::score_subset_into`].
+    /// Anomaly scores `s(x) = −D(x)` for a batch through a member subset.
+    ///
+    /// `windows` holds `n` flat snapshots; `out` receives member-major
+    /// results: `out[s·n + i]` is subset member `s`'s score on snapshot
+    /// `i`. Members go one after another so each one's packed weights
+    /// stay cache-hot across the batch.
     ///
     /// # Panics
     ///
@@ -569,143 +573,19 @@ impl Int8Ensemble {
         n: usize,
         out: &mut [f32],
     ) {
-        self.weights
-            .score_subset_into(&mut self.scratch, subset, windows, n, out);
+        assert_eq!(out.len(), subset.len() * n, "output length mismatch");
+        for (s, &g) in subset.iter().enumerate() {
+            assert!(g < self.critics.len(), "member {g} out of range");
+            self.critics[g].score_into(&mut self.scratch, windows, &mut out[s * n..(s + 1) * n]);
+        }
     }
 
     /// Convenience: anomaly scores for all members, member-major.
     pub fn score_all(&mut self, windows: &[f32], n: usize) -> Vec<f32> {
-        let subset: Vec<usize> = (0..self.weights.members).collect();
+        let subset: Vec<usize> = (0..self.critics.len()).collect();
         let mut out = vec![0.0f32; subset.len() * n];
         self.score_subset_into(&subset, windows, n, &mut out);
         out
-    }
-}
-
-impl Int8Weights {
-    /// Runs the dequantized float reference over the calibration windows,
-    /// recording each member's per-layer input activation *floor* scale
-    /// (the runtime range guard widens it for out-of-range windows). The
-    /// reference is the f32 scoring kernel on the dequantized weights: a
-    /// conv reads each window from a zero-bordered float plane, the
-    /// mirror of the int8 one.
-    fn calibrate(&mut self, calibration: &[f32]) -> Result<(), CompileError> {
-        let n = calibration.len() / self.input_len;
-        for g in 0..self.members {
-            let mut act = calibration.to_vec();
-            for oi in 0..self.ops.len() {
-                let scale = activation_scale(&act)?;
-                let op = &self.ops[oi];
-                let m = &op.members()[g];
-                let mut layer = FusedF32 {
-                    spans: 1,
-                    span_len: op.kk(),
-                    w: &m.deq,
-                    bias: &m.bias,
-                    alpha: m.alpha,
-                };
-                let mut out = vec![0.0f32; n * op.out_len()];
-                let to = Patches::matrix(m.bias.len());
-                match op {
-                    FusedOp::Conv {
-                        h,
-                        w,
-                        cin,
-                        kh,
-                        kw,
-                        pad_top,
-                        pad_left,
-                        ..
-                    } => {
-                        (layer.spans, layer.span_len) = (*kh, kw * cin);
-                        let (row, stride) = (w * cin, (w + kw - 1) * cin);
-                        let mut plane = vec![0.0f32; (h + kh - 1) * stride];
-                        let windows = act.chunks_exact(op.in_len());
-                        for (window, dst) in windows.zip(out.chunks_exact_mut(op.out_len())) {
-                            for (y, line) in window.chunks_exact(row).enumerate() {
-                                let at = (y + pad_top) * stride + pad_left * cin;
-                                plane[at..at + row].copy_from_slice(line);
-                            }
-                            gemm_f32_fused(op.rows(), &plane, op.patches(), layer, dst, to);
-                        }
-                    }
-                    FusedOp::Dense { .. } => {
-                        gemm_f32_fused(n, &act, op.patches(), layer, &mut out, to);
-                    }
-                }
-                self.ops[oi].members_mut()[g].in_scale = scale;
-                act = out;
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of compiled members.
-    pub fn members(&self) -> usize {
-        self.members
-    }
-
-    /// Number of fused ops (layers after activation fusion).
-    pub fn num_ops(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Compiled input length per snapshot.
-    pub fn input_len(&self) -> usize {
-        self.input_len
-    }
-
-    /// Total packed int8 weight bytes across all members (the deployable
-    /// artifact size).
-    pub fn weight_bytes(&self) -> usize {
-        self.ops
-            .iter()
-            .flat_map(|op| op.members().iter().map(|m| m.pack.packed_bytes()))
-            .sum()
-    }
-
-    /// A scratch sized for these weights; give each scoring thread one.
-    pub fn new_scratch(&self) -> Scratch {
-        Scratch::for_ops(&self.ops)
-    }
-
-    /// Anomaly scores `s(x) = −D(x)` for a batch through a member subset.
-    ///
-    /// `windows` holds `n` flat snapshots; `out` receives member-major
-    /// results: `out[s·n + i]` is subset member `s`'s score on snapshot
-    /// `i`. Members go one after another so each one's packed weights
-    /// stay cache-hot across the batch; within a member every window
-    /// runs all layers back to back (see the module docs). A window's
-    /// score depends on that window and member alone, so any split of a
-    /// batch's rows over threads (one `scratch` each) scores bitwise what
-    /// one call over the whole batch does.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches, an out-of-range member index, or a
-    /// `scratch` made for other weights.
-    pub fn score_subset_into(
-        &self,
-        scratch: &mut Scratch,
-        subset: &[usize],
-        windows: &[f32],
-        n: usize,
-        out: &mut [f32],
-    ) {
-        assert_eq!(windows.len(), n * self.input_len, "windows length mismatch");
-        assert_eq!(out.len(), subset.len() * n, "output length mismatch");
-        assert!(scratch.fits(&self.ops), "scratch made for other weights");
-        for &g in subset {
-            assert!(g < self.members, "member {g} out of range");
-        }
-        if n == 0 {
-            return;
-        }
-        for (&g, member_out) in subset.iter().zip(out.chunks_exact_mut(n)) {
-            for (window, o) in windows.chunks_exact(self.input_len).zip(member_out) {
-                *o = -infer_window(&self.ops, g, scratch, window);
-            }
-        }
     }
 }
 
@@ -813,19 +693,95 @@ mod tests {
         let windows = random_windows(4, 9);
         let a = fused.score_all(&windows, 4);
         let b = fused.score_all(&windows, 4);
-        assert_eq!(
-            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        assert_eq!(bits(&a), bits(&b));
+    }
+
+    /// The bits of a score vector.
+    fn bits(scores: &[f32]) -> Vec<u32> {
+        scores.iter().map(|s| s.to_bits()).collect()
     }
 
     #[test]
-    fn topology_mismatch_is_rejected() {
-        let a = build_critic(4, 1).save();
-        let b = build_critic(5, 2).save();
-        let calibration = random_windows(4, 1);
-        let err = Int8Ensemble::compile(&[&a, &b], (H, W, 1), &calibration).unwrap_err();
+    fn mixed_depths_score_what_each_depth_scores_alone() {
+        // Depth 3 and depth 4 disagree on the plane at position 2 (a
+        // dense row against a padded conv plane), so every switch between
+        // them on the shared scratch rewrites that plane — border included.
+        let calibration = random_windows(8, 1);
+        let depths = [3usize, 4, 3, 4];
+        let snaps: Vec<ModelSnapshot> = depths
+            .iter()
+            .zip(0u64..)
+            .map(|(&depth, seed)| build_critic(depth, 40 + seed).save())
+            .collect();
+        let refs: Vec<&ModelSnapshot> = snaps.iter().collect();
+        let mut mixed = Int8Ensemble::compile(&refs, (H, W, 1), &calibration).unwrap();
+        let n = 5;
+        // Range-guard-tripping windows in between: they fill the planes
+        // with saturated bytes a stale border would show.
+        let mut windows = random_windows(n, 23);
+        windows[H * W..2 * H * W]
+            .iter_mut()
+            .for_each(|v| *v *= 40.0);
+        let alone: Vec<Vec<f32>> = refs
+            .iter()
+            .map(|&snap| {
+                let mut one = Int8Ensemble::compile(&[snap], (H, W, 1), &calibration).unwrap();
+                one.score_all(&windows, n)
+            })
+            .collect();
+        for subset in [&[0usize, 1, 2, 3][..], &[3, 0, 1], &[1, 1, 2, 3, 0, 3]] {
+            let mut out = vec![0.0f32; subset.len() * n];
+            mixed.score_subset_into(subset, &windows, n, &mut out);
+            for (scores, &g) in out.chunks_exact(n).zip(subset) {
+                assert_eq!(
+                    bits(scores),
+                    bits(&alone[g]),
+                    "subset {subset:?} member {g}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unsupported_layers_and_non_scalar_outputs_are_rejected() {
+        use vehigan_tensor::layers::Reshape;
+        let mut rng = seeded_rng(7);
+        let compile = |m: &Sequential, shape: (usize, usize, usize)| {
+            let calibration = vec![0.1f32; 2 * shape.0 * shape.1 * shape.2];
+            Int8Ensemble::compile(&[&m.save()], shape, &calibration).unwrap_err()
+        };
+        // A generator: dense then reshape.
+        let mut generator = Sequential::new();
+        generator.push(Dense::new(8, 60, Init::HeUniform, &mut rng));
+        generator.push(Reshape::new(&[5, 6, 2]));
+        let err = compile(&generator, (1, 1, 8));
+        assert!(matches!(err, CompileError::UnsupportedLayer(_)), "{err}");
+        assert!(err.to_string().contains("Reshape"), "{err}");
+        // A critic body without its scalar head.
+        let mut headless = Sequential::new();
+        headless.push(Dense::new(8, 60, Init::HeUniform, &mut rng));
+        let err = compile(&headless, (1, 1, 8));
         assert!(matches!(err, CompileError::NotACritic(_)), "{err}");
+        // Valid padding has no int8 plane.
+        let mut valid = Sequential::new();
+        valid.push(Conv2D::new(
+            1,
+            4,
+            (2, 2),
+            Padding::Valid,
+            Init::HeUniform,
+            &mut rng,
+        ));
+        let err = compile(&valid, (H, W, 1));
+        assert!(matches!(err, CompileError::UnsupportedLayer(_)), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "windows length mismatch")]
+    fn wrong_input_length_panics() {
+        let calibration = random_windows(4, 2);
+        let (mut fused, _floats) = compile_fused(3, 1, &calibration);
+        fused.score_all(&[0.0; 64], 1);
     }
 
     #[test]
@@ -852,9 +808,10 @@ mod tests {
     fn debug_reports_artifact_size() {
         let calibration = random_windows(4, 2);
         let (fused, _floats) = compile_fused(4, 2, &calibration);
+        // Activations are absorbed: 3 convs + 1 dense = 4 ops a member.
         let text = format!("{fused:?}");
-        assert!(text.contains("2 members"), "{text}");
-        assert!(fused.weights.weight_bytes() > 0);
+        assert!(text.contains("2 members, 8 fused ops"), "{text}");
+        assert!(fused.weight_bytes() > 0);
     }
 
     // ---- Bitwise oracle for the fused window walk -------------------
@@ -903,7 +860,7 @@ mod tests {
         window: &[f32],
     ) -> f32 {
         let mut act = window.to_vec();
-        let mut ops = fused.weights.ops.iter();
+        let mut ops = fused.critics[g].ops.iter();
         for (li, layer) in snap.layers.iter().enumerate() {
             let conv = match layer.kind.as_str() {
                 "Conv2D" => true,
@@ -917,7 +874,7 @@ mod tests {
                 (1, 1, attr("in_dim"), attr("out_dim"), 1)
             };
             let kk = kh * kw * cin;
-            let m = &ops.next().unwrap().members()[g];
+            let m = ops.next().unwrap();
             let mut range = 0.0f32;
             for v in &act {
                 if v.abs() > range {

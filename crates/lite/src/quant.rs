@@ -1,7 +1,7 @@
-//! Post-training int8 quantization: per-tensor and per-channel weight
-//! schemes plus activation-scale calibration.
+//! Post-training int8 quantization: per-channel weight scales plus
+//! activation-scale calibration.
 //!
-//! All schemes are **symmetric** (zero-point 0): WGAN critics regress an
+//! Both are **symmetric** (zero-point 0): WGAN critics regress an
 //! unbounded scalar from Lipschitz-constrained weights, so the weight
 //! distributions are centered and narrow, and symmetric quantization
 //! keeps zero exactly representable — padding and ReLU-dead activations
@@ -75,51 +75,13 @@ fn quantize_one(w: f32, scale: f32) -> i8 {
     (w / scale).round().clamp(-127.0, 127.0) as i8
 }
 
-/// An int8-quantized weight tensor with a per-tensor affine scale
-/// (symmetric, zero-point 0 — the standard scheme for weights).
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedWeights {
-    /// Quantized values in `[-127, 127]`.
-    pub values: Vec<i8>,
-    /// Dequantization scale: `w ≈ values · scale`.
-    pub scale: f32,
-}
-
-impl QuantizedWeights {
-    /// Quantizes float weights symmetrically to int8.
-    ///
-    /// All-zero inputs get scale 1.0 (anything dequantizes to 0).
-    ///
-    /// # Errors
-    ///
-    /// [`QuantError::NonFinite`] if any weight is NaN/Inf.
-    pub fn quantize(weights: &[f32]) -> Result<Self, QuantError> {
-        check_finite(weights)?;
-        let max_abs = weights.iter().fold(0.0f32, |m, &w| m.max(w.abs()));
-        let scale = symmetric_scale(max_abs);
-        let values = weights.iter().map(|&w| quantize_one(w, scale)).collect();
-        Ok(QuantizedWeights { values, scale })
-    }
-
-    /// Dequantizes back to floats.
-    pub fn dequantize(&self) -> Vec<f32> {
-        self.values.iter().map(|&q| q as f32 * self.scale).collect()
-    }
-
-    /// Worst-case absolute quantization error (half a quantization step).
-    pub fn max_error(&self) -> f32 {
-        self.scale / 2.0
-    }
-}
-
 /// An int8-quantized weight matrix with **per-channel** symmetric scales.
 ///
 /// The source is a row-major `rows × channels` matrix where the channel
 /// axis is the *output* dimension — `[ky·kw·ic, oc]` conv kernels and
 /// `[in, out]` dense weights as the tensor stack stores them. Each output
 /// channel gets its own scale, so one wide-ranged channel no longer
-/// inflates the quantization step of every other channel (the main
-/// accuracy leak of per-tensor quantization).
+/// inflates the quantization step of every other channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerChannelQuantized {
     /// Quantized values in `[-127, 127]`, same row-major layout as input.
@@ -323,28 +285,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_error_is_bounded() {
-        let w: Vec<f32> = (0..100).map(|i| (i as f32 * 0.7).sin() * 0.03).collect();
-        let q = QuantizedWeights::quantize(&w).unwrap();
-        let back = q.dequantize();
-        for (orig, deq) in w.iter().zip(&back) {
-            assert!((orig - deq).abs() <= q.max_error() + 1e-9);
-        }
-    }
-
-    #[test]
-    fn extreme_value_maps_to_127() {
-        let q = QuantizedWeights::quantize(&[0.5, -0.25, 0.0]).unwrap();
-        assert_eq!(q.values[0], 127);
-        assert_eq!(q.values[1], -64);
-        assert_eq!(q.values[2], 0);
-    }
-
-    #[test]
-    fn all_zero_weights_are_stable() {
-        let q = QuantizedWeights::quantize(&[0.0; 8]).unwrap();
-        assert_eq!(q.scale, 1.0);
-        assert!(q.dequantize().iter().all(|&v| v == 0.0));
+    fn extreme_value_maps_to_127_and_zeros_are_stable() {
+        let q = PerChannelQuantized::quantize(3, 2, &[0.5, 0.0, -0.25, 0.0, 0.0, 0.0]).unwrap();
+        assert_eq!(q.values, [127, 0, -64, 0, 0, 0]);
+        // An all-zero channel gets scale 1.0: anything dequantizes to 0.
+        assert_eq!(q.scales[1], 1.0);
+        assert!(q.dequantize().iter().skip(1).step_by(2).all(|&v| v == 0.0));
     }
 
     #[test]
@@ -354,21 +300,17 @@ mod tests {
         // preserves critic score ordering so well.
         let c = 0.03f32;
         let w: Vec<f32> = (0..50).map(|i| (i as f32 / 49.0) * 2.0 * c - c).collect();
-        let q = QuantizedWeights::quantize(&w).unwrap();
+        let q = PerChannelQuantized::quantize(50, 1, &w).unwrap();
         assert!(q.max_error() < 0.00013);
     }
 
     #[test]
     fn non_finite_weights_are_rejected_with_index() {
-        // The old fold silently mapped NaN → 0 (`f32::max` skips NaN,
-        // `as i8` saturates); now it is a typed error.
+        // A plain fold would silently map NaN → 0 (`f32::max` skips NaN,
+        // `as i8` saturates); it is a typed error.
         assert_eq!(
-            QuantizedWeights::quantize(&[0.1, f32::NAN, 0.2]),
+            PerChannelQuantized::quantize(3, 1, &[0.1, f32::NAN, 0.2]),
             Err(QuantError::NonFinite { index: 1 })
-        );
-        assert_eq!(
-            QuantizedWeights::quantize(&[f32::INFINITY]),
-            Err(QuantError::NonFinite { index: 0 })
         );
         assert_eq!(
             PerChannelQuantized::quantize(1, 2, &[0.0, f32::NEG_INFINITY]),
@@ -441,8 +383,8 @@ mod tests {
 
     #[test]
     fn per_channel_isolates_wide_channels() {
-        // Channel 1 has 100× the range of channel 0; per-tensor would
-        // burn channel 0's precision, per-channel keeps both fine.
+        // Channel 1 has 100× the range of channel 0; one shared scale
+        // would burn channel 0's precision, per-channel keeps both fine.
         let w = [0.01f32, 1.0, -0.005, 0.5, 0.0075, -1.0];
         let q = PerChannelQuantized::quantize(3, 2, &w).unwrap();
         assert!(q.channel_max_error(0) < 1e-4);

@@ -1,13 +1,14 @@
-//! The fused int8 scorer's steady state allocates nothing: every runtime
-//! buffer is sized when the ensemble is compiled. A counting global
-//! allocator (per thread, so the harness's other threads cannot bleed in)
-//! asserts it across the batch sizes the serve plane issues — a single
-//! window, a ragged tile, a full tile — and again on two threads sharing
-//! one set of weights, each scoring half the rows on its own scratch.
+//! The int8 scorer's steady state allocates nothing: every runtime buffer
+//! is sized when the scratch is fitted. A counting global allocator (per
+//! thread, so the harness's other threads cannot bleed in) asserts it
+//! across the batch sizes the serve plane issues — a single window, a
+//! ragged tile, a full tile — through a mixed-depth subset whose every
+//! member switch re-lays a plane, and again on two threads sharing one
+//! critic, each scoring half the rows on its own scratch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use vehigan_lite::Int8Ensemble;
+use vehigan_lite::{Int8Ensemble, Int8Weights, Scratch};
 use vehigan_tensor::init::seeded_rng;
 use vehigan_tensor::layers::{Activation, Conv2D, Dense, Flatten, Padding};
 use vehigan_tensor::{Init, Sequential};
@@ -41,11 +42,11 @@ static GLOBAL: Counting = Counting;
 const H: usize = 10;
 const W: usize = 12;
 
-fn critic(seed: u64) -> Sequential {
+fn critic(seed: u64, convs: usize) -> Sequential {
     let mut rng = seeded_rng(seed);
     let mut m = Sequential::new();
     let mut cin = 1;
-    for cout in [8, 16, 32] {
+    for cout in [8, 16, 32].into_iter().take(convs) {
         m.push(Conv2D::new(
             cin,
             cout,
@@ -64,11 +65,15 @@ fn critic(seed: u64) -> Sequential {
 
 #[test]
 fn warm_scoring_never_allocates() {
-    let snaps: Vec<_> = (0..3).map(|s| critic(s).save()).collect();
+    let snaps: Vec<_> = [3, 2, 3]
+        .iter()
+        .zip(0u64..)
+        .map(|(&convs, seed)| critic(seed, convs).save())
+        .collect();
     let refs: Vec<&_> = snaps.iter().collect();
     let windows: Vec<f32> = (0..128 * H * W).map(|i| (i as f32 * 0.61).sin()).collect();
     let mut fused = Int8Ensemble::compile(&refs, (H, W, 1), &windows[..16 * H * W]).unwrap();
-    let subset = [2usize, 0, 1];
+    let subset = [2usize, 1, 0, 1];
     let mut out = vec![0.0f32; subset.len() * 128];
     for n in [1usize, 37, 128] {
         let (x, scores) = (&windows[..n * H * W], &mut out[..subset.len() * n]);
@@ -88,41 +93,35 @@ fn warm_scoring_never_allocates() {
 }
 
 #[test]
-fn threads_sharing_the_weights_allocate_nothing_and_grow_no_scratch() {
-    let snaps: Vec<_> = (0..3).map(|s| critic(s).save()).collect();
-    let refs: Vec<&_> = snaps.iter().collect();
+fn threads_sharing_a_critic_allocate_nothing_and_grow_no_scratch() {
     let windows: Vec<f32> = (0..128 * H * W).map(|i| (i as f32 * 0.61).sin()).collect();
-    let mut fused = Int8Ensemble::compile(&refs, (H, W, 1), &windows[..16 * H * W]).unwrap();
-    let subset = [2usize, 0, 1];
+    let snap = critic(0, 3).save();
+    let critic = &Int8Weights::compile(&snap, (H, W, 1), &windows[..16 * H * W]).unwrap();
     let n = 128;
-    let mut serial = vec![0.0f32; subset.len() * n];
-    fused.score_subset_into(&subset, &windows, n, &mut serial);
+    let mut serial = vec![0.0f32; n];
+    critic.score_into(&mut Scratch::new(), &windows, &mut serial);
 
-    let weights = &fused.into_weights();
     let half = n / 2;
-    let mut halves: Vec<Vec<f32>> = vec![vec![0.0; subset.len() * half]; 2];
+    let mut halves = vec![0.0f32; n];
     std::thread::scope(|scope| {
-        for (rows, out) in windows.chunks(half * H * W).zip(&mut halves) {
+        for (rows, out) in windows.chunks(half * H * W).zip(halves.chunks_mut(half)) {
             scope.spawn(move || {
-                let mut scratch = weights.new_scratch();
+                let mut scratch = Scratch::new();
+                // Warm: the fit, and this thread's first use of the kernels.
+                critic.score_into(&mut scratch, rows, out);
                 let bytes = scratch.bytes();
-                // Warm: this thread's first use of the kernels.
-                weights.score_subset_into(&mut scratch, &subset, rows, half, out);
                 let before = ALLOCS.with(Cell::get);
                 for _ in 0..100 {
-                    weights.score_subset_into(&mut scratch, &subset, rows, half, out);
+                    critic.score_into(&mut scratch, rows, out);
                 }
                 assert_eq!(ALLOCS.with(Cell::get) - before, 0);
                 assert_eq!(scratch.bytes(), bytes);
             });
         }
     });
-    // Member-major halves side by side are the serial call, bit for bit.
-    for (s, member) in serial.chunks(n).enumerate() {
-        let joined = halves.iter().flat_map(|h| &h[s * half..(s + 1) * half]);
-        assert!(member
-            .iter()
-            .zip(joined)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
+    // The halves side by side are the serial call, bit for bit.
+    assert!(serial
+        .iter()
+        .zip(&halves)
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
 }

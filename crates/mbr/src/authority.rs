@@ -333,7 +333,7 @@ impl MisbehaviorAuthority {
     }
 
     /// Ingests a batch of reports, fanning out across evidence shards
-    /// (parallel above [`PARALLEL_THRESHOLD`] reports) and merging
+    /// (parallel above `PARALLEL_THRESHOLD` reports) and merging
     /// deterministically. Final authority state is bitwise-identical to
     /// calling [`ingest`](Self::ingest) on each report in slice order
     /// (see module docs for the argument).

@@ -308,7 +308,8 @@ pub struct ServerStats {
     pub evicted: u64,
     /// BSMs rejected by the ingest guards, per reason class.
     pub rejected: RejectCounters,
-    /// Windows shed unscored by queue bounds/admission control.
+    /// Windows shed unscored: by queue bounds/admission control, and the
+    /// windows a tick had admitted when its scoring pass failed.
     pub shed: u64,
     /// Captured ingest-worker panics.
     pub shard_panics: u64,
@@ -732,7 +733,8 @@ impl<'a> StreamServer<'a> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Score`] when a scoring pass fails.
+    /// [`ServeError::Score`] when a scoring pass fails; the windows the
+    /// tick had admitted are then counted as `shed`, not as scored.
     pub fn tick(&mut self) -> Result<Vec<Decision>, ServeError> {
         // The arena steps out of `self` for the tick, so its buffers and
         // the server can be borrowed side by side.
@@ -772,11 +774,12 @@ impl<'a> StreamServer<'a> {
         // Tier-0 split: suppressed windows skip the ensemble entirely.
         // The gate is bypassed under `Always` (the pure-f32 reference
         // path has no gate) and while the monitor-poisoning chaos fault
-        // distrusts the monitors.
+        // distrusts the monitors; `gate_tau` is its τ when it is on.
         let policy = self.effective_policy();
-        let gate_on = self.tier0.is_some()
-            && !self.chaos_monitor_poison
-            && !matches!(policy, EscalationPolicy::Always);
+        let gate_tau = self
+            .tier0
+            .filter(|_| !self.chaos_monitor_poison && !matches!(policy, EscalationPolicy::Always))
+            .map(|cal| cal.tau);
 
         let take = budgeted_take(&lens, self.admission.windows_per_tick);
         let TickArena {
@@ -794,7 +797,8 @@ impl<'a> StreamServer<'a> {
         // of `meta`, in order.
         for (shard, &k) in self.shards.iter().zip(&take) {
             if k > 0 {
-                shard.lock().take_pending_into(k, !gate_on, batch, meta);
+                let mut shard = shard.lock();
+                shard.take_pending_into(k, gate_tau.is_none(), batch, meta);
             }
         }
         if meta.is_empty() {
@@ -802,56 +806,46 @@ impl<'a> StreamServer<'a> {
         }
         let (batch, meta) = (&batch[..], &meta[..]);
         let n = meta.len();
-        self.stats.windows_scored += n as u64;
         let deploy = Deployment {
             policy,
             members: self.health.active(&self.members),
             gate_members: self.health.active(&self.gate_members),
         };
-        let n_suppressed = if gate_on {
-            meta.iter().filter(|w| w.suppressed).count()
-        } else {
-            0
-        };
-        debug_assert_eq!(batch.len(), (n - n_suppressed) * self.window_len);
-
-        let mut decisions = Vec::with_capacity(n);
-        if n_suppressed == 0 {
-            // No suppression this tick: the whole batch flows through
-            // the historical path, bitwise identical to a gateless
-            // server (both backends are batch-row independent, so the
-            // branch itself cannot change any score).
-            self.score_windows(batch, meta, &deploy, tiers, &mut decisions)?;
-            self.emit_reports(batch, &decisions);
-        } else {
-            let cal = self.tier0.expect("gate_on implies a calibration");
-            screened_meta.clear();
-            screened_meta.extend(meta.iter().filter(|w| !w.suppressed));
-            self.score_windows(batch, screened_meta, &deploy, tiers, screened)?;
-            self.emit_reports(batch, screened);
-            self.stats.tier0_suppressed += n_suppressed as u64;
-            // Merge back in admitted order: suppressed windows emit the
-            // vehicle's carried tier-1 gate score (below the detection
-            // threshold by the suppression policy) against the
-            // calibration's τ; screened windows keep their ensemble
-            // decision bitwise intact.
-            let mut it = screened.iter();
-            decisions.extend(meta.iter().map(|w| {
-                if w.suppressed {
-                    Decision {
-                        vehicle: w.vehicle,
-                        timestamp: w.timestamp,
-                        score: w.pinned,
-                        threshold: cal.tau,
-                        escalated: false,
-                        flagged: w.pinned > cal.tau,
-                        suppressed: true,
-                    }
-                } else {
-                    *it.next().expect("one screened decision per window")
-                }
-            }));
+        // The τ a window is decided against when tier 0 suppresses it.
+        let suppressed_tau = |w: &PendingWindow| gate_tau.filter(|_| w.suppressed);
+        screened_meta.clear();
+        screened_meta.extend(meta.iter().filter(|w| suppressed_tau(w).is_none()));
+        debug_assert_eq!(batch.len(), screened_meta.len() * self.window_len);
+        if let Err(e) = self.score_windows(batch, screened_meta, &deploy, tiers, screened) {
+            // The admitted windows are out of the shards and will never
+            // be decided: they are shed, not scored.
+            self.stats.shed += n as u64;
+            return Err(e);
         }
+        self.emit_reports(batch, screened);
+        self.stats.windows_scored += n as u64;
+        self.stats.tier0_suppressed += (n - screened.len()) as u64;
+        // Merge back in admitted order (the identity when nothing was
+        // suppressed): suppressed windows emit the vehicle's carried
+        // tier-1 gate score (below the detection threshold by the
+        // suppression policy) against the calibration's τ; screened
+        // windows keep their ensemble decision bitwise intact.
+        let mut it = screened.iter();
+        let decisions = meta
+            .iter()
+            .map(|w| match suppressed_tau(w) {
+                Some(tau) => Decision {
+                    vehicle: w.vehicle,
+                    timestamp: w.timestamp,
+                    score: w.pinned,
+                    threshold: tau,
+                    escalated: false,
+                    flagged: w.pinned > tau,
+                    suppressed: true,
+                },
+                None => *it.next().expect("one screened decision per window"),
+            })
+            .collect();
 
         if !tiers.dropped.is_empty() {
             tiers.dropped.sort_unstable();
@@ -1080,7 +1074,6 @@ impl<'a> StreamServer<'a> {
         let mut stats = self.stats;
         stats.evicted = 0;
         stats.rejected = RejectCounters::default();
-        stats.shed = 0;
         for shard in &self.shards {
             let g = shard.lock();
             stats.evicted += g.evicted();
@@ -1244,14 +1237,13 @@ mod tests {
         assert_eq!(m.mode, ServeMode::Normal);
     }
 
-    #[test]
-    fn each_window_carries_the_threshold_of_its_own_tiles_survivors() {
+    /// Two untrained critics with distinct calibrated thresholds.
+    fn two_critics() -> Vec<vehigan_core::CriticMember> {
         use vehigan_core::{CriticMember, Wgan, WganConfig};
 
-        // Two untrained critics with distinct calibrated thresholds.
         let benign: Vec<f32> = (0..32 * 120).map(|i| (i as f32 * 0.37).sin()).collect();
         let benign = vehigan_tensor::Tensor::from_vec(benign, &[32, 10, 12, 1]);
-        let members: Vec<CriticMember> = (0..2)
+        (0..2)
             .map(|seed| {
                 let config = WganConfig {
                     layers: 3,
@@ -1260,7 +1252,103 @@ mod tests {
                 };
                 CriticMember::calibrate(Wgan::new(config), 0.9, &benign, 99.0).unwrap()
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn a_failed_tick_sheds_its_windows_and_the_next_tick_is_normal() {
+        let mut vehigan = VehiGan::new(two_critics(), 2, 1).unwrap();
+        let calibration = vehigan_tensor::Tensor::from_vec(vec![0.5; 8 * 120], &[8, 10, 12, 1]);
+        vehigan.compile_int8(&calibration).unwrap();
+        let server = || {
+            let scaler = MinMaxScaler::fit_flat(12, (0..24).map(f64::from));
+            let config = ServerConfig {
+                n_shards: 2,
+                // Every window crosses the gate and is confirmed by tier 2.
+                policy: EscalationPolicy::Threshold(f32::NEG_INFINITY),
+                members: Some(vec![0, 1]),
+                ..ServerConfig::default()
+            };
+            StreamServer::new(&vehigan, scaler, config).unwrap()
+        };
+        // Round 0 fills every vehicle's first window (ten feature rows
+        // take eleven messages); rounds 1 and 2 complete one more each.
+        let round = |r: usize| -> Vec<Bsm> {
+            let steps = if r == 0 { 0..11 } else { 10 + r..11 + r };
+            steps
+                .flat_map(|t| {
+                    (0..6).map(move |v| Bsm {
+                        vehicle_id: VehicleId(v),
+                        timestamp: t as f64 * 0.1,
+                        pos_x: t as f64 * (1.0 + v as f64),
+                        pos_y: v as f64,
+                        speed: 10.0 + v as f64,
+                        acceleration: 0.1,
+                        heading: 0.3,
+                        yaw_rate: 0.0,
+                    })
+                })
+                .collect()
+        };
+        let (mut faulted, mut healthy) = (server(), server());
+        for s in [&mut faulted, &mut healthy] {
+            s.ingest_batch(&round(0));
+            assert_eq!(s.tick().unwrap().len(), 6);
+            s.ingest_batch(&round(1));
+        }
+        let before = faulted.stats();
+        assert_eq!((before.windows_scored, before.shed), (6, 0));
+
+        // Every deployed member fails for one tick.
+        for m in 0..2 {
+            vehigan.chaos_poison_member(m, true);
+        }
+        let err = faulted.tick().unwrap_err();
+        for m in 0..2 {
+            vehigan.chaos_poison_member(m, false);
+        }
+        let all_failed = EnsembleError::AllMembersFailed {
+            attempted: vec![0, 1],
+        };
+        assert!(
+            matches!(&err, ServeError::Score(e) if *e == all_failed),
+            "{err}"
+        );
+        // The six admitted windows left the shards undecided: shed, not
+        // scored, and the per-tier partition of the scored ones holds.
+        let after = faulted.stats();
+        assert_eq!(after.windows_scored, before.windows_scored);
+        assert_eq!(after.shed, before.shed + 6);
+        assert_eq!(
+            after.tier0_suppressed + after.tier1_screened + after.tier2_escalated,
+            after.windows_scored
+        );
+        assert_eq!(faulted.pending_windows(), 0);
+
+        // The next clean tick decides what a never-faulted server does.
+        assert_eq!(healthy.tick().unwrap().len(), 6);
+        faulted.ingest_batch(&round(2));
+        healthy.ingest_batch(&round(2));
+        let (got, want) = (faulted.tick().unwrap(), healthy.tick().unwrap());
+        assert_eq!(got.len(), 6);
+        let bits = |d: &Decision| {
+            (
+                d.vehicle,
+                d.score.to_bits(),
+                d.threshold.to_bits(),
+                d.flagged,
+            )
+        };
+        assert_eq!(
+            got.iter().map(bits).collect::<Vec<_>>(),
+            want.iter().map(bits).collect::<Vec<_>>()
+        );
+        assert_eq!(faulted.stats().windows_scored, 12);
+    }
+
+    #[test]
+    fn each_window_carries_the_threshold_of_its_own_tiles_survivors() {
+        let members = two_critics();
         let taus = [members[0].threshold, members[1].threshold];
         assert_ne!(taus[0], taus[1]);
         let mut vehigan = VehiGan::new(members, 2, 1).unwrap();

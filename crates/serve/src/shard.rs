@@ -12,7 +12,8 @@
 //! - an [`IngestGuard`] validates every BSM (finiteness, optional
 //!   physical range limits, per-vehicle staleness) *before* it touches
 //!   window state, so one NaN field or replayed message cannot poison a
-//!   snapshot — rejections are counted per [`RejectReason`] class;
+//!   snapshot — rejections are counted per
+//!   [`vehigan_features::RejectReason`] class;
 //! - an optional pending-queue bound sheds the **oldest** queued window
 //!   when a new one would overflow it, so a traffic burst degrades into
 //!   counted, deterministic window loss instead of unbounded memory.

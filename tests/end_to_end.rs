@@ -8,7 +8,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use vehigan::core::adversarial::{afn_attack, afp_attack, multi_model_afp};
 use vehigan::core::{Pipeline, PipelineConfig};
-use vehigan::lite::LiteCritic;
+use vehigan::lite::Int8Ensemble;
 use vehigan::metrics::auroc;
 use vehigan::tensor::Sequential;
 use vehigan::vasp::Attack;
@@ -167,12 +167,11 @@ fn lite_critic_preserves_detection_quality() {
     let ds = p.test_attack_windows(Attack::by_name("RandomSpeed").unwrap());
     let member = &mut p.vehigan.members_mut()[0];
     let float_scores = member.wgan.score_batch(&ds.x);
-    let mut lite = LiteCritic::compile(member.wgan.critic(), (10, 12, 1)).expect("compiles");
-    let n = ds.len();
-    let d = 120;
-    let lite_scores: Vec<f32> = (0..n)
-        .map(|i| lite.score(&ds.x.as_slice()[i * d..(i + 1) * d]))
-        .collect();
+    let snap = member.wgan.critic().save();
+    // A few hundred benign windows pin the activation ranges.
+    let benign = &p.train_windows.x.as_slice()[..p.train_windows.len().min(256) * 120];
+    let mut lite = Int8Ensemble::compile(&[&snap], (10, 12, 1), benign).expect("compiles");
+    let lite_scores = lite.score_all(ds.x.as_slice(), ds.len());
     let float_auroc = auroc(&float_scores, &ds.labels);
     let lite_auroc = auroc(&lite_scores, &ds.labels);
     assert!(

@@ -28,9 +28,9 @@
 //!   churn instead of lapse); and an RSU mirror syncing by
 //!   [`vehigan_mbr::CrlDelta`] converges to the authority CRL.
 
-use crate::experiments::serve_driver::{city_fleet, mixed_stream, slice_ranges};
 use crate::harness::{results_dir, Harness};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::time::Instant;
 use vehigan_features::IngestGuard;
 use vehigan_mbr::{
@@ -38,15 +38,17 @@ use vehigan_mbr::{
     RevocationRecord, SuspectEvidence,
 };
 use vehigan_serve::{EscalationPolicy, ServerConfig, StreamServer};
-use vehigan_sim::VehicleId;
+use vehigan_sim::{Bsm, SimConfig, TrafficSimulator, VehicleId, VehicleTrace, BSM_INTERVAL_S};
+use vehigan_tensor::init::seeded_rng;
+use vehigan_vasp::{inject, Attack, AttackParams, AttackPolicy};
 
 /// Minimum reports/sec multiple of the sharded evidence pipeline over the
 /// seed's retain-every-report VecDeque authority (ISSUE gate).
 pub const SPEEDUP_TARGET: f64 = 5.0;
 
-/// Fraction of phase-1 vehicles transmitting falsified BSMs. Matches the
-/// `stream` bench's detection-focused mix so the short CI smoke still
-/// produces enough flagged escalations to corroborate a conviction.
+/// Fraction of phase-1 vehicles transmitting falsified BSMs: a
+/// detection-focused mix, so the short CI smoke still produces enough
+/// flagged escalations to corroborate a conviction.
 const ATTACKER_FRACTION: f64 = 0.1;
 
 /// Rotating RSU reporter identities covering the phase-1 stream (the
@@ -54,6 +56,73 @@ const ATTACKER_FRACTION: f64 = 0.1;
 /// reports from distinct observers — exactly the authority's job).
 const N_RSUS: u32 = 4;
 const RSU_BASE: u32 = 1 << 30;
+
+/// Simulates the phase-1 city fleet.
+fn city_fleet(vehicles: usize, duration_s: f64, seed: u64) -> Vec<VehicleTrace> {
+    TrafficSimulator::new(SimConfig {
+        n_vehicles: vehicles,
+        duration_s,
+        seed,
+        ..SimConfig::default()
+    })
+    .run()
+}
+
+/// Mixed benign/attack stream: every `1/attacker_fraction`-th vehicle
+/// runs a VASP attack (cycling over position/speed/heading families,
+/// falsified values inside RSU guard field limits), all BSMs interleaved
+/// in arrival order. Returns the stream and the attacker count.
+fn mixed_stream(fleet: &[VehicleTrace], seed: u64, attacker_fraction: f64) -> (Vec<Bsm>, usize) {
+    let attacks: Vec<Attack> = ["RandomPosition", "RandomSpeed", "HighHeadingYawRate"]
+        .iter()
+        .map(|n| Attack::by_name(n).expect("catalog attack"))
+        .collect();
+    let mut rng = seeded_rng(seed);
+    let every = (1.0 / attacker_fraction) as usize;
+    let mut stream = Vec::new();
+    let mut attackers = 0usize;
+    for (i, trace) in fleet.iter().enumerate() {
+        if i % every == 0 {
+            let attacked = inject(
+                trace,
+                attacks[attackers % attacks.len()],
+                AttackPolicy::Persistent,
+                &AttackParams::default(),
+                &mut rng,
+            );
+            stream.extend_from_slice(&attacked.trace.bsms);
+            attackers += 1;
+        } else {
+            stream.extend_from_slice(&trace.bsms);
+        }
+    }
+    stream.sort_by(|a, b| {
+        a.timestamp
+            .partial_cmp(&b.timestamp)
+            .unwrap()
+            .then(a.vehicle_id.cmp(&b.vehicle_id))
+    });
+    (stream, attackers)
+}
+
+/// Groups a timestamp-sorted stream into per-tick index ranges of
+/// [`BSM_INTERVAL_S`] width (empty slices included, so the drive loop
+/// ticks at real cadence).
+fn slice_ranges(stream: &[Bsm]) -> Vec<Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut start = 0usize;
+    let mut slice_end = BSM_INTERVAL_S;
+    let mut i = 0usize;
+    while i < stream.len() {
+        while i < stream.len() && stream[i].timestamp < slice_end {
+            i += 1;
+        }
+        ranges.push(start..i);
+        start = i;
+        slice_end += BSM_INTERVAL_S;
+    }
+    ranges
+}
 
 // --- Phase-2 synthetic campaign: exactly 1 000 000 reports. ---
 

@@ -18,8 +18,7 @@
 //! is reported.
 //!
 //! Writes `results/BENCH_campaign.json`. Run via `vehigan-bench campaign
-//! [--scale quick|paper]` or `cargo bench -p vehigan-bench --bench
-//! campaign` (criterion harness).
+//! [--scale quick|paper]`.
 
 use crate::harness::{results_dir, Scale};
 use std::time::Instant;

@@ -3,8 +3,7 @@
 //!
 //! The paper's claim is about the shape: both paths sit far below the
 //! 100 ms BSM interval; the lite path is the faster one; depth adds a
-//! mild slope. Criterion benches (`cargo bench -p vehigan-bench`)
-//! provide the rigorous timings; this experiment prints a quick summary.
+//! mild slope.
 
 use crate::harness::write_csv;
 use std::time::Instant;

@@ -2,9 +2,7 @@
 //! problems, plus the transpose-free backward kernels.
 //!
 //! Writes `results/BENCH_gemm.json` so future PRs have a perf trajectory
-//! to compare against. Run via `vehigan-bench gemm` (quick, JSON output)
-//! or `cargo bench -p vehigan-bench --bench gemm` (criterion harness with
-//! statistical rigor).
+//! to compare against. Run via `vehigan-bench gemm`.
 //!
 //! Shapes (all from the default `WganConfig`: 10×12 snapshots, 128-sample
 //! batches):

@@ -14,8 +14,5 @@ pub mod gemmbench;
 pub mod probe;
 pub mod quant;
 pub mod resume;
-pub mod serve_driver;
-pub mod slo;
-pub mod stream;
 pub mod table3;
 pub mod tier0;

@@ -2,28 +2,39 @@
 //! path, plus quantization-error accounting on the Table III campaign.
 //!
 //! Run via `vehigan-bench quant --scale quick` (trains the quick system,
-//! prints a summary, writes `results/BENCH_quant.json`) or the criterion
-//! bench `cargo bench -p vehigan-bench --bench quant` for statistical
-//! rigor on the latency half.
+//! prints a summary, writes `results/BENCH_quant.json`).
 //!
 //! The run **gates** its own acceptance criteria and panics when they
 //! fail (so the CI smoke step catches regressions):
 //!
 //! - fused int8 `k`-member single-snapshot scoring ≥ 2× faster than the
-//!   float `score_with_members` path (Fig-8 scale, `k = deploy_k`);
+//!   float `score_with_members` path (Fig-8 scale, `k = deploy_k`) — a
+//!   claim about the SIMD int8 kernels, so reported but not gated when
+//!   `VEHIGAN_FORCE_PORTABLE` pins the portable fallback;
 //! - max |AUROC(int8) − AUROC(f32)| over the 35-attack Table III campaign
-//!   ≤ 0.01;
+//!   ≤ 0.01, and the same bound for the served mixture (int8 gate score,
+//!   replaced by the f32 score where the gate score crosses τ_esc);
 //! - dispatched and portable int8 kernels agree bitwise on a
 //!   critic-shaped GEMM (i32 accumulator equality).
 
 use crate::harness::{results_dir, Harness};
 use std::time::Instant;
 use vehigan_metrics::auroc;
+use vehigan_serve::escalation_threshold;
 use vehigan_tensor::gemm::{gemm_i8, gemm_i8_portable, PackedI8};
 use vehigan_tensor::Tensor;
 
 /// Maximum tolerated AUROC drift of the int8 path vs f32 (ISSUE gate).
 pub const AUROC_DELTA_BUDGET: f64 = 0.01;
+
+/// Escalation cutoff of the mixture column: this percentile of benign
+/// int8 gate scores, so roughly `100 − p` percent of benign traffic is
+/// re-scored by the f32 ensemble. Non-escalated windows carry scores
+/// within int8 quantization error of f32, so the mixture's drift stays
+/// inside the budget at any percentile; 97.5 keeps tier 2 at ~2.5 % of
+/// benign traffic while sitting below the detection percentile (99), so
+/// every window the ensemble would flag crosses the gate (DESIGN.md §10).
+pub const ESCALATION_PERCENTILE: f64 = 97.5;
 
 /// Minimum required fused-ensemble speedup over the float path (ISSUE
 /// gate).
@@ -144,33 +155,43 @@ pub fn run(harness: &mut Harness) {
         format!("batch n={batch_n} k={k}")
     );
 
-    // --- Quantization error: Table III AUROC, int8 vs f32, all m. ---
+    // --- Quantization error: Table III AUROC, int8 vs f32, all m; and
+    // the served gate+escalation mixture vs f32 beside it. ---
+    let benign_gate = harness.gate_scores(&all, &harness.benign_windows.x);
+    let tau_esc = escalation_threshold(&benign_gate, ESCALATION_PERCENTILE);
     let mut max_delta = 0.0f64;
     let mut mean_delta = 0.0f64;
     let mut worst_attack = String::new();
+    let mut mix_max_delta = 0.0f64;
+    let mut mix_worst_attack = String::new();
     let n_attacks = harness.attacks.len();
     for ai in 0..n_attacks {
         let ds = &harness.attack_windows[ai];
         let f32_scores = harness.ensemble_attack_scores(&all, ai);
-        let int8_scores = harness
-            .pipeline
-            .vehigan
-            .score_with_members_int8(&all, &ds.x)
-            .unwrap()
-            .scores;
+        let int8_scores = harness.gate_scores(&all, &ds.x);
+        let mixture: Vec<f32> = int8_scores
+            .iter()
+            .zip(&f32_scores)
+            .map(|(&g, &t2)| if g > tau_esc { t2 } else { g })
+            .collect();
         let f32_auroc = auroc(&f32_scores, &ds.labels);
-        let int8_auroc = auroc(&int8_scores, &ds.labels);
-        let delta = (f32_auroc - int8_auroc).abs();
+        let delta = (f32_auroc - auroc(&int8_scores, &ds.labels)).abs();
         mean_delta += delta;
         if delta > max_delta {
             max_delta = delta;
             worst_attack = harness.attacks[ai].name().to_string();
         }
+        let mix_delta = (f32_auroc - auroc(&mixture, &ds.labels)).abs();
+        if mix_delta > mix_max_delta {
+            mix_max_delta = mix_delta;
+            mix_worst_attack = harness.attacks[ai].name().to_string();
+        }
     }
     mean_delta /= n_attacks as f64;
     println!(
         "Table III AUROC drift over {n_attacks} attacks: mean {mean_delta:.5}, \
-         max {max_delta:.5} ({worst_attack})"
+         max {max_delta:.5} ({worst_attack}); gate+escalation mixture at tau_esc \
+         {tau_esc:.4} (p{ESCALATION_PERCENTILE} benign): max {mix_max_delta:.5} ({mix_worst_attack})"
     );
 
     let mut json = String::new();
@@ -187,12 +208,13 @@ pub fn run(harness: &mut Harness) {
     ));
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"auroc\": {{\"attacks\": {n_attacks}, \"mean_delta\": {mean_delta:.5}, \"max_delta\": {max_delta:.5}, \"worst_attack\": \"{worst_attack}\", \"budget\": {AUROC_DELTA_BUDGET}}},\n"
+        "  \"auroc\": {{\"attacks\": {n_attacks}, \"mean_delta\": {mean_delta:.5}, \"max_delta\": {max_delta:.5}, \"worst_attack\": \"{worst_attack}\", \"tau_esc\": {tau_esc:.5}, \"mixture_max_delta\": {mix_max_delta:.5}, \"mixture_worst_attack\": \"{mix_worst_attack}\", \"budget\": {AUROC_DELTA_BUDGET}}},\n"
     ));
     json.push_str(&format!(
-        "  \"gates\": {{\"min_speedup\": {MIN_SPEEDUP}, \"speedup_ok\": {}, \"auroc_ok\": {}}}\n}}\n",
+        "  \"gates\": {{\"min_speedup\": {MIN_SPEEDUP}, \"speedup_ok\": {}, \"auroc_ok\": {}, \"mixture_auroc_ok\": {}}}\n}}\n",
         single_speedup >= MIN_SPEEDUP,
         max_delta <= AUROC_DELTA_BUDGET,
+        mix_max_delta <= AUROC_DELTA_BUDGET,
     ));
     let path = results_dir().join("BENCH_quant.json");
     std::fs::write(&path, json).expect("write BENCH_quant.json");
@@ -204,11 +226,24 @@ pub fn run(harness: &mut Harness) {
         "int8 AUROC drift {max_delta:.5} exceeds the {AUROC_DELTA_BUDGET} budget ({worst_attack})"
     );
     assert!(
-        single_speedup >= MIN_SPEEDUP,
+        mix_max_delta <= AUROC_DELTA_BUDGET,
+        "gate+escalation AUROC drift {mix_max_delta:.5} exceeds the {AUROC_DELTA_BUDGET} budget ({mix_worst_attack})"
+    );
+    // The portable int8 walk is a correctness fallback, slower than the
+    // portable f32 walk; only its scores are held to account.
+    let speed_gated = std::env::var_os("VEHIGAN_FORCE_PORTABLE").is_none();
+    assert!(
+        !speed_gated || single_speedup >= MIN_SPEEDUP,
         "fused int8 ensemble speedup {single_speedup:.2}x below the required {MIN_SPEEDUP}x"
     );
+    let speed_gate = if speed_gated {
+        format!("≥ {MIN_SPEEDUP}x ✓")
+    } else {
+        "not gated (portable dispatch forced)".to_string()
+    };
     println!(
-        "gates: speedup {single_speedup:.2}x ≥ {MIN_SPEEDUP}x ✓, \
-         AUROC drift {max_delta:.5} ≤ {AUROC_DELTA_BUDGET} ✓"
+        "gates: speedup {single_speedup:.2}x {speed_gate}, \
+         AUROC drift {max_delta:.5} ≤ {AUROC_DELTA_BUDGET} ✓, \
+         mixture drift {mix_max_delta:.5} ≤ {AUROC_DELTA_BUDGET} ✓"
     );
 }

@@ -6,6 +6,7 @@ use std::path::{Path, PathBuf};
 use vehigan_core::{score_matrix, GridConfig, Pipeline, PipelineConfig, Wgan};
 use vehigan_features::{WindowConfig, WindowDataset};
 use vehigan_sim::SimConfig;
+use vehigan_tensor::Tensor;
 use vehigan_vasp::Attack;
 
 /// Experiment scale preset.
@@ -188,6 +189,17 @@ impl Harness {
     /// Ensemble scores on benign test data for a member subset.
     pub fn ensemble_benign_scores(&self, members: &[usize]) -> Vec<f32> {
         mean_rows(members.iter().map(|&i| &self.member_benign[i]))
+    }
+
+    /// Int8 gate scores of the windows `x` under a member subset (after
+    /// `compile_int8`). One call: the int8 walk is batch-row independent,
+    /// so serve-sized tiles would score every window the same.
+    pub fn gate_scores(&self, members: &[usize], x: &Tensor) -> Vec<f32> {
+        self.pipeline
+            .vehigan
+            .score_with_members_int8(members, x)
+            .expect("int8 gate scores")
+            .scores
     }
 
     /// Ensemble threshold for a member subset (mean of member τ).

@@ -11,8 +11,7 @@
 //!
 //! or individual experiments (`catalog`, `fig3`, `fig4`, `fig5a`, `fig5b`,
 //! `fig5c`, `fig6`, `fig7a`, `fig7b`, `fig8`, `table3`). CSV artifacts are
-//! written to `results/`. Criterion timing benches for Fig 8 live under
-//! `benches/`.
+//! written to `results/`.
 
 pub mod experiments;
 pub mod harness;

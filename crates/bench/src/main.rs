@@ -6,8 +6,9 @@
 //!                            [--vehicles N] [--duration S]
 //! ```
 //!
-//! Experiments: `authority campaign catalog fig3 fig4 fig5a fig5b fig5c
-//! fig6 fig7a fig7b fig8 gemm quant resume slo stream table3 tier0 all`.
+//! The experiments are the names in [`EXPERIMENTS`]; running without
+//! arguments (or with an unknown name) prints them and exits 2, before
+//! any training starts.
 //!
 //! `--resume <dir>` makes zoo training crash-safe: every finished model is
 //! checkpointed in `<dir>` (and the in-flight training group at every
@@ -19,24 +20,115 @@
 //! `--stop-after-groups N` halts zoo training cleanly after `N` groups to
 //! simulate a kill; the `resume` experiment uses the same machinery to
 //! prove kill/resume bitwise equivalence end to end.
-//! `--vehicles N` / `--duration S` size the simulated traffic the `stream`
-//! and `slo` experiments drive through the serve data plane (defaults:
-//! 10000 vehicles, 2.0 s — the committed city-scale configuration; CI
-//! smokes a few hundred vehicles; `slo` floors the duration at 4 s so the
-//! steady phase is measurable before its overload burst).
+//! `--vehicles N` / `--duration S` size the simulated traffic of the
+//! `authority` experiment's live loop (defaults: 10000 vehicles, 2.0 s;
+//! CI smokes a few hundred vehicles). Serve-plane throughput and latency
+//! are measured by the perf ledger (`benchmark/`), not here.
 
 use std::path::PathBuf;
 use vehigan_bench::experiments::{
-    ablation, catalog, fig3, fig4, fig5, fig6, fig7, fig8, resume, table3,
+    ablation, authority, campaign, catalog, fig3, fig4, fig5, fig6, fig7, fig8, gemmbench, probe,
+    quant, resume, table3, tier0,
 };
 use vehigan_bench::harness::{Harness, Scale};
 
+/// How an experiment runs.
+enum Run {
+    /// Needs no trained system.
+    Untrained(fn(Scale)),
+    /// Runs on the trained harness; `authority` alone reads the
+    /// `--vehicles` / `--duration` values.
+    Trained(fn(&mut Harness, usize, f64)),
+}
+
+/// Every experiment the CLI accepts: the usage text, the check that
+/// rejects an unknown name before training, and the dispatch all read
+/// this one table.
+const EXPERIMENTS: &[(&str, Run)] = &[
+    ("catalog", Run::Untrained(|_| catalog::run())),
+    ("ablation", Run::Untrained(|_| ablation::run())),
+    ("probe", Run::Untrained(|_| probe::run())),
+    ("fig8", Run::Untrained(|_| fig8::run())),
+    ("gemm", Run::Untrained(|_| gemmbench::run())),
+    ("campaign", Run::Untrained(campaign::run)),
+    ("resume", Run::Untrained(|_| resume::run())),
+    ("fig3", Run::Trained(|h, _, _| fig3::run(h))),
+    ("fig4", Run::Trained(|h, _, _| fig4::run(h))),
+    ("fig5a", Run::Trained(|h, _, _| fig5::run_5a(h))),
+    ("fig5b", Run::Trained(|h, _, _| fig5::run_5b(h))),
+    ("fig5c", Run::Trained(|h, _, _| fig5::run_5c(h))),
+    ("fig6", Run::Trained(|h, _, _| fig6::run(h))),
+    (
+        "fig7a",
+        Run::Trained(|h, _, _| {
+            fig7::run_7a(h);
+        }),
+    ),
+    (
+        "fig7b",
+        Run::Trained(|h, _, _| {
+            fig7::run_7b(h);
+        }),
+    ),
+    ("table3", Run::Trained(|h, _, _| table3::run(h))),
+    ("quant", Run::Trained(|h, _, _| quant::run(h))),
+    ("tier0", Run::Trained(|h, _, _| tier0::run(h))),
+    ("authority", Run::Trained(authority::run)),
+    ("adv", Run::Trained(|h, _, _| run_adv(h))),
+    ("all", Run::Trained(run_all)),
+];
+
 fn usage() -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!(
         "usage: vehigan-bench <experiment> [--scale quick|paper] [--resume <dir>] [--retry-quarantined] [--stop-after-groups N] [--vehicles N] [--duration S]\n\
-         experiments: authority campaign catalog fig3 fig4 fig5a fig5b fig5c fig6 fig7a fig7b fig8 gemm quant resume slo stream table3 tier0 adv ablation probe all"
+         experiments: {}",
+        names.join(" ")
     );
     std::process::exit(2);
+}
+
+/// Composite: all adversarial experiments on one trained harness.
+fn run_adv(harness: &mut Harness) {
+    fig5::run_5a(harness);
+    fig5::run_5b(harness);
+    fig5::run_5c(harness);
+    fig6::run(harness);
+    fig7::run_7a(harness);
+    fig7::run_7b(harness);
+}
+
+/// Composite: every table and figure, then the system experiments.
+fn run_all(harness: &mut Harness, vehicles: usize, duration_s: f64) {
+    let section = |title: &str| println!("\n=== {title} ===");
+    section("Table I (catalog)");
+    catalog::run();
+    section("Fig 3");
+    fig3::run(harness);
+    section("Fig 4");
+    fig4::run(harness);
+    section("Fig 5a");
+    fig5::run_5a(harness);
+    section("Fig 5b");
+    fig5::run_5b(harness);
+    section("Fig 5c");
+    fig5::run_5c(harness);
+    section("Fig 6");
+    fig6::run(harness);
+    section("Fig 7a");
+    fig7::run_7a(harness);
+    section("Fig 7b");
+    fig7::run_7b(harness);
+    section("Table III");
+    table3::run(harness);
+    section("Fig 8");
+    fig8::run();
+    section("Int8 backend");
+    quant::run(harness);
+    section("Tier-0 physics gate");
+    tier0::run(harness);
+    section("Misbehavior authority");
+    authority::run(harness, vehicles, duration_s);
 }
 
 fn main() {
@@ -93,129 +185,17 @@ fn main() {
         }
     }
 
-    // Experiments that need no trained system.
-    match experiment {
-        "catalog" => {
-            catalog::run();
-            return;
+    // An unknown name is rejected here, *before* spending minutes
+    // training a harness it would never use.
+    let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == experiment) else {
+        usage()
+    };
+    match run {
+        Run::Untrained(f) => f(scale),
+        Run::Trained(f) => {
+            let mut harness =
+                Harness::build_with(scale, resume_dir, retry_quarantined, stop_after_groups);
+            f(&mut harness, vehicles, duration_s);
         }
-        "ablation" => {
-            ablation::run();
-            return;
-        }
-        "probe" => {
-            vehigan_bench::experiments::probe::run();
-            return;
-        }
-        "fig8" => {
-            fig8::run();
-            return;
-        }
-        "gemm" => {
-            vehigan_bench::experiments::gemmbench::run();
-            return;
-        }
-        "campaign" => {
-            vehigan_bench::experiments::campaign::run(scale);
-            return;
-        }
-        "resume" => {
-            resume::run();
-            return;
-        }
-        _ => {}
-    }
-
-    // Reject unknown experiment names *before* spending minutes training
-    // the harness they would never use.
-    const TRAINED: &[&str] = &[
-        "fig3",
-        "fig4",
-        "fig5a",
-        "fig5b",
-        "fig5c",
-        "fig6",
-        "fig7a",
-        "fig7b",
-        "table3",
-        "quant",
-        "slo",
-        "stream",
-        "tier0",
-        "authority",
-        "adv",
-        "all",
-    ];
-    if !TRAINED.contains(&experiment) {
-        usage();
-    }
-
-    let mut harness = Harness::build_with(scale, resume_dir, retry_quarantined, stop_after_groups);
-    let section = |title: &str| println!("\n=== {title} ===");
-    match experiment {
-        "fig3" => fig3::run(&mut harness),
-        "fig4" => fig4::run(&mut harness),
-        "fig5a" => fig5::run_5a(&mut harness),
-        "fig5b" => fig5::run_5b(&mut harness),
-        "fig5c" => fig5::run_5c(&mut harness),
-        "fig6" => fig6::run(&mut harness),
-        "fig7a" => {
-            fig7::run_7a(&mut harness);
-        }
-        "fig7b" => {
-            fig7::run_7b(&mut harness);
-        }
-        "table3" => table3::run(&mut harness),
-        "quant" => vehigan_bench::experiments::quant::run(&mut harness),
-        "slo" => vehigan_bench::experiments::slo::run(&mut harness, vehicles, duration_s),
-        "stream" => vehigan_bench::experiments::stream::run(&mut harness, vehicles, duration_s),
-        "tier0" => vehigan_bench::experiments::tier0::run(&mut harness, vehicles, duration_s),
-        "authority" => {
-            vehigan_bench::experiments::authority::run(&mut harness, vehicles, duration_s)
-        }
-        // Composite: all adversarial experiments on one trained harness.
-        "adv" => {
-            fig5::run_5a(&mut harness);
-            fig5::run_5b(&mut harness);
-            fig5::run_5c(&mut harness);
-            fig6::run(&mut harness);
-            fig7::run_7a(&mut harness);
-            fig7::run_7b(&mut harness);
-        }
-        "all" => {
-            section("Table I (catalog)");
-            catalog::run();
-            section("Fig 3");
-            fig3::run(&mut harness);
-            section("Fig 4");
-            fig4::run(&mut harness);
-            section("Fig 5a");
-            fig5::run_5a(&mut harness);
-            section("Fig 5b");
-            fig5::run_5b(&mut harness);
-            section("Fig 5c");
-            fig5::run_5c(&mut harness);
-            section("Fig 6");
-            fig6::run(&mut harness);
-            section("Fig 7a");
-            fig7::run_7a(&mut harness);
-            section("Fig 7b");
-            fig7::run_7b(&mut harness);
-            section("Table III");
-            table3::run(&mut harness);
-            section("Fig 8");
-            fig8::run();
-            section("Int8 backend");
-            vehigan_bench::experiments::quant::run(&mut harness);
-            section("Streaming service");
-            vehigan_bench::experiments::stream::run(&mut harness, vehicles, duration_s);
-            section("Serving SLO");
-            vehigan_bench::experiments::slo::run(&mut harness, vehicles, duration_s);
-            section("Tier-0 physics gate");
-            vehigan_bench::experiments::tier0::run(&mut harness, vehicles, duration_s);
-            section("Misbehavior authority");
-            vehigan_bench::experiments::authority::run(&mut harness, vehicles, duration_s);
-        }
-        _ => usage(),
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! The crate then assembles `w × f` snapshots (paper: `10 × 12`) from the
 //! rows, batched for training ([`build_windows`]) or streamed per vehicle
-//! at test time ([`StreamTracker`]), scaled to `[-1, 1]` by a
+//! at test time ([`WindowBuffer`]), scaled to `[-1, 1]` by a
 //! [`MinMaxScaler`] fitted on benign data.
 //!
 //! # Example
@@ -49,7 +49,7 @@ pub use monitor::{
     NUM_RESIDUALS, NUM_STATISTICS, RESIDUAL_NAMES,
 };
 pub use scaler::MinMaxScaler;
-pub use stream::{lru_key, EvictionConfig, StreamTracker, WindowBuffer};
+pub use stream::{lru_key, EvictionConfig, WindowBuffer};
 pub use window::{
     assemble_fragments, build_fragment, build_windows, build_windows_from_rows, engineer_rows,
     engineer_trace, fit_scaler, fit_scaler_from_rows, Representation, TraceRows, WindowConfig,

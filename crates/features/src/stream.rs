@@ -3,35 +3,33 @@
 //! On the OBU/RSU, VehiGAN keeps only the most recent `w` messages per
 //! vehicle and refreshes that vehicle's snapshot on every arriving BSM
 //! (§III-C). [`WindowBuffer`] implements exactly that per-vehicle buffer;
-//! [`StreamTracker`] multiplexes buffers across all observed pseudonyms.
-//!
-//! Both are built for the city-scale hot path:
+//! the `vehigan-serve` shards multiplex buffers across all observed
+//! pseudonyms (a single-vehicle or single-threaded caller holds a bare
+//! buffer, or a `HashMap` of them).
 //!
 //! - [`WindowBuffer::push`] is **allocation-free** once warmed up: the
 //!   scaled feature row is written straight into a fixed `w × f` ring and
 //!   the snapshot tensor is refreshed in place (two `memcpy` segments)
 //!   instead of being rebuilt from a `VecDeque` on every message;
-//! - [`StreamTracker`] evicts stale pseudonyms under an
-//!   [`EvictionConfig`] (TTL and/or LRU capacity), so pseudonym churn in
-//!   a long-lived deployment cannot grow state without bound. The same
-//!   policy drives the sharded state of `vehigan-serve`.
+//! - [`EvictionConfig`] (TTL and/or LRU capacity, ordered by [`lru_key`])
+//!   is the policy the shards evict stale pseudonyms under, so pseudonym
+//!   churn in a long-lived deployment cannot grow state without bound.
 
 use crate::decompose::decompose_pair;
 use crate::scaler::MinMaxScaler;
-use std::collections::HashMap;
-use vehigan_sim::{Bsm, VehicleId};
+use vehigan_sim::Bsm;
 use vehigan_tensor::Tensor;
 
-/// Bounds on per-vehicle window state retained by a [`StreamTracker`] or
-/// a serve shard. The default keeps everything (the historical behavior).
+/// Bounds on per-vehicle window state retained by a serve shard. The
+/// default keeps everything (the historical behavior).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EvictionConfig {
     /// Evict the least-recently-updated vehicles once more than this many
     /// are tracked (`None` = unbounded).
     pub max_vehicles: Option<usize>,
     /// Evict vehicles not heard from for longer than this many seconds of
-    /// stream time when [`StreamTracker::evict_stale`] runs (`None` =
-    /// never expire).
+    /// stream time when the shard's `evict_stale` runs (`None` = never
+    /// expire).
     pub ttl_s: Option<f64>,
 }
 
@@ -156,116 +154,13 @@ impl WindowBuffer {
 /// "freshness unknown" and ordered *before* every real timestamp, so the
 /// poisoned vehicle is the first eviction victim instead of panicking
 /// the sweep (`partial_cmp().unwrap()`) or becoming immortal (raw
-/// `total_cmp`, which sorts NaN after +∞). Used by both the tracker and
-/// the serve shards so the two eviction paths agree.
+/// `total_cmp`, which sorts NaN after +∞). The serve shards order their
+/// LRU sweep by it.
 pub fn lru_key(last_seen: f64) -> f64 {
     if last_seen.is_nan() {
         f64::NEG_INFINITY
     } else {
         last_seen
-    }
-}
-
-/// Per-vehicle window buffers keyed by pseudonym, with optional TTL/LRU
-/// eviction so city-scale pseudonym churn cannot grow state unboundedly.
-#[derive(Debug)]
-pub struct StreamTracker {
-    window: usize,
-    scaler: MinMaxScaler,
-    buffers: HashMap<VehicleId, WindowBuffer>,
-    eviction: EvictionConfig,
-    evicted: u64,
-}
-
-impl StreamTracker {
-    /// Creates an unbounded tracker with the given window length and
-    /// scaler (no eviction — the historical behavior).
-    pub fn new(window: usize, scaler: MinMaxScaler) -> Self {
-        Self::with_eviction(window, scaler, EvictionConfig::unbounded())
-    }
-
-    /// Creates a tracker that evicts per `eviction`.
-    pub fn with_eviction(window: usize, scaler: MinMaxScaler, eviction: EvictionConfig) -> Self {
-        StreamTracker {
-            window,
-            scaler,
-            buffers: HashMap::new(),
-            eviction,
-            evicted: 0,
-        }
-    }
-
-    /// Ingests a BSM, returning the sender's refreshed snapshot if ready.
-    ///
-    /// When a `max_vehicles` bound is configured and a *new* pseudonym
-    /// would exceed it, the least-recently-updated vehicles are evicted
-    /// first (ties broken by pseudonym for determinism).
-    pub fn push(&mut self, bsm: &Bsm) -> Option<&Tensor> {
-        if let Some(cap) = self.eviction.max_vehicles {
-            if !self.buffers.contains_key(&bsm.vehicle_id) && self.buffers.len() >= cap.max(1) {
-                self.evict_lru(cap.max(1) - 1);
-            }
-        }
-        let buffer = self
-            .buffers
-            .entry(bsm.vehicle_id)
-            .or_insert_with(|| WindowBuffer::new(self.window, self.scaler.clone()));
-        buffer.push(bsm)
-    }
-
-    /// Evicts least-recently-updated vehicles until at most `keep` remain.
-    fn evict_lru(&mut self, keep: usize) {
-        while self.buffers.len() > keep {
-            let victim = self
-                .buffers
-                .iter()
-                .map(|(&id, b)| (lru_key(b.last_seen()), id))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                .map(|(_, id)| id);
-            match victim {
-                Some(id) => {
-                    self.buffers.remove(&id);
-                    self.evicted += 1;
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Drops every vehicle not heard from within the configured TTL at
-    /// stream time `now`, returning how many were evicted. A no-op when no
-    /// TTL is configured.
-    pub fn evict_stale(&mut self, now: f64) -> usize {
-        let eviction = self.eviction;
-        if eviction.ttl_s.is_none() {
-            return 0;
-        }
-        let before = self.buffers.len();
-        self.buffers
-            .retain(|_, b| !eviction.is_stale(b.last_seen(), now));
-        let dropped = before - self.buffers.len();
-        self.evicted += dropped as u64;
-        dropped
-    }
-
-    /// Number of vehicles currently tracked.
-    pub fn num_vehicles(&self) -> usize {
-        self.buffers.len()
-    }
-
-    /// Total vehicles evicted by TTL or LRU since construction.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The eviction policy in effect.
-    pub fn eviction(&self) -> EvictionConfig {
-        self.eviction
-    }
-
-    /// Drops a vehicle's state (e.g. after a pseudonym change).
-    pub fn forget(&mut self, id: VehicleId) {
-        self.buffers.remove(&id);
     }
 }
 
@@ -360,90 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn tracker_separates_vehicles() {
-        let (fleet, scaler) = setup();
-        let mut tracker = StreamTracker::new(10, scaler);
-        // Interleave messages from all vehicles by timestamp order.
-        let mut all: Vec<&Bsm> = fleet.iter().flat_map(|t| &t.bsms).collect();
-        all.sort_by(|a, b| a.timestamp.partial_cmp(&b.timestamp).unwrap());
-        for bsm in all {
-            tracker.push(bsm);
-        }
-        assert_eq!(tracker.num_vehicles(), 3);
-        assert_eq!(tracker.evicted(), 0);
-    }
-
-    #[test]
-    fn forget_drops_state() {
-        let (fleet, scaler) = setup();
-        let mut tracker = StreamTracker::new(10, scaler);
-        for bsm in fleet[0].iter().take(20) {
-            tracker.push(bsm);
-        }
-        assert_eq!(tracker.num_vehicles(), 1);
-        tracker.forget(fleet[0].id);
-        assert_eq!(tracker.num_vehicles(), 0);
-    }
-
-    #[test]
-    fn lru_capacity_evicts_coldest_pseudonym() {
-        let (fleet, scaler) = setup();
-        let mut tracker = StreamTracker::with_eviction(
-            10,
-            scaler,
-            EvictionConfig {
-                max_vehicles: Some(2),
-                ttl_s: None,
-            },
-        );
-        // Vehicles arrive in id order with increasing timestamps, so the
-        // vehicle updated least recently is vehicle 0.
-        for (i, trace) in fleet.iter().enumerate() {
-            for (j, bsm) in trace.bsms.iter().take(5).enumerate() {
-                let mut b = *bsm;
-                b.timestamp = (i * 5 + j) as f64;
-                tracker.push(&b);
-            }
-        }
-        assert_eq!(tracker.num_vehicles(), 2);
-        assert_eq!(tracker.evicted(), 1);
-        // The evicted vehicle re-enters with a fresh (empty) buffer.
-        let mut again = fleet[0].bsms[0];
-        again.timestamp = 100.0;
-        assert!(tracker.push(&again).is_none());
-        assert_eq!(tracker.num_vehicles(), 2);
-        assert_eq!(tracker.evicted(), 2);
-    }
-
-    #[test]
-    fn ttl_evicts_only_stale_vehicles() {
-        let (fleet, scaler) = setup();
-        let mut tracker = StreamTracker::with_eviction(
-            10,
-            scaler,
-            EvictionConfig {
-                max_vehicles: None,
-                ttl_s: Some(2.0),
-            },
-        );
-        let mut a = fleet[0].bsms[0];
-        a.timestamp = 0.0;
-        let mut b = fleet[1].bsms[0];
-        b.timestamp = 3.0;
-        tracker.push(&a);
-        tracker.push(&b);
-        assert_eq!(tracker.evict_stale(4.0), 1, "vehicle a is 4 s stale");
-        assert_eq!(tracker.num_vehicles(), 1);
-        assert_eq!(tracker.evicted(), 1);
-        // No TTL configured → evict_stale is a no-op.
-        let (_, scaler2) = setup();
-        let mut unbounded = StreamTracker::new(10, scaler2);
-        unbounded.push(&a);
-        assert_eq!(unbounded.evict_stale(1e9), 0);
-        assert_eq!(unbounded.num_vehicles(), 1);
-    }
-
-    #[test]
     fn buffer_accepts_out_of_order_and_duplicate_timestamps_verbatim() {
         // Pin the raw WindowBuffer contract: it performs NO ordering or
         // duplicate checks. An out-of-order or duplicate-timestamp BSM
@@ -475,34 +286,19 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_survives_nan_last_seen() {
-        // A NaN timestamp that reached a buffer must not panic the LRU
-        // sweep, and the poisoned vehicle (freshness unknown) must be
-        // the first eviction victim — not immortal.
-        let (fleet, scaler) = setup();
-        let mut tracker = StreamTracker::with_eviction(
-            10,
-            scaler,
-            EvictionConfig {
-                max_vehicles: Some(2),
-                ttl_s: None,
-            },
-        );
-        let mut nan_bsm = fleet[0].bsms[0];
-        nan_bsm.timestamp = f64::NAN;
-        tracker.push(&nan_bsm);
-        let mut fresh = fleet[1].bsms[0];
-        fresh.timestamp = 5.0;
-        tracker.push(&fresh);
-        let mut newcomer = fleet[2].bsms[0];
-        newcomer.timestamp = 6.0;
-        tracker.push(&newcomer); // must not panic
-        assert_eq!(tracker.num_vehicles(), 2);
-        assert_eq!(tracker.evicted(), 1);
-        assert!(
-            !tracker.buffers.contains_key(&fleet[0].id),
-            "the NaN-stamped vehicle must be the eviction victim"
-        );
+    fn lru_key_sorts_nan_before_every_timestamp() {
+        // A NaN `last_seen` must not panic an LRU sweep, and the poisoned
+        // vehicle (freshness unknown) must be its first victim — not
+        // immortal, as raw `total_cmp` (NaN after +∞) would make it.
+        assert_eq!(lru_key(f64::NAN), f64::NEG_INFINITY);
+        for t in [f64::NEG_INFINITY, -3.5, 0.0, 7.25, f64::INFINITY] {
+            assert_eq!(lru_key(t), t, "real timestamps pass through");
+        }
+        let coldest = [5.0, f64::NAN, 6.0]
+            .into_iter()
+            .min_by(|a, b| lru_key(*a).total_cmp(&lru_key(*b)))
+            .unwrap();
+        assert!(coldest.is_nan(), "the NaN-stamped vehicle is the victim");
     }
 
     #[test]

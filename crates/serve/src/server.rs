@@ -101,9 +101,7 @@ pub const SCORE_TILE: usize = 128;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Compute budget: windows scored per tick. `None` = unbounded.
-    /// Derive from a measured per-window cost with
-    /// [`AdmissionConfig::budget_from_cost`]. Values below 1 are treated
-    /// as 1 so a tick always makes progress.
+    /// Values below 1 are treated as 1 so a tick always makes progress.
     pub windows_per_tick: Option<usize>,
     /// Pending-queue bound per shard; when a completing window would
     /// overflow it, the shard sheds its **oldest** queued window
@@ -131,22 +129,6 @@ impl AdmissionConfig {
             degrade_after: 2,
             restore_after: 3,
         }
-    }
-
-    /// Converts a measured per-window scoring cost into a window budget:
-    /// the number of windows scoreable within `utilization` (e.g. 0.7)
-    /// of one tick interval, rounded to the nearest whole window. At
-    /// 10 Hz BSM cadence the tick interval is 0.1 s.
-    pub fn budget_from_cost(
-        tick_interval_s: f64,
-        per_window_cost_s: f64,
-        utilization: f64,
-    ) -> usize {
-        assert!(
-            tick_interval_s > 0.0 && per_window_cost_s > 0.0 && utilization > 0.0,
-            "budget_from_cost needs positive inputs"
-        );
-        ((tick_interval_s * utilization / per_window_cost_s).round() as usize).max(1)
     }
 }
 
@@ -227,6 +209,22 @@ impl Default for ServerConfig {
 pub enum ServeError {
     /// `n_shards` was zero.
     ZeroShards,
+    /// [`ServerConfig::window`] was below 2: a feature row is derived
+    /// from two consecutive messages, so no shorter window exists.
+    WindowTooShort {
+        /// The configured window length.
+        window: usize,
+    },
+    /// A deployed critic scores another snapshot shape than the server
+    /// would assemble.
+    ShapeMismatch {
+        /// The configured `(window, scaler.width())`.
+        configured: (usize, usize),
+        /// Ensemble index of the disagreeing member.
+        member: usize,
+        /// The `(window, features)` that member was built for.
+        critic: (usize, usize),
+    },
     /// The pinned member subset was empty or out of bounds, or the
     /// ensemble has no healthy members.
     BadMembers(EnsembleError),
@@ -249,6 +247,18 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::ZeroShards => write!(f, "server needs at least one shard"),
+            ServeError::WindowTooShort { window } => {
+                write!(f, "window of {window} messages is below the minimum of 2")
+            }
+            ServeError::ShapeMismatch {
+                configured,
+                member,
+                critic,
+            } => write!(
+                f,
+                "server assembles {}x{} snapshots but member {member} scores {}x{}",
+                configured.0, configured.1, critic.0, critic.1
+            ),
             ServeError::BadMembers(e) => write!(f, "bad member subset: {e}"),
             ServeError::Score(e) => write!(f, "scoring failed: {e}"),
             ServeError::Int8NotCompiled => {
@@ -341,20 +351,6 @@ pub struct IngestReport {
     pub shed: u64,
     /// Shards whose ingest worker panicked (captured and resumed).
     pub panicked_shards: Vec<usize>,
-}
-
-impl IngestReport {
-    /// Whether every message was accepted with no faults.
-    pub fn fully_accepted(&self) -> bool {
-        self.accepted == self.received && self.panicked_shards.is_empty()
-    }
-
-    /// The first captured shard panic as a typed error, if any.
-    pub fn error(&self) -> Option<ServeError> {
-        self.panicked_shards
-            .first()
-            .map(|&shard| ServeError::ShardPanic { shard })
-    }
 }
 
 /// One backend's verdict on a batch scored tile by tile.
@@ -570,7 +566,10 @@ impl<'a> StreamServer<'a> {
     /// # Errors
     ///
     /// [`ServeError::ZeroShards`] for an empty shard set,
+    /// [`ServeError::WindowTooShort`] for a window below 2,
     /// [`ServeError::BadMembers`] for a bad pinned subset,
+    /// [`ServeError::ShapeMismatch`] when a deployed critic was built for
+    /// another `window × features` than the config and scaler give,
     /// [`ServeError::Int8NotCompiled`] when the gate policy needs the
     /// int8 backend but [`VehiGan::compile_int8`] has not run.
     pub fn new(
@@ -580,6 +579,11 @@ impl<'a> StreamServer<'a> {
     ) -> Result<Self, ServeError> {
         if config.n_shards == 0 {
             return Err(ServeError::ZeroShards);
+        }
+        if config.window < 2 {
+            return Err(ServeError::WindowTooShort {
+                window: config.window,
+            });
         }
         if !matches!(config.policy, EscalationPolicy::Always) && vehigan.int8_backend().is_none() {
             return Err(ServeError::Int8NotCompiled);
@@ -592,6 +596,7 @@ impl<'a> StreamServer<'a> {
             }
         };
         let gate_members = config.gate_members.unwrap_or_else(|| members.clone());
+        let configured = (config.window, scaler.width());
         for subset in [&members, &gate_members] {
             if subset.is_empty() {
                 return Err(ServeError::BadMembers(EnsembleError::EmptySubset));
@@ -602,6 +607,15 @@ impl<'a> StreamServer<'a> {
                         index: i,
                         m: vehigan.m(),
                     }));
+                }
+                let critic = vehigan.members()[i].wgan.config();
+                let critic = (critic.window, critic.features);
+                if configured != critic {
+                    return Err(ServeError::ShapeMismatch {
+                        configured,
+                        member: i,
+                        critic,
+                    });
                 }
             }
         }
@@ -769,7 +783,7 @@ impl<'a> StreamServer<'a> {
             self.stats.degraded_ticks += 1;
         }
 
-        self.stats.member_reinstatements += self.health.release_expired(self.tick_index) as u64;
+        self.health.release_expired(self.tick_index);
 
         // Tier-0 split: suppressed windows skip the ensemble entirely.
         // The gate is bypassed under `Always` (the pure-f32 reference
@@ -855,7 +869,6 @@ impl<'a> StreamServer<'a> {
                 self.health.bench(m, until);
             }
         }
-        self.stats.member_demotions = self.health.demotions();
         Ok(decisions)
     }
 
@@ -1055,7 +1068,6 @@ impl<'a> StreamServer<'a> {
         for shard in &self.shards {
             dropped += shard.lock().evict_stale(now);
         }
-        self.stats.evicted += dropped as u64;
         dropped
     }
 
@@ -1090,40 +1102,14 @@ impl<'a> StreamServer<'a> {
         &self.members
     }
 
-    /// The member subset the int8 tier-1 gate scores with.
-    pub fn gate_members(&self) -> &[usize] {
-        &self.gate_members
-    }
-
     /// Members currently benched by serve-time health probation.
     pub fn benched_members(&self) -> Vec<usize> {
         self.health.benched()
     }
 
-    /// Worker shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The configured gate policy (the effective policy may step down
-    /// while degraded — see [`ServeMode`]).
-    pub fn policy(&self) -> EscalationPolicy {
-        self.policy
-    }
-
     /// Current load-shedding posture.
     pub fn mode(&self) -> ServeMode {
         self.mode_machine.mode
-    }
-
-    /// The admission configuration in effect.
-    pub fn admission(&self) -> AdmissionConfig {
-        self.admission
-    }
-
-    /// Server ticks elapsed.
-    pub fn tick_index(&self) -> u64 {
-        self.tick_index
     }
 
     /// The ensemble this server scores with (chaos harnesses use this to
@@ -1157,21 +1143,11 @@ impl<'a> StreamServer<'a> {
         self.chaos_monitor_poison
     }
 
-    /// The tier-0 calibration the server gates with, if armed.
-    pub fn tier0(&self) -> Option<Tier0Calibration> {
-        self.tier0
-    }
-
     /// Sets (or clears) the reporter identity misbehavior reports are
     /// emitted under. Useful when coverage hands a stream between RSUs
     /// mid-run; takes effect from the next tick.
     pub fn set_reporter(&mut self, reporter: Option<VehicleId>) {
         self.reporter = reporter;
-    }
-
-    /// The reporter identity currently emitting misbehavior reports.
-    pub fn reporter(&self) -> Option<VehicleId> {
-        self.reporter
     }
 
     /// Drains the misbehavior reports emitted since the last call (in
@@ -1406,10 +1382,48 @@ mod tests {
     }
 
     #[test]
-    fn budget_from_cost_floors_at_one() {
-        // 0.1 s tick, 50 µs per window, 70% utilization → 1400 windows.
-        assert_eq!(AdmissionConfig::budget_from_cost(0.1, 50e-6, 0.7), 1400);
-        // A cost larger than the tick still admits one window.
-        assert_eq!(AdmissionConfig::budget_from_cost(0.1, 1.0, 0.5), 1);
+    fn a_window_below_two_is_refused_at_construction() {
+        // It used to build, and every ingest_batch then reported a
+        // captured ShardPanic (WindowBuffer::new's assert).
+        let vehigan = VehiGan::new(two_critics(), 2, 1).unwrap();
+        let scaler = MinMaxScaler::fit_flat(12, (0..24).map(f64::from));
+        let config = ServerConfig {
+            window: 1,
+            ..ServerConfig::default()
+        };
+        let err = StreamServer::new(&vehigan, scaler, config).err();
+        assert!(
+            matches!(err, Some(ServeError::WindowTooShort { window: 1 })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_snapshot_shape_the_critics_do_not_score_is_refused_at_construction() {
+        // It used to build, and the first tick died on score_fused's
+        // length assert. The critics are 10 x 12.
+        let vehigan = VehiGan::new(two_critics(), 2, 1).unwrap();
+        let scaler = |width: usize| MinMaxScaler::fit_flat(width, (0..2 * width).map(|v| v as f64));
+        let refused = |window: usize, width: usize| {
+            let config = ServerConfig {
+                window,
+                members: Some(vec![1]),
+                ..ServerConfig::default()
+            };
+            match StreamServer::new(&vehigan, scaler(width), config).err() {
+                Some(ServeError::ShapeMismatch {
+                    configured,
+                    member: 1,
+                    critic: (10, 12),
+                }) => configured == (window, width),
+                _ => false,
+            }
+        };
+        assert!(refused(8, 12), "a shorter window");
+        assert!(refused(10, 6), "a narrower scaler");
+        // Same 120 floats per snapshot, still not what the critics score.
+        assert!(refused(12, 10), "a transposed shape");
+        let config = ServerConfig::default();
+        assert!(StreamServer::new(&vehigan, scaler(12), config).is_ok());
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use vehigan::core::{Pipeline, PipelineConfig};
-use vehigan::features::StreamTracker;
+use vehigan::features::WindowBuffer;
 use vehigan::mbr::{
     AuthorityPolicy, IngestOutcome, LongTermId, Mbr, MisbehaviorAuthority, PseudonymManager,
 };
@@ -67,11 +67,11 @@ fn main() {
         println!("attacker now transmitting as {pseudonym}");
         // Each observer maintains its own window buffer over the stream.
         for (oi, &observer) in observers.iter().enumerate() {
-            let mut tracker = StreamTracker::new(10, pipeline.scaler.clone());
+            let mut buffer = WindowBuffer::new(10, pipeline.scaler.clone());
             for (i, bsm) in msgs.iter().enumerate() {
                 let mut tagged = *bsm;
                 tagged.vehicle_id = pseudonym;
-                let Some(snapshot) = tracker.push(&tagged) else {
+                let Some(snapshot) = buffer.push(&tagged) else {
                     continue;
                 };
                 if i % 11 != oi {

@@ -182,7 +182,7 @@ fn lite_critic_preserves_detection_quality() {
 
 #[test]
 fn streaming_detection_flags_the_attacker_not_the_honest() {
-    use vehigan::features::StreamTracker;
+    use vehigan::features::WindowBuffer;
     use vehigan::tensor::init::seeded_rng;
     use vehigan::vasp::{inject, AttackParams, AttackPolicy};
 
@@ -199,12 +199,12 @@ fn streaming_detection_flags_the_attacker_not_the_honest() {
     );
     let honest = &fleet[1];
 
-    let mut tracker = StreamTracker::new(10, p.scaler.clone());
     let mut flagged = [0usize; 2];
     let mut scored = [0usize; 2];
     for (slot, trace) in [(0, &attacked.trace), (1, honest)] {
+        let mut buffer = WindowBuffer::new(10, p.scaler.clone());
         for (i, bsm) in trace.bsms.iter().enumerate() {
-            if let Some(snapshot) = tracker.push(bsm) {
+            if let Some(snapshot) = buffer.push(bsm) {
                 if i % 7 != 0 {
                     continue;
                 }
@@ -227,13 +227,13 @@ fn streaming_detection_flags_the_attacker_not_the_honest() {
     );
     // The robust claim is the score ordering: streamed attacker windows
     // must score clearly above streamed honest windows on average.
-    let mut tracker2 = StreamTracker::new(10, p.scaler.clone());
     let members: Vec<usize> = (0..p.vehigan.m()).collect();
     let mut sums = [0.0f64; 2];
     let mut counts = [0usize; 2];
     for (slot, trace) in [(0, &attacked.trace), (1, honest)] {
+        let mut buffer = WindowBuffer::new(10, p.scaler.clone());
         for (i, bsm) in trace.bsms.iter().enumerate() {
-            if let Some(snapshot) = tracker2.push(bsm) {
+            if let Some(snapshot) = buffer.push(bsm) {
                 if i % 7 != 0 {
                     continue;
                 }

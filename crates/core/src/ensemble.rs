@@ -190,16 +190,17 @@ impl CriticMember {
 
 /// What one member costs the f32 path per window, for
 /// [`workers_for`]: the fused walk measures 30–45 µs per window through a
-/// `k = 5` subset on one core of the ledger host
-/// (`core.ensemble_f32.ns_per_window`), a fifth of it per member.
+/// `k = 5` subset on one core of the ledger host (41.5–43.4 µs for five
+/// critics of depths 4 and 5, re-measured for the wake-cost policy,
+/// EXPERIMENTS.md ISSUE 17), a fifth of it per member.
 const F32_NS_PER_MEMBER_ROW: usize = 8_000;
 
 /// The mutable half of one precision's scoring path, reused by every call
-/// and built with the detector — so a warm call allocates nothing (a
-/// forked one: nothing but the spawns), and the buffers stay warm across
-/// servers and outside a server's peak heap.
+/// and built with the detector — so a warm call allocates nothing,
+/// forked or not, and the buffers stay warm across servers and outside a
+/// server's peak heap.
 pub(crate) struct ForkState<S> {
-    /// Rows per task of a forked call.
+    /// Most rows a task of a forked call takes.
     chunk_rows: usize,
     /// One scratch per thread of a call, each fitted to every member.
     workers: Vec<S>,
@@ -556,8 +557,8 @@ impl VehiGan {
     /// in, `n` ensemble scores written to `out`, bitwise the scores the
     /// `Tensor` entry point returns, and nothing allocated on the way
     /// (once the score buffer has grown to the batch size; a dropped
-    /// member or an error does allocate its index list, and a call large
-    /// enough to fork pays its spawns).
+    /// member or an error does allocate its index list), whether or not
+    /// the call forks.
     ///
     /// The rows are shared out over up to [`workers_for`] threads, the
     /// caller among them, each on its own scratch; the reduction, the
@@ -613,18 +614,18 @@ impl VehiGan {
 
     /// The one ensemble walk, shared by both precisions: `score(scratch,
     /// member, rows, scores)` runs once per member of `indices` and chunk
-    /// of `state.chunk_rows` windows (the whole batch on one worker), as
-    /// the tasks of one [`fork_join`] over `workers` threads, each on its
-    /// own scratch of `state`; then the member rows are reduced over the
-    /// whole call into `out`, one score per window. A task that panics,
-    /// scores non-finite or belongs to a chaos-poisoned member fails its
-    /// member, never the call.
+    /// of up to `state.chunk_rows` windows (the whole batch on one
+    /// worker), as the tasks of one [`fork_join`] over `workers` threads,
+    /// each on its own scratch of `state`; then the member rows are
+    /// reduced over the whole call into `out`, one score per window. A
+    /// task that panics, scores non-finite or belongs to a chaos-poisoned
+    /// member fails its member, never the call.
     ///
-    /// A thread spawned for the call reaches its core 30–130 µs after the
-    /// caller has started (measured on the ledger host), sometimes much
-    /// later; with the rows in small chunks the caller simply scores more
-    /// of them meanwhile, and whoever finishes last is at most one task
-    /// behind.
+    /// A helper that was parked reaches its first task ≈ 50 µs after the
+    /// caller has started (measured on the ledger host), one that is busy
+    /// elsewhere never; with the rows in small chunks the caller simply
+    /// scores more of them meanwhile, and whoever finishes last is at
+    /// most one task behind.
     pub(crate) fn score_forked<S: Send>(
         &self,
         state: &mut ForkState<S>,
@@ -639,7 +640,11 @@ impl VehiGan {
         let chunk = if workers == 1 {
             n.max(1)
         } else {
-            state.chunk_rows
+            // At least four tasks a worker while the rows last: the share
+            // of a helper that joins late goes to the others a task at a
+            // time, and whoever finishes last is one small task behind.
+            let chunks = (4 * workers).div_ceil(k);
+            (n / chunks).clamp(1, state.chunk_rows)
         };
         let workers = workers.clamp(1, n.div_ceil(chunk).max(1) * k);
         assert!(workers <= state.workers.len(), "state has too few workers");

@@ -26,13 +26,15 @@ use vehigan_lite::{Int8Weights, Scratch};
 use vehigan_tensor::Tensor;
 
 /// What one member costs the gate per window, for [`workers_for`]: the
-/// window-major walk measures 20–22 µs per window through a `k = 5`
-/// subset on the ledger host (`core.int8_backend.ns_per_window`).
+/// window-major walk measures 21.5–22.9 µs per window through a `k = 5`
+/// subset on one core of the ledger host
+/// (`lite.int8_ensemble.ns_per_window`; re-measured for the wake-cost
+/// policy, EXPERIMENTS.md ISSUE 17).
 const INT8_NS_PER_MEMBER_ROW: usize = 4_000;
 
-/// Rows per task of a forked call: four keep a member's packed weights
-/// hot across a task (≈ 16 µs) and the queue's lock around 1 % of the
-/// work.
+/// Most rows a task of a forked call takes: four keep a member's packed
+/// weights hot across a task (≈ 18 µs) and the queue's lock around 1 % of
+/// the work.
 const CHUNK_ROWS: usize = 4;
 
 /// Every member's critic compiled to int8, indexed like the members.
@@ -145,8 +147,8 @@ impl VehiGan {
     /// the scores the `Tensor` entry point returns. Nothing is copied or
     /// allocated on the way (once the backend's buffers have grown to the
     /// batch size; a dropped member or an error does allocate its index
-    /// list, and a call large enough to fork pays its spawns), which is
-    /// what the serve plane's per-tile gate calls need.
+    /// list), whether or not the call forks, which is what the serve
+    /// plane's per-tile gate calls need.
     ///
     /// The rows are shared out over up to [`workers_for`] threads, the
     /// caller among them; the reduction, the survivor set and τ come

@@ -73,15 +73,18 @@ impl MemberHealth {
     /// dropped per-batch) beats guaranteeing an empty-subset error until
     /// probation expires.
     pub fn active(&self, pinned: &[usize]) -> Vec<usize> {
-        let active: Vec<usize> = pinned
-            .iter()
-            .copied()
-            .filter(|&m| !self.is_benched(m))
-            .collect();
+        let mut active = Vec::new();
+        self.active_into(pinned, &mut active);
+        active
+    }
+
+    /// [`MemberHealth::active`] into a list the caller keeps: `active` is
+    /// overwritten.
+    pub(crate) fn active_into(&self, pinned: &[usize], active: &mut Vec<usize>) {
+        active.clear();
+        active.extend(pinned.iter().filter(|&&m| !self.is_benched(m)));
         if active.is_empty() {
-            pinned.to_vec()
-        } else {
-            active
+            active.extend_from_slice(pinned);
         }
     }
 

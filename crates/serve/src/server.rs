@@ -366,10 +366,10 @@ struct TiledScores {
 
 /// What one tick scores with: the policy in effect and the member
 /// subsets left after health probation.
-struct Deployment {
+struct Deployment<'a> {
     policy: EscalationPolicy,
-    members: Vec<usize>,
-    gate_members: Vec<usize>,
+    members: &'a [usize],
+    gate_members: &'a [usize],
 }
 
 /// Working memory of [`StreamServer::score_windows`]. Like everything in
@@ -390,6 +390,12 @@ struct TierScratch {
 /// tick allocates only what it hands out (its decisions and reports).
 #[derive(Default)]
 struct TickArena {
+    /// Per shard, the windows pending and the windows admitted.
+    lens: Vec<usize>,
+    take: Vec<usize>,
+    /// The pinned subsets minus the members on probation.
+    members: Vec<usize>,
+    gate_members: Vec<usize>,
     /// The admitted windows' metadata, shard by shard, and the snapshots
     /// of those to be scored.
     meta: Vec<PendingWindow>,
@@ -417,8 +423,9 @@ struct IngestTask {
     shed: u64,
 }
 
-/// What [`Shard::ingest`] costs per message, for [`workers_for`]: the
-/// ledger's `serve.shard.ingest_ns_per_bsm` reads 220–250 ns.
+/// What [`Shard::ingest`] costs per message, for [`workers_for`]: an
+/// unforked `ingest_batch` reads 242–256 ns per BSM on the ledger
+/// (`serve.ingest_batch.ns_per_bsm` at PR 16; the shard alone 220–340).
 const INGEST_NS_PER_BSM: usize = 240;
 
 /// The degrade/restore hysteresis core, kept free of server state so the
@@ -467,16 +474,15 @@ impl ModeMachine {
 /// each shard: every shard gets its proportional share (floor), and the
 /// remainder is dealt one window at a time in shard-index order to
 /// shards with backlog left. Deterministic in the queue depths alone.
-fn budgeted_take(lens: &[usize], budget: Option<usize>) -> Vec<usize> {
+/// `take` is overwritten with one count per shard.
+fn budgeted_take_into(lens: &[usize], budget: Option<usize>, take: &mut Vec<usize>) {
+    take.clear();
     let total: usize = lens.iter().sum();
-    let Some(b) = budget else {
-        return lens.to_vec();
+    let Some(b) = budget.map(|b| b.max(1)).filter(|&b| total > b) else {
+        take.extend_from_slice(lens);
+        return;
     };
-    let b = b.max(1);
-    if total <= b {
-        return lens.to_vec();
-    }
-    let mut take: Vec<usize> = lens.iter().map(|&l| l * b / total).collect();
+    take.extend(lens.iter().map(|&l| l * b / total));
     let mut assigned: usize = take.iter().sum();
     let mut i = 0;
     while assigned < b {
@@ -486,7 +492,6 @@ fn budgeted_take(lens: &[usize], budget: Option<usize>) -> Vec<usize> {
         }
         i = (i + 1) % lens.len();
     }
-    take
 }
 
 /// Runs one shard's bucket with panic capture: a panicked worker is
@@ -762,11 +767,19 @@ impl<'a> StreamServer<'a> {
         self.tick_index += 1;
         self.stats.ticks += 1;
 
-        let lens: Vec<usize> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().pending_windows())
-            .collect();
+        let TickArena {
+            lens,
+            take,
+            members,
+            gate_members,
+            batch,
+            meta,
+            screened_meta,
+            screened,
+            tiers,
+        } = arena;
+        lens.clear();
+        lens.extend(self.shards.iter().map(|s| s.lock().pending_windows()));
         let offered: usize = lens.iter().sum();
         let over_budget = self
             .admission
@@ -795,21 +808,14 @@ impl<'a> StreamServer<'a> {
             .filter(|_| !self.chaos_monitor_poison && !matches!(policy, EscalationPolicy::Always))
             .map(|cal| cal.tau);
 
-        let take = budgeted_take(&lens, self.admission.windows_per_tick);
-        let TickArena {
-            batch,
-            meta,
-            screened_meta,
-            screened,
-            tiers,
-        } = arena;
+        budgeted_take_into(lens, self.admission.windows_per_tick, take);
         batch.clear();
         meta.clear();
         tiers.dropped.clear();
         // With the gate on, only the windows that will be scored bring
         // their snapshots along: `batch` holds the unsuppressed windows
         // of `meta`, in order.
-        for (shard, &k) in self.shards.iter().zip(&take) {
+        for (shard, &k) in self.shards.iter().zip(take.iter()) {
             if k > 0 {
                 let mut shard = shard.lock();
                 shard.take_pending_into(k, gate_tau.is_none(), batch, meta);
@@ -820,10 +826,12 @@ impl<'a> StreamServer<'a> {
         }
         let (batch, meta) = (&batch[..], &meta[..]);
         let n = meta.len();
+        self.health.active_into(&self.members, members);
+        self.health.active_into(&self.gate_members, gate_members);
         let deploy = Deployment {
             policy,
-            members: self.health.active(&self.members),
-            gate_members: self.health.active(&self.gate_members),
+            members,
+            gate_members,
         };
         // The τ a window is decided against when tier 0 suppresses it.
         let suppressed_tau = |w: &PendingWindow| gate_tau.filter(|_| w.suppressed);
@@ -931,7 +939,7 @@ impl<'a> StreamServer<'a> {
         &mut self,
         batch: &[f32],
         meta: &[PendingWindow],
-        deploy: &Deployment,
+        deploy: &Deployment<'_>,
         tiers: &mut TierScratch,
         decisions: &mut Vec<Decision>,
     ) -> Result<(), ServeError> {
@@ -966,21 +974,21 @@ impl<'a> StreamServer<'a> {
             };
         match deploy.policy {
             EscalationPolicy::Always => {
-                self.score_tiled(batch, n, false, &deploy.members, tier2)?;
+                self.score_tiled(batch, n, false, deploy.members, tier2)?;
                 self.stats.escalated += n as u64;
                 self.stats.tier2_escalated += n as u64;
                 decide(tier2, true, true);
                 dropped.extend_from_slice(&tier2.dropped);
             }
             EscalationPolicy::Never => {
-                self.score_tiled(batch, n, true, &deploy.gate_members, gate)?;
+                self.score_tiled(batch, n, true, deploy.gate_members, gate)?;
                 self.record_gates(meta, &gate.scores);
                 self.stats.tier1_screened += n as u64;
                 decide(gate, false, true);
                 dropped.extend_from_slice(&gate.dropped);
             }
             EscalationPolicy::Threshold(tau_esc) => {
-                self.score_tiled(batch, n, true, &deploy.gate_members, gate)?;
+                self.score_tiled(batch, n, true, deploy.gate_members, gate)?;
                 self.record_gates(meta, &gate.scores);
                 escalate.clear();
                 escalate.extend((0..n).filter(|&i| gate.scores[i] > tau_esc));
@@ -992,7 +1000,7 @@ impl<'a> StreamServer<'a> {
                     for &i in escalate.iter() {
                         sub.extend_from_slice(&batch[i * wl..(i + 1) * wl]);
                     }
-                    self.score_tiled(sub, escalate.len(), false, &deploy.members, tier2)?;
+                    self.score_tiled(sub, escalate.len(), false, deploy.members, tier2)?;
                     for (&i, (&score, &threshold)) in escalate
                         .iter()
                         .zip(tier2.scores.iter().zip(&tier2.thresholds))
@@ -1172,6 +1180,12 @@ mod tests {
 
     #[test]
     fn budgeted_take_is_proportional_and_exact() {
+        let budgeted_take = |lens: &[usize], budget| {
+            // Whatever the last tick left there is overwritten.
+            let mut take = vec![9; 7];
+            budgeted_take_into(lens, budget, &mut take);
+            take
+        };
         // Under budget: take everything.
         assert_eq!(budgeted_take(&[3, 0, 2], Some(10)), vec![3, 0, 2]);
         assert_eq!(budgeted_take(&[3, 0, 2], None), vec![3, 0, 2]);
@@ -1364,8 +1378,8 @@ mod tests {
             .collect();
         let deploy = Deployment {
             policy: EscalationPolicy::Always,
-            members: vec![0, 1],
-            gate_members: vec![0, 1],
+            members: &[0, 1],
+            gate_members: &[0, 1],
         };
         let (mut tiers, mut decisions) = (TierScratch::default(), Vec::new());
         server

@@ -1174,8 +1174,7 @@ unsafe fn avx2_block<const R: usize>(
     let pairs = b.span_len.div_ceil(2);
     let k_pairs = b.spans * pairs;
     let n_strips = n.div_ceil(NR_I8);
-    for r in 0..R {
-        let base = p.offset(r0 + r);
+    for (r, base) in block_offsets::<R>(p, r0, R).into_iter().enumerate() {
         for span in 0..b.spans {
             extend_row_pairs(
                 &a[base + span * p.row_stride..][..b.span_len],
@@ -1384,10 +1383,7 @@ unsafe fn vnni_block<const R: usize>(
     sink: &mut Sink<'_>,
     max: &mut std::arch::x86_64::__m512,
 ) {
-    let mut base = [a.as_ptr(); R];
-    for (r, ptr) in base.iter_mut().enumerate() {
-        *ptr = ptr.add(p.offset(r0 + r));
-    }
+    let base = block_offsets::<R>(p, r0, R).map(|at| a.as_ptr().add(at));
     let n_strips = b.n.div_ceil(NR_VNNI);
     let mut s = 0;
     while s + 2 <= n_strips {

@@ -9,38 +9,33 @@
 //!
 //! # Fleet-scale design
 //!
-//! Evidence lives in `n_shards` hash-partitioned shards behind per-shard
-//! locks, mirroring `vehigan-serve`'s data plane. The shard key is the
-//! suspect's resolved *long-term* identity when a linkage manager is
-//! attached (so every pseudonym of one vehicle — and therefore every
-//! sibling revocation a conviction triggers — stays inside one shard),
-//! falling back to the pseudonym id otherwise.
+//! What lets one authority take a fleet's reports is what it keeps per
+//! suspect and what it hands its mirrors, not how it is threaded:
 //!
-//! [`MisbehaviorAuthority::ingest_batch`] fans a batch out across shards
-//! and is **bitwise-identical to serial ingest** of the same slice:
+//! - **Bounded evidence.** A suspect's open case is one constant-size
+//!   [`SuspectEvidence`], boxed in a single map keyed by the accused
+//!   pseudonym — memory grows with open suspects, never with reports.
+//!   (Boxed because the map is one power-of-two table: inline 296-byte
+//!   entries made its doublings the peak of the flood's heap.)
+//! - **Linkage.** With a [`PseudonymManager`] attached, a conviction
+//!   revokes every pseudonym of the resolved long-term identity and
+//!   closes their open cases, and rotations are revoked at issue.
+//! - **CRL deltas.** Every revocation is journaled, so mirrors sync by
+//!   sequence number ([`crate::CrlDelta`]).
 //!
-//! 1. Reports are routed to shards preserving arrival order, so each
-//!    suspect group sees exactly the per-group subsequence serial ingest
-//!    would feed it.
-//! 2. Workers read the global CRL *frozen* at batch start plus a
-//!    shard-local map of revocations decided earlier in this batch.
-//!    Because a conviction only ever revokes pseudonyms in its own shard
-//!    (the linkage-aware shard key), the local map is complete: a worker
-//!    observes precisely the revocations serial ingest would have
-//!    applied before each of its reports.
-//! 3. Per-suspect evidence updates are plain `f64` arithmetic driven
-//!    only by that suspect's report subsequence — no cross-suspect or
-//!    cross-shard state — so shard evidence ends bit-identical.
-//! 4. Convictions are merged into the CRL serially in (shard, arrival)
-//!    order; the resulting entry *set* equals serial ingest's (op order
-//!    may differ, which is why [`CertificateRevocationList`] equality
-//!    compares entries, not journal order).
+//! There is one ingest path, the private `ingest_one`: a
+//! conviction lands on the CRL, in `convicted_lt` and in the counters
+//! where it is decided, so the next report — in the same batch or not —
+//! sees it. [`ingest`](MisbehaviorAuthority::ingest),
+//! [`ingest_ref`](MisbehaviorAuthority::ingest_ref) and
+//! [`ingest_batch`](MisbehaviorAuthority::ingest_batch) differ only in
+//! what they hand back (DESIGN.md §13 has the measurement that retired
+//! a sharded, threaded batch path).
 
 use crate::crl::{CertificateRevocationList, RevocationRecord};
 use crate::evidence::{Observation, SuspectEvidence};
 use crate::pseudonym::{LongTermId, PseudonymManager};
 use crate::report::{InvalidMbrError, Mbr};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use vehigan_sim::VehicleId;
 
@@ -126,7 +121,7 @@ pub struct BatchReport {
     pub stale_discarded: usize,
     /// Reports about permanently revoked vehicles.
     pub already_revoked: usize,
-    /// Convictions and extensions decided, in (shard, arrival) order.
+    /// Convictions and extensions decided, in arrival order.
     pub convictions: Vec<Conviction>,
 }
 
@@ -146,25 +141,6 @@ pub struct AuthorityStats {
     /// Extensions of active time-limited revocations.
     pub extensions: u64,
 }
-
-/// Evidence partition: suspects hashed here by group key.
-#[derive(Debug, Default)]
-struct Shard {
-    evidence: HashMap<VehicleId, SuspectEvidence>,
-}
-
-/// Batch-local worker state, merged serially after the fan-out.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    /// Revocations decided earlier in this batch (this shard only).
-    pending_rev: HashMap<VehicleId, RevocationRecord>,
-    convictions: Vec<Conviction>,
-    counters: AuthorityStats,
-}
-
-/// Below this batch size the fan-out runs on the calling thread —
-/// thread spawn overhead would dominate.
-const PARALLEL_THRESHOLD: usize = 4096;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -191,7 +167,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 #[derive(Debug)]
 pub struct MisbehaviorAuthority {
     policy: AuthorityPolicy,
-    shards: Vec<Mutex<Shard>>,
+    /// Open cases by accused pseudonym (boxed: see module docs).
+    evidence: HashMap<VehicleId, Box<SuspectEvidence>>,
     crl: CertificateRevocationList,
     scms: Option<PseudonymManager>,
     /// Long-term identities with a standing conviction (drives
@@ -201,36 +178,23 @@ pub struct MisbehaviorAuthority {
 }
 
 impl MisbehaviorAuthority {
-    /// Creates an authority with the given policy and a default shard
-    /// count of 8.
+    /// Creates an authority with the given policy.
     ///
     /// # Panics
     ///
     /// Panics if the policy is degenerate (zero reporters/reports or a
     /// non-positive window).
     pub fn new(policy: AuthorityPolicy) -> Self {
-        Self::with_shards(policy, 8)
-    }
-
-    /// Creates an authority with an explicit evidence shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate policy or `n_shards == 0`.
-    pub fn with_shards(policy: AuthorityPolicy, n_shards: usize) -> Self {
         assert!(policy.min_reporters >= 1, "need at least one reporter");
         assert!(
             policy.min_reports >= policy.min_reporters,
             "min_reports must be >= min_reporters"
         );
         assert!(policy.window_s > 0.0, "window must be positive");
-        assert!(n_shards >= 1, "need at least one shard");
         MisbehaviorAuthority {
             crl: CertificateRevocationList::new(policy.revocation_validity_s),
             policy,
-            shards: (0..n_shards)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
+            evidence: HashMap::new(),
             scms: None,
             convicted_lt: HashMap::new(),
             stats: AuthorityStats::default(),
@@ -266,47 +230,6 @@ impl MisbehaviorAuthority {
         self.stats
     }
 
-    /// Evidence shard count.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard routing key: the resolved long-term identity when linkage
-    /// is attached (tagged to avoid colliding with raw pseudonym ids),
-    /// else the pseudonym itself. Keeping a vehicle's pseudonyms on one
-    /// shard is what makes batch-local revocation state complete.
-    fn group_key(&self, suspect: VehicleId) -> u64 {
-        match self.scms.as_ref().and_then(|s| s.resolve(suspect)) {
-            Some(lt) => (1u64 << 32) | lt.0 as u64,
-            None => suspect.0 as u64,
-        }
-    }
-
-    fn shard_index(&self, suspect: VehicleId) -> usize {
-        let key = self.group_key(suspect);
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize) % self.shards.len()
-    }
-
-    /// Folds a worker's decisions into the global CRL and counters.
-    fn merge_scratch(&mut self, scratch: BatchScratch) -> Vec<Conviction> {
-        for conv in &scratch.convictions {
-            for sib in &conv.revoked {
-                self.crl.revoke(*sib, conv.record.clone());
-            }
-            if let Some(lt) = conv.long_term {
-                self.convicted_lt.insert(lt, conv.record.clone());
-            }
-        }
-        let c = scratch.counters;
-        self.stats.accepted += c.accepted;
-        self.stats.rejected += c.rejected;
-        self.stats.stale_discarded += c.stale_discarded;
-        self.stats.already_revoked += c.already_revoked;
-        self.stats.convictions += c.convictions;
-        self.stats.extensions += c.extensions;
-        scratch.convictions
-    }
-
     /// Ingests one report, possibly convicting the suspect.
     pub fn ingest(&mut self, report: Mbr) -> IngestOutcome {
         self.ingest_ref(&report)
@@ -315,83 +238,96 @@ impl MisbehaviorAuthority {
     /// Ingests one report by reference (the hot path: evidence is only
     /// inspected, never retained).
     pub fn ingest_ref(&mut self, report: &Mbr) -> IngestOutcome {
-        let idx = self.shard_index(report.suspect);
-        let mut scratch = BatchScratch::default();
-        let out = {
-            let mut shard = self.shards[idx].lock();
-            ingest_one(
-                &self.policy,
-                &self.crl,
-                self.scms.as_ref(),
-                &mut shard.evidence,
-                &mut scratch,
-                report,
-            )
-        };
-        self.merge_scratch(scratch);
-        out
+        self.ingest_one(report).0
     }
 
-    /// Ingests a batch of reports, fanning out across evidence shards
-    /// (parallel above `PARALLEL_THRESHOLD` reports) and merging
-    /// deterministically. Final authority state is bitwise-identical to
-    /// calling [`ingest`](Self::ingest) on each report in slice order
-    /// (see module docs for the argument).
+    /// Ingests a slice of reports in order — the same as calling
+    /// [`ingest_ref`](Self::ingest_ref) on each — and summarises what
+    /// happened to them.
     pub fn ingest_batch(&mut self, reports: &[Mbr]) -> BatchReport {
-        let n = self.shards.len();
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, r) in reports.iter().enumerate() {
-            buckets[self.shard_index(r.suspect)].push(i);
-        }
-        let run_shard = |shard_idx: usize, idxs: &[usize]| -> BatchScratch {
-            let mut scratch = BatchScratch::default();
-            let mut shard = self.shards[shard_idx].lock();
-            for &i in idxs {
-                let _ = ingest_one(
-                    &self.policy,
-                    &self.crl,
-                    self.scms.as_ref(),
-                    &mut shard.evidence,
-                    &mut scratch,
-                    &reports[i],
-                );
-            }
-            scratch
-        };
-        let scratches: Vec<BatchScratch> = if n == 1 || reports.len() < PARALLEL_THRESHOLD {
-            buckets
-                .iter()
-                .enumerate()
-                .map(|(s, idxs)| run_shard(s, idxs))
-                .collect()
-        } else {
-            let run_shard = &run_shard;
-            crossbeam::thread::scope(|sc| {
-                let handles: Vec<_> = buckets
-                    .iter()
-                    .enumerate()
-                    .map(|(s, idxs)| sc.spawn(move |_| run_shard(s, idxs)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("authority shard worker panicked"))
-                    .collect()
-            })
-            .expect("authority batch scope panicked")
-        };
-        let mut out = BatchReport {
+        let before = self.stats;
+        let convictions = reports
+            .iter()
+            .filter_map(|r| self.ingest_one(r).1)
+            .collect();
+        let counted = |now: u64, then: u64| (now - then) as usize;
+        BatchReport {
             received: reports.len(),
-            ..BatchReport::default()
-        };
-        for scratch in scratches {
-            let c = scratch.counters;
-            out.accepted += c.accepted as usize;
-            out.rejected += c.rejected as usize;
-            out.stale_discarded += c.stale_discarded as usize;
-            out.already_revoked += c.already_revoked as usize;
-            out.convictions.extend(self.merge_scratch(scratch));
+            accepted: counted(self.stats.accepted, before.accepted),
+            rejected: counted(self.stats.rejected, before.rejected),
+            stale_discarded: counted(self.stats.stale_discarded, before.stale_discarded),
+            already_revoked: counted(self.stats.already_revoked, before.already_revoked),
+            convictions,
         }
-        out
+    }
+
+    /// The single-report state machine every ingest entry point runs. A
+    /// conviction is applied — CRL, sibling cases, `convicted_lt`,
+    /// counters — before this returns, so the next report sees it.
+    fn ingest_one(&mut self, report: &Mbr) -> (IngestOutcome, Option<Conviction>) {
+        let policy = self.policy;
+        if let Err(e) = report.validate(policy.evidence_len) {
+            self.stats.rejected += 1;
+            return (IngestOutcome::Rejected(e), None);
+        }
+        let suspect = report.suspect;
+        let t = report.timestamp;
+        let revoked_now = self.crl.is_revoked(suspect, t);
+        if revoked_now && policy.revocation_validity_s.is_none() {
+            // Permanent revocation: nothing left to decide.
+            self.stats.already_revoked += 1;
+            return (IngestOutcome::AlreadyRevoked, None);
+        }
+        // Time-limited revocations keep accumulating evidence so continuous
+        // misbehavior extends them instead of letting them lapse.
+        let entry = self.evidence.entry(suspect).or_default();
+        let margin = f64::from(report.margin());
+        if entry.observe(report.reporter, t, margin, policy.window_s) == Observation::Stale {
+            self.stats.stale_discarded += 1;
+            return (IngestOutcome::StaleDiscarded, None);
+        }
+        self.stats.accepted += 1;
+        let reporters = entry.reporter_count(policy.window_s);
+        let reports = entry.report_count();
+        if reporters < policy.min_reporters || reports < policy.min_reports {
+            return (IngestOutcome::Pending { reporters, reports }, None);
+        }
+        let record = RevocationRecord {
+            revoked_at: entry.high_water,
+            reporter_count: reporters,
+            report_count: reports,
+            mean_margin: entry.mean_margin(),
+        };
+        let long_term = self.scms.as_ref().and_then(|s| s.resolve(suspect));
+        let mut revoked = match (long_term, &self.scms) {
+            (Some(lt), Some(s)) => s.pseudonyms_of(lt),
+            _ => vec![suspect],
+        };
+        if !revoked.contains(&suspect) {
+            revoked.push(suspect);
+        }
+        for sib in &revoked {
+            self.crl.revoke(*sib, record.clone());
+            self.evidence.remove(sib);
+        }
+        if let Some(lt) = long_term {
+            self.convicted_lt.insert(lt, record.clone());
+        }
+        self.stats.convictions += 1;
+        self.stats.extensions += u64::from(revoked_now);
+        let conviction = Conviction {
+            suspect,
+            long_term,
+            revoked,
+            record: record.clone(),
+            extension: revoked_now,
+        };
+        let outcome = if revoked_now {
+            IngestOutcome::Extended(record)
+        } else {
+            IngestOutcome::Revoked(record)
+        };
+        (outcome, Some(conviction))
     }
 
     /// Issues a fresh pseudonym through the attached linkage manager,
@@ -421,117 +357,27 @@ impl MisbehaviorAuthority {
 
     /// Number of suspects with open (unconvicted) evidence.
     pub fn pending_suspects(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().evidence.len()).sum()
+        self.evidence.len()
     }
 
     /// Order-independent FNV digest of the exact per-suspect evidence
-    /// bits, for the serial ≡ sharded equivalence tests.
+    /// bits, for the batch ≡ one-by-one equivalence tests.
     #[doc(hidden)]
     pub fn evidence_fingerprint(&self) -> u64 {
+        let mut items: Vec<(u32, u64)> = self
+            .evidence
+            .iter()
+            .map(|(v, e)| (v.0, e.digest(FNV_OFFSET)))
+            .collect();
+        items.sort_unstable();
         let mut h = FNV_OFFSET;
-        let fold = |h: &mut u64, bits: u64| {
+        for bits in items.into_iter().flat_map(|(v, d)| [u64::from(v), d]) {
             for b in bits.to_le_bytes() {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        for shard in &self.shards {
-            let shard = shard.lock();
-            let mut items: Vec<(u32, u64)> = shard
-                .evidence
-                .iter()
-                .map(|(v, e)| (v.0, e.digest(FNV_OFFSET)))
-                .collect();
-            items.sort_unstable();
-            for (v, d) in items {
-                fold(&mut h, v as u64);
-                fold(&mut h, d);
+                h ^= u64::from(b);
+                h = h.wrapping_mul(FNV_PRIME);
             }
         }
         h
-    }
-}
-
-/// The single-report state machine both serial ingest and the batch
-/// workers run — sharing it is what makes their equivalence structural
-/// rather than incidental.
-fn ingest_one(
-    policy: &AuthorityPolicy,
-    crl: &CertificateRevocationList,
-    scms: Option<&PseudonymManager>,
-    evidence: &mut HashMap<VehicleId, SuspectEvidence>,
-    scratch: &mut BatchScratch,
-    report: &Mbr,
-) -> IngestOutcome {
-    if let Err(e) = report.validate(policy.evidence_len) {
-        scratch.counters.rejected += 1;
-        return IngestOutcome::Rejected(e);
-    }
-    let suspect = report.suspect;
-    let t = report.timestamp;
-    // Revocation status: the frozen global CRL, overridden by anything
-    // this batch already decided for the suspect's shard.
-    let revoked_now = match scratch.pending_rev.get(&suspect) {
-        Some(rec) => match policy.revocation_validity_s {
-            Some(v) => t - rec.revoked_at <= v,
-            None => true,
-        },
-        None => crl.is_revoked(suspect, t),
-    };
-    if revoked_now && policy.revocation_validity_s.is_none() {
-        // Permanent revocation: nothing left to decide.
-        scratch.counters.already_revoked += 1;
-        return IngestOutcome::AlreadyRevoked;
-    }
-    // Time-limited revocations keep accumulating evidence so continuous
-    // misbehavior extends them instead of letting them lapse.
-    let entry = evidence.entry(suspect).or_default();
-    match entry.observe(report.reporter, t, report.margin() as f64, policy.window_s) {
-        Observation::Stale => {
-            scratch.counters.stale_discarded += 1;
-            return IngestOutcome::StaleDiscarded;
-        }
-        Observation::Absorbed => {}
-    }
-    scratch.counters.accepted += 1;
-    let reporters = entry.reporter_count(policy.window_s);
-    let reports = entry.report_count();
-    if reporters < policy.min_reporters || reports < policy.min_reports {
-        return IngestOutcome::Pending { reporters, reports };
-    }
-    let record = RevocationRecord {
-        revoked_at: entry.high_water,
-        reporter_count: reporters,
-        report_count: reports,
-        mean_margin: entry.mean_margin(),
-    };
-    let long_term = scms.and_then(|s| s.resolve(suspect));
-    let mut revoked = match (long_term, scms) {
-        (Some(lt), Some(s)) => s.pseudonyms_of(lt),
-        _ => vec![suspect],
-    };
-    if !revoked.contains(&suspect) {
-        revoked.push(suspect);
-    }
-    for sib in &revoked {
-        scratch.pending_rev.insert(*sib, record.clone());
-        evidence.remove(sib);
-    }
-    scratch.counters.convictions += 1;
-    if revoked_now {
-        scratch.counters.extensions += 1;
-    }
-    scratch.convictions.push(Conviction {
-        suspect,
-        long_term,
-        revoked,
-        record: record.clone(),
-        extension: revoked_now,
-    });
-    if revoked_now {
-        IngestOutcome::Extended(record)
-    } else {
-        IngestOutcome::Revoked(record)
     }
 }
 
@@ -663,11 +509,11 @@ mod tests {
         let stream: Vec<Mbr> = (0..200)
             .map(|i| report(i % 7, 100 + (i % 11), i as f64 * 0.3))
             .collect();
-        let mut serial = MisbehaviorAuthority::with_shards(policy(), 4);
+        let mut serial = MisbehaviorAuthority::new(policy());
         for r in &stream {
             let _ = serial.ingest_ref(r);
         }
-        let mut batch = MisbehaviorAuthority::with_shards(policy(), 4);
+        let mut batch = MisbehaviorAuthority::new(policy());
         let summary = batch.ingest_batch(&stream);
         assert_eq!(serial.evidence_fingerprint(), batch.evidence_fingerprint());
         assert_eq!(serial.crl(), batch.crl());
@@ -676,6 +522,26 @@ mod tests {
             summary.accepted + summary.rejected + summary.stale_discarded + summary.already_revoked,
             200
         );
+    }
+
+    #[test]
+    fn a_batch_sees_the_sibling_revocations_it_decided_itself() {
+        let mut scms = PseudonymManager::new();
+        let (p1, p2) = (scms.issue(LongTermId(7)), scms.issue(LongTermId(7)));
+        let mut ma = MisbehaviorAuthority::new(policy()).with_linkage(scms);
+        // Three reports convict p1; the two after them, in the same
+        // slice, accuse its sibling.
+        let stream: Vec<Mbr> = [p1, p1, p1, p2, p2]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| report(1000 + i as u32 % 2, s.0, i as f64))
+            .collect();
+        let summary = ma.ingest_batch(&stream);
+        assert_eq!(summary.convictions.len(), 1);
+        assert_eq!(summary.convictions[0].revoked, vec![p1, p2]);
+        assert_eq!((summary.accepted, summary.already_revoked), (3, 2));
+        assert_eq!(ma.pending_suspects(), 0, "a revoked sibling got a case");
+        assert!(ma.crl().is_revoked(p2, 4.0));
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! past that cursor.
 //!
 //! Equality between two CRLs compares the *entry set* and validity
-//! policy only, never journal op order: serial ingest and the sharded
-//! `ingest_batch` apply the same revocations in different op orders and
-//! must still compare equal.
+//! policy only, never the journal: a mirror that applied deltas holds
+//! no journal of its own and must still compare equal to its source.
 
 use std::collections::HashMap;
 use vehigan_sim::VehicleId;

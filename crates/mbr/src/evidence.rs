@@ -30,8 +30,7 @@
 //!
 //! All arithmetic is plain `f64` with no iteration-order dependence, so
 //! replaying the same per-suspect report sequence reproduces bitwise-
-//! identical state — the property the sharded `ingest_batch` equivalence
-//! proof in `authority.rs` rests on.
+//! identical state.
 
 use crate::sketch::ReporterSketch;
 use vehigan_sim::VehicleId;
@@ -138,7 +137,7 @@ impl SuspectEvidence {
     }
 
     /// FNV-1a digest of the accumulator's exact bit state (for the
-    /// serial ≡ sharded equivalence tests).
+    /// batch ≡ one-by-one equivalence tests).
     #[doc(hidden)]
     pub fn digest(&self, mut h: u64) -> u64 {
         let mut fold = |bits: u64| {
@@ -238,7 +237,9 @@ mod tests {
     #[test]
     fn state_is_constant_size() {
         // The whole point: no per-report retention. Keep the accumulator
-        // comfortably under half a KiB.
+        // comfortably under half a KiB (the authority's bounded-memory
+        // gate; what the flood's heap comes to is the ledger's
+        // `peak_heap_mb`).
         assert!(std::mem::size_of::<SuspectEvidence>() <= 512);
     }
 }

@@ -12,13 +12,13 @@
 //! [`MisbehaviorAuthority::with_linkage`] so conviction revokes *all* of
 //! a vehicle's pseudonyms.
 //!
-//! The authority scales to fleet ingest: per-suspect evidence is a
-//! bounded decaying accumulator ([`SuspectEvidence`]) with a
-//! HyperLogLog-backed reporter sketch ([`ReporterSketch`]), batches fan
-//! out across hash-partitioned shards
-//! ([`MisbehaviorAuthority::ingest_batch`], bitwise-identical to serial
-//! ingest), and CRL mirrors sync incrementally by sequence number
-//! ([`CrlDelta`]).
+//! The authority scales to fleet ingest by what it keeps, on one owner
+//! and one ingest path: per-suspect evidence is a bounded decaying
+//! accumulator ([`SuspectEvidence`]) with a HyperLogLog-backed reporter
+//! sketch ([`ReporterSketch`]), a conviction takes every linked
+//! pseudonym with it, and CRL mirrors sync incrementally by sequence
+//! number ([`CrlDelta`]). [`MisbehaviorAuthority::ingest_batch`] is
+//! one-by-one ingest of a slice plus a summary.
 //!
 //! # Example
 //!

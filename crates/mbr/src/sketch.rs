@@ -24,9 +24,8 @@
 //!   on a full-window report gap (see `SuspectEvidence`).
 //!
 //! All hashing is an explicit SplitMix64 finalizer, so estimates are a
-//! pure function of the inserted ids — identical across runs, shards,
-//! and serial-vs-batch ingest (the determinism contract the authority's
-//! sharded `ingest_batch` relies on).
+//! pure function of the inserted ids — identical across runs and
+//! processes (the ledger's `exact` block relies on it).
 
 use vehigan_sim::VehicleId;
 

@@ -9,7 +9,7 @@
 //! scores that are discarded.
 //!
 //! [`MemberHealth`] adds the serve-plane memory: a member observed
-//! dropping is **benched** for `probation_ticks` server ticks and simply
+//! dropping is **benched** for three server ticks and simply
 //! excluded from the subsets handed to the scorer. When its probation
 //! expires it is reinstated *in its original pinned position*, so once
 //! the fault clears the active subset — and therefore the ensemble

@@ -6,9 +6,10 @@
 //! per-vehicle loop into a line-rate data plane:
 //!
 //! - **Sharded state** — per-vehicle [`WindowBuffer`]s live in worker
-//!   shards ([`Shard`]); a pseudonym is hashed to one shard by
-//!   [`shard_for`], so ingest parallelizes across shards with no
-//!   cross-shard locks and per-vehicle message order is preserved.
+//!   shards ([`Shard`]) the server owns outright; a pseudonym is hashed
+//!   to one shard by [`shard_for`], so a forked ingest hands each task
+//!   its own `&mut Shard` — no lock anywhere — and per-vehicle message
+//!   order is preserved.
 //! - **Batched scoring** — instead of scoring windows one at a time,
 //!   [`StreamServer::tick`] packs every ready snapshot from every shard
 //!   into a single `[n, w, f, 1]` batch tensor per tick.

@@ -38,7 +38,6 @@
 
 use crate::health::MemberHealth;
 use crate::shard::{shard_for, PendingWindow, Shard};
-use parking_lot::Mutex;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,9 +68,8 @@ pub enum EscalationPolicy {
 ///
 /// Driven by the offered backlog relative to the admission budget with
 /// hysteresis on both edges, so a single noisy tick cannot flap the
-/// policy: the server degrades only after `degrade_after` consecutive
-/// over-budget ticks and restores only after `restore_after` consecutive
-/// under-budget ticks.
+/// policy: the server degrades only after two consecutive over-budget
+/// ticks and restores only after three consecutive under-budget ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
     /// Configured policy in full effect.
@@ -84,13 +82,10 @@ pub enum ServeMode {
 }
 
 /// Tile size for batched scoring passes. Both backends are batch-row
-/// independent, so splitting a tick's batch into tiles changes nothing
-/// bitwise. The f32 tier-2 path is layer-major over the whole tile, so
-/// the tile bounds its activation slabs; the int8 gate walks one window
-/// at a time whatever the tile size and only takes its per-call
-/// bookkeeping from it. A tile is one scoring call, so it is also the
-/// unit that is split over threads, and the unit a member failure is
-/// confined to: τ and the survivor set are per tile.
+/// independent and walk one window at a time, so splitting a tick's
+/// batch into tiles changes nothing bitwise. A tile is one scoring call
+/// and the unit a member failure is confined to — τ and the survivor set
+/// are per tile — nothing else.
 pub const SCORE_TILE: usize = 128;
 
 /// Admission-control and degradation parameters (DESIGN.md §11).
@@ -107,10 +102,6 @@ pub struct AdmissionConfig {
     /// overflow it, the shard sheds its **oldest** queued window
     /// (drop-head) and counts it. `None` = unbounded.
     pub max_pending_per_shard: Option<usize>,
-    /// Consecutive over-budget ticks before `Normal → Degraded`.
-    pub degrade_after: u32,
-    /// Consecutive under-budget ticks before `Degraded → Normal`.
-    pub restore_after: u32,
 }
 
 impl Default for AdmissionConfig {
@@ -126,11 +117,17 @@ impl AdmissionConfig {
         AdmissionConfig {
             windows_per_tick: None,
             max_pending_per_shard: None,
-            degrade_after: 2,
-            restore_after: 3,
         }
     }
 }
+
+/// Consecutive over-budget ticks before `Normal → Degraded`.
+const DEGRADE_AFTER: u32 = 2;
+/// Consecutive under-budget ticks before `Degraded → Normal`.
+const RESTORE_AFTER: u32 = 3;
+/// Server ticks a member stays benched after returning non-finite
+/// scores, before being reinstated into its pinned position.
+const PROBATION_TICKS: u64 = 3;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -165,9 +162,6 @@ pub struct ServerConfig {
     /// Admission control and degraded-mode tiering. Unbounded by
     /// default.
     pub admission: AdmissionConfig,
-    /// Server ticks a member stays benched after returning non-finite
-    /// scores, before being reinstated into its pinned position.
-    pub probation_ticks: u64,
     /// Tier-0 kinematic gate calibration (DESIGN.md §12). `None` (the
     /// default) disables the gate: every window screens through tier 1,
     /// bitwise identical to the pre-tier-0 server. With a calibration,
@@ -197,7 +191,6 @@ impl Default for ServerConfig {
             gate_members: None,
             guard: IngestGuard::permissive(),
             admission: AdmissionConfig::unbounded(),
-            probation_ticks: 3,
             tier0: None,
             reporter: None,
         }
@@ -215,6 +208,10 @@ pub enum ServeError {
         /// The configured window length.
         window: usize,
     },
+    /// [`EscalationPolicy::Threshold`] held NaN: no gate score compares
+    /// above it, so nothing would ever escalate or be flagged. (±∞ are
+    /// legal: they escalate everything or nothing on purpose.)
+    NanEscalationThreshold,
     /// A deployed critic scores another snapshot shape than the server
     /// would assemble.
     ShapeMismatch {
@@ -249,6 +246,9 @@ impl fmt::Display for ServeError {
             ServeError::ZeroShards => write!(f, "server needs at least one shard"),
             ServeError::WindowTooShort { window } => {
                 write!(f, "window of {window} messages is below the minimum of 2")
+            }
+            ServeError::NanEscalationThreshold => {
+                write!(f, "escalation threshold is NaN: no window would escalate")
             }
             ServeError::ShapeMismatch {
                 configured,
@@ -497,7 +497,7 @@ fn budgeted_take_into(lens: &[usize], budget: Option<usize>, take: &mut Vec<usiz
 /// Runs one shard's bucket with panic capture: a panicked worker is
 /// resumed once past the message it died on; a second panic quarantines
 /// the rest of the bucket for this batch. Returns observed panics.
-fn ingest_bucket(shard: &Mutex<Shard>, bsms: &[Bsm], bucket: &[usize], inject_panic: bool) -> u32 {
+fn ingest_bucket(shard: &mut Shard, bsms: &[Bsm], bucket: &[usize], inject_panic: bool) -> u32 {
     // Index of the message being processed; usize::MAX = none yet, so a
     // panic before the loop (the chaos injection point) resumes from 0
     // with zero message loss.
@@ -510,10 +510,9 @@ fn ingest_bucket(shard: &Mutex<Shard>, bsms: &[Bsm], bucket: &[usize], inject_pa
             if first_attempt && inject_panic {
                 panic!("chaos: injected shard-ingest panic");
             }
-            let mut guard = shard.lock();
             for (offset, &at) in bucket[start..].iter().enumerate() {
                 progress.store(start + offset, Ordering::Relaxed);
-                guard.ingest(&bsms[at]);
+                shard.ingest(&bsms[at]);
             }
         }));
         match result {
@@ -539,10 +538,11 @@ pub struct StreamServer<'a> {
     vehigan: &'a VehiGan,
     members: Vec<usize>,
     gate_members: Vec<usize>,
-    shards: Vec<Mutex<Shard>>,
+    /// Owned, one per ingest task: a forked `ingest_batch` hands each
+    /// task its own `&mut Shard`, and everything else runs on the caller.
+    shards: Vec<Shard>,
     policy: EscalationPolicy,
     admission: AdmissionConfig,
-    probation_ticks: u64,
     mode_machine: ModeMachine,
     health: MemberHealth,
     tick_index: u64,
@@ -572,6 +572,7 @@ impl<'a> StreamServer<'a> {
     ///
     /// [`ServeError::ZeroShards`] for an empty shard set,
     /// [`ServeError::WindowTooShort`] for a window below 2,
+    /// [`ServeError::NanEscalationThreshold`] for a `Threshold(NaN)` policy,
     /// [`ServeError::BadMembers`] for a bad pinned subset,
     /// [`ServeError::ShapeMismatch`] when a deployed critic was built for
     /// another `window × features` than the config and scaler give,
@@ -589,6 +590,9 @@ impl<'a> StreamServer<'a> {
             return Err(ServeError::WindowTooShort {
                 window: config.window,
             });
+        }
+        if matches!(config.policy, EscalationPolicy::Threshold(t) if t.is_nan()) {
+            return Err(ServeError::NanEscalationThreshold);
         }
         if !matches!(config.policy, EscalationPolicy::Always) && vehigan.int8_backend().is_none() {
             return Err(ServeError::Int8NotCompiled);
@@ -627,16 +631,14 @@ impl<'a> StreamServer<'a> {
         let window_len = config.window * scaler.width();
         let shards = (0..config.n_shards)
             .map(|_| {
-                Mutex::new(
-                    Shard::with_guard(
-                        config.window,
-                        scaler.clone(),
-                        config.eviction,
-                        config.guard,
-                        config.admission.max_pending_per_shard,
-                    )
-                    .with_tier0(config.tier0),
+                Shard::with_guard(
+                    config.window,
+                    scaler.clone(),
+                    config.eviction,
+                    config.guard,
+                    config.admission.max_pending_per_shard,
                 )
+                .with_tier0(config.tier0)
             })
             .collect();
         Ok(StreamServer {
@@ -646,7 +648,6 @@ impl<'a> StreamServer<'a> {
             shards,
             policy: config.policy,
             admission: config.admission,
-            probation_ticks: config.probation_ticks.max(1),
             mode_machine: ModeMachine::new(),
             health: MemberHealth::new(),
             tick_index: 0,
@@ -685,29 +686,23 @@ impl<'a> StreamServer<'a> {
                 .push(at);
         }
 
-        let shards = &self.shards;
-        let run = |_: &mut (), i: usize, task: &mut IngestTask| {
+        let run = |_: &mut (), _: usize, (shard, task): (&mut Shard, &mut IngestTask)| {
             let inject = std::mem::take(&mut task.inject_panic);
             if task.bucket.is_empty() && !inject {
                 return;
             }
-            let counters = || {
-                let g = shards[i].lock();
-                (g.ingested(), g.rejects(), g.shed())
-            };
-            let (ingested0, rejects0, shed0) = counters();
-            task.panics = ingest_bucket(&shards[i], bsms, &task.bucket, inject);
-            let (ingested, rejects, shed) = counters();
-            task.processed = ingested - ingested0;
-            task.rejected = rejects.since(&rejects0);
-            task.shed = shed - shed0;
+            let (ingested0, rejects0, shed0) = (shard.ingested(), shard.rejects(), shard.shed());
+            task.panics = ingest_bucket(shard, bsms, &task.bucket, inject);
+            task.processed = shard.ingested() - ingested0;
+            task.rejected = shard.rejects().since(&rejects0);
+            task.shed = shard.shed() - shed0;
         };
         let workers = workers_for(bsms.len() * INGEST_NS_PER_BSM).min(n_shards);
         let mut threads = vec![(); workers];
         // Worker panics are captured inside ingest_bucket; a panic that
         // somehow escaped capture (panic-while-panicking aborts before
         // reaching here) still must not take the server down with it.
-        let tasks = self.ingest_tasks.iter_mut();
+        let tasks = self.shards.iter_mut().zip(&mut self.ingest_tasks);
         if catch_unwind(AssertUnwindSafe(|| fork_join(&mut threads, tasks, run))).is_err() {
             // Attribute the escaped panic to every shard we cannot vouch
             // for rather than crash; the counters below still reflect
@@ -779,17 +774,16 @@ impl<'a> StreamServer<'a> {
             tiers,
         } = arena;
         lens.clear();
-        lens.extend(self.shards.iter().map(|s| s.lock().pending_windows()));
+        lens.extend(self.shards.iter().map(Shard::pending_windows));
         let offered: usize = lens.iter().sum();
         let over_budget = self
             .admission
             .windows_per_tick
             .is_some_and(|b| offered > b.max(1));
-        if self.mode_machine.observe(
-            over_budget,
-            self.admission.degrade_after,
-            self.admission.restore_after,
-        ) {
+        if self
+            .mode_machine
+            .observe(over_budget, DEGRADE_AFTER, RESTORE_AFTER)
+        {
             self.stats.mode_switches += 1;
         }
         if self.mode_machine.mode == ServeMode::Degraded {
@@ -815,9 +809,8 @@ impl<'a> StreamServer<'a> {
         // With the gate on, only the windows that will be scored bring
         // their snapshots along: `batch` holds the unsuppressed windows
         // of `meta`, in order.
-        for (shard, &k) in self.shards.iter().zip(take.iter()) {
+        for (shard, &k) in self.shards.iter_mut().zip(take.iter()) {
             if k > 0 {
-                let mut shard = shard.lock();
                 shard.take_pending_into(k, gate_tau.is_none(), batch, meta);
             }
         }
@@ -872,7 +865,7 @@ impl<'a> StreamServer<'a> {
         if !tiers.dropped.is_empty() {
             tiers.dropped.sort_unstable();
             tiers.dropped.dedup();
-            let until = self.tick_index + self.probation_ticks;
+            let until = self.tick_index + PROBATION_TICKS;
             for &m in &tiers.dropped {
                 self.health.bench(m, until);
             }
@@ -910,21 +903,13 @@ impl<'a> StreamServer<'a> {
     /// the owning shards: the carried scores tier-0 suppression reuses,
     /// and the per-vehicle refresh-streak reset. A gateless server
     /// skips this entirely so the ungated baseline pays nothing.
-    fn record_gates(&self, meta: &[PendingWindow], gate_scores: &[f32]) {
+    fn record_gates(&mut self, meta: &[PendingWindow], gate_scores: &[f32]) {
         if self.tier0.is_none() {
             return;
         }
-        // `meta` comes out of `tick` shard by shard, so one lock per run
-        // of same-shard windows is one lock per shard per batch instead
-        // of one per window.
-        let shard_of = |w: &PendingWindow| shard_for(w.vehicle, self.shards.len());
-        let mut done = 0;
-        for run in meta.chunk_by(|a, b| shard_of(a) == shard_of(b)) {
-            let mut shard = self.shards[shard_of(&run[0])].lock();
-            for (w, &g) in run.iter().zip(&gate_scores[done..]) {
-                shard.record_gate(w.vehicle, g);
-            }
-            done += run.len();
+        let n_shards = self.shards.len();
+        for (w, &g) in meta.iter().zip(gate_scores) {
+            self.shards[shard_for(w.vehicle, n_shards)].record_gate(w.vehicle, g);
         }
     }
 
@@ -1072,21 +1057,17 @@ impl<'a> StreamServer<'a> {
     /// how many vehicles were dropped. Vehicles with pending windows are
     /// always retained.
     pub fn evict_stale(&mut self, now: f64) -> usize {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            dropped += shard.lock().evict_stale(now);
-        }
-        dropped
+        self.shards.iter_mut().map(|s| s.evict_stale(now)).sum()
     }
 
     /// Windows queued across all shards awaiting the next tick.
     pub fn pending_windows(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().pending_windows()).sum()
+        self.shards.iter().map(Shard::pending_windows).sum()
     }
 
     /// Vehicles currently resident across all shards.
     pub fn num_vehicles(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().num_vehicles()).sum()
+        self.shards.iter().map(Shard::num_vehicles).sum()
     }
 
     /// Lifetime counters (ingest/score/reject/shed/degrade/health).
@@ -1095,10 +1076,9 @@ impl<'a> StreamServer<'a> {
         stats.evicted = 0;
         stats.rejected = RejectCounters::default();
         for shard in &self.shards {
-            let g = shard.lock();
-            stats.evicted += g.evicted();
-            stats.rejected += g.rejects();
-            stats.shed += g.shed();
+            stats.evicted += shard.evicted();
+            stats.rejected += shard.rejects();
+            stats.shed += shard.shed();
         }
         stats.member_demotions = self.health.demotions();
         stats.member_reinstatements = self.health.reinstatements();
@@ -1410,6 +1390,31 @@ mod tests {
             matches!(err, Some(ServeError::WindowTooShort { window: 1 })),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_nan_escalation_threshold_is_refused_at_construction() {
+        // It used to build: `score > NaN` is false for every window, so
+        // nothing escalated, nothing was flagged and no error was seen.
+        let mut vehigan = VehiGan::new(two_critics(), 2, 1).unwrap();
+        let calibration = vehigan_tensor::Tensor::from_vec(vec![0.5; 8 * 120], &[8, 10, 12, 1]);
+        vehigan.compile_int8(&calibration).unwrap();
+        let build = |tau_esc: f32| {
+            let scaler = MinMaxScaler::fit_flat(12, (0..24).map(f64::from));
+            let config = ServerConfig {
+                policy: EscalationPolicy::Threshold(tau_esc),
+                ..ServerConfig::default()
+            };
+            StreamServer::new(&vehigan, scaler, config).err()
+        };
+        let err = build(f32::NAN);
+        assert!(
+            matches!(err, Some(ServeError::NanEscalationThreshold)),
+            "{err:?}"
+        );
+        // Escalate everything / escalate nothing stay expressible.
+        assert!(build(f32::NEG_INFINITY).is_none());
+        assert!(build(f32::INFINITY).is_none());
     }
 
     #[test]

@@ -64,8 +64,9 @@ fn benign_stream(p: &Pipeline) -> Vec<Bsm> {
 /// test fleet, so budget 4 absorbs 1× load with headroom and drains one
 /// backlogged window per tick), a pending cap with headroom *above* the
 /// budget (so a 4× burst builds an over-budget backlog that trips the
-/// mode machine before shedding caps it), and short hysteresis/probation
-/// so recovery fits the 5-clean-tick bound.
+/// mode machine before shedding caps it). The server's fixed hysteresis
+/// (degrade after 2, restore after 3) and 3-tick probation fit recovery
+/// inside the 5-clean-tick bound.
 fn chaos_config(tau_esc: f32, members: &[usize]) -> ServerConfig {
     ServerConfig {
         n_shards: 2,
@@ -75,10 +76,7 @@ fn chaos_config(tau_esc: f32, members: &[usize]) -> ServerConfig {
         admission: AdmissionConfig {
             windows_per_tick: Some(4),
             max_pending_per_shard: Some(8),
-            degrade_after: 2,
-            restore_after: 3,
         },
-        probation_ticks: 3,
         ..ServerConfig::default()
     }
 }

@@ -207,6 +207,7 @@ fn measure(case: &Case) -> Measurement {
 /// Runs all cases, prints a table, and writes `results/BENCH_gemm.json`.
 pub fn run() {
     println!("GEMM kernel benchmark (median of 7 trials per kernel)");
+    println!("int8_leg: {}", gemm::int8_leg());
     println!(
         "{:>20} {:>16} {:>14} {:>14} {:>9}",
         "case", "shape (m,k,n)", "naive GF/s", "blocked GF/s", "speedup"

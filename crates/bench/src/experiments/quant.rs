@@ -21,7 +21,7 @@ use crate::harness::{results_dir, Harness};
 use std::time::Instant;
 use vehigan_metrics::auroc;
 use vehigan_serve::escalation_threshold;
-use vehigan_tensor::gemm::{gemm_i8, gemm_i8_portable, PackedI8};
+use vehigan_tensor::gemm::{gemm_i8, gemm_i8_portable, int8_leg, PackedI8};
 use vehigan_tensor::Tensor;
 
 /// Maximum tolerated AUROC drift of the int8 path vs f32 (ISSUE gate).
@@ -81,6 +81,8 @@ fn assert_kernels_bitwise_identical() {
 /// `results/BENCH_quant.json`.
 pub fn run(harness: &mut Harness) {
     println!("Int8 backend benchmark (fused k-member ensemble vs float path)");
+    let leg = int8_leg();
+    println!("int8_leg: {leg}");
     assert_kernels_bitwise_identical();
 
     harness
@@ -197,7 +199,7 @@ pub fn run(harness: &mut Harness) {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
-        "  \"bench\": \"quant\",\n  \"k\": {k},\n  \"m\": {m},\n  \"int8_weight_bytes\": {int8_bytes},\n"
+        "  \"bench\": \"quant\",\n  \"int8_leg\": \"{leg}\",\n  \"k\": {k},\n  \"m\": {m},\n  \"int8_weight_bytes\": {int8_bytes},\n"
     ));
     json.push_str("  \"cases\": [\n");
     json.push_str(&format!(

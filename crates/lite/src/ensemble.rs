@@ -39,22 +39,25 @@
 //! # Determinism
 //!
 //! The i8×i8→i32 accumulation is exact integer arithmetic, bitwise
-//! identical between the portable, AVX2 and VNNI kernels; the quantize
-//! and dequantize / bias / activation stages perform the same IEEE
-//! operations lane for lane on every ISA. **Given equal calibrated
-//! scales**, the int8 scoring pipeline is therefore bitwise reproducible
-//! across machines and kernel legs. The scales themselves are not: they
-//! come out of [`Int8Weights::compile`]'s float reference walk, which
-//! runs on the dispatched [`gemm_f32_fused`] (fused multiply-add on AVX2
-//! hosts, separate multiply and add on the portable leg), so two hosts can
-//! compile slightly different `in_scale`s — and then score differently —
-//! from the same snapshots. Ship the compiled artifact, not the recipe,
-//! when scores must match across machines.
+//! identical between the portable, AVX2, VNNI and AMX kernels (the last
+//! runs a critic's wider conv layers on tiles inside the one
+//! [`TileSession`] each [`Int8Weights::score_into`] call opens, where the
+//! host has them); the quantize and dequantize / bias / activation stages
+//! perform the same IEEE operations lane for lane on every ISA. **Given
+//! equal calibrated scales**, the int8 scoring pipeline is therefore
+//! bitwise reproducible across machines and kernel legs. The scales
+//! themselves are not: they come out of [`Int8Weights::compile`]'s float
+//! reference walk, which runs on the dispatched [`gemm_f32_fused`] (fused
+//! multiply-add on AVX2 hosts, separate multiply and add on the portable
+//! leg), so two hosts can compile slightly different `in_scale`s — and
+//! then score differently — from the same snapshots. Ship the compiled
+//! artifact, not the recipe, when scores must match across machines.
 
 use crate::quant::{activation_scale, quantize_biased, PerChannelQuantized, QuantError};
 use std::fmt;
 use vehigan_tensor::gemm::{
     gemm_f32_fused, gemm_i8_dequant, i8_activation_bias, Dequant, FusedF32, PackedI8, Patches,
+    TileSession,
 };
 use vehigan_tensor::serialize::{ModelFormatError, ModelSnapshot};
 
@@ -236,9 +239,11 @@ fn max_abs(values: &[f32]) -> f32 {
     max_abs
 }
 
-/// Bytes past a plane's last element that the kernels may read as part
-/// of its last whole quad.
-const QUAD_SLACK: usize = 3;
+/// Bytes past a plane's last element that the widest kernel leg may read:
+/// an AMX tile row is 64 bytes from the start of a span, and the shortest
+/// span that leg takes is 16 bytes (the VNNI leg's whole last quad needs
+/// 3). A plane with less still scores the same bits, on VNNI.
+const TILE_SLACK: usize = 64 - 16;
 
 /// One scoring thread's buffers: a quantized input plane per op position,
 /// two activation maps and a multiplier row — a few kilobytes that stay
@@ -280,7 +285,7 @@ impl Scratch {
             if *geometry != op.geometry() {
                 *geometry = op.geometry();
                 plane.clear();
-                plane.resize(op.plane_len() + QUAD_SLACK, i8_activation_bias());
+                plane.resize(op.plane_len() + TILE_SLACK, i8_activation_bias());
             }
             for act in &mut self.act {
                 if act.len() < op.out_len() {
@@ -400,6 +405,10 @@ impl Int8Weights {
         if h * w * c != 1 {
             return Err(CompileError::NotACritic("output is not a scalar"));
         }
+        // A 1×1×1 input passes the scalar check with nothing to score.
+        if ops.is_empty() {
+            return Err(CompileError::NotACritic("no weight layers"));
+        }
         Ok(Int8Weights { ops, input_len })
     }
 
@@ -434,9 +443,15 @@ impl Int8Weights {
             "windows length mismatch"
         );
         scratch.fit(self);
+        // One tile session for the whole call, on whichever thread runs it
+        // (a fork-join task opens its own here): every conv plane of a
+        // critic is `w` patches wide. Released on return.
+        let _tiles = TileSession::open(self.ops[0].w);
         for (window, o) in windows.chunks_exact(self.input_len).zip(out) {
             *o = -self.infer_window(scratch, window);
         }
+        #[cfg(test)]
+        tests::TILE_SWEEPS.set(tests::TILE_SWEEPS.get() + _tiles.sweeps());
     }
 
     /// Raw critic output `D(x)` on one window: every layer back to back.
@@ -599,6 +614,25 @@ mod tests {
     const H: usize = 10;
     const W: usize = 12;
 
+    thread_local! {
+        /// Layer products the calling thread's `score_into` calls ran on
+        /// the AMX tile leg, as their sessions counted them.
+        pub(super) static TILE_SWEEPS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Runs `scoring` and, where the host has the tile leg, asserts that
+    /// some layer product in it ran there — so an oracle that passes has
+    /// tried the tiles, not only the VNNI leg under them.
+    fn assert_takes_the_tile_leg(scoring: impl FnOnce()) {
+        let before = TILE_SWEEPS.get();
+        scoring();
+        if vehigan_tensor::gemm::int8_leg() == "amx" {
+            assert!(TILE_SWEEPS.get() > before, "no product took the tile leg");
+        } else {
+            println!("tile leg not available — skipped");
+        }
+    }
+
     fn build_critic(depth: usize, seed: u64) -> Sequential {
         let mut rng = seeded_rng(seed);
         let mut m = Sequential::new();
@@ -729,17 +763,19 @@ mod tests {
                 one.score_all(&windows, n)
             })
             .collect();
-        for subset in [&[0usize, 1, 2, 3][..], &[3, 0, 1], &[1, 1, 2, 3, 0, 3]] {
-            let mut out = vec![0.0f32; subset.len() * n];
-            mixed.score_subset_into(subset, &windows, n, &mut out);
-            for (scores, &g) in out.chunks_exact(n).zip(subset) {
-                assert_eq!(
-                    bits(scores),
-                    bits(&alone[g]),
-                    "subset {subset:?} member {g}"
-                );
+        assert_takes_the_tile_leg(|| {
+            for subset in [&[0usize, 1, 2, 3][..], &[3, 0, 1], &[1, 1, 2, 3, 0, 3]] {
+                let mut out = vec![0.0f32; subset.len() * n];
+                mixed.score_subset_into(subset, &windows, n, &mut out);
+                for (scores, &g) in out.chunks_exact(n).zip(subset) {
+                    assert_eq!(
+                        bits(scores),
+                        bits(&alone[g]),
+                        "subset {subset:?} member {g}"
+                    );
+                }
             }
-        }
+        });
     }
 
     #[test]
@@ -774,6 +810,17 @@ mod tests {
         ));
         let err = compile(&valid, (H, W, 1));
         assert!(matches!(err, CompileError::UnsupportedLayer(_)), "{err}");
+        // A scalar input with nothing to multiply it by: the output "is a
+        // scalar", but there is no critic to score.
+        let mut hollow = Sequential::new();
+        for layers in 0..2 {
+            let err = compile(&hollow, (1, 1, 1));
+            assert!(
+                matches!(err, CompileError::NotACritic("no weight layers")),
+                "{layers} layers: {err}"
+            );
+            hollow.push(Flatten::new());
+        }
     }
 
     #[test]
@@ -939,8 +986,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        #[test]
-        fn fused_walk_is_bitwise_the_scalar_reference(
+        // Run by `fused_walk_is_bitwise_the_scalar_reference` below.
+        fn fused_walk_cases(
             seed in any::<u64>(),
             (h, w, c) in (1usize..6, 1usize..7, 1usize..4),
             // (cout, kh, kw): odd widths, spans that are not whole pairs
@@ -984,5 +1031,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fused_walk_is_bitwise_the_scalar_reference() {
+        // Widths 4–6 with a 16-byte-or-longer span in a later layer are
+        // tile blocks; the rest of the cases stay on VNNI.
+        assert_takes_the_tile_leg(fused_walk_cases);
     }
 }

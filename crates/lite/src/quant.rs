@@ -166,8 +166,10 @@ impl PerChannelQuantized {
 /// irrelevant — everything quantizes to 0).
 ///
 /// Calibration runs over representative f32 activations (e.g. benign
-/// training windows pushed through the float critic); at inference time
-/// activations outside the calibrated range saturate at ±127.
+/// training windows pushed through the float critic). The result is a
+/// floor, not a clip: at inference time a window whose activations exceed
+/// the calibrated range widens its own scale to `max |x| / 127`
+/// (`Int8Weights`' range guard), so nothing finite saturates.
 ///
 /// # Errors
 ///

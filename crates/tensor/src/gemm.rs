@@ -86,6 +86,20 @@
 //!   block into `C`; [`gemm_i8_dequant`] turns it into the next layer's
 //!   f32 activations (`acc · mult[j] + bias[j]`, optional LeakyReLU) and
 //!   tracks their max-abs, so the accumulators never touch memory;
+//! - a fourth leg under the VNNI one, for [`gemm_i8_dequant`]'s
+//!   convolution products only: on a host with AMX, inside a
+//!   [`TileSession`], one plane row of 4 to 16 patches is one `tdpbusd`
+//!   tile block — the A tiles are loaded in place from the padded plane
+//!   (64 bytes from the start of each patch's span; what lies past the
+//!   span meets zero weight rows), the B tiles are the quad mirror padded
+//!   to 16 quad rows per (strip, span) and stay resident for the sweep,
+//!   the C tiles start at `−128·Σ_k b[k][j]`, and each finished tile goes
+//!   through memory to the VNNI leg's epilogue. Shapes the tiles do not
+//!   fit (more than two spans or two strips, spans under 16 or over 64
+//!   bytes — the critic's `k = 4` first layer is faster on VNNI — a plane
+//!   row outside `4..=16` patches, a plane without a tile row of slack),
+//!   the `n = 1` heads and plain [`gemm_i8`] stay on VNNI.
+//!   [`int8_leg`] names the leg a process dispatches;
 //! - `vpdpbusd` takes *unsigned* left operands, so on the VNNI leg
 //!   activations carry a +128 bias ([`i8_activation_bias`], an XOR with
 //!   `0x80` applied once when they are quantized) and every accumulator
@@ -95,22 +109,57 @@
 //!   a strip sweep: it is kept in plain `k` order and multiplied 64 bytes
 //!   per step.
 //!
-//! Integer accumulation is exact, so **portable, AVX2, and VNNI int8
+//! Integer accumulation is exact, so **portable, AVX2, VNNI and AMX int8
 //! kernels produce bitwise-identical i32 accumulators** on every ISA —
 //! stronger than the f32 contract, and the property the int8 backend's
-//! determinism rests on. The dequantizing epilogue performs the same
-//! IEEE operations lane for lane on every leg (convert, multiply, add,
-//! ordered-greater select), so its f32 results are bitwise identical
-//! too. Exactness requires the accumulator not to overflow: with
-//! operands in `[-128, 127]` any `k ≤ 65534` is safe (`k/2` pair-sums of
-//! magnitude ≤ 2·128² against an i32; the VNNI path's biased `u8×i8`
-//! quad-dots stay within the same bound), far above any critic shape in
-//! this stack.
+//! determinism rests on. (`tdpbusd` is `vpdpbusd` per tile element: four
+//! zero-extended `u8` × sign-extended `i8` products added into an i32
+//! lane without saturation; it sees the same biased bytes and the same
+//! `−128·S_j` start, and the zero-padded tile rows add zeros.) The
+//! dequantizing epilogue performs the same IEEE operations lane for lane
+//! on every leg (convert, multiply, add, ordered-greater select) — the
+//! tile leg runs the VNNI leg's own — so its f32 results are bitwise
+//! identical too. Exactness requires the accumulator not to overflow:
+//! with operands in `[-128, 127]` any `k ≤ 65534` is safe (`k/2`
+//! pair-sums of magnitude ≤ 2·128² against an i32; the VNNI and AMX
+//! paths' biased `u8×i8` quad-dots stay within the same bound), far above
+//! any critic shape in this stack.
+//!
+//! # Safety of the tile instructions
+//!
+//! The AMX intrinsics, `target_feature = "amx-*"` and
+//! `is_x86_feature_detected!("amx-*")` are unstable, so the leg is five
+//! instructions in `asm!` — `ldtilecfg`, `tileloadd`, `tdpbusd`,
+//! `tilestored`, `tilerelease` — and one raw `arch_prctl` system call:
+//!
+//! - **when they may execute**: only after the once-per-process check
+//!   (`CPUID.(7,0):EDX` bits 24/25, the VNNI leg dispatched, Linux granting
+//!   `ARCH_REQ_XCOMP_PERM` for the tile data) said yes; a host without AMX
+//!   or a refusing kernel never reaches a tile instruction. `ldtilecfg`
+//!   runs in [`TileSession::open`] alone, the other three only where the
+//!   calling thread's session is recorded in a thread-local, so a tile
+//!   operation always meets the configuration it was written for;
+//! - **what they read and write**: `tileloadd` reads `rows × 64` bytes —
+//!   of the packed tile mirror, of a 64-byte stack row (stride 0), or of
+//!   the activation plane, where the dispatcher has checked that 64 bytes
+//!   from the start of the last span of the last patch are inside the
+//!   slice; `tilestored` writes `rows × 64` bytes of a 64-byte-aligned
+//!   stack block. No general or vector register is written, flags are
+//!   preserved, and the stack pointer is not used;
+//! - **which registers are touched**: `tmm0`–`tmm7`, declared as clobbers.
+//!   rustc cannot allocate them (the class is clobber-only), so tile
+//!   contents survive from one `asm!` statement to the next, and the
+//!   statements, none of them `pure`, keep their order;
+//! - **why no tile state outlives a session**: [`TileSession`] is `!Send`
+//!   and its `Drop` executes `tilerelease` — on return, on `?`, and when a
+//!   panic unwinds — so a thread that parks, yields or exits after a
+//!   scoring call carries no live tile data for the kernel to save.
 //!
 //! Setting the environment variable `VEHIGAN_FORCE_PORTABLE` (to any
 //! value, before first use) pins **all** kernel dispatch to the portable
 //! instantiations — the CI lever that exercises the portable int8 path
-//! on AVX2 hardware.
+//! on AVX2 hardware. It turns the tile leg off with the VNNI leg it sits
+//! under.
 
 use std::cell::RefCell;
 
@@ -176,6 +225,201 @@ pub fn avx512_available() -> bool {
 #[cfg(not(target_arch = "x86_64"))]
 pub fn avx512_available() -> bool {
     false
+}
+
+/// Whether the AMX tile leg may be used: the CPU advertises AMX-TILE and
+/// AMX-INT8 (`CPUID.(7,0):EDX` bits 24 and 25), the VNNI leg it forks
+/// from is dispatched (so not under `VEHIGAN_FORCE_PORTABLE`), and the
+/// kernel granted this process the tile-data state. Decided once, before
+/// the first tile instruction; a refusal leaves every product on VNNI.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn amx_available() -> bool {
+    use std::sync::OnceLock;
+    static AMX: OnceLock<bool> = OnceLock::new();
+    *AMX.get_or_init(|| {
+        if !vnni_available() {
+            return false;
+        }
+        // AVX-512 implies leaf 7 exists.
+        let edx = std::arch::x86_64::__cpuid_count(7, 0).edx;
+        edx >> 24 & 1 == 1 && edx >> 25 & 1 == 1 && request_tile_data()
+    })
+}
+
+/// `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`: asks Linux to
+/// let this process (every thread of it) use the 8 KiB tile-data state.
+/// Idempotent; `false` when the kernel is too old, the feature is masked
+/// or a thread's signal stack is too small for the larger frame.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn request_tile_data() -> bool {
+    const SYS_ARCH_PRCTL: i64 = 158;
+    const ARCH_REQ_XCOMP_PERM: u64 = 0x1023;
+    const XFEATURE_XTILEDATA: u64 = 18;
+    let ret: i64;
+    // SAFETY: a raw Linux x86-64 system call that takes two integers and
+    // touches no user memory; `syscall` clobbers rcx and r11 (declared)
+    // and returns in rax. No libc binding is vendored for it.
+    unsafe {
+        std::arch::asm!(
+            "syscall",
+            inlateout("rax") SYS_ARCH_PRCTL => ret,
+            in("rdi") ARCH_REQ_XCOMP_PERM,
+            in("rsi") XFEATURE_XTILEDATA,
+            lateout("rcx") _,
+            lateout("r11") _,
+            options(nostack),
+        );
+    }
+    ret == 0
+}
+
+/// Which int8 kernel leg this process dispatches: `"amx"` (tile products
+/// inside a [`TileSession`], VNNI for every shape the tiles do not fit),
+/// `"vnni"`, `"avx2"` or `"portable"`. Read-only — there is no setting.
+pub fn int8_leg() -> &'static str {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    if amx_available() {
+        return "amx";
+    }
+    #[cfg(target_arch = "x86_64")]
+    if vnni_available() {
+        return "vnni";
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        return "avx2";
+    }
+    "portable"
+}
+
+thread_local! {
+    /// Tile rows of the [`TileSession`] this thread holds, 0 for none.
+    static TILE_ROWS: std::cell::Cell<u8> = const { std::cell::Cell::new(0) };
+    /// Products this thread ran on the tile leg (a wrapping statistic).
+    static TILE_SWEEPS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// Bytes of one tile row: every tile the leg configures is `rows × 64`
+/// bytes — 16 quads of an A row, 16 columns × 4 `k`-steps of a B row, 16
+/// i32 lanes of a C row.
+const TILE_ROW_BYTES: usize = 64;
+
+/// Bytes of one 16-row tile, the stride of the packed tile mirror.
+const TILE_BYTES: usize = 16 * TILE_ROW_BYTES;
+
+/// Narrowest and widest plane row the tile leg takes as one block.
+const TILE_WIDTHS: std::ops::RangeInclusive<usize> = 4..=16;
+
+/// Loads the tile shape of a session over `width`-patch plane rows, if
+/// the host has the tile leg: palette 1, tiles 0–3 the resident `B` tiles
+/// (16 quad rows), 4–5 the `A` tiles and 6–7 the `C` tiles (one row per
+/// patch), every row 64 bytes.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn load_tile_config(width: u8) -> bool {
+    #[repr(C, align(64))]
+    struct TileConfig([u8; 64]);
+    if !amx_available() {
+        return false;
+    }
+    let mut cfg = TileConfig([0; 64]);
+    cfg.0[0] = 1; // palette
+    for t in 0..8 {
+        cfg.0[16 + 2 * t] = TILE_ROW_BYTES as u8; // colsb, u16 LE
+        cfg.0[48 + t] = if t < 4 { 16 } else { width };
+    }
+    // SAFETY: AMX-TILE is present and the kernel granted the tile state
+    // (`amx_available`); the operand is 64 readable bytes describing a
+    // valid palette-1 shape (rows ≤ 16, colsb = 64, reserved bytes zero).
+    // The instruction writes only tile state, which rustc never allocates.
+    unsafe {
+        std::arch::asm!(
+            "ldtilecfg [{cfg}]",
+            cfg = in(reg) &cfg,
+            out("tmm0") _, out("tmm1") _, out("tmm2") _, out("tmm3") _,
+            out("tmm4") _, out("tmm5") _, out("tmm6") _, out("tmm7") _,
+            options(nostack, readonly, preserves_flags),
+        );
+    }
+    true
+}
+
+/// No tile leg off Linux x86-64.
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+fn load_tile_config(_width: u8) -> bool {
+    false
+}
+
+/// This thread's claim on the AMX tile registers: while one is
+/// [active](TileSession::is_active), [`gemm_i8_dequant`] runs the
+/// convolution products that fit on the tile leg (see the module docs);
+/// without one, or on a host without AMX, everything stays on VNNI and
+/// scores the same bits.
+///
+/// Opening loads the tile configuration (`ldtilecfg`, ≈ 90 ns — open once
+/// per scoring call, not per layer) and dropping the guard releases the
+/// tiles (`tilerelease`), also when a panic unwinds through it, so no tile
+/// state outlives the call: a thread that parks or is switched out
+/// afterwards carries no 8 KiB of tile data. The guard is `!Send` — tile
+/// state belongs to the thread that loaded it. Opening a second session
+/// while one is held returns an inactive guard and changes nothing.
+#[derive(Debug)]
+pub struct TileSession {
+    active: bool,
+    _this_thread: std::marker::PhantomData<*const ()>,
+}
+
+impl TileSession {
+    /// Claims the tiles for products over planes `width` patches wide.
+    /// Inactive (and free) when the host has no usable AMX, `width` is
+    /// outside `4..=16`, or this thread already holds a session.
+    pub fn open(width: usize) -> TileSession {
+        let active =
+            TILE_WIDTHS.contains(&width) && TILE_ROWS.get() == 0 && load_tile_config(width as u8);
+        if active {
+            TILE_ROWS.set(width as u8);
+            TILE_SWEEPS.set(0);
+        }
+        TileSession {
+            active,
+            _this_thread: std::marker::PhantomData,
+        }
+    }
+
+    /// Whether this guard holds the tiles (and will release them).
+    pub fn is_active(&self) -> bool {
+        self.active
+    }
+
+    /// Products that ran on the tile leg since this session opened; 0 for
+    /// an inactive guard.
+    pub fn sweeps(&self) -> u32 {
+        if self.active {
+            TILE_SWEEPS.get()
+        } else {
+            0
+        }
+    }
+}
+
+impl Drop for TileSession {
+    fn drop(&mut self) {
+        if self.active {
+            // SAFETY: only an active guard exists where `open` executed
+            // `ldtilecfg` on this thread (`!Send`), so AMX is usable;
+            // `tilerelease` returns the tile state to its initial value
+            // and touches nothing else.
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            unsafe {
+                std::arch::asm!(
+                    "tilerelease",
+                    out("tmm0") _, out("tmm1") _, out("tmm2") _, out("tmm3") _,
+                    out("tmm4") _, out("tmm5") _, out("tmm6") _, out("tmm7") _,
+                    options(nostack, nomem, preserves_flags),
+                );
+            }
+            TILE_ROWS.set(0);
+        }
+    }
 }
 
 fn check_dims(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &[f32]) {
@@ -584,6 +828,12 @@ pub struct PackedI8 {
     /// acceleration mirror of `data` (not counted as artifact bytes);
     /// zero-padded at ragged edges, exact for integer math.
     quad: Vec<i8>,
+    /// `[n_strips16][spans][16][NR_VNNI · 4]`: `quad` again with every
+    /// (strip, span) zero-padded to 16 quad rows — a quad row is already a
+    /// `tdpbusd` B-tile row, so each 1 KiB chunk loads as one tile. Only
+    /// for shapes the AMX leg takes (see `tile_mirror`), empty otherwise;
+    /// like `quad`, a runtime mirror that is not artifact bytes.
+    tile: Vec<i8>,
     /// Per-column sums `Σ_k b[k][j]`: the exact correction for running
     /// `vpdpbusd`'s unsigned×signed form on biased activations
     /// (`Σ(a+128)·b = Σa·b + 128·S_j`).
@@ -623,11 +873,13 @@ impl PackedI8 {
             span_len,
             data: Vec::new(),
             quad: Vec::new(),
+            tile: Vec::new(),
             col_sums: vec![0i32; n],
             column: Vec::new(),
         };
         packed.data = packed.interleave(b, 2, NR_I8);
         packed.quad = packed.interleave(b, 4, NR_VNNI);
+        packed.tile = packed.tile_mirror();
         for row in b.chunks_exact(n.max(1)) {
             for (s, &v) in packed.col_sums.iter_mut().zip(row) {
                 *s += v as i32;
@@ -660,6 +912,32 @@ impl PackedI8 {
                     }
                 }
             }
+        }
+        out
+    }
+
+    /// The B tiles of the AMX leg, for the shapes it is worth on: at most
+    /// two spans and two strips (four resident tiles), spans of 16 to 64
+    /// bytes (a shorter one — the critic's layer 0, `k = 4` — is faster on
+    /// VNNI; a longer one does not fit a tile row), not a dot-product
+    /// column.
+    fn tile_mirror(&self) -> Vec<i8> {
+        let strips = self.n.div_ceil(NR_VNNI);
+        let fits = !self.is_column()
+            && (1..=2).contains(&self.spans)
+            && (1..=2).contains(&strips)
+            && (16..=TILE_ROW_BYTES).contains(&self.span_len);
+        if !fits {
+            return Vec::new();
+        }
+        let span = self.span_len.div_ceil(4) * NR_VNNI * 4;
+        let mut out = vec![0i8; strips * self.spans * TILE_BYTES];
+        for (src, dst) in self
+            .quad
+            .chunks_exact(span)
+            .zip(out.chunks_exact_mut(TILE_BYTES))
+        {
+            dst[..span].copy_from_slice(src);
         }
         out
     }
@@ -833,9 +1111,12 @@ impl Sink<'_> {
     /// exactly the scalar sequence of [`Sink::finish`] per lane — convert,
     /// multiply, add (separate, not FMA: the scalar body rounds twice),
     /// ordered-greater blend — so the result is bitwise identical, ±0 and
-    /// NaN included. `max` tracks `|v|` per lane; `vmaxps` returns its
-    /// second operand when the first is NaN, which is the scalar compare's
-    /// skip.
+    /// NaN included. `max` tracks `|v|` per lane, row `r` in tracker
+    /// `r % M`: one tracker is a 4-cycle `vmaxps` chain per row, which the
+    /// VNNI product hides and the tile leg (no vector work between its
+    /// rows) spreads over four. Every tracker is the *second* operand,
+    /// which `vmaxps` returns when the first is NaN — the scalar compare's
+    /// skip — so none ever holds a NaN.
     ///
     /// # Safety
     ///
@@ -843,13 +1124,13 @@ impl Sink<'_> {
     /// exist in the sink, and `strip` is a valid strip index of `b`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn finish_zmm<const R: usize>(
+    unsafe fn finish_zmm<const R: usize, const M: usize>(
         &mut self,
         b: &PackedI8,
         r0: usize,
         strip: usize,
         acc: &[std::arch::x86_64::__m512i; R],
-        max: &mut std::arch::x86_64::__m512,
+        max: &mut [std::arch::x86_64::__m512; M],
     ) {
         use std::arch::x86_64::*;
         let n = b.n;
@@ -882,6 +1163,7 @@ impl Sink<'_> {
                         None => v,
                     };
                     _mm512_mask_storeu_ps(dst.as_mut_ptr().add((r0 + r) * n + js), mask, v);
+                    let max = &mut max[r % M];
                     *max = _mm512_mask_max_ps(*max, mask, _mm512_abs_ps(v), *max);
                 }
             }
@@ -969,7 +1251,12 @@ pub fn gemm_i8_portable(m: usize, a: &[i8], b: &PackedI8, c: &mut [i32]) {
 /// `plane` holds activations quantized to `[-127, 127]` and XORed with
 /// [`i8_activation_bias`]. The accumulators are exact and the epilogue
 /// performs one IEEE multiply and one add per element on every leg, so
-/// `dst` is bitwise identical across the portable, AVX2 and VNNI kernels.
+/// `dst` is bitwise identical across the portable, AVX2, VNNI and AMX
+/// kernels. The AMX leg is taken when the calling thread holds a
+/// [`TileSession`] opened for `patches.width` and the shape fits (module
+/// docs); it reads 64 bytes from the start of every span, so a plane
+/// with fewer readable bytes than that after its last patch is multiplied
+/// on the VNNI leg instead — never read out of bounds, never refused.
 ///
 /// # Panics
 ///
@@ -1009,6 +1296,15 @@ fn sweep(rows: usize, plane: &[u8], p: Patches, b: &PackedI8, sink: &mut Sink<'_
         plane.len() >= p.extent(rows, b.spans, b.span_bytes()),
         "int8 plane too short"
     );
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    if tiles_fit(rows, plane.len(), p, b) {
+        // SAFETY: `tiles_fit` saw this thread's open session (so AMX and,
+        // under it, AVX-512 are usable and the tile shape is `p.width`
+        // rows), the tile mirror, whole plane rows, and 64 readable bytes
+        // from the start of every span.
+        unsafe { sweep_amx(rows, plane, p, b, sink) };
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     if vnni_available() {
         // Safety: guarded by cached runtime detection of avx512f+vnni;
@@ -1309,7 +1605,7 @@ unsafe fn sweep_vnni(rows: usize, a: &[u8], p: Patches, b: &PackedI8, sink: &mut
         }
         return;
     }
-    let mut max = _mm512_setzero_ps();
+    let mut max = [_mm512_setzero_ps()];
     let mut r0 = 0;
     while r0 < rows {
         let left = rows - r0;
@@ -1328,7 +1624,7 @@ unsafe fn sweep_vnni(rows: usize, a: &[u8], p: Patches, b: &PackedI8, sink: &mut
         };
         r0 += h;
     }
-    sink.fold_max(_mm512_reduce_max_ps(max));
+    sink.fold_max(_mm512_reduce_max_ps(max[0]));
 }
 
 /// `Σ a[i]·b[i]` over biased u8 `a` and a [`DOT_CHUNK`]-padded i8 column,
@@ -1381,7 +1677,7 @@ unsafe fn vnni_block<const R: usize>(
     p: Patches,
     b: &PackedI8,
     sink: &mut Sink<'_>,
-    max: &mut std::arch::x86_64::__m512,
+    max: &mut [std::arch::x86_64::__m512; 1],
 ) {
     let base = block_offsets::<R>(p, r0, R).map(|at| a.as_ptr().add(at));
     let n_strips = b.n.div_ceil(NR_VNNI);
@@ -1396,6 +1692,25 @@ unsafe fn vnni_block<const R: usize>(
         let acc = vnni_strips::<R, 1>(&base, p.row_stride, b, s);
         sink.finish_zmm(b, r0, s, &acc[0], max);
     }
+}
+
+/// Where the accumulators of `strip`'s 16 columns start on the legs that
+/// multiply biased (`a + 128`) activations: `−128·S_j`, zero past column
+/// `n`.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F and `strip` is a VNNI
+/// strip of `b`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn unbiased_start(b: &PackedI8, strip: usize) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::*;
+    let js = strip * NR_VNNI;
+    let live = lane_mask(NR_VNNI.min(b.n - js));
+    let sums = _mm512_maskz_loadu_epi32(live, b.col_sums.as_ptr().add(js));
+    _mm512_sub_epi32(_mm512_setzero_si512(), _mm512_slli_epi32::<7>(sums))
 }
 
 /// The `vpdpbusd` core: `R` patches × `S` adjacent strips, returning the
@@ -1425,10 +1740,7 @@ unsafe fn vnni_strips<const R: usize, const S: usize>(
     let strip0 = b.quad.as_ptr().add(s * strip_len);
     let mut acc = [[_mm512_setzero_si512(); R]; S];
     for (t, rows) in acc.iter_mut().enumerate() {
-        let js = (s + t) * NR_VNNI;
-        let live = lane_mask(NR_VNNI.min(b.n - js));
-        let sums = _mm512_maskz_loadu_epi32(live, b.col_sums.as_ptr().add(js));
-        *rows = [_mm512_sub_epi32(_mm512_setzero_si512(), _mm512_slli_epi32::<7>(sums)); R];
+        *rows = [unbiased_start(b, s + t); R];
     }
     for span in 0..b.spans {
         for q in 0..quads {
@@ -1447,6 +1759,220 @@ unsafe fn vnni_strips<const R: usize, const S: usize>(
         }
     }
     acc
+}
+
+/// Whether [`sweep`] takes the tile leg for this product: the calling
+/// thread holds a [`TileSession`] opened for `p.width`, `b` carries B
+/// tiles, the rows are whole plane rows, and every tile row — 64 bytes
+/// from the start of a span, whatever the span's length — lies inside the
+/// plane. Anything else goes to the VNNI leg, which needs none of it.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn tiles_fit(rows: usize, plane_len: usize, p: Patches, b: &PackedI8) -> bool {
+    let held = TILE_ROWS.get() as usize;
+    held != 0
+        && held == p.width
+        && !b.tile.is_empty()
+        && rows.is_multiple_of(p.width)
+        && plane_len >= p.extent(rows, b.spans, TILE_ROW_BYTES)
+}
+
+/// One tile instruction on named tile registers. Each is its own `asm!`
+/// statement: statements without `pure` keep their order, and rustc
+/// cannot allocate a `tmm` register (the class is clobber-only), so the
+/// tile state is ours from one statement to the next.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+macro_rules! tile {
+    // `$t ← rows of 64 bytes at $ptr, $stride apart`.
+    (load $t:tt, $ptr:expr, $stride:expr) => {
+        std::arch::asm!(
+            concat!("tileloadd ", $t, ", [{p} + {s}*1]"),
+            p = in(reg) $ptr,
+            s = in(reg) $stride,
+            out($t) _,
+            options(nostack, readonly, preserves_flags),
+        )
+    };
+    // `$c += $a (u8) · $b (i8)`, four-deep dots into i32 lanes.
+    (dot $c:tt, $a:tt, $b:tt) => {
+        std::arch::asm!(
+            concat!("tdpbusd ", $c, ", ", $a, ", ", $b),
+            out($c) _,
+            options(nostack, nomem, preserves_flags),
+        )
+    };
+    // `rows of 64 bytes at $ptr ← $t`.
+    (store $t:tt, $ptr:expr) => {
+        std::arch::asm!(
+            concat!("tilestored [{p} + {s}*1], ", $t),
+            p = in(reg) $ptr,
+            s = in(reg) TILE_ROW_BYTES,
+            options(nostack, preserves_flags),
+        )
+    };
+}
+
+/// One row of a C tile in memory: 16 exact i32 lanes.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct TileRow([i32; NR_VNNI]);
+
+/// AMX micro-kernel sweep: the conv products of [`sweep_vnni`] on the
+/// tile unit. One plane row of `width` patches is one block — its A tiles
+/// are loaded in place from the biased plane (row `x` of span `s`'s tile
+/// is the 64 bytes at patch `x`'s span `s`; bytes past the span meet the
+/// B tile's zero rows), the ≤ 4 B tiles stay resident for the whole
+/// sweep, each C tile starts at `−128·S_j` (one 64-byte row loaded with
+/// stride 0) and, once its `tdpbusd`s are done, is stored to the stack and
+/// finished row by row by the VNNI leg's epilogue. `tdpbusd` sums the
+/// same unsaturated `u8 × i8` products into the same i32 lanes as
+/// `vpdpbusd`, so the accumulators — and everything after them — are
+/// bitwise the VNNI leg's.
+///
+/// # Safety
+///
+/// Callers must ensure [`tiles_fit`] holds for the arguments on this
+/// thread and the sink holds `rows` rows.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[target_feature(enable = "avx512f")]
+unsafe fn sweep_amx(rows: usize, a: &[u8], p: Patches, b: &PackedI8, sink: &mut Sink<'_>) {
+    debug_assert!(tiles_fit(rows, a.len(), p, b));
+    TILE_SWEEPS.set(TILE_SWEEPS.get().wrapping_add(1));
+    match (b.spans, b.n.div_ceil(NR_VNNI)) {
+        (1, 1) => amx_blocks::<1, 1>(rows, a, p, b, sink),
+        (1, 2) => amx_blocks::<1, 2>(rows, a, p, b, sink),
+        (2, 1) => amx_blocks::<2, 1>(rows, a, p, b, sink),
+        (2, 2) => amx_blocks::<2, 2>(rows, a, p, b, sink),
+        _ => unreachable!("the tile mirror exists for at most 2 spans × 2 strips"),
+    }
+}
+
+/// [`sweep_amx`] for `SPANS` spans × `STRIPS` strips. Tiles: `tmm0..3` =
+/// B of (strip 0, span 0), (strip 0, span 1), (strip 1, span 0),
+/// (strip 1, span 1); `tmm4/5` = the block's A tiles (which of the two is
+/// span 0 alternates, see below); `tmm6/7` = C of strip 0/1.
+///
+/// # Safety
+///
+/// As [`sweep_amx`], with `b` packed in `SPANS` spans and `STRIPS` strips.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[target_feature(enable = "avx512f")]
+unsafe fn amx_blocks<const SPANS: usize, const STRIPS: usize>(
+    rows: usize,
+    a: &[u8],
+    p: Patches,
+    b: &PackedI8,
+    sink: &mut Sink<'_>,
+) {
+    use std::arch::x86_64::*;
+    let width = p.width;
+    let mut init = [TileRow([0; NR_VNNI]); STRIPS];
+    for (s, row) in init.iter_mut().enumerate() {
+        _mm512_store_si512(row.0.as_mut_ptr().cast(), unbiased_start(b, s));
+    }
+    // SAFETY (every `tile!` in this function): the session `tiles_fit`
+    // saw configured tmm0–3 as 16 × 64 bytes and tmm4–7 as `width` × 64.
+    // Loads read the mirror's 1 KiB chunks (`SPANS · STRIPS` of them
+    // exist), one aligned `init` row with stride 0, and `width` plane rows
+    // of 64 bytes from `plane_row(y)`, `y ≤ blocks − 1 + SPANS − 1`, which
+    // is what `tiles_fit` checked against the plane's length; stores write
+    // `width ≤ 16` rows of `out`. `tdpbusd` shapes agree: C and A have
+    // `width` rows, A's 64 bytes are B's 16 quad rows.
+    let bt = b.tile.as_ptr();
+    tile!(load "tmm0", bt, TILE_ROW_BYTES);
+    if SPANS == 2 {
+        tile!(load "tmm1", bt.add(TILE_BYTES), TILE_ROW_BYTES);
+    }
+    if STRIPS == 2 {
+        tile!(load "tmm2", bt.add(SPANS * TILE_BYTES), TILE_ROW_BYTES);
+        if SPANS == 2 {
+            tile!(load "tmm3", bt.add(3 * TILE_BYTES), TILE_ROW_BYTES);
+        }
+    }
+    // Where the finished C tiles go; a block reads only the rows its own
+    // `tilestored` wrote.
+    let mut out = std::mem::MaybeUninit::<[[TileRow; 16]; STRIPS]>::uninit();
+    let out = out.as_mut_ptr().cast::<[TileRow; 16]>();
+    let mut max = [_mm512_setzero_ps(); 4];
+    let plane_row = |y: usize| a.as_ptr().add(y * p.row_stride);
+    // Plane row `y + 1` is span 1 of block `y` and span 0 of block
+    // `y + 1`: with two spans each block loads one A tile, and the two
+    // registers swap roles from block to block.
+    if SPANS == 2 {
+        tile!(load "tmm4", plane_row(0), p.col_stride);
+    }
+    macro_rules! block {
+        ($y:expr, $span0:tt, $span1:tt) => {{
+            if SPANS == 2 {
+                tile!(load $span1, plane_row($y + 1), p.col_stride);
+            } else {
+                tile!(load $span0, plane_row($y), p.col_stride);
+            }
+            tile!(load "tmm6", init[0].0.as_ptr(), 0usize);
+            tile!(dot "tmm6", $span0, "tmm0");
+            if SPANS == 2 {
+                tile!(dot "tmm6", $span1, "tmm1");
+            }
+            tile!(store "tmm6", out);
+            if STRIPS == 2 {
+                tile!(load "tmm7", init[1].0.as_ptr(), 0usize);
+                tile!(dot "tmm7", $span0, "tmm2");
+                if SPANS == 2 {
+                    tile!(dot "tmm7", $span1, "tmm3");
+                }
+                tile!(store "tmm7", out.add(1));
+            }
+            for s in 0..STRIPS {
+                finish_tile(sink, b, $y * width, width, s, out.add(s).cast(), &mut max);
+            }
+        }};
+    }
+    let blocks = rows / width;
+    for y in (0..blocks).step_by(2) {
+        block!(y, "tmm4", "tmm5");
+        if y + 1 < blocks {
+            block!(y + 1, "tmm5", "tmm4");
+        }
+    }
+    let max = _mm512_max_ps(_mm512_max_ps(max[0], max[1]), _mm512_max_ps(max[2], max[3]));
+    sink.fold_max(_mm512_reduce_max_ps(max));
+}
+
+/// Hands the first `width` rows of a stored C tile — rows `r0..` of strip
+/// `strip` — to the VNNI leg's epilogue, four at a time so that tile row
+/// `r` feeds max tracker `r % 4`.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F, `tile` points at `width
+/// ≤ 16` initialized rows, rows `r0..r0 + width` exist in the sink and
+/// `strip` is a strip of `b`.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn finish_tile(
+    sink: &mut Sink<'_>,
+    b: &PackedI8,
+    r0: usize,
+    width: usize,
+    strip: usize,
+    tile: *const TileRow,
+    max: &mut [std::arch::x86_64::__m512; 4],
+) {
+    use std::arch::x86_64::_mm512_load_si512;
+    let row = |r: usize| _mm512_load_si512(tile.add(r).cast());
+    let mut r = 0;
+    while r + 4 <= width {
+        let acc = [row(r), row(r + 1), row(r + 2), row(r + 3)];
+        sink.finish_zmm(b, r0 + r, strip, &acc, max);
+        r += 4;
+    }
+    match width - r {
+        3 => sink.finish_zmm(b, r0 + r, strip, &[row(r), row(r + 1), row(r + 2)], max),
+        2 => sink.finish_zmm(b, r0 + r, strip, &[row(r), row(r + 1)], max),
+        1 => sink.finish_zmm(b, r0 + r, strip, &[row(r)], max),
+        _ => {}
+    }
 }
 
 /// One layer of the fused f32 inference walk, as [`gemm_f32_fused`]
@@ -2068,18 +2594,69 @@ mod tests {
         a
     }
 
+    /// Opens a tile session for `width`, or says why the tile half of a
+    /// test does not run here.
+    fn tile_session_or_skip(width: usize) -> Option<TileSession> {
+        let session = TileSession::open(width);
+        if !session.is_active() {
+            println!("tile leg not available — skipped");
+        }
+        session.is_active().then_some(session)
+    }
+
+    /// `gemm_i8_dequant`'s result by the book: `naive_i8` over gathered
+    /// patches of an unbiased plane, finished by the scalar epilogue.
+    fn dequant_by_the_book(
+        plane: &[i8],
+        rows: usize,
+        p: Patches,
+        (spans, span_len, cout): (usize, usize, usize),
+        bmat: &[i8],
+        epi: Dequant<'_>,
+    ) -> (Vec<f32>, f32) {
+        let mut acc = vec![0i32; rows * cout];
+        let a = gather(plane, rows, p, spans, span_len);
+        naive_i8(rows, spans * span_len, cout, &a, bmat, &mut acc);
+        let mut want = vec![0.0f32; rows * cout];
+        let mut sink = Sink::Dequant {
+            epi,
+            dst: &mut want,
+            max_abs: 0.0,
+        };
+        for r in 0..rows {
+            sink.finish(cout, r, 0, &acc[r * cout..(r + 1) * cout]);
+        }
+        let Sink::Dequant { max_abs, .. } = sink else {
+            unreachable!()
+        };
+        (want, max_abs)
+    }
+
     #[test]
     fn dequant_over_patches_matches_naive_on_every_leg() {
-        // (h, w, cin, kh, kw, cout): the critic's layer shapes plus ragged
-        // spans (kw·cin not a multiple of 2 or 4) and odd column counts.
-        for &(h, w, cin, kh, kw, cout) in &[
-            (10usize, 12usize, 1usize, 2usize, 2usize, 8usize),
-            (10, 12, 8, 2, 2, 16),
-            (10, 12, 16, 2, 2, 32),
-            (3, 5, 3, 2, 3, 5),
-            (4, 3, 1, 3, 1, 17),
-            (1, 1, 37, 1, 1, 1),
-            (1, 1, 130, 1, 1, 3),
+        // (h, w, cin, kh, kw, cout, tiles): the critic's layer shapes plus
+        // ragged spans (kw·cin not a multiple of 2 or 4) and odd column
+        // counts; `tiles` marks the shapes the AMX leg takes — widths 4,
+        // 12 and 16, one and two spans of 16 to 64 bytes, ragged strips —
+        // the others it must leave to VNNI (k = 4, three spans, three
+        // strips, 17 patches a row, a 65-byte span, a column).
+        for &(h, w, cin, kh, kw, cout, tiles) in &[
+            (10usize, 12usize, 1usize, 2usize, 2usize, 8usize, false),
+            (10, 12, 8, 2, 2, 16, true),
+            (10, 12, 16, 2, 2, 32, true),
+            (10, 12, 32, 2, 2, 32, true),
+            (3, 4, 8, 2, 2, 9, true),
+            (2, 16, 16, 1, 2, 17, true),
+            (5, 16, 32, 2, 2, 31, true),
+            (3, 4, 9, 1, 2, 16, true),
+            (4, 5, 8, 3, 2, 16, false),
+            (3, 12, 8, 2, 2, 33, false),
+            (2, 17, 8, 2, 2, 16, false),
+            (2, 4, 13, 1, 5, 8, false),
+            (3, 5, 3, 2, 3, 5, false),
+            (4, 3, 1, 3, 1, 17, false),
+            (1, 1, 37, 1, 1, 1, false),
+            (1, 1, 130, 1, 1, 3, false),
         ] {
             let (ph, pw) = (h + kh - 1, w + kw - 1);
             let (spans, span_len) = (kh, kw * cin);
@@ -2088,13 +2665,11 @@ mod tests {
                 row_stride: pw * cin,
                 col_stride: cin,
             };
-            let plane = fill_i8(h as u64 * 7 + cin as u64, ph * pw * cin + 3);
+            // A whole tile row of slack past the last patch.
+            let plane = fill_i8(h as u64 * 7 + cin as u64, ph * pw * cin + 64);
             let bmat = fill_i8(cout as u64 * 13 + 1, spans * span_len * cout);
             let packed = PackedI8::pack_spans(spans, span_len, cout, &bmat);
             let rows = h * w;
-            let mut want_acc = vec![0i32; rows * cout];
-            let a = gather(&plane, rows, p, spans, span_len);
-            naive_i8(rows, spans * span_len, cout, &a, &bmat, &mut want_acc);
 
             let mult: Vec<f32> = (0..cout).map(|j| 0.01 + j as f32 * 1e-3).collect();
             let bias: Vec<f32> = (0..cout).map(|j| j as f32 - 2.5).collect();
@@ -2104,21 +2679,9 @@ mod tests {
                     bias: &bias,
                     alpha,
                 };
-                let mut want = vec![0.0f32; rows * cout];
-                let mut sink = Sink::Dequant {
-                    epi,
-                    dst: &mut want,
-                    max_abs: 0.0,
-                };
-                for r in 0..rows {
-                    sink.finish(cout, r, 0, &want_acc[r * cout..(r + 1) * cout]);
-                }
-                let Sink::Dequant {
-                    max_abs: want_max, ..
-                } = sink
-                else {
-                    unreachable!()
-                };
+                let what = format!("{h}×{w}×{cin}→{cout}, k {kh}×{kw}");
+                let (want, want_max) =
+                    dequant_by_the_book(&plane, rows, p, (spans, span_len, cout), &bmat, epi);
 
                 let mut port = vec![0.0f32; rows * cout];
                 let mut sink = Sink::Dequant {
@@ -2127,7 +2690,7 @@ mod tests {
                     max_abs: 0.0,
                 };
                 sweep_portable(rows, &plane, p, &packed, &mut sink);
-                assert_eq!(bits(&want), bits(&port), "portable {h}×{w}×{cin}→{cout}");
+                assert_eq!(bits(&want), bits(&port), "portable {what}");
 
                 // The AVX2 leg is never dispatched on a VNNI host; pin it
                 // here so every leg is exercised wherever the tests run.
@@ -2142,18 +2705,201 @@ mod tests {
                     // SAFETY: avx2 presence checked above; `plane` covers
                     // the patch extent (it backs the portable sweep too).
                     unsafe { sweep_avx2(rows, &plane, p, &packed, &mut sink) };
-                    assert_eq!(bits(&want), bits(&avx2), "avx2 {h}×{w}×{cin}→{cout}");
+                    assert_eq!(bits(&want), bits(&avx2), "avx2 {what}");
                 }
 
                 let biased: Vec<u8> = plane
                     .iter()
                     .map(|&v| v as u8 ^ i8_activation_bias())
                     .collect();
+                // No session: the dispatched leg below the tiles.
                 let mut fast = vec![0.0f32; rows * cout];
                 let got_max = gemm_i8_dequant(rows, &biased, p, &packed, epi, &mut fast);
-                assert_eq!(bits(&want), bits(&fast), "dispatched {h}×{w}×{cin}→{cout}");
+                assert_eq!(bits(&want), bits(&fast), "dispatched {what}");
                 assert_eq!(want_max.to_bits(), got_max.to_bits());
+
+                // Inside a session: the tile leg, called directly like the
+                // AVX2 one, and through the dispatcher — which takes it for
+                // exactly the shapes marked above.
+                #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+                if let Some(session) = tile_session_or_skip(w.clamp(4, 16)) {
+                    assert_eq!(
+                        tiles_fit(rows, biased.len(), p, &packed),
+                        tiles,
+                        "tile fit {what}"
+                    );
+                    if tiles {
+                        let mut amx = vec![0.0f32; rows * cout];
+                        let mut sink = Sink::Dequant {
+                            epi,
+                            dst: &mut amx,
+                            max_abs: 0.0,
+                        };
+                        // SAFETY: `tiles_fit` was just asserted.
+                        unsafe { sweep_amx(rows, &biased, p, &packed, &mut sink) };
+                        let Sink::Dequant { max_abs, .. } = sink else {
+                            unreachable!()
+                        };
+                        assert_eq!(bits(&want), bits(&amx), "amx {what}");
+                        assert_eq!(want_max.to_bits(), max_abs.to_bits(), "amx max {what}");
+                    }
+                    let before = session.sweeps();
+                    let mut fast = vec![0.0f32; rows * cout];
+                    let got_max = gemm_i8_dequant(rows, &biased, p, &packed, epi, &mut fast);
+                    assert_eq!(session.sweeps() - before, tiles as u32, "leg taken {what}");
+                    assert_eq!(bits(&want), bits(&fast), "in session {what}");
+                    assert_eq!(want_max.to_bits(), got_max.to_bits());
+                }
             }
+        }
+    }
+
+    #[test]
+    fn a_plane_without_tile_slack_takes_the_vnni_leg_and_scores_the_same() {
+        // The critic's 16 → 32 layer over a plane with quad slack only:
+        // the last tile row would read 29 bytes past the end, so inside a
+        // session the dispatcher must stay on VNNI — same bits, no tiles.
+        let (h, w, cin, cout) = (10usize, 12usize, 16usize, 32usize);
+        let p = Patches {
+            width: w,
+            row_stride: (w + 1) * cin,
+            col_stride: cin,
+        };
+        let bmat = fill_i8(3, 4 * cin * cout);
+        let packed = PackedI8::pack_spans(2, 2 * cin, cout, &bmat);
+        let mult = vec![0.02f32; cout];
+        let bias = vec![-0.5f32; cout];
+        let epi = Dequant {
+            mult: &mult,
+            bias: &bias,
+            alpha: Some(0.2),
+        };
+        let plane = fill_i8(9, (h + 1) * p.row_stride + 64);
+        let biased: Vec<u8> = plane
+            .iter()
+            .map(|&v| v as u8 ^ i8_activation_bias())
+            .collect();
+        let tight = &biased[..biased.len() - 61];
+        let (want, want_max) =
+            dequant_by_the_book(&plane, h * w, p, (2, 2 * cin, cout), &bmat, epi);
+        let Some(session) = tile_session_or_skip(w) else {
+            return;
+        };
+        for (plane, tiles) in [(&biased[..], 1), (tight, 0)] {
+            let before = session.sweeps();
+            let mut got = vec![0.0f32; h * w * cout];
+            let got_max = gemm_i8_dequant(h * w, plane, p, &packed, epi, &mut got);
+            assert_eq!(session.sweeps() - before, tiles, "slack {}", plane.len());
+            assert_eq!(bits(&want), bits(&got), "slack {}", plane.len());
+            assert_eq!(want_max.to_bits(), got_max.to_bits());
+        }
+    }
+
+    #[test]
+    fn int8_leg_names_the_dispatched_leg() {
+        let leg = int8_leg();
+        println!("int8_leg: {leg}");
+        assert!(["amx", "vnni", "avx2", "portable"].contains(&leg));
+        if force_portable() {
+            assert_eq!(leg, "portable");
+        }
+        // The tile leg is the one a session turns on, and only that one.
+        assert_eq!(TileSession::open(12).is_active(), leg == "amx");
+        assert_eq!(i8_activation_bias() == 0x80, leg == "amx" || leg == "vnni");
+    }
+
+    #[test]
+    fn a_nested_session_is_inactive_and_the_outer_one_still_releases() {
+        let Some(outer) = tile_session_or_skip(12) else {
+            assert!(!TileSession::open(12).is_active());
+            return;
+        };
+        let inner = TileSession::open(8);
+        assert!(!inner.is_active(), "second open on a thread is a no-op");
+        drop(inner);
+        assert_eq!(TILE_ROWS.get(), 12, "the inner guard released nothing");
+        drop(outer);
+        assert_eq!(TILE_ROWS.get(), 0);
+        assert!(TileSession::open(8).is_active(), "tiles were released");
+        // Shapes no tile block serves claim nothing.
+        assert!(!TileSession::open(3).is_active());
+        assert!(!TileSession::open(17).is_active());
+    }
+
+    #[test]
+    fn a_panic_inside_a_session_releases_the_tiles() {
+        if tile_session_or_skip(12).is_none() {
+            return;
+        }
+        let unwound = std::panic::catch_unwind(|| {
+            let _session = TileSession::open(12);
+            assert_eq!(TILE_ROWS.get(), 12);
+            panic!("scoring failed mid-session");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(TILE_ROWS.get(), 0, "unwinding dropped the guard");
+        assert!(
+            TileSession::open(16).is_active(),
+            "the thread can open the next one"
+        );
+    }
+
+    #[test]
+    fn two_threads_with_their_own_sessions_score_what_one_thread_scores() {
+        // Two windows of the critic's 32 → 32 layer: serially without a
+        // session, then one window per thread, both sessions open at once.
+        let (h, w, cin, cout) = (10usize, 12usize, 32usize, 32usize);
+        let p = Patches {
+            width: w,
+            row_stride: (w + 1) * cin,
+            col_stride: cin,
+        };
+        let bmat = fill_i8(5, 4 * cin * cout);
+        let packed = PackedI8::pack_spans(2, 2 * cin, cout, &bmat);
+        let mult = vec![0.01f32; cout];
+        let bias = vec![0.25f32; cout];
+        let epi = Dequant {
+            mult: &mult,
+            bias: &bias,
+            alpha: Some(0.2),
+        };
+        let planes: Vec<Vec<u8>> = (0..2)
+            .map(|i| {
+                fill_i8(11 + i, (h + 1) * p.row_stride + 64)
+                    .iter()
+                    .map(|&v| v as u8 ^ i8_activation_bias())
+                    .collect()
+            })
+            .collect();
+        let score = |plane: &[u8]| {
+            let mut out = vec![0.0f32; h * w * cout];
+            let max = gemm_i8_dequant(h * w, plane, p, &packed, epi, &mut out);
+            (bits(&out), max.to_bits())
+        };
+        let serial: Vec<_> = planes.iter().map(|plane| score(plane)).collect();
+        let both_open = std::sync::Barrier::new(2);
+        let forked: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = planes
+                .iter()
+                .map(|plane| {
+                    scope.spawn(|| {
+                        let session = TileSession::open(w);
+                        both_open.wait();
+                        let scored = score(plane);
+                        both_open.wait();
+                        (scored, session.sweeps())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let tiles = tile_session_or_skip(w).is_some() as u32;
+        for ((scored, sweeps), want) in forked.iter().zip(&serial) {
+            assert_eq!(scored, want);
+            assert_eq!(
+                *sweeps, tiles,
+                "each thread ran its product on its own tiles"
+            );
         }
     }
 

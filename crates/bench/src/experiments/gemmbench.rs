@@ -4,8 +4,8 @@
 //! Writes `results/BENCH_gemm.json` so future PRs have a perf trajectory
 //! to compare against. Run via `vehigan-bench gemm`.
 //!
-//! Shapes (all from the default `WganConfig`: 10×12 snapshots, 128-sample
-//! batches):
+//! Shapes (10×12 snapshots; the first four at `WganConfig`'s 128-sample
+//! batches, the training shapes at the perf ledger's 16):
 //! - `critic_forward` — the final Dense layer of the critic,
 //!   `[128, 120] · [120, 64]`, the ISSUE's ≥3× acceptance shape;
 //! - `im2col_gemm` — a critic conv as its im2col product,
@@ -13,7 +13,16 @@
 //! - `dense_backward_dw` — `dW = Xᵀ·dY` via `gemm_tn` vs
 //!   transpose-then-naive;
 //! - `dense_backward_dx` — `dX = dY·Wᵀ` via `gemm_nt` vs
-//!   transpose-then-naive.
+//!   transpose-then-naive;
+//! - `conv{1_8,8_16,32_32}_{fwd,dw,dx}` — what a critic actually trains:
+//!   the three products of its `k = 4` first layer (1 → 8 channels), its
+//!   16-column layer (8 → 16) and its widest (32 → 32, where
+//!   `dW = gemm_tn` 128×32 over `k = 1920` and `dX = gemm_nt` 1920×128
+//!   over `k = 32`).
+//!
+//! The `blocked` column is whatever leg the process dispatches
+//! ([`gemm::f32_leg`], recorded in the file); run under
+//! `VEHIGAN_FORCE_PORTABLE=1` for the portable one.
 
 use crate::harness::results_dir;
 use std::time::Instant;
@@ -38,36 +47,31 @@ struct Case {
     kind: Kind,
 }
 
+const fn case(name: &'static str, kind: Kind, m: usize, k: usize, n: usize) -> Case {
+    Case {
+        name,
+        m,
+        k,
+        n,
+        kind,
+    }
+}
+
 /// The benched shapes. Public callers go through [`run`].
-const CASES: [Case; 4] = [
-    Case {
-        name: "critic_forward",
-        m: 128,
-        k: 120,
-        n: 64,
-        kind: Kind::Nn,
-    },
-    Case {
-        name: "im2col_gemm",
-        m: 15360,
-        k: 32,
-        n: 16,
-        kind: Kind::Nn,
-    },
-    Case {
-        name: "dense_backward_dw",
-        m: 120,
-        k: 128,
-        n: 64,
-        kind: Kind::Tn,
-    },
-    Case {
-        name: "dense_backward_dx",
-        m: 128,
-        k: 64,
-        n: 120,
-        kind: Kind::Nt,
-    },
+const CASES: [Case; 13] = [
+    case("critic_forward", Kind::Nn, 128, 120, 64),
+    case("im2col_gemm", Kind::Nn, 15360, 32, 16),
+    case("dense_backward_dw", Kind::Tn, 120, 128, 64),
+    case("dense_backward_dx", Kind::Nt, 128, 64, 120),
+    case("conv1_8_fwd", Kind::Nn, 1920, 4, 8),
+    case("conv1_8_dw", Kind::Tn, 4, 1920, 8),
+    case("conv1_8_dx", Kind::Nt, 1920, 8, 4),
+    case("conv8_16_fwd", Kind::Nn, 1920, 32, 16),
+    case("conv8_16_dw", Kind::Tn, 32, 1920, 16),
+    case("conv8_16_dx", Kind::Nt, 1920, 16, 32),
+    case("conv32_32_fwd", Kind::Nn, 1920, 128, 32),
+    case("conv32_32_dw", Kind::Tn, 128, 1920, 32),
+    case("conv32_32_dx", Kind::Nt, 1920, 32, 128),
 ];
 
 /// Deterministic xorshift fill — no RNG dependency, same data every run.
@@ -207,6 +211,7 @@ fn measure(case: &Case) -> Measurement {
 /// Runs all cases, prints a table, and writes `results/BENCH_gemm.json`.
 pub fn run() {
     println!("GEMM kernel benchmark (median of 7 trials per kernel)");
+    println!("f32_leg: {}", gemm::f32_leg());
     println!("int8_leg: {}", gemm::int8_leg());
     println!(
         "{:>20} {:>16} {:>14} {:>14} {:>9}",
@@ -235,8 +240,17 @@ pub fn run() {
             r.speedup()
         ));
     }
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu_model = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name")?.split_once(": "))
+        .map_or("unknown", |(_, model)| model);
     let json = format!(
-        "{{\n  \"bench\": \"gemm\",\n  \"unit\": \"GFLOP/s\",\n  \"cases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"gemm\",\n  \"unit\": \"GFLOP/s\",\n  \
+         \"host\": {{\"nproc\": {nproc}, \"cpu_model\": \"{cpu_model}\"}},\n  \
+         \"f32_leg\": \"{}\",\n  \"cases\": [\n{}\n  ]\n}}\n",
+        gemm::f32_leg(),
         entries.join(",\n")
     );
     let path = results_dir().join("BENCH_gemm.json");

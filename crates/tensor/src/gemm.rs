@@ -11,39 +11,87 @@
 //!
 //! # Kernel layout
 //!
-//! [`gemm`] follows the classic panel-packing scheme: the shared dimension
-//! is split into `KC`-deep panels; each panel of `B` is packed into
-//! `NR`-wide column strips and each `MC`-row block of `A` into `MR`-tall
-//! row strips, both laid out so the micro-kernel reads one contiguous
-//! `[f32; MR]` / `[f32; NR]` pair per `k`-step. The micro-kernel is a
-//! broadcast-multiply-accumulate over a fixed `MR × NR` accumulator array,
-//! which LLVM autovectorizes — no intrinsics. Two instantiations exist:
+//! Each of the three products has three legs — portable, AVX2+FMA and
+//! AVX-512F — chosen once per process by cached CPU detection
+//! ([`f32_leg`] names the one in use).
+//!
+//! The portable and AVX2 legs of [`gemm`] follow the classic
+//! panel-packing scheme: the shared dimension is split into `KC`-deep
+//! panels; each panel of `B` is packed into `NR`-wide column strips and
+//! each `MC`-row block of `A` into `MR`-tall row strips, both laid out so
+//! the micro-kernel reads one contiguous `[f32; MR]` / `[f32; NR]` pair per
+//! `k`-step. The micro-kernel is a broadcast-multiply-accumulate over a
+//! fixed `MR × NR` accumulator array, which LLVM autovectorizes — no
+//! intrinsics:
 //!
 //! - a portable 4×8 kernel compiled for the baseline target (one 256-bit
 //!   row as two SSE registers; near machine peak on SSE2-only hardware);
 //! - a 6×16 kernel compiled with `#[target_feature(enable = "avx2,fma")]`
-//!   and `f32::mul_add`, selected at runtime when the CPU supports it
-//!   (twelve YMM accumulators — enough independent FMA chains to hide
-//!   the fused-multiply-add latency).
+//!   and `f32::mul_add` (twelve YMM accumulators — enough independent FMA
+//!   chains to hide the fused-multiply-add latency).
+//!
+//! On those two legs [`gemm_tn`] is a rank-1 sweep (every `k`-step adds
+//! `a[k][i]·b[k][·]` into row `i` of `C`, through memory) and [`gemm_nt`]
+//! one eight-lane [`dot`] per output element; the AVX2 leg is the portable
+//! source compiled for wider registers.
+//!
+//! The AVX-512 legs are written with intrinsics — instantiating the
+//! autovectorized micro-kernel at 8×32 makes LLVM spill the accumulator
+//! array — and keep a block of `C` in registers across the `k` sweep:
+//!
+//! - [`gemm`] and [`gemm_tn`] share one block: up to 12 rows × 32 columns
+//!   of `C` in 24 `zmm` accumulators per `KC` panel, each `k`-step one or
+//!   two loads of `B`'s row and one broadcast of `A` per row of the block,
+//!   read where the operands lie (no packing: `B`'s row is already a
+//!   strip, and `A`'s element is `a[i][k]` or `a[k][i]` by a stride).
+//!   Rows go greedily in blocks of 12, 8, 4, 2 and 1, so no block computes
+//!   a row it throws away; the last 16 or fewer columns are one masked
+//!   vector. [`gemm`] issues `vfmadd231ps`, [`gemm_tn`] `vmulps` then
+//!   `vaddps`. The `n = 1` head of [`gemm_tn`] stays on its axpy;
+//! - [`gemm_nt`] gives each of [`dot`]'s eight lanes a register of its
+//!   own, sixteen outputs of a row of `C` wide, for three rows at a time
+//!   (24 accumulators): `k`-step `t` adds `a[i][t]·B[j..j+16][t]` into
+//!   lane `t % 8`, and [`dot`]'s reduction tree and tail are vertical adds.
+//!   `B[j..j+16][t]` side by side needs `B` transposed into 16-column
+//!   strips first (`n·k` gathered moves per call, into the thread's
+//!   packing buffer); a product of fewer than 8 rows does not repay that
+//!   and stays on the body's one [`dot`] per output.
 //!
 //! # Determinism
 //!
 //! For every kernel the reduction over `k` runs in strictly increasing
-//! order *per output element*: micro-kernel accumulators are loaded from
-//! `C` at panel entry and stored back at panel exit, so the association
-//! matches the naive i-k-j triple loop. Consequences:
+//! order *per output element*: accumulators are loaded from `C` at panel
+//! entry and stored back at panel exit (a round trip that rounds nothing),
+//! so the association matches the naive i-k-j triple loop. Consequences:
 //!
-//! - the portable path is **bitwise identical** to [`naive`];
-//! - the AVX2 path fuses each multiply-add (one rounding instead of two),
-//!   so it differs from [`naive`] by ≤ 1e-4 relative error but is
-//!   bit-stable run-to-run on a given machine (feature detection is
-//!   cached; a process never switches kernels mid-run);
-//! - [`gemm_tn`] performs exactly one multiply-add per output element per
-//!   `k`-step with no fusion, so it is bitwise identical to
-//!   `a.transpose().matmul(b)` on every ISA;
-//! - [`gemm_nt`] uses a fixed eight-lane partial-sum dot product —
-//!   machine-independent and deterministic, but associated differently
-//!   from the scalar loop (property tests bound the difference at ≤ 1e-4).
+//! - the portable [`gemm`] is **bitwise identical** to [`naive`] *on finite
+//!   operands*: [`naive`] skips a zero in `A`, so it never forms the NaN of
+//!   `0·∞` or `0·NaN`, and leaves a `−0.0` in `C` alone where the sweep's
+//!   `−0.0 + 0.0` makes it `+0.0`;
+//! - the AVX2 and AVX-512 legs of [`gemm`] fuse each multiply-add (one
+//!   rounding instead of two), so they differ from [`naive`] by ≤ 1e-4
+//!   relative error, and **agree with each other bit for bit**: per
+//!   element both run the same `fma(a[i][k], b[k][j], acc)` chain from the
+//!   value in `C`, whatever the blocking;
+//! - [`gemm_tn`] performs exactly one rounded multiply and one add per
+//!   output element per `k`-step with no fusion on every leg — in memory or
+//!   in a register — so it is bitwise identical to
+//!   `a.transpose().matmul(b)` on the portable leg, and the same bits on
+//!   every ISA;
+//! - [`gemm_nt`] is, on every leg, [`dot`]'s arithmetic per output: eight
+//!   partial sums each fed one rounded multiply and one add per 8-chunk,
+//!   the tree `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, the `k % 8` tail
+//!   summed from zero in order, `c += tree + tail`. Machine-independent
+//!   and deterministic, but associated differently from the scalar loop
+//!   (property tests bound the difference at ≤ 1e-4);
+//! - a process never switches legs mid-run (detection is cached), and a
+//!   host with AVX-512 trains the bits a host with AVX2 trains: "bitwise
+//!   the leg it replaces" is pinned by a unit test that calls each AVX-512
+//!   leg and the body under it directly, and by property tests that hold
+//!   the dispatched entry points to scalar references on ragged shapes
+//!   with ±0, ±∞ and NaN operands. NaNs compare as NaNs there: which
+//!   payload an add of two NaNs keeps is the instruction's operand order,
+//!   which no leg promises.
 //!
 //! All kernels *accumulate* into `C` (`beta = 1`); callers that want a
 //! plain product must zero `C` first. This is what lets
@@ -168,6 +216,13 @@ const MC: usize = 64;
 /// Depth of a packed panel (keeps one `NR`-wide strip of `B` L1-resident).
 const KC: usize = 256;
 
+/// Rows of `C` below which [`gemm_nt`] stays on the body's one [`dot`] per
+/// output: the AVX-512 leg gathers `B` into strips first, which a product
+/// of a few rows does not repay (EXPERIMENTS.md "Training at vector
+/// width": break-even between 4 and 8 rows).
+#[cfg(target_arch = "x86_64")]
+const NT_FEW: usize = 8;
+
 thread_local! {
     /// Reusable packing buffers for the `A` and `B` panels — they grow
     /// once per thread, so steady-state GEMM calls allocate nothing.
@@ -225,6 +280,28 @@ pub fn avx512_available() -> bool {
 #[cfg(not(target_arch = "x86_64"))]
 pub fn avx512_available() -> bool {
     false
+}
+
+/// Whether the f32 products take their AVX-512 legs: AVX-512F beside the
+/// AVX2+FMA leg each of them replaces bit for bit.
+#[cfg(target_arch = "x86_64")]
+fn avx512_fma_available() -> bool {
+    avx512_available() && fma_available()
+}
+
+/// Which f32 kernel leg this process dispatches — [`gemm`], [`gemm_tn`],
+/// [`gemm_nt`] and [`gemm_f32_fused`] alike: `"avx512"`, `"avx2"` or
+/// `"portable"`. Read-only — there is no setting.
+pub fn f32_leg() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx512_fma_available() {
+        return "avx512";
+    }
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        return "avx2";
+    }
+    "portable"
 }
 
 /// Whether the AMX tile leg may be used: the CPU advertises AMX-TILE and
@@ -430,9 +507,10 @@ fn check_dims(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &[f32]) {
 
 /// `C += A·B` for row-major `a` (`m×k`), `b` (`k×n`), `c` (`m×n`).
 ///
-/// Blocked and register-tiled; per output element the reduction runs in
+/// Register-tiled on every leg; per output element the reduction runs in
 /// strictly increasing `k` order (see module docs for the exact
-/// determinism guarantees of the two instantiations).
+/// determinism guarantees: portable rounds twice per step, the two vector
+/// legs fuse and agree bit for bit).
 ///
 /// # Panics
 ///
@@ -440,6 +518,13 @@ fn check_dims(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &[f32]) {
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     check_dims(m, k, n, a, b, c);
     if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx512_fma_available() {
+        // SAFETY: guarded by cached runtime detection of avx512f;
+        // `check_dims` held the slices to the stated dimensions.
+        unsafe { gemm_avx512(m, k, n, a, b, c) };
         return;
     }
     PACK.with(|p| {
@@ -597,13 +682,156 @@ unsafe fn gemm_avx2(
     gemm_body!(micro_6x16, 6, 16, m, k, n, a, b, c, pa, pb)
 }
 
+/// Sweeps [`madd_block`] over `C` for one of the two products whose inner
+/// step is a rank-1 update, element `(i, kk)` of `A` at
+/// `a[i·row + kk·step]`: per `KC`-deep panel of the shared dimension, rows
+/// greedily in blocks of 12, 8, 4, 2 and 1 (every block is whole, so no
+/// row is computed and thrown away), columns in pairs of vectors with one
+/// masked vector for the last 16 or fewer. Each leg is this sweep's only
+/// caller at its `FUSED`, so sweep and blocks inline into it and the
+/// stride it passes as a literal folds into the addressing.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F and that `a` holds the
+/// `m × k` elements so addressed, `b` `k·n` and `c` `m·n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn madd_sweep<const FUSED: bool>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    row: usize,
+    step: usize,
+    b: &[f32],
+    c: &mut [f32],
+) {
+    for kb in (0..k).step_by(KC) {
+        let kc = KC.min(k - kb);
+        let mut i0 = 0;
+        while i0 < m {
+            let rows = match m - i0 {
+                12.. => 12,
+                8.. => 8,
+                4.. => 4,
+                left => left.min(2),
+            };
+            for js in (0..n).step_by(32) {
+                let w = n - js;
+                let ap = a.as_ptr().add(i0 * row + kb * step);
+                let bp = b.as_ptr().add(kb * n + js);
+                let cp = c.as_mut_ptr().add(i0 * n + js);
+                macro_rules! block {
+                    ($r:literal) => {
+                        if w > 16 {
+                            madd_block::<$r, 2, FUSED>(kc, w, ap, row, step, bp, n, cp)
+                        } else {
+                            madd_block::<$r, 1, FUSED>(kc, w, ap, row, step, bp, n, cp)
+                        }
+                    };
+                }
+                match rows {
+                    12 => block!(12),
+                    8 => block!(8),
+                    4 => block!(4),
+                    2 => block!(2),
+                    _ => block!(1),
+                }
+            }
+            i0 += rows;
+        }
+    }
+}
+
+/// AVX-512 [`gemm`]: no packing — `B`'s row `k` is already one or two
+/// vector loads per column block and `A`'s elements are broadcast from
+/// where they lie. Per output element the same `vfmadd` chain in
+/// increasing `k` from the value in `C` as the AVX2 leg's (whose trip
+/// through packed panels and back to `C` between them rounds nothing), so
+/// the two legs agree bit for bit.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F and that `a`, `b` and `c`
+/// hold `m·k`, `k·n` and `m·n` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_avx512(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    madd_sweep::<true>(m, n, k, a, k, 1, b, c)
+}
+
+/// One `R`-row × `S`-vector block of `C` held in registers across `kc`
+/// steps of the shared dimension: every step is `S` (masked) loads of a
+/// row of `B` and `R` broadcasts of `A` feeding `R·S` multiply-adds —
+/// `vfmadd231ps` when `FUSED` ([`gemm`]), `vmulps` then `vaddps` when not
+/// ([`gemm_tn`], whose portable body rounds the product before it adds).
+/// Element `(r, kk)` of the block's slice of `A` is at `a[r·row + kk·step]`,
+/// which serves both storage orders.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F, `1 ≤ w`, and that the
+/// `R × kc` elements of `a` so addressed, `kc` rows of `min(w, 16·S)`
+/// floats at `b` (stride `n`) and `R` such rows at `c` (stride `n`) are
+/// inside their allocations.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn madd_block<const R: usize, const S: usize, const FUSED: bool>(
+    kc: usize,
+    w: usize,
+    a: *const f32,
+    row: usize,
+    step: usize,
+    b: *const f32,
+    n: usize,
+    c: *mut f32,
+) {
+    use std::arch::x86_64::*;
+    let mut mask = [0; S];
+    for (s, m) in mask.iter_mut().enumerate() {
+        *m = lane_mask(16.min(w - 16 * s));
+    }
+    let mut acc = [[_mm512_setzero_ps(); S]; R];
+    for (r, block_row) in acc.iter_mut().enumerate() {
+        for (s, v) in block_row.iter_mut().enumerate() {
+            *v = _mm512_maskz_loadu_ps(mask[s], c.add(r * n + 16 * s));
+        }
+    }
+    for kk in 0..kc {
+        let mut bv = [_mm512_setzero_ps(); S];
+        for (s, v) in bv.iter_mut().enumerate() {
+            *v = _mm512_maskz_loadu_ps(mask[s], b.add(kk * n + 16 * s));
+        }
+        for (r, block_row) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*a.add(r * row + kk * step));
+            for (x, &bv) in block_row.iter_mut().zip(&bv) {
+                *x = if FUSED {
+                    _mm512_fmadd_ps(av, bv, *x)
+                } else {
+                    _mm512_add_ps(*x, _mm512_mul_ps(av, bv))
+                };
+            }
+        }
+    }
+    for (r, block_row) in acc.iter().enumerate() {
+        for (s, &v) in block_row.iter().enumerate() {
+            _mm512_mask_storeu_ps(c.add(r * n + 16 * s), mask[s], v);
+        }
+    }
+}
+
 /// `C += A·Bᵀ` for row-major `a` (`m×k`), `b` (`n×k`), `c` (`m×n`).
 ///
 /// The transpose-free input-gradient kernel: `dX = dY·Wᵀ` calls this with
 /// `W` as stored (`[in, out]` order) instead of materializing `Wᵀ`. Both
 /// operands are read row-contiguously, so it is a pure dot-product sweep.
-/// Uses the fixed eight-lane reduction of [`dot`] — deterministic and
-/// machine-independent.
+/// Every leg performs the fixed eight-lane reduction of [`dot`] per output
+/// — deterministic and machine-independent.
 ///
 /// # Panics
 ///
@@ -612,6 +840,14 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     assert_eq!(a.len(), m * k, "gemm_nt: lhs length {} != {m}×{k}", a.len());
     assert_eq!(b.len(), n * k, "gemm_nt: rhs length {} != {n}×{k}", b.len());
     assert_eq!(c.len(), m * n, "gemm_nt: out length {} != {m}×{n}", c.len());
+    #[cfg(target_arch = "x86_64")]
+    if avx512_fma_available() && m >= NT_FEW && k <= i32::MAX as usize / 16 {
+        // SAFETY: guarded by cached runtime detection of avx512f; the
+        // asserts above held the slices to the stated dimensions, and the
+        // gather's sixteen row offsets `j·k` fit an i32 lane.
+        PACK.with(|p| unsafe { gemm_nt_avx512(m, n, k, a, b, c, &mut p.borrow_mut().1) });
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // Safety: guarded by cached runtime detection of avx2+fma. Same
@@ -643,6 +879,116 @@ unsafe fn gemm_nt_avx2(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &m
     gemm_nt_body(m, n, k, a, b, c)
 }
 
+/// AVX-512 [`gemm_nt`]: sixteen outputs of a row of `C` per vector, each of
+/// [`dot`]'s eight lanes a register of its own, so the partial sums, the
+/// reduction tree and the tail are all vertical operations and every
+/// output is [`dot`]'s operations in [`dot`]'s order — the same bits as
+/// [`gemm_nt_body`]. A `k`-step needs `B[j..j + 16][t]` side by side, so
+/// `B` is first gathered into `bt` as 16-column strips of `k` such rows
+/// (zero-padded past `n`); that costs `n·k` moves against `m·n·k`
+/// multiply-adds, which is why [`gemm_nt`] sends a product of a few rows
+/// to the body instead.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F, that `a`, `b` and `c`
+/// hold `m·k`, `n·k` and `m·n` elements, and `16·k ≤ i32::MAX`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_nt_avx512(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    bt: &mut Vec<f32>,
+) {
+    use std::arch::x86_64::*;
+    let strips = n.div_ceil(16);
+    if bt.len() < strips * k * 16 {
+        bt.resize(strips * k * 16, 0.0);
+    }
+    let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let from = _mm512_mullo_epi32(lane, _mm512_set1_epi32(k as i32));
+    for s in 0..strips {
+        let mask = lane_mask(16.min(n - 16 * s));
+        for t in 0..k {
+            let column = b.as_ptr().add(16 * s * k + t);
+            let row = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, from, column);
+            _mm512_storeu_ps(bt.as_mut_ptr().add((s * k + t) * 16), row);
+        }
+    }
+    let mut i0 = 0;
+    while i0 < m {
+        let rows = (m - i0).min(3);
+        for s in 0..strips {
+            let (ap, bp) = (a.as_ptr().add(i0 * k), bt.as_ptr().add(s * k * 16));
+            let cp = c.as_mut_ptr().add(i0 * n + 16 * s);
+            match rows {
+                3 => dot_block::<3>(n - 16 * s, n, k, ap, bp, cp),
+                2 => dot_block::<2>(n - 16 * s, n, k, ap, bp, cp),
+                _ => dot_block::<1>(n - 16 * s, n, k, ap, bp, cp),
+            }
+        }
+        i0 += rows;
+    }
+}
+
+/// `R` rows × `min(w, 16)` columns of [`gemm_nt_avx512`]: accumulator
+/// `[r][l]` is lane `l` of [`dot`] for the sixteen outputs of row `r` — per
+/// 8-chunk of `k` one multiply, rounded, then one add — and a row of the
+/// strip `bt` is loaded once for the `R` rows it meets. Then, per row,
+/// [`dot`]'s tree `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, the `k % 8` tail
+/// summed from zero in order, and `C += tree + tail`.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F, `1 ≤ w`, and that `R`
+/// rows of `k` floats at `a`, `16·k` floats at `bt` and `R` rows of
+/// `min(w, 16)` floats at `c` (stride `n`) are inside their allocations.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn dot_block<const R: usize>(
+    w: usize,
+    n: usize,
+    k: usize,
+    a: *const f32,
+    bt: *const f32,
+    c: *mut f32,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_ps(); 8]; R];
+    let whole = k - k % 8;
+    for t0 in (0..whole).step_by(8) {
+        for l in 0..8 {
+            let bv = _mm512_loadu_ps(bt.add((t0 + l) * 16));
+            for (r, lanes) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*a.add(r * k + t0 + l));
+                lanes[l] = _mm512_add_ps(lanes[l], _mm512_mul_ps(av, bv));
+            }
+        }
+    }
+    let mut tail = [_mm512_setzero_ps(); R];
+    for t in whole..k {
+        let bv = _mm512_loadu_ps(bt.add(t * 16));
+        for (r, sum) in tail.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*a.add(r * k + t));
+            *sum = _mm512_add_ps(*sum, _mm512_mul_ps(av, bv));
+        }
+    }
+    let mask = lane_mask(16.min(w));
+    for (r, (l, &tail)) in acc.iter().zip(&tail).enumerate() {
+        let s0 = _mm512_add_ps(_mm512_add_ps(l[0], l[4]), _mm512_add_ps(l[2], l[6]));
+        let s1 = _mm512_add_ps(_mm512_add_ps(l[1], l[5]), _mm512_add_ps(l[3], l[7]));
+        let dot = _mm512_add_ps(_mm512_add_ps(s0, s1), tail);
+        let at = c.add(r * n);
+        let sum = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, at), dot);
+        _mm512_mask_storeu_ps(at, mask, sum);
+    }
+}
+
 /// Eight-lane dot product with a fixed reduction tree: deterministic and
 /// identical on every ISA, but associated differently from a scalar left
 /// fold (lane partials are combined pairwise at the end).
@@ -671,8 +1017,9 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
 /// The transpose-free weight-gradient kernel: `dW += Xᵀ·dY` calls this
 /// with the activations/im2col matrix as stored, accumulating straight
 /// into the gradient buffer — no transposed copy, no temporary product.
-/// Exactly one multiply-add per output element per `k`-step, in strictly
-/// increasing `k`: bitwise identical to `a.transpose().matmul(b)`.
+/// Exactly one unfused multiply-add per output element per `k`-step, in
+/// strictly increasing `k`, on every leg: bitwise identical to
+/// `a.transpose().matmul(b)` on the portable one.
 ///
 /// # Panics
 ///
@@ -681,6 +1028,13 @@ pub fn gemm_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     assert_eq!(a.len(), k * m, "gemm_tn: lhs length {} != {k}×{m}", a.len());
     assert_eq!(b.len(), k * n, "gemm_tn: rhs length {} != {k}×{n}", b.len());
     assert_eq!(c.len(), m * n, "gemm_tn: out length {} != {m}×{n}", c.len());
+    #[cfg(target_arch = "x86_64")]
+    if avx512_fma_available() && n > 1 {
+        // SAFETY: guarded by cached runtime detection of avx512f; the
+        // asserts above held the slices to the stated dimensions.
+        unsafe { gemm_tn_avx512(m, n, k, a, b, c) };
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // Safety: guarded by cached runtime detection of avx2+fma. Same
@@ -723,9 +1077,30 @@ unsafe fn gemm_tn_avx2(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &m
     gemm_tn_body(m, n, k, a, b, c)
 }
 
+/// AVX-512 [`gemm_tn`]: a block of `C` stays in registers across the `k`
+/// sweep that the rank-1 loop of [`gemm_tn_body`] makes through memory.
+/// Per element still one multiply, rounded, then one add per `k`-step in
+/// increasing `k` from the value in `C` — the same bits. The single-column
+/// head is not routed here: its update is an axpy along `C`, which the
+/// body already does at vector width.
+///
+/// # Safety
+///
+/// Callers must ensure the CPU supports AVX-512F and that `a`, `b` and `c`
+/// hold `k·m`, `k·n` and `m·n` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_tn_avx512(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    madd_sweep::<false>(m, n, k, a, 1, m, b, c)
+}
+
 /// The seed repository's i-k-j scalar triple loop, kept verbatim as the
 /// reference kernel for property tests and benchmark baselines.
 /// `C += A·B` for row-major `a` (`m×k`), `b` (`k×n`), `c` (`m×n`).
+///
+/// It skips a zero in `A`, so it equals the portable [`gemm`] bit for bit
+/// on finite operands only: the sweep adds the `0·∞ = NaN` this loop never
+/// forms, and turns a `−0.0` in `C` into `+0.0` by adding `+0.0` to it.
 pub fn naive(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     check_dims(m, k, n, a, b, c);
     for i in 0..m {
@@ -2044,7 +2419,7 @@ pub fn gemm_f32_fused(
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if avx512_available() && fma_available() {
+    if avx512_fma_available() {
         // SAFETY: guarded by cached runtime detection of avx512f; the
         // asserts above cover every element the sweep reads or writes.
         unsafe { fused_avx512(rows, plane, patches, &layer, dst, out) };
@@ -3024,6 +3399,118 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `fill` with the values a diverging run leaves behind sprinkled in:
+    /// ±0, ±Inf, NaN, a denormal and a huge one.
+    fn fill_special(seed: u64, len: usize) -> Vec<f32> {
+        let mut v = fill(seed, len);
+        for (i, x) in v.iter_mut().enumerate() {
+            match (i as u64 + seed) % 23 {
+                2 => *x = 0.0,
+                5 => *x = -0.0,
+                7 => *x = f32::INFINITY,
+                11 => *x = f32::NEG_INFINITY,
+                13 => *x = f32::NAN,
+                17 => *x *= 1e-41,
+                19 => *x *= 1e30,
+                _ => {}
+            }
+        }
+        v
+    }
+
+    /// Bit patterns with every NaN mapped to one: which payload survives
+    /// an add of two NaNs is the instruction's operand order, which no leg
+    /// promises.
+    fn bits_nan_folded(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() })
+            .collect()
+    }
+
+    #[test]
+    fn training_f32_legs_match_the_bodies_they_replace() {
+        // Every row-block height and both strip widths with ragged edges,
+        // the critic's layer shapes, k across a KC panel, zero dimensions.
+        let dims = [0usize, 1, 2, 3, 5, 8, 13, 27];
+        let widths = [0usize, 1, 4, 8, 15, 16, 17, 32, 33, 50];
+        let depths = [0usize, 1, 4, 7, 8, 9, 31, 32, 120, KC + 37];
+        let mut shapes = vec![(128, 32, 64), (64, 16, 40), (4, 8, 240), (25, 128, 32)];
+        for (i, &m) in dims.iter().enumerate() {
+            for (j, &n) in widths.iter().enumerate() {
+                shapes.push((m, n, depths[(i + 3 * j) % depths.len()]));
+            }
+        }
+        for (case, &(m, n, k)) in shapes.iter().enumerate() {
+            for special in [false, true] {
+                let gen = if special { fill_special } else { fill };
+                let seed = case as u64 * 3 + 1;
+                let (x, y, c0) = (gen(seed, m * k), gen(seed + 1, k * n), gen(seed + 2, m * n));
+                let run = |leg: &dyn Fn(&mut [f32])| {
+                    let mut c = c0.clone();
+                    leg(&mut c);
+                    bits_nan_folded(&c)
+                };
+                let what = format!("m {m}, n {n}, k {k}, special {special}");
+                // The portable bodies, whatever this process dispatches.
+                let tn = run(&|c| gemm_tn_body(m, n, k, &x, &y, c));
+                let nt = run(&|c| gemm_nt_body(m, n, k, &x, &y, c));
+                #[cfg(target_arch = "x86_64")]
+                if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                    // SAFETY (all blocks below): the feature each leg needs
+                    // is checked first; the operands have the stated sizes.
+                    assert_eq!(tn, run(&|c| unsafe { gemm_tn_avx2(m, n, k, &x, &y, c) }));
+                    assert_eq!(nt, run(&|c| unsafe { gemm_nt_avx2(m, n, k, &x, &y, c) }));
+                    let nn = run(&|c| {
+                        let (mut pa, mut pb) = (Vec::new(), Vec::new());
+                        unsafe { gemm_avx2(m, k, n, &x, &y, c, &mut pa, &mut pb) }
+                    });
+                    if is_x86_feature_detected!("avx512f") {
+                        let got = run(&|c| unsafe { gemm_tn_avx512(m, n, k, &x, &y, c) });
+                        assert_eq!(tn, got, "gemm_tn avx512: {what}");
+                        let got = run(&|c| unsafe {
+                            gemm_nt_avx512(m, n, k, &x, &y, c, &mut Vec::new())
+                        });
+                        assert_eq!(nt, got, "gemm_nt avx512: {what}");
+                        let got = run(&|c| unsafe { gemm_avx512(m, k, n, &x, &y, c) });
+                        assert_eq!(nn, got, "gemm avx512: {what}");
+                    }
+                    if fma_available() {
+                        assert_eq!(nn, run(&|c| gemm(m, k, n, &x, &y, c)), "gemm: {what}");
+                    }
+                }
+                assert_eq!(tn, run(&|c| gemm_tn(m, n, k, &x, &y, c)), "gemm_tn: {what}");
+                assert_eq!(nt, run(&|c| gemm_nt(m, n, k, &x, &y, c)), "gemm_nt: {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn f32_leg_names_the_dispatched_leg() {
+        let leg = f32_leg();
+        println!("f32_leg: {leg}");
+        assert!(["avx512", "avx2", "portable"].contains(&leg));
+        if force_portable() {
+            assert_eq!(leg, "portable");
+        }
+        // The portable leg is the one that rounds every product: only
+        // there is `gemm` the unfused sum bit for bit.
+        let (a, b) = ([1.0f32 + f32::EPSILON], [1.0f32 - f32::EPSILON]);
+        let mut c = [-1.0f32];
+        gemm(1, 1, 1, &a, &b, &mut c);
+        assert_eq!(c[0] == 0.0, leg == "portable");
+    }
+
+    #[test]
+    fn naive_is_the_portable_kernel_on_finite_operands_only() {
+        // `naive` skips a zero in `A`: the NaN of 0·∞ never reaches `C`,
+        // and a −0.0 accumulator is not turned into +0.0 by adding +0.0.
+        let (mut skipped, mut swept) = ([-0.0f32, 1.0], [-0.0f32, 1.0]);
+        naive(1, 1, 2, &[0.0], &[1.0, f32::INFINITY], &mut skipped);
+        portable(1, 1, 2, &[0.0], &[1.0, f32::INFINITY], &mut swept);
+        assert_eq!(bits(&skipped), bits(&[-0.0, 1.0]));
+        assert!(swept[0].to_bits() == 0 && swept[1].is_nan());
     }
 
     #[test]

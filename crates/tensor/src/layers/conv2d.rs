@@ -62,7 +62,7 @@ pub struct Conv2D {
     padding: Padding,
     w: Param,
     b: Param,
-    cached_input_shape: Option<Vec<usize>>,
+    cached_input_shape: Option<[usize; 4]>,
     cached_cols: Option<Tensor>,
     cached_out: Option<Vec<f32>>,
 }
@@ -160,37 +160,36 @@ impl Conv2D {
         }
     }
 
-    /// Expands `input` into the im2col matrix `[n·ho·wo, kh·kw·cin]`,
-    /// writing into `cols`, which must be zero-filled and exactly
-    /// `n·ho·wo · kh·kw·cin` long (padding positions are *skipped*, so they
-    /// rely on the zero fill).
-    fn im2col_into(&self, input: &Tensor, cols: &mut [f32]) {
-        let (n, h, w, c) = dims4(input);
+    /// Calls `span(col_offset, input_offset, len)` for every run of im2col
+    /// elements that is contiguous in both buffers: for one output
+    /// pixel and one kernel row `ky`, the `kx` taps that fall inside the
+    /// input are side by side in the im2col row (`[ky][kx][c]`) and in the
+    /// input row (`[ix][c]`), so they move as one `len = taps·c` span.
+    /// Pixels go in `(n, oy, ox)` order and `ky` ascending within a pixel —
+    /// the order the per-tap loops this replaces visited, which is the
+    /// order `col2im` adds in.
+    fn for_each_span(
+        &self,
+        (n, h, w, c): (usize, usize, usize, usize),
+        mut span: impl FnMut(usize, usize, usize),
+    ) {
         let (ho, wo) = self.out_spatial(h, w);
         let (pt, pl) = self.pad_offsets();
         let cols_w = self.kh * self.kw * c;
-        debug_assert_eq!(cols.len(), n * ho * wo * cols_w);
-        let data = input.as_slice();
         let mut row = 0usize;
         for ni in 0..n {
-            let n_base = ni * h * w * c;
             for oy in 0..ho {
+                // Kernel rows whose input row `oy + ky − pt` exists.
+                let (ky0, ky1) = (pt.saturating_sub(oy), self.kh.min(h + pt - oy));
                 for ox in 0..wo {
-                    let out_base = row * cols_w;
-                    for ky in 0..self.kh {
-                        let iy = oy as isize + ky as isize - pt as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..self.kw {
-                            let ix = ox as isize + kx as isize - pl as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let src = n_base + (iy as usize * w + ix as usize) * c;
-                            let dst = out_base + (ky * self.kw + kx) * c;
-                            cols[dst..dst + c].copy_from_slice(&data[src..src + c]);
-                        }
+                    // Likewise the taps of a kernel row.
+                    let (kx0, kx1) = (pl.saturating_sub(ox), self.kw.min(w + pl - ox));
+                    for ky in ky0..ky1 {
+                        span(
+                            row * cols_w + (ky * self.kw + kx0) * c,
+                            ((ni * h + oy + ky - pt) * w + ox + kx0 - pl) * c,
+                            (kx1 - kx0) * c,
+                        );
                     }
                     row += 1;
                 }
@@ -198,47 +197,29 @@ impl Conv2D {
         }
     }
 
+    /// Expands `input` into the im2col matrix `[n·ho·wo, kh·kw·cin]`,
+    /// writing into `cols`, which must be zero-filled and exactly
+    /// `n·ho·wo · kh·kw·cin` long (padding positions are *skipped*, so they
+    /// rely on the zero fill).
+    fn im2col_into(&self, input: &Tensor, cols: &mut [f32]) {
+        let dims = dims4(input);
+        let data = input.as_slice();
+        self.for_each_span(dims, |col, src, len| {
+            cols[col..col + len].copy_from_slice(&data[src..src + len]);
+        });
+    }
+
     /// Scatter-adds column gradients back into input-shaped gradients.
-    fn col2im(&self, grad_cols: &Tensor, input_shape: &[usize]) -> Tensor {
-        let (n, h, w, c) = (
-            input_shape[0],
-            input_shape[1],
-            input_shape[2],
-            input_shape[3],
-        );
-        let (ho, wo) = self.out_spatial(h, w);
-        let (pt, pl) = self.pad_offsets();
-        let cols_w = self.kh * self.kw * c;
+    fn col2im(&self, grad_cols: &Tensor, input_shape: [usize; 4]) -> Tensor {
+        let [n, h, w, c] = input_shape;
         let mut grad = vec![0.0f32; n * h * w * c];
         let g = grad_cols.as_slice();
-        let mut row = 0usize;
-        for ni in 0..n {
-            let n_base = ni * h * w * c;
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let in_base = row * cols_w;
-                    for ky in 0..self.kh {
-                        let iy = oy as isize + ky as isize - pt as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..self.kw {
-                            let ix = ox as isize + kx as isize - pl as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let dst = n_base + (iy as usize * w + ix as usize) * c;
-                            let src = in_base + (ky * self.kw + kx) * c;
-                            for ci in 0..c {
-                                grad[dst + ci] += g[src + ci];
-                            }
-                        }
-                    }
-                    row += 1;
-                }
+        self.for_each_span((n, h, w, c), |col, dst, len| {
+            for (acc, &v) in grad[dst..dst + len].iter_mut().zip(&g[col..col + len]) {
+                *acc += v;
             }
-        }
-        Tensor::from_vec(grad, input_shape)
+        });
+        Tensor::from_vec(grad, &input_shape)
     }
 }
 
@@ -295,13 +276,7 @@ impl Layer for Conv2D {
                 out[r * self.cout + j] += bias[j];
             }
         }
-        match &mut self.cached_input_shape {
-            Some(s) => {
-                s.clear();
-                s.extend_from_slice(input.shape());
-            }
-            slot => *slot = Some(input.shape().to_vec()),
-        }
+        self.cached_input_shape = Some([n, h, w, c]);
         self.cached_cols = Some(cols);
         Tensor::from_vec(out, &[n, ho, wo, self.cout])
     }
@@ -309,9 +284,7 @@ impl Layer for Conv2D {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input_shape = self
             .cached_input_shape
-            .as_ref()
-            .expect("Conv2D::backward called before forward")
-            .clone();
+            .expect("Conv2D::backward called before forward");
         let mut cols = self.cached_cols.take().expect("cols cache");
         let rows: usize = grad_out.shape()[..3].iter().product();
         let cols_w = self.kh * self.kw * self.cin;
@@ -347,7 +320,7 @@ impl Layer for Conv2D {
             self.w.value.as_slice(),
             cols.as_mut_slice(),
         );
-        let grad = self.col2im(&cols, &input_shape);
+        let grad = self.col2im(&cols, input_shape);
         // Hand the buffer back so the next forward reuses the allocation.
         self.cached_cols = Some(cols);
         grad
@@ -560,6 +533,77 @@ mod tests {
         // A shape change mid-stream must also be handled (buffer regrown).
         let y = randn(&[1, 7, 4, 2], &mut rng);
         assert_eq!(conv.forward(&y).shape(), &[1, 7, 4, 3]);
+    }
+
+    /// The per-tap walk `for_each_span` replaced: one `c`-element move per
+    /// `(pixel, ky, kx)` that lands inside the input, as
+    /// `tap(col_offset, input_offset)`.
+    fn for_each_tap(
+        conv: &Conv2D,
+        (n, h, w, c): (usize, usize, usize, usize),
+        mut tap: impl FnMut(usize, usize),
+    ) {
+        let (ho, wo) = conv.out_spatial(h, w);
+        let (pt, pl) = conv.pad_offsets();
+        let mut row = 0usize;
+        for ni in 0..n {
+            for oy in 0..ho {
+                for ox in 0..wo {
+                    for ky in 0..conv.kh {
+                        let iy = oy as isize + ky as isize - pt as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..conv.kw {
+                            let ix = ox as isize + kx as isize - pl as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            tap(
+                                (row * conv.kh * conv.kw + ky * conv.kw + kx) * c,
+                                ((ni * h + iy as usize) * w + ix as usize) * c,
+                            );
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn span_moves_are_bitwise_the_per_tap_moves() {
+        // An odd kernel: SAME pads one row on top and none on the left, so
+        // spans are clipped on three sides; VALID clips nothing.
+        for padding in [Padding::Same, Padding::Valid] {
+            let mut rng = seeded_rng(31);
+            let conv = Conv2D::new(3, 2, (3, 2), padding, Init::HeUniform, &mut rng);
+            let dims = (2, 5, 4, 3);
+            let x = randn(&[2, 5, 4, 3], &mut rng);
+            let (ho, wo) = conv.out_spatial(5, 4);
+            let cols_len = 2 * ho * wo * 3 * 2 * 3;
+
+            let mut cols = vec![0.0f32; cols_len];
+            conv.im2col_into(&x, &mut cols);
+            let mut by_tap = vec![0.0f32; cols_len];
+            for_each_tap(&conv, dims, |col, src| {
+                by_tap[col..col + 3].copy_from_slice(&x.as_slice()[src..src + 3]);
+            });
+            assert_eq!(cols, by_tap, "im2col {padding:?}");
+
+            // Overlapping patches add into one input element several
+            // times: the sums agree only if the order does.
+            let g = randn(&[2 * ho * wo, 3 * 2 * 3], &mut rng);
+            let grad = conv.col2im(&g, [2, 5, 4, 3]);
+            let mut by_tap = vec![0.0f32; x.as_slice().len()];
+            for_each_tap(&conv, dims, |col, dst| {
+                for ci in 0..3 {
+                    by_tap[dst + ci] += g.as_slice()[col + ci];
+                }
+            });
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(grad.as_slice()), bits(&by_tap), "col2im {padding:?}");
+        }
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl AnomalyDetector for AeDetector {
                 let loss = diff.map(|v| v * v).mean();
                 let grad = &diff * (2.0 / diff.len() as f32);
                 model.zero_grad();
-                model.backward(&grad);
+                model.backward_params(&grad);
                 opt.step(&mut model.params_mut());
                 epoch_loss += loss;
                 batches += 1;

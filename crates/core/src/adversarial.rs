@@ -22,13 +22,13 @@ use vehigan_tensor::{Sequential, Tensor};
 /// computed per sample over a batch `[n, w, f, 1]`.
 ///
 /// Each sample's gradient is independent because the critic processes
-/// batch rows independently.
+/// batch rows independently. The victim's parameter gradients are neither
+/// computed nor touched ([`Sequential::backward_input`]).
 pub fn score_gradient(critic: &mut Sequential, x: &Tensor) -> Tensor {
     let out = critic.forward(x);
     // d(Σᵢ sᵢ)/dx = per-sample ds/dx with grad_out = −1 per row.
     let grad_out = Tensor::full(out.shape(), -1.0);
-    critic.zero_grad();
-    critic.backward(&grad_out)
+    critic.backward_input(&grad_out)
 }
 
 /// Clamps perturbed snapshots back into the valid feature domain
@@ -275,6 +275,38 @@ mod tests {
         for (a, b) in adv.as_slice().iter().zip(x.as_slice()) {
             assert!((a - b).abs() <= eps + 1e-6);
         }
+    }
+
+    #[test]
+    fn attacks_leave_the_victims_gradient_accumulators_untouched() {
+        // Accumulators an attack must hand back as it found them: non-zero
+        // ones, as a critic borrowed mid-training has.
+        let mut w1 = trained_wgan(19);
+        let mut w2 = trained_wgan(20);
+        let x = benign(8, 21);
+        let mark = |critic: &mut Sequential| {
+            for (i, p) in critic.params_mut().into_iter().enumerate() {
+                p.grad.map_in_place(|_| 0.25 + i as f32);
+            }
+        };
+        let grads = |critic: &Sequential| -> Vec<Vec<u32>> {
+            let params = critic.params();
+            let bits = params
+                .iter()
+                .map(|p| p.grad.as_slice().iter().map(|g| g.to_bits()).collect());
+            bits.collect()
+        };
+        mark(w1.critic_mut());
+        mark(w2.critic_mut());
+        let (before1, before2) = (grads(w1.critic()), grads(w2.critic()));
+        let _ = afp_attack(w1.critic_mut(), &x, 0.01);
+        let _ = pgd_afp_attack(w1.critic_mut(), &x, 0.01, 3);
+        {
+            let mut critics = [w1.critic_mut(), w2.critic_mut()];
+            let _ = multi_model_afp(&mut critics, &x, 0.01);
+        }
+        assert_eq!(grads(w1.critic()), before1);
+        assert_eq!(grads(w2.critic()), before2);
     }
 
     #[test]

@@ -120,6 +120,24 @@ pub fn fork_join<C: Send, T>(
     fork_join_on(lanes, contexts, tasks, run)
 }
 
+/// `f(item)` for every item, in item order, forked when `ns_each` of
+/// estimated serial work per item pays for it ([`workers_for`]): for
+/// set-up work that is one independent piece per ensemble member.
+pub fn fork_map<T: Send, R: Send>(
+    items: impl ExactSizeIterator<Item = T> + Send,
+    ns_each: usize,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    let mut threads = vec![(); workers_for(items.len() * ns_each)];
+    fork_join(&mut threads, items.zip(&mut out), |_, _, (item, slot)| {
+        *slot = Some(f(item));
+    });
+    out.into_iter()
+        .map(|r| r.expect("fork_join runs every task"))
+        .collect()
+}
+
 /// A job as a helper holds it: the lending call's closure, lifetime
 /// erased (module docs).
 type Job = &'static (dyn Fn() + Sync);
@@ -477,6 +495,13 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn fork_map_keeps_item_order() {
+        let squares = fork_map(0..37usize, MIN_SHARE_NS, |i| i * i);
+        assert_eq!(squares, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        assert!(fork_map(0..0usize, MIN_SHARE_NS, |i| i).is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! scoring return [`EnsembleError::AllMembersFailed`].
 
 use crate::ensemble::{EnsembleError, EnsembleScore, ForkState, ScoreSummary, VehiGan};
-use crate::forkjoin::workers_for;
+use crate::forkjoin::{fork_map, workers_for};
 use parking_lot::Mutex;
 use vehigan_lite::{Int8Weights, Scratch};
 use vehigan_tensor::Tensor;
@@ -106,17 +106,17 @@ impl VehiGan {
             "calibration must be a non-empty [n, w, f, c] batch, got {shape:?}"
         );
         let input_shape = (shape[1], shape[2], shape[3]);
-        let critics = self
-            .members()
-            .iter()
-            .map(|m| {
-                let snap = m.wgan.critic().save();
-                Int8Weights::compile(&snap, input_shape, calibration.as_slice())
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| EnsembleError::Int8Compile {
-                reason: e.to_string(),
-            })?;
+        // One member's compile is independent of the others' and reads
+        // ≈ 30 ms on the ledger host (EXPERIMENTS.md, ISSUE 21).
+        let critics = fork_map(self.members().iter(), 30_000_000, |m| {
+            let snap = m.wgan.critic().save();
+            Int8Weights::compile(&snap, input_shape, calibration.as_slice())
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| EnsembleError::Int8Compile {
+            reason: e.to_string(),
+        })?;
         let state = Mutex::new(ForkState::new(CHUNK_ROWS, || new_worker(&critics)));
         self.set_int8_backend(Int8Backend { critics, state });
         Ok(())

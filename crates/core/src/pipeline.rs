@@ -4,6 +4,7 @@
 use crate::campaign::CampaignPlane;
 use crate::config::{GridConfig, WganConfig};
 use crate::ensemble::{CriticMember, EnsembleError, VehiGan};
+use crate::forkjoin::fork_map;
 use crate::wgan::Wgan;
 use crate::zoo::{ModelZoo, QuarantineRecord, ZooError, ZooTrainOptions};
 use std::fmt;
@@ -353,22 +354,22 @@ impl Pipeline {
 
         // 5. Calibrate thresholds for the selected critics (cloned via
         //    serialization so the zoo stays intact for whole-zoo analyses).
-        let members: Vec<CriticMember> = selected
-            .iter()
-            .map(|&i| {
-                let entry = &zoo.entries()[i];
-                let clone =
-                    Wgan::from_critic_bytes(*entry.wgan.config(), &entry.wgan.critic_bytes())
-                        .map_err(PipelineError::Model)?;
-                CriticMember::calibrate(
-                    clone,
-                    entry.ads,
-                    &train_windows.x,
-                    config.threshold_percentile,
-                )
-                .map_err(PipelineError::from)
-            })
-            .collect::<Result<_, PipelineError>>()?;
+        //    One member's calibration is independent of the others' and
+        //    reads ≈ 8 ms on the ledger host (EXPERIMENTS.md, ISSUE 21).
+        let members = fork_map(selected.iter(), 8_000_000, |&i| {
+            let entry = &zoo.entries()[i];
+            let clone = Wgan::from_critic_bytes(*entry.wgan.config(), &entry.wgan.critic_bytes())
+                .map_err(PipelineError::Model)?;
+            CriticMember::calibrate(
+                clone,
+                entry.ads,
+                &train_windows.x,
+                config.threshold_percentile,
+            )
+            .map_err(PipelineError::from)
+        })
+        .into_iter()
+        .collect::<Result<Vec<CriticMember>, PipelineError>>()?;
         let vehigan = VehiGan::new(members, config.deploy_k, config.seed)?;
 
         Ok(Pipeline {

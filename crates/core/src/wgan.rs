@@ -455,6 +455,8 @@ impl Wgan {
             ),
         };
         let mut snapshot = self.state_snapshot();
+        // The gradient penalty's second critic lives as long as this call.
+        let mut twin: Option<Sequential> = None;
         let mut rollbacks = 0usize;
         let mut done = 0usize;
         let mut stopped = false;
@@ -478,7 +480,7 @@ impl Wgan {
                     continue;
                 }
                 let real = x.take(chunk);
-                let stats = self.critic_step(&real, &mut rng);
+                let stats = self.critic_step(&real, &mut twin, &mut rng);
                 // Cheap per-batch sentinel: the critic means are the
                 // Wasserstein loss terms; a blow-up shows here first.
                 if !stats.0.is_finite() || !stats.1.is_finite() {
@@ -618,8 +620,15 @@ impl Wgan {
         self.fault_plan.push((attempt, epoch));
     }
 
-    /// One critic update; returns `(mean D(real), mean D(fake))`.
-    fn critic_step(&mut self, real: &Tensor, rng: &mut rand::rngs::StdRng) -> (f32, f32) {
+    /// One critic update; returns `(mean D(real), mean D(fake))`. The
+    /// passes stop at the first layer's parameters: nobody reads the
+    /// gradient w.r.t. a training batch.
+    fn critic_step(
+        &mut self,
+        real: &Tensor,
+        twin: &mut Option<Sequential>,
+        rng: &mut rand::rngs::StdRng,
+    ) -> (f32, f32) {
         let bsz = real.shape()[0];
         let z = randn(&[bsz, self.config.noise_dim], rng);
         let fake = self.generator.forward(&z);
@@ -627,12 +636,12 @@ impl Wgan {
         // Maximize mean D(real) − mean D(fake) ⇒ minimize the negative.
         let out_real = self.critic.forward(real);
         let g = Tensor::full(out_real.shape(), -1.0 / bsz as f32);
-        let _ = self.critic.backward(&g);
+        self.critic.backward_params(&g);
         let out_fake = self.critic.forward(&fake);
         let g = Tensor::full(out_fake.shape(), 1.0 / bsz as f32);
-        let _ = self.critic.backward(&g);
+        self.critic.backward_params(&g);
         if let LipschitzMode::GradientPenalty { lambda } = self.config.lipschitz {
-            self.accumulate_gradient_penalty(real, &fake, lambda, rng);
+            self.accumulate_gradient_penalty(real, &fake, lambda, twin, rng);
         }
         self.opt_d.step(&mut self.critic.params_mut());
         match self.config.lipschitz {
@@ -651,11 +660,22 @@ impl Wgan {
     /// directional derivative: with `vᵢ = ∇ₓD(x̂ᵢ)/‖·‖`,
     /// `∇_θ ‖∇ₓD(x̂ᵢ)‖ ≈ ∇_θ [D(x̂ᵢ + h·vᵢ) − D(x̂ᵢ)] / h`, which needs
     /// only first-order backprop.
+    ///
+    /// `x̂` runs forward once, on `twin` — a second critic holding this
+    /// step's weights, built by the first penalty of a training call and
+    /// dropped with the call. Its input-only backward gives `∇ₓD(x̂)`; the
+    /// critic then takes the probe term; and the `x̂` term is a second,
+    /// parameter backward over the forward the twin still caches, adding
+    /// into the critic's own accumulators, lent to the twin for that
+    /// pass. Equal weights make equal caches, so every `grad +=` has the
+    /// operands and the order of a critic that ran `x̂` forward again
+    /// after the probe.
     fn accumulate_gradient_penalty(
         &mut self,
         real: &Tensor,
         fake: &Tensor,
         lambda: f32,
+        twin: &mut Option<Sequential>,
         rng: &mut rand::rngs::StdRng,
     ) {
         use rand::Rng;
@@ -663,61 +683,50 @@ impl Wgan {
         let elems: usize = real.shape()[1..].iter().product();
         // Random interpolates x̂ = α·real + (1 − α)·fake, α ~ U(0, 1).
         let mut x_hat = real.clone();
-        {
-            let xh = x_hat.as_mut_slice();
-            let fk = fake.as_slice();
-            for i in 0..bsz {
-                let alpha: f32 = rng.gen_range(0.0..1.0);
-                for j in 0..elems {
-                    let idx = i * elems + j;
-                    xh[idx] = alpha * xh[idx] + (1.0 - alpha) * fk[idx];
-                }
+        let rows = x_hat.as_mut_slice().chunks_exact_mut(elems);
+        for (row, fake_row) in rows.zip(fake.as_slice().chunks_exact(elems)) {
+            let alpha: f32 = rng.gen_range(0.0..1.0);
+            for (x, &f) in row.iter_mut().zip(fake_row) {
+                *x = alpha * *x + (1.0 - alpha) * f;
             }
         }
-        // Input gradient per interpolate. This backward pollutes the
-        // parameter-gradient buffers with ∇_θ ΣD(x̂), so run it on a
-        // scratch clone of the critic. Cloned via the in-memory snapshot:
-        // the wire format rejects non-finite weights, and mid-divergence
-        // batches must reach the sentinel, not panic here.
-        let mut scratch = Sequential::from_snapshot(&self.critic.save())
-            .expect("critic clone for gradient penalty");
-        let out = scratch.forward(&x_hat);
-        let grad_x = scratch.backward(&Tensor::ones(out.shape()));
+        // Built from the in-memory snapshot: the wire format rejects
+        // non-finite weights, and mid-divergence batches must reach the
+        // sentinel, not panic here.
+        let twin = twin.get_or_insert_with(|| {
+            Sequential::from_snapshot(&self.critic.save())
+                .expect("critic twin for gradient penalty")
+        });
+        for (t, c) in twin.params_mut().into_iter().zip(self.critic.params()) {
+            t.value.as_mut_slice().copy_from_slice(c.value.as_slice());
+        }
+        let out = twin.forward(&x_hat);
+        let grad_x = twin.backward_input(&Tensor::ones(out.shape()));
 
-        // Per-sample norms nᵢ and penalty coefficients cᵢ = 2λ(nᵢ−1)/b.
-        let gx = grad_x.as_slice();
-        let mut coeffs = Vec::with_capacity(bsz);
-        let mut norms = Vec::with_capacity(bsz);
-        for i in 0..bsz {
-            let row = &gx[i * elems..(i + 1) * elems];
-            let n = row.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-8);
-            norms.push(n);
-            coeffs.push(2.0 * lambda * (n - 1.0) / bsz as f32);
-        }
-        // Probe points x̂ + h·v (v = unit gradient direction).
+        // ∇_θ GP ≈ Σᵢ (cᵢ/h)·[∇_θ D(x̂ᵢ + h·vᵢ) − ∇_θ D(x̂ᵢ)]: per sample
+        // the norm nᵢ, the penalty coefficient cᵢ = 2λ(nᵢ−1)/b, and the
+        // probe point x̂ᵢ + h·vᵢ (v = unit gradient direction), which
+        // takes x̂'s place — x̂ is not read again.
         let h = 1e-3f32;
-        let mut x_probe = x_hat.clone();
-        {
-            let xp = x_probe.as_mut_slice();
-            for (i, &norm) in norms.iter().enumerate() {
-                let inv = h / norm;
-                for j in 0..elems {
-                    let idx = i * elems + j;
-                    xp[idx] += gx[idx] * inv;
-                }
-            }
-        }
-        // ∇_θ GP ≈ Σᵢ (cᵢ/h)·[∇_θ D(x̂ᵢ + h·vᵢ) − ∇_θ D(x̂ᵢ)].
         let mut g_plus = Tensor::zeros(&[bsz, 1]);
         let mut g_minus = Tensor::zeros(&[bsz, 1]);
-        for (i, &c) in coeffs.iter().enumerate() {
+        let mut x_probe = x_hat;
+        let rows = x_probe.as_mut_slice().chunks_exact_mut(elems);
+        for (i, (xp, gx)) in rows.zip(grad_x.as_slice().chunks_exact(elems)).enumerate() {
+            let n = gx.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-8);
+            let c = 2.0 * lambda * (n - 1.0) / bsz as f32;
             g_plus.as_mut_slice()[i] = c / h;
             g_minus.as_mut_slice()[i] = -c / h;
+            let inv = h / n;
+            for (x, &g) in xp.iter_mut().zip(gx) {
+                *x += g * inv;
+            }
         }
         let _ = self.critic.forward(&x_probe);
-        let _ = self.critic.backward(&g_plus);
-        let _ = self.critic.forward(&x_hat);
-        let _ = self.critic.backward(&g_minus);
+        self.critic.backward_params(&g_plus);
+        swap_grads(&mut self.critic, twin);
+        twin.backward_params(&g_minus);
+        swap_grads(&mut self.critic, twin);
     }
 
     /// Rescales every critic weight matrix to spectral norm ≤ 1 using one
@@ -786,20 +795,19 @@ impl Wgan {
         }
     }
 
-    /// One generator update through the critic.
+    /// One generator update through the critic, which only hands its
+    /// input gradient on: its own accumulators are not touched.
     fn generator_step(&mut self, bsz: usize, rng: &mut rand::rngs::StdRng) {
         let z = randn(&[bsz, self.config.noise_dim], rng);
         let fake = self.generator.forward(&z);
-        self.critic.zero_grad();
         let out = self.critic.forward(&fake);
         // Maximize mean D(fake) ⇒ grad −1/b into the critic, then chain
         // into the generator via the critic's input gradient.
         let g = Tensor::full(out.shape(), -1.0 / bsz as f32);
-        let grad_fake = self.critic.backward(&g);
+        let grad_fake = self.critic.backward_input(&g);
         self.generator.zero_grad();
-        let _ = self.generator.backward(&grad_fake);
+        self.generator.backward_params(&grad_fake);
         self.opt_g.step(&mut self.generator.params_mut());
-        // Critic grads from this pass are discarded by its next zero_grad.
     }
 
     /// Anomaly scores `s(x) = −D(x)` for snapshots `[n, w, f, 1]` (Eq. 5).
@@ -1044,6 +1052,13 @@ impl Wgan {
     }
 }
 
+/// Exchanges the gradient accumulators of two models of one architecture.
+fn swap_grads(a: &mut Sequential, b: &mut Sequential) {
+    for (p, q) in a.params_mut().into_iter().zip(b.params_mut()) {
+        std::mem::swap(&mut p.grad, &mut q.grad);
+    }
+}
+
 /// The scoring planes for `critic` on `config`'s windows — or why the
 /// fused walk cannot run it.
 fn fitted_scratch(
@@ -1134,6 +1149,199 @@ mod tests {
             }
         }
         Tensor::from_vec(data, &[n, 10, 12, 1])
+    }
+
+    /// The training steps as they stood before the passes learnt to skip
+    /// what nobody reads — a critic cloned per penalty, `x̂` forward twice,
+    /// full `backward` everywhere — kept verbatim as the oracle the
+    /// steps above must match bit for bit.
+    impl Wgan {
+        /// One critic update; returns `(mean D(real), mean D(fake))`.
+        fn critic_step_oracle(
+            &mut self,
+            real: &Tensor,
+            rng: &mut rand::rngs::StdRng,
+        ) -> (f32, f32) {
+            let bsz = real.shape()[0];
+            let z = randn(&[bsz, self.config.noise_dim], rng);
+            let fake = self.generator.forward(&z);
+            self.critic.zero_grad();
+            // Maximize mean D(real) − mean D(fake) ⇒ minimize the negative.
+            let out_real = self.critic.forward(real);
+            let g = Tensor::full(out_real.shape(), -1.0 / bsz as f32);
+            let _ = self.critic.backward(&g);
+            let out_fake = self.critic.forward(&fake);
+            let g = Tensor::full(out_fake.shape(), 1.0 / bsz as f32);
+            let _ = self.critic.backward(&g);
+            if let LipschitzMode::GradientPenalty { lambda } = self.config.lipschitz {
+                self.accumulate_gradient_penalty_oracle(real, &fake, lambda, rng);
+            }
+            self.opt_d.step(&mut self.critic.params_mut());
+            match self.config.lipschitz {
+                LipschitzMode::Clip => self.critic.clip_weights(self.config.clip),
+                LipschitzMode::Spectral => self.spectral_normalize(rng),
+                LipschitzMode::GradientPenalty { .. } => {}
+            }
+            (out_real.mean(), out_fake.mean())
+        }
+
+        /// Accumulates the WGAN-GP parameter gradients
+        /// `∇_θ λ·mean_i (‖∇ₓD(x̂ᵢ)‖ − 1)²` into the critic's gradient
+        /// buffers.
+        ///
+        /// The second-order term is evaluated by a finite-difference
+        /// directional derivative: with `vᵢ = ∇ₓD(x̂ᵢ)/‖·‖`,
+        /// `∇_θ ‖∇ₓD(x̂ᵢ)‖ ≈ ∇_θ [D(x̂ᵢ + h·vᵢ) − D(x̂ᵢ)] / h`, which needs
+        /// only first-order backprop.
+        fn accumulate_gradient_penalty_oracle(
+            &mut self,
+            real: &Tensor,
+            fake: &Tensor,
+            lambda: f32,
+            rng: &mut rand::rngs::StdRng,
+        ) {
+            use rand::Rng;
+            let bsz = real.shape()[0];
+            let elems: usize = real.shape()[1..].iter().product();
+            // Random interpolates x̂ = α·real + (1 − α)·fake, α ~ U(0, 1).
+            let mut x_hat = real.clone();
+            {
+                let xh = x_hat.as_mut_slice();
+                let fk = fake.as_slice();
+                for i in 0..bsz {
+                    let alpha: f32 = rng.gen_range(0.0..1.0);
+                    for j in 0..elems {
+                        let idx = i * elems + j;
+                        xh[idx] = alpha * xh[idx] + (1.0 - alpha) * fk[idx];
+                    }
+                }
+            }
+            // Input gradient per interpolate. This backward pollutes the
+            // parameter-gradient buffers with ∇_θ ΣD(x̂), so run it on a
+            // scratch clone of the critic. Cloned via the in-memory snapshot:
+            // the wire format rejects non-finite weights, and mid-divergence
+            // batches must reach the sentinel, not panic here.
+            let mut scratch = Sequential::from_snapshot(&self.critic.save())
+                .expect("critic clone for gradient penalty");
+            let out = scratch.forward(&x_hat);
+            let grad_x = scratch.backward(&Tensor::ones(out.shape()));
+
+            // Per-sample norms nᵢ and penalty coefficients cᵢ = 2λ(nᵢ−1)/b.
+            let gx = grad_x.as_slice();
+            let mut coeffs = Vec::with_capacity(bsz);
+            let mut norms = Vec::with_capacity(bsz);
+            for i in 0..bsz {
+                let row = &gx[i * elems..(i + 1) * elems];
+                let n = row.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-8);
+                norms.push(n);
+                coeffs.push(2.0 * lambda * (n - 1.0) / bsz as f32);
+            }
+            // Probe points x̂ + h·v (v = unit gradient direction).
+            let h = 1e-3f32;
+            let mut x_probe = x_hat.clone();
+            {
+                let xp = x_probe.as_mut_slice();
+                for (i, &norm) in norms.iter().enumerate() {
+                    let inv = h / norm;
+                    for j in 0..elems {
+                        let idx = i * elems + j;
+                        xp[idx] += gx[idx] * inv;
+                    }
+                }
+            }
+            // ∇_θ GP ≈ Σᵢ (cᵢ/h)·[∇_θ D(x̂ᵢ + h·vᵢ) − ∇_θ D(x̂ᵢ)].
+            let mut g_plus = Tensor::zeros(&[bsz, 1]);
+            let mut g_minus = Tensor::zeros(&[bsz, 1]);
+            for (i, &c) in coeffs.iter().enumerate() {
+                g_plus.as_mut_slice()[i] = c / h;
+                g_minus.as_mut_slice()[i] = -c / h;
+            }
+            let _ = self.critic.forward(&x_probe);
+            let _ = self.critic.backward(&g_plus);
+            let _ = self.critic.forward(&x_hat);
+            let _ = self.critic.backward(&g_minus);
+        }
+
+        /// One generator update through the critic.
+        fn generator_step_oracle(&mut self, bsz: usize, rng: &mut rand::rngs::StdRng) {
+            let z = randn(&[bsz, self.config.noise_dim], rng);
+            let fake = self.generator.forward(&z);
+            self.critic.zero_grad();
+            let out = self.critic.forward(&fake);
+            // Maximize mean D(fake) ⇒ grad −1/b into the critic, then chain
+            // into the generator via the critic's input gradient.
+            let g = Tensor::full(out.shape(), -1.0 / bsz as f32);
+            let grad_fake = self.critic.backward(&g);
+            self.generator.zero_grad();
+            let _ = self.generator.backward(&grad_fake);
+            self.opt_g.step(&mut self.generator.params_mut());
+            // Critic grads from this pass are discarded by its next zero_grad.
+        }
+    }
+
+    /// `steps` critic steps (a generator step after every `n_critic`-th)
+    /// on batches of `x` whose last one is short, through the steps above
+    /// and through the oracle: everything training leaves behind must be
+    /// equal bit for bit.
+    fn assert_steps_match_oracle(config: WganConfig, steps: usize) {
+        let x = benign_snapshots(3 * config.batch_size + 5, 31);
+        let rows: Vec<usize> = (0..x.shape()[0]).collect();
+        let mut new = Wgan::new(config);
+        let mut old = Wgan::new(config);
+        let mut rng_new = seeded_rng(32);
+        let mut rng_old = seeded_rng(32);
+        let mut twin = None;
+        for (step, chunk) in rows
+            .chunks(config.batch_size)
+            .cycle()
+            .take(steps)
+            .enumerate()
+        {
+            let real = x.take(chunk);
+            let got = new.critic_step(&real, &mut twin, &mut rng_new);
+            let want = old.critic_step_oracle(&real, &mut rng_old);
+            assert_eq!(
+                (got.0.to_bits(), got.1.to_bits()),
+                (want.0.to_bits(), want.1.to_bits()),
+                "critic means at step {step}"
+            );
+            if (step + 1) % config.n_critic == 0 {
+                new.generator_step(chunk.len(), &mut rng_new);
+                old.generator_step_oracle(chunk.len(), &mut rng_old);
+            }
+            // Critic weights; generator weights, both RMSProp caches and
+            // the spectral vectors.
+            assert_eq!(new.critic_bytes(), old.critic_bytes(), "step {step}");
+            assert_eq!(
+                new.training_state_bytes(),
+                old.training_state_bytes(),
+                "step {step}"
+            );
+        }
+        assert_eq!(
+            twin.is_some(),
+            matches!(config.lipschitz, LipschitzMode::GradientPenalty { .. })
+        );
+    }
+
+    #[test]
+    fn training_steps_are_bitwise_the_full_backward_oracle() {
+        for lipschitz in [
+            LipschitzMode::Clip,
+            LipschitzMode::Spectral,
+            LipschitzMode::GradientPenalty { lambda: 10.0 },
+        ] {
+            for layers in [4, 5] {
+                let config = WganConfig {
+                    layers,
+                    lipschitz,
+                    batch_size: 16,
+                    ..quick_config()
+                };
+                // Two rounds of the batches: the short one comes back.
+                assert_steps_match_oracle(config, 8);
+            }
+        }
     }
 
     #[test]

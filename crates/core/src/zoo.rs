@@ -748,6 +748,11 @@ impl ModelZoo {
                 }
             }
         }
+        // Workers pop from the back, so the costliest groups (critic depth
+        // × epoch budget) go there: a long group started last would leave
+        // the other workers idle for its tail. The zoo does not depend on
+        // the order — each group is a function of its own seed.
+        pending.sort_by_key(|g| g.base.layers * g.members.last().map_or(0, |&(_, epochs)| epochs));
         let shared = TrainShared {
             resumed: AtomicUsize::new(preloaded.len()),
             work: Mutex::new(pending),

@@ -98,11 +98,7 @@ impl Mbr {
                 got: self.evidence.len(),
             });
         }
-        if self
-            .evidence
-            .iter()
-            .any(|v| !v.is_finite() || *v < -1.0 - 1e-6 || *v > 1.0 + 1e-6)
-        {
+        if !evidence_in_domain(&self.evidence) {
             return Err(InvalidMbrError::EvidenceOutOfRange);
         }
         Ok(())
@@ -112,6 +108,16 @@ impl Mbr {
     pub fn margin(&self) -> f32 {
         self.score - self.threshold
     }
+}
+
+/// Whether every evidence value is a number in `[-1, 1]` (plus rounding
+/// slack). One compare per value and no early exit, so the 120 floats of
+/// a report go through at vector width; NaN and ±∞ fail the compare like
+/// any other escapee.
+fn evidence_in_domain(evidence: &[f32]) -> bool {
+    evidence
+        .iter()
+        .fold(true, |ok, v| ok & (v.abs() <= 1.0 + 1e-6))
 }
 
 #[cfg(test)]
@@ -181,6 +187,33 @@ mod tests {
         let mut r = valid_report();
         r.evidence[5] = 3.0;
         assert_eq!(r.validate(120), Err(InvalidMbrError::EvidenceOutOfRange));
+    }
+
+    #[test]
+    #[allow(clippy::manual_range_contains)]
+    fn evidence_check_is_the_three_compare_predicate() {
+        // The predicate the fold replaced, as it was written.
+        let escapes = |v: f32| !v.is_finite() || v < -1.0 - 1e-6 || v > 1.0 + 1e-6;
+        // Every bit pattern within 4096 ulps of ±(1 + 1e-6), every NaN
+        // payload byte in both signs, ±∞, ±0 and the subnormal edge.
+        let edge = (1.0f32 + 1e-6).to_bits();
+        let near = (edge - 4096..=edge + 4096).flat_map(|b| [b, b | 0x8000_0000]);
+        let nans = (0..=0xFFu32)
+            .flat_map(|p| [0x7F80_0001 + (p << 14), 0x7FC0_0000 | p])
+            .flat_map(|b| [b, b | 0x8000_0000]);
+        let special = [0x7F80_0000, 0xFF80_0000, 0, 0x8000_0000, 1, 0x8000_0001];
+        for bits in near.chain(nans).chain(special) {
+            let v = f32::from_bits(bits);
+            assert_eq!(evidence_in_domain(&[v]), !escapes(v), "{bits:#010x}");
+        }
+        // No position hides an escapee.
+        for at in [0, 7, 8, 63, 119] {
+            let mut r = valid_report();
+            r.evidence[at] = f32::NAN;
+            assert_eq!(r.validate(120), Err(InvalidMbrError::EvidenceOutOfRange));
+            r.evidence[at] = -1.0;
+            assert_eq!(r.validate(120), Ok(()));
+        }
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! *input*. Propagating input gradients all the way back to the data is what
 //! enables both WGAN training and the FGSM adversarial attacks of the paper
 //! (Eqs. 6–7), which differentiate the critic score w.r.t. the BSM window.
+//! A caller that reads only one of the two asks for that half alone:
+//! [`Layer::backward_input`] (an attack, the generator's step through the
+//! critic) or [`Layer::backward_params`] (the first layer of a model being
+//! trained, whose input is data).
 
 use crate::Tensor;
 
@@ -91,6 +95,24 @@ pub trait Layer: Send + Sync {
     ///
     /// Panics if called before `forward` (no cached activation).
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// The input-gradient half of [`backward`](Layer::backward) alone:
+    /// returns what `backward` returns, bit for bit, and writes neither a
+    /// [`Param::grad`] nor a forward cache — so the same forward still
+    /// serves a later `backward` or `backward_params`. A layer without
+    /// parameters has no other half and keeps this default; a layer with
+    /// parameters overrides it.
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward(grad_out)
+    }
+
+    /// The parameter half of [`backward`](Layer::backward) alone: leaves
+    /// the accumulators `backward` leaves and computes no input gradient.
+    /// For the first layer of a model being trained, whose input gradient
+    /// nobody reads ([`crate::Sequential::backward_params`]).
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
 
     /// Hands a dead output tensor of this layer back so its allocation can
     /// be reused by the next [`forward`]. Called by

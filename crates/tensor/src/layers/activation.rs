@@ -37,25 +37,34 @@ impl ActivationKind {
         }
     }
 
-    /// Derivative expressed in terms of input `x` and output `y`.
-    fn derivative(self, x: f32, y: f32) -> f32 {
+    /// Whether [`derivative`](Self::derivative) is a function of the
+    /// output (tanh, sigmoid) rather than of the input (the rectifiers) —
+    /// i.e. which of the two a forward pass has to keep.
+    fn derivative_reads_output(self) -> bool {
+        matches!(self, ActivationKind::Tanh | ActivationKind::Sigmoid)
+    }
+
+    /// Derivative in terms of the one value it reads, `v`: the input `x`
+    /// or the output `y`, see
+    /// [`derivative_reads_output`](Self::derivative_reads_output).
+    fn derivative(self, v: f32) -> f32 {
         match self {
             ActivationKind::LeakyRelu { alpha } => {
-                if x >= 0.0 {
+                if v >= 0.0 {
                     1.0
                 } else {
                     alpha
                 }
             }
             ActivationKind::Relu => {
-                if x > 0.0 {
+                if v > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
-            ActivationKind::Tanh => 1.0 - y * y,
-            ActivationKind::Sigmoid => y * (1.0 - y),
+            ActivationKind::Tanh => 1.0 - v * v,
+            ActivationKind::Sigmoid => v * (1.0 - v),
         }
     }
 
@@ -83,18 +92,15 @@ impl ActivationKind {
 #[derive(Debug)]
 pub struct Activation {
     kind: ActivationKind,
-    cached_input: Option<Tensor>,
-    cached_output: Option<Tensor>,
+    /// What the derivative reads of the last forward: its input or its
+    /// output.
+    cached: Option<Tensor>,
 }
 
 impl Activation {
     /// Creates an activation layer of the given kind.
     pub fn new(kind: ActivationKind) -> Self {
-        Activation {
-            kind,
-            cached_input: None,
-            cached_output: None,
-        }
+        Activation { kind, cached: None }
     }
 
     /// Convenience constructor for [`ActivationKind::LeakyRelu`].
@@ -138,29 +144,30 @@ impl Activation {
 
 impl Layer for Activation {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = input.map(|x| self.kind.apply(x));
-        // clone_from reuses the cache allocations once shapes settle.
-        match &mut self.cached_input {
-            Some(c) => c.clone_from(input),
-            slot => *slot = Some(input.clone()),
-        }
-        match &mut self.cached_output {
-            Some(c) => c.clone_from(&out),
-            slot => *slot = Some(out.clone()),
+        let kind = self.kind;
+        let out = input.map(|x| kind.apply(x));
+        let keep = if kind.derivative_reads_output() {
+            &out
+        } else {
+            input
+        };
+        // clone_from reuses the cache allocation once shapes settle.
+        match &mut self.cached {
+            Some(c) => c.clone_from(keep),
+            slot => *slot = Some(keep.clone()),
         }
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
+        let cached = self
+            .cached
             .as_ref()
             .expect("Activation::backward called before forward");
-        let output = self.cached_output.as_ref().expect("output cache");
+        let kind = self.kind;
         let mut grad = grad_out.clone();
-        let gi = grad.as_mut_slice();
-        for ((g, &x), &y) in gi.iter_mut().zip(input.as_slice()).zip(output.as_slice()) {
-            *g *= self.kind.derivative(x, y);
+        for (g, &v) in grad.as_mut_slice().iter_mut().zip(cached.as_slice()) {
+            *g *= kind.derivative(v);
         }
         grad
     }

@@ -63,7 +63,7 @@ pub struct Conv2D {
     w: Param,
     b: Param,
     cached_input_shape: Option<[usize; 4]>,
-    cached_cols: Option<Tensor>,
+    cached_cols: Vec<f32>,
     cached_out: Option<Vec<f32>>,
 }
 
@@ -98,7 +98,7 @@ impl Conv2D {
             w: Param::new(w),
             b: Param::new(Tensor::zeros(&[cout])),
             cached_input_shape: None,
-            cached_cols: None,
+            cached_cols: Vec::new(),
             cached_out: None,
         }
     }
@@ -126,7 +126,7 @@ impl Conv2D {
             w: Param::new(w),
             b: Param::new(b),
             cached_input_shape: None,
-            cached_cols: None,
+            cached_cols: Vec::new(),
             cached_out: None,
         })
     }
@@ -197,31 +197,39 @@ impl Conv2D {
         }
     }
 
-    /// Expands `input` into the im2col matrix `[n·ho·wo, kh·kw·cin]`,
-    /// writing into `cols`, which must be zero-filled and exactly
-    /// `n·ho·wo · kh·kw·cin` long (padding positions are *skipped*, so they
-    /// rely on the zero fill).
-    fn im2col_into(&self, input: &Tensor, cols: &mut [f32]) {
-        let dims = dims4(input);
-        let data = input.as_slice();
+    /// Expands the NHWC windows `data` (`dims`) into their im2col matrix
+    /// `[n·ho·wo, kh·kw·cin]`, overwriting all of `cols`, which must be
+    /// exactly that long: the spans arrive in increasing column offset, so
+    /// what lies between two of them is padding and is zeroed here rather
+    /// than by a fill of the whole buffer first.
+    fn im2col_into(&self, data: &[f32], dims: (usize, usize, usize, usize), cols: &mut [f32]) {
+        let mut filled = 0usize;
         self.for_each_span(dims, |col, src, len| {
+            if filled < col {
+                cols[filled..col].fill(0.0);
+            }
             cols[col..col + len].copy_from_slice(&data[src..src + len]);
+            filled = col + len;
         });
+        cols[filled..].fill(0.0);
     }
 
-    /// Scatter-adds column gradients back into input-shaped gradients.
-    fn col2im(&self, grad_cols: &Tensor, input_shape: [usize; 4]) -> Tensor {
-        let [n, h, w, c] = input_shape;
-        let mut grad = vec![0.0f32; n * h * w * c];
-        let g = grad_cols.as_slice();
-        self.for_each_span((n, h, w, c), |col, dst, len| {
+    /// Scatter-adds the column gradients `g` of `n` windows into their
+    /// input-shaped gradients `grad`, which the caller has zeroed.
+    fn col2im(&self, g: &[f32], dims: (usize, usize, usize, usize), grad: &mut [f32]) {
+        self.for_each_span(dims, |col, dst, len| {
             for (acc, &v) in grad[dst..dst + len].iter_mut().zip(&g[col..col + len]) {
                 *acc += v;
             }
         });
-        Tensor::from_vec(grad, &input_shape)
     }
 }
+
+/// Most im2col rows [`Conv2D`] expands and multiplies (forward), or forms
+/// of `dY · Wᵀ` and scatters (input gradient), at once: a training batch
+/// of the paper's 10 × 12 windows is one block, and an attack's hundreds
+/// of windows go through the products in cache-sized pieces.
+const BLOCK_ROWS: usize = 2048;
 
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
     assert_eq!(
@@ -241,89 +249,102 @@ impl Layer for Conv2D {
         let (ho, wo) = self.out_spatial(h, w);
         let rows = n * ho * wo;
         let cols_w = self.kh * self.kw * c;
-        // Reuse the cached im2col buffer across steps once shapes settle.
-        let mut cols = match self.cached_cols.take() {
-            Some(mut t) if t.as_slice().len() == rows * cols_w => {
-                t.fill_zero();
-                t.reshape_in_place(&[rows, cols_w]);
-                t
-            }
-            _ => Tensor::zeros(&[rows, cols_w]),
-        };
-        self.im2col_into(input, cols.as_mut_slice());
-        // The output buffer is served from the reclaim cache (see
-        // `Layer::reclaim`) and fed straight through the blocked GEMM — same
-        // kernel and reduction order as `matmul`, minus the per-step
-        // allocation. The GEMM accumulates, so the buffer is zeroed first.
-        let mut out = match self.cached_out.take() {
-            Some(mut v) if v.len() == rows * self.cout => {
-                v.fill(0.0);
-                v
-            }
-            _ => vec![0.0f32; rows * self.cout],
-        };
-        crate::gemm::gemm(
-            rows,
-            cols_w,
-            self.cout,
-            cols.as_slice(),
-            self.w.value.as_slice(),
-            &mut out,
-        );
+        // Both buffers are reused across steps once shapes settle: the
+        // im2col matrix (overwritten whole) and the output, served from the
+        // reclaim cache (see `Layer::reclaim`) and zeroed, because the GEMM
+        // accumulates — same kernel and reduction order as `matmul`, minus
+        // the per-step allocation.
+        let mut cols = std::mem::take(&mut self.cached_cols);
+        cols.resize(rows * cols_w, 0.0);
+        let mut out = self.cached_out.take().unwrap_or_default();
+        out.clear();
+        out.resize(rows * self.cout, 0.0);
+        // A block of whole windows at a time, so the product reads the
+        // patches it has just expanded while they are in cache; rows are
+        // independent, so the blocks are the one call.
+        let block = (BLOCK_ROWS / (ho * wo)).max(1);
+        let weights = self.w.value.as_slice();
         let bias = self.b.value.as_slice();
-        for r in 0..rows {
-            for j in 0..self.cout {
-                out[r * self.cout + j] += bias[j];
+        let blocks = input.as_slice().chunks(block * h * w * c);
+        let buffers = cols
+            .chunks_mut(block * ho * wo * cols_w)
+            .zip(out.chunks_mut(block * ho * wo * self.cout));
+        for (x, (cols, out)) in blocks.zip(buffers) {
+            let n = x.len() / (h * w * c);
+            self.im2col_into(x, (n, h, w, c), cols);
+            crate::gemm::gemm(n * ho * wo, cols_w, self.cout, cols, weights, out);
+            for row in out.chunks_exact_mut(self.cout) {
+                for (o, &b) in row.iter_mut().zip(bias) {
+                    *o += b;
+                }
             }
         }
         self.cached_input_shape = Some([n, h, w, c]);
-        self.cached_cols = Some(cols);
+        self.cached_cols = cols;
         Tensor::from_vec(out, &[n, ho, wo, self.cout])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input_shape = self
-            .cached_input_shape
-            .expect("Conv2D::backward called before forward");
-        let mut cols = self.cached_cols.take().expect("cols cache");
-        let rows: usize = grad_out.shape()[..3].iter().product();
-        let cols_w = self.kh * self.kw * self.cin;
+        self.backward_params(grad_out);
+        self.backward_input(grad_out)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        assert!(
+            self.cached_input_shape.is_some(),
+            "Conv2D::backward called before forward"
+        );
         // grad_out is contiguous row-major, so its data already *is* the
         // [rows, cout] matrix — no reshape copy needed.
         let g = grad_out.as_slice();
         // dW += colsᵀ · dY, accumulated straight into w.grad (gemm_tn is
         // bitwise identical to the historical transpose-then-matmul).
         crate::gemm::gemm_tn(
-            cols_w,
+            self.kh * self.kw * self.cin,
             self.cout,
-            rows,
-            cols.as_slice(),
+            g.len() / self.cout,
+            &self.cached_cols,
             g,
             self.w.grad.as_mut_slice(),
         );
-        {
-            let gb = self.b.grad.as_mut_slice();
-            for r in 0..rows {
-                for j in 0..self.cout {
-                    gb[j] += g[r * self.cout + j];
-                }
+        let gb = self.b.grad.as_mut_slice();
+        for row in g.chunks_exact(self.cout) {
+            for (acc, &v) in gb.iter_mut().zip(row) {
+                *acc += v;
             }
         }
-        // grad_cols = dY · Wᵀ, overwriting the cols buffer — its contents
-        // are dead once dW is accumulated, and the shapes match exactly.
-        cols.fill_zero();
-        crate::gemm::gemm_nt(
-            rows,
-            cols_w,
-            self.cout,
-            g,
-            self.w.value.as_slice(),
-            cols.as_mut_slice(),
-        );
-        let grad = self.col2im(&cols, input_shape);
-        // Hand the buffer back so the next forward reuses the allocation.
-        self.cached_cols = Some(cols);
-        grad
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        thread_local! {
+            static GRAD_COLS: std::cell::RefCell<Vec<f32>> =
+                const { std::cell::RefCell::new(Vec::new()) };
+        }
+        let [n, h, w, c] = self
+            .cached_input_shape
+            .expect("Conv2D::backward called before forward");
+        let (ho, wo) = self.out_spatial(h, w);
+        let cols_w = self.kh * self.kw * self.cin;
+        let mut grad = vec![0.0f32; n * h * w * c];
+        // grad_cols = dY · Wᵀ goes through a scratch of this thread's — not
+        // the im2col buffer, which stays for a parameter pass — a block of
+        // whole windows at a time: the product's rows are independent and
+        // col2im's windows are, so the blocks are the one call, and every
+        // layer of a walk finds the same few hundred kilobytes warm.
+        let block = (BLOCK_ROWS / (ho * wo)).max(1);
+        let blocks = grad_out.as_slice().chunks(block * ho * wo * self.cout);
+        GRAD_COLS.with_borrow_mut(|grad_cols| {
+            for (g, grad) in blocks.zip(grad.chunks_mut(block * h * w * c)) {
+                let rows = g.len() / self.cout;
+                // The GEMM accumulates, so from zero.
+                grad_cols.clear();
+                grad_cols.resize(rows * cols_w, 0.0);
+                let weights = self.w.value.as_slice();
+                crate::gemm::gemm_nt(rows, cols_w, self.cout, g, weights, grad_cols);
+                self.col2im(grad_cols, (rows / (ho * wo), h, w, c), grad);
+            }
+        });
+        Tensor::from_vec(grad, &[n, h, w, c])
     }
 
     fn reclaim(&mut self, output: Tensor) {
@@ -573,28 +594,33 @@ mod tests {
 
     #[test]
     fn span_moves_are_bitwise_the_per_tap_moves() {
-        // An odd kernel: SAME pads one row on top and none on the left, so
-        // spans are clipped on three sides; VALID clips nothing.
-        for padding in [Padding::Same, Padding::Valid] {
+        // Every kernel up to 3×3: SAME pads the smaller half of `k − 1` on
+        // top and on the left, so spans are clipped on any of four sides
+        // and whole kernel rows fall outside; VALID clips nothing.
+        let kernels = (1..=3).flat_map(|kh| (1..=3).map(move |kw| (kh, kw)));
+        for ((kh, kw), padding) in kernels.flat_map(|k| [(k, Padding::Same), (k, Padding::Valid)]) {
+            let what = format!("{kh}×{kw} {padding:?}");
             let mut rng = seeded_rng(31);
-            let conv = Conv2D::new(3, 2, (3, 2), padding, Init::HeUniform, &mut rng);
+            let conv = Conv2D::new(3, 2, (kh, kw), padding, Init::HeUniform, &mut rng);
             let dims = (2, 5, 4, 3);
             let x = randn(&[2, 5, 4, 3], &mut rng);
             let (ho, wo) = conv.out_spatial(5, 4);
-            let cols_len = 2 * ho * wo * 3 * 2 * 3;
+            let cols_len = 2 * ho * wo * kh * kw * 3;
 
-            let mut cols = vec![0.0f32; cols_len];
-            conv.im2col_into(&x, &mut cols);
+            // A dirty buffer: im2col writes its padding zeros itself.
+            let mut cols = vec![f32::NAN; cols_len];
+            conv.im2col_into(x.as_slice(), dims, &mut cols);
             let mut by_tap = vec![0.0f32; cols_len];
             for_each_tap(&conv, dims, |col, src| {
                 by_tap[col..col + 3].copy_from_slice(&x.as_slice()[src..src + 3]);
             });
-            assert_eq!(cols, by_tap, "im2col {padding:?}");
+            assert_eq!(cols, by_tap, "im2col {what}");
 
             // Overlapping patches add into one input element several
             // times: the sums agree only if the order does.
-            let g = randn(&[2 * ho * wo, 3 * 2 * 3], &mut rng);
-            let grad = conv.col2im(&g, [2, 5, 4, 3]);
+            let g = randn(&[2 * ho * wo, kh * kw * 3], &mut rng);
+            let mut grad = vec![0.0f32; x.as_slice().len()];
+            conv.col2im(g.as_slice(), dims, &mut grad);
             let mut by_tap = vec![0.0f32; x.as_slice().len()];
             for_each_tap(&conv, dims, |col, dst| {
                 for ci in 0..3 {
@@ -602,8 +628,50 @@ mod tests {
                 }
             });
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(grad.as_slice()), bits(&by_tap), "col2im {padding:?}");
+            assert_eq!(bits(&grad), bits(&by_tap), "col2im {what}");
         }
+    }
+
+    #[test]
+    fn blocked_passes_are_the_one_call() {
+        // 250 windows of 4 × 5 pixels: three blocks of BLOCK_ROWS, the last
+        // one short. The oracle expands, multiplies and scatters the whole
+        // batch at once, tap by tap.
+        let mut rng = seeded_rng(41);
+        let mut conv = Conv2D::new(3, 4, (2, 2), Padding::Same, Init::HeUniform, &mut rng);
+        conv.b.value = randn(&[4], &mut rng);
+        let dims = (250, 4, 5, 3);
+        let x = randn(&[250, 4, 5, 3], &mut rng);
+        let rows = 250 * 4 * 5;
+        assert!(rows > 2 * BLOCK_ROWS);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let weights = conv.w.value.as_slice().to_vec();
+
+        let y = conv.forward(&x);
+        let mut cols = vec![0.0f32; rows * 12];
+        for_each_tap(&conv, dims, |col, src| {
+            cols[col..col + 3].copy_from_slice(&x.as_slice()[src..src + 3]);
+        });
+        let mut want = vec![0.0f32; rows * 4];
+        crate::gemm::gemm(rows, 12, 4, &cols, &weights, &mut want);
+        for row in want.chunks_exact_mut(4) {
+            for (o, &b) in row.iter_mut().zip(conv.b.value.as_slice()) {
+                *o += b;
+            }
+        }
+        assert_eq!(bits(y.as_slice()), bits(&want), "forward");
+
+        let g = randn(y.shape(), &mut rng);
+        let got = conv.backward_input(&g);
+        let mut grad_cols = vec![0.0f32; rows * 12];
+        crate::gemm::gemm_nt(rows, 12, 4, g.as_slice(), &weights, &mut grad_cols);
+        let mut want = vec![0.0f32; x.len()];
+        for_each_tap(&conv, dims, |col, dst| {
+            for ci in 0..3 {
+                want[dst + ci] += grad_cols[col + ci];
+            }
+        });
+        assert_eq!(bits(got.as_slice()), bits(&want), "input gradient");
     }
 
     #[test]

@@ -89,14 +89,10 @@ impl Layer for Dense {
             input.shape()
         );
         let mut out = input.matmul(&self.w.value);
-        let batch = out.shape()[0];
         let bias = self.b.value.as_slice();
-        {
-            let data = out.as_mut_slice();
-            for i in 0..batch {
-                for j in 0..self.out_dim {
-                    data[i * self.out_dim + j] += bias[j];
-                }
+        for row in out.as_mut_slice().chunks_exact_mut(self.out_dim) {
+            for (o, &b) in row.iter_mut().zip(bias) {
+                *o += b;
             }
         }
         // clone_from reuses the cached allocation once shapes settle.
@@ -107,33 +103,37 @@ impl Layer for Dense {
         out
     }
 
+    // dW = xᵀ · dY ; db = Σ_batch dY ; dX = dY · Wᵀ
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        self.backward_input(grad_out)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let input = self
             .cached_input
             .as_ref()
             .expect("Dense::backward called before forward");
-        // dW = xᵀ · dY ; db = Σ_batch dY ; dX = dY · Wᵀ
         // gemm_tn accumulates straight into w.grad — no xᵀ copy, no
         // intermediate grad_w tensor. Bitwise identical to the historical
         // `input.transpose().matmul(grad_out)` reduction.
-        let batch = grad_out.shape()[0];
         crate::gemm::gemm_tn(
             self.in_dim,
             self.out_dim,
-            batch,
+            grad_out.shape()[0],
             input.as_slice(),
             grad_out.as_slice(),
             self.w.grad.as_mut_slice(),
         );
-        {
-            let gb = self.b.grad.as_mut_slice();
-            let g = grad_out.as_slice();
-            for i in 0..batch {
-                for j in 0..self.out_dim {
-                    gb[j] += g[i * self.out_dim + j];
-                }
+        let gb = self.b.grad.as_mut_slice();
+        for row in grad_out.as_slice().chunks_exact(self.out_dim) {
+            for (acc, &v) in gb.iter_mut().zip(row) {
+                *acc += v;
             }
         }
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
         // dX = dY · Wᵀ with W read in its stored layout.
         grad_out.matmul_nt(&self.w.value)
     }

@@ -13,7 +13,9 @@
 //!   `LeakyReLU`/`Tanh`/`Sigmoid`, `Flatten`, `Reshape`;
 //! - [`Sequential`]: a model container whose backward pass propagates
 //!   gradients **to the input** — the primitive behind both WGAN training
-//!   and the paper's FGSM attacks (Eqs. 6–7);
+//!   and the paper's FGSM attacks (Eqs. 6–7) — and which computes only the
+//!   half its caller reads ([`Sequential::backward_input`],
+//!   [`Sequential::backward_params`]);
 //! - [`optim`]: `Sgd`, `RmsProp` (the WGAN-with-clipping pairing), `Adam`;
 //! - [`serialize`]: a flat binary model format for shipping trained critics
 //!   to the OBU/RSU testing phase;

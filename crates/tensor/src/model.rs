@@ -244,17 +244,14 @@ impl Sequential {
     /// buffer-caching layers (e.g. [`Conv2D`]) run allocation-free across
     /// training steps.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        let mut producer: Option<usize> = None;
+        let mut x: Option<Tensor> = None;
         for i in 0..self.layers.len() {
-            let y = self.layers[i].forward(&x);
-            match producer {
-                Some(p) => self.layers[p].reclaim(std::mem::replace(&mut x, y)),
-                None => x = y,
+            let y = self.layers[i].forward(x.as_ref().unwrap_or(input));
+            if let Some(dead) = x.replace(y) {
+                self.layers[i - 1].reclaim(dead);
             }
-            producer = Some(i);
         }
-        x
+        x.unwrap_or_else(|| input.clone())
     }
 
     /// Critic outputs `D(x)` for `out.len()` flat `[h, w, c]` windows,
@@ -354,16 +351,54 @@ impl Sequential {
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        self.backward_through(0, grad_out, |layer, g| layer.backward(g))
     }
 
-    /// Computes `∂(mean of outputs)/∂input` without touching parameter
-    /// gradients' semantics (they are accumulated then discarded by the next
-    /// `zero_grad`).
+    /// The gradient w.r.t. the model input alone — what
+    /// [`Sequential::backward`] returns, bit for bit — through every
+    /// layer's [`Layer::backward_input`]: no parameter gradient is computed
+    /// or touched and the forward caches stay as they are, so the same
+    /// forward can still serve a parameter backward afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward`.
+    pub fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_through(0, grad_out, |layer, g| layer.backward_input(g))
+    }
+
+    /// Accumulates every parameter gradient [`Sequential::backward`]
+    /// accumulates and stops there: the first layer runs
+    /// [`Layer::backward_params`], so the gradient w.r.t. the model input —
+    /// which a training step on data drops — is never formed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward`.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let g = self.backward_through(1, grad_out, |layer, g| layer.backward(g));
+        if let Some(first) = self.layers.first_mut() {
+            first.backward_params(&g);
+        }
+    }
+
+    /// Carries `grad_out` from the last layer down to layer `from`.
+    fn backward_through(
+        &mut self,
+        from: usize,
+        grad_out: &Tensor,
+        step: impl Fn(&mut dyn Layer, &Tensor) -> Tensor,
+    ) -> Tensor {
+        let mut g: Option<Tensor> = None;
+        for layer in self.layers.iter_mut().skip(from).rev() {
+            g = Some(step(layer.as_mut(), g.as_ref().unwrap_or(grad_out)));
+        }
+        g.unwrap_or_else(|| grad_out.clone())
+    }
+
+    /// Computes `∂(mean of outputs)/∂input` and nothing else: parameter
+    /// gradients are neither computed nor touched
+    /// ([`Sequential::backward_input`]).
     ///
     /// This is the primitive behind the paper's FGSM attacks (Eqs. 6–7),
     /// which need `∇ₓ𝒟(x)`.
@@ -371,7 +406,7 @@ impl Sequential {
         let out = self.forward(input);
         let scale = 1.0 / out.len() as f32;
         let grad_out = Tensor::full(out.shape(), scale);
-        self.backward(&grad_out)
+        self.backward_input(&grad_out)
     }
 
     /// Zeroes all parameter gradients.

@@ -307,11 +307,11 @@ impl MisbehaviorAuthority {
             revoked.push(suspect);
         }
         for sib in &revoked {
-            self.crl.revoke(*sib, record.clone());
+            self.crl.revoke(*sib, record);
             self.evidence.remove(sib);
         }
         if let Some(lt) = long_term {
-            self.convicted_lt.insert(lt, record.clone());
+            self.convicted_lt.insert(lt, record);
         }
         self.stats.convictions += 1;
         self.stats.extensions += u64::from(revoked_now);
@@ -319,7 +319,7 @@ impl MisbehaviorAuthority {
             suspect,
             long_term,
             revoked,
-            record: record.clone(),
+            record,
             extension: revoked_now,
         };
         let outcome = if revoked_now {
@@ -349,7 +349,7 @@ impl MisbehaviorAuthority {
                 None => true,
             };
             if active {
-                self.crl.revoke(pseudonym, rec.clone());
+                self.crl.revoke(pseudonym, *rec);
             }
         }
         pseudonym

@@ -13,11 +13,11 @@
 //! policy only, never the journal: a mirror that applied deltas holds
 //! no journal of its own and must still compare equal to its source.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use vehigan_sim::VehicleId;
 
 /// Why a credential was revoked.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RevocationRecord {
     /// Revocation time (seconds).
     pub revoked_at: f64,
@@ -93,8 +93,10 @@ pub struct CertificateRevocationList {
     validity_s: Option<f64>,
     /// Sequence number of the last applied op.
     seq: u64,
-    /// Retained `(seq, op)` journal, oldest first.
-    log: Vec<(u64, CrlOp)>,
+    /// Retained `(seq, op)` journal, oldest first: a ring of at most
+    /// `log_capacity` slots whose sequence numbers are contiguous, so an
+    /// op costs O(1) and a delta finds its first op by subtraction.
+    log: VecDeque<(u64, CrlOp)>,
     /// Journal bound; older ops are compacted away.
     log_capacity: usize,
 }
@@ -120,7 +122,7 @@ impl CertificateRevocationList {
             entries: HashMap::new(),
             validity_s,
             seq: 0,
-            log: Vec::new(),
+            log: VecDeque::new(),
             log_capacity: DEFAULT_LOG_CAPACITY,
         }
     }
@@ -129,20 +131,20 @@ impl CertificateRevocationList {
     /// immediately if already over).
     pub fn set_log_capacity(&mut self, capacity: usize) {
         self.log_capacity = capacity;
-        self.compact();
-    }
-
-    fn compact(&mut self) {
-        if self.log.len() > self.log_capacity {
-            let excess = self.log.len() - self.log_capacity;
-            self.log.drain(..excess);
-        }
+        let excess = self.log.len().saturating_sub(capacity);
+        self.log.drain(..excess);
     }
 
     fn journal(&mut self, op: CrlOp) {
         self.seq += 1;
-        self.log.push((self.seq, op));
-        self.compact();
+        if self.log_capacity == 0 {
+            return;
+        }
+        // Trim before the push: a full ring never grows past its bound.
+        if self.log.len() == self.log_capacity {
+            self.log.pop_front();
+        }
+        self.log.push_back((self.seq, op));
     }
 
     /// Sequence number of the last applied op (a mirror's sync cursor).
@@ -162,7 +164,7 @@ impl CertificateRevocationList {
         vehicle: VehicleId,
         record: RevocationRecord,
     ) -> Option<RevocationRecord> {
-        let prev = self.entries.insert(vehicle, record.clone());
+        let prev = self.entries.insert(vehicle, record);
         self.journal(CrlOp::Revoke { vehicle, record });
         prev
     }
@@ -219,57 +221,48 @@ impl CertificateRevocationList {
     ///
     /// Returns the journaled ops after `cursor` when they are still
     /// retained; otherwise a full snapshot (entries as `Revoke` ops in
-    /// ascending vehicle-id order) the mirror applies from scratch.
+    /// ascending vehicle-id order) the mirror applies from scratch. A
+    /// cursor ahead of this list's own `seq` (the authority restarted, or
+    /// the mirror last synced from another list) is answered with a
+    /// snapshot too: nothing in the journal relates to that history.
     pub fn delta_since(&self, cursor: u64) -> CrlDelta {
-        if cursor >= self.seq {
-            return CrlDelta {
-                since: cursor,
-                upto: self.seq,
-                snapshot: false,
-                ops: Vec::new(),
-            };
-        }
-        let oldest_retained = self.log.first().map(|(s, _)| *s).unwrap_or(self.seq + 1);
-        if cursor + 1 >= oldest_retained {
-            let ops = self
-                .log
-                .iter()
-                .filter(|(s, _)| *s > cursor)
-                .map(|(_, op)| op.clone())
-                .collect();
-            CrlDelta {
-                since: cursor,
-                upto: self.seq,
-                snapshot: false,
-                ops,
-            }
-        } else {
+        let oldest_retained = self.log.front().map_or(self.seq + 1, |(s, _)| *s);
+        let snapshot = cursor > self.seq || cursor + 1 < oldest_retained;
+        let ops = if snapshot {
             let mut items: Vec<(VehicleId, RevocationRecord)> =
-                self.entries.iter().map(|(v, r)| (*v, r.clone())).collect();
+                self.entries.iter().map(|(v, r)| (*v, *r)).collect();
             items.sort_unstable_by_key(|(v, _)| v.0);
-            CrlDelta {
-                since: cursor,
-                upto: self.seq,
-                snapshot: true,
-                ops: items
-                    .into_iter()
-                    .map(|(vehicle, record)| CrlOp::Revoke { vehicle, record })
-                    .collect(),
-            }
+            items
+                .into_iter()
+                .map(|(vehicle, record)| CrlOp::Revoke { vehicle, record })
+                .collect()
+        } else {
+            let skip = (cursor + 1 - oldest_retained) as usize;
+            self.log.range(skip..).map(|(_, op)| op.clone()).collect()
+        };
+        CrlDelta {
+            since: cursor,
+            upto: self.seq,
+            snapshot,
+            ops,
         }
     }
 
     /// Applies a delta produced by [`delta_since`](Self::delta_since) on
     /// the distributing CRL, advancing this mirror's cursor to
-    /// `delta.upto`. Mirrors do not re-journal applied ops.
+    /// `delta.upto`. Mirrors do not re-journal applied ops — and drop
+    /// whatever they had journaled themselves, which no longer leads up
+    /// to `seq`: a list that mirrors another serves snapshots downstream,
+    /// never a journal with a gap in it.
     pub fn apply_delta(&mut self, delta: &CrlDelta) {
+        self.log.clear();
         if delta.snapshot {
             self.entries.clear();
         }
         for op in &delta.ops {
             match op {
                 CrlOp::Revoke { vehicle, record } => {
-                    self.entries.insert(*vehicle, record.clone());
+                    self.entries.insert(*vehicle, *record);
                 }
                 CrlOp::Remove { vehicle } => {
                     self.entries.remove(vehicle);
@@ -361,6 +354,52 @@ mod tests {
     }
 
     #[test]
+    fn mirror_ahead_of_its_source_gets_a_snapshot() {
+        // The mirror synced ten ops from a list that no longer exists.
+        let mut old = CertificateRevocationList::new(None);
+        for i in 0..10u32 {
+            old.revoke(VehicleId(100 + i), record(f64::from(i)));
+        }
+        let mut mirror = CertificateRevocationList::new(None);
+        mirror.apply_delta(&old.delta_since(0));
+        assert_eq!(mirror.seq(), 10);
+
+        let mut source = CertificateRevocationList::new(None);
+        source.revoke(VehicleId(1), record(0.0));
+        source.revoke(VehicleId(2), record(1.0));
+        let delta = source.delta_since(mirror.seq());
+        assert!(delta.snapshot);
+        mirror.apply_delta(&delta);
+        assert_eq!(mirror, source);
+        assert_eq!(mirror.seq(), 2);
+    }
+
+    #[test]
+    fn a_list_that_mirrors_another_serves_snapshots_downstream() {
+        let mut source = CertificateRevocationList::new(None);
+        let mut relay = CertificateRevocationList::new(None);
+        relay.revoke(VehicleId(50), record(0.0));
+        for i in 0..4u32 {
+            source.revoke(VehicleId(i), record(f64::from(i)));
+        }
+        // The relay's own op 1 is not the source's op 1: its journal must
+        // not be served as if it led up to the applied `seq`.
+        relay.apply_delta(&source.delta_since(relay.seq()));
+        assert_eq!(relay.log_len(), 0);
+        relay.revoke(VehicleId(60), record(9.0));
+        for cursor in 0..relay.seq() - 1 {
+            let delta = relay.delta_since(cursor);
+            assert!(delta.snapshot);
+            let mut downstream = CertificateRevocationList::new(None);
+            downstream.apply_delta(&delta);
+            assert_eq!(downstream, relay);
+        }
+        let last = relay.delta_since(relay.seq() - 1);
+        assert!(!last.snapshot);
+        assert_eq!(last.ops.len(), 1);
+    }
+
+    #[test]
     fn compaction_falls_back_to_snapshot() {
         let mut crl = CertificateRevocationList::new(None);
         crl.set_log_capacity(4);
@@ -416,6 +455,50 @@ mod tests {
         let ops_a: Vec<CrlOp> = a.delta_since(3).ops;
         let ops_b: Vec<CrlOp> = b.delta_since(3).ops;
         assert_eq!(ops_a, ops_b);
+    }
+
+    /// A complexity guard, not a stopwatch: a full journal's cost per op
+    /// must not depend on its capacity. The ratio is taken inside one
+    /// process with the two sizes alternating, so the host's speed
+    /// cancels; a journal that shifts its retained ops on every push
+    /// reads three orders of magnitude apart here, a ring about 1x.
+    #[test]
+    fn journal_cost_does_not_grow_with_capacity() {
+        const OPS: usize = 200_000;
+        fn revoke_n(crl: &mut CertificateRevocationList, n: usize) -> std::time::Duration {
+            let start = std::time::Instant::now();
+            for i in 0..n as u32 {
+                crl.revoke(VehicleId(i % 512), record(f64::from(i)));
+            }
+            start.elapsed()
+        }
+        fn full_journal(capacity: usize) -> CertificateRevocationList {
+            let mut crl = CertificateRevocationList::new(None);
+            crl.set_log_capacity(capacity);
+            revoke_n(&mut crl, capacity);
+            assert_eq!(crl.log_len(), capacity);
+            crl
+        }
+        let (small_cap, large_cap) = (64, 65_536);
+        let mut small = full_journal(small_cap);
+        let mut large = full_journal(large_cap);
+        let mut best = [std::time::Duration::MAX; 2];
+        for _ in 0..5 {
+            best[0] = best[0].min(revoke_n(&mut small, OPS));
+            best[1] = best[1].min(revoke_n(&mut large, OPS));
+        }
+        assert!(
+            best[1] <= best[0] * 4,
+            "{OPS} ops past full: {:?} at capacity {small_cap}, {:?} at {large_cap}",
+            best[0],
+            best[1]
+        );
+        for (crl, capacity) in [(&small, small_cap), (&large, large_cap)] {
+            assert_eq!(crl.log_len(), capacity);
+            let recent = crl.delta_since(crl.seq() - 3);
+            assert!(!recent.snapshot);
+            assert_eq!(recent.ops.len(), 3);
+        }
     }
 
     #[test]

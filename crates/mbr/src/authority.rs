@@ -37,7 +37,7 @@ use crate::evidence::{Observation, SuspectEvidence};
 use crate::pseudonym::{LongTermId, PseudonymManager};
 use crate::report::{InvalidMbrError, Mbr};
 use std::collections::HashMap;
-use vehigan_sim::VehicleId;
+use vehigan_sim::{IdHash, VehicleId};
 
 /// Conviction policy of the authority.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -168,12 +168,12 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 pub struct MisbehaviorAuthority {
     policy: AuthorityPolicy,
     /// Open cases by accused pseudonym (boxed: see module docs).
-    evidence: HashMap<VehicleId, Box<SuspectEvidence>>,
+    evidence: HashMap<VehicleId, Box<SuspectEvidence>, IdHash>,
     crl: CertificateRevocationList,
     scms: Option<PseudonymManager>,
     /// Long-term identities with a standing conviction (drives
     /// auto-revocation of freshly issued pseudonyms).
-    convicted_lt: HashMap<LongTermId, RevocationRecord>,
+    convicted_lt: HashMap<LongTermId, RevocationRecord, IdHash>,
     stats: AuthorityStats,
 }
 
@@ -194,9 +194,9 @@ impl MisbehaviorAuthority {
         MisbehaviorAuthority {
             crl: CertificateRevocationList::new(policy.revocation_validity_s),
             policy,
-            evidence: HashMap::new(),
+            evidence: HashMap::default(),
             scms: None,
-            convicted_lt: HashMap::new(),
+            convicted_lt: HashMap::default(),
             stats: AuthorityStats::default(),
         }
     }

@@ -14,7 +14,7 @@
 //! no journal of its own and must still compare equal to its source.
 
 use std::collections::{HashMap, VecDeque};
-use vehigan_sim::VehicleId;
+use vehigan_sim::{IdHash, VehicleId};
 
 /// Why a credential was revoked.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -87,7 +87,7 @@ const DEFAULT_LOG_CAPACITY: usize = 4096;
 /// ```
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CertificateRevocationList {
-    entries: HashMap<VehicleId, RevocationRecord>,
+    entries: HashMap<VehicleId, RevocationRecord, IdHash>,
     /// Entries older than this many seconds no longer apply (`None` =
     /// permanent revocation).
     validity_s: Option<f64>,
@@ -119,7 +119,7 @@ impl CertificateRevocationList {
     /// Creates an empty CRL; `validity_s = None` makes entries permanent.
     pub fn new(validity_s: Option<f64>) -> Self {
         CertificateRevocationList {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             validity_s,
             seq: 0,
             log: VecDeque::new(),
@@ -254,12 +254,24 @@ impl CertificateRevocationList {
     /// whatever they had journaled themselves, which no longer leads up
     /// to `seq`: a list that mirrors another serves snapshots downstream,
     /// never a journal with a gap in it.
+    ///
+    /// An incremental delta never moves `seq` back, so a late or repeated
+    /// one cannot rewind the mirror to stale records: one that ends at or
+    /// before `seq` is a no-op, one that starts before `seq` applies only
+    /// the ops past it, and one that starts after `seq` (a gap) is
+    /// refused, leaving the list as it was for `delta_since(seq)` to
+    /// fill. A snapshot always replaces the entries.
     pub fn apply_delta(&mut self, delta: &CrlDelta) {
-        self.log.clear();
-        if delta.snapshot {
+        let seen = if delta.snapshot {
             self.entries.clear();
-        }
-        for op in &delta.ops {
+            0
+        } else if delta.upto <= self.seq || delta.since > self.seq {
+            return;
+        } else {
+            (self.seq - delta.since) as usize
+        };
+        self.log.clear();
+        for op in &delta.ops[seen.min(delta.ops.len())..] {
             match op {
                 CrlOp::Revoke { vehicle, record } => {
                     self.entries.insert(*vehicle, *record);
@@ -342,6 +354,50 @@ mod tests {
         mirror.apply_delta(&delta);
         assert_eq!(mirror, crl);
         assert_eq!(mirror.seq(), crl.seq());
+    }
+
+    #[test]
+    fn a_late_delta_does_not_rewind_a_mirror() {
+        let mut source = CertificateRevocationList::new(Some(60.0));
+        source.revoke(VehicleId(7), record(0.0));
+        let early = source.delta_since(0);
+        source.prune(100.0);
+        source.revoke(VehicleId(7), record(100.0));
+        let mut mirror = CertificateRevocationList::new(Some(60.0));
+        mirror.apply_delta(&source.delta_since(0));
+        assert_eq!(mirror.seq(), 3);
+        // Re-delivered after the mirror moved past it: no-op.
+        mirror.apply_delta(&early);
+        assert_eq!(mirror.seq(), 3);
+        assert_eq!(mirror, source);
+        assert!(mirror.is_revoked(VehicleId(7), 110.0));
+    }
+
+    #[test]
+    fn an_overlapping_delta_applies_only_the_ops_past_seq() {
+        let mut source = CertificateRevocationList::new(Some(60.0));
+        let mut mirror = CertificateRevocationList::new(Some(60.0));
+        source.revoke(VehicleId(1), record(0.0));
+        let first = source.delta_since(0);
+        source.revoke(VehicleId(2), record(10.0));
+        source.prune(70.0);
+        let overlapping = source.delta_since(0);
+        mirror.apply_delta(&first);
+        mirror.apply_delta(&overlapping);
+        assert_eq!((mirror.seq(), &mirror), (3, &source));
+    }
+
+    #[test]
+    fn a_delta_past_a_gap_is_refused() {
+        let mut source = CertificateRevocationList::new(None);
+        let mut mirror = CertificateRevocationList::new(None);
+        source.revoke(VehicleId(1), record(0.0));
+        source.revoke(VehicleId(2), record(1.0));
+        let after_gap = source.delta_since(1);
+        mirror.apply_delta(&after_gap);
+        assert_eq!((mirror.seq(), mirror.len()), (0, 0));
+        mirror.apply_delta(&source.delta_since(mirror.seq()));
+        assert_eq!((mirror.seq(), &mirror), (2, &source));
     }
 
     #[test]

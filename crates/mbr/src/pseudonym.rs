@@ -4,7 +4,7 @@
 //! vehicle's pseudonyms (§I, [5]).
 
 use std::collections::HashMap;
-use vehigan_sim::VehicleId;
+use vehigan_sim::{IdHash, VehicleId};
 
 /// A vehicle's long-term enrollment identity (never transmitted).
 #[derive(
@@ -32,8 +32,8 @@ pub struct LongTermId(pub u32);
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PseudonymManager {
     next: u32,
-    linkage: HashMap<VehicleId, LongTermId>,
-    issued: HashMap<LongTermId, Vec<VehicleId>>,
+    linkage: HashMap<VehicleId, LongTermId, IdHash>,
+    issued: HashMap<LongTermId, Vec<VehicleId>, IdHash>,
 }
 
 impl PseudonymManager {
@@ -43,9 +43,19 @@ impl PseudonymManager {
     }
 
     /// Issues a fresh pseudonym for the given long-term identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the id space is used up (`VehicleId(u32::MAX)` is never
+    /// issued), leaving the manager untouched: wrapping around would
+    /// re-issue `VehicleId(0)` and re-link it to another vehicle, so that
+    /// convicting its first holder revoked the second.
     pub fn issue(&mut self, vehicle: LongTermId) -> VehicleId {
         let pseudonym = VehicleId(self.next);
-        self.next += 1;
+        self.next = self
+            .next
+            .checked_add(1)
+            .expect("pseudonym space exhausted: every u32 id below u32::MAX is issued");
         self.linkage.insert(pseudonym, vehicle);
         self.issued.entry(vehicle).or_default().push(pseudonym);
         pseudonym
@@ -92,6 +102,23 @@ mod tests {
             assert_eq!(scms.resolve(*p), Some(LongTermId(9)));
         }
         assert_eq!(scms.pseudonyms_of(LongTermId(9)), ps);
+    }
+
+    #[test]
+    fn an_exhausted_id_space_panics_instead_of_relinking_id_zero() {
+        let mut scms = PseudonymManager::new();
+        let first = scms.issue(LongTermId(1));
+        assert_eq!(first, VehicleId(0));
+        scms.next = u32::MAX;
+        let issue =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scms.issue(LongTermId(2))));
+        assert!(
+            issue.is_err(),
+            "issued {issue:?} past the end of the id space"
+        );
+        assert_eq!(scms.resolve(first), Some(LongTermId(1)));
+        assert!(scms.pseudonyms_of(LongTermId(2)).is_empty());
+        assert_eq!(scms.issued_count(), 1);
     }
 
     #[test]

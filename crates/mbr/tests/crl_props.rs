@@ -3,7 +3,9 @@
 //! the list did before the ring — a plain `Vec`, push then
 //! `drain(..excess)`, deltas by filtering on sequence number. After every
 //! op the two must agree on `seq`, `log_len`, `len` and on every delta a
-//! mirror could ask for, boundary cursors included.
+//! mirror could ask for, boundary cursors included. Deltas handed out
+//! earlier are re-delivered to mirrors at random: a late incremental one
+//! must never move a mirror back (ISSUE 26).
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -126,6 +128,9 @@ enum Op {
     Delta(u64),
     /// Mirror `n` catches up from wherever it last stopped.
     Sync(usize),
+    /// Mirror `n` receives again the delta handed out earlier that this
+    /// draw picks.
+    Redeliver(usize, u64),
 }
 
 const VALIDITY_S: f64 = 20.0;
@@ -133,12 +138,13 @@ const CAPACITIES: [usize; 5] = [0, 1, 2, 3, 64];
 const MIRRORS: usize = 3;
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u32..16, any::<u64>()).prop_map(|(kind, draw)| match kind {
+    (0u32..18, any::<u64>()).prop_map(|(kind, draw)| match kind {
         0..=7 => Op::Revoke((draw % 24) as u32),
         8 => Op::Prune,
         9 => Op::SetLogCapacity(CAPACITIES[(draw % 5) as usize]),
         10..=12 => Op::Delta(draw),
-        _ => Op::Sync((draw % MIRRORS as u64) as usize),
+        13..=15 => Op::Sync((draw % MIRRORS as u64) as usize),
+        _ => Op::Redeliver((draw % MIRRORS as u64) as usize, draw / MIRRORS as u64),
     })
 }
 
@@ -148,6 +154,9 @@ struct Model {
     crl: CertificateRevocationList,
     reference: ReferenceCrl,
     mirrors: Vec<CertificateRevocationList>,
+    /// Every delta `Delta` and `Sync` handed out, with the list as it was
+    /// at the delta's `upto`.
+    handed: Vec<(CrlDelta, CertificateRevocationList)>,
     now: f64,
 }
 
@@ -157,6 +166,7 @@ impl Model {
             crl: CertificateRevocationList::new(validity_s),
             reference: ReferenceCrl::new(validity_s),
             mirrors: vec![CertificateRevocationList::new(validity_s); MIRRORS],
+            handed: Vec::new(),
             now: 0.0,
         }
     }
@@ -197,13 +207,34 @@ impl Model {
                 self.reference.set_log_capacity(capacity);
             }
             Op::Delta(draw) => {
-                self.checked_delta(draw % (self.reference.seq + 3));
+                let delta = self.checked_delta(draw % (self.reference.seq + 3));
+                self.handed.push((delta, self.crl.clone()));
             }
             Op::Sync(n) => {
                 let delta = self.checked_delta(self.mirrors[n].seq());
                 self.mirrors[n].apply_delta(&delta);
                 assert_eq!(self.mirrors[n], self.crl);
                 assert_eq!(self.mirrors[n].seq(), self.crl.seq());
+                self.handed.push((delta, self.crl.clone()));
+            }
+            Op::Redeliver(n, draw) => {
+                if self.handed.is_empty() {
+                    return;
+                }
+                let (delta, at_upto) = &self.handed[draw as usize % self.handed.len()];
+                let mirror = &mut self.mirrors[n];
+                let before = (mirror.seq(), mirror.clone());
+                mirror.apply_delta(delta);
+                let stale = delta.upto <= before.0 || delta.since > before.0;
+                if !delta.snapshot && stale {
+                    // Already applied, or past a gap: nothing changes.
+                    assert_eq!((mirror.seq(), &*mirror), (before.0, &before.1));
+                } else {
+                    // A mirror only ever holds the list as it was at its
+                    // own `seq`, so catching up from there (or a snapshot)
+                    // lands exactly on the list at `upto`.
+                    assert_eq!((mirror.seq(), &*mirror), (delta.upto, at_upto));
+                }
             }
         }
         assert_eq!(self.crl.seq(), self.reference.seq);

@@ -25,7 +25,7 @@ use vehigan_features::{
     lru_key, EvictionConfig, GateDecision, IngestGuard, MinMaxScaler, RejectCounters,
     Tier0Calibration, Tier0Monitor, WindowBuffer,
 };
-use vehigan_sim::{Bsm, VehicleId};
+use vehigan_sim::{Bsm, IdHash, VehicleId};
 
 /// Maps a pseudonym to its owning shard.
 ///
@@ -96,7 +96,7 @@ pub struct Shard {
     tier0: Option<Tier0Calibration>,
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
-    index: HashMap<VehicleId, usize>,
+    index: HashMap<VehicleId, usize, IdHash>,
     /// Concatenated ready snapshots, `window × features` floats each, in
     /// ingestion order.
     pending: Vec<f32>,
@@ -134,7 +134,7 @@ impl Shard {
             tier0: None,
             slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             pending: Vec::new(),
             pending_meta: Vec::new(),
             ingested: 0,

@@ -27,6 +27,7 @@
 
 #![warn(missing_docs)]
 
+mod id_hash;
 pub mod idm;
 pub mod network;
 pub mod route;
@@ -34,6 +35,7 @@ pub mod sensor;
 mod simulator;
 mod types;
 
+pub use id_hash::{IdHash, IdHasher};
 pub use sensor::SensorModel;
 pub use simulator::{SimConfig, TrafficSimulator};
 pub use types::{Bsm, VehicleId, VehicleTrace, BSM_INTERVAL_S};

@@ -16,21 +16,29 @@
 //! `&self` and per-member scratch is internal, so results are identical
 //! to the serial nest regardless of scheduling).
 
+use crate::ensemble::F32_NS_PER_MEMBER_ROW;
 use crate::wgan::Wgan;
 use vehigan_features::{
     assemble_fragments, build_fragment, engineer_trace, MinMaxScaler, WindowConfig, WindowDataset,
     WindowFragment,
 };
 use vehigan_sim::VehicleTrace;
+use vehigan_tensor::forkjoin::fork_map;
 use vehigan_vasp::{Attack, DatasetBuilder, DatasetConfig, LabeledTrace};
 
-/// Worker count bounded by the host's cores and the actual job count.
-fn plane_threads(jobs: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(jobs)
-        .max(1)
+/// What building one vehicle's benign fragment (engineer, scale, window)
+/// costs per BSM of its trace, for [`fork_map`]: 79–88 ns on one core of
+/// the ledger host (4 × 40 s traces, stride 1 and 6).
+const FRAGMENT_NS_PER_BSM: usize = 80;
+
+/// What assembling one attack's dataset costs per BSM of the fleet, for
+/// [`fork_map`]: the attackers' fragments built fresh and every window
+/// copied once, 20–48 ns on one core of the ledger host (stride 6 and 1).
+const ATTACK_NS_PER_FLEET_BSM: usize = 30;
+
+/// BSMs across `fleet`.
+fn bsms(fleet: &[VehicleTrace]) -> usize {
+    fleet.iter().map(VehicleTrace::len).sum()
 }
 
 /// A reusable evaluation data plane over one fleet: the benign window
@@ -78,8 +86,8 @@ impl<'a> CampaignPlane<'a> {
         scaler: &'a MinMaxScaler,
     ) -> Self {
         assert!(!fleet.is_empty(), "need at least one trace");
-        let mut benign: Vec<Option<WindowFragment>> = (0..fleet.len()).map(|_| None).collect();
-        let fragment_of = |trace: &VehicleTrace| {
+        let mean_bsms = bsms(fleet) / fleet.len();
+        let benign = fork_map(fleet.iter(), mean_bsms * FRAGMENT_NS_PER_BSM, |trace| {
             let labeled = LabeledTrace {
                 labels: vec![false; trace.len()],
                 trace: trace.clone(),
@@ -87,28 +95,7 @@ impl<'a> CampaignPlane<'a> {
             };
             engineer_trace(&labeled, window.representation)
                 .map(|rows| build_fragment(&rows, window, scaler))
-        };
-
-        let threads = plane_threads(fleet.len());
-        if threads <= 1 {
-            for (trace, slot) in fleet.iter().zip(&mut benign) {
-                *slot = fragment_of(trace);
-            }
-        } else {
-            let chunk = fleet.len().div_ceil(threads);
-            crossbeam::thread::scope(|s| {
-                for (traces, slots) in fleet.chunks(chunk).zip(benign.chunks_mut(chunk)) {
-                    let fragment_of = &fragment_of;
-                    s.spawn(move |_| {
-                        for (trace, slot) in traces.iter().zip(slots) {
-                            *slot = fragment_of(trace);
-                        }
-                    });
-                }
-            })
-            .expect("benign fragment worker panicked");
-        }
-
+        });
         CampaignPlane {
             fleet,
             dataset_config,
@@ -157,25 +144,8 @@ impl<'a> CampaignPlane<'a> {
     /// parallel across attacks. Element `i` is bitwise identical to
     /// `self.attack_windows(attacks[i])`.
     pub fn campaign(&self, attacks: &[Attack]) -> Vec<WindowDataset> {
-        let threads = plane_threads(attacks.len());
-        if threads <= 1 {
-            return attacks.iter().map(|&a| self.attack_windows(a)).collect();
-        }
-        let mut out: Vec<Option<WindowDataset>> = (0..attacks.len()).map(|_| None).collect();
-        let chunk = attacks.len().div_ceil(threads);
-        crossbeam::thread::scope(|s| {
-            for (ats, slots) in attacks.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                s.spawn(move |_| {
-                    for (&a, slot) in ats.iter().zip(slots) {
-                        *slot = Some(self.attack_windows(a));
-                    }
-                });
-            }
-        })
-        .expect("campaign assembly worker panicked");
-        out.into_iter()
-            .map(|d| d.expect("every slot filled"))
-            .collect()
+        let ns_each = bsms(self.fleet) * ATTACK_NS_PER_FLEET_BSM;
+        fork_map(attacks.iter(), ns_each, |&a| self.attack_windows(a))
     }
 }
 
@@ -184,28 +154,10 @@ impl<'a> CampaignPlane<'a> {
 /// parallel (each member's datasets stay serial so its internal scratch
 /// is never contended); the result is identical to the serial nest.
 pub fn score_matrix(members: &[&Wgan], datasets: &[&WindowDataset]) -> Vec<Vec<Vec<f32>>> {
-    let threads = plane_threads(members.len());
-    if threads <= 1 {
-        return members
-            .iter()
-            .map(|m| datasets.iter().map(|ds| m.score_batch(&ds.x)).collect())
-            .collect();
-    }
-    let mut out: Vec<Option<Vec<Vec<f32>>>> = (0..members.len()).map(|_| None).collect();
-    let chunk = members.len().div_ceil(threads);
-    crossbeam::thread::scope(|s| {
-        for (ms, slots) in members.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move |_| {
-                for (m, slot) in ms.iter().zip(slots) {
-                    *slot = Some(datasets.iter().map(|ds| m.score_batch(&ds.x)).collect());
-                }
-            });
-        }
+    let rows: usize = datasets.iter().map(|ds| ds.len()).sum();
+    fork_map(members.iter(), rows * F32_NS_PER_MEMBER_ROW, |m| {
+        datasets.iter().map(|ds| m.score_batch(&ds.x)).collect()
     })
-    .expect("score matrix worker panicked");
-    out.into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect()
 }
 
 #[cfg(test)]

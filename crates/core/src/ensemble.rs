@@ -13,7 +13,6 @@
 //! poisoning the ensemble mean. Only when no deployed member survives does
 //! scoring return a typed [`EnsembleError`].
 
-use crate::forkjoin::{fork_join, workers_for};
 use crate::wgan::Wgan;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -23,6 +22,7 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use vehigan_metrics::percentile;
 use vehigan_sim::VehicleId;
+use vehigan_tensor::forkjoin::{fork_join, workers_for};
 use vehigan_tensor::{CriticScratch, Tensor, HEAD_ROWS};
 
 /// Error constructing or scoring a [`VehiGan`] ensemble.
@@ -193,7 +193,7 @@ impl CriticMember {
 /// `k = 5` subset on one core of the ledger host (41.5–43.4 µs for five
 /// critics of depths 4 and 5, re-measured for the wake-cost policy,
 /// EXPERIMENTS.md ISSUE 17), a fifth of it per member.
-const F32_NS_PER_MEMBER_ROW: usize = 8_000;
+pub(crate) const F32_NS_PER_MEMBER_ROW: usize = 8_000;
 
 /// The mutable half of one precision's scoring path, reused by every call
 /// and built with the detector — so a warm call allocates nothing,

@@ -20,9 +20,9 @@
 //! scoring return [`EnsembleError::AllMembersFailed`].
 
 use crate::ensemble::{EnsembleError, EnsembleScore, ForkState, ScoreSummary, VehiGan};
-use crate::forkjoin::{fork_map, workers_for};
 use parking_lot::Mutex;
 use vehigan_lite::{Int8Weights, Scratch};
+use vehigan_tensor::forkjoin::{fork_map, workers_for};
 use vehigan_tensor::Tensor;
 
 /// What one member costs the gate per window, for [`workers_for`]: the

@@ -49,7 +49,6 @@ mod campaign;
 mod checkpoint;
 mod config;
 mod ensemble;
-pub mod forkjoin;
 mod int8;
 mod pipeline;
 mod wgan;

@@ -4,7 +4,6 @@
 use crate::campaign::CampaignPlane;
 use crate::config::{GridConfig, WganConfig};
 use crate::ensemble::{CriticMember, EnsembleError, VehiGan};
-use crate::forkjoin::fork_map;
 use crate::wgan::Wgan;
 use crate::zoo::{ModelZoo, QuarantineRecord, ZooError, ZooTrainOptions};
 use std::fmt;
@@ -14,6 +13,7 @@ use vehigan_features::{
     Representation, WindowConfig, WindowDataset,
 };
 use vehigan_sim::{SimConfig, TrafficSimulator, VehicleTrace};
+use vehigan_tensor::forkjoin::fork_map;
 use vehigan_tensor::serialize::ModelFormatError;
 use vehigan_tensor::Tensor;
 use vehigan_vasp::{Attack, DatasetBuilder, DatasetConfig};

@@ -6,13 +6,14 @@
 //! failure modes that actually occur at that scale: a single configuration
 //! diverging (handled inside [`Wgan::train_epochs_checked`] by rollback +
 //! reseeded retry, and **quarantined** here if the retry budget runs out), a
-//! worker thread panicking (isolated with `catch_unwind`; only that group's
-//! unfinished members are quarantined), and the whole process dying
+//! group's training task panicking (isolated with `catch_unwind`; only that
+//! group's unfinished members are quarantined), and the whole process dying
 //! (every finished member is persisted through a [`CheckpointStore`], so the
 //! next run resumes from the manifest instead of restarting).
 
 use crate::checkpoint::{grid_fingerprint, CheckpointError, CheckpointStore, Manifest};
 use crate::config::{GridConfig, WganConfig};
+use crate::ensemble::F32_NS_PER_MEMBER_ROW;
 use crate::wgan::{SentinelPolicy, TrainError, Wgan};
 use parking_lot::Mutex;
 use std::fmt;
@@ -22,6 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use vehigan_features::WindowDataset;
 use vehigan_metrics::{auprc, auroc};
+use vehigan_tensor::forkjoin::{fork_join, workers_for};
 use vehigan_tensor::Tensor;
 use vehigan_vasp::Attack;
 
@@ -139,7 +141,10 @@ pub type FaultHook = Arc<dyn Fn(&mut Wgan) + Send + Sync>;
 /// Options for [`ModelZoo::train_grid`].
 #[derive(Clone, Default)]
 pub struct ZooTrainOptions {
-    /// Worker threads (must be ≥ 1; [`ZooTrainOptions::new`] sets it).
+    /// Most groups trained at once (must be ≥ 1; [`ZooTrainOptions::new`]
+    /// sets it). They run on the caller and the helpers of
+    /// [`vehigan_tensor::forkjoin`], so more than the cores this process
+    /// may run on changes nothing.
     pub threads: usize,
     /// Divergence-sentinel retry budget passed to every training run.
     pub sentinel: SentinelPolicy,
@@ -356,15 +361,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Shared mutable state for the training workers.
+/// Shared mutable state for the training tasks.
 struct TrainShared<'a> {
-    work: Mutex<Vec<TrainGroup>>,
     results: Mutex<Vec<(usize, Wgan)>>,
     quarantined: Mutex<Vec<QuarantineRecord>>,
     errors: Mutex<Vec<CheckpointError>>,
     manifest: Mutex<Manifest>,
     store: Option<&'a CheckpointStore>,
     groups_done: AtomicUsize,
+    /// Groups whose task found the run halted, the `stop_after_groups`
+    /// budget spent or a checkpoint error recorded, and left them for a
+    /// resumed run.
+    unstarted: AtomicUsize,
     rollbacks: AtomicUsize,
     /// Members restored from disk instead of retrained (pre-loaded fully
     /// accounted groups plus mid-group reloads after a partial resume).
@@ -372,8 +380,8 @@ struct TrainShared<'a> {
     /// Newly trained epochs across the run (only tracked when
     /// `stop_after_epochs` is set).
     epochs_done: AtomicUsize,
-    /// Set when the `stop_after_epochs` budget is spent: workers stop
-    /// picking up groups and in-flight groups stop at the next epoch
+    /// Set when the `stop_after_epochs` budget is spent: groups not yet
+    /// started stay unstarted and in-flight groups stop at the next epoch
     /// boundary.
     halted: AtomicBool,
     options: &'a ZooTrainOptions,
@@ -537,52 +545,47 @@ impl TrainShared<'_> {
         Ok(())
     }
 
-    /// Worker loop: pop groups until the queue is empty or the
-    /// `stop_after_groups` budget is spent. Panics inside a group are
-    /// caught; the group's unfinished members are quarantined and the
-    /// worker moves on to the next group.
-    fn worker(&self) {
-        loop {
-            if self.halted.load(Ordering::SeqCst) {
-                break;
+    /// One group's task: trains it unless the run is halted, the
+    /// `stop_after_groups` budget is spent or a checkpoint has failed, in
+    /// which case the group is left unstarted. A panic inside the group
+    /// is caught and quarantines the group's unfinished members.
+    fn run_group(&self, group: &TrainGroup) {
+        let budget_spent = self
+            .options
+            .stop_after_groups
+            .is_some_and(|cap| self.groups_done.load(Ordering::SeqCst) >= cap);
+        if self.halted.load(Ordering::SeqCst) || budget_spent || !self.errors.lock().is_empty() {
+            self.unstarted.fetch_add(1, Ordering::SeqCst);
+            return;
+        }
+        match panic::catch_unwind(AssertUnwindSafe(|| self.train_group(group))) {
+            Ok(Ok(())) => {}
+            Ok(Err(ckpt_err)) => {
+                self.errors.lock().push(ckpt_err);
+                return;
             }
-            if let Some(cap) = self.options.stop_after_groups {
-                if self.groups_done.load(Ordering::SeqCst) >= cap {
-                    break;
-                }
-            }
-            let item = self.work.lock().pop();
-            let Some(group) = item else { break };
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| self.train_group(&group)));
-            match outcome {
-                Ok(Ok(())) => {}
-                Ok(Err(ckpt_err)) => {
-                    self.errors.lock().push(ckpt_err);
-                    break;
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload);
-                    let finished = self.results.lock();
-                    let finished_idx: Vec<usize> = finished.iter().map(|&(idx, _)| idx).collect();
-                    drop(finished);
-                    for &(idx, epochs) in &group.members {
-                        if finished_idx.contains(&idx) {
-                            continue;
-                        }
-                        let record = QuarantineRecord {
-                            config: group.member_config(epochs),
-                            grid_index: idx,
-                            reason: QuarantineReason::Panicked(msg.clone()),
-                        };
-                        if let Err(e) = self.quarantine(record) {
-                            self.errors.lock().push(e);
-                            return;
-                        }
+            Err(payload) => {
+                let msg = panic_message(payload);
+                let finished = self.results.lock();
+                let finished_idx: Vec<usize> = finished.iter().map(|&(idx, _)| idx).collect();
+                drop(finished);
+                for &(idx, epochs) in &group.members {
+                    if finished_idx.contains(&idx) {
+                        continue;
+                    }
+                    let record = QuarantineRecord {
+                        config: group.member_config(epochs),
+                        grid_index: idx,
+                        reason: QuarantineReason::Panicked(msg.clone()),
+                    };
+                    if let Err(e) = self.quarantine(record) {
+                        self.errors.lock().push(e);
+                        return;
                     }
                 }
             }
-            self.groups_done.fetch_add(1, Ordering::SeqCst);
         }
+        self.groups_done.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -748,37 +751,35 @@ impl ModelZoo {
                 }
             }
         }
-        // Workers pop from the back, so the costliest groups (critic depth
-        // × epoch budget) go there: a long group started last would leave
-        // the other workers idle for its tail. The zoo does not depend on
-        // the order — each group is a function of its own seed.
+        // The costliest groups (critic depth × epoch budget) run first: a
+        // long group started last would leave the other threads idle for
+        // its tail. The zoo does not depend on the order — each group is a
+        // function of its own seed.
         pending.sort_by_key(|g| g.base.layers * g.members.last().map_or(0, |&(_, epochs)| epochs));
         let shared = TrainShared {
             resumed: AtomicUsize::new(preloaded.len()),
-            work: Mutex::new(pending),
             results: Mutex::new(preloaded),
             quarantined: Mutex::new(carried),
             errors: Mutex::new(Vec::new()),
             manifest: Mutex::new(manifest),
             store: store.as_ref(),
             groups_done: AtomicUsize::new(0),
+            unstarted: AtomicUsize::new(0),
             rollbacks: AtomicUsize::new(0),
             epochs_done: AtomicUsize::new(0),
             halted: AtomicBool::new(false),
             options,
             train,
         };
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..options.threads {
-                scope.spawn(|_| shared.worker());
-            }
-        })
-        .expect("zoo training scope");
+        let mut threads = vec![(); options.threads];
+        fork_join(&mut threads, pending.iter().rev(), |_, _, group| {
+            shared.run_group(group)
+        });
 
         if let Some(err) = shared.errors.into_inner().into_iter().next() {
             return Err(err.into());
         }
-        let pending_left = shared.work.into_inner().len();
+        let unstarted = shared.unstarted.into_inner();
         let halted = shared.halted.into_inner();
         let resumed = shared.resumed.into_inner();
 
@@ -786,9 +787,9 @@ impl ModelZoo {
         trained.sort_by_key(|(idx, _)| *idx);
         let mut quarantined = shared.quarantined.into_inner();
         quarantined.sort_by_key(|r| r.grid_index);
-        // An epoch-budget halt can strand a half-finished group that is no
-        // longer in the work queue, so `halted` alone marks incompleteness.
-        let complete = pending_left == 0 && !halted;
+        // An epoch-budget halt can strand a half-finished group that did
+        // start, so `halted` alone marks incompleteness.
+        let complete = unstarted == 0 && !halted;
         if complete && trained.is_empty() {
             return Err(ZooError::AllQuarantined(quarantined));
         }
@@ -861,7 +862,7 @@ impl ModelZoo {
     /// Pre-evaluates with an explicit detection-score metric (§III-E lets
     /// the defender choose AUROC, AUPRC, …).
     ///
-    /// Entries are evaluated in parallel on crossbeam scoped threads; each
+    /// Entries are evaluated in parallel, one [`fork_join`] task each; each
     /// entry's result depends only on its own critic, so the outcome is
     /// identical to the serial loop regardless of scheduling. A panic while
     /// scoring one entry (e.g. a poisoned critic) is isolated: that entry's
@@ -870,7 +871,7 @@ impl ModelZoo {
     ///
     /// # Panics
     ///
-    /// Panics if `validation` is empty or a dataset lacks both classes.
+    /// Panics if `validation` is empty or a dataset lacks either class.
     pub fn pre_evaluate_with(
         &mut self,
         validation: &[(Attack, WindowDataset)],
@@ -880,6 +881,15 @@ impl ModelZoo {
             !validation.is_empty(),
             "need at least one validation attack"
         );
+        // Checked here, not left to the metric: inside the per-entry
+        // `catch_unwind` its panic would only turn every ADS into −∞.
+        for (attack, dataset) in validation {
+            assert!(
+                dataset.labels.contains(&true) && dataset.labels.contains(&false),
+                "validation dataset {} lacks benign or malicious windows",
+                attack.name()
+            );
+        }
         let evaluate = |entry: &mut ZooEntry| {
             let scored = panic::catch_unwind(AssertUnwindSafe(|| {
                 let mut per_attack = Vec::with_capacity(validation.len());
@@ -903,19 +913,11 @@ impl ModelZoo {
                 }
             }
         };
-        if self.entries.len() <= 1 {
-            for entry in &mut self.entries {
-                evaluate(entry);
-            }
-            return;
-        }
-        crossbeam::thread::scope(|scope| {
-            for entry in &mut self.entries {
-                let evaluate = &evaluate;
-                scope.spawn(move |_| evaluate(entry));
-            }
-        })
-        .expect("zoo pre-evaluation scope");
+        let rows: usize = validation.iter().map(|(_, ds)| ds.len()).sum();
+        let mut threads = vec![(); workers_for(self.len() * rows * F32_NS_PER_MEMBER_ROW)];
+        fork_join(&mut threads, self.entries.iter_mut(), |_, _, entry| {
+            evaluate(entry)
+        });
     }
 
     /// Indices of the top-`m` models by ADS (descending). Requires a prior
@@ -1043,6 +1045,16 @@ mod tests {
         for e in zoo.entries() {
             assert!(e.ads > 0.0 && e.ads <= 1.0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lacks benign or malicious windows")]
+    fn a_one_class_validation_set_is_refused() {
+        // Its metric used to panic inside the per-entry catch_unwind: every
+        // ADS became −∞ and top_m returned index order.
+        let mut validation = synthetic_validation(1);
+        validation[0].1.labels.fill(false);
+        tiny_zoo().pre_evaluate(&validation);
     }
 
     #[test]

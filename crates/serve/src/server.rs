@@ -6,8 +6,8 @@
 //! 1. **Ingest** — [`StreamServer::ingest_batch`] partitions incoming
 //!    BSMs by [`shard_for`] and runs the shards' buckets on as many
 //!    threads as the batch is worth (the caller is one of them; see
-//!    [`vehigan_core::forkjoin`]). A vehicle maps to exactly one shard, so its
-//!    messages are always processed in arrival order. Each shard's
+//!    [`vehigan_tensor::forkjoin`]). A vehicle maps to exactly one shard,
+//!    so its messages are always processed in arrival order. Each shard's
 //!    `IngestGuard` rejects malformed/stale messages before they touch
 //!    window state, and a shard worker that panics is captured and
 //!    resumed rather than crashing the server.
@@ -23,7 +23,7 @@
 //!    ([`VehiGan::score_with_members_int8`]) with the server's pinned
 //!    member subset, minus any members currently benched by
 //!    [`MemberHealth`]. In [`ServeMode::Degraded`] a `Threshold` policy
-//!    steps down to gate-only scoring.
+//!    steps down to gate-only scoring: the gate score is the decision.
 //! 4. **Escalate** — only windows whose gate score crosses the
 //!    escalation threshold are re-packed into a sub-batch and re-scored
 //!    by the full f32 ensemble ([`VehiGan::score_with_members`]); their
@@ -41,13 +41,13 @@ use crate::shard::{shard_for, PendingWindow, Shard};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use vehigan_core::forkjoin::{fork_join, workers_for};
 use vehigan_core::{EnsembleError, VehiGan};
 use vehigan_features::{
     EvictionConfig, IngestGuard, MinMaxScaler, RejectCounters, Tier0Calibration,
 };
 use vehigan_mbr::Mbr;
 use vehigan_sim::{Bsm, VehicleId};
+use vehigan_tensor::forkjoin::{fork_join, workers_for};
 
 /// What the tier-1 gate does with a scored window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,8 +55,6 @@ pub enum EscalationPolicy {
     /// Every window goes to the full f32 ensemble (no gate). This is the
     /// reference tier-2 path used by the determinism test.
     Always,
-    /// Every window is decided by the int8 gate alone (no escalation).
-    Never,
     /// Windows whose int8 gate score exceeds the threshold are re-scored
     /// by the full f32 ensemble; the rest are decided by the gate.
     /// Calibrate with [`escalation_threshold`] so the cutoff sits well
@@ -75,9 +73,10 @@ pub enum ServeMode {
     /// Configured policy in full effect.
     Normal,
     /// Sustained overload: a `Threshold` gate policy steps down to
-    /// gate-only ([`EscalationPolicy::Never`]) scoring until pressure
-    /// clears. `Always` (the reference/calibration path, which has no
-    /// gate to fall back on) and `Never` are unaffected.
+    /// gate-only scoring — nothing escalates, and the gate score is
+    /// flagged against its own τ — until pressure clears. `Always` (the
+    /// reference/calibration path, which has no gate to fall back on) is
+    /// unaffected.
     Degraded,
 }
 
@@ -227,8 +226,7 @@ pub enum ServeError {
     BadMembers(EnsembleError),
     /// A scoring pass failed.
     Score(EnsembleError),
-    /// [`EscalationPolicy::Never`]/[`EscalationPolicy::Threshold`]
-    /// require a compiled int8 backend.
+    /// [`EscalationPolicy::Threshold`] requires a compiled int8 backend.
     Int8NotCompiled,
     /// A shard ingest worker panicked. The panic was captured: the
     /// worker resumed past the poison message once, and if it panicked
@@ -364,10 +362,9 @@ struct TiledScores {
     dropped: Vec<usize>,
 }
 
-/// What one tick scores with: the policy in effect and the member
-/// subsets left after health probation.
+/// What one tick scores with: the member subsets left after health
+/// probation.
 struct Deployment<'a> {
-    policy: EscalationPolicy,
     members: &'a [usize],
     gate_members: &'a [usize],
 }
@@ -448,7 +445,7 @@ impl ModeMachine {
 
     /// Feeds one tick's pressure observation; returns whether the mode
     /// switched.
-    fn observe(&mut self, over_budget: bool, degrade_after: u32, restore_after: u32) -> bool {
+    fn observe(&mut self, over_budget: bool) -> bool {
         if over_budget {
             self.over_streak += 1;
             self.under_streak = 0;
@@ -457,11 +454,11 @@ impl ModeMachine {
             self.over_streak = 0;
         }
         match self.mode {
-            ServeMode::Normal if self.over_streak >= degrade_after.max(1) => {
+            ServeMode::Normal if self.over_streak >= DEGRADE_AFTER => {
                 self.mode = ServeMode::Degraded;
                 true
             }
-            ServeMode::Degraded if self.under_streak >= restore_after.max(1) => {
+            ServeMode::Degraded if self.under_streak >= RESTORE_AFTER => {
                 self.mode = ServeMode::Normal;
                 true
             }
@@ -780,10 +777,7 @@ impl<'a> StreamServer<'a> {
             .admission
             .windows_per_tick
             .is_some_and(|b| offered > b.max(1));
-        if self
-            .mode_machine
-            .observe(over_budget, DEGRADE_AFTER, RESTORE_AFTER)
-        {
+        if self.mode_machine.observe(over_budget) {
             self.stats.mode_switches += 1;
         }
         if self.mode_machine.mode == ServeMode::Degraded {
@@ -796,10 +790,9 @@ impl<'a> StreamServer<'a> {
         // The gate is bypassed under `Always` (the pure-f32 reference
         // path has no gate) and while the monitor-poisoning chaos fault
         // distrusts the monitors; `gate_tau` is its τ when it is on.
-        let policy = self.effective_policy();
         let gate_tau = self
             .tier0
-            .filter(|_| !self.chaos_monitor_poison && !matches!(policy, EscalationPolicy::Always))
+            .filter(|_| !self.chaos_monitor_poison && self.policy != EscalationPolicy::Always)
             .map(|cal| cal.tau);
 
         budgeted_take_into(lens, self.admission.windows_per_tick, take);
@@ -822,7 +815,6 @@ impl<'a> StreamServer<'a> {
         self.health.active_into(&self.members, members);
         self.health.active_into(&self.gate_members, gate_members);
         let deploy = Deployment {
-            policy,
             members,
             gate_members,
         };
@@ -914,7 +906,8 @@ impl<'a> StreamServer<'a> {
     }
 
     /// Scores one admitted (sub-)batch through the tier-1 → tier-2
-    /// pipeline under `deploy.policy`, writing one decision per `meta`
+    /// pipeline under the server's policy — gate-only while
+    /// [`ServeMode::Degraded`] — writing one decision per `meta`
     /// entry in order to `decisions` (cleared first) and maintaining the
     /// per-tier counters: every window here lands in `tier1_screened` or
     /// `tier2_escalated` depending on which path produced its final
@@ -957,7 +950,7 @@ impl<'a> StreamServer<'a> {
                     }
                 }));
             };
-        match deploy.policy {
+        match self.policy {
             EscalationPolicy::Always => {
                 self.score_tiled(batch, n, false, deploy.members, tier2)?;
                 self.stats.escalated += n as u64;
@@ -965,21 +958,20 @@ impl<'a> StreamServer<'a> {
                 decide(tier2, true, true);
                 dropped.extend_from_slice(&tier2.dropped);
             }
-            EscalationPolicy::Never => {
-                self.score_tiled(batch, n, true, deploy.gate_members, gate)?;
-                self.record_gates(meta, &gate.scores);
-                self.stats.tier1_screened += n as u64;
-                decide(gate, false, true);
-                dropped.extend_from_slice(&gate.dropped);
-            }
             EscalationPolicy::Threshold(tau_esc) => {
                 self.score_tiled(batch, n, true, deploy.gate_members, gate)?;
                 self.record_gates(meta, &gate.scores);
+                dropped.extend_from_slice(&gate.dropped);
+                if self.mode_machine.mode == ServeMode::Degraded {
+                    // Overload: the gate decides every window on its own.
+                    self.stats.tier1_screened += n as u64;
+                    decide(gate, false, true);
+                    return Ok(());
+                }
                 escalate.clear();
                 escalate.extend((0..n).filter(|&i| gate.scores[i] > tau_esc));
                 // A gate score under τ_esc is never a detection on its own.
                 decide(gate, false, false);
-                dropped.extend_from_slice(&gate.dropped);
                 if !escalate.is_empty() {
                     sub.clear();
                     for &i in escalate.iter() {
@@ -1003,15 +995,6 @@ impl<'a> StreamServer<'a> {
             }
         }
         Ok(())
-    }
-
-    /// The policy actually applied this tick: `Threshold` steps down to
-    /// `Never` while degraded; `Always` and `Never` pass through.
-    fn effective_policy(&self) -> EscalationPolicy {
-        match (self.mode_machine.mode, self.policy) {
-            (ServeMode::Degraded, EscalationPolicy::Threshold(_)) => EscalationPolicy::Never,
-            (_, p) => p,
-        }
     }
 
     /// Scores `n` flat windows through one backend in [`SCORE_TILE`]-sized
@@ -1186,24 +1169,24 @@ mod tests {
     #[test]
     fn mode_machine_degrades_and_restores_with_hysteresis() {
         let mut m = ModeMachine::new();
-        // One over-budget tick is not enough (degrade_after = 2).
-        assert!(!m.observe(true, 2, 3));
+        // One over-budget tick is not enough (DEGRADE_AFTER = 2).
+        assert!(!m.observe(true));
         assert_eq!(m.mode, ServeMode::Normal);
         // A clean tick resets the streak.
-        assert!(!m.observe(false, 2, 3));
-        assert!(!m.observe(true, 2, 3));
+        assert!(!m.observe(false));
+        assert!(!m.observe(true));
         assert_eq!(m.mode, ServeMode::Normal);
         // Two consecutive over-budget ticks degrade.
-        assert!(m.observe(true, 2, 3));
+        assert!(m.observe(true));
         assert_eq!(m.mode, ServeMode::Degraded);
         // Restoring needs 3 consecutive clean ticks; pressure resets.
-        assert!(!m.observe(false, 2, 3));
-        assert!(!m.observe(false, 2, 3));
-        assert!(!m.observe(true, 2, 3));
-        assert!(!m.observe(false, 2, 3));
-        assert!(!m.observe(false, 2, 3));
+        assert!(!m.observe(false));
+        assert!(!m.observe(false));
+        assert!(!m.observe(true));
+        assert!(!m.observe(false));
+        assert!(!m.observe(false));
         assert_eq!(m.mode, ServeMode::Degraded);
-        assert!(m.observe(false, 2, 3));
+        assert!(m.observe(false));
         assert_eq!(m.mode, ServeMode::Normal);
     }
 
@@ -1357,7 +1340,6 @@ mod tests {
             })
             .collect();
         let deploy = Deployment {
-            policy: EscalationPolicy::Always,
             members: &[0, 1],
             gate_members: &[0, 1],
         };

@@ -110,7 +110,7 @@ fn faulted_server_survives_degrades_by_policy_and_recovers_bitwise() {
         p.scaler.clone(),
         ServerConfig {
             n_shards: 2,
-            policy: EscalationPolicy::Never,
+            policy: EscalationPolicy::Threshold(f32::INFINITY),
             members: Some(members.clone()),
             ..ServerConfig::default()
         },

@@ -186,7 +186,7 @@ fn calibrated_gate_escalations_match_tier2_bitwise() {
         p.scaler.clone(),
         ServerConfig {
             n_shards: 2,
-            policy: EscalationPolicy::Never,
+            policy: EscalationPolicy::Threshold(f32::INFINITY),
             members: Some(members.clone()),
             ..ServerConfig::default()
         },

@@ -90,7 +90,7 @@ fn probe_tau_esc(p: &Pipeline, stream: &[Bsm], members: &[usize]) -> f32 {
         p.scaler.clone(),
         ServerConfig {
             n_shards: 2,
-            policy: EscalationPolicy::Never,
+            policy: EscalationPolicy::Threshold(f32::INFINITY),
             members: Some(members.to_vec()),
             ..ServerConfig::default()
         },
@@ -243,7 +243,7 @@ fn eviction_rebuilds_monitor_state_from_scratch() {
     let (head, tail) = trace.bsms.split_at(split);
     let config = ServerConfig {
         n_shards: 1,
-        policy: EscalationPolicy::Never,
+        policy: EscalationPolicy::Threshold(f32::INFINITY),
         members: Some(members.clone()),
         eviction: EvictionConfig {
             max_vehicles: None,

@@ -20,7 +20,9 @@
 //! - [`serialize`]: a flat binary model format for shipping trained critics
 //!   to the OBU/RSU testing phase;
 //! - [`gradcheck`]: finite-difference verification used throughout the test
-//!   suite to prove every backward pass exact.
+//!   suite to prove every backward pass exact;
+//! - [`forkjoin`]: the one process-wide thread pool every parallel call in
+//!   the workspace runs on, set-up and serving alike.
 //!
 //! # Example: a miniature critic
 //!
@@ -46,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod forkjoin;
 pub mod gemm;
 pub mod gradcheck;
 pub mod init;
@@ -78,7 +81,7 @@ mod send_sync_tests {
         fn assert_sync<T: Sync>() {}
         assert_send::<Sequential>();
         // Sync is what lets parallel ensemble scoring share models across
-        // scoped threads through `&self`.
+        // the fork-join pool's threads through `&self`.
         assert_sync::<Sequential>();
     }
 }

@@ -2,7 +2,6 @@
 
 pub mod ablation;
 pub mod authority;
-pub mod campaign;
 pub mod catalog;
 pub mod fig3;
 pub mod fig4;

@@ -27,8 +27,8 @@
 
 use std::path::PathBuf;
 use vehigan_bench::experiments::{
-    ablation, authority, campaign, catalog, fig3, fig4, fig5, fig6, fig7, fig8, gemmbench, probe,
-    quant, resume, table3, tier0,
+    ablation, authority, catalog, fig3, fig4, fig5, fig6, fig7, fig8, gemmbench, probe, quant,
+    resume, table3, tier0,
 };
 use vehigan_bench::harness::{Harness, Scale};
 
@@ -50,7 +50,6 @@ const EXPERIMENTS: &[(&str, Run)] = &[
     ("probe", Run::Untrained(|_| probe::run())),
     ("fig8", Run::Untrained(|_| fig8::run())),
     ("gemm", Run::Untrained(|_| gemmbench::run())),
-    ("campaign", Run::Untrained(campaign::run)),
     ("resume", Run::Untrained(|_| resume::run())),
     ("fig3", Run::Trained(|h, _, _| fig3::run(h))),
     ("fig4", Run::Trained(|h, _, _| fig4::run(h))),

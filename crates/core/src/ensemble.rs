@@ -13,13 +13,14 @@
 //! poisoning the ensemble mean. Only when no deployed member survives does
 //! scoring return a typed [`EnsembleError`].
 
+use crate::lock;
 use crate::wgan::Wgan;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::Mutex;
 use vehigan_metrics::percentile;
 use vehigan_sim::VehicleId;
 use vehigan_tensor::forkjoin::{fork_join, workers_for};
@@ -589,7 +590,7 @@ impl VehiGan {
     /// Stable across repeated calls of one shape — the invariant the
     /// no-allocation tests assert.
     pub fn scratch_bytes(&self) -> usize {
-        self.f32.lock().bytes(CriticScratch::bytes)
+        lock(&self.f32).bytes(CriticScratch::bytes)
     }
 
     /// [`VehiGan::score_with_members_into`] on exactly `workers` threads
@@ -603,7 +604,7 @@ impl VehiGan {
         workers: usize,
     ) -> Result<ScoreSummary, EnsembleError> {
         assert_eq!(out.len(), n, "output is not one score per window");
-        let mut state = self.f32.lock();
+        let mut state = lock(&self.f32);
         state.grow_to(workers, || new_worker(&self.members));
         let score = |scratch: &mut CriticScratch, member: usize, rows: &[f32], out: &mut [f32]| {
             let wgan = &self.members[member].wgan;

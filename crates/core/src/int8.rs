@@ -20,7 +20,8 @@
 //! scoring return [`EnsembleError::AllMembersFailed`].
 
 use crate::ensemble::{EnsembleError, EnsembleScore, ForkState, ScoreSummary, VehiGan};
-use parking_lot::Mutex;
+use crate::lock;
+use std::sync::Mutex;
 use vehigan_lite::{Int8Weights, Scratch};
 use vehigan_tensor::forkjoin::{fork_map, workers_for};
 use vehigan_tensor::Tensor;
@@ -82,7 +83,7 @@ impl Int8Backend {
     /// across repeated calls of one shape — the invariant the
     /// no-allocation tests assert.
     pub fn scratch_bytes(&self) -> usize {
-        self.state.lock().bytes(Scratch::bytes)
+        lock(&self.state).bytes(Scratch::bytes)
     }
 }
 
@@ -193,7 +194,7 @@ impl VehiGan {
             "{} floats are not {n} windows of the compiled input length {input_len}",
             windows.len(),
         );
-        let mut state = backend.state.lock();
+        let mut state = lock(&backend.state);
         state.grow_to(workers, || new_worker(&backend.critics));
         let score = |scratch: &mut Scratch, member: usize, rows: &[f32], out: &mut [f32]| {
             backend.critics[member].score_into(scratch, rows, out);

@@ -73,3 +73,20 @@ pub use zoo::{
     DetectionScore, ModelZoo, QuarantineReason, QuarantineRecord, ZooEntry, ZooError,
     ZooTrainOptions, ZooTrainReport,
 };
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex` whatever a panic left it in, as `vehigan_tensor::forkjoin`
+/// does. What this crate keeps behind a lock is valid at every step —
+/// scoring scratch that every call writes before it reads, or a list a
+/// holder changes by one push — so a panic under the lock leaves nothing
+/// half-updated; it reaches the caller by unwinding (or is caught and
+/// counted against a member), never through a poisoned lock.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The value `mutex` holds, whatever a panic left it in (see [`lock`]).
+fn into_inner<T>(mutex: Mutex<T>) -> T {
+    mutex.into_inner().unwrap_or_else(PoisonError::into_inner)
+}

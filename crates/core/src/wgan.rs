@@ -18,9 +18,10 @@
 //! directional derivative computable with two extra first-order passes.
 
 use crate::config::{LipschitzMode, WganConfig};
-use parking_lot::Mutex;
+use crate::lock;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::Mutex;
 use vehigan_tensor::init::{randn, seeded_rng};
 use vehigan_tensor::layers::{Activation, Conv2D, Dense, Flatten, Padding, Reshape, UpSample2D};
 use vehigan_tensor::optim::{Optimizer, RmsProp};
@@ -842,7 +843,7 @@ impl Wgan {
     /// Panics if `windows` is not `out.len()` snapshots of the configured
     /// shape.
     pub fn score_slice_into(&self, windows: &[f32], out: &mut [f32]) {
-        self.score_slice_with(&mut self.scratch.lock(), windows, out);
+        self.score_slice_with(&mut lock(&self.scratch), windows, out);
     }
 
     /// [`Wgan::score_slice_into`] on the caller's scratch, so any number

@@ -15,12 +15,12 @@ use crate::checkpoint::{grid_fingerprint, CheckpointError, CheckpointStore, Mani
 use crate::config::{GridConfig, WganConfig};
 use crate::ensemble::F32_NS_PER_MEMBER_ROW;
 use crate::wgan::{SentinelPolicy, TrainError, Wgan};
-use parking_lot::Mutex;
+use crate::{into_inner, lock};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use vehigan_features::WindowDataset;
 use vehigan_metrics::{auprc, auroc};
 use vehigan_tensor::forkjoin::{fork_join, workers_for};
@@ -396,24 +396,24 @@ impl TrainShared<'_> {
         let id = checkpoint.config().id();
         if let Some(store) = self.store {
             store.save_member(&checkpoint)?;
-            let mut manifest = self.manifest.lock();
+            let mut manifest = lock(&self.manifest);
             manifest.done.push(id);
             store.write_manifest(&manifest)?;
         }
-        self.results.lock().push((idx, checkpoint));
+        lock(&self.results).push((idx, checkpoint));
         Ok(())
     }
 
     /// Records a quarantined member in memory and in the manifest.
     fn quarantine(&self, record: QuarantineRecord) -> Result<(), CheckpointError> {
         if let Some(store) = self.store {
-            let mut manifest = self.manifest.lock();
+            let mut manifest = lock(&self.manifest);
             manifest
                 .quarantined
                 .push((record.id(), record.reason.to_string()));
             store.write_manifest(&manifest)?;
         }
-        self.quarantined.lock().push(record);
+        lock(&self.quarantined).push(record);
         Ok(())
     }
 
@@ -433,7 +433,7 @@ impl TrainShared<'_> {
         // Member ids an interrupted run already committed: skipped below
         // (reloaded from disk) rather than re-committed.
         let done_ids: Vec<String> = match self.store {
-            Some(_) => self.manifest.lock().done.clone(),
+            Some(_) => lock(&self.manifest).done.clone(),
             None => Vec::new(),
         };
         let mut wgan = self.store.and_then(|store| {
@@ -530,7 +530,7 @@ impl TrainShared<'_> {
             if done_ids.contains(&config.id()) {
                 let store = self.store.expect("done ids imply a store");
                 let reloaded = store.load_member(config)?;
-                self.results.lock().push((idx, reloaded));
+                lock(&self.results).push((idx, reloaded));
                 self.resumed.fetch_add(1, Ordering::SeqCst);
                 continue;
             }
@@ -554,19 +554,19 @@ impl TrainShared<'_> {
             .options
             .stop_after_groups
             .is_some_and(|cap| self.groups_done.load(Ordering::SeqCst) >= cap);
-        if self.halted.load(Ordering::SeqCst) || budget_spent || !self.errors.lock().is_empty() {
+        if self.halted.load(Ordering::SeqCst) || budget_spent || !lock(&self.errors).is_empty() {
             self.unstarted.fetch_add(1, Ordering::SeqCst);
             return;
         }
         match panic::catch_unwind(AssertUnwindSafe(|| self.train_group(group))) {
             Ok(Ok(())) => {}
             Ok(Err(ckpt_err)) => {
-                self.errors.lock().push(ckpt_err);
+                lock(&self.errors).push(ckpt_err);
                 return;
             }
             Err(payload) => {
                 let msg = panic_message(payload);
-                let finished = self.results.lock();
+                let finished = lock(&self.results);
                 let finished_idx: Vec<usize> = finished.iter().map(|&(idx, _)| idx).collect();
                 drop(finished);
                 for &(idx, epochs) in &group.members {
@@ -579,7 +579,7 @@ impl TrainShared<'_> {
                         reason: QuarantineReason::Panicked(msg.clone()),
                     };
                     if let Err(e) = self.quarantine(record) {
-                        self.errors.lock().push(e);
+                        lock(&self.errors).push(e);
                         return;
                     }
                 }
@@ -776,16 +776,16 @@ impl ModelZoo {
             shared.run_group(group)
         });
 
-        if let Some(err) = shared.errors.into_inner().into_iter().next() {
+        if let Some(err) = into_inner(shared.errors).into_iter().next() {
             return Err(err.into());
         }
         let unstarted = shared.unstarted.into_inner();
         let halted = shared.halted.into_inner();
         let resumed = shared.resumed.into_inner();
 
-        let mut trained = shared.results.into_inner();
+        let mut trained = into_inner(shared.results);
         trained.sort_by_key(|(idx, _)| *idx);
-        let mut quarantined = shared.quarantined.into_inner();
+        let mut quarantined = into_inner(shared.quarantined);
         quarantined.sort_by_key(|r| r.grid_index);
         // An epoch-budget halt can strand a half-finished group that did
         // start, so `halted` alone marks incompleteness.

@@ -15,39 +15,27 @@
 //! AVX-512F — chosen once per process by cached CPU detection
 //! ([`f32_leg`] names the one in use).
 //!
-//! The portable and AVX2 legs of [`gemm`] follow the classic
-//! panel-packing scheme: the shared dimension is split into `KC`-deep
-//! panels; each panel of `B` is packed into `NR`-wide column strips and
-//! each `MC`-row block of `A` into `MR`-tall row strips, both laid out so
-//! the micro-kernel reads one contiguous `[f32; MR]` / `[f32; NR]` pair per
-//! `k`-step. The micro-kernel is a broadcast-multiply-accumulate over a
-//! fixed `MR × NR` accumulator array, which LLVM autovectorizes — no
-//! intrinsics:
+//! No f32 product packs its operands. [`gemm`] is not a kernel of its
+//! own: it is the fused forward sweep of [`gemm_f32_fused`] (see "Fused
+//! f32 forward sweep" below) over a plain row-major `A`, with the
+//! epilogue that adds each finished register block into `C` instead of
+//! biasing and activating it. Training and scoring therefore run one f32
+//! forward definition per leg.
 //!
-//! - a portable 4×8 kernel compiled for the baseline target (one 256-bit
-//!   row as two SSE registers; near machine peak on SSE2-only hardware);
-//! - a 6×16 kernel compiled with `#[target_feature(enable = "avx2,fma")]`
-//!   and `f32::mul_add` (twelve YMM accumulators — enough independent FMA
-//!   chains to hide the fused-multiply-add latency).
+//! On the portable and AVX2 legs [`gemm_tn`] is a rank-1 sweep (every
+//! `k`-step adds `a[k][i]·b[k][·]` into row `i` of `C`, through memory) and
+//! [`gemm_nt`] one eight-lane [`dot`] per output element; the AVX2 leg is
+//! the portable source compiled for wider registers. Their AVX-512 legs
+//! are written with intrinsics and keep a block of `C` in registers across
+//! the `k` sweep:
 //!
-//! On those two legs [`gemm_tn`] is a rank-1 sweep (every `k`-step adds
-//! `a[k][i]·b[k][·]` into row `i` of `C`, through memory) and [`gemm_nt`]
-//! one eight-lane [`dot`] per output element; the AVX2 leg is the portable
-//! source compiled for wider registers.
-//!
-//! The AVX-512 legs are written with intrinsics — instantiating the
-//! autovectorized micro-kernel at 8×32 makes LLVM spill the accumulator
-//! array — and keep a block of `C` in registers across the `k` sweep:
-//!
-//! - [`gemm`] and [`gemm_tn`] share one block: up to 12 rows × 32 columns
-//!   of `C` in 24 `zmm` accumulators per `KC` panel, each `k`-step one or
-//!   two loads of `B`'s row and one broadcast of `A` per row of the block,
-//!   read where the operands lie (no packing: `B`'s row is already a
-//!   strip, and `A`'s element is `a[i][k]` or `a[k][i]` by a stride).
-//!   Rows go greedily in blocks of 12, 8, 4, 2 and 1, so no block computes
-//!   a row it throws away; the last 16 or fewer columns are one masked
-//!   vector. [`gemm`] issues `vfmadd231ps`, [`gemm_tn`] `vmulps` then
-//!   `vaddps`. The `n = 1` head of [`gemm_tn`] stays on its axpy;
+//! - [`gemm_tn`]: up to 12 rows × 32 columns of `C` in 24 `zmm`
+//!   accumulators per `KC` panel, each `k`-step one or two loads of `B`'s
+//!   row and one broadcast of `a[k][i]` per row of the block, read where
+//!   the operands lie. Rows go greedily in blocks of 12, 8, 4, 2 and 1, so
+//!   no block computes a row it throws away; the last 16 or fewer columns
+//!   are one masked vector; each step is `vmulps` then `vaddps`. The
+//!   `n = 1` head stays on the body's axpy;
 //! - [`gemm_nt`] gives each of [`dot`]'s eight lanes a register of its
 //!   own, sixteen outputs of a row of `C` wide, for three rows at a time
 //!   (24 accumulators): `k`-step `t` adds `a[i][t]·B[j..j+16][t]` into
@@ -60,8 +48,9 @@
 //! # Determinism
 //!
 //! For every kernel the reduction over `k` runs in strictly increasing
-//! order *per output element*: accumulators are loaded from `C` at panel
-//! entry and stored back at panel exit (a round trip that rounds nothing),
+//! order *per output element*: an accumulator starts from `C` (or from
+//! zero, for the biased epilogue) and a panelled sweep stores it back to
+//! `C` and reloads it between panels (a round trip that rounds nothing),
 //! so the association matches the naive i-k-j triple loop. Consequences:
 //!
 //! - the portable [`gemm`] is **bitwise identical** to [`naive`] *on finite
@@ -86,29 +75,37 @@
 //!   (property tests bound the difference at ≤ 1e-4);
 //! - a process never switches legs mid-run (detection is cached), and a
 //!   host with AVX-512 trains the bits a host with AVX2 trains: "bitwise
-//!   the leg it replaces" is pinned by a unit test that calls each AVX-512
-//!   leg and the body under it directly, and by property tests that hold
-//!   the dispatched entry points to scalar references on ragged shapes
-//!   with ±0, ±∞ and NaN operands. NaNs compare as NaNs there: which
-//!   payload an add of two NaNs keeps is the instruction's operand order,
-//!   which no leg promises.
+//!   the leg it replaces" is pinned by unit tests that call each leg
+//!   directly against its scalar reference or the body under it, and by
+//!   property tests that hold the dispatched entry points to scalar
+//!   references on ragged shapes with ±0, ±∞ and NaN operands. NaNs
+//!   compare as NaNs there: which payload an add of two NaNs keeps is the
+//!   instruction's operand order, which no leg promises.
 //!
-//! All kernels *accumulate* into `C` (`beta = 1`); callers that want a
-//! plain product must zero `C` first. This is what lets
+//! The three products *accumulate* into `C` (`beta = 1`); callers that
+//! want a plain product must zero `C` first. This is what lets
 //! `Dense::backward` add `dW` straight into the gradient buffer.
 //!
-//! # Fused f32 inference kernel
+//! # Fused f32 forward sweep
 //!
-//! Scoring does not pack at all. [`gemm_f32_fused`] is the float twin of
-//! the int8 family's [`gemm_i8_dequant`] below: it reads convolution
-//! patches in place from a zero-bordered f32 plane ([`Patches`]), reads
-//! the weights where the layer stores them (`[k, cout]` row-major is
+//! [`gemm_f32_fused`] is the float twin of the int8 family's
+//! [`gemm_i8_dequant`] below: it reads convolution patches in place from a
+//! zero-bordered f32 plane ([`Patches`]) — or the rows of a plain matrix —
+//! reads the weights where the layer stores them (`[k, cout]` row-major is
 //! already a strip layout: row `k`'s `cout` floats are one or two vector
-//! loads), and finishes each register block — bias, LeakyReLU — before it
-//! touches memory. Per output element it performs the operations of
-//! [`gemm`] + bias sweep + activation sweep in the same order, so its
-//! results are bitwise theirs on each leg (portable / AVX2+FMA /
-//! AVX-512F; the two vector legs agree with each other).
+//! loads), and finishes each register block before it touches memory, by
+//! one of two epilogues fixed at compile time:
+//!
+//! - *bias*: `+ bias[j]`, then LeakyReLU when the layer has one — scoring,
+//!   and the `Conv2D` / `Dense` training forward, which call
+//!   [`gemm_f32_fused`] over their im2col or input matrix;
+//! - *accumulate*: `+=` into `C` — [`gemm`].
+//!
+//! Per output element the sweep is one multiply-add per `k`-step in
+//! increasing `k` (fused on the two vector legs, rounded twice on the
+//! portable one) from zero or from `C`, so a biased forward is bitwise
+//! what [`gemm`] into a zeroed buffer and a bias sweep compute on the same
+//! leg, and the AVX2 and AVX-512 legs agree bit for bit.
 //!
 //! # Int8 kernels
 //!
@@ -211,9 +208,9 @@
 
 use std::cell::RefCell;
 
-/// Rows of `C` per macro panel (keeps the active `A` block L2-resident).
-const MC: usize = 64;
-/// Depth of a packed panel (keeps one `NR`-wide strip of `B` L1-resident).
+/// Depth of one panel of [`gemm_tn`]'s AVX-512 sweep (keeps the panel's
+/// rows of `B` L1-resident).
+#[cfg(target_arch = "x86_64")]
 const KC: usize = 256;
 
 /// Rows of `C` below which [`gemm_nt`] stays on the body's one [`dot`] per
@@ -223,10 +220,11 @@ const KC: usize = 256;
 #[cfg(target_arch = "x86_64")]
 const NT_FEW: usize = 8;
 
+#[cfg(target_arch = "x86_64")]
 thread_local! {
-    /// Reusable packing buffers for the `A` and `B` panels — they grow
-    /// once per thread, so steady-state GEMM calls allocate nothing.
-    static PACK: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Reusable buffer for the `B` strips of [`gemm_nt`]'s AVX-512 leg —
+    /// it grows once per thread, so steady-state calls allocate nothing.
+    static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Whether `VEHIGAN_FORCE_PORTABLE` pins dispatch to the portable
@@ -507,10 +505,11 @@ fn check_dims(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &[f32]) {
 
 /// `C += A·B` for row-major `a` (`m×k`), `b` (`k×n`), `c` (`m×n`).
 ///
-/// Register-tiled on every leg; per output element the reduction runs in
-/// strictly increasing `k` order (see module docs for the exact
-/// determinism guarantees: portable rounds twice per step, the two vector
-/// legs fuse and agree bit for bit).
+/// The fused forward sweep of [`gemm_f32_fused`] over `A`'s rows with the
+/// accumulating epilogue; per output element the reduction runs in
+/// strictly increasing `k` order from the value in `C` (see module docs
+/// for the exact determinism guarantees: portable rounds twice per step,
+/// the two vector legs fuse and agree bit for bit).
 ///
 /// # Panics
 ///
@@ -520,256 +519,22 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if avx512_fma_available() {
-        // SAFETY: guarded by cached runtime detection of avx512f;
-        // `check_dims` held the slices to the stated dimensions.
-        unsafe { gemm_avx512(m, k, n, a, b, c) };
-        return;
-    }
-    PACK.with(|p| {
-        let (pa, pb) = &mut *p.borrow_mut();
-        #[cfg(target_arch = "x86_64")]
-        if fma_available() {
-            // Safety: guarded by cached runtime detection of avx2+fma.
-            unsafe { gemm_avx2(m, k, n, a, b, c, pa, pb) };
-            return;
-        }
-        gemm_portable(m, k, n, a, b, c, pa, pb);
-    });
-}
-
-/// One macro-level pass: pack a `KC × n` panel of `B` into `NR`-strips,
-/// pack each `MC × KC` block of `A` into `MR`-strips, and sweep the
-/// micro-kernel over the strip grid. Instantiated once per micro-kernel
-/// because `#[target_feature]` codegen must contain the whole loop nest.
-macro_rules! gemm_body {
-    ($micro:ident, $mr:expr, $nr:expr, $m:ident, $k:ident, $n:ident,
-     $a:ident, $b:ident, $c:ident, $pa:ident, $pb:ident) => {{
-        const MR: usize = $mr;
-        const NR: usize = $nr;
-        let n_strips = $n.div_ceil(NR);
-        for kb in (0..$k).step_by(KC) {
-            let kc = KC.min($k - kb);
-            $pb.clear();
-            $pb.resize(n_strips * kc * NR, 0.0);
-            for s in 0..n_strips {
-                let js = s * NR;
-                let w = NR.min($n - js);
-                let base = s * kc * NR;
-                for kk in 0..kc {
-                    let src = (kb + kk) * $n + js;
-                    $pb[base + kk * NR..base + kk * NR + w].copy_from_slice(&$b[src..src + w]);
-                }
-            }
-            for ib in (0..$m).step_by(MC) {
-                let mc = MC.min($m - ib);
-                let m_strips = mc.div_ceil(MR);
-                $pa.clear();
-                $pa.resize(m_strips * kc * MR, 0.0);
-                for r in 0..m_strips {
-                    let is = ib + r * MR;
-                    let h = MR.min(ib + mc - is);
-                    let base = r * kc * MR;
-                    for row in 0..h {
-                        let arow = &$a[(is + row) * $k + kb..(is + row) * $k + kb + kc];
-                        for (kk, &av) in arow.iter().enumerate() {
-                            $pa[base + kk * MR + row] = av;
-                        }
-                    }
-                }
-                for r in 0..m_strips {
-                    let is = ib + r * MR;
-                    let h = MR.min(ib + mc - is);
-                    let ap = &$pa[r * kc * MR..(r + 1) * kc * MR];
-                    for s in 0..n_strips {
-                        let js = s * NR;
-                        let w = NR.min($n - js);
-                        let bp = &$pb[s * kc * NR..(s + 1) * kc * NR];
-                        $micro(ap, bp, kc, is, js, h, w, $n, $c);
-                    }
-                }
-            }
-        }
-    }};
-}
-
-/// Declares an `MR × NR` micro-kernel over packed strips. Accumulators
-/// load from `C` before the `k` sweep and store back after, preserving
-/// the global per-element reduction order across `KC` panels. Ragged
-/// edges are handled by the zero padding in the packed strips (extra
-/// rows/columns compute values that are simply never stored).
-macro_rules! micro_impl {
-    ($name:ident, $mr:expr, $nr:expr, $inline:meta, $madd:expr) => {
-        #[$inline]
-        #[allow(clippy::too_many_arguments)]
-        fn $name(
-            ap: &[f32],
-            bp: &[f32],
-            kc: usize,
-            i0: usize,
-            j0: usize,
-            h: usize,
-            w: usize,
-            ldc: usize,
-            c: &mut [f32],
-        ) {
-            const MR: usize = $mr;
-            const NR: usize = $nr;
-            let madd: fn(f32, f32, f32) -> f32 = $madd;
-            let mut acc = [[0.0f32; NR]; MR];
-            for r in 0..h {
-                let base = (i0 + r) * ldc + j0;
-                acc[r][..w].copy_from_slice(&c[base..base + w]);
-            }
-            for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
-                let avv: &[f32; MR] = av.try_into().expect("packed A strip row");
-                let bvv: &[f32; NR] = bv.try_into().expect("packed B strip row");
-                for (row, &ar) in acc.iter_mut().zip(avv) {
-                    for (x, &bb) in row.iter_mut().zip(bvv) {
-                        *x = madd(ar, bb, *x);
-                    }
-                }
-            }
-            for r in 0..h {
-                let base = (i0 + r) * ldc + j0;
-                c[base..base + w].copy_from_slice(&acc[r][..w]);
-            }
-        }
+    let layer = FusedF32 {
+        spans: 1,
+        span_len: k,
+        w: b,
+        bias: &[],
+        alpha: None,
     };
+    fused_sweep::<true>(m, a, Patches::matrix(k), &layer, n, c, Patches::matrix(n));
 }
 
-// Portable kernel: separate mul + add (bitwise == naive), 4×8 tile. The
-// `inline(never)` is load-bearing — inlining this into the blocked loop
-// nest defeats LLVM's register allocation of the accumulator array and
-// costs ~6× throughput.
-micro_impl!(micro_4x8, 4, 8, inline(never), |a, b, acc| a * b + acc);
-// AVX2 kernel: fused multiply-add, 6×16 tile (12 YMM accumulators). Must
-// be `inline(always)` so it inherits the caller's `#[target_feature]`.
-#[cfg(target_arch = "x86_64")]
-micro_impl!(micro_6x16, 6, 16, inline(always), f32::mul_add);
-
-#[allow(clippy::too_many_arguments)]
-fn gemm_portable(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    pa: &mut Vec<f32>,
-    pb: &mut Vec<f32>,
-) {
-    gemm_body!(micro_4x8, 4, 8, m, k, n, a, b, c, pa, pb)
-}
-
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_avx2(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    pa: &mut Vec<f32>,
-    pb: &mut Vec<f32>,
-) {
-    gemm_body!(micro_6x16, 6, 16, m, k, n, a, b, c, pa, pb)
-}
-
-/// Sweeps [`madd_block`] over `C` for one of the two products whose inner
-/// step is a rank-1 update, element `(i, kk)` of `A` at
-/// `a[i·row + kk·step]`: per `KC`-deep panel of the shared dimension, rows
-/// greedily in blocks of 12, 8, 4, 2 and 1 (every block is whole, so no
-/// row is computed and thrown away), columns in pairs of vectors with one
-/// masked vector for the last 16 or fewer. Each leg is this sweep's only
-/// caller at its `FUSED`, so sweep and blocks inline into it and the
-/// stride it passes as a literal folds into the addressing.
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX-512F and that `a` holds the
-/// `m × k` elements so addressed, `b` `k·n` and `c` `m·n`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-#[allow(clippy::too_many_arguments)]
-unsafe fn madd_sweep<const FUSED: bool>(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    row: usize,
-    step: usize,
-    b: &[f32],
-    c: &mut [f32],
-) {
-    for kb in (0..k).step_by(KC) {
-        let kc = KC.min(k - kb);
-        let mut i0 = 0;
-        while i0 < m {
-            let rows = match m - i0 {
-                12.. => 12,
-                8.. => 8,
-                4.. => 4,
-                left => left.min(2),
-            };
-            for js in (0..n).step_by(32) {
-                let w = n - js;
-                let ap = a.as_ptr().add(i0 * row + kb * step);
-                let bp = b.as_ptr().add(kb * n + js);
-                let cp = c.as_mut_ptr().add(i0 * n + js);
-                macro_rules! block {
-                    ($r:literal) => {
-                        if w > 16 {
-                            madd_block::<$r, 2, FUSED>(kc, w, ap, row, step, bp, n, cp)
-                        } else {
-                            madd_block::<$r, 1, FUSED>(kc, w, ap, row, step, bp, n, cp)
-                        }
-                    };
-                }
-                match rows {
-                    12 => block!(12),
-                    8 => block!(8),
-                    4 => block!(4),
-                    2 => block!(2),
-                    _ => block!(1),
-                }
-            }
-            i0 += rows;
-        }
-    }
-}
-
-/// AVX-512 [`gemm`]: no packing — `B`'s row `k` is already one or two
-/// vector loads per column block and `A`'s elements are broadcast from
-/// where they lie. Per output element the same `vfmadd` chain in
-/// increasing `k` from the value in `C` as the AVX2 leg's (whose trip
-/// through packed panels and back to `C` between them rounds nothing), so
-/// the two legs agree bit for bit.
-///
-/// # Safety
-///
-/// Callers must ensure the CPU supports AVX-512F and that `a`, `b` and `c`
-/// hold `m·k`, `k·n` and `m·n` elements.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn gemm_avx512(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    madd_sweep::<true>(m, n, k, a, k, 1, b, c)
-}
-
-/// One `R`-row × `S`-vector block of `C` held in registers across `kc`
-/// steps of the shared dimension: every step is `S` (masked) loads of a
-/// row of `B` and `R` broadcasts of `A` feeding `R·S` multiply-adds —
-/// `vfmadd231ps` when `FUSED` ([`gemm`]), `vmulps` then `vaddps` when not
-/// ([`gemm_tn`], whose portable body rounds the product before it adds).
-/// Element `(r, kk)` of the block's slice of `A` is at `a[r·row + kk·step]`,
-/// which serves both storage orders.
+/// One `R`-row × `S`-vector block of [`gemm_tn_avx512`]'s `C` held in
+/// registers across `kc` steps of the shared dimension: every step is `S`
+/// (masked) loads of a row of `B` and `R` broadcasts of `A` feeding `R·S`
+/// `vmulps` then `vaddps` (the portable body rounds the product before it
+/// adds). Element `(r, kk)` of the block's slice of `A` is at
+/// `a[r + kk·m]`.
 ///
 /// # Safety
 ///
@@ -780,21 +545,19 @@ unsafe fn gemm_avx512(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mu
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-#[allow(clippy::too_many_arguments)]
-unsafe fn madd_block<const R: usize, const S: usize, const FUSED: bool>(
+unsafe fn madd_block<const R: usize, const S: usize>(
     kc: usize,
     w: usize,
     a: *const f32,
-    row: usize,
-    step: usize,
+    m: usize,
     b: *const f32,
     n: usize,
     c: *mut f32,
 ) {
     use std::arch::x86_64::*;
     let mut mask = [0; S];
-    for (s, m) in mask.iter_mut().enumerate() {
-        *m = lane_mask(16.min(w - 16 * s));
+    for (s, lanes) in mask.iter_mut().enumerate() {
+        *lanes = lane_mask(16.min(w - 16 * s));
     }
     let mut acc = [[_mm512_setzero_ps(); S]; R];
     for (r, block_row) in acc.iter_mut().enumerate() {
@@ -808,13 +571,9 @@ unsafe fn madd_block<const R: usize, const S: usize, const FUSED: bool>(
             *v = _mm512_maskz_loadu_ps(mask[s], b.add(kk * n + 16 * s));
         }
         for (r, block_row) in acc.iter_mut().enumerate() {
-            let av = _mm512_set1_ps(*a.add(r * row + kk * step));
+            let av = _mm512_set1_ps(*a.add(r + kk * m));
             for (x, &bv) in block_row.iter_mut().zip(&bv) {
-                *x = if FUSED {
-                    _mm512_fmadd_ps(av, bv, *x)
-                } else {
-                    _mm512_add_ps(*x, _mm512_mul_ps(av, bv))
-                };
+                *x = _mm512_add_ps(*x, _mm512_mul_ps(av, bv));
             }
         }
     }
@@ -845,7 +604,7 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
         // SAFETY: guarded by cached runtime detection of avx512f; the
         // asserts above held the slices to the stated dimensions, and the
         // gather's sixteen row offsets `j·k` fit an i32 lane.
-        PACK.with(|p| unsafe { gemm_nt_avx512(m, n, k, a, b, c, &mut p.borrow_mut().1) });
+        PACK.with(|p| unsafe { gemm_nt_avx512(m, n, k, a, b, c, &mut p.borrow_mut()) });
         return;
     }
     #[cfg(target_arch = "x86_64")]
@@ -1080,9 +839,13 @@ unsafe fn gemm_tn_avx2(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &m
 /// AVX-512 [`gemm_tn`]: a block of `C` stays in registers across the `k`
 /// sweep that the rank-1 loop of [`gemm_tn_body`] makes through memory.
 /// Per element still one multiply, rounded, then one add per `k`-step in
-/// increasing `k` from the value in `C` — the same bits. The single-column
-/// head is not routed here: its update is an axpy along `C`, which the
-/// body already does at vector width.
+/// increasing `k` from the value in `C` — the same bits. Per `KC`-deep
+/// panel of the shared dimension, rows go greedily in [`madd_block`]s of
+/// 12, 8, 4, 2 and 1 (every block is whole, so no row is computed and
+/// thrown away), columns in pairs of vectors with one masked vector for
+/// the last 16 or fewer. The single-column head is not routed here: its
+/// update is an axpy along `C`, which the body already does at vector
+/// width.
 ///
 /// # Safety
 ///
@@ -1091,7 +854,41 @@ unsafe fn gemm_tn_avx2(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &m
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn gemm_tn_avx512(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    madd_sweep::<false>(m, n, k, a, 1, m, b, c)
+    for kb in (0..k).step_by(KC) {
+        let kc = KC.min(k - kb);
+        let mut i0 = 0;
+        while i0 < m {
+            let rows = match m - i0 {
+                12.. => 12,
+                8.. => 8,
+                4.. => 4,
+                left => left.min(2),
+            };
+            for js in (0..n).step_by(32) {
+                let w = n - js;
+                let ap = a.as_ptr().add(i0 + kb * m);
+                let bp = b.as_ptr().add(kb * n + js);
+                let cp = c.as_mut_ptr().add(i0 * n + js);
+                macro_rules! block {
+                    ($r:literal) => {
+                        if w > 16 {
+                            madd_block::<$r, 2>(kc, w, ap, m, bp, n, cp)
+                        } else {
+                            madd_block::<$r, 1>(kc, w, ap, m, bp, n, cp)
+                        }
+                    };
+                }
+                match rows {
+                    12 => block!(12),
+                    8 => block!(8),
+                    4 => block!(4),
+                    2 => block!(2),
+                    _ => block!(1),
+                }
+            }
+            i0 += rows;
+        }
+    }
 }
 
 /// The seed repository's i-k-j scalar triple loop, kept verbatim as the
@@ -2350,7 +2147,7 @@ unsafe fn finish_tile(
     }
 }
 
-/// One layer of the fused f32 inference walk, as [`gemm_f32_fused`]
+/// One layer of the fused f32 forward sweep, as [`gemm_f32_fused`]
 /// multiplies it: a `[spans · span_len, bias.len()]` row-major weight
 /// matrix **where the layer stores it** (`Conv2D`'s `[kh·kw·cin, cout]` is
 /// `kh` spans of `kw·cin`; `Dense`'s `[in, out]` is one span), its bias,
@@ -2396,19 +2193,43 @@ pub fn gemm_f32_fused(
     out: Patches,
 ) {
     let n = layer.bias.len();
+    fused_sweep::<false>(rows, plane, patches, &layer, n, dst, out);
+}
+
+/// The dispatched fused sweep over `n` columns. Each finished register
+/// block goes through one of two epilogues, fixed at compile time: with
+/// `ACC` it is added into `dst` (the bias is not read — [`gemm`]), without
+/// it is biased and activated like [`bias_act`] and stored
+/// ([`gemm_f32_fused`]).
+///
+/// # Panics
+///
+/// Panics if `w` is not `spans·span_len × n`, `n` is not the bias length
+/// of a biased sweep, or `plane` / `dst` are shorter than the elements
+/// `p` / `out` address.
+fn fused_sweep<const ACC: bool>(
+    rows: usize,
+    plane: &[f32],
+    p: Patches,
+    l: &FusedF32<'_>,
+    n: usize,
+    dst: &mut [f32],
+    out: Patches,
+) {
     assert_eq!(
-        layer.w.len(),
-        layer.spans * layer.span_len * n,
+        l.w.len(),
+        l.spans * l.span_len * n,
         "gemm_f32_fused: weights are not {}·{}×{n}",
-        layer.spans,
-        layer.span_len
+        l.spans,
+        l.span_len
     );
+    assert!(ACC || l.bias.len() == n, "gemm_f32_fused: bias length");
     assert!(
-        patches.width > 0 && out.width > 0,
+        p.width > 0 && out.width > 0,
         "gemm_f32_fused: zero patch width"
     );
     assert!(
-        plane.len() >= patches.extent(rows, layer.spans, layer.span_len),
+        plane.len() >= p.extent(rows, l.spans, l.span_len),
         "gemm_f32_fused: plane too short"
     );
     assert!(
@@ -2422,20 +2243,20 @@ pub fn gemm_f32_fused(
     if avx512_fma_available() {
         // SAFETY: guarded by cached runtime detection of avx512f; the
         // asserts above cover every element the sweep reads or writes.
-        unsafe { fused_avx512(rows, plane, patches, &layer, dst, out) };
+        unsafe { fused_avx512::<ACC>(rows, plane, p, l, n, dst, out) };
         return;
     }
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // SAFETY: guarded by cached runtime detection of avx2+fma; extents
         // as above.
-        unsafe { fused_avx2(rows, plane, patches, &layer, dst, out) };
+        unsafe { fused_avx2::<ACC>(rows, plane, p, l, n, dst, out) };
         return;
     }
-    fused_portable(rows, plane, patches, &layer, dst, out);
+    fused_portable::<ACC>(rows, plane, p, l, n, dst, out);
 }
 
-/// The scalar tail every leg's epilogue is defined by.
+/// The scalar tail every leg's biased epilogue is defined by.
 #[inline(always)]
 fn bias_act(acc: f32, bias: f32, alpha: Option<f32>) -> f32 {
     let v = acc + bias;
@@ -2446,23 +2267,27 @@ fn bias_act(acc: f32, bias: f32, alpha: Option<f32>) -> f32 {
     }
 }
 
-/// Portable [`gemm_f32_fused`]: one row × sixteen columns at a time,
-/// separate multiply and add (bitwise the portable [`gemm`]).
-fn fused_portable(
+/// Portable [`fused_sweep`]: one row × sixteen columns at a time,
+/// separate multiply and add.
+fn fused_portable<const ACC: bool>(
     rows: usize,
     plane: &[f32],
     p: Patches,
     l: &FusedF32<'_>,
+    n: usize,
     dst: &mut [f32],
     out: Patches,
 ) {
     const NR: usize = 16;
-    let n = l.bias.len();
     for r in 0..rows {
         let (base, at) = (p.offset(r), out.offset(r));
         for js in (0..n).step_by(NR) {
             let width = NR.min(n - js);
+            let c = &mut dst[at + js..][..width];
             let mut acc = [0.0f32; NR];
+            if ACC {
+                acc[..width].copy_from_slice(c);
+            }
             for span in 0..l.spans {
                 let a = &plane[base + span * p.row_stride..][..l.span_len];
                 let w = &l.w[span * l.span_len * n + js..];
@@ -2480,9 +2305,13 @@ fn fused_portable(
                     }
                 }
             }
-            let bias = &l.bias[js..js + width];
-            for ((d, &x), &b) in dst[at + js..][..width].iter_mut().zip(&acc).zip(bias) {
-                *d = bias_act(x, b, l.alpha);
+            if ACC {
+                c.copy_from_slice(&acc[..width]);
+            } else {
+                let bias = &l.bias[js..js + width];
+                for ((d, &x), &b) in c.iter_mut().zip(&acc).zip(bias) {
+                    *d = bias_act(x, b, l.alpha);
+                }
             }
         }
     }
@@ -2507,15 +2336,15 @@ fn block_offsets<const R: usize>(p: Patches, r0: usize, live: usize) -> [usize; 
     })
 }
 
-/// Declares a vector leg of [`gemm_f32_fused`]: row blocks × column
-/// blocks of two vectors, or one for the last `$lanes` columns or fewer.
-/// In a block, `R` patches share every weight load, and `R × S`
-/// accumulator registers (`S` ≤ 2 vectors of columns) are the independent
-/// FMA chains that hide the instruction's latency; a call of at most
-/// `$few` rows — the dense head over a handful of windows — takes the
-/// smaller block, so it does not pay for chains it cannot fill. The
-/// blocks are called by name so that they inline into the sweep, where
-/// the full-vector masks of a two-vector block fold to constants.
+/// Declares a vector leg of [`fused_sweep`]: row blocks × column blocks of
+/// two vectors, or one for the last `$lanes` columns or fewer. In a
+/// block, `R` patches share every weight load, and `R × S` accumulator
+/// registers (`S` ≤ 2 vectors of columns) are the independent FMA chains
+/// that hide the instruction's latency; a call of at most `$few` rows —
+/// the dense head over a handful of windows — takes the smaller block, so
+/// it does not pay for chains it cannot fill. The blocks are called by
+/// name so that they inline into the sweep, where the full-vector masks
+/// of a two-vector block fold to constants.
 #[cfg(target_arch = "x86_64")]
 macro_rules! fused_leg {
     ($(#[$doc:meta])* $name:ident, $block:ident, $features:literal, $lanes:expr, $rows:expr, $few:expr) => {
@@ -2524,25 +2353,25 @@ macro_rules! fused_leg {
         /// # Safety
         ///
         /// Callers must ensure the CPU supports the leg's features and
-        /// the operands passed [`gemm_f32_fused`]'s checks.
+        /// the operands passed [`fused_sweep`]'s checks.
         #[target_feature(enable = $features)]
-        unsafe fn $name(
+        unsafe fn $name<const ACC: bool>(
             rows: usize,
             plane: &[f32],
             p: Patches,
             l: &FusedF32<'_>,
+            n: usize,
             dst: &mut [f32],
             out: Patches,
         ) {
-            let n = l.bias.len();
             let few = rows <= $few;
             for r0 in (0..rows).step_by(if few { $few } else { $rows }) {
                 for js in (0..n).step_by(2 * $lanes) {
                     match (few, n - js > $lanes) {
-                        (false, true) => $block::<$rows, 2>(r0, rows, plane, p, l, js, dst, out),
-                        (false, false) => $block::<$rows, 1>(r0, rows, plane, p, l, js, dst, out),
-                        (true, true) => $block::<$few, 2>(r0, rows, plane, p, l, js, dst, out),
-                        (true, false) => $block::<$few, 1>(r0, rows, plane, p, l, js, dst, out),
+                        (false, true) => $block::<$rows, 2, ACC>(r0, rows, plane, p, l, n, js, dst, out),
+                        (false, false) => $block::<$rows, 1, ACC>(r0, rows, plane, p, l, n, js, dst, out),
+                        (true, true) => $block::<$few, 2, ACC>(r0, rows, plane, p, l, n, js, dst, out),
+                        (true, false) => $block::<$few, 1, ACC>(r0, rows, plane, p, l, n, js, dst, out),
                     }
                 }
             }
@@ -2561,32 +2390,34 @@ fused_leg!(
     fused_avx2, ymm_block, "avx2,fma", 8, 6, 4
 );
 
-/// One `R`-row × `S`-vector block of the AVX-512 leg: every `k`-step is
-/// `S` (masked) weight loads straight from the layer's matrix and `R`
-/// activation broadcasts feeding `R·S` `vfmadd231ps`; the block is
-/// finished — bias, ordered-≥ blend — in registers and stored once. Rows
-/// past the last one recompute it and are not stored.
+/// One `R`-row × `S`-vector block of the AVX-512 leg: the accumulators
+/// start from zero, or from `dst` with `ACC`; every `k`-step is `S`
+/// (masked) weight loads straight from the layer's matrix and `R`
+/// activation broadcasts feeding `R·S` `vfmadd231ps`; without `ACC` the
+/// block is finished in registers — biased, blended (ordered ≥) — and
+/// each is stored once. Rows past the last one recompute it and are not
+/// stored.
 ///
 /// # Safety
 ///
 /// Callers must ensure the CPU supports AVX-512F, the operands passed
-/// [`gemm_f32_fused`]'s checks, `r0 < rows` and `js < bias.len()`.
+/// [`fused_sweep`]'s checks, `r0 < rows` and `js < n`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
 #[allow(clippy::too_many_arguments)]
-unsafe fn zmm_block<const R: usize, const S: usize>(
+unsafe fn zmm_block<const R: usize, const S: usize, const ACC: bool>(
     r0: usize,
     rows: usize,
     plane: &[f32],
     p: Patches,
     l: &FusedF32<'_>,
+    n: usize,
     js: usize,
     dst: &mut [f32],
     out: Patches,
 ) {
     use std::arch::x86_64::*;
-    let n = l.bias.len();
     let live = R.min(rows - r0);
     let mut a = block_offsets::<R>(p, r0, live).map(|at| plane.as_ptr().add(at));
     let to = block_offsets::<R>(out, r0, live);
@@ -2595,6 +2426,13 @@ unsafe fn zmm_block<const R: usize, const S: usize>(
         *m = lane_mask(16.min(n - js - 16 * s));
     }
     let mut acc = [[_mm512_setzero_ps(); S]; R];
+    if ACC {
+        for (row, &at) in acc.iter_mut().zip(&to) {
+            for (s, v) in row.iter_mut().enumerate() {
+                *v = _mm512_maskz_loadu_ps(mask[s], dst.as_ptr().add(at + js + 16 * s));
+            }
+        }
+    }
     let mut w = l.w.as_ptr().add(js);
     for _ in 0..l.spans {
         for t in 0..l.span_len {
@@ -2617,12 +2455,19 @@ unsafe fn zmm_block<const R: usize, const S: usize>(
     let zero = _mm512_setzero_ps();
     for s in 0..S {
         let col = js + 16 * s;
-        let bias = _mm512_maskz_loadu_ps(mask[s], l.bias.as_ptr().add(col));
+        let bias = if ACC {
+            zero
+        } else {
+            _mm512_maskz_loadu_ps(mask[s], l.bias.as_ptr().add(col))
+        };
         for (r, row) in acc.iter().enumerate().take(live) {
-            let mut v = _mm512_add_ps(row[s], bias);
-            if let Some(alpha) = l.alpha {
-                let leak = _mm512_mul_ps(_mm512_set1_ps(alpha), v);
-                v = _mm512_mask_mov_ps(leak, _mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, zero), v);
+            let mut v = row[s];
+            if !ACC {
+                v = _mm512_add_ps(v, bias);
+                if let Some(alpha) = l.alpha {
+                    let leak = _mm512_mul_ps(_mm512_set1_ps(alpha), v);
+                    v = _mm512_mask_mov_ps(leak, _mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, zero), v);
+                }
             }
             _mm512_mask_storeu_ps(dst.as_mut_ptr().add(to[r] + col), mask[s], v);
         }
@@ -2635,24 +2480,24 @@ unsafe fn zmm_block<const R: usize, const S: usize>(
 /// # Safety
 ///
 /// Callers must ensure the CPU supports AVX2 and FMA, the operands
-/// passed [`gemm_f32_fused`]'s checks, `r0 < rows` and `js < bias.len()`.
+/// passed [`fused_sweep`]'s checks, `r0 < rows` and `js < n`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[inline]
 #[allow(clippy::too_many_arguments)]
-unsafe fn ymm_block<const R: usize, const S: usize>(
+unsafe fn ymm_block<const R: usize, const S: usize, const ACC: bool>(
     r0: usize,
     rows: usize,
     plane: &[f32],
     p: Patches,
     l: &FusedF32<'_>,
+    n: usize,
     js: usize,
     dst: &mut [f32],
     out: Patches,
 ) {
     use std::arch::x86_64::*;
     const LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
-    let n = l.bias.len();
     let live = R.min(rows - r0);
     let mut a = block_offsets::<R>(p, r0, live).map(|at| plane.as_ptr().add(at));
     let to = block_offsets::<R>(out, r0, live);
@@ -2662,6 +2507,13 @@ unsafe fn ymm_block<const R: usize, const S: usize>(
         *m = _mm256_loadu_si256(LANES.as_ptr().add(8 - width) as *const __m256i);
     }
     let mut acc = [[_mm256_setzero_ps(); S]; R];
+    if ACC {
+        for (row, &at) in acc.iter_mut().zip(&to) {
+            for (s, v) in row.iter_mut().enumerate() {
+                *v = _mm256_maskload_ps(dst.as_ptr().add(at + js + 8 * s), mask[s]);
+            }
+        }
+    }
     let mut w = l.w.as_ptr().add(js);
     for _ in 0..l.spans {
         for t in 0..l.span_len {
@@ -2684,12 +2536,19 @@ unsafe fn ymm_block<const R: usize, const S: usize>(
     let zero = _mm256_setzero_ps();
     for s in 0..S {
         let col = js + 8 * s;
-        let bias = _mm256_maskload_ps(l.bias.as_ptr().add(col), mask[s]);
+        let bias = if ACC {
+            zero
+        } else {
+            _mm256_maskload_ps(l.bias.as_ptr().add(col), mask[s])
+        };
         for (r, row) in acc.iter().enumerate().take(live) {
-            let mut v = _mm256_add_ps(row[s], bias);
-            if let Some(alpha) = l.alpha {
-                let leak = _mm256_mul_ps(_mm256_set1_ps(alpha), v);
-                v = _mm256_blendv_ps(leak, v, _mm256_cmp_ps::<_CMP_GE_OQ>(v, zero));
+            let mut v = row[s];
+            if !ACC {
+                v = _mm256_add_ps(v, bias);
+                if let Some(alpha) = l.alpha {
+                    let leak = _mm256_mul_ps(_mm256_set1_ps(alpha), v);
+                    v = _mm256_blendv_ps(leak, v, _mm256_cmp_ps::<_CMP_GE_OQ>(v, zero));
+                }
             }
             _mm256_maskstore_ps(dst.as_mut_ptr().add(to[r] + col), mask[s], v);
         }
@@ -2757,10 +2616,16 @@ mod tests {
             .fold(0.0, f32::max)
     }
 
+    /// The portable leg of [`gemm`]: the accumulating portable sweep.
     fn portable(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        let mut pa = Vec::new();
-        let mut pb = Vec::new();
-        gemm_portable(m, k, n, a, b, c, &mut pa, &mut pb);
+        let l = FusedF32 {
+            spans: 1,
+            span_len: k,
+            w: b,
+            bias: &[],
+            alpha: None,
+        };
+        fused_portable::<true>(m, a, Patches::matrix(k), &l, n, c, Patches::matrix(n));
     }
 
     const SHAPES: &[(usize, usize, usize)] = &[
@@ -2769,7 +2634,7 @@ mod tests {
         (5, 7, 9),
         (1, 120, 1),
         (128, 120, 64),
-        (65, 257, 17), // straddles MC and KC boundaries
+        (65, 257, 17), // k past one 256-deep panel
         (6, 512, 16),
     ];
 
@@ -3282,36 +3147,90 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `gemm_f32_fused` by the book: per element `0 → madd over k
-    /// ascending → + bias → x ≥ 0 ? x : α·x`, into a zeroed `dst`.
+    /// [`fused_sweep`] by the book, per element: `0 → madd over k
+    /// ascending → + bias → x ≥ 0 ? x : α·x`, or with `ACC` `C → madd over
+    /// k ascending`.
     #[allow(clippy::too_many_arguments)]
-    fn fused_reference(
+    fn fused_reference<const ACC: bool>(
         rows: usize,
         plane: &[f32],
         p: Patches,
         l: &FusedF32<'_>,
+        n: usize,
         dst: &mut [f32],
         out: Patches,
         madd: fn(f32, f32, f32) -> f32,
     ) {
-        let n = l.bias.len();
         for r in 0..rows {
             for j in 0..n {
-                let mut acc = 0.0f32;
+                let at = out.offset(r) + j;
+                let mut acc = if ACC { dst[at] } else { 0.0 };
                 for k in 0..l.spans * l.span_len {
                     let a = plane[p.offset(r) + k / l.span_len * p.row_stride + k % l.span_len];
                     acc = madd(a, l.w[k * n + j], acc);
                 }
-                dst[out.offset(r) + j] = bias_act(acc, l.bias[j], l.alpha);
+                dst[at] = if ACC {
+                    acc
+                } else {
+                    bias_act(acc, l.bias[j], l.alpha)
+                };
             }
         }
+    }
+
+    /// Runs the sweep (`ACC` or not) on every leg this CPU has, over a
+    /// copy of `c0` from `origin` on, and holds each leg to its scalar
+    /// reference — `a·b + c` portable, `f32::mul_add` on the two vector
+    /// legs, which agree — and the dispatched sweep to the leg it takes.
+    #[allow(clippy::too_many_arguments)]
+    fn check_fused_legs<const ACC: bool>(
+        rows: usize,
+        plane: &[f32],
+        p: Patches,
+        l: &FusedF32<'_>,
+        n: usize,
+        c0: &[f32],
+        origin: usize,
+        out: Patches,
+        what: &str,
+    ) {
+        let run = |leg: &dyn Fn(&mut [f32])| {
+            let mut dst = c0.to_vec();
+            leg(&mut dst[origin..]);
+            bits_nan_folded(&dst)
+        };
+        let scalar = |madd| run(&|d| fused_reference::<ACC>(rows, plane, p, l, n, d, out, madd));
+        let mut want = scalar(|a, b, c| a * b + c);
+        let port = run(&|d| fused_portable::<ACC>(rows, plane, p, l, n, d, out));
+        assert_eq!(want, port, "portable {what}");
+        // The vector legs are pinned here wherever the CPU has them: a
+        // VNNI host never dispatches AVX2.
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            let fused = scalar(f32::mul_add);
+            // SAFETY: avx2+fma checked above; `plane` and `d` cover the
+            // extents (they back the portable run).
+            let avx2 = run(&|d| unsafe { fused_avx2::<ACC>(rows, plane, p, l, n, d, out) });
+            assert_eq!(fused, avx2, "avx2 {what}");
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY: avx512f checked; extents as above.
+                let avx512 = run(&|d| unsafe { fused_avx512::<ACC>(rows, plane, p, l, n, d, out) });
+                assert_eq!(avx2, avx512, "avx512 {what}");
+            }
+            if fma_available() {
+                want = fused;
+            }
+        }
+        let got = run(&|d| fused_sweep::<ACC>(rows, plane, p, l, n, d, out));
+        assert_eq!(want, got, "dispatched {what}");
     }
 
     #[test]
     fn fused_f32_legs_match_their_references() {
         // (h, w, cin, kh, kw, cout): the critic's layers, masked column
         // tails on both vector widths, a ragged last row block, the dense
-        // head's few-rows block and a 1×1 plane.
+        // head's few-rows block and a 1×1 plane — biased, and accumulated
+        // into a C holding ±0, ±∞ and NaN.
         for &(h, w, cin, kh, kw, cout) in &[
             (10usize, 12usize, 1usize, 2usize, 2usize, 8usize),
             (10, 12, 8, 2, 2, 16),
@@ -3353,50 +3272,53 @@ mod tests {
                     },
                 ),
             ];
-            for alpha in [None, Some(0.2f32)] {
-                let l = FusedF32 {
-                    spans,
-                    span_len,
-                    w: &weights,
-                    bias: &bias,
-                    alpha,
-                };
-                for (origin, out) in outs {
-                    let len = origin + out.extent(rows, 1, cout);
-                    let run = |leg: &dyn Fn(&mut [f32])| {
-                        let mut dst = vec![0.0f32; len];
-                        leg(&mut dst[origin..]);
-                        bits(&dst)
+            for (origin, out) in outs {
+                let len = origin + out.extent(rows, 1, cout);
+                for alpha in [None, Some(0.2f32)] {
+                    let l = FusedF32 {
+                        spans,
+                        span_len,
+                        w: &weights,
+                        bias: &bias,
+                        alpha,
                     };
                     let what = format!("{h}×{w}×{cin}→{cout}, k {kh}×{kw}, {alpha:?}");
-                    let scalar =
-                        run(&|d| fused_reference(rows, &plane, p, &l, d, out, |a, b, c| a * b + c));
-                    let port = run(&|d| fused_portable(rows, &plane, p, &l, d, out));
-                    assert_eq!(scalar, port, "portable {what}");
-                    let mut want = scalar;
-                    // The vector legs are pinned here wherever the CPU has
-                    // them: a VNNI host never dispatches AVX2.
-                    #[cfg(target_arch = "x86_64")]
-                    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                        let fused =
-                            run(&|d| fused_reference(rows, &plane, p, &l, d, out, f32::mul_add));
-                        // SAFETY: avx2+fma checked above; `plane` and `d`
-                        // cover the extents (they back the portable run).
-                        let avx2 = run(&|d| unsafe { fused_avx2(rows, &plane, p, &l, d, out) });
-                        assert_eq!(fused, avx2, "avx2 {what}");
-                        if is_x86_feature_detected!("avx512f") {
-                            // SAFETY: avx512f checked; extents as above.
-                            let avx512 =
-                                run(&|d| unsafe { fused_avx512(rows, &plane, p, &l, d, out) });
-                            assert_eq!(avx2, avx512, "avx512 {what}");
-                        }
-                        if fma_available() {
-                            want = fused;
-                        }
+                    let zeros = vec![0.0f32; len];
+                    check_fused_legs::<false>(
+                        rows, &plane, p, &l, cout, &zeros, origin, out, &what,
+                    );
+                    if alpha.is_none() {
+                        let c0 = fill_special(rows as u64 + cout as u64, len);
+                        let what = format!("accumulate {what}");
+                        check_fused_legs::<true>(
+                            rows, &plane, p, &l, cout, &c0, origin, out, &what,
+                        );
                     }
-                    let got = run(&|d| gemm_f32_fused(rows, &plane, p, l, d, out));
-                    assert_eq!(want, got, "dispatched {what}");
                 }
+            }
+        }
+        // The accumulating epilogue as `gemm` runs it: plain rows, every
+        // row-block height of both vector legs and ragged last blocks,
+        // columns on both sides of one and two vectors, k across a
+        // 256-deep panel, ±0, ±∞ and NaN in A, B and C.
+        let widths = [1usize, 7, 8, 9, 16, 17, 32, 33, 40];
+        let depths = [1usize, 5, 64, 256, 257, 300];
+        for (i, m) in (1usize..=13).chain([25, 37]).enumerate() {
+            for (j, &n) in widths.iter().enumerate() {
+                let k = depths[(i + 3 * j) % depths.len()];
+                let seed = (i * widths.len() + j) as u64 * 3 + 1;
+                let (a, b) = (fill_special(seed, m * k), fill_special(seed + 1, k * n));
+                let c0 = fill_special(seed + 2, m * n);
+                let l = FusedF32 {
+                    spans: 1,
+                    span_len: k,
+                    w: &b,
+                    bias: &[],
+                    alpha: None,
+                };
+                let (rows, out) = (Patches::matrix(k), Patches::matrix(n));
+                let what = format!("gemm m {m}, k {k}, n {n}");
+                check_fused_legs::<true>(m, &a, rows, &l, n, &c0, 0, out, &what);
             }
         }
     }
@@ -3432,10 +3354,11 @@ mod tests {
     #[test]
     fn training_f32_legs_match_the_bodies_they_replace() {
         // Every row-block height and both strip widths with ragged edges,
-        // the critic's layer shapes, k across a KC panel, zero dimensions.
+        // the critic's layer shapes, k across a 256-deep panel, zero
+        // dimensions.
         let dims = [0usize, 1, 2, 3, 5, 8, 13, 27];
         let widths = [0usize, 1, 4, 8, 15, 16, 17, 32, 33, 50];
-        let depths = [0usize, 1, 4, 7, 8, 9, 31, 32, 120, KC + 37];
+        let depths = [0usize, 1, 4, 7, 8, 9, 31, 32, 120, 293];
         let mut shapes = vec![(128, 32, 64), (64, 16, 40), (4, 8, 240), (25, 128, 32)];
         for (i, &m) in dims.iter().enumerate() {
             for (j, &n) in widths.iter().enumerate() {
@@ -3462,10 +3385,6 @@ mod tests {
                     // is checked first; the operands have the stated sizes.
                     assert_eq!(tn, run(&|c| unsafe { gemm_tn_avx2(m, n, k, &x, &y, c) }));
                     assert_eq!(nt, run(&|c| unsafe { gemm_nt_avx2(m, n, k, &x, &y, c) }));
-                    let nn = run(&|c| {
-                        let (mut pa, mut pb) = (Vec::new(), Vec::new());
-                        unsafe { gemm_avx2(m, k, n, &x, &y, c, &mut pa, &mut pb) }
-                    });
                     if is_x86_feature_detected!("avx512f") {
                         let got = run(&|c| unsafe { gemm_tn_avx512(m, n, k, &x, &y, c) });
                         assert_eq!(tn, got, "gemm_tn avx512: {what}");
@@ -3473,11 +3392,6 @@ mod tests {
                             gemm_nt_avx512(m, n, k, &x, &y, c, &mut Vec::new())
                         });
                         assert_eq!(nt, got, "gemm_nt avx512: {what}");
-                        let got = run(&|c| unsafe { gemm_avx512(m, k, n, &x, &y, c) });
-                        assert_eq!(nn, got, "gemm avx512: {what}");
-                    }
-                    if fma_available() {
-                        assert_eq!(nn, run(&|c| gemm(m, k, n, &x, &y, c)), "gemm: {what}");
                     }
                 }
                 assert_eq!(tn, run(&|c| gemm_tn(m, n, k, &x, &y, c)), "gemm_tn: {what}");

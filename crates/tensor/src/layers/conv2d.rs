@@ -5,6 +5,7 @@
 //! activations (paper §IV-A.1). Snapshots are laid out `[batch, height,
 //! width, channels]` with `height = w` (time) and `width = f` (features).
 
+use crate::gemm::{gemm_f32_fused, FusedF32, Patches};
 use crate::layer::{FusedView, Layer, Param};
 use crate::serialize::LayerSnapshot;
 use crate::{Init, Tensor};
@@ -249,22 +250,25 @@ impl Layer for Conv2D {
         let (ho, wo) = self.out_spatial(h, w);
         let rows = n * ho * wo;
         let cols_w = self.kh * self.kw * c;
-        // Both buffers are reused across steps once shapes settle: the
-        // im2col matrix (overwritten whole) and the output, served from the
-        // reclaim cache (see `Layer::reclaim`) and zeroed, because the GEMM
-        // accumulates — same kernel and reduction order as `matmul`, minus
-        // the per-step allocation.
+        // Both buffers are reused across steps once shapes settle and are
+        // overwritten whole: the im2col matrix, and the output, served from
+        // the reclaim cache (see `Layer::reclaim`) — the fused sweep writes
+        // `patch · W + b` over whatever it held.
         let mut cols = std::mem::take(&mut self.cached_cols);
         cols.resize(rows * cols_w, 0.0);
         let mut out = self.cached_out.take().unwrap_or_default();
-        out.clear();
         out.resize(rows * self.cout, 0.0);
         // A block of whole windows at a time, so the product reads the
         // patches it has just expanded while they are in cache; rows are
         // independent, so the blocks are the one call.
         let block = (BLOCK_ROWS / (ho * wo)).max(1);
-        let weights = self.w.value.as_slice();
-        let bias = self.b.value.as_slice();
+        let layer = FusedF32 {
+            spans: 1,
+            span_len: cols_w,
+            w: self.w.value.as_slice(),
+            bias: self.b.value.as_slice(),
+            alpha: None,
+        };
         let blocks = input.as_slice().chunks(block * h * w * c);
         let buffers = cols
             .chunks_mut(block * ho * wo * cols_w)
@@ -272,12 +276,8 @@ impl Layer for Conv2D {
         for (x, (cols, out)) in blocks.zip(buffers) {
             let n = x.len() / (h * w * c);
             self.im2col_into(x, (n, h, w, c), cols);
-            crate::gemm::gemm(n * ho * wo, cols_w, self.cout, cols, weights, out);
-            for row in out.chunks_exact_mut(self.cout) {
-                for (o, &b) in row.iter_mut().zip(bias) {
-                    *o += b;
-                }
-            }
+            let (a, to) = (Patches::matrix(cols_w), Patches::matrix(self.cout));
+            gemm_f32_fused(n * ho * wo, cols, a, layer, out, to);
         }
         self.cached_input_shape = Some([n, h, w, c]);
         self.cached_cols = cols;

@@ -1,5 +1,6 @@
 //! Fully-connected (dense) layer.
 
+use crate::gemm::{gemm_f32_fused, FusedF32, Patches};
 use crate::layer::{FusedView, Layer, Param};
 use crate::serialize::LayerSnapshot;
 use crate::{Init, Tensor};
@@ -27,6 +28,7 @@ pub struct Dense {
     w: Param,
     b: Param,
     cached_input: Option<Tensor>,
+    cached_out: Option<Vec<f32>>,
 }
 
 impl Dense {
@@ -40,6 +42,7 @@ impl Dense {
             w: Param::new(w),
             b: Param::new(Tensor::zeros(&[out_dim])),
             cached_input: None,
+            cached_out: None,
         }
     }
 
@@ -59,6 +62,7 @@ impl Dense {
             w: Param::new(w),
             b: Param::new(b),
             cached_input: None,
+            cached_out: None,
         })
     }
 
@@ -88,19 +92,27 @@ impl Layer for Dense {
             self.in_dim,
             input.shape()
         );
-        let mut out = input.matmul(&self.w.value);
-        let bias = self.b.value.as_slice();
-        for row in out.as_mut_slice().chunks_exact_mut(self.out_dim) {
-            for (o, &b) in row.iter_mut().zip(bias) {
-                *o += b;
-            }
-        }
+        // The output buffer comes from the reclaim cache (see
+        // `Layer::reclaim`) once shapes settle; the fused sweep writes
+        // `x · W + b` over whatever it held.
+        let rows = input.shape()[0];
+        let mut out = self.cached_out.take().unwrap_or_default();
+        out.resize(rows * self.out_dim, 0.0);
+        let layer = FusedF32 {
+            spans: 1,
+            span_len: self.in_dim,
+            w: self.w.value.as_slice(),
+            bias: self.b.value.as_slice(),
+            alpha: None,
+        };
+        let (a, to) = (Patches::matrix(self.in_dim), Patches::matrix(self.out_dim));
+        gemm_f32_fused(rows, input.as_slice(), a, layer, &mut out, to);
         // clone_from reuses the cached allocation once shapes settle.
         match &mut self.cached_input {
             Some(c) => c.clone_from(input),
             slot => *slot = Some(input.clone()),
         }
-        out
+        Tensor::from_vec(out, &[rows, self.out_dim])
     }
 
     // dW = xᵀ · dY ; db = Σ_batch dY ; dX = dY · Wᵀ
@@ -136,6 +148,10 @@ impl Layer for Dense {
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
         // dX = dY · Wᵀ with W read in its stored layout.
         grad_out.matmul_nt(&self.w.value)
+    }
+
+    fn reclaim(&mut self, output: Tensor) {
+        self.cached_out = Some(output.into_vec());
     }
 
     fn fused_view(&self) -> Option<FusedView<'_>> {

@@ -14,14 +14,15 @@
 //! - max |AUROC(int8) − AUROC(f32)| over the 35-attack Table III campaign
 //!   ≤ 0.01, and the same bound for the served mixture (int8 gate score,
 //!   replaced by the f32 score where the gate score crosses τ_esc);
-//! - dispatched and portable int8 kernels agree bitwise on a
-//!   critic-shaped GEMM (i32 accumulator equality).
+//! - every int8 leg this CPU has agrees bitwise with the naive reference
+//!   on a critic-shaped GEMM (i32 accumulator equality) — the AVX2 leg
+//!   included, which a VNNI host never dispatches.
 
 use crate::harness::{results_dir, Harness};
 use std::time::Instant;
 use vehigan_metrics::auroc;
 use vehigan_serve::escalation_threshold;
-use vehigan_tensor::gemm::{gemm_i8, gemm_i8_portable, int8_leg, PackedI8};
+use vehigan_tensor::gemm::{gemm_i8_on, int8_leg, naive_i8, Int8Leg, PackedI8};
 use vehigan_tensor::Tensor;
 
 /// Maximum tolerated AUROC drift of the int8 path vs f32 (ISSUE gate).
@@ -59,22 +60,26 @@ fn time_ms(mut f: impl FnMut(), reps: usize, trials: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Asserts that the dispatched (possibly AVX2) and portable int8 kernels
-/// produce bitwise-identical i32 accumulators on a critic-shaped GEMM.
+/// Asserts that every int8 leg this CPU has produces the naive
+/// reference's i32 accumulators bit for bit on a critic-shaped GEMM.
 fn assert_kernels_bitwise_identical() {
     let (m, k, n) = (120usize, 3840usize, 8usize); // the fused dense shape
     let a: Vec<i8> = (0..m * k).map(|i| ((i * 37 + 11) % 255) as i8).collect();
     let b: Vec<i8> = (0..k * n).map(|i| ((i * 73 + 5) % 255) as i8).collect();
     let packed = PackedI8::pack(k, n, &b);
-    let mut dispatched = vec![0i32; m * n];
-    let mut portable = vec![0i32; m * n];
-    gemm_i8(m, &a, &packed, &mut dispatched);
-    gemm_i8_portable(m, &a, &packed, &mut portable);
-    assert_eq!(
-        dispatched, portable,
-        "dispatched and portable int8 kernels must agree bitwise"
+    let mut want = vec![0i32; m * n];
+    naive_i8(m, k, n, &a, &b, &mut want);
+    let mut legs = Vec::new();
+    for leg in Int8Leg::ALL.into_iter().filter(|leg| leg.supported()) {
+        let mut got = vec![0i32; m * n];
+        gemm_i8_on(leg, m, &a, &packed, &mut got);
+        assert_eq!(got, want, "int8 leg {} must be exactly naive", leg.name());
+        legs.push(leg.name());
+    }
+    println!(
+        "kernel check: {} == naive bitwise on ({m},{k},{n}) ✓",
+        legs.join(", ")
     );
-    println!("kernel check: dispatched == portable bitwise on ({m},{k},{n}) ✓");
 }
 
 /// Runs the quant benchmark on a trained harness and writes

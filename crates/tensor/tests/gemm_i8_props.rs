@@ -1,8 +1,9 @@
 //! Property-based tests for the int8 GEMM kernel family (satellite of the
 //! int8-backend ISSUE): across random shapes and values — including the
 //! k=1 / n=1 edges and the ±127 saturation extremes — the dispatched
-//! `gemm_i8` and the portable `gemm_i8_portable` must agree **exactly**
-//! (i32 equality, not tolerance) with the naive i8×i8→i32 reference, and
+//! `gemm_i8` and every int8 leg this CPU supports (`gemm_i8_on`) must agree
+//! **exactly** (i32 equality, not tolerance) with the naive i8×i8→i32
+//! reference, and
 //! the fused `gemm_i8_dequant` — the same micro-kernels reading
 //! convolution patches in place and finishing in registers — must equal
 //! the scalar dequantization of that reference bit for bit. Integer
@@ -12,7 +13,7 @@
 
 use proptest::prelude::*;
 use vehigan_tensor::gemm::{
-    gemm_i8, gemm_i8_dequant, gemm_i8_portable, i8_activation_bias, naive_i8, Dequant, PackedI8,
+    gemm_i8, gemm_i8_dequant, gemm_i8_on, i8_activation_bias, naive_i8, Dequant, Int8Leg, PackedI8,
     Patches,
 };
 
@@ -51,7 +52,7 @@ proptest! {
     }
 
     #[test]
-    fn portable_kernel_is_exactly_naive(
+    fn every_supported_leg_is_exactly_naive(
         (m, k, n, a, b) in (dim(), dim(), dim()).prop_flat_map(|(m, k, n)| {
             (Just(m), Just(k), Just(n), buf_i8(m * k), buf_i8(k * n))
         })
@@ -59,26 +60,13 @@ proptest! {
         let mut want = vec![0i32; m * n];
         naive_i8(m, k, n, &a, &b, &mut want);
         let packed = PackedI8::pack(k, n, &b);
-        let mut got = vec![0i32; m * n];
-        gemm_i8_portable(m, &a, &packed, &mut got);
-        prop_assert_eq!(got, want, "portable must be exactly naive at ({},{},{})", m, k, n);
-    }
-
-    #[test]
-    fn dispatched_and_portable_agree_bitwise(
-        (m, k, n, a, b) in (dim(), dim(), dim()).prop_flat_map(|(m, k, n)| {
-            (Just(m), Just(k), Just(n), buf_i8(m * k), buf_i8(k * n))
-        })
-    ) {
-        let packed = PackedI8::pack(k, n, &b);
-        let mut dispatched = vec![0i32; m * n];
-        gemm_i8(m, &a, &packed, &mut dispatched);
-        let mut portable = vec![0i32; m * n];
-        gemm_i8_portable(m, &a, &packed, &mut portable);
-        prop_assert_eq!(
-            dispatched, portable,
-            "dispatched and portable diverged at ({},{},{})", m, k, n
-        );
+        for leg in Int8Leg::ALL.into_iter().filter(|leg| leg.supported()) {
+            let mut got = vec![0i32; m * n];
+            gemm_i8_on(leg, m, &a, &packed, &mut got);
+            prop_assert_eq!(
+                &got, &want, "{} must be exactly naive at ({},{},{})", leg.name(), m, k, n
+            );
+        }
     }
 
     #[test]

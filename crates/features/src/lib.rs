@@ -49,7 +49,7 @@ pub use monitor::{
     NUM_RESIDUALS, NUM_STATISTICS, RESIDUAL_NAMES,
 };
 pub use scaler::MinMaxScaler;
-pub use stream::{lru_key, EvictionConfig, WindowBuffer};
+pub use stream::{lru_key, EvictionConfig, WindowBuffer, WindowView};
 pub use window::{
     assemble_fragments, build_fragment, build_windows, build_windows_from_rows, engineer_rows,
     engineer_trace, fit_scaler, fit_scaler_from_rows, Representation, TraceRows, WindowConfig,

@@ -4,11 +4,17 @@
 //! `[-1, 1]` using statistics fitted **on benign training data only** (the
 //! defender never sees attack data at fit time).
 
+use std::sync::Arc;
+
 /// A per-column min–max scaler mapping fitted ranges to `[-1, 1]`.
+///
+/// The fitted statistics are immutable and shared: a clone (one per
+/// tracked vehicle's window buffer) bumps two reference counts instead
+/// of copying the columns.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct MinMaxScaler {
-    min: Vec<f64>,
-    max: Vec<f64>,
+    min: Arc<[f64]>,
+    max: Arc<[f64]>,
 }
 
 impl MinMaxScaler {
@@ -20,22 +26,8 @@ impl MinMaxScaler {
     pub fn fit(rows: &[Vec<f64>]) -> Self {
         assert!(!rows.is_empty(), "cannot fit a scaler on zero rows");
         let width = rows[0].len();
-        let mut min = vec![f64::INFINITY; width];
-        let mut max = vec![f64::NEG_INFINITY; width];
-        for row in rows {
-            assert_eq!(row.len(), width, "ragged rows");
-            for (j, &v) in row.iter().enumerate() {
-                min[j] = min[j].min(v);
-                max[j] = max[j].max(v);
-            }
-        }
-        // Guard constant columns.
-        for j in 0..width {
-            if (max[j] - min[j]).abs() < 1e-12 {
-                max[j] = min[j] + 1.0;
-            }
-        }
-        MinMaxScaler { min, max }
+        assert!(rows.iter().all(|r| r.len() == width), "ragged rows");
+        Self::fit_flat(width, rows.iter().flatten().copied())
     }
 
     /// Fits the scaler on flat row-major data (`values.len()` must be a
@@ -74,7 +66,10 @@ impl MinMaxScaler {
                 max[j] = min[j] + 1.0;
             }
         }
-        MinMaxScaler { min, max }
+        MinMaxScaler {
+            min: min.into(),
+            max: max.into(),
+        }
     }
 
     /// Number of feature columns.

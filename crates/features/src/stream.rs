@@ -8,9 +8,9 @@
 //! buffer, or a `HashMap` of them).
 //!
 //! - [`WindowBuffer::push`] is **allocation-free** once warmed up: the
-//!   scaled feature row is written straight into a fixed `w × f` ring and
-//!   the snapshot tensor is refreshed in place (two `memcpy` segments)
-//!   instead of being rebuilt from a `VecDeque` on every message;
+//!   scaled feature row is written straight into a fixed `w × f` ring, and
+//!   the completed window is handed back as a [`WindowView`] of that ring
+//!   (two slices split where it wraps), not copied into a tensor;
 //! - [`EvictionConfig`] (TTL and/or LRU capacity, ordered by [`lru_key`])
 //!   is the policy the shards evict stale pseudonyms under, so pseudonym
 //!   churn in a long-lived deployment cannot grow state without bound.
@@ -45,11 +45,42 @@ impl EvictionConfig {
     }
 }
 
+/// A completed window borrowed from a [`WindowBuffer`]'s ring: `w` rows
+/// of `f` scaled features in arrival order, split where the ring wraps.
+#[derive(Debug, Clone, Copy)]
+pub struct WindowView<'a> {
+    /// The oldest rows, up to the end of the ring.
+    pub older: &'a [f32],
+    /// The newest rows, from the start of the ring.
+    pub newer: &'a [f32],
+    window: usize,
+}
+
+impl WindowView<'_> {
+    /// Appends the window's `w × f` floats, in arrival order, to `out`.
+    // Inlined across crates, like `last_window`: the serve shards call both
+    // per completed window, and out of line they cost `Shard::ingest` 10 %.
+    #[inline]
+    pub fn extend_into(&self, out: &mut Vec<f32>) {
+        out.extend_from_slice(self.older);
+        out.extend_from_slice(self.newer);
+    }
+
+    /// An owned `[1, w, f, 1]` copy of the window, the shape the
+    /// detectors score.
+    pub fn to_tensor(&self) -> Tensor {
+        let mut data = Vec::with_capacity(self.older.len() + self.newer.len());
+        self.extend_into(&mut data);
+        let f = data.len() / self.window;
+        Tensor::from_vec(data, &[1, self.window, f, 1])
+    }
+}
+
 /// Rolling feature-window buffer for one vehicle.
 ///
-/// Internally a fixed ring of scaled `f32` feature rows plus a snapshot
-/// tensor that is refreshed in place, so pushing a BSM performs no heap
-/// allocation after construction.
+/// Internally a fixed ring of scaled `f32` feature rows, so pushing a BSM
+/// performs no heap allocation after construction; the scaler is shared
+/// with every other buffer cloned from it.
 #[derive(Debug, Clone)]
 pub struct WindowBuffer {
     window: usize,
@@ -61,14 +92,12 @@ pub struct WindowBuffer {
     head: usize,
     /// Rows filled so far (saturates at `window`).
     filled: usize,
-    /// `[1, w, f, 1]` snapshot, refreshed in place once full.
-    snapshot: Tensor,
     /// Timestamp of the most recently ingested BSM.
     last_seen: f64,
 }
 
 impl WindowBuffer {
-    /// Creates a buffer producing `window × scaler.width()` snapshots.
+    /// Creates a buffer producing `window × scaler.width()` windows.
     ///
     /// # Panics
     ///
@@ -82,17 +111,16 @@ impl WindowBuffer {
             ring: vec![0.0; window * f],
             head: 0,
             filled: 0,
-            snapshot: Tensor::zeros(&[1, window, f, 1]),
             last_seen: f64::NEG_INFINITY,
             scaler,
         }
     }
 
-    /// Ingests one BSM; returns the refreshed snapshot `[1, w, f, 1]` once
-    /// enough messages have arrived. The returned reference points at the
-    /// buffer's internal tensor — copy its slice (or clone it) before the
-    /// next push if it must outlive the buffer state.
-    pub fn push(&mut self, bsm: &Bsm) -> Option<&Tensor> {
+    /// Ingests one BSM; returns the completed window once enough messages
+    /// have arrived. The view borrows the ring, so copy it out
+    /// ([`WindowView::extend_into`], [`WindowView::to_tensor`]) if it must
+    /// outlive the next push.
+    pub fn push(&mut self, bsm: &Bsm) -> Option<WindowView<'_>> {
         let f = self.scaler.width();
         if let Some(prev) = self.prev {
             let row = decompose_pair(&prev, bsm);
@@ -105,31 +133,19 @@ impl WindowBuffer {
         }
         self.prev = Some(*bsm);
         self.last_seen = bsm.timestamp;
-        if self.filled < self.window {
-            return None;
-        }
-        // Refresh the snapshot in place: rows in arrival order. When the
-        // ring is full, `head` points at the oldest row.
-        let split = (self.window - self.head) * f;
-        let data = self.snapshot.as_mut_slice();
-        data[..split].copy_from_slice(&self.ring[self.head * f..]);
-        data[split..].copy_from_slice(&self.ring[..self.head * f]);
-        Some(&self.snapshot)
+        self.last_window()
     }
 
-    /// The current snapshot's flat data, if the buffer is full (valid
-    /// after a `push` that returned `Some`; rows are in arrival order).
-    pub fn snapshot_slice(&self) -> Option<&[f32]> {
-        (self.filled >= self.window).then(|| self.snapshot.as_slice())
-    }
-
-    /// An owned copy of the current snapshot, if the buffer is full.
-    ///
-    /// Only meaningful immediately after a [`WindowBuffer::push`] that
-    /// returned `Some` (the in-place tensor is refreshed by `push`, not by
-    /// this accessor).
-    pub fn snapshot(&self) -> Option<Tensor> {
-        (self.filled >= self.window).then(|| self.snapshot.clone())
+    /// The window the last [`WindowBuffer::push`] completed, if the buffer
+    /// is full. Once it is, `head` points at the oldest row.
+    #[inline]
+    pub fn last_window(&self) -> Option<WindowView<'_>> {
+        let (newer, older) = self.ring.split_at(self.head * self.scaler.width());
+        (self.filled >= self.window).then_some(WindowView {
+            older,
+            newer,
+            window: self.window,
+        })
     }
 
     /// Number of buffered feature rows.
@@ -204,7 +220,7 @@ mod tests {
 
     #[test]
     fn streaming_matches_batch_windows() {
-        // The last streaming snapshot must equal the last batch window
+        // The last streamed window must equal the last batch window
         // (stride 1) of the same trace.
         let (fleet, scaler) = setup();
         let builder = DatasetBuilder::new(&fleet[..1], DatasetConfig::default());
@@ -213,7 +229,7 @@ mod tests {
         let mut last = None;
         for bsm in &fleet[0] {
             if let Some(snap) = buf.push(bsm) {
-                last = Some(snap.clone());
+                last = Some(snap.to_tensor());
             }
         }
         let last = last.expect("stream emitted nothing");
@@ -223,7 +239,7 @@ mod tests {
 
     #[test]
     fn ring_rollover_matches_every_batch_window() {
-        // Every streamed snapshot (not just the last) must equal the
+        // Every streamed window (not just the last) must equal the
         // corresponding stride-1 batch window, across many ring
         // rollovers.
         let (fleet, scaler) = setup();
@@ -240,7 +256,7 @@ mod tests {
         let mut streamed = Vec::new();
         for bsm in &fleet[0] {
             if let Some(snap) = buf.push(bsm) {
-                streamed.push(snap.as_slice().to_vec());
+                streamed.push(snap.to_tensor().into_vec());
             }
         }
         assert_eq!(streamed.len(), batch.len());
@@ -268,13 +284,14 @@ mod tests {
             buf.push(bsm);
         }
         assert_eq!(buf.len(), 10);
-        let before = buf.snapshot_slice().unwrap().to_vec();
+        let window = |b: &WindowBuffer| b.last_window().unwrap().to_tensor().into_vec();
+        let before = window(&buf);
 
-        // Duplicate timestamp: accepted, refreshes the snapshot.
+        // Duplicate timestamp: accepted, completes a new window.
         let dup = fleet[0].bsms[11];
         assert!(buf.push(&dup).is_some());
         assert_eq!(buf.last_seen(), dup.timestamp);
-        let after_dup = buf.snapshot_slice().unwrap().to_vec();
+        let after_dup = window(&buf);
         assert_ne!(before, after_dup, "duplicate push must shift the ring");
 
         // Out-of-order (older) timestamp: accepted, last_seen moves
@@ -303,23 +320,21 @@ mod tests {
 
     #[test]
     fn push_is_allocation_free_after_warmup() {
-        // The ring and snapshot are sized at construction; pushing must
-        // not grow them (capacity identity is the observable proxy).
+        // The ring is sized at construction; pushing must not grow it
+        // (capacity identity is the observable proxy), and the window
+        // handed back is the ring itself, not a copy.
         let (fleet, scaler) = setup();
         let mut buf = WindowBuffer::new(10, scaler);
         for bsm in fleet[0].iter().take(15) {
             buf.push(bsm);
         }
-        let ring_ptr = buf.ring.as_ptr();
-        let snap_ptr = buf.snapshot.as_slice().as_ptr();
+        let ring = buf.ring.as_ptr_range();
         for bsm in fleet[0].iter().skip(15).take(40) {
-            buf.push(bsm);
+            let view = buf.push(bsm).expect("a full buffer completes a window");
+            for part in [view.older, view.newer] {
+                assert!(ring.contains(&part.as_ptr()) || part.is_empty());
+            }
         }
-        assert_eq!(buf.ring.as_ptr(), ring_ptr, "ring reallocated");
-        assert_eq!(
-            buf.snapshot.as_slice().as_ptr(),
-            snap_ptr,
-            "snapshot reallocated"
-        );
+        assert_eq!(buf.ring.as_ptr_range(), ring, "ring reallocated");
     }
 }

@@ -150,9 +150,9 @@ impl SuspectEvidence {
         fold(self.weight.to_bits());
         fold(self.margin.to_bits());
         match &self.reporters {
-            ReporterSketch::Exact { entries, len } => {
-                fold(*len as u64);
-                for e in &entries[..*len] {
+            ReporterSketch::Exact(entries) => {
+                fold(entries.len() as u64);
+                for e in entries {
                     fold(e.0 as u64);
                     fold(e.1.to_bits());
                 }
@@ -236,10 +236,10 @@ mod tests {
 
     #[test]
     fn state_is_constant_size() {
-        // The whole point: no per-report retention. Keep the accumulator
-        // comfortably under half a KiB (the authority's bounded-memory
-        // gate; what the flood's heap comes to is the ledger's
-        // `peak_heap_mb`).
-        assert!(std::mem::size_of::<SuspectEvidence>() <= 512);
+        // The whole point: no per-report retention. Every open case in
+        // the authority holds one, so keep it within a cache line (the
+        // exact reporter list and the sketch live behind pointers; what
+        // the flood's heap comes to is the ledger's `peak_heap_mb`).
+        assert!(std::mem::size_of::<SuspectEvidence>() <= 64);
     }
 }

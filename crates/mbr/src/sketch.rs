@@ -10,13 +10,15 @@
 //! O(1) memory per suspect with a two-mode [`ReporterSketch`]:
 //!
 //! - **Exact mode** — up to [`EXACT_CAP`] `(reporter, last_seen)` pairs
-//!   inline. Conviction thresholds are small (2–3 reporters), and in
+//!   in a `Vec` sized by the live reporters, so the typical two-reporter
+//!   case costs 64 heap bytes. Conviction thresholds are small (2–3 reporters), and in
 //!   exact mode counts are *precise* and *window-pruned*: a reporter
 //!   whose last accusation aged past the window stops counting. This is
 //!   the mode every conviction decision near the threshold runs in.
 //! - **Sketch mode** — once more than [`EXACT_CAP`] distinct reporters
 //!   are live at once, the set upgrades to a [`Hll`] (HyperLogLog,
-//!   2⁸ = 256 registers, ~6.5 % standard error). Far above any conviction
+//!   2⁸ = 256 registers, ~6.5 % standard error, boxed so only suspects
+//!   in this mode pay for them). Far above any conviction
 //!   threshold the exact count no longer matters; the sketch keeps the
 //!   reporter-count statistic honest at campaign scale (hundreds of
 //!   observers) without per-reporter state. Sketch registers cannot be
@@ -130,15 +132,11 @@ impl Hll {
 /// [`EXACT_CAP`] live reporters, HyperLogLog beyond (see module docs).
 #[derive(Debug, Clone)]
 pub enum ReporterSketch {
-    /// Precise mode: `(reporter, last accusation timestamp)` pairs.
-    Exact {
-        /// Live entries (first `len` slots are valid).
-        entries: [(u32, f64); EXACT_CAP],
-        /// Number of valid entries.
-        len: usize,
-    },
+    /// Precise mode: at most [`EXACT_CAP`] `(reporter, last accusation
+    /// timestamp)` pairs, in first-accusation order.
+    Exact(Vec<(u32, f64)>),
     /// Estimated mode for campaign-scale reporter counts.
-    Sketch(Hll),
+    Sketch(Box<Hll>),
 }
 
 impl Default for ReporterSketch {
@@ -150,10 +148,7 @@ impl Default for ReporterSketch {
 impl ReporterSketch {
     /// Creates an empty (exact-mode) set.
     pub fn new() -> Self {
-        ReporterSketch::Exact {
-            entries: [(0u32, 0.0f64); EXACT_CAP],
-            len: 0,
-        }
+        ReporterSketch::Exact(Vec::new())
     }
 
     /// Records an accusation by `reporter` whose evidence is current at
@@ -161,32 +156,22 @@ impl ReporterSketch {
     /// older than `window_s` and upgrading to the sketch on overflow.
     pub fn observe(&mut self, reporter: VehicleId, t: f64, window_s: f64) {
         match self {
-            ReporterSketch::Exact { entries, len } => {
+            ReporterSketch::Exact(entries) => {
                 // Known reporter: refresh its last-seen clock (monotone).
-                for e in entries[..*len].iter_mut() {
-                    if e.0 == reporter.0 {
-                        if t > e.1 {
-                            e.1 = t;
-                        }
-                        return;
+                if let Some(e) = entries.iter_mut().find(|e| e.0 == reporter.0) {
+                    if t > e.1 {
+                        e.1 = t;
                     }
+                    return;
                 }
                 // Drop reporters whose last accusation aged out.
-                let mut kept = 0usize;
-                for i in 0..*len {
-                    if t - entries[i].1 <= window_s {
-                        entries[kept] = entries[i];
-                        kept += 1;
-                    }
-                }
-                *len = kept;
-                if *len < EXACT_CAP {
-                    entries[*len] = (reporter.0, t);
-                    *len += 1;
+                entries.retain(|e| t - e.1 <= window_s);
+                if entries.len() < EXACT_CAP {
+                    entries.push((reporter.0, t));
                 } else {
                     // Overflow: carry every live reporter into the sketch.
-                    let mut hll = Hll::new();
-                    for e in entries[..*len].iter() {
+                    let mut hll = Box::new(Hll::new());
+                    for e in entries.iter() {
                         hll.insert(VehicleId(e.0));
                     }
                     hll.insert(reporter);
@@ -201,10 +186,9 @@ impl ReporterSketch {
     /// (exact mode) or the sketch estimate (sketch mode, unpruned).
     pub fn count(&self, t: f64, window_s: f64) -> usize {
         match self {
-            ReporterSketch::Exact { entries, len } => entries[..*len]
-                .iter()
-                .filter(|e| t - e.1 <= window_s)
-                .count(),
+            ReporterSketch::Exact(entries) => {
+                entries.iter().filter(|e| t - e.1 <= window_s).count()
+            }
             ReporterSketch::Sketch(hll) => hll.estimate(),
         }
     }

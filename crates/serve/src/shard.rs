@@ -79,6 +79,19 @@ struct Slot {
     in_flight: usize,
 }
 
+/// Clears one in-flight mark of `vehicle` (a no-op once it is evicted).
+/// Takes the shard's fields, not the shard, so it can run while the
+/// drained `pending_meta` entries are still borrowed.
+fn dec_in_flight(
+    index: &HashMap<VehicleId, usize, IdHash>,
+    slots: &mut [Option<Slot>],
+    vehicle: VehicleId,
+) {
+    if let Some(slot) = index.get(&vehicle).and_then(|&i| slots[i].as_mut()) {
+        slot.in_flight = slot.in_flight.saturating_sub(1);
+    }
+}
+
 /// One worker shard: a slab of per-vehicle window buffers and the queue
 /// of snapshots awaiting the next batch tick.
 #[derive(Debug)]
@@ -214,11 +227,8 @@ impl Shard {
             if suppressed {
                 slot.streak += 1;
             }
-            let snap = slot
-                .buffer
-                .snapshot_slice()
-                .expect("push returned a snapshot");
-            self.pending.extend_from_slice(snap);
+            let window = slot.buffer.last_window().expect("push completed a window");
+            window.extend_into(&mut self.pending);
             self.pending_meta.push(PendingWindow {
                 vehicle: bsm.vehicle_id,
                 timestamp: bsm.timestamp,
@@ -307,32 +317,24 @@ impl Shard {
         if self.eviction.ttl_s.is_none() {
             return 0;
         }
-        let stale: Vec<VehicleId> = self
-            .slots
-            .iter()
-            .flatten()
-            .filter(|s| s.in_flight == 0 && self.eviction.is_stale(s.buffer.last_seen(), now))
-            .map(|s| s.vehicle)
-            .collect();
-        for id in &stale {
-            self.remove(*id);
+        let mut evicted = 0;
+        for (idx, cell) in self.slots.iter_mut().enumerate() {
+            let Some(slot) = cell else { continue };
+            if slot.in_flight == 0 && self.eviction.is_stale(slot.buffer.last_seen(), now) {
+                self.index.remove(&slot.vehicle);
+                *cell = None;
+                self.free.push(idx);
+                evicted += 1;
+            }
         }
-        self.evicted += stale.len() as u64;
-        stale.len()
+        self.evicted += evicted as u64;
+        evicted
     }
 
     fn remove(&mut self, vehicle: VehicleId) {
         if let Some(idx) = self.index.remove(&vehicle) {
             self.slots[idx] = None;
             self.free.push(idx);
-        }
-    }
-
-    fn dec_in_flight(&mut self, vehicle: VehicleId) {
-        if let Some(&idx) = self.index.get(&vehicle) {
-            if let Some(slot) = self.slots[idx].as_mut() {
-                slot.in_flight = slot.in_flight.saturating_sub(1);
-            }
         }
     }
 
@@ -351,9 +353,8 @@ impl Shard {
         }
         let len = self.window_len();
         self.pending.drain(..n * len);
-        let meta: Vec<PendingWindow> = self.pending_meta.drain(..n).collect();
-        for w in &meta {
-            self.dec_in_flight(w.vehicle);
+        for w in self.pending_meta.drain(..n) {
+            dec_in_flight(&self.index, &mut self.slots, w.vehicle);
         }
         self.shed += n as u64;
         n
@@ -398,7 +399,7 @@ impl Shard {
         let first = meta.len();
         meta.extend(self.pending_meta.drain(..n));
         for w in &meta[first..] {
-            self.dec_in_flight(w.vehicle);
+            dec_in_flight(&self.index, &mut self.slots, w.vehicle);
         }
     }
 

@@ -83,8 +83,11 @@ fn sharded_batched_tier2_is_bitwise_identical_to_serial_buffers() {
         let buffer = buffers
             .entry(vehicle)
             .or_insert_with(|| WindowBuffer::new(10, p.scaler.clone()));
-        if let Some(snapshot) = buffer.push(bsm) {
-            let r = p.vehigan.score_with_members(&members, snapshot).unwrap();
+        if let Some(window) = buffer.push(bsm) {
+            let r = p
+                .vehigan
+                .score_with_members(&members, &window.to_tensor())
+                .unwrap();
             let prev = reference.insert(
                 key(vehicle, timestamp),
                 (r.scores[0].to_bits(), r.threshold.to_bits()),

@@ -71,13 +71,14 @@ fn main() {
             for (i, bsm) in msgs.iter().enumerate() {
                 let mut tagged = *bsm;
                 tagged.vehicle_id = pseudonym;
-                let Some(snapshot) = buffer.push(&tagged) else {
+                let Some(window) = buffer.push(&tagged) else {
                     continue;
                 };
                 if i % 11 != oi {
                     continue; // observers sample different instants
                 }
-                if let Some(report) = pipeline.vehigan.check_vehicle(pseudonym, snapshot).unwrap() {
+                let window = window.to_tensor();
+                if let Some(report) = pipeline.vehigan.check_vehicle(pseudonym, &window).unwrap() {
                     let mbr = Mbr {
                         reporter: observer,
                         suspect: report.vehicle,

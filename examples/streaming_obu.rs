@@ -23,10 +23,10 @@
 //!     let buffer = buffers
 //!         .entry(bsm.vehicle_id)
 //!         .or_insert_with(|| WindowBuffer::new(w, pipeline.scaler.clone()));
-//!     if let Some(snapshot) = buffer.push(bsm) {
+//!     if let Some(window) = buffer.push(bsm) {
 //!         if let Some(report) = pipeline
 //!             .vehigan
-//!             .check_vehicle(bsm.vehicle_id, snapshot)
+//!             .check_vehicle(bsm.vehicle_id, &window.to_tensor())
 //!             .unwrap()
 //!         {
 //!             // one misbehavior report per flagged window refresh

@@ -204,13 +204,13 @@ fn streaming_detection_flags_the_attacker_not_the_honest() {
     for (slot, trace) in [(0, &attacked.trace), (1, honest)] {
         let mut buffer = WindowBuffer::new(10, p.scaler.clone());
         for (i, bsm) in trace.bsms.iter().enumerate() {
-            if let Some(snapshot) = buffer.push(bsm) {
+            if let Some(window) = buffer.push(bsm) {
                 if i % 7 != 0 {
                     continue;
                 }
                 scored[slot] += 1;
                 if p.vehigan
-                    .check_vehicle(bsm.vehicle_id, snapshot)
+                    .check_vehicle(bsm.vehicle_id, &window.to_tensor())
                     .unwrap()
                     .is_some()
                 {
@@ -233,11 +233,12 @@ fn streaming_detection_flags_the_attacker_not_the_honest() {
     for (slot, trace) in [(0, &attacked.trace), (1, honest)] {
         let mut buffer = WindowBuffer::new(10, p.scaler.clone());
         for (i, bsm) in trace.bsms.iter().enumerate() {
-            if let Some(snapshot) = buffer.push(bsm) {
+            if let Some(window) = buffer.push(bsm) {
                 if i % 7 != 0 {
                     continue;
                 }
-                let r = p.vehigan.score_with_members(&members, snapshot).unwrap();
+                let window = window.to_tensor();
+                let r = p.vehigan.score_with_members(&members, &window).unwrap();
                 sums[slot] += r.scores[0] as f64;
                 counts[slot] += 1;
             }

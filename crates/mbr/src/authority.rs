@@ -12,9 +12,12 @@
 //! What lets one authority take a fleet's reports is what it keeps per
 //! suspect and what it hands its mirrors, not how it is threaded:
 //!
-//! - **Bounded evidence.** A suspect's open case is one constant-size
+//! - **Bounded evidence.** A suspect's case is one constant-size
 //!   [`SuspectEvidence`], boxed in a single map keyed by the accused
-//!   pseudonym — memory grows with open suspects, never with reports.
+//!   pseudonym — memory grows with accused pseudonyms, never with
+//!   reports. A case leaves the map only on conviction: one whose
+//!   reports have all aged out of the window stays (case expiry is
+//!   ROADMAP item 4).
 //!   (Boxed because the map is one power-of-two table that pays an
 //!   entry's size on every bucket: the flood's heap peak and report rate
 //!   are both better with the 48-byte cases boxed than inline.)
@@ -168,7 +171,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 #[derive(Debug)]
 pub struct MisbehaviorAuthority {
     policy: AuthorityPolicy,
-    /// Open cases by accused pseudonym (boxed: see module docs).
+    /// Unconvicted cases by accused pseudonym, expired ones included
+    /// (boxed: see module docs).
     evidence: HashMap<VehicleId, Box<SuspectEvidence>, IdHash>,
     crl: CertificateRevocationList,
     scms: Option<PseudonymManager>,
@@ -356,7 +360,11 @@ impl MisbehaviorAuthority {
         pseudonym
     }
 
-    /// Number of suspects with open (unconvicted) evidence.
+    /// Number of cases in the evidence map: every pseudonym accused and
+    /// not yet convicted, *including* those whose reports have all aged
+    /// out of the window. A case is removed only on conviction, so this
+    /// counts every unconvicted pseudonym ever accused, not the ones
+    /// with live evidence.
     pub fn pending_suspects(&self) -> usize {
         self.evidence.len()
     }

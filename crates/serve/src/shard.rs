@@ -4,21 +4,27 @@
 //! A vehicle's pseudonym is hashed to exactly one shard by [`shard_for`],
 //! so all of a vehicle's BSMs are processed by the same shard in arrival
 //! order and no cross-shard coordination is needed on the ingest path.
-//! Each [`Shard`] appends ready snapshots to a flat `pending` buffer that
-//! the server drains into one cross-vehicle batch tensor per tick.
+//! A completed window stays where [`WindowBuffer::push`] wrote it: the
+//! shard's `pending` queue holds its metadata and its vehicle's slab
+//! slot, and the tick copies its floats from the ring straight into one
+//! cross-vehicle batch — only for windows the tick will score. Should the
+//! vehicle push again before the tick, the push would overwrite the
+//! window's oldest row, so the shard first *spills* the window into one
+//! of its reusable window-sized buffers.
 //!
-//! Two robustness layers sit in front of that buffer (DESIGN.md §11):
+//! Two robustness layers sit in front of that queue (DESIGN.md §11):
 //!
 //! - an [`IngestGuard`] validates every BSM (finiteness, optional
-//!   physical range limits, per-vehicle staleness) *before* it touches
-//!   window state, so one NaN field or replayed message cannot poison a
-//!   snapshot — rejections are counted per
-//!   [`vehigan_features::RejectReason`] class;
+//!   physical range limits, per-vehicle staleness against the newest
+//!   accepted timestamp) *before* it touches window state, so one NaN
+//!   field or replayed message cannot poison a snapshot — rejections are
+//!   counted per [`vehigan_features::RejectReason`] class;
 //! - an optional pending-queue bound sheds the **oldest** queued window
 //!   when a new one would overflow it, so a traffic burst degrades into
 //!   counted, deterministic window loss instead of unbounded memory.
 //!
 //! [`WindowBuffer`]: vehigan_features::WindowBuffer
+//! [`WindowBuffer::push`]: vehigan_features::WindowBuffer::push
 
 use std::collections::HashMap;
 use vehigan_features::{
@@ -74,26 +80,32 @@ struct Slot {
     /// Consecutive suppressed windows since the last recorded tier-1
     /// score; suppression requires `streak < refresh`.
     streak: u32,
-    /// Windows from this vehicle sitting in `pending` (not yet drained).
-    /// Eviction never removes a slot while this is non-zero.
+    /// Windows from this vehicle sitting in `pending` (not yet taken or
+    /// shed). Eviction never removes a slot while this is non-zero, so
+    /// the queue may name its windows by slot index.
     in_flight: usize,
+    /// Queue sequence number of this vehicle's window that still lives in
+    /// its ring (its newest, queued and not spilled), if any.
+    in_ring: Option<u64>,
+    /// Timestamp of the newest accepted BSM: the guard's staleness
+    /// reference and the TTL/LRU age. Unlike the ring's `last_seen` it
+    /// never moves backwards when the guard tolerates reordering.
+    newest: f64,
 }
 
-/// Clears one in-flight mark of `vehicle` (a no-op once it is evicted).
-/// Takes the shard's fields, not the shard, so it can run while the
-/// drained `pending_meta` entries are still borrowed.
-fn dec_in_flight(
-    index: &HashMap<VehicleId, usize, IdHash>,
-    slots: &mut [Option<Slot>],
-    vehicle: VehicleId,
-) {
-    if let Some(slot) = index.get(&vehicle).and_then(|&i| slots[i].as_mut()) {
-        slot.in_flight = slot.in_flight.saturating_sub(1);
-    }
+/// A queued window: its metadata, the slab slot of the vehicle that
+/// produced it, and where its floats are.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    meta: PendingWindow,
+    slot: usize,
+    /// The spill buffer holding the floats, or `None` while they are
+    /// still the newest window in the vehicle's ring.
+    spill: Option<u32>,
 }
 
 /// One worker shard: a slab of per-vehicle window buffers and the queue
-/// of snapshots awaiting the next batch tick.
+/// of windows awaiting the next batch tick.
 #[derive(Debug)]
 pub struct Shard {
     window: usize,
@@ -110,14 +122,20 @@ pub struct Shard {
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
     index: HashMap<VehicleId, usize, IdHash>,
-    /// Concatenated ready snapshots, `window × features` floats each, in
-    /// ingestion order.
-    pending: Vec<f32>,
-    pending_meta: Vec<PendingWindow>,
+    /// Queued windows in ingestion order; `pending[i]` has sequence
+    /// number `front + i`.
+    pending: Vec<Queued>,
+    /// Windows ever removed from the front of `pending`.
+    front: u64,
+    /// Spill buffers, `window × features` floats each, reused through
+    /// `spill_free`.
+    spill: Vec<f32>,
+    spill_free: Vec<u32>,
     ingested: u64,
     evicted: u64,
     rejects: RejectCounters,
     shed: u64,
+    spilled: u64,
 }
 
 impl Shard {
@@ -149,11 +167,14 @@ impl Shard {
             free: Vec::new(),
             index: HashMap::default(),
             pending: Vec::new(),
-            pending_meta: Vec::new(),
+            front: 0,
+            spill: Vec::new(),
+            spill_free: Vec::new(),
             ingested: 0,
             evicted: 0,
             rejects: RejectCounters::default(),
             shed: 0,
+            spilled: 0,
         }
     }
 
@@ -171,21 +192,16 @@ impl Shard {
     /// Ingests one BSM: validates it against the shard's [`IngestGuard`]
     /// (rejections are counted and touch no state — not even a slab slot
     /// for an unseen pseudonym), then pushes it into the sender's window
-    /// buffer; if the push completes a window, queues the snapshot for
-    /// the next tick, shedding the oldest queued window when the queue
-    /// bound would overflow.
+    /// buffer; if the push completes a window, queues it for the next
+    /// tick, shedding the oldest queued window when the queue bound would
+    /// overflow.
     ///
     /// Returns whether the message was accepted.
     pub fn ingest(&mut self, bsm: &Bsm) -> bool {
         self.ingested += 1;
         let existing = self.index.get(&bsm.vehicle_id).copied();
-        // last_seen is NEG_INFINITY before a vehicle's first push;
-        // filtering to finite makes both "new vehicle" and "no push yet"
-        // skip the staleness check.
-        let last_seen = existing
-            .map(|i| self.slot(i).buffer.last_seen())
-            .filter(|t| t.is_finite());
-        if let Err(reason) = self.guard.validate(bsm, last_seen) {
+        let newest = existing.map(|i| self.slot(i).newest);
+        if let Err(reason) = self.guard.validate(bsm, newest) {
             self.rejects.count(reason);
             return false;
         }
@@ -193,8 +209,14 @@ impl Shard {
             Some(i) => i,
             None => self.insert_vehicle(bsm.vehicle_id),
         };
+        // The push overwrites the ring's oldest row, so a window still
+        // queued there moves out first.
+        if let Some(seq) = self.slot(slot_idx).in_ring {
+            self.spill_window(seq);
+        }
         let tier0 = self.tier0;
         let slot = self.slots[slot_idx].as_mut().expect("indexed slot is live");
+        slot.newest = slot.newest.max(bsm.timestamp);
         if let Some(monitor) = slot.monitor.as_mut() {
             monitor.push(bsm);
         }
@@ -218,8 +240,8 @@ impl Shard {
             };
             if let Some(cap) = self.max_pending {
                 let cap = cap.max(1);
-                if self.pending_meta.len() >= cap {
-                    let over = self.pending_meta.len() + 1 - cap;
+                if self.pending.len() >= cap {
+                    let over = self.pending.len() + 1 - cap;
                     self.shed_oldest(over);
                 }
             }
@@ -227,21 +249,46 @@ impl Shard {
             if suppressed {
                 slot.streak += 1;
             }
-            let window = slot.buffer.last_window().expect("push completed a window");
-            window.extend_into(&mut self.pending);
-            self.pending_meta.push(PendingWindow {
-                vehicle: bsm.vehicle_id,
-                timestamp: bsm.timestamp,
-                suppressed,
-                pinned,
-            });
             slot.in_flight += 1;
+            slot.in_ring = Some(self.front + self.pending.len() as u64);
+            self.pending.push(Queued {
+                meta: PendingWindow {
+                    vehicle: bsm.vehicle_id,
+                    timestamp: bsm.timestamp,
+                    suppressed,
+                    pinned,
+                },
+                slot: slot_idx,
+                spill: None,
+            });
         }
         true
     }
 
     fn slot(&self, idx: usize) -> &Slot {
         self.slots[idx].as_ref().expect("indexed slot is live")
+    }
+
+    /// Moves the queued window with sequence number `seq` out of its
+    /// vehicle's ring into a spill buffer (reused once one is free).
+    fn spill_window(&mut self, seq: u64) {
+        let len = self.window_len();
+        let queued = &mut self.pending[(seq - self.front) as usize];
+        let i = self.spill_free.pop().unwrap_or_else(|| {
+            self.spill.resize(self.spill.len() + len, 0.0);
+            (self.spill.len() / len - 1) as u32
+        });
+        let slot = self.slots[queued.slot]
+            .as_mut()
+            .expect("in-flight slot is live");
+        let window = slot.buffer.last_window().expect("queued window");
+        let dst = &mut self.spill[i as usize * len..][..len];
+        let (older, newer) = dst.split_at_mut(window.older.len());
+        older.copy_from_slice(window.older);
+        newer.copy_from_slice(window.newer);
+        queued.spill = Some(i);
+        slot.in_ring = None;
+        self.spilled += 1;
     }
 
     /// Records the real tier-1 gate score of a screened window back onto
@@ -277,6 +324,8 @@ impl Shard {
             last_gate: None,
             streak: 0,
             in_flight: 0,
+            in_ring: None,
+            newest: f64::NEG_INFINITY,
         };
         let idx = match self.free.pop() {
             Some(i) => {
@@ -293,7 +342,7 @@ impl Shard {
     }
 
     /// Evicts the least-recently-updated vehicle with no pending windows
-    /// (ties broken by pseudonym; a NaN `last_seen` counts as oldest via
+    /// (ties broken by pseudonym; a NaN timestamp counts as oldest via
     /// [`lru_key`] instead of panicking the sweep). A no-op when every
     /// vehicle has in-flight work.
     fn evict_lru_idle(&mut self) {
@@ -302,7 +351,7 @@ impl Shard {
             .iter()
             .flatten()
             .filter(|s| s.in_flight == 0)
-            .map(|s| (lru_key(s.buffer.last_seen()), s.vehicle))
+            .map(|s| (lru_key(s.newest), s.vehicle))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
             .map(|(_, id)| id);
         if let Some(id) = victim {
@@ -320,7 +369,7 @@ impl Shard {
         let mut evicted = 0;
         for (idx, cell) in self.slots.iter_mut().enumerate() {
             let Some(slot) = cell else { continue };
-            if slot.in_flight == 0 && self.eviction.is_stale(slot.buffer.last_seen(), now) {
+            if slot.in_flight == 0 && self.eviction.is_stale(slot.newest, now) {
                 self.index.remove(&slot.vehicle);
                 *cell = None;
                 self.free.push(idx);
@@ -347,15 +396,8 @@ impl Shard {
     /// windows — the ones a detection would still be actionable for —
     /// keep flowing.
     pub fn shed_oldest(&mut self, n: usize) -> usize {
-        let n = n.min(self.pending_meta.len());
-        if n == 0 {
-            return 0;
-        }
-        let len = self.window_len();
-        self.pending.drain(..n * len);
-        for w in self.pending_meta.drain(..n) {
-            dec_in_flight(&self.index, &mut self.slots, w.vehicle);
-        }
+        let n = n.min(self.pending.len());
+        self.dequeue(n, |_, _| {});
         self.shed += n as u64;
         n
     }
@@ -369,13 +411,14 @@ impl Shard {
         (floats, meta)
     }
 
-    /// [`Shard::take_pending`], appending to the caller's buffers. The
-    /// queue keeps its own storage, so a shard drained every tick stops
-    /// re-growing it from nothing on the next ingest.
+    /// [`Shard::take_pending`], appending to the caller's buffers: each
+    /// window's floats are copied from where they sit — its vehicle's
+    /// ring, or a spill buffer — straight into `floats`.
     ///
-    /// With `suppressed_floats` off, the snapshots of windows tier 0
-    /// suppressed are left out of `floats` (their `meta` entries are
-    /// still taken): a caller that honours the verdict never reads them.
+    /// With `suppressed_floats` off, the windows tier 0 suppressed are
+    /// left out of `floats` and never copied at all (their `meta`
+    /// entries are still taken): a caller that honours the verdict never
+    /// reads them.
     pub fn take_pending_into(
         &mut self,
         n: usize,
@@ -383,36 +426,53 @@ impl Shard {
         floats: &mut Vec<f32>,
         meta: &mut Vec<PendingWindow>,
     ) {
-        let n = n.min(self.pending_meta.len());
-        let len = self.window_len();
+        let n = n.min(self.pending.len());
+        meta.reserve(n);
         if suppressed_floats {
-            floats.extend_from_slice(&self.pending[..n * len]);
-        } else {
-            let snapshots = self.pending.chunks_exact(len);
-            for (w, snapshot) in self.pending_meta[..n].iter().zip(snapshots) {
-                if !w.suppressed {
-                    floats.extend_from_slice(snapshot);
+            floats.reserve(n * self.window_len());
+        }
+        self.dequeue(n, |w, [older, newer]| {
+            if suppressed_floats || !w.suppressed {
+                floats.extend_from_slice(older);
+                floats.extend_from_slice(newer);
+            }
+            meta.push(*w);
+        });
+    }
+
+    /// Removes the `n` oldest queued windows, showing each to `visit`
+    /// with its floats (two slices in arrival order), then clearing its
+    /// in-flight mark and freeing its spill buffer.
+    fn dequeue(&mut self, n: usize, mut visit: impl FnMut(&PendingWindow, [&[f32]; 2])) {
+        let len = self.window_len();
+        for q in self.pending.drain(..n) {
+            let slot = self.slots[q.slot].as_mut().expect("in-flight slot is live");
+            slot.in_flight -= 1;
+            match q.spill {
+                None => {
+                    slot.in_ring = None;
+                    let window = slot.buffer.last_window().expect("queued window");
+                    visit(&q.meta, [window.older, window.newer]);
+                }
+                Some(i) => {
+                    self.spill_free.push(i);
+                    visit(&q.meta, [&self.spill[i as usize * len..][..len], &[]]);
                 }
             }
         }
-        self.pending.drain(..n * len);
-        let first = meta.len();
-        meta.extend(self.pending_meta.drain(..n));
-        for w in &meta[first..] {
-            dec_in_flight(&self.index, &mut self.slots, w.vehicle);
-        }
+        self.front += n as u64;
     }
 
     /// Drains the whole pending queue: the flat snapshot floats and their
     /// metadata, in ingestion order. Clears all in-flight marks.
     pub fn drain_pending(&mut self) -> (Vec<f32>, Vec<PendingWindow>) {
-        let n = self.pending_meta.len();
+        let n = self.pending.len();
         self.take_pending(n)
     }
 
-    /// Number of snapshots awaiting the next tick.
+    /// Number of windows awaiting the next tick.
     pub fn pending_windows(&self) -> usize {
-        self.pending_meta.len()
+        self.pending.len()
     }
 
     /// Number of vehicles currently resident in the slab.
@@ -452,6 +512,12 @@ impl Shard {
     /// Windows shed by the pending-queue bound or admission control.
     pub fn shed(&self) -> u64 {
         self.shed
+    }
+
+    /// Queued windows moved out of their vehicle's ring into a spill
+    /// buffer because the vehicle pushed again before they were taken.
+    pub fn spilled(&self) -> u64 {
+        self.spilled
     }
 
     /// Floats per snapshot (`window × features`).

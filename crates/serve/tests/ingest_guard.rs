@@ -11,7 +11,7 @@
 //! before any state is touched.
 
 use proptest::prelude::*;
-use vehigan_features::{EvictionConfig, IngestGuard, MinMaxScaler, NUM_FEATURES};
+use vehigan_features::{EvictionConfig, IngestGuard, MinMaxScaler, RejectCounters, NUM_FEATURES};
 use vehigan_serve::Shard;
 use vehigan_sim::{Bsm, VehicleId};
 
@@ -58,6 +58,43 @@ fn event_strategy() -> impl Strategy<Value = Event> {
         Just(Event::Absurd),
         Just(Event::Replay),
     ]
+}
+
+/// A reorder tolerance bounds how far a message may trail the vehicle's
+/// newest *accepted* timestamp, not its latest push: a sender walking
+/// its clock back half a tolerance at a time is refused once it falls a
+/// whole tolerance behind, and the walk does not make it look idle.
+#[test]
+fn reorder_tolerance_is_measured_from_the_newest_accepted_timestamp() {
+    let guard = IngestGuard {
+        reorder_tolerance_s: 0.5,
+        ..IngestGuard::permissive()
+    };
+    let eviction = EvictionConfig {
+        max_vehicles: None,
+        ttl_s: Some(1.0),
+    };
+    let mut shard = Shard::with_guard(8, test_scaler(), eviction, guard, None);
+    assert!(shard.ingest(&clean_bsm(1, 1.0)));
+    assert!(shard.ingest(&clean_bsm(1, 0.6)), "inside the tolerance");
+    for t in [0.2, -0.2, -0.6] {
+        assert!(
+            !shard.ingest(&clean_bsm(1, t)),
+            "{t} trails 1.0 by more than 0.5"
+        );
+    }
+    assert_eq!(
+        shard.rejects(),
+        RejectCounters {
+            stale: 3,
+            ..RejectCounters::default()
+        }
+    );
+    assert!(shard.ingest(&clean_bsm(1, 1.4)));
+    assert!(shard.ingest(&clean_bsm(1, 1.1)), "inside the tolerance");
+    // Last heard at 1.4, not 1.1: 1.9 s later the TTL has not run out.
+    assert_eq!(shard.evict_stale(2.35), 0);
+    assert_eq!(shard.evict_stale(2.45), 1);
 }
 
 proptest! {

@@ -258,12 +258,6 @@ impl CheckpointStore {
         self.dir.join(format!("{id}.ckpt"))
     }
 
-    /// Whether a checkpoint file exists for a config id (existence only —
-    /// integrity is verified at load time).
-    pub fn has_member(&self, id: &str) -> bool {
-        self.member_path(id).exists()
-    }
-
     /// Persists one zoo member atomically: the payload is written to a
     /// `.tmp` sibling, flushed, then renamed over the final path, so a
     /// crash mid-write never leaves a half-written `.ckpt` behind.

@@ -47,6 +47,12 @@ pub enum EnsembleError {
     },
     /// An explicit subset was empty.
     EmptySubset,
+    /// An explicit subset named a member twice, which would weight it
+    /// twice in the mean.
+    DuplicateMember {
+        /// The repeated index.
+        index: usize,
+    },
     /// Too few healthy (non-quarantined) members remain to deploy `k`.
     InsufficientHealthy {
         /// Healthy members available.
@@ -92,6 +98,9 @@ impl fmt::Display for EnsembleError {
                 write!(f, "member index {index} out of bounds (m={m})")
             }
             EnsembleError::EmptySubset => write!(f, "need at least one member to score"),
+            EnsembleError::DuplicateMember { index } => {
+                write!(f, "member {index} appears twice in the subset")
+            }
             EnsembleError::InsufficientHealthy { healthy, k } => write!(
                 f,
                 "only {healthy} healthy members remain but k={k} are required"
@@ -293,12 +302,6 @@ impl EnsembleScore {
     pub fn detections(&self) -> Vec<bool> {
         self.scores.iter().map(|&s| s > self.threshold).collect()
     }
-
-    /// Whether this inference ran degraded (at least one deployed member
-    /// was dropped).
-    pub fn is_degraded(&self) -> bool {
-        !self.dropped.is_empty()
-    }
 }
 
 /// A misbehavior report (MBR) sent to the misbehavior authority (§I, §III-F).
@@ -332,12 +335,6 @@ pub struct VehiGan {
     /// Compiled int8 sidecar ([`VehiGan::compile_int8`]); `None` until
     /// compiled, stale if member critics are mutated afterwards.
     int8: Option<crate::int8::Int8Backend>,
-    /// Fault-injection bitmask ([`VehiGan::chaos_poison_member`]): bit
-    /// `i` set forces member `i`'s score vectors to NaN on both scoring
-    /// backends, exercising the non-finite drop machinery end to end.
-    /// Atomic so the serve plane's chaos harness can flip it through a
-    /// shared `&VehiGan`. Always zero outside fault-injection runs.
-    chaos_poison: std::sync::atomic::AtomicU64,
 }
 
 /// A scoring thread's scratch, grown to the deepest of `members`.
@@ -387,37 +384,7 @@ impl VehiGan {
             rng: StdRng::seed_from_u64(seed),
             f32,
             int8: None,
-            chaos_poison: std::sync::atomic::AtomicU64::new(0),
         })
-    }
-
-    /// Fault-injection hook for chaos testing: while set, member
-    /// `index`'s score vectors are overwritten with NaN *before* the
-    /// non-finite filter on both scoring backends, so the member is
-    /// dropped from the reduction exactly as a genuinely poisoned member
-    /// would be (recorded in [`EnsembleScore::dropped`]). Takes `&self`
-    /// (atomic) so a running serve plane holding a shared reference can
-    /// inject and clear faults mid-flight. Limited to the first 64
-    /// members — far above any deployed `m`.
-    ///
-    /// This simulates the *output* corruption path (bad weights, bad
-    /// activation scales, hardware faults); it never mutates weights, so
-    /// clearing the flag restores bitwise-identical scoring immediately.
-    pub fn chaos_poison_member(&self, index: usize, poisoned: bool) {
-        use std::sync::atomic::Ordering;
-        assert!(index < 64, "chaos poison mask covers members 0..64");
-        let bit = 1u64 << index;
-        if poisoned {
-            self.chaos_poison.fetch_or(bit, Ordering::Relaxed);
-        } else {
-            self.chaos_poison.fetch_and(!bit, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether [`VehiGan::chaos_poison_member`] is active for `index`.
-    pub fn member_poisoned(&self, index: usize) -> bool {
-        use std::sync::atomic::Ordering;
-        index < 64 && self.chaos_poison.load(Ordering::Relaxed) & (1u64 << index) != 0
     }
 
     /// The number of candidate members `m`.
@@ -428,22 +395,6 @@ impl VehiGan {
     /// The number of members deployed per inference `k`.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Changes `k`.
-    ///
-    /// # Errors
-    ///
-    /// [`EnsembleError::InvalidK`] if `k` is not in `[1, m]`.
-    pub fn set_k(&mut self, k: usize) -> Result<(), EnsembleError> {
-        if k < 1 || k > self.members.len() {
-            return Err(EnsembleError::InvalidK {
-                k,
-                m: self.members.len(),
-            });
-        }
-        self.k = k;
-        Ok(())
     }
 
     /// The calibrated members.
@@ -540,7 +491,8 @@ impl VehiGan {
     /// # Errors
     ///
     /// [`EnsembleError::EmptySubset`] /
-    /// [`EnsembleError::MemberOutOfBounds`] on a bad subset,
+    /// [`EnsembleError::MemberOutOfBounds`] /
+    /// [`EnsembleError::DuplicateMember`] on a bad subset,
     /// [`EnsembleError::AllMembersFailed`] when no member survives.
     pub fn score_with_members(
         &self,
@@ -619,8 +571,8 @@ impl VehiGan {
     /// worker), as the tasks of one [`fork_join`] over `workers` threads,
     /// each on its own scratch of `state`; then the member rows are
     /// reduced over the whole call into `out`, one score per window. A
-    /// task that panics, scores non-finite or belongs to a chaos-poisoned
-    /// member fails its member, never the call.
+    /// task that panics or scores non-finite fails its member, never the
+    /// call.
     ///
     /// A helper that was parked reaches its first task ≈ 50 µs after the
     /// caller has started (measured on the ledger host), one that is busy
@@ -673,7 +625,7 @@ impl VehiGan {
             },
         );
         let (scores, scored) = (&state.scores, &state.scored);
-        let per_member = indices.iter().enumerate().map(|(pos, &i)| {
+        let per_member = (0..k).map(|pos| {
             // The member's row, block by block.
             let pieces = || {
                 scores.chunks(k * chunk).map(move |block| {
@@ -681,28 +633,29 @@ impl VehiGan {
                     &block[pos * len..(pos + 1) * len]
                 })
             };
-            // A chaos-poisoned member ([`VehiGan::chaos_poison_member`])
-            // counts as having scored NaN.
             let alive = scored.iter().skip(pos).step_by(k).all(|&ok| ok)
-                && !self.member_poisoned(i)
                 && pieces().all(|p| p.iter().all(|s| s.is_finite()));
             alive.then(pieces)
         });
         self.reduce_member_scores(indices, per_member, out)
     }
 
-    /// Rejects an empty subset or an index past the last member.
+    /// Rejects an empty subset, an index past the last member and an
+    /// index named twice.
     fn check_subset(&self, indices: &[usize]) -> Result<(), EnsembleError> {
         if indices.is_empty() {
             return Err(EnsembleError::EmptySubset);
         }
-        match indices.iter().find(|&&i| i >= self.members.len()) {
-            Some(&index) => Err(EnsembleError::MemberOutOfBounds {
-                index,
-                m: self.members.len(),
-            }),
-            None => Ok(()),
+        let m = self.members.len();
+        for (pos, &index) in indices.iter().enumerate() {
+            if index >= m {
+                return Err(EnsembleError::MemberOutOfBounds { index, m });
+            }
+            if indices[..pos].contains(&index) {
+                return Err(EnsembleError::DuplicateMember { index });
+            }
         }
+        Ok(())
     }
 
     /// Reduces per-member score rows (in `indices` order; `None` marks a
@@ -864,20 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn set_k_validates_range() {
-        let mut v = ensemble(3, 2);
-        assert!(v.set_k(3).is_ok());
-        assert_eq!(
-            v.set_k(4).unwrap_err(),
-            EnsembleError::InvalidK { k: 4, m: 3 }
-        );
-        assert_eq!(
-            v.set_k(0).unwrap_err(),
-            EnsembleError::InvalidK { k: 0, m: 3 }
-        );
-    }
-
-    #[test]
     fn random_subsets_vary_across_inferences() {
         let mut v = ensemble(4, 2);
         let x = benign(4, 1);
@@ -973,7 +912,6 @@ mod tests {
             dropped: vec![],
         };
         assert_eq!(es.detections(), vec![false, true, false]);
-        assert!(!es.is_degraded());
     }
 
     #[test]
@@ -1016,7 +954,6 @@ mod tests {
         let ens = v.score_with_members(&[0, 1, 2], &x).unwrap();
         assert_eq!(ens.dropped, vec![0]);
         assert_eq!(ens.members, vec![1, 2]);
-        assert!(ens.is_degraded());
         // The degraded mean equals the healthy pair's mean — the NaN never
         // leaked into the reduction.
         assert_eq!(ens.scores, clean.scores);
@@ -1035,6 +972,19 @@ mod tests {
                 attempted: vec![0, 1]
             }
         );
+    }
+
+    #[test]
+    fn a_subset_naming_a_member_twice_is_a_typed_error() {
+        // It used to score, weighting member 0 at 2/3 of the mean.
+        let v = ensemble(2, 1);
+        let x = benign(2, 9);
+        for (subset, index) in [([0, 0, 1], 0), ([1, 0, 1], 1)] {
+            assert_eq!(
+                v.score_with_members(&subset, &x).unwrap_err(),
+                EnsembleError::DuplicateMember { index }
+            );
+        }
     }
 
     #[test]

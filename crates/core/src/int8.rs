@@ -389,29 +389,21 @@ mod tests {
             ("f32", VehiGan::score_f32_forked, false),
         ];
         for (name, forked, nan) in backends {
-            for poisoned in [false, true] {
-                v.chaos_poison_member(0, poisoned);
-                for n in [1usize, 7, 37, 128] {
-                    let windows = mixed_windows(n, nan);
-                    let run = |workers: usize| {
-                        let mut out = vec![0.0f32; n];
-                        let summary = forked(&v, &subset, &windows, n, &mut out, workers).unwrap();
-                        let bits: Vec<u32> = out.iter().map(|s| s.to_bits()).collect();
-                        (bits, summary.threshold.to_bits(), summary.dropped)
-                    };
-                    let serial = run(1);
-                    assert_eq!(serial.2, if poisoned { vec![0] } else { vec![] });
-                    for workers in [2usize, 3, 8] {
-                        assert_eq!(
-                            run(workers),
-                            serial,
-                            "{name}, n = {n}, {workers} workers, poisoned = {poisoned}"
-                        );
-                    }
+            for n in [1usize, 7, 37, 128] {
+                let windows = mixed_windows(n, nan);
+                let run = |workers: usize| {
+                    let mut out = vec![0.0f32; n];
+                    let summary = forked(&v, &subset, &windows, n, &mut out, workers).unwrap();
+                    let bits: Vec<u32> = out.iter().map(|s| s.to_bits()).collect();
+                    (bits, summary.threshold.to_bits(), summary.dropped)
+                };
+                let serial = run(1);
+                assert!(serial.2.is_empty());
+                for workers in [2usize, 3, 8] {
+                    assert_eq!(run(workers), serial, "{name}, n = {n}, {workers} workers");
                 }
             }
         }
-        v.chaos_poison_member(0, false);
         // Every member failing is the same typed error however it is split.
         let windows = mixed_windows(8, true);
         for workers in [1usize, 2, 8] {
@@ -422,6 +414,126 @@ mod tests {
                     attempted: subset.to_vec()
                 })
             );
+        }
+    }
+
+    /// How [`walk`] fails a member inside the ensemble walk.
+    #[derive(Debug, Clone, Copy)]
+    enum Failure {
+        /// Every task of the member panics.
+        Panic,
+        /// Every task of the member writes a NaN over its first score.
+        Nan,
+    }
+
+    /// Score bits, τ bits and dropped members of one walk.
+    type Walked = (Vec<u32>, u32, Vec<usize>);
+
+    /// One [`VehiGan::score_forked`] call on `workers` threads with the
+    /// int8 or the f32 backend's own scoring, in which the `failing`
+    /// members fail as `how` through the walk's `score` closure.
+    fn walk(
+        v: &VehiGan,
+        int8: bool,
+        subset: &[usize],
+        (windows, n): (&[f32], usize),
+        workers: usize,
+        (failing, how): (&[usize], Failure),
+    ) -> Result<Walked, EnsembleError> {
+        let fail = |member: usize, scores: &mut [f32]| {
+            if failing.contains(&member) {
+                match how {
+                    Failure::Panic => panic!("member {member} fails"),
+                    Failure::Nan => scores[0] = f32::NAN,
+                }
+            }
+        };
+        let mut out = vec![0.0f32; n];
+        let summary = if int8 {
+            let backend = v.int8_backend().unwrap();
+            let fit = || new_worker(&backend.critics);
+            let mut state = ForkState::new(CHUNK_ROWS, fit);
+            state.grow_to(workers, fit);
+            v.score_forked(
+                &mut state,
+                workers,
+                subset,
+                windows,
+                &mut out,
+                |s, m, rows, out| {
+                    backend.critics[m].score_into(s, rows, out);
+                    fail(m, out);
+                },
+            )
+        } else {
+            let fit = || {
+                let mut scratch = vehigan_tensor::CriticScratch::new();
+                v.members()
+                    .iter()
+                    .for_each(|m| m.wgan.fit_scratch(&mut scratch));
+                scratch
+            };
+            let mut state = ForkState::new(vehigan_tensor::HEAD_ROWS, fit);
+            state.grow_to(workers, fit);
+            v.score_forked(
+                &mut state,
+                workers,
+                subset,
+                windows,
+                &mut out,
+                |s, m, rows, out| {
+                    v.members()[m].wgan.score_slice_with(s, rows, out);
+                    fail(m, out);
+                },
+            )
+        }?;
+        let bits = out.iter().map(|s| s.to_bits()).collect();
+        Ok((bits, summary.threshold.to_bits(), summary.dropped))
+    }
+
+    #[test]
+    fn a_member_failing_inside_the_walk_scores_like_the_subset_without_it() {
+        // The serve plane's test-only member poisoning leaves a poisoned
+        // member out of the subset and reports it dropped; this is the
+        // equivalence that makes it faithful, for both backends, both
+        // ways a member really fails, and any worker count.
+        let (v, _train) = compiled_ensemble();
+        let subset = [2usize, 0, 1];
+        for (int8, how) in [
+            (true, Failure::Panic),
+            (true, Failure::Nan),
+            (false, Failure::Panic),
+            (false, Failure::Nan),
+        ] {
+            for n in [1usize, 7, 37, 128] {
+                // NaN inputs fail every float member; the int8 quantizer
+                // maps them to 0 and scores on.
+                let windows = mixed_windows(n, int8);
+                let batch = (&windows[..], n);
+                for &m in &subset {
+                    let rest: Vec<usize> = subset.iter().copied().filter(|&i| i != m).collect();
+                    let (bits, tau, dropped) = walk(&v, int8, &rest, batch, 1, (&[], how)).unwrap();
+                    assert!(dropped.is_empty());
+                    let want = (bits, tau, vec![m]);
+                    for workers in [1usize, 2, 3, 8] {
+                        let got = walk(&v, int8, &subset, batch, workers, (&[m], how));
+                        assert_eq!(
+                            got.as_ref(),
+                            Ok(&want),
+                            "int8 = {int8}, {how:?}, n = {n}, member {m}, {workers} workers"
+                        );
+                    }
+                }
+                for workers in [1usize, 2, 3, 8] {
+                    assert_eq!(
+                        walk(&v, int8, &subset, batch, workers, (&subset, how)),
+                        Err(EnsembleError::AllMembersFailed {
+                            attempted: subset.to_vec()
+                        }),
+                        "int8 = {int8}, {how:?}, n = {n}, {workers} workers"
+                    );
+                }
+            }
         }
     }
 
@@ -493,6 +605,10 @@ mod tests {
         assert_eq!(
             v.score_with_members_int8(&[7], &x).unwrap_err(),
             EnsembleError::MemberOutOfBounds { index: 7, m: 3 }
+        );
+        assert_eq!(
+            v.score_with_members_int8(&[2, 1, 2], &x).unwrap_err(),
+            EnsembleError::DuplicateMember { index: 2 }
         );
     }
 }

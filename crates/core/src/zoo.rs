@@ -812,22 +812,6 @@ impl ModelZoo {
         })
     }
 
-    /// Builds a zoo from already-trained models (e.g. deserialized).
-    pub fn from_models(models: Vec<Wgan>) -> Self {
-        ModelZoo {
-            entries: models
-                .into_iter()
-                .enumerate()
-                .map(|(grid_index, wgan)| ZooEntry {
-                    wgan,
-                    grid_index,
-                    per_attack: Vec::new(),
-                    ads: 0.0,
-                })
-                .collect(),
-        }
-    }
-
     /// Number of models.
     pub fn len(&self) -> usize {
         self.entries.len()

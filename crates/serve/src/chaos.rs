@@ -1,13 +1,15 @@
-//! Deterministic fault injection for the stream plane (DESIGN.md §11).
+//! Deterministic fault injection for the stream plane's own tests
+//! (DESIGN.md §11). The module exists in test builds only: a production
+//! [`StreamServer`] carries no fault seam.
 //!
 //! A [`FaultPlan`] is a seeded, tick-indexed schedule of every fault
 //! class the serve plane defends against:
 //!
-//! - **member poisoning** — an ensemble member's scores go NaN for a
-//!   range of ticks (via [`VehiGan::chaos_poison_member`]), exercising
-//!   per-batch member dropping and [`MemberHealth`] probation;
+//! - **member poisoning** — an ensemble member fails for a range of
+//!   ticks (through [`FaultInjector::poisoned`]), exercising per-tile
+//!   member dropping and [`MemberHealth`] probation;
 //! - **shard-ingest panics** — a shard's ingest worker panics before
-//!   touching state (via [`StreamServer::chaos_panic_on_ingest`]),
+//!   touching state (through [`FaultInjector::ingest_panics`]),
 //!   exercising panic capture and zero-loss resume;
 //! - **malformed bursts** — BSMs with non-finite or out-of-range fields
 //!   spoofing real pseudonyms, exercising the ingest guard (the plan
@@ -18,16 +20,14 @@
 //!   a sender with a lagging clock, exercising staleness rejection;
 //! - **overload bursts** — time compression: `multiplier` tick-slices
 //!   of traffic delivered per server tick, exercising admission
-//!   control, shedding, and degraded-mode tiering;
-//! - **monitor poisoning** — the tier-0 kinematic gate's verdicts are
-//!   distrusted for a range of ticks (via
-//!   [`StreamServer::chaos_poison_monitors`]), forcing every window
-//!   through tier 1 — the conservative posture when monitor state may
-//!   be corrupted — and exercising the gate's clean re-engagement.
+//!   control, shedding, and degraded-mode tiering.
+//!
+//! The last three arrive as input through the public API; only the
+//! first two need the server's [`FaultInjector`].
 //!
 //! All injection is derived from the plan's seed and tick indices —
 //! never from wall clock or a global RNG — so a chaos run is exactly
-//! reproducible, which is what lets `tests/chaos.rs` assert the server
+//! reproducible, which is what lets the tests below assert the server
 //! returns to **bitwise-identical** scoring after the faults clear.
 //!
 //! Injected faults are always *additions* to the real stream (extra
@@ -37,13 +37,54 @@
 //! per-vehicle window sequence under faults is identical to the healthy
 //! run — the invariant the recovery assertion rests on.
 //!
-//! [`VehiGan::chaos_poison_member`]: vehigan_core::VehiGan::chaos_poison_member
 //! [`MemberHealth`]: crate::health::MemberHealth
 //! [`FieldLimits::rsu`]: vehigan_features::FieldLimits::rsu
 
-use crate::server::{Decision, ServeMode, ServerStats, StreamServer};
+use crate::server::{Decision, ServeError, ServeMode, ServerStats, StreamServer};
+use vehigan_core::EnsembleError;
 use vehigan_features::RejectCounters;
 use vehigan_sim::{Bsm, BSM_INTERVAL_S};
+
+/// The two faults that do not arrive as input, which a test build of
+/// [`StreamServer`] owns and consults.
+#[derive(Debug, Default)]
+pub(crate) struct FaultInjector {
+    /// Shards whose next ingest task panics once, before it touches
+    /// state; consumed by the next `ingest_batch`. The captured worker
+    /// resumes from the start of its bucket, so nothing is lost.
+    pub(crate) ingest_panics: Vec<usize>,
+    /// Members that fail every tile they are deployed on, until cleared.
+    pub(crate) poisoned: Vec<usize>,
+}
+
+impl FaultInjector {
+    /// A tile's `subset` minus the poisoned members, in subset order; the
+    /// poisoned ones are appended to `dropped`. That is bitwise what the
+    /// ensemble's reduction does with a member that panics or scores
+    /// non-finite (vehigan-core's oracle
+    /// `a_member_failing_inside_the_walk_scores_like_the_subset_without_it`):
+    /// the survivors are summed in subset order and τ is their mean.
+    ///
+    /// # Errors
+    ///
+    /// [`EnsembleError::AllMembersFailed`] over the whole subset when
+    /// every member is poisoned.
+    pub(crate) fn survivors(
+        &self,
+        subset: &[usize],
+        dropped: &mut Vec<usize>,
+    ) -> Result<Vec<usize>, ServeError> {
+        let (failed, survivors): (Vec<usize>, Vec<usize>) =
+            subset.iter().partition(|m| self.poisoned.contains(m));
+        if survivors.is_empty() {
+            return Err(ServeError::Score(EnsembleError::AllMembersFailed {
+                attempted: subset.to_vec(),
+            }));
+        }
+        dropped.extend(failed);
+        Ok(survivors)
+    }
+}
 
 /// Splitmix64: a tiny, seedable, allocation-free PRNG. Used instead of
 /// the `rand` crate so fault generation is a pure function of the plan
@@ -65,105 +106,85 @@ impl SplitMix64 {
     }
 }
 
-/// A member-poisoning window: `member` returns NaN scores for server
-/// ticks in `[from, to]` (0-based, inclusive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemberPoison {
+/// A member-poisoning window: `member` fails on server ticks in
+/// `[from, to]` (0-based, inclusive).
+#[derive(Debug)]
+struct MemberPoison {
     /// Global ensemble member index.
-    pub member: usize,
+    member: usize,
     /// First poisoned tick.
-    pub from: u64,
+    from: u64,
     /// Last poisoned tick.
-    pub to: u64,
+    to: u64,
 }
 
 /// A tick-indexed, seeded fault schedule. Build with the chainable
-/// `with_*` methods; run with [`ChaosRunner`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultPlan {
+/// `with_*` methods; drive a server through it with [`FaultPlan::run`].
+#[derive(Debug, Default)]
+struct FaultPlan {
     /// Seed for malformed/replay message generation.
-    pub seed: u64,
-    /// Member NaN-poisoning windows.
-    pub member_poison: Vec<MemberPoison>,
+    seed: u64,
+    /// Member poisoning windows.
+    member_poison: Vec<MemberPoison>,
     /// `(tick, shard)` injected ingest-worker panics.
-    pub shard_panics: Vec<(u64, usize)>,
+    shard_panics: Vec<(u64, usize)>,
     /// `(tick, count)` malformed-BSM bursts.
-    pub malformed_bursts: Vec<(u64, u32)>,
+    malformed_bursts: Vec<(u64, u32)>,
     /// `(tick, count, skew_s)` replay bursts: copies of in-flight
     /// messages shifted `skew_s` seconds into the past.
-    pub replay_bursts: Vec<(u64, u32, f64)>,
+    replay_bursts: Vec<(u64, u32, f64)>,
     /// `(from, to, multiplier)` overload windows: deliver `multiplier`
     /// tick-slices of traffic per server tick (inclusive tick range).
-    pub overload: Vec<(u64, u64, usize)>,
-    /// `(from, to)` tier-0 monitor-poisoning windows (inclusive): the
-    /// server distrusts suppression verdicts and screens every window
-    /// through tier 1 while active.
-    pub monitor_poison: Vec<(u64, u64)>,
+    overload: Vec<(u64, u64, usize)>,
 }
 
 impl FaultPlan {
     /// An empty plan (a healthy run) with the given generation seed.
-    pub fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
             ..FaultPlan::default()
         }
     }
 
-    /// Poisons `member`'s scores to NaN for ticks `[from, to]`.
-    pub fn with_member_poison(mut self, member: usize, from: u64, to: u64) -> Self {
+    /// Fails `member` on ticks `[from, to]`.
+    fn with_member_poison(mut self, member: usize, from: u64, to: u64) -> Self {
         self.member_poison.push(MemberPoison { member, from, to });
         self
     }
 
     /// Panics `shard`'s ingest worker at `tick` (before it touches
     /// state, so no messages are lost).
-    pub fn with_shard_panic(mut self, tick: u64, shard: usize) -> Self {
+    fn with_shard_panic(mut self, tick: u64, shard: usize) -> Self {
         self.shard_panics.push((tick, shard));
         self
     }
 
     /// Injects `count` malformed BSMs (non-finite and out-of-range
     /// fields, spoofing live pseudonyms) at `tick`.
-    pub fn with_malformed_burst(mut self, tick: u64, count: u32) -> Self {
+    fn with_malformed_burst(mut self, tick: u64, count: u32) -> Self {
         self.malformed_bursts.push((tick, count));
         self
     }
 
     /// Injects `count` replayed copies of live messages at `tick`, each
     /// shifted `skew_s` seconds into the past (`skew_s >= 0`).
-    pub fn with_replay_burst(mut self, tick: u64, count: u32, skew_s: f64) -> Self {
+    fn with_replay_burst(mut self, tick: u64, count: u32, skew_s: f64) -> Self {
         assert!(skew_s >= 0.0, "replay skew must shift into the past");
         self.replay_bursts.push((tick, count, skew_s));
         self
     }
 
     /// Delivers `multiplier`× traffic for ticks `[from, to]`.
-    pub fn with_overload(mut self, from: u64, to: u64, multiplier: usize) -> Self {
+    fn with_overload(mut self, from: u64, to: u64, multiplier: usize) -> Self {
         assert!(multiplier >= 1, "overload multiplier must be at least 1");
         self.overload.push((from, to, multiplier));
         self
     }
 
-    /// Distrusts tier-0 monitor verdicts for ticks `[from, to]`: every
-    /// window screens through tier 1 while active (the conservative
-    /// response to possibly-corrupted monitor state). A no-op against a
-    /// server without a tier-0 calibration.
-    pub fn with_monitor_poison(mut self, from: u64, to: u64) -> Self {
-        self.monitor_poison.push((from, to));
-        self
-    }
-
-    /// Whether tier-0 monitor poisoning is in effect at `tick`.
-    pub fn monitor_poison_at(&self, tick: u64) -> bool {
-        self.monitor_poison
-            .iter()
-            .any(|&(from, to)| from <= tick && tick <= to)
-    }
-
     /// Traffic multiplier in effect at `tick` (1 outside overload
     /// windows).
-    pub fn multiplier_at(&self, tick: u64) -> usize {
+    fn multiplier_at(&self, tick: u64) -> usize {
         self.overload
             .iter()
             .filter(|&&(from, to, _)| from <= tick && tick <= to)
@@ -172,146 +193,59 @@ impl FaultPlan {
             .unwrap_or(1)
     }
 
-    /// Whether any fault is scheduled at `tick`.
-    pub fn faulty_at(&self, tick: u64) -> bool {
-        self.member_poison
+    /// The members poisoned at `tick`, ascending.
+    fn poisoned_at(&self, tick: u64) -> Vec<usize> {
+        let mut m: Vec<usize> = self
+            .member_poison
             .iter()
-            .any(|p| p.from <= tick && tick <= p.to)
-            || self.shard_panics.iter().any(|&(t, _)| t == tick)
-            || self.malformed_bursts.iter().any(|&(t, _)| t == tick)
-            || self.replay_bursts.iter().any(|&(t, _, _)| t == tick)
-            || self.multiplier_at(tick) > 1
-            || self.monitor_poison_at(tick)
-    }
-
-    /// The last tick with any scheduled fault (0 for an empty plan).
-    /// Queue pressure can outlive this tick while backlog drains.
-    pub fn last_fault_tick(&self) -> u64 {
-        let mut last = 0;
-        for p in &self.member_poison {
-            last = last.max(p.to);
-        }
-        for &(t, _) in &self.shard_panics {
-            last = last.max(t);
-        }
-        for &(t, _) in &self.malformed_bursts {
-            last = last.max(t);
-        }
-        for &(t, _, _) in &self.replay_bursts {
-            last = last.max(t);
-        }
-        for &(_, to, _) in &self.overload {
-            last = last.max(to);
-        }
-        for &(_, to) in &self.monitor_poison {
-            last = last.max(to);
-        }
-        last
-    }
-
-    /// Every member index mentioned in a poisoning window.
-    fn poisoned_members(&self) -> Vec<usize> {
-        let mut m: Vec<usize> = self.member_poison.iter().map(|p| p.member).collect();
+            .filter(|p| p.from <= tick && tick <= p.to)
+            .map(|p| p.member)
+            .collect();
         m.sort_unstable();
         m.dedup();
         m
     }
-}
 
-/// What happened on one server tick of a chaos run.
-#[derive(Debug, Clone)]
-pub struct TickRecord {
-    /// 0-based server tick index (matches the plan's tick indexing).
-    pub tick: u64,
-    /// Real traffic tick-slices delivered (>1 during overload).
-    pub slices: usize,
-    /// Malformed BSMs injected this tick.
-    pub injected_malformed: u64,
-    /// Replayed BSMs injected this tick.
-    pub injected_replays: u64,
-    /// Whether a shard panic was injected this tick.
-    pub panic_injected: bool,
-    /// Whether any member was poisoned this tick.
-    pub poison_active: bool,
-    /// Whether tier-0 monitor poisoning was in effect this tick.
-    pub monitor_poisoned: bool,
-    /// Whether the plan scheduled *any* fault this tick.
-    pub faulted: bool,
-    /// Guard rejections during this tick's ingest.
-    pub rejected: RejectCounters,
-    /// Windows shed during this tick's ingest (queue bounds).
-    pub shed: u64,
-    /// Shards whose ingest worker panicked (captured).
-    pub panicked_shards: Vec<usize>,
-    /// Windows still queued after the tick (backlog under pressure).
-    pub pending_after: usize,
-    /// Server mode after the tick.
-    pub mode_after: ServeMode,
-    /// Members still benched by health probation after the tick.
-    pub benched_after: Vec<usize>,
-    /// Decisions emitted, or the typed scoring error's rendering.
-    pub outcome: Result<Vec<Decision>, String>,
-}
-
-/// The full trace of a chaos run. The runner returning at all is the
-/// liveness assertion: every fault was absorbed without the server
-/// process going down.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// Per-tick trace, in tick order (includes post-stream drain ticks).
-    pub ticks: Vec<TickRecord>,
-    /// Server counters at the end of the run.
-    pub stats: ServerStats,
-}
-
-impl ChaosReport {
-    /// All decisions across the run, flattened in tick order.
-    pub fn decisions(&self) -> Vec<Decision> {
-        self.ticks
-            .iter()
-            .filter_map(|t| t.outcome.as_ref().ok())
-            .flatten()
-            .copied()
-            .collect()
+    /// Whether any fault is scheduled at `tick`.
+    fn faulty_at(&self, tick: u64) -> bool {
+        !self.poisoned_at(tick).is_empty()
+            || self.shard_panics.iter().any(|&(t, _)| t == tick)
+            || self.malformed_bursts.iter().any(|&(t, _)| t == tick)
+            || self.replay_bursts.iter().any(|&(t, _, _)| t == tick)
+            || self.multiplier_at(tick) > 1
     }
 
-    /// Ticks whose scoring returned a typed error.
-    pub fn errored_ticks(&self) -> Vec<u64> {
-        self.ticks
-            .iter()
-            .filter(|t| t.outcome.is_err())
-            .map(|t| t.tick)
-            .collect()
-    }
-}
-
-/// Drives a [`StreamServer`] through a BSM stream while injecting a
-/// [`FaultPlan`]'s faults at their scheduled ticks.
-pub struct ChaosRunner {
-    plan: FaultPlan,
-}
-
-impl ChaosRunner {
-    /// Creates a runner for `plan`.
-    pub fn new(plan: FaultPlan) -> Self {
-        ChaosRunner { plan }
+    /// The last tick with any scheduled fault (0 for an empty plan).
+    /// Queue pressure can outlive this tick while backlog drains.
+    fn last_fault_tick(&self) -> u64 {
+        let poison = self.member_poison.iter().map(|p| p.to);
+        let panics = self.shard_panics.iter().map(|&(t, _)| t);
+        let malformed = self.malformed_bursts.iter().map(|&(t, _)| t);
+        let replays = self.replay_bursts.iter().map(|&(t, _, _)| t);
+        let overload = self.overload.iter().map(|&(_, to, _)| to);
+        poison
+            .chain(panics)
+            .chain(malformed)
+            .chain(replays)
+            .chain(overload)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Runs `server` over `stream` (timestamp-sorted, 10 Hz cadence),
     /// one server tick per [`BSM_INTERVAL_S`] slice of traffic —
     /// compressed to `multiplier` slices per tick during overload —
     /// then keeps ticking until all backlog drains (bounded at 1024
-    /// drain ticks). Poison flags are always cleared before returning.
-    pub fn run(&self, server: &mut StreamServer<'_>, stream: &[Bsm]) -> ChaosReport {
+    /// drain ticks). The server's faults are cleared before returning.
+    fn run(&self, server: &mut StreamServer<'_>, stream: &[Bsm]) -> ChaosReport {
         let slices = slice_stream(stream);
-        let poisoned = self.plan.poisoned_members();
-        let mut rng = SplitMix64(self.plan.seed ^ 0xC3A5_C85C_97CB_3127);
+        let mut rng = SplitMix64(self.seed ^ 0xC3A5_C85C_97CB_3127);
         let mut ticks = Vec::new();
         let mut cursor = 0usize;
         let mut tick = 0u64;
         let mut drain_ticks = 0u32;
         loop {
-            let mult = self.plan.multiplier_at(tick);
+            let mult = self.multiplier_at(tick);
             let mut batch: Vec<Bsm> = Vec::new();
             let mut consumed = 0usize;
             while consumed < mult && cursor < slices.len() {
@@ -327,48 +261,33 @@ impl ChaosRunner {
                 drain_ticks += 1;
             }
 
-            for &m in &poisoned {
-                let active = self
-                    .plan
-                    .member_poison
-                    .iter()
-                    .any(|p| p.member == m && p.from <= tick && tick <= p.to);
-                server.vehigan().chaos_poison_member(m, active);
-            }
-            let mut panic_injected = false;
-            for &(t, shard) in &self.plan.shard_panics {
+            server.faults.poisoned = self.poisoned_at(tick);
+            for &(t, shard) in &self.shard_panics {
                 if t == tick {
-                    server.chaos_panic_on_ingest(shard);
-                    panic_injected = true;
+                    server.faults.ingest_panics.push(shard);
                 }
             }
-            let monitor_poisoned = self.plan.monitor_poison_at(tick);
-            server.chaos_poison_monitors(monitor_poisoned);
 
-            let mut injected_malformed = 0u64;
-            let mut injected_replays = 0u64;
             // Injected messages are drawn from (and appended after) the
             // tick's *real* traffic, so every original is processed
             // before its corrupted copy and each copy's reject class is
             // exact: malformed → NonFinite/OutOfRange, replay → Stale.
             let real_len = batch.len();
             if real_len > 0 {
-                for &(t, count) in &self.plan.malformed_bursts {
+                for &(t, count) in &self.malformed_bursts {
                     if t == tick {
                         for _ in 0..count {
                             let mal = malform(&batch[rng.below(real_len)], &mut rng);
                             batch.push(mal);
-                            injected_malformed += 1;
                         }
                     }
                 }
-                for &(t, count, skew) in &self.plan.replay_bursts {
+                for &(t, count, skew) in &self.replay_bursts {
                     if t == tick {
                         for _ in 0..count {
                             let mut replay = batch[rng.below(real_len)];
                             replay.timestamp -= skew;
                             batch.push(replay);
-                            injected_replays += 1;
                         }
                     }
                 }
@@ -378,36 +297,74 @@ impl ChaosRunner {
             let outcome = server.tick().map_err(|e| e.to_string());
             ticks.push(TickRecord {
                 tick,
-                slices: consumed,
-                injected_malformed,
-                injected_replays,
-                panic_injected,
-                poison_active: poisoned.iter().any(|&m| {
-                    self.plan
-                        .member_poison
-                        .iter()
-                        .any(|p| p.member == m && p.from <= tick && tick <= p.to)
-                }),
-                monitor_poisoned,
-                faulted: self.plan.faulty_at(tick),
+                faulted: self.faulty_at(tick),
                 rejected: report.rejected,
                 shed: report.shed,
                 panicked_shards: report.panicked_shards,
-                pending_after: server.pending_windows(),
                 mode_after: server.mode(),
                 benched_after: server.benched_members(),
                 outcome,
             });
             tick += 1;
         }
-        for &m in &poisoned {
-            server.vehigan().chaos_poison_member(m, false);
-        }
-        server.chaos_poison_monitors(false);
+        server.faults = FaultInjector::default();
         ChaosReport {
             ticks,
             stats: server.stats(),
         }
+    }
+}
+
+/// What happened on one server tick of a chaos run.
+#[derive(Debug)]
+struct TickRecord {
+    /// 0-based server tick index (matches the plan's tick indexing).
+    tick: u64,
+    /// Whether the plan scheduled *any* fault this tick.
+    faulted: bool,
+    /// Guard rejections during this tick's ingest.
+    rejected: RejectCounters,
+    /// Windows shed during this tick's ingest (queue bounds).
+    shed: u64,
+    /// Shards whose ingest worker panicked (captured).
+    panicked_shards: Vec<usize>,
+    /// Server mode after the tick.
+    mode_after: ServeMode,
+    /// Members still benched by health probation after the tick.
+    benched_after: Vec<usize>,
+    /// Decisions emitted, or the typed scoring error's rendering.
+    outcome: Result<Vec<Decision>, String>,
+}
+
+/// The full trace of a chaos run. [`FaultPlan::run`] returning at all is
+/// the liveness assertion: every fault was absorbed without the server
+/// process going down.
+#[derive(Debug)]
+struct ChaosReport {
+    /// Per-tick trace, in tick order (includes post-stream drain ticks).
+    ticks: Vec<TickRecord>,
+    /// Server counters at the end of the run.
+    stats: ServerStats,
+}
+
+impl ChaosReport {
+    /// All decisions across the run, flattened in tick order.
+    fn decisions(&self) -> Vec<Decision> {
+        self.ticks
+            .iter()
+            .filter_map(|t| t.outcome.as_ref().ok())
+            .flatten()
+            .copied()
+            .collect()
+    }
+
+    /// Ticks whose scoring returned a typed error.
+    fn errored_ticks(&self) -> Vec<u64> {
+        self.ticks
+            .iter()
+            .filter(|t| t.outcome.is_err())
+            .map(|t| t.tick)
+            .collect()
     }
 }
 
@@ -445,34 +402,76 @@ fn malform(template: &Bsm, rng: &mut SplitMix64) -> Bsm {
     bsm
 }
 
-#[cfg(test)]
 mod tests {
+    //! Under a seeded fault plan injecting member poisoning, a
+    //! shard-ingest panic, malformed and replayed BSM bursts, and a 4×
+    //! overload burst, the server must
+    //!
+    //! 1. stay up — every tick returns decisions or a typed error, never
+    //!    a crash;
+    //! 2. degrade by policy — sustained pressure steps `Threshold` down
+    //!    to gate-only scoring with hysteresis, shedding is bounded,
+    //!    counted, and oldest-first;
+    //! 3. recover — once faults clear, scoring returns **bitwise
+    //!    identical** to a healthy run of the same server configuration
+    //!    within at most 5 clean ticks.
+    //!
+    //! The recovery bound works because injected faults only ever *add*
+    //! messages or transient flags: rejections touch no window state and
+    //! the captured panic loses no messages, so both runs see the exact
+    //! same per-vehicle window sequence, and pinned-order member
+    //! reinstatement restores the exact healthy ensemble reduction.
+
     use super::*;
+    use crate::server::{escalation_threshold, AdmissionConfig, EscalationPolicy, ServerConfig};
+    use std::collections::HashMap;
+    use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+    use vehigan_core::{Pipeline, PipelineConfig};
+    use vehigan_features::IngestGuard;
     use vehigan_sim::VehicleId;
 
     #[test]
     fn plan_schedule_queries() {
         let plan = FaultPlan::new(7)
             .with_member_poison(2, 10, 12)
-            .with_shard_panic(11, 0)
-            .with_malformed_burst(13, 5)
-            .with_replay_burst(14, 3, 2.0)
-            .with_overload(15, 16, 4)
-            .with_monitor_poison(17, 18);
-        assert_eq!(plan.multiplier_at(14), 1);
-        assert_eq!(plan.multiplier_at(15), 4);
-        assert_eq!(plan.multiplier_at(17), 1);
-        assert!(plan.monitor_poison_at(17) && plan.monitor_poison_at(18));
-        assert!(!plan.monitor_poison_at(16) && !plan.monitor_poison_at(19));
-        assert!(plan.faulty_at(10) && plan.faulty_at(16) && plan.faulty_at(18));
+            .with_member_poison(0, 12, 13)
+            .with_shard_panic(14, 0)
+            .with_malformed_burst(15, 5)
+            .with_replay_burst(16, 3, 2.0)
+            .with_overload(17, 18, 4);
+        assert_eq!(plan.multiplier_at(16), 1);
+        assert_eq!(plan.multiplier_at(17), 4);
+        assert_eq!(plan.multiplier_at(19), 1);
+        assert_eq!(plan.poisoned_at(9), Vec::<usize>::new());
+        assert_eq!(plan.poisoned_at(10), vec![2]);
+        assert_eq!(plan.poisoned_at(12), vec![0, 2]);
+        assert_eq!(plan.poisoned_at(13), vec![0]);
+        assert!((10..=18).all(|t| plan.faulty_at(t)));
         assert!(!plan.faulty_at(9) && !plan.faulty_at(19));
         assert_eq!(plan.last_fault_tick(), 18);
-        assert_eq!(plan.poisoned_members(), vec![2]);
+        assert_eq!(FaultPlan::new(1).last_fault_tick(), 0);
+    }
+
+    #[test]
+    fn poisoned_members_leave_the_subset_and_count_as_dropped() {
+        let faults = FaultInjector {
+            poisoned: vec![3, 1],
+            ..FaultInjector::default()
+        };
+        let mut dropped = vec![9];
+        let survivors = faults.survivors(&[4, 1, 0, 3], &mut dropped).unwrap();
+        assert_eq!(survivors, vec![4, 0]);
+        assert_eq!(dropped, vec![9, 1, 3]);
+        let err = faults.survivors(&[3, 1], &mut dropped).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Score(EnsembleError::AllMembersFailed { attempted })
+                if *attempted == [3, 1]),
+            "{err}"
+        );
     }
 
     #[test]
     fn malformed_messages_never_pass_an_rsu_guard() {
-        use vehigan_features::IngestGuard;
         let template = Bsm {
             vehicle_id: VehicleId(3),
             timestamp: 5.0,
@@ -525,5 +524,296 @@ mod tests {
         assert_eq!(slices[1].len(), 1);
         assert_eq!(slices[2].len(), 0);
         assert_eq!(slices[3].len(), 1);
+    }
+
+    fn pipeline() -> MutexGuard<'static, Pipeline> {
+        static SHARED: OnceLock<Mutex<Pipeline>> = OnceLock::new();
+        SHARED
+            .get_or_init(|| {
+                let mut p = Pipeline::run(PipelineConfig::tiny());
+                p.compile_int8().expect("int8 backend compiles");
+                Mutex::new(p)
+            })
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Interleaved benign stream over the held-out test fleet, sorted by
+    /// arrival (timestamp, then pseudonym). Benign-only so that with an RSU
+    /// guard every real message is accepted and rejection counters isolate
+    /// the injected faults exactly.
+    fn benign_stream(p: &Pipeline) -> Vec<Bsm> {
+        let mut stream: Vec<Bsm> = p
+            .test_fleet()
+            .iter()
+            .flat_map(|t| &t.bsms)
+            .copied()
+            .collect();
+        stream.sort_by(|a, b| {
+            a.timestamp
+                .partial_cmp(&b.timestamp)
+                .unwrap()
+                .then(a.vehicle_id.cmp(&b.vehicle_id))
+        });
+        stream
+    }
+
+    /// The server-under-test configuration: deployment-grade guard, a tight
+    /// window budget (steady state is ~3 windows/tick for the 3-vehicle
+    /// test fleet, so budget 4 absorbs 1× load with headroom and drains one
+    /// backlogged window per tick), a pending cap with headroom *above* the
+    /// budget (so a 4× burst builds an over-budget backlog that trips the
+    /// mode machine before shedding caps it). The server's fixed hysteresis
+    /// (degrade after 2, restore after 3) and 3-tick probation fit recovery
+    /// inside the 5-clean-tick bound.
+    fn chaos_config(tau_esc: f32, members: &[usize]) -> ServerConfig {
+        ServerConfig {
+            n_shards: 2,
+            policy: EscalationPolicy::Threshold(tau_esc),
+            members: Some(members.to_vec()),
+            guard: IngestGuard::rsu(),
+            admission: AdmissionConfig {
+                windows_per_tick: Some(4),
+                max_pending_per_shard: Some(8),
+            },
+            ..ServerConfig::default()
+        }
+    }
+
+    fn key(d: &Decision) -> (u32, u64) {
+        (d.vehicle.0, d.timestamp.to_bits())
+    }
+
+    #[test]
+    fn faulted_server_survives_degrades_by_policy_and_recovers_bitwise() {
+        let p = pipeline();
+        let stream = benign_stream(&p);
+        let members: Vec<usize> = (0..p.vehigan.k()).collect();
+
+        // Sanity: the benign stream passes the deployment guard everywhere,
+        // so any rejection in the chaos run is an injected message.
+        let guard = IngestGuard::rsu();
+        let mut last_seen: HashMap<u32, f64> = HashMap::new();
+        for bsm in &stream {
+            assert_eq!(
+                guard.validate(bsm, last_seen.get(&bsm.vehicle_id.0).copied()),
+                Ok(()),
+                "benign traffic rejected by the rsu guard: {bsm:?}"
+            );
+            last_seen.insert(bsm.vehicle_id.0, bsm.timestamp);
+        }
+
+        // Calibrate the escalation cutoff from a gate-only probe.
+        let mut probe = StreamServer::new(
+            &p.vehigan,
+            p.scaler.clone(),
+            ServerConfig {
+                n_shards: 2,
+                policy: EscalationPolicy::Threshold(f32::INFINITY),
+                members: Some(members.clone()),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        probe.ingest_batch(&stream);
+        let gate_scores: Vec<f32> = probe.tick().unwrap().iter().map(|d| d.score).collect();
+        let tau_esc = escalation_threshold(&gate_scores, 90.0);
+
+        // Healthy reference: the same server configuration driven by the
+        // same runner with an empty fault plan.
+        let mut healthy_server = StreamServer::new(
+            &p.vehigan,
+            p.scaler.clone(),
+            chaos_config(tau_esc, &members),
+        )
+        .unwrap();
+        let healthy = FaultPlan::new(99).run(&mut healthy_server, &stream);
+        assert!(healthy.errored_ticks().is_empty());
+        assert_eq!(healthy.stats.shed, 0, "healthy 1x load must never shed");
+        assert_eq!(healthy.stats.rejected.total(), 0);
+        assert_eq!(healthy.stats.degraded_ticks, 0);
+        assert_eq!(healthy.stats.shard_panics, 0);
+        let mut healthy_map: HashMap<(u32, u64), (u32, u32, bool, bool)> = HashMap::new();
+        for d in healthy.decisions() {
+            let prev = healthy_map.insert(
+                key(&d),
+                (
+                    d.score.to_bits(),
+                    d.threshold.to_bits(),
+                    d.escalated,
+                    d.flagged,
+                ),
+            );
+            assert!(prev.is_none(), "healthy run scored a window twice");
+        }
+        assert!(
+            healthy_map.len() > 100,
+            "healthy run emitted too few windows"
+        );
+
+        // The fault plan: every chaos class, all after every test-fleet
+        // vehicle is live (the simulator staggers vehicle entry; the third
+        // vehicle's windows start flowing ~tick 52 of ~450 — before that a
+        // 4× burst of one vehicle's traffic wouldn't even exceed the
+        // 4-window budget), all before tick 80.
+        let plan = FaultPlan::new(7)
+            .with_member_poison(members[0], 60, 63)
+            .with_shard_panic(66, 0)
+            .with_malformed_burst(70, 6)
+            .with_replay_burst(72, 5, 2.0)
+            .with_overload(76, 77, 4);
+        let last_fault = plan.last_fault_tick();
+        let mut faulted_server = StreamServer::new(
+            &p.vehigan,
+            p.scaler.clone(),
+            chaos_config(tau_esc, &members),
+        )
+        .unwrap();
+        let report = plan.run(&mut faulted_server, &stream);
+
+        // 1. Liveness: the runner returned and no tick errored — every
+        //    fault was absorbed as a typed, counted event.
+        assert!(
+            report.errored_ticks().is_empty(),
+            "ticks errored: {:?}",
+            report.errored_ticks()
+        );
+
+        // 2. The injected panic was captured exactly once, on the scheduled
+        //    shard at the scheduled tick, and lost nothing (conservation
+        //    below proves zero loss).
+        assert_eq!(report.stats.shard_panics, 1);
+        assert_eq!(report.ticks[66].panicked_shards, vec![0]);
+
+        // 3. Input hardening: every injected message was rejected with its
+        //    exact reason class; nothing real was rejected.
+        assert_eq!(
+            report.stats.rejected.stale, 5,
+            "replays must reject as stale"
+        );
+        assert_eq!(
+            report.stats.rejected.non_finite + report.stats.rejected.out_of_range,
+            6,
+            "malformed burst must reject as non-finite/out-of-range"
+        );
+        assert_eq!(report.ticks[70].rejected.total(), 6);
+        assert_eq!(report.ticks[72].rejected.stale, 5);
+
+        // 4. Degraded-mode tiering under the 4x burst: the server stepped
+        //    down, shed deterministically, and stepped back up.
+        assert!(report.stats.degraded_ticks >= 1, "burst never degraded");
+        assert!(
+            report.stats.mode_switches >= 2,
+            "must both degrade and restore"
+        );
+        assert!(report.stats.shed > 0, "4x burst must shed");
+        assert_eq!(report.ticks.last().unwrap().mode_after, ServeMode::Normal);
+
+        // 5. Member health: the poisoned member was benched and later
+        //    reinstated into its pinned position.
+        assert!(report.stats.member_demotions >= 1, "poison never benched");
+        assert!(
+            report.stats.member_reinstatements >= 1,
+            "bench never expired"
+        );
+        assert!(report.ticks.last().unwrap().benched_after.is_empty());
+
+        // 6. Conservation: every window the healthy run scored was either
+        //    scored (exactly once) or counted shed in the faulted run —
+        //    injected faults lost nothing silently.
+        let fault_decisions = report.decisions();
+        assert_eq!(
+            healthy_map.len(),
+            fault_decisions.len() + report.stats.shed as usize,
+            "windows lost without being counted shed"
+        );
+        {
+            let mut seen: HashMap<(u32, u64), u32> = HashMap::new();
+            for d in &fault_decisions {
+                *seen.entry(key(d)).or_insert(0) += 1;
+            }
+            assert!(seen.values().all(|&c| c == 1), "a window was scored twice");
+            assert!(
+                seen.keys().all(|k| healthy_map.contains_key(k)),
+                "faulted run emitted a window the healthy run never saw"
+            );
+        }
+
+        // 7. Bitwise recovery within <= 5 clean ticks: find the 5th
+        //    consecutive clean tick after the last scheduled fault; from it
+        //    onward every decision must match the healthy run exactly.
+        let clean = |r: &TickRecord| {
+            r.tick > last_fault
+                && !r.faulted
+                && r.mode_after == ServeMode::Normal
+                && r.benched_after.is_empty()
+                && r.shed == 0
+                && r.panicked_shards.is_empty()
+                && r.rejected == RejectCounters::default()
+        };
+        let mut streak = 0u32;
+        let mut recovery_tick = None;
+        for r in &report.ticks {
+            if clean(r) {
+                streak += 1;
+                if streak == 5 {
+                    recovery_tick = Some(r.tick);
+                    break;
+                }
+            } else {
+                streak = 0;
+            }
+        }
+        let recovery_tick = recovery_tick.expect("no run of 5 clean ticks after the last fault");
+        let mut compared = 0usize;
+        for r in report.ticks.iter().filter(|r| r.tick >= recovery_tick) {
+            for d in r.outcome.as_ref().expect("clean ticks cannot error") {
+                let (score_bits, tau_bits, escalated, flagged) = healthy_map[&key(d)];
+                assert_eq!(
+                    d.score.to_bits(),
+                    score_bits,
+                    "post-recovery score diverged for vehicle {:?} t={}",
+                    d.vehicle,
+                    d.timestamp
+                );
+                assert_eq!(d.threshold.to_bits(), tau_bits);
+                assert_eq!(d.escalated, escalated);
+                assert_eq!(d.flagged, flagged);
+                compared += 1;
+            }
+        }
+        assert!(
+            compared > 50,
+            "recovery window compared only {compared} decisions"
+        );
+    }
+
+    #[test]
+    fn chaos_runs_are_reproducible() {
+        // Same plan + same stream + same config => identical traces, down to
+        // score bits and counters. This is what makes a chaos failure
+        // debuggable.
+        let p = pipeline();
+        let stream = benign_stream(&p);
+        let members: Vec<usize> = (0..p.vehigan.k()).collect();
+        let run = || {
+            let plan = FaultPlan::new(21)
+                .with_member_poison(members[0], 55, 57)
+                .with_malformed_burst(60, 4)
+                .with_overload(63, 64, 4);
+            let mut server =
+                StreamServer::new(&p.vehigan, p.scaler.clone(), chaos_config(0.0, &members))
+                    .unwrap();
+            plan.run(&mut server, &stream)
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.decisions(), b.decisions());
+        assert_eq!(a.ticks.len(), b.ticks.len());
+        for (x, y) in a.ticks.iter().zip(&b.ticks) {
+            assert_eq!(x.rejected, y.rejected);
+            assert_eq!(x.shed, y.shed);
+            assert_eq!(x.mode_after, y.mode_after);
+        }
     }
 }

@@ -1,12 +1,16 @@
 //! Serve-time ensemble member health: probation benching for members
 //! that return non-finite scores.
 //!
-//! The scoring layer already drops a member whose scores go non-finite
-//! *within one batch* (PR 2's `EnsembleScore::dropped` machinery). That
-//! protects a single tick, but a wedged member — NaN weights after a
-//! partial update, a poisoned activation — would then be re-run and
-//! re-dropped every tick, paying its full inference cost each time for
-//! scores that are discarded.
+//! The scoring layer already drops a member that panics or scores
+//! non-finite *within one scoring call* (a tile; its index lands in
+//! `ScoreSummary::dropped`). That protects a single tick, but a wedged
+//! member — NaN weights after a partial update, a poisoned activation —
+//! would then be re-run and re-dropped every tick, paying its full
+//! inference cost each time for scores that are discarded. Those two
+//! failures are the only way a member reaches the bench; the crate's
+//! chaos tests produce them through a test-only fault injector that
+//! leaves the member out of a tile's subset and reports it dropped,
+//! which scores bitwise like the real failure.
 //!
 //! [`MemberHealth`] adds the serve-plane memory: a member observed
 //! dropping is **benched** for three server ticks and simply

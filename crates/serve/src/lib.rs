@@ -42,8 +42,11 @@
 //!   ([`vehigan_features::IngestGuard`]) reject malformed/stale BSMs
 //!   before they touch window state; panicking ingest workers are
 //!   captured and resumed; members returning non-finite scores are
-//!   benched and later reinstated ([`MemberHealth`]). The [`chaos`]
-//!   module drives all of these faults deterministically.
+//!   benched and later reinstated ([`MemberHealth`]). The crate's own
+//!   tests drive all of these faults deterministically through a
+//!   seeded fault plan; the two that do not arrive as input (a panicking
+//!   ingest worker, a failing member) go through a fault injector that
+//!   exists in test builds only.
 //!
 //! Scoring is deterministic: shards are drained in index order, both
 //! scoring backends are batch-row independent, and the member subset is
@@ -51,8 +54,8 @@
 //! serial reference that holds one [`WindowBuffer`] per vehicle and
 //! scores each window alone with `score_with_members` (proven by
 //! `tests/determinism.rs`), and a faulted server recovers to
-//! bitwise-identical scoring once its faults clear (proven by
-//! `tests/chaos.rs`).
+//! bitwise-identical scoring once its faults clear (proven by the
+//! in-crate `chaos` tests).
 //!
 //! How fast all of this runs is the perf ledger's to say, not this
 //! crate's: `benchmark/` drives these public types over four seeded
@@ -63,15 +66,16 @@
 //! [`WindowBuffer`]: vehigan_features::WindowBuffer
 //! [`EvictionConfig`]: vehigan_features::EvictionConfig
 
-pub mod chaos;
 pub mod health;
 pub mod server;
 pub mod shard;
 
-pub use chaos::{ChaosReport, ChaosRunner, FaultPlan, TickRecord};
 pub use health::MemberHealth;
 pub use server::{
     escalation_threshold, AdmissionConfig, Decision, EscalationPolicy, IngestReport, ServeError,
     ServeMode, ServerConfig, ServerStats, StreamServer, SCORE_TILE,
 };
 pub use shard::{shard_for, PendingWindow, Shard};
+
+#[cfg(test)]
+mod chaos;

@@ -221,8 +221,8 @@ pub enum ServeError {
         /// The `(window, features)` that member was built for.
         critic: (usize, usize),
     },
-    /// The pinned member subset was empty or out of bounds, or the
-    /// ensemble has no healthy members.
+    /// The pinned member subset was empty, out of bounds or named a
+    /// member twice, or the ensemble has no healthy members.
     BadMembers(EnsembleError),
     /// A scoring pass failed.
     Score(EnsembleError),
@@ -302,8 +302,6 @@ pub struct ServerStats {
     pub ingested: u64,
     /// Windows scored across all ticks.
     pub windows_scored: u64,
-    /// Windows escalated to the f32 ensemble.
-    pub escalated: u64,
     /// Windows suppressed at tier 0 (kinematic monitors in-interval; no
     /// ensemble ran). Partitions `windows_scored` together with
     /// `tier1_screened` and `tier2_escalated`.
@@ -410,8 +408,6 @@ struct IngestTask {
     /// Positions in the call's `bsms` of this shard's messages, in
     /// arrival order.
     bucket: Vec<usize>,
-    /// Panic before touching state (chaos injection), once.
-    inject_panic: bool,
     /// Panics observed while running the bucket.
     panics: u32,
     /// What the bucket added to the shard's lifetime counters.
@@ -493,19 +489,24 @@ fn budgeted_take_into(lens: &[usize], budget: Option<usize>, take: &mut Vec<usiz
 
 /// Runs one shard's bucket with panic capture: a panicked worker is
 /// resumed once past the message it died on; a second panic quarantines
-/// the rest of the bucket for this batch. Returns observed panics.
-fn ingest_bucket(shard: &mut Shard, bsms: &[Bsm], bucket: &[usize], inject_panic: bool) -> u32 {
+/// the rest of the bucket for this batch. Returns observed panics. A test
+/// build can make the first attempt panic before it touches state.
+fn ingest_bucket(
+    shard: &mut Shard,
+    bsms: &[Bsm],
+    bucket: &[usize],
+    #[cfg(test)] inject_panic: bool,
+) -> u32 {
     // Index of the message being processed; usize::MAX = none yet, so a
-    // panic before the loop (the chaos injection point) resumes from 0
-    // with zero message loss.
+    // panic before the loop resumes from 0 with zero message loss.
     let progress = AtomicUsize::new(usize::MAX);
     let mut panics = 0u32;
     let mut start = 0usize;
-    let mut first_attempt = true;
     loop {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            if first_attempt && inject_panic {
-                panic!("chaos: injected shard-ingest panic");
+            #[cfg(test)]
+            if inject_panic && panics == 0 {
+                panic!("injected shard-ingest panic");
             }
             for (offset, &at) in bucket[start..].iter().enumerate() {
                 progress.store(start + offset, Ordering::Relaxed);
@@ -519,7 +520,6 @@ fn ingest_bucket(shard: &mut Shard, bsms: &[Bsm], bucket: &[usize], inject_panic
                 if panics >= 2 {
                     return panics;
                 }
-                first_attempt = false;
                 start = progress.load(Ordering::Relaxed).wrapping_add(1);
                 if start >= bucket.len() {
                     return panics;
@@ -544,15 +544,7 @@ pub struct StreamServer<'a> {
     health: MemberHealth,
     tick_index: u64,
     tier0: Option<Tier0Calibration>,
-    /// While set, tier-0 suppression verdicts are distrusted and every
-    /// window screens through tier 1 — the monitor-poisoning chaos
-    /// fault. The shards keep updating their monitors, so clearing the
-    /// flag restores gating without a warmup gap.
-    chaos_monitor_poison: bool,
-    /// Per-shard ingest work lists. A shard whose `inject_panic` is set
-    /// panics at the start of its next ingest run, before touching state
-    /// (deterministic fault injection; consumed by the next
-    /// [`StreamServer::ingest_batch`]).
+    /// Per-shard ingest work lists.
     ingest_tasks: Vec<IngestTask>,
     arena: TickArena,
     window_len: usize,
@@ -560,6 +552,9 @@ pub struct StreamServer<'a> {
     /// Misbehavior reports emitted since the last `take_reports`.
     reports: Vec<Mbr>,
     stats: ServerStats,
+    /// The faults the in-crate chaos tests inject.
+    #[cfg(test)]
+    pub(crate) faults: crate::chaos::FaultInjector,
 }
 
 impl<'a> StreamServer<'a> {
@@ -607,11 +602,16 @@ impl<'a> StreamServer<'a> {
             if subset.is_empty() {
                 return Err(ServeError::BadMembers(EnsembleError::EmptySubset));
             }
-            for &i in subset {
+            for (pos, &i) in subset.iter().enumerate() {
                 if i >= vehigan.m() {
                     return Err(ServeError::BadMembers(EnsembleError::MemberOutOfBounds {
                         index: i,
                         m: vehigan.m(),
+                    }));
+                }
+                if subset[..pos].contains(&i) {
+                    return Err(ServeError::BadMembers(EnsembleError::DuplicateMember {
+                        index: i,
                     }));
                 }
                 let critic = vehigan.members()[i].wgan.config();
@@ -649,7 +649,6 @@ impl<'a> StreamServer<'a> {
             health: MemberHealth::new(),
             tick_index: 0,
             tier0: config.tier0,
-            chaos_monitor_poison: false,
             ingest_tasks: (0..config.n_shards)
                 .map(|_| IngestTask::default())
                 .collect(),
@@ -658,6 +657,8 @@ impl<'a> StreamServer<'a> {
             reporter: config.reporter,
             reports: Vec::new(),
             stats: ServerStats::default(),
+            #[cfg(test)]
+            faults: Default::default(),
         })
     }
 
@@ -683,13 +684,18 @@ impl<'a> StreamServer<'a> {
                 .push(at);
         }
 
-        let run = |_: &mut (), _: usize, (shard, task): (&mut Shard, &mut IngestTask)| {
-            let inject = std::mem::take(&mut task.inject_panic);
-            if task.bucket.is_empty() && !inject {
-                return;
-            }
+        #[cfg(test)]
+        let panic_on = std::mem::take(&mut self.faults.ingest_panics);
+        // Tasks run one per shard, so a task's index is its shard's.
+        let run = |_: &mut (), _index: usize, (shard, task): (&mut Shard, &mut IngestTask)| {
             let (ingested0, rejects0, shed0) = (shard.ingested(), shard.rejects(), shard.shed());
-            task.panics = ingest_bucket(shard, bsms, &task.bucket, inject);
+            task.panics = ingest_bucket(
+                shard,
+                bsms,
+                &task.bucket,
+                #[cfg(test)]
+                panic_on.contains(&_index),
+            );
             task.processed = shard.ingested() - ingested0;
             task.rejected = shard.rejects().since(&rejects0);
             task.shed = shard.shed() - shed0;
@@ -788,11 +794,10 @@ impl<'a> StreamServer<'a> {
 
         // Tier-0 split: suppressed windows skip the ensemble entirely.
         // The gate is bypassed under `Always` (the pure-f32 reference
-        // path has no gate) and while the monitor-poisoning chaos fault
-        // distrusts the monitors; `gate_tau` is its τ when it is on.
+        // path has no gate); `gate_tau` is its τ when it is on.
         let gate_tau = self
             .tier0
-            .filter(|_| !self.chaos_monitor_poison && self.policy != EscalationPolicy::Always)
+            .filter(|_| self.policy != EscalationPolicy::Always)
             .map(|cal| cal.tau);
 
         budgeted_take_into(lens, self.admission.windows_per_tick, take);
@@ -953,7 +958,6 @@ impl<'a> StreamServer<'a> {
         match self.policy {
             EscalationPolicy::Always => {
                 self.score_tiled(batch, n, false, deploy.members, tier2)?;
-                self.stats.escalated += n as u64;
                 self.stats.tier2_escalated += n as u64;
                 decide(tier2, true, true);
                 dropped.extend_from_slice(&tier2.dropped);
@@ -988,7 +992,6 @@ impl<'a> StreamServer<'a> {
                         decisions[i].flagged = score > threshold;
                     }
                     dropped.extend_from_slice(&tier2.dropped);
-                    self.stats.escalated += escalate.len() as u64;
                 }
                 self.stats.tier1_screened += (n - escalate.len()) as u64;
                 self.stats.tier2_escalated += escalate.len() as u64;
@@ -1004,7 +1007,8 @@ impl<'a> StreamServer<'a> {
     /// its own tile's τ. `out.dropped` collects the members dropped for
     /// non-finite scores in any tile, so the caller can bench them. Both
     /// backends read the tile where it lies and write its scores in
-    /// place.
+    /// place. In a test build, the members the chaos tests' fault
+    /// injector poisons leave each tile's subset and count as dropped.
     fn score_tiled(
         &self,
         data: &[f32],
@@ -1022,6 +1026,8 @@ impl<'a> StreamServer<'a> {
         for start in (0..n).step_by(SCORE_TILE) {
             let end = (start + SCORE_TILE).min(n);
             let (tile, scores) = (&data[start * wl..end * wl], &mut out.scores[start..end]);
+            #[cfg(test)]
+            let members = &self.faults.survivors(members, &mut out.dropped)?[..];
             let summary = if int8 {
                 self.vehigan
                     .score_with_members_int8_into(members, tile, end - start, scores)
@@ -1081,37 +1087,6 @@ impl<'a> StreamServer<'a> {
     /// Current load-shedding posture.
     pub fn mode(&self) -> ServeMode {
         self.mode_machine.mode
-    }
-
-    /// The ensemble this server scores with (chaos harnesses use this to
-    /// reach the member poison hooks).
-    pub fn vehigan(&self) -> &VehiGan {
-        self.vehigan
-    }
-
-    /// Schedules a one-shot injected panic in `shard`'s next ingest
-    /// worker run, *before* it touches any state — the deterministic
-    /// fault the chaos harness uses to exercise panic capture. No
-    /// messages are lost: the captured worker resumes from the start of
-    /// its bucket.
-    pub fn chaos_panic_on_ingest(&mut self, shard: usize) {
-        assert!(shard < self.shards.len(), "shard index out of range");
-        self.ingest_tasks[shard].inject_panic = true;
-    }
-
-    /// Toggles the monitor-poisoning chaos fault: while active, tier-0
-    /// suppression verdicts are distrusted and every window screens
-    /// through tier 1 — the conservative response to monitors whose
-    /// state may have been corrupted. Shard monitors keep updating, so
-    /// clearing the fault resumes gating immediately (no warmup gap). A
-    /// no-op on a server without a tier-0 calibration.
-    pub fn chaos_poison_monitors(&mut self, active: bool) {
-        self.chaos_monitor_poison = active;
-    }
-
-    /// Whether the monitor-poisoning chaos fault is currently active.
-    pub fn monitor_poisoned(&self) -> bool {
-        self.chaos_monitor_poison
     }
 
     /// Sets (or clears) the reporter identity misbehavior reports are
@@ -1253,13 +1228,9 @@ mod tests {
         assert_eq!((before.windows_scored, before.shed), (6, 0));
 
         // Every deployed member fails for one tick.
-        for m in 0..2 {
-            vehigan.chaos_poison_member(m, true);
-        }
+        faulted.faults.poisoned = vec![0, 1];
         let err = faulted.tick().unwrap_err();
-        for m in 0..2 {
-            vehigan.chaos_poison_member(m, false);
-        }
+        faulted.faults.poisoned.clear();
         let all_failed = EnsembleError::AllMembersFailed {
             attempted: vec![0, 1],
         };
@@ -1355,6 +1326,36 @@ mod tests {
             assert!(d.score.is_finite());
             assert_eq!(d.flagged, d.score > d.threshold);
         }
+    }
+
+    #[test]
+    fn a_subset_naming_a_member_twice_is_refused_at_construction() {
+        // It used to build, and every tick weighted member 1 twice.
+        let vehigan = VehiGan::new(two_critics(), 2, 1).unwrap();
+        let build = |members: Option<Vec<usize>>, gate_members: Option<Vec<usize>>| {
+            let scaler = MinMaxScaler::fit_flat(12, (0..24).map(f64::from));
+            let config = ServerConfig {
+                members,
+                gate_members,
+                ..ServerConfig::default()
+            };
+            StreamServer::new(&vehigan, scaler, config).err()
+        };
+        for err in [
+            build(Some(vec![1, 1, 0]), None),
+            build(Some(vec![0, 1]), Some(vec![0, 1, 1])),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    Some(ServeError::BadMembers(EnsembleError::DuplicateMember {
+                        index: 1
+                    }))
+                ),
+                "{err:?}"
+            );
+        }
+        assert!(build(Some(vec![1, 0]), Some(vec![0])).is_none());
     }
 
     #[test]

@@ -141,7 +141,7 @@ fn sharded_batched_tier2_is_bitwise_identical_to_serial_buffers() {
     let stats = server.stats();
     assert_eq!(stats.ingested, stream.len() as u64);
     assert_eq!(stats.windows_scored, decided as u64);
-    assert_eq!(stats.escalated, decided as u64);
+    assert_eq!(stats.tier2_escalated, decided as u64);
 }
 
 #[test]
@@ -253,5 +253,5 @@ fn calibrated_gate_escalations_match_tier2_bitwise() {
         }
     }
     let stats = server.stats();
-    assert_eq!(stats.escalated, escalated as u64);
+    assert_eq!(stats.tier2_escalated, escalated as u64);
 }

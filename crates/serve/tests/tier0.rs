@@ -3,8 +3,7 @@
 //! windows the gate suppressed — every screened window must stay bitwise
 //! identical to the gateless path — suppression streaks are bounded by
 //! the calibration's carry-forward refresh, monitor state is rebuilt
-//! from scratch across eviction, and the gate is cleanly
-//! disengaged/re-engaged by the monitor-poisoning chaos fault.
+//! from scratch across eviction.
 //!
 //! Why confinement can hold exactly: the suppression verdict is fixed at
 //! window completion (ingest time), suppressed windows are spliced out
@@ -25,9 +24,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use vehigan_core::{Pipeline, PipelineConfig};
 use vehigan_features::{EvictionConfig, Tier0Calibration};
-use vehigan_serve::{
-    ChaosRunner, Decision, EscalationPolicy, FaultPlan, ServerConfig, StreamServer,
-};
+use vehigan_serve::{Decision, EscalationPolicy, ServerConfig, StreamServer};
 use vehigan_sim::Bsm;
 use vehigan_tensor::init::seeded_rng;
 use vehigan_vasp::{inject, Attack, AttackParams, AttackPolicy};
@@ -280,61 +277,6 @@ fn eviction_rebuilds_monitor_state_from_scratch() {
     }
     assert!(!resumed.is_empty(), "suffix produced no windows");
     assert_eq!(resumed, fresh, "state leaked across eviction");
-}
-
-#[test]
-fn monitor_poisoning_screens_everything_then_reengages_cleanly() {
-    let p = pipeline();
-    let stream = mixed_stream(&p);
-    let members: Vec<usize> = (0..p.vehigan.k()).collect();
-    let tau_esc = probe_tau_esc(&p, &stream, &members);
-    let cal = calibration(&p);
-    let config = ServerConfig {
-        n_shards: 2,
-        policy: EscalationPolicy::Threshold(tau_esc),
-        members: Some(members.clone()),
-        tier0: Some(cal),
-        ..ServerConfig::default()
-    };
-
-    // Drive the poison window through the chaos runner so the schedule,
-    // the per-tick record, and the clean re-engagement are all exercised
-    // by the same machinery the chaos suite uses. The runner paces one
-    // 0.1 s traffic slice per tick and the tiny fleet staggers in, so
-    // the fault window sits in the steady region where every tick
-    // carries suppressed decisions on both sides of it.
-    const POISON_FROM: u64 = 60;
-    const POISON_TO: u64 = 70;
-    let mut server = StreamServer::new(&p.vehigan, p.scaler.clone(), config).unwrap();
-    let plan = FaultPlan::new(3).with_monitor_poison(POISON_FROM, POISON_TO);
-    let report = ChaosRunner::new(plan.clone()).run(&mut server, &stream);
-    assert!(report.errored_ticks().is_empty());
-    assert!(!server.monitor_poisoned(), "runner must clear the fault");
-
-    let mut poisoned_decisions = 0usize;
-    let mut suppressed_before = 0usize;
-    let mut suppressed_after = 0usize;
-    for t in &report.ticks {
-        let decisions = t.outcome.as_ref().unwrap();
-        assert_eq!(t.monitor_poisoned, plan.monitor_poison_at(t.tick));
-        let suppressed = decisions.iter().filter(|d| d.suppressed).count();
-        if t.monitor_poisoned {
-            poisoned_decisions += decisions.len();
-            assert_eq!(suppressed, 0, "tick {} suppressed while poisoned", t.tick);
-        } else if t.tick < POISON_FROM {
-            suppressed_before += suppressed;
-        } else {
-            suppressed_after += suppressed;
-        }
-    }
-    assert!(poisoned_decisions > 0, "poison window saw no decisions");
-    assert!(suppressed_before > 0, "gate never engaged before the fault");
-    // Monitors keep updating while distrusted, so suppression resumes
-    // as soon as the fault clears — no warmup gap.
-    assert!(
-        suppressed_after > 0,
-        "gate never re-engaged after the fault"
-    );
 }
 
 proptest! {

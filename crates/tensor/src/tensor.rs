@@ -222,17 +222,6 @@ impl Tensor {
         }
     }
 
-    /// Reshapes in place without copying data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new shape has a different element count.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.data.len(), "reshape element count mismatch");
-        self.shape = shape.to_vec();
-    }
-
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {

@@ -164,11 +164,8 @@ fn main() {
         println!("  {id}: {r:>4}/{c}{marker}");
     }
     println!(
-        "\nserved {} BSMs, scored {} windows, escalated {} ({:.1}%) to the f32 ensemble",
-        stats.ingested,
-        stats.windows_scored,
-        stats.escalated,
-        100.0 * stats.escalated as f64 / stats.windows_scored.max(1) as f64
+        "\nserved {} BSMs, scored {} windows",
+        stats.ingested, stats.windows_scored
     );
     // Tier traffic split: every scored window lands in exactly one tier.
     let scored = stats.windows_scored.max(1) as f64;

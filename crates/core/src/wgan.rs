@@ -259,8 +259,10 @@ pub struct Wgan {
     /// Ensemble scoring brings each thread's own
     /// ([`Wgan::score_slice_with`]) and never takes it.
     scratch: Mutex<CriticScratch>,
-    /// Test-only scheduled divergences: `(attempt, epoch)` pairs at which a
-    /// critic weight is poisoned (see [`Wgan::inject_training_fault`]).
+    /// Scheduled divergences of this crate's tests: `(attempt, epoch)`
+    /// pairs at which a critic weight is poisoned (see
+    /// `Wgan::inject_training_fault`).
+    #[cfg(test)]
     fault_plan: Vec<(usize, usize)>,
     /// Mid-call resume position (set while a resumable call is in flight,
     /// cleared when it completes). Serialized into the training state so a
@@ -306,6 +308,7 @@ impl Wgan {
             history: Vec::new(),
             sn_state: Vec::new(),
             scratch,
+            #[cfg(test)]
             fault_plan: Vec::new(),
             cursor: None,
         }
@@ -496,19 +499,8 @@ impl Wgan {
                     self.generator_step(chunk.len(), &mut rng);
                 }
             }
-            if let Some(pos) = self
-                .fault_plan
-                .iter()
-                .position(|&(a, e)| a == attempt && e == done)
-            {
-                // Test hook: poison one critic weight as if this epoch's
-                // updates had exploded. One-shot — a consumed fault does
-                // not re-fire in later incremental training calls.
-                self.fault_plan.remove(pos);
-                if let Some(p) = self.critic.params_mut().first_mut() {
-                    p.value.as_mut_slice()[0] = f32::NAN;
-                }
-            }
+            #[cfg(test)]
+            self.fire_training_fault(attempt, done);
             if violation.is_none() {
                 violation = self.health_violation();
             }
@@ -616,9 +608,26 @@ impl Wgan {
     /// [`Wgan::train_epochs_checked`] call, one critic weight is poisoned
     /// with NaN — deterministically simulating a divergence so rollback and
     /// reseeded-retry paths can be exercised.
-    #[doc(hidden)]
-    pub fn inject_training_fault(&mut self, attempt: usize, epoch: usize) {
+    #[cfg(test)]
+    pub(crate) fn inject_training_fault(&mut self, attempt: usize, epoch: usize) {
         self.fault_plan.push((attempt, epoch));
+    }
+
+    /// Poisons one critic weight, as if this epoch's updates had exploded,
+    /// when a fault is scheduled for `(attempt, epoch)`. One-shot: a
+    /// consumed fault does not re-fire in later incremental training calls.
+    #[cfg(test)]
+    fn fire_training_fault(&mut self, attempt: usize, epoch: usize) {
+        if let Some(pos) = self
+            .fault_plan
+            .iter()
+            .position(|&(a, e)| a == attempt && e == epoch)
+        {
+            self.fault_plan.remove(pos);
+            if let Some(p) = self.critic.params_mut().first_mut() {
+                p.value.as_mut_slice()[0] = f32::NAN;
+            }
+        }
     }
 
     /// One critic update; returns `(mean D(real), mean D(fake))`. The
@@ -901,6 +910,7 @@ impl Wgan {
             history: Vec::new(),
             sn_state: Vec::new(),
             scratch,
+            #[cfg(test)]
             fault_plan: Vec::new(),
             cursor: None,
         })
@@ -1047,6 +1057,7 @@ impl Wgan {
             history: Vec::new(),
             sn_state,
             scratch,
+            #[cfg(test)]
             fault_plan: Vec::new(),
             cursor,
         })

@@ -20,7 +20,7 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use vehigan_features::WindowDataset;
 use vehigan_metrics::{auprc, auroc};
 use vehigan_tensor::forkjoin::{fork_join, workers_for};
@@ -134,9 +134,10 @@ impl From<CheckpointError> for ZooError {
     }
 }
 
-/// Test-only callback run on each freshly constructed training run.
-#[doc(hidden)]
-pub type FaultHook = Arc<dyn Fn(&mut Wgan) + Send + Sync>;
+/// Callback this crate's tests run on each freshly constructed training
+/// run.
+#[cfg(test)]
+pub(crate) type FaultHook = std::sync::Arc<dyn Fn(&mut Wgan) + Send + Sync>;
 
 /// Options for [`ModelZoo::train_grid`].
 #[derive(Clone, Default)]
@@ -167,10 +168,10 @@ pub struct ZooTrainOptions {
     /// seed), so a successful retry slots into the manifest and zoo
     /// exactly where the doomed run would have.
     pub retry_quarantined: bool,
-    /// Test-only hook invoked on each freshly constructed training run
-    /// (e.g. to schedule fault injection for a specific config).
-    #[doc(hidden)]
-    pub fault_hook: Option<FaultHook>,
+    /// Hook this crate's tests invoke on each freshly constructed training
+    /// run (e.g. to schedule fault injection for a specific config).
+    #[cfg(test)]
+    pub(crate) fault_hook: Option<FaultHook>,
 }
 
 impl fmt::Debug for ZooTrainOptions {
@@ -182,7 +183,6 @@ impl fmt::Debug for ZooTrainOptions {
             .field("stop_after_groups", &self.stop_after_groups)
             .field("stop_after_epochs", &self.stop_after_epochs)
             .field("retry_quarantined", &self.retry_quarantined)
-            .field("fault_hook", &self.fault_hook.is_some())
             .finish()
     }
 }
@@ -455,9 +455,11 @@ impl TrainShared<'_> {
         let mut wgan = match wgan.take() {
             Some(w) => w,
             None => {
+                #[cfg_attr(not(test), allow(unused_mut))]
                 let mut fresh = Wgan::new(run_config);
                 // Scheduled fault injections describe a from-scratch
                 // trajectory; they never apply to a resumed one.
+                #[cfg(test)]
                 if let Some(hook) = &self.options.fault_hook {
                     hook(&mut fresh);
                 }
@@ -952,6 +954,11 @@ impl ModelZoo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::fs;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
+    use std::thread::{self, ThreadId};
     use vehigan_tensor::init::{rand_uniform, seeded_rng};
 
     fn benign(n: usize, seed: u64) -> Tensor {
@@ -1190,5 +1197,212 @@ mod tests {
             }
             other => panic!("expected AllQuarantined, got {other:?}"),
         }
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("vehigan-ft-test-{}-{tag}-{n}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn nan_injection_triggers_deterministic_rollback_and_retry() {
+        let x = benign(48, 5);
+        let config = WganConfig {
+            noise_dim: 8,
+            layers: 3,
+            epochs: 3,
+            batch_size: 16,
+            n_critic: 1,
+            seed: 77,
+            ..WganConfig::default()
+        };
+        let run = |inject: bool| -> (usize, Vec<f32>) {
+            let mut wgan = Wgan::new(config);
+            if inject {
+                wgan.inject_training_fault(0, 1);
+            }
+            let report = wgan
+                .train_epochs_checked(&x, 3, &crate::SentinelPolicy::default())
+                .unwrap();
+            (report.rollbacks, wgan.score_batch(&x))
+        };
+        let (rollbacks_a, scores_a) = run(true);
+        let (rollbacks_b, scores_b) = run(true);
+        assert_eq!(rollbacks_a, 1, "one injected fault, one rollback");
+        assert_eq!(
+            (rollbacks_a, &scores_a),
+            (rollbacks_b, &scores_b),
+            "recovery must be deterministic"
+        );
+        for s in &scores_a {
+            assert!(s.is_finite(), "recovered model must score finitely");
+        }
+        // The reseeded retry takes a different trajectory than a clean run.
+        let (_, clean) = run(false);
+        assert_ne!(clean, scores_a, "reseed must change the trajectory");
+    }
+
+    #[test]
+    fn quarantine_survives_resume() {
+        // A group that diverges unrecoverably is recorded in the manifest; a
+        // resumed run carries the quarantine records instead of retraining the
+        // doomed group.
+        let train = benign(64, 0);
+        let dir = scratch_dir("qresume");
+        let mut options = ZooTrainOptions::new(1);
+        options.checkpoint_dir = Some(dir.clone());
+        options.fault_hook = Some(Arc::new(|wgan: &mut Wgan| {
+            if wgan.config().noise_dim == 8 {
+                for attempt in 0..8 {
+                    wgan.inject_training_fault(attempt, 0);
+                }
+            }
+        }));
+        let first = ModelZoo::train_grid(&GridConfig::tiny(), &train, &options).unwrap();
+        assert_eq!(first.quarantined.len(), 2);
+
+        // Resume without the fault hook: the quarantine must come from the
+        // manifest, not from re-diverging.
+        let mut options = ZooTrainOptions::new(1);
+        options.checkpoint_dir = Some(dir.clone());
+        let second = ModelZoo::train_grid(&GridConfig::tiny(), &train, &options).unwrap();
+        assert_eq!(second.quarantined.len(), 2);
+        for q in &second.quarantined {
+            assert!(
+                matches!(q.reason, crate::QuarantineReason::Recorded(_)),
+                "expected manifest-carried quarantine, got {:?}",
+                q.reason
+            );
+        }
+        assert_eq!(second.resumed, second.zoo.len());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retry_quarantined_retrains_with_a_fresh_seed() {
+        // First run: the noise_dim=8 group diverges past the retry budget and
+        // is quarantined in the manifest. A resume with `retry_quarantined`
+        // (and the fault gone) must retrain exactly that group on a fresh
+        // trajectory and return a full zoo under the original member ids.
+        let train = benign(64, 0);
+        let grid = GridConfig::tiny();
+        let dir = scratch_dir("qretry");
+        let mut options = ZooTrainOptions::new(1);
+        options.checkpoint_dir = Some(dir.clone());
+        options.fault_hook = Some(Arc::new(|wgan: &mut Wgan| {
+            if wgan.config().noise_dim == 8 {
+                for attempt in 0..8 {
+                    wgan.inject_training_fault(attempt, 0);
+                }
+            }
+        }));
+        let first = ModelZoo::train_grid(&grid, &train, &options).unwrap();
+        assert_eq!(first.quarantined.len(), 2);
+
+        // Reference ids from an untouched full run: retry must not change
+        // member identity.
+        let reference = ModelZoo::train_grid(&grid, &train, &ZooTrainOptions::new(1))
+            .unwrap()
+            .zoo;
+        let want_ids: Vec<String> = reference
+            .entries()
+            .iter()
+            .map(|e| e.wgan.config().id())
+            .collect();
+
+        let mut options = ZooTrainOptions::new(1);
+        options.checkpoint_dir = Some(dir.clone());
+        options.retry_quarantined = true;
+        let retried = ModelZoo::train_grid(&grid, &train, &options).unwrap();
+        assert!(retried.complete);
+        assert!(
+            retried.quarantined.is_empty(),
+            "retry must clear the quarantine"
+        );
+        assert_eq!(retried.zoo.len(), grid.len());
+        let got_ids: Vec<String> = retried
+            .zoo
+            .entries()
+            .iter()
+            .map(|e| e.wgan.config().id())
+            .collect();
+        assert_eq!(
+            got_ids, want_ids,
+            "member ids must stay stable across retry"
+        );
+
+        // The retried members trained on a salted trajectory — different
+        // weights than a clean same-seed run, proving the fresh seed was used.
+        let probe = benign(8, 3);
+        for (r, e) in reference.entries().iter().zip(retried.zoo.entries()) {
+            if e.wgan.config().noise_dim == 8 {
+                assert_ne!(
+                    r.wgan.score_batch(&probe),
+                    e.wgan.score_batch(&probe),
+                    "retried member must come from a reseeded run"
+                );
+            } else {
+                assert_eq!(
+                    r.wgan.score_batch(&probe),
+                    e.wgan.score_batch(&probe),
+                    "untouched members must be bit-identical resumes"
+                );
+            }
+        }
+
+        // A further resume without the flag is a pure reload of the now-full
+        // manifest.
+        let mut options = ZooTrainOptions::new(1);
+        options.checkpoint_dir = Some(dir.clone());
+        let reloaded = ModelZoo::train_grid(&grid, &train, &options).unwrap();
+        assert_eq!(reloaded.resumed, grid.len());
+        assert!(reloaded.quarantined.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Set-up runs on the caller and the process-wide fork-join pool only:
+    /// a zoo trained with more threads than the host has cores starts no
+    /// thread of its own.
+    #[test]
+    fn zoo_training_runs_on_the_caller_and_the_pool() {
+        let train: Vec<f32> = (0..64 * 120)
+            .map(|i| (i as f32 * 0.37).sin() * 0.2)
+            .collect();
+        let train = Tensor::from_vec(train, &[64, 10, 12, 1]);
+        // Who ran each group: its thread and that thread's name.
+        let seen = Arc::new(Mutex::new(Vec::<(ThreadId, Option<String>)>::new()));
+        let mut options = ZooTrainOptions::new(8);
+        let record = Arc::clone(&seen);
+        options.fault_hook = Some(Arc::new(move |_: &mut Wgan| {
+            let me = thread::current();
+            let entry = (me.id(), me.name().map(str::to_owned));
+            record.lock().unwrap().push(entry);
+        }));
+        let report = ModelZoo::train_grid(&GridConfig::tiny(), &train, &options).unwrap();
+        assert!(report.complete);
+        assert_eq!(report.zoo.len(), GridConfig::tiny().len());
+
+        let caller = thread::current();
+        let seen = seen.lock().unwrap();
+        assert!(!seen.is_empty(), "the hook never ran");
+        for (id, name) in seen.iter() {
+            let pooled = name.as_deref().is_some_and(|n| n.starts_with("forkjoin-"));
+            assert!(
+                *id == caller.id() || pooled,
+                "a group trained on {name:?}, neither the caller ({:?}) nor a pool helper",
+                caller.name()
+            );
+        }
+        let threads: HashSet<_> = seen.iter().map(|(id, _)| id).collect();
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(
+            threads.len() <= cores,
+            "{} threads trained on {cores} cores",
+            threads.len()
+        );
     }
 }

@@ -5,7 +5,6 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use vehigan_core::{
     CheckpointError, CheckpointStore, CriticMember, EnsembleError, GridConfig, ModelZoo, VehiGan,
     Wgan, WganConfig, ZooTrainOptions,
@@ -220,44 +219,6 @@ fn corrupted_checkpoints_yield_typed_errors() {
 }
 
 #[test]
-fn nan_injection_triggers_deterministic_rollback_and_retry() {
-    let x = benign(48, 5);
-    let config = WganConfig {
-        noise_dim: 8,
-        layers: 3,
-        epochs: 3,
-        batch_size: 16,
-        n_critic: 1,
-        seed: 77,
-        ..WganConfig::default()
-    };
-    let run = |inject: bool| -> (usize, Vec<f32>) {
-        let mut wgan = Wgan::new(config);
-        if inject {
-            wgan.inject_training_fault(0, 1);
-        }
-        let report = wgan
-            .train_epochs_checked(&x, 3, &vehigan_core::SentinelPolicy::default())
-            .unwrap();
-        (report.rollbacks, wgan.score_batch(&x))
-    };
-    let (rollbacks_a, scores_a) = run(true);
-    let (rollbacks_b, scores_b) = run(true);
-    assert_eq!(rollbacks_a, 1, "one injected fault, one rollback");
-    assert_eq!(
-        (rollbacks_a, &scores_a),
-        (rollbacks_b, &scores_b),
-        "recovery must be deterministic"
-    );
-    for s in &scores_a {
-        assert!(s.is_finite(), "recovered model must score finitely");
-    }
-    // The reseeded retry takes a different trajectory than a clean run.
-    let (_, clean) = run(false);
-    assert_ne!(clean, scores_a, "reseed must change the trajectory");
-}
-
-#[test]
 fn zoo_with_quarantined_member_still_scores_degraded() {
     // Train a small pool, quarantine one deployed member, and verify the
     // ensemble still detects with the healthy subset (healthy ≥ k).
@@ -287,124 +248,6 @@ fn zoo_with_quarantined_member_still_scores_degraded() {
         vehigan.score_batch(&x).unwrap_err(),
         EnsembleError::InsufficientHealthy { healthy: 1, k: 2 }
     );
-}
-
-#[test]
-fn quarantine_survives_resume() {
-    // A group that diverges unrecoverably is recorded in the manifest; a
-    // resumed run carries the quarantine records instead of retraining the
-    // doomed group.
-    let train = benign(64, 0);
-    let dir = scratch_dir("qresume");
-    let mut options = ZooTrainOptions::new(1);
-    options.checkpoint_dir = Some(dir.clone());
-    options.fault_hook = Some(Arc::new(|wgan: &mut Wgan| {
-        if wgan.config().noise_dim == 8 {
-            for attempt in 0..8 {
-                wgan.inject_training_fault(attempt, 0);
-            }
-        }
-    }));
-    let first = ModelZoo::train_grid(&GridConfig::tiny(), &train, &options).unwrap();
-    assert_eq!(first.quarantined.len(), 2);
-
-    // Resume without the fault hook: the quarantine must come from the
-    // manifest, not from re-diverging.
-    let mut options = ZooTrainOptions::new(1);
-    options.checkpoint_dir = Some(dir.clone());
-    let second = ModelZoo::train_grid(&GridConfig::tiny(), &train, &options).unwrap();
-    assert_eq!(second.quarantined.len(), 2);
-    for q in &second.quarantined {
-        assert!(
-            matches!(q.reason, vehigan_core::QuarantineReason::Recorded(_)),
-            "expected manifest-carried quarantine, got {:?}",
-            q.reason
-        );
-    }
-    assert_eq!(second.resumed, second.zoo.len());
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn retry_quarantined_retrains_with_a_fresh_seed() {
-    // First run: the noise_dim=8 group diverges past the retry budget and
-    // is quarantined in the manifest. A resume with `retry_quarantined`
-    // (and the fault gone) must retrain exactly that group on a fresh
-    // trajectory and return a full zoo under the original member ids.
-    let train = benign(64, 0);
-    let grid = GridConfig::tiny();
-    let dir = scratch_dir("qretry");
-    let mut options = ZooTrainOptions::new(1);
-    options.checkpoint_dir = Some(dir.clone());
-    options.fault_hook = Some(Arc::new(|wgan: &mut Wgan| {
-        if wgan.config().noise_dim == 8 {
-            for attempt in 0..8 {
-                wgan.inject_training_fault(attempt, 0);
-            }
-        }
-    }));
-    let first = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-    assert_eq!(first.quarantined.len(), 2);
-
-    // Reference ids from an untouched full run: retry must not change
-    // member identity.
-    let reference = ModelZoo::train_grid(&grid, &train, &ZooTrainOptions::new(1))
-        .unwrap()
-        .zoo;
-    let want_ids: Vec<String> = reference
-        .entries()
-        .iter()
-        .map(|e| e.wgan.config().id())
-        .collect();
-
-    let mut options = ZooTrainOptions::new(1);
-    options.checkpoint_dir = Some(dir.clone());
-    options.retry_quarantined = true;
-    let retried = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-    assert!(retried.complete);
-    assert!(
-        retried.quarantined.is_empty(),
-        "retry must clear the quarantine"
-    );
-    assert_eq!(retried.zoo.len(), grid.len());
-    let got_ids: Vec<String> = retried
-        .zoo
-        .entries()
-        .iter()
-        .map(|e| e.wgan.config().id())
-        .collect();
-    assert_eq!(
-        got_ids, want_ids,
-        "member ids must stay stable across retry"
-    );
-
-    // The retried members trained on a salted trajectory — different
-    // weights than a clean same-seed run, proving the fresh seed was used.
-    let probe = benign(8, 3);
-    for (r, e) in reference.entries().iter().zip(retried.zoo.entries()) {
-        if e.wgan.config().noise_dim == 8 {
-            assert_ne!(
-                r.wgan.score_batch(&probe),
-                e.wgan.score_batch(&probe),
-                "retried member must come from a reseeded run"
-            );
-        } else {
-            assert_eq!(
-                r.wgan.score_batch(&probe),
-                e.wgan.score_batch(&probe),
-                "untouched members must be bit-identical resumes"
-            );
-        }
-    }
-
-    // A further resume without the flag is a pure reload of the now-full
-    // manifest.
-    let mut options = ZooTrainOptions::new(1);
-    options.checkpoint_dir = Some(dir.clone());
-    let reloaded = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-    assert_eq!(reloaded.resumed, grid.len());
-    assert!(reloaded.quarantined.is_empty());
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -20,7 +20,9 @@
 //!   ROADMAP item 4).
 //!   (Boxed because the map is one power-of-two table that pays an
 //!   entry's size on every bucket: the flood's heap peak and report rate
-//!   are both better with the 48-byte cases boxed than inline.)
+//!   are both better with the cases boxed than inline. A 56-byte case
+//!   holds its first two reporters itself, so a case of one or two
+//!   reporters is one allocation.)
 //! - **Linkage.** With a [`PseudonymManager`] attached, a conviction
 //!   revokes every pseudonym of the resolved long-term identity and
 //!   closes their open cases, and rotations are revoked at issue.

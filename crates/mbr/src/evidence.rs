@@ -19,7 +19,9 @@
 //!   (score − threshold), so `margin / weight` is the decayed mean
 //!   margin recorded on conviction.
 //! - **`reporters`** — a window-pruned [`ReporterSketch`] for the
-//!   distinct-reporter requirement.
+//!   distinct-reporter requirement. Its first two reporters sit inside
+//!   the 56-byte struct, so the set of a one- or two-reporter case needs
+//!   no allocation of its own; a third spills them to the heap.
 //!
 //! Two hard cutoffs keep the approximation honest: a report older than
 //! the window relative to `high_water` is discarded outright
@@ -149,17 +151,15 @@ impl SuspectEvidence {
         fold(self.high_water.to_bits());
         fold(self.weight.to_bits());
         fold(self.margin.to_bits());
-        match &self.reporters {
-            ReporterSketch::Exact(entries) => {
-                fold(entries.len() as u64);
-                for e in entries {
-                    fold(e.0 as u64);
-                    fold(e.1.to_bits());
-                }
-            }
-            ReporterSketch::Sketch(hll) => {
-                fold(u64::MAX);
-                fold(hll.estimate() as u64);
+        // The exact pairs fold the same whether they sit inline or spilled.
+        if let ReporterSketch::Sketch(hll) = &self.reporters {
+            fold(u64::MAX);
+            fold(hll.estimate() as u64);
+        } else {
+            fold(self.reporters.entries().count() as u64);
+            for (id, seen) in self.reporters.entries() {
+                fold(u64::from(id.0));
+                fold(seen.to_bits());
             }
         }
         h
@@ -237,9 +237,11 @@ mod tests {
     #[test]
     fn state_is_constant_size() {
         // The whole point: no per-report retention. Every open case in
-        // the authority holds one, so keep it within a cache line (the
-        // exact reporter list and the sketch live behind pointers; what
-        // the flood's heap comes to is the ledger's `peak_heap_mb`).
-        assert!(std::mem::size_of::<SuspectEvidence>() <= 64);
+        // the authority holds one, so keep it within a cache line: 24
+        // bytes of clocks and a 32-byte reporter set whose first two
+        // reporters sit inline (a third spills to the heap, the sketch
+        // is boxed; what the flood's heap comes to is the ledger's
+        // `peak_heap_mb`).
+        assert!(std::mem::size_of::<SuspectEvidence>() <= 56);
     }
 }

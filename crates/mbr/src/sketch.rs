@@ -9,12 +9,14 @@
 //! thousands of observers, so this module tracks distinct reporters in
 //! O(1) memory per suspect with a two-mode [`ReporterSketch`]:
 //!
-//! - **Exact mode** — up to [`EXACT_CAP`] `(reporter, last_seen)` pairs
-//!   in a `Vec` sized by the live reporters, so the typical two-reporter
-//!   case costs 64 heap bytes. Conviction thresholds are small (2–3 reporters), and in
-//!   exact mode counts are *precise* and *window-pruned*: a reporter
-//!   whose last accusation aged past the window stops counting. This is
-//!   the mode every conviction decision near the threshold runs in.
+//! - **Exact mode** — up to [`EXACT_CAP`] `(reporter, last_seen)` pairs.
+//!   The first two sit inline in the 32-byte set, so the typical one- or
+//!   two-reporter case costs no heap beyond its own box; a third spills
+//!   the pairs to a `Vec` of four (64 heap bytes). Conviction thresholds
+//!   are small (2–3 reporters), and in exact mode counts are *precise*
+//!   and *window-pruned*: a reporter whose last accusation aged past the
+//!   window stops counting. This is the mode every conviction decision
+//!   near the threshold runs in.
 //! - **Sketch mode** — once more than [`EXACT_CAP`] distinct reporters
 //!   are live at once, the set upgrades to a [`Hll`] (HyperLogLog,
 //!   2⁸ = 256 registers, ~6.5 % standard error, boxed so only suspects
@@ -130,66 +132,126 @@ impl Hll {
 
 /// Bounded distinct-reporter set: exact and window-pruned up to
 /// [`EXACT_CAP`] live reporters, HyperLogLog beyond (see module docs).
-#[derive(Debug, Clone)]
+///
+/// The first two live `(reporter, last accusation timestamp)` pairs are
+/// stored inline; a third spills the exact list to the heap. Every
+/// exact variant holds its pairs in first-accusation order, and which
+/// one holds them is not observable through [`entries`](Self::entries),
+/// [`count`](Self::count) or [`is_sketch`](Self::is_sketch).
+#[derive(Debug, Clone, Default)]
 pub enum ReporterSketch {
-    /// Precise mode: at most [`EXACT_CAP`] `(reporter, last accusation
-    /// timestamp)` pairs, in first-accusation order.
-    Exact(Vec<(u32, f64)>),
+    /// No reporter yet.
+    #[default]
+    Empty,
+    /// One live reporter and its last accusation timestamp.
+    One(u32, f64),
+    /// Two live reporters: ids and timestamps in two arrays, so the
+    /// whole set stays 32 bytes (`[(u32, f64); 2]` would make it 40).
+    Two([u32; 2], [f64; 2]),
+    /// Three to [`EXACT_CAP`] pairs on the heap. A spilled list stays
+    /// spilled when pruning shrinks it.
+    Spilled(Vec<(u32, f64)>),
     /// Estimated mode for campaign-scale reporter counts.
     Sketch(Box<Hll>),
 }
 
-impl Default for ReporterSketch {
-    fn default() -> Self {
-        ReporterSketch::new()
-    }
-}
+// Only a spilled list can reach the cap, so only it overflows.
+const _: () = assert!(EXACT_CAP > 2);
 
 impl ReporterSketch {
     /// Creates an empty (exact-mode) set.
     pub fn new() -> Self {
-        ReporterSketch::Exact(Vec::new())
+        ReporterSketch::Empty
+    }
+
+    /// The exact `(reporter, last accusation timestamp)` pairs in
+    /// first-accusation order, pruned or not; none in sketch mode.
+    pub fn entries(&self) -> impl Iterator<Item = (VehicleId, f64)> + '_ {
+        let (ids, ts, spilled): (&[u32], &[f64], &[(u32, f64)]) = match self {
+            ReporterSketch::Empty | ReporterSketch::Sketch(_) => (&[], &[], &[]),
+            ReporterSketch::One(id, t) => (std::slice::from_ref(id), std::slice::from_ref(t), &[]),
+            ReporterSketch::Two(ids, ts) => (ids, ts, &[]),
+            ReporterSketch::Spilled(entries) => (&[], &[], entries),
+        };
+        ids.iter()
+            .copied()
+            .zip(ts.iter().copied())
+            .chain(spilled.iter().copied())
+            .map(|(id, t)| (VehicleId(id), t))
+    }
+
+    /// The last-seen clock of a reporter already in the exact list.
+    fn last_seen_mut(&mut self, reporter: u32) -> Option<&mut f64> {
+        match self {
+            ReporterSketch::One(id, t) => (*id == reporter).then_some(t),
+            ReporterSketch::Two(ids, ts) => {
+                let k = ids.iter().position(|&id| id == reporter)?;
+                Some(&mut ts[k])
+            }
+            ReporterSketch::Spilled(entries) => entries
+                .iter_mut()
+                .find(|e| e.0 == reporter)
+                .map(|e| &mut e.1),
+            ReporterSketch::Empty | ReporterSketch::Sketch(_) => None,
+        }
     }
 
     /// Records an accusation by `reporter` whose evidence is current at
     /// time `t` (the suspect's high-water clock), pruning exact entries
     /// older than `window_s` and upgrading to the sketch on overflow.
     pub fn observe(&mut self, reporter: VehicleId, t: f64, window_s: f64) {
-        match self {
-            ReporterSketch::Exact(entries) => {
-                // Known reporter: refresh its last-seen clock (monotone).
-                if let Some(e) = entries.iter_mut().find(|e| e.0 == reporter.0) {
-                    if t > e.1 {
-                        e.1 = t;
-                    }
-                    return;
+        if let ReporterSketch::Sketch(hll) = self {
+            hll.insert(reporter);
+            return;
+        }
+        // Known reporter: refresh its last-seen clock (monotone).
+        if let Some(seen) = self.last_seen_mut(reporter.0) {
+            if t > *seen {
+                *seen = t;
+            }
+            return;
+        }
+        // A new reporter: drop reporters whose last accusation aged out,
+        // then append it.
+        let live = |e: &(u32, f64)| t - e.1 <= window_s;
+        if let ReporterSketch::Spilled(entries) = self {
+            entries.retain(live);
+            if entries.len() < EXACT_CAP {
+                entries.push((reporter.0, t));
+            } else {
+                // Overflow: carry every live reporter into the sketch.
+                let mut hll = Box::new(Hll::new());
+                for e in entries.iter() {
+                    hll.insert(VehicleId(e.0));
                 }
-                // Drop reporters whose last accusation aged out.
-                entries.retain(|e| t - e.1 <= window_s);
-                if entries.len() < EXACT_CAP {
-                    entries.push((reporter.0, t));
-                } else {
-                    // Overflow: carry every live reporter into the sketch.
-                    let mut hll = Box::new(Hll::new());
-                    for e in entries.iter() {
-                        hll.insert(VehicleId(e.0));
-                    }
-                    hll.insert(reporter);
-                    *self = ReporterSketch::Sketch(hll);
+                hll.insert(reporter);
+                *self = ReporterSketch::Sketch(hll);
+            }
+            return;
+        }
+        let grown = {
+            let mut kept = self.entries().map(|(id, seen)| (id.0, seen)).filter(live);
+            match (kept.next(), kept.next()) {
+                (None, _) => ReporterSketch::One(reporter.0, t),
+                (Some((id, seen)), None) => ReporterSketch::Two([id, reporter.0], [seen, t]),
+                (Some(a), Some(b)) => {
+                    // The list's first allocation holds four, as a `Vec`'s
+                    // first push would.
+                    let mut entries = Vec::with_capacity(4);
+                    entries.extend([a, b, (reporter.0, t)]);
+                    ReporterSketch::Spilled(entries)
                 }
             }
-            ReporterSketch::Sketch(hll) => hll.insert(reporter),
-        }
+        };
+        *self = grown;
     }
 
     /// Distinct reporters with evidence inside the window ending at `t`
     /// (exact mode) or the sketch estimate (sketch mode, unpruned).
     pub fn count(&self, t: f64, window_s: f64) -> usize {
         match self {
-            ReporterSketch::Exact(entries) => {
-                entries.iter().filter(|e| t - e.1 <= window_s).count()
-            }
             ReporterSketch::Sketch(hll) => hll.estimate(),
+            exact => exact.entries().filter(|e| t - e.1 <= window_s).count(),
         }
     }
 
@@ -214,6 +276,21 @@ mod tests {
         // at t=80; reporter 1 (refreshed at t=20) stays.
         assert_eq!(s.count(80.0, 60.0), 1);
         assert!(!s.is_sketch());
+    }
+
+    #[test]
+    fn two_reporters_stay_inline_and_a_third_spills() {
+        assert_eq!(std::mem::size_of::<ReporterSketch>(), 32);
+        let mut s = ReporterSketch::new();
+        s.observe(VehicleId(1), 0.0, 60.0);
+        s.observe(VehicleId(2), 1.0, 60.0);
+        assert!(matches!(s, ReporterSketch::Two([1, 2], _)));
+        s.observe(VehicleId(3), 2.0, 60.0);
+        assert!(matches!(&s, ReporterSketch::Spilled(e) if e.capacity() == 4));
+        // Pruning shrinks the list but does not move it back inline.
+        s.observe(VehicleId(4), 100.0, 60.0);
+        assert!(matches!(&s, ReporterSketch::Spilled(e) if e.len() == 1));
+        assert_eq!(s.entries().collect::<Vec<_>>(), [(VehicleId(4), 100.0)]);
     }
 
     #[test]

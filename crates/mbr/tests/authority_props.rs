@@ -1,13 +1,14 @@
 //! Property tests for the fleet-scale evidence pipeline (ISSUE 10):
 //! ingest-order permutation invariance of the conviction set, any
-//! chunking of `ingest_batch` ≡ one-by-one `ingest_ref`, and the reporter
-//! cardinality sketch's error bound against an exact `HashSet`.
+//! chunking of `ingest_batch` ≡ one-by-one `ingest_ref`, the reporter
+//! cardinality sketch's error bound against an exact `HashSet`, and the
+//! inline reporter storage against an all-`Vec` reference.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
 use vehigan_mbr::{
-    AuthorityPolicy, CertificateRevocationList, Mbr, MisbehaviorAuthority, ReporterSketch,
-    EXACT_CAP,
+    AuthorityPolicy, CertificateRevocationList, Hll, Mbr, MisbehaviorAuthority, ReporterSketch,
+    SuspectEvidence, EXACT_CAP,
 };
 use vehigan_sim::VehicleId;
 
@@ -142,6 +143,128 @@ fn arbitrary_soup(seed: u64, n: usize) -> Vec<Mbr> {
         .collect()
 }
 
+/// The reporter set with every exact pair in one `Vec`, as it was before
+/// the first two moved inline: the reference [`ReporterSketch`] must
+/// match after every `observe`.
+enum VecSketch {
+    Exact(Vec<(u32, f64)>),
+    Sketch(Box<Hll>),
+}
+
+impl VecSketch {
+    fn observe(&mut self, reporter: VehicleId, t: f64, window_s: f64) {
+        match self {
+            VecSketch::Exact(entries) => {
+                if let Some(e) = entries.iter_mut().find(|e| e.0 == reporter.0) {
+                    if t > e.1 {
+                        e.1 = t;
+                    }
+                    return;
+                }
+                entries.retain(|e| t - e.1 <= window_s);
+                if entries.len() < EXACT_CAP {
+                    entries.push((reporter.0, t));
+                } else {
+                    let mut hll = Box::new(Hll::new());
+                    for e in entries.iter() {
+                        hll.insert(VehicleId(e.0));
+                    }
+                    hll.insert(reporter);
+                    *self = VecSketch::Sketch(hll);
+                }
+            }
+            VecSketch::Sketch(hll) => hll.insert(reporter),
+        }
+    }
+
+    fn count(&self, t: f64, window_s: f64) -> usize {
+        match self {
+            VecSketch::Exact(entries) => entries.iter().filter(|e| t - e.1 <= window_s).count(),
+            VecSketch::Sketch(hll) => hll.estimate(),
+        }
+    }
+
+    /// The exact pairs, timestamps as bits (empty in sketch mode).
+    fn entries(&self) -> Vec<(u32, u64)> {
+        match self {
+            VecSketch::Exact(entries) => entries.iter().map(|e| (e.0, e.1.to_bits())).collect(),
+            VecSketch::Sketch(_) => Vec::new(),
+        }
+    }
+}
+
+fn entry_bits(sketch: &ReporterSketch) -> Vec<(u32, u64)> {
+    sketch
+        .entries()
+        .map(|(id, t)| (id.0, t.to_bits()))
+        .collect()
+}
+
+/// One accusation stream against a single suspect's reporter set, as
+/// `(reporter, timestamp, reset)`; `reset` starts both sets over first,
+/// as a suspect's evidence does after a full-window silence. In order:
+///
+/// 1. random reports from a pool of 1–20 reporters: jittered clock, late
+///    reports up to 1.5 windows old, and occasional gaps of more than a
+///    window;
+/// 2. a reset, then three fresh reporters a few seconds apart (the set
+///    spills from inline at the third), their repeats interleaved;
+/// 3. more random pool reports;
+/// 4. a gap of more than a window and one fresh reporter: pruning takes
+///    the spilled list below three;
+/// 5. more random pool reports;
+/// 6. `EXACT_CAP + 1` fresh reporters inside one window (overflow into
+///    the sketch), then more random pool reports.
+fn reporter_stream(seed: u64) -> Vec<(u32, f64, bool)> {
+    let mut rng = Rng(seed);
+    let pool = 1 + rng.below(20) as u32;
+    let mut clock = 0.0f64;
+    let mut fresh = 1_000u32;
+    let mut out = Vec::new();
+    let random = |rng: &mut Rng, clock: &mut f64, out: &mut Vec<(u32, f64, bool)>| {
+        for _ in 0..rng.below(40) {
+            *clock += match rng.below(12) {
+                0 => WINDOW_S + rng.below(600) as f64 / 10.0,
+                _ => rng.below(100) as f64 / 10.0,
+            };
+            let t = match rng.below(5) {
+                0 => *clock - rng.below((WINDOW_S * 15.0) as u64) as f64 / 10.0,
+                _ => *clock,
+            };
+            out.push((rng.below(u64::from(pool)) as u32, t, false));
+        }
+    };
+    random(&mut rng, &mut clock, &mut out);
+
+    clock += WINDOW_S + 1.0 + rng.below(100) as f64;
+    out.push((fresh, clock, true));
+    for k in 1..3 {
+        for _ in 0..rng.below(3) {
+            out.push((
+                fresh + rng.below(k) as u32,
+                clock - rng.below(50) as f64 / 10.0,
+                false,
+            ));
+        }
+        clock += rng.below(50) as f64 / 10.0;
+        out.push((fresh + k as u32, clock, false));
+    }
+    fresh += 3;
+    random(&mut rng, &mut clock, &mut out);
+
+    clock += WINDOW_S + 1.0 + rng.below(100) as f64;
+    out.push((fresh, clock, false));
+    fresh += 1;
+    random(&mut rng, &mut clock, &mut out);
+
+    for k in 0..=EXACT_CAP as u32 {
+        clock += rng.below(30) as f64 / 10.0;
+        out.push((fresh + k, clock, false));
+    }
+    random(&mut rng, &mut clock, &mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -224,5 +347,60 @@ proptest! {
                 tol
             );
         }
+    }
+
+    /// Inline storage of the first two reporters ≡ one `Vec` of pairs:
+    /// after every `observe`, the same live pairs in the same order, the
+    /// same counts and the same mode; and a spilled list that pruning took
+    /// back under three digests like the inline set with its pairs.
+    #[test]
+    fn inline_reporters_match_the_vec_reference(seed in proptest::arbitrary::any::<u64>()) {
+        let mut sketch = ReporterSketch::new();
+        let mut reference = VecSketch::Exact(Vec::new());
+        let (mut spilled_from_inline, mut pruned_below_three) = (false, false);
+        for (reporter, t, reset) in reporter_stream(seed) {
+            if reset {
+                sketch = ReporterSketch::new();
+                reference = VecSketch::Exact(Vec::new());
+            }
+            let was_two = matches!(sketch, ReporterSketch::Two(..));
+            let had = reference.entries().len();
+            sketch.observe(VehicleId(reporter), t, WINDOW_S);
+            reference.observe(VehicleId(reporter), t, WINDOW_S);
+
+            prop_assert_eq!(entry_bits(&sketch), reference.entries());
+            prop_assert_eq!(sketch.is_sketch(), matches!(reference, VecSketch::Sketch(_)));
+            for probe in [t, t + WINDOW_S / 2.0, t + WINDOW_S * 2.0] {
+                prop_assert_eq!(sketch.count(probe, WINDOW_S), reference.count(probe, WINDOW_S));
+            }
+            let now = reference.entries().len();
+            spilled_from_inline |= was_two && had == 2 && now == 3
+                && matches!(sketch, ReporterSketch::Spilled(_));
+            if let ReporterSketch::Spilled(pairs) = &sketch {
+                if pairs.len() < 3 {
+                    pruned_below_three = true;
+                    // The same pairs inline: replayed with no pruning.
+                    let mut inline = ReporterSketch::new();
+                    for &(id, seen) in pairs {
+                        inline.observe(VehicleId(id), seen, f64::INFINITY);
+                    }
+                    prop_assert!(!matches!(inline, ReporterSketch::Spilled(_)));
+                    prop_assert_eq!(entry_bits(&inline), entry_bits(&sketch));
+                    let case = |reporters| SuspectEvidence {
+                        high_water: t,
+                        weight: 1.5,
+                        margin: 0.25,
+                        reporters,
+                    };
+                    prop_assert_eq!(
+                        case(inline).digest(0xcbf2_9ce4_8422_2325),
+                        case(sketch.clone()).digest(0xcbf2_9ce4_8422_2325)
+                    );
+                }
+            }
+        }
+        prop_assert!(spilled_from_inline, "no stream step spilled 2 -> 3 from inline");
+        prop_assert!(pruned_below_three, "no spilled list was pruned below three");
+        prop_assert!(sketch.is_sketch(), "the stream never overflowed EXACT_CAP");
     }
 }

@@ -95,7 +95,7 @@ fn replayed_reports_cannot_resurrect_expired_evidence() {
     assert!(ma.crl().is_empty());
     // And the per-suspect state the replay attack inflates is constant
     // size by construction — no retained queue to fill.
-    assert!(std::mem::size_of::<SuspectEvidence>() <= 64);
+    assert!(std::mem::size_of::<SuspectEvidence>() <= 56);
 }
 
 /// Bugfix 3: with SCMS linkage attached, a conviction revokes every

@@ -19,7 +19,7 @@
 //! convergence, bounded memory, throughput — is the perf ledger's
 //! `authority_flood` workload (`benchmark/src/flood.rs`), not this file's.
 
-use crate::harness::{results_dir, Harness};
+use crate::harness::{write_json, Harness, Json};
 use std::collections::HashSet;
 use std::ops::Range;
 use vehigan_features::IngestGuard;
@@ -217,25 +217,41 @@ pub fn run(harness: &mut Harness, vehicles: usize, duration_s: f64) {
         p1_stats.convictions
     );
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"authority\",\n");
-    json.push_str(&format!(
-        "  \"phase1\": {{\"vehicles\": {vehicles}, \"duration_s\": {duration_s}, \"bsms\": {}, \"attackers\": {attackers}, \"rsus\": {N_RSUS}, \"reports\": {}, \"accepted\": {}, \"rejected\": {}, \"convictions\": {}, \"attacker_convictions\": {p1_attacker_convictions}, \"honest_convictions\": {p1_honest_convictions}, \"serial_identical\": {p1_serial_identical}}},\n",
-        stream.len(),
-        all_reports.len(),
-        p1_stats.accepted,
-        p1_stats.rejected,
-        p1_stats.convictions,
-    ));
-    json.push_str(&format!(
-        "  \"gates\": {{\"phase1_reports_positive\": {}, \"phase1_rejected_zero\": {}, \"phase1_convicted\": {}, \"phase1_serial_identical\": {p1_serial_identical}}}\n}}\n",
-        !all_reports.is_empty(),
-        p1_stats.rejected == 0,
-        p1_stats.convictions > 0,
-    ));
-    let path = results_dir().join("BENCH_authority.json");
-    std::fs::write(&path, json).expect("write BENCH_authority.json");
-    eprintln!("[harness] wrote {}", path.display());
+    write_json(
+        "BENCH_authority.json",
+        &Json::Obj(vec![
+            ("bench", Json::str("authority")),
+            (
+                "phase1",
+                Json::Obj(vec![
+                    ("vehicles", Json::lit(vehicles)),
+                    ("duration_s", Json::lit(duration_s)),
+                    ("bsms", Json::lit(stream.len())),
+                    ("attackers", Json::lit(attackers)),
+                    ("rsus", Json::lit(N_RSUS)),
+                    ("reports", Json::lit(all_reports.len())),
+                    ("accepted", Json::lit(p1_stats.accepted)),
+                    ("rejected", Json::lit(p1_stats.rejected)),
+                    ("convictions", Json::lit(p1_stats.convictions)),
+                    ("attacker_convictions", Json::lit(p1_attacker_convictions)),
+                    ("honest_convictions", Json::lit(p1_honest_convictions)),
+                    ("serial_identical", Json::lit(p1_serial_identical)),
+                ]),
+            ),
+            (
+                "gates",
+                Json::Obj(vec![
+                    (
+                        "phase1_reports_positive",
+                        Json::lit(!all_reports.is_empty()),
+                    ),
+                    ("phase1_rejected_zero", Json::lit(p1_stats.rejected == 0)),
+                    ("phase1_convicted", Json::lit(p1_stats.convictions > 0)),
+                    ("phase1_serial_identical", Json::lit(p1_serial_identical)),
+                ]),
+            ),
+        ]),
+    );
 
     // --- Gates. ---
     assert!(

@@ -24,7 +24,7 @@
 //! ([`gemm::f32_leg`], recorded in the file); run under
 //! `VEHIGAN_FORCE_PORTABLE=1` for the portable one.
 
-use crate::harness::results_dir;
+use crate::harness::{write_json, Json};
 use std::time::Instant;
 use vehigan_tensor::gemm;
 
@@ -218,7 +218,6 @@ pub fn run() {
         "case", "shape (m,k,n)", "naive GF/s", "blocked GF/s", "speedup"
     );
     let results: Vec<Measurement> = CASES.iter().map(measure).collect();
-    let mut entries = Vec::with_capacity(results.len());
     for r in &results {
         println!(
             "{:>20} {:>16} {:>14.2} {:>14.2} {:>8.2}x",
@@ -228,17 +227,6 @@ pub fn run() {
             r.blocked_gflops,
             r.speedup()
         );
-        entries.push(format!(
-            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"naive_gflops\": {:.2}, \"blocked_gflops\": {:.2}, \"speedup\": {:.2}}}",
-            r.name,
-            r.m,
-            r.k,
-            r.n,
-            r.naive_gflops,
-            r.blocked_gflops,
-            r.speedup()
-        ));
     }
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
@@ -246,14 +234,31 @@ pub fn run() {
         .lines()
         .find_map(|l| l.strip_prefix("model name")?.split_once(": "))
         .map_or("unknown", |(_, model)| model);
-    let json = format!(
-        "{{\n  \"bench\": \"gemm\",\n  \"unit\": \"GFLOP/s\",\n  \
-         \"host\": {{\"nproc\": {nproc}, \"cpu_model\": \"{cpu_model}\"}},\n  \
-         \"f32_leg\": \"{}\",\n  \"cases\": [\n{}\n  ]\n}}\n",
-        gemm::f32_leg(),
-        entries.join(",\n")
+    let cases = results.iter().map(|r| {
+        Json::Obj(vec![
+            ("name", Json::str(r.name)),
+            ("m", Json::lit(r.m)),
+            ("k", Json::lit(r.k)),
+            ("n", Json::lit(r.n)),
+            ("naive_gflops", Json::fixed(r.naive_gflops, 2)),
+            ("blocked_gflops", Json::fixed(r.blocked_gflops, 2)),
+            ("speedup", Json::fixed(r.speedup(), 2)),
+        ])
+    });
+    write_json(
+        "BENCH_gemm.json",
+        &Json::Obj(vec![
+            ("bench", Json::str("gemm")),
+            ("unit", Json::str("GFLOP/s")),
+            (
+                "host",
+                Json::Obj(vec![
+                    ("nproc", Json::lit(nproc)),
+                    ("cpu_model", Json::str(cpu_model)),
+                ]),
+            ),
+            ("f32_leg", Json::str(gemm::f32_leg())),
+            ("cases", Json::Arr(cases.collect())),
+        ]),
     );
-    let path = results_dir().join("BENCH_gemm.json");
-    std::fs::write(&path, json).expect("write BENCH_gemm.json");
-    eprintln!("[harness] wrote {}", path.display());
 }

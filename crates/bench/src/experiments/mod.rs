@@ -10,8 +10,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod gemmbench;
-pub mod probe;
 pub mod quant;
-pub mod resume;
 pub mod table3;
 pub mod tier0;

@@ -18,7 +18,7 @@
 //!   on a critic-shaped GEMM (i32 accumulator equality) — the AVX2 leg
 //!   included, which a VNNI host never dispatches.
 
-use crate::harness::{results_dir, Harness};
+use crate::harness::{write_json, Harness, Json};
 use std::time::Instant;
 use vehigan_metrics::auroc;
 use vehigan_serve::escalation_threshold;
@@ -201,31 +201,67 @@ pub fn run(harness: &mut Harness) {
          {tau_esc:.4} (p{ESCALATION_PERCENTILE} benign): max {mix_max_delta:.5} ({mix_worst_attack})"
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"quant\",\n  \"int8_leg\": \"{leg}\",\n  \"k\": {k},\n  \"m\": {m},\n  \"int8_weight_bytes\": {int8_bytes},\n"
-    ));
-    json.push_str("  \"cases\": [\n");
-    json.push_str(&format!(
-        "    {{\"name\": \"snapshot_k{k}\", \"f32_ms\": {f32_single_ms:.5}, \"int8_ms\": {int8_single_ms:.5}, \"speedup\": {single_speedup:.2}}},\n"
-    ));
-    json.push_str(&format!(
-        "    {{\"name\": \"batch{batch_n}_k{k}\", \"f32_ms\": {f32_batch_ms:.5}, \"int8_ms\": {int8_batch_ms:.5}, \"speedup\": {batch_speedup:.2}}}\n"
-    ));
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"auroc\": {{\"attacks\": {n_attacks}, \"mean_delta\": {mean_delta:.5}, \"max_delta\": {max_delta:.5}, \"worst_attack\": \"{worst_attack}\", \"tau_esc\": {tau_esc:.5}, \"mixture_max_delta\": {mix_max_delta:.5}, \"mixture_worst_attack\": \"{mix_worst_attack}\", \"budget\": {AUROC_DELTA_BUDGET}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"gates\": {{\"min_speedup\": {MIN_SPEEDUP}, \"speedup_ok\": {}, \"auroc_ok\": {}, \"mixture_auroc_ok\": {}}}\n}}\n",
-        single_speedup >= MIN_SPEEDUP,
-        max_delta <= AUROC_DELTA_BUDGET,
-        mix_max_delta <= AUROC_DELTA_BUDGET,
-    ));
-    let path = results_dir().join("BENCH_quant.json");
-    std::fs::write(&path, json).expect("write BENCH_quant.json");
-    eprintln!("[harness] wrote {}", path.display());
+    let fixed = Json::fixed;
+    let case = |name: String, f32_ms: f64, int8_ms: f64, speedup: f64| {
+        Json::Obj(vec![
+            ("name", Json::str(name)),
+            ("f32_ms", fixed(f32_ms, 5)),
+            ("int8_ms", fixed(int8_ms, 5)),
+            ("speedup", fixed(speedup, 2)),
+        ])
+    };
+    write_json(
+        "BENCH_quant.json",
+        &Json::Obj(vec![
+            ("bench", Json::str("quant")),
+            ("int8_leg", Json::str(leg)),
+            ("k", Json::lit(k)),
+            ("m", Json::lit(m)),
+            ("int8_weight_bytes", Json::lit(int8_bytes)),
+            (
+                "cases",
+                Json::Arr(vec![
+                    case(
+                        format!("snapshot_k{k}"),
+                        f32_single_ms,
+                        int8_single_ms,
+                        single_speedup,
+                    ),
+                    case(
+                        format!("batch{batch_n}_k{k}"),
+                        f32_batch_ms,
+                        int8_batch_ms,
+                        batch_speedup,
+                    ),
+                ]),
+            ),
+            (
+                "auroc",
+                Json::Obj(vec![
+                    ("attacks", Json::lit(n_attacks)),
+                    ("mean_delta", fixed(mean_delta, 5)),
+                    ("max_delta", fixed(max_delta, 5)),
+                    ("worst_attack", Json::str(&worst_attack)),
+                    ("tau_esc", fixed(f64::from(tau_esc), 5)),
+                    ("mixture_max_delta", fixed(mix_max_delta, 5)),
+                    ("mixture_worst_attack", Json::str(&mix_worst_attack)),
+                    ("budget", Json::lit(AUROC_DELTA_BUDGET)),
+                ]),
+            ),
+            (
+                "gates",
+                Json::Obj(vec![
+                    ("min_speedup", Json::lit(MIN_SPEEDUP)),
+                    ("speedup_ok", Json::lit(single_speedup >= MIN_SPEEDUP)),
+                    ("auroc_ok", Json::lit(max_delta <= AUROC_DELTA_BUDGET)),
+                    (
+                        "mixture_auroc_ok",
+                        Json::lit(mix_max_delta <= AUROC_DELTA_BUDGET),
+                    ),
+                ]),
+            ),
+        ]),
+    );
 
     // --- Gates (ISSUE acceptance criteria). ---
     assert!(

@@ -98,7 +98,7 @@ pub struct Harness {
 impl Harness {
     /// Trains the system at `scale` and populates the score cache.
     pub fn build(scale: Scale) -> Harness {
-        Self::build_with(scale, None, false, None)
+        Self::build_with(scale, None, false)
     }
 
     /// Like [`Harness::build`], but with an optional checkpoint directory:
@@ -109,14 +109,11 @@ impl Harness {
     /// `--resume <dir>` CLI flag). With `retry_quarantined` (the
     /// `--retry-quarantined` flag), a resumed run retrains previously
     /// quarantined configurations with a fresh derived seed instead of
-    /// skipping them. `stop_after_groups` (the `--stop-after-groups N`
-    /// flag) stops zoo training cleanly after `N` groups, simulating a
-    /// kill for resume testing.
+    /// skipping them.
     pub fn build_with(
         scale: Scale,
         resume_dir: Option<PathBuf>,
         retry_quarantined: bool,
-        stop_after_groups: Option<usize>,
     ) -> Harness {
         eprintln!("[harness] training pipeline at {scale:?} scale…");
         let mut config = scale.pipeline_config();
@@ -125,7 +122,6 @@ impl Harness {
             config.checkpoint_dir = Some(dir);
         }
         config.retry_quarantined = retry_quarantined;
-        config.stop_after_groups = stop_after_groups;
         let pipeline = Pipeline::run(config);
         if !pipeline.quarantined.is_empty() {
             eprintln!(
@@ -186,11 +182,6 @@ impl Harness {
         mean_rows(members.iter().map(|&i| &self.member_scores[i][attack_idx]))
     }
 
-    /// Ensemble scores on benign test data for a member subset.
-    pub fn ensemble_benign_scores(&self, members: &[usize]) -> Vec<f32> {
-        mean_rows(members.iter().map(|&i| &self.member_benign[i]))
-    }
-
     /// Int8 gate scores of the windows `x` under a member subset (after
     /// `compile_int8`). One call: the int8 walk is batch-row independent,
     /// so serve-sized tiles would score every window the same.
@@ -200,15 +191,6 @@ impl Harness {
             .score_with_members_int8(members, x)
             .expect("int8 gate scores")
             .scores
-    }
-
-    /// Ensemble threshold for a member subset (mean of member τ).
-    pub fn ensemble_threshold(&self, members: &[usize]) -> f32 {
-        let sum: f32 = members
-            .iter()
-            .map(|&i| self.pipeline.vehigan.members()[i].threshold)
-            .sum();
-        sum / members.len() as f32
     }
 }
 
@@ -252,6 +234,107 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     eprintln!("[harness] wrote {}", path.display());
 }
 
+/// A value of a `results/BENCH_*.json` record: the one JSON writer the
+/// experiments share. Objects keep insertion order; numbers are written as
+/// the experiment formatted them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// A number or a boolean, written verbatim.
+    Lit(String),
+    /// A string, escaped when written.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object.
+    Obj(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    /// A number or boolean in its `Display` form.
+    pub fn lit(value: impl std::fmt::Display) -> Json {
+        Json::Lit(value.to_string())
+    }
+
+    /// A float with `digits` decimals; `null` when not finite.
+    pub fn fixed(value: f64, digits: usize) -> Json {
+        if value.is_finite() {
+            Json::Lit(format!("{value:.digits$}"))
+        } else {
+            Json::Lit("null".to_string())
+        }
+    }
+
+    /// A string.
+    pub fn str(value: impl Into<String>) -> Json {
+        Json::Str(value.into())
+    }
+
+    /// Renders a record: the top-level object puts one key on a line, an
+    /// array under it one element on a line, and everything deeper stays
+    /// on its line.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(0, &mut out);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, depth: usize, out: &mut String) {
+        let (open, sep, close) = match (self, depth) {
+            (Json::Obj(fields), 0) if !fields.is_empty() => ("{\n  ", ",\n  ", "\n}"),
+            (Json::Arr(items), 1) if !items.is_empty() => ("[\n    ", ",\n    ", "\n  ]"),
+            (Json::Obj(_), _) => ("{", ", ", "}"),
+            _ => ("[", ", ", "]"),
+        };
+        match self {
+            Json::Lit(text) => out.push_str(text),
+            Json::Str(text) => {
+                out.push('"');
+                for c in text.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        c if u32::from(c) < 0x20 => {
+                            out.push_str(&format!("\\u{:04x}", u32::from(c)));
+                        }
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+            }
+            Json::Arr(items) => {
+                out.push_str(open);
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(sep);
+                    }
+                    item.write(depth + 1, out);
+                }
+                out.push_str(close);
+            }
+            Json::Obj(fields) => {
+                out.push_str(open);
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(sep);
+                    }
+                    Json::str(*key).write(depth + 1, out);
+                    out.push_str(": ");
+                    value.write(depth + 1, out);
+                }
+                out.push_str(close);
+            }
+        }
+    }
+}
+
+/// Writes a record to `results/<name>`.
+pub fn write_json(name: &str, record: &Json) {
+    let path = results_dir().join(name);
+    fs::write(&path, record.render()).expect("write results json");
+    eprintln!("[harness] wrote {}", path.display());
+}
+
 /// Fraction of scores above a threshold (the FPR when scores are benign).
 pub fn rate_above(scores: &[f32], threshold: f32) -> f64 {
     if scores.is_empty() {
@@ -275,6 +358,38 @@ mod tests {
     fn rate_above_counts() {
         assert_eq!(rate_above(&[0.1, 0.6, 0.9], 0.5), 2.0 / 3.0);
         assert_eq!(rate_above(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn json_escapes_strings_and_breaks_only_the_outer_levels() {
+        let record = Json::Obj(vec![
+            ("name", Json::str("say \"hi\" \\ to\u{1}\n")),
+            ("n", Json::lit(3)),
+            ("x", Json::fixed(0.5, 2)),
+            ("inf", Json::fixed(f64::INFINITY, 2)),
+            (
+                "cases",
+                Json::Arr(vec![
+                    Json::Obj(vec![("ok", Json::lit(true)), ("v", Json::Arr(vec![]))]),
+                    Json::Obj(vec![("nested", Json::Obj(vec![("a", Json::lit(1))]))]),
+                ]),
+            ),
+            ("none", Json::Arr(vec![])),
+        ]);
+        let want = concat!(
+            "{\n",
+            "  \"name\": \"say \\\"hi\\\" \\\\ to\\u0001\\u000a\",\n",
+            "  \"n\": 3,\n",
+            "  \"x\": 0.50,\n",
+            "  \"inf\": null,\n",
+            "  \"cases\": [\n",
+            "    {\"ok\": true, \"v\": []},\n",
+            "    {\"nested\": {\"a\": 1}}\n",
+            "  ],\n",
+            "  \"none\": []\n",
+            "}\n",
+        );
+        assert_eq!(record.render(), want);
     }
 
     #[test]

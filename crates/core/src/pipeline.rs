@@ -101,10 +101,6 @@ pub struct PipelineConfig {
     /// Retrain previously quarantined grid configurations with a fresh
     /// derived seed instead of skipping them on resume.
     pub retry_quarantined: bool,
-    /// Stop zoo training cleanly after this many groups finish, leaving
-    /// the rest for a resumed run (kill simulation; `None` trains
-    /// everything). See [`crate::ZooTrainOptions::stop_after_groups`].
-    pub stop_after_groups: Option<usize>,
 }
 
 impl PipelineConfig {
@@ -148,7 +144,6 @@ impl PipelineConfig {
             seed: 0,
             checkpoint_dir: None,
             retry_quarantined: false,
-            stop_after_groups: None,
         }
     }
 
@@ -333,7 +328,6 @@ impl Pipeline {
             threads: config.zoo_threads,
             checkpoint_dir: config.checkpoint_dir.clone(),
             retry_quarantined: config.retry_quarantined,
-            stop_after_groups: config.stop_after_groups,
             ..ZooTrainOptions::default()
         };
         let report = ModelZoo::train_grid(&config.grid, &train_windows.x, &zoo_options)?;

@@ -19,7 +19,9 @@ use crate::{into_inner, lock};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+#[cfg(test)]
+use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use vehigan_features::WindowDataset;
 use vehigan_metrics::{auprc, auroc};
@@ -139,6 +141,19 @@ impl From<CheckpointError> for ZooError {
 #[cfg(test)]
 pub(crate) type FaultHook = std::sync::Arc<dyn Fn(&mut Wgan) + Send + Sync>;
 
+/// Where this crate's kill/resume tests stop a run, as if the process had
+/// died there: what is on disk is all the next call sees.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Kill {
+    /// No group starts after the first `n` have.
+    AfterGroups(usize),
+    /// Training stops at the epoch boundary that completes the `n`th newly
+    /// trained epoch of the run (possibly mid-member; the partial
+    /// checkpoint written there carries the group into the next call).
+    AfterEpochs(usize),
+}
+
 /// Options for [`ModelZoo::train_grid`].
 #[derive(Clone, Default)]
 pub struct ZooTrainOptions {
@@ -152,16 +167,6 @@ pub struct ZooTrainOptions {
     /// When set, every finished member is checkpointed here and an
     /// interrupted run resumes from the directory's manifest.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Stop (cleanly) after this many training groups finish — the
-    /// remaining work is left for a resumed run. Used to exercise the
-    /// kill/resume path deterministically; `None` trains everything.
-    pub stop_after_groups: Option<usize>,
-    /// Stop (cleanly) after this many **newly trained epochs** across the
-    /// whole run, which can land in the middle of a group — the
-    /// epoch-granular partial checkpoint written at that boundary lets the
-    /// next call resume mid-member. Used to exercise the mid-member
-    /// kill/resume path deterministically; `None` trains everything.
-    pub stop_after_epochs: Option<usize>,
     /// On resume, retrain previously quarantined configurations with a
     /// fresh derived seed instead of carrying the quarantine records
     /// forward. Member ids stay stable (they keep the original derived
@@ -172,6 +177,9 @@ pub struct ZooTrainOptions {
     /// run (e.g. to schedule fault injection for a specific config).
     #[cfg(test)]
     pub(crate) fault_hook: Option<FaultHook>,
+    /// Where this crate's kill/resume tests stop the run.
+    #[cfg(test)]
+    pub(crate) kill: Option<Kill>,
 }
 
 impl fmt::Debug for ZooTrainOptions {
@@ -180,8 +188,6 @@ impl fmt::Debug for ZooTrainOptions {
             .field("threads", &self.threads)
             .field("sentinel", &self.sentinel)
             .field("checkpoint_dir", &self.checkpoint_dir)
-            .field("stop_after_groups", &self.stop_after_groups)
-            .field("stop_after_epochs", &self.stop_after_epochs)
             .field("retry_quarantined", &self.retry_quarantined)
             .finish()
     }
@@ -208,9 +214,6 @@ pub struct ZooTrainReport {
     pub resumed: usize,
     /// Total divergence rollbacks performed across all runs.
     pub rollbacks: usize,
-    /// `false` when `stop_after_groups` halted the run before the grid was
-    /// exhausted — call [`ModelZoo::train_grid`] again to continue.
-    pub complete: bool,
 }
 
 /// One trained zoo member with its pre-evaluation results.
@@ -361,6 +364,49 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// A [`Kill`] armed for one run.
+#[cfg(test)]
+struct KillSwitch {
+    kill: Option<Kill>,
+    /// Groups started or epochs trained, whichever the kill counts.
+    counted: AtomicUsize,
+    /// Set once the kill fires: no group starts any more and groups in
+    /// flight stop at their next epoch boundary.
+    fired: AtomicBool,
+}
+
+#[cfg(test)]
+impl KillSwitch {
+    fn new(kill: Option<Kill>) -> Self {
+        KillSwitch {
+            kill,
+            counted: AtomicUsize::new(0),
+            fired: AtomicBool::new(false),
+        }
+    }
+
+    /// Whether a group about to start is left for the next call.
+    fn leaves_group(&self) -> bool {
+        if let Some(Kill::AfterGroups(n)) = self.kill {
+            if self.counted.fetch_add(1, Ordering::SeqCst) >= n {
+                self.fired.store(true, Ordering::SeqCst);
+            }
+        }
+        self.fired.load(Ordering::SeqCst)
+    }
+
+    /// Counts a newly trained epoch; whether training stops at this
+    /// boundary.
+    fn stops_at_epoch(&self) -> bool {
+        if let Some(Kill::AfterEpochs(n)) = self.kill {
+            if self.counted.fetch_add(1, Ordering::SeqCst) + 1 >= n {
+                self.fired.store(true, Ordering::SeqCst);
+            }
+        }
+        self.fired.load(Ordering::SeqCst)
+    }
+}
+
 /// Shared mutable state for the training tasks.
 struct TrainShared<'a> {
     results: Mutex<Vec<(usize, Wgan)>>,
@@ -368,24 +414,14 @@ struct TrainShared<'a> {
     errors: Mutex<Vec<CheckpointError>>,
     manifest: Mutex<Manifest>,
     store: Option<&'a CheckpointStore>,
-    groups_done: AtomicUsize,
-    /// Groups whose task found the run halted, the `stop_after_groups`
-    /// budget spent or a checkpoint error recorded, and left them for a
-    /// resumed run.
-    unstarted: AtomicUsize,
     rollbacks: AtomicUsize,
     /// Members restored from disk instead of retrained (pre-loaded fully
     /// accounted groups plus mid-group reloads after a partial resume).
     resumed: AtomicUsize,
-    /// Newly trained epochs across the run (only tracked when
-    /// `stop_after_epochs` is set).
-    epochs_done: AtomicUsize,
-    /// Set when the `stop_after_epochs` budget is spent: groups not yet
-    /// started stay unstarted and in-flight groups stop at the next epoch
-    /// boundary.
-    halted: AtomicBool,
     options: &'a ZooTrainOptions,
     train: &'a Tensor,
+    #[cfg(test)]
+    kill: KillSwitch,
 }
 
 impl TrainShared<'_> {
@@ -476,23 +512,17 @@ impl TrainShared<'_> {
                     epochs - trained,
                     &self.options.sentinel,
                     |w| {
-                        if self.halted.load(Ordering::SeqCst) {
-                            return false;
-                        }
-                        // Persist before counting the epoch against the
-                        // budget, so a halt always has its partial on disk.
                         if let Some(store) = self.store {
                             if let Err(e) = store.save_partial(&key, w) {
                                 save_err = Some(e);
                                 return false;
                             }
                         }
-                        if let Some(cap) = self.options.stop_after_epochs {
-                            let n = self.epochs_done.fetch_add(1, Ordering::SeqCst) + 1;
-                            if n >= cap {
-                                self.halted.store(true, Ordering::SeqCst);
-                                return false;
-                            }
+                        // A test kill stops here, after the partial is on
+                        // disk.
+                        #[cfg(test)]
+                        if self.kill.stops_at_epoch() {
+                            return false;
                         }
                         true
                     },
@@ -504,13 +534,14 @@ impl TrainShared<'_> {
                         if let Some(e) = save_err {
                             return Err(e);
                         }
-                        trained = wgan.history().len();
-                        if report.stopped || trained < epochs {
-                            // Halted mid-member: the partial written at
-                            // this boundary carries the rest of the group
-                            // into the next (resumed) call.
+                        // Killed mid-member: the partial written at this
+                        // boundary carries the rest of the group into the
+                        // next call.
+                        #[cfg(test)]
+                        if report.stopped {
                             return Ok(());
                         }
+                        trained = wgan.history().len();
                     }
                     Err(err) => {
                         for &(q_idx, q_epochs) in &group.members[pos..] {
@@ -547,25 +578,17 @@ impl TrainShared<'_> {
         Ok(())
     }
 
-    /// One group's task: trains it unless the run is halted, the
-    /// `stop_after_groups` budget is spent or a checkpoint has failed, in
-    /// which case the group is left unstarted. A panic inside the group
-    /// is caught and quarantines the group's unfinished members.
+    /// One group's task: trains it, or records the checkpoint error that
+    /// stopped it. A panic inside the group is caught and quarantines the
+    /// group's unfinished members.
     fn run_group(&self, group: &TrainGroup) {
-        let budget_spent = self
-            .options
-            .stop_after_groups
-            .is_some_and(|cap| self.groups_done.load(Ordering::SeqCst) >= cap);
-        if self.halted.load(Ordering::SeqCst) || budget_spent || !lock(&self.errors).is_empty() {
-            self.unstarted.fetch_add(1, Ordering::SeqCst);
+        #[cfg(test)]
+        if self.kill.leaves_group() {
             return;
         }
         match panic::catch_unwind(AssertUnwindSafe(|| self.train_group(group))) {
             Ok(Ok(())) => {}
-            Ok(Err(ckpt_err)) => {
-                lock(&self.errors).push(ckpt_err);
-                return;
-            }
+            Ok(Err(ckpt_err)) => lock(&self.errors).push(ckpt_err),
             Err(payload) => {
                 let msg = panic_message(payload);
                 let finished = lock(&self.results);
@@ -582,12 +605,11 @@ impl TrainShared<'_> {
                     };
                     if let Err(e) = self.quarantine(record) {
                         lock(&self.errors).push(e);
-                        return;
+                        break;
                     }
                 }
             }
         }
-        self.groups_done.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -765,13 +787,11 @@ impl ModelZoo {
             errors: Mutex::new(Vec::new()),
             manifest: Mutex::new(manifest),
             store: store.as_ref(),
-            groups_done: AtomicUsize::new(0),
-            unstarted: AtomicUsize::new(0),
             rollbacks: AtomicUsize::new(0),
-            epochs_done: AtomicUsize::new(0),
-            halted: AtomicBool::new(false),
             options,
             train,
+            #[cfg(test)]
+            kill: KillSwitch::new(options.kill),
         };
         let mut threads = vec![(); options.threads];
         fork_join(&mut threads, pending.iter().rev(), |_, _, group| {
@@ -781,18 +801,19 @@ impl ModelZoo {
         if let Some(err) = into_inner(shared.errors).into_iter().next() {
             return Err(err.into());
         }
-        let unstarted = shared.unstarted.into_inner();
-        let halted = shared.halted.into_inner();
+        // A test kill can stop a run before it commits anything; the next
+        // call resumes it, so it is not a failure.
+        #[cfg(test)]
+        let killed = shared.kill.fired.into_inner();
+        #[cfg(not(test))]
+        let killed = false;
         let resumed = shared.resumed.into_inner();
 
         let mut trained = into_inner(shared.results);
         trained.sort_by_key(|(idx, _)| *idx);
         let mut quarantined = into_inner(shared.quarantined);
         quarantined.sort_by_key(|r| r.grid_index);
-        // An epoch-budget halt can strand a half-finished group that did
-        // start, so `halted` alone marks incompleteness.
-        let complete = unstarted == 0 && !halted;
-        if complete && trained.is_empty() {
+        if trained.is_empty() && !killed {
             return Err(ZooError::AllQuarantined(quarantined));
         }
         Ok(ZooTrainReport {
@@ -810,7 +831,6 @@ impl ModelZoo {
             quarantined,
             resumed,
             rollbacks: shared.rollbacks.into_inner(),
-            complete,
         })
     }
 
@@ -1130,7 +1150,6 @@ mod tests {
             }
         }));
         let report = ModelZoo::train_grid(&GridConfig::tiny(), &train, &options).unwrap();
-        assert!(report.complete);
         assert_eq!(report.quarantined.len(), 2);
         for q in &report.quarantined {
             assert_eq!(q.config.noise_dim, 8);
@@ -1206,6 +1225,162 @@ mod tests {
             std::env::temp_dir().join(format!("vehigan-ft-test-{}-{tag}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// ADS ranking of a zoo after pre-evaluation: `(config id, ADS)` in
+    /// `top_m(len)` order.
+    fn ads_ranking(mut zoo: ModelZoo) -> Vec<(String, f64)> {
+        zoo.pre_evaluate(&synthetic_validation(11));
+        let order = zoo.top_m(zoo.len());
+        order
+            .into_iter()
+            .map(|i| {
+                let e = &zoo.entries()[i];
+                (e.wgan.config().id(), e.ads)
+            })
+            .collect()
+    }
+
+    /// `(config id, critic bytes, history)` of every member, in grid order.
+    fn fingerprints(zoo: &ModelZoo) -> Vec<(String, Vec<u8>, Vec<crate::wgan::TrainStats>)> {
+        let mut entries: Vec<_> = zoo.entries().iter().collect();
+        entries.sort_by_key(|e| e.grid_index);
+        entries
+            .iter()
+            .map(|e| {
+                let w = &e.wgan;
+                (w.config().id(), w.critic_bytes(), w.history().to_vec())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn interrupted_grid_run_resumes_to_identical_ads_ranking() {
+        let train = benign(96, 0);
+        let grid = GridConfig::tiny();
+        let dir = scratch_dir("resume");
+
+        // Reference: one uninterrupted run on two threads, no
+        // checkpointing.
+        let reference = ModelZoo::train_grid(&grid, &train, &ZooTrainOptions::new(2))
+            .unwrap()
+            .zoo;
+        let want_members = fingerprints(&reference);
+        let want = ads_ranking(reference);
+
+        // "Killed" run: stop after the first training group, leaving the
+        // manifest naming only that group's members.
+        let mut options = ZooTrainOptions::new(1);
+        options.checkpoint_dir = Some(dir.clone());
+        options.kill = Some(Kill::AfterGroups(1));
+        let partial = ModelZoo::train_grid(&grid, &train, &options).unwrap();
+        assert!(partial.zoo.len() < grid.len());
+
+        // Resumed run: same directory, no kill. Finished members load from
+        // disk; the rest train now.
+        let mut options = ZooTrainOptions::new(1);
+        options.checkpoint_dir = Some(dir.clone());
+        let resumed = ModelZoo::train_grid(&grid, &train, &options).unwrap();
+        assert_eq!(
+            resumed.resumed,
+            partial.zoo.len(),
+            "persisted members must load, not retrain"
+        );
+        assert_eq!(resumed.zoo.len(), grid.len());
+
+        // Every member bit for bit: critic bytes and history.
+        let got_members = fingerprints(&resumed.zoo);
+        for (g, w) in got_members.iter().zip(&want_members) {
+            assert_eq!(g.0, w.0, "member id mismatch");
+            assert_eq!(g.2, w.2, "history differs for {}", g.0);
+            assert!(
+                g.1 == w.1,
+                "critic bytes differ for {} — resume is not bitwise identical",
+                g.0
+            );
+        }
+
+        // The acceptance bar: identical pre-evaluation ADS ranking.
+        let got = ads_ranking(resumed.zoo);
+        assert_eq!(
+            got, want,
+            "resumed zoo must rank identically to an uninterrupted run"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_from_a_different_grid_is_rejected() {
+        let train = benign(96, 0);
+        let dir = scratch_dir("gridswap");
+
+        let mut options = ZooTrainOptions::new(1);
+        options.checkpoint_dir = Some(dir.clone());
+        options.kill = Some(Kill::AfterGroups(1));
+        ModelZoo::train_grid(&GridConfig::tiny(), &train, &options).unwrap();
+
+        // Same directory, different grid: typed mismatch, not silent reuse.
+        let other = GridConfig {
+            noise_dims: vec![4],
+            ..GridConfig::tiny()
+        };
+        match ModelZoo::train_grid(&other, &train, &options) {
+            Err(ZooError::Checkpoint(CheckpointError::ManifestMismatch { .. })) => {}
+            other => panic!("expected ManifestMismatch, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zoo_kill_resume_matrix_is_bitwise_identical() {
+        // Grid-level version of the mid-member guarantee: the epoch kill
+        // lands mid-member / mid-group / at a group boundary, and the
+        // resumed grid must be bitwise identical to an uninterrupted run.
+        // GridConfig::tiny() trains 2 groups of 6 shared epochs each; the
+        // kill sites cover: mid first member (1), between member budgets
+        // (4), and inside the second group (7).
+        let train = benign(64, 0);
+        let grid = GridConfig::tiny();
+
+        let reference = ModelZoo::train_grid(&grid, &train, &ZooTrainOptions::new(1))
+            .unwrap()
+            .zoo;
+
+        for kill_after in [1usize, 4, 7] {
+            let dir = scratch_dir("zookill");
+            let mut options = ZooTrainOptions::new(1);
+            options.checkpoint_dir = Some(dir.clone());
+            options.kill = Some(Kill::AfterEpochs(kill_after));
+            // Killed at epoch 1, the run has committed nothing: still `Ok`.
+            let killed = ModelZoo::train_grid(&grid, &train, &options).unwrap();
+            assert!(killed.zoo.len() < grid.len(), "kill_after={kill_after}");
+            assert_eq!(killed.zoo.is_empty(), kill_after == 1);
+
+            let mut options = ZooTrainOptions::new(1);
+            options.checkpoint_dir = Some(dir.clone());
+            let resumed = ModelZoo::train_grid(&grid, &train, &options).unwrap();
+            assert_eq!(resumed.zoo.len(), grid.len());
+
+            let mut got: Vec<_> = resumed.zoo.entries().iter().collect();
+            got.sort_by_key(|e| e.grid_index);
+            let mut want: Vec<_> = reference.entries().iter().collect();
+            want.sort_by_key(|e| e.grid_index);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.wgan.config().id(), w.wgan.config().id());
+                assert_eq!(
+                    g.wgan.history(),
+                    w.wgan.history(),
+                    "kill_after={kill_after}: history differs for {}",
+                    g.wgan.config().id()
+                );
+                assert!(
+                    g.wgan.critic_bytes() == w.wgan.critic_bytes(),
+                    "kill_after={kill_after}: critic bytes differ for {} — resume is not bitwise identical",
+                    g.wgan.config().id()
+                );
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1318,7 +1493,6 @@ mod tests {
         options.checkpoint_dir = Some(dir.clone());
         options.retry_quarantined = true;
         let retried = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-        assert!(retried.complete);
         assert!(
             retried.quarantined.is_empty(),
             "retry must clear the quarantine"
@@ -1383,7 +1557,6 @@ mod tests {
             record.lock().unwrap().push(entry);
         }));
         let report = ModelZoo::train_grid(&GridConfig::tiny(), &train, &options).unwrap();
-        assert!(report.complete);
         assert_eq!(report.zoo.len(), GridConfig::tiny().len());
 
         let caller = thread::current();

@@ -1,6 +1,7 @@
 //! Integration tests for the fault-tolerant training runtime: crash-safe
-//! checkpoints, kill/resume of an interrupted grid run, divergence
-//! quarantine, and degraded ensemble scoring.
+//! checkpoints, mid-member resume from a partial checkpoint, and degraded
+//! ensemble scoring. The tests that kill a grid run and resume it live in
+//! `zoo.rs`'s test module, beside the test-only kill they use.
 
 use std::fs;
 use std::path::PathBuf;
@@ -54,66 +55,6 @@ fn synthetic_validation(seed: u64) -> Vec<(Attack, WindowDataset)> {
     )]
 }
 
-/// ADS ranking of a zoo after pre-evaluation: `(config id, ADS)` in
-/// `top_m(len)` order.
-fn ads_ranking(mut zoo: ModelZoo) -> Vec<(String, f64)> {
-    zoo.pre_evaluate(&synthetic_validation(11));
-    let order = zoo.top_m(zoo.len());
-    order
-        .into_iter()
-        .map(|i| {
-            let e = &zoo.entries()[i];
-            (e.wgan.config().id(), e.ads)
-        })
-        .collect()
-}
-
-#[test]
-fn interrupted_grid_run_resumes_to_identical_ads_ranking() {
-    let train = benign(96, 0);
-    let grid = GridConfig::tiny();
-    let dir = scratch_dir("resume");
-
-    // Reference: one uninterrupted run, no checkpointing.
-    let reference = ModelZoo::train_grid(&grid, &train, &ZooTrainOptions::new(1))
-        .unwrap()
-        .zoo;
-    let want = ads_ranking(reference);
-
-    // "Killed" run: stop after the first training group, leaving the
-    // manifest naming only that group's members.
-    let mut options = ZooTrainOptions::new(1);
-    options.checkpoint_dir = Some(dir.clone());
-    options.stop_after_groups = Some(1);
-    let partial = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-    assert!(
-        !partial.complete,
-        "stop_after_groups must interrupt the run"
-    );
-    assert!(partial.zoo.len() < grid.len());
-
-    // Resumed run: same directory, no stop. Finished members load from
-    // disk; the rest train now.
-    let mut options = ZooTrainOptions::new(1);
-    options.checkpoint_dir = Some(dir.clone());
-    let resumed = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-    assert!(resumed.complete);
-    assert_eq!(
-        resumed.resumed,
-        partial.zoo.len(),
-        "persisted members must load, not retrain"
-    );
-    assert_eq!(resumed.zoo.len(), grid.len());
-
-    // The acceptance bar: identical pre-evaluation ADS ranking.
-    let got = ads_ranking(resumed.zoo);
-    assert_eq!(
-        got, want,
-        "resumed zoo must rank identically to an uninterrupted run"
-    );
-    let _ = fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn completed_run_is_a_pure_reload() {
     let train = benign(96, 0);
@@ -123,7 +64,6 @@ fn completed_run_is_a_pure_reload() {
     let mut options = ZooTrainOptions::new(2);
     options.checkpoint_dir = Some(dir.clone());
     let first = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-    assert!(first.complete);
     assert_eq!(first.resumed, 0);
 
     let second = ModelZoo::train_grid(&grid, &train, &options).unwrap();
@@ -135,28 +75,6 @@ fn completed_run_is_a_pure_reload() {
     let probe = benign(8, 3);
     for (a, b) in first.zoo.entries().iter().zip(second.zoo.entries()) {
         assert_eq!(a.wgan.score_batch(&probe), b.wgan.score_batch(&probe));
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn manifest_from_a_different_grid_is_rejected() {
-    let train = benign(96, 0);
-    let dir = scratch_dir("gridswap");
-
-    let mut options = ZooTrainOptions::new(1);
-    options.checkpoint_dir = Some(dir.clone());
-    options.stop_after_groups = Some(1);
-    ModelZoo::train_grid(&GridConfig::tiny(), &train, &options).unwrap();
-
-    // Same directory, different grid: typed mismatch, not silent reuse.
-    let other = GridConfig {
-        noise_dims: vec![4],
-        ..GridConfig::tiny()
-    };
-    match ModelZoo::train_grid(&other, &train, &options) {
-        Err(vehigan_core::ZooError::Checkpoint(CheckpointError::ManifestMismatch { .. })) => {}
-        other => panic!("expected ManifestMismatch, got {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -311,57 +229,6 @@ fn mid_member_kill_resume_is_bitwise_identical() {
             reference.training_state_bytes(),
             "kill_after={kill_after}: full training state must match"
         );
-        let _ = fs::remove_dir_all(&dir);
-    }
-}
-
-#[test]
-fn zoo_kill_resume_matrix_is_bitwise_identical() {
-    // Grid-level version of the same guarantee: `stop_after_epochs` lands
-    // the kill mid-member / mid-group / at a group boundary, and the
-    // resumed grid must be bitwise identical to an uninterrupted run.
-    // GridConfig::tiny() trains 2 groups of 6 shared epochs each; the kill
-    // sites cover: mid first member (1), between member budgets (4), and
-    // inside the second group (7).
-    let train = benign(64, 0);
-    let grid = GridConfig::tiny();
-
-    let reference = ModelZoo::train_grid(&grid, &train, &ZooTrainOptions::new(1))
-        .unwrap()
-        .zoo;
-
-    for kill_after in [1usize, 4, 7] {
-        let dir = scratch_dir("zookill");
-        let mut options = ZooTrainOptions::new(1);
-        options.checkpoint_dir = Some(dir.clone());
-        options.stop_after_epochs = Some(kill_after);
-        let killed = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-        assert!(!killed.complete, "kill_after={kill_after}");
-
-        let mut options = ZooTrainOptions::new(1);
-        options.checkpoint_dir = Some(dir.clone());
-        let resumed = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-        assert!(resumed.complete);
-        assert_eq!(resumed.zoo.len(), grid.len());
-
-        let mut got: Vec<_> = resumed.zoo.entries().iter().collect();
-        got.sort_by_key(|e| e.grid_index);
-        let mut want: Vec<_> = reference.entries().iter().collect();
-        want.sort_by_key(|e| e.grid_index);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.wgan.config().id(), w.wgan.config().id());
-            assert_eq!(
-                g.wgan.history(),
-                w.wgan.history(),
-                "kill_after={kill_after}: history differs for {}",
-                g.wgan.config().id()
-            );
-            assert!(
-                g.wgan.critic_bytes() == w.wgan.critic_bytes(),
-                "kill_after={kill_after}: critic bytes differ for {} — resume is not bitwise identical",
-                g.wgan.config().id()
-            );
-        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -92,8 +92,6 @@ pub struct WindowBuffer {
     head: usize,
     /// Rows filled so far (saturates at `window`).
     filled: usize,
-    /// Timestamp of the most recently ingested BSM.
-    last_seen: f64,
 }
 
 impl WindowBuffer {
@@ -111,7 +109,6 @@ impl WindowBuffer {
             ring: vec![0.0; window * f],
             head: 0,
             filled: 0,
-            last_seen: f64::NEG_INFINITY,
             scaler,
         }
     }
@@ -132,7 +129,6 @@ impl WindowBuffer {
             self.filled = (self.filled + 1).min(self.window);
         }
         self.prev = Some(*bsm);
-        self.last_seen = bsm.timestamp;
         self.last_window()
     }
 
@@ -156,12 +152,6 @@ impl WindowBuffer {
     /// Whether no rows are buffered yet.
     pub fn is_empty(&self) -> bool {
         self.filled == 0
-    }
-
-    /// Timestamp of the most recently ingested BSM
-    /// (`f64::NEG_INFINITY` before the first push).
-    pub fn last_seen(&self) -> f64 {
-        self.last_seen
     }
 }
 
@@ -215,7 +205,6 @@ mod tests {
             }
         }
         assert!(emitted > 0);
-        assert_eq!(buf.last_seen(), fleet[0].bsms.last().unwrap().timestamp);
     }
 
     #[test]
@@ -275,9 +264,9 @@ mod tests {
         // Pin the raw WindowBuffer contract: it performs NO ordering or
         // duplicate checks. An out-of-order or duplicate-timestamp BSM
         // is ingested like any other (rows are computed from consecutive
-        // *arrivals*, not timestamps) and `last_seen` tracks the most
-        // recent *push*, even backwards. Rejection is the caller's job —
-        // the serve shards run an `IngestGuard` in front of this buffer.
+        // *arrivals*, not timestamps), even one older than the last.
+        // Rejection is the caller's job — the serve shards run an
+        // `IngestGuard` in front of this buffer.
         let (fleet, scaler) = setup();
         let mut buf = WindowBuffer::new(10, scaler);
         for bsm in fleet[0].iter().take(12) {
@@ -290,16 +279,14 @@ mod tests {
         // Duplicate timestamp: accepted, completes a new window.
         let dup = fleet[0].bsms[11];
         assert!(buf.push(&dup).is_some());
-        assert_eq!(buf.last_seen(), dup.timestamp);
         let after_dup = window(&buf);
         assert_ne!(before, after_dup, "duplicate push must shift the ring");
 
-        // Out-of-order (older) timestamp: accepted, last_seen moves
-        // backwards — exactly the poisoned state the guard prevents.
+        // Out-of-order (older) timestamp: accepted and pushed into the
+        // ring — exactly the poisoned state the guard prevents.
         let old = fleet[0].bsms[0];
         assert!(buf.push(&old).is_some());
-        assert_eq!(buf.last_seen(), old.timestamp);
-        assert!(buf.last_seen() < dup.timestamp);
+        assert_ne!(after_dup, window(&buf), "an older push must shift the ring");
     }
 
     #[test]

@@ -88,8 +88,8 @@ struct Slot {
     /// its ring (its newest, queued and not spilled), if any.
     in_ring: Option<u64>,
     /// Timestamp of the newest accepted BSM: the guard's staleness
-    /// reference and the TTL/LRU age. Unlike the ring's `last_seen` it
-    /// never moves backwards when the guard tolerates reordering.
+    /// reference and the TTL/LRU age. It never moves backwards when the
+    /// guard tolerates reordering.
     newest: f64,
 }
 

@@ -48,7 +48,7 @@ fn live() -> i64 {
 }
 
 /// Heap bytes per warm vehicle: at most this (a slot sharing the scaler
-/// reads 962 B, one with a private scaler and snapshot tensor 1707 B).
+/// reads 954 B, one with a private scaler and snapshot tensor 1707 B).
 const BOUND_BYTES: f64 = 1_300.0;
 
 /// Heap bytes per queued window: at most this (an entry naming the

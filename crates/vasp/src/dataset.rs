@@ -56,11 +56,6 @@ pub struct MisbehaviorDataset {
 }
 
 impl MisbehaviorDataset {
-    /// Total message count.
-    pub fn num_messages(&self) -> usize {
-        self.traces.iter().map(|t| t.trace.len()).sum()
-    }
-
     /// Number of attacker vehicles.
     pub fn num_attackers(&self) -> usize {
         self.traces.iter().filter(|t| t.is_attacker).count()

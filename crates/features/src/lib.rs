@@ -45,11 +45,11 @@ pub use decompose::{
 };
 pub use ingest::{FieldLimits, IngestGuard, RejectCounters, RejectReason};
 pub use monitor::{
-    residuals, GateDecision, Tier0Calibration, Tier0Monitor, Tier0Params, EWMA_LAMBDA,
+    residuals, GateDecision, Tier0Calibration, Tier0Monitor, Tier0Params, Tier0State, EWMA_LAMBDA,
     NUM_RESIDUALS, NUM_STATISTICS, RESIDUAL_NAMES,
 };
 pub use scaler::MinMaxScaler;
-pub use stream::{lru_key, EvictionConfig, WindowBuffer, WindowView};
+pub use stream::{lru_key, EvictionConfig, WindowBuffer, WindowRing, WindowView};
 pub use window::{
     assemble_fragments, build_fragment, build_windows, build_windows_from_rows, engineer_rows,
     engineer_trace, fit_scaler, fit_scaler_from_rows, Representation, TraceRows, WindowConfig,

@@ -36,9 +36,13 @@
 //!    and one `sqrt`, keeping the O(1) push budget.
 //!
 //! Each residual feeds an EWMA and a two-sided CUSUM, updated in O(1)
-//! per [`Tier0Monitor::push`] with no allocation and a fixed f32
+//! per [`Tier0State::push`] with no allocation and a fixed f32
 //! operation order, so two replays of the same BSM sequence are bitwise
-//! identical. A [`Tier0Calibration`] fits per-statistic decision
+//! identical. The state holds no parameters and no previous message: a
+//! [`Tier0Monitor`] wraps it with both for a standalone caller, while a
+//! serve shard keeps the [`Tier0Params`] once and feeds each vehicle's
+//! state the one previous message its window ring also reads. A
+//! [`Tier0Calibration`] fits per-statistic decision
 //! intervals from benign traces at a configurable benign-quantile and
 //! turns a monitor's state into a [`GateDecision`]: `Suppress` (all
 //! statistics inside their intervals — the serve tick may skip tier-1
@@ -494,10 +498,20 @@ impl Tier0Calibration {
     /// actually skip tier-1 additionally depends on the caller holding
     /// a fresh carried score (see [`Tier0Calibration::refresh`]).
     pub fn evaluate(&self, monitor: &Tier0Monitor) -> (GateDecision, f32) {
-        if monitor.rows() < self.warmup {
+        self.judge(&monitor.state, &monitor.params)
+    }
+
+    /// [`Tier0Calibration::evaluate`] for a bare [`Tier0State`] pushed
+    /// with this calibration's [`Tier0Calibration::params`].
+    pub fn evaluate_state(&self, state: &Tier0State) -> (GateDecision, f32) {
+        self.judge(state, &self.params)
+    }
+
+    fn judge(&self, state: &Tier0State, params: &Tier0Params) -> (GateDecision, f32) {
+        if state.rows < self.warmup {
             return (GateDecision::Screen, 0.0);
         }
-        let ratio = self.ratio(&monitor.statistics());
+        let ratio = self.ratio(&state.statistics(params));
         if self.scale > 0.0 && ratio <= self.scale {
             (
                 GateDecision::Suppress,
@@ -534,21 +548,17 @@ impl Tier0Calibration {
     }
 }
 
-/// Per-vehicle incremental kinematic monitor, updated in O(1) per BSM
-/// alongside the [`WindowBuffer`] ring with no allocation and a fixed
-/// f32 operation order.
+/// The per-vehicle half of a [`Tier0Monitor`]: the horizon anchor, the
+/// EWMA and CUSUM accumulators and the row count, updated in O(1) per
+/// residual row with no allocation and a fixed f32 operation order. It
+/// holds no [`Tier0Params`] and no previous message: [`Tier0State::push`]
+/// takes both from its caller, so a caller tracking many vehicles (the
+/// serve shards) keeps the parameters once and shares each vehicle's
+/// previous message with its [`WindowRing`].
 ///
-/// The monitor keeps its own previous-message copy rather than peeking
-/// into the ring, so it works standalone and in the serve shard alike;
-/// feeding both from the same accepted-BSM sequence keeps them in
-/// lockstep (a window completes exactly when the monitor has
-/// `>= warmup` rows on an uninterrupted stream).
-///
-/// [`WindowBuffer`]: crate::WindowBuffer
+/// [`WindowRing`]: crate::WindowRing
 #[derive(Debug, Clone, Copy)]
-pub struct Tier0Monitor {
-    params: Tier0Params,
-    prev: Option<Bsm>,
+pub struct Tier0State {
     hz: Horizon,
     ewma: [f32; NUM_RESIDUALS],
     cusum_pos: [f32; NUM_RESIDUALS],
@@ -556,13 +566,11 @@ pub struct Tier0Monitor {
     rows: u32,
 }
 
-impl Tier0Monitor {
-    /// A cold monitor with the given update parameters. EWMAs start at
-    /// the reference μ so a fresh monitor is not instantly deviant.
-    pub fn new(params: Tier0Params) -> Self {
-        Tier0Monitor {
-            params,
-            prev: None,
+impl Tier0State {
+    /// A cold state for the given parameters. EWMAs start at the
+    /// reference μ so a fresh monitor is not instantly deviant.
+    pub fn new(params: &Tier0Params) -> Self {
+        Tier0State {
             hz: Horizon::cold(),
             ewma: params.mu,
             cusum_pos: [0.0; NUM_RESIDUALS],
@@ -571,49 +579,29 @@ impl Tier0Monitor {
         }
     }
 
-    /// Feeds one BSM. A message whose timestamp does not strictly
-    /// advance past the previous one (out-of-order, duplicate, or
-    /// non-finite) resets the statistics cold — the conservative
-    /// fallthrough: the monitor screens until it re-warms on `warmup`
-    /// consecutive clean rows.
-    pub fn push(&mut self, bsm: &Bsm) {
-        if let Some(prev) = self.prev {
-            match full_residuals(&prev, bsm, &mut self.hz, self.params.horizon) {
-                Some(r) => {
-                    let lambda = self.params.lambda;
-                    for (i, &c) in r.iter().enumerate() {
-                        let mu = self.params.mu[i];
-                        let k = self.params.slack[i];
-                        self.cusum_pos[i] =
-                            clamp_stat(((self.cusum_pos[i] + (c - mu - k)).max(0.0)) as f64);
-                        self.cusum_neg[i] =
-                            clamp_stat(((self.cusum_neg[i] + (mu - k - c)).max(0.0)) as f64);
-                        self.ewma[i] =
-                            clamp_stat(((1.0 - lambda) * self.ewma[i] + lambda * c) as f64);
-                    }
-                    self.rows = self.rows.saturating_add(1);
+    /// Advances one residual row: the consecutive accepted pair
+    /// `(prev, curr)`. A pair whose timestamp does not strictly advance
+    /// (out-of-order, duplicate, or non-finite) resets the statistics
+    /// cold — the conservative fallthrough: the monitor screens until it
+    /// re-warms on `warmup` consecutive clean rows, measured from `curr`.
+    /// `params` must be the ones every push to this state uses.
+    pub fn push(&mut self, params: &Tier0Params, prev: &Bsm, curr: &Bsm) {
+        match full_residuals(prev, curr, &mut self.hz, params.horizon) {
+            Some(r) => {
+                let lambda = params.lambda;
+                for (i, &c) in r.iter().enumerate() {
+                    let mu = params.mu[i];
+                    let k = params.slack[i];
+                    self.cusum_pos[i] =
+                        clamp_stat(((self.cusum_pos[i] + (c - mu - k)).max(0.0)) as f64);
+                    self.cusum_neg[i] =
+                        clamp_stat(((self.cusum_neg[i] + (mu - k - c)).max(0.0)) as f64);
+                    self.ewma[i] = clamp_stat(((1.0 - lambda) * self.ewma[i] + lambda * c) as f64);
                 }
-                None => self.reset_stats(),
+                self.rows = self.rows.saturating_add(1);
             }
+            None => *self = Tier0State::new(params),
         }
-        self.prev = Some(*bsm);
-    }
-
-    /// Clears the accumulated statistics and warmup count but keeps the
-    /// last message as the new reference point.
-    fn reset_stats(&mut self) {
-        self.ewma = self.params.mu;
-        self.cusum_pos = [0.0; NUM_RESIDUALS];
-        self.cusum_neg = [0.0; NUM_RESIDUALS];
-        self.hz = Horizon::cold();
-        self.rows = 0;
-    }
-
-    /// Resets the monitor fully cold (statistics *and* the previous
-    /// message), as after an eviction rebuild.
-    pub fn reset(&mut self) {
-        self.reset_stats();
-        self.prev = None;
     }
 
     /// Consecutive residual rows accumulated since the last reset.
@@ -621,21 +609,63 @@ impl Tier0Monitor {
         self.rows
     }
 
-    /// The current statistics vector: the folded two-sided CUSUM
-    /// `max(s⁺, s⁻)` per residual, then the EWMA deviation `|z − μ|`
-    /// per residual. Always finite (see `RESIDUAL_CLAMP`).
-    pub fn statistics(&self) -> [f32; NUM_STATISTICS] {
+    /// The current statistics vector under `params`: the folded
+    /// two-sided CUSUM `max(s⁺, s⁻)` per residual, then the EWMA
+    /// deviation `|z − μ|` per residual. Always finite (see
+    /// `RESIDUAL_CLAMP`).
+    pub fn statistics(&self, params: &Tier0Params) -> [f32; NUM_STATISTICS] {
         let mut s = [0f32; NUM_STATISTICS];
         for i in 0..NUM_RESIDUALS {
             s[i] = self.cusum_pos[i].max(self.cusum_neg[i]);
-            s[NUM_RESIDUALS + i] = (self.ewma[i] - self.params.mu[i]).abs();
+            s[NUM_RESIDUALS + i] = (self.ewma[i] - params.mu[i]).abs();
         }
         s
     }
+}
 
-    /// The update parameters this monitor runs with.
-    pub fn params(&self) -> Tier0Params {
-        self.params
+/// Per-vehicle incremental kinematic monitor for a standalone caller: a
+/// [`Tier0State`] with its own [`Tier0Params`] and the vehicle's previous
+/// message, fed one BSM at a time.
+///
+/// Fed the same accepted-BSM sequence as a [`WindowBuffer`], the two stay
+/// in lockstep (a window completes exactly when the monitor has
+/// `>= warmup` rows on an uninterrupted stream). The serve shards hold
+/// the state alone and feed it the previous message their ring uses.
+///
+/// [`WindowBuffer`]: crate::WindowBuffer
+#[derive(Debug, Clone, Copy)]
+pub struct Tier0Monitor {
+    params: Tier0Params,
+    prev: Option<Bsm>,
+    state: Tier0State,
+}
+
+impl Tier0Monitor {
+    /// A cold monitor with the given update parameters.
+    pub fn new(params: Tier0Params) -> Self {
+        Tier0Monitor {
+            params,
+            prev: None,
+            state: Tier0State::new(&params),
+        }
+    }
+
+    /// Feeds one BSM (see [`Tier0State::push`]; the first message is only
+    /// the reference point for the second).
+    pub fn push(&mut self, bsm: &Bsm) {
+        if let Some(prev) = self.prev.replace(*bsm) {
+            self.state.push(&self.params, &prev, bsm);
+        }
+    }
+
+    /// Consecutive residual rows accumulated since the last reset.
+    pub fn rows(&self) -> u32 {
+        self.state.rows
+    }
+
+    /// The current statistics vector (see [`Tier0State::statistics`]).
+    pub fn statistics(&self) -> [f32; NUM_STATISTICS] {
+        self.state.statistics(&self.params)
     }
 }
 

@@ -2,15 +2,18 @@
 //!
 //! On the OBU/RSU, VehiGAN keeps only the most recent `w` messages per
 //! vehicle and refreshes that vehicle's snapshot on every arriving BSM
-//! (§III-C). [`WindowBuffer`] implements exactly that per-vehicle buffer;
-//! the `vehigan-serve` shards multiplex buffers across all observed
-//! pseudonyms (a single-vehicle or single-threaded caller holds a bare
-//! buffer, or a `HashMap` of them).
+//! (§III-C). [`WindowBuffer`] implements exactly that per-vehicle buffer
+//! for a single-vehicle or single-threaded caller (a bare buffer, or a
+//! `HashMap` of them). Its per-vehicle part is a [`WindowRing`], which
+//! takes the window length, the scaler and the previous message from its
+//! caller: the `vehigan-serve` shards keep one ring per observed
+//! pseudonym next to the one previous message the tier-0 monitor shares,
+//! and the window length and scaler once per shard.
 //!
-//! - [`WindowBuffer::push`] is **allocation-free** once warmed up: the
-//!   scaled feature row is written straight into a fixed `w × f` ring, and
-//!   the completed window is handed back as a [`WindowView`] of that ring
-//!   (two slices split where it wraps), not copied into a tensor;
+//! - [`WindowRing::push`] is **allocation-free**: the scaled feature row
+//!   is written straight into a fixed `w × f` ring, and the completed
+//!   window is handed back as a [`WindowView`] of that ring (two slices
+//!   split where it wraps), not copied into a tensor;
 //! - [`EvictionConfig`] (TTL and/or LRU capacity, ordered by [`lru_key`])
 //!   is the policy the shards evict stale pseudonyms under, so pseudonym
 //!   churn in a long-lived deployment cannot grow state without bound.
@@ -76,22 +79,92 @@ impl WindowView<'_> {
     }
 }
 
-/// Rolling feature-window buffer for one vehicle.
+/// The per-vehicle half of a [`WindowBuffer`]: the ring of scaled
+/// feature rows and where the next one goes — no window length, scaler
+/// or previous message. A caller tracking many vehicles (the serve
+/// shards) keeps one ring per vehicle and the rest once; the buffer is
+/// one ring plus its own copy of the rest.
+#[derive(Debug, Clone)]
+pub struct WindowRing {
+    /// `window` scaled rows, `features` wide each.
+    ring: Box<[f32]>,
+    /// Offset, in floats, of the ring slot the next row is written to.
+    head: u32,
+    /// Rows filled so far (saturates at `window`).
+    filled: u32,
+}
+
+impl WindowRing {
+    /// An empty ring of `window` rows, `features` wide each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window < 2` or the ring holds more than `u32::MAX`
+    /// floats.
+    pub fn new(window: usize, features: usize) -> Self {
+        assert!(window >= 2, "window must be at least 2");
+        let len = window * features;
+        assert!(u32::try_from(len).is_ok(), "window ring too large");
+        WindowRing {
+            ring: vec![0.0; len].into_boxed_slice(),
+            head: 0,
+            filled: 0,
+        }
+    }
+
+    /// Writes the scaled feature row of the consecutive pair
+    /// `(prev, curr)`; returns the completed window once `window` rows
+    /// are in. `window` and `scaler` must be the ones every push to this
+    /// ring uses, the shape it was built with.
+    // Inlined across crates for the serve shards, like `last_window`.
+    #[inline]
+    pub fn push(
+        &mut self,
+        window: usize,
+        scaler: &MinMaxScaler,
+        prev: &Bsm,
+        curr: &Bsm,
+    ) -> Option<WindowView<'_>> {
+        let f = scaler.width();
+        let head = self.head as usize;
+        let row = decompose_pair(prev, curr);
+        let dst = &mut self.ring[head..head + f];
+        for (j, (d, &v)) in dst.iter_mut().zip(row.values.iter()).enumerate() {
+            *d = scaler.transform_value_f32(j, v);
+        }
+        self.head = if head + f == self.ring.len() {
+            0
+        } else {
+            (head + f) as u32
+        };
+        self.filled = (self.filled + 1).min(window as u32);
+        self.last_window(window)
+    }
+
+    /// The window the last [`WindowRing::push`] completed, if the ring is
+    /// full. Once it is, `head` points at the oldest row.
+    #[inline]
+    pub fn last_window(&self, window: usize) -> Option<WindowView<'_>> {
+        let (newer, older) = self.ring.split_at(self.head as usize);
+        (self.filled as usize >= window).then_some(WindowView {
+            older,
+            newer,
+            window,
+        })
+    }
+}
+
+/// Rolling feature-window buffer for one vehicle: a [`WindowRing`] with
+/// its window length, scaler and the vehicle's previous message.
 ///
-/// Internally a fixed ring of scaled `f32` feature rows, so pushing a BSM
-/// performs no heap allocation after construction; the scaler is shared
-/// with every other buffer cloned from it.
+/// Pushing a BSM performs no heap allocation after construction; the
+/// scaler is shared with every other buffer cloned from it.
 #[derive(Debug, Clone)]
 pub struct WindowBuffer {
     window: usize,
     scaler: MinMaxScaler,
     prev: Option<Bsm>,
-    /// Ring of `window` scaled rows, `features` wide each.
-    ring: Vec<f32>,
-    /// Ring slot the next row will be written to.
-    head: usize,
-    /// Rows filled so far (saturates at `window`).
-    filled: usize,
+    ring: WindowRing,
 }
 
 impl WindowBuffer {
@@ -101,14 +174,10 @@ impl WindowBuffer {
     ///
     /// Panics if `window < 2`.
     pub fn new(window: usize, scaler: MinMaxScaler) -> Self {
-        assert!(window >= 2, "window must be at least 2");
-        let f = scaler.width();
         WindowBuffer {
             window,
             prev: None,
-            ring: vec![0.0; window * f],
-            head: 0,
-            filled: 0,
+            ring: WindowRing::new(window, scaler.width()),
             scaler,
         }
     }
@@ -118,40 +187,25 @@ impl WindowBuffer {
     /// ([`WindowView::extend_into`], [`WindowView::to_tensor`]) if it must
     /// outlive the next push.
     pub fn push(&mut self, bsm: &Bsm) -> Option<WindowView<'_>> {
-        let f = self.scaler.width();
-        if let Some(prev) = self.prev {
-            let row = decompose_pair(&prev, bsm);
-            let dst = &mut self.ring[self.head * f..(self.head + 1) * f];
-            for (j, (d, &v)) in dst.iter_mut().zip(row.values.iter()).enumerate() {
-                *d = self.scaler.transform_value_f32(j, v);
-            }
-            self.head = (self.head + 1) % self.window;
-            self.filled = (self.filled + 1).min(self.window);
-        }
-        self.prev = Some(*bsm);
-        self.last_window()
+        let prev = self.prev.replace(*bsm)?;
+        self.ring.push(self.window, &self.scaler, &prev, bsm)
     }
 
     /// The window the last [`WindowBuffer::push`] completed, if the buffer
-    /// is full. Once it is, `head` points at the oldest row.
+    /// is full.
     #[inline]
     pub fn last_window(&self) -> Option<WindowView<'_>> {
-        let (newer, older) = self.ring.split_at(self.head * self.scaler.width());
-        (self.filled >= self.window).then_some(WindowView {
-            older,
-            newer,
-            window: self.window,
-        })
+        self.ring.last_window(self.window)
     }
 
     /// Number of buffered feature rows.
     pub fn len(&self) -> usize {
-        self.filled
+        self.ring.filled as usize
     }
 
     /// Whether no rows are buffered yet.
     pub fn is_empty(&self) -> bool {
-        self.filled == 0
+        self.ring.filled == 0
     }
 }
 
@@ -315,13 +369,13 @@ mod tests {
         for bsm in fleet[0].iter().take(15) {
             buf.push(bsm);
         }
-        let ring = buf.ring.as_ptr_range();
+        let ring = buf.ring.ring.as_ptr_range();
         for bsm in fleet[0].iter().skip(15).take(40) {
             let view = buf.push(bsm).expect("a full buffer completes a window");
             for part in [view.older, view.newer] {
                 assert!(ring.contains(&part.as_ptr()) || part.is_empty());
             }
         }
-        assert_eq!(buf.ring.as_ptr_range(), ring, "ring reallocated");
+        assert_eq!(buf.ring.ring.as_ptr_range(), ring, "ring reallocated");
     }
 }

@@ -17,7 +17,7 @@
 //!   pseudonym — memory grows with accused pseudonyms, never with
 //!   reports. A case leaves the map only on conviction: one whose
 //!   reports have all aged out of the window stays (case expiry is
-//!   ROADMAP item 4).
+//!   ROADMAP item 6).
 //!   (Boxed because the map is one power-of-two table that pays an
 //!   entry's size on every bucket: the flood's heap peak and report rate
 //!   are both better with the cases boxed than inline. A 56-byte case

@@ -5,8 +5,10 @@
 //! and scores the refreshed snapshot. This crate turns that per-message,
 //! per-vehicle loop into a line-rate data plane:
 //!
-//! - **Sharded state** — per-vehicle [`WindowBuffer`]s live in worker
-//!   shards ([`Shard`]) the server owns outright; a pseudonym is hashed
+//! - **Sharded state** — per-vehicle window rings and tier-0 states live
+//!   in worker shards ([`Shard`]) the server owns outright, next to one
+//!   previous BSM per vehicle (the shard keeps the window length, scaler
+//!   and tier-0 parameters once); a pseudonym is hashed
 //!   to one shard by [`shard_for`], so a forked ingest hands each task
 //!   its own `&mut Shard` — no lock anywhere — and per-vehicle message
 //!   order is preserved.
@@ -20,7 +22,7 @@
 //! - **Tier-0 kinematic gate** (DESIGN.md §12) — with a
 //!   [`vehigan_features::Tier0Calibration`] in [`ServerConfig::tier0`],
 //!   per-vehicle O(1) CUSUM/EWMA physics monitors run alongside each
-//!   window buffer; windows whose monitors are warm and in-interval skip
+//!   window ring; windows whose monitors are warm and in-interval skip
 //!   tier 1 entirely and emit a monitor-implied benign score, while any
 //!   tripped monitor or cold/rebuilt buffer conservatively falls through
 //!   to the full tier-1 → tier-2 path.

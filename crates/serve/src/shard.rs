@@ -1,10 +1,20 @@
-//! Per-shard vehicle state: a slab of ring-buffer [`WindowBuffer`]s plus
-//! the shard's pending-window queue.
+//! Per-shard vehicle state: a slab of per-vehicle slots plus the shard's
+//! pending-window queue.
 //!
 //! A vehicle's pseudonym is hashed to exactly one shard by [`shard_for`],
 //! so all of a vehicle's BSMs are processed by the same shard in arrival
 //! order and no cross-shard coordination is needed on the ingest path.
-//! A completed window stays where [`WindowBuffer::push`] wrote it: the
+//!
+//! A slot stores each fact about its vehicle once: the newest accepted
+//! BSM, which both the next window row and the next tier-0 residual row
+//! are computed against, a [`WindowRing`] and a [`Tier0State`] that hold
+//! nothing else, the carried gate score and narrow queue bookkeeping.
+//! The window length, the scaler and the [`Tier0Params`] are the shard's,
+//! passed to every push. Fed the same accepted BSMs, the slot therefore
+//! reproduces a standalone [`WindowBuffer`] and [`Tier0Monitor`] bit for
+//! bit (`tests/shard_props.rs` checks both).
+//!
+//! A completed window stays where [`WindowRing::push`] wrote it: the
 //! shard's `pending` queue holds its metadata and its vehicle's slab
 //! slot, and the tick copies its floats from the ring straight into one
 //! cross-vehicle batch — only for windows the tick will score. Should the
@@ -24,12 +34,14 @@
 //!   counted, deterministic window loss instead of unbounded memory.
 //!
 //! [`WindowBuffer`]: vehigan_features::WindowBuffer
-//! [`WindowBuffer::push`]: vehigan_features::WindowBuffer::push
+//! [`Tier0Monitor`]: vehigan_features::Tier0Monitor
+//! [`Tier0Params`]: vehigan_features::Tier0Params
+//! [`WindowRing::push`]: vehigan_features::WindowRing::push
 
 use std::collections::HashMap;
 use vehigan_features::{
     lru_key, EvictionConfig, GateDecision, IngestGuard, MinMaxScaler, RejectCounters,
-    Tier0Calibration, Tier0Monitor, WindowBuffer,
+    Tier0Calibration, Tier0State, WindowRing,
 };
 use vehigan_sim::{Bsm, IdHash, VehicleId};
 
@@ -64,14 +76,21 @@ pub struct PendingWindow {
     pub pinned: f32,
 }
 
+/// [`Slot::in_ring`] when none of the vehicle's queued windows is in its
+/// ring.
+const NOT_IN_RING: u64 = u64::MAX;
+
 #[derive(Debug)]
 struct Slot {
-    vehicle: VehicleId,
-    buffer: WindowBuffer,
-    /// Tier-0 kinematic monitor, present iff the shard was built with a
-    /// calibration. Reset on out-of-order input by its own `push` and
-    /// discarded wholesale with the slot on eviction.
-    monitor: Option<Tier0Monitor>,
+    /// The newest accepted BSM (in arrival order): the reference point
+    /// the next one's window row and tier-0 residuals are computed
+    /// against. Its `vehicle_id` is the slot's pseudonym.
+    prev: Bsm,
+    ring: WindowRing,
+    /// Tier-0 kinematic state, present iff the shard had a calibration
+    /// when the slot was built. Reset on out-of-order input by its own
+    /// `push` and discarded wholesale with the slot on eviction.
+    monitor: Option<Tier0State>,
     /// Last real tier-1 gate score recorded for this vehicle (the score
     /// a suppressed window carries forward). `None` until the first
     /// screened window is scored — a vehicle's first window always runs
@@ -83,10 +102,10 @@ struct Slot {
     /// Windows from this vehicle sitting in `pending` (not yet taken or
     /// shed). Eviction never removes a slot while this is non-zero, so
     /// the queue may name its windows by slot index.
-    in_flight: usize,
+    in_flight: u32,
     /// Queue sequence number of this vehicle's window that still lives in
-    /// its ring (its newest, queued and not spilled), if any.
-    in_ring: Option<u64>,
+    /// its ring (its newest, queued and not spilled), or [`NOT_IN_RING`].
+    in_ring: u64,
     /// Timestamp of the newest accepted BSM: the guard's staleness
     /// reference and the TTL/LRU age. It never moves backwards when the
     /// guard tolerates reordering.
@@ -104,8 +123,8 @@ struct Queued {
     spill: Option<u32>,
 }
 
-/// One worker shard: a slab of per-vehicle window buffers and the queue
-/// of windows awaiting the next batch tick.
+/// One worker shard: a slab of per-vehicle slots and the queue of windows
+/// awaiting the next batch tick.
 #[derive(Debug)]
 pub struct Shard {
     window: usize,
@@ -180,21 +199,25 @@ impl Shard {
 
     /// Arms (or disarms, with `None`) the tier-0 kinematic gate.
     ///
-    /// Vehicles inserted afterwards get a fresh [`Tier0Monitor`];
-    /// already-resident vehicles stay ungated (their windows keep
-    /// screening through tier 1) — in practice the gate is configured at
-    /// construction, before any traffic.
+    /// Vehicles inserted afterwards get a fresh [`Tier0State`];
+    /// already-resident vehicles lose theirs and stay ungated (their
+    /// windows keep screening through tier 1) — in practice the gate is
+    /// configured at construction, before any traffic.
     pub fn with_tier0(mut self, tier0: Option<Tier0Calibration>) -> Self {
         self.tier0 = tier0;
+        for slot in self.slots.iter_mut().flatten() {
+            slot.monitor = None;
+        }
         self
     }
 
     /// Ingests one BSM: validates it against the shard's [`IngestGuard`]
     /// (rejections are counted and touch no state — not even a slab slot
-    /// for an unseen pseudonym), then pushes it into the sender's window
-    /// buffer; if the push completes a window, queues it for the next
+    /// for an unseen pseudonym), then pushes the pair it forms with the
+    /// sender's previous BSM into the sender's window ring and tier-0
+    /// state; if the push completes a window, queues it for the next
     /// tick, shedding the oldest queued window when the queue bound would
-    /// overflow.
+    /// overflow. An unseen pseudonym's first BSM only builds its slot.
     ///
     /// Returns whether the message was accepted.
     pub fn ingest(&mut self, bsm: &Bsm) -> bool {
@@ -205,22 +228,28 @@ impl Shard {
             self.rejects.count(reason);
             return false;
         }
-        let slot_idx = match existing {
-            Some(i) => i,
-            None => self.insert_vehicle(bsm.vehicle_id),
+        let Some(slot_idx) = existing else {
+            self.insert_vehicle(bsm);
+            return true;
         };
         // The push overwrites the ring's oldest row, so a window still
         // queued there moves out first.
-        if let Some(seq) = self.slot(slot_idx).in_ring {
+        let seq = self.slot(slot_idx).in_ring;
+        if seq != NOT_IN_RING {
             self.spill_window(seq);
         }
-        let tier0 = self.tier0;
+        let tier0 = self.tier0.as_ref();
         let slot = self.slots[slot_idx].as_mut().expect("indexed slot is live");
         slot.newest = slot.newest.max(bsm.timestamp);
-        if let Some(monitor) = slot.monitor.as_mut() {
-            monitor.push(bsm);
+        let prev = std::mem::replace(&mut slot.prev, *bsm);
+        if let (Some(cal), Some(monitor)) = (tier0, slot.monitor.as_mut()) {
+            monitor.push(&cal.params, &prev, bsm);
         }
-        if slot.buffer.push(bsm).is_some() {
+        if slot
+            .ring
+            .push(self.window, &self.scaler, &prev, bsm)
+            .is_some()
+        {
             // Evaluate the gate at window completion, while the slot
             // borrow is live; a missing calibration or monitor screens.
             // Physics alone is not enough to suppress: the vehicle must
@@ -228,7 +257,7 @@ impl Shard {
             // score to carry forward, so its first window — and at least
             // every `refresh + 1`-th thereafter — runs the real gate.
             let (suppressed, pinned) = match (tier0, slot.monitor.as_ref()) {
-                (Some(cal), Some(monitor)) => match (cal.evaluate(monitor).0, slot.last_gate) {
+                (Some(cal), Some(state)) => match (cal.evaluate_state(state).0, slot.last_gate) {
                     (GateDecision::Suppress, Some(g))
                         if g < cal.tau && slot.streak < cal.refresh =>
                     {
@@ -250,7 +279,7 @@ impl Shard {
                 slot.streak += 1;
             }
             slot.in_flight += 1;
-            slot.in_ring = Some(self.front + self.pending.len() as u64);
+            slot.in_ring = self.front + self.pending.len() as u64;
             self.pending.push(Queued {
                 meta: PendingWindow {
                     vehicle: bsm.vehicle_id,
@@ -272,7 +301,7 @@ impl Shard {
     /// Moves the queued window with sequence number `seq` out of its
     /// vehicle's ring into a spill buffer (reused once one is free).
     fn spill_window(&mut self, seq: u64) {
-        let len = self.window_len();
+        let (window, len) = (self.window, self.window_len());
         let queued = &mut self.pending[(seq - self.front) as usize];
         let i = self.spill_free.pop().unwrap_or_else(|| {
             self.spill.resize(self.spill.len() + len, 0.0);
@@ -281,13 +310,13 @@ impl Shard {
         let slot = self.slots[queued.slot]
             .as_mut()
             .expect("in-flight slot is live");
-        let window = slot.buffer.last_window().expect("queued window");
+        let window = slot.ring.last_window(window).expect("queued window");
         let dst = &mut self.spill[i as usize * len..][..len];
         let (older, newer) = dst.split_at_mut(window.older.len());
         older.copy_from_slice(window.older);
         newer.copy_from_slice(window.newer);
         queued.spill = Some(i);
-        slot.in_ring = None;
+        slot.in_ring = NOT_IN_RING;
         self.spilled += 1;
     }
 
@@ -305,27 +334,26 @@ impl Shard {
         }
     }
 
-    /// Allocates a slab slot for a new pseudonym, evicting the
-    /// least-recently-updated *idle* vehicle first when the shard is at
-    /// its `max_vehicles` bound. A vehicle with in-flight pending windows
-    /// is never evicted, so the slab can transiently exceed the bound
-    /// rather than drop undrained work.
-    fn insert_vehicle(&mut self, vehicle: VehicleId) -> usize {
+    /// Allocates a slab slot for a new pseudonym from its first accepted
+    /// BSM, evicting the least-recently-updated *idle* vehicle first when
+    /// the shard is at its `max_vehicles` bound. A vehicle with in-flight
+    /// pending windows is never evicted, so the slab can transiently
+    /// exceed the bound rather than drop undrained work.
+    fn insert_vehicle(&mut self, first: &Bsm) {
         if let Some(cap) = self.eviction.max_vehicles {
             if self.index.len() >= cap.max(1) {
                 self.evict_lru_idle();
             }
         }
-        let buffer = WindowBuffer::new(self.window, self.scaler.clone());
         let slot = Slot {
-            vehicle,
-            buffer,
-            monitor: self.tier0.map(|cal| Tier0Monitor::new(cal.params)),
+            prev: *first,
+            ring: WindowRing::new(self.window, self.features),
+            monitor: self.tier0.as_ref().map(|cal| Tier0State::new(&cal.params)),
             last_gate: None,
             streak: 0,
             in_flight: 0,
-            in_ring: None,
-            newest: f64::NEG_INFINITY,
+            in_ring: NOT_IN_RING,
+            newest: first.timestamp,
         };
         let idx = match self.free.pop() {
             Some(i) => {
@@ -337,8 +365,7 @@ impl Shard {
                 self.slots.len() - 1
             }
         };
-        self.index.insert(vehicle, idx);
-        idx
+        self.index.insert(first.vehicle_id, idx);
     }
 
     /// Evicts the least-recently-updated vehicle with no pending windows
@@ -351,7 +378,7 @@ impl Shard {
             .iter()
             .flatten()
             .filter(|s| s.in_flight == 0)
-            .map(|s| (lru_key(s.newest), s.vehicle))
+            .map(|s| (lru_key(s.newest), s.prev.vehicle_id))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
             .map(|(_, id)| id);
         if let Some(id) = victim {
@@ -370,7 +397,7 @@ impl Shard {
         for (idx, cell) in self.slots.iter_mut().enumerate() {
             let Some(slot) = cell else { continue };
             if slot.in_flight == 0 && self.eviction.is_stale(slot.newest, now) {
-                self.index.remove(&slot.vehicle);
+                self.index.remove(&slot.prev.vehicle_id);
                 *cell = None;
                 self.free.push(idx);
                 evicted += 1;
@@ -444,14 +471,14 @@ impl Shard {
     /// with its floats (two slices in arrival order), then clearing its
     /// in-flight mark and freeing its spill buffer.
     fn dequeue(&mut self, n: usize, mut visit: impl FnMut(&PendingWindow, [&[f32]; 2])) {
-        let len = self.window_len();
+        let (window, len) = (self.window, self.window_len());
         for q in self.pending.drain(..n) {
             let slot = self.slots[q.slot].as_mut().expect("in-flight slot is live");
             slot.in_flight -= 1;
             match q.spill {
                 None => {
-                    slot.in_ring = None;
-                    let window = slot.buffer.last_window().expect("queued window");
+                    slot.in_ring = NOT_IN_RING;
+                    let window = slot.ring.last_window(window).expect("queued window");
                     visit(&q.meta, [window.older, window.newer]);
                 }
                 Some(i) => {
@@ -523,5 +550,19 @@ impl Shard {
     /// Floats per snapshot (`window × features`).
     pub fn window_len(&self) -> usize {
         self.window * self.features
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_slot_fits_in_four_cache_lines() {
+        // One previous BSM, the two per-vehicle cores and narrow counters;
+        // with a second `prev`, the tier-0 parameters and the scaler and
+        // window length per slot it read 440 bytes.
+        let size = std::mem::size_of::<Slot>();
+        assert!(size <= 256, "a slab slot is {size} bytes");
     }
 }

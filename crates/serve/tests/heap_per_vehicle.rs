@@ -1,10 +1,13 @@
 //! What a tracked vehicle and a window in flight cost a shard, counted
 //! per thread by a global allocator.
 //!
-//! - A warm pseudonym pays for its window ring, tier-0 monitor and its
-//!   share of the slab and the index. Every buffer shares the shard's
-//!   scaler; a private scaler copy and snapshot tensor per vehicle would
-//!   cost ≈ 770 bytes more and fail the bound.
+//! - A warm pseudonym pays for its 480-byte window ring, its 232-byte
+//!   slab slot (one previous BSM, the ring and tier-0 state, counters)
+//!   and its share of the index: 746 bytes. A slot that also kept a
+//!   second previous BSM, the tier-0 parameters, the scaler handle and
+//!   the window length per vehicle read 440 bytes, 954 per vehicle, and
+//!   fails the bound; a private scaler copy and snapshot tensor per
+//!   vehicle on top of that cost 1707.
 //! - A queued window pays for its queue entry only: its floats stay in
 //!   the vehicle's ring until the tick takes them. Copying the 480 bytes
 //!   into the queue, as the shard once did, costs 503 bytes a window
@@ -47,9 +50,10 @@ fn live() -> i64 {
     LIVE.with(Cell::get)
 }
 
-/// Heap bytes per warm vehicle: at most this (a slot sharing the scaler
-/// reads 954 B, one with a private scaler and snapshot tensor 1707 B).
-const BOUND_BYTES: f64 = 1_300.0;
+/// Heap bytes per warm vehicle: at most this (a slot storing each fact
+/// once reads 746 B, one with per-vehicle copies of `prev`, the tier-0
+/// parameters and the scaler handle 954 B).
+const BOUND_BYTES: f64 = 850.0;
 
 /// Heap bytes per queued window: at most this (an entry naming the
 /// window's slot reads 40 B, a copy of its floats plus metadata 503 B).

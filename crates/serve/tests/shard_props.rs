@@ -2,16 +2,17 @@
 //! stable function of the pseudonym, TTL/LRU eviction never drops a
 //! vehicle that still has in-flight (undrained) pending windows, and a
 //! queued window — left in its vehicle's ring or spilled out of it —
-//! is taken bit for bit as it was when it completed.
+//! is taken bit for bit as it was when it completed, with the tier-0
+//! verdict and carried score a standalone monitor per vehicle implies.
 
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use vehigan_features::{
-    EvictionConfig, IngestGuard, MinMaxScaler, Tier0Calibration, Tier0Params, WindowBuffer,
-    EWMA_LAMBDA, NUM_FEATURES, NUM_RESIDUALS, NUM_STATISTICS,
+    EvictionConfig, GateDecision, IngestGuard, MinMaxScaler, Tier0Calibration, Tier0Monitor,
+    WindowBuffer, NUM_FEATURES,
 };
 use vehigan_serve::{shard_for, PendingWindow, Shard};
-use vehigan_sim::{Bsm, VehicleId};
+use vehigan_sim::{Bsm, VehicleId, VehicleTrace};
 
 fn test_scaler() -> MinMaxScaler {
     MinMaxScaler::fit(&[vec![-50.0; NUM_FEATURES], vec![50.0; NUM_FEATURES]])
@@ -45,96 +46,286 @@ fn wandering_bsm(vehicle: u32, t: f64) -> Bsm {
     }
 }
 
-/// A tier-0 gate whose monitors never trip: a warm vehicle with a
-/// carried score below τ suppresses until its refresh streak runs out.
-fn quiet_gate(window: usize) -> Tier0Calibration {
-    Tier0Calibration {
-        params: Tier0Params {
-            lambda: EWMA_LAMBDA,
-            mu: [0.0; NUM_RESIDUALS],
-            slack: [0.0; NUM_RESIDUALS],
-            horizon: window as u32,
-        },
-        h: [f32::MAX; NUM_STATISTICS],
-        scale: 1.0,
-        warmup: window as u32,
-        quantile: 0.995,
-        score_floor: 0.0,
-        score_span: 0.0,
-        tau: 1.0,
-        refresh: 3,
-    }
+/// Accepted-message reordering the model's guard tolerates, so duplicate
+/// and slightly older timestamps reach the ring and the monitor.
+const REORDER_TOLERANCE_S: f64 = 0.1;
+
+/// A tier-0 gate whose monitors do trip: fitted on wandering traces
+/// sampled every 0.05–0.4 s (the spacing interleaved senders see) at a
+/// low benign quantile, so warm windows both suppress and screen, with a
+/// detection threshold some recorded scores reach.
+fn tripping_gate(window: usize) -> Tier0Calibration {
+    let traces: Vec<VehicleTrace> = (0..8)
+        .map(|v| VehicleTrace {
+            id: VehicleId(v),
+            bsms: (1..80)
+                .map(|i| wandering_bsm(v, f64::from(i) * 0.05 * f64::from(1 + v)))
+                .collect(),
+        })
+        .collect();
+    let mut gate = Tier0Calibration::fit(&traces, window, 0.9).expect("tier-0 fits");
+    gate.set_score_band(0.0, 0.5, 1.0);
+    gate
+}
+
+/// The sub-detection score the model checks feed back for a screened
+/// window: deterministic, and at or above τ = 1.0 for one vehicle-time
+/// in five, which may then not be carried.
+fn gate_score(w: &PendingWindow) -> f32 {
+    let tick = (w.timestamp * 20.0).round() as u64;
+    ((u64::from(w.vehicle.0) * 7 + tick) % 5) as f32 * 0.3
+}
+
+/// One resident vehicle as the shard should see it: a standalone window
+/// buffer and tier-0 monitor, and the carried-score rule's state.
+struct Tracked {
+    buffer: WindowBuffer,
+    monitor: Option<Tier0Monitor>,
+    newest: f64,
+    prev_timestamp: f64,
+    last_gate: Option<f32>,
+    streak: u32,
+}
+
+/// A window the model expects the shard to queue.
+struct Expected {
+    meta: PendingWindow,
+    floats: Vec<f32>,
+}
+
+/// What a model run exercised, for the coverage check.
+#[derive(Debug, Default)]
+struct Coverage {
+    suppressed: u64,
+    /// Warm windows the monitor screened.
+    tripped: u64,
+    /// Accepted rows whose timestamp did not advance: monitor resets.
+    resets: u64,
+    rejected: u64,
+    /// Pseudonyms given a fresh slot after an eviction.
+    reinserted: u64,
 }
 
 /// The oracle for [`taken_windows_are_the_windows_that_completed`]: one
-/// reference [`WindowBuffer`] per resident vehicle, and the queue of
-/// completed windows copied out of them, shed like the shard's.
+/// reference [`WindowBuffer`] and [`Tier0Monitor`] per resident vehicle,
+/// each with its own previous message, the carried-score rule of
+/// [`Shard::ingest`] replayed on them, and the queue of completed windows
+/// copied out of them, shed like the shard's.
 struct Model {
     window: usize,
     cap: Option<usize>,
-    buffers: HashMap<u32, WindowBuffer>,
-    queue: VecDeque<(VehicleId, f64, Vec<f32>)>,
+    guard: IngestGuard,
+    gate: Option<Tier0Calibration>,
+    vehicles: HashMap<u32, Tracked>,
+    seen: HashSet<u32>,
+    queue: VecDeque<Expected>,
     shed: u64,
+    coverage: Coverage,
 }
 
 impl Model {
-    fn new(window: usize, cap: Option<usize>) -> Self {
+    fn new(window: usize, cap: Option<usize>, gate: Option<Tier0Calibration>) -> Self {
         Model {
             window,
             cap,
-            buffers: HashMap::new(),
+            guard: IngestGuard {
+                reorder_tolerance_s: REORDER_TOLERANCE_S,
+                ..IngestGuard::permissive()
+            },
+            gate,
+            vehicles: HashMap::new(),
+            seen: HashSet::new(),
             queue: VecDeque::new(),
             shed: 0,
+            coverage: Coverage::default(),
         }
+    }
+
+    /// A shard the model describes.
+    fn shard(&self, eviction: EvictionConfig) -> Shard {
+        Shard::with_guard(self.window, test_scaler(), eviction, self.guard, self.cap)
+            .with_tier0(self.gate)
+    }
+
+    /// The timestamp of the vehicle's last accepted BSM, if resident.
+    fn prev_timestamp(&self, vehicle: u32) -> Option<f64> {
+        self.vehicles.get(&vehicle).map(|v| v.prev_timestamp)
     }
 
     fn ingest(&mut self, shard: &mut Shard, bsm: &Bsm) {
         let v = bsm.vehicle_id.0;
-        if !shard.contains(bsm.vehicle_id) {
-            // The shard builds a fresh slot for an unknown pseudonym.
-            self.buffers
-                .insert(v, WindowBuffer::new(self.window, test_scaler()));
+        let newest = self.vehicles.get(&v).map(|t| t.newest);
+        let accepted = self.guard.validate(bsm, newest).is_ok();
+        assert_eq!(shard.ingest(bsm), accepted, "guard verdict on {bsm:?}");
+        if !accepted {
+            self.coverage.rejected += 1;
+            return;
         }
-        assert!(shard.ingest(bsm), "an in-order BSM is accepted");
-        // Whatever the insert evicted lost its state with its slot.
-        self.buffers.retain(|&id, _| shard.contains(VehicleId(id)));
-        let completed = self
-            .buffers
-            .get_mut(&v)
-            .expect("sender is resident")
-            .push(bsm);
-        if let Some(window) = completed {
-            let mut floats = Vec::new();
-            window.extend_into(&mut floats);
-            if let Some(cap) = self.cap {
-                while self.queue.len() >= cap.max(1) {
-                    self.queue.pop_front();
-                    self.shed += 1;
+        if newest.is_none() {
+            // The shard built a fresh slot for an unknown pseudonym.
+            if !self.seen.insert(v) {
+                self.coverage.reinserted += 1;
+            }
+            self.vehicles.insert(
+                v,
+                Tracked {
+                    buffer: WindowBuffer::new(self.window, test_scaler()),
+                    monitor: self.gate.map(|g| Tier0Monitor::new(g.params)),
+                    newest: bsm.timestamp,
+                    prev_timestamp: bsm.timestamp,
+                    last_gate: None,
+                    streak: 0,
+                },
+            );
+            // Whatever the insert evicted lost its state with its slot.
+            self.vehicles.retain(|&id, _| shard.contains(VehicleId(id)));
+        }
+        let tracked = self.vehicles.get_mut(&v).expect("sender is resident");
+        if newest.is_some() && bsm.timestamp <= tracked.prev_timestamp {
+            self.coverage.resets += 1;
+        }
+        tracked.newest = tracked.newest.max(bsm.timestamp);
+        tracked.prev_timestamp = bsm.timestamp;
+        if let Some(monitor) = tracked.monitor.as_mut() {
+            monitor.push(bsm);
+        }
+        let Some(window) = tracked.buffer.push(bsm) else {
+            return;
+        };
+        let mut floats = Vec::new();
+        window.extend_into(&mut floats);
+        let (suppressed, pinned) = match (self.gate, tracked.monitor.as_ref()) {
+            (Some(gate), Some(monitor)) => {
+                let physics = gate.evaluate(monitor).0;
+                if monitor.rows() >= gate.warmup && physics == GateDecision::Screen {
+                    self.coverage.tripped += 1;
+                }
+                match (physics, tracked.last_gate) {
+                    (GateDecision::Suppress, Some(g))
+                        if g < gate.tau && tracked.streak < gate.refresh =>
+                    {
+                        (true, g)
+                    }
+                    _ => (false, 0.0),
                 }
             }
-            self.queue
-                .push_back((bsm.vehicle_id, bsm.timestamp, floats));
+            _ => (false, 0.0),
+        };
+        if suppressed {
+            tracked.streak += 1;
+            self.coverage.suppressed += 1;
         }
+        if let Some(cap) = self.cap {
+            while self.queue.len() >= cap.max(1) {
+                self.queue.pop_front();
+                self.shed += 1;
+            }
+        }
+        self.queue.push_back(Expected {
+            meta: PendingWindow {
+                vehicle: bsm.vehicle_id,
+                timestamp: bsm.timestamp,
+                suppressed,
+                pinned,
+            },
+            floats,
+        });
     }
 
-    /// Checks one take against the queue's front, bit for bit.
-    fn check_take(&mut self, suppressed_floats: bool, floats: &[f32], meta: &[PendingWindow]) {
+    /// Checks one take against the queue's front — metadata, tier-0
+    /// verdict and carried score exactly, floats bit for bit — then
+    /// records each screened window's [`gate_score`] on the shard and
+    /// the model alike, as the server's tick does.
+    fn check_take(
+        &mut self,
+        shard: &mut Shard,
+        suppressed_floats: bool,
+        floats: &[f32],
+        meta: &[PendingWindow],
+    ) {
         let mut chunks = floats.chunks_exact(self.window * NUM_FEATURES);
         for w in meta {
-            let (vehicle, timestamp, expected) = self.queue.pop_front().expect("model queue");
-            assert_eq!((w.vehicle, w.timestamp), (vehicle, timestamp));
+            let expected = self.queue.pop_front().expect("model queue");
+            let e = expected.meta;
+            assert_eq!((w.vehicle, w.timestamp), (e.vehicle, e.timestamp));
+            assert_eq!(
+                (w.suppressed, w.pinned.to_bits()),
+                (e.suppressed, e.pinned.to_bits()),
+                "tier-0 verdict of {:?} at {}",
+                e.vehicle,
+                e.timestamp
+            );
             if suppressed_floats || !w.suppressed {
                 let got = chunks.next().expect("a float block per read window");
                 let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(got),
-                    bits(&expected),
-                    "window of {vehicle:?} at {timestamp}"
+                    bits(&expected.floats),
+                    "window of {:?} at {}",
+                    e.vehicle,
+                    e.timestamp
                 );
             }
         }
         assert_eq!(chunks.count(), 0, "floats for a window no one reads");
+        for w in meta.iter().filter(|w| !w.suppressed) {
+            let score = gate_score(w);
+            shard.record_gate(w.vehicle, score);
+            if let Some(tracked) = self.vehicles.get_mut(&w.vehicle.0) {
+                tracked.last_gate = Some(score);
+                tracked.streak = 0;
+            }
+        }
     }
+
+    /// A TTL sweep at stream time `now`, on the shard and the model.
+    fn sweep(&mut self, shard: &mut Shard, now: f64) {
+        shard.evict_stale(now);
+        self.vehicles.retain(|&id, _| shard.contains(VehicleId(id)));
+    }
+}
+
+/// One round of [`drive`]: accepted-or-not BSMs per vehicle (0–4 each,
+/// interleaved), which of each vehicle's messages repeats or predates its
+/// previous one, a take of up to `take` windows with or without the
+/// suppressed windows' floats, then optionally a TTL sweep.
+type Round = (Vec<u8>, Vec<u8>, usize, bool, bool);
+
+/// Runs `rounds` through `shard` and `model`, checking every take, and
+/// finally drains both.
+fn drive(shard: &mut Shard, model: &mut Model, n_vehicles: u32, rounds: &[Round]) {
+    let mut t = 0.0f64;
+    for (r, (counts, irregular, take, suppressed_floats, sweep)) in rounds.iter().enumerate() {
+        for k in 0..4u8 {
+            for v in 0..n_vehicles {
+                if counts[v as usize] <= k {
+                    continue;
+                }
+                t += 0.05;
+                // An irregular message repeats the vehicle's previous
+                // timestamp or predates it, by less than the tolerance
+                // (accepted: the monitor resets) or by more (rejected).
+                let at = match model.prev_timestamp(v) {
+                    Some(prev) if irregular[v as usize] == k => {
+                        prev - [0.0, 0.02, 1.5 * REORDER_TOLERANCE_S][(r + v as usize) % 3]
+                    }
+                    _ => t,
+                };
+                model.ingest(shard, &wandering_bsm(v, at));
+            }
+        }
+        assert_eq!(shard.pending_windows(), model.queue.len());
+        assert_eq!(shard.shed(), model.shed);
+        let (mut floats, mut meta) = (Vec::new(), Vec::new());
+        shard.take_pending_into(*take, *suppressed_floats, &mut floats, &mut meta);
+        model.check_take(shard, *suppressed_floats, &floats, &meta);
+        if *sweep {
+            model.sweep(shard, t);
+        }
+    }
+    let (floats, meta) = shard.drain_pending();
+    model.check_take(shard, true, &floats, &meta);
+    assert!(model.queue.is_empty());
 }
 
 #[test]
@@ -152,8 +343,8 @@ fn shard_assignment_golden_values() {
 #[test]
 fn a_vehicle_pushing_before_the_tick_spills_its_queued_window() {
     let window = 3;
-    let mut shard = Shard::new(window, test_scaler(), EvictionConfig::unbounded());
-    let mut model = Model::new(window, None);
+    let mut model = Model::new(window, None, None);
+    let mut shard = model.shard(EvictionConfig::unbounded());
     // Windows complete at the 4th, 5th and 6th BSM; each of the first
     // two is still queued in the ring when the next push would
     // overwrite its oldest row.
@@ -162,10 +353,50 @@ fn a_vehicle_pushing_before_the_tick_spills_its_queued_window() {
     }
     assert_eq!(shard.spilled(), 2);
     let (floats, meta) = shard.take_pending(usize::MAX);
-    model.check_take(true, &floats, &meta);
+    model.check_take(&mut shard, true, &floats, &meta);
     // Taken, the ring's window needs no spill: the next push is free.
     model.ingest(&mut shard, &wandering_bsm(7, 0.7));
     assert_eq!(shard.spilled(), 2);
+}
+
+#[test]
+fn the_model_check_reaches_every_tier0_path() {
+    // A fixed run of the proptest's shape: four busy vehicles and an
+    // occasional fifth on a gate that trips, four slots, irregular
+    // timestamps and periodic sweeps. It must exercise every branch the
+    // shard's shared previous message feeds.
+    let window = 3;
+    let mut model = Model::new(window, Some(6), Some(tripping_gate(window)));
+    let mut shard = model.shard(EvictionConfig {
+        max_vehicles: Some(4),
+        ttl_s: Some(0.45),
+    });
+    let rounds: Vec<Round> = (0..200u32)
+        .map(|r| {
+            let mut counts = vec![4u8; 8];
+            counts[4] = u8::from(r % 10 == 0);
+            let irregular = (0..8).map(|v| ((r * 7 + v) % 10) as u8).collect();
+            (
+                counts,
+                irregular,
+                (r % 9) as usize,
+                r % 2 == 0,
+                r % 15 == 14,
+            )
+        })
+        .collect();
+    drive(&mut shard, &mut model, 5, &rounds);
+    let c = &model.coverage;
+    println!("{c:?}");
+    for (what, n) in [
+        ("suppressed windows", c.suppressed),
+        ("warm windows screened", c.tripped),
+        ("monitor resets", c.resets),
+        ("guard rejects", c.rejected),
+        ("re-inserted pseudonyms", c.reinserted),
+    ] {
+        assert!(n > 0, "no {what}: {c:?}");
+    }
 }
 
 proptest! {
@@ -247,12 +478,10 @@ proptest! {
         cap in 0usize..7,
         max_vehicles in 1usize..9,
         gated in any::<bool>(),
-        // Per round: accepted BSMs per vehicle (0–4 each, interleaved),
-        // then a take of up to `take` windows with or without the
-        // suppressed windows' floats, then optionally a TTL sweep.
         rounds in proptest::collection::vec(
             (
                 proptest::collection::vec(0u8..5, 8),
+                proptest::collection::vec(0u8..10, 8),
                 0usize..12,
                 any::<bool>(),
                 any::<bool>(),
@@ -263,43 +492,12 @@ proptest! {
         // cap 0 = an unbounded queue; otherwise the bound sheds windows
         // still in a ring and windows already spilled alike.
         let cap = (cap > 0).then_some(cap);
-        let mut shard = Shard::with_guard(
-            window,
-            test_scaler(),
-            EvictionConfig { max_vehicles: Some(max_vehicles), ttl_s: Some(0.45) },
-            IngestGuard::permissive(),
-            cap,
-        )
-        .with_tier0(gated.then(|| quiet_gate(window)));
-        let mut model = Model::new(window, cap);
-        let mut t = 0.0f64;
-        for (counts, take, suppressed_floats, sweep) in &rounds {
-            for k in 0..4u8 {
-                for v in 0..n_vehicles {
-                    if counts[v as usize] > k {
-                        t += 0.05;
-                        model.ingest(&mut shard, &wandering_bsm(v, t));
-                    }
-                }
-            }
-            prop_assert_eq!(shard.pending_windows(), model.queue.len());
-            prop_assert_eq!(shard.shed(), model.shed);
-            let (mut floats, mut meta) = (Vec::new(), Vec::new());
-            shard.take_pending_into(*take, *suppressed_floats, &mut floats, &mut meta);
-            model.check_take(*suppressed_floats, &floats, &meta);
-            // Feed screened windows a sub-τ score, as the server does,
-            // so their vehicles' next windows may suppress.
-            for w in meta.iter().filter(|w| !w.suppressed) {
-                shard.record_gate(w.vehicle, 0.0);
-            }
-            if *sweep {
-                shard.evict_stale(t);
-                model.buffers.retain(|&id, _| shard.contains(VehicleId(id)));
-            }
-        }
-        let (floats, meta) = shard.drain_pending();
-        model.check_take(true, &floats, &meta);
-        prop_assert!(model.queue.is_empty());
+        let mut model = Model::new(window, cap, gated.then(|| tripping_gate(window)));
+        let mut shard = model.shard(EvictionConfig {
+            max_vehicles: Some(max_vehicles),
+            ttl_s: Some(0.45),
+        });
+        drive(&mut shard, &mut model, n_vehicles, &rounds);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!
 //! - **member poisoning** — an ensemble member fails for a range of
 //!   ticks (through [`FaultInjector::poisoned`]), exercising per-tile
-//!   member dropping and [`MemberHealth`] probation;
+//!   member dropping and [`MemberHealth`] probation; held off for a
+//!   number of scoring calls ([`FaultInjector::clean_calls`]), it fails a
+//!   tick part-way, on a later tile;
 //! - **shard-ingest panics** — a shard's ingest worker panics before
 //!   touching state (through [`FaultInjector::ingest_panics`]),
 //!   exercising panic capture and zero-loss resume;
@@ -41,6 +43,7 @@
 //! [`FieldLimits::rsu`]: vehigan_features::FieldLimits::rsu
 
 use crate::server::{Decision, ServeError, ServeMode, ServerStats, StreamServer};
+use std::cell::Cell;
 use vehigan_core::EnsembleError;
 use vehigan_features::RejectCounters;
 use vehigan_sim::{Bsm, BSM_INTERVAL_S};
@@ -55,6 +58,10 @@ pub(crate) struct FaultInjector {
     pub(crate) ingest_panics: Vec<usize>,
     /// Members that fail every tile they are deployed on, until cleared.
     pub(crate) poisoned: Vec<usize>,
+    /// Scoring calls left to run clean before the poisoned members start
+    /// failing: each call counts it down, so `1` fails a tick from its
+    /// second tile on.
+    pub(crate) clean_calls: Cell<usize>,
 }
 
 impl FaultInjector {
@@ -64,6 +71,8 @@ impl FaultInjector {
     /// non-finite (vehigan-core's oracle
     /// `a_member_failing_inside_the_walk_scores_like_the_subset_without_it`):
     /// the survivors are summed in subset order and τ is their mean.
+    /// While clean calls are left, the call uses one up instead and the
+    /// whole subset survives.
     ///
     /// # Errors
     ///
@@ -74,6 +83,10 @@ impl FaultInjector {
         subset: &[usize],
         dropped: &mut Vec<usize>,
     ) -> Result<Vec<usize>, ServeError> {
+        if let Some(left) = self.clean_calls.get().checked_sub(1) {
+            self.clean_calls.set(left);
+            return Ok(subset.to_vec());
+        }
         let (failed, survivors): (Vec<usize>, Vec<usize>) =
             subset.iter().partition(|m| self.poisoned.contains(m));
         if survivors.is_empty() {
@@ -423,12 +436,17 @@ mod tests {
     //! reinstatement restores the exact healthy ensemble reduction.
 
     use super::*;
-    use crate::server::{escalation_threshold, AdmissionConfig, EscalationPolicy, ServerConfig};
+    use crate::server::{
+        escalation_threshold, AdmissionConfig, EscalationPolicy, ServerConfig, SCORE_TILE,
+    };
     use std::collections::HashMap;
     use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
     use vehigan_core::{Pipeline, PipelineConfig};
-    use vehigan_features::IngestGuard;
+    use vehigan_features::{IngestGuard, Tier0Calibration};
+    use vehigan_mbr::Mbr;
     use vehigan_sim::VehicleId;
+    use vehigan_tensor::init::seeded_rng;
+    use vehigan_vasp::{inject, Attack, AttackParams, AttackPolicy};
 
     #[test]
     fn plan_schedule_queries() {
@@ -468,6 +486,13 @@ mod tests {
                 if *attempted == [3, 1]),
             "{err}"
         );
+        // A clean call left: the next call keeps everyone, the one after
+        // does not.
+        faults.clean_calls.set(1);
+        let mut dropped = Vec::new();
+        assert_eq!(faults.survivors(&[4, 1], &mut dropped).unwrap(), vec![4, 1]);
+        assert_eq!(faults.survivors(&[4, 1], &mut dropped).unwrap(), vec![4]);
+        assert_eq!(dropped, vec![1]);
     }
 
     #[test]
@@ -814,6 +839,185 @@ mod tests {
             assert_eq!(x.rejected, y.rejected);
             assert_eq!(x.shed, y.shed);
             assert_eq!(x.mode_after, y.mode_after);
+        }
+    }
+
+    /// The held-out test fleet with its first vehicle running a
+    /// persistent position attack, interleaved by arrival: some of its
+    /// windows are flagged, escalated and reported.
+    fn attacked_stream(p: &Pipeline) -> Vec<Bsm> {
+        let fleet = p.test_fleet();
+        let attack = Attack::by_name("RandomPosition").expect("attack exists");
+        let attacked = inject(
+            &fleet[0],
+            attack,
+            AttackPolicy::Persistent,
+            &AttackParams::default(),
+            &mut seeded_rng(11),
+        );
+        let mut stream: Vec<Bsm> = attacked
+            .trace
+            .bsms
+            .iter()
+            .chain(fleet.iter().skip(1).flat_map(|t| &t.bsms))
+            .copied()
+            .collect();
+        stream.sort_by(|a, b| {
+            a.timestamp
+                .total_cmp(&b.timestamp)
+                .then(a.vehicle_id.cmp(&b.vehicle_id))
+        });
+        stream
+    }
+
+    /// Everything a decision says, bit for bit.
+    fn bits(d: &Decision) -> (u32, u64, u32, u32, bool, bool, bool) {
+        (
+            d.vehicle.0,
+            d.timestamp.to_bits(),
+            d.score.to_bits(),
+            d.threshold.to_bits(),
+            d.escalated,
+            d.flagged,
+            d.suppressed,
+        )
+    }
+
+    fn report_bits(r: &Mbr) -> (u32, u64, u32, Vec<u32>) {
+        let evidence = r.evidence.iter().map(|x| x.to_bits()).collect();
+        (
+            r.suspect.0,
+            r.timestamp.to_bits(),
+            r.score.to_bits(),
+            evidence,
+        )
+    }
+
+    #[test]
+    fn a_tick_failing_on_its_second_tile_leaves_nothing_behind() {
+        // Three servers of one configuration see the same three chunks of
+        // traffic, one tick each. On the middle tick, `failed_late`'s
+        // scoring fails on its second tile and `failed_early`'s on its
+        // first, before anything was scored; `clean` never fails. The
+        // late failure must leave exactly what the early one leaves: all
+        // n admitted windows shed, no report, no carried gate score — so
+        // the third tick decides bitwise alike on both. Under `Always`
+        // nothing is carried, and the third tick also matches `clean`'s.
+        let p = pipeline();
+        let stream = attacked_stream(&p);
+        let members: Vec<usize> = (0..p.vehigan.k()).collect();
+        let mut tier0 = Tier0Calibration::fit(p.train_fleet(), 10, 0.995).expect("tier-0 fits");
+        tier0.set_score_band(0.05, 0.1, 0.9);
+        let tau_esc = {
+            let mut probe = StreamServer::new(
+                &p.vehigan,
+                p.scaler.clone(),
+                ServerConfig {
+                    policy: EscalationPolicy::Threshold(f32::INFINITY),
+                    members: Some(members.clone()),
+                    ..ServerConfig::default()
+                },
+            )
+            .unwrap();
+            probe.ingest_batch(&stream);
+            let gate: Vec<f32> = probe.tick().unwrap().iter().map(|d| d.score).collect();
+            escalation_threshold(&gate, 75.0)
+        };
+        // The middle chunk spans over two tiles of screened windows, and
+        // the attacker's flagged ones fall inside its first tile.
+        let (a, b) = (stream.len() * 11 / 20, stream.len() * 17 / 20);
+        let chunks = [&stream[..a], &stream[a..b], &stream[b..]];
+        let reporter = Some(VehicleId(u32::MAX));
+        let gated = ServerConfig {
+            n_shards: 1,
+            policy: EscalationPolicy::Threshold(tau_esc),
+            members: Some(members.clone()),
+            tier0: Some(tier0),
+            reporter,
+            ..ServerConfig::default()
+        };
+        let always = ServerConfig {
+            n_shards: 1,
+            policy: EscalationPolicy::Always,
+            members: Some(members.clone()),
+            reporter,
+            ..ServerConfig::default()
+        };
+        for config in [gated, always] {
+            let policy = config.policy;
+            let server = || StreamServer::new(&p.vehigan, p.scaler.clone(), config.clone());
+            let mut servers = [server(), server(), server()].map(|s| s.unwrap());
+            for s in servers.iter_mut() {
+                s.ingest_batch(chunks[0]);
+                s.tick().unwrap();
+                s.take_reports();
+                s.ingest_batch(chunks[1]);
+            }
+            let [clean, failed_early, failed_late] = &mut servers;
+            let n = clean.pending_windows() as u64;
+            let before = failed_late.stats();
+
+            let clean_b = clean.tick().unwrap();
+            let clean_reports = clean.take_reports();
+            let screened: Vec<&Decision> = clean_b.iter().filter(|d| !d.suppressed).collect();
+            assert!(screened.len() > SCORE_TILE, "{policy:?}: one tile only");
+            for (s, clean_calls) in [(&mut *failed_early, 0), (&mut *failed_late, 1)] {
+                s.faults.poisoned = members.clone();
+                s.faults.clean_calls.set(clean_calls);
+                let err = s.tick().unwrap_err();
+                s.faults = FaultInjector::default();
+                assert!(
+                    matches!(
+                        &err,
+                        ServeError::Score(EnsembleError::AllMembersFailed { .. })
+                    ),
+                    "{policy:?}: {err}"
+                );
+            }
+            let after = failed_late.stats();
+            assert_eq!(after, failed_early.stats(), "{policy:?}");
+            assert_eq!(after.shed, before.shed + n, "{policy:?}");
+            assert_eq!(after.windows_scored, before.windows_scored);
+            assert_eq!(after.reports_emitted, before.reports_emitted);
+            assert_eq!(failed_late.pending_windows(), 0);
+            assert!(failed_late.take_reports().is_empty(), "{policy:?}");
+            assert!(failed_early.take_reports().is_empty(), "{policy:?}");
+
+            // What the late failure had to undo: tile 1 was scored, and
+            // under the gate it carried scores the third tick would read.
+            let tile1 = &screened[..SCORE_TILE];
+            let in_tile1 = |r: &Mbr| {
+                tile1
+                    .iter()
+                    .any(|d| (d.vehicle, d.timestamp) == (r.suspect, r.timestamp))
+            };
+            let [clean_c, early_c, late_c] = servers.map(|mut s| {
+                s.ingest_batch(chunks[2]);
+                let decisions: Vec<_> = s.tick().unwrap().iter().map(bits).collect();
+                let reports: Vec<_> = s.take_reports().iter().map(report_bits).collect();
+                (decisions, reports)
+            });
+            assert!(!late_c.0.is_empty());
+            assert_eq!(
+                late_c, early_c,
+                "{policy:?}: the third tick after a late failure"
+            );
+            match policy {
+                EscalationPolicy::Always => {
+                    assert!(clean_reports.iter().any(in_tile1), "no report from tile 1");
+                    assert_eq!(late_c, clean_c, "Always carries nothing across ticks");
+                }
+                EscalationPolicy::Threshold(_) => {
+                    let verdicts = |d: &[(u32, u64, u32, u32, bool, bool, bool)]| {
+                        d.iter().map(|b| (b.6, b.2)).collect::<Vec<_>>()
+                    };
+                    assert_ne!(
+                        verdicts(&late_c.0),
+                        verdicts(&clean_c.0),
+                        "the middle tick's gate scores never reach the third tick's verdicts"
+                    );
+                }
+            }
         }
     }
 }

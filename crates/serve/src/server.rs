@@ -1,5 +1,5 @@
-//! The streaming detection server: parallel sharded ingest, one batched
-//! two-tier scoring pass per tick.
+//! The streaming detection server: parallel sharded ingest, tiled
+//! two-tier scoring once per tick.
 //!
 //! Data flow per tick (DESIGN.md §10):
 //!
@@ -19,25 +19,36 @@
 //!    ingest thread scheduling). Overflow beyond each shard's queue
 //!    bound was already shed oldest-first at ingest, every shed window
 //!    counted.
-//! 3. **Gate** — the admitted batch flows through the fused int8 backend
+//! 3. **Gate** — the admitted windows stream, shard by shard, into one
+//!    tile of at most [`SCORE_TILE`] snapshots (tier-0-suppressed windows
+//!    bring none and are decided on the spot), and each full tile is
+//!    scored where it lies by the fused int8 backend
 //!    ([`VehiGan::score_with_members_int8`]) with the server's pinned
 //!    member subset, minus any members currently benched by
-//!    [`MemberHealth`]. In [`ServeMode::Degraded`] a `Threshold` policy
-//!    steps down to gate-only scoring: the gate score is the decision.
+//!    [`MemberHealth`]. Decisions are written in admitted order straight
+//!    into the `Vec` the tick returns. In [`ServeMode::Degraded`] a
+//!    `Threshold` policy steps down to gate-only scoring: the gate score
+//!    is the decision. Under `Always` the f32 ensemble scores each tile
+//!    instead, and there is no step 4.
 //! 4. **Escalate** — only windows whose gate score crosses the
-//!    escalation threshold are re-packed into a sub-batch and re-scored
-//!    by the full f32 ensemble ([`VehiGan::score_with_members`]); their
-//!    tier-2 score replaces the gate score in the emitted decision.
+//!    escalation threshold are copied out of their tile into a
+//!    sub-batch, which the full f32 ensemble
+//!    ([`VehiGan::score_with_members`]) re-scores in tiles of its own once
+//!    every gate tile has passed; their tier-2 score replaces the gate
+//!    score in the emitted decision.
 //!
 //! Both scoring paths are batch-row independent (see the determinism
 //! contracts in `vehigan_tensor::gemm` and `vehigan_lite::ensemble`), so
 //! a window's score does not depend on which other windows share its
-//! tick — the property the serve determinism test pins down. The
-//! overload/degradation state machine and fault taxonomy are specified
-//! in DESIGN.md §11.
+//! tick — the property the serve determinism test pins down. A tick
+//! whose scoring fails on a later tile leaves what one failing on its
+//! first leaves: carried gate scores reach the shards only once every
+//! gate tile has passed, reports an earlier tile emitted are withdrawn,
+//! and every admitted window is counted shed. The overload/degradation
+//! state machine and fault taxonomy are specified in DESIGN.md §11.
 
 use crate::health::MemberHealth;
-use crate::shard::{shard_for, PendingWindow, Shard};
+use crate::shard::{shard_for, Shard};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,11 +91,13 @@ pub enum ServeMode {
     Degraded,
 }
 
-/// Tile size for batched scoring passes. Both backends are batch-row
-/// independent and walk one window at a time, so splitting a tick's
-/// batch into tiles changes nothing bitwise. A tile is one scoring call
-/// and the unit a member failure is confined to — τ and the survivor set
-/// are per tile — nothing else.
+/// Tile size for scoring passes. Both backends are batch-row independent
+/// and walk one window at a time, so splitting a tick's windows into
+/// tiles changes nothing bitwise. A tile is one scoring call and the unit
+/// a member failure is confined to — τ and the survivor set are per tile.
+/// It is also the most snapshot floats a tick holds at once, besides the
+/// escalated windows tier 2 re-scores: admitted windows stream through
+/// one tile-sized buffer.
 pub const SCORE_TILE: usize = 128;
 
 /// Admission-control and degradation parameters (DESIGN.md §11).
@@ -349,17 +362,6 @@ pub struct IngestReport {
     pub panicked_shards: Vec<usize>,
 }
 
-/// One backend's verdict on a batch scored tile by tile.
-#[derive(Default)]
-struct TiledScores {
-    /// Ensemble score per window.
-    scores: Vec<f32>,
-    /// Detection threshold τ per window: that of the window's own tile.
-    thresholds: Vec<f32>,
-    /// Members dropped for non-finite scores in any tile.
-    dropped: Vec<usize>,
-}
-
 /// What one tick scores with: the member subsets left after health
 /// probation.
 struct Deployment<'a> {
@@ -367,15 +369,19 @@ struct Deployment<'a> {
     gate_members: &'a [usize],
 }
 
-/// Working memory of [`StreamServer::score_windows`]. Like everything in
-/// [`TickArena`] it is cleared, never dropped, between ticks.
+/// The scoring half of [`TickArena`]: one tile of snapshots at a time,
+/// plus what tier 2 needs once every tile is gated.
 #[derive(Default)]
 struct TierScratch {
-    gate: TiledScores,
-    tier2: TiledScores,
-    /// Batch rows whose gate score crossed τ_esc.
+    /// The tile being filled — at most [`SCORE_TILE`] screened
+    /// snapshots — and each one's index in the tick's decisions.
+    tile: Vec<f32>,
+    rows: Vec<usize>,
+    /// One scoring call's scores.
+    scores: Vec<f32>,
+    /// The decisions whose gate score crossed τ_esc, and their snapshots
+    /// packed for the tier-2 call.
     escalate: Vec<usize>,
-    /// Those rows' windows, packed for the tier-2 call.
     sub: Vec<f32>,
     /// Members either tier dropped in any tile since the tick began.
     dropped: Vec<usize>,
@@ -383,21 +389,16 @@ struct TierScratch {
 
 /// The buffers a tick fills, owned by the server so that a steady-state
 /// tick allocates only what it hands out (its decisions and reports).
+/// Cleared, never dropped, between ticks.
 #[derive(Default)]
 struct TickArena {
-    /// Per shard, the windows pending and the windows admitted.
+    /// Per shard, the windows pending and the windows admitted but not
+    /// yet taken.
     lens: Vec<usize>,
     take: Vec<usize>,
     /// The pinned subsets minus the members on probation.
     members: Vec<usize>,
     gate_members: Vec<usize>,
-    /// The admitted windows' metadata, shard by shard, and the snapshots
-    /// of those to be scored.
-    meta: Vec<PendingWindow>,
-    batch: Vec<f32>,
-    /// The windows tier 0 did not suppress, and what they scored.
-    screened_meta: Vec<PendingWindow>,
-    screened: Vec<Decision>,
     tiers: TierScratch,
 }
 
@@ -735,11 +736,11 @@ impl<'a> StreamServer<'a> {
     }
 
     /// Admits up to the window budget from the shards' pending queues
-    /// (oldest-first per shard, water-filled across shards), scores the
-    /// admitted batch through the gate/escalation pipeline, and emits
-    /// decisions in deterministic order (shard index, then ingestion
-    /// order). Windows over budget stay queued for later ticks unless a
-    /// queue bound sheds them at ingest.
+    /// (oldest-first per shard, water-filled across shards), streams the
+    /// admitted windows tile by tile through the gate/escalation
+    /// pipeline, and emits decisions in deterministic order (shard index,
+    /// then ingestion order). Windows over budget stay queued for later
+    /// ticks unless a queue bound sheds them at ingest.
     ///
     /// Each tick also advances the [`ServeMode`] hysteresis machine and
     /// the member-health probation clock: members that returned
@@ -751,7 +752,9 @@ impl<'a> StreamServer<'a> {
     /// # Errors
     ///
     /// [`ServeError::Score`] when a scoring pass fails; the windows the
-    /// tick had admitted are then counted as `shed`, not as scored.
+    /// tick had admitted, taken or not, are then counted as `shed`, not
+    /// as scored, and no report or carried gate score of an earlier tile
+    /// is left behind.
     pub fn tick(&mut self) -> Result<Vec<Decision>, ServeError> {
         // The arena steps out of `self` for the tick, so its buffers and
         // the server can be borrowed side by side.
@@ -770,10 +773,6 @@ impl<'a> StreamServer<'a> {
             take,
             members,
             gate_members,
-            batch,
-            meta,
-            screened_meta,
-            screened,
             tiers,
         } = arena;
         lens.clear();
@@ -792,254 +791,271 @@ impl<'a> StreamServer<'a> {
 
         self.health.release_expired(self.tick_index);
 
-        // Tier-0 split: suppressed windows skip the ensemble entirely.
-        // The gate is bypassed under `Always` (the pure-f32 reference
-        // path has no gate); `gate_tau` is its τ when it is on.
-        let gate_tau = self
-            .tier0
-            .filter(|_| self.policy != EscalationPolicy::Always)
-            .map(|cal| cal.tau);
-
         budgeted_take_into(lens, self.admission.windows_per_tick, take);
-        batch.clear();
-        meta.clear();
-        tiers.dropped.clear();
-        // With the gate on, only the windows that will be scored bring
-        // their snapshots along: `batch` holds the unsuppressed windows
-        // of `meta`, in order.
-        for (shard, &k) in self.shards.iter_mut().zip(take.iter()) {
-            if k > 0 {
-                shard.take_pending_into(k, gate_tau.is_none(), batch, meta);
-            }
-        }
-        if meta.is_empty() {
+        let n: usize = take.iter().sum();
+        if n == 0 {
             return Ok(Vec::new());
         }
-        let (batch, meta) = (&batch[..], &meta[..]);
-        let n = meta.len();
         self.health.active_into(&self.members, members);
         self.health.active_into(&self.gate_members, gate_members);
         let deploy = Deployment {
             members,
             gate_members,
         };
-        // The τ a window is decided against when tier 0 suppresses it.
-        let suppressed_tau = |w: &PendingWindow| gate_tau.filter(|_| w.suppressed);
-        screened_meta.clear();
-        screened_meta.extend(meta.iter().filter(|w| suppressed_tau(w).is_none()));
-        debug_assert_eq!(batch.len(), screened_meta.len() * self.window_len);
-        if let Err(e) = self.score_windows(batch, screened_meta, &deploy, tiers, screened) {
-            // The admitted windows are out of the shards and will never
-            // be decided: they are shed, not scored.
-            self.stats.shed += n as u64;
+        let mut decisions = Vec::with_capacity(n);
+        let reports = self.reports.len();
+        if let Err(e) = self.score_admitted(take, &deploy, tiers, &mut decisions) {
+            // The admitted windows, taken or not, leave the shards and will
+            // never be decided: they are shed, not scored. The reports of
+            // tiles scored before the failure go too; carried gate scores
+            // wait for every gate tile to pass, so a gate tile failing
+            // leaves none behind.
+            for (shard, &k) in self.shards.iter_mut().zip(take.iter()) {
+                shard.shed_oldest(k);
+            }
+            self.stats.shed += decisions.len() as u64;
+            self.stats.reports_emitted -= (self.reports.len() - reports) as u64;
+            self.reports.truncate(reports);
             return Err(e);
         }
-        self.emit_reports(batch, screened);
-        self.stats.windows_scored += n as u64;
-        self.stats.tier0_suppressed += (n - screened.len()) as u64;
-        // Merge back in admitted order (the identity when nothing was
-        // suppressed): suppressed windows emit the vehicle's carried
-        // tier-1 gate score (below the detection threshold by the
-        // suppression policy) against the calibration's τ; screened
-        // windows keep their ensemble decision bitwise intact.
-        let mut it = screened.iter();
-        let decisions = meta
-            .iter()
-            .map(|w| match suppressed_tau(w) {
-                Some(tau) => Decision {
-                    vehicle: w.vehicle,
-                    timestamp: w.timestamp,
-                    score: w.pinned,
-                    threshold: tau,
-                    escalated: false,
-                    flagged: w.pinned > tau,
-                    suppressed: true,
-                },
-                None => *it.next().expect("one screened decision per window"),
-            })
-            .collect();
 
-        if !tiers.dropped.is_empty() {
-            tiers.dropped.sort_unstable();
-            tiers.dropped.dedup();
+        let screened = decisions.iter().filter(|d| !d.suppressed).count();
+        let escalated = match self.policy {
+            EscalationPolicy::Always => screened,
+            EscalationPolicy::Threshold(_) => tiers.escalate.len(),
+        };
+        self.stats.windows_scored += n as u64;
+        self.stats.tier0_suppressed += (n - screened) as u64;
+        self.stats.tier1_screened += (screened - escalated) as u64;
+        self.stats.tier2_escalated += escalated as u64;
+        let dropped = &mut tiers.dropped;
+        if !dropped.is_empty() {
+            dropped.sort_unstable();
+            dropped.dedup();
             let until = self.tick_index + PROBATION_TICKS;
-            for &m in &tiers.dropped {
+            for &m in dropped.iter() {
                 self.health.bench(m, until);
             }
         }
         Ok(decisions)
     }
 
-    /// Misbehavior reporting: every flagged tier-2 escalation among
-    /// `scored` — the decisions of the windows in `batch`, row for row —
-    /// becomes an MBR carrying the scored window as evidence (tier-0
-    /// suppressed windows are never escalated, so none is missed). The
-    /// scaler clamps rows to [-1, 1], so emitted reports always pass
-    /// `Mbr::validate`'s domain check.
-    fn emit_reports(&mut self, batch: &[f32], scored: &[Decision]) {
-        let Some(reporter) = self.reporter else {
-            return;
-        };
-        let rows = batch.chunks_exact(self.window_len);
-        for (d, row) in scored.iter().zip(rows) {
-            if d.flagged && d.escalated && d.vehicle != reporter {
+    /// Streams the admitted windows — `take[s]` from shard `s`, counted
+    /// down as they leave it — through the tier-1 → tier-2 pipeline under
+    /// the server's policy, gate-only while [`ServeMode::Degraded`], and
+    /// pushes one decision per window onto `decisions` in admitted order
+    /// (shard index, then ingestion order).
+    ///
+    /// The snapshots pass through one tile of at most [`SCORE_TILE`],
+    /// scored where it fills, so the tile boundaries fall where a
+    /// whole-batch pass would put them. Windows tier 0 suppressed bring no
+    /// snapshot and are decided on the spot: they emit the vehicle's
+    /// carried tier-1 gate score (below the detection threshold by the
+    /// suppression policy) against the calibration's τ. Under a gate, the
+    /// escalated windows are re-scored by tier 2 in one more tiled pass
+    /// once every tile is gated.
+    fn score_admitted(
+        &mut self,
+        take: &mut [usize],
+        deploy: &Deployment<'_>,
+        tiers: &mut TierScratch,
+        decisions: &mut Vec<Decision>,
+    ) -> Result<(), ServeError> {
+        // Tier 0 is bypassed under `Always` (the pure-f32 reference path
+        // has no gate); `gate_tau` is the calibration's τ when it is on.
+        let gate_tau = self
+            .tier0
+            .filter(|_| self.policy != EscalationPolicy::Always)
+            .map(|cal| cal.tau);
+        tiers.tile.clear();
+        tiers.rows.clear();
+        tiers.escalate.clear();
+        tiers.sub.clear();
+        tiers.dropped.clear();
+        tiers.tile.reserve_exact(SCORE_TILE * self.window_len);
+        for (s, left) in take.iter_mut().enumerate() {
+            while *left > 0 {
+                let TierScratch { tile, rows, .. } = tiers;
+                let room = SCORE_TILE - rows.len();
+                let shard = &mut self.shards[s];
+                *left -= shard.take_pending_within(*left, room, gate_tau.is_none(), tile, |w| {
+                    let mut d = Decision {
+                        vehicle: w.vehicle,
+                        timestamp: w.timestamp,
+                        score: 0.0,
+                        threshold: 0.0,
+                        escalated: false,
+                        flagged: false,
+                        suppressed: false,
+                    };
+                    match gate_tau.filter(|_| w.suppressed) {
+                        Some(tau) => {
+                            (d.score, d.threshold) = (w.pinned, tau);
+                            (d.flagged, d.suppressed) = (w.pinned > tau, true);
+                        }
+                        None => rows.push(decisions.len()),
+                    }
+                    decisions.push(d);
+                });
+                if tiers.rows.len() == SCORE_TILE {
+                    self.decide_tile(deploy, tiers, decisions)?;
+                }
+            }
+        }
+        if !tiers.rows.is_empty() {
+            self.decide_tile(deploy, tiers, decisions)?;
+        }
+        if matches!(self.policy, EscalationPolicy::Threshold(_)) {
+            // Every gate tile passed: feed the real tier-1 scores back to
+            // the owning shards — the carried scores tier-0 suppression
+            // reuses, and the refresh-streak reset. A gateless server
+            // skips this so the ungated baseline pays nothing.
+            if self.tier0.is_some() {
+                let n_shards = self.shards.len();
+                for d in decisions.iter().filter(|d| !d.suppressed) {
+                    self.shards[shard_for(d.vehicle, n_shards)].record_gate(d.vehicle, d.score);
+                }
+            }
+            self.escalate(deploy, tiers, decisions)?;
+        }
+        Ok(())
+    }
+
+    /// Scores the filled tile and empties it: under `Always` the f32
+    /// ensemble decides each window (and reports it if flagged); under a
+    /// gate each window takes its int8 gate score, and those over τ_esc
+    /// are queued for tier 2 with a copy of their snapshot.
+    fn decide_tile(
+        &mut self,
+        deploy: &Deployment<'_>,
+        tiers: &mut TierScratch,
+        decisions: &mut [Decision],
+    ) -> Result<(), ServeError> {
+        let TierScratch {
+            tile,
+            rows,
+            scores,
+            escalate,
+            sub,
+            dropped,
+        } = tiers;
+        let windows = tile.chunks_exact(self.window_len);
+        match self.policy {
+            EscalationPolicy::Always => {
+                let tau = self.score_tile(tile, false, deploy.members, scores, dropped)?;
+                for ((&i, &score), window) in rows.iter().zip(scores.iter()).zip(windows) {
+                    let d = &mut decisions[i];
+                    (d.score, d.threshold) = (score, tau);
+                    (d.escalated, d.flagged) = (true, score > tau);
+                    self.report(d, window);
+                }
+            }
+            EscalationPolicy::Threshold(tau_esc) => {
+                let tau = self.score_tile(tile, true, deploy.gate_members, scores, dropped)?;
+                // Overload: the gate decides every window on its own.
+                // Otherwise a gate score is never a detection on its own.
+                let degraded = self.mode_machine.mode == ServeMode::Degraded;
+                for ((&i, &score), window) in rows.iter().zip(scores.iter()).zip(windows) {
+                    let d = &mut decisions[i];
+                    (d.score, d.threshold) = (score, tau);
+                    d.flagged = degraded && score > tau;
+                    if !degraded && score > tau_esc {
+                        escalate.push(i);
+                        sub.extend_from_slice(window);
+                    }
+                }
+            }
+        }
+        tile.clear();
+        rows.clear();
+        Ok(())
+    }
+
+    /// Tier 2 under a gate: re-scores the escalated windows with the full
+    /// f32 ensemble in [`SCORE_TILE`] tiles of their own, replaces their
+    /// gate decisions, then reports the flagged ones.
+    fn escalate(
+        &mut self,
+        deploy: &Deployment<'_>,
+        tiers: &mut TierScratch,
+        decisions: &mut [Decision],
+    ) -> Result<(), ServeError> {
+        let TierScratch {
+            scores,
+            escalate,
+            sub,
+            dropped,
+            ..
+        } = tiers;
+        let wl = self.window_len;
+        for (rows, tile) in escalate.chunks(SCORE_TILE).zip(sub.chunks(SCORE_TILE * wl)) {
+            let tau = self.score_tile(tile, false, deploy.members, scores, dropped)?;
+            for (&i, &score) in rows.iter().zip(scores.iter()) {
+                let d = &mut decisions[i];
+                (d.score, d.threshold) = (score, tau);
+                (d.escalated, d.flagged) = (true, score > tau);
+            }
+        }
+        for (&i, window) in escalate.iter().zip(sub.chunks_exact(wl)) {
+            self.report(&decisions[i], window);
+        }
+        Ok(())
+    }
+
+    /// Misbehavior reporting: a flagged tier-2 escalation becomes an MBR
+    /// carrying its scored window as evidence (tier-0 suppressed windows
+    /// are never escalated, so none is missed). The scaler clamps rows to
+    /// [-1, 1], so emitted reports always pass `Mbr::validate`'s domain
+    /// check.
+    fn report(&mut self, d: &Decision, window: &[f32]) {
+        match self.reporter {
+            Some(reporter) if d.flagged && d.escalated && d.vehicle != reporter => {
                 self.reports.push(Mbr {
                     reporter,
                     suspect: d.vehicle,
                     timestamp: d.timestamp,
                     score: d.score,
                     threshold: d.threshold,
-                    evidence: row.to_vec(),
+                    evidence: window.to_vec(),
                 });
                 self.stats.reports_emitted += 1;
             }
+            _ => {}
         }
     }
 
-    /// Feeds the real tier-1 gate scores of a screened batch back to
-    /// the owning shards: the carried scores tier-0 suppression reuses,
-    /// and the per-vehicle refresh-streak reset. A gateless server
-    /// skips this entirely so the ungated baseline pays nothing.
-    fn record_gates(&mut self, meta: &[PendingWindow], gate_scores: &[f32]) {
-        if self.tier0.is_none() {
-            return;
-        }
-        let n_shards = self.shards.len();
-        for (w, &g) in meta.iter().zip(gate_scores) {
-            self.shards[shard_for(w.vehicle, n_shards)].record_gate(w.vehicle, g);
-        }
-    }
-
-    /// Scores one admitted (sub-)batch through the tier-1 → tier-2
-    /// pipeline under the server's policy — gate-only while
-    /// [`ServeMode::Degraded`] — writing one decision per `meta`
-    /// entry in order to `decisions` (cleared first) and maintaining the
-    /// per-tier counters: every window here lands in `tier1_screened` or
-    /// `tier2_escalated` depending on which path produced its final
-    /// score. Members either tier dropped are appended to
-    /// `tiers.dropped`.
-    fn score_windows(
-        &mut self,
-        batch: &[f32],
-        meta: &[PendingWindow],
-        deploy: &Deployment<'_>,
-        tiers: &mut TierScratch,
-        decisions: &mut Vec<Decision>,
-    ) -> Result<(), ServeError> {
-        let n = meta.len();
-        let wl = self.window_len;
-        debug_assert_eq!(batch.len(), n * wl);
-        let TierScratch {
-            gate,
-            tier2,
-            escalate,
-            sub,
-            dropped,
-        } = tiers;
-        decisions.clear();
-        // One decision per window from a tier's scores; τ is the window's
-        // own tile's (a member can fail in some tiles only, and each
-        // tile's mean and threshold come from its own survivor set).
-        let mut decide =
-            |tier: &TiledScores, escalated: bool, flag: bool| {
-                let scored = tier.scores.iter().zip(&tier.thresholds);
-                decisions.extend(meta.iter().zip(scored).map(|(w, (&score, &threshold))| {
-                    Decision {
-                        vehicle: w.vehicle,
-                        timestamp: w.timestamp,
-                        score,
-                        threshold,
-                        escalated,
-                        flagged: flag && score > threshold,
-                        suppressed: false,
-                    }
-                }));
-            };
-        match self.policy {
-            EscalationPolicy::Always => {
-                self.score_tiled(batch, n, false, deploy.members, tier2)?;
-                self.stats.tier2_escalated += n as u64;
-                decide(tier2, true, true);
-                dropped.extend_from_slice(&tier2.dropped);
-            }
-            EscalationPolicy::Threshold(tau_esc) => {
-                self.score_tiled(batch, n, true, deploy.gate_members, gate)?;
-                self.record_gates(meta, &gate.scores);
-                dropped.extend_from_slice(&gate.dropped);
-                if self.mode_machine.mode == ServeMode::Degraded {
-                    // Overload: the gate decides every window on its own.
-                    self.stats.tier1_screened += n as u64;
-                    decide(gate, false, true);
-                    return Ok(());
-                }
-                escalate.clear();
-                escalate.extend((0..n).filter(|&i| gate.scores[i] > tau_esc));
-                // A gate score under τ_esc is never a detection on its own.
-                decide(gate, false, false);
-                if !escalate.is_empty() {
-                    sub.clear();
-                    for &i in escalate.iter() {
-                        sub.extend_from_slice(&batch[i * wl..(i + 1) * wl]);
-                    }
-                    self.score_tiled(sub, escalate.len(), false, deploy.members, tier2)?;
-                    for (&i, (&score, &threshold)) in escalate
-                        .iter()
-                        .zip(tier2.scores.iter().zip(&tier2.thresholds))
-                    {
-                        decisions[i].score = score;
-                        decisions[i].threshold = threshold;
-                        decisions[i].escalated = true;
-                        decisions[i].flagged = score > threshold;
-                    }
-                    dropped.extend_from_slice(&tier2.dropped);
-                }
-                self.stats.tier1_screened += (n - escalate.len()) as u64;
-                self.stats.tier2_escalated += escalate.len() as u64;
-            }
-        }
-        Ok(())
-    }
-
-    /// Scores `n` flat windows through one backend in [`SCORE_TILE`]-sized
-    /// tiles into `out` (resized to `n`). Tile boundaries cannot change
-    /// any score — both backends are batch-row independent — but a tile
-    /// is scored by the members that survived *it*: every window carries
-    /// its own tile's τ. `out.dropped` collects the members dropped for
-    /// non-finite scores in any tile, so the caller can bench them. Both
-    /// backends read the tile where it lies and write its scores in
-    /// place. In a test build, the members the chaos tests' fault
-    /// injector poisons leave each tile's subset and count as dropped.
-    fn score_tiled(
+    /// Scores one tile of flat windows (at most [`SCORE_TILE`]) through
+    /// one backend into `scores`, returning the tile's τ. A tile is scored
+    /// by the members that survived *it*: those dropped for non-finite
+    /// scores are appended to `dropped`, so the caller can bench them,
+    /// and τ is the survivors'. Both backends read the tile where it lies
+    /// and are batch-row independent, so the tile a window shares cannot
+    /// change its score. In a test build, the members the chaos tests'
+    /// fault injector poisons leave the subset first and count as
+    /// dropped.
+    fn score_tile(
         &self,
-        data: &[f32],
-        n: usize,
+        tile: &[f32],
         int8: bool,
         members: &[usize],
-        out: &mut TiledScores,
-    ) -> Result<(), ServeError> {
-        out.scores.clear();
-        out.scores.resize(n, 0.0);
-        out.thresholds.clear();
-        out.thresholds.resize(n, 0.0);
-        out.dropped.clear();
-        let wl = self.window_len;
-        for start in (0..n).step_by(SCORE_TILE) {
-            let end = (start + SCORE_TILE).min(n);
-            let (tile, scores) = (&data[start * wl..end * wl], &mut out.scores[start..end]);
-            #[cfg(test)]
-            let members = &self.faults.survivors(members, &mut out.dropped)?[..];
-            let summary = if int8 {
-                self.vehigan
-                    .score_with_members_int8_into(members, tile, end - start, scores)
-            } else {
-                self.vehigan
-                    .score_with_members_into(members, tile, end - start, scores)
-            }
-            .map_err(ServeError::Score)?;
-            out.thresholds[start..end].fill(summary.threshold);
-            out.dropped.extend(summary.dropped);
+        scores: &mut Vec<f32>,
+        dropped: &mut Vec<usize>,
+    ) -> Result<f32, ServeError> {
+        let n = tile.len() / self.window_len;
+        scores.clear();
+        scores.resize(n, 0.0);
+        #[cfg(test)]
+        let members = &self.faults.survivors(members, dropped)?[..];
+        let summary = if int8 {
+            self.vehigan
+                .score_with_members_int8_into(members, tile, n, scores)
+        } else {
+            self.vehigan
+                .score_with_members_into(members, tile, n, scores)
         }
-        Ok(())
+        .map_err(ServeError::Score)?;
+        dropped.extend(summary.dropped);
+        Ok(summary.threshold)
     }
 
     /// Runs TTL eviction on every shard at stream time `now`, returning
@@ -1288,7 +1304,9 @@ mod tests {
             param.value.as_mut_slice().fill(value);
         }
 
-        let scaler = MinMaxScaler::fit_flat(12, (0..24).map(f64::from));
+        // Features of ±1 scale to ±1, so a standing vehicle's window (every
+        // feature 0) is all zeros.
+        let scaler = MinMaxScaler::fit_flat(12, [-1.0; 12].into_iter().chain([1.0; 12]));
         let config = ServerConfig {
             n_shards: 1,
             policy: EscalationPolicy::Always,
@@ -1297,30 +1315,32 @@ mod tests {
         };
         let mut server = StreamServer::new(&vehigan, scaler, config).unwrap();
 
-        // Tile 1: all-zero windows, both members finite. Tile 2: windows
-        // of ones, member 1 non-finite and dropped — for that tile only.
+        // Tile 1: the all-zero windows of SCORE_TILE standing vehicles,
+        // both members finite. Tile 2: two moving vehicles, member 1
+        // non-finite and dropped — for that tile only.
         let n = SCORE_TILE + 2;
-        let mut batch = vec![0.0f32; n * 120];
-        batch[SCORE_TILE * 120..].fill(1.0);
-        let meta: Vec<PendingWindow> = (0..n)
-            .map(|i| PendingWindow {
-                vehicle: VehicleId(i as u32),
-                timestamp: i as f64,
-                suppressed: false,
-                pinned: 0.0,
+        let bsms: Vec<Bsm> = (0..n)
+            .flat_map(|v| {
+                let speed = if v < SCORE_TILE { 0.0 } else { 1.0 };
+                (0..11).map(move |t| Bsm {
+                    vehicle_id: VehicleId(v as u32),
+                    timestamp: t as f64 * 0.1,
+                    pos_x: t as f64 * 0.1 * speed,
+                    pos_y: 0.0,
+                    speed,
+                    acceleration: 0.0,
+                    heading: 0.0,
+                    yaw_rate: 0.0,
+                })
             })
             .collect();
-        let deploy = Deployment {
-            members: &[0, 1],
-            gate_members: &[0, 1],
-        };
-        let (mut tiers, mut decisions) = (TierScratch::default(), Vec::new());
-        server
-            .score_windows(&batch, &meta, &deploy, &mut tiers, &mut decisions)
-            .unwrap();
-        assert_eq!(tiers.dropped, vec![1]);
+        server.ingest_batch(&bsms);
+        let decisions = server.tick().unwrap();
+        assert_eq!(decisions.len(), n);
+        assert_eq!(server.benched_members(), vec![1]);
         let both = (taus[0] + taus[1]) / 2.0;
         for (i, d) in decisions.iter().enumerate() {
+            assert_eq!(d.vehicle, VehicleId(i as u32));
             let want = if i < SCORE_TILE { both } else { taus[0] };
             assert_eq!(d.threshold, want, "window {i}");
             assert!(d.score.is_finite());

@@ -16,11 +16,12 @@
 //!
 //! A completed window stays where [`WindowRing::push`] wrote it: the
 //! shard's `pending` queue holds its metadata and its vehicle's slab
-//! slot, and the tick copies its floats from the ring straight into one
-//! cross-vehicle batch — only for windows the tick will score. Should the
-//! vehicle push again before the tick, the push would overwrite the
-//! window's oldest row, so the shard first *spills* the window into one
-//! of its reusable window-sized buffers.
+//! slot, and the tick copies its floats from the ring straight into the
+//! scoring tile it is filling — only for windows the tick will score, and
+//! [`Shard::take_pending_within`] stops before a window the tile has no
+//! room for. Should the vehicle push again before the tick, the push
+//! would overwrite the window's oldest row, so the shard first *spills*
+//! the window into one of its reusable window-sized buffers.
 //!
 //! Two robustness layers sit in front of that queue (DESIGN.md §11):
 //!
@@ -433,38 +434,51 @@ impl Shard {
     /// (FIFO service order), leaving the rest queued for later ticks and
     /// clearing the taken windows' in-flight marks.
     pub fn take_pending(&mut self, n: usize) -> (Vec<f32>, Vec<PendingWindow>) {
-        let (mut floats, mut meta) = (Vec::new(), Vec::new());
-        self.take_pending_into(n, true, &mut floats, &mut meta);
+        let mut meta = Vec::with_capacity(n.min(self.pending.len()));
+        let mut floats = Vec::new();
+        self.take_pending_within(n, usize::MAX, true, &mut floats, |w| meta.push(*w));
         (floats, meta)
     }
 
-    /// [`Shard::take_pending`], appending to the caller's buffers: each
-    /// window's floats are copied from where they sit — its vehicle's
-    /// ring, or a spill buffer — straight into `floats`.
+    /// [`Shard::take_pending`] into a buffer with room for `room` more
+    /// snapshots: each taken window's floats are copied from where they
+    /// sit — its vehicle's ring, or a spill buffer — straight onto
+    /// `floats`, and the take stops before the first window whose floats
+    /// would not fit, leaving it and every younger window queued where
+    /// they are. Each taken window's metadata is shown to `visit`, in
+    /// queue order. Returns how many windows were taken.
     ///
     /// With `suppressed_floats` off, the windows tier 0 suppressed are
-    /// left out of `floats` and never copied at all (their `meta`
-    /// entries are still taken): a caller that honours the verdict never
-    /// reads them.
-    pub fn take_pending_into(
+    /// taken without their floats — never copied, and costing no room: a
+    /// caller that honours the verdict never reads them.
+    pub fn take_pending_within(
         &mut self,
         n: usize,
+        room: usize,
         suppressed_floats: bool,
         floats: &mut Vec<f32>,
-        meta: &mut Vec<PendingWindow>,
-    ) {
-        let n = n.min(self.pending.len());
-        meta.reserve(n);
-        if suppressed_floats {
-            floats.reserve(n * self.window_len());
+        mut visit: impl FnMut(&PendingWindow),
+    ) -> usize {
+        let reads = |w: &PendingWindow| suppressed_floats || !w.suppressed;
+        let (mut n_taken, mut n_read) = (0, 0);
+        for q in self.pending.iter().take(n) {
+            if reads(&q.meta) {
+                if n_read == room {
+                    break;
+                }
+                n_read += 1;
+            }
+            n_taken += 1;
         }
-        self.dequeue(n, |w, [older, newer]| {
-            if suppressed_floats || !w.suppressed {
+        floats.reserve(n_read * self.window_len());
+        self.dequeue(n_taken, |w, [older, newer]| {
+            if reads(w) {
                 floats.extend_from_slice(older);
                 floats.extend_from_slice(newer);
             }
-            meta.push(*w);
+            visit(w);
         });
+        n_taken
     }
 
     /// Removes the `n` oldest queued windows, showing each to `visit`

@@ -1,5 +1,6 @@
-//! What a tracked vehicle and a window in flight cost a shard, counted
-//! per thread by a global allocator.
+//! What a tracked vehicle and a window in flight cost a shard, and what
+//! a tick holds while it scores, counted per thread by a global
+//! allocator that also tracks its peak.
 //!
 //! - A warm pseudonym pays for its 480-byte window ring, its 232-byte
 //!   slab slot (one previous BSM, the ring and tier-0 state, counters)
@@ -12,33 +13,50 @@
 //!   the vehicle's ring until the tick takes them. Copying the 480 bytes
 //!   into the queue, as the shard once did, costs 503 bytes a window
 //!   and fails the bound.
+//! - A tick that admits four tiles of windows holds one tile of snapshots
+//!   (128 × 480 B = 60 KiB) at a time, besides the decisions it returns:
+//!   it grows the caller's heap by 74 KiB at its peak. Copying every
+//!   admitted snapshot into one batch first, as the tick once did,
+//!   holds 240 KiB of snapshots for 512 windows, 292 KiB in all, and
+//!   fails the bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use vehigan_core::{CriticMember, VehiGan, Wgan, WganConfig};
 use vehigan_features::{EvictionConfig, MinMaxScaler, Tier0Calibration};
-use vehigan_serve::Shard;
+use vehigan_serve::{Decision, EscalationPolicy, ServerConfig, Shard, StreamServer, SCORE_TILE};
 use vehigan_sim::{Bsm, SimConfig, TrafficSimulator, VehicleId, VehicleTrace};
 
 struct Counting;
 
 thread_local! {
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-// SAFETY: defers every operation to `System`; the counter is a
-// const-initialized thread-local `Cell` with no destructor, so touching
-// it inside the allocator cannot itself allocate or run after teardown.
+/// Moves this thread's live count by `delta`, raising its peak.
+fn count(delta: i64) {
+    let live = LIVE.with(|c| {
+        c.set(c.get() + delta);
+        c.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
+}
+
+// SAFETY: defers every operation to `System`; the counters are
+// const-initialized thread-local `Cell`s with no destructor, so touching
+// them inside the allocator cannot itself allocate or run after teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.with(|c| c.set(c.get() + layout.size() as i64));
+        count(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.with(|c| c.set(c.get() - layout.size() as i64));
+        count(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.with(|c| c.set(c.get() + new_size as i64 - layout.size() as i64));
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -50,6 +68,15 @@ fn live() -> i64 {
     LIVE.with(Cell::get)
 }
 
+/// Restarts this thread's peak at its live count.
+fn reset_peak() {
+    PEAK.with(|p| p.set(live()));
+}
+
+fn peak() -> i64 {
+    PEAK.with(Cell::get)
+}
+
 /// Heap bytes per warm vehicle: at most this (a slot storing each fact
 /// once reads 746 B, one with per-vehicle copies of `prev`, the tier-0
 /// parameters and the scaler handle 954 B).
@@ -59,8 +86,18 @@ const BOUND_BYTES: f64 = 850.0;
 /// window's slot reads 40 B, a copy of its floats plus metadata 503 B).
 const BOUND_BYTES_PER_WINDOW: f64 = 64.0;
 
+/// Heap bytes a tick of `TICK_WINDOWS` windows may add on top of one
+/// tile of snapshots and the decisions it returns: the tile's row
+/// indices (1 KiB) and scores, and the tick's small per-shard lists. It
+/// reads 74 KiB in all; a tick that copied all 512 snapshots into one
+/// batch first read 292 KiB.
+const TICK_SLACK_BYTES: usize = 4096;
+
 const VEHICLES: u32 = 1024;
 const WINDOW: usize = 10;
+const FEATURES: usize = 12;
+/// Four tiles of windows, completed before one tick.
+const TICK_WINDOWS: usize = 4 * SCORE_TILE;
 
 fn fleet() -> Vec<VehicleTrace> {
     TrafficSimulator::new(SimConfig {
@@ -128,5 +165,76 @@ fn a_queued_window_costs_its_queue_entry_only() {
     assert!(
         per_window <= BOUND_BYTES_PER_WINDOW,
         "a queued window costs {per_window:.0} heap bytes (bound {BOUND_BYTES_PER_WINDOW})"
+    );
+}
+
+/// Two untrained critics calibrated on a smooth signal: enough for the
+/// f32 path to score, which is all the tick's footprint depends on.
+fn two_critics() -> VehiGan {
+    let benign: Vec<f32> = (0..32 * WINDOW * FEATURES)
+        .map(|i| (i as f32 * 0.37).sin())
+        .collect();
+    let benign = vehigan_tensor::Tensor::from_vec(benign, &[32, WINDOW, FEATURES, 1]);
+    let members = (0..2)
+        .map(|seed| {
+            let config = WganConfig {
+                layers: 3,
+                seed,
+                ..WganConfig::default()
+            };
+            CriticMember::calibrate(Wgan::new(config), 0.9, &benign, 99.0).unwrap()
+        })
+        .collect();
+    VehiGan::new(members, 2, 1).unwrap()
+}
+
+#[test]
+fn a_tick_holds_one_tile_of_snapshots() {
+    let fleet = fleet();
+    let vehigan = two_critics();
+    // The scoring path keeps per-thread scratch sized by the call: one
+    // tile-sized call beforehand, so what the tick grows is its own.
+    let tile = vec![0.25f32; SCORE_TILE * WINDOW * FEATURES];
+    let mut scores = vec![0.0f32; SCORE_TILE];
+    vehigan
+        .score_with_members_into(&[0, 1], &tile, SCORE_TILE, &mut scores)
+        .unwrap();
+
+    let scaler = MinMaxScaler::fit(&[vec![-1e3; FEATURES], vec![1e3; FEATURES]]);
+    let config = ServerConfig {
+        n_shards: 1,
+        window: WINDOW,
+        policy: EscalationPolicy::Always,
+        members: Some(vec![0, 1]),
+        ..ServerConfig::default()
+    };
+    let mut server = StreamServer::new(&vehigan, scaler, config).unwrap();
+    // Every vehicle completes its first window; the tick admits them all
+    // and scores every one (no gate, no tier 0).
+    let bsms: Vec<Bsm> = (0..TICK_WINDOWS as u32)
+        .flat_map(|v| {
+            fleet[0].bsms[..WINDOW + 1].iter().map(move |bsm| Bsm {
+                vehicle_id: VehicleId(v),
+                ..*bsm
+            })
+        })
+        .collect();
+    server.ingest_batch(&bsms);
+    assert_eq!(server.pending_windows(), TICK_WINDOWS);
+
+    let before = live();
+    reset_peak();
+    let decisions = server.tick().unwrap();
+    let grown = (peak() - before) as usize;
+    println!("heap a {TICK_WINDOWS}-window tick grows at its peak: {grown} B");
+    assert_eq!(decisions.len(), TICK_WINDOWS);
+    assert_eq!(server.stats().tier2_escalated, TICK_WINDOWS as u64);
+    let snapshot_bytes = WINDOW * FEATURES * std::mem::size_of::<f32>();
+    let bound = SCORE_TILE * snapshot_bytes
+        + TICK_WINDOWS * std::mem::size_of::<Decision>()
+        + TICK_SLACK_BYTES;
+    assert!(
+        grown <= bound,
+        "a tick grows the heap by {grown} bytes at its peak (bound {bound})"
     );
 }

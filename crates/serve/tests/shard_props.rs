@@ -3,7 +3,10 @@
 //! vehicle that still has in-flight (undrained) pending windows, and a
 //! queued window — left in its vehicle's ring or spilled out of it —
 //! is taken bit for bit as it was when it completed, with the tier-0
-//! verdict and carried score a standalone monitor per vehicle implies.
+//! verdict and carried score a standalone monitor per vehicle implies,
+//! and a take bounded by a tile's room stops exactly before the first
+//! window whose floats would not fit, leaving the rest queued as they
+//! were.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -11,7 +14,7 @@ use vehigan_features::{
     EvictionConfig, GateDecision, IngestGuard, MinMaxScaler, Tier0Calibration, Tier0Monitor,
     WindowBuffer, NUM_FEATURES,
 };
-use vehigan_serve::{shard_for, PendingWindow, Shard};
+use vehigan_serve::{shard_for, PendingWindow, Shard, SCORE_TILE};
 use vehigan_sim::{Bsm, VehicleId, VehicleTrace};
 
 fn test_scaler() -> MinMaxScaler {
@@ -85,10 +88,14 @@ struct Tracked {
     prev_timestamp: f64,
     last_gate: Option<f32>,
     streak: u32,
+    /// Sequence number of the vehicle's queued window still in its ring
+    /// (its newest, not yet spilled by a later push).
+    in_ring: Option<u64>,
 }
 
 /// A window the model expects the shard to queue.
 struct Expected {
+    seq: u64,
     meta: PendingWindow,
     floats: Vec<f32>,
 }
@@ -104,6 +111,10 @@ struct Coverage {
     rejected: u64,
     /// Pseudonyms given a fresh slot after an eviction.
     reinserted: u64,
+    /// Takes that stopped before a window whose floats had no room.
+    stops: u64,
+    /// Suppressed windows taken, without floats, once the room was full.
+    free_suppressed: u64,
 }
 
 /// The oracle for [`taken_windows_are_the_windows_that_completed`]: one
@@ -119,7 +130,9 @@ struct Model {
     vehicles: HashMap<u32, Tracked>,
     seen: HashSet<u32>,
     queue: VecDeque<Expected>,
+    next_seq: u64,
     shed: u64,
+    spilled: u64,
     coverage: Coverage,
 }
 
@@ -136,7 +149,9 @@ impl Model {
             vehicles: HashMap::new(),
             seen: HashSet::new(),
             queue: VecDeque::new(),
+            next_seq: 0,
             shed: 0,
+            spilled: 0,
             coverage: Coverage::default(),
         }
     }
@@ -175,14 +190,22 @@ impl Model {
                     prev_timestamp: bsm.timestamp,
                     last_gate: None,
                     streak: 0,
+                    in_ring: None,
                 },
             );
             // Whatever the insert evicted lost its state with its slot.
             self.vehicles.retain(|&id, _| shard.contains(VehicleId(id)));
         }
         let tracked = self.vehicles.get_mut(&v).expect("sender is resident");
-        if newest.is_some() && bsm.timestamp <= tracked.prev_timestamp {
-            self.coverage.resets += 1;
+        if newest.is_some() {
+            if bsm.timestamp <= tracked.prev_timestamp {
+                self.coverage.resets += 1;
+            }
+            // The push overwrites the ring's oldest row: a window still
+            // queued there is spilled first.
+            if tracked.in_ring.take().is_some() {
+                self.spilled += 1;
+            }
         }
         tracked.newest = tracked.newest.max(bsm.timestamp);
         tracked.prev_timestamp = bsm.timestamp;
@@ -215,13 +238,15 @@ impl Model {
             tracked.streak += 1;
             self.coverage.suppressed += 1;
         }
+        tracked.in_ring = Some(self.next_seq);
         if let Some(cap) = self.cap {
             while self.queue.len() >= cap.max(1) {
-                self.queue.pop_front();
+                self.dequeue();
                 self.shed += 1;
             }
         }
         self.queue.push_back(Expected {
+            seq: self.next_seq,
             meta: PendingWindow {
                 vehicle: bsm.vehicle_id,
                 timestamp: bsm.timestamp,
@@ -230,6 +255,55 @@ impl Model {
             },
             floats,
         });
+        self.next_seq += 1;
+    }
+
+    /// Removes the queue's front, which no longer sits in a ring.
+    fn dequeue(&mut self) -> Expected {
+        let front = self.queue.pop_front().expect("model queue");
+        if let Some(tracked) = self.vehicles.get_mut(&front.meta.vehicle.0) {
+            if tracked.in_ring == Some(front.seq) {
+                tracked.in_ring = None;
+            }
+        }
+        front
+    }
+
+    /// How many windows a take of up to `take` windows into `room`
+    /// snapshots removes: it stops before the first window whose floats
+    /// it would copy once `room` are copied.
+    fn expected_take(&mut self, take: usize, room: usize, suppressed_floats: bool) -> usize {
+        let (mut taken, mut read) = (0, 0);
+        for e in self.queue.iter().take(take) {
+            if suppressed_floats || !e.meta.suppressed {
+                if read == room {
+                    self.coverage.stops += 1;
+                    break;
+                }
+                read += 1;
+            } else if read == room {
+                self.coverage.free_suppressed += 1;
+            }
+            taken += 1;
+        }
+        taken
+    }
+
+    /// Checks what the shard still holds: the queue depth and sheds, the
+    /// spills (a take moves no window between ring and spill buffer) and
+    /// the in-flight mark of every resident vehicle.
+    fn check_queue(&self, shard: &Shard) {
+        assert_eq!(shard.pending_windows(), self.queue.len());
+        assert_eq!(shard.shed(), self.shed);
+        assert_eq!(shard.spilled(), self.spilled);
+        for &v in self.vehicles.keys() {
+            let queued = self.queue.iter().any(|e| e.meta.vehicle.0 == v);
+            assert_eq!(
+                shard.has_in_flight(VehicleId(v)),
+                queued,
+                "in-flight mark of vehicle {v}"
+            );
+        }
     }
 
     /// Checks one take against the queue's front — metadata, tier-0
@@ -245,7 +319,7 @@ impl Model {
     ) {
         let mut chunks = floats.chunks_exact(self.window * NUM_FEATURES);
         for w in meta {
-            let expected = self.queue.pop_front().expect("model queue");
+            let expected = self.dequeue();
             let e = expected.meta;
             assert_eq!((w.vehicle, w.timestamp), (e.vehicle, e.timestamp));
             assert_eq!(
@@ -287,15 +361,17 @@ impl Model {
 
 /// One round of [`drive`]: accepted-or-not BSMs per vehicle (0–4 each,
 /// interleaved), which of each vehicle's messages repeats or predates its
-/// previous one, a take of up to `take` windows with or without the
-/// suppressed windows' floats, then optionally a TTL sweep.
-type Round = (Vec<u8>, Vec<u8>, usize, bool, bool);
+/// previous one, a take of up to `take` windows into a tile with room for
+/// `room` snapshots, with or without the suppressed windows' floats, then
+/// optionally a TTL sweep.
+type Round = (Vec<u8>, Vec<u8>, usize, usize, bool, bool);
 
 /// Runs `rounds` through `shard` and `model`, checking every take, and
 /// finally drains both.
 fn drive(shard: &mut Shard, model: &mut Model, n_vehicles: u32, rounds: &[Round]) {
     let mut t = 0.0f64;
-    for (r, (counts, irregular, take, suppressed_floats, sweep)) in rounds.iter().enumerate() {
+    for (r, (counts, irregular, take, room, suppressed_floats, sweep)) in rounds.iter().enumerate()
+    {
         for k in 0..4u8 {
             for v in 0..n_vehicles {
                 if counts[v as usize] <= k {
@@ -314,17 +390,22 @@ fn drive(shard: &mut Shard, model: &mut Model, n_vehicles: u32, rounds: &[Round]
                 model.ingest(shard, &wandering_bsm(v, at));
             }
         }
-        assert_eq!(shard.pending_windows(), model.queue.len());
-        assert_eq!(shard.shed(), model.shed);
+        model.check_queue(shard);
         let (mut floats, mut meta) = (Vec::new(), Vec::new());
-        shard.take_pending_into(*take, *suppressed_floats, &mut floats, &mut meta);
+        let want = model.expected_take(*take, *room, *suppressed_floats);
+        let taken = shard.take_pending_within(*take, *room, *suppressed_floats, &mut floats, |w| {
+            meta.push(*w)
+        });
+        assert_eq!((taken, meta.len()), (want, want), "windows taken");
         model.check_take(shard, *suppressed_floats, &floats, &meta);
+        model.check_queue(shard);
         if *sweep {
             model.sweep(shard, t);
         }
     }
     let (floats, meta) = shard.drain_pending();
     model.check_take(shard, true, &floats, &meta);
+    model.check_queue(shard);
     assert!(model.queue.is_empty());
 }
 
@@ -352,19 +433,23 @@ fn a_vehicle_pushing_before_the_tick_spills_its_queued_window() {
         model.ingest(&mut shard, &wandering_bsm(7, 0.1 * f64::from(i)));
     }
     assert_eq!(shard.spilled(), 2);
+    model.check_queue(&shard);
     let (floats, meta) = shard.take_pending(usize::MAX);
     model.check_take(&mut shard, true, &floats, &meta);
     // Taken, the ring's window needs no spill: the next push is free.
     model.ingest(&mut shard, &wandering_bsm(7, 0.7));
     assert_eq!(shard.spilled(), 2);
+    model.check_queue(&shard);
 }
 
 #[test]
 fn the_model_check_reaches_every_tier0_path() {
     // A fixed run of the proptest's shape: four busy vehicles and an
     // occasional fifth on a gate that trips, four slots, irregular
-    // timestamps and periodic sweeps. It must exercise every branch the
-    // shard's shared previous message feeds.
+    // timestamps, periodic sweeps and takes into rooms of 0–3 snapshots.
+    // It must exercise every branch the shard's shared previous message
+    // feeds, and a take both stopped by a full room and carrying
+    // suppressed windows past it.
     let window = 3;
     let mut model = Model::new(window, Some(6), Some(tripping_gate(window)));
     let mut shard = model.shard(EvictionConfig {
@@ -380,6 +465,7 @@ fn the_model_check_reaches_every_tier0_path() {
                 counts,
                 irregular,
                 (r % 9) as usize,
+                (r % 4) as usize,
                 r % 2 == 0,
                 r % 15 == 14,
             )
@@ -394,6 +480,11 @@ fn the_model_check_reaches_every_tier0_path() {
         ("monitor resets", c.resets),
         ("guard rejects", c.rejected),
         ("re-inserted pseudonyms", c.reinserted),
+        ("takes stopped by the room", c.stops),
+        (
+            "suppressed windows taken past a full room",
+            c.free_suppressed,
+        ),
     ] {
         assert!(n > 0, "no {what}: {c:?}");
     }
@@ -483,6 +574,8 @@ proptest! {
                 proptest::collection::vec(0u8..5, 8),
                 proptest::collection::vec(0u8..10, 8),
                 0usize..12,
+                // Mostly rooms small enough to stop a take.
+                prop_oneof![0usize..4, 0..=SCORE_TILE],
                 any::<bool>(),
                 any::<bool>(),
             ),

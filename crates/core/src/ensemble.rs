@@ -19,12 +19,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 use vehigan_metrics::percentile;
 use vehigan_sim::VehicleId;
 use vehigan_tensor::forkjoin::{fork_join, workers_for};
-use vehigan_tensor::{CriticScratch, Tensor, HEAD_ROWS};
+use vehigan_tensor::{CriticScratch, Flat, Tensor, Windows, HEAD_ROWS};
 
 /// Error constructing or scoring a [`VehiGan`] ensemble.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -250,6 +251,11 @@ impl<S> ForkState<S> {
             + self.scores.capacity() * std::mem::size_of::<f32>()
             + self.scored.capacity()
     }
+}
+
+/// A `[n, …]` batch as its `n` contiguous windows.
+pub(crate) fn flat_windows(x: &Tensor) -> Flat<'_> {
+    Flat::new(x.as_slice(), x.shape()[1..].iter().product())
 }
 
 /// The result of one ensemble inference.
@@ -499,19 +505,22 @@ impl VehiGan {
         indices: &[usize],
         x: &Tensor,
     ) -> Result<EnsembleScore, EnsembleError> {
-        let n = x.shape()[0];
-        let mut scores = vec![0.0f32; n];
-        let summary = self.score_with_members_into(indices, x.as_slice(), n, &mut scores)?;
+        let mut scores = vec![0.0f32; x.shape()[0]];
+        let summary = self.score_with_members_into(indices, &flat_windows(x), &mut scores)?;
         Ok(summary.into_score(indices, scores))
     }
 
-    /// [`VehiGan::score_with_members`] over borrowed memory — the float
-    /// twin of [`VehiGan::score_with_members_int8_into`]: `n` flat windows
-    /// in, `n` ensemble scores written to `out`, bitwise the scores the
-    /// `Tensor` entry point returns, and nothing allocated on the way
-    /// (once the score buffer has grown to the batch size; a dropped
-    /// member or an error does allocate its index list), whether or not
-    /// the call forks.
+    /// [`VehiGan::score_with_members`] over windows read where they lie
+    /// — the float twin of [`VehiGan::score_with_members_int8_into`]:
+    /// `windows` in, each as two [`Pieces`](vehigan_tensor::Pieces) (a
+    /// ring buffer's two runs of rows, or a contiguous window and
+    /// nothing), one ensemble score per window written to `out`. The
+    /// scores are bitwise those of the same floats in one contiguous
+    /// batch through the `Tensor` entry point, wherever the pieces split
+    /// a window, and nothing is copied or allocated on the way (once the
+    /// score buffer has grown to the batch size; a dropped member or an
+    /// error does allocate its index list), whether or not the call
+    /// forks.
     ///
     /// The rows are shared out over up to [`workers_for`] threads, the
     /// caller among them, each on its own scratch; the reduction, the
@@ -525,17 +534,16 @@ impl VehiGan {
     ///
     /// # Panics
     ///
-    /// Panics if `out` is not `n` long; a `windows` that is not `n`
-    /// snapshots of a member's configured shape fails that member.
+    /// Panics if `out` is not one score per window; a window that is not
+    /// a snapshot of a member's configured shape fails that member.
     pub fn score_with_members_into(
         &self,
         indices: &[usize],
-        windows: &[f32],
-        n: usize,
+        windows: &(impl Windows + ?Sized),
         out: &mut [f32],
     ) -> Result<ScoreSummary, EnsembleError> {
-        let workers = workers_for(n * indices.len() * F32_NS_PER_MEMBER_ROW);
-        self.score_f32_forked(indices, windows, n, out, workers)
+        let workers = workers_for(out.len() * indices.len() * F32_NS_PER_MEMBER_ROW);
+        self.score_f32_forked(indices, windows, out, workers)
     }
 
     /// Heap bytes held by the f32 path's scratch and score buffers.
@@ -550,29 +558,32 @@ impl VehiGan {
     pub(crate) fn score_f32_forked(
         &self,
         indices: &[usize],
-        windows: &[f32],
-        n: usize,
+        windows: &(impl Windows + ?Sized),
         out: &mut [f32],
         workers: usize,
     ) -> Result<ScoreSummary, EnsembleError> {
-        assert_eq!(out.len(), n, "output is not one score per window");
+        assert_eq!(
+            out.len(),
+            windows.count(),
+            "output is not one score per window"
+        );
         let mut state = lock(&self.f32);
         state.grow_to(workers, || new_worker(&self.members));
-        let score = |scratch: &mut CriticScratch, member: usize, rows: &[f32], out: &mut [f32]| {
+        let score = |scratch: &mut CriticScratch, member: usize, rows, out: &mut [f32]| {
             let wgan = &self.members[member].wgan;
-            wgan.score_slice_with(scratch, rows, out);
+            wgan.score_with(scratch, windows.pieces(rows), out);
         };
-        self.score_forked(&mut state, workers, indices, windows, out, score)
+        self.score_forked(&mut state, workers, indices, out, score)
     }
 
     /// The one ensemble walk, shared by both precisions: `score(scratch,
     /// member, rows, scores)` runs once per member of `indices` and chunk
-    /// of up to `state.chunk_rows` windows (the whole batch on one
+    /// `rows` of up to `state.chunk_rows` windows (the whole batch on one
     /// worker), as the tasks of one [`fork_join`] over `workers` threads,
     /// each on its own scratch of `state`; then the member rows are
-    /// reduced over the whole call into `out`, one score per window. A
-    /// task that panics or scores non-finite fails its member, never the
-    /// call.
+    /// reduced over the whole call into `out`, one score per window — the
+    /// windows `score` reads are its own to know. A task that panics or
+    /// scores non-finite fails its member, never the call.
     ///
     /// A helper that was parked reaches its first task ≈ 50 µs after the
     /// caller has started (measured on the ledger host), one that is busy
@@ -584,9 +595,8 @@ impl VehiGan {
         state: &mut ForkState<S>,
         workers: usize,
         indices: &[usize],
-        windows: &[f32],
         out: &mut [f32],
-        score: impl Fn(&mut S, usize, &[f32], &mut [f32]) + Sync,
+        score: impl Fn(&mut S, usize, Range<usize>, &mut [f32]) + Sync,
     ) -> Result<ScoreSummary, EnsembleError> {
         self.check_subset(indices)?;
         let (k, n) = (indices.len(), out.len());
@@ -605,22 +615,23 @@ impl VehiGan {
         state.scores.resize(k * n, 0.0);
         state.scored.clear();
         state.scored.resize(k * n.div_ceil(chunk), false);
-        let window_len = windows.len().checked_div(n).unwrap_or(0);
         let blocks = state.scores.chunks_mut(k * chunk);
-        let shares = windows.chunks((window_len * chunk).max(1));
-        let tasks = blocks.zip(shares).zip(state.scored.chunks_mut(k)).flat_map(
-            |((block, share), scored)| {
-                let rows = block.chunks_mut(block.len() / k);
-                rows.zip(scored)
-                    .zip(indices)
-                    .map(move |((row, scored), &member)| (row, scored, member, share))
-            },
-        );
+        let tasks =
+            blocks
+                .zip(state.scored.chunks_mut(k))
+                .enumerate()
+                .flat_map(|(b, (block, scored))| {
+                    let rows = block.chunks_mut(block.len() / k);
+                    rows.zip(scored)
+                        .zip(indices)
+                        .map(move |((row, scored), &member)| (row, scored, member, b * chunk))
+                });
         fork_join(
             &mut state.workers[..workers],
             tasks,
-            |scratch, _, (row, scored, member, share)| {
-                let run = AssertUnwindSafe(|| score(scratch, member, share, row));
+            |scratch, _, (row, scored, member, first)| {
+                let rows = first..first + row.len();
+                let run = AssertUnwindSafe(|| score(scratch, member, rows, row));
                 *scored = panic::catch_unwind(run).is_ok();
             },
         );

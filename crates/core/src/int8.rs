@@ -19,18 +19,26 @@
 //! [`EnsembleScore::dropped`]; only when every deployed member fails does
 //! scoring return [`EnsembleError::AllMembersFailed`].
 
-use crate::ensemble::{EnsembleError, EnsembleScore, ForkState, ScoreSummary, VehiGan};
+use crate::ensemble::{
+    flat_windows, EnsembleError, EnsembleScore, ForkState, ScoreSummary, VehiGan,
+};
 use crate::lock;
 use std::sync::Mutex;
 use vehigan_lite::{Int8Weights, Scratch};
 use vehigan_tensor::forkjoin::{fork_map, workers_for};
-use vehigan_tensor::Tensor;
+use vehigan_tensor::{Tensor, Windows};
 
 /// What one member costs the gate per window, for [`workers_for`]: the
-/// window-major walk measures 21.5–22.9 µs per window through a `k = 5`
-/// subset on one core of the ledger host
-/// (`lite.int8_ensemble.ns_per_window`; re-measured for the wake-cost
-/// policy, EXPERIMENTS.md ISSUE 17).
+/// window-major walk measures 28–44 µs per window through a `k = 5`
+/// subset on one core of the ledger host, 5.6–8.8 µs a member
+/// (`lite.int8_ensemble.ns_per_window`: 27.8–30.5 µs in earlier ledger
+/// runs, 32.0–43.8 µs in twelve traced `city_attack` runs with the host
+/// in its slow state; EXPERIMENTS.md, "Windows are scored where they
+/// lie"). The estimate stays at 4 µs: with two cores, any cost from 4 to
+/// 8 µs a member makes `workers_for` fork a `k = 5` call from two windows
+/// up and keep a one-window call on the caller, as 4 µs does. Above 8 µs
+/// (half of those twelve runs, at most 8.8) a one-window call would fork
+/// too, with shares at the break-even `MIN_SHARE_NS`.
 const INT8_NS_PER_MEMBER_ROW: usize = 4_000;
 
 /// Most rows a task of a forked call takes: four keep a member's packed
@@ -137,19 +145,22 @@ impl VehiGan {
         indices: &[usize],
         x: &Tensor,
     ) -> Result<EnsembleScore, EnsembleError> {
-        let n = x.shape()[0];
-        let mut scores = vec![0.0f32; n];
-        let summary = self.score_with_members_int8_into(indices, x.as_slice(), n, &mut scores)?;
+        let mut scores = vec![0.0f32; x.shape()[0]];
+        let summary = self.score_with_members_int8_into(indices, &flat_windows(x), &mut scores)?;
         Ok(summary.into_score(indices, scores))
     }
 
-    /// [`VehiGan::score_with_members_int8`] over borrowed memory: `n`
-    /// flat windows in, `n` ensemble scores written to `out` — bitwise
-    /// the scores the `Tensor` entry point returns. Nothing is copied or
-    /// allocated on the way (once the backend's buffers have grown to the
-    /// batch size; a dropped member or an error does allocate its index
-    /// list), whether or not the call forks, which is what the serve
-    /// plane's per-tile gate calls need.
+    /// [`VehiGan::score_with_members_int8`] over windows read where they
+    /// lie: `windows` in, each as two [`Pieces`](vehigan_tensor::Pieces)
+    /// (a ring buffer's two runs of rows, or a contiguous window and
+    /// nothing), one ensemble score per window written to `out` — bitwise
+    /// the scores of the same floats in one contiguous batch through the
+    /// `Tensor` entry point, wherever the pieces split a window. Nothing
+    /// is copied or allocated on the way (once the backend's buffers have
+    /// grown to the batch size; a dropped member or an error does
+    /// allocate its index list), whether or not the call forks, which is
+    /// what the serve plane's per-tile gate calls need: it scores each
+    /// window in its vehicle's ring or its shard's spill buffer.
     ///
     /// The rows are shared out over up to [`workers_for`] threads, the
     /// caller among them; the reduction, the survivor set and τ come
@@ -162,17 +173,16 @@ impl VehiGan {
     ///
     /// # Panics
     ///
-    /// Panics if `windows` is not `n` compiled-length snapshots or `out`
-    /// is not `n` long.
+    /// Panics if a window is not of the compiled input length or `out` is
+    /// not one score per window.
     pub fn score_with_members_int8_into(
         &self,
         indices: &[usize],
-        windows: &[f32],
-        n: usize,
+        windows: &(impl Windows + ?Sized),
         out: &mut [f32],
     ) -> Result<ScoreSummary, EnsembleError> {
-        let workers = workers_for(n * indices.len() * INT8_NS_PER_MEMBER_ROW);
-        self.score_int8_forked(indices, windows, n, out, workers)
+        let workers = workers_for(out.len() * indices.len() * INT8_NS_PER_MEMBER_ROW);
+        self.score_int8_forked(indices, windows, out, workers)
     }
 
     /// [`VehiGan::score_with_members_int8_into`] on exactly `workers`
@@ -180,26 +190,27 @@ impl VehiGan {
     pub(crate) fn score_int8_forked(
         &self,
         indices: &[usize],
-        windows: &[f32],
-        n: usize,
+        windows: &(impl Windows + ?Sized),
         out: &mut [f32],
         workers: usize,
     ) -> Result<ScoreSummary, EnsembleError> {
         let backend = self.int8_backend().ok_or(EnsembleError::Int8NotCompiled)?;
+        let n = windows.count();
         assert_eq!(out.len(), n, "output is not one score per window");
         let input_len = backend.critics[0].input_len();
-        assert_eq!(
-            windows.len(),
-            n * input_len,
-            "{} floats are not {n} windows of the compiled input length {input_len}",
-            windows.len(),
-        );
+        for (i, [older, newer]) in windows.pieces(0..n).enumerate() {
+            assert_eq!(
+                older.len() + newer.len(),
+                input_len,
+                "window {i} is not of the compiled input length {input_len}"
+            );
+        }
         let mut state = lock(&backend.state);
         state.grow_to(workers, || new_worker(&backend.critics));
-        let score = |scratch: &mut Scratch, member: usize, rows: &[f32], out: &mut [f32]| {
-            backend.critics[member].score_into(scratch, rows, out);
+        let score = |scratch: &mut Scratch, member: usize, rows, out: &mut [f32]| {
+            backend.critics[member].score_into(scratch, windows.pieces(rows), out);
         };
-        self.score_forked(&mut state, workers, indices, windows, out, score)
+        self.score_forked(&mut state, workers, indices, out, score)
     }
 
     /// Scores snapshots through the int8 backend with a fresh random
@@ -370,13 +381,25 @@ mod tests {
         windows
     }
 
+    /// The windows of `floats`, each cut into two pieces after a row that
+    /// moves from window to window (none, some, all).
+    fn cut(floats: &[f32]) -> Vec<vehigan_tensor::Pieces<'_>> {
+        floats
+            .chunks_exact(120)
+            .enumerate()
+            .map(|(i, w)| {
+                let (older, newer) = w.split_at(i * 7 % 11 * 12);
+                [older, newer]
+            })
+            .collect()
+    }
+
     #[test]
-    fn scores_are_bitwise_independent_of_worker_count() {
+    fn scores_are_bitwise_independent_of_worker_count_and_pieces() {
         type Forked = fn(
             &VehiGan,
             &[usize],
-            &[f32],
-            usize,
+            &[vehigan_tensor::Pieces<'_>],
             &mut [f32],
             usize,
         ) -> Result<ScoreSummary, EnsembleError>;
@@ -385,22 +408,36 @@ mod tests {
         // The float path turns a NaN input into NaN scores from every
         // member; the int8 quantizer maps it to 0 and scores on.
         let backends: [(&str, Forked, bool); 2] = [
-            ("int8", VehiGan::score_int8_forked, true),
-            ("f32", VehiGan::score_f32_forked, false),
+            (
+                "int8",
+                |v, s, w, o, k| v.score_int8_forked(s, w, o, k),
+                true,
+            ),
+            ("f32", |v, s, w, o, k| v.score_f32_forked(s, w, o, k), false),
         ];
         for (name, forked, nan) in backends {
             for n in [1usize, 7, 37, 128] {
                 let windows = mixed_windows(n, nan);
-                let run = |workers: usize| {
+                let whole: Vec<_> = windows.chunks_exact(120).map(|w| [w, &[][..]]).collect();
+                let run = |windows: &[vehigan_tensor::Pieces<'_>], workers: usize| {
                     let mut out = vec![0.0f32; n];
-                    let summary = forked(&v, &subset, &windows, n, &mut out, workers).unwrap();
+                    let summary = forked(&v, &subset, windows, &mut out, workers).unwrap();
                     let bits: Vec<u32> = out.iter().map(|s| s.to_bits()).collect();
                     (bits, summary.threshold.to_bits(), summary.dropped)
                 };
-                let serial = run(1);
+                let serial = run(&whole, 1);
                 assert!(serial.2.is_empty());
-                for workers in [2usize, 3, 8] {
-                    assert_eq!(run(workers), serial, "{name}, n = {n}, {workers} workers");
+                for workers in [1usize, 2, 3, 8] {
+                    assert_eq!(
+                        run(&whole, workers),
+                        serial,
+                        "{name}, n = {n}, {workers} workers"
+                    );
+                    assert_eq!(
+                        run(&cut(&windows), workers),
+                        serial,
+                        "{name}, n = {n}, {workers} workers, in two pieces"
+                    );
                 }
             }
         }
@@ -409,7 +446,7 @@ mod tests {
         for workers in [1usize, 2, 8] {
             let mut out = vec![0.0f32; 8];
             assert_eq!(
-                v.score_f32_forked(&subset, &windows, 8, &mut out, workers),
+                v.score_f32_forked(&subset, &cut(&windows)[..], &mut out, workers),
                 Err(EnsembleError::AllMembersFailed {
                     attempted: subset.to_vec()
                 })
@@ -436,7 +473,7 @@ mod tests {
         v: &VehiGan,
         int8: bool,
         subset: &[usize],
-        (windows, n): (&[f32], usize),
+        windows: &vehigan_tensor::Flat<'_>,
         workers: usize,
         (failing, how): (&[usize], Failure),
     ) -> Result<Walked, EnsembleError> {
@@ -448,23 +485,16 @@ mod tests {
                 }
             }
         };
-        let mut out = vec![0.0f32; n];
+        let mut out = vec![0.0f32; windows.count()];
         let summary = if int8 {
             let backend = v.int8_backend().unwrap();
             let fit = || new_worker(&backend.critics);
             let mut state = ForkState::new(CHUNK_ROWS, fit);
             state.grow_to(workers, fit);
-            v.score_forked(
-                &mut state,
-                workers,
-                subset,
-                windows,
-                &mut out,
-                |s, m, rows, out| {
-                    backend.critics[m].score_into(s, rows, out);
-                    fail(m, out);
-                },
-            )
+            v.score_forked(&mut state, workers, subset, &mut out, |s, m, rows, out| {
+                backend.critics[m].score_into(s, windows.pieces(rows), out);
+                fail(m, out);
+            })
         } else {
             let fit = || {
                 let mut scratch = vehigan_tensor::CriticScratch::new();
@@ -475,17 +505,10 @@ mod tests {
             };
             let mut state = ForkState::new(vehigan_tensor::HEAD_ROWS, fit);
             state.grow_to(workers, fit);
-            v.score_forked(
-                &mut state,
-                workers,
-                subset,
-                windows,
-                &mut out,
-                |s, m, rows, out| {
-                    v.members()[m].wgan.score_slice_with(s, rows, out);
-                    fail(m, out);
-                },
-            )
+            v.score_forked(&mut state, workers, subset, &mut out, |s, m, rows, out| {
+                v.members()[m].wgan.score_with(s, windows.pieces(rows), out);
+                fail(m, out);
+            })
         }?;
         let bits = out.iter().map(|s| s.to_bits()).collect();
         Ok((bits, summary.threshold.to_bits(), summary.dropped))
@@ -509,7 +532,7 @@ mod tests {
                 // NaN inputs fail every float member; the int8 quantizer
                 // maps them to 0 and scores on.
                 let windows = mixed_windows(n, int8);
-                let batch = (&windows[..], n);
+                let batch = &vehigan_tensor::Flat::new(&windows, 120);
                 for &m in &subset {
                     let rest: Vec<usize> = subset.iter().copied().filter(|&i| i != m).collect();
                     let (bits, tau, dropped) = walk(&v, int8, &rest, batch, 1, (&[], how)).unwrap();
@@ -568,7 +591,7 @@ mod tests {
             let run = |workers: usize| {
                 let mut out = vec![0.0f32; n];
                 let summary = faulty
-                    .score_f32_forked(&[3, 2, 1, 0], &windows, n, &mut out, workers)
+                    .score_f32_forked(&[3, 2, 1, 0], &cut(&windows)[..], &mut out, workers)
                     .unwrap();
                 let bits: Vec<u32> = out.iter().map(|s| s.to_bits()).collect();
                 (bits, summary.threshold.to_bits(), summary.dropped)

@@ -26,7 +26,7 @@ use vehigan_tensor::init::{randn, seeded_rng};
 use vehigan_tensor::layers::{Activation, Conv2D, Dense, Flatten, Padding, Reshape, UpSample2D};
 use vehigan_tensor::optim::{Optimizer, RmsProp};
 use vehigan_tensor::serialize::{ModelFormatError, ModelSnapshot};
-use vehigan_tensor::{CriticScratch, Init, Sequential, Tensor};
+use vehigan_tensor::{CriticScratch, Flat, Init, Pieces, Sequential, Tensor, Windows};
 
 /// Rollback state captured at every healthy epoch boundary (in-memory, so
 /// no wire-format validation gets in the way of snapshotting).
@@ -257,7 +257,7 @@ pub struct Wgan {
     /// Planes of the fused scoring walk for this critic, built with it:
     /// `score_batch` works through `&self`, so they sit behind a mutex.
     /// Ensemble scoring brings each thread's own
-    /// ([`Wgan::score_slice_with`]) and never takes it.
+    /// ([`Wgan::score_with`]) and never takes it.
     scratch: Mutex<CriticScratch>,
     /// Scheduled divergences of this crate's tests: `(attempt, epoch)`
     /// pairs at which a critic weight is poisoned (see
@@ -852,15 +852,18 @@ impl Wgan {
     /// Panics if `windows` is not `out.len()` snapshots of the configured
     /// shape.
     pub fn score_slice_into(&self, windows: &[f32], out: &mut [f32]) {
-        self.score_slice_with(&mut lock(&self.scratch), windows, out);
+        let windows = Flat::new(windows, self.config.window * self.config.features);
+        let all = windows.pieces(0..windows.count());
+        self.score_with(&mut lock(&self.scratch), all, out);
     }
 
-    /// [`Wgan::score_slice_into`] on the caller's scratch, so any number
-    /// of threads can score through one `&Wgan` at once.
-    pub(crate) fn score_slice_with(
+    /// [`Wgan::score_slice_into`] over windows read where they lie, each
+    /// as two [`Pieces`], on the caller's scratch — so any number of
+    /// threads can score through one `&Wgan` at once.
+    pub(crate) fn score_with<'w>(
         &self,
         scratch: &mut CriticScratch,
-        windows: &[f32],
+        windows: impl IntoIterator<Item = Pieces<'w>, IntoIter: ExactSizeIterator>,
         out: &mut [f32],
     ) {
         self.critic

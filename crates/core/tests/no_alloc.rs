@@ -1,16 +1,18 @@
 //! `VehiGan::score_with_members_int8_into` and `score_with_members_into`
-//! — the slice-based gate and escalation entries the serve plane calls
-//! per tile — allocate nothing once their buffers have grown to the batch
-//! size. Counted per thread by a global allocator, across a mixed-depth
-//! subset (every member switch re-lays a plane of the worker's scratch)
-//! at the batch sizes the serve plane issues. That holds for a call big
-//! enough to fork (on a host with a second core) too: lending work to the
-//! pool's helper allocates nothing, and the scratch does not grow.
+//! — the gate and escalation entries the serve plane calls per tile, on
+//! windows read where they lie — allocate nothing once their buffers have
+//! grown to the batch size, whether each window is one contiguous piece
+//! or two, as a ring buffer holds it. Counted per thread by a global
+//! allocator, across a mixed-depth subset (every member switch re-lays a
+//! plane of the worker's scratch) at the batch sizes the serve plane
+//! issues. That holds for a call big enough to fork (on a host with a
+//! second core) too: lending work to the pool's helper allocates nothing,
+//! and the scratch does not grow.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use vehigan_core::{CriticMember, VehiGan, Wgan, WganConfig};
-use vehigan_tensor::Tensor;
+use vehigan_tensor::{Flat, Pieces, Tensor};
 
 struct Counting;
 
@@ -61,15 +63,26 @@ fn warm_slice_scoring_never_allocates() {
     let mut vehigan = VehiGan::new(members, 3, 7).unwrap();
     vehigan.compile_int8(&benign).unwrap();
 
-    type Entry = fn(&VehiGan, &[usize], &[f32], usize, &mut [f32]) -> bool;
-    let int8: Entry = |v, subset, x, n, out| {
-        let r = v.score_with_members_int8_into(subset, x, n, out);
+    type Entry = fn(&VehiGan, &[usize], &[Pieces<'_>], &mut [f32]) -> bool;
+    let int8: Entry = |v, subset, x, out| {
+        let r = v.score_with_members_int8_into(subset, x, out);
         r.is_ok_and(|s| s.dropped.is_empty())
     };
-    let f32: Entry = |v, subset, x, n, out| {
-        let r = v.score_with_members_into(subset, x, n, out);
+    let f32: Entry = |v, subset, x, out| {
+        let r = v.score_with_members_into(subset, x, out);
         r.is_ok_and(|s| s.dropped.is_empty())
     };
+    // The same windows whole, and cut after a row that moves from window
+    // to window.
+    let whole: Vec<Pieces<'_>> = windows.chunks_exact(120).map(|w| [w, &[][..]]).collect();
+    let cut: Vec<Pieces<'_>> = windows
+        .chunks_exact(120)
+        .enumerate()
+        .map(|(i, w)| {
+            let (older, newer) = w.split_at(i % 11 * 12);
+            [older, newer]
+        })
+        .collect();
     let int8_scratch: fn(&VehiGan) -> usize = |v| v.int8_backend().unwrap().scratch_bytes();
     let backends = [
         ("int8", int8, int8_scratch),
@@ -78,15 +91,17 @@ fn warm_slice_scoring_never_allocates() {
 
     let subset = [1usize, 2, 0];
     let mut out = vec![0.0f32; 128];
-    for (name, score, scratch_bytes) in backends {
+    for ((name, score, scratch_bytes), x) in
+        backends.into_iter().flat_map(|b| [(b, &whole), (b, &cut)])
+    {
         // Largest batch first, so the score buffers are at full size.
         for n in [128usize, 37, 20, 1] {
-            let (x, scores) = (&windows[..n * 120], &mut out[..n]);
-            assert!(score(&vehigan, &subset, x, n, scores), "{name} warm-up");
+            let (x, scores) = (&x[..n], &mut out[..n]);
+            assert!(score(&vehigan, &subset, x, scores), "{name} warm-up");
             let scratch = scratch_bytes(&vehigan);
             let before = ALLOCS.with(Cell::get);
             for _ in 0..100 {
-                assert!(score(&vehigan, &subset, x, n, scores));
+                assert!(score(&vehigan, &subset, x, scores));
             }
             // On this thread; what a helper runs is the same walk on
             // another scratch of the same state.
@@ -107,7 +122,7 @@ fn warm_slice_scoring_never_allocates() {
     let tile = Tensor::from_vec(windows[..37 * 120].to_vec(), &[37, 10, 12, 1]);
     let via_tensor = vehigan.score_with_members_int8(&subset, &tile).unwrap();
     let summary = vehigan
-        .score_with_members_int8_into(&subset, tile.as_slice(), 37, &mut out[..37])
+        .score_with_members_int8_into(&subset, &Flat::new(tile.as_slice(), 120), &mut out[..37])
         .unwrap();
     assert_eq!(via_tensor.threshold, summary.threshold);
     assert_eq!(via_tensor.members, subset);
@@ -116,7 +131,7 @@ fn warm_slice_scoring_never_allocates() {
     }
     let via_tensor = vehigan.score_with_members(&subset, &tile).unwrap();
     let summary = vehigan
-        .score_with_members_into(&subset, tile.as_slice(), 37, &mut out[..37])
+        .score_with_members_into(&subset, &Flat::new(tile.as_slice(), 120), &mut out[..37])
         .unwrap();
     assert_eq!(via_tensor.threshold, summary.threshold);
     for (a, b) in via_tensor.scores.iter().zip(&out[..37]) {

@@ -60,6 +60,8 @@ use vehigan_tensor::gemm::{
     TileSession,
 };
 use vehigan_tensor::serialize::{ModelFormatError, ModelSnapshot};
+use vehigan_tensor::windows::scatter_rows;
+use vehigan_tensor::{Flat, Pieces, Windows};
 
 /// Error compiling a model into an int8 critic.
 #[derive(Debug)]
@@ -173,16 +175,14 @@ impl FusedOp {
         (self.h + self.kh - 1) * self.row_stride()
     }
 
-    /// Copies one snapshot's activations into the interior of a padded
-    /// plane, row by row through `put` (Keras-style same padding: the
-    /// smaller half of `k − 1` goes on top and on the left).
-    fn fill_interior<T>(&self, src: &[f32], plane: &mut [T], put: impl Fn(&[f32], &mut [T])) {
+    /// Copies one snapshot's activations, given as two pieces, into the
+    /// interior of a padded plane, row by row through `put` (Keras-style
+    /// same padding: the smaller half of `k − 1` goes on top and on the
+    /// left).
+    fn fill_interior<T>(&self, src: Pieces<'_>, plane: &mut [T], put: impl Fn(&[f32], &mut [T])) {
         let (row, stride) = (self.w * self.cin, self.row_stride());
         let origin = (self.kh - 1) / 2 * stride + (self.kw - 1) / 2 * self.cin;
-        for (y, src_row) in src.chunks_exact(row).enumerate().take(self.h) {
-            let at = origin + y * stride;
-            put(src_row, &mut plane[at..at + row]);
-        }
+        scatter_rows(src, self.in_len(), row, |y| origin + y * stride, plane, put);
     }
 
     /// The float reference of this op on its dequantized weights `deq`,
@@ -203,7 +203,9 @@ impl FusedOp {
         let to = Patches::matrix(self.cout);
         let windows = act.chunks_exact(self.in_len());
         for (window, dst) in windows.zip(out.chunks_exact_mut(self.out_len())) {
-            self.fill_interior(window, &mut plane, |src, dst| dst.copy_from_slice(src));
+            self.fill_interior([window, &[]], &mut plane, |src, dst| {
+                dst.copy_from_slice(src)
+            });
             gemm_f32_fused(self.rows(), &plane, self.patches(), layer, dst, to);
         }
         out
@@ -427,27 +429,30 @@ impl Int8Weights {
         self.ops.iter().map(|op| op.pack.packed_bytes()).sum()
     }
 
-    /// Anomaly scores `s(x) = −D(x)` of the `out.len()` flat snapshots in
-    /// `windows`. Every window runs all layers back to back (see the
-    /// module docs) and its score depends on that window alone, so any
-    /// split of a batch's rows over threads (one `scratch` each) scores
-    /// bitwise what one call over the whole batch does.
+    /// Anomaly scores `s(x) = −D(x)` of `out.len()` snapshots, each read
+    /// where it lies as two [`Pieces`]. Every window runs all layers back
+    /// to back (see the module docs) and its score depends on its floats
+    /// alone — not on where its pieces split it — so any split of a
+    /// batch's rows over threads (one `scratch` each) scores bitwise what
+    /// one call over the whole batch does.
     ///
     /// # Panics
     ///
     /// Panics if `windows` is not `out.len()` compiled-length snapshots.
-    pub fn score_into(&self, scratch: &mut Scratch, windows: &[f32], out: &mut [f32]) {
-        assert_eq!(
-            windows.len(),
-            out.len() * self.input_len,
-            "windows length mismatch"
-        );
+    pub fn score_into<'w>(
+        &self,
+        scratch: &mut Scratch,
+        windows: impl IntoIterator<Item = Pieces<'w>, IntoIter: ExactSizeIterator>,
+        out: &mut [f32],
+    ) {
+        let windows = windows.into_iter();
+        assert_eq!(windows.len(), out.len(), "windows length mismatch");
         scratch.fit(self);
         // One tile session for the whole call, on whichever thread runs it
         // (a fork-join task opens its own here): every conv plane of a
         // critic is `w` patches wide. Released on return.
         let _tiles = TileSession::open(self.ops[0].w);
-        for (window, o) in windows.chunks_exact(self.input_len).zip(out) {
+        for (window, o) in windows.zip(out) {
             *o = -self.infer_window(scratch, window);
         }
         #[cfg(test)]
@@ -461,13 +466,18 @@ impl Int8Weights {
     /// window, so scores are independent of the rest of the batch), the
     /// activations are quantized into the op's plane, and one fused
     /// product writes the next activations and reports their max-abs.
-    fn infer_window(&self, scratch: &mut Scratch, window: &[f32]) -> f32 {
+    fn infer_window(&self, scratch: &mut Scratch, window: Pieces<'_>) -> f32 {
         let [cur, nxt] = &mut scratch.act;
         let (mut cur, mut nxt) = (cur, nxt);
-        let mut range = max_abs(window);
+        // Both maxima skip NaN, so the larger is the whole window's.
+        let mut range = max_abs(window[0]).max(max_abs(window[1]));
         let bias = i8_activation_bias();
         for (oi, op) in self.ops.iter().enumerate() {
-            let src = if oi == 0 { window } else { &cur[..op.in_len()] };
+            let src = if oi == 0 {
+                window
+            } else {
+                [&cur[..op.in_len()], &[]]
+            };
             let eff = op.in_scale.max(range / 127.0);
             let inv = 1.0 / eff;
             let plane = &mut scratch.planes[oi].1;
@@ -589,9 +599,13 @@ impl Int8Ensemble {
         out: &mut [f32],
     ) {
         assert_eq!(out.len(), subset.len() * n, "output length mismatch");
+        let len = self.critics[0].input_len;
+        assert_eq!(windows.len(), n * len, "windows length mismatch");
+        let windows = Flat::new(windows, len);
         for (s, &g) in subset.iter().enumerate() {
             assert!(g < self.critics.len(), "member {g} out of range");
-            self.critics[g].score_into(&mut self.scratch, windows, &mut out[s * n..(s + 1) * n]);
+            let out = &mut out[s * n..(s + 1) * n];
+            self.critics[g].score_into(&mut self.scratch, windows.pieces(0..n), out);
         }
     }
 
@@ -1020,13 +1034,30 @@ mod tests {
             let subset: Vec<usize> = (0..members).rev().collect();
             let mut got = vec![0.0f32; members * n];
             fused.score_subset_into(&subset, &windows, n, &mut got);
+            // Each window cut into two pieces anywhere, the range guard's
+            // maximum in either one, scores the same bits.
+            let cut: Vec<Pieces<'_>> = windows
+                .chunks_exact(len)
+                .enumerate()
+                .map(|(i, w)| {
+                    let (older, newer) = w.split_at((i * 7 + len / 3) % (len + 1));
+                    [older, newer]
+                })
+                .collect();
+            let mut scratch = Scratch::new();
+            let mut pieces = vec![0.0f32; n];
             for (s, &g) in subset.iter().enumerate() {
+                fused.critics[g].score_into(&mut scratch, cut.iter().copied(), &mut pieces);
                 for (i, window) in windows.chunks_exact(len).enumerate() {
                     let want = -reference_infer(&fused, &snaps[g], g, (h, w), window);
                     prop_assert_eq!(
                         got[s * n + i].to_bits(), want.to_bits(),
                         "member {} window {} (kind {}): fused {} vs reference {}",
                         g, i, kinds[i], got[s * n + i], want
+                    );
+                    prop_assert_eq!(
+                        pieces[i].to_bits(), want.to_bits(),
+                        "member {} window {} in two pieces", g, i
                     );
                 }
             }

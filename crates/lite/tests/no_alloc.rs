@@ -4,14 +4,15 @@
 //! across the batch sizes the serve plane issues — a single window, a
 //! ragged tile, a full tile — through a mixed-depth subset whose every
 //! member switch re-lays a plane, and again on two threads sharing one
-//! critic, each scoring half the rows on its own scratch.
+//! critic, each scoring half the rows — every window in two pieces, as a
+//! ring buffer holds it — on its own scratch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use vehigan_lite::{Int8Ensemble, Int8Weights, Scratch};
 use vehigan_tensor::init::seeded_rng;
 use vehigan_tensor::layers::{Activation, Conv2D, Dense, Flatten, Padding};
-use vehigan_tensor::{Init, Sequential};
+use vehigan_tensor::{Flat, Init, Pieces, Sequential, Windows};
 
 struct Counting;
 
@@ -99,27 +100,39 @@ fn threads_sharing_a_critic_allocate_nothing_and_grow_no_scratch() {
     let critic = &Int8Weights::compile(&snap, (H, W, 1), &windows[..16 * H * W]).unwrap();
     let n = 128;
     let mut serial = vec![0.0f32; n];
-    critic.score_into(&mut Scratch::new(), &windows, &mut serial);
+    let flat = Flat::new(&windows, H * W);
+    critic.score_into(&mut Scratch::new(), flat.pieces(0..n), &mut serial);
 
+    // Each thread reads its windows as a ring holds them: two pieces,
+    // cut at a row that moves from window to window.
+    let pieces: Vec<Pieces<'_>> = windows
+        .chunks_exact(H * W)
+        .enumerate()
+        .map(|(i, w)| {
+            let (older, newer) = w.split_at(i % (H + 1) * W);
+            [older, newer]
+        })
+        .collect();
     let half = n / 2;
     let mut halves = vec![0.0f32; n];
     std::thread::scope(|scope| {
-        for (rows, out) in windows.chunks(half * H * W).zip(halves.chunks_mut(half)) {
+        for (rows, out) in pieces.chunks(half).zip(halves.chunks_mut(half)) {
             scope.spawn(move || {
                 let mut scratch = Scratch::new();
                 // Warm: the fit, and this thread's first use of the kernels.
-                critic.score_into(&mut scratch, rows, out);
+                critic.score_into(&mut scratch, rows.iter().copied(), out);
                 let bytes = scratch.bytes();
                 let before = ALLOCS.with(Cell::get);
                 for _ in 0..100 {
-                    critic.score_into(&mut scratch, rows, out);
+                    critic.score_into(&mut scratch, rows.iter().copied(), out);
                 }
                 assert_eq!(ALLOCS.with(Cell::get) - before, 0);
                 assert_eq!(scratch.bytes(), bytes);
             });
         }
     });
-    // The halves side by side are the serial call, bit for bit.
+    // The halves side by side, in pieces, are the serial call on the
+    // contiguous windows, bit for bit.
     assert!(serial
         .iter()
         .zip(&halves)

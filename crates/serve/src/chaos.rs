@@ -893,6 +893,104 @@ mod tests {
         )
     }
 
+    /// The escalation threshold that sends the top quarter of `stream`'s
+    /// gate scores on to tier 2.
+    fn quartile_tau_esc(p: &Pipeline, stream: &[Bsm], members: &[usize]) -> f32 {
+        let mut probe = StreamServer::new(
+            &p.vehigan,
+            p.scaler.clone(),
+            ServerConfig {
+                policy: EscalationPolicy::Threshold(f32::INFINITY),
+                members: Some(members.to_vec()),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        probe.ingest_batch(stream);
+        let gate: Vec<f32> = probe.tick().unwrap().iter().map(|d| d.score).collect();
+        escalation_threshold(&gate, 75.0)
+    }
+
+    #[test]
+    fn a_burst_tick_failing_on_its_second_tile_frees_its_spill_buffers() {
+        // A burst of traffic between two ticks: every vehicle completes
+        // many windows, and all but its newest are spilled out of its
+        // ring. The tick reads them where they lie — spill buffers and
+        // rings alike — and fails on its second tile. Its spill buffers
+        // must be free for the next ingest to reuse, and with nothing
+        // carried across ticks (a gate without tier 0) the next tick must
+        // decide and report bitwise what a never-failed server does.
+        let p = pipeline();
+        let stream = attacked_stream(&p);
+        let members: Vec<usize> = (0..p.vehigan.k()).collect();
+        let config = ServerConfig {
+            n_shards: 1,
+            policy: EscalationPolicy::Threshold(quartile_tau_esc(&p, &stream, &members)),
+            members: Some(members.clone()),
+            reporter: Some(VehicleId(u32::MAX)),
+            ..ServerConfig::default()
+        };
+        // The two bursts are alike, so the second needs about every spill
+        // buffer the first made: one the failed tick kept would show.
+        let (a, b) = (stream.len() * 2 / 5, stream.len() * 7 / 10);
+        let chunks = [&stream[..a], &stream[a..b], &stream[b..]];
+        let server = || StreamServer::new(&p.vehigan, p.scaler.clone(), config.clone()).unwrap();
+        let (mut clean, mut failed) = (server(), server());
+        for s in [&mut clean, &mut failed] {
+            s.ingest_batch(chunks[0]);
+            s.tick().unwrap();
+            s.take_reports();
+            let spilled = s.shards()[0].spilled();
+            s.ingest_batch(chunks[1]);
+            let n = s.pending_windows() as u64;
+            let burst = s.shards()[0].spilled() - spilled;
+            assert!(n > 2 * SCORE_TILE as u64, "{n} windows: not a burst");
+            assert!(burst > n / 2, "{burst} of {n} admitted windows spilled");
+        }
+        let buffers = clean.shards()[0].spill_buffers();
+        assert_eq!(failed.shards()[0].spill_buffers(), buffers);
+
+        let middle = clean.tick().unwrap();
+        assert!(middle.len() > SCORE_TILE);
+        clean.take_reports();
+        failed.faults.poisoned = members.clone();
+        failed.faults.clean_calls.set(1);
+        let err = failed.tick().unwrap_err();
+        failed.faults = FaultInjector::default();
+        assert!(
+            matches!(
+                &err,
+                ServeError::Score(EnsembleError::AllMembersFailed { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(failed.pending_windows(), 0);
+        assert!(failed.take_reports().is_empty());
+
+        // The next burst spills into the buffers both ticks freed: the
+        // failed server holds no more of them than the clean one.
+        for s in [&mut clean, &mut failed] {
+            let spilled = s.shards()[0].spilled();
+            s.ingest_batch(chunks[2]);
+            assert!(s.shards()[0].spilled() > spilled);
+        }
+        assert_eq!(
+            failed.shards()[0].spill_buffers(),
+            clean.shards()[0].spill_buffers(),
+        );
+        assert!(clean.shards()[0].spill_buffers() >= buffers);
+        let [clean_c, failed_c] = [clean, failed].map(|mut s| {
+            let decisions: Vec<_> = s.tick().unwrap().iter().map(bits).collect();
+            let reports: Vec<_> = s.take_reports().iter().map(report_bits).collect();
+            (decisions, reports)
+        });
+        assert!(
+            clean_c.0.iter().any(|d| d.4),
+            "nothing escalated in the third tick"
+        );
+        assert_eq!(failed_c, clean_c, "the tick after a failed burst tick");
+    }
+
     #[test]
     fn a_tick_failing_on_its_second_tile_leaves_nothing_behind() {
         // Three servers of one configuration see the same three chunks of
@@ -908,21 +1006,7 @@ mod tests {
         let members: Vec<usize> = (0..p.vehigan.k()).collect();
         let mut tier0 = Tier0Calibration::fit(p.train_fleet(), 10, 0.995).expect("tier-0 fits");
         tier0.set_score_band(0.05, 0.1, 0.9);
-        let tau_esc = {
-            let mut probe = StreamServer::new(
-                &p.vehigan,
-                p.scaler.clone(),
-                ServerConfig {
-                    policy: EscalationPolicy::Threshold(f32::INFINITY),
-                    members: Some(members.clone()),
-                    ..ServerConfig::default()
-                },
-            )
-            .unwrap();
-            probe.ingest_batch(&stream);
-            let gate: Vec<f32> = probe.tick().unwrap().iter().map(|d| d.score).collect();
-            escalation_threshold(&gate, 75.0)
-        };
+        let tau_esc = quartile_tau_esc(&p, &stream, &members);
         // The middle chunk spans over two tiles of screened windows, and
         // the attacker's flagged ones fall inside its first tile.
         let (a, b) = (stream.len() * 11 / 20, stream.len() * 17 / 20);

@@ -12,10 +12,12 @@
 //!   to one shard by [`shard_for`], so a forked ingest hands each task
 //!   its own `&mut Shard` — no lock anywhere — and per-vehicle message
 //!   order is preserved.
-//! - **Batched scoring** — instead of scoring windows one at a time,
-//!   [`StreamServer::tick`] packs every ready snapshot from every shard
-//!   into a single `[n, w, f, 1]` batch tensor per tick.
-//! - **Two-tier gate** — the batch first flows through the fused int8
+//! - **Tiled scoring in place** — instead of scoring windows one at a
+//!   time, [`StreamServer::tick`] scores the ready windows of every shard
+//!   in tiles of [`SCORE_TILE`], each window read where it lies — its
+//!   vehicle's ring or its shard's spill buffer ([`WindowAt`]) — so a
+//!   tick copies no window into a batch.
+//! - **Two-tier gate** — each tile first flows through the fused int8
 //!   ensemble as a cheap tier-1 gate; only windows whose gate score
 //!   crosses an [`EscalationPolicy::Threshold`] are re-scored by the full
 //!   f32 k-of-m ensemble. See [`escalation_threshold`] for calibration.
@@ -77,7 +79,7 @@ pub use server::{
     escalation_threshold, AdmissionConfig, Decision, EscalationPolicy, IngestReport, ServeError,
     ServeMode, ServerConfig, ServerStats, StreamServer, SCORE_TILE,
 };
-pub use shard::{shard_for, PendingWindow, Shard};
+pub use shard::{shard_for, PendingWindow, Shard, WindowAt};
 
 #[cfg(test)]
 mod chaos;

@@ -19,23 +19,27 @@
 //!    ingest thread scheduling). Overflow beyond each shard's queue
 //!    bound was already shed oldest-first at ingest, every shed window
 //!    counted.
-//! 3. **Gate** — the admitted windows stream, shard by shard, into one
-//!    tile of at most [`SCORE_TILE`] snapshots (tier-0-suppressed windows
-//!    bring none and are decided on the spot), and each full tile is
-//!    scored where it lies by the fused int8 backend
-//!    ([`VehiGan::score_with_members_int8`]) with the server's pinned
+//! 3. **Gate** — the admitted windows are taken, shard by shard, into
+//!    tiles of at most [`SCORE_TILE`] screened windows
+//!    (tier-0-suppressed windows are decided on the spot). A tile holds
+//!    where each window lies — its vehicle's ring, or its shard's spill
+//!    buffer ([`WindowAt`]) — not its floats: the fused int8 backend
+//!    ([`VehiGan::score_with_members_int8_into`]) reads every window
+//!    there, row by row into its own plane, with the server's pinned
 //!    member subset, minus any members currently benched by
 //!    [`MemberHealth`]. Decisions are written in admitted order straight
 //!    into the `Vec` the tick returns. In [`ServeMode::Degraded`] a
 //!    `Threshold` policy steps down to gate-only scoring: the gate score
 //!    is the decision. Under `Always` the f32 ensemble scores each tile
 //!    instead, and there is no step 4.
-//! 4. **Escalate** — only windows whose gate score crosses the
-//!    escalation threshold are copied out of their tile into a
-//!    sub-batch, which the full f32 ensemble
-//!    ([`VehiGan::score_with_members`]) re-scores in tiles of its own once
-//!    every gate tile has passed; their tier-2 score replaces the gate
-//!    score in the emitted decision.
+//! 4. **Escalate** — the windows whose gate score crosses the escalation
+//!    threshold are listed by where they lie, and once every gate tile
+//!    has passed the full f32 ensemble
+//!    ([`VehiGan::score_with_members_into`]) re-scores them there, in
+//!    tiles of its own; their tier-2 score replaces the gate score in the
+//!    emitted decision, and a flagged one's report copies its window as
+//!    evidence. Nothing writes a ring or a spill buffer inside a tick, so
+//!    a window read in step 4 is the window gated in step 3.
 //!
 //! Both scoring paths are batch-row independent (see the determinism
 //! contracts in `vehigan_tensor::gemm` and `vehigan_lite::ensemble`), so
@@ -48,7 +52,7 @@
 //! state machine and fault taxonomy are specified in DESIGN.md §11.
 
 use crate::health::MemberHealth;
-use crate::shard::{shard_for, Shard};
+use crate::shard::{shard_for, Shard, WindowAt};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,6 +63,7 @@ use vehigan_features::{
 use vehigan_mbr::Mbr;
 use vehigan_sim::{Bsm, VehicleId};
 use vehigan_tensor::forkjoin::{fork_join, workers_for};
+use vehigan_tensor::{Pieces, Windows};
 
 /// What the tier-1 gate does with a scored window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,9 +100,7 @@ pub enum ServeMode {
 /// and walk one window at a time, so splitting a tick's windows into
 /// tiles changes nothing bitwise. A tile is one scoring call and the unit
 /// a member failure is confined to — τ and the survivor set are per tile.
-/// It is also the most snapshot floats a tick holds at once, besides the
-/// escalated windows tier 2 re-scores: admitted windows stream through
-/// one tile-sized buffer.
+/// It holds no floats: each window is read where it lies.
 pub const SCORE_TILE: usize = 128;
 
 /// Admission-control and degradation parameters (DESIGN.md §11).
@@ -369,20 +372,43 @@ struct Deployment<'a> {
     gate_members: &'a [usize],
 }
 
-/// The scoring half of [`TickArena`]: one tile of snapshots at a time,
-/// plus what tier 2 needs once every tile is gated.
+/// A screened window on its way through a tick: the decision it fills,
+/// and where its floats lie.
+#[derive(Debug, Clone, Copy)]
+struct Screened {
+    decision: u32,
+    shard: u32,
+    at: WindowAt,
+}
+
+/// Screened windows as the scoring calls read them: in their shards'
+/// rings and spill buffers.
+struct Lying<'a> {
+    shards: &'a [Shard],
+    windows: &'a [Screened],
+}
+
+impl Windows for Lying<'_> {
+    fn count(&self) -> usize {
+        self.windows.len()
+    }
+
+    fn window(&self, i: usize) -> Pieces<'_> {
+        let w = self.windows[i];
+        self.shards[w.shard as usize].window_at(w.at)
+    }
+}
+
+/// The scoring half of [`TickArena`]: one tile of window locations at a
+/// time, plus what tier 2 needs once every tile is gated.
 #[derive(Default)]
 struct TierScratch {
-    /// The tile being filled — at most [`SCORE_TILE`] screened
-    /// snapshots — and each one's index in the tick's decisions.
-    tile: Vec<f32>,
-    rows: Vec<usize>,
+    /// The tile being gathered: at most [`SCORE_TILE`] screened windows.
+    screened: Vec<Screened>,
     /// One scoring call's scores.
     scores: Vec<f32>,
-    /// The decisions whose gate score crossed τ_esc, and their snapshots
-    /// packed for the tier-2 call.
-    escalate: Vec<usize>,
-    sub: Vec<f32>,
+    /// The windows whose gate score crossed τ_esc.
+    escalate: Vec<Screened>,
     /// Members either tier dropped in any tile since the tick began.
     dropped: Vec<usize>,
 }
@@ -548,7 +574,6 @@ pub struct StreamServer<'a> {
     /// Per-shard ingest work lists.
     ingest_tasks: Vec<IngestTask>,
     arena: TickArena,
-    window_len: usize,
     reporter: Option<VehicleId>,
     /// Misbehavior reports emitted since the last `take_reports`.
     reports: Vec<Mbr>,
@@ -626,7 +651,6 @@ impl<'a> StreamServer<'a> {
                 }
             }
         }
-        let window_len = config.window * scaler.width();
         let shards = (0..config.n_shards)
             .map(|_| {
                 Shard::with_guard(
@@ -654,7 +678,6 @@ impl<'a> StreamServer<'a> {
                 .map(|_| IngestTask::default())
                 .collect(),
             arena: TickArena::default(),
-            window_len,
             reporter: config.reporter,
             reports: Vec::new(),
             stats: ServerStats::default(),
@@ -846,10 +869,11 @@ impl<'a> StreamServer<'a> {
     /// pushes one decision per window onto `decisions` in admitted order
     /// (shard index, then ingestion order).
     ///
-    /// The snapshots pass through one tile of at most [`SCORE_TILE`],
-    /// scored where it fills, so the tile boundaries fall where a
-    /// whole-batch pass would put them. Windows tier 0 suppressed bring no
-    /// snapshot and are decided on the spot: they emit the vehicle's
+    /// The screened windows gather in tiles of at most [`SCORE_TILE`],
+    /// each scored once it fills, so the tile boundaries fall where a
+    /// whole-batch pass would put them; a tile names where its windows
+    /// lie, and the scoring calls read them there. Windows tier 0
+    /// suppressed are decided on the spot: they emit the vehicle's
     /// carried tier-1 gate score (below the detection threshold by the
     /// suppression policy) against the calibration's τ. Under a gate, the
     /// escalated windows are re-scored by tier 2 in one more tiled pass
@@ -867,18 +891,16 @@ impl<'a> StreamServer<'a> {
             .tier0
             .filter(|_| self.policy != EscalationPolicy::Always)
             .map(|cal| cal.tau);
-        tiers.tile.clear();
-        tiers.rows.clear();
+        tiers.screened.clear();
         tiers.escalate.clear();
-        tiers.sub.clear();
         tiers.dropped.clear();
-        tiers.tile.reserve_exact(SCORE_TILE * self.window_len);
+        tiers.screened.reserve_exact(SCORE_TILE);
         for (s, left) in take.iter_mut().enumerate() {
             while *left > 0 {
-                let TierScratch { tile, rows, .. } = tiers;
-                let room = SCORE_TILE - rows.len();
+                let screened = &mut tiers.screened;
+                let room = SCORE_TILE - screened.len();
                 let shard = &mut self.shards[s];
-                *left -= shard.take_pending_within(*left, room, gate_tau.is_none(), tile, |w| {
+                *left -= shard.take_pending_within(*left, room, gate_tau.is_none(), |w, at| {
                     let mut d = Decision {
                         vehicle: w.vehicle,
                         timestamp: w.timestamp,
@@ -893,16 +915,20 @@ impl<'a> StreamServer<'a> {
                             (d.score, d.threshold) = (w.pinned, tau);
                             (d.flagged, d.suppressed) = (w.pinned > tau, true);
                         }
-                        None => rows.push(decisions.len()),
+                        None => screened.push(Screened {
+                            decision: decisions.len() as u32,
+                            shard: s as u32,
+                            at,
+                        }),
                     }
                     decisions.push(d);
                 });
-                if tiers.rows.len() == SCORE_TILE {
+                if tiers.screened.len() == SCORE_TILE {
                     self.decide_tile(deploy, tiers, decisions)?;
                 }
             }
         }
-        if !tiers.rows.is_empty() {
+        if !tiers.screened.is_empty() {
             self.decide_tile(deploy, tiers, decisions)?;
         }
         if matches!(self.policy, EscalationPolicy::Threshold(_)) {
@@ -924,7 +950,7 @@ impl<'a> StreamServer<'a> {
     /// Scores the filled tile and empties it: under `Always` the f32
     /// ensemble decides each window (and reports it if flagged); under a
     /// gate each window takes its int8 gate score, and those over τ_esc
-    /// are queued for tier 2 with a copy of their snapshot.
+    /// are listed for tier 2.
     fn decide_tile(
         &mut self,
         deploy: &Deployment<'_>,
@@ -932,48 +958,50 @@ impl<'a> StreamServer<'a> {
         decisions: &mut [Decision],
     ) -> Result<(), ServeError> {
         let TierScratch {
-            tile,
-            rows,
+            screened,
             scores,
             escalate,
-            sub,
             dropped,
         } = tiers;
-        let windows = tile.chunks_exact(self.window_len);
+        let tile = Lying {
+            shards: &self.shards,
+            windows: screened,
+        };
         match self.policy {
             EscalationPolicy::Always => {
-                let tau = self.score_tile(tile, false, deploy.members, scores, dropped)?;
-                for ((&i, &score), window) in rows.iter().zip(scores.iter()).zip(windows) {
-                    let d = &mut decisions[i];
+                let tau = self.score_tile(&tile, false, deploy.members, scores, dropped)?;
+                for (i, (w, &score)) in screened.iter().zip(scores.iter()).enumerate() {
+                    let d = &mut decisions[w.decision as usize];
                     (d.score, d.threshold) = (score, tau);
                     (d.escalated, d.flagged) = (true, score > tau);
-                    self.report(d, window);
+                    if let Some(mbr) = report(self.reporter, d, tile.window(i)) {
+                        self.reports.push(mbr);
+                        self.stats.reports_emitted += 1;
+                    }
                 }
             }
             EscalationPolicy::Threshold(tau_esc) => {
-                let tau = self.score_tile(tile, true, deploy.gate_members, scores, dropped)?;
+                let tau = self.score_tile(&tile, true, deploy.gate_members, scores, dropped)?;
                 // Overload: the gate decides every window on its own.
                 // Otherwise a gate score is never a detection on its own.
                 let degraded = self.mode_machine.mode == ServeMode::Degraded;
-                for ((&i, &score), window) in rows.iter().zip(scores.iter()).zip(windows) {
-                    let d = &mut decisions[i];
+                for (w, &score) in screened.iter().zip(scores.iter()) {
+                    let d = &mut decisions[w.decision as usize];
                     (d.score, d.threshold) = (score, tau);
                     d.flagged = degraded && score > tau;
                     if !degraded && score > tau_esc {
-                        escalate.push(i);
-                        sub.extend_from_slice(window);
+                        escalate.push(*w);
                     }
                 }
             }
         }
-        tile.clear();
-        rows.clear();
+        screened.clear();
         Ok(())
     }
 
-    /// Tier 2 under a gate: re-scores the escalated windows with the full
-    /// f32 ensemble in [`SCORE_TILE`] tiles of their own, replaces their
-    /// gate decisions, then reports the flagged ones.
+    /// Tier 2 under a gate: re-scores the escalated windows, where they
+    /// lie, with the full f32 ensemble in [`SCORE_TILE`] tiles of their
+    /// own, replaces their gate decisions, then reports the flagged ones.
     fn escalate(
         &mut self,
         deploy: &Deployment<'_>,
@@ -983,75 +1011,58 @@ impl<'a> StreamServer<'a> {
         let TierScratch {
             scores,
             escalate,
-            sub,
             dropped,
             ..
         } = tiers;
-        let wl = self.window_len;
-        for (rows, tile) in escalate.chunks(SCORE_TILE).zip(sub.chunks(SCORE_TILE * wl)) {
-            let tau = self.score_tile(tile, false, deploy.members, scores, dropped)?;
-            for (&i, &score) in rows.iter().zip(scores.iter()) {
-                let d = &mut decisions[i];
+        for windows in escalate.chunks(SCORE_TILE) {
+            let tile = Lying {
+                shards: &self.shards,
+                windows,
+            };
+            let tau = self.score_tile(&tile, false, deploy.members, scores, dropped)?;
+            for (w, &score) in windows.iter().zip(scores.iter()) {
+                let d = &mut decisions[w.decision as usize];
                 (d.score, d.threshold) = (score, tau);
                 (d.escalated, d.flagged) = (true, score > tau);
             }
         }
-        for (&i, window) in escalate.iter().zip(sub.chunks_exact(wl)) {
-            self.report(&decisions[i], window);
+        for w in escalate.iter() {
+            let window = self.shards[w.shard as usize].window_at(w.at);
+            if let Some(mbr) = report(self.reporter, &decisions[w.decision as usize], window) {
+                self.reports.push(mbr);
+                self.stats.reports_emitted += 1;
+            }
         }
         Ok(())
     }
 
-    /// Misbehavior reporting: a flagged tier-2 escalation becomes an MBR
-    /// carrying its scored window as evidence (tier-0 suppressed windows
-    /// are never escalated, so none is missed). The scaler clamps rows to
-    /// [-1, 1], so emitted reports always pass `Mbr::validate`'s domain
-    /// check.
-    fn report(&mut self, d: &Decision, window: &[f32]) {
-        match self.reporter {
-            Some(reporter) if d.flagged && d.escalated && d.vehicle != reporter => {
-                self.reports.push(Mbr {
-                    reporter,
-                    suspect: d.vehicle,
-                    timestamp: d.timestamp,
-                    score: d.score,
-                    threshold: d.threshold,
-                    evidence: window.to_vec(),
-                });
-                self.stats.reports_emitted += 1;
-            }
-            _ => {}
-        }
-    }
-
-    /// Scores one tile of flat windows (at most [`SCORE_TILE`]) through
-    /// one backend into `scores`, returning the tile's τ. A tile is scored
-    /// by the members that survived *it*: those dropped for non-finite
-    /// scores are appended to `dropped`, so the caller can bench them,
-    /// and τ is the survivors'. Both backends read the tile where it lies
-    /// and are batch-row independent, so the tile a window shares cannot
-    /// change its score. In a test build, the members the chaos tests'
-    /// fault injector poisons leave the subset first and count as
+    /// Scores one tile (at most [`SCORE_TILE`] windows, where they lie)
+    /// through one backend into `scores`, returning the tile's τ. A tile
+    /// is scored by the members that survived *it*: those dropped for
+    /// non-finite scores are appended to `dropped`, so the caller can
+    /// bench them, and τ is the survivors'. Both backends are batch-row
+    /// independent and read each window's floats alone, however its
+    /// pieces split it, so neither the tile a window shares nor where it
+    /// lies can change its score. In a test build, the members the chaos
+    /// tests' fault injector poisons leave the subset first and count as
     /// dropped.
     fn score_tile(
         &self,
-        tile: &[f32],
+        tile: &Lying<'_>,
         int8: bool,
         members: &[usize],
         scores: &mut Vec<f32>,
         dropped: &mut Vec<usize>,
     ) -> Result<f32, ServeError> {
-        let n = tile.len() / self.window_len;
         scores.clear();
-        scores.resize(n, 0.0);
+        scores.resize(tile.count(), 0.0);
         #[cfg(test)]
         let members = &self.faults.survivors(members, dropped)?[..];
         let summary = if int8 {
             self.vehigan
-                .score_with_members_int8_into(members, tile, n, scores)
+                .score_with_members_int8_into(members, tile, scores)
         } else {
-            self.vehigan
-                .score_with_members_into(members, tile, n, scores)
+            self.vehigan.score_with_members_into(members, tile, scores)
         }
         .map_err(ServeError::Score)?;
         dropped.extend(summary.dropped);
@@ -1117,6 +1128,29 @@ impl<'a> StreamServer<'a> {
     pub fn take_reports(&mut self) -> Vec<Mbr> {
         std::mem::take(&mut self.reports)
     }
+
+    /// The shards, for the in-crate chaos tests to inspect.
+    #[cfg(test)]
+    pub(crate) fn shards(&self) -> &[Shard] {
+        &self.shards
+    }
+}
+
+/// Misbehavior reporting: a flagged tier-2 escalation becomes an MBR
+/// under `reporter` carrying its scored window as evidence (tier-0
+/// suppressed windows are never escalated, so none is missed). The
+/// scaler clamps rows to [-1, 1], so emitted reports always pass
+/// `Mbr::validate`'s domain check.
+fn report(reporter: Option<VehicleId>, d: &Decision, window: Pieces<'_>) -> Option<Mbr> {
+    let reporter = reporter.filter(|&r| d.flagged && d.escalated && d.vehicle != r)?;
+    Some(Mbr {
+        reporter,
+        suspect: d.vehicle,
+        timestamp: d.timestamp,
+        score: d.score,
+        threshold: d.threshold,
+        evidence: window.concat(),
+    })
 }
 
 /// Calibrates the gate's escalation threshold from benign gate scores:

@@ -16,12 +16,13 @@
 //!
 //! A completed window stays where [`WindowRing::push`] wrote it: the
 //! shard's `pending` queue holds its metadata and its vehicle's slab
-//! slot, and the tick copies its floats from the ring straight into the
-//! scoring tile it is filling — only for windows the tick will score, and
-//! [`Shard::take_pending_within`] stops before a window the tile has no
-//! room for. Should the vehicle push again before the tick, the push
-//! would overwrite the window's oldest row, so the shard first *spills*
-//! the window into one of its reusable window-sized buffers.
+//! slot. Should the vehicle push again before the tick, the push would
+//! overwrite the window's oldest row, so the shard first *spills* the
+//! window into one of its reusable window-sized buffers. The tick copies
+//! no window: [`Shard::take_pending_within`] hands back where each one
+//! lies ([`WindowAt`]: its vehicle's ring, or a spill buffer), and the
+//! scoring calls read it there through [`Shard::window_at`] — nothing
+//! writes a ring or a spill buffer until the next ingest.
 //!
 //! Two robustness layers sit in front of that queue (DESIGN.md §11):
 //!
@@ -45,6 +46,7 @@ use vehigan_features::{
     Tier0Calibration, Tier0State, WindowRing,
 };
 use vehigan_sim::{Bsm, IdHash, VehicleId};
+use vehigan_tensor::Pieces;
 
 /// Maps a pseudonym to its owning shard.
 ///
@@ -75,6 +77,16 @@ pub struct PendingWindow {
     /// while the monitors certify its kinematics unchanged (recorded via
     /// [`Shard::record_gate`]). `0.0` when `suppressed` is `false`.
     pub pinned: f32,
+}
+
+/// Where a taken window's floats lie, until the shard's next
+/// [`Shard::ingest`] or eviction: read them with [`Shard::window_at`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowAt {
+    /// The newest window in the ring of the vehicle in this slab slot.
+    Ring(u32),
+    /// This spill buffer, which the vehicle's next push moved it into.
+    Spill(u32),
 }
 
 /// [`Slot::in_ring`] when none of the vehicle's queued windows is in its
@@ -425,44 +437,48 @@ impl Shard {
     /// keep flowing.
     pub fn shed_oldest(&mut self, n: usize) -> usize {
         let n = n.min(self.pending.len());
-        self.dequeue(n, |_, _| {});
+        self.dequeue(n, |_, _, _| {});
         self.shed += n as u64;
         n
     }
 
     /// Takes up to `n` of the **oldest** queued windows for scoring
     /// (FIFO service order), leaving the rest queued for later ticks and
-    /// clearing the taken windows' in-flight marks.
+    /// clearing the taken windows' in-flight marks. Returns a copy of
+    /// their floats, back to back, and their metadata.
     pub fn take_pending(&mut self, n: usize) -> (Vec<f32>, Vec<PendingWindow>) {
-        let mut meta = Vec::with_capacity(n.min(self.pending.len()));
-        let mut floats = Vec::new();
-        self.take_pending_within(n, usize::MAX, true, &mut floats, |w| meta.push(*w));
+        let n = n.min(self.pending.len());
+        let mut meta = Vec::with_capacity(n);
+        let mut floats = Vec::with_capacity(n * self.window_len());
+        self.dequeue(n, |w, _, [older, newer]| {
+            floats.extend_from_slice(older);
+            floats.extend_from_slice(newer);
+            meta.push(*w);
+        });
         (floats, meta)
     }
 
-    /// [`Shard::take_pending`] into a buffer with room for `room` more
-    /// snapshots: each taken window's floats are copied from where they
-    /// sit — its vehicle's ring, or a spill buffer — straight onto
-    /// `floats`, and the take stops before the first window whose floats
-    /// would not fit, leaving it and every younger window queued where
-    /// they are. Each taken window's metadata is shown to `visit`, in
-    /// queue order. Returns how many windows were taken.
+    /// Takes up to `n` of the **oldest** queued windows like
+    /// [`Shard::take_pending`], for a scoring tile with room for `room`
+    /// more windows, and copies none of them: each taken window's
+    /// metadata and [`WindowAt`] — where its floats lie, for
+    /// [`Shard::window_at`] — are shown to `visit`, in queue order. The
+    /// take stops before the first window the tile has no room for,
+    /// leaving it and every younger window queued where they are. Returns
+    /// how many windows were taken.
     ///
-    /// With `suppressed_floats` off, the windows tier 0 suppressed are
-    /// taken without their floats — never copied, and costing no room: a
-    /// caller that honours the verdict never reads them.
+    /// With `room_for_suppressed` off, the windows tier 0 suppressed cost
+    /// no room: a caller that honours the verdict never reads them.
     pub fn take_pending_within(
         &mut self,
         n: usize,
         room: usize,
-        suppressed_floats: bool,
-        floats: &mut Vec<f32>,
-        mut visit: impl FnMut(&PendingWindow),
+        room_for_suppressed: bool,
+        mut visit: impl FnMut(&PendingWindow, WindowAt),
     ) -> usize {
-        let reads = |w: &PendingWindow| suppressed_floats || !w.suppressed;
         let (mut n_taken, mut n_read) = (0, 0);
         for q in self.pending.iter().take(n) {
-            if reads(&q.meta) {
+            if room_for_suppressed || !q.meta.suppressed {
                 if n_read == room {
                     break;
                 }
@@ -470,21 +486,38 @@ impl Shard {
             }
             n_taken += 1;
         }
-        floats.reserve(n_read * self.window_len());
-        self.dequeue(n_taken, |w, [older, newer]| {
-            if reads(w) {
-                floats.extend_from_slice(older);
-                floats.extend_from_slice(newer);
-            }
-            visit(w);
-        });
+        self.dequeue(n_taken, |w, at, _| visit(w, at));
         n_taken
     }
 
+    /// A taken window's floats, as two pieces in arrival order, where
+    /// [`Shard::take_pending_within`] said they lie. They stay there until
+    /// the shard's next [`Shard::ingest`] (which may push over the ring or
+    /// reuse the spill buffer) or eviction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` names a slot with no vehicle, a vehicle whose ring
+    /// holds no window, or a spill buffer the shard never had.
+    pub fn window_at(&self, at: WindowAt) -> Pieces<'_> {
+        match at {
+            WindowAt::Ring(slot) => {
+                let window = self.slot(slot as usize).ring.last_window(self.window);
+                let window = window.expect("a taken window is still its vehicle's newest");
+                [window.older, window.newer]
+            }
+            WindowAt::Spill(i) => {
+                let len = self.window_len();
+                [&self.spill[i as usize * len..][..len], &[]]
+            }
+        }
+    }
+
     /// Removes the `n` oldest queued windows, showing each to `visit`
-    /// with its floats (two slices in arrival order), then clearing its
-    /// in-flight mark and freeing its spill buffer.
-    fn dequeue(&mut self, n: usize, mut visit: impl FnMut(&PendingWindow, [&[f32]; 2])) {
+    /// with where its floats lie and the floats themselves (two slices in
+    /// arrival order), then clearing its in-flight mark and freeing its
+    /// spill buffer.
+    fn dequeue(&mut self, n: usize, mut visit: impl FnMut(&PendingWindow, WindowAt, Pieces<'_>)) {
         let (window, len) = (self.window, self.window_len());
         for q in self.pending.drain(..n) {
             let slot = self.slots[q.slot].as_mut().expect("in-flight slot is live");
@@ -493,11 +526,13 @@ impl Shard {
                 None => {
                     slot.in_ring = NOT_IN_RING;
                     let window = slot.ring.last_window(window).expect("queued window");
-                    visit(&q.meta, [window.older, window.newer]);
+                    let at = WindowAt::Ring(q.slot as u32);
+                    visit(&q.meta, at, [window.older, window.newer]);
                 }
                 Some(i) => {
                     self.spill_free.push(i);
-                    visit(&q.meta, [&self.spill[i as usize * len..][..len], &[]]);
+                    let floats = &self.spill[i as usize * len..][..len];
+                    visit(&q.meta, WindowAt::Spill(i), [floats, &[]]);
                 }
             }
         }
@@ -559,6 +594,12 @@ impl Shard {
     /// buffer because the vehicle pushed again before they were taken.
     pub fn spilled(&self) -> u64 {
         self.spilled
+    }
+
+    /// Spill buffers the shard holds, in use or free for reuse: the most
+    /// windows it ever had spilled at once.
+    pub fn spill_buffers(&self) -> usize {
+        self.spill.len().checked_div(self.window_len()).unwrap_or(0)
     }
 
     /// Floats per snapshot (`window × features`).

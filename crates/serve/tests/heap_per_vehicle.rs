@@ -13,19 +13,26 @@
 //!   the vehicle's ring until the tick takes them. Copying the 480 bytes
 //!   into the queue, as the shard once did, costs 503 bytes a window
 //!   and fails the bound.
-//! - A tick that admits four tiles of windows holds one tile of snapshots
-//!   (128 × 480 B = 60 KiB) at a time, besides the decisions it returns:
-//!   it grows the caller's heap by 74 KiB at its peak. Copying every
-//!   admitted snapshot into one batch first, as the tick once did,
-//!   holds 240 KiB of snapshots for 512 windows, 292 KiB in all, and
-//!   fails the bound.
+//! - A tick copies no window: both tiers read each one where it lies,
+//!   in its vehicle's ring or its shard's spill buffer. One that admits
+//!   four tiles of windows grows the caller's heap by 15 KiB at its peak:
+//!   its 12 KiB of decisions, one tile's window locations (2 KiB) and
+//!   scores. Escalating every window to tier 2 adds 16 B of location per
+//!   window, 23 KiB in all, besides the reports it leaves for
+//!   `take_reports`. A tick that streamed the windows through a
+//!   128-window tile of copies read 74 KiB, and under a gate it also
+//!   kept a 480-byte copy of each escalated window (over 300 KiB here);
+//!   one that copied every admitted window into one batch first read
+//!   292 KiB. All fail the bounds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use vehigan_core::{CriticMember, VehiGan, Wgan, WganConfig};
 use vehigan_features::{EvictionConfig, MinMaxScaler, Tier0Calibration};
+use vehigan_mbr::Mbr;
 use vehigan_serve::{Decision, EscalationPolicy, ServerConfig, Shard, StreamServer, SCORE_TILE};
 use vehigan_sim::{Bsm, SimConfig, TrafficSimulator, VehicleId, VehicleTrace};
+use vehigan_tensor::Flat;
 
 struct Counting;
 
@@ -86,12 +93,15 @@ const BOUND_BYTES: f64 = 850.0;
 /// window's slot reads 40 B, a copy of its floats plus metadata 503 B).
 const BOUND_BYTES_PER_WINDOW: f64 = 64.0;
 
-/// Heap bytes a tick of `TICK_WINDOWS` windows may add on top of one
-/// tile of snapshots and the decisions it returns: the tile's row
-/// indices (1 KiB) and scores, and the tick's small per-shard lists. It
-/// reads 74 KiB in all; a tick that copied all 512 snapshots into one
-/// batch first read 292 KiB.
+/// Heap bytes a tick of `TICK_WINDOWS` windows may add on top of the
+/// decisions it returns (and the reports it leaves for `take_reports`):
+/// one tile's window locations (2 KiB) and scores, and the tick's small
+/// per-shard lists.
 const TICK_SLACK_BYTES: usize = 4096;
+
+/// Heap bytes per escalated window on top of that: where it lies, kept
+/// until tier 2 has scored every one (a copy of its floats is 480).
+const ESCALATED_BYTES: usize = 16;
 
 const VEHICLES: u32 = 1024;
 const WINDOW: usize = 10;
@@ -168,8 +178,9 @@ fn a_queued_window_costs_its_queue_entry_only() {
     );
 }
 
-/// Two untrained critics calibrated on a smooth signal: enough for the
-/// f32 path to score, which is all the tick's footprint depends on.
+/// Two untrained critics calibrated on a smooth signal, compiled to
+/// int8 on it: enough for both tiers to score, which is all the tick's
+/// footprint depends on.
 fn two_critics() -> VehiGan {
     let benign: Vec<f32> = (0..32 * WINDOW * FEATURES)
         .map(|i| (i as f32 * 0.37).sin())
@@ -185,32 +196,32 @@ fn two_critics() -> VehiGan {
             CriticMember::calibrate(Wgan::new(config), 0.9, &benign, 99.0).unwrap()
         })
         .collect();
-    VehiGan::new(members, 2, 1).unwrap()
+    let mut vehigan = VehiGan::new(members, 2, 1).unwrap();
+    vehigan.compile_int8(&benign).unwrap();
+    vehigan
 }
 
-#[test]
-fn a_tick_holds_one_tile_of_snapshots() {
-    let fleet = fleet();
-    let vehigan = two_critics();
-    // The scoring path keeps per-thread scratch sized by the call: one
-    // tile-sized call beforehand, so what the tick grows is its own.
+/// What one tick of `TICK_WINDOWS` first windows, one per vehicle, grows
+/// the caller's heap by at its peak, less the reports it leaves behind
+/// for `take_reports`; and the tick's decisions and those reports.
+fn tick_peak(vehigan: &VehiGan, config: ServerConfig) -> (usize, Vec<Decision>, Vec<Mbr>) {
+    // The scoring paths keep scratch sized by the call: one tile-sized
+    // call of each beforehand, so what the tick grows is its own.
     let tile = vec![0.25f32; SCORE_TILE * WINDOW * FEATURES];
+    let tile = Flat::new(&tile, WINDOW * FEATURES);
     let mut scores = vec![0.0f32; SCORE_TILE];
     vehigan
-        .score_with_members_into(&[0, 1], &tile, SCORE_TILE, &mut scores)
+        .score_with_members_into(&[0, 1], &tile, &mut scores)
+        .unwrap();
+    vehigan
+        .score_with_members_int8_into(&[0, 1], &tile, &mut scores)
         .unwrap();
 
+    let fleet = fleet();
     let scaler = MinMaxScaler::fit(&[vec![-1e3; FEATURES], vec![1e3; FEATURES]]);
-    let config = ServerConfig {
-        n_shards: 1,
-        window: WINDOW,
-        policy: EscalationPolicy::Always,
-        members: Some(vec![0, 1]),
-        ..ServerConfig::default()
-    };
-    let mut server = StreamServer::new(&vehigan, scaler, config).unwrap();
+    let mut server = StreamServer::new(vehigan, scaler, config).unwrap();
     // Every vehicle completes its first window; the tick admits them all
-    // and scores every one (no gate, no tier 0).
+    // and screens every one (no tier 0).
     let bsms: Vec<Bsm> = (0..TICK_WINDOWS as u32)
         .flat_map(|v| {
             fleet[0].bsms[..WINDOW + 1].iter().map(move |bsm| Bsm {
@@ -225,16 +236,67 @@ fn a_tick_holds_one_tile_of_snapshots() {
     let before = live();
     reset_peak();
     let decisions = server.tick().unwrap();
-    let grown = (peak() - before) as usize;
-    println!("heap a {TICK_WINDOWS}-window tick grows at its peak: {grown} B");
+    let peak = (peak() - before) as usize;
+    let reports = server.take_reports();
+    let report_bytes = reports.capacity() * std::mem::size_of::<Mbr>()
+        + reports
+            .iter()
+            .map(|r| r.evidence.capacity() * std::mem::size_of::<f32>())
+            .sum::<usize>();
     assert_eq!(decisions.len(), TICK_WINDOWS);
-    assert_eq!(server.stats().tier2_escalated, TICK_WINDOWS as u64);
-    let snapshot_bytes = WINDOW * FEATURES * std::mem::size_of::<f32>();
-    let bound = SCORE_TILE * snapshot_bytes
-        + TICK_WINDOWS * std::mem::size_of::<Decision>()
-        + TICK_SLACK_BYTES;
+    (peak - report_bytes, decisions, reports)
+}
+
+#[test]
+fn a_tick_scores_windows_where_they_lie() {
+    let vehigan = two_critics();
+    let config = ServerConfig {
+        n_shards: 1,
+        window: WINDOW,
+        policy: EscalationPolicy::Always,
+        members: Some(vec![0, 1]),
+        ..ServerConfig::default()
+    };
+    let (grown, decisions, _) = tick_peak(&vehigan, config);
+    println!("heap a {TICK_WINDOWS}-window tick grows at its peak: {grown} B");
+    assert!(decisions.iter().all(|d| d.escalated));
+    let bound = TICK_WINDOWS * std::mem::size_of::<Decision>() + TICK_SLACK_BYTES;
     assert!(
         grown <= bound,
         "a tick grows the heap by {grown} bytes at its peak (bound {bound})"
+    );
+}
+
+#[test]
+fn a_tick_escalating_every_window_copies_none() {
+    // A τ_esc below every gate score sends every window on to tier 2, and
+    // with a τ below every tier-2 score each one becomes a report carrying
+    // its window.
+    let mut vehigan = two_critics();
+    for member in vehigan.members_mut() {
+        member.threshold = f32::NEG_INFINITY;
+    }
+    let config = ServerConfig {
+        n_shards: 1,
+        window: WINDOW,
+        policy: EscalationPolicy::Threshold(f32::NEG_INFINITY),
+        members: Some(vec![0, 1]),
+        reporter: Some(VehicleId(u32::MAX)),
+        ..ServerConfig::default()
+    };
+    let (grown, decisions, reports) = tick_peak(&vehigan, config);
+    println!(
+        "heap a {TICK_WINDOWS}-window tick escalating all grows at its peak, \
+         {} reports aside: {grown} B",
+        reports.len()
+    );
+    assert!(decisions.iter().all(|d| d.escalated && d.flagged));
+    assert_eq!(reports.len(), TICK_WINDOWS);
+    let bound =
+        TICK_WINDOWS * (std::mem::size_of::<Decision>() + ESCALATED_BYTES) + TICK_SLACK_BYTES;
+    assert!(
+        grown <= bound,
+        "a tick escalating every window grows the heap by {grown} bytes at its peak \
+         (bound {bound})"
     );
 }

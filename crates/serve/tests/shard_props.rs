@@ -3,10 +3,13 @@
 //! vehicle that still has in-flight (undrained) pending windows, and a
 //! queued window — left in its vehicle's ring or spilled out of it —
 //! is taken bit for bit as it was when it completed, with the tier-0
-//! verdict and carried score a standalone monitor per vehicle implies,
-//! and a take bounded by a tile's room stops exactly before the first
-//! window whose floats would not fit, leaving the rest queued as they
-//! were.
+//! verdict and carried score a standalone monitor per vehicle implies.
+//! A take bounded by a tile's room stops exactly before the first window
+//! the tile has no room for, leaving the rest queued as they were, and
+//! every location it hands back — the vehicle's ring while the window is
+//! still its newest, a spill buffer once it was pushed past — reads the
+//! window bit for bit until the next ingest, also when one take holds a
+//! vehicle's spilled windows and its in-ring one together.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -14,7 +17,7 @@ use vehigan_features::{
     EvictionConfig, GateDecision, IngestGuard, MinMaxScaler, Tier0Calibration, Tier0Monitor,
     WindowBuffer, NUM_FEATURES,
 };
-use vehigan_serve::{shard_for, PendingWindow, Shard, SCORE_TILE};
+use vehigan_serve::{shard_for, PendingWindow, Shard, WindowAt, SCORE_TILE};
 use vehigan_sim::{Bsm, VehicleId, VehicleTrace};
 
 fn test_scaler() -> MinMaxScaler {
@@ -111,10 +114,21 @@ struct Coverage {
     rejected: u64,
     /// Pseudonyms given a fresh slot after an eviction.
     reinserted: u64,
-    /// Takes that stopped before a window whose floats had no room.
+    /// Takes that stopped before a window the room had no place for.
     stops: u64,
-    /// Suppressed windows taken, without floats, once the room was full.
+    /// Suppressed windows taken, costing no room, once the room was full.
     free_suppressed: u64,
+    /// Takes in which one vehicle had a spilled window and its in-ring
+    /// window both.
+    mixed: u64,
+}
+
+/// One taken window as a take handed it back: its metadata, its floats,
+/// and where the take said they lie (none for a copying take).
+struct Taken {
+    meta: PendingWindow,
+    floats: Vec<f32>,
+    at: Option<WindowAt>,
 }
 
 /// The oracle for [`taken_windows_are_the_windows_that_completed`]: one
@@ -258,24 +272,40 @@ impl Model {
         self.next_seq += 1;
     }
 
-    /// Removes the queue's front, which no longer sits in a ring.
-    fn dequeue(&mut self) -> Expected {
+    /// Removes the queue's front, which no longer sits in a ring, and
+    /// says whether it was its vehicle's in-ring window.
+    fn dequeue(&mut self) -> (Expected, bool) {
         let front = self.queue.pop_front().expect("model queue");
+        let mut in_ring = false;
         if let Some(tracked) = self.vehicles.get_mut(&front.meta.vehicle.0) {
             if tracked.in_ring == Some(front.seq) {
                 tracked.in_ring = None;
+                in_ring = true;
             }
         }
-        front
+        (front, in_ring)
     }
 
-    /// How many windows a take of up to `take` windows into `room`
-    /// snapshots removes: it stops before the first window whose floats
-    /// it would copy once `room` are copied.
-    fn expected_take(&mut self, take: usize, room: usize, suppressed_floats: bool) -> usize {
+    /// Whether the queue's `n` oldest windows hold, for some vehicle,
+    /// both its in-ring window and a spilled one.
+    fn mixes_ring_and_spill(&self, n: usize) -> bool {
+        let taken: Vec<&Expected> = self.queue.iter().take(n).collect();
+        taken.iter().any(|e| {
+            let tracked = &self.vehicles[&e.meta.vehicle.0];
+            tracked.in_ring == Some(e.seq)
+                && taken
+                    .iter()
+                    .any(|o| o.meta.vehicle == e.meta.vehicle && o.seq != e.seq)
+        })
+    }
+
+    /// How many windows a take of up to `take` windows into a tile with
+    /// room for `room` removes: it stops before the first window that
+    /// costs room once `room` are placed.
+    fn expected_take(&mut self, take: usize, room: usize, room_for_suppressed: bool) -> usize {
         let (mut taken, mut read) = (0, 0);
         for e in self.queue.iter().take(take) {
-            if suppressed_floats || !e.meta.suppressed {
+            if room_for_suppressed || !e.meta.suppressed {
                 if read == room {
                     self.coverage.stops += 1;
                     break;
@@ -307,19 +337,18 @@ impl Model {
     }
 
     /// Checks one take against the queue's front — metadata, tier-0
-    /// verdict and carried score exactly, floats bit for bit — then
-    /// records each screened window's [`gate_score`] on the shard and
-    /// the model alike, as the server's tick does.
-    fn check_take(
-        &mut self,
-        shard: &mut Shard,
-        suppressed_floats: bool,
-        floats: &[f32],
-        meta: &[PendingWindow],
-    ) {
-        let mut chunks = floats.chunks_exact(self.window * NUM_FEATURES);
-        for w in meta {
-            let expected = self.dequeue();
+    /// verdict and carried score exactly, floats bit for bit, and a
+    /// location in the ring exactly for the vehicle's in-ring window —
+    /// then records each screened window's [`gate_score`] on the shard
+    /// and the model alike, as the server's tick does.
+    fn check_take(&mut self, shard: &mut Shard, taken: &[Taken]) {
+        for Taken {
+            meta: w,
+            floats,
+            at,
+        } in taken
+        {
+            let (expected, in_ring) = self.dequeue();
             let e = expected.meta;
             assert_eq!((w.vehicle, w.timestamp), (e.vehicle, e.timestamp));
             assert_eq!(
@@ -329,20 +358,25 @@ impl Model {
                 e.vehicle,
                 e.timestamp
             );
-            if suppressed_floats || !w.suppressed {
-                let got = chunks.next().expect("a float block per read window");
-                let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(floats),
+                bits(&expected.floats),
+                "window of {:?} at {}",
+                e.vehicle,
+                e.timestamp
+            );
+            if let Some(at) = at {
                 assert_eq!(
-                    bits(got),
-                    bits(&expected.floats),
-                    "window of {:?} at {}",
+                    matches!(at, WindowAt::Ring(_)),
+                    in_ring,
+                    "{at:?} for the window of {:?} at {}",
                     e.vehicle,
                     e.timestamp
                 );
             }
         }
-        assert_eq!(chunks.count(), 0, "floats for a window no one reads");
-        for w in meta.iter().filter(|w| !w.suppressed) {
+        for Taken { meta: w, .. } in taken.iter().filter(|t| !t.meta.suppressed) {
             let score = gate_score(w);
             shard.record_gate(w.vehicle, score);
             if let Some(tracked) = self.vehicles.get_mut(&w.vehicle.0) {
@@ -362,15 +396,16 @@ impl Model {
 /// One round of [`drive`]: accepted-or-not BSMs per vehicle (0–4 each,
 /// interleaved), which of each vehicle's messages repeats or predates its
 /// previous one, a take of up to `take` windows into a tile with room for
-/// `room` snapshots, with or without the suppressed windows' floats, then
-/// optionally a TTL sweep.
+/// `room`, where suppressed windows cost room or not, then optionally a
+/// TTL sweep.
 type Round = (Vec<u8>, Vec<u8>, usize, usize, bool, bool);
 
 /// Runs `rounds` through `shard` and `model`, checking every take, and
 /// finally drains both.
 fn drive(shard: &mut Shard, model: &mut Model, n_vehicles: u32, rounds: &[Round]) {
     let mut t = 0.0f64;
-    for (r, (counts, irregular, take, room, suppressed_floats, sweep)) in rounds.iter().enumerate()
+    for (r, (counts, irregular, take, room, room_for_suppressed, sweep)) in
+        rounds.iter().enumerate()
     {
         for k in 0..4u8 {
             for v in 0..n_vehicles {
@@ -391,22 +426,48 @@ fn drive(shard: &mut Shard, model: &mut Model, n_vehicles: u32, rounds: &[Round]
             }
         }
         model.check_queue(shard);
-        let (mut floats, mut meta) = (Vec::new(), Vec::new());
-        let want = model.expected_take(*take, *room, *suppressed_floats);
-        let taken = shard.take_pending_within(*take, *room, *suppressed_floats, &mut floats, |w| {
-            meta.push(*w)
+        let want = model.expected_take(*take, *room, *room_for_suppressed);
+        if model.mixes_ring_and_spill(want) {
+            model.coverage.mixed += 1;
+        }
+        let mut located = Vec::new();
+        let n = shard.take_pending_within(*take, *room, *room_for_suppressed, |w, at| {
+            located.push((*w, at))
         });
-        assert_eq!((taken, meta.len()), (want, want), "windows taken");
-        model.check_take(shard, *suppressed_floats, &floats, &meta);
+        assert_eq!((n, located.len()), (want, want), "windows taken");
+        // Every location is read once the take is over, as the tick does.
+        let taken: Vec<Taken> = located
+            .into_iter()
+            .map(|(meta, at)| Taken {
+                meta,
+                floats: shard.window_at(at).concat(),
+                at: Some(at),
+            })
+            .collect();
+        model.check_take(shard, &taken);
         model.check_queue(shard);
         if *sweep {
             model.sweep(shard, t);
         }
     }
     let (floats, meta) = shard.drain_pending();
-    model.check_take(shard, true, &floats, &meta);
+    model.check_take(shard, &copied(shard, &floats, &meta));
     model.check_queue(shard);
     assert!(model.queue.is_empty());
+}
+
+/// What a copying take returned, window by window.
+fn copied(shard: &Shard, floats: &[f32], meta: &[PendingWindow]) -> Vec<Taken> {
+    assert_eq!(floats.len(), meta.len() * shard.window_len());
+    let windows = floats.chunks_exact(shard.window_len());
+    meta.iter()
+        .zip(windows)
+        .map(|(&meta, w)| Taken {
+            meta,
+            floats: w.to_vec(),
+            at: None,
+        })
+        .collect()
 }
 
 #[test]
@@ -434,22 +495,51 @@ fn a_vehicle_pushing_before_the_tick_spills_its_queued_window() {
     }
     assert_eq!(shard.spilled(), 2);
     model.check_queue(&shard);
-    let (floats, meta) = shard.take_pending(usize::MAX);
-    model.check_take(&mut shard, true, &floats, &meta);
+    // One take holds both spilled windows and the ring's, each read where
+    // it lies.
+    let mut located = Vec::new();
+    assert_eq!(
+        shard.take_pending_within(3, 3, true, |w, at| located.push((*w, at))),
+        3
+    );
+    let kinds: Vec<bool> = located
+        .iter()
+        .map(|(_, at)| matches!(at, WindowAt::Ring(_)))
+        .collect();
+    assert_eq!(kinds, [false, false, true]);
+    let taken: Vec<Taken> = located
+        .into_iter()
+        .map(|(meta, at)| Taken {
+            meta,
+            floats: shard.window_at(at).concat(),
+            at: Some(at),
+        })
+        .collect();
+    model.check_take(&mut shard, &taken);
     // Taken, the ring's window needs no spill: the next push is free.
     model.ingest(&mut shard, &wandering_bsm(7, 0.7));
     assert_eq!(shard.spilled(), 2);
     model.check_queue(&shard);
+    // The taken windows' spill buffers are free again: two more spills
+    // reuse them.
+    for i in 8..=9 {
+        model.ingest(&mut shard, &wandering_bsm(7, 0.1 * f64::from(i)));
+    }
+    assert_eq!((shard.spilled(), shard.spill_buffers()), (4, 2));
+    let (floats, meta) = shard.drain_pending();
+    let taken = copied(&shard, &floats, &meta);
+    model.check_take(&mut shard, &taken);
 }
 
 #[test]
 fn the_model_check_reaches_every_tier0_path() {
     // A fixed run of the proptest's shape: four busy vehicles and an
     // occasional fifth on a gate that trips, four slots, irregular
-    // timestamps, periodic sweeps and takes into rooms of 0–3 snapshots.
+    // timestamps, periodic sweeps and takes into rooms of 0–3 windows.
     // It must exercise every branch the shard's shared previous message
-    // feeds, and a take both stopped by a full room and carrying
-    // suppressed windows past it.
+    // feeds, a take both stopped by a full room and carrying suppressed
+    // windows past it, and one holding a vehicle's spilled and in-ring
+    // windows together.
     let window = 3;
     let mut model = Model::new(window, Some(6), Some(tripping_gate(window)));
     let mut shard = model.shard(EvictionConfig {
@@ -484,6 +574,10 @@ fn the_model_check_reaches_every_tier0_path() {
         (
             "suppressed windows taken past a full room",
             c.free_suppressed,
+        ),
+        (
+            "takes holding a vehicle's spilled and in-ring windows",
+            c.mixed,
         ),
     ] {
         assert!(n > 0, "no {what}: {c:?}");

@@ -22,7 +22,10 @@
 //! - [`gradcheck`]: finite-difference verification used throughout the test
 //!   suite to prove every backward pass exact;
 //! - [`forkjoin`]: the one process-wide thread pool every parallel call in
-//!   the workspace runs on, set-up and serving alike.
+//!   the workspace runs on, set-up and serving alike;
+//! - [`windows`]: the windows a scoring walk reads where they lie, each as
+//!   two pieces ([`Pieces`]) — a ring buffer's two runs of rows, or a
+//!   contiguous window and nothing.
 //!
 //! # Example: a miniature critic
 //!
@@ -58,10 +61,12 @@ mod model;
 pub mod optim;
 pub mod serialize;
 mod tensor;
+pub mod windows;
 
 pub use init::Init;
 pub use model::{CriticScratch, Sequential, HEAD_ROWS};
 pub use tensor::Tensor;
+pub use windows::{Flat, Pieces, Windows};
 
 #[cfg(test)]
 mod send_sync_tests {

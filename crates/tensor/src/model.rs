@@ -4,6 +4,7 @@ use crate::gemm::{gemm_f32_fused, FusedF32, Patches};
 use crate::layer::{FusedView, Layer, Param};
 use crate::layers::{Activation, Conv2D, Dense, Flatten, Reshape, UpSample2D};
 use crate::serialize::{ModelFormatError, ModelSnapshot};
+use crate::windows::{scatter_rows, Pieces};
 use crate::Tensor;
 
 /// Windows [`Sequential::score_fused`] carries to the dense head at once:
@@ -254,36 +255,40 @@ impl Sequential {
         x.unwrap_or_else(|| input.clone())
     }
 
-    /// Critic outputs `D(x)` for `out.len()` flat `[h, w, c]` windows,
-    /// through `&self` and bitwise what [`Sequential::forward`] returns
-    /// on the same kernel leg — the scoring path. Each window walks every
-    /// layer back to back over `scratch`'s few kilobytes of zero-bordered
-    /// planes ([`gemm_f32_fused`] reads conv patches and weights in place
-    /// and finishes bias and LeakyReLU in registers); the dense head, one
-    /// strictly sequential multiply-add chain per window, runs once per
-    /// [`HEAD_ROWS`] windows so that their chains overlap. A window's
-    /// output depends on that window alone, so any split of a batch
-    /// scores what one call does. Allocates nothing once `scratch` fits.
+    /// Critic outputs `D(x)` for `out.len()` `[h, w, c]` windows, each
+    /// read where it lies as two [`Pieces`], through `&self` and bitwise
+    /// what [`Sequential::forward`] returns on the same kernel leg — the
+    /// scoring path. Each window is copied row by row into the first
+    /// zero-bordered plane of `scratch` and walks every layer back to
+    /// back over its few kilobytes of planes ([`gemm_f32_fused`] reads
+    /// conv patches and weights in place and finishes bias and LeakyReLU
+    /// in registers); the dense head, one strictly sequential
+    /// multiply-add chain per window, runs once per [`HEAD_ROWS`]
+    /// windows so that their chains overlap. A window's output depends on
+    /// its floats alone — not on where its pieces split it, nor on the
+    /// rest of the batch — so any split of a batch scores what one call
+    /// does. Allocates nothing once `scratch` fits.
     ///
     /// # Panics
     ///
-    /// Panics if [`CriticScratch::fit`] rejects the model or `windows` is
-    /// not `out.len()` windows of `input`'s shape.
-    pub fn score_fused(
+    /// Panics if [`CriticScratch::fit`] rejects the model, or `windows`
+    /// is not `out.len()` windows of `input`'s shape.
+    pub fn score_fused<'w>(
         &self,
         scratch: &mut CriticScratch,
         input: (usize, usize, usize),
-        windows: &[f32],
+        windows: impl IntoIterator<Item = Pieces<'w>, IntoIter: ExactSizeIterator>,
         out: &mut [f32],
     ) {
         if let Err(e) = scratch.fit(self, input) {
             panic!("score_fused: {e}");
         }
         let len = input.0 * input.1 * input.2;
+        let mut windows = windows.into_iter();
         assert_eq!(
             windows.len(),
-            out.len() * len,
-            "{} floats are not {} windows of {input:?}",
+            out.len(),
+            "{} windows of {input:?} for {} scores",
             windows.len(),
             out.len()
         );
@@ -304,9 +309,9 @@ impl Sequential {
             bias: b,
             alpha: None,
         };
-        let groups = windows.chunks(HEAD_ROWS * len);
-        for (group, scores) in groups.zip(out.chunks_mut(HEAD_ROWS)) {
-            for (window, row) in group.chunks_exact(len).zip(head.chunks_exact_mut(in_dim)) {
+        for scores in out.chunks_mut(HEAD_ROWS) {
+            let group = windows.by_ref().take(scores.len());
+            for (window, row) in group.zip(head.chunks_exact_mut(in_dim)) {
                 // The network input goes where the first layer reads it.
                 let (dst, to) = match (convs.first(), planes.first_mut()) {
                     (Some(first), Some((_, plane))) => {
@@ -314,9 +319,11 @@ impl Sequential {
                     }
                     _ => (&mut *row, Patches::matrix(input.2)),
                 };
-                for (y, line) in window.chunks_exact(input.1 * input.2).enumerate() {
-                    dst[to.offset(y * input.1)..][..line.len()].copy_from_slice(line);
-                }
+                let line = input.1 * input.2;
+                let start = |y| to.offset(y * input.1);
+                scatter_rows(window, len, line, start, dst, |src, dst| {
+                    dst.copy_from_slice(src)
+                });
                 for (j, step) in convs.iter().enumerate() {
                     let Some(FusedView::Conv { w, b, .. }) = self.layers[step.layer].fused_view()
                     else {
@@ -519,6 +526,7 @@ mod tests {
     use crate::gradcheck::{finite_diff_grad, max_relative_error};
     use crate::init::{randn, seeded_rng};
     use crate::layers::Padding;
+    use crate::windows::{Flat, Windows};
     use crate::Init;
 
     fn small_mlp(seed: u64) -> Sequential {
@@ -684,15 +692,30 @@ mod tests {
         let want = m.forward(&x);
         let mut scratch = CriticScratch::new();
         let mut got = vec![0.0f32; n];
-        m.score_fused(&mut scratch, (4, 4, 1), x.as_slice(), &mut got);
+        let flat = Flat::new(x.as_slice(), 16);
+        m.score_fused(&mut scratch, (4, 4, 1), flat.pieces(0..n), &mut got);
         let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(want.as_slice()), bits(&got));
         // Any split of the batch scores the same.
         let mut split = vec![0.0f32; n];
-        for (xs, out) in x.as_slice().chunks(5 * 16).zip(split.chunks_mut(5)) {
-            m.score_fused(&mut scratch, (4, 4, 1), xs, out);
+        for (i, out) in split.chunks_mut(5).enumerate() {
+            let rows = 5 * i..5 * i + out.len();
+            m.score_fused(&mut scratch, (4, 4, 1), flat.pieces(rows), out);
         }
         assert_eq!(bits(&got), bits(&split));
+        // So does every window cut into two pieces, at a row or anywhere.
+        let cut: Vec<_> = x
+            .as_slice()
+            .chunks_exact(16)
+            .enumerate()
+            .map(|(i, w)| {
+                let (older, newer) = w.split_at(i % 17);
+                [older, newer]
+            })
+            .collect();
+        let mut pieces = vec![0.0f32; n];
+        m.score_fused(&mut scratch, (4, 4, 1), cut, &mut pieces);
+        assert_eq!(bits(&got), bits(&pieces));
     }
 
     #[test]
@@ -705,8 +728,9 @@ mod tests {
         let settled = scratch.bytes();
         assert!(settled > 0);
         let mut out = [0.0f32; 3];
+        let flat = Flat::new(x.as_slice(), 16);
         for _ in 0..10 {
-            m.score_fused(&mut scratch, (4, 4, 1), x.as_slice(), &mut out);
+            m.score_fused(&mut scratch, (4, 4, 1), flat.pieces(0..3), &mut out);
             assert_eq!(scratch.bytes(), settled, "a fitted scratch must not grow");
         }
     }

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use vehigan_tensor::init::{rand_uniform, randn, seeded_rng};
 use vehigan_tensor::layers::{Activation, Conv2D, Dense, Flatten, Padding};
-use vehigan_tensor::{CriticScratch, Init, Sequential, HEAD_ROWS};
+use vehigan_tensor::{CriticScratch, Flat, Init, Sequential, Windows, HEAD_ROWS};
 
 /// One convolution: `(cout, kh, kw, followed by a LeakyReLU)`.
 type Conv = (usize, usize, usize, bool);
@@ -75,7 +75,8 @@ proptest! {
         let want = critic.forward(&x);
         let mut scratch = CriticScratch::new();
         let mut got = vec![0.0f32; n];
-        critic.score_fused(&mut scratch, (h, w, cin), x.as_slice(), &mut got);
+        let flat = Flat::new(x.as_slice(), len);
+        critic.score_fused(&mut scratch, (h, w, cin), flat.pieces(0..n), &mut got);
         let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(
             bits(want.as_slice()), bits(&got),
@@ -89,7 +90,7 @@ proptest! {
         other.push(Flatten::new());
         other.push(Dense::new(h * w * 5, 1, Init::XavierUniform, &mut rng));
         let want = other.forward(&x);
-        other.score_fused(&mut scratch, (h, w, cin), x.as_slice(), &mut got);
+        other.score_fused(&mut scratch, (h, w, cin), flat.pieces(0..n), &mut got);
         prop_assert_eq!(bits(want.as_slice()), bits(&got), "second model, shared scratch");
     }
 }

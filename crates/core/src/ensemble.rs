@@ -653,7 +653,12 @@ impl VehiGan {
 
     /// Rejects an empty subset, an index past the last member and an
     /// index named twice.
-    fn check_subset(&self, indices: &[usize]) -> Result<(), EnsembleError> {
+    ///
+    /// # Errors
+    ///
+    /// [`EnsembleError::EmptySubset`], [`EnsembleError::MemberOutOfBounds`]
+    /// or [`EnsembleError::DuplicateMember`].
+    pub fn check_subset(&self, indices: &[usize]) -> Result<(), EnsembleError> {
         if indices.is_empty() {
             return Err(EnsembleError::EmptySubset);
         }

@@ -45,8 +45,8 @@ pub use decompose::{
 };
 pub use ingest::{FieldLimits, IngestGuard, RejectCounters, RejectReason};
 pub use monitor::{
-    residuals, GateDecision, Tier0Calibration, Tier0Monitor, Tier0Params, Tier0State, EWMA_LAMBDA,
-    NUM_RESIDUALS, NUM_STATISTICS, RESIDUAL_NAMES,
+    residuals, GateDecision, Suppression, Tier0Calibration, Tier0Monitor, Tier0Params, Tier0State,
+    EWMA_LAMBDA, NUM_RESIDUALS, NUM_STATISTICS, RESIDUAL_NAMES,
 };
 pub use scaler::MinMaxScaler;
 pub use stream::{lru_key, EvictionConfig, WindowBuffer, WindowRing, WindowView};

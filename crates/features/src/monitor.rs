@@ -40,8 +40,9 @@
 //! operation order, so two replays of the same BSM sequence are bitwise
 //! identical. The state holds no parameters and no previous message: a
 //! [`Tier0Monitor`] wraps it with both for a standalone caller, while a
-//! serve shard keeps the [`Tier0Params`] once and feeds each vehicle's
-//! state the one previous message its window ring also reads. A
+//! serve shard keeps one [`Suppression`] — the state plus the carried
+//! tier-1 score rule — per vehicle, feeding it the one previous message
+//! its window ring also reads. A
 //! [`Tier0Calibration`] fits per-statistic decision
 //! intervals from benign traces at a configurable benign-quantile and
 //! turns a monitor's state into a [`GateDecision`]: `Suppress` (all
@@ -491,20 +492,11 @@ impl Tier0Calibration {
 
     /// Evaluates a monitor against this calibration: the gate decision
     /// and, for `Suppress`, the monitor-implied benign score from the
-    /// advisory band (callers with a real prior tier-1 score — the
-    /// serve plane — carry that instead). A cold monitor (fewer than
-    /// `warmup` rows since its last reset) always screens. `Suppress`
-    /// asserts only "physics saw nothing change"; whether a window may
-    /// actually skip tier-1 additionally depends on the caller holding
-    /// a fresh carried score (see [`Tier0Calibration::refresh`]).
+    /// advisory band. A cold monitor (fewer than `warmup` rows since its
+    /// last reset) always screens. `Suppress` asserts only "physics saw
+    /// nothing change": a [`Suppression`] also needs a fresh carried score.
     pub fn evaluate(&self, monitor: &Tier0Monitor) -> (GateDecision, f32) {
         self.judge(&monitor.state, &monitor.params)
-    }
-
-    /// [`Tier0Calibration::evaluate`] for a bare [`Tier0State`] pushed
-    /// with this calibration's [`Tier0Calibration::params`].
-    pub fn evaluate_state(&self, state: &Tier0State) -> (GateDecision, f32) {
-        self.judge(state, &self.params)
     }
 
     fn judge(&self, state: &Tier0State, params: &Tier0Params) -> (GateDecision, f32) {
@@ -553,8 +545,8 @@ impl Tier0Calibration {
 /// residual row with no allocation and a fixed f32 operation order. It
 /// holds no [`Tier0Params`] and no previous message: [`Tier0State::push`]
 /// takes both from its caller, so a caller tracking many vehicles (the
-/// serve shards) keeps the parameters once and shares each vehicle's
-/// previous message with its [`WindowRing`].
+/// serve shards, through [`Suppression`]) keeps the parameters once and
+/// shares each vehicle's previous message with its [`WindowRing`].
 ///
 /// [`WindowRing`]: crate::WindowRing
 #[derive(Debug, Clone, Copy)]
@@ -620,6 +612,54 @@ impl Tier0State {
             s[NUM_RESIDUALS + i] = (self.ewma[i] - params.mu[i]).abs();
         }
         s
+    }
+}
+
+/// One vehicle's tier-0 suppression rule: its [`Tier0State`], the last
+/// real tier-1 gate score it may carry and how many windows in a row have
+/// carried it. A window skips tier 1 only when the monitors are warm and
+/// in-interval, the score is below [`Tier0Calibration::tau`] and fewer
+/// than [`Tier0Calibration::refresh`] windows in a row carried it. Every
+/// call takes the calibration the state was built with.
+#[derive(Debug, Clone, Copy)]
+pub struct Suppression {
+    state: Tier0State,
+    carried: Option<f32>,
+    streak: u32,
+}
+
+impl Suppression {
+    /// A cold monitor with no score to carry.
+    pub fn new(cal: &Tier0Calibration) -> Self {
+        Suppression {
+            state: Tier0State::new(&cal.params),
+            carried: None,
+            streak: 0,
+        }
+    }
+
+    /// Advances the monitors by the accepted pair `(prev, curr)` (see
+    /// [`Tier0State::push`]).
+    pub fn push(&mut self, cal: &Tier0Calibration, prev: &Bsm, curr: &Bsm) {
+        self.state.push(&cal.params, prev, curr);
+    }
+
+    /// The verdict on the window the last push completed: the carried
+    /// score it reports instead of a tier-1 score, counted toward the
+    /// streak, or `None` when it must screen.
+    pub fn complete(&mut self, cal: &Tier0Calibration) -> Option<f32> {
+        let carried = self
+            .carried
+            .filter(|&g| g < cal.tau && self.streak < cal.refresh)
+            .filter(|_| cal.judge(&self.state, &cal.params).0 == GateDecision::Suppress)?;
+        self.streak += 1;
+        Some(carried)
+    }
+
+    /// Records a screened window's real tier-1 gate score: the score
+    /// later windows may carry, with the streak reset.
+    pub fn record(&mut self, score: f32) {
+        (self.carried, self.streak) = (Some(score), 0);
     }
 }
 
@@ -868,6 +908,74 @@ mod tests {
         let cal = fitted();
         let copy = cal;
         assert_eq!(cal, copy);
+    }
+
+    /// Steps a fresh [`Suppression`] over `bsms`, recording `score` for
+    /// every window that screens, as the serve tick does; returns each
+    /// pair's verdict.
+    fn suppression_verdicts(cal: &Tier0Calibration, bsms: &[Bsm], score: f32) -> Vec<Option<f32>> {
+        let mut s = Suppression::new(cal);
+        s.record(score);
+        bsms.windows(2)
+            .map(|pair| {
+                s.push(cal, &pair[0], &pair[1]);
+                let verdict = s.complete(cal);
+                if verdict.is_none() {
+                    s.record(score);
+                }
+                verdict
+            })
+            .collect()
+    }
+
+    #[test]
+    fn suppression_carries_a_fresh_score_at_most_refresh_times_in_a_row() {
+        let cal = fitted();
+        let verdicts = suppression_verdicts(&cal, &sim_traces()[0].bsms, 0.25);
+        assert!(verdicts.iter().flatten().all(|&g| g == 0.25));
+        let mut runs = vec![0u32];
+        for v in &verdicts {
+            match v {
+                Some(_) => *runs.last_mut().unwrap() += 1,
+                None => runs.push(0),
+            }
+        }
+        assert_eq!(runs.iter().max(), Some(&cal.refresh), "runs {runs:?}");
+    }
+
+    #[test]
+    fn suppression_never_fires_with_refresh_zero_or_a_score_at_tau() {
+        let bsms = &sim_traces()[0].bsms;
+        let mut cal = fitted();
+        cal.tau = 0.5;
+        assert!(suppression_verdicts(&cal, bsms, 0.4)
+            .iter()
+            .any(Option::is_some));
+        assert!(suppression_verdicts(&cal, bsms, 0.5)
+            .iter()
+            .all(Option::is_none));
+        cal.refresh = 0;
+        assert!(suppression_verdicts(&cal, bsms, 0.4)
+            .iter()
+            .all(Option::is_none));
+    }
+
+    #[test]
+    fn suppression_screens_after_an_out_of_order_pair_until_warm() {
+        let cal = fitted();
+        let bsms = &sim_traces()[0].bsms;
+        let k = 3 * cal.warmup as usize;
+        // The duplicate of the newest message resets the monitors; the
+        // stream then goes on from it.
+        let mut stream = bsms[..k].to_vec();
+        stream.push(bsms[k - 1]);
+        stream.extend_from_slice(&bsms[k..]);
+        let verdicts = suppression_verdicts(&cal, &stream, 0.25);
+        assert!(verdicts[..k - 1].iter().any(Option::is_some));
+        let after = &verdicts[k - 1..];
+        let warm = cal.warmup as usize;
+        assert!(after[..warm].iter().all(Option::is_none), "{after:?}");
+        assert!(after[warm..].iter().any(Option::is_some), "never re-warmed");
     }
 
     proptest! {

@@ -274,10 +274,10 @@ impl FaultPlan {
                 drain_ticks += 1;
             }
 
-            server.faults.poisoned = self.poisoned_at(tick);
+            server.detector.faults.poisoned = self.poisoned_at(tick);
             for &(t, shard) in &self.shard_panics {
                 if t == tick {
-                    server.faults.ingest_panics.push(shard);
+                    server.detector.faults.ingest_panics.push(shard);
                 }
             }
 
@@ -320,7 +320,7 @@ impl FaultPlan {
             });
             tick += 1;
         }
-        server.faults = FaultInjector::default();
+        server.detector.faults = FaultInjector::default();
         ChaosReport {
             ticks,
             stats: server.stats(),
@@ -953,10 +953,10 @@ mod tests {
         let middle = clean.tick().unwrap();
         assert!(middle.len() > SCORE_TILE);
         clean.take_reports();
-        failed.faults.poisoned = members.clone();
-        failed.faults.clean_calls.set(1);
+        failed.detector.faults.poisoned = members.clone();
+        failed.detector.faults.clean_calls.set(1);
         let err = failed.tick().unwrap_err();
-        failed.faults = FaultInjector::default();
+        failed.detector.faults = FaultInjector::default();
         assert!(
             matches!(
                 &err,
@@ -1046,10 +1046,10 @@ mod tests {
             let screened: Vec<&Decision> = clean_b.iter().filter(|d| !d.suppressed).collect();
             assert!(screened.len() > SCORE_TILE, "{policy:?}: one tile only");
             for (s, clean_calls) in [(&mut *failed_early, 0), (&mut *failed_late, 1)] {
-                s.faults.poisoned = members.clone();
-                s.faults.clean_calls.set(clean_calls);
+                s.detector.faults.poisoned = members.clone();
+                s.detector.faults.clean_calls.set(clean_calls);
                 let err = s.tick().unwrap_err();
-                s.faults = FaultInjector::default();
+                s.detector.faults = FaultInjector::default();
                 assert!(
                     matches!(
                         &err,

@@ -68,23 +68,15 @@ impl MemberHealth {
         self.benched.iter().any(|&(m, _)| m == member)
     }
 
-    /// Filters a pinned subset down to its active (non-benched) members,
-    /// preserving pinned order so reinstatement restores the exact
-    /// healthy configuration.
+    /// Overwrites `active` with a pinned subset's active (non-benched)
+    /// members, preserving pinned order so reinstatement restores the
+    /// exact healthy configuration.
     ///
     /// If *every* member of the subset is benched, the full subset is
-    /// returned instead: scoring with real members that may fail (and be
+    /// active instead: scoring with real members that may fail (and be
     /// dropped per-batch) beats guaranteeing an empty-subset error until
     /// probation expires.
-    pub fn active(&self, pinned: &[usize]) -> Vec<usize> {
-        let mut active = Vec::new();
-        self.active_into(pinned, &mut active);
-        active
-    }
-
-    /// [`MemberHealth::active`] into a list the caller keeps: `active` is
-    /// overwritten.
-    pub(crate) fn active_into(&self, pinned: &[usize], active: &mut Vec<usize>) {
+    pub fn active_into(&self, pinned: &[usize], active: &mut Vec<usize>) {
         active.clear();
         active.extend(pinned.iter().filter(|&&m| !self.is_benched(m)));
         if active.is_empty() {
@@ -111,6 +103,14 @@ impl MemberHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemberHealth {
+        fn active(&self, pinned: &[usize]) -> Vec<usize> {
+            let mut active = vec![99];
+            self.active_into(pinned, &mut active);
+            active
+        }
+    }
 
     #[test]
     fn bench_excludes_until_release_preserving_pinned_order() {

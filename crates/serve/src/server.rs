@@ -1,57 +1,34 @@
-//! The streaming detection server: parallel sharded ingest, tiled
-//! two-tier scoring once per tick.
-//!
-//! Data flow per tick (DESIGN.md §10):
+//! The streaming detection server: parallel sharded ingest, then once
+//! per tick admission and tiled decisions (DESIGN.md §10, §11).
 //!
 //! 1. **Ingest** — [`StreamServer::ingest_batch`] partitions incoming
 //!    BSMs by [`shard_for`] and runs the shards' buckets on as many
-//!    threads as the batch is worth (the caller is one of them; see
-//!    [`vehigan_tensor::forkjoin`]). A vehicle maps to exactly one shard,
-//!    so its messages are always processed in arrival order. Each shard's
-//!    `IngestGuard` rejects malformed/stale messages before they touch
-//!    window state, and a shard worker that panics is captured and
-//!    resumed rather than crashing the server.
+//!    threads as the batch is worth ([`vehigan_tensor::forkjoin`]). A
+//!    vehicle maps to exactly one shard, so its messages are processed in
+//!    arrival order; a shard worker that panics is captured and resumed.
 //! 2. **Admit** — [`StreamServer::tick`] measures the offered backlog
-//!    against the [`AdmissionConfig`] window budget, drives the
-//!    [`ServeMode`] hysteresis state machine, and takes at most the
-//!    budget's worth of the **oldest** pending windows (water-filled
-//!    across shards in shard-index order — deterministic regardless of
-//!    ingest thread scheduling). Overflow beyond each shard's queue
-//!    bound was already shed oldest-first at ingest, every shed window
-//!    counted.
-//! 3. **Gate** — the admitted windows are taken, shard by shard, into
-//!    tiles of at most [`SCORE_TILE`] screened windows
-//!    (tier-0-suppressed windows are decided on the spot). A tile holds
-//!    where each window lies — its vehicle's ring, or its shard's spill
-//!    buffer ([`WindowAt`]) — not its floats: the fused int8 backend
-//!    ([`VehiGan::score_with_members_int8_into`]) reads every window
-//!    there, row by row into its own plane, with the server's pinned
-//!    member subset, minus any members currently benched by
-//!    [`MemberHealth`]. Decisions are written in admitted order straight
-//!    into the `Vec` the tick returns. In [`ServeMode::Degraded`] a
-//!    `Threshold` policy steps down to gate-only scoring: the gate score
-//!    is the decision. Under `Always` the f32 ensemble scores each tile
-//!    instead, and there is no step 4.
-//! 4. **Escalate** — the windows whose gate score crosses the escalation
-//!    threshold are listed by where they lie, and once every gate tile
-//!    has passed the full f32 ensemble
-//!    ([`VehiGan::score_with_members_into`]) re-scores them there, in
-//!    tiles of its own; their tier-2 score replaces the gate score in the
-//!    emitted decision, and a flagged one's report copies its window as
-//!    evidence. Nothing writes a ring or a spill buffer inside a tick, so
-//!    a window read in step 4 is the window gated in step 3.
+//!    against the [`AdmissionConfig`] budget, drives the [`ServeMode`]
+//!    hysteresis machine, and takes at most the budget's worth of the
+//!    **oldest** pending windows, water-filled across shards in index
+//!    order — deterministic whatever the ingest threads did.
+//! 3. **Decide** — the admitted windows are taken, shard by shard, into
+//!    tiles of at most [`SCORE_TILE`] screened windows, which the
+//!    [`TieredDetector`] decides where they lie ([`WindowAt`]); a window
+//!    tier 0 suppressed costs no room and is decided on the score it
+//!    carries. Decisions land in admitted order in the `Vec` the tick
+//!    returns.
+//! 4. **Record and escalate** — once every tile has passed, each screened
+//!    window's gate score goes back to its vehicle's
+//!    [`vehigan_features::Suppression`] by the slab slot its take named,
+//!    and tier 2 re-scores the escalated windows where they still lie:
+//!    nothing writes a ring or a spill buffer inside a tick.
 //!
-//! Both scoring paths are batch-row independent (see the determinism
-//! contracts in `vehigan_tensor::gemm` and `vehigan_lite::ensemble`), so
-//! a window's score does not depend on which other windows share its
-//! tick — the property the serve determinism test pins down. A tick
-//! whose scoring fails on a later tile leaves what one failing on its
-//! first leaves: carried gate scores reach the shards only once every
-//! gate tile has passed, reports an earlier tile emitted are withdrawn,
-//! and every admitted window is counted shed. The overload/degradation
-//! state machine and fault taxonomy are specified in DESIGN.md §11.
+//! Both scoring backends are batch-row independent, so a window's score
+//! does not depend on which windows share its tick. A tick failing on a
+//! later tile leaves what one failing on its first leaves: no carried
+//! gate score, no report, every admitted window counted shed.
 
-use crate::health::MemberHealth;
+use crate::detector::{TieredDetector, Tile};
 use crate::shard::{shard_for, Shard, WindowAt};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -140,9 +117,6 @@ impl AdmissionConfig {
 const DEGRADE_AFTER: u32 = 2;
 /// Consecutive under-budget ticks before `Degraded → Normal`.
 const RESTORE_AFTER: u32 = 3;
-/// Server ticks a member stays benched after returning non-finite
-/// scores, before being reinstated into its pinned position.
-const PROBATION_TICKS: u64 = 3;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -178,14 +152,11 @@ pub struct ServerConfig {
     /// default.
     pub admission: AdmissionConfig,
     /// Tier-0 kinematic gate calibration (DESIGN.md §12). `None` (the
-    /// default) disables the gate: every window screens through tier 1,
-    /// bitwise identical to the pre-tier-0 server. With a calibration,
-    /// windows whose per-vehicle monitors sit inside their decision
-    /// intervals skip tier 1 entirely and emit the monitor-implied
-    /// benign score; everything else — tripped monitors, cold/rebuilt
-    /// buffers — conservatively falls through to the tier-1 → tier-2
-    /// path. Ignored under [`EscalationPolicy::Always`] (the reference
-    /// path stays pure f32).
+    /// default) screens every window through tier 1. With one, a
+    /// vehicle's window skips tier 1 while its
+    /// [`vehigan_features::Suppression`] carries a score; anything else
+    /// falls through to the tier-1 → tier-2 path. Ignored under
+    /// [`EscalationPolicy::Always`]: the shards then run no monitor.
     pub tier0: Option<Tier0Calibration>,
     /// Reporter identity (this RSU's own pseudonym) for misbehavior
     /// reports. When set, every flagged tier-2 escalation emits an
@@ -244,14 +215,6 @@ pub enum ServeError {
     Score(EnsembleError),
     /// [`EscalationPolicy::Threshold`] requires a compiled int8 backend.
     Int8NotCompiled,
-    /// A shard ingest worker panicked. The panic was captured: the
-    /// worker resumed past the poison message once, and if it panicked
-    /// again the rest of that shard's bucket was quarantined for the
-    /// batch. Per-vehicle window state for other shards is unaffected.
-    ShardPanic {
-        /// Index of the shard whose worker panicked.
-        shard: usize,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -277,9 +240,6 @@ impl fmt::Display for ServeError {
             ServeError::Score(e) => write!(f, "scoring failed: {e}"),
             ServeError::Int8NotCompiled => {
                 write!(f, "gate policy requires VehiGan::compile_int8 first")
-            }
-            ServeError::ShardPanic { shard } => {
-                write!(f, "ingest worker for shard {shard} panicked (captured)")
             }
         }
     }
@@ -365,13 +325,6 @@ pub struct IngestReport {
     pub panicked_shards: Vec<usize>,
 }
 
-/// What one tick scores with: the member subsets left after health
-/// probation.
-struct Deployment<'a> {
-    members: &'a [usize],
-    gate_members: &'a [usize],
-}
-
 /// A screened window on its way through a tick: the decision it fills,
 /// and where its floats lie.
 #[derive(Debug, Clone, Copy)]
@@ -399,18 +352,10 @@ impl Windows for Lying<'_> {
     }
 }
 
-/// The scoring half of [`TickArena`]: one tile of window locations at a
-/// time, plus what tier 2 needs once every tile is gated.
-#[derive(Default)]
-struct TierScratch {
-    /// The tile being gathered: at most [`SCORE_TILE`] screened windows.
-    screened: Vec<Screened>,
-    /// One scoring call's scores.
-    scores: Vec<f32>,
-    /// The windows whose gate score crossed τ_esc.
-    escalate: Vec<Screened>,
-    /// Members either tier dropped in any tile since the tick began.
-    dropped: Vec<usize>,
+impl Tile for Lying<'_> {
+    fn decision(&self, i: usize) -> usize {
+        self.windows[i].decision as usize
+    }
 }
 
 /// The buffers a tick fills, owned by the server so that a steady-state
@@ -422,10 +367,13 @@ struct TickArena {
     /// yet taken.
     lens: Vec<usize>,
     take: Vec<usize>,
-    /// The pinned subsets minus the members on probation.
-    members: Vec<usize>,
-    gate_members: Vec<usize>,
-    tiers: TierScratch,
+    /// The tile being gathered: at most [`SCORE_TILE`] screened windows.
+    screened: Vec<Screened>,
+    /// The windows whose gate score crossed τ_esc.
+    escalate: Vec<Screened>,
+    /// With tier 0 armed, the shard and slab slot of every screened
+    /// window, in admitted order: where its gate score is recorded.
+    slots: Vec<(u32, u32)>,
 }
 
 /// One shard's share of an [`StreamServer::ingest_batch`] call; the
@@ -514,6 +462,78 @@ fn budgeted_take_into(lens: &[usize], budget: Option<usize>, take: &mut Vec<usiz
     }
 }
 
+/// Takes the admitted windows — `arena.take[s]` from shard `s`,
+/// counted down as they leave it — and pushes one decision per window
+/// onto `decisions` in admitted order (shard index, then ingestion
+/// order).
+///
+/// The screened windows gather in tiles of at most [`SCORE_TILE`],
+/// each decided once it fills or the take is over, so the tile
+/// boundaries fall where a whole-batch pass would put them. Once every
+/// tile has passed, the gate scores of the screened windows are
+/// recorded on their vehicles, and tier 2 runs over the windows the
+/// gate escalated.
+fn decide_admitted(
+    detector: &mut TieredDetector<'_>,
+    shards: &mut [Shard],
+    arena: &mut TickArena,
+    decisions: &mut Vec<Decision>,
+) -> Result<(), ServeError> {
+    arena.screened.clear();
+    arena.escalate.clear();
+    arena.slots.clear();
+    arena.screened.reserve_exact(SCORE_TILE);
+    let suppressing = detector.tier0_tau.is_some();
+    let last = arena.take.len() - 1;
+    for s in 0..=last {
+        loop {
+            let room = SCORE_TILE - arena.screened.len();
+            let left = &mut arena.take[s];
+            *left -= shards[s].take_pending_within(*left, room, |w, at| {
+                let d = detector.admit(w.vehicle, w.timestamp, w.carried);
+                if !d.suppressed {
+                    let decision = decisions.len() as u32;
+                    let shard = s as u32;
+                    arena.screened.push(Screened {
+                        decision,
+                        shard,
+                        at,
+                    });
+                    if suppressing {
+                        arena.slots.push((shard, w.slot));
+                    }
+                }
+                decisions.push(d);
+            });
+            let done = *left == 0;
+            let full = arena.screened.len() == SCORE_TILE;
+            if full || done && s == last && !arena.screened.is_empty() {
+                let tile = Lying {
+                    shards,
+                    windows: &arena.screened,
+                };
+                let escalate = &mut arena.escalate;
+                detector.decide(&tile, decisions, |i| escalate.push(tile.windows[i]))?;
+                arena.screened.clear();
+            }
+            if done {
+                break;
+            }
+        }
+    }
+    // Every gate tile passed: the real tier-1 scores go back to the
+    // owning vehicles — the carried scores tier-0 suppression reuses.
+    let gated = decisions.iter().filter(|d| !d.suppressed);
+    for (&(s, slot), d) in arena.slots.iter().zip(gated) {
+        shards[s as usize].record_gate(slot, d.score);
+    }
+    let escalated = Lying {
+        shards,
+        windows: &arena.escalate,
+    };
+    detector.escalate(&escalated, decisions)
+}
+
 /// Runs one shard's bucket with panic capture: a panicked worker is
 /// resumed once past the message it died on; a second panic quarantines
 /// the rest of the bucket for this batch. Returns observed panics. A test
@@ -559,28 +579,18 @@ fn ingest_bucket(
 /// A long-lived RSU-style streaming detection service over a trained
 /// [`VehiGan`].
 pub struct StreamServer<'a> {
-    vehigan: &'a VehiGan,
-    members: Vec<usize>,
-    gate_members: Vec<usize>,
+    /// The decision rule every admitted window goes through.
+    pub(crate) detector: TieredDetector<'a>,
     /// Owned, one per ingest task: a forked `ingest_batch` hands each
     /// task its own `&mut Shard`, and everything else runs on the caller.
     shards: Vec<Shard>,
-    policy: EscalationPolicy,
     admission: AdmissionConfig,
     mode_machine: ModeMachine,
-    health: MemberHealth,
     tick_index: u64,
-    tier0: Option<Tier0Calibration>,
     /// Per-shard ingest work lists.
     ingest_tasks: Vec<IngestTask>,
     arena: TickArena,
-    reporter: Option<VehicleId>,
-    /// Misbehavior reports emitted since the last `take_reports`.
-    reports: Vec<Mbr>,
     stats: ServerStats,
-    /// The faults the in-crate chaos tests inject.
-    #[cfg(test)]
-    pub(crate) faults: crate::chaos::FaultInjector,
 }
 
 impl<'a> StreamServer<'a> {
@@ -609,48 +619,8 @@ impl<'a> StreamServer<'a> {
                 window: config.window,
             });
         }
-        if matches!(config.policy, EscalationPolicy::Threshold(t) if t.is_nan()) {
-            return Err(ServeError::NanEscalationThreshold);
-        }
-        if !matches!(config.policy, EscalationPolicy::Always) && vehigan.int8_backend().is_none() {
-            return Err(ServeError::Int8NotCompiled);
-        }
-        let members = match config.members {
-            Some(m) => m,
-            None => {
-                let healthy = vehigan.healthy_members();
-                healthy.into_iter().take(vehigan.k()).collect()
-            }
-        };
-        let gate_members = config.gate_members.unwrap_or_else(|| members.clone());
-        let configured = (config.window, scaler.width());
-        for subset in [&members, &gate_members] {
-            if subset.is_empty() {
-                return Err(ServeError::BadMembers(EnsembleError::EmptySubset));
-            }
-            for (pos, &i) in subset.iter().enumerate() {
-                if i >= vehigan.m() {
-                    return Err(ServeError::BadMembers(EnsembleError::MemberOutOfBounds {
-                        index: i,
-                        m: vehigan.m(),
-                    }));
-                }
-                if subset[..pos].contains(&i) {
-                    return Err(ServeError::BadMembers(EnsembleError::DuplicateMember {
-                        index: i,
-                    }));
-                }
-                let critic = vehigan.members()[i].wgan.config();
-                let critic = (critic.window, critic.features);
-                if configured != critic {
-                    return Err(ServeError::ShapeMismatch {
-                        configured,
-                        member: i,
-                        critic,
-                    });
-                }
-            }
-        }
+        let detector = TieredDetector::new(vehigan, &config, scaler.width())?;
+        let tier0 = config.tier0.filter(|_| detector.tier0_tau.is_some());
         let shards = (0..config.n_shards)
             .map(|_| {
                 Shard::with_guard(
@@ -660,29 +630,20 @@ impl<'a> StreamServer<'a> {
                     config.guard,
                     config.admission.max_pending_per_shard,
                 )
-                .with_tier0(config.tier0)
+                .with_tier0(tier0)
             })
             .collect();
         Ok(StreamServer {
-            vehigan,
-            members,
-            gate_members,
+            detector,
             shards,
-            policy: config.policy,
             admission: config.admission,
             mode_machine: ModeMachine::new(),
-            health: MemberHealth::new(),
             tick_index: 0,
-            tier0: config.tier0,
             ingest_tasks: (0..config.n_shards)
                 .map(|_| IngestTask::default())
                 .collect(),
             arena: TickArena::default(),
-            reporter: config.reporter,
-            reports: Vec::new(),
             stats: ServerStats::default(),
-            #[cfg(test)]
-            faults: Default::default(),
         })
     }
 
@@ -709,7 +670,7 @@ impl<'a> StreamServer<'a> {
         }
 
         #[cfg(test)]
-        let panic_on = std::mem::take(&mut self.faults.ingest_panics);
+        let panic_on = std::mem::take(&mut self.detector.faults.ingest_panics);
         // Tasks run one per shard, so a task's index is its shard's.
         let run = |_: &mut (), _index: usize, (shard, task): (&mut Shard, &mut IngestTask)| {
             let (ingested0, rejects0, shed0) = (shard.ingested(), shard.rejects(), shard.shed());
@@ -759,16 +720,12 @@ impl<'a> StreamServer<'a> {
     }
 
     /// Admits up to the window budget from the shards' pending queues
-    /// (oldest-first per shard, water-filled across shards), streams the
-    /// admitted windows tile by tile through the gate/escalation
-    /// pipeline, and emits decisions in deterministic order (shard index,
-    /// then ingestion order). Windows over budget stay queued for later
-    /// ticks unless a queue bound sheds them at ingest.
-    ///
-    /// Each tick also advances the [`ServeMode`] hysteresis machine and
-    /// the member-health probation clock: members that returned
-    /// non-finite scores last tick sit out, and expired probations are
-    /// reinstated into their pinned positions before scoring.
+    /// (oldest-first per shard, water-filled across shards), has the
+    /// [`TieredDetector`] decide the admitted windows tile by tile, and
+    /// emits decisions in deterministic order (shard index, then ingestion
+    /// order). Windows over budget stay queued for later ticks. Each tick
+    /// also advances the [`ServeMode`] hysteresis machine and the
+    /// member-health probation clock.
     ///
     /// Returns an empty vec when no windows are ready.
     ///
@@ -779,28 +736,15 @@ impl<'a> StreamServer<'a> {
     /// as scored, and no report or carried gate score of an earlier tile
     /// is left behind.
     pub fn tick(&mut self) -> Result<Vec<Decision>, ServeError> {
-        // The arena steps out of `self` for the tick, so its buffers and
-        // the server can be borrowed side by side.
-        let mut arena = std::mem::take(&mut self.arena);
-        let decisions = self.tick_in(&mut arena);
-        self.arena = arena;
-        decisions
-    }
-
-    fn tick_in(&mut self, arena: &mut TickArena) -> Result<Vec<Decision>, ServeError> {
         self.tick_index += 1;
         self.stats.ticks += 1;
 
-        let TickArena {
-            lens,
-            take,
-            members,
-            gate_members,
-            tiers,
-        } = arena;
-        lens.clear();
-        lens.extend(self.shards.iter().map(Shard::pending_windows));
-        let offered: usize = lens.iter().sum();
+        let arena = &mut self.arena;
+        arena.lens.clear();
+        arena
+            .lens
+            .extend(self.shards.iter().map(Shard::pending_windows));
+        let offered: usize = arena.lens.iter().sum();
         let over_budget = self
             .admission
             .windows_per_tick
@@ -811,262 +755,39 @@ impl<'a> StreamServer<'a> {
         if self.mode_machine.mode == ServeMode::Degraded {
             self.stats.degraded_ticks += 1;
         }
+        self.detector.begin(self.tick_index, self.mode_machine.mode);
 
-        self.health.release_expired(self.tick_index);
-
-        budgeted_take_into(lens, self.admission.windows_per_tick, take);
-        let n: usize = take.iter().sum();
+        let budget = self.admission.windows_per_tick;
+        budgeted_take_into(&arena.lens, budget, &mut arena.take);
+        let n: usize = arena.take.iter().sum();
         if n == 0 {
             return Ok(Vec::new());
         }
-        self.health.active_into(&self.members, members);
-        self.health.active_into(&self.gate_members, gate_members);
-        let deploy = Deployment {
-            members,
-            gate_members,
-        };
         let mut decisions = Vec::with_capacity(n);
-        let reports = self.reports.len();
-        if let Err(e) = self.score_admitted(take, &deploy, tiers, &mut decisions) {
+        let reports = self.detector.reports.len();
+        let shards = &mut self.shards;
+        if let Err(e) = decide_admitted(&mut self.detector, shards, arena, &mut decisions) {
             // The admitted windows, taken or not, leave the shards and will
             // never be decided: they are shed, not scored. The reports of
-            // tiles scored before the failure go too; carried gate scores
-            // wait for every gate tile to pass, so a gate tile failing
-            // leaves none behind.
-            for (shard, &k) in self.shards.iter_mut().zip(take.iter()) {
+            // tiles decided before the failure go too; carried gate scores
+            // wait for every gate tile to pass, so none is left behind.
+            for (shard, &k) in shards.iter_mut().zip(&arena.take) {
                 shard.shed_oldest(k);
             }
             self.stats.shed += decisions.len() as u64;
-            self.stats.reports_emitted -= (self.reports.len() - reports) as u64;
-            self.reports.truncate(reports);
+            self.detector.reports.truncate(reports);
             return Err(e);
         }
+        self.detector.commit(self.tick_index);
 
         let screened = decisions.iter().filter(|d| !d.suppressed).count();
-        let escalated = match self.policy {
-            EscalationPolicy::Always => screened,
-            EscalationPolicy::Threshold(_) => tiers.escalate.len(),
-        };
+        let escalated = decisions.iter().filter(|d| d.escalated).count();
         self.stats.windows_scored += n as u64;
         self.stats.tier0_suppressed += (n - screened) as u64;
         self.stats.tier1_screened += (screened - escalated) as u64;
         self.stats.tier2_escalated += escalated as u64;
-        let dropped = &mut tiers.dropped;
-        if !dropped.is_empty() {
-            dropped.sort_unstable();
-            dropped.dedup();
-            let until = self.tick_index + PROBATION_TICKS;
-            for &m in dropped.iter() {
-                self.health.bench(m, until);
-            }
-        }
+        self.stats.reports_emitted += (self.detector.reports.len() - reports) as u64;
         Ok(decisions)
-    }
-
-    /// Streams the admitted windows — `take[s]` from shard `s`, counted
-    /// down as they leave it — through the tier-1 → tier-2 pipeline under
-    /// the server's policy, gate-only while [`ServeMode::Degraded`], and
-    /// pushes one decision per window onto `decisions` in admitted order
-    /// (shard index, then ingestion order).
-    ///
-    /// The screened windows gather in tiles of at most [`SCORE_TILE`],
-    /// each scored once it fills, so the tile boundaries fall where a
-    /// whole-batch pass would put them; a tile names where its windows
-    /// lie, and the scoring calls read them there. Windows tier 0
-    /// suppressed are decided on the spot: they emit the vehicle's
-    /// carried tier-1 gate score (below the detection threshold by the
-    /// suppression policy) against the calibration's τ. Under a gate, the
-    /// escalated windows are re-scored by tier 2 in one more tiled pass
-    /// once every tile is gated.
-    fn score_admitted(
-        &mut self,
-        take: &mut [usize],
-        deploy: &Deployment<'_>,
-        tiers: &mut TierScratch,
-        decisions: &mut Vec<Decision>,
-    ) -> Result<(), ServeError> {
-        // Tier 0 is bypassed under `Always` (the pure-f32 reference path
-        // has no gate); `gate_tau` is the calibration's τ when it is on.
-        let gate_tau = self
-            .tier0
-            .filter(|_| self.policy != EscalationPolicy::Always)
-            .map(|cal| cal.tau);
-        tiers.screened.clear();
-        tiers.escalate.clear();
-        tiers.dropped.clear();
-        tiers.screened.reserve_exact(SCORE_TILE);
-        for (s, left) in take.iter_mut().enumerate() {
-            while *left > 0 {
-                let screened = &mut tiers.screened;
-                let room = SCORE_TILE - screened.len();
-                let shard = &mut self.shards[s];
-                *left -= shard.take_pending_within(*left, room, gate_tau.is_none(), |w, at| {
-                    let mut d = Decision {
-                        vehicle: w.vehicle,
-                        timestamp: w.timestamp,
-                        score: 0.0,
-                        threshold: 0.0,
-                        escalated: false,
-                        flagged: false,
-                        suppressed: false,
-                    };
-                    match gate_tau.filter(|_| w.suppressed) {
-                        Some(tau) => {
-                            (d.score, d.threshold) = (w.pinned, tau);
-                            (d.flagged, d.suppressed) = (w.pinned > tau, true);
-                        }
-                        None => screened.push(Screened {
-                            decision: decisions.len() as u32,
-                            shard: s as u32,
-                            at,
-                        }),
-                    }
-                    decisions.push(d);
-                });
-                if tiers.screened.len() == SCORE_TILE {
-                    self.decide_tile(deploy, tiers, decisions)?;
-                }
-            }
-        }
-        if !tiers.screened.is_empty() {
-            self.decide_tile(deploy, tiers, decisions)?;
-        }
-        if matches!(self.policy, EscalationPolicy::Threshold(_)) {
-            // Every gate tile passed: feed the real tier-1 scores back to
-            // the owning shards — the carried scores tier-0 suppression
-            // reuses, and the refresh-streak reset. A gateless server
-            // skips this so the ungated baseline pays nothing.
-            if self.tier0.is_some() {
-                let n_shards = self.shards.len();
-                for d in decisions.iter().filter(|d| !d.suppressed) {
-                    self.shards[shard_for(d.vehicle, n_shards)].record_gate(d.vehicle, d.score);
-                }
-            }
-            self.escalate(deploy, tiers, decisions)?;
-        }
-        Ok(())
-    }
-
-    /// Scores the filled tile and empties it: under `Always` the f32
-    /// ensemble decides each window (and reports it if flagged); under a
-    /// gate each window takes its int8 gate score, and those over τ_esc
-    /// are listed for tier 2.
-    fn decide_tile(
-        &mut self,
-        deploy: &Deployment<'_>,
-        tiers: &mut TierScratch,
-        decisions: &mut [Decision],
-    ) -> Result<(), ServeError> {
-        let TierScratch {
-            screened,
-            scores,
-            escalate,
-            dropped,
-        } = tiers;
-        let tile = Lying {
-            shards: &self.shards,
-            windows: screened,
-        };
-        match self.policy {
-            EscalationPolicy::Always => {
-                let tau = self.score_tile(&tile, false, deploy.members, scores, dropped)?;
-                for (i, (w, &score)) in screened.iter().zip(scores.iter()).enumerate() {
-                    let d = &mut decisions[w.decision as usize];
-                    (d.score, d.threshold) = (score, tau);
-                    (d.escalated, d.flagged) = (true, score > tau);
-                    if let Some(mbr) = report(self.reporter, d, tile.window(i)) {
-                        self.reports.push(mbr);
-                        self.stats.reports_emitted += 1;
-                    }
-                }
-            }
-            EscalationPolicy::Threshold(tau_esc) => {
-                let tau = self.score_tile(&tile, true, deploy.gate_members, scores, dropped)?;
-                // Overload: the gate decides every window on its own.
-                // Otherwise a gate score is never a detection on its own.
-                let degraded = self.mode_machine.mode == ServeMode::Degraded;
-                for (w, &score) in screened.iter().zip(scores.iter()) {
-                    let d = &mut decisions[w.decision as usize];
-                    (d.score, d.threshold) = (score, tau);
-                    d.flagged = degraded && score > tau;
-                    if !degraded && score > tau_esc {
-                        escalate.push(*w);
-                    }
-                }
-            }
-        }
-        screened.clear();
-        Ok(())
-    }
-
-    /// Tier 2 under a gate: re-scores the escalated windows, where they
-    /// lie, with the full f32 ensemble in [`SCORE_TILE`] tiles of their
-    /// own, replaces their gate decisions, then reports the flagged ones.
-    fn escalate(
-        &mut self,
-        deploy: &Deployment<'_>,
-        tiers: &mut TierScratch,
-        decisions: &mut [Decision],
-    ) -> Result<(), ServeError> {
-        let TierScratch {
-            scores,
-            escalate,
-            dropped,
-            ..
-        } = tiers;
-        for windows in escalate.chunks(SCORE_TILE) {
-            let tile = Lying {
-                shards: &self.shards,
-                windows,
-            };
-            let tau = self.score_tile(&tile, false, deploy.members, scores, dropped)?;
-            for (w, &score) in windows.iter().zip(scores.iter()) {
-                let d = &mut decisions[w.decision as usize];
-                (d.score, d.threshold) = (score, tau);
-                (d.escalated, d.flagged) = (true, score > tau);
-            }
-        }
-        for w in escalate.iter() {
-            let window = self.shards[w.shard as usize].window_at(w.at);
-            if let Some(mbr) = report(self.reporter, &decisions[w.decision as usize], window) {
-                self.reports.push(mbr);
-                self.stats.reports_emitted += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Scores one tile (at most [`SCORE_TILE`] windows, where they lie)
-    /// through one backend into `scores`, returning the tile's τ. A tile
-    /// is scored by the members that survived *it*: those dropped for
-    /// non-finite scores are appended to `dropped`, so the caller can
-    /// bench them, and τ is the survivors'. Both backends are batch-row
-    /// independent and read each window's floats alone, however its
-    /// pieces split it, so neither the tile a window shares nor where it
-    /// lies can change its score. In a test build, the members the chaos
-    /// tests' fault injector poisons leave the subset first and count as
-    /// dropped.
-    fn score_tile(
-        &self,
-        tile: &Lying<'_>,
-        int8: bool,
-        members: &[usize],
-        scores: &mut Vec<f32>,
-        dropped: &mut Vec<usize>,
-    ) -> Result<f32, ServeError> {
-        scores.clear();
-        scores.resize(tile.count(), 0.0);
-        #[cfg(test)]
-        let members = &self.faults.survivors(members, dropped)?[..];
-        let summary = if int8 {
-            self.vehigan
-                .score_with_members_int8_into(members, tile, scores)
-        } else {
-            self.vehigan.score_with_members_into(members, tile, scores)
-        }
-        .map_err(ServeError::Score)?;
-        dropped.extend(summary.dropped);
-        Ok(summary.threshold)
     }
 
     /// Runs TTL eviction on every shard at stream time `now`, returning
@@ -1096,19 +817,19 @@ impl<'a> StreamServer<'a> {
             stats.rejected += shard.rejects();
             stats.shed += shard.shed();
         }
-        stats.member_demotions = self.health.demotions();
-        stats.member_reinstatements = self.health.reinstatements();
+        stats.member_demotions = self.detector.health.demotions();
+        stats.member_reinstatements = self.detector.health.reinstatements();
         stats
     }
 
     /// The pinned tier-2 ensemble member subset.
     pub fn members(&self) -> &[usize] {
-        &self.members
+        &self.detector.members
     }
 
     /// Members currently benched by serve-time health probation.
     pub fn benched_members(&self) -> Vec<usize> {
-        self.health.benched()
+        self.detector.health.benched()
     }
 
     /// Current load-shedding posture.
@@ -1120,13 +841,13 @@ impl<'a> StreamServer<'a> {
     /// emitted under. Useful when coverage hands a stream between RSUs
     /// mid-run; takes effect from the next tick.
     pub fn set_reporter(&mut self, reporter: Option<VehicleId>) {
-        self.reporter = reporter;
+        self.detector.reporter = reporter;
     }
 
     /// Drains the misbehavior reports emitted since the last call (in
     /// decision order), for forwarding to the misbehavior authority.
     pub fn take_reports(&mut self) -> Vec<Mbr> {
-        std::mem::take(&mut self.reports)
+        self.detector.take_reports()
     }
 
     /// The shards, for the in-crate chaos tests to inspect.
@@ -1134,23 +855,6 @@ impl<'a> StreamServer<'a> {
     pub(crate) fn shards(&self) -> &[Shard] {
         &self.shards
     }
-}
-
-/// Misbehavior reporting: a flagged tier-2 escalation becomes an MBR
-/// under `reporter` carrying its scored window as evidence (tier-0
-/// suppressed windows are never escalated, so none is missed). The
-/// scaler clamps rows to [-1, 1], so emitted reports always pass
-/// `Mbr::validate`'s domain check.
-fn report(reporter: Option<VehicleId>, d: &Decision, window: Pieces<'_>) -> Option<Mbr> {
-    let reporter = reporter.filter(|&r| d.flagged && d.escalated && d.vehicle != r)?;
-    Some(Mbr {
-        reporter,
-        suspect: d.vehicle,
-        timestamp: d.timestamp,
-        score: d.score,
-        threshold: d.threshold,
-        evidence: window.concat(),
-    })
 }
 
 /// Calibrates the gate's escalation threshold from benign gate scores:
@@ -1278,9 +982,9 @@ mod tests {
         assert_eq!((before.windows_scored, before.shed), (6, 0));
 
         // Every deployed member fails for one tick.
-        faulted.faults.poisoned = vec![0, 1];
+        faulted.detector.faults.poisoned = vec![0, 1];
         let err = faulted.tick().unwrap_err();
-        faulted.faults.poisoned.clear();
+        faulted.detector.faults.poisoned.clear();
         let all_failed = EnsembleError::AllMembersFailed {
             attempted: vec![0, 1],
         };
@@ -1415,7 +1119,7 @@ mod tests {
     #[test]
     fn a_window_below_two_is_refused_at_construction() {
         // It used to build, and every ingest_batch then reported a
-        // captured ShardPanic (WindowBuffer::new's assert).
+        // captured shard panic (WindowBuffer::new's assert).
         let vehigan = VehiGan::new(two_critics(), 2, 1).unwrap();
         let scaler = MinMaxScaler::fit_flat(12, (0..24).map(f64::from));
         let config = ServerConfig {

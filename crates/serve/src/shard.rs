@@ -7,12 +7,13 @@
 //!
 //! A slot stores each fact about its vehicle once: the newest accepted
 //! BSM, which both the next window row and the next tier-0 residual row
-//! are computed against, a [`WindowRing`] and a [`Tier0State`] that hold
-//! nothing else, the carried gate score and narrow queue bookkeeping.
-//! The window length, the scaler and the [`Tier0Params`] are the shard's,
-//! passed to every push. Fed the same accepted BSMs, the slot therefore
-//! reproduces a standalone [`WindowBuffer`] and [`Tier0Monitor`] bit for
-//! bit (`tests/shard_props.rs` checks both).
+//! are computed against, a [`WindowRing`], a [`Suppression`] and narrow
+//! queue bookkeeping; the window length, the scaler and the
+//! [`Tier0Calibration`] are the shard's. The shard only steps each
+//! vehicle's [`Suppression`]: a completed window is queued with its
+//! verdict, and [`Shard::record_gate`] records a screened window's gate
+//! score by the slab slot its take named (`tests/shard_props.rs` checks
+//! both against a standalone [`WindowBuffer`] and monitor per vehicle).
 //!
 //! A completed window stays where [`WindowRing::push`] wrote it: the
 //! shard's `pending` queue holds its metadata and its vehicle's slab
@@ -36,14 +37,12 @@
 //!   counted, deterministic window loss instead of unbounded memory.
 //!
 //! [`WindowBuffer`]: vehigan_features::WindowBuffer
-//! [`Tier0Monitor`]: vehigan_features::Tier0Monitor
-//! [`Tier0Params`]: vehigan_features::Tier0Params
 //! [`WindowRing::push`]: vehigan_features::WindowRing::push
 
 use std::collections::HashMap;
 use vehigan_features::{
-    lru_key, EvictionConfig, GateDecision, IngestGuard, MinMaxScaler, RejectCounters,
-    Tier0Calibration, Tier0State, WindowRing,
+    lru_key, EvictionConfig, IngestGuard, MinMaxScaler, RejectCounters, Suppression,
+    Tier0Calibration, WindowRing,
 };
 use vehigan_sim::{Bsm, IdHash, VehicleId};
 use vehigan_tensor::Pieces;
@@ -67,16 +66,14 @@ pub struct PendingWindow {
     pub vehicle: VehicleId,
     /// Timestamp of the BSM that completed the window.
     pub timestamp: f64,
-    /// Tier-0 verdict at window completion: `true` means the vehicle's
-    /// kinematic monitors were warm and every statistic sat inside its
-    /// calibrated decision interval, so the window may skip tier 1.
-    /// Always `false` when the shard has no tier-0 calibration.
-    pub suppressed: bool,
-    /// The score a suppressed window reports in place of an ensemble
-    /// score: the vehicle's last real tier-1 gate score, carried forward
-    /// while the monitors certify its kinematics unchanged (recorded via
-    /// [`Shard::record_gate`]). `0.0` when `suppressed` is `false`.
-    pub pinned: f32,
+    /// The tier-0 verdict at window completion ([`Suppression::complete`]):
+    /// the vehicle's last real tier-1 gate score, carried in place of
+    /// one, or `None` when the window screens. Always `None` when the
+    /// shard has no tier-0 calibration.
+    pub carried: Option<f32>,
+    /// The slab slot of the vehicle: where [`Shard::record_gate`] takes
+    /// its gate score until the shard's next ingest or eviction.
+    pub slot: u32,
 }
 
 /// Where a taken window's floats lie, until the shard's next
@@ -100,18 +97,10 @@ struct Slot {
     /// against. Its `vehicle_id` is the slot's pseudonym.
     prev: Bsm,
     ring: WindowRing,
-    /// Tier-0 kinematic state, present iff the shard had a calibration
-    /// when the slot was built. Reset on out-of-order input by its own
-    /// `push` and discarded wholesale with the slot on eviction.
-    monitor: Option<Tier0State>,
-    /// Last real tier-1 gate score recorded for this vehicle (the score
-    /// a suppressed window carries forward). `None` until the first
-    /// screened window is scored — a vehicle's first window always runs
-    /// tier-1 — and lost with the slot on eviction.
-    last_gate: Option<f32>,
-    /// Consecutive suppressed windows since the last recorded tier-1
-    /// score; suppression requires `streak < refresh`.
-    streak: u32,
+    /// Tier-0 state and carried gate score, present iff the shard had a
+    /// calibration when the slot was built; lost with the slot on
+    /// eviction, so a rebuilt vehicle screens until tier 1 runs again.
+    suppression: Option<Suppression>,
     /// Windows from this vehicle sitting in `pending` (not yet taken or
     /// shed). Eviction never removes a slot while this is non-zero, so
     /// the queue may name its windows by slot index.
@@ -125,12 +114,11 @@ struct Slot {
     newest: f64,
 }
 
-/// A queued window: its metadata, the slab slot of the vehicle that
-/// produced it, and where its floats are.
+/// A queued window: its metadata, with the slab slot of the vehicle
+/// that produced it, and where its floats are.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     meta: PendingWindow,
-    slot: usize,
     /// The spill buffer holding the floats, or `None` while they are
     /// still the newest window in the vehicle's ring.
     spill: Option<u32>,
@@ -212,14 +200,14 @@ impl Shard {
 
     /// Arms (or disarms, with `None`) the tier-0 kinematic gate.
     ///
-    /// Vehicles inserted afterwards get a fresh [`Tier0State`];
+    /// Vehicles inserted afterwards get a fresh [`Suppression`];
     /// already-resident vehicles lose theirs and stay ungated (their
     /// windows keep screening through tier 1) — in practice the gate is
     /// configured at construction, before any traffic.
     pub fn with_tier0(mut self, tier0: Option<Tier0Calibration>) -> Self {
         self.tier0 = tier0;
         for slot in self.slots.iter_mut().flatten() {
-            slot.monitor = None;
+            slot.suppression = None;
         }
         self
     }
@@ -227,10 +215,11 @@ impl Shard {
     /// Ingests one BSM: validates it against the shard's [`IngestGuard`]
     /// (rejections are counted and touch no state — not even a slab slot
     /// for an unseen pseudonym), then pushes the pair it forms with the
-    /// sender's previous BSM into the sender's window ring and tier-0
-    /// state; if the push completes a window, queues it for the next
-    /// tick, shedding the oldest queued window when the queue bound would
-    /// overflow. An unseen pseudonym's first BSM only builds its slot.
+    /// sender's previous BSM into the sender's window ring and
+    /// [`Suppression`]; if the push completes a window, queues it with its
+    /// tier-0 verdict for the next tick, shedding the oldest queued window
+    /// when the queue bound would overflow. An unseen pseudonym's first
+    /// BSM only builds its slot.
     ///
     /// Returns whether the message was accepted.
     pub fn ingest(&mut self, bsm: &Bsm) -> bool {
@@ -255,31 +244,17 @@ impl Shard {
         let slot = self.slots[slot_idx].as_mut().expect("indexed slot is live");
         slot.newest = slot.newest.max(bsm.timestamp);
         let prev = std::mem::replace(&mut slot.prev, *bsm);
-        if let (Some(cal), Some(monitor)) = (tier0, slot.monitor.as_mut()) {
-            monitor.push(&cal.params, &prev, bsm);
+        if let Some((cal, s)) = tier0.zip(slot.suppression.as_mut()) {
+            s.push(cal, &prev, bsm);
         }
         if slot
             .ring
             .push(self.window, &self.scaler, &prev, bsm)
             .is_some()
         {
-            // Evaluate the gate at window completion, while the slot
-            // borrow is live; a missing calibration or monitor screens.
-            // Physics alone is not enough to suppress: the vehicle must
-            // also hold a fresh (streak < refresh) sub-detection tier-1
-            // score to carry forward, so its first window — and at least
-            // every `refresh + 1`-th thereafter — runs the real gate.
-            let (suppressed, pinned) = match (tier0, slot.monitor.as_ref()) {
-                (Some(cal), Some(state)) => match (cal.evaluate_state(state).0, slot.last_gate) {
-                    (GateDecision::Suppress, Some(g))
-                        if g < cal.tau && slot.streak < cal.refresh =>
-                    {
-                        (true, g)
-                    }
-                    _ => (false, 0.0),
-                },
-                _ => (false, 0.0),
-            };
+            let carried = tier0
+                .zip(slot.suppression.as_mut())
+                .and_then(|(cal, s)| s.complete(cal));
             if let Some(cap) = self.max_pending {
                 let cap = cap.max(1);
                 if self.pending.len() >= cap {
@@ -288,19 +263,15 @@ impl Shard {
                 }
             }
             let slot = self.slots[slot_idx].as_mut().expect("indexed slot is live");
-            if suppressed {
-                slot.streak += 1;
-            }
             slot.in_flight += 1;
             slot.in_ring = self.front + self.pending.len() as u64;
             self.pending.push(Queued {
                 meta: PendingWindow {
                     vehicle: bsm.vehicle_id,
                     timestamp: bsm.timestamp,
-                    suppressed,
-                    pinned,
+                    carried,
+                    slot: slot_idx as u32,
                 },
-                slot: slot_idx,
                 spill: None,
             });
         }
@@ -320,7 +291,7 @@ impl Shard {
             self.spill.resize(self.spill.len() + len, 0.0);
             (self.spill.len() / len - 1) as u32
         });
-        let slot = self.slots[queued.slot]
+        let slot = self.slots[queued.meta.slot as usize]
             .as_mut()
             .expect("in-flight slot is live");
         let window = slot.ring.last_window(window).expect("queued window");
@@ -333,17 +304,19 @@ impl Shard {
         self.spilled += 1;
     }
 
-    /// Records the real tier-1 gate score of a screened window back onto
-    /// the vehicle's slot: the carried score its suppressed windows will
-    /// reuse, and the refresh-streak reset. A vanished vehicle (evicted
-    /// between snapshot and tick) is a no-op — its rebuilt slot starts
-    /// with no carried score and screens until tier-1 runs again.
-    pub fn record_gate(&mut self, vehicle: VehicleId, score: f32) {
-        if let Some(&i) = self.index.get(&vehicle) {
-            if let Some(slot) = self.slots[i].as_mut() {
-                slot.last_gate = Some(score);
-                slot.streak = 0;
-            }
+    /// Records a screened window's real tier-1 gate score on the
+    /// [`Suppression`] in [`PendingWindow::slot`]; a no-op without tier 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` holds no vehicle: call it before the shard's next
+    /// ingest or eviction.
+    pub fn record_gate(&mut self, slot: u32, score: f32) {
+        let slot = self.slots[slot as usize]
+            .as_mut()
+            .expect("a taken slot is live");
+        if let Some(s) = slot.suppression.as_mut() {
+            s.record(score);
         }
     }
 
@@ -361,9 +334,7 @@ impl Shard {
         let slot = Slot {
             prev: *first,
             ring: WindowRing::new(self.window, self.features),
-            monitor: self.tier0.as_ref().map(|cal| Tier0State::new(&cal.params)),
-            last_gate: None,
-            streak: 0,
+            suppression: self.tier0.as_ref().map(Suppression::new),
             in_flight: 0,
             in_ring: NOT_IN_RING,
             newest: first.timestamp,
@@ -462,23 +433,20 @@ impl Shard {
     /// [`Shard::take_pending`], for a scoring tile with room for `room`
     /// more windows, and copies none of them: each taken window's
     /// metadata and [`WindowAt`] — where its floats lie, for
-    /// [`Shard::window_at`] — are shown to `visit`, in queue order. The
-    /// take stops before the first window the tile has no room for,
-    /// leaving it and every younger window queued where they are. Returns
-    /// how many windows were taken.
-    ///
-    /// With `room_for_suppressed` off, the windows tier 0 suppressed cost
-    /// no room: a caller that honours the verdict never reads them.
+    /// [`Shard::window_at`] — are shown to `visit`, in queue order. A
+    /// window tier 0 suppressed costs no room: it carries its score and is
+    /// never read. The take stops before the first window the tile has no
+    /// room for, leaving it and every younger window queued where they
+    /// are. Returns how many windows were taken.
     pub fn take_pending_within(
         &mut self,
         n: usize,
         room: usize,
-        room_for_suppressed: bool,
         mut visit: impl FnMut(&PendingWindow, WindowAt),
     ) -> usize {
         let (mut n_taken, mut n_read) = (0, 0);
         for q in self.pending.iter().take(n) {
-            if room_for_suppressed || !q.meta.suppressed {
+            if q.meta.carried.is_none() {
                 if n_read == room {
                     break;
                 }
@@ -520,13 +488,15 @@ impl Shard {
     fn dequeue(&mut self, n: usize, mut visit: impl FnMut(&PendingWindow, WindowAt, Pieces<'_>)) {
         let (window, len) = (self.window, self.window_len());
         for q in self.pending.drain(..n) {
-            let slot = self.slots[q.slot].as_mut().expect("in-flight slot is live");
+            let slot = self.slots[q.meta.slot as usize]
+                .as_mut()
+                .expect("in-flight slot is live");
             slot.in_flight -= 1;
             match q.spill {
                 None => {
                     slot.in_ring = NOT_IN_RING;
                     let window = slot.ring.last_window(window).expect("queued window");
-                    let at = WindowAt::Ring(q.slot as u32);
+                    let at = WindowAt::Ring(q.meta.slot);
                     visit(&q.meta, at, [window.older, window.newer]);
                 }
                 Some(i) => {
@@ -537,13 +507,6 @@ impl Shard {
             }
         }
         self.front += n as u64;
-    }
-
-    /// Drains the whole pending queue: the flat snapshot floats and their
-    /// metadata, in ingestion order. Clears all in-flight marks.
-    pub fn drain_pending(&mut self) -> (Vec<f32>, Vec<PendingWindow>) {
-        let n = self.pending.len();
-        self.take_pending(n)
     }
 
     /// Number of windows awaiting the next tick.

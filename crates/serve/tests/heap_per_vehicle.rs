@@ -2,9 +2,9 @@
 //! a tick holds while it scores, counted per thread by a global
 //! allocator that also tracks its peak.
 //!
-//! - A warm pseudonym pays for its 480-byte window ring, its 232-byte
+//! - A warm pseudonym pays for its 480-byte window ring, its 240-byte
 //!   slab slot (one previous BSM, the ring and tier-0 state, counters)
-//!   and its share of the index: 746 bytes. A slot that also kept a
+//!   and its share of the index: 754 bytes. A slot that also kept a
 //!   second previous BSM, the tier-0 parameters, the scaler handle and
 //!   the window length per vehicle read 440 bytes, 954 per vehicle, and
 //!   fails the bound; a private scaler copy and snapshot tensor per
@@ -85,12 +85,12 @@ fn peak() -> i64 {
 }
 
 /// Heap bytes per warm vehicle: at most this (a slot storing each fact
-/// once reads 746 B, one with per-vehicle copies of `prev`, the tier-0
+/// once reads 754 B, one with per-vehicle copies of `prev`, the tier-0
 /// parameters and the scaler handle 954 B).
 const BOUND_BYTES: f64 = 850.0;
 
 /// Heap bytes per queued window: at most this (an entry naming the
-/// window's slot reads 40 B, a copy of its floats plus metadata 503 B).
+/// window's slot reads 32 B, a copy of its floats plus metadata 503 B).
 const BOUND_BYTES_PER_WINDOW: f64 = 64.0;
 
 /// Heap bytes a tick of `TICK_WINDOWS` windows may add on top of the

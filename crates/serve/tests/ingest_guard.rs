@@ -171,7 +171,7 @@ proptest! {
 
         // The property under test: every float the shard hands to the
         // scoring plane is finite.
-        let (floats, meta) = shard.drain_pending();
+        let (floats, meta) = shard.take_pending(usize::MAX);
         prop_assert_eq!(floats.len(), meta.len() * shard.window_len());
         for (i, x) in floats.iter().enumerate() {
             prop_assert!(
@@ -209,7 +209,7 @@ proptest! {
 
         // The retained windows are exactly the NEWEST ones: their
         // completing timestamps are the last `cap` message timestamps.
-        let (_, meta) = shard.drain_pending();
+        let (_, meta) = shard.take_pending(usize::MAX);
         let expected: Vec<f64> = (0..n_messages)
             .map(|i| 0.1 * (i + 1) as f64)
             .skip(window)
@@ -221,6 +221,6 @@ proptest! {
         // Deterministic: a second identical shard sheds identically.
         let mut again = build();
         prop_assert_eq!(again.shed(), shard.shed());
-        prop_assert_eq!(again.drain_pending().1, meta);
+        prop_assert_eq!(again.take_pending(usize::MAX).1, meta);
     }
 }

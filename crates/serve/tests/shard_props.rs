@@ -96,10 +96,13 @@ struct Tracked {
     in_ring: Option<u64>,
 }
 
-/// A window the model expects the shard to queue.
+/// A window the model expects the shard to queue: who completed it
+/// when, its tier-0 verdict and its floats.
 struct Expected {
     seq: u64,
-    meta: PendingWindow,
+    vehicle: VehicleId,
+    timestamp: f64,
+    carried: Option<f32>,
     floats: Vec<f32>,
 }
 
@@ -231,7 +234,7 @@ impl Model {
         };
         let mut floats = Vec::new();
         window.extend_into(&mut floats);
-        let (suppressed, pinned) = match (self.gate, tracked.monitor.as_ref()) {
+        let carried = match (self.gate, tracked.monitor.as_ref()) {
             (Some(gate), Some(monitor)) => {
                 let physics = gate.evaluate(monitor).0;
                 if monitor.rows() >= gate.warmup && physics == GateDecision::Screen {
@@ -241,14 +244,14 @@ impl Model {
                     (GateDecision::Suppress, Some(g))
                         if g < gate.tau && tracked.streak < gate.refresh =>
                     {
-                        (true, g)
+                        Some(g)
                     }
-                    _ => (false, 0.0),
+                    _ => None,
                 }
             }
-            _ => (false, 0.0),
+            _ => None,
         };
-        if suppressed {
+        if carried.is_some() {
             tracked.streak += 1;
             self.coverage.suppressed += 1;
         }
@@ -261,12 +264,9 @@ impl Model {
         }
         self.queue.push_back(Expected {
             seq: self.next_seq,
-            meta: PendingWindow {
-                vehicle: bsm.vehicle_id,
-                timestamp: bsm.timestamp,
-                suppressed,
-                pinned,
-            },
+            vehicle: bsm.vehicle_id,
+            timestamp: bsm.timestamp,
+            carried,
             floats,
         });
         self.next_seq += 1;
@@ -277,7 +277,7 @@ impl Model {
     fn dequeue(&mut self) -> (Expected, bool) {
         let front = self.queue.pop_front().expect("model queue");
         let mut in_ring = false;
-        if let Some(tracked) = self.vehicles.get_mut(&front.meta.vehicle.0) {
+        if let Some(tracked) = self.vehicles.get_mut(&front.vehicle.0) {
             if tracked.in_ring == Some(front.seq) {
                 tracked.in_ring = None;
                 in_ring = true;
@@ -291,21 +291,21 @@ impl Model {
     fn mixes_ring_and_spill(&self, n: usize) -> bool {
         let taken: Vec<&Expected> = self.queue.iter().take(n).collect();
         taken.iter().any(|e| {
-            let tracked = &self.vehicles[&e.meta.vehicle.0];
+            let tracked = &self.vehicles[&e.vehicle.0];
             tracked.in_ring == Some(e.seq)
                 && taken
                     .iter()
-                    .any(|o| o.meta.vehicle == e.meta.vehicle && o.seq != e.seq)
+                    .any(|o| o.vehicle == e.vehicle && o.seq != e.seq)
         })
     }
 
     /// How many windows a take of up to `take` windows into a tile with
-    /// room for `room` removes: it stops before the first window that
-    /// costs room once `room` are placed.
-    fn expected_take(&mut self, take: usize, room: usize, room_for_suppressed: bool) -> usize {
+    /// room for `room` removes: it stops before the first screened
+    /// window once `room` are placed.
+    fn expected_take(&mut self, take: usize, room: usize) -> usize {
         let (mut taken, mut read) = (0, 0);
         for e in self.queue.iter().take(take) {
-            if room_for_suppressed || !e.meta.suppressed {
+            if e.carried.is_none() {
                 if read == room {
                     self.coverage.stops += 1;
                     break;
@@ -327,7 +327,7 @@ impl Model {
         assert_eq!(shard.shed(), self.shed);
         assert_eq!(shard.spilled(), self.spilled);
         for &v in self.vehicles.keys() {
-            let queued = self.queue.iter().any(|e| e.meta.vehicle.0 == v);
+            let queued = self.queue.iter().any(|e| e.vehicle.0 == v);
             assert_eq!(
                 shard.has_in_flight(VehicleId(v)),
                 queued,
@@ -348,12 +348,11 @@ impl Model {
             at,
         } in taken
         {
-            let (expected, in_ring) = self.dequeue();
-            let e = expected.meta;
+            let (e, in_ring) = self.dequeue();
             assert_eq!((w.vehicle, w.timestamp), (e.vehicle, e.timestamp));
             assert_eq!(
-                (w.suppressed, w.pinned.to_bits()),
-                (e.suppressed, e.pinned.to_bits()),
+                w.carried.map(f32::to_bits),
+                e.carried.map(f32::to_bits),
                 "tier-0 verdict of {:?} at {}",
                 e.vehicle,
                 e.timestamp
@@ -361,7 +360,7 @@ impl Model {
             let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(floats),
-                bits(&expected.floats),
+                bits(&e.floats),
                 "window of {:?} at {}",
                 e.vehicle,
                 e.timestamp
@@ -376,9 +375,9 @@ impl Model {
                 );
             }
         }
-        for Taken { meta: w, .. } in taken.iter().filter(|t| !t.meta.suppressed) {
+        for Taken { meta: w, .. } in taken.iter().filter(|t| t.meta.carried.is_none()) {
             let score = gate_score(w);
-            shard.record_gate(w.vehicle, score);
+            shard.record_gate(w.slot, score);
             if let Some(tracked) = self.vehicles.get_mut(&w.vehicle.0) {
                 tracked.last_gate = Some(score);
                 tracked.streak = 0;
@@ -396,17 +395,14 @@ impl Model {
 /// One round of [`drive`]: accepted-or-not BSMs per vehicle (0–4 each,
 /// interleaved), which of each vehicle's messages repeats or predates its
 /// previous one, a take of up to `take` windows into a tile with room for
-/// `room`, where suppressed windows cost room or not, then optionally a
-/// TTL sweep.
-type Round = (Vec<u8>, Vec<u8>, usize, usize, bool, bool);
+/// `room`, then optionally a TTL sweep.
+type Round = (Vec<u8>, Vec<u8>, usize, usize, bool);
 
 /// Runs `rounds` through `shard` and `model`, checking every take, and
 /// finally drains both.
 fn drive(shard: &mut Shard, model: &mut Model, n_vehicles: u32, rounds: &[Round]) {
     let mut t = 0.0f64;
-    for (r, (counts, irregular, take, room, room_for_suppressed, sweep)) in
-        rounds.iter().enumerate()
-    {
+    for (r, (counts, irregular, take, room, sweep)) in rounds.iter().enumerate() {
         for k in 0..4u8 {
             for v in 0..n_vehicles {
                 if counts[v as usize] <= k {
@@ -426,14 +422,12 @@ fn drive(shard: &mut Shard, model: &mut Model, n_vehicles: u32, rounds: &[Round]
             }
         }
         model.check_queue(shard);
-        let want = model.expected_take(*take, *room, *room_for_suppressed);
+        let want = model.expected_take(*take, *room);
         if model.mixes_ring_and_spill(want) {
             model.coverage.mixed += 1;
         }
         let mut located = Vec::new();
-        let n = shard.take_pending_within(*take, *room, *room_for_suppressed, |w, at| {
-            located.push((*w, at))
-        });
+        let n = shard.take_pending_within(*take, *room, |w, at| located.push((*w, at)));
         assert_eq!((n, located.len()), (want, want), "windows taken");
         // Every location is read once the take is over, as the tick does.
         let taken: Vec<Taken> = located
@@ -450,7 +444,7 @@ fn drive(shard: &mut Shard, model: &mut Model, n_vehicles: u32, rounds: &[Round]
             model.sweep(shard, t);
         }
     }
-    let (floats, meta) = shard.drain_pending();
+    let (floats, meta) = shard.take_pending(usize::MAX);
     model.check_take(shard, &copied(shard, &floats, &meta));
     model.check_queue(shard);
     assert!(model.queue.is_empty());
@@ -499,7 +493,7 @@ fn a_vehicle_pushing_before_the_tick_spills_its_queued_window() {
     // it lies.
     let mut located = Vec::new();
     assert_eq!(
-        shard.take_pending_within(3, 3, true, |w, at| located.push((*w, at))),
+        shard.take_pending_within(3, 3, |w, at| located.push((*w, at))),
         3
     );
     let kinds: Vec<bool> = located
@@ -526,7 +520,7 @@ fn a_vehicle_pushing_before_the_tick_spills_its_queued_window() {
         model.ingest(&mut shard, &wandering_bsm(7, 0.1 * f64::from(i)));
     }
     assert_eq!((shard.spilled(), shard.spill_buffers()), (4, 2));
-    let (floats, meta) = shard.drain_pending();
+    let (floats, meta) = shard.take_pending(usize::MAX);
     let taken = copied(&shard, &floats, &meta);
     model.check_take(&mut shard, &taken);
 }
@@ -556,7 +550,6 @@ fn the_model_check_reaches_every_tier0_path() {
                 irregular,
                 (r % 9) as usize,
                 (r % 4) as usize,
-                r % 2 == 0,
                 r % 15 == 14,
             )
         })
@@ -646,7 +639,7 @@ proptest! {
 
         // Draining clears the in-flight marks; now the same pressure may
         // evict the holders.
-        let (floats, meta) = shard.drain_pending();
+        let (floats, meta) = shard.take_pending(usize::MAX);
         prop_assert_eq!(meta.len(), pending_before);
         prop_assert_eq!(floats.len(), pending_before * shard.window_len());
         for &v in &holders {
@@ -670,7 +663,6 @@ proptest! {
                 0usize..12,
                 // Mostly rooms small enough to stop a take.
                 prop_oneof![0usize..4, 0..=SCORE_TILE],
-                any::<bool>(),
                 any::<bool>(),
             ),
             1..24,

@@ -12,21 +12,20 @@
 //!   claim about the SIMD int8 kernels, so reported but not gated when
 //!   `VEHIGAN_FORCE_PORTABLE` pins the portable fallback;
 //! - max |AUROC(int8) − AUROC(f32)| over the 35-attack Table III campaign
-//!   ≤ 0.01, and the same bound for the served mixture (int8 gate score,
-//!   replaced by the f32 score where the gate score crosses τ_esc);
+//!   ≤ [`AUROC_DELTA_BUDGET`], and the same bound for the served mixture
+//!   (a gated [`vehigan_serve::TieredDetector`] over all m members: the
+//!   int8 gate score, or the f32 score where it crosses τ_esc);
 //! - every int8 leg this CPU has agrees bitwise with the naive reference
 //!   on a critic-shaped GEMM (i32 accumulator equality) — the AVX2 leg
 //!   included, which a VNNI host never dispatches.
 
 use crate::harness::{write_json, Harness, Json};
+use crate::served::{self, scores, Screened, AUROC_DELTA_BUDGET};
 use std::time::Instant;
 use vehigan_metrics::auroc;
-use vehigan_serve::escalation_threshold;
+use vehigan_serve::{escalation_threshold, EscalationPolicy};
 use vehigan_tensor::gemm::{gemm_i8_on, int8_leg, naive_i8, Int8Leg, PackedI8};
 use vehigan_tensor::Tensor;
-
-/// Maximum tolerated AUROC drift of the int8 path vs f32 (ISSUE gate).
-pub const AUROC_DELTA_BUDGET: f64 = 0.01;
 
 /// Escalation cutoff of the mixture column: this percentile of benign
 /// int8 gate scores, so roughly `100 − p` percent of benign traffic is
@@ -166,6 +165,8 @@ pub fn run(harness: &mut Harness) {
     // the served gate+escalation mixture vs f32 beside it. ---
     let benign_gate = harness.gate_scores(&all, &harness.benign_windows.x);
     let tau_esc = escalation_threshold(&benign_gate, ESCALATION_PERCENTILE);
+    let config = served::config(harness, EscalationPolicy::Threshold(tau_esc), all.clone());
+    let mut mixture_detector = served::detector(harness, &config);
     let mut max_delta = 0.0f64;
     let mut mean_delta = 0.0f64;
     let mut worst_attack = String::new();
@@ -175,20 +176,15 @@ pub fn run(harness: &mut Harness) {
     for ai in 0..n_attacks {
         let ds = &harness.attack_windows[ai];
         let f32_scores = harness.ensemble_attack_scores(&all, ai);
-        let int8_scores = harness.gate_scores(&all, &ds.x);
-        let mixture: Vec<f32> = int8_scores
-            .iter()
-            .zip(&f32_scores)
-            .map(|(&g, &t2)| if g > tau_esc { t2 } else { g })
-            .collect();
+        let mixture = Screened::windows(&mut mixture_detector, &ds.x);
         let f32_auroc = auroc(&f32_scores, &ds.labels);
-        let delta = (f32_auroc - auroc(&int8_scores, &ds.labels)).abs();
+        let delta = (f32_auroc - auroc(&mixture.gate, &ds.labels)).abs();
         mean_delta += delta;
         if delta > max_delta {
             max_delta = delta;
             worst_attack = harness.attacks[ai].name().to_string();
         }
-        let mix_delta = (f32_auroc - auroc(&mixture, &ds.labels)).abs();
+        let mix_delta = (f32_auroc - auroc(&scores(&mixture.decisions), &ds.labels)).abs();
         if mix_delta > mix_max_delta {
             mix_max_delta = mix_delta;
             mix_worst_attack = harness.attacks[ai].name().to_string();

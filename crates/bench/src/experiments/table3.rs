@@ -1,8 +1,12 @@
 //! Table III: AUROC of VEHIGAN₁₀¹⁰ and VEHIGAN₅⁵ vs the PCA / KNN / GMM /
 //! AE baselines (raw `Base-` and engineered `Vehi-` variants) against all
-//! 35 attacks.
+//! 35 attacks, and of the served decisions of the deployment the tier-0
+//! proof vouches for (`VehiGAN-served`: k members, the int8 gate with
+//! τ_esc at the benign maximum, the constrained tier-0 calibration).
 
+use crate::experiments::tier0::Deployment;
 use crate::harness::{write_csv, Harness};
+use crate::served::scores;
 use vehigan_baselines::{
     flatten_windows, AeConfig, AeDetector, AnomalyDetector, GmmDetector, KnnDetector, PcaDetector,
 };
@@ -37,18 +41,22 @@ pub fn run(harness: &mut Harness) {
     let n_attacks = harness.attacks.len();
     let m = harness.pipeline.vehigan.m();
 
-    // VEHIGAN columns straight from the score cache.
-    let vehigan_col = |members: Vec<usize>, name: &'static str, h: &Harness| Column {
+    eprintln!("[table3] replaying the served deployment…");
+    let served = Deployment::build(harness).serve(harness);
+    // VEHIGAN columns straight from the score cache, and the served one.
+    let h = &*harness;
+    let vehigan_col = |name, scores: &dyn Fn(usize) -> Vec<f32>| Column {
         name,
         auroc: (0..n_attacks)
-            .map(|ai| {
-                let scores = h.ensemble_attack_scores(&members, ai);
-                auroc(&scores, &h.attack_windows[ai].labels)
-            })
+            .map(|ai| auroc(&scores(ai), &h.attack_windows[ai].labels))
             .collect(),
     };
-    let col_v10 = vehigan_col((0..m).collect(), "VehiGAN-10/10", harness);
-    let col_v5 = vehigan_col((0..m.min(5)).collect(), "VehiGAN-5/5", harness);
+    let all: Vec<usize> = (0..m).collect();
+    let col_v10 = vehigan_col("VehiGAN-10/10", &|ai| h.ensemble_attack_scores(&all, ai));
+    let col_v5 = vehigan_col("VehiGAN-5/5", &|ai| {
+        h.ensemble_attack_scores(&all[..m.min(5)], ai)
+    });
+    let col_served = vehigan_col("VehiGAN-served", &|ai| scores(&served[ai]));
 
     // Raw-representation data for the Base baseline.
     eprintln!("[table3] building raw-representation datasets…");
@@ -94,6 +102,7 @@ pub fn run(harness: &mut Harness) {
             eng_train,
             eng_tests,
         ),
+        col_served,
     ];
 
     // Print the table.

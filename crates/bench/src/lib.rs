@@ -15,3 +15,4 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod served;

@@ -72,18 +72,8 @@ const EXPERIMENTS: &[(&str, Run)] = &[
     ("fig5b", Run::Trained(|h, _| fig5::run_5b(h))),
     ("fig5c", Run::Trained(|h, _| fig5::run_5c(h))),
     ("fig6", Run::Trained(|h, _| fig6::run(h))),
-    (
-        "fig7a",
-        Run::Trained(|h, _| {
-            fig7::run_7a(h);
-        }),
-    ),
-    (
-        "fig7b",
-        Run::Trained(|h, _| {
-            fig7::run_7b(h);
-        }),
-    ),
+    ("fig7a", Run::Trained(|h, _| fig7::run_7a(h))),
+    ("fig7b", Run::Trained(|h, _| fig7::run_7b(h))),
     ("table3", Run::Trained(|h, _| table3::run(h))),
     ("quant", Run::Trained(|h, _| quant::run(h))),
     ("tier0", Run::Trained(|h, _| tier0::run(h))),

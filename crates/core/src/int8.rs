@@ -212,19 +212,6 @@ impl VehiGan {
         };
         self.score_forked(&mut state, workers, indices, out, score)
     }
-
-    /// Scores snapshots through the int8 backend with a fresh random
-    /// subset of `k` healthy members — the int8 counterpart of
-    /// [`VehiGan::score_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`VehiGan::sample_subset`] and
-    /// [`VehiGan::score_with_members_int8`].
-    pub fn score_batch_int8(&mut self, x: &Tensor) -> Result<EnsembleScore, EnsembleError> {
-        let indices = self.sample_subset()?;
-        self.score_with_members_int8(&indices, x)
-    }
 }
 
 #[cfg(test)]
@@ -602,19 +589,6 @@ mod tests {
                 assert_eq!(run(workers), serial, "n = {n}, {workers} workers");
             }
         }
-    }
-
-    #[test]
-    fn score_batch_int8_samples_random_subsets() {
-        let (mut v, _train) = compiled_ensemble();
-        let x = benign(4, 11);
-        let subsets: Vec<Vec<usize>> = (0..10)
-            .map(|_| v.score_batch_int8(&x).unwrap().members)
-            .collect();
-        for s in &subsets {
-            assert_eq!(s.len(), 2);
-        }
-        assert!(subsets.iter().any(|s| s != &subsets[0]));
     }
 
     #[test]

@@ -456,8 +456,8 @@ impl Pipeline {
     /// Compiles the deployed ensemble's int8 backend, calibrating
     /// activation scales on (a subsample of) the benign training windows.
     ///
-    /// After this, [`VehiGan::score_batch_int8`] /
-    /// [`VehiGan::score_with_members_int8`] run the fused int8 path.
+    /// After this, [`VehiGan::score_with_members_int8`] runs the fused
+    /// int8 path.
     ///
     /// # Errors
     ///

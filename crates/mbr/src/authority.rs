@@ -42,13 +42,15 @@ use crate::crl::{CertificateRevocationList, RevocationRecord};
 use crate::evidence::{Observation, SuspectEvidence};
 use crate::pseudonym::{LongTermId, PseudonymManager};
 use crate::report::{InvalidMbrError, Mbr};
+use crate::reporters::EXACT_CAP;
 use std::collections::HashMap;
 use vehigan_sim::{IdHash, VehicleId};
 
 /// Conviction policy of the authority.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct AuthorityPolicy {
-    /// Distinct reporters required for conviction.
+    /// Distinct reporters required for conviction, at most
+    /// [`EXACT_CAP`].
     pub min_reporters: usize,
     /// Total decayed report weight required for conviction.
     pub min_reports: usize,
@@ -86,7 +88,8 @@ pub enum IngestOutcome {
     StaleDiscarded,
     /// Report accepted; suspect not yet convicted.
     Pending {
-        /// Distinct reporters accumulated inside the window.
+        /// Distinct reporters accumulated inside the window: an exact
+        /// count, capped at [`EXACT_CAP`].
         reporters: usize,
         /// Decayed report weight (rounded) inside the window.
         reports: usize,
@@ -190,9 +193,14 @@ impl MisbehaviorAuthority {
     /// # Panics
     ///
     /// Panics if the policy is degenerate (zero reporters/reports or a
-    /// non-positive window).
+    /// non-positive window) or asks for more distinct reporters than a
+    /// case counts ([`EXACT_CAP`]).
     pub fn new(policy: AuthorityPolicy) -> Self {
         assert!(policy.min_reporters >= 1, "need at least one reporter");
+        assert!(
+            policy.min_reporters <= EXACT_CAP,
+            "min_reporters must be <= EXACT_CAP ({EXACT_CAP})"
+        );
         assert!(
             policy.min_reports >= policy.min_reporters,
             "min_reports must be >= min_reporters"
@@ -511,6 +519,16 @@ mod tests {
         let _ = MisbehaviorAuthority::new(AuthorityPolicy {
             min_reporters: 3,
             min_reports: 1,
+            ..policy()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "min_reporters must be <= EXACT_CAP")]
+    fn min_reporters_beyond_the_counted_cap_rejected() {
+        let _ = MisbehaviorAuthority::new(AuthorityPolicy {
+            min_reporters: EXACT_CAP + 1,
+            min_reports: EXACT_CAP + 1,
             ..policy()
         });
     }

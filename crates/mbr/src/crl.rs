@@ -21,7 +21,8 @@ use vehigan_sim::{IdHash, VehicleId};
 pub struct RevocationRecord {
     /// Revocation time (seconds).
     pub revoked_at: f64,
-    /// Distinct reporters that contributed evidence.
+    /// Distinct reporters that contributed evidence: an exact count,
+    /// capped at [`crate::EXACT_CAP`].
     pub reporter_count: usize,
     /// Total reports considered.
     pub report_count: usize,

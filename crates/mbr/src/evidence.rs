@@ -18,7 +18,8 @@
 //! - **`margin`** — the same decay applied to report margins
 //!   (score − threshold), so `margin / weight` is the decayed mean
 //!   margin recorded on conviction.
-//! - **`reporters`** — a window-pruned [`ReporterSketch`] for the
+//! - **`reporters`** — a window-pruned [`ReporterSet`] of at most
+//!   [`crate::EXACT_CAP`] distinct reporters, counted exactly for the
 //!   distinct-reporter requirement. Its first two reporters sit inside
 //!   the 56-byte struct, so the set of a one- or two-reporter case needs
 //!   no allocation of its own; a third spills them to the heap.
@@ -34,7 +35,7 @@
 //! replaying the same per-suspect report sequence reproduces bitwise-
 //! identical state.
 
-use crate::sketch::ReporterSketch;
+use crate::reporters::ReporterSet;
 use vehigan_sim::VehicleId;
 
 /// What ingesting one report did to a suspect's evidence.
@@ -58,7 +59,7 @@ pub struct SuspectEvidence {
     /// Exponentially decayed margin sum.
     pub margin: f64,
     /// Window-pruned distinct-reporter set.
-    pub reporters: ReporterSketch,
+    pub reporters: ReporterSet,
 }
 
 impl SuspectEvidence {
@@ -124,7 +125,8 @@ impl SuspectEvidence {
         self.weight.round() as usize
     }
 
-    /// Distinct reporters with in-window evidence.
+    /// Distinct reporters with in-window evidence, exact up to
+    /// [`crate::EXACT_CAP`].
     pub fn reporter_count(&self, window_s: f64) -> usize {
         self.reporters.count(self.high_water, window_s)
     }
@@ -151,16 +153,11 @@ impl SuspectEvidence {
         fold(self.high_water.to_bits());
         fold(self.weight.to_bits());
         fold(self.margin.to_bits());
-        // The exact pairs fold the same whether they sit inline or spilled.
-        if let ReporterSketch::Sketch(hll) = &self.reporters {
-            fold(u64::MAX);
-            fold(hll.estimate() as u64);
-        } else {
-            fold(self.reporters.entries().count() as u64);
-            for (id, seen) in self.reporters.entries() {
-                fold(u64::from(id.0));
-                fold(seen.to_bits());
-            }
+        // The pairs fold the same whether they sit inline or spilled.
+        fold(self.reporters.entries().count() as u64);
+        for (id, seen) in self.reporters.entries() {
+            fold(u64::from(id.0));
+            fold(seen.to_bits());
         }
         h
     }
@@ -239,9 +236,8 @@ mod tests {
         // The whole point: no per-report retention. Every open case in
         // the authority holds one, so keep it within a cache line: 24
         // bytes of clocks and a 32-byte reporter set whose first two
-        // reporters sit inline (a third spills to the heap, the sketch
-        // is boxed; what the flood's heap comes to is the ledger's
-        // `peak_heap_mb`).
+        // reporters sit inline (a third spills to the heap; what the
+        // flood's heap comes to is the ledger's `peak_heap_mb`).
         assert!(std::mem::size_of::<SuspectEvidence>() <= 56);
     }
 }

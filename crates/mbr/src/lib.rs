@@ -14,11 +14,12 @@
 //!
 //! The authority scales to fleet ingest by what it keeps, on one owner
 //! and one ingest path: per-suspect evidence is a bounded decaying
-//! accumulator ([`SuspectEvidence`]) with a HyperLogLog-backed reporter
-//! sketch ([`ReporterSketch`]), a conviction takes every linked
-//! pseudonym with it, and CRL mirrors sync incrementally by sequence
-//! number ([`CrlDelta`]). [`MisbehaviorAuthority::ingest_batch`] is
-//! one-by-one ingest of a slice plus a summary.
+//! accumulator ([`SuspectEvidence`]) with an exact reporter list of at
+//! most [`EXACT_CAP`] entries ([`ReporterSet`]), a conviction takes
+//! every linked pseudonym with it, and CRL mirrors sync incrementally
+//! by sequence number ([`CrlDelta`]).
+//! [`MisbehaviorAuthority::ingest_batch`] is one-by-one ingest of a
+//! slice plus a summary.
 //!
 //! # Example
 //!
@@ -32,7 +33,7 @@ mod crl;
 mod evidence;
 mod pseudonym;
 mod report;
-mod sketch;
+mod reporters;
 
 pub use authority::{
     AuthorityPolicy, AuthorityStats, BatchReport, Conviction, IngestOutcome, MisbehaviorAuthority,
@@ -41,4 +42,4 @@ pub use crl::{CertificateRevocationList, CrlDelta, CrlOp, RevocationRecord};
 pub use evidence::{Observation, SuspectEvidence};
 pub use pseudonym::{LongTermId, PseudonymManager};
 pub use report::{InvalidMbrError, Mbr};
-pub use sketch::{Hll, ReporterSketch, EXACT_CAP};
+pub use reporters::{ReporterSet, EXACT_CAP};

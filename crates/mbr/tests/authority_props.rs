@@ -1,13 +1,14 @@
-//! Property tests for the fleet-scale evidence pipeline (ISSUE 10):
+//! Property tests for the fleet-scale evidence pipeline:
 //! ingest-order permutation invariance of the conviction set, any
-//! chunking of `ingest_batch` ≡ one-by-one `ingest_ref`, the reporter
-//! cardinality sketch's error bound against an exact `HashSet`, and the
-//! inline reporter storage against an all-`Vec` reference.
+//! chunking of `ingest_batch` ≡ one-by-one `ingest_ref`, the bounded
+//! reporter set's counts against an unbounded map of every reporter's
+//! last accusation, and the inline reporter storage against an all-`Vec`
+//! reference.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use vehigan_mbr::{
-    AuthorityPolicy, CertificateRevocationList, Hll, Mbr, MisbehaviorAuthority, ReporterSketch,
+    AuthorityPolicy, CertificateRevocationList, Mbr, MisbehaviorAuthority, ReporterSet,
     SuspectEvidence, EXACT_CAP,
 };
 use vehigan_sim::VehicleId;
@@ -143,61 +144,48 @@ fn arbitrary_soup(seed: u64, n: usize) -> Vec<Mbr> {
         .collect()
 }
 
-/// The reporter set with every exact pair in one `Vec`, as it was before
-/// the first two moved inline: the reference [`ReporterSketch`] must
-/// match after every `observe`.
-enum VecSketch {
-    Exact(Vec<(u32, f64)>),
-    Sketch(Box<Hll>),
-}
+/// The reporter set with every pair in one `Vec`, as it was before the
+/// first two moved inline: the reference [`ReporterSet`] must match after
+/// every `observe`.
+struct VecReporters(Vec<(u32, f64)>);
 
-impl VecSketch {
-    fn observe(&mut self, reporter: VehicleId, t: f64, window_s: f64) {
-        match self {
-            VecSketch::Exact(entries) => {
-                if let Some(e) = entries.iter_mut().find(|e| e.0 == reporter.0) {
-                    if t > e.1 {
-                        e.1 = t;
-                    }
-                    return;
-                }
-                entries.retain(|e| t - e.1 <= window_s);
-                if entries.len() < EXACT_CAP {
-                    entries.push((reporter.0, t));
-                } else {
-                    let mut hll = Box::new(Hll::new());
-                    for e in entries.iter() {
-                        hll.insert(VehicleId(e.0));
-                    }
-                    hll.insert(reporter);
-                    *self = VecSketch::Sketch(hll);
-                }
+impl VecReporters {
+    /// Returns whether the reporter replaced the least recently seen
+    /// entry of a full list.
+    fn observe(&mut self, reporter: u32, t: f64, window_s: f64) -> bool {
+        let entries = &mut self.0;
+        if let Some(e) = entries.iter_mut().find(|e| e.0 == reporter) {
+            if t > e.1 {
+                e.1 = t;
             }
-            VecSketch::Sketch(hll) => hll.insert(reporter),
+            return false;
         }
+        entries.retain(|e| t - e.1 <= window_s);
+        if entries.len() < EXACT_CAP {
+            entries.push((reporter, t));
+            return false;
+        }
+        let oldest =
+            (1..entries.len()).fold(0, |k, i| if entries[i].1 < entries[k].1 { i } else { k });
+        let evicts = t > entries[oldest].1;
+        if evicts {
+            entries[oldest] = (reporter, t);
+        }
+        evicts
     }
 
     fn count(&self, t: f64, window_s: f64) -> usize {
-        match self {
-            VecSketch::Exact(entries) => entries.iter().filter(|e| t - e.1 <= window_s).count(),
-            VecSketch::Sketch(hll) => hll.estimate(),
-        }
+        self.0.iter().filter(|e| t - e.1 <= window_s).count()
     }
 
-    /// The exact pairs, timestamps as bits (empty in sketch mode).
+    /// The pairs, timestamps as bits.
     fn entries(&self) -> Vec<(u32, u64)> {
-        match self {
-            VecSketch::Exact(entries) => entries.iter().map(|e| (e.0, e.1.to_bits())).collect(),
-            VecSketch::Sketch(_) => Vec::new(),
-        }
+        self.0.iter().map(|e| (e.0, e.1.to_bits())).collect()
     }
 }
 
-fn entry_bits(sketch: &ReporterSketch) -> Vec<(u32, u64)> {
-    sketch
-        .entries()
-        .map(|(id, t)| (id.0, t.to_bits()))
-        .collect()
+fn entry_bits(set: &ReporterSet) -> Vec<(u32, u64)> {
+    set.entries().map(|(id, t)| (id.0, t.to_bits())).collect()
 }
 
 /// One accusation stream against a single suspect's reporter set, as
@@ -213,8 +201,9 @@ fn entry_bits(sketch: &ReporterSketch) -> Vec<(u32, u64)> {
 /// 4. a gap of more than a window and one fresh reporter: pruning takes
 ///    the spilled list below three;
 /// 5. more random pool reports;
-/// 6. `EXACT_CAP + 1` fresh reporters inside one window (overflow into
-///    the sketch), then more random pool reports.
+/// 6. `EXACT_CAP + 1` fresh reporters inside one window (the list fills
+///    and the last one evicts the least recently seen), then more random
+///    pool reports.
 fn reporter_stream(seed: u64) -> Vec<(u32, f64, bool)> {
     let mut rng = Rng(seed);
     let pool = 1 + rng.below(20) as u32;
@@ -263,6 +252,28 @@ fn reporter_stream(seed: u64) -> Vec<(u32, f64, bool)> {
     }
     random(&mut rng, &mut clock, &mut out);
     out
+}
+
+/// Accusations against one suspect from a pool of `pool` reporters, as
+/// `(reporter, timestamp)`: a clock advancing 0–2 s a report on a 0.1 s
+/// step (so timestamps tie), a fifth of the reports late by up to 1.5
+/// windows, and one report in forty after a gap of more than a window.
+fn crowd_stream(seed: u64, pool: u64) -> Vec<(u32, f64)> {
+    let mut rng = Rng(seed);
+    let mut clock = 0.0f64;
+    (0..300)
+        .map(|_| {
+            clock += match rng.below(40) {
+                0 => WINDOW_S + 1.0 + rng.below(600) as f64 / 10.0,
+                _ => rng.below(20) as f64 / 10.0,
+            };
+            let t = match rng.below(5) {
+                0 => clock - rng.below((WINDOW_S * 15.0) as u64) as f64 / 10.0,
+                _ => clock,
+            };
+            (rng.below(pool) as u32, t)
+        })
+        .collect()
 }
 
 proptest! {
@@ -316,76 +327,86 @@ proptest! {
         prop_assert_eq!(batch_convictions, batched.stats().convictions);
     }
 
+    /// The bounded set against an unbounded map of every reporter's last
+    /// accusation: after every `observe`, at the suspect's clock and
+    /// later inside its window, `count` is `min(EXACT_CAP, live distinct
+    /// reporters)`. A list that drops newcomers when full fails this.
     #[test]
-    fn sketch_cardinality_error_is_bounded(
+    fn reporter_set_counts_match_an_unbounded_map(
         seed in proptest::arbitrary::any::<u64>(),
-        n in 1usize..10_000,
+        pool in 1u64..61,
     ) {
-        let mut rng = Rng(seed);
-        let mut sketch = ReporterSketch::new();
-        let mut exact: HashSet<VehicleId> = HashSet::new();
-        let t = 0.0;
-        for _ in 0..n {
-            // Duplicates on purpose: cardinality counts distinct ids.
-            let id = VehicleId(rng.below(n as u64 * 2) as u32);
-            sketch.observe(id, t, WINDOW_S);
-            exact.insert(id);
+        let mut set = ReporterSet::new();
+        let mut truth: HashMap<u32, f64> = HashMap::new();
+        let mut high_water = f64::NEG_INFINITY;
+        let mut over_cap = false;
+        for (reporter, t) in crowd_stream(seed, pool) {
+            if t > high_water + WINDOW_S {
+                // A full window of silence starts the case over, as it
+                // does a suspect's evidence.
+                set = ReporterSet::new();
+                truth.clear();
+            }
+            high_water = high_water.max(t);
+            set.observe(VehicleId(reporter), t, WINDOW_S);
+            let seen = truth.entry(reporter).or_insert(t);
+            *seen = seen.max(t);
+            for probe in [high_water, high_water + WINDOW_S / 3.0, high_water + 0.9 * WINDOW_S] {
+                let live = truth.values().filter(|&&s| probe - s <= WINDOW_S).count();
+                over_cap |= live > EXACT_CAP;
+                prop_assert_eq!(
+                    set.count(probe, WINDOW_S),
+                    live.min(EXACT_CAP),
+                    "reporter {} at t = {}, probe {}",
+                    reporter,
+                    t,
+                    probe
+                );
+            }
         }
-        let est = sketch.count(t, WINDOW_S);
-        let truth = exact.len();
-        if truth <= EXACT_CAP && !sketch.is_sketch() {
-            prop_assert_eq!(est, truth);
-        } else {
-            // HLL with 256 registers: σ ≈ 6.5 %; 3σ plus slack for the
-            // small-range correction handoff.
-            let tol = (truth as f64 * 0.25).max(4.0);
-            prop_assert!(
-                (est as f64 - truth as f64).abs() <= tol,
-                "estimate {} vs exact {} (tolerance {:.0})",
-                est,
-                truth,
-                tol
-            );
-        }
+        prop_assert!(
+            over_cap || pool < 2 * EXACT_CAP as u64,
+            "a pool of {} never had more than EXACT_CAP live reporters",
+            pool
+        );
     }
 
     /// Inline storage of the first two reporters ≡ one `Vec` of pairs:
-    /// after every `observe`, the same live pairs in the same order, the
-    /// same counts and the same mode; and a spilled list that pruning took
-    /// back under three digests like the inline set with its pairs.
+    /// after every `observe`, the same live pairs in the same order and
+    /// the same counts; and a spilled list that pruning took back under
+    /// three digests like the inline set with its pairs.
     #[test]
     fn inline_reporters_match_the_vec_reference(seed in proptest::arbitrary::any::<u64>()) {
-        let mut sketch = ReporterSketch::new();
-        let mut reference = VecSketch::Exact(Vec::new());
+        let mut set = ReporterSet::new();
+        let mut reference = VecReporters(Vec::new());
         let (mut spilled_from_inline, mut pruned_below_three) = (false, false);
+        let mut evicted = false;
         for (reporter, t, reset) in reporter_stream(seed) {
             if reset {
-                sketch = ReporterSketch::new();
-                reference = VecSketch::Exact(Vec::new());
+                set = ReporterSet::new();
+                reference = VecReporters(Vec::new());
             }
-            let was_two = matches!(sketch, ReporterSketch::Two(..));
-            let had = reference.entries().len();
-            sketch.observe(VehicleId(reporter), t, WINDOW_S);
-            reference.observe(VehicleId(reporter), t, WINDOW_S);
+            let was_two = matches!(set, ReporterSet::Two(..));
+            let had = reference.0.len();
+            set.observe(VehicleId(reporter), t, WINDOW_S);
+            evicted |= reference.observe(reporter, t, WINDOW_S);
 
-            prop_assert_eq!(entry_bits(&sketch), reference.entries());
-            prop_assert_eq!(sketch.is_sketch(), matches!(reference, VecSketch::Sketch(_)));
+            prop_assert_eq!(entry_bits(&set), reference.entries());
             for probe in [t, t + WINDOW_S / 2.0, t + WINDOW_S * 2.0] {
-                prop_assert_eq!(sketch.count(probe, WINDOW_S), reference.count(probe, WINDOW_S));
+                prop_assert_eq!(set.count(probe, WINDOW_S), reference.count(probe, WINDOW_S));
             }
-            let now = reference.entries().len();
-            spilled_from_inline |= was_two && had == 2 && now == 3
-                && matches!(sketch, ReporterSketch::Spilled(_));
-            if let ReporterSketch::Spilled(pairs) = &sketch {
+            spilled_from_inline |= was_two && had == 2 && reference.0.len() == 3
+                && matches!(set, ReporterSet::Spilled(_));
+            if let ReporterSet::Spilled(pairs) = &set {
                 if pairs.len() < 3 {
                     pruned_below_three = true;
                     // The same pairs inline: replayed with no pruning.
-                    let mut inline = ReporterSketch::new();
+                    let mut inline = ReporterSet::new();
                     for &(id, seen) in pairs {
                         inline.observe(VehicleId(id), seen, f64::INFINITY);
                     }
-                    prop_assert!(!matches!(inline, ReporterSketch::Spilled(_)));
-                    prop_assert_eq!(entry_bits(&inline), entry_bits(&sketch));
+                    prop_assert!(!matches!(inline, ReporterSet::Spilled(_)));
+                    prop_assert_eq!(entry_bits(&inline), entry_bits(&set));
                     let case = |reporters| SuspectEvidence {
                         high_water: t,
                         weight: 1.5,
@@ -394,13 +415,13 @@ proptest! {
                     };
                     prop_assert_eq!(
                         case(inline).digest(0xcbf2_9ce4_8422_2325),
-                        case(sketch.clone()).digest(0xcbf2_9ce4_8422_2325)
+                        case(set.clone()).digest(0xcbf2_9ce4_8422_2325)
                     );
                 }
             }
         }
         prop_assert!(spilled_from_inline, "no stream step spilled 2 -> 3 from inline");
         prop_assert!(pruned_below_three, "no spilled list was pruned below three");
-        prop_assert!(sketch.is_sketch(), "the stream never overflowed EXACT_CAP");
+        prop_assert!(evicted, "the stream never overflowed EXACT_CAP and evicted");
     }
 }

@@ -24,12 +24,10 @@
 
 #![warn(missing_docs)]
 
-mod attribution;
 mod confusion;
 mod curves;
 mod threshold;
 
-pub use attribution::{auroc_drift, Tier, TierBreakdown};
 pub use confusion::Confusion;
 pub use curves::{auprc, auroc, pr_curve, roc_curve};
 pub use threshold::percentile;

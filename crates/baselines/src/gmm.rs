@@ -17,7 +17,7 @@ use vehigan_tensor::Tensor;
 /// use vehigan_tensor::Tensor;
 ///
 /// let train = Tensor::from_vec((0..100).map(|i| (i % 10) as f32 * 0.01).collect(), &[100, 1]);
-/// let mut gmm = GmmDetector::new(2, 30, 7);
+/// let mut gmm = GmmDetector::default();
 /// gmm.fit(&train);
 /// let s = gmm.score_batch(&Tensor::from_vec(vec![0.05, 10.0], &[2, 1]));
 /// assert!(s[1] > s[0]);
@@ -41,7 +41,7 @@ impl GmmDetector {
     /// # Panics
     ///
     /// Panics if `n_components == 0` or `n_iters == 0`.
-    pub fn new(n_components: usize, n_iters: usize, seed: u64) -> Self {
+    pub(crate) fn new(n_components: usize, n_iters: usize, seed: u64) -> Self {
         assert!(n_components > 0, "need at least one component");
         assert!(n_iters > 0, "need at least one EM iteration");
         GmmDetector {

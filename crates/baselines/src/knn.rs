@@ -17,7 +17,7 @@ use vehigan_tensor::Tensor;
 /// use vehigan_tensor::Tensor;
 ///
 /// let train = Tensor::from_vec(vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5], &[6, 1]);
-/// let mut knn = KnnDetector::new(2, 1000);
+/// let mut knn = KnnDetector::default();
 /// knn.fit(&train);
 /// let scores = knn.score_batch(&Tensor::from_vec(vec![0.25, 9.0], &[2, 1]));
 /// assert!(scores[1] > scores[0]);
@@ -36,7 +36,7 @@ impl KnnDetector {
     /// # Panics
     ///
     /// Panics if `k == 0` or `max_train <= k`.
-    pub fn new(k: usize, max_train: usize) -> Self {
+    pub(crate) fn new(k: usize, max_train: usize) -> Self {
         assert!(k > 0, "k must be positive");
         assert!(max_train > k, "max_train must exceed k");
         KnnDetector {

@@ -33,7 +33,7 @@ mod ae;
 mod detector;
 mod gmm;
 mod knn;
-pub mod linalg;
+mod linalg;
 mod pca;
 
 pub use ae::{AeConfig, AeDetector};

@@ -6,32 +6,22 @@
 
 /// A dense symmetric matrix stored row-major.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SymMatrix {
+pub(crate) struct SymMatrix {
     n: usize,
     data: Vec<f64>,
 }
 
 impl SymMatrix {
     /// Creates an `n×n` zero matrix.
-    pub fn zeros(n: usize) -> Self {
+    pub(crate) fn zeros(n: usize) -> Self {
         SymMatrix {
             n,
             data: vec![0.0; n * n],
         }
     }
 
-    /// Dimension `n`.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Element access.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.data[i * self.n + j]
-    }
-
     /// Symmetric element assignment (sets both `(i,j)` and `(j,i)`).
-    pub fn set_sym(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set_sym(&mut self, i: usize, j: usize, v: f64) {
         self.data[i * self.n + j] = v;
         self.data[j * self.n + i] = v;
     }
@@ -42,7 +32,7 @@ impl SymMatrix {
     /// # Panics
     ///
     /// Panics if fewer than 2 rows are given.
-    pub fn covariance(rows: &[Vec<f64>]) -> (SymMatrix, Vec<f64>) {
+    pub(crate) fn covariance(rows: &[Vec<f64>]) -> (SymMatrix, Vec<f64>) {
         assert!(rows.len() >= 2, "covariance needs at least 2 observations");
         let n = rows[0].len();
         let m = rows.len() as f64;
@@ -80,7 +70,7 @@ impl SymMatrix {
     /// Returns `(eigenvalues, eigenvectors)` sorted by descending
     /// eigenvalue; `eigenvectors[k]` is the unit eigenvector for
     /// `eigenvalues[k]`.
-    pub fn eigen(&self) -> (Vec<f64>, Vec<Vec<f64>>) {
+    pub(crate) fn eigen(&self) -> (Vec<f64>, Vec<Vec<f64>>) {
         let n = self.n;
         let mut a = self.data.clone();
         // v starts as identity; columns accumulate the eigenvectors.
@@ -149,18 +139,24 @@ impl SymMatrix {
 }
 
 /// Dot product of two equal-length slices.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
 /// Squared Euclidean distance between two equal-length slices.
-pub fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SymMatrix {
+        fn get(&self, i: usize, j: usize) -> f64 {
+            self.data[i * self.n + j]
+        }
+    }
 
     #[test]
     fn eigen_of_diagonal() {

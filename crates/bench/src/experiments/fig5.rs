@@ -14,7 +14,7 @@ use vehigan_core::adversarial::{afn_attack, afp_attack, random_noise};
 use vehigan_tensor::Tensor;
 
 /// The ε sweep of §V-B (fractional change in scaled sensor values).
-pub const EPSILONS: [f32; 6] = [0.0, 0.002, 0.005, 0.01, 0.015, 0.02];
+pub(crate) const EPSILONS: [f32; 6] = [0.0, 0.002, 0.005, 0.01, 0.015, 0.02];
 
 /// Cap on windows per adversarial evaluation (gradient passes are the
 /// expensive part).
@@ -24,7 +24,7 @@ const MAX_WINDOWS: usize = 256;
 /// scores: every model starts the ε-sweep at exactly 1% FPR, the paper's
 /// operating point (§V-B), independent of small-scale train→test
 /// calibration drift.
-pub fn test_thresholds(harness: &mut Harness, benign: &vehigan_tensor::Tensor) -> Vec<f32> {
+pub(crate) fn test_thresholds(harness: &mut Harness, benign: &vehigan_tensor::Tensor) -> Vec<f32> {
     let m = harness.pipeline.vehigan.m();
     (0..m)
         .map(|i| {
@@ -45,12 +45,12 @@ fn subsample(x: &Tensor, limit: usize) -> Tensor {
 }
 
 /// Benign test windows capped for gradient work.
-pub fn benign_sample(harness: &Harness) -> Tensor {
+pub(crate) fn benign_sample(harness: &Harness) -> Tensor {
     subsample(&harness.benign_windows.x, MAX_WINDOWS)
 }
 
 /// Malicious test windows pooled across attacks, capped.
-pub fn malicious_sample(harness: &Harness) -> Tensor {
+pub(crate) fn malicious_sample(harness: &Harness) -> Tensor {
     let per_attack = (MAX_WINDOWS / harness.attacks.len()).max(4);
     let mut parts: Vec<Tensor> = Vec::new();
     for ds in &harness.attack_windows {

@@ -12,10 +12,10 @@ use vehigan_lite::Int8Ensemble;
 use vehigan_tensor::init::{rand_uniform, seeded_rng};
 
 /// Critic depths swept by the paper (§IV-A.1).
-pub const LAYER_COUNTS: [usize; 3] = [6, 7, 8];
+pub(crate) const LAYER_COUNTS: [usize; 3] = [6, 7, 8];
 
 /// Builds a critic of the given depth with the paper's snapshot shape.
-pub fn critic_config(layers: usize) -> WganConfig {
+pub(crate) fn critic_config(layers: usize) -> WganConfig {
     WganConfig {
         layers,
         ..WganConfig::default()

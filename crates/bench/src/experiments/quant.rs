@@ -13,7 +13,7 @@
 //!   kernels, so reported but not gated when
 //!   `VEHIGAN_FORCE_PORTABLE` pins the portable fallback;
 //! - max |AUROC(int8) − AUROC(f32)| over the 35-attack Table III campaign
-//!   ≤ [`AUROC_DELTA_BUDGET`], and the same bound for the served mixture
+//!   ≤ `AUROC_DELTA_BUDGET`, and the same bound for the served mixture
 //!   (a gated [`vehigan_serve::TieredDetector`] over all m members: the
 //!   int8 gate score, or the f32 score where it crosses τ_esc);
 //! - every int8 leg this CPU has agrees bitwise with the naive reference
@@ -35,11 +35,11 @@ use vehigan_tensor::Tensor;
 /// inside the budget at any percentile; 97.5 keeps tier 2 at ~2.5 % of
 /// benign traffic while sitting below the detection percentile (99), so
 /// every window the ensemble would flag crosses the gate (DESIGN.md §10).
-pub const ESCALATION_PERCENTILE: f64 = 97.5;
+pub(crate) const ESCALATION_PERCENTILE: f64 = 97.5;
 
 /// Minimum required fused-ensemble speedup over the float path (ISSUE
 /// gate).
-pub const MIN_SPEEDUP: f64 = 2.0;
+pub(crate) const MIN_SPEEDUP: f64 = 2.0;
 
 /// Wall-clock milliseconds per call of the f32 and the int8 path, and
 /// the int8 speedup, as `(f32_ms, int8_ms, speedup)`. Each trial times

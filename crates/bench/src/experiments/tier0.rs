@@ -3,7 +3,7 @@
 //! a window the gate would escalate, and cost no ranking quality.
 //!
 //! `vehigan-bench tier0 --scale quick` trains the quick system, builds
-//! the [`Deployment`] — a [`Tier0Calibration`] fit on the benign training
+//! the `Deployment` — a [`Tier0Calibration`] fit on the benign training
 //! fleet and tightened with [`Tier0Calibration::constrain`] — and decides
 //! the Table III campaign through the served rule offline
 //! ([`crate::served`]). The replay steps each vehicle's `Suppression`
@@ -19,7 +19,7 @@
 //! - **zero** suppressed campaign windows whose gate score escalates
 //!   past τ_esc, exhaustively over all 36 campaign datasets;
 //! - AUROC degradation of the served decisions vs the screened ones
-//!   (always-tier-1) ≤ [`AUROC_DELTA_BUDGET`] on every attack.
+//!   (always-tier-1) ≤ `AUROC_DELTA_BUDGET` on every attack.
 
 use crate::harness::Harness;
 use crate::served::{self, dataset_traces, scores, walk, Screened, AUROC_DELTA_BUDGET};
@@ -31,7 +31,7 @@ use vehigan_sim::Bsm;
 use vehigan_vasp::DatasetBuilder;
 
 /// Benign quantile the per-statistic decision intervals are fit at.
-pub const BENIGN_QUANTILE: f64 = 0.995;
+pub(crate) const BENIGN_QUANTILE: f64 = 0.995;
 
 /// Escalation cutoff percentile on benign gate scores. The tier-0 proof
 /// pins this at the benign **maximum** (p100): escalation then means
@@ -43,13 +43,13 @@ pub const BENIGN_QUANTILE: f64 = 0.995;
 /// whose monitor ratios sit deep inside the benign bulk — and the
 /// zero-violation constraint would collapse the suppression scale to
 /// their minimum ratio (~p0.5 of benign), destroying coverage.
-pub const ESCALATION_PERCENTILE: f64 = 100.0;
+pub(crate) const ESCALATION_PERCENTILE: f64 = 100.0;
 
 /// The gated deployment the proof vouches for — the first `k` members on
 /// both tiers, τ_esc at the benign maximum gate score, and the
 /// constrained calibration — with every campaign dataset (the attacks in
 /// Table III order, then benign) screened through it.
-pub struct Deployment {
+pub(crate) struct Deployment {
     /// The served configuration, tier 0 armed.
     config: ServerConfig,
     /// The escalation cutoff of `config`'s gate.
@@ -65,7 +65,7 @@ impl Deployment {
     /// the campaign and tightens the calibration below every window whose
     /// gate score escalates, in campaign order; prints the calibration
     /// and what the tightening did.
-    pub fn build(harness: &mut Harness) -> Deployment {
+    pub(crate) fn build(harness: &mut Harness) -> Deployment {
         harness.pipeline.compile_int8().expect("int8 compiles");
         let harness = &*harness;
         let members: Vec<usize> = (0..harness.pipeline.vehigan.k()).collect();
@@ -169,7 +169,7 @@ impl Deployment {
     }
 
     /// The served decisions on every campaign dataset.
-    pub fn serve(&self, harness: &Harness) -> Vec<Vec<Decision>> {
+    pub(crate) fn serve(&self, harness: &Harness) -> Vec<Vec<Decision>> {
         let detector = served::detector(harness, &self.config);
         let (fleet, stride) = (
             harness.pipeline.test_fleet(),

@@ -31,7 +31,7 @@ impl Scale {
     }
 
     /// The pipeline configuration for this scale.
-    pub fn pipeline_config(self) -> PipelineConfig {
+    pub(crate) fn pipeline_config(self) -> PipelineConfig {
         match self {
             Scale::Quick => PipelineConfig {
                 sim: SimConfig {
@@ -96,32 +96,19 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Trains the system at `scale` and populates the score cache.
-    pub fn build(scale: Scale) -> Harness {
-        Self::build_with(scale, None, false)
-    }
-
-    /// Like [`Harness::build`], but with an optional checkpoint directory:
-    /// zoo training persists every finished member there (including
-    /// epoch-granular partials of the in-flight group), and a rerun of
-    /// the same scale resumes from the directory's manifest — mid-member
-    /// when a partial exists — instead of retraining from scratch (the
-    /// `--resume <dir>` CLI flag). With `retry_quarantined` (the
-    /// `--retry-quarantined` flag), a resumed run retrains previously
-    /// quarantined configurations with a fresh derived seed instead of
-    /// skipping them.
-    pub fn build_with(
-        scale: Scale,
-        resume_dir: Option<PathBuf>,
-        retry_quarantined: bool,
-    ) -> Harness {
+    /// Trains the system at `scale` and populates the score cache. With a
+    /// checkpoint directory, zoo training persists every finished member
+    /// there (including epoch-granular partials of the in-flight group),
+    /// and a rerun of the same scale resumes from the directory's manifest
+    /// — mid-member when a partial exists — instead of retraining from
+    /// scratch (the `--resume <dir>` CLI flag).
+    pub fn build(scale: Scale, resume_dir: Option<PathBuf>) -> Harness {
         eprintln!("[harness] training pipeline at {scale:?} scale…");
         let mut config = scale.pipeline_config();
         if let Some(dir) = resume_dir {
             eprintln!("[harness] checkpointing zoo training in {}", dir.display());
             config.checkpoint_dir = Some(dir);
         }
-        config.retry_quarantined = retry_quarantined;
         let pipeline = Pipeline::run(config);
         if !pipeline.quarantined.is_empty() {
             eprintln!(
@@ -178,14 +165,14 @@ impl Harness {
 
     /// Ensemble scores on attack dataset `attack_idx` using member subset
     /// `members` (mean of cached member scores).
-    pub fn ensemble_attack_scores(&self, members: &[usize], attack_idx: usize) -> Vec<f32> {
+    pub(crate) fn ensemble_attack_scores(&self, members: &[usize], attack_idx: usize) -> Vec<f32> {
         mean_rows(members.iter().map(|&i| &self.member_scores[i][attack_idx]))
     }
 
     /// Int8 gate scores of the windows `x` under a member subset (after
     /// `compile_int8`). One call: the int8 walk is batch-row independent,
     /// so serve-sized tiles would score every window the same.
-    pub fn gate_scores(&self, members: &[usize], x: &Tensor) -> Vec<f32> {
+    pub(crate) fn gate_scores(&self, members: &[usize], x: &Tensor) -> Vec<f32> {
         self.pipeline
             .vehigan
             .score_with_members_int8(members, x)
@@ -214,14 +201,14 @@ fn mean_rows<'a>(rows: impl Iterator<Item = &'a Vec<f32>>) -> Vec<f32> {
 }
 
 /// The results directory (`results/` at the workspace root).
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
 
 /// Writes CSV rows (first row = header) to `results/<name>`.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) {
+pub(crate) fn write_csv(name: &str, header: &str, rows: &[String]) {
     let mut out = String::with_capacity(rows.len() * 32 + header.len() + 1);
     out.push_str(header);
     out.push('\n');
@@ -238,7 +225,7 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
 /// experiments share. Objects keep insertion order; numbers are written as
 /// the experiment formatted them.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     /// A number or a boolean, written verbatim.
     Lit(String),
     /// A string, escaped when written.
@@ -251,12 +238,12 @@ pub enum Json {
 
 impl Json {
     /// A number or boolean in its `Display` form.
-    pub fn lit(value: impl std::fmt::Display) -> Json {
+    pub(crate) fn lit(value: impl std::fmt::Display) -> Json {
         Json::Lit(value.to_string())
     }
 
     /// A float with `digits` decimals; `null` when not finite.
-    pub fn fixed(value: f64, digits: usize) -> Json {
+    pub(crate) fn fixed(value: f64, digits: usize) -> Json {
         if value.is_finite() {
             Json::Lit(format!("{value:.digits$}"))
         } else {
@@ -265,14 +252,14 @@ impl Json {
     }
 
     /// A string.
-    pub fn str(value: impl Into<String>) -> Json {
+    pub(crate) fn str(value: impl Into<String>) -> Json {
         Json::Str(value.into())
     }
 
     /// Renders a record: the top-level object puts one key on a line, an
     /// array under it one element on a line, and everything deeper stays
     /// on its line.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         self.write(0, &mut out);
         out.push('\n');
@@ -329,14 +316,14 @@ impl Json {
 }
 
 /// Writes a record to `results/<name>`.
-pub fn write_json(name: &str, record: &Json) {
+pub(crate) fn write_json(name: &str, record: &Json) {
     let path = results_dir().join(name);
     fs::write(&path, record.render()).expect("write results json");
     eprintln!("[harness] wrote {}", path.display());
 }
 
 /// Fraction of scores above a threshold (the FPR when scores are benign).
-pub fn rate_above(scores: &[f32], threshold: f32) -> f64 {
+pub(crate) fn rate_above(scores: &[f32], threshold: f32) -> f64 {
     if scores.is_empty() {
         return 0.0;
     }

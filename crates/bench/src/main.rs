@@ -14,8 +14,6 @@
 //! epoch boundary), and rerunning the same command after an interruption
 //! resumes from the directory's manifest — mid-member when a partial
 //! checkpoint exists.
-//! `--retry-quarantined` additionally retrains configurations the previous
-//! run quarantined, using a fresh derived seed, instead of skipping them.
 //! `--vehicles N` / `--duration S` size the simulated traffic of the
 //! `authority` experiment's live loop (defaults: 10000 vehicles, 2.0 s;
 //! CI smokes a few hundred vehicles). Serve-plane throughput and latency
@@ -33,7 +31,6 @@ use vehigan_bench::harness::{Harness, Scale};
 struct Args {
     scale: Scale,
     resume: Option<PathBuf>,
-    retry_quarantined: bool,
     vehicles: usize,
     duration_s: f64,
 }
@@ -43,7 +40,6 @@ impl Default for Args {
         Args {
             scale: Scale::Quick,
             resume: None,
-            retry_quarantined: false,
             vehicles: 10_000,
             duration_s: 2.0,
         }
@@ -93,12 +89,12 @@ enum Readers {
     Named(&'static [&'static str]),
 }
 
-/// One command-line flag: its name, the value it takes (`None` for a
-/// switch), the experiments that read it, and how it sets [`Args`]
-/// (`None` when the value does not parse).
+/// One command-line flag: its name, the value it takes, the experiments
+/// that read it, and how it sets [`Args`] (`None` when the value does not
+/// parse).
 struct Flag {
     name: &'static str,
-    value: Option<&'static str>,
+    value: &'static str,
     readers: Readers,
     set: fn(&mut Args, &str) -> Option<()>,
 }
@@ -108,7 +104,7 @@ struct Flag {
 const FLAGS: &[Flag] = &[
     Flag {
         name: "--scale",
-        value: Some("quick|paper"),
+        value: "quick|paper",
         readers: Readers::Trained,
         set: |a, v| {
             a.scale = Scale::parse(v)?;
@@ -117,7 +113,7 @@ const FLAGS: &[Flag] = &[
     },
     Flag {
         name: "--resume",
-        value: Some("<dir>"),
+        value: "<dir>",
         readers: Readers::Trained,
         set: |a, v| {
             a.resume = Some(PathBuf::from(v));
@@ -125,17 +121,8 @@ const FLAGS: &[Flag] = &[
         },
     },
     Flag {
-        name: "--retry-quarantined",
-        value: None,
-        readers: Readers::Trained,
-        set: |a, _| {
-            a.retry_quarantined = true;
-            Some(())
-        },
-    },
-    Flag {
         name: "--vehicles",
-        value: Some("N"),
+        value: "N",
         readers: Readers::Named(&["authority", "all"]),
         set: |a, v| {
             a.vehicles = v.parse::<usize>().ok()?.max(1);
@@ -144,7 +131,7 @@ const FLAGS: &[Flag] = &[
     },
     Flag {
         name: "--duration",
-        value: Some("S"),
+        value: "S",
         readers: Readers::Named(&["authority", "all"]),
         set: |a, v| {
             let s = v.parse::<f64>().ok().filter(|s| s.is_finite())?;
@@ -183,12 +170,9 @@ fn parse(args: &[String]) -> Result<(&'static (&'static str, Run), Args), String
         if !flag.readers.read_by(name, &experiment.1) {
             return Err(format!("`{name}` does not read {arg}"));
         }
-        let value = match flag.value {
-            Some(meta) => rest
-                .next()
-                .ok_or_else(|| format!("{arg} needs a value ({meta})"))?,
-            None => "",
-        };
+        let value = rest
+            .next()
+            .ok_or_else(|| format!("{arg} needs a value ({})", flag.value))?;
         (flag.set)(&mut parsed, value).ok_or_else(|| format!("bad value for {arg}: `{value}`"))?;
     }
     Ok((experiment, parsed))
@@ -204,7 +188,7 @@ fn usage(error: &str) -> ! {
             Readers::Trained => "every experiment that trains".to_string(),
             Readers::Named(names) => names.join(" "),
         };
-        let spelled = format!("{} {}", flag.name, flag.value.unwrap_or(""));
+        let spelled = format!("{} {}", flag.name, flag.value);
         eprintln!("  {spelled:<24} read by: {readers}");
     }
     std::process::exit(2);
@@ -261,8 +245,7 @@ fn main() {
     match run {
         Run::Untrained(f) => f(),
         Run::Trained(f) => {
-            let mut harness =
-                Harness::build_with(args.scale, args.resume.clone(), args.retry_quarantined);
+            let mut harness = Harness::build(args.scale, args.resume.clone());
             f(&mut harness, &args);
         }
     }
@@ -277,7 +260,6 @@ mod tests {
         let paper = Args {
             scale: Scale::Paper,
             resume: Some(PathBuf::from("d")),
-            retry_quarantined: true,
             ..Args::default()
         };
         let sized = Args {
@@ -287,10 +269,7 @@ mod tests {
         };
         let cases: &[(&str, Result<Args, &str>)] = &[
             ("gemm", Ok(Args::default())),
-            (
-                "fig5a --scale paper --resume d --retry-quarantined",
-                Ok(paper),
-            ),
+            ("fig5a --scale paper --resume d", Ok(paper)),
             ("authority --vehicles 0 --duration 0.5", Ok(sized)),
             (
                 "all --duration 4",

@@ -1,8 +1,8 @@
 //! The served decision rule, replayed offline over a campaign dataset:
-//! [`Screened::dataset`] runs every window through one [`TieredDetector`]
+//! `Screened::dataset` runs every window through one [`TieredDetector`]
 //! (`admit(.., None)`, `decide` on tiles of at most [`SCORE_TILE`]
 //! windows cut from the dataset's tensor, then `escalate`) and keeps its
-//! gate score; [`Screened::serve`] walks the traces in `build_windows`
+//! gate score; `Screened::serve` walks the traces in `build_windows`
 //! order with one [`Suppression`] per trace, and at each window boundary
 //! takes the carried score (`admit(.., Some(carried))`) or the screened
 //! decision, recording its gate score. Both scoring backends are
@@ -25,11 +25,15 @@ use crate::harness::Harness;
 /// f32 (`quant`, absolute), and tier 0 against always-tier-1 (`tier0`,
 /// signed — suppressing a benign false positive can only improve the
 /// ranking, and an improvement must not trip the budget).
-pub const AUROC_DELTA_BUDGET: f64 = 0.01;
+pub(crate) const AUROC_DELTA_BUDGET: f64 = 0.01;
 
 /// A configuration over the harness's windows: `policy`, with `members`
 /// pinned for both tiers and no tier 0.
-pub fn config(harness: &Harness, policy: EscalationPolicy, members: Vec<usize>) -> ServerConfig {
+pub(crate) fn config(
+    harness: &Harness,
+    policy: EscalationPolicy,
+    members: Vec<usize>,
+) -> ServerConfig {
     ServerConfig {
         window: harness.pipeline.config.window.window,
         policy,
@@ -39,14 +43,14 @@ pub fn config(harness: &Harness, policy: EscalationPolicy, members: Vec<usize>) 
 }
 
 /// The detector `config` deploys over the harness's ensemble.
-pub fn detector<'h>(harness: &'h Harness, config: &ServerConfig) -> TieredDetector<'h> {
+pub(crate) fn detector<'h>(harness: &'h Harness, config: &ServerConfig) -> TieredDetector<'h> {
     let width = harness.pipeline.scaler.width();
     TieredDetector::new(&harness.pipeline.vehigan, config, width).expect("detector builds")
 }
 
 /// A campaign dataset's traces in `build_windows` order: the fleet, each
 /// attacker's trace in place of its benign one.
-pub fn dataset_traces<'a>(
+pub(crate) fn dataset_traces<'a>(
     fleet: &'a [VehicleTrace],
     attackers: &'a HashMap<usize, Vec<Bsm>>,
 ) -> Vec<&'a [Bsm]> {
@@ -60,7 +64,12 @@ pub fn dataset_traces<'a>(
 /// `k` (stride `s`) covers feature rows `[k·s, k·s + window)`, and row
 /// `j` comes from messages `(j, j + 1)`, so it completes at message
 /// `k·s + window`.
-pub fn walk(bsms: &[Bsm], window: usize, stride: usize, mut step: impl FnMut(&Bsm, &Bsm, bool)) {
+pub(crate) fn walk(
+    bsms: &[Bsm],
+    window: usize,
+    stride: usize,
+    mut step: impl FnMut(&Bsm, &Bsm, bool),
+) {
     for (i, pair) in bsms.windows(2).enumerate() {
         let at = i + 1;
         let completes = at >= window && (at - window).is_multiple_of(stride);
@@ -72,7 +81,7 @@ pub fn walk(bsms: &[Bsm], window: usize, stride: usize, mut step: impl FnMut(&Bs
 /// gate and, over τ_esc, the f32 ensemble; under `Always` the ensemble —
 /// with each window's gate score (its decided score under `Always`).
 #[derive(Debug, Clone)]
-pub struct Screened {
+pub(crate) struct Screened {
     /// One decision per window, in dataset order.
     pub decisions: Vec<Decision>,
     /// Each window's gate score: what a screened window records.
@@ -82,7 +91,7 @@ pub struct Screened {
 impl Screened {
     /// Screens the windows of `x`, none tied to a vehicle: each decision
     /// names vehicle 0 at time 0.
-    pub fn windows(detector: &mut TieredDetector<'_>, x: &Tensor) -> Screened {
+    pub(crate) fn windows(detector: &mut TieredDetector<'_>, x: &Tensor) -> Screened {
         let open = detector.admit(VehicleId(0), 0.0, None);
         Self::screen(detector, x, vec![open; x.shape()[0]])
     }
@@ -90,7 +99,7 @@ impl Screened {
     /// Screens a campaign dataset: its windows `x`, which its `traces`
     /// complete at `stride`. Each decision names the pseudonym and
     /// timestamp of the message that completes its window.
-    pub fn dataset(
+    pub(crate) fn dataset(
         detector: &mut TieredDetector<'_>,
         traces: &[&[Bsm]],
         x: &Tensor,
@@ -144,7 +153,7 @@ impl Screened {
     /// `detector` (built from `config`), any other takes its screened
     /// decision and records its gate score. Otherwise the screened
     /// decisions are the served ones.
-    pub fn serve(
+    pub(crate) fn serve(
         &self,
         detector: &TieredDetector<'_>,
         config: &ServerConfig,
@@ -178,7 +187,7 @@ impl Screened {
 }
 
 /// The decided scores, in order.
-pub fn scores(decisions: &[Decision]) -> Vec<f32> {
+pub(crate) fn scores(decisions: &[Decision]) -> Vec<f32> {
     decisions.iter().map(|d| d.score).collect()
 }
 

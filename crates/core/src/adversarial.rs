@@ -72,37 +72,6 @@ pub fn multi_model_afp(critics: &mut [&mut Sequential], x_benign: &Tensor, epsil
     clamp_domain(adv)
 }
 
-/// Projected gradient descent (PGD) AFP attack — the iterative extension
-/// of FGSM (an adaptive adversary beyond the paper's §III-G threat model,
-/// provided for future-work experiments): `steps` gradient-sign steps of
-/// size `epsilon / steps`, re-projected into the ε-ball of the original
-/// input and the `[-1, 1]` domain after every step.
-///
-/// # Panics
-///
-/// Panics if `steps == 0`.
-pub fn pgd_afp_attack(
-    critic: &mut Sequential,
-    x_benign: &Tensor,
-    epsilon: f32,
-    steps: usize,
-) -> Tensor {
-    assert!(steps > 0, "PGD needs at least one step");
-    let alpha = epsilon / steps as f32;
-    let mut adv = x_benign.clone();
-    for _ in 0..steps {
-        let grad_s = score_gradient(critic, &adv);
-        adv.add_scaled(&grad_s.sign(), alpha);
-        // Project into the ε-ball around the original input.
-        let orig = x_benign.as_slice();
-        for (a, &o) in adv.as_mut_slice().iter_mut().zip(orig) {
-            *a = a.clamp(o - epsilon, o + epsilon);
-        }
-        adv = clamp_domain(adv);
-    }
-    adv
-}
-
 /// The random-noise control: a ±ε perturbation with random signs, matching
 /// the FGSM perturbation's magnitude but not its direction (§V-B).
 pub fn random_noise(x: &Tensor, epsilon: f32, rng: &mut StdRng) -> Tensor {
@@ -248,36 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn pgd_is_at_least_as_strong_as_fgsm() {
-        // The iterative attack can refine its direction; mean score shift
-        // must not fall below single-step FGSM (up to small tolerance).
-        let mut wgan = trained_wgan(15);
-        let x = benign(32, 16);
-        let eps = 0.01;
-        let before = wgan.score_batch(&x);
-        let fgsm = afp_attack(wgan.critic_mut(), &x, eps);
-        let pgd = pgd_afp_attack(wgan.critic_mut(), &x, eps, 5);
-        let mean = |v: &[f32]| v.iter().sum::<f32>() / v.len() as f32;
-        let fgsm_shift = mean(&wgan.score_batch(&fgsm)) - mean(&before);
-        let pgd_shift = mean(&wgan.score_batch(&pgd)) - mean(&before);
-        assert!(
-            pgd_shift >= fgsm_shift * 0.8,
-            "pgd {pgd_shift} vs fgsm {fgsm_shift}"
-        );
-    }
-
-    #[test]
-    fn pgd_respects_epsilon_ball() {
-        let mut wgan = trained_wgan(17);
-        let x = benign(4, 18);
-        let eps = 0.01;
-        let adv = pgd_afp_attack(wgan.critic_mut(), &x, eps, 7);
-        for (a, b) in adv.as_slice().iter().zip(x.as_slice()) {
-            assert!((a - b).abs() <= eps + 1e-6);
-        }
-    }
-
-    #[test]
     fn attacks_leave_the_victims_gradient_accumulators_untouched() {
         // Accumulators an attack must hand back as it found them: non-zero
         // ones, as a critic borrowed mid-training has.
@@ -300,7 +239,6 @@ mod tests {
         mark(w2.critic_mut());
         let (before1, before2) = (grads(w1.critic()), grads(w2.critic()));
         let _ = afp_attack(w1.critic_mut(), &x, 0.01);
-        let _ = pgd_afp_attack(w1.critic_mut(), &x, 0.01, 3);
         {
             let mut critics = [w1.critic_mut(), w2.critic_mut()];
             let _ = multi_model_afp(&mut critics, &x, 0.01);

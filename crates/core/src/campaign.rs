@@ -116,7 +116,7 @@ impl<'a> CampaignPlane<'a> {
     /// fresh (they differ per attack), every other vehicle reuses its
     /// cached benign fragment. Bitwise identical to
     /// `build_windows(&builder.attack_dataset(attack), …)`.
-    pub fn attack_windows(&self, attack: Attack) -> WindowDataset {
+    pub(crate) fn attack_windows(&self, attack: Attack) -> WindowDataset {
         let builder = DatasetBuilder::new(self.fleet, self.dataset_config.clone());
         let attackers: Vec<(usize, Option<WindowFragment>)> = builder
             .attacker_traces(attack)

@@ -50,20 +50,20 @@ use std::path::{Path, PathBuf};
 use vehigan_tensor::serialize::ModelFormatError;
 
 /// Magic bytes identifying a VehiGAN zoo checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 4] = b"VZCK";
+pub(crate) const CHECKPOINT_MAGIC: &[u8; 4] = b"VZCK";
 /// Current checkpoint wire-format version (v2: optional trailing
 /// training-state section).
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub(crate) const CHECKPOINT_VERSION: u32 = 2;
 /// The original wire-format version (critic + history only). Still
 /// readable for inference.
-pub const CHECKPOINT_VERSION_V1: u32 = 1;
+pub(crate) const CHECKPOINT_VERSION_V1: u32 = 1;
 
 /// Error reading or writing a checkpoint or manifest.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Underlying I/O failure (open, read, write, rename).
     Io(io::Error),
-    /// The magic bytes did not match [`CHECKPOINT_MAGIC`].
+    /// The magic bytes did not match `CHECKPOINT_MAGIC`.
     BadMagic,
     /// Unsupported checkpoint format version.
     BadVersion(u32),
@@ -158,7 +158,7 @@ impl From<ModelFormatError> for CheckpointError {
 }
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) over a byte slice.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     // Nibble-driven table: 16 entries, no build-time codegen needed.
     const TABLE: [u32; 16] = [
         0x0000_0000,
@@ -190,7 +190,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Deterministic fingerprint of a hyperparameter grid (FNV-1a over the
 /// expanded config ids), used to guard a manifest against being resumed
 /// with a different grid.
-pub fn grid_fingerprint(grid: &GridConfig) -> u64 {
+pub(crate) fn grid_fingerprint(grid: &GridConfig) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for config in grid.expand() {
         for b in config.id().bytes() {
@@ -206,7 +206,7 @@ pub fn grid_fingerprint(grid: &GridConfig) -> u64 {
 /// The run manifest: which members of a grid run are complete, and which
 /// were quarantined (with their reasons).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Manifest {
+pub(crate) struct Manifest {
     /// Fingerprint of the grid this run belongs to.
     pub fingerprint: u64,
     /// Config ids of members whose checkpoints are fully written.
@@ -248,11 +248,6 @@ impl CheckpointStore {
         Ok(CheckpointStore { dir })
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of the checkpoint file for a config id.
     pub fn member_path(&self, id: &str) -> PathBuf {
         self.dir.join(format!("{id}.ckpt"))
@@ -272,9 +267,6 @@ impl CheckpointStore {
     }
 
     /// Path of the partial (mid-group) checkpoint file for a group key.
-    ///
-    /// Keys are salt-independent so a retrained group overwrites — rather
-    /// than orphans — the partial of its quarantined predecessor.
     pub fn partial_path(&self, key: &str) -> PathBuf {
         self.dir.join(format!("{key}.partial.ckpt"))
     }
@@ -290,8 +282,8 @@ impl CheckpointStore {
     /// [`load_partial`] can resume training bitwise-identically instead of
     /// retraining the group from scratch.
     ///
-    /// The payload id is the run config's id (which embeds the — possibly
-    /// retry-salted — seed); the file name is the caller's stable `key`.
+    /// The payload id is the run config's id (which embeds the seed); the
+    /// file name is the caller's stable `key`.
     ///
     /// # Errors
     ///
@@ -322,8 +314,7 @@ impl CheckpointStore {
     /// Loads a partial checkpoint, rebuilding a **trainable** [`Wgan`]
     /// (generator, optimizer caches, spectral vectors, RNG cursor,
     /// history) for `config` — which must be the group's *run* config; a
-    /// partial written under a different seed (e.g. before a quarantine
-    /// retry re-salted the run) fails with
+    /// partial written under a different seed fails with
     /// [`CheckpointError::IdMismatch`].
     ///
     /// # Errors
@@ -372,7 +363,7 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Returns an error on I/O failure or a malformed manifest.
-    pub fn read_manifest(&self) -> Result<Option<Manifest>, CheckpointError> {
+    pub(crate) fn read_manifest(&self) -> Result<Option<Manifest>, CheckpointError> {
         let path = self.manifest_path();
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
@@ -428,7 +419,7 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Returns an error on I/O failure.
-    pub fn write_manifest(&self, manifest: &Manifest) -> Result<(), CheckpointError> {
+    pub(crate) fn write_manifest(&self, manifest: &Manifest) -> Result<(), CheckpointError> {
         let mut out = format!("vehigan-zoo-manifest\tv1\t{:#018x}\n", manifest.fingerprint);
         for id in &manifest.done {
             out.push_str("done\t");
@@ -447,7 +438,7 @@ impl CheckpointStore {
     }
 
     /// Path of the manifest file.
-    pub fn manifest_path(&self) -> PathBuf {
+    pub(crate) fn manifest_path(&self) -> PathBuf {
         self.dir.join("manifest.tsv")
     }
 

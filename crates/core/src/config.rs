@@ -101,7 +101,7 @@ impl WganConfig {
     ///
     /// Panics if the window/feature sizes are not even (the generator
     /// upsamples a half-size seed) or the layer count is below 3.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.layers >= 3, "critic needs at least 3 weight layers");
         assert!(
             self.window >= 2 && self.window.is_multiple_of(2),
@@ -178,7 +178,7 @@ impl GridConfig {
 
     /// Expands the grid into individual configurations, each with a
     /// distinct seed derived from its grid position.
-    pub fn expand(&self) -> Vec<WganConfig> {
+    pub(crate) fn expand(&self) -> Vec<WganConfig> {
         let mut configs = Vec::new();
         for (i, &noise_dim) in self.noise_dims.iter().enumerate() {
             for (j, &layers) in self.layer_counts.iter().enumerate() {

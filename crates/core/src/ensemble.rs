@@ -303,13 +303,6 @@ impl ScoreSummary {
     }
 }
 
-impl EnsembleScore {
-    /// Per-snapshot detection decisions (`score > threshold`).
-    pub fn detections(&self) -> Vec<bool> {
-        self.scores.iter().map(|&s| s > self.threshold).collect()
-    }
-}
-
 /// A misbehavior report (MBR) sent to the misbehavior authority (§I, §III-F).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MisbehaviorReport {
@@ -455,7 +448,7 @@ impl VehiGan {
     ///
     /// [`EnsembleError::InsufficientHealthy`] when fewer than `k` healthy
     /// members remain.
-    pub fn sample_subset(&mut self) -> Result<Vec<usize>, EnsembleError> {
+    pub(crate) fn sample_subset(&mut self) -> Result<Vec<usize>, EnsembleError> {
         let mut indices = self.healthy_members();
         if indices.len() < self.k {
             return Err(EnsembleError::InsufficientHealthy {
@@ -901,7 +894,7 @@ mod tests {
         let v = ensemble(3, 3);
         let x = benign(200, 4);
         let ens = v.score_with_members(&[0, 1, 2], &x).unwrap();
-        let fpr = ens.detections().iter().filter(|&&d| d).count() as f64 / 200.0;
+        let fpr = ens.scores.iter().filter(|&&s| s > ens.threshold).count() as f64 / 200.0;
         assert!(fpr < 0.1, "fpr={fpr}");
     }
 
@@ -917,17 +910,6 @@ mod tests {
             assert!(r.score > r.threshold);
             assert_eq!(r.evidence.shape(), &[1, 10, 12, 1]);
         }
-    }
-
-    #[test]
-    fn detections_threshold_semantics() {
-        let es = EnsembleScore {
-            scores: vec![0.1, 0.9, 0.5],
-            threshold: 0.5,
-            members: vec![0],
-            dropped: vec![],
-        };
-        assert_eq!(es.detections(), vec![false, true, false]);
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl std::fmt::Debug for Int8Backend {
 
 impl Int8Backend {
     /// Number of compiled members.
-    pub fn members(&self) -> usize {
+    pub(crate) fn members(&self) -> usize {
         self.critics.len()
     }
 

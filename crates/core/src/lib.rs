@@ -33,7 +33,7 @@
 //!
 //! Training sixty models and scoring with a random subset of them must
 //! survive individual failures. Divergence sentinels inside
-//! [`Wgan::train_epochs_checked`] roll back and retry a diverging run;
+//! `Wgan::train_epochs_checked` roll back and retry a diverging run;
 //! unrecoverable configurations are quarantined by
 //! [`ModelZoo::train_grid`] (with a structured [`QuarantineReason`])
 //! rather than failing the grid; every finished member is persisted
@@ -55,23 +55,17 @@ mod wgan;
 mod zoo;
 
 pub use campaign::{score_matrix, CampaignPlane};
-pub use checkpoint::{
-    crc32, grid_fingerprint, CheckpointError, CheckpointStore, Manifest, CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION, CHECKPOINT_VERSION_V1,
-};
+pub use checkpoint::{CheckpointError, CheckpointStore};
 pub use config::{GridConfig, LipschitzMode, WganConfig};
 pub use ensemble::{
     CriticMember, EnsembleError, EnsembleScore, MisbehaviorReport, ScoreSummary, VehiGan,
 };
 pub use int8::Int8Backend;
-pub use pipeline::{Pipeline, PipelineConfig, PipelineError};
-pub use wgan::{
-    build_critic, build_generator, DivergenceReason, SentinelPolicy, TrainError, TrainReport,
-    TrainStats, Wgan,
-};
+pub use pipeline::{Pipeline, PipelineConfig};
+pub use wgan::{build_critic, DivergenceReason, TrainError, TrainReport, TrainStats, Wgan};
 pub use zoo::{
-    DetectionScore, ModelZoo, QuarantineReason, QuarantineRecord, ZooEntry, ZooError,
-    ZooTrainOptions, ZooTrainReport,
+    ModelZoo, QuarantineReason, QuarantineRecord, ZooEntry, ZooError, ZooTrainOptions,
+    ZooTrainReport,
 };
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

@@ -20,7 +20,7 @@ use vehigan_vasp::{Attack, DatasetBuilder, DatasetConfig};
 
 /// Error from the fallible pipeline entry point [`Pipeline::try_run`].
 #[derive(Debug)]
-pub enum PipelineError {
+pub(crate) enum PipelineError {
     /// A degenerate configuration (empty splits, `top_m` larger than the
     /// grid, `deploy_k > top_m`, …).
     InvalidConfig(&'static str),
@@ -98,14 +98,11 @@ pub struct PipelineConfig {
     /// When set, zoo training checkpoints every finished member here and
     /// an interrupted run resumes from the directory's manifest.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Retrain previously quarantined grid configurations with a fresh
-    /// derived seed instead of skipping them on resume.
-    pub retry_quarantined: bool,
 }
 
 impl PipelineConfig {
     /// One representative validation attack per targeted field.
-    pub fn default_validation_attacks() -> Vec<Attack> {
+    pub(crate) fn default_validation_attacks() -> Vec<Attack> {
         [
             "RandomPosition",
             "RandomSpeed",
@@ -143,7 +140,6 @@ impl PipelineConfig {
             zoo_threads: 4,
             seed: 0,
             checkpoint_dir: None,
-            retry_quarantined: false,
         }
     }
 
@@ -243,12 +239,12 @@ impl std::fmt::Debug for Pipeline {
 impl Pipeline {
     /// Runs the full training phase.
     ///
-    /// This is the infallible wrapper around [`Pipeline::try_run`].
+    /// This is the infallible wrapper around `Pipeline::try_run`.
     ///
     /// # Panics
     ///
     /// Panics on degenerate configurations (empty splits, `top_m` larger
-    /// than the grid, `deploy_k > top_m`) or any [`PipelineError`].
+    /// than the grid, `deploy_k > top_m`) or any `PipelineError`.
     pub fn run(config: PipelineConfig) -> Pipeline {
         match Self::try_run(config) {
             Ok(p) => p,
@@ -269,7 +265,7 @@ impl Pipeline {
     ///
     /// [`PipelineError::InvalidConfig`] on degenerate configurations,
     /// otherwise the wrapped zoo / model / ensemble error.
-    pub fn try_run(config: PipelineConfig) -> Result<Pipeline, PipelineError> {
+    pub(crate) fn try_run(config: PipelineConfig) -> Result<Pipeline, PipelineError> {
         if config.top_m > config.grid.len() {
             return Err(PipelineError::InvalidConfig("top_m exceeds grid size"));
         }
@@ -324,12 +320,8 @@ impl Pipeline {
         drop(valid_plane);
 
         // 4. Train the zoo (fault-tolerant, resumable) and pre-evaluate.
-        let zoo_options = ZooTrainOptions {
-            threads: config.zoo_threads,
-            checkpoint_dir: config.checkpoint_dir.clone(),
-            retry_quarantined: config.retry_quarantined,
-            ..ZooTrainOptions::default()
-        };
+        let mut zoo_options = ZooTrainOptions::new(config.zoo_threads);
+        zoo_options.checkpoint_dir = config.checkpoint_dir.clone();
         let report = ModelZoo::train_grid(&config.grid, &train_windows.x, &zoo_options)?;
         let mut zoo = report.zoo;
         let quarantined = report.quarantined;
@@ -535,7 +527,8 @@ mod tests {
         let ds = p.test_benign_windows();
         let all: Vec<usize> = (0..p.vehigan.m()).collect();
         let result = p.vehigan.score_with_members(&all, &ds.x).unwrap();
-        let fpr = result.detections().iter().filter(|&&d| d).count() as f64 / ds.len() as f64;
+        let flagged = result.scores.iter().filter(|&&s| s > result.threshold);
+        let fpr = flagged.count() as f64 / ds.len() as f64;
         assert!(fpr < 0.15, "fpr={fpr}");
     }
 

@@ -97,20 +97,10 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// Divergence-sentinel policy: how many rollback + reseeded-retry cycles a
-/// training call may spend before giving up with [`TrainError::Diverged`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SentinelPolicy {
-    /// Maximum retries after the initial attempt (total attempts =
-    /// `max_retries + 1`).
-    pub max_retries: usize,
-}
-
-impl Default for SentinelPolicy {
-    fn default() -> Self {
-        SentinelPolicy { max_retries: 2 }
-    }
-}
+/// Rollback + reseeded-retry cycles a sentinel-guarded training call may
+/// spend before giving up with [`TrainError::Diverged`] (total attempts =
+/// `MAX_TRAIN_RETRIES + 1`).
+pub(crate) const MAX_TRAIN_RETRIES: usize = 2;
 
 /// Outcome of a sentinel-guarded training call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -121,7 +111,7 @@ pub struct TrainReport {
     pub rollbacks: usize,
     /// Whether the epoch observer stopped the call early (see
     /// [`Wgan::train_epochs_resumable`]). Always `false` for
-    /// [`Wgan::train_epochs_checked`].
+    /// `Wgan::train_epochs_checked`.
     pub stopped: bool,
 }
 
@@ -184,7 +174,7 @@ pub fn build_critic(config: &WganConfig, rng: &mut rand::rngs::StdRng) -> Sequen
 }
 
 /// Builds the generator 𝒢 for a configuration.
-pub fn build_generator(config: &WganConfig, rng: &mut rand::rngs::StdRng) -> Sequential {
+pub(crate) fn build_generator(config: &WganConfig, rng: &mut rand::rngs::StdRng) -> Sequential {
     config.validate();
     let (h2, w2) = (config.window / 2, config.features / 2);
     let seed_channels = 16;
@@ -289,7 +279,7 @@ impl Wgan {
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
-    /// [`WganConfig::validate`]).
+    /// `WganConfig::validate`).
     pub fn new(config: WganConfig) -> Self {
         config.validate();
         let mut rng = seeded_rng(config.seed);
@@ -350,23 +340,10 @@ impl Wgan {
     /// # Panics
     ///
     /// Panics if `x` does not match the configured snapshot shape or holds
-    /// fewer than one batch.
+    /// fewer than one batch, or if training diverges beyond the retry
+    /// budget (`Wgan::train_epochs_checked` is the non-panicking variant).
     pub fn train(&mut self, x: &Tensor) {
-        let epochs = self.config.epochs;
-        self.train_epochs(x, epochs);
-    }
-
-    /// Trains for an explicit number of epochs (used by the zoo to share
-    /// partially-trained models across epoch grid points).
-    ///
-    /// Runs under the default [`SentinelPolicy`]; see
-    /// [`Wgan::train_epochs_checked`] for the non-panicking variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if training diverges beyond the default retry budget.
-    pub fn train_epochs(&mut self, x: &Tensor, epochs: usize) {
-        if let Err(e) = self.train_epochs_checked(x, epochs, &SentinelPolicy::default()) {
+        if let Err(e) = self.train_epochs_checked(x, self.config.epochs) {
             panic!("WGAN training failed: {e}");
         }
     }
@@ -379,7 +356,7 @@ impl Wgan {
     /// On a tripped sentinel the model **rolls back** to its last healthy
     /// end-of-epoch snapshot (optimizer state resets; the snapshot carries
     /// weights and history) and retries with a **derived reseed** of the
-    /// batch/noise RNG, up to `policy.max_retries` times. A run that stays
+    /// batch/noise RNG, up to [`MAX_TRAIN_RETRIES`] times. A run that stays
     /// healthy consumes the RNG identically to the unguarded loop, so
     /// sentinel-guarded training is bitwise identical to historical
     /// behavior whenever no rollback fires.
@@ -395,13 +372,12 @@ impl Wgan {
     ///
     /// Panics if `x` does not match the configured snapshot shape or holds
     /// fewer than one batch (programmer error, not a runtime fault).
-    pub fn train_epochs_checked(
+    pub(crate) fn train_epochs_checked(
         &mut self,
         x: &Tensor,
         epochs: usize,
-        policy: &SentinelPolicy,
     ) -> Result<TrainReport, TrainError> {
-        self.train_epochs_resumable(x, epochs, policy, |_| true)
+        self.train_epochs_resumable(x, epochs, |_| true)
     }
 
     /// Sentinel-guarded training with an epoch-boundary observer, the
@@ -413,15 +389,15 @@ impl Wgan {
     /// Returning `false` stops the call early with `stopped = true` in the
     /// report; the model keeps its mid-call `TrainCursor` so a later
     /// resumable call (on this instance, or on one rebuilt via
-    /// [`Wgan::resume_from_state`]) continues the exact RNG stream, making
+    /// `Wgan::resume_from_state`) continues the exact RNG stream, making
     /// stop-and-continue bitwise identical to running straight through.
     /// When the call completes normally the cursor is cleared, so the next
-    /// training call reseeds fresh exactly as [`Wgan::train_epochs_checked`]
+    /// training call reseeds fresh exactly as `Wgan::train_epochs_checked`
     /// always has.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Wgan::train_epochs_checked`].
+    /// Same contract as `Wgan::train_epochs_checked`.
     ///
     /// # Panics
     ///
@@ -431,7 +407,6 @@ impl Wgan {
         &mut self,
         x: &Tensor,
         epochs: usize,
-        policy: &SentinelPolicy,
         mut on_epoch: impl FnMut(&Wgan) -> bool,
     ) -> Result<TrainReport, TrainError> {
         assert_eq!(
@@ -533,7 +508,7 @@ impl Wgan {
                 Some(reason) => {
                     attempt += 1;
                     self.restore_snapshot(&snapshot);
-                    if attempt > policy.max_retries {
+                    if attempt > MAX_TRAIN_RETRIES {
                         // A dead call leaves no continuation point.
                         self.cursor = None;
                         return Err(TrainError::Diverged {
@@ -826,7 +801,7 @@ impl Wgan {
     /// [`Sequential::score_fused`] — bitwise what `forward` computes, on
     /// planes built with the model — so it needs only `&self` and
     /// allocates nothing beyond the returned `Vec` (use
-    /// [`Wgan::score_into`] to avoid even that).
+    /// `Wgan::score_into` to avoid even that).
     pub fn score_batch(&self, x: &Tensor) -> Vec<f32> {
         let mut scores = vec![0.0f32; x.shape()[0]];
         self.score_into(x, &mut scores);
@@ -839,12 +814,12 @@ impl Wgan {
     /// # Panics
     ///
     /// Panics if `out.len()` differs from the batch size.
-    pub fn score_into(&self, x: &Tensor, out: &mut [f32]) {
+    pub(crate) fn score_into(&self, x: &Tensor, out: &mut [f32]) {
         assert_eq!(out.len(), x.shape()[0], "score_into output length mismatch");
         self.score_slice_into(x.as_slice(), out);
     }
 
-    /// [`Wgan::score_into`] over borrowed memory: `windows` holds
+    /// `Wgan::score_into` over borrowed memory: `windows` holds
     /// `out.len()` flat `window × features` snapshots.
     ///
     /// # Panics
@@ -877,12 +852,6 @@ impl Wgan {
     pub(crate) fn fit_scratch(&self, scratch: &mut CriticScratch) {
         // A critic restructured through `critic_mut` fails when scored.
         let _ = scratch.fit(&self.critic, snapshot_shape(&self.config));
-    }
-
-    /// Generates `n` fake snapshots from fresh noise.
-    pub fn generate(&mut self, n: usize, rng: &mut rand::rngs::StdRng) -> Tensor {
-        let z = randn(&[n, self.config.noise_dim], rng);
-        self.generator.forward(&z)
     }
 
     /// Serializes the critic (all a deployment needs) to bytes.
@@ -924,7 +893,7 @@ impl Wgan {
     /// and (if a resumable call is in flight) the mid-call RNG/attempt
     /// cursor. Together with [`Wgan::critic_bytes`] and the history, this
     /// is the complete training state — restoring it via
-    /// [`Wgan::resume_from_state`] and continuing is bitwise identical to
+    /// `Wgan::resume_from_state` and continuing is bitwise identical to
     /// never having stopped.
     ///
     /// Layout (all little-endian): `u32` state version; `u64`-prefixed
@@ -982,7 +951,7 @@ impl Wgan {
     ///
     /// Panics if the configuration is invalid (see
     /// [`WganConfig::validate`]).
-    pub fn resume_from_state(
+    pub(crate) fn resume_from_state(
         config: WganConfig,
         critic_bytes: &[u8],
         state: &[u8],
@@ -1140,6 +1109,14 @@ fn ts_check_cache(
 mod tests {
     use super::*;
     use vehigan_tensor::init::rand_uniform;
+
+    impl Wgan {
+        /// Generates `n` fake snapshots from fresh noise.
+        pub(crate) fn generate(&mut self, n: usize, rng: &mut rand::rngs::StdRng) -> Tensor {
+            let z = randn(&[n, self.config.noise_dim], rng);
+            self.generator.forward(&z)
+        }
+    }
 
     fn quick_config() -> WganConfig {
         WganConfig {
@@ -1568,7 +1545,7 @@ mod tests {
         let mut faulty = Wgan::new(quick_config());
         faulty.inject_training_fault(0, 1); // first attempt trips after epoch 1
         let report = faulty
-            .train_epochs_checked(&x, 2, &SentinelPolicy::default())
+            .train_epochs_checked(&x, 2)
             .expect("fault is recoverable within the budget");
         assert_eq!(report.rollbacks, 1);
         assert_eq!(report.epochs, 2);
@@ -1579,9 +1556,7 @@ mod tests {
         // The rollback + reseed path is itself deterministic.
         let mut again = Wgan::new(quick_config());
         again.inject_training_fault(0, 1);
-        again
-            .train_epochs_checked(&x, 2, &SentinelPolicy::default())
-            .unwrap();
+        again.train_epochs_checked(&x, 2).unwrap();
         assert_eq!(faulty.score_batch(&x), again.score_batch(&x));
     }
 
@@ -1592,9 +1567,7 @@ mod tests {
         for attempt in 0..=3 {
             wgan.inject_training_fault(attempt, 0);
         }
-        let err = wgan
-            .train_epochs_checked(&x, 2, &SentinelPolicy { max_retries: 2 })
-            .unwrap_err();
+        let err = wgan.train_epochs_checked(&x, 2).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1617,7 +1590,7 @@ mod tests {
         wgan.critic_mut().params_mut()[0].value.as_mut_slice()[0] = f32::NAN;
         let x = benign_snapshots(64, 2);
         assert!(matches!(
-            wgan.train_epochs_checked(&x, 1, &SentinelPolicy::default()),
+            wgan.train_epochs_checked(&x, 1),
             Err(TrainError::PoisonedAtEntry { .. })
         ));
     }
@@ -1630,9 +1603,7 @@ mod tests {
         });
         wgan.inject_training_fault(0, 2);
         let x = benign_snapshots(256, 4);
-        let report = wgan
-            .train_epochs_checked(&x, 6, &SentinelPolicy::default())
-            .unwrap();
+        let report = wgan.train_epochs_checked(&x, 6).unwrap();
         assert_eq!(report.rollbacks, 1);
         let benign_scores = wgan.score_batch(&benign_snapshots(32, 5));
         let mut rng = seeded_rng(6);

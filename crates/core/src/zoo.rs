@@ -14,7 +14,7 @@
 use crate::checkpoint::{grid_fingerprint, CheckpointError, CheckpointStore, Manifest};
 use crate::config::{GridConfig, WganConfig};
 use crate::ensemble::F32_NS_PER_MEMBER_ROW;
-use crate::wgan::{SentinelPolicy, TrainError, Wgan};
+use crate::wgan::{TrainError, Wgan};
 use crate::{into_inner, lock};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -24,33 +24,10 @@ use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use vehigan_features::WindowDataset;
-use vehigan_metrics::{auprc, auroc};
+use vehigan_metrics::auroc;
 use vehigan_tensor::forkjoin::{fork_join, workers_for};
 use vehigan_tensor::Tensor;
 use vehigan_vasp::Attack;
-
-/// The detection-score metric used for pre-evaluation (§III-E: "DS can be
-/// any commonly used metrics used to evaluate a classifier, such as
-/// AUROC, AUPRC, etc.").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum DetectionScore {
-    /// Area under the ROC curve (the paper's reported metric).
-    #[default]
-    Auroc,
-    /// Area under the precision–recall curve (better under heavy class
-    /// imbalance).
-    Auprc,
-}
-
-impl DetectionScore {
-    /// Evaluates the metric on anomaly scores and labels.
-    pub fn evaluate(self, scores: &[f32], labels: &[bool]) -> f64 {
-        match self {
-            DetectionScore::Auroc => auroc(scores, labels),
-            DetectionScore::Auprc => auprc(scores, labels),
-        }
-    }
-}
 
 /// Why a grid configuration was excluded from the zoo.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,7 +58,7 @@ impl fmt::Display for QuarantineReason {
 pub struct QuarantineRecord {
     /// The excluded configuration.
     pub config: WganConfig,
-    /// Position of the configuration in [`GridConfig::expand`] order.
+    /// Position of the configuration in `GridConfig::expand` order.
     pub grid_index: usize,
     /// Why it was excluded.
     pub reason: QuarantineReason,
@@ -162,17 +139,9 @@ pub struct ZooTrainOptions {
     /// [`vehigan_tensor::forkjoin`], so more than the cores this process
     /// may run on changes nothing.
     pub threads: usize,
-    /// Divergence-sentinel retry budget passed to every training run.
-    pub sentinel: SentinelPolicy,
     /// When set, every finished member is checkpointed here and an
     /// interrupted run resumes from the directory's manifest.
     pub checkpoint_dir: Option<PathBuf>,
-    /// On resume, retrain previously quarantined configurations with a
-    /// fresh derived seed instead of carrying the quarantine records
-    /// forward. Member ids stay stable (they keep the original derived
-    /// seed), so a successful retry slots into the manifest and zoo
-    /// exactly where the doomed run would have.
-    pub retry_quarantined: bool,
     /// Hook this crate's tests invoke on each freshly constructed training
     /// run (e.g. to schedule fault injection for a specific config).
     #[cfg(test)]
@@ -186,9 +155,7 @@ impl fmt::Debug for ZooTrainOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ZooTrainOptions")
             .field("threads", &self.threads)
-            .field("sentinel", &self.sentinel)
             .field("checkpoint_dir", &self.checkpoint_dir)
-            .field("retry_quarantined", &self.retry_quarantined)
             .finish()
     }
 }
@@ -220,7 +187,7 @@ pub struct ZooTrainReport {
 pub struct ZooEntry {
     /// The trained WGAN.
     pub wgan: Wgan,
-    /// Position of this configuration in [`GridConfig::expand`] order
+    /// Position of this configuration in `GridConfig::expand` order
     /// (stable even when other configurations are quarantined).
     pub grid_index: usize,
     /// Detection score (AUROC) per validation attack, filled by
@@ -263,20 +230,12 @@ impl std::fmt::Debug for ModelZoo {
     }
 }
 
-/// Seed salt applied to the training run (not the member ids) when a
-/// quarantined group is retried under
-/// [`ZooTrainOptions::retry_quarantined`].
-const RETRY_SEED_SALT: u64 = 0xC2B2_AE3D_27D4_EB4F;
-
 /// A training group: configurations differing only in epoch count share one
 /// run, checkpointed at each requested epoch budget.
 struct TrainGroup {
     base: WganConfig,
     /// `(grid index, epoch budget)`, sorted ascending by epochs.
     members: Vec<(usize, usize)>,
-    /// Extra salt folded into the run seed when retraining a previously
-    /// quarantined group; zero on a normal run.
-    retry_salt: u64,
 }
 
 impl TrainGroup {
@@ -292,18 +251,15 @@ impl TrainGroup {
     }
 
     /// The seed-adjusted configuration the shared run actually trains
-    /// with. A quarantine retry folds in [`RETRY_SEED_SALT`] for a fresh
-    /// trajectory.
+    /// with.
     fn run_config(&self) -> WganConfig {
         WganConfig {
-            seed: self.derived_seed() ^ self.retry_salt,
+            seed: self.derived_seed(),
             ..self.base
         }
     }
 
     /// The on-disk / in-zoo configuration of the member at `epochs`.
-    /// Always keyed by the original derived seed — never the retry salt —
-    /// so ids stay stable across retry runs and manifest accounting.
     fn member_config(&self, epochs: usize) -> WganConfig {
         WganConfig {
             epochs,
@@ -313,9 +269,7 @@ impl TrainGroup {
     }
 
     /// Stable on-disk key for the group's epoch-granular partial
-    /// checkpoint: the unsalted id of its largest-budget member. Salt
-    /// independence means a quarantine retry overwrites — never orphans —
-    /// its predecessor's partial.
+    /// checkpoint: the id of its largest-budget member.
     fn partial_key(&self) -> String {
         let &(_, max_epochs) = self.members.last().expect("nonempty group");
         self.member_config(max_epochs).id()
@@ -343,7 +297,6 @@ fn group_grid(configs: &[WganConfig]) -> Vec<TrainGroup> {
             None => groups.push(TrainGroup {
                 base: *config,
                 members: vec![(idx, config.epochs)],
-                retry_salt: 0,
             }),
         }
     }
@@ -418,8 +371,9 @@ struct TrainShared<'a> {
     /// Members restored from disk instead of retrained (pre-loaded fully
     /// accounted groups plus mid-group reloads after a partial resume).
     resumed: AtomicUsize,
-    options: &'a ZooTrainOptions,
     train: &'a Tensor,
+    #[cfg(test)]
+    fault_hook: Option<&'a FaultHook>,
     #[cfg(test)]
     kill: KillSwitch,
 }
@@ -476,9 +430,9 @@ impl TrainShared<'_> {
             if !store.has_partial(&key) {
                 return None;
             }
-            // A partial that fails to load (stale run seed after a
-            // quarantine retry, corruption, pre-v2 leftovers) is not an
-            // error — the group deterministically retrains from scratch.
+            // A partial that fails to load (a stale run seed, corruption,
+            // pre-v2 leftovers) is not an error — the group
+            // deterministically retrains from scratch.
             let restored = store.load_partial(&key, run_config).ok()?;
             // Usable only if no uncommitted member budget lies *behind*
             // the restored epoch count — training can't rewind.
@@ -496,7 +450,7 @@ impl TrainShared<'_> {
                 // Scheduled fault injections describe a from-scratch
                 // trajectory; they never apply to a resumed one.
                 #[cfg(test)]
-                if let Some(hook) = &self.options.fault_hook {
+                if let Some(hook) = self.fault_hook {
                     hook(&mut fresh);
                 }
                 fresh
@@ -507,26 +461,21 @@ impl TrainShared<'_> {
             let config = group.member_config(epochs);
             if epochs > trained {
                 let mut save_err: Option<CheckpointError> = None;
-                let outcome = wgan.train_epochs_resumable(
-                    self.train,
-                    epochs - trained,
-                    &self.options.sentinel,
-                    |w| {
-                        if let Some(store) = self.store {
-                            if let Err(e) = store.save_partial(&key, w) {
-                                save_err = Some(e);
-                                return false;
-                            }
-                        }
-                        // A test kill stops here, after the partial is on
-                        // disk.
-                        #[cfg(test)]
-                        if self.kill.stops_at_epoch() {
+                let outcome = wgan.train_epochs_resumable(self.train, epochs - trained, |w| {
+                    if let Some(store) = self.store {
+                        if let Err(e) = store.save_partial(&key, w) {
+                            save_err = Some(e);
                             return false;
                         }
-                        true
-                    },
-                );
+                    }
+                    // A test kill stops here, after the partial is on
+                    // disk.
+                    #[cfg(test)]
+                    if self.kill.stops_at_epoch() {
+                        return false;
+                    }
+                    true
+                });
                 match outcome {
                     Ok(report) => {
                         self.rollbacks
@@ -703,50 +652,10 @@ impl ModelZoo {
             }
         }
 
-        let mut groups = group_grid(&configs);
-
-        // Quarantine retry: strip every record of a quarantined group from
-        // the manifest and re-queue the whole group with a salted run seed.
-        // The rewritten manifest lands on disk before training starts, so a
-        // crash mid-retry resumes cleanly (the group simply trains again).
-        let retry_store = if options.retry_quarantined && !manifest.quarantined.is_empty() {
-            store.as_ref()
-        } else {
-            None
-        };
-        if let Some(retry_store) = retry_store {
-            let mut stripped = false;
-            for group in &mut groups {
-                let hit = group.members.iter().any(|&(_, epochs)| {
-                    let id = group.member_config(epochs).id();
-                    manifest.quarantined.iter().any(|(q, _)| *q == id)
-                });
-                if !hit {
-                    continue;
-                }
-                group.retry_salt = RETRY_SEED_SALT;
-                let ids: Vec<String> = group
-                    .members
-                    .iter()
-                    .map(|&(_, epochs)| group.member_config(epochs).id())
-                    .collect();
-                manifest.done.retain(|d| !ids.contains(d));
-                manifest.quarantined.retain(|(q, _)| !ids.contains(q));
-                // The doomed run's partial was written under the unsalted
-                // seed; it could never seed the salted retry (id check),
-                // but leaving it would orphan the file.
-                retry_store.remove_partial(&group.partial_key())?;
-                stripped = true;
-            }
-            if stripped {
-                retry_store.write_manifest(&manifest)?;
-            }
-        }
-
         let mut pending: Vec<TrainGroup> = Vec::new();
         let mut preloaded: Vec<(usize, Wgan)> = Vec::new();
         let mut carried: Vec<QuarantineRecord> = Vec::new();
-        for group in groups {
+        for group in group_grid(&configs) {
             let accounted = store.is_some()
                 && group.members.iter().all(|&(_, epochs)| {
                     let id = group.member_config(epochs).id();
@@ -788,8 +697,9 @@ impl ModelZoo {
             manifest: Mutex::new(manifest),
             store: store.as_ref(),
             rollbacks: AtomicUsize::new(0),
-            options,
             train,
+            #[cfg(test)]
+            fault_hook: options.fault_hook.as_ref(),
             #[cfg(test)]
             kill: KillSwitch::new(options.kill),
         };
@@ -854,19 +764,9 @@ impl ModelZoo {
         &mut self.entries
     }
 
-    /// Pre-evaluates every model on labelled validation datasets with the
-    /// default AUROC detection score; ADS is the mean over attacks
-    /// (Eq. 4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `validation` is empty or a dataset lacks both classes.
-    pub fn pre_evaluate(&mut self, validation: &[(Attack, WindowDataset)]) {
-        self.pre_evaluate_with(validation, DetectionScore::Auroc);
-    }
-
-    /// Pre-evaluates with an explicit detection-score metric (§III-E lets
-    /// the defender choose AUROC, AUPRC, …).
+    /// Pre-evaluates every model on labelled validation datasets: its
+    /// detection score per attack is the AUROC (the paper's reported
+    /// metric, §III-E), and ADS is the mean over attacks (Eq. 4).
     ///
     /// Entries are evaluated in parallel, one [`fork_join`] task each; each
     /// entry's result depends only on its own critic, so the outcome is
@@ -878,11 +778,7 @@ impl ModelZoo {
     /// # Panics
     ///
     /// Panics if `validation` is empty or a dataset lacks either class.
-    pub fn pre_evaluate_with(
-        &mut self,
-        validation: &[(Attack, WindowDataset)],
-        metric: DetectionScore,
-    ) {
+    pub fn pre_evaluate(&mut self, validation: &[(Attack, WindowDataset)]) {
         assert!(
             !validation.is_empty(),
             "need at least one validation attack"
@@ -902,7 +798,7 @@ impl ModelZoo {
                 let mut sum = 0.0;
                 for (attack, dataset) in validation {
                     let scores = entry.wgan.score_batch(&dataset.x);
-                    let ds = metric.evaluate(&scores, &dataset.labels);
+                    let ds = auroc(&scores, &dataset.labels);
                     per_attack.push((*attack, ds));
                     sum += ds;
                 }
@@ -1050,15 +946,6 @@ mod tests {
     }
 
     #[test]
-    fn auprc_metric_also_works() {
-        let mut zoo = tiny_zoo();
-        zoo.pre_evaluate_with(&synthetic_validation(4), DetectionScore::Auprc);
-        for e in zoo.entries() {
-            assert!(e.ads > 0.0 && e.ads <= 1.0);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "lacks benign or malicious windows")]
     fn a_one_class_validation_set_is_refused() {
         // Its metric used to panic inside the per-entry catch_unwind: every
@@ -1066,14 +953,6 @@ mod tests {
         let mut validation = synthetic_validation(1);
         validation[0].1.labels.fill(false);
         tiny_zoo().pre_evaluate(&validation);
-    }
-
-    #[test]
-    fn detection_score_metrics_agree_on_perfect_ranking() {
-        let scores = [0.9f32, 0.8, 0.2, 0.1];
-        let labels = [true, true, false, false];
-        assert_eq!(DetectionScore::Auroc.evaluate(&scores, &labels), 1.0);
-        assert!((DetectionScore::Auprc.evaluate(&scores, &labels) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1156,7 +1035,7 @@ mod tests {
             // Every retry in the budget was spent before giving up.
             match &q.reason {
                 QuarantineReason::Train(TrainError::Diverged { attempts, .. }) => {
-                    assert_eq!(*attempts, SentinelPolicy::default().max_retries + 1)
+                    assert_eq!(*attempts, crate::wgan::MAX_TRAIN_RETRIES + 1)
                 }
                 other => panic!("expected Diverged quarantine, got {other:?}"),
             }
@@ -1400,9 +1279,7 @@ mod tests {
             if inject {
                 wgan.inject_training_fault(0, 1);
             }
-            let report = wgan
-                .train_epochs_checked(&x, 3, &crate::SentinelPolicy::default())
-                .unwrap();
+            let report = wgan.train_epochs_checked(&x, 3).unwrap();
             (report.rollbacks, wgan.score_batch(&x))
         };
         let (rollbacks_a, scores_a) = run(true);
@@ -1448,7 +1325,7 @@ mod tests {
         assert_eq!(second.quarantined.len(), 2);
         for q in &second.quarantined {
             assert!(
-                matches!(q.reason, crate::QuarantineReason::Recorded(_)),
+                matches!(q.reason, QuarantineReason::Recorded(_)),
                 "expected manifest-carried quarantine, got {:?}",
                 q.reason
             );
@@ -1457,90 +1334,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn retry_quarantined_retrains_with_a_fresh_seed() {
-        // First run: the noise_dim=8 group diverges past the retry budget and
-        // is quarantined in the manifest. A resume with `retry_quarantined`
-        // (and the fault gone) must retrain exactly that group on a fresh
-        // trajectory and return a full zoo under the original member ids.
-        let train = benign(64, 0);
-        let grid = GridConfig::tiny();
-        let dir = scratch_dir("qretry");
-        let mut options = ZooTrainOptions::new(1);
-        options.checkpoint_dir = Some(dir.clone());
-        options.fault_hook = Some(Arc::new(|wgan: &mut Wgan| {
-            if wgan.config().noise_dim == 8 {
-                for attempt in 0..8 {
-                    wgan.inject_training_fault(attempt, 0);
-                }
-            }
-        }));
-        let first = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-        assert_eq!(first.quarantined.len(), 2);
-
-        // Reference ids from an untouched full run: retry must not change
-        // member identity.
-        let reference = ModelZoo::train_grid(&grid, &train, &ZooTrainOptions::new(1))
-            .unwrap()
-            .zoo;
-        let want_ids: Vec<String> = reference
-            .entries()
-            .iter()
-            .map(|e| e.wgan.config().id())
-            .collect();
-
-        let mut options = ZooTrainOptions::new(1);
-        options.checkpoint_dir = Some(dir.clone());
-        options.retry_quarantined = true;
-        let retried = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-        assert!(
-            retried.quarantined.is_empty(),
-            "retry must clear the quarantine"
-        );
-        assert_eq!(retried.zoo.len(), grid.len());
-        let got_ids: Vec<String> = retried
-            .zoo
-            .entries()
-            .iter()
-            .map(|e| e.wgan.config().id())
-            .collect();
-        assert_eq!(
-            got_ids, want_ids,
-            "member ids must stay stable across retry"
-        );
-
-        // The retried members trained on a salted trajectory — different
-        // weights than a clean same-seed run, proving the fresh seed was used.
-        let probe = benign(8, 3);
-        for (r, e) in reference.entries().iter().zip(retried.zoo.entries()) {
-            if e.wgan.config().noise_dim == 8 {
-                assert_ne!(
-                    r.wgan.score_batch(&probe),
-                    e.wgan.score_batch(&probe),
-                    "retried member must come from a reseeded run"
-                );
-            } else {
-                assert_eq!(
-                    r.wgan.score_batch(&probe),
-                    e.wgan.score_batch(&probe),
-                    "untouched members must be bit-identical resumes"
-                );
-            }
-        }
-
-        // A further resume without the flag is a pure reload of the now-full
-        // manifest.
-        let mut options = ZooTrainOptions::new(1);
-        options.checkpoint_dir = Some(dir.clone());
-        let reloaded = ModelZoo::train_grid(&grid, &train, &options).unwrap();
-        assert_eq!(reloaded.resumed, grid.len());
-        assert!(reloaded.quarantined.is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Set-up runs on the caller and the process-wide fork-join pool only:
-    /// a zoo trained with more threads than the host has cores starts no
-    /// thread of its own.
     #[test]
     fn zoo_training_runs_on_the_caller_and_the_pool() {
         let train: Vec<f32> = (0..64 * 120)

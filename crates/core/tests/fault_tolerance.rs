@@ -185,12 +185,9 @@ fn mid_member_kill_resume_is_bitwise_identical() {
         seed: 21,
         ..WganConfig::default()
     };
-    let policy = vehigan_core::SentinelPolicy::default();
 
     let mut reference = Wgan::new(config);
-    reference
-        .train_epochs_resumable(&x, 4, &policy, |_| true)
-        .unwrap();
+    reference.train_epochs_resumable(&x, 4, |_| true).unwrap();
 
     for kill_after in 1..=3 {
         let dir = scratch_dir("midkill");
@@ -198,7 +195,7 @@ fn mid_member_kill_resume_is_bitwise_identical() {
         let mut victim = Wgan::new(config);
         let mut seen = 0usize;
         let report = victim
-            .train_epochs_resumable(&x, 4, &policy, |w| {
+            .train_epochs_resumable(&x, 4, |w| {
                 store.save_partial("grp", w).unwrap();
                 seen += 1;
                 seen < kill_after
@@ -211,7 +208,7 @@ fn mid_member_kill_resume_is_bitwise_identical() {
         let mut resumed = store.load_partial("grp", config).unwrap();
         assert_eq!(resumed.history().len(), kill_after);
         resumed
-            .train_epochs_resumable(&x, 4 - kill_after, &policy, |_| true)
+            .train_epochs_resumable(&x, 4 - kill_after, |_| true)
             .unwrap();
 
         assert_eq!(
@@ -258,7 +255,7 @@ fn partial_checkpoints_round_trip_and_clear() {
     assert_eq!(restored.critic_bytes(), wgan.critic_bytes());
     assert_eq!(restored.training_state_bytes(), wgan.training_state_bytes());
 
-    // A partial written under a different run seed (quarantine retry) is
+    // A partial written under a different run seed is
     // an id mismatch, not a silent resume of the stale trajectory.
     let stale = WganConfig { seed: 10, ..config };
     assert!(matches!(

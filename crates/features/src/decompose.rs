@@ -21,7 +21,7 @@ use vehigan_sim::{Bsm, VehicleTrace};
 pub const NUM_FEATURES: usize = 12;
 
 /// Number of raw features used by the raw-feature baseline (`BaseAE`).
-pub const NUM_RAW_FEATURES: usize = 6;
+pub(crate) const NUM_RAW_FEATURES: usize = 6;
 
 /// Names of the engineered features, in column order.
 pub const FEATURE_NAMES: [&str; NUM_FEATURES] = [
@@ -107,7 +107,7 @@ pub fn decompose_trace(trace: &VehicleTrace) -> Vec<FeatureRow> {
 ///
 /// Positions are made translation-invariant by subtracting the trace's
 /// first message (otherwise absolute coordinates dominate every distance).
-pub fn raw_row(bsm: &Bsm, origin: &Bsm) -> [f64; NUM_RAW_FEATURES] {
+pub(crate) fn raw_row(bsm: &Bsm, origin: &Bsm) -> [f64; NUM_RAW_FEATURES] {
     [
         bsm.pos_x - origin.pos_x,
         bsm.pos_y - origin.pos_y,
@@ -120,7 +120,7 @@ pub fn raw_row(bsm: &Bsm, origin: &Bsm) -> [f64; NUM_RAW_FEATURES] {
 
 /// Raw feature rows for a whole trace (same length as the engineered rows,
 /// skipping the first message so both representations align 1:1).
-pub fn raw_trace(trace: &VehicleTrace) -> Vec<[f64; NUM_RAW_FEATURES]> {
+pub(crate) fn raw_trace(trace: &VehicleTrace) -> Vec<[f64; NUM_RAW_FEATURES]> {
     match trace.bsms.first() {
         Some(origin) => trace.bsms[1..].iter().map(|b| raw_row(b, origin)).collect(),
         None => Vec::new(),

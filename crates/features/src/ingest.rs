@@ -112,7 +112,7 @@ pub struct FieldLimits {
 impl FieldLimits {
     /// No range checks (the default — finiteness and staleness still
     /// apply through the guard).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         FieldLimits::default()
     }
 
@@ -162,7 +162,7 @@ impl FieldLimits {
 /// and per-vehicle staleness.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IngestGuard {
-    /// Physical plausibility bounds ([`FieldLimits::none`] by default).
+    /// Physical plausibility bounds (`FieldLimits::none` by default).
     pub limits: FieldLimits,
     /// How far (seconds) a message may be older than the vehicle's
     /// newest accepted message before it is rejected as stale. `0.0`

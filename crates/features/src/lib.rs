@@ -39,14 +39,10 @@ mod scaler;
 mod stream;
 mod window;
 
-pub use decompose::{
-    decompose_pair, decompose_trace, raw_row, raw_trace, FeatureRow, FEATURE_NAMES, NUM_FEATURES,
-    NUM_RAW_FEATURES,
-};
+pub use decompose::{decompose_pair, decompose_trace, FeatureRow, FEATURE_NAMES, NUM_FEATURES};
 pub use ingest::{FieldLimits, IngestGuard, RejectCounters, RejectReason};
 pub use monitor::{
     residuals, GateDecision, Suppression, Tier0Calibration, Tier0Monitor, Tier0Params, Tier0State,
-    EWMA_LAMBDA, NUM_RESIDUALS, NUM_STATISTICS, RESIDUAL_NAMES,
 };
 pub use scaler::MinMaxScaler;
 pub use stream::{lru_key, EvictionConfig, WindowBuffer, WindowRing, WindowView};

@@ -60,30 +60,20 @@ use vehigan_sim::{Bsm, VehicleTrace};
 
 /// Number of residuals computable from one consecutive BSM pair alone
 /// (the width [`residuals`] returns).
-pub const NUM_PAIR_RESIDUALS: usize = 5;
+pub(crate) const NUM_PAIR_RESIDUALS: usize = 5;
 
 /// Number of kinematic residuals tracked per vehicle: the pair
 /// residuals plus the anchored horizon-displacement residual.
-pub const NUM_RESIDUALS: usize = NUM_PAIR_RESIDUALS + 1;
+pub(crate) const NUM_RESIDUALS: usize = NUM_PAIR_RESIDUALS + 1;
 
 /// Number of monitor statistics: a two-sided CUSUM (folded to its max
 /// side) and an EWMA deviation per residual.
-pub const NUM_STATISTICS: usize = 2 * NUM_RESIDUALS;
-
-/// Human-readable residual names, in statistic order.
-pub const RESIDUAL_NAMES: [&str; NUM_RESIDUALS] = [
-    "speed_vs_position",
-    "heading_vs_velocity",
-    "acceleration_bound",
-    "plausible_range",
-    "yaw_rate_consistency",
-    "horizon_displacement",
-];
+pub(crate) const NUM_STATISTICS: usize = 2 * NUM_RESIDUALS;
 
 /// EWMA smoothing factor λ: heavy enough that a single-message glitch
 /// decays within a window, light enough that a sustained shift (the
 /// attack signature) accumulates.
-pub const EWMA_LAMBDA: f32 = 0.25;
+pub(crate) const EWMA_LAMBDA: f32 = 0.25;
 
 /// Residuals and accumulated statistics are clamped to this bound so a
 /// pathological-but-guard-accepted input (e.g. a microsecond Δt blowing
@@ -105,7 +95,7 @@ const TIGHTEN_SHRINK: f32 = 1.0 - 1e-3;
 /// Default [`Tier0Calibration::refresh`]: up to three consecutive
 /// suppressions, i.e. tier-1 runs on at least every fourth window per
 /// vehicle (once per ~2 s at a 10 Hz / stride-5 stream).
-pub const DEFAULT_REFRESH: u32 = 3;
+pub(crate) const DEFAULT_REFRESH: u32 = 3;
 
 /// What tier 0 does with a completed window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,7 +313,7 @@ fn full_residuals(
 /// the full plane by octant folding. Pure f64 arithmetic in a fixed
 /// order — bitwise deterministic across platforms, unlike libm's
 /// `atan2`, and several times cheaper.
-pub fn fast_atan2(y: f64, x: f64) -> f64 {
+pub(crate) fn fast_atan2(y: f64, x: f64) -> f64 {
     use std::f64::consts::{FRAC_PI_2, PI};
     let ax = x.abs();
     let ay = y.abs();
@@ -596,11 +586,6 @@ impl Tier0State {
         }
     }
 
-    /// Consecutive residual rows accumulated since the last reset.
-    pub fn rows(&self) -> u32 {
-        self.rows
-    }
-
     /// The current statistics vector under `params`: the folded
     /// two-sided CUSUM `max(s⁺, s⁻)` per residual, then the EWMA
     /// deviation `|z − μ|` per residual. Always finite (see
@@ -704,7 +689,7 @@ impl Tier0Monitor {
     }
 
     /// The current statistics vector (see [`Tier0State::statistics`]).
-    pub fn statistics(&self) -> [f32; NUM_STATISTICS] {
+    pub(crate) fn statistics(&self) -> [f32; NUM_STATISTICS] {
         self.state.statistics(&self.params)
     }
 }

@@ -88,32 +88,21 @@ impl MinMaxScaler {
     /// [`MinMaxScaler::transform_value`] narrowed to `f32` — the cast every
     /// window tensor applies. Kept here so all window-build paths share one
     /// rounding policy (scale in `f64`, then round once to `f32`).
-    pub fn transform_value_f32(&self, j: usize, v: f64) -> f32 {
+    pub(crate) fn transform_value_f32(&self, j: usize, v: f64) -> f32 {
         self.transform_value(j, v) as f32
-    }
-
-    /// Inverse of [`MinMaxScaler::transform_value`] (for un-clamped inputs).
-    pub fn inverse_value(&self, j: usize, t: f64) -> f64 {
-        (t + 1.0) / 2.0 * (self.max[j] - self.min[j]) + self.min[j]
-    }
-
-    /// Scales a full row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width differs from the fitted width.
-    pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
-        assert_eq!(row.len(), self.width(), "row width mismatch");
-        row.iter()
-            .enumerate()
-            .map(|(j, &v)| self.transform_value(j, v))
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MinMaxScaler {
+        /// Inverse of [`MinMaxScaler::transform_value`] (for un-clamped inputs).
+        fn inverse_value(&self, j: usize, t: f64) -> f64 {
+            (t + 1.0) / 2.0 * (self.max[j] - self.min[j]) + self.min[j]
+        }
+    }
 
     #[test]
     fn maps_fitted_range_to_unit_interval() {
@@ -147,12 +136,6 @@ mod tests {
             let t = s.transform_value(0, v);
             assert!((s.inverse_value(0, t) - v).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn transform_row_matches_per_value() {
-        let s = MinMaxScaler::fit(&[vec![0.0, 0.0], vec![2.0, 4.0]]);
-        assert_eq!(s.transform_row(&[1.0, 1.0]), vec![0.0, -0.5]);
     }
 
     #[test]

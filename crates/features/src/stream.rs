@@ -190,23 +190,6 @@ impl WindowBuffer {
         let prev = self.prev.replace(*bsm)?;
         self.ring.push(self.window, &self.scaler, &prev, bsm)
     }
-
-    /// The window the last [`WindowBuffer::push`] completed, if the buffer
-    /// is full.
-    #[inline]
-    pub fn last_window(&self) -> Option<WindowView<'_>> {
-        self.ring.last_window(self.window)
-    }
-
-    /// Number of buffered feature rows.
-    pub fn len(&self) -> usize {
-        self.ring.filled as usize
-    }
-
-    /// Whether no rows are buffered yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.filled == 0
-    }
 }
 
 /// LRU ordering key for a `last_seen` timestamp: a NaN (a non-finite
@@ -230,6 +213,20 @@ mod tests {
     use crate::window::{build_windows, fit_scaler, Representation, WindowConfig};
     use vehigan_sim::{SimConfig, TrafficSimulator};
     use vehigan_vasp::{DatasetBuilder, DatasetConfig};
+
+    impl WindowBuffer {
+        /// The window the last [`WindowBuffer::push`] completed, if the buffer
+        /// is full.
+        #[inline]
+        pub(crate) fn last_window(&self) -> Option<WindowView<'_>> {
+            self.ring.last_window(self.window)
+        }
+
+        /// Number of buffered feature rows.
+        pub(crate) fn len(&self) -> usize {
+            self.ring.filled as usize
+        }
+    }
 
     fn setup() -> (Vec<vehigan_sim::VehicleTrace>, MinMaxScaler) {
         let fleet = TrafficSimulator::new(SimConfig {

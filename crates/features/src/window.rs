@@ -40,7 +40,7 @@ pub enum Representation {
 
 impl Representation {
     /// Feature count `f` of this representation.
-    pub fn width(self) -> usize {
+    pub(crate) fn width(self) -> usize {
         match self {
             Representation::Engineered => NUM_FEATURES,
             Representation::Raw => NUM_RAW_FEATURES,
@@ -101,23 +101,9 @@ impl WindowDataset {
         self.x.shape()[2]
     }
 
-    /// Indices of benign (`false`) windows.
-    pub fn benign_indices(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| !self.labels[i]).collect()
-    }
-
     /// Indices of malicious (`true`) windows.
     pub fn malicious_indices(&self) -> Vec<usize> {
         (0..self.len()).filter(|&i| self.labels[i]).collect()
-    }
-
-    /// A new dataset with only the selected windows.
-    pub fn subset(&self, indices: &[usize]) -> WindowDataset {
-        WindowDataset {
-            x: self.x.take(indices),
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
-            vehicles: indices.iter().map(|&i| self.vehicles[i]).collect(),
-        }
     }
 }
 
@@ -139,13 +125,13 @@ pub struct TraceRows {
 
 impl TraceRows {
     /// Number of feature rows.
-    pub fn num_rows(&self) -> usize {
+    pub(crate) fn num_rows(&self) -> usize {
         self.labels.len()
     }
 
     /// How many windows of length `window` at the given `stride` this
     /// trace yields.
-    pub fn window_count(&self, window: usize, stride: usize) -> usize {
+    pub(crate) fn window_count(&self, window: usize, stride: usize) -> usize {
         let n = self.num_rows();
         if n < window {
             0
@@ -483,7 +469,7 @@ mod tests {
         let scaler = fit_scaler(&benign, Representation::Engineered);
         let ds = build_windows(&attacked, WindowConfig::default(), &scaler);
         let malicious = ds.malicious_indices().len();
-        let benign_ct = ds.benign_indices().len();
+        let benign_ct = ds.len() - malicious;
         assert!(malicious > 0 && benign_ct > 0);
         // 25% of vehicles are persistent attackers → ~25% of windows.
         let frac = malicious as f64 / ds.len() as f64;
@@ -527,17 +513,6 @@ mod tests {
             &scaler,
         );
         assert_eq!(ds.features(), 6);
-    }
-
-    #[test]
-    fn subset_selects_correctly() {
-        let (benign, _) = setup();
-        let scaler = fit_scaler(&benign, Representation::Engineered);
-        let ds = build_windows(&benign, WindowConfig::default(), &scaler);
-        let sub = ds.subset(&[0, 2, 4]);
-        assert_eq!(sub.len(), 3);
-        assert_eq!(sub.x.shape()[0], 3);
-        assert_eq!(sub.vehicles[1], ds.vehicles[2]);
     }
 
     #[test]

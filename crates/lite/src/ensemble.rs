@@ -415,7 +415,7 @@ impl Int8Weights {
     }
 
     /// Number of fused ops (layers after activation fusion).
-    pub fn num_ops(&self) -> usize {
+    pub(crate) fn num_ops(&self) -> usize {
         self.ops.len()
     }
 
@@ -577,7 +577,7 @@ impl Int8Ensemble {
     }
 
     /// Total packed int8 weight bytes across all members.
-    pub fn weight_bytes(&self) -> usize {
+    pub(crate) fn weight_bytes(&self) -> usize {
         self.critics.iter().map(Int8Weights::weight_bytes).sum()
     }
 

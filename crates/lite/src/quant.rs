@@ -154,11 +154,6 @@ impl PerChannelQuantized {
     pub fn channel_max_error(&self, channel: usize) -> f32 {
         self.scales[channel] / 2.0
     }
-
-    /// Worst-case absolute quantization error across all channels.
-    pub fn max_error(&self) -> f32 {
-        self.scales.iter().fold(0.0f32, |m, &s| m.max(s / 2.0))
-    }
 }
 
 /// Calibrates a symmetric int8 activation scale from observed values:
@@ -303,7 +298,7 @@ mod tests {
         let c = 0.03f32;
         let w: Vec<f32> = (0..50).map(|i| (i as f32 / 49.0) * 2.0 * c - c).collect();
         let q = PerChannelQuantized::quantize(50, 1, &w).unwrap();
-        assert!(q.max_error() < 0.00013);
+        assert!(q.channel_max_error(0) < 0.00013);
     }
 
     #[test]

@@ -225,11 +225,6 @@ impl MisbehaviorAuthority {
         self
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &AuthorityPolicy {
-        &self.policy
-    }
-
     /// The authority's CRL.
     pub fn crl(&self) -> &CertificateRevocationList {
         &self.crl

@@ -40,7 +40,7 @@ use vehigan_sim::VehicleId;
 
 /// What ingesting one report did to a suspect's evidence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Observation {
+pub(crate) enum Observation {
     /// The report entered the accumulator (possibly after a gap reset).
     Absorbed,
     /// The report's timestamp was a full window older than the suspect's
@@ -64,19 +64,19 @@ pub struct SuspectEvidence {
 
 impl SuspectEvidence {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SuspectEvidence::default()
     }
 
     /// Whether no report has been absorbed since creation/reset.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.weight == 0.0
     }
 
     /// Absorbs one report (reporter, timestamp, margin) under the given
     /// corroboration window, returning whether it was absorbed or
     /// stale-discarded.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         reporter: VehicleId,
         t: f64,
@@ -121,18 +121,18 @@ impl SuspectEvidence {
 
     /// Decayed report count, rounded to the nearest whole report (what
     /// conviction compares against `min_reports`).
-    pub fn report_count(&self) -> usize {
+    pub(crate) fn report_count(&self) -> usize {
         self.weight.round() as usize
     }
 
     /// Distinct reporters with in-window evidence, exact up to
     /// [`crate::EXACT_CAP`].
-    pub fn reporter_count(&self, window_s: f64) -> usize {
+    pub(crate) fn reporter_count(&self, window_s: f64) -> usize {
         self.reporters.count(self.high_water, window_s)
     }
 
     /// Decayed mean margin (0 when empty).
-    pub fn mean_margin(&self) -> f32 {
+    pub(crate) fn mean_margin(&self) -> f32 {
         if self.weight > 0.0 {
             (self.margin / self.weight) as f32
         } else {

@@ -39,7 +39,7 @@ pub use authority::{
     AuthorityPolicy, AuthorityStats, BatchReport, Conviction, IngestOutcome, MisbehaviorAuthority,
 };
 pub use crl::{CertificateRevocationList, CrlDelta, CrlOp, RevocationRecord};
-pub use evidence::{Observation, SuspectEvidence};
+pub use evidence::SuspectEvidence;
 pub use pseudonym::{LongTermId, PseudonymManager};
 pub use report::{InvalidMbrError, Mbr};
 pub use reporters::{ReporterSet, EXACT_CAP};

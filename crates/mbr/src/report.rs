@@ -105,7 +105,7 @@ impl Mbr {
     }
 
     /// How far the score exceeded the threshold (the report's "strength").
-    pub fn margin(&self) -> f32 {
+    pub(crate) fn margin(&self) -> f32 {
         self.score - self.threshold
     }
 }

@@ -44,42 +44,6 @@ impl Confusion {
     pub fn fpr(&self) -> f64 {
         ratio(self.fp, self.fp + self.tn)
     }
-
-    /// False negative rate: `FN / (TP + FN)`; 0 with no positives.
-    pub fn fnr(&self) -> f64 {
-        ratio(self.fn_, self.tp + self.fn_)
-    }
-
-    /// Precision: `TP / (TP + FP)`; 0 with no predicted positives.
-    pub fn precision(&self) -> f64 {
-        ratio(self.tp, self.tp + self.fp)
-    }
-
-    /// Recall (alias of [`Confusion::tpr`]).
-    pub fn recall(&self) -> f64 {
-        self.tpr()
-    }
-
-    /// F1 score; 0 when precision + recall is 0.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
-    /// Overall accuracy; 0 for an empty confusion.
-    pub fn accuracy(&self) -> f64 {
-        ratio(self.tp + self.tn, self.tp + self.tn + self.fp + self.fn_)
-    }
-
-    /// Total sample count.
-    pub fn total(&self) -> usize {
-        self.tp + self.fp + self.tn + self.fn_
-    }
 }
 
 fn ratio(num: usize, den: usize) -> f64 {
@@ -100,9 +64,6 @@ mod tests {
         assert_eq!((c.tp, c.fp, c.tn, c.fn_), (2, 0, 2, 0));
         assert_eq!(c.tpr(), 1.0);
         assert_eq!(c.fpr(), 0.0);
-        assert_eq!(c.fnr(), 0.0);
-        assert_eq!(c.f1(), 1.0);
-        assert_eq!(c.accuracy(), 1.0);
     }
 
     #[test]
@@ -111,7 +72,6 @@ mod tests {
         assert_eq!((c.tp, c.fp, c.tn, c.fn_), (0, 2, 0, 2));
         assert_eq!(c.tpr(), 0.0);
         assert_eq!(c.fpr(), 1.0);
-        assert_eq!(c.fnr(), 1.0);
     }
 
     #[test]
@@ -126,26 +86,6 @@ mod tests {
     fn degenerate_inputs_do_not_divide_by_zero() {
         let all_neg = Confusion::at_threshold(&[0.1, 0.9], &[false, false], 0.5);
         assert_eq!(all_neg.tpr(), 0.0);
-        assert_eq!(all_neg.fnr(), 0.0);
         assert_eq!(all_neg.fpr(), 0.5);
-        let empty = Confusion::default();
-        assert_eq!(empty.accuracy(), 0.0);
-        assert_eq!(empty.f1(), 0.0);
-    }
-
-    #[test]
-    fn rates_complementary() {
-        let c = Confusion::at_threshold(
-            &[0.9, 0.1, 0.8, 0.2, 0.6],
-            &[true, true, true, false, false],
-            0.5,
-        );
-        assert!((c.tpr() + c.fnr() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn total_counts() {
-        let c = Confusion::at_threshold(&[0.9, 0.1], &[true, false], 0.5);
-        assert_eq!(c.total(), 2);
     }
 }

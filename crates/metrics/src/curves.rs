@@ -1,4 +1,4 @@
-//! ROC and precision–recall curves with tie-aware area computation.
+//! The ROC curve with tie-aware area computation.
 
 /// Computes the ROC curve as `(fpr, tpr)` points from `(0,0)` to `(1,1)`.
 ///
@@ -8,7 +8,7 @@
 /// # Panics
 ///
 /// Panics if lengths differ or either class is absent.
-pub fn roc_curve(scores: &[f32], labels: &[bool]) -> Vec<(f64, f64)> {
+pub(crate) fn roc_curve(scores: &[f32], labels: &[bool]) -> Vec<(f64, f64)> {
     assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
     let pos = labels.iter().filter(|&&l| l).count();
     let neg = labels.len() - pos;
@@ -46,56 +46,6 @@ pub fn roc_curve(scores: &[f32], labels: &[bool]) -> Vec<(f64, f64)> {
 /// Panics if lengths differ or either class is absent.
 pub fn auroc(scores: &[f32], labels: &[bool]) -> f64 {
     trapezoid(&roc_curve(scores, labels))
-}
-
-/// Computes the precision–recall curve as `(recall, precision)` points.
-///
-/// # Panics
-///
-/// Panics if lengths differ or there are no positive samples.
-pub fn pr_curve(scores: &[f32], labels: &[bool]) -> Vec<(f64, f64)> {
-    assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
-    let pos = labels.iter().filter(|&&l| l).count();
-    assert!(pos > 0, "PR curve needs at least one positive sample");
-
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("finite scores"));
-
-    let mut curve = vec![(0.0, 1.0)];
-    let (mut tp, mut fp) = (0usize, 0usize);
-    let mut i = 0;
-    while i < order.len() {
-        let s = scores[order[i]];
-        while i < order.len() && scores[order[i]] == s {
-            if labels[order[i]] {
-                tp += 1;
-            } else {
-                fp += 1;
-            }
-            i += 1;
-        }
-        let recall = tp as f64 / pos as f64;
-        let precision = tp as f64 / (tp + fp) as f64;
-        curve.push((recall, precision));
-    }
-    curve
-}
-
-/// Area under the precision–recall curve (average precision by step
-/// integration over recall).
-///
-/// # Panics
-///
-/// Panics if lengths differ or there are no positive samples.
-pub fn auprc(scores: &[f32], labels: &[bool]) -> f64 {
-    let curve = pr_curve(scores, labels);
-    let mut area = 0.0;
-    for w in curve.windows(2) {
-        let (r0, _) = w[0];
-        let (r1, p1) = w[1];
-        area += (r1 - r0) * p1;
-    }
-    area
 }
 
 fn trapezoid(curve: &[(f64, f64)]) -> f64 {
@@ -182,22 +132,6 @@ mod tests {
         for w in curve.windows(2) {
             assert!(w[1].0 >= w[0].0 && w[1].1 >= w[0].1);
         }
-    }
-
-    #[test]
-    fn auprc_perfect_is_one() {
-        assert!((auprc(&[0.9, 0.8, 0.2, 0.1], &[true, true, false, false]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auprc_random_approaches_prevalence() {
-        // With uninformative scores, AP ≈ positive prevalence.
-        let n = 2000;
-        let scores: Vec<f32> = (0..n).map(|i| ((i * 7919) % n) as f32 / n as f32).collect();
-        let labels: Vec<bool> = (0..n).map(|i| ((i * 104729) % 10) < 3).collect();
-        let prevalence = labels.iter().filter(|&&l| l).count() as f64 / n as f64;
-        let ap = auprc(&scores, &labels);
-        assert!((ap - prevalence).abs() < 0.05, "ap={ap}, prev={prevalence}");
     }
 
     #[test]

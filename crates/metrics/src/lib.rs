@@ -1,8 +1,8 @@
 //! # vehigan-metrics
 //!
 //! Detection metrics for the VehiGAN evaluation (§IV-A.2): confusion-rate
-//! metrics (TPR/FPR/FNR), ROC curves and AUROC, precision–recall curves and
-//! AUPRC, and the percentile-based threshold selection of §III-F.
+//! metrics (TPR/FPR), AUROC, and the percentile-based threshold
+//! selection of §III-F.
 //!
 //! Conventions: higher score = more anomalous; label `true` = misbehavior
 //! (positive class). A sample is predicted positive when
@@ -29,5 +29,5 @@ mod curves;
 mod threshold;
 
 pub use confusion::Confusion;
-pub use curves::{auprc, auroc, pr_curve, roc_curve};
+pub use curves::auroc;
 pub use threshold::percentile;

@@ -163,7 +163,7 @@ impl<'a> TieredDetector<'a> {
 
     /// Opens tick `tick` in `mode`: expired probations are reinstated
     /// into their pinned positions, and benched members sit it out.
-    pub fn begin(&mut self, tick: u64, mode: ServeMode) {
+    pub(crate) fn begin(&mut self, tick: u64, mode: ServeMode) {
         self.health.release_expired(tick);
         self.health.active_into(&self.members, &mut self.active);
         self.health
@@ -174,7 +174,7 @@ impl<'a> TieredDetector<'a> {
 
     /// Closes tick `tick` once every tile has passed: the members a tile
     /// dropped are benched for the next few ticks.
-    pub fn commit(&mut self, tick: u64) {
+    pub(crate) fn commit(&mut self, tick: u64) {
         self.dropped.sort_unstable();
         self.dropped.dedup();
         for &m in &self.dropped {

@@ -24,7 +24,7 @@
 
 /// Probation state for the pinned ensemble members of one server.
 #[derive(Debug, Clone, Default)]
-pub struct MemberHealth {
+pub(crate) struct MemberHealth {
     /// `(member index, first tick at which it may score again)`.
     benched: Vec<(usize, u64)>,
     /// Lifetime bench events.
@@ -35,14 +35,14 @@ pub struct MemberHealth {
 
 impl MemberHealth {
     /// Creates an empty health table (all members trusted).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Benches `member` until `until_tick` (exclusive). Re-benching an
     /// already-benched member extends its probation. Returns whether
     /// this was a *new* bench event.
-    pub fn bench(&mut self, member: usize, until_tick: u64) -> bool {
+    pub(crate) fn bench(&mut self, member: usize, until_tick: u64) -> bool {
         if let Some(entry) = self.benched.iter_mut().find(|(m, _)| *m == member) {
             entry.1 = entry.1.max(until_tick);
             false
@@ -55,7 +55,7 @@ impl MemberHealth {
 
     /// Releases every member whose probation has expired by `now_tick`.
     /// Returns how many were reinstated.
-    pub fn release_expired(&mut self, now_tick: u64) -> usize {
+    pub(crate) fn release_expired(&mut self, now_tick: u64) -> usize {
         let before = self.benched.len();
         self.benched.retain(|&(_, until)| until > now_tick);
         let released = before - self.benched.len();
@@ -64,7 +64,7 @@ impl MemberHealth {
     }
 
     /// Whether `member` is currently benched.
-    pub fn is_benched(&self, member: usize) -> bool {
+    pub(crate) fn is_benched(&self, member: usize) -> bool {
         self.benched.iter().any(|&(m, _)| m == member)
     }
 
@@ -76,7 +76,7 @@ impl MemberHealth {
     /// active instead: scoring with real members that may fail (and be
     /// dropped per-batch) beats guaranteeing an empty-subset error until
     /// probation expires.
-    pub fn active_into(&self, pinned: &[usize], active: &mut Vec<usize>) {
+    pub(crate) fn active_into(&self, pinned: &[usize], active: &mut Vec<usize>) {
         active.clear();
         active.extend(pinned.iter().filter(|&&m| !self.is_benched(m)));
         if active.is_empty() {
@@ -84,18 +84,13 @@ impl MemberHealth {
         }
     }
 
-    /// Currently benched members (unordered).
-    pub fn benched(&self) -> Vec<usize> {
-        self.benched.iter().map(|&(m, _)| m).collect()
-    }
-
     /// Lifetime bench events.
-    pub fn demotions(&self) -> u64 {
+    pub(crate) fn demotions(&self) -> u64 {
         self.demotions
     }
 
     /// Lifetime reinstatements.
-    pub fn reinstatements(&self) -> u64 {
+    pub(crate) fn reinstatements(&self) -> u64 {
         self.reinstatements
     }
 }
@@ -105,6 +100,11 @@ mod tests {
     use super::*;
 
     impl MemberHealth {
+        /// Currently benched members (unordered).
+        pub(crate) fn benched(&self) -> Vec<usize> {
+            self.benched.iter().map(|&(m, _)| m).collect()
+        }
+
         fn active(&self, pinned: &[usize]) -> Vec<usize> {
             let mut active = vec![99];
             self.active_into(pinned, &mut active);

@@ -24,8 +24,8 @@
 //!   tick copies no window.
 //! - **Overload and fault resilience** (DESIGN.md §11) — ingest guards,
 //!   captured worker panics, an [`AdmissionConfig`] budget that sheds the
-//!   oldest backlog, a [`ServeMode`] hysteresis machine that steps a gate
-//!   down to gate-only scoring, and members benched by [`MemberHealth`].
+//!   oldest backlog, a normal/degraded hysteresis machine that steps a gate
+//!   down to gate-only scoring, and members benched by health probation.
 //!   The crate's chaos tests drive every fault deterministically; the two
 //!   that do not arrive as input go through a fault injector that exists
 //!   in test builds only.
@@ -46,15 +46,14 @@
 //! [`WindowBuffer`]: vehigan_features::WindowBuffer
 
 pub mod detector;
-pub mod health;
+mod health;
 pub mod server;
 pub mod shard;
 
 pub use detector::{TieredDetector, Tile};
-pub use health::MemberHealth;
 pub use server::{
     escalation_threshold, AdmissionConfig, Decision, EscalationPolicy, IngestReport, ServeError,
-    ServeMode, ServerConfig, ServerStats, StreamServer, SCORE_TILE,
+    ServerConfig, ServerStats, StreamServer, SCORE_TILE,
 };
 pub use shard::{shard_for, PendingWindow, Shard, WindowAt};
 

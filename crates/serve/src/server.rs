@@ -7,7 +7,7 @@
 //!    vehicle maps to exactly one shard, so its messages are processed in
 //!    arrival order; a shard worker that panics is captured and resumed.
 //! 2. **Admit** — [`StreamServer::tick`] measures the offered backlog
-//!    against the [`AdmissionConfig`] budget, drives the [`ServeMode`]
+//!    against the [`AdmissionConfig`] budget, drives the normal/degraded
 //!    hysteresis machine, and takes at most the budget's worth of the
 //!    **oldest** pending windows, water-filled across shards in index
 //!    order — deterministic whatever the ingest threads did.
@@ -62,7 +62,7 @@ pub enum EscalationPolicy {
 /// policy: the server degrades only after two consecutive over-budget
 /// ticks and restores only after three consecutive under-budget ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
+pub(crate) enum ServeMode {
     /// Configured policy in full effect.
     Normal,
     /// Sustained overload: a `Threshold` gate policy steps down to
@@ -297,7 +297,7 @@ pub struct ServerStats {
     pub shard_panics: u64,
     /// Server ticks elapsed.
     pub ticks: u64,
-    /// Ticks spent in [`ServeMode::Degraded`].
+    /// Ticks spent in degraded (gate-only) mode.
     pub degraded_ticks: u64,
     /// Mode transitions in either direction.
     pub mode_switches: u64,
@@ -724,7 +724,7 @@ impl<'a> StreamServer<'a> {
     /// [`TieredDetector`] decide the admitted windows tile by tile, and
     /// emits decisions in deterministic order (shard index, then ingestion
     /// order). Windows over budget stay queued for later ticks. Each tick
-    /// also advances the [`ServeMode`] hysteresis machine and the
+    /// also advances the normal/degraded hysteresis machine and the
     /// member-health probation clock.
     ///
     /// Returns an empty vec when no windows are ready.
@@ -822,21 +822,6 @@ impl<'a> StreamServer<'a> {
         stats
     }
 
-    /// The pinned tier-2 ensemble member subset.
-    pub fn members(&self) -> &[usize] {
-        &self.detector.members
-    }
-
-    /// Members currently benched by serve-time health probation.
-    pub fn benched_members(&self) -> Vec<usize> {
-        self.detector.health.benched()
-    }
-
-    /// Current load-shedding posture.
-    pub fn mode(&self) -> ServeMode {
-        self.mode_machine.mode
-    }
-
     /// Sets (or clears) the reporter identity misbehavior reports are
     /// emitted under. Useful when coverage hands a stream between RSUs
     /// mid-run; takes effect from the next tick.
@@ -869,6 +854,18 @@ pub fn escalation_threshold(benign_gate_scores: &[f32], p: f64) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StreamServer<'_> {
+        /// Members currently benched by serve-time health probation.
+        pub(crate) fn benched_members(&self) -> Vec<usize> {
+            self.detector.health.benched()
+        }
+
+        /// Current load-shedding posture.
+        pub(crate) fn mode(&self) -> ServeMode {
+            self.mode_machine.mode
+        }
+    }
 
     #[test]
     fn budgeted_take_is_proportional_and_exact() {

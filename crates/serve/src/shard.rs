@@ -406,7 +406,7 @@ impl Shard {
     /// overload the stalest backlog is sacrificed so freshly completed
     /// windows — the ones a detection would still be actionable for —
     /// keep flowing.
-    pub fn shed_oldest(&mut self, n: usize) -> usize {
+    pub(crate) fn shed_oldest(&mut self, n: usize) -> usize {
         let n = n.min(self.pending.len());
         self.dequeue(n, |_, _, _| {});
         self.shed += n as u64;
@@ -539,7 +539,7 @@ impl Shard {
     }
 
     /// Vehicles evicted by LRU or TTL since construction.
-    pub fn evicted(&self) -> u64 {
+    pub(crate) fn evicted(&self) -> u64 {
         self.evicted
     }
 

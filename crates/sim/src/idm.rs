@@ -42,7 +42,7 @@ impl IdmParams {
     /// # Panics
     ///
     /// Panics (debug) if `v0` is non-positive.
-    pub fn acceleration(&self, v: f64, v0: f64, obstacle: Option<(f64, f64)>) -> f64 {
+    pub(crate) fn acceleration(&self, v: f64, v0: f64, obstacle: Option<(f64, f64)>) -> f64 {
         debug_assert!(v0 > 0.0, "desired speed must be positive");
         let free = 1.0 - (v / v0).powf(self.delta);
         let interaction = match obstacle {
@@ -62,14 +62,14 @@ impl IdmParams {
 
     /// Comfortable speed for a curve of radius `r` given a lateral
     /// acceleration budget (≈ 2.5 m/s² for passenger comfort).
-    pub fn curve_speed(&self, radius: f64) -> f64 {
+    pub(crate) fn curve_speed(&self, radius: f64) -> f64 {
         (2.5 * radius).sqrt()
     }
 
     /// Desired-speed ceiling when a curve starts `dist` meters ahead and
     /// must be entered at `v_curve`: allows comfortable deceleration
     /// `v² = v_curve² + 2·b·dist`.
-    pub fn approach_speed(&self, v_curve: f64, dist: f64) -> f64 {
+    pub(crate) fn approach_speed(&self, v_curve: f64, dist: f64) -> f64 {
         (v_curve * v_curve + 2.0 * self.b_comfort * dist.max(0.0)).sqrt()
     }
 }

@@ -4,8 +4,8 @@
 //! reproduction — the stand-in for the paper's SUMO + Veins + OMNeT++
 //! stack (§IV-A).
 //!
-//! The pipeline is: build a signalized grid [`network::RoadNetwork`] →
-//! sample per-vehicle [`route::Route`]s (straights + quarter-turn arcs) →
+//! The pipeline is: build a signalized grid `network::RoadNetwork` →
+//! sample per-vehicle `route::Route`s (straights + quarter-turn arcs) →
 //! integrate [`idm::IdmParams`] longitudinal dynamics → emit 10 Hz
 //! [`Bsm`] streams through a [`SensorModel`].
 //!
@@ -28,14 +28,15 @@
 #![warn(missing_docs)]
 
 mod id_hash;
-pub mod idm;
+mod idm;
 pub mod network;
-pub mod route;
+mod route;
 pub mod sensor;
 mod simulator;
 mod types;
 
 pub use id_hash::{IdHash, IdHasher};
+pub use idm::IdmParams;
 pub use sensor::SensorModel;
 pub use simulator::{SimConfig, TrafficSimulator};
 pub use types::{Bsm, VehicleId, VehicleTrace, BSM_INTERVAL_S};

@@ -11,7 +11,7 @@ use rand::Rng;
 
 /// A compass direction of travel along the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// +X travel (heading 0).
     East,
     /// +Y travel (heading π/2).
@@ -24,7 +24,7 @@ pub enum Direction {
 
 impl Direction {
     /// Heading angle in radians (CCW from +X).
-    pub fn heading(self) -> f64 {
+    pub(crate) fn heading(self) -> f64 {
         use std::f64::consts::FRAC_PI_2;
         match self {
             Direction::East => 0.0,
@@ -35,7 +35,7 @@ impl Direction {
     }
 
     /// Unit vector of travel.
-    pub fn unit(self) -> (f64, f64) {
+    pub(crate) fn unit(self) -> (f64, f64) {
         match self {
             Direction::East => (1.0, 0.0),
             Direction::North => (0.0, 1.0),
@@ -45,7 +45,7 @@ impl Direction {
     }
 
     /// Direction after a left (CCW) turn.
-    pub fn left(self) -> Direction {
+    pub(crate) fn left(self) -> Direction {
         match self {
             Direction::East => Direction::North,
             Direction::North => Direction::West,
@@ -55,7 +55,7 @@ impl Direction {
     }
 
     /// Direction after a right (CW) turn.
-    pub fn right(self) -> Direction {
+    pub(crate) fn right(self) -> Direction {
         match self {
             Direction::East => Direction::South,
             Direction::South => Direction::West,
@@ -65,14 +65,14 @@ impl Direction {
     }
 
     /// Whether travel is along the X axis.
-    pub fn is_east_west(self) -> bool {
+    pub(crate) fn is_east_west(self) -> bool {
         matches!(self, Direction::East | Direction::West)
     }
 }
 
 /// Grid coordinates of an intersection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub struct NodeId {
+pub(crate) struct NodeId {
     /// Column index.
     pub ix: i32,
     /// Row index.
@@ -81,7 +81,7 @@ pub struct NodeId {
 
 /// A two-phase fixed-time traffic signal at an intersection.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Signal {
+pub(crate) struct Signal {
     /// Full cycle length in seconds.
     pub cycle_s: f64,
     /// Phase offset in seconds.
@@ -92,28 +92,13 @@ pub struct Signal {
 
 impl Signal {
     /// Whether the approach from `dir` sees green at time `t`.
-    pub fn is_green(&self, dir: Direction, t: f64) -> bool {
+    pub(crate) fn is_green(&self, dir: Direction, t: f64) -> bool {
         let phase = ((t + self.offset_s) % self.cycle_s + self.cycle_s) % self.cycle_s;
         let ew_green = phase < self.ew_green_fraction * self.cycle_s;
         if dir.is_east_west() {
             ew_green
         } else {
             !ew_green
-        }
-    }
-
-    /// Seconds until the approach from `dir` next turns green (0 if green).
-    pub fn time_to_green(&self, dir: Direction, t: f64) -> f64 {
-        if self.is_green(dir, t) {
-            return 0.0;
-        }
-        let phase = ((t + self.offset_s) % self.cycle_s + self.cycle_s) % self.cycle_s;
-        let boundary = self.ew_green_fraction * self.cycle_s;
-        if dir.is_east_west() {
-            // Currently in the NS-green tail; wait until the cycle wraps.
-            self.cycle_s - phase
-        } else {
-            boundary - phase
         }
     }
 }
@@ -123,15 +108,13 @@ impl Signal {
 /// Intersections sit at `(ix · spacing, iy · spacing)` for
 /// `0 ≤ ix < nx`, `0 ≤ iy < ny`. Every grid line is a bidirectional road.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct RoadNetwork {
+pub(crate) struct RoadNetwork {
     /// Number of columns of intersections.
     pub nx: i32,
     /// Number of rows of intersections.
     pub ny: i32,
     /// Block length in meters.
     pub spacing: f64,
-    /// Speed limit on all edges in m/s (urban ≈ 13.9 m/s = 50 km/h).
-    pub speed_limit: f64,
     signals: Vec<Signal>,
 }
 
@@ -141,10 +124,9 @@ impl RoadNetwork {
     /// # Panics
     ///
     /// Panics if the grid is smaller than 2×2 or spacing is non-positive.
-    pub fn grid(nx: i32, ny: i32, spacing: f64, speed_limit: f64, rng: &mut StdRng) -> Self {
+    pub(crate) fn grid(nx: i32, ny: i32, spacing: f64, rng: &mut StdRng) -> Self {
         assert!(nx >= 2 && ny >= 2, "grid must be at least 2×2");
         assert!(spacing > 0.0, "spacing must be positive");
-        assert!(speed_limit > 0.0, "speed limit must be positive");
         let signals = (0..nx * ny)
             .map(|_| Signal {
                 cycle_s: rng.gen_range(40.0..80.0),
@@ -156,23 +138,22 @@ impl RoadNetwork {
             nx,
             ny,
             spacing,
-            speed_limit,
             signals,
         }
     }
 
     /// World position of an intersection.
-    pub fn node_position(&self, node: NodeId) -> (f64, f64) {
+    pub(crate) fn node_position(&self, node: NodeId) -> (f64, f64) {
         (node.ix as f64 * self.spacing, node.iy as f64 * self.spacing)
     }
 
     /// Whether a node is inside the grid.
-    pub fn contains(&self, node: NodeId) -> bool {
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
         node.ix >= 0 && node.ix < self.nx && node.iy >= 0 && node.iy < self.ny
     }
 
     /// The neighboring node reached by traveling `dir` from `node`, if any.
-    pub fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
+    pub(crate) fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
         let (dx, dy) = dir.unit();
         let next = NodeId {
             ix: node.ix + dx as i32,
@@ -186,13 +167,13 @@ impl RoadNetwork {
     /// # Panics
     ///
     /// Panics if `node` is outside the grid.
-    pub fn signal(&self, node: NodeId) -> &Signal {
+    pub(crate) fn signal(&self, node: NodeId) -> &Signal {
         assert!(self.contains(node), "node {node:?} outside grid");
         &self.signals[(node.iy * self.nx + node.ix) as usize]
     }
 
     /// A uniformly random interior node.
-    pub fn random_node(&self, rng: &mut StdRng) -> NodeId {
+    pub(crate) fn random_node(&self, rng: &mut StdRng) -> NodeId {
         NodeId {
             ix: rng.gen_range(0..self.nx),
             iy: rng.gen_range(0..self.ny),
@@ -239,7 +220,7 @@ mod tests {
 
     #[test]
     fn grid_geometry() {
-        let net = RoadNetwork::grid(4, 3, 200.0, 13.9, &mut rng());
+        let net = RoadNetwork::grid(4, 3, 200.0, &mut rng());
         assert_eq!(net.node_position(NodeId { ix: 2, iy: 1 }), (400.0, 200.0));
         assert!(net.contains(NodeId { ix: 0, iy: 0 }));
         assert!(!net.contains(NodeId { ix: 4, iy: 0 }));
@@ -248,7 +229,7 @@ mod tests {
 
     #[test]
     fn neighbors_respect_bounds() {
-        let net = RoadNetwork::grid(3, 3, 100.0, 13.9, &mut rng());
+        let net = RoadNetwork::grid(3, 3, 100.0, &mut rng());
         let corner = NodeId { ix: 0, iy: 0 };
         assert!(net.neighbor(corner, Direction::West).is_none());
         assert!(net.neighbor(corner, Direction::South).is_none());
@@ -275,23 +256,9 @@ mod tests {
     }
 
     #[test]
-    fn time_to_green_is_consistent() {
-        let sig = Signal {
-            cycle_s: 60.0,
-            offset_s: 0.0,
-            ew_green_fraction: 0.5,
-        };
-        // At t=35 EW is red (phase 35 ≥ 30); green returns at t=60.
-        let wait = sig.time_to_green(Direction::East, 35.0);
-        assert!((wait - 25.0).abs() < 1e-9);
-        assert!(sig.is_green(Direction::East, 35.0 + wait + 1e-6));
-        assert_eq!(sig.time_to_green(Direction::East, 5.0), 0.0);
-    }
-
-    #[test]
     fn signals_are_deterministic_per_seed() {
-        let a = RoadNetwork::grid(3, 3, 100.0, 13.9, &mut rng());
-        let b = RoadNetwork::grid(3, 3, 100.0, 13.9, &mut rng());
+        let a = RoadNetwork::grid(3, 3, 100.0, &mut rng());
+        let b = RoadNetwork::grid(3, 3, 100.0, &mut rng());
         let n = NodeId { ix: 1, iy: 1 };
         assert_eq!(a.signal(n), b.signal(n));
     }

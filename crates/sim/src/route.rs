@@ -12,7 +12,7 @@ use std::f64::consts::FRAC_PI_2;
 
 /// A pose sampled from a route at some arc length.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pose {
+pub(crate) struct Pose {
     /// East coordinate (m).
     pub x: f64,
     /// North coordinate (m).
@@ -25,7 +25,7 @@ pub struct Pose {
 
 /// One geometric piece of a route.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Segment {
+pub(crate) enum Segment {
     /// A straight stretch starting at `(x0, y0)` with fixed `heading`.
     Straight {
         /// Start X (m).
@@ -56,14 +56,14 @@ pub enum Segment {
 
 impl Segment {
     /// Length of the segment in meters.
-    pub fn length(&self) -> f64 {
+    pub(crate) fn length(&self) -> f64 {
         match *self {
             Segment::Straight { length, .. } | Segment::Arc { length, .. } => length,
         }
     }
 
     /// Pose at arc length `s` from the segment start.
-    pub fn pose(&self, s: f64) -> Pose {
+    pub(crate) fn pose(&self, s: f64) -> Pose {
         match *self {
             Segment::Straight {
                 x0, y0, heading, ..
@@ -95,7 +95,7 @@ impl Segment {
 
 /// A stop line on a route (signalized intersection approach).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StopLine {
+pub(crate) struct StopLine {
     /// Route arc length of the stop line.
     pub position: f64,
     /// The signalized node being approached.
@@ -106,7 +106,7 @@ pub struct StopLine {
 
 /// A full route: segments plus cumulative lengths and stop lines.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Route {
+pub(crate) struct Route {
     segments: Vec<Segment>,
     cumulative: Vec<f64>,
     stop_lines: Vec<StopLine>,
@@ -118,7 +118,7 @@ impl Route {
     /// # Panics
     ///
     /// Panics if `segments` is empty or any segment has non-positive length.
-    pub fn from_segments(segments: Vec<Segment>, stop_lines: Vec<StopLine>) -> Self {
+    pub(crate) fn from_segments(segments: Vec<Segment>, stop_lines: Vec<StopLine>) -> Self {
         assert!(!segments.is_empty(), "route needs at least one segment");
         let mut cumulative = Vec::with_capacity(segments.len() + 1);
         let mut acc = 0.0;
@@ -136,22 +136,12 @@ impl Route {
     }
 
     /// Total route length in meters.
-    pub fn total_length(&self) -> f64 {
+    pub(crate) fn total_length(&self) -> f64 {
         *self.cumulative.last().expect("nonempty")
     }
 
-    /// Stop lines in increasing position order.
-    pub fn stop_lines(&self) -> &[StopLine] {
-        &self.stop_lines
-    }
-
-    /// The segments composing the route.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
     /// Pose at arc length `s` (clamped to the route extent).
-    pub fn pose(&self, s: f64) -> Pose {
+    pub(crate) fn pose(&self, s: f64) -> Pose {
         let s = s.clamp(0.0, self.total_length());
         // Binary search for the containing segment.
         let idx = match self
@@ -166,12 +156,12 @@ impl Route {
     }
 
     /// Signed curvature at arc length `s`.
-    pub fn curvature(&self, s: f64) -> f64 {
+    pub(crate) fn curvature(&self, s: f64) -> f64 {
         self.pose(s).curvature
     }
 
     /// The next curve (arc) start at or after `s`, with its radius.
-    pub fn next_curve(&self, s: f64) -> Option<(f64, f64)> {
+    pub(crate) fn next_curve(&self, s: f64) -> Option<(f64, f64)> {
         for (i, seg) in self.segments.iter().enumerate() {
             if let Segment::Arc { radius, .. } = seg {
                 let start = self.cumulative[i];
@@ -185,7 +175,7 @@ impl Route {
     }
 
     /// The next stop line at or after `s`.
-    pub fn next_stop_line(&self, s: f64) -> Option<&StopLine> {
+    pub(crate) fn next_stop_line(&self, s: f64) -> Option<&StopLine> {
         self.stop_lines.iter().find(|sl| sl.position >= s)
     }
 
@@ -201,7 +191,12 @@ impl Route {
     ///
     /// Panics if `turn_radius` does not fit in a block
     /// (`2·turn_radius ≥ spacing`).
-    pub fn random(net: &RoadNetwork, min_length: f64, turn_radius: f64, rng: &mut StdRng) -> Route {
+    pub(crate) fn random(
+        net: &RoadNetwork,
+        min_length: f64,
+        turn_radius: f64,
+        rng: &mut StdRng,
+    ) -> Route {
         assert!(
             2.0 * turn_radius < net.spacing,
             "turn radius {turn_radius} too large for block spacing {}",
@@ -327,7 +322,7 @@ mod tests {
     }
 
     fn test_net(seed: u64) -> RoadNetwork {
-        RoadNetwork::grid(6, 6, 200.0, 13.9, &mut rng(seed))
+        RoadNetwork::grid(6, 6, 200.0, &mut rng(seed))
     }
 
     #[test]
@@ -421,7 +416,7 @@ mod tests {
             // Skip segment boundaries where curvature is discontinuous.
             if (k_num - k).abs() > 0.02 {
                 let near_boundary = route
-                    .segments()
+                    .segments
                     .iter()
                     .scan(0.0, |acc, seg| {
                         *acc += seg.length();
@@ -449,7 +444,7 @@ mod tests {
     fn stop_lines_are_sorted_and_in_range() {
         let net = test_net(4);
         let route = Route::random(&net, 2000.0, 12.0, &mut rng(11));
-        let stops = route.stop_lines();
+        let stops = &route.stop_lines;
         for w in stops.windows(2) {
             assert!(w[0].position <= w[1].position);
         }

@@ -52,7 +52,7 @@ impl SensorModel {
     }
 
     /// Applies noise to a ground-truth BSM.
-    pub fn apply(&self, bsm: &Bsm, rng: &mut StdRng) -> Bsm {
+    pub(crate) fn apply(&self, bsm: &Bsm, rng: &mut StdRng) -> Bsm {
         let mut noisy = *bsm;
         noisy.pos_x += gauss(rng) * self.pos_std;
         noisy.pos_y += gauss(rng) * self.pos_std;

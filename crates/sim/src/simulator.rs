@@ -103,12 +103,8 @@ impl TrafficSimulator {
     pub fn new(config: SimConfig) -> Self {
         assert!(config.n_vehicles > 0, "need at least one vehicle");
         assert!(config.duration_s > 1.0, "duration too short");
+        assert!(config.speed_limit > 0.0, "speed limit must be positive");
         TrafficSimulator { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Runs the simulation, returning one trace per vehicle.
@@ -120,7 +116,6 @@ impl TrafficSimulator {
             self.config.grid_nx,
             self.config.grid_ny,
             self.config.spacing_m,
-            self.config.speed_limit,
             &mut rng,
         );
         (0..self.config.n_vehicles)

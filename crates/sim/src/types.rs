@@ -112,14 +112,6 @@ impl VehicleTrace {
         self.bsms.is_empty()
     }
 
-    /// Duration covered by the trace in seconds (0 for < 2 messages).
-    pub fn duration(&self) -> f64 {
-        match (self.bsms.first(), self.bsms.last()) {
-            (Some(a), Some(b)) => b.timestamp - a.timestamp,
-            _ => 0.0,
-        }
-    }
-
     /// Iterates over the messages.
     pub fn iter(&self) -> std::slice::Iter<'_, Bsm> {
         self.bsms.iter()
@@ -152,29 +144,6 @@ mod tests {
         assert_eq!(Bsm::normalize_angle(0.0), 0.0);
         assert!((Bsm::normalize_angle(2.0 * PI)).abs() < 1e-12);
         assert!((Bsm::normalize_angle(3.0 * PI) - PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trace_duration() {
-        let mut t = VehicleTrace::new(VehicleId(1));
-        assert_eq!(t.duration(), 0.0);
-        let base = Bsm {
-            vehicle_id: VehicleId(1),
-            timestamp: 0.0,
-            pos_x: 0.0,
-            pos_y: 0.0,
-            speed: 0.0,
-            acceleration: 0.0,
-            heading: 0.0,
-            yaw_rate: 0.0,
-        };
-        t.bsms.push(base);
-        t.bsms.push(Bsm {
-            timestamp: 2.5,
-            ..base
-        });
-        assert_eq!(t.duration(), 2.5);
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 /// What lending a job to a parked helper costs the caller on the ledger
 /// host (2-core Xeon): the `futex` wake, 10–12 µs for a fork of two empty
 /// tasks. A helper that is still spinning costs 0.7 µs.
-pub const WAKE_NS: usize = 10_000;
+pub(crate) const WAKE_NS: usize = 10_000;
 
 /// The least work, in estimated nanoseconds, a worker's share must hold
 /// before a fork pays: two wakes. A parked helper reaches its first task
@@ -48,7 +48,7 @@ pub const WAKE_NS: usize = 10_000;
 /// — but a call the caller finishes alone by then has paid the wake for
 /// nothing: two shares of two wakes are where a fork out of a park breaks
 /// even, and out of a spin it wins from a few microseconds up.
-pub const MIN_SHARE_NS: usize = 2 * WAKE_NS;
+pub(crate) const MIN_SHARE_NS: usize = 2 * WAKE_NS;
 
 /// How long a helper spins for its next job before it parks. A serving
 /// process forks two to four times a tick, and on the ledger's three
@@ -88,7 +88,7 @@ fn cores() -> usize {
 }
 
 /// Worker count for a call estimated at `work_ns` of serial work: as many
-/// as keep every share at [`MIN_SHARE_NS`] or more, at most the cores
+/// as keep every share at `MIN_SHARE_NS` or more, at most the cores
 /// this process may run on, at least one.
 pub fn workers_for(work_ns: usize) -> usize {
     (work_ns / MIN_SHARE_NS).clamp(1, cores())

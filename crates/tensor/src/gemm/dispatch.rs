@@ -43,7 +43,7 @@ macro_rules! legs {
 
             /// The leg this process runs, decided once: the best supported
             /// one, or the portable one under `VEHIGAN_FORCE_PORTABLE`.
-            pub fn dispatched() -> $family {
+            pub(crate) fn dispatched() -> $family {
                 static LEG: OnceLock<$family> = OnceLock::new();
                 *LEG.get_or_init(|| {
                     let portable = $family::ALL[0];
@@ -100,7 +100,7 @@ impl Int8Leg {
     /// The XOR mask activations carry on this leg: `0x80` (`a + 128` as
     /// u8, what `vpdpbusd` and `tdpbusd` multiply) on VNNI and AMX, `0`
     /// (plain two's-complement i8) otherwise.
-    pub fn activation_bias(self) -> u8 {
+    pub(crate) fn activation_bias(self) -> u8 {
         match self {
             Int8Leg::Vnni | Int8Leg::Amx => 0x80,
             Int8Leg::Portable | Int8Leg::Avx2 => 0,

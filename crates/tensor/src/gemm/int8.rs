@@ -8,11 +8,11 @@ pub(super) mod amx;
 
 /// Columns per packed int8 strip: one 256-bit `madd` accumulator's worth
 /// of i32 lanes.
-pub const NR_I8: usize = 8;
+pub(crate) const NR_I8: usize = 8;
 
 /// Columns per packed VNNI strip: one 512-bit `vpdpbusd` accumulator's
 /// worth of i32 lanes.
-pub const NR_VNNI: usize = 16;
+pub(crate) const NR_VNNI: usize = 16;
 
 /// Rows per AVX2 micro-kernel pass: 4 rows × 2 strips fill eight of the
 /// sixteen YMM registers with accumulators.
@@ -30,13 +30,13 @@ const DOT_CHUNK: usize = 64;
 /// A weight matrix packed for the int8 micro-kernels.
 ///
 /// The source is a row-major `k × n` i8 matrix (`k` = shared dimension,
-/// `n` = output channels). Packing splits the columns into [`NR_I8`]-wide
+/// `n` = output channels). Packing splits the columns into `NR_I8`-wide
 /// strips and interleaves the shared dimension in pairs: strip `s`,
 /// pair `p` stores `[b[2p][j], b[2p+1][j]]` for each column `j` of the
 /// strip — sixteen i8 values, exactly one `cvtepi8_epi16` +
 /// `madd_epi16` step. The shared dimension is `spans` runs of `span_len`
 /// rows; pairs (and the VNNI mirror's quads) never straddle two spans.
-/// Ragged edges (odd `span_len`, `n` not a multiple of [`NR_I8`]) are
+/// Ragged edges (odd `span_len`, `n` not a multiple of `NR_I8`) are
 /// zero-padded, which is exact for integer accumulation.
 ///
 /// Packing happens **once** per weight matrix (at quantized-model compile
@@ -170,16 +170,6 @@ impl PackedI8 {
         out
     }
 
-    /// Shared dimension `k` of the packed matrix.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Column count `n` of the packed matrix.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Bytes held by the packed representation.
     pub fn packed_bytes(&self) -> usize {
         self.data.len()
@@ -198,7 +188,7 @@ impl PackedI8 {
 }
 
 /// The XOR mask quantized activations must carry for [`gemm_i8_dequant`]:
-/// the dispatched leg's [`Int8Leg::activation_bias`]. Padding bytes of a
+/// the dispatched leg's `Int8Leg::activation_bias`. Padding bytes of a
 /// plane hold the mask itself — a biased zero.
 pub fn i8_activation_bias() -> u8 {
     Int8Leg::dispatched().activation_bias()

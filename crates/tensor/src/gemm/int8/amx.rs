@@ -91,9 +91,9 @@ fn load_tile_config(_width: u8) -> bool {
     false
 }
 
-/// This thread's claim on the AMX tile registers: while one is
-/// [active](TileSession::is_active), [`gemm_i8_dequant`] runs the
-/// convolution products that fit on the tile leg (see the module docs);
+/// This thread's claim on the AMX tile registers: while one is active,
+/// [`gemm_i8_dequant`] runs the convolution products that fit on the tile
+/// leg (see the module docs);
 /// without one, or on a host without AMX, everything stays on VNNI and
 /// scores the same bits.
 ///
@@ -125,11 +125,6 @@ impl TileSession {
             active,
             _this_thread: std::marker::PhantomData,
         }
-    }
-
-    /// Whether this guard holds the tiles (and will release them).
-    pub fn is_active(&self) -> bool {
-        self.active
     }
 
     /// Products that ran on the tile leg since this session opened; 0 for
@@ -382,6 +377,13 @@ unsafe fn finish_tile(
 mod tests {
     use super::*;
     use crate::gemm::testing::tile_session_or_skip;
+
+    impl TileSession {
+        /// Whether this guard holds the tiles (and will release them).
+        pub(crate) fn is_active(&self) -> bool {
+            self.active
+        }
+    }
 
     #[test]
     fn a_nested_session_is_inactive_and_the_outer_one_still_releases() {

@@ -11,7 +11,7 @@
 //!
 //! # Dispatch
 //!
-//! One table picks every kernel: [`F32Leg`] (portable, AVX2+FMA, AVX-512F)
+//! One table picks every kernel: `F32Leg` (portable, AVX2+FMA, AVX-512F)
 //! for the f32 products and [`Int8Leg`] (portable, AVX2, AVX-512 VNNI, AMX
 //! tiles) for the int8 sweep. A leg says whether this CPU can run it; the
 //! process runs the best supported one, decided once ([`f32_leg`] and
@@ -107,7 +107,7 @@
 //! - [`PackedI8`] — a weight matrix packed **once** (at model-compile
 //!   time) into `NR`-column strips with the shared dimension interleaved
 //!   in `k`-pairs, the exact layout `_mm256_madd_epi16` consumes, plus a
-//!   `k`-quad mirror in [`NR_VNNI`]-column strips (with per-column sums)
+//!   `k`-quad mirror in `NR_VNNI`-column strips (with per-column sums)
 //!   for the AVX-512 VNNI kernel. The shared dimension may be cut into
 //!   equal **spans** ([`PackedI8::pack_spans`]), each padded to a whole
 //!   pair/quad, so a convolution patch — `kh` separate `kw·cin`-byte runs
@@ -130,7 +130,7 @@
 //!   tiles handed to the VNNI leg's epilogue. Shapes the tiles do not fit,
 //!   the `n = 1` heads and plain [`gemm_i8`] stay on VNNI;
 //! - `vpdpbusd` takes *unsigned* left operands, so on the VNNI and AMX
-//!   legs activations carry a +128 bias ([`Int8Leg::activation_bias`];
+//!   legs activations carry a +128 bias (`Int8Leg::activation_bias`;
 //!   [`i8_activation_bias`] for the dispatched leg, an XOR with
 //!   `0x80` applied once when they are quantized) and every accumulator
 //!   starts at the exact correction `−128·Σ_k b[k][j]`, taken from the
@@ -186,7 +186,7 @@ impl Patches {
     }
 
     /// Where row `r` starts (its first span, for a left operand).
-    pub fn offset(&self, r: usize) -> usize {
+    pub(crate) fn offset(&self, r: usize) -> usize {
         (r / self.width) * self.row_stride + (r % self.width) * self.col_stride
     }
 
@@ -243,12 +243,12 @@ mod forward;
 mod int8;
 
 pub use backward::{dot, gemm_nt, gemm_tn, transpose_into};
-pub use dispatch::{avx512_available, f32_leg, int8_leg, F32Leg, Int8Leg};
+use dispatch::F32Leg;
+pub use dispatch::{avx512_available, f32_leg, int8_leg, Int8Leg};
 pub use forward::{gemm, gemm_f32_fused, naive, FusedF32};
 pub use int8::amx::TileSession;
 pub use int8::{
-    gemm_i8, gemm_i8_dequant, gemm_i8_on, i8_activation_bias, naive_i8, Dequant, PackedI8, NR_I8,
-    NR_VNNI,
+    gemm_i8, gemm_i8_dequant, gemm_i8_on, i8_activation_bias, naive_i8, Dequant, PackedI8,
 };
 
 /// Operand generators and comparisons shared by the kernel unit tests.

@@ -16,7 +16,7 @@ use crate::Tensor;
 /// ```
 /// use vehigan_tensor::{Tensor, gradcheck::finite_diff_grad};
 ///
-/// let x = Tensor::from_slice(&[2.0, 3.0]);
+/// let x = Tensor::from_vec(vec![2.0, 3.0], &[2]);
 /// // f(x) = x0² + 2·x1  →  ∇f = [2·x0, 2]
 /// let g = finite_diff_grad(|t| t.as_slice()[0].powi(2) + 2.0 * t.as_slice()[1], &x, 1e-3);
 /// assert!((g.as_slice()[0] - 4.0).abs() < 1e-2);

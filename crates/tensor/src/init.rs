@@ -24,7 +24,7 @@ pub enum Init {
 
 impl Init {
     /// Samples a tensor of the given shape using `fan_in`/`fan_out`.
-    pub fn sample(
+    pub(crate) fn sample(
         self,
         shape: &[usize],
         fan_in: usize,

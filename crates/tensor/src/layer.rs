@@ -25,13 +25,13 @@ pub struct Param {
 
 impl Param {
     /// Creates a parameter with a zeroed gradient of matching shape.
-    pub fn new(value: Tensor) -> Self {
+    pub(crate) fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape());
         Param { value, grad }
     }
 
     /// Resets the gradient accumulator to zero.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad.fill_zero();
     }
 }

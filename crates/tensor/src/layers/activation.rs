@@ -6,7 +6,7 @@ use crate::Tensor;
 
 /// The activation function applied by an [`Activation`] layer.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum ActivationKind {
+pub(crate) enum ActivationKind {
     /// `max(alpha·x, x)` — the paper's choice for both G and D hidden layers.
     LeakyRelu {
         /// Negative-slope coefficient (Keras default 0.3; paper-style 0.2).
@@ -83,10 +83,10 @@ impl ActivationKind {
 /// # Examples
 ///
 /// ```
-/// use vehigan_tensor::{layers::{Activation, ActivationKind}, layer::Layer, Tensor};
+/// use vehigan_tensor::{layers::Activation, layer::Layer, Tensor};
 ///
 /// let mut act = Activation::leaky_relu(0.2);
-/// let y = act.forward(&Tensor::from_slice(&[-1.0, 2.0]));
+/// let y = act.forward(&Tensor::from_vec(vec![-1.0, 2.0], &[2]));
 /// assert_eq!(y.as_slice(), &[-0.2, 2.0]);
 /// ```
 #[derive(Debug)]
@@ -99,23 +99,18 @@ pub struct Activation {
 
 impl Activation {
     /// Creates an activation layer of the given kind.
-    pub fn new(kind: ActivationKind) -> Self {
+    pub(crate) fn new(kind: ActivationKind) -> Self {
         Activation { kind, cached: None }
     }
 
-    /// Convenience constructor for [`ActivationKind::LeakyRelu`].
+    /// A leaky-ReLU layer, `max(alpha·x, x)`.
     pub fn leaky_relu(alpha: f32) -> Self {
         Self::new(ActivationKind::LeakyRelu { alpha })
     }
 
-    /// Convenience constructor for [`ActivationKind::Tanh`].
+    /// A tanh layer.
     pub fn tanh() -> Self {
         Self::new(ActivationKind::Tanh)
-    }
-
-    /// The activation kind.
-    pub fn kind(&self) -> ActivationKind {
-        self.kind
     }
 
     /// Reconstructs an activation layer from a snapshot.
@@ -124,7 +119,9 @@ impl Activation {
     ///
     /// Returns an error if the kind tag is unknown or `alpha` is missing for
     /// LeakyReLU.
-    pub fn from_snapshot(snap: &LayerSnapshot) -> Result<Self, crate::serialize::ModelFormatError> {
+    pub(crate) fn from_snapshot(
+        snap: &LayerSnapshot,
+    ) -> Result<Self, crate::serialize::ModelFormatError> {
         let kind = match snap.kind.as_str() {
             "LeakyReLU" => ActivationKind::LeakyRelu {
                 alpha: snap.f32_attr("alpha")?,
@@ -263,7 +260,7 @@ mod tests {
         let a = Activation::leaky_relu(0.37);
         let snap = a.save();
         let b = Activation::from_snapshot(&snap).unwrap();
-        assert_eq!(b.kind(), ActivationKind::LeakyRelu { alpha: 0.37 });
+        assert_eq!(b.kind, ActivationKind::LeakyRelu { alpha: 0.37 });
     }
 
     #[test]

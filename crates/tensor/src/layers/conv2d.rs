@@ -132,11 +132,6 @@ impl Conv2D {
         })
     }
 
-    /// Output channel count.
-    pub fn cout(&self) -> usize {
-        self.cout
-    }
-
     fn pad_offsets(&self) -> (usize, usize) {
         match self.padding {
             // Keras-style SAME for stride 1: pad_total = k − 1, extra on the
@@ -536,7 +531,7 @@ mod tests {
         let back = Conv2D::from_snapshot(&snap).unwrap();
         assert_eq!(back.w.value, conv.w.value);
         assert_eq!(back.padding, Padding::Valid);
-        assert_eq!(back.cout(), 5);
+        assert_eq!(back.cout, 5);
     }
 
     #[test]

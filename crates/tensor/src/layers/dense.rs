@@ -65,16 +65,6 @@ impl Dense {
             cached_out: None,
         })
     }
-
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
 }
 
 impl Layer for Dense {

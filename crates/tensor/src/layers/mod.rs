@@ -10,7 +10,7 @@ mod dense;
 mod reshape;
 mod upsample;
 
-pub use activation::{Activation, ActivationKind};
+pub use activation::Activation;
 pub use conv2d::{Conv2D, Padding};
 pub use dense::Dense;
 pub use reshape::{Flatten, Reshape};

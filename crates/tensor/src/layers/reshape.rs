@@ -17,7 +17,7 @@ impl Flatten {
     }
 
     /// Reconstructs from a snapshot.
-    pub fn from_snapshot(
+    pub(crate) fn from_snapshot(
         _snap: &LayerSnapshot,
     ) -> Result<Self, crate::serialize::ModelFormatError> {
         Ok(Flatten::new())
@@ -89,7 +89,9 @@ impl Reshape {
     /// # Errors
     ///
     /// Returns an error if the rank attribute or dims are missing.
-    pub fn from_snapshot(snap: &LayerSnapshot) -> Result<Self, crate::serialize::ModelFormatError> {
+    pub(crate) fn from_snapshot(
+        snap: &LayerSnapshot,
+    ) -> Result<Self, crate::serialize::ModelFormatError> {
         let rank = snap.usize_attr("rank")?;
         let mut target = Vec::with_capacity(rank);
         for i in 0..rank {

@@ -48,7 +48,9 @@ impl UpSample2D {
     /// # Errors
     ///
     /// Returns an error if factor attributes are missing.
-    pub fn from_snapshot(snap: &LayerSnapshot) -> Result<Self, crate::serialize::ModelFormatError> {
+    pub(crate) fn from_snapshot(
+        snap: &LayerSnapshot,
+    ) -> Result<Self, crate::serialize::ModelFormatError> {
         Ok(UpSample2D::new(
             snap.usize_attr("fy")?,
             snap.usize_attr("fx")?,

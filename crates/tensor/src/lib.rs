@@ -16,7 +16,7 @@
 //!   and the paper's FGSM attacks (Eqs. 6–7) — and which computes only the
 //!   half its caller reads ([`Sequential::backward_input`],
 //!   [`Sequential::backward_params`]);
-//! - [`optim`]: `Sgd`, `RmsProp` (the WGAN-with-clipping pairing), `Adam`;
+//! - [`optim`]: `RmsProp` (the WGAN-with-clipping pairing), `Adam`;
 //! - [`serialize`]: a flat binary model format for shipping trained critics
 //!   to the OBU/RSU testing phase;
 //! - [`gradcheck`]: finite-difference verification used throughout the test
@@ -45,7 +45,7 @@
 //! assert_eq!(realism.shape(), &[1, 1]);
 //!
 //! // ∇ₓ D(x) — the FGSM primitive.
-//! let grad = critic.input_gradient(&window);
+//! let grad = critic.backward_input(&Tensor::full(realism.shape(), 1.0));
 //! assert_eq!(grad.shape(), window.shape());
 //! ```
 

@@ -219,18 +219,13 @@ impl Sequential {
     }
 
     /// Appends a boxed layer (used by the deserializer).
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
+    pub(crate) fn push_boxed(&mut self, layer: Box<dyn Layer>) {
         self.layers.push(layer);
     }
 
     /// Number of layers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Whether the model has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
     }
 
     /// Layer names in forward order.
@@ -403,19 +398,6 @@ impl Sequential {
         g.unwrap_or_else(|| grad_out.clone())
     }
 
-    /// Computes `∂(mean of outputs)/∂input` and nothing else: parameter
-    /// gradients are neither computed nor touched
-    /// ([`Sequential::backward_input`]).
-    ///
-    /// This is the primitive behind the paper's FGSM attacks (Eqs. 6–7),
-    /// which need `∇ₓ𝒟(x)`.
-    pub fn input_gradient(&mut self, input: &Tensor) -> Tensor {
-        let out = self.forward(input);
-        let scale = 1.0 / out.len() as f32;
-        let grad_out = Tensor::full(out.shape(), scale);
-        self.backward_input(&grad_out)
-    }
-
     /// Zeroes all parameter gradients.
     pub fn zero_grad(&mut self) {
         for layer in &mut self.layers {
@@ -523,6 +505,13 @@ impl Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `∂(mean of outputs)/∂input` through [`Sequential::backward_input`].
+    fn input_gradient(m: &mut Sequential, input: &Tensor) -> Tensor {
+        let out = m.forward(input);
+        let grad_out = Tensor::full(out.shape(), 1.0 / out.len() as f32);
+        m.backward_input(&grad_out)
+    }
     use crate::gradcheck::{finite_diff_grad, max_relative_error};
     use crate::init::{randn, seeded_rng};
     use crate::layers::Padding;
@@ -557,7 +546,7 @@ mod tests {
         let mut m = small_mlp(1);
         let mut rng = seeded_rng(5);
         let x = randn(&[1, 6], &mut rng);
-        let analytic = m.input_gradient(&x);
+        let analytic = input_gradient(&mut m, &x);
         let snap = m.save();
         let numeric = finite_diff_grad(
             |xx| {
@@ -590,7 +579,7 @@ mod tests {
         m.push(Flatten::new());
         m.push(Dense::new(4 * 4 * 2, 1, Init::XavierUniform, &mut rng));
         let x = randn(&[1, 4, 4, 1], &mut rng);
-        let analytic = m.input_gradient(&x);
+        let analytic = input_gradient(&mut m, &x);
         let snap = m.save();
         let numeric = finite_diff_grad(
             |xx| {

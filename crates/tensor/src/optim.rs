@@ -1,4 +1,4 @@
-//! First-order optimizers: SGD, RMSProp, Adam.
+//! First-order optimizers: RMSProp and Adam.
 //!
 //! The original WGAN prescription (and the clipping variant used here) pairs
 //! the critic with RMSProp, since momentum-based updates interact badly with
@@ -25,37 +25,6 @@ pub trait Optimizer: Send {
     fn learning_rate(&self) -> f32;
 }
 
-/// Plain stochastic gradient descent: `w ← w − lr · g`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not finite and positive.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        for p in params {
-            let lr = self.lr;
-            p.value.add_scaled(&p.grad.clone(), -lr);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-}
-
 /// RMSProp: adaptive per-parameter learning rates without momentum.
 #[derive(Debug, Clone)]
 pub struct RmsProp {
@@ -80,7 +49,7 @@ impl RmsProp {
     /// # Panics
     ///
     /// Panics if `lr` is not positive or `rho` outside `(0, 1)`.
-    pub fn with_params(lr: f32, rho: f32, eps: f32) -> Self {
+    pub(crate) fn with_params(lr: f32, rho: f32, eps: f32) -> Self {
         assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
         assert!(rho > 0.0 && rho < 1.0, "rho must be in (0, 1)");
         RmsProp {
@@ -103,7 +72,7 @@ impl RmsProp {
     /// Serializes the per-parameter squared-gradient cache.
     ///
     /// Layout: `u32` tensor count, then each cache tensor in the model wire
-    /// encoding ([`write_tensor`]). An optimizer that has never stepped
+    /// encoding (`write_tensor`). An optimizer that has never stepped
     /// serializes to an empty cache, and restoring an empty cache yields a
     /// fresh optimizer — so `state_bytes`/[`restore_state`] round-trip the
     /// *exact* update trajectory in both the stepped and unstepped case.
@@ -268,11 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        converges(Sgd::new(0.1), 200, 1e-3);
-    }
-
-    #[test]
     fn rmsprop_converges_on_quadratic() {
         converges(RmsProp::new(0.05), 2000, 1e-2);
     }
@@ -285,7 +249,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate must be positive")]
     fn negative_lr_rejected() {
-        let _ = Sgd::new(-1.0);
+        let _ = Adam::new(-1.0);
     }
 
     #[test]
@@ -368,7 +332,6 @@ mod tests {
 
     #[test]
     fn learning_rate_exposed() {
-        assert_eq!(Sgd::new(0.5).learning_rate(), 0.5);
         assert_eq!(RmsProp::new(0.25).learning_rate(), 0.25);
         assert_eq!(Adam::new(0.125).learning_rate(), 0.125);
     }

@@ -11,16 +11,16 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Magic bytes identifying a VehiGAN model file.
-pub const MAGIC: &[u8; 4] = b"VGAN";
+pub(crate) const MAGIC: &[u8; 4] = b"VGAN";
 /// Current wire-format version.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 
 /// Error parsing or writing a serialized model.
 #[derive(Debug)]
 pub enum ModelFormatError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The magic bytes did not match [`MAGIC`].
+    /// The magic bytes did not match `MAGIC`.
     BadMagic,
     /// Unsupported wire-format version.
     BadVersion(u32),
@@ -94,7 +94,7 @@ pub struct LayerSnapshot {
 
 impl LayerSnapshot {
     /// Creates an empty snapshot of the given kind.
-    pub fn new(kind: &str) -> Self {
+    pub(crate) fn new(kind: &str) -> Self {
         LayerSnapshot {
             kind: kind.to_string(),
             usize_attrs: Vec::new(),
@@ -104,19 +104,19 @@ impl LayerSnapshot {
     }
 
     /// Adds an integer attribute (builder style).
-    pub fn with_usize(mut self, key: &str, v: usize) -> Self {
+    pub(crate) fn with_usize(mut self, key: &str, v: usize) -> Self {
         self.usize_attrs.push((key.to_string(), v));
         self
     }
 
     /// Adds a float attribute (builder style).
-    pub fn with_f32(mut self, key: &str, v: f32) -> Self {
+    pub(crate) fn with_f32(mut self, key: &str, v: f32) -> Self {
         self.f32_attrs.push((key.to_string(), v));
         self
     }
 
     /// Adds a named tensor (builder style).
-    pub fn with_tensor(mut self, key: &str, t: Tensor) -> Self {
+    pub(crate) fn with_tensor(mut self, key: &str, t: Tensor) -> Self {
         self.tensors.push((key.to_string(), t));
         self
     }
@@ -177,7 +177,7 @@ fn read_str(r: &mut impl Read) -> Result<String, ModelFormatError> {
 ///
 /// Exposed so higher layers (optimizer/checkpoint state) can reuse the exact
 /// model wire encoding; round-trips bitwise with [`read_tensor`].
-pub fn write_tensor(w: &mut impl Write, t: &Tensor) -> io::Result<()> {
+pub(crate) fn write_tensor(w: &mut impl Write, t: &Tensor) -> io::Result<()> {
     w.write_all(&(t.shape().len() as u32).to_le_bytes())?;
     for &d in t.shape() {
         w.write_all(&(d as u64).to_le_bytes())?;
@@ -190,7 +190,7 @@ pub fn write_tensor(w: &mut impl Write, t: &Tensor) -> io::Result<()> {
 
 /// Reads one tensor written by [`write_tensor`], rejecting non-finite
 /// values, ranks above 8, and element counts above `1 << 28`.
-pub fn read_tensor(r: &mut impl Read) -> Result<Tensor, ModelFormatError> {
+pub(crate) fn read_tensor(r: &mut impl Read) -> Result<Tensor, ModelFormatError> {
     let mut len4 = [0u8; 4];
     r.read_exact(&mut len4)?;
     let ndim = u32::from_le_bytes(len4) as usize;
@@ -228,7 +228,7 @@ impl ModelSnapshot {
     /// # Errors
     ///
     /// Returns an error if the underlying writer fails.
-    pub fn write_to(&self, w: &mut impl Write) -> Result<(), ModelFormatError> {
+    pub(crate) fn write_to(&self, w: &mut impl Write) -> Result<(), ModelFormatError> {
         w.write_all(MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&(self.layers.len() as u32).to_le_bytes())?;
@@ -258,7 +258,7 @@ impl ModelSnapshot {
     /// # Errors
     ///
     /// Returns an error on I/O failure, bad magic/version, or corruption.
-    pub fn read_from(r: &mut impl Read) -> Result<Self, ModelFormatError> {
+    pub(crate) fn read_from(r: &mut impl Read) -> Result<Self, ModelFormatError> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -306,7 +306,7 @@ impl ModelSnapshot {
     }
 
     /// Serializes to an in-memory byte vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         self.write_to(&mut buf)
             .expect("writing to a Vec cannot fail");

@@ -111,33 +111,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a 1-D tensor from a slice.
-    pub fn from_slice(data: &[f32]) -> Self {
-        Tensor {
-            shape: vec![data.len()],
-            data: data.to_vec(),
-        }
-    }
-
-    /// Creates a 2-D tensor from nested rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have unequal lengths.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "ragged rows: expected {c}, got {}", row.len());
-            data.extend_from_slice(row);
-        }
-        Tensor {
-            shape: vec![r, c],
-            data,
-        }
-    }
-
     /// The shape of the tensor.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -195,12 +168,6 @@ impl Tensor {
         self.data[self.flat_index(idx)]
     }
 
-    /// Sets the element at a multi-dimensional index.
-    pub fn set(&mut self, idx: &[usize], value: f32) {
-        let i = self.flat_index(idx);
-        self.data[i] = value;
-    }
-
     /// Returns a reshaped copy sharing the same data order.
     ///
     /// # Panics
@@ -242,7 +209,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    pub(crate) fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         self.assert_same_shape(other, "zip_map");
         Tensor {
             shape: self.shape.clone(),
@@ -287,11 +254,6 @@ impl Tensor {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// L2 norm of the flattened tensor.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Element-wise sign (−1, 0, or 1), as used by FGSM perturbations.
     pub fn sign(&self) -> Tensor {
         self.map(|x| {
@@ -330,7 +292,7 @@ impl Tensor {
     }
 
     /// Fills the tensor with zeros.
-    pub fn fill_zero(&mut self) {
+    pub(crate) fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
@@ -380,7 +342,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if either operand is not 2-D or the shared dimensions differ.
-    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
+    pub(crate) fn matmul_nt(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.ndim(),
             2,
@@ -408,49 +370,11 @@ impl Tensor {
         }
     }
 
-    /// `selfᵀ · other` without materializing the transpose: `self` is
-    /// `(k×m)`, `other` is `(k×n)`, the result is `(m×n)`.
-    ///
-    /// This is the backward-pass primitive `dW = Xᵀ · dY` with `X` read in
-    /// its stored layout; bitwise identical to
-    /// `self.transpose().matmul(other)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not 2-D or the shared dimensions differ.
-    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.ndim(),
-            2,
-            "matmul_tn lhs must be 2-D, got {:?}",
-            self.shape
-        );
-        assert_eq!(
-            other.ndim(),
-            2,
-            "matmul_tn rhs must be 2-D, got {:?}",
-            other.shape
-        );
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(
-            k, k2,
-            "matmul_tn shared dims: {:?}ᵀ · {:?}",
-            self.shape, other.shape
-        );
-        let mut out = vec![0.0f32; m * n];
-        crate::gemm::gemm_tn(m, n, k, &self.data, &other.data, &mut out);
-        Tensor {
-            shape: vec![m, n],
-            data: out,
-        }
-    }
-
     /// Transpose of a 2-D tensor, in 32×32 cache tiles.
     ///
     /// The hot paths (layer backward passes) no longer transpose at all —
-    /// see [`Tensor::matmul_nt`]/[`Tensor::matmul_tn`] — but serialization
-    /// and tests still want a materialized transpose.
+    /// see `Tensor::matmul_nt` — but serialization and tests still want a
+    /// materialized transpose.
     ///
     /// # Panics
     ///
@@ -469,58 +393,6 @@ impl Tensor {
             shape: vec![n, m],
             data: out,
         }
-    }
-
-    /// Extracts row `i` of a 2-D tensor as a 1-D tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D or `i` is out of bounds.
-    pub fn row(&self, i: usize) -> Tensor {
-        assert_eq!(self.ndim(), 2, "row() requires 2-D");
-        let n = self.shape[1];
-        assert!(
-            i < self.shape[0],
-            "row {i} out of bounds ({})",
-            self.shape[0]
-        );
-        Tensor::from_slice(&self.data[i * n..(i + 1) * n])
-    }
-
-    /// Stacks equally-shaped tensors along a new leading axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty or shapes differ.
-    pub fn stack(items: &[Tensor]) -> Tensor {
-        assert!(!items.is_empty(), "stack of zero tensors");
-        let inner = items[0].shape.clone();
-        let mut data = Vec::with_capacity(items.len() * items[0].len());
-        for t in items {
-            assert_eq!(t.shape, inner, "stack: inconsistent shapes");
-            data.extend_from_slice(&t.data);
-        }
-        let mut shape = vec![items.len()];
-        shape.extend_from_slice(&inner);
-        Tensor { shape, data }
-    }
-
-    /// Splits the leading axis, returning one tensor per index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is 0-dimensional.
-    pub fn unstack(&self) -> Vec<Tensor> {
-        assert!(self.ndim() >= 1, "unstack requires ndim >= 1");
-        let n = self.shape[0];
-        let inner: Vec<usize> = self.shape[1..].to_vec();
-        let chunk: usize = inner.iter().product::<usize>().max(1);
-        (0..n)
-            .map(|i| Tensor {
-                shape: inner.clone(),
-                data: self.data[i * chunk..(i + 1) * chunk].to_vec(),
-            })
-            .collect()
     }
 
     /// Selects rows of the leading axis by index, returning a new tensor.
@@ -601,6 +473,33 @@ impl AddAssign<&Tensor> for Tensor {
 mod tests {
     use super::*;
 
+    impl Tensor {
+        /// Creates a 1-D tensor from a slice.
+        pub(crate) fn from_slice(data: &[f32]) -> Self {
+            Tensor {
+                shape: vec![data.len()],
+                data: data.to_vec(),
+            }
+        }
+
+        /// Sets the element at a multi-dimensional index.
+        pub(crate) fn set(&mut self, idx: &[usize], value: f32) {
+            let i = self.flat_index(idx);
+            self.data[i] = value;
+        }
+
+        /// L2 norm of the flattened tensor.
+        pub(crate) fn norm(&self) -> f32 {
+            self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
+        }
+    }
+
+    /// A 2-D tensor from equal-length rows.
+    fn from_rows(rows: &[Vec<f32>]) -> Tensor {
+        let data: Vec<f32> = rows.concat();
+        Tensor::from_vec(data, &[rows.len(), rows[0].len()])
+    }
+
     #[test]
     fn zeros_and_shape() {
         let t = Tensor::zeros(&[2, 3, 4]);
@@ -634,15 +533,15 @@ mod tests {
 
     #[test]
     fn matmul_identity() {
-        let a = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let i = Tensor::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
+        let a = from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let i = from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
         assert_eq!(a.matmul(&i), a);
     }
 
     #[test]
     fn matmul_known_values() {
-        let a = Tensor::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let b = Tensor::from_rows(&[vec![7.0, 8.0], vec![9.0, 10.0], vec![11.0, 12.0]]);
+        let a = from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let b = from_rows(&[vec![7.0, 8.0], vec![9.0, 10.0], vec![11.0, 12.0]]);
         let c = a.matmul(&b);
         assert_eq!(c.shape(), &[2, 2]);
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
@@ -658,23 +557,14 @@ mod tests {
 
     #[test]
     fn matmul_nt_equals_explicit_transpose() {
-        let a = Tensor::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let b = Tensor::from_rows(&[vec![1.0, 0.5, -1.0], vec![2.0, -2.0, 0.0]]);
+        let a = from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let b = from_rows(&[vec![1.0, 0.5, -1.0], vec![2.0, -2.0, 0.0]]);
         let fast = a.matmul_nt(&b);
         let reference = a.matmul(&b.transpose());
         assert_eq!(fast.shape(), &[2, 2]);
         for (f, r) in fast.as_slice().iter().zip(reference.as_slice()) {
             assert!((f - r).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn matmul_tn_equals_explicit_transpose() {
-        let a = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let b = Tensor::from_rows(&[vec![1.0, -1.0], vec![0.5, 2.0], vec![-2.0, 0.0]]);
-        let fast = a.matmul_tn(&b);
-        let reference = a.transpose().matmul(&b);
-        assert_eq!(fast, reference); // tn is bitwise identical by design
     }
 
     #[test]
@@ -689,7 +579,7 @@ mod tests {
 
     #[test]
     fn transpose_involution() {
-        let a = Tensor::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let a = from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let att = a.transpose().transpose();
         assert_eq!(att, a);
         assert_eq!(a.transpose().shape(), &[3, 2]);
@@ -725,18 +615,8 @@ mod tests {
     }
 
     #[test]
-    fn stack_unstack_roundtrip() {
-        let a = Tensor::from_slice(&[1.0, 2.0]);
-        let b = Tensor::from_slice(&[3.0, 4.0]);
-        let s = Tensor::stack(&[a.clone(), b.clone()]);
-        assert_eq!(s.shape(), &[2, 2]);
-        let parts = s.unstack();
-        assert_eq!(parts, vec![a, b]);
-    }
-
-    #[test]
     fn take_selects_rows() {
-        let t = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        let t = from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let picked = t.take(&[2, 0]);
         assert_eq!(picked.shape(), &[2, 2]);
         assert_eq!(picked.as_slice(), &[5.0, 6.0, 1.0, 2.0]);
@@ -761,11 +641,5 @@ mod tests {
         let b = Tensor::from_slice(&[2.0, 4.0]);
         a.add_scaled(&b, 0.5);
         assert_eq!(a.as_slice(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn row_extraction() {
-        let t = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(t.row(1).as_slice(), &[3.0, 4.0]);
     }
 }

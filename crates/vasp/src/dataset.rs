@@ -55,13 +55,6 @@ pub struct MisbehaviorDataset {
     pub traces: Vec<LabeledTrace>,
 }
 
-impl MisbehaviorDataset {
-    /// Number of attacker vehicles.
-    pub fn num_attackers(&self) -> usize {
-        self.traces.iter().filter(|t| t.is_attacker).count()
-    }
-}
-
 /// Builds benign and per-attack datasets from a fleet of benign traces.
 ///
 /// # Examples
@@ -73,7 +66,7 @@ impl MisbehaviorDataset {
 /// let traces = TrafficSimulator::new(SimConfig::quick_test()).run();
 /// let builder = DatasetBuilder::new(&traces, DatasetConfig::default());
 /// let ds = builder.attack_dataset(Attack::by_name("HighSpeed").unwrap());
-/// assert!(ds.num_attackers() >= 1);
+/// assert!(ds.traces.iter().any(|t| t.is_attacker));
 /// ```
 #[derive(Debug)]
 pub struct DatasetBuilder<'a> {
@@ -188,20 +181,16 @@ impl<'a> DatasetBuilder<'a> {
             traces,
         }
     }
-
-    /// Datasets for every attack in the Table III catalog.
-    pub fn full_campaign(&self) -> Vec<MisbehaviorDataset> {
-        Attack::catalog()
-            .into_iter()
-            .map(|a| self.attack_dataset(a))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vehigan_sim::{SimConfig, TrafficSimulator};
+
+    fn num_attackers(ds: &MisbehaviorDataset) -> usize {
+        ds.traces.iter().filter(|t| t.is_attacker).count()
+    }
 
     fn fleet() -> Vec<VehicleTrace> {
         TrafficSimulator::new(SimConfig {
@@ -219,7 +208,7 @@ mod tests {
         let ds = DatasetBuilder::new(&traces, DatasetConfig::default()).benign_dataset();
         assert!(ds.attack.is_none());
         assert!(ds.traces.iter().all(|t| t.labels.iter().all(|&l| !l)));
-        assert_eq!(ds.num_attackers(), 0);
+        assert_eq!(num_attackers(&ds), 0);
     }
 
     #[test]
@@ -227,7 +216,7 @@ mod tests {
         let traces = fleet();
         let ds = DatasetBuilder::new(&traces, DatasetConfig::default())
             .attack_dataset(Attack::by_name("RandomSpeed").unwrap());
-        assert_eq!(ds.num_attackers(), 2); // 25% of 8
+        assert_eq!(num_attackers(&ds), 2); // 25% of 8
     }
 
     #[test]
@@ -321,13 +310,5 @@ mod tests {
         for (i, t) in &staged {
             assert_eq!(&expected[*i], t);
         }
-    }
-
-    #[test]
-    fn full_campaign_covers_catalog() {
-        let traces = fleet();
-        let campaign = DatasetBuilder::new(&traces, DatasetConfig::default()).full_campaign();
-        assert_eq!(campaign.len(), 35);
-        assert!(campaign.iter().all(|d| d.attack.is_some()));
     }
 }

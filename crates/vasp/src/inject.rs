@@ -30,7 +30,7 @@ pub enum AttackPolicy {
 
 impl AttackPolicy {
     /// Whether the attack is active at `elapsed` seconds since trace start.
-    pub fn is_active(&self, elapsed: f64) -> bool {
+    pub(crate) fn is_active(&self, elapsed: f64) -> bool {
         match *self {
             AttackPolicy::Persistent => true,
             AttackPolicy::Intermittent { period_s, duty } => {
@@ -181,13 +181,6 @@ pub struct AttackedTrace {
     pub labels: Vec<bool>,
     /// The attack that was applied.
     pub attack: Attack,
-}
-
-impl AttackedTrace {
-    /// Number of falsified messages.
-    pub fn num_malicious(&self) -> usize {
-        self.labels.iter().filter(|&&l| l).count()
-    }
 }
 
 /// Applies `attack` to a benign trace under `policy`.
@@ -372,6 +365,10 @@ mod tests {
     use rand::SeedableRng;
     use vehigan_sim::{SensorModel, SimConfig, TrafficSimulator};
 
+    fn num_malicious(attacked: &AttackedTrace) -> usize {
+        attacked.labels.iter().filter(|&&l| l).count()
+    }
+
     fn benign_trace() -> VehicleTrace {
         let config = SimConfig {
             n_vehicles: 1,
@@ -403,7 +400,7 @@ mod tests {
     fn persistent_policy_falsifies_everything() {
         let attack = Attack::by_name("RandomSpeed").unwrap();
         let (benign, attacked) = run(attack);
-        assert_eq!(attacked.num_malicious(), benign.len());
+        assert_eq!(num_malicious(&attacked), benign.len());
     }
 
     #[test]
@@ -419,7 +416,7 @@ mod tests {
             &AttackParams::default(),
             &mut rng(),
         );
-        let m = attacked.num_malicious();
+        let m = num_malicious(&attacked);
         assert!(m > benign.len() / 4 && m < 3 * benign.len() / 4, "m={m}");
         // Labels must alternate in runs, not per message.
         let transitions = attacked.labels.windows(2).filter(|w| w[0] != w[1]).count();
@@ -444,8 +441,8 @@ mod tests {
                 assert_eq!(bsm, orig);
             }
         }
-        assert!(attacked.num_malicious() > 0);
-        assert!(attacked.num_malicious() < benign.len());
+        assert!(num_malicious(&attacked) > 0);
+        assert!(num_malicious(&attacked) < benign.len());
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!
 //! let fleet = TrafficSimulator::new(SimConfig::quick_test()).run();
 //! let builder = DatasetBuilder::new(&fleet, DatasetConfig::default());
-//! for dataset in builder.full_campaign() {
-//!     let attack = dataset.attack.expect("campaign datasets are attacks");
-//!     assert!(dataset.num_attackers() > 0, "{attack}");
+//! for attack in Attack::catalog() {
+//!     let dataset = builder.attack_dataset(attack);
+//!     assert!(dataset.traces.iter().any(|t| t.is_attacker), "{attack}");
 //! }
 //! ```
 

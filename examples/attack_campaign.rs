@@ -6,7 +6,7 @@
 //! ```
 
 use vehigan::core::{Pipeline, PipelineConfig};
-use vehigan::metrics::{auprc, auroc};
+use vehigan::metrics::auroc;
 use vehigan::vasp::Attack;
 
 fn main() {
@@ -15,8 +15,8 @@ fn main() {
     let members: Vec<usize> = (0..pipeline.vehigan.m()).collect();
 
     println!(
-        "{:<30} {:>7} {:>7} {:>9} {:>10}",
-        "attack", "AUROC", "AUPRC", "windows", "malicious"
+        "{:<30} {:>7} {:>9} {:>10}",
+        "attack", "AUROC", "windows", "malicious"
     );
     let mut worst: (String, f64) = (String::new(), 1.0);
     let mut advanced_sum = 0.0;
@@ -30,9 +30,8 @@ fn main() {
             .score_with_members(&members, &test.x)
             .unwrap();
         let roc = auroc(&result.scores, &test.labels);
-        let prc = auprc(&result.scores, &test.labels);
         println!(
-            "{:<30} {roc:>7.3} {prc:>7.3} {:>9} {:>10}",
+            "{:<30} {roc:>7.3} {:>9} {:>10}",
             attack.name(),
             test.len(),
             test.malicious_indices().len()

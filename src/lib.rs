@@ -12,7 +12,7 @@
 //! | [`sim`] | `vehigan-sim` | traffic + BSM simulator (SUMO/Veins substitute) |
 //! | [`vasp`] | `vehigan-vasp` | Table I attack-injection framework |
 //! | [`features`] | `vehigan-features` | physics-guided Table II features |
-//! | [`metrics`] | `vehigan-metrics` | AUROC/AUPRC/rates/thresholds |
+//! | [`metrics`] | `vehigan-metrics` | AUROC/rates/thresholds |
 //! | [`baselines`] | `vehigan-baselines` | PCA/KNN/GMM/AE comparison detectors |
 //! | [`lite`] | `vehigan-lite` | quantized OBU inference (TFLite substitute) |
 //! | [`mbr`] | `vehigan-mbr` | misbehavior reports, authority, CRL, pseudonym linkage |

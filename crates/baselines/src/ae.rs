@@ -14,7 +14,7 @@ use vehigan_tensor::optim::{Adam, Optimizer};
 use vehigan_tensor::{Init, Sequential, Tensor};
 
 /// Autoencoder training hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AeConfig {
     /// Bottleneck width.
     pub bottleneck: usize,

@@ -9,7 +9,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod gemmbench;
 pub mod quant;
 pub mod table3;
 pub mod tier0;

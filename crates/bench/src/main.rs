@@ -21,8 +21,7 @@
 
 use std::path::PathBuf;
 use vehigan_bench::experiments::{
-    ablation, authority, catalog, fig3, fig4, fig5, fig6, fig7, fig8, gemmbench, quant, table3,
-    tier0,
+    ablation, authority, catalog, fig3, fig4, fig5, fig6, fig7, fig8, quant, table3, tier0,
 };
 use vehigan_bench::harness::{Harness, Scale};
 
@@ -61,7 +60,6 @@ const EXPERIMENTS: &[(&str, Run)] = &[
     ("catalog", Run::Untrained(catalog::run)),
     ("ablation", Run::Untrained(ablation::run)),
     ("fig8", Run::Untrained(fig8::run)),
-    ("gemm", Run::Untrained(gemmbench::run)),
     ("fig3", Run::Trained(|h, _| fig3::run(h))),
     ("fig4", Run::Trained(|h, _| fig4::run(h))),
     ("fig5a", Run::Trained(|h, _| fig5::run_5a(h))),
@@ -268,7 +266,7 @@ mod tests {
             ..Args::default()
         };
         let cases: &[(&str, Result<Args, &str>)] = &[
-            ("gemm", Ok(Args::default())),
+            ("fig8", Ok(Args::default())),
             ("fig5a --scale paper --resume d", Ok(paper)),
             ("authority --vehicles 0 --duration 0.5", Ok(sized)),
             (
@@ -284,7 +282,7 @@ mod tests {
                 "catalog --resume d",
                 Err("`catalog` does not read --resume"),
             ),
-            ("gemm --scale quick", Err("`gemm` does not read --scale")),
+            ("fig8 --scale quick", Err("`fig8` does not read --scale")),
             // Missing or bad values.
             ("authority --vehicles", Err("--vehicles needs a value (N)")),
             ("table3 --scale", Err("--scale needs a value (quick|paper)")),
@@ -307,6 +305,8 @@ mod tests {
             ("probe", Err("unknown experiment `probe`")),
             ("table3 --bogus 1", Err("unknown flag `--bogus`")),
             ("stream", Err("unknown experiment `stream`")),
+            // Gone: the kernel timer (the perf ledger times the kernels).
+            ("gemm", Err("unknown experiment `gemm`")),
             ("", Err("no experiment named")),
         ];
         for (line, want) in cases {

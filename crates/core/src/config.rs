@@ -9,9 +9,9 @@
 /// the critic. Spectral normalization divides each weight matrix by its
 /// largest singular value (one power-iteration step per update) —
 /// first-order only, so it fits this stack, and far better conditioned.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LipschitzMode {
-    /// Original WGAN weight clipping with the configured `clip` bound.
+    /// Original WGAN weight clipping to `[-0.03, 0.03]`.
     Clip,
     /// Spectral normalization of all weight matrices (σ ≤ 1).
     Spectral,
@@ -32,7 +32,7 @@ pub enum LipschitzMode {
 /// Paper defaults (§IV-A.1): batch size 128, learning rate 1e-3, 2×2
 /// kernels, LeakyReLU; noise dims {8, 16, 32, 48, 64}; layer counts
 /// {6, 7, 8}; epochs {25, 50, 75, 100}.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WganConfig {
     /// Noise vector dimension `d` of the generator input.
     pub noise_dim: usize,
@@ -46,16 +46,12 @@ pub struct WganConfig {
     pub learning_rate: f32,
     /// Lipschitz enforcement mode for the critic.
     pub lipschitz: LipschitzMode,
-    /// WGAN weight-clipping bound (used by [`LipschitzMode::Clip`]).
-    pub clip: f32,
     /// Critic updates per generator update.
     pub n_critic: usize,
     /// Snapshot window length `w`.
     pub window: usize,
     /// Snapshot feature count `f`.
     pub features: usize,
-    /// LeakyReLU negative slope.
-    pub leaky_alpha: f32,
     /// Post-init gain on the generator's output layer. Values > 1 widen
     /// the initial fake distribution so the critic sees fakes across the
     /// whole feature cube from the first step instead of a blob at the
@@ -75,11 +71,9 @@ impl Default for WganConfig {
             batch_size: 128,
             learning_rate: 1e-4,
             lipschitz: LipschitzMode::GradientPenalty { lambda: 10.0 },
-            clip: 0.03,
             n_critic: 3,
             window: 10,
             features: 12,
-            leaky_alpha: 0.2,
             g_output_gain: 4.0,
             seed: 0,
         }
@@ -115,12 +109,11 @@ impl WganConfig {
         assert!(self.epochs > 0, "epochs must be positive");
         assert!(self.batch_size > 0, "batch size must be positive");
         assert!(self.n_critic > 0, "n_critic must be positive");
-        assert!(self.clip > 0.0, "clip bound must be positive");
     }
 }
 
 /// The hyperparameter grid searched by the model zoo.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridConfig {
     /// Noise dimensions to sweep.
     pub noise_dims: Vec<usize>,

@@ -164,9 +164,14 @@ impl std::fmt::Debug for CriticMember {
     }
 }
 
+/// The percentile `p` of a member's benign training scores its threshold
+/// sits at (§III-F; the paper sweeps 99–99.99).
+const THRESHOLD_PERCENTILE: f64 = 99.0;
+
 impl CriticMember {
-    /// Calibrates a member's threshold at the `p`-th percentile of its
-    /// anomaly scores on benign training snapshots (§III-F).
+    /// Calibrates a member's threshold at the 99th percentile
+    /// (`THRESHOLD_PERCENTILE`) of its anomaly scores on benign training
+    /// snapshots (§III-F).
     ///
     /// Non-finite scores (a degraded critic can emit NaN/Inf without
     /// failing outright) are excluded from the percentile, consistent with
@@ -179,8 +184,8 @@ impl CriticMember {
     ///
     /// # Panics
     ///
-    /// Panics if `benign` is empty or `p` outside `[0, 100]`.
-    pub fn calibrate(wgan: Wgan, ads: f64, benign: &Tensor, p: f64) -> Result<Self, EnsembleError> {
+    /// Panics if `benign` is empty.
+    pub fn calibrate(wgan: Wgan, ads: f64, benign: &Tensor) -> Result<Self, EnsembleError> {
         let mut scores = wgan.score_batch(benign);
         scores.retain(|s| s.is_finite());
         if scores.is_empty() {
@@ -188,7 +193,7 @@ impl CriticMember {
                 id: wgan.config().id(),
             });
         }
-        let threshold = percentile(&scores, p);
+        let threshold = percentile(&scores, THRESHOLD_PERCENTILE);
         Ok(CriticMember {
             id: wgan.config().id(),
             wgan,
@@ -785,7 +790,7 @@ mod tests {
         };
         let mut wgan = Wgan::new(config);
         wgan.train(train);
-        CriticMember::calibrate(wgan, 0.9, train, 99.0).unwrap()
+        CriticMember::calibrate(wgan, 0.9, train).unwrap()
     }
 
     fn ensemble(m: usize, k: usize) -> VehiGan {

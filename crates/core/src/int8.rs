@@ -246,7 +246,7 @@ mod tests {
         };
         let mut wgan = Wgan::new(config);
         wgan.train(train);
-        CriticMember::calibrate(wgan, 0.9, train, 99.0).unwrap()
+        CriticMember::calibrate(wgan, 0.9, train).unwrap()
     }
 
     /// Mixed-depth ensemble with the backend compiled, plus the benign

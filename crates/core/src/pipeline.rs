@@ -72,7 +72,7 @@ impl From<EnsembleError> for PipelineError {
 pub struct PipelineConfig {
     /// Traffic simulation parameters.
     pub sim: SimConfig,
-    /// Attack dataset parameters (malicious fraction, policy, ranges).
+    /// Attack dataset parameters (malicious fraction, seed).
     pub dataset: DatasetConfig,
     /// Snapshot windowing parameters.
     pub window: WindowConfig,
@@ -82,15 +82,6 @@ pub struct PipelineConfig {
     pub top_m: usize,
     /// Deployed subset size `k ≤ m`.
     pub deploy_k: usize,
-    /// Threshold percentile `p` (paper: 99–99.99).
-    pub threshold_percentile: f64,
-    /// Attacks present in the validation set (the defender's
-    /// "representative anomalies", §III-E).
-    pub validation_attacks: Vec<Attack>,
-    /// Fraction of vehicles reserved for benign training.
-    pub train_fraction: f64,
-    /// Fraction of vehicles reserved for validation (the rest is test).
-    pub valid_fraction: f64,
     /// Worker threads for zoo training.
     pub zoo_threads: usize,
     /// Ensemble randomization seed.
@@ -101,21 +92,6 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// One representative validation attack per targeted field.
-    pub(crate) fn default_validation_attacks() -> Vec<Attack> {
-        [
-            "RandomPosition",
-            "RandomSpeed",
-            "RandomAcceleration",
-            "OppositeHeading",
-            "RandomYawRate",
-            "HighHeadingYawRate",
-        ]
-        .iter()
-        .map(|n| Attack::by_name(n).expect("catalog name"))
-        .collect()
-    }
-
     /// A CPU-friendly configuration that still exercises every stage.
     pub fn quick() -> Self {
         PipelineConfig {
@@ -133,10 +109,6 @@ impl PipelineConfig {
             grid: GridConfig::quick(),
             top_m: 5,
             deploy_k: 3,
-            threshold_percentile: 99.0,
-            validation_attacks: Self::default_validation_attacks(),
-            train_fraction: 0.5,
-            valid_fraction: 0.25,
             zoo_threads: 4,
             seed: 0,
             checkpoint_dir: None,
@@ -197,6 +169,24 @@ impl PipelineConfig {
         }
     }
 }
+
+/// Fraction of the fleet's vehicles reserved for benign training.
+const TRAIN_FRACTION: f64 = 0.5;
+
+/// Fraction of the fleet's vehicles reserved for validation; the rest is
+/// the held-out test fleet.
+const VALID_FRACTION: f64 = 0.25;
+
+/// The attacks in the validation set, one representative per targeted
+/// field: the defender's "representative anomalies" (§III-E).
+const VALIDATION_ATTACKS: [&str; 6] = [
+    "RandomPosition",
+    "RandomSpeed",
+    "RandomAcceleration",
+    "OppositeHeading",
+    "RandomYawRate",
+    "HighHeadingYawRate",
+];
 
 /// A fully trained VehiGAN system plus everything needed to evaluate it.
 pub struct Pipeline {
@@ -272,20 +262,12 @@ impl Pipeline {
         if config.deploy_k > config.top_m {
             return Err(PipelineError::InvalidConfig("deploy_k exceeds top_m"));
         }
-        if !(config.train_fraction > 0.0
-            && config.valid_fraction > 0.0
-            && config.train_fraction + config.valid_fraction < 1.0)
-        {
-            return Err(PipelineError::InvalidConfig(
-                "fractions must leave room for a test split",
-            ));
-        }
 
         // 1. Simulate and split the fleet.
         let fleet = TrafficSimulator::new(config.sim.clone()).run();
         let n = fleet.len();
-        let n_train = ((n as f64 * config.train_fraction) as usize).max(1);
-        let n_valid = ((n as f64 * config.valid_fraction) as usize).max(1);
+        let n_train = ((n as f64 * TRAIN_FRACTION) as usize).max(1);
+        let n_valid = ((n as f64 * VALID_FRACTION) as usize).max(1);
         if n_train + n_valid >= n {
             return Err(PipelineError::InvalidConfig(
                 "fleet too small for a 3-way split",
@@ -311,11 +293,14 @@ impl Pipeline {
         //    engineered once rather than once per attack.
         let valid_plane =
             CampaignPlane::new(valid_fleet, config.dataset.clone(), config.window, &scaler);
-        let validation: Vec<(Attack, WindowDataset)> = config
-            .validation_attacks
+        let validation_attacks: Vec<Attack> = VALIDATION_ATTACKS
+            .iter()
+            .map(|n| Attack::by_name(n).expect("catalog name"))
+            .collect();
+        let validation: Vec<(Attack, WindowDataset)> = validation_attacks
             .iter()
             .copied()
-            .zip(valid_plane.campaign(&config.validation_attacks))
+            .zip(valid_plane.campaign(&validation_attacks))
             .collect();
         drop(valid_plane);
 
@@ -346,13 +331,7 @@ impl Pipeline {
             let entry = &zoo.entries()[i];
             let clone = Wgan::from_critic_bytes(*entry.wgan.config(), &entry.wgan.critic_bytes())
                 .map_err(PipelineError::Model)?;
-            CriticMember::calibrate(
-                clone,
-                entry.ads,
-                &train_windows.x,
-                config.threshold_percentile,
-            )
-            .map_err(PipelineError::from)
+            CriticMember::calibrate(clone, entry.ads, &train_windows.x).map_err(PipelineError::from)
         })
         .into_iter()
         .collect::<Result<Vec<CriticMember>, PipelineError>>()?;
@@ -563,6 +542,19 @@ mod tests {
         match Pipeline::try_run(c) {
             Err(PipelineError::InvalidConfig(msg)) => {
                 assert!(msg.contains("top_m"))
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_fleet_too_small_to_split_three_ways_is_a_typed_error() {
+        // Two vehicles: one trains, one validates, none is left to test.
+        let mut c = PipelineConfig::tiny();
+        c.sim.n_vehicles = 2;
+        match Pipeline::try_run(c) {
+            Err(PipelineError::InvalidConfig(msg)) => {
+                assert_eq!(msg, "fleet too small for a 3-way split")
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }

@@ -127,7 +127,7 @@ struct TrainCursor {
 }
 
 /// Per-epoch training statistics.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainStats {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -138,6 +138,13 @@ pub struct TrainStats {
     /// Mean critic output on fake samples.
     pub critic_fake: f32,
 }
+
+/// Negative slope of every LeakyReLU in the critic and the generator.
+const LEAKY_ALPHA: f32 = 0.2;
+
+/// Weight-clipping bound `c` of [`LipschitzMode::Clip`]: every critic
+/// parameter is clamped to `[-c, c]` after each critic update.
+const CLIP: f32 = 0.03;
 
 /// Channel width of critic conv layer `i` (8 → 16 → 32, capped).
 fn critic_channels(i: usize) -> usize {
@@ -160,7 +167,7 @@ pub fn build_critic(config: &WganConfig, rng: &mut rand::rngs::StdRng) -> Sequen
             Init::HeUniform,
             rng,
         ));
-        critic.push(Activation::leaky_relu(config.leaky_alpha));
+        critic.push(Activation::leaky_relu(LEAKY_ALPHA));
         cin = cout;
     }
     critic.push(Flatten::new());
@@ -185,7 +192,7 @@ pub(crate) fn build_generator(config: &WganConfig, rng: &mut rand::rngs::StdRng)
         Init::HeUniform,
         rng,
     ));
-    g.push(Activation::leaky_relu(config.leaky_alpha));
+    g.push(Activation::leaky_relu(LEAKY_ALPHA));
     g.push(Reshape::new(&[h2, w2, seed_channels]));
     g.push(UpSample2D::new(2, 2));
     // layers − 2 intermediate convs, then the output conv.
@@ -198,7 +205,7 @@ pub(crate) fn build_generator(config: &WganConfig, rng: &mut rand::rngs::StdRng)
             Init::HeUniform,
             rng,
         ));
-        g.push(Activation::leaky_relu(config.leaky_alpha));
+        g.push(Activation::leaky_relu(LEAKY_ALPHA));
     }
     let mut out_conv = Conv2D::new(
         seed_channels,
@@ -630,7 +637,7 @@ impl Wgan {
         }
         self.opt_d.step(&mut self.critic.params_mut());
         match self.config.lipschitz {
-            LipschitzMode::Clip => self.critic.clip_weights(self.config.clip),
+            LipschitzMode::Clip => self.critic.clip_weights(CLIP),
             LipschitzMode::Spectral => self.spectral_normalize(rng),
             LipschitzMode::GradientPenalty { .. } => {}
         }
@@ -1170,7 +1177,7 @@ mod tests {
             }
             self.opt_d.step(&mut self.critic.params_mut());
             match self.config.lipschitz {
-                LipschitzMode::Clip => self.critic.clip_weights(self.config.clip),
+                LipschitzMode::Clip => self.critic.clip_weights(CLIP),
                 LipschitzMode::Spectral => self.spectral_normalize(rng),
                 LipschitzMode::GradientPenalty { .. } => {}
             }
@@ -1396,9 +1403,8 @@ mod tests {
         });
         let x = benign_snapshots(64, 3);
         wgan.train(&x);
-        let clip = wgan.config().clip;
         for p in wgan.critic().params() {
-            assert!(p.value.max() <= clip && p.value.min() >= -clip);
+            assert!(p.value.max() <= CLIP && p.value.min() >= -CLIP);
         }
     }
 

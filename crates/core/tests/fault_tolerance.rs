@@ -149,7 +149,7 @@ fn zoo_with_quarantined_member_still_scores_degraded() {
     let members: Vec<CriticMember> = zoo
         .take_models(&selected)
         .into_iter()
-        .map(|e| CriticMember::calibrate(e.wgan, e.ads, &train, 99.0).unwrap())
+        .map(|e| CriticMember::calibrate(e.wgan, e.ads, &train).unwrap())
         .collect();
     let mut vehigan = VehiGan::new(members, 2, 7).unwrap();
 
@@ -377,13 +377,13 @@ fn calibrate_filters_non_finite_scores() {
     let mut data = benign(8, 2).as_slice().to_vec();
     data[0] = f32::NAN;
     let poisoned = Tensor::from_vec(data, &[8, 10, 12, 1]);
-    let member = CriticMember::calibrate(wgan, 0.5, &poisoned, 99.0).unwrap();
+    let member = CriticMember::calibrate(wgan, 0.5, &poisoned).unwrap();
     assert!(member.threshold.is_finite());
 
     // All-NaN calibration data: typed error, not a NaN threshold.
     let all_nan = Tensor::from_vec(vec![f32::NAN; 2 * 120], &[2, 10, 12, 1]);
     assert!(matches!(
-        CriticMember::calibrate(clone, 0.5, &all_nan, 99.0),
+        CriticMember::calibrate(clone, 0.5, &all_nan),
         Err(EnsembleError::NoFiniteCalibrationScores { .. })
     ));
 }
@@ -402,7 +402,7 @@ fn wrong_snapshot_shape_is_a_typed_error() {
     let train = benign(32, 1);
     let mut wgan = Wgan::new(config);
     wgan.train(&train);
-    let member = CriticMember::calibrate(wgan, 0.5, &train, 99.0).unwrap();
+    let member = CriticMember::calibrate(wgan, 0.5, &train).unwrap();
     let mut vehigan = VehiGan::new(vec![member], 1, 7).unwrap();
 
     // A multi-snapshot batch through the single-vehicle API: typed error

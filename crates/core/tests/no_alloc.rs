@@ -57,7 +57,7 @@ fn warm_slice_scoring_never_allocates() {
                 seed,
                 ..WganConfig::default()
             };
-            CriticMember::calibrate(Wgan::new(config), 0.9, &benign, 99.0).unwrap()
+            CriticMember::calibrate(Wgan::new(config), 0.9, &benign).unwrap()
         })
         .collect();
     let mut vehigan = VehiGan::new(members, 3, 7).unwrap();

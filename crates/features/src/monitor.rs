@@ -55,7 +55,6 @@
 //! non-finite fields, eviction rebuilds) resets the monitor cold, which
 //! means `Screen` until it re-warms.
 
-use serde::{Deserialize, Serialize};
 use vehigan_sim::{Bsm, VehicleTrace};
 
 /// Number of residuals computable from one consecutive BSM pair alone
@@ -112,7 +111,7 @@ pub enum GateDecision {
 }
 
 /// Per-residual CUSUM/EWMA update parameters, fit from benign traces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tier0Params {
     /// EWMA smoothing factor λ.
     pub lambda: f32,
@@ -127,11 +126,9 @@ pub struct Tier0Params {
 }
 
 /// Fitted tier-0 decision intervals plus the carry-forward policy for
-/// suppressed windows. Serializable with serde (like [`MinMaxScaler`])
-/// so a deployment stores it next to the scaler.
-///
-/// [`MinMaxScaler`]: crate::MinMaxScaler
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// suppressed windows. `Copy`, so a deployment stores it next to the
+/// fitted scaler.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tier0Calibration {
     /// Monitor update parameters.
     pub params: Tier0Params,
@@ -888,8 +885,8 @@ mod tests {
     #[test]
     fn calibration_copies_and_compares_exactly() {
         // The deployment contract: a Tier0Calibration is stored next to
-        // the fitted scaler (both carry the serde derives); it must be
-        // Copy + PartialEq so a round-tripped copy is bit-comparable.
+        // the fitted scaler; it must be Copy + PartialEq so a stored copy
+        // is bit-comparable.
         let cal = fitted();
         let copy = cal;
         assert_eq!(cal, copy);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// The fitted statistics are immutable and shared: a clone (one per
 /// tracked vehicle's window buffer) bumps two reference counts instead
 /// of copying the columns.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinMaxScaler {
     min: Arc<[f64]>,
     max: Arc<[f64]>,

@@ -30,7 +30,7 @@ use vehigan_tensor::Tensor;
 use vehigan_vasp::{LabeledTrace, MisbehaviorDataset};
 
 /// Which feature representation windows are built from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Representation {
     /// The 12 physics-guided features of Table II (`Vehi-` detectors).
     Engineered,
@@ -49,7 +49,7 @@ impl Representation {
 }
 
 /// Windowing configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowConfig {
     /// Window length `w` in messages (paper: 10).
     pub window: usize,

@@ -47,7 +47,7 @@ use std::collections::HashMap;
 use vehigan_sim::{IdHash, VehicleId};
 
 /// Conviction policy of the authority.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuthorityPolicy {
     /// Distinct reporters required for conviction, at most
     /// [`EXACT_CAP`].
@@ -135,7 +135,7 @@ pub struct BatchReport {
 }
 
 /// Lifetime report counters of the authority.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuthorityStats {
     /// Reports absorbed into evidence.
     pub accepted: u64,

@@ -17,7 +17,7 @@ use std::collections::{HashMap, VecDeque};
 use vehigan_sim::{IdHash, VehicleId};
 
 /// Why a credential was revoked.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RevocationRecord {
     /// Revocation time (seconds).
     pub revoked_at: f64,
@@ -31,7 +31,7 @@ pub struct RevocationRecord {
 }
 
 /// One journaled CRL mutation.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CrlOp {
     /// A credential was revoked (or its record refreshed).
     Revoke {
@@ -48,7 +48,7 @@ pub enum CrlOp {
 }
 
 /// An incremental CRL update for a mirror at sequence `since`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrlDelta {
     /// The mirror's cursor this delta starts after.
     pub since: u64,
@@ -86,7 +86,7 @@ const DEFAULT_LOG_CAPACITY: usize = 4096;
 /// mirror.apply_delta(&delta);
 /// assert_eq!(mirror, crl);
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CertificateRevocationList {
     entries: HashMap<VehicleId, RevocationRecord, IdHash>,
     /// Entries older than this many seconds no longer apply (`None` =

@@ -7,9 +7,7 @@ use std::collections::HashMap;
 use vehigan_sim::{IdHash, VehicleId};
 
 /// A vehicle's long-term enrollment identity (never transmitted).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LongTermId(pub u32);
 
 /// Issues short-term pseudonyms and retains the linkage map.
@@ -29,7 +27,7 @@ pub struct LongTermId(pub u32);
 /// assert_eq!(scms.resolve(p1), Some(LongTermId(7)));
 /// assert_eq!(scms.pseudonyms_of(LongTermId(7)), vec![p1, p2]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PseudonymManager {
     next: u32,
     linkage: HashMap<VehicleId, LongTermId, IdHash>,

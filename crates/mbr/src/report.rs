@@ -7,7 +7,7 @@ use vehigan_sim::VehicleId;
 ///
 /// Carries the ensemble verdict plus the offending snapshot as evidence,
 /// so the MA can re-validate independently before acting.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mbr {
     /// The reporting vehicle/RSU (its own pseudonym).
     pub reporter: VehicleId,

@@ -1,7 +1,7 @@
 //! Confusion counts and derived rates.
 
 /// Confusion-matrix counts at a fixed threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Confusion {
     /// Misbehavior correctly flagged.
     pub tp: usize,

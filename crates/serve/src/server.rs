@@ -929,7 +929,7 @@ mod tests {
                     seed,
                     ..WganConfig::default()
                 };
-                CriticMember::calibrate(Wgan::new(config), 0.9, &benign, 99.0).unwrap()
+                CriticMember::calibrate(Wgan::new(config), 0.9, &benign).unwrap()
             })
             .collect()
     }

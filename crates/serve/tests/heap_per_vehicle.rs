@@ -193,7 +193,7 @@ fn two_critics() -> VehiGan {
                 seed,
                 ..WganConfig::default()
             };
-            CriticMember::calibrate(Wgan::new(config), 0.9, &benign, 99.0).unwrap()
+            CriticMember::calibrate(Wgan::new(config), 0.9, &benign).unwrap()
         })
         .collect();
     let mut vehigan = VehiGan::new(members, 2, 1).unwrap();

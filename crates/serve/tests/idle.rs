@@ -49,7 +49,7 @@ fn servers_own_no_threads_and_an_idle_helper_parks() {
                 seed,
                 ..WganConfig::default()
             };
-            CriticMember::calibrate(Wgan::new(config), 0.9, &benign, 99.0).unwrap()
+            CriticMember::calibrate(Wgan::new(config), 0.9, &benign).unwrap()
         })
         .collect();
     let mut vehigan = VehiGan::new(members, 2, 1).unwrap();

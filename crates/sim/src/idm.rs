@@ -5,7 +5,7 @@
 //! term against an obstacle (here: red-signal stop lines and curve entries).
 
 /// IDM parameters for one driver.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdmParams {
     /// Maximum comfortable acceleration (m/s²).
     pub a_max: f64,

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// A compass direction of travel along the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Direction {
     /// +X travel (heading 0).
     East,
@@ -71,7 +71,7 @@ impl Direction {
 }
 
 /// Grid coordinates of an intersection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct NodeId {
     /// Column index.
     pub ix: i32,
@@ -80,7 +80,7 @@ pub(crate) struct NodeId {
 }
 
 /// A two-phase fixed-time traffic signal at an intersection.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Signal {
     /// Full cycle length in seconds.
     pub cycle_s: f64,
@@ -107,7 +107,7 @@ impl Signal {
 ///
 /// Intersections sit at `(ix · spacing, iy · spacing)` for
 /// `0 ≤ ix < nx`, `0 ≤ iy < ny`. Every grid line is a bidirectional road.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct RoadNetwork {
     /// Number of columns of intersections.
     pub nx: i32,

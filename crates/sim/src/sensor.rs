@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Per-field Gaussian noise standard deviations.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorModel {
     /// GNSS position noise per axis (m).
     pub pos_std: f64,

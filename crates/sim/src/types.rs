@@ -10,19 +10,7 @@ pub const BSM_INTERVAL_S: f64 = 0.1;
 /// Real deployments rotate pseudonyms through the SCMS; within a simulation
 /// horizon a vehicle keeps one id, matching how the VehiGAN dataset groups
 /// messages per vehicle.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    Default,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VehicleId(pub u32);
 
 impl fmt::Display for VehicleId {
@@ -36,7 +24,7 @@ impl fmt::Display for VehicleId {
 /// Units: meters, seconds, radians. `heading` is measured
 /// counter-clockwise from the +X axis and normalized to `(-π, π]`;
 /// `yaw_rate` is its time derivative.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bsm {
     /// Sender pseudonym.
     pub vehicle_id: VehicleId,
@@ -85,7 +73,7 @@ impl Bsm {
 }
 
 /// The time-ordered BSM stream of a single vehicle.
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct VehicleTrace {
     /// The sender all messages belong to.
     pub id: VehicleId,

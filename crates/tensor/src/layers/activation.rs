@@ -5,7 +5,7 @@ use crate::serialize::LayerSnapshot;
 use crate::Tensor;
 
 /// The activation function applied by an [`Activation`] layer.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ActivationKind {
     /// `max(alpha·x, x)` — the paper's choice for both G and D hidden layers.
     LeakyRelu {

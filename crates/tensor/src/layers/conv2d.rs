@@ -12,7 +12,7 @@ use crate::{Init, Tensor};
 use rand::rngs::StdRng;
 
 /// Spatial padding mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Padding {
     /// Zero-pad so the output spatial size equals the input size.
     Same,

@@ -1,7 +1,7 @@
 //! # vehigan-tensor
 //!
 //! The deep-learning substrate of the VehiGAN reproduction: a small,
-//! dependency-free (beyond `rand`/`serde`) CPU tensor library with
+//! dependency-free (beyond `rand`) CPU tensor library with
 //! hand-written exact backpropagation.
 //!
 //! The VehiGAN paper (ICDCS 2024) trains Wasserstein GANs in

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// How the targeted field's value is falsified (rows of Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackKind {
     /// Transmit a random value each message.
     Random,
@@ -59,7 +59,7 @@ impl AttackKind {
 }
 
 /// Which BSM field(s) the attack falsifies (columns of Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TargetField {
     /// `(pos_x, pos_y)`.
     Position,
@@ -131,7 +131,7 @@ impl std::error::Error for InvalidAttackError {}
 /// assert!(Attack::new(AttackKind::Rotating, TargetField::Speed).is_err());
 /// # Ok::<(), vehigan_vasp::InvalidAttackError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Attack {
     kind: AttackKind,
     field: TargetField,

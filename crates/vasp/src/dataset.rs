@@ -12,14 +12,10 @@ use rand::SeedableRng;
 use vehigan_sim::VehicleTrace;
 
 /// Configuration for dataset assembly.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetConfig {
     /// Fraction of vehicles that are attackers (paper: 0.25).
     pub malicious_fraction: f64,
-    /// Attack transmission policy (paper: persistent).
-    pub policy: AttackPolicy,
-    /// Falsified value ranges.
-    pub params: AttackParams,
     /// Seed for attacker selection and falsified-value sampling.
     pub seed: u64,
 }
@@ -28,12 +24,15 @@ impl Default for DatasetConfig {
     fn default() -> Self {
         DatasetConfig {
             malicious_fraction: 0.25,
-            policy: AttackPolicy::Persistent,
-            params: AttackParams::default(),
             seed: 0,
         }
     }
 }
+
+/// When an attacker transmits falsified messages: always, as in the
+/// paper's dataset (§IV-A). Every attacker falsifies within
+/// [`AttackParams::default`]'s value ranges.
+const ATTACK_POLICY: AttackPolicy = AttackPolicy::Persistent;
 
 /// One vehicle's labelled message stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,16 +130,11 @@ impl<'a> DatasetBuilder<'a> {
         // stream contract the monolithic builder established.
         attacker_indices.sort_unstable();
 
+        let params = AttackParams::default();
         attacker_indices
             .into_iter()
             .map(|i| {
-                let attacked = inject(
-                    &self.benign[i],
-                    attack,
-                    self.config.policy,
-                    &self.config.params,
-                    &mut rng,
-                );
+                let attacked = inject(&self.benign[i], attack, ATTACK_POLICY, &params, &mut rng);
                 (
                     i,
                     LabeledTrace {
@@ -286,7 +280,8 @@ mod tests {
             .enumerate()
             .map(|(i, t)| {
                 if attacker_set.contains(&i) {
-                    let attacked = inject(t, attack, config.policy, &config.params, &mut rng);
+                    let attacked =
+                        inject(t, attack, ATTACK_POLICY, &AttackParams::default(), &mut rng);
                     LabeledTrace {
                         trace: attacked.trace,
                         labels: attacked.labels,

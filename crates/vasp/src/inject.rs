@@ -9,7 +9,7 @@ use vehigan_sim::{Bsm, VehicleTrace, BSM_INTERVAL_S};
 ///
 /// The paper's dataset uses the *persistent* policy (§IV-A): the attacker
 /// always transmits attack messages.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackPolicy {
     /// Every message is falsified.
     Persistent,
@@ -47,7 +47,7 @@ impl AttackPolicy {
 /// Defaults follow VASP's spirit: "random" values span the plausible
 /// playground, "high"/"low" values are physically extreme, offsets are
 /// large enough to matter but not absurd.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackParams {
     /// Playground (simulation area) bounds for random/constant positions:
     /// `(min_x, max_x, min_y, max_y)`.

@@ -208,12 +208,12 @@ pub(crate) fn grid_fingerprint(grid: &GridConfig) -> u64 {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Manifest {
     /// Fingerprint of the grid this run belongs to.
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
     /// Config ids of members whose checkpoints are fully written.
-    pub done: Vec<String>,
+    pub(crate) done: Vec<String>,
     /// Config ids quarantined in a previous (interrupted) run, with the
     /// structured reason rendered as text.
-    pub quarantined: Vec<(String, String)>,
+    pub(crate) quarantined: Vec<(String, String)>,
 }
 
 /// A directory of atomically-written, checksummed zoo-member checkpoints

@@ -1,29 +1,32 @@
 //! The VEHIGAN ensemble detector (§III-A.2, §III-F).
 //!
-//! From the top-*m* candidate critics, each inference randomly deploys
+//! From the top-*m* candidate critics, an inference deploys a subset of
 //! *k ≤ m* of them, averages their critic outputs into an ensemble score
 //! `s_ens(x) = −(1/k)·Σ D_i(x)`, and flags a vehicle when the score
-//! exceeds the mean of the deployed members' thresholds. The per-inference
-//! random subset is exactly what defeats single-surrogate adversarial
-//! transfer (Fig 7a).
+//! exceeds the mean of the deployed members' thresholds. A random subset
+//! per inference is what defeats single-surrogate adversarial transfer
+//! (Fig 7a).
 //!
-//! Scoring is **degraded-tolerant**: quarantined members are never sampled,
-//! and a member that panics mid-score or emits non-finite values is dropped
-//! from that inference (recorded in [`EnsembleScore::dropped`]) rather than
-//! poisoning the ensemble mean. Only when no deployed member survives does
-//! scoring return a typed [`EnsembleError`].
+//! [`VehiGan`] scores exactly the subset its caller names
+//! ([`VehiGan::score_with_members`] and its twins); it draws none and
+//! reports nothing. Which subset a deployment scores, which members sit
+//! out after failing, and the report a flagged window becomes are the
+//! server's (`vehigan_serve::TieredDetector`); the figures draw their own
+//! subsets.
+//!
+//! Scoring is **degraded-tolerant**: a member that panics mid-score or
+//! emits non-finite values is dropped from that inference (recorded in
+//! [`EnsembleScore::dropped`]) rather than poisoning the ensemble mean.
+//! Only when no deployed member survives does scoring return a typed
+//! [`EnsembleError`].
 
 use crate::lock;
 use crate::wgan::Wgan;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 use vehigan_metrics::percentile;
-use vehigan_sim::VehicleId;
 use vehigan_tensor::forkjoin::{fork_join, workers_for};
 use vehigan_tensor::{CriticScratch, Flat, Tensor, Windows, HEAD_ROWS};
 
@@ -54,9 +57,10 @@ pub enum EnsembleError {
         /// The repeated index.
         index: usize,
     },
-    /// Too few healthy (non-quarantined) members remain to deploy `k`.
+    /// Zoo training quarantined so many grid configurations that fewer
+    /// than `deploy_k` remain to select ([`crate::Pipeline::run`]).
     InsufficientHealthy {
-        /// Healthy members available.
+        /// Configurations the zoo trained.
         healthy: usize,
         /// Members needed per inference.
         k: usize,
@@ -65,12 +69,6 @@ pub enum EnsembleError {
     AllMembersFailed {
         /// The member indices that were attempted.
         attempted: Vec<usize>,
-    },
-    /// A per-vehicle check was handed a tensor that is not a single
-    /// snapshot `[1, w, f, 1]`.
-    BadSnapshotShape {
-        /// The shape actually received.
-        shape: Vec<usize>,
     },
     /// Calibration found no finite anomaly scores on the benign set, so no
     /// threshold percentile exists.
@@ -111,10 +109,6 @@ impl fmt::Display for EnsembleError {
                 "all {} deployed members failed to produce finite scores",
                 attempted.len()
             ),
-            EnsembleError::BadSnapshotShape { shape } => write!(
-                f,
-                "expected a single snapshot [1, w, f, 1], got shape {shape:?}"
-            ),
             EnsembleError::NoFiniteCalibrationScores { id } => write!(
                 f,
                 "member {id} produced no finite scores on the calibration set"
@@ -135,31 +129,21 @@ impl std::error::Error for EnsembleError {}
 /// threshold τ (p-th percentile of benign training scores).
 pub struct CriticMember {
     /// Model identifier (from its config).
-    pub id: String,
+    pub(crate) id: String,
     /// The trained WGAN (critic used for scoring).
     pub wgan: Wgan,
     /// Detection threshold τ.
     pub threshold: f32,
     /// Pre-evaluation ADS (for reporting).
-    pub ads: f64,
-    /// Whether this member is quarantined (excluded from subset sampling;
-    /// set when its critic is found unhealthy at runtime).
-    pub quarantined: bool,
+    pub(crate) ads: f64,
 }
 
 impl std::fmt::Debug for CriticMember {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "CriticMember({}, τ={:.4}, ADS={:.3}{})",
-            self.id,
-            self.threshold,
-            self.ads,
-            if self.quarantined {
-                ", QUARANTINED"
-            } else {
-                ""
-            }
+            "CriticMember({}, τ={:.4}, ADS={:.3})",
+            self.id, self.threshold, self.ads
         )
     }
 }
@@ -199,7 +183,6 @@ impl CriticMember {
             wgan,
             threshold,
             ads,
-            quarantined: false,
         })
     }
 }
@@ -308,21 +291,6 @@ impl ScoreSummary {
     }
 }
 
-/// A misbehavior report (MBR) sent to the misbehavior authority (§I, §III-F).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MisbehaviorReport {
-    /// The suspected vehicle.
-    pub vehicle: VehicleId,
-    /// Ensemble anomaly score of the offending window.
-    pub score: f32,
-    /// Threshold it exceeded.
-    pub threshold: f32,
-    /// Members that produced the verdict.
-    pub members: Vec<usize>,
-    /// The offending snapshot (evidence), shape `[1, w, f, 1]`.
-    pub evidence: Tensor,
-}
-
 /// The `VEHIGAN_m^k` detector.
 ///
 /// # Examples
@@ -332,7 +300,6 @@ pub struct MisbehaviorReport {
 pub struct VehiGan {
     members: Vec<CriticMember>,
     k: usize,
-    rng: StdRng,
     /// The f32 path's buffers, behind one lock: calls take turns, the
     /// threads of one call run inside it.
     f32: Mutex<ForkState<CriticScratch>>,
@@ -369,7 +336,7 @@ impl VehiGan {
     ///
     /// [`EnsembleError::NoMembers`] if `members` is empty,
     /// [`EnsembleError::InvalidK`] if `k` is not in `[1, m]`.
-    pub fn new(members: Vec<CriticMember>, k: usize, seed: u64) -> Result<Self, EnsembleError> {
+    pub fn new(members: Vec<CriticMember>, k: usize) -> Result<Self, EnsembleError> {
         if members.is_empty() {
             return Err(EnsembleError::NoMembers);
         }
@@ -385,7 +352,6 @@ impl VehiGan {
         Ok(VehiGan {
             members,
             k,
-            rng: StdRng::seed_from_u64(seed),
             f32,
             int8: None,
         })
@@ -424,63 +390,7 @@ impl VehiGan {
         self.int8 = Some(backend);
     }
 
-    /// Marks a member quarantined so subset sampling skips it.
-    ///
-    /// # Errors
-    ///
-    /// [`EnsembleError::MemberOutOfBounds`] on a bad index.
-    pub fn quarantine_member(&mut self, index: usize) -> Result<(), EnsembleError> {
-        let m = self.members.len();
-        let member = self
-            .members
-            .get_mut(index)
-            .ok_or(EnsembleError::MemberOutOfBounds { index, m })?;
-        member.quarantined = true;
-        Ok(())
-    }
-
-    /// Indices of the non-quarantined members.
-    pub fn healthy_members(&self) -> Vec<usize> {
-        (0..self.members.len())
-            .filter(|&i| !self.members[i].quarantined)
-            .collect()
-    }
-
-    /// Samples a fresh random subset of `k` healthy members (the paper's
-    /// per-inference randomization), sorted ascending.
-    ///
-    /// # Errors
-    ///
-    /// [`EnsembleError::InsufficientHealthy`] when fewer than `k` healthy
-    /// members remain.
-    pub(crate) fn sample_subset(&mut self) -> Result<Vec<usize>, EnsembleError> {
-        let mut indices = self.healthy_members();
-        if indices.len() < self.k {
-            return Err(EnsembleError::InsufficientHealthy {
-                healthy: indices.len(),
-                k: self.k,
-            });
-        }
-        indices.shuffle(&mut self.rng);
-        indices.truncate(self.k);
-        indices.sort_unstable();
-        Ok(indices)
-    }
-
-    /// Scores snapshots with a fresh random subset of `k` healthy members.
-    ///
-    /// # Errors
-    ///
-    /// [`EnsembleError::InsufficientHealthy`] when fewer than `k` healthy
-    /// members remain, [`EnsembleError::AllMembersFailed`] when every
-    /// deployed member fails to produce finite scores.
-    pub fn score_batch(&mut self, x: &Tensor) -> Result<EnsembleScore, EnsembleError> {
-        let indices = self.sample_subset()?;
-        self.score_with_members(&indices, x)
-    }
-
-    /// Scores snapshots with an explicit member subset (used by the
-    /// evaluation harness for deterministic sweeps).
+    /// Scores snapshots with the member subset `indices`.
     ///
     /// Members are scored in parallel (see
     /// [`VehiGan::score_with_members_into`], which this wraps); the
@@ -727,37 +637,6 @@ impl VehiGan {
             dropped,
         })
     }
-
-    /// Scores one vehicle's latest snapshot and, if it exceeds the
-    /// ensemble threshold, produces a misbehavior report for the MA.
-    ///
-    /// # Errors
-    ///
-    /// [`EnsembleError::BadSnapshotShape`] when `snapshot` is not a
-    /// single-snapshot batch; otherwise propagates
-    /// [`VehiGan::score_batch`] errors.
-    pub fn check_vehicle(
-        &mut self,
-        vehicle: VehicleId,
-        snapshot: &Tensor,
-    ) -> Result<Option<MisbehaviorReport>, EnsembleError> {
-        // A wrong shape is a caller bug, but this API is the degraded-mode
-        // scoring path: it reports faults, it does not take the MDS down.
-        if snapshot.shape().first() != Some(&1) {
-            return Err(EnsembleError::BadSnapshotShape {
-                shape: snapshot.shape().to_vec(),
-            });
-        }
-        let result = self.score_batch(snapshot)?;
-        let score = result.scores[0];
-        Ok((score > result.threshold).then(|| MisbehaviorReport {
-            vehicle,
-            score,
-            threshold: result.threshold,
-            members: result.members,
-            evidence: snapshot.clone(),
-        }))
-    }
 }
 
 #[cfg(test)]
@@ -796,7 +675,7 @@ mod tests {
     fn ensemble(m: usize, k: usize) -> VehiGan {
         let train = benign(96, 0);
         let members: Vec<CriticMember> = (0..m as u64).map(|s| member(s, &train)).collect();
-        VehiGan::new(members, k, 7).unwrap()
+        VehiGan::new(members, k).unwrap()
     }
 
     /// Overwrites one weight of a member's critic with NaN.
@@ -821,26 +700,13 @@ mod tests {
         let train = benign(96, 0);
         let members: Vec<CriticMember> = (0..2u64).map(|s| member(s, &train)).collect();
         assert_eq!(
-            VehiGan::new(members, 3, 7).unwrap_err(),
+            VehiGan::new(members, 3).unwrap_err(),
             EnsembleError::InvalidK { k: 3, m: 2 }
         );
         assert_eq!(
-            VehiGan::new(Vec::new(), 1, 7).unwrap_err(),
+            VehiGan::new(Vec::new(), 1).unwrap_err(),
             EnsembleError::NoMembers
         );
-    }
-
-    #[test]
-    fn random_subsets_vary_across_inferences() {
-        let mut v = ensemble(4, 2);
-        let x = benign(4, 1);
-        let subsets: Vec<Vec<usize>> = (0..10)
-            .map(|_| v.score_batch(&x).unwrap().members)
-            .collect();
-        assert!(subsets.iter().any(|s| s != &subsets[0]));
-        for s in &subsets {
-            assert_eq!(s.len(), 2);
-        }
     }
 
     #[test]
@@ -901,51 +767,6 @@ mod tests {
         let ens = v.score_with_members(&[0, 1, 2], &x).unwrap();
         let fpr = ens.scores.iter().filter(|&&s| s > ens.threshold).count() as f64 / 200.0;
         assert!(fpr < 0.1, "fpr={fpr}");
-    }
-
-    #[test]
-    fn garbage_triggers_reports() {
-        let mut v = ensemble(3, 2);
-        let mut rng = seeded_rng(9);
-        let garbage = rand_uniform(&[1, 10, 12, 1], -1.0, 1.0, &mut rng);
-        // Not guaranteed for every seed, but this configuration flags it.
-        let report = v.check_vehicle(VehicleId(7), &garbage).unwrap();
-        if let Some(r) = report {
-            assert_eq!(r.vehicle, VehicleId(7));
-            assert!(r.score > r.threshold);
-            assert_eq!(r.evidence.shape(), &[1, 10, 12, 1]);
-        }
-    }
-
-    #[test]
-    fn quarantined_member_is_never_sampled() {
-        let mut v = ensemble(4, 2);
-        v.quarantine_member(1).unwrap();
-        assert_eq!(v.healthy_members(), vec![0, 2, 3]);
-        for _ in 0..20 {
-            let subset = v.sample_subset().unwrap();
-            assert!(!subset.contains(&1), "sampled quarantined member");
-        }
-        assert_eq!(
-            v.quarantine_member(9).unwrap_err(),
-            EnsembleError::MemberOutOfBounds { index: 9, m: 4 }
-        );
-    }
-
-    #[test]
-    fn degraded_ensemble_scores_when_healthy_at_least_k() {
-        let mut v = ensemble(3, 2);
-        let x = benign(5, 6);
-        v.quarantine_member(0).unwrap();
-        // healthy = 2 ≥ k = 2: still scores, with only the healthy pair.
-        let ens = v.score_batch(&x).unwrap();
-        assert_eq!(ens.members, vec![1, 2]);
-        // Quarantining one more leaves healthy = 1 < k = 2: typed error.
-        v.quarantine_member(1).unwrap();
-        assert_eq!(
-            v.score_batch(&x).unwrap_err(),
-            EnsembleError::InsufficientHealthy { healthy: 1, k: 2 }
-        );
     }
 
     #[test]

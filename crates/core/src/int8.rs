@@ -258,7 +258,7 @@ mod tests {
             member(1, 4, &train),
             member(2, 3, &train),
         ];
-        let mut v = VehiGan::new(members, 2, 7).unwrap();
+        let mut v = VehiGan::new(members, 2).unwrap();
         v.compile_int8(&train).unwrap();
         (v, train)
     }
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn scoring_before_compile_is_a_typed_error() {
         let train = benign(96, 0);
-        let v = VehiGan::new(vec![member(0, 3, &train)], 1, 7).unwrap();
+        let v = VehiGan::new(vec![member(0, 3, &train)], 1).unwrap();
         assert_eq!(
             v.score_with_members_int8(&[0], &train).unwrap_err(),
             EnsembleError::Int8NotCompiled
@@ -286,7 +286,7 @@ mod tests {
         // sit beside it in the backend and share its workers' scratch.
         let x = Tensor::from_vec(mixed_windows(9, true), &[9, 10, 12, 1]);
         for (i, (seed, layers)) in [(0, 3), (1, 4), (2, 3)].into_iter().enumerate() {
-            let mut alone = VehiGan::new(vec![member(seed, layers, &train)], 1, 7).unwrap();
+            let mut alone = VehiGan::new(vec![member(seed, layers, &train)], 1).unwrap();
             alone.compile_int8(&train).unwrap();
             let want = alone.score_with_members_int8(&[0], &x).unwrap();
             let got = v.score_with_members_int8(&[i], &x).unwrap();
@@ -566,11 +566,10 @@ mod tests {
                 wgan: Wgan::new(other_shape),
                 threshold: 0.0,
                 ads: 0.0,
-                quarantined: false,
             },
             member(2, 3, &train),
         ];
-        let mut faulty = VehiGan::new(members, 2, 7).unwrap();
+        let mut faulty = VehiGan::new(members, 2).unwrap();
         let weights = faulty.members_mut()[1].wgan.critic_mut();
         weights.params_mut()[0].value.as_mut_slice()[0] = f32::NAN;
         for n in [1usize, 7, 37, 128] {

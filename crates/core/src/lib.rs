@@ -8,9 +8,10 @@
 //! benign `w × f` BSM snapshots ([`ModelZoo`]), pre-evaluates every critic
 //! on a validation set with representative attacks (average discriminative
 //! score, Eq. 4), and selects the top-*m* candidates. The testing phase
-//! (Fig 2, bottom) randomly deploys *k ≤ m* critics per inference
-//! ([`VehiGan`]), averages their scores, and reports vehicles whose score
-//! exceeds the calibrated threshold (§III-F).
+//! (Fig 2, bottom) deploys *k ≤ m* critics per inference ([`VehiGan`]
+//! scores the subset it is given), averages their scores, and flags
+//! windows whose score exceeds the calibrated threshold (§III-F); the
+//! served path (`vehigan-serve`) picks the subset and files the reports.
 //!
 //! The [`adversarial`] module implements the paper's FGSM-based AFP/AFN
 //! attacks (Eqs. 6–7) in white-box, gray-box-transfer, and adaptive
@@ -23,15 +24,16 @@
 //! use vehigan_vasp::Attack;
 //! use vehigan_metrics::auroc;
 //!
-//! let mut pipeline = Pipeline::run(PipelineConfig::quick());
+//! let pipeline = Pipeline::run(PipelineConfig::quick());
 //! let test = pipeline.test_attack_windows(Attack::by_name("HighSpeed").unwrap());
-//! let result = pipeline.vehigan.score_batch(&test.x).unwrap();
+//! let members: Vec<usize> = (0..pipeline.vehigan.k()).collect();
+//! let result = pipeline.vehigan.score_with_members(&members, &test.x).unwrap();
 //! println!("HighSpeed AUROC: {:.3}", auroc(&result.scores, &test.labels));
 //! ```
 //!
 //! # Fault tolerance
 //!
-//! Training sixty models and scoring with a random subset of them must
+//! Training sixty models and scoring with a subset of them must
 //! survive individual failures. Divergence sentinels inside
 //! `Wgan::train_epochs_checked` roll back and retry a diverging run;
 //! unrecoverable configurations are quarantined by
@@ -57,9 +59,7 @@ mod zoo;
 pub use campaign::{score_matrix, CampaignPlane};
 pub use checkpoint::{CheckpointError, CheckpointStore};
 pub use config::{GridConfig, LipschitzMode, WganConfig};
-pub use ensemble::{
-    CriticMember, EnsembleError, EnsembleScore, MisbehaviorReport, ScoreSummary, VehiGan,
-};
+pub use ensemble::{CriticMember, EnsembleError, EnsembleScore, ScoreSummary, VehiGan};
 pub use int8::Int8Backend;
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use wgan::{build_critic, DivergenceReason, TrainError, TrainReport, TrainStats, Wgan};

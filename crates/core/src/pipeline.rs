@@ -84,8 +84,6 @@ pub struct PipelineConfig {
     pub deploy_k: usize,
     /// Worker threads for zoo training.
     pub zoo_threads: usize,
-    /// Ensemble randomization seed.
-    pub seed: u64,
     /// When set, zoo training checkpoints every finished member here and
     /// an interrupted run resumes from the directory's manifest.
     pub checkpoint_dir: Option<PathBuf>,
@@ -110,7 +108,6 @@ impl PipelineConfig {
             top_m: 5,
             deploy_k: 3,
             zoo_threads: 4,
-            seed: 0,
             checkpoint_dir: None,
         }
     }
@@ -209,7 +206,7 @@ pub struct Pipeline {
     pub quarantined: Vec<QuarantineRecord>,
     /// Scaler for the raw 6-field representation (used by the `Base`
     /// baselines of Table III).
-    pub raw_scaler: MinMaxScaler,
+    pub(crate) raw_scaler: MinMaxScaler,
     train_fleet: Vec<VehicleTrace>,
     test_fleet: Vec<VehicleTrace>,
 }
@@ -335,7 +332,7 @@ impl Pipeline {
         })
         .into_iter()
         .collect::<Result<Vec<CriticMember>, PipelineError>>()?;
-        let vehigan = VehiGan::new(members, config.deploy_k, config.seed)?;
+        let vehigan = VehiGan::new(members, config.deploy_k)?;
 
         Ok(Pipeline {
             config,

@@ -107,8 +107,6 @@ pub(crate) const MAX_TRAIN_RETRIES: usize = 2;
 pub struct TrainReport {
     /// Epochs successfully trained by this call.
     pub epochs: usize,
-    /// Rollback + reseeded-retry cycles that were needed along the way.
-    pub rollbacks: usize,
     /// Whether the epoch observer stopped the call early (see
     /// [`Wgan::train_epochs_resumable`]). Always `false` for
     /// `Wgan::train_epochs_checked`.
@@ -130,13 +128,13 @@ struct TrainCursor {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainStats {
     /// Epoch index (0-based).
-    pub epoch: usize,
+    pub(crate) epoch: usize,
     /// Estimated Wasserstein distance `mean D(real) − mean D(fake)`.
-    pub wasserstein: f32,
+    pub(crate) wasserstein: f32,
     /// Mean critic output on real samples.
-    pub critic_real: f32,
+    pub(crate) critic_real: f32,
     /// Mean critic output on fake samples.
-    pub critic_fake: f32,
+    pub(crate) critic_fake: f32,
 }
 
 /// Negative slope of every LeakyReLU in the critic and the generator.
@@ -443,7 +441,6 @@ impl Wgan {
         let mut snapshot = self.state_snapshot();
         // The gradient penalty's second critic lives as long as this call.
         let mut twin: Option<Sequential> = None;
-        let mut rollbacks = 0usize;
         let mut done = 0usize;
         let mut stopped = false;
 
@@ -524,7 +521,6 @@ impl Wgan {
                             reason,
                         });
                     }
-                    rollbacks += 1;
                     rng = rand::rngs::StdRng::seed_from_u64(
                         self.config.seed
                             ^ 0x7264
@@ -538,7 +534,6 @@ impl Wgan {
         }
         Ok(TrainReport {
             epochs: done,
-            rollbacks,
             stopped,
         })
     }
@@ -1553,7 +1548,6 @@ mod tests {
         let report = faulty
             .train_epochs_checked(&x, 2)
             .expect("fault is recoverable within the budget");
-        assert_eq!(report.rollbacks, 1);
         assert_eq!(report.epochs, 2);
         assert_eq!(faulty.history().len(), 2);
         for s in faulty.history() {
@@ -1564,6 +1558,11 @@ mod tests {
         again.inject_training_fault(0, 1);
         again.train_epochs_checked(&x, 2).unwrap();
         assert_eq!(faulty.score_batch(&x), again.score_batch(&x));
+        // And the fault struck: the reseeded retry left the clean run's
+        // trajectory.
+        let mut clean = Wgan::new(quick_config());
+        clean.train_epochs_checked(&x, 2).unwrap();
+        assert_ne!(faulty.score_batch(&x), clean.score_batch(&x));
     }
 
     #[test]
@@ -1609,8 +1608,7 @@ mod tests {
         });
         wgan.inject_training_fault(0, 2);
         let x = benign_snapshots(256, 4);
-        let report = wgan.train_epochs_checked(&x, 6).unwrap();
-        assert_eq!(report.rollbacks, 1);
+        wgan.train_epochs_checked(&x, 6).unwrap();
         let benign_scores = wgan.score_batch(&benign_snapshots(32, 5));
         let mut rng = seeded_rng(6);
         let garbage = rand_uniform(&[32, 10, 12, 1], -1.0, 1.0, &mut rng);

@@ -57,9 +57,9 @@ impl fmt::Display for QuarantineReason {
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantineRecord {
     /// The excluded configuration.
-    pub config: WganConfig,
+    pub(crate) config: WganConfig,
     /// Position of the configuration in `GridConfig::expand` order.
-    pub grid_index: usize,
+    pub(crate) grid_index: usize,
     /// Why it was excluded.
     pub reason: QuarantineReason,
 }
@@ -138,7 +138,7 @@ pub struct ZooTrainOptions {
     /// sets it). They run on the caller and the helpers of
     /// [`vehigan_tensor::forkjoin`], so more than the cores this process
     /// may run on changes nothing.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// When set, every finished member is checkpointed here and an
     /// interrupted run resumes from the directory's manifest.
     pub checkpoint_dir: Option<PathBuf>,
@@ -176,23 +176,18 @@ pub struct ZooTrainReport {
     /// The trained zoo (quarantined configurations excluded).
     pub zoo: ModelZoo,
     /// Configurations excluded from the zoo, with reasons.
-    pub quarantined: Vec<QuarantineRecord>,
+    pub(crate) quarantined: Vec<QuarantineRecord>,
     /// Members restored from the checkpoint store instead of retrained.
     pub resumed: usize,
-    /// Total divergence rollbacks performed across all runs.
-    pub rollbacks: usize,
 }
 
 /// One trained zoo member with its pre-evaluation results.
 pub struct ZooEntry {
     /// The trained WGAN.
     pub wgan: Wgan,
-    /// Position of this configuration in `GridConfig::expand` order
-    /// (stable even when other configurations are quarantined).
-    pub grid_index: usize,
     /// Detection score (AUROC) per validation attack, filled by
     /// [`ModelZoo::pre_evaluate`].
-    pub per_attack: Vec<(Attack, f64)>,
+    pub(crate) per_attack: Vec<(Attack, f64)>,
     /// Average discriminative score across validation attacks (Eq. 4).
     pub ads: f64,
 }
@@ -213,12 +208,13 @@ impl std::fmt::Debug for ZooEntry {
 /// # Examples
 ///
 /// ```no_run
-/// use vehigan_core::{GridConfig, ModelZoo};
+/// use vehigan_core::{GridConfig, ModelZoo, ZooTrainOptions};
 /// use vehigan_tensor::Tensor;
 ///
 /// let train = Tensor::zeros(&[256, 10, 12, 1]);
-/// let zoo = ModelZoo::train(&GridConfig::tiny(), &train, 2);
-/// assert_eq!(zoo.len(), GridConfig::tiny().len());
+/// let report = ModelZoo::train_grid(&GridConfig::tiny(), &train, &ZooTrainOptions::new(2))
+///     .expect("some configuration trains");
+/// assert!(report.zoo.len() <= GridConfig::tiny().len());
 /// ```
 pub struct ModelZoo {
     entries: Vec<ZooEntry>,
@@ -367,7 +363,6 @@ struct TrainShared<'a> {
     errors: Mutex<Vec<CheckpointError>>,
     manifest: Mutex<Manifest>,
     store: Option<&'a CheckpointStore>,
-    rollbacks: AtomicUsize,
     /// Members restored from disk instead of retrained (pre-loaded fully
     /// accounted groups plus mid-group reloads after a partial resume).
     resumed: AtomicUsize,
@@ -477,9 +472,7 @@ impl TrainShared<'_> {
                     true
                 });
                 match outcome {
-                    Ok(report) => {
-                        self.rollbacks
-                            .fetch_add(report.rollbacks, Ordering::Relaxed);
+                    Ok(_report) => {
                         if let Some(e) = save_err {
                             return Err(e);
                         }
@@ -487,7 +480,7 @@ impl TrainShared<'_> {
                         // boundary carries the rest of the group into the
                         // next call.
                         #[cfg(test)]
-                        if report.stopped {
+                        if _report.stopped {
                             return Ok(());
                         }
                         trained = wgan.history().len();
@@ -564,7 +557,7 @@ impl TrainShared<'_> {
 
 impl ModelZoo {
     /// Trains every configuration of the grid on benign snapshots
-    /// `[n, w, f, 1]`, using up to `threads` worker threads.
+    /// `[n, w, f, 1]`, using up to `options`' worker threads.
     ///
     /// Configurations differing **only in epoch count** are produced as
     /// checkpoints of a single training run (the paper's 60 instances are
@@ -572,25 +565,8 @@ impl ModelZoo {
     /// 15 trainings to the maximum epoch budget, not 60 from scratch.
     ///
     /// Each run is fully determined by its group's seed, so the zoo is
-    /// reproducible regardless of thread scheduling.
-    ///
-    /// This is the infallible convenience wrapper around
-    /// [`ModelZoo::train_grid`] (no checkpointing, default sentinels).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid is empty, `threads == 0`, or every configuration
-    /// was quarantined.
-    pub fn train(grid: &GridConfig, train: &Tensor, threads: usize) -> Self {
-        match Self::train_grid(grid, train, &ZooTrainOptions::new(threads)) {
-            Ok(report) => report.zoo,
-            Err(e) => panic!("zoo training failed: {e}"),
-        }
-    }
-
-    /// Fault-tolerant grid training.
-    ///
-    /// Beyond [`ModelZoo::train`], this:
+    /// reproducible regardless of thread scheduling. Training is
+    /// fault-tolerant:
     ///
     /// - **quarantines** configurations whose training diverges past the
     ///   sentinel retry budget (or whose worker panics) instead of taking
@@ -696,7 +672,6 @@ impl ModelZoo {
             errors: Mutex::new(Vec::new()),
             manifest: Mutex::new(manifest),
             store: store.as_ref(),
-            rollbacks: AtomicUsize::new(0),
             train,
             #[cfg(test)]
             fault_hook: options.fault_hook.as_ref(),
@@ -730,9 +705,8 @@ impl ModelZoo {
             zoo: ModelZoo {
                 entries: trained
                     .into_iter()
-                    .map(|(grid_index, wgan)| ZooEntry {
+                    .map(|(_, wgan)| ZooEntry {
                         wgan,
-                        grid_index,
                         per_attack: Vec::new(),
                         ads: 0.0,
                     })
@@ -740,7 +714,6 @@ impl ModelZoo {
             },
             quarantined,
             resumed,
-            rollbacks: shared.rollbacks.into_inner(),
         })
     }
 
@@ -909,26 +882,37 @@ mod tests {
         )]
     }
 
+    /// The tiny grid trained on `threads` threads, without checkpoints.
+    fn train_tiny(train: &Tensor, threads: usize) -> ModelZoo {
+        let options = ZooTrainOptions::new(threads);
+        ModelZoo::train_grid(&GridConfig::tiny(), train, &options)
+            .unwrap()
+            .zoo
+    }
+
     fn tiny_zoo() -> ModelZoo {
-        let train = benign(128, 0);
-        ModelZoo::train(&GridConfig::tiny(), &train, 2)
+        train_tiny(&benign(128, 0), 2)
     }
 
     #[test]
     fn trains_all_grid_points() {
         let zoo = tiny_zoo();
-        assert_eq!(zoo.len(), GridConfig::tiny().len());
-        for (i, e) in zoo.entries().iter().enumerate() {
+        let grid = GridConfig::tiny().expand();
+        assert_eq!(zoo.len(), grid.len());
+        // In grid order: each member has its grid point's architecture and
+        // epoch budget (the seed is its training group's).
+        let point = |c: &WganConfig| (c.noise_dim, c.layers, c.epochs);
+        for (e, config) in zoo.entries().iter().zip(&grid) {
             assert!(!e.wgan.history().is_empty());
-            assert_eq!(e.grid_index, i);
+            assert_eq!(point(e.wgan.config()), point(config));
         }
     }
 
     #[test]
     fn parallel_training_is_deterministic() {
         let train = benign(128, 0);
-        let mut a = ModelZoo::train(&GridConfig::tiny(), &train, 1);
-        let mut b = ModelZoo::train(&GridConfig::tiny(), &train, 3);
+        let mut a = train_tiny(&train, 1);
+        let mut b = train_tiny(&train, 3);
         let probe = benign(8, 1);
         for (ea, eb) in a.entries_mut().iter_mut().zip(b.entries_mut()) {
             assert_eq!(ea.wgan.score_batch(&probe), eb.wgan.score_batch(&probe));
@@ -1059,7 +1043,18 @@ mod tests {
         let report = ModelZoo::train_grid(&GridConfig::tiny(), &train, &options).unwrap();
         assert!(report.quarantined.is_empty());
         assert_eq!(report.zoo.len(), GridConfig::tiny().len());
-        assert_eq!(report.rollbacks, 1);
+        // The fault struck: the rolled-back group retrained on a reseeded
+        // trajectory, and only that group differs from a clean run.
+        let clean = train_tiny(&train, 1);
+        for (got, want) in report.zoo.entries().iter().zip(clean.entries()) {
+            let struck = got.wgan.config().noise_dim == 8;
+            assert_eq!(
+                got.wgan.critic_bytes() != want.wgan.critic_bytes(),
+                struck,
+                "{}",
+                got.wgan.config().id()
+            );
+        }
     }
 
     #[test]
@@ -1122,9 +1117,7 @@ mod tests {
 
     /// `(config id, critic bytes, history)` of every member, in grid order.
     fn fingerprints(zoo: &ModelZoo) -> Vec<(String, Vec<u8>, Vec<crate::wgan::TrainStats>)> {
-        let mut entries: Vec<_> = zoo.entries().iter().collect();
-        entries.sort_by_key(|e| e.grid_index);
-        entries
+        zoo.entries()
             .iter()
             .map(|e| {
                 let w = &e.wgan;
@@ -1240,11 +1233,8 @@ mod tests {
             let resumed = ModelZoo::train_grid(&grid, &train, &options).unwrap();
             assert_eq!(resumed.zoo.len(), grid.len());
 
-            let mut got: Vec<_> = resumed.zoo.entries().iter().collect();
-            got.sort_by_key(|e| e.grid_index);
-            let mut want: Vec<_> = reference.entries().iter().collect();
-            want.sort_by_key(|e| e.grid_index);
-            for (g, w) in got.iter().zip(&want) {
+            // Both zoos list their entries in grid order.
+            for (g, w) in resumed.zoo.entries().iter().zip(reference.entries()) {
                 assert_eq!(g.wgan.config().id(), w.wgan.config().id());
                 assert_eq!(
                     g.wgan.history(),
@@ -1274,27 +1264,22 @@ mod tests {
             seed: 77,
             ..WganConfig::default()
         };
-        let run = |inject: bool| -> (usize, Vec<f32>) {
+        let run = |inject: bool| -> Vec<f32> {
             let mut wgan = Wgan::new(config);
             if inject {
                 wgan.inject_training_fault(0, 1);
             }
-            let report = wgan.train_epochs_checked(&x, 3).unwrap();
-            (report.rollbacks, wgan.score_batch(&x))
+            wgan.train_epochs_checked(&x, 3).unwrap();
+            wgan.score_batch(&x)
         };
-        let (rollbacks_a, scores_a) = run(true);
-        let (rollbacks_b, scores_b) = run(true);
-        assert_eq!(rollbacks_a, 1, "one injected fault, one rollback");
-        assert_eq!(
-            (rollbacks_a, &scores_a),
-            (rollbacks_b, &scores_b),
-            "recovery must be deterministic"
-        );
+        let scores_a = run(true);
+        let scores_b = run(true);
+        assert_eq!(scores_a, scores_b, "recovery must be deterministic");
         for s in &scores_a {
             assert!(s.is_finite(), "recovered model must score finitely");
         }
         // The reseeded retry takes a different trajectory than a clean run.
-        let (_, clean) = run(false);
+        let clean = run(false);
         assert_ne!(clean, scores_a, "reseed must change the trajectory");
     }
 

@@ -1,7 +1,8 @@
 //! Integration tests for the fault-tolerant training runtime: crash-safe
-//! checkpoints, mid-member resume from a partial checkpoint, and degraded
-//! ensemble scoring. The tests that kill a grid run and resume it live in
-//! `zoo.rs`'s test module, beside the test-only kill they use.
+//! checkpoints, mid-member resume from a partial checkpoint, and
+//! calibrating and scoring a trained zoo. The tests that kill a grid run
+//! and resume it live in `zoo.rs`'s test module, beside the test-only
+//! kill they use.
 
 use std::fs;
 use std::path::PathBuf;
@@ -137,9 +138,9 @@ fn corrupted_checkpoints_yield_typed_errors() {
 }
 
 #[test]
-fn zoo_with_quarantined_member_still_scores_degraded() {
-    // Train a small pool, quarantine one deployed member, and verify the
-    // ensemble still detects with the healthy subset (healthy ≥ k).
+fn calibrated_zoo_members_score_an_explicit_subset() {
+    // Train a small pool, calibrate its top three, and score through a
+    // deployed pair.
     let train = benign(96, 0);
     let report =
         ModelZoo::train_grid(&GridConfig::tiny(), &train, &ZooTrainOptions::new(2)).unwrap();
@@ -151,21 +152,13 @@ fn zoo_with_quarantined_member_still_scores_degraded() {
         .into_iter()
         .map(|e| CriticMember::calibrate(e.wgan, e.ads, &train).unwrap())
         .collect();
-    let mut vehigan = VehiGan::new(members, 2, 7).unwrap();
+    let vehigan = VehiGan::new(members, 2).unwrap();
 
-    vehigan.quarantine_member(0).unwrap();
     let x = benign(20, 9);
-    // healthy = 2 ≥ k = 2: scoring succeeds using only healthy members.
-    let ens = vehigan.score_batch(&x).unwrap();
+    let ens = vehigan.score_with_members(&[1, 2], &x).unwrap();
     assert_eq!(ens.members, vec![1, 2]);
+    assert!(ens.dropped.is_empty());
     assert!(ens.scores.iter().all(|s| s.is_finite()));
-
-    // One more quarantine starves the ensemble: typed error, no panic.
-    vehigan.quarantine_member(2).unwrap();
-    assert_eq!(
-        vehigan.score_batch(&x).unwrap_err(),
-        EnsembleError::InsufficientHealthy { healthy: 1, k: 2 }
-    );
 }
 
 #[test]
@@ -386,38 +379,4 @@ fn calibrate_filters_non_finite_scores() {
         CriticMember::calibrate(clone, 0.5, &all_nan),
         Err(EnsembleError::NoFiniteCalibrationScores { .. })
     ));
-}
-
-#[test]
-fn wrong_snapshot_shape_is_a_typed_error() {
-    let config = WganConfig {
-        noise_dim: 8,
-        layers: 3,
-        epochs: 1,
-        batch_size: 16,
-        n_critic: 1,
-        seed: 6,
-        ..WganConfig::default()
-    };
-    let train = benign(32, 1);
-    let mut wgan = Wgan::new(config);
-    wgan.train(&train);
-    let member = CriticMember::calibrate(wgan, 0.5, &train).unwrap();
-    let mut vehigan = VehiGan::new(vec![member], 1, 7).unwrap();
-
-    // A multi-snapshot batch through the single-vehicle API: typed error
-    // carrying the offending shape, not an abort of the whole MDS.
-    let bad = Tensor::zeros(&[2, 10, 12, 1]);
-    match vehigan.check_vehicle(vehigan_sim::VehicleId(3), &bad) {
-        Err(EnsembleError::BadSnapshotShape { shape }) => {
-            assert_eq!(shape, vec![2, 10, 12, 1]);
-        }
-        other => panic!("expected BadSnapshotShape, got {other:?}"),
-    }
-
-    // The well-shaped call still works afterwards.
-    let good = benign(1, 8);
-    vehigan
-        .check_vehicle(vehigan_sim::VehicleId(3), &good)
-        .unwrap();
 }

@@ -60,7 +60,7 @@ fn warm_slice_scoring_never_allocates() {
             CriticMember::calibrate(Wgan::new(config), 0.9, &benign).unwrap()
         })
         .collect();
-    let mut vehigan = VehiGan::new(members, 3, 7).unwrap();
+    let mut vehigan = VehiGan::new(members, 3).unwrap();
     vehigan.compile_int8(&benign).unwrap();
 
     type Entry = fn(&VehiGan, &[usize], &[Pieces<'_>], &mut [f32]) -> bool;

@@ -41,7 +41,7 @@ fn ensemble() -> &'static VehiGan {
                 CriticMember::calibrate(Wgan::new(config), 0.9, &benign).unwrap()
             })
             .collect();
-        let mut vehigan = VehiGan::new(members, 3, 7).unwrap();
+        let mut vehigan = VehiGan::new(members, 3).unwrap();
         vehigan.compile_int8(&benign).unwrap();
         vehigan
     })

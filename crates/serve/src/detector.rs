@@ -116,10 +116,10 @@ impl<'a> TieredDetector<'a> {
             }
             policy => policy != EscalationPolicy::Always,
         };
-        let members = config.members.clone().unwrap_or_else(|| {
-            let healthy = vehigan.healthy_members();
-            healthy.into_iter().take(vehigan.k()).collect()
-        });
+        let members = config
+            .members
+            .clone()
+            .unwrap_or_else(|| (0..vehigan.k()).collect());
         let gate_members = config
             .gate_members
             .clone()

@@ -131,7 +131,7 @@ pub struct ServerConfig {
     pub policy: EscalationPolicy,
     /// Pinned ensemble member subset for tier-2 (and the gate, unless
     /// [`ServerConfig::gate_members`] narrows it). `None` deploys the
-    /// first `k` healthy members. A fixed subset (rather than per-batch
+    /// first `k` members, `(0..k)`. A fixed subset (rather than per-batch
     /// sampling) keeps every tick — and the determinism test —
     /// reproducible.
     pub members: Option<Vec<usize>>,
@@ -209,7 +209,7 @@ pub enum ServeError {
         critic: (usize, usize),
     },
     /// The pinned member subset was empty, out of bounds or named a
-    /// member twice, or the ensemble has no healthy members.
+    /// member twice.
     BadMembers(EnsembleError),
     /// A scoring pass failed.
     Score(EnsembleError),
@@ -916,13 +916,13 @@ mod tests {
         assert_eq!(m.mode, ServeMode::Normal);
     }
 
-    /// Two untrained critics with distinct calibrated thresholds.
-    fn two_critics() -> Vec<vehigan_core::CriticMember> {
+    /// `n` untrained critics with distinct calibrated thresholds.
+    fn critics(n: u64) -> Vec<vehigan_core::CriticMember> {
         use vehigan_core::{CriticMember, Wgan, WganConfig};
 
         let benign: Vec<f32> = (0..32 * 120).map(|i| (i as f32 * 0.37).sin()).collect();
         let benign = vehigan_tensor::Tensor::from_vec(benign, &[32, 10, 12, 1]);
-        (0..2)
+        (0..n)
             .map(|seed| {
                 let config = WganConfig {
                     layers: 3,
@@ -936,16 +936,22 @@ mod tests {
 
     #[test]
     fn a_failed_tick_sheds_its_windows_and_the_next_tick_is_normal() {
-        let mut vehigan = VehiGan::new(two_critics(), 2, 1).unwrap();
+        // m = 3 > k = 2, so `members: None` has a member to leave out.
+        let mut vehigan = VehiGan::new(critics(3), 2).unwrap();
+        // Every τ below every score these windows get: each is reported.
+        for member in vehigan.members_mut() {
+            member.threshold -= 1.0;
+        }
         let calibration = vehigan_tensor::Tensor::from_vec(vec![0.5; 8 * 120], &[8, 10, 12, 1]);
         vehigan.compile_int8(&calibration).unwrap();
-        let server = || {
+        let server_over = |members: Option<Vec<usize>>| {
             let scaler = MinMaxScaler::fit_flat(12, (0..24).map(f64::from));
             let config = ServerConfig {
                 n_shards: 2,
                 // Every window crosses the gate and is confirmed by tier 2.
                 policy: EscalationPolicy::Threshold(f32::NEG_INFINITY),
-                members: Some(vec![0, 1]),
+                members,
+                reporter: Some(VehicleId(99)),
                 ..ServerConfig::default()
             };
             StreamServer::new(&vehigan, scaler, config).unwrap()
@@ -969,7 +975,30 @@ mod tests {
                 })
                 .collect()
         };
-        let (mut faulted, mut healthy) = (server(), server());
+        let pinned = || server_over(Some(vec![0, 1]));
+        let bits = |d: &Decision| {
+            (
+                d.vehicle,
+                d.score.to_bits(),
+                d.threshold.to_bits(),
+                d.flagged,
+            )
+        };
+        let decided = |s: &mut StreamServer| s.tick().unwrap().iter().map(bits).collect::<Vec<_>>();
+
+        // `members: None` deploys `(0..k)`: every decision and report of
+        // the pinned server, bit for bit.
+        let (mut default, mut reference) = (server_over(None), pinned());
+        for r in 0..3 {
+            default.ingest_batch(&round(r));
+            reference.ingest_batch(&round(r));
+            assert_eq!(decided(&mut default), decided(&mut reference), "round {r}");
+        }
+        let reports = default.take_reports();
+        assert_eq!(reports.len(), 18);
+        assert_eq!(reports, reference.take_reports());
+
+        let (mut faulted, mut healthy) = (pinned(), pinned());
         for s in [&mut faulted, &mut healthy] {
             s.ingest_batch(&round(0));
             assert_eq!(s.tick().unwrap().len(), 6);
@@ -1006,14 +1035,6 @@ mod tests {
         healthy.ingest_batch(&round(2));
         let (got, want) = (faulted.tick().unwrap(), healthy.tick().unwrap());
         assert_eq!(got.len(), 6);
-        let bits = |d: &Decision| {
-            (
-                d.vehicle,
-                d.score.to_bits(),
-                d.threshold.to_bits(),
-                d.flagged,
-            )
-        };
         assert_eq!(
             got.iter().map(bits).collect::<Vec<_>>(),
             want.iter().map(bits).collect::<Vec<_>>()
@@ -1023,10 +1044,10 @@ mod tests {
 
     #[test]
     fn each_window_carries_the_threshold_of_its_own_tiles_survivors() {
-        let members = two_critics();
+        let members = critics(2);
         let taus = [members[0].threshold, members[1].threshold];
         assert_ne!(taus[0], taus[1]);
-        let mut vehigan = VehiGan::new(members, 2, 1).unwrap();
+        let mut vehigan = VehiGan::new(members, 2).unwrap();
         // Member 1 becomes a critic that is finite on an all-zero window
         // (0·w = 0 all the way down) and overflows to ±inf on anything
         // else: huge positive weights, zero biases.
@@ -1086,7 +1107,7 @@ mod tests {
     #[test]
     fn a_subset_naming_a_member_twice_is_refused_at_construction() {
         // It used to build, and every tick weighted member 1 twice.
-        let vehigan = VehiGan::new(two_critics(), 2, 1).unwrap();
+        let vehigan = VehiGan::new(critics(2), 2).unwrap();
         let build = |members: Option<Vec<usize>>, gate_members: Option<Vec<usize>>| {
             let scaler = MinMaxScaler::fit_flat(12, (0..24).map(f64::from));
             let config = ServerConfig {
@@ -1117,7 +1138,7 @@ mod tests {
     fn a_window_below_two_is_refused_at_construction() {
         // It used to build, and every ingest_batch then reported a
         // captured shard panic (WindowBuffer::new's assert).
-        let vehigan = VehiGan::new(two_critics(), 2, 1).unwrap();
+        let vehigan = VehiGan::new(critics(2), 2).unwrap();
         let scaler = MinMaxScaler::fit_flat(12, (0..24).map(f64::from));
         let config = ServerConfig {
             window: 1,
@@ -1134,7 +1155,7 @@ mod tests {
     fn a_nan_escalation_threshold_is_refused_at_construction() {
         // It used to build: `score > NaN` is false for every window, so
         // nothing escalated, nothing was flagged and no error was seen.
-        let mut vehigan = VehiGan::new(two_critics(), 2, 1).unwrap();
+        let mut vehigan = VehiGan::new(critics(2), 2).unwrap();
         let calibration = vehigan_tensor::Tensor::from_vec(vec![0.5; 8 * 120], &[8, 10, 12, 1]);
         vehigan.compile_int8(&calibration).unwrap();
         let build = |tau_esc: f32| {
@@ -1159,7 +1180,7 @@ mod tests {
     fn a_snapshot_shape_the_critics_do_not_score_is_refused_at_construction() {
         // It used to build, and the first tick died on score_fused's
         // length assert. The critics are 10 x 12.
-        let vehigan = VehiGan::new(two_critics(), 2, 1).unwrap();
+        let vehigan = VehiGan::new(critics(2), 2).unwrap();
         let scaler = |width: usize| MinMaxScaler::fit_flat(width, (0..2 * width).map(|v| v as f64));
         let refused = |window: usize, width: usize| {
             let config = ServerConfig {

@@ -196,7 +196,7 @@ fn two_critics() -> VehiGan {
             CriticMember::calibrate(Wgan::new(config), 0.9, &benign).unwrap()
         })
         .collect();
-    let mut vehigan = VehiGan::new(members, 2, 1).unwrap();
+    let mut vehigan = VehiGan::new(members, 2).unwrap();
     vehigan.compile_int8(&benign).unwrap();
     vehigan
 }

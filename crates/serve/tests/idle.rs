@@ -52,7 +52,7 @@ fn servers_own_no_threads_and_an_idle_helper_parks() {
             CriticMember::calibrate(Wgan::new(config), 0.9, &benign).unwrap()
         })
         .collect();
-    let mut vehigan = VehiGan::new(members, 2, 1).unwrap();
+    let mut vehigan = VehiGan::new(members, 2).unwrap();
     vehigan.compile_int8(&benign).unwrap();
 
     // Eleven messages from each of sixty vehicles complete sixty windows:

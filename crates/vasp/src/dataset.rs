@@ -15,9 +15,9 @@ use vehigan_sim::VehicleTrace;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetConfig {
     /// Fraction of vehicles that are attackers (paper: 0.25).
-    pub malicious_fraction: f64,
+    pub(crate) malicious_fraction: f64,
     /// Seed for attacker selection and falsified-value sampling.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for DatasetConfig {

@@ -8,38 +8,11 @@ use vehigan_sim::{Bsm, VehicleTrace, BSM_INTERVAL_S};
 /// When the attacker transmits falsified messages.
 ///
 /// The paper's dataset uses the *persistent* policy (§IV-A): the attacker
-/// always transmits attack messages.
+/// always transmits attack messages. It is the only one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackPolicy {
     /// Every message is falsified.
     Persistent,
-    /// Falsify for `duty · period_s` seconds out of every `period_s`.
-    Intermittent {
-        /// Cycle period in seconds.
-        period_s: f64,
-        /// Fraction of the cycle spent attacking, in `(0, 1)`.
-        duty: f64,
-    },
-    /// Behave honestly for `start_s` seconds, then attack persistently —
-    /// VASP's delayed-start policy, modelling a sleeper insider.
-    Delayed {
-        /// Seconds of honest behaviour before the attack starts.
-        start_s: f64,
-    },
-}
-
-impl AttackPolicy {
-    /// Whether the attack is active at `elapsed` seconds since trace start.
-    pub(crate) fn is_active(&self, elapsed: f64) -> bool {
-        match *self {
-            AttackPolicy::Persistent => true,
-            AttackPolicy::Intermittent { period_s, duty } => {
-                let phase = elapsed.rem_euclid(period_s);
-                phase < duty * period_s
-            }
-            AttackPolicy::Delayed { start_s } => elapsed >= start_s,
-        }
-    }
 }
 
 /// Value ranges for falsified fields.
@@ -51,41 +24,41 @@ impl AttackPolicy {
 pub struct AttackParams {
     /// Playground (simulation area) bounds for random/constant positions:
     /// `(min_x, max_x, min_y, max_y)`.
-    pub playground: (f64, f64, f64, f64),
+    pub(crate) playground: (f64, f64, f64, f64),
     /// Position offset magnitude range (m).
-    pub pos_offset: (f64, f64),
+    pub(crate) pos_offset: (f64, f64),
     /// Random speed range (m/s).
-    pub speed_range: (f64, f64),
+    pub(crate) speed_range: (f64, f64),
     /// Speed offset magnitude range (m/s).
-    pub speed_offset: (f64, f64),
+    pub(crate) speed_offset: (f64, f64),
     /// High speed range (m/s).
-    pub speed_high: (f64, f64),
+    pub(crate) speed_high: (f64, f64),
     /// Low speed range (m/s).
-    pub speed_low: (f64, f64),
+    pub(crate) speed_low: (f64, f64),
     /// Random acceleration range (m/s²).
-    pub accel_range: (f64, f64),
+    pub(crate) accel_range: (f64, f64),
     /// Acceleration offset magnitude range (m/s²).
-    pub accel_offset: (f64, f64),
+    pub(crate) accel_offset: (f64, f64),
     /// High acceleration range (m/s²).
-    pub accel_high: (f64, f64),
+    pub(crate) accel_high: (f64, f64),
     /// Low acceleration range (m/s²).
-    pub accel_low: (f64, f64),
+    pub(crate) accel_low: (f64, f64),
     /// Heading offset magnitude range (rad).
-    pub heading_offset: (f64, f64),
+    pub(crate) heading_offset: (f64, f64),
     /// Rotating-heading rate range (rad/s).
-    pub rotate_rate: (f64, f64),
+    pub(crate) rotate_rate: (f64, f64),
     /// Random yaw-rate range (rad/s).
-    pub yaw_range: (f64, f64),
+    pub(crate) yaw_range: (f64, f64),
     /// Yaw-rate offset magnitude range (rad/s).
-    pub yaw_offset: (f64, f64),
+    pub(crate) yaw_offset: (f64, f64),
     /// High yaw-rate range (rad/s).
-    pub yaw_high: (f64, f64),
+    pub(crate) yaw_high: (f64, f64),
     /// Low yaw-rate range (rad/s).
-    pub yaw_low: (f64, f64),
+    pub(crate) yaw_low: (f64, f64),
     /// High coupled heading-rotation rate (rad/s) for HighHeadingYawRate.
-    pub coupled_high_rate: (f64, f64),
+    pub(crate) coupled_high_rate: (f64, f64),
     /// Low coupled heading-rotation rate (rad/s) for LowHeadingYawRate.
-    pub coupled_low_rate: (f64, f64),
+    pub(crate) coupled_low_rate: (f64, f64),
 }
 
 impl Default for AttackParams {
@@ -175,15 +148,16 @@ impl InjectorState {
 /// A falsified trace: the transmitted BSMs plus per-message ground truth.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttackedTrace {
-    /// The messages as received by the MBDS (falsified where active).
+    /// The messages as received by the MBDS (every one falsified).
     pub trace: VehicleTrace,
     /// `labels[i]` is `true` iff message `i` was falsified.
     pub labels: Vec<bool>,
     /// The attack that was applied.
-    pub attack: Attack,
+    pub(crate) attack: Attack,
 }
 
-/// Applies `attack` to a benign trace under `policy`.
+/// Applies `attack` to every message of a benign trace (`policy` is
+/// [`AttackPolicy::Persistent`]).
 ///
 /// Per-attacker constants (constant values, offsets, rotation rates) are
 /// sampled from `rng` once per call, so distinct attackers falsify
@@ -195,7 +169,7 @@ pub struct AttackedTrace {
 pub fn inject(
     benign: &VehicleTrace,
     attack: Attack,
-    policy: AttackPolicy,
+    _policy: AttackPolicy,
     params: &AttackParams,
     rng: &mut StdRng,
 ) -> AttackedTrace {
@@ -203,32 +177,27 @@ pub fn inject(
     let state = InjectorState::sample(params, rng);
     let t0 = benign.bsms[0].timestamp;
     let mut out = VehicleTrace::new(benign.id);
-    let mut labels = Vec::with_capacity(benign.len());
     // Previous *transmitted* heading, for coherent coupled yaw rates.
     let mut prev_tx_heading: Option<f64> = None;
 
     for bsm in benign {
         let elapsed = bsm.timestamp - t0;
-        let active = policy.is_active(elapsed);
         let mut tx = *bsm;
-        if active {
-            falsify(
-                &mut tx,
-                attack,
-                &state,
-                params,
-                elapsed,
-                prev_tx_heading,
-                rng,
-            );
-        }
+        falsify(
+            &mut tx,
+            attack,
+            &state,
+            params,
+            elapsed,
+            prev_tx_heading,
+            rng,
+        );
         prev_tx_heading = Some(tx.heading);
-        labels.push(active);
         out.bsms.push(tx);
     }
     AttackedTrace {
+        labels: vec![true; out.len()],
         trace: out,
-        labels,
         attack,
     }
 }
@@ -401,48 +370,6 @@ mod tests {
         let attack = Attack::by_name("RandomSpeed").unwrap();
         let (benign, attacked) = run(attack);
         assert_eq!(num_malicious(&attacked), benign.len());
-    }
-
-    #[test]
-    fn intermittent_policy_alternates() {
-        let benign = benign_trace();
-        let attacked = inject(
-            &benign,
-            Attack::by_name("RandomSpeed").unwrap(),
-            AttackPolicy::Intermittent {
-                period_s: 10.0,
-                duty: 0.5,
-            },
-            &AttackParams::default(),
-            &mut rng(),
-        );
-        let m = num_malicious(&attacked);
-        assert!(m > benign.len() / 4 && m < 3 * benign.len() / 4, "m={m}");
-        // Labels must alternate in runs, not per message.
-        let transitions = attacked.labels.windows(2).filter(|w| w[0] != w[1]).count();
-        assert!((2..20).contains(&transitions));
-    }
-
-    #[test]
-    fn delayed_policy_starts_clean_then_attacks() {
-        let benign = benign_trace();
-        let attacked = inject(
-            &benign,
-            Attack::by_name("RandomSpeed").unwrap(),
-            AttackPolicy::Delayed { start_s: 20.0 },
-            &AttackParams::default(),
-            &mut rng(),
-        );
-        let t0 = benign.bsms[0].timestamp;
-        for ((bsm, &label), orig) in attacked.trace.iter().zip(&attacked.labels).zip(&benign) {
-            let elapsed = bsm.timestamp - t0;
-            assert_eq!(label, elapsed >= 20.0, "elapsed={elapsed}");
-            if !label {
-                assert_eq!(bsm, orig);
-            }
-        }
-        assert!(num_malicious(&attacked) > 0);
-        assert!(num_malicious(&attacked) < benign.len());
     }
 
     #[test]

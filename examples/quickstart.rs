@@ -18,7 +18,7 @@ fn main() {
     println!("=== VehiGAN quickstart ===\n");
     println!("[1/3] training the pipeline (simulate → features → WGAN zoo → ensemble)…");
     let config = PipelineConfig::demo(); // minutes of CPU; use ::quick() for the full zoo
-    let mut pipeline = Pipeline::run(config);
+    let pipeline = Pipeline::run(config);
     println!(
         "      zoo of {} WGANs trained; top-{} selected; VEHIGAN_{}^{} deployed",
         pipeline.zoo.len(),
@@ -45,14 +45,16 @@ fn main() {
         test.malicious_indices().len()
     );
 
-    println!("\n[3/3] scoring with the randomized ensemble…");
-    let result = pipeline.vehigan.score_batch(&test.x).unwrap();
+    println!("\n[3/3] scoring with the deployed ensemble…");
+    // The served path's default subset: the first k members, (0..k).
+    let members: Vec<usize> = (0..pipeline.vehigan.k()).collect();
+    let result = pipeline
+        .vehigan
+        .score_with_members(&members, &test.x)
+        .unwrap();
     let score = auroc(&result.scores, &test.labels);
     let confusion = Confusion::at_threshold(&result.scores, &test.labels, result.threshold);
-    println!(
-        "      deployed members this inference: {:?}",
-        result.members
-    );
+    println!("      deployed members: {:?}", result.members);
     println!("      AUROC = {score:.3}");
     println!(
         "      at the calibrated threshold: TPR={:.3} FPR={:.3}",

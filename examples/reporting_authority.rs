@@ -3,15 +3,19 @@
 //! corroborates the evidence and revokes the attacker's credentials
 //! (the §I/§II security loop around the detector).
 //!
+//! Each observer is a `StreamServer` that scores every window with the
+//! f32 ensemble and files an MBR, under its own pseudonym, for each one
+//! it flags; the authority ingests what `take_reports` hands back.
+//!
 //! ```text
 //! cargo run --release --example reporting_authority
 //! ```
 
 use vehigan::core::{Pipeline, PipelineConfig};
-use vehigan::features::WindowBuffer;
 use vehigan::mbr::{
-    AuthorityPolicy, IngestOutcome, LongTermId, Mbr, MisbehaviorAuthority, PseudonymManager,
+    AuthorityPolicy, IngestOutcome, LongTermId, MisbehaviorAuthority, PseudonymManager,
 };
+use vehigan::serve::{EscalationPolicy, ServerConfig, StreamServer};
 use vehigan::sim::VehicleId;
 use vehigan::tensor::init::seeded_rng;
 use vehigan::vasp::{inject, Attack, AttackParams, AttackPolicy};
@@ -19,7 +23,7 @@ use vehigan::vasp::{inject, Attack, AttackParams, AttackPolicy};
 fn main() {
     println!("=== VehiGAN reporting & revocation demo ===\n");
     println!("[setup] training the detector…");
-    let mut pipeline = Pipeline::run(PipelineConfig::demo());
+    let pipeline = Pipeline::run(PipelineConfig::demo());
 
     // SCMS: enroll the fleet; the attacker rotates pseudonyms mid-run.
     let mut scms = PseudonymManager::new();
@@ -27,8 +31,24 @@ fn main() {
     let attacker_p1 = scms.issue(attacker_lt);
     let attacker_p2 = scms.issue(attacker_lt);
 
-    // Three observers (e.g. RSUs) with their own reporter pseudonyms.
+    // Three observers (e.g. RSUs) with their own reporter pseudonyms,
+    // each serving the first k members and reporting every flagged window.
     let observers: Vec<VehicleId> = (0..3).map(|i| scms.issue(LongTermId(i))).collect();
+    let members: Vec<usize> = (0..pipeline.vehigan.k()).collect();
+    let mut servers: Vec<StreamServer> = observers
+        .iter()
+        .map(|&observer| {
+            let config = ServerConfig {
+                n_shards: 1,
+                policy: EscalationPolicy::Always,
+                members: Some(members.clone()),
+                reporter: Some(observer),
+                ..ServerConfig::default()
+            };
+            StreamServer::new(&pipeline.vehigan, pipeline.scaler.clone(), config)
+                .expect("server builds")
+        })
+        .collect();
 
     // The attacker's radio trace: a test-fleet vehicle falsifying heading
     // and yaw rate coherently, split across its two pseudonyms.
@@ -65,35 +85,22 @@ fn main() {
         (attacker_p2, &attacked.trace.bsms[half..]),
     ] {
         println!("attacker now transmitting as {pseudonym}");
-        // Each observer maintains its own window buffer over the stream.
-        for (oi, &observer) in observers.iter().enumerate() {
-            let mut buffer = WindowBuffer::new(10, pipeline.scaler.clone());
-            for (i, bsm) in msgs.iter().enumerate() {
-                let mut tagged = *bsm;
-                tagged.vehicle_id = pseudonym;
-                let Some(window) = buffer.push(&tagged) else {
-                    continue;
-                };
-                if i % 11 != oi {
-                    continue; // observers sample different instants
-                }
-                let window = window.to_tensor();
-                if let Some(report) = pipeline.vehigan.check_vehicle(pseudonym, &window).unwrap() {
-                    let mbr = Mbr {
-                        reporter: observer,
-                        suspect: report.vehicle,
-                        timestamp: tagged.timestamp,
-                        score: report.score,
-                        threshold: report.threshold,
-                        evidence: report.evidence.as_slice().to_vec(),
-                    };
+        // Every observer in range hears each message.
+        for bsm in msgs {
+            let mut tagged = *bsm;
+            tagged.vehicle_id = pseudonym;
+            for server in &mut servers {
+                server.ingest_batch(&[tagged]);
+                server.tick().expect("tick scores");
+                for mbr in server.take_reports() {
+                    let (observer, t) = (mbr.reporter, mbr.timestamp);
                     match ma.ingest(mbr) {
                         IngestOutcome::Revoked(rec) => {
                             println!(
-                                "  REVOKED {pseudonym} at t={:.1}s ({} reporters, {} reports, mean margin {:.3})",
-                                tagged.timestamp, rec.reporter_count, rec.report_count, rec.mean_margin
+                                "  REVOKED {pseudonym} at t={t:.1}s ({} reporters, {} reports, mean margin {:.3})",
+                                rec.reporter_count, rec.report_count, rec.mean_margin
                             );
-                            revoked_at = Some((pseudonym, tagged.timestamp));
+                            revoked_at = Some((pseudonym, t));
                             break 'outer;
                         }
                         IngestOutcome::Pending { reporters, reports } => {

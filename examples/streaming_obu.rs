@@ -13,24 +13,23 @@
 //! escalates only suspicious windows to the full f32 ensemble.
 //!
 //! The serial loop this replaces — one `WindowBuffer` per pseudonym in a
-//! `HashMap`, each refreshed window scored alone — is the oracle of
-//! `crates/serve/tests/determinism.rs`, which proves the served path is
-//! bitwise identical to it:
+//! `HashMap`, each refreshed window scored alone through the same member
+//! subset — is the oracle of `crates/serve/tests/determinism.rs`, which
+//! proves the served path is bitwise identical to it:
 //!
 //! ```ignore
+//! let members: Vec<usize> = (0..pipeline.vehigan.k()).collect();
 //! let mut buffers: HashMap<VehicleId, WindowBuffer> = HashMap::new();
 //! for bsm in &inbox {
 //!     let buffer = buffers
 //!         .entry(bsm.vehicle_id)
 //!         .or_insert_with(|| WindowBuffer::new(w, pipeline.scaler.clone()));
 //!     if let Some(window) = buffer.push(bsm) {
-//!         if let Some(report) = pipeline
+//!         let r = pipeline
 //!             .vehigan
-//!             .check_vehicle(bsm.vehicle_id, &window.to_tensor())
-//!             .unwrap()
-//!         {
-//!             // one misbehavior report per flagged window refresh
-//!         }
+//!             .score_with_members(&members, &window.to_tensor())
+//!             .unwrap();
+//!         // flagged when r.scores[0] > r.threshold
 //!     }
 //! }
 //! ```

@@ -27,11 +27,12 @@
 //! use vehigan::metrics::auroc;
 //!
 //! // Train the full system (simulate → features → WGAN zoo → ensemble).
-//! let mut pipeline = Pipeline::run(PipelineConfig::quick());
+//! let pipeline = Pipeline::run(PipelineConfig::quick());
 //!
 //! // Evaluate against a Table III attack on held-out traffic.
 //! let test = pipeline.test_attack_windows(Attack::by_name("RandomSpeed").unwrap());
-//! let result = pipeline.vehigan.score_batch(&test.x).unwrap();
+//! let members: Vec<usize> = (0..pipeline.vehigan.k()).collect();
+//! let result = pipeline.vehigan.score_with_members(&members, &test.x).unwrap();
 //! println!("RandomSpeed AUROC = {:.3}", auroc(&result.scores, &test.labels));
 //! ```
 //!

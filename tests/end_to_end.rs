@@ -182,11 +182,11 @@ fn lite_critic_preserves_detection_quality() {
 
 #[test]
 fn streaming_detection_flags_the_attacker_not_the_honest() {
-    use vehigan::features::WindowBuffer;
+    use vehigan::serve::{Decision, EscalationPolicy, ServerConfig, StreamServer};
     use vehigan::tensor::init::seeded_rng;
     use vehigan::vasp::{inject, AttackParams, AttackPolicy};
 
-    let mut p = pipeline();
+    let p = pipeline();
     let fleet = p.test_fleet().to_vec();
     let attack = Attack::by_name("HighHeadingYawRate").unwrap();
     let mut rng = seeded_rng(5);
@@ -199,53 +199,39 @@ fn streaming_detection_flags_the_attacker_not_the_honest() {
     );
     let honest = &fleet[1];
 
-    let mut flagged = [0usize; 2];
-    let mut scored = [0usize; 2];
-    for (slot, trace) in [(0, &attacked.trace), (1, honest)] {
-        let mut buffer = WindowBuffer::new(10, p.scaler.clone());
-        for (i, bsm) in trace.bsms.iter().enumerate() {
-            if let Some(window) = buffer.push(bsm) {
-                if i % 7 != 0 {
-                    continue;
-                }
-                scored[slot] += 1;
-                if p.vehigan
-                    .check_vehicle(bsm.vehicle_id, &window.to_tensor())
-                    .unwrap()
-                    .is_some()
-                {
-                    flagged[slot] += 1;
-                }
-            }
-        }
-    }
-    let attacker_rate = flagged[0] as f64 / scored[0].max(1) as f64;
-    let honest_rate = flagged[1] as f64 / scored[1].max(1) as f64;
+    // One `Always` server over `members` streams both vehicles; their
+    // decisions, attacker's first.
+    let streamed = |members: Vec<usize>| -> [Vec<Decision>; 2] {
+        let config = ServerConfig {
+            policy: EscalationPolicy::Always,
+            members: Some(members),
+            ..ServerConfig::default()
+        };
+        let mut server = StreamServer::new(&p.vehigan, p.scaler.clone(), config).unwrap();
+        server.ingest_batch(&attacked.trace.bsms);
+        server.ingest_batch(&honest.bsms);
+        let decisions = server.tick().unwrap();
+        [attacked.trace.id, honest.id].map(|id| {
+            decisions
+                .iter()
+                .filter(|d| d.vehicle == id)
+                .copied()
+                .collect()
+        })
+    };
+
+    let deployed = streamed((0..p.vehigan.k()).collect());
+    let [attacker_rate, honest_rate] =
+        deployed.map(|d| d.iter().filter(|d| d.flagged).count() as f64 / d.len().max(1) as f64);
     assert!(
         attacker_rate >= honest_rate,
         "attacker flagged {attacker_rate:.2}, honest {honest_rate:.2}"
     );
     // The robust claim is the score ordering: streamed attacker windows
     // must score clearly above streamed honest windows on average.
-    let members: Vec<usize> = (0..p.vehigan.m()).collect();
-    let mut sums = [0.0f64; 2];
-    let mut counts = [0usize; 2];
-    for (slot, trace) in [(0, &attacked.trace), (1, honest)] {
-        let mut buffer = WindowBuffer::new(10, p.scaler.clone());
-        for (i, bsm) in trace.bsms.iter().enumerate() {
-            if let Some(window) = buffer.push(bsm) {
-                if i % 7 != 0 {
-                    continue;
-                }
-                let window = window.to_tensor();
-                let r = p.vehigan.score_with_members(&members, &window).unwrap();
-                sums[slot] += r.scores[0] as f64;
-                counts[slot] += 1;
-            }
-        }
-    }
-    let attacker_mean = sums[0] / counts[0].max(1) as f64;
-    let honest_mean = sums[1] / counts[1].max(1) as f64;
+    let everyone = streamed((0..p.vehigan.m()).collect());
+    let [attacker_mean, honest_mean] =
+        everyone.map(|d| d.iter().map(|d| f64::from(d.score)).sum::<f64>() / d.len().max(1) as f64);
     assert!(
         attacker_mean > honest_mean,
         "attacker mean score {attacker_mean:.4} not above honest {honest_mean:.4}"

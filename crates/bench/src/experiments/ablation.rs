@@ -9,11 +9,11 @@
 //! relevant. Results land in `results/ablation_*.csv`.
 
 use crate::harness::{rate_above, write_csv, Scale};
-use vehigan_core::{LipschitzMode, Wgan, WganConfig};
-use vehigan_features::{build_windows, fit_scaler, WindowConfig, WindowDataset};
+use vehigan_core::{CampaignPlane, LipschitzMode, Wgan, WganConfig};
+use vehigan_features::{fit_scaler, WindowConfig, WindowDataset};
 use vehigan_metrics::{auroc, percentile};
 use vehigan_sim::{TrafficSimulator, VehicleTrace};
-use vehigan_vasp::{Attack, DatasetBuilder, DatasetConfig};
+use vehigan_vasp::{Attack, DatasetConfig};
 
 const ATTACKS: [&str; 6] = [
     "RandomPosition",
@@ -34,28 +34,22 @@ fn build_data(fleet: &[VehicleTrace], window: usize) -> Data {
     let n = fleet.len();
     let train_fleet = &fleet[..n / 2];
     let test_fleet = &fleet[n / 2..];
-    let builder = DatasetBuilder::new(train_fleet, DatasetConfig::default());
-    let benign = builder.benign_dataset();
     let wcfg = WindowConfig {
         window,
         stride: 4,
         ..WindowConfig::default()
     };
-    let scaler = fit_scaler(&benign, wcfg.representation);
-    let train = build_windows(&benign, wcfg, &scaler);
-    let test_builder = DatasetBuilder::new(test_fleet, DatasetConfig::default());
-    let benign_test = build_windows(&test_builder.benign_dataset(), wcfg, &scaler);
-    let attack_tests = ATTACKS
+    let scaler = fit_scaler(train_fleet, wcfg.representation);
+    let train = CampaignPlane::new(train_fleet, DatasetConfig::default(), wcfg, &scaler);
+    let test = CampaignPlane::new(test_fleet, DatasetConfig::default(), wcfg, &scaler);
+    let attacks: Vec<Attack> = ATTACKS
         .iter()
-        .map(|name| {
-            let attack = Attack::by_name(name).expect("catalog");
-            build_windows(&test_builder.attack_dataset(attack), wcfg, &scaler)
-        })
+        .map(|name| Attack::by_name(name).expect("catalog"))
         .collect();
     Data {
-        train,
-        benign_test,
-        attack_tests,
+        train: train.benign_windows(),
+        benign_test: test.benign_windows(),
+        attack_tests: test.campaign(&attacks),
     }
 }
 

@@ -10,7 +10,7 @@ use crate::served::scores;
 use vehigan_baselines::{
     flatten_windows, AeConfig, AeDetector, AnomalyDetector, GmmDetector, KnnDetector, PcaDetector,
 };
-use vehigan_features::WindowDataset;
+use vehigan_features::{Representation, WindowDataset};
 use vehigan_metrics::auroc;
 
 struct Column {
@@ -60,12 +60,13 @@ pub fn run(harness: &mut Harness) {
 
     // Raw-representation data for the Base baseline.
     eprintln!("[table3] building raw-representation datasets…");
-    let raw_train = harness.pipeline.train_benign_windows_raw();
-    let raw_tests: Vec<WindowDataset> = harness
-        .attacks
-        .iter()
-        .map(|&a| harness.pipeline.test_attack_windows_raw(a))
-        .collect();
+    let pipeline = &harness.pipeline;
+    let raw_train = pipeline
+        .plane(pipeline.train_fleet(), Representation::Raw)
+        .benign_windows();
+    let raw_tests = pipeline
+        .plane(pipeline.test_fleet(), Representation::Raw)
+        .campaign(&harness.attacks);
 
     let eng_train = &harness.pipeline.train_windows;
     let eng_tests = &harness.attack_windows;

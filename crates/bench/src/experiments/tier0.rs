@@ -92,7 +92,7 @@ impl Deployment {
         let builder = DatasetBuilder::new(fleet, harness.pipeline.config.dataset.clone());
         let attack_traces = |&attack| -> HashMap<usize, Vec<Bsm>> {
             let traces = builder.attacker_traces(attack).into_iter();
-            traces.map(|(i, lt)| (i, lt.trace.bsms)).collect()
+            traces.map(|(i, t)| (i, t.bsms)).collect()
         };
         let attackers: Vec<_> = harness
             .attacks

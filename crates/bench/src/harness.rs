@@ -4,7 +4,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use vehigan_core::{score_matrix, GridConfig, Pipeline, PipelineConfig, Wgan};
-use vehigan_features::{WindowConfig, WindowDataset};
+use vehigan_features::{Representation, WindowConfig, WindowDataset};
 use vehigan_sim::SimConfig;
 use vehigan_tensor::Tensor;
 use vehigan_vasp::Attack;
@@ -124,13 +124,12 @@ impl Harness {
             pipeline.zoo.len(),
             pipeline.vehigan.m()
         );
-        // The campaign plane engineers each benign test trace once and
-        // shares its windows across all 36 datasets; assembly runs in
-        // parallel across attacks, bitwise identical to the serial
-        // per-attack `test_attack_windows` path.
+        // The plane engineers each benign test trace once and shares its
+        // windows across all 36 datasets; assembly runs in parallel across
+        // attacks.
         let attacks = Attack::catalog();
         let (attack_windows, benign_windows) = {
-            let plane = pipeline.campaign_plane();
+            let plane = pipeline.plane(pipeline.test_fleet(), Representation::Engineered);
             (plane.campaign(&attacks), plane.benign_windows())
         };
 

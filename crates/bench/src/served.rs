@@ -2,7 +2,7 @@
 //! `Screened::dataset` runs every window through one [`TieredDetector`]
 //! (`admit(.., None)`, `decide` on tiles of at most [`SCORE_TILE`]
 //! windows cut from the dataset's tensor, then `escalate`) and keeps its
-//! gate score; `Screened::serve` walks the traces in `build_windows`
+//! gate score; `Screened::serve` walks the traces in dataset (fleet)
 //! order with one [`Suppression`] per trace, and at each window boundary
 //! takes the carried score (`admit(.., Some(carried))`) or the screened
 //! decision, recording its gate score. Both scoring backends are
@@ -48,7 +48,7 @@ pub(crate) fn detector<'h>(harness: &'h Harness, config: &ServerConfig) -> Tiere
     TieredDetector::new(&harness.pipeline.vehigan, config, width).expect("detector builds")
 }
 
-/// A campaign dataset's traces in `build_windows` order: the fleet, each
+/// A campaign dataset's traces in its window order: the fleet, each
 /// attacker's trace in place of its benign one.
 pub(crate) fn dataset_traces<'a>(
     fleet: &'a [VehicleTrace],
@@ -196,12 +196,13 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use vehigan_core::{Pipeline, PipelineConfig};
-    use vehigan_features::{build_windows, Tier0Calibration, WindowConfig};
+    use vehigan_features::{
+        assemble_fragments, build_fragment, engineer_trace, Tier0Calibration, WindowConfig,
+        WindowFragment,
+    };
     use vehigan_serve::{escalation_threshold, StreamServer};
     use vehigan_tensor::init::seeded_rng;
-    use vehigan_vasp::{
-        inject, Attack, AttackParams, AttackPolicy, LabeledTrace, MisbehaviorDataset,
-    };
+    use vehigan_vasp::{inject, Attack, AttackParams, AttackPolicy};
 
     /// Every field of a decision, floats as bits.
     fn bits(d: &Decision) -> (u32, u64, u32, u32, bool, bool, bool) {
@@ -233,25 +234,17 @@ mod tests {
         let attacked = inject(&fleet[0], attack, persistent, &params, &mut seeded_rng(11));
         let attackers = HashMap::from([(0, attacked.trace.bsms.clone())]);
         let traces = dataset_traces(fleet, &attackers);
-        let benign = fleet[1..].iter().map(|t| LabeledTrace {
-            trace: t.clone(),
-            labels: vec![false; t.bsms.len()],
-            is_attacker: false,
-        });
-        let attacker = LabeledTrace {
-            trace: attacked.trace,
-            labels: attacked.labels,
-            is_attacker: true,
-        };
-        let dataset = MisbehaviorDataset {
-            attack: Some(attack),
-            traces: std::iter::once(attacker).chain(benign).collect(),
-        };
         let stride_1 = WindowConfig {
             stride: 1,
             ..p.config.window
         };
-        let x = build_windows(&dataset, stride_1, &p.scaler).x;
+        let dataset =
+            std::iter::once((&attacked.trace, true)).chain(fleet[1..].iter().map(|t| (t, false)));
+        let fragments: Vec<WindowFragment> = dataset
+            .filter_map(|(t, malicious)| engineer_trace(t, malicious, stride_1.representation))
+            .map(|rows| build_fragment(&rows, stride_1, &p.scaler))
+            .collect();
+        let x = assemble_fragments(&fragments, stride_1).x;
 
         // A gate sending the top quarter of these windows on to tier 2,
         // and tier 0 carrying gate scores below the detection threshold.

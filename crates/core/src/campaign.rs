@@ -1,15 +1,14 @@
-//! Parallel, cache-aware evaluation data plane for the attack campaign.
+//! Parallel, cache-aware window data plane: labelled datasets cut from
+//! per-trace window fragments.
 //!
 //! Evaluating the Table III catalog means building 35 labelled window
 //! datasets over the same fleet. Only a `malicious_fraction` (paper: 25%)
 //! of vehicles differ between any attack dataset and the benign one — the
-//! other 75% of traces are byte-identical in all 36 datasets, yet the
-//! monolithic path re-engineered, re-scaled, and re-windowed them 36
-//! times. [`CampaignPlane`] computes each benign vehicle's scaled window
-//! fragment **once**, then assembles every attack dataset by splicing
-//! that attack's few attacker fragments over the shared benign cache —
-//! in parallel across attacks, bitwise identical to the serial
-//! [`build_windows`](vehigan_features::build_windows) path.
+//! other 75% of traces are the same in all 36 datasets. [`CampaignPlane`]
+//! computes each vehicle's benign window fragment **once**, then
+//! assembles every attack dataset by splicing that attack's few attacker
+//! fragments over the shared benign cache, in parallel across attacks.
+//! A window's label is its vehicle's attacker bit.
 //!
 //! [`score_matrix`] parallelizes the other campaign hot loop — every
 //! ensemble member scoring every dataset — across members (scoring is
@@ -24,7 +23,7 @@ use vehigan_features::{
 };
 use vehigan_sim::VehicleTrace;
 use vehigan_tensor::forkjoin::fork_map;
-use vehigan_vasp::{Attack, DatasetBuilder, DatasetConfig, LabeledTrace};
+use vehigan_vasp::{Attack, DatasetBuilder, DatasetConfig};
 
 /// What building one vehicle's benign fragment (engineer, scale, window)
 /// costs per BSM of its trace, for [`fork_map`]: 79–88 ns on one core of
@@ -41,6 +40,24 @@ fn bsms(fleet: &[VehicleTrace]) -> usize {
     fleet.iter().map(VehicleTrace::len).sum()
 }
 
+/// What building one of `fleet`'s fragments costs, for [`fork_map`] over
+/// its vehicles.
+pub(crate) fn fragment_ns(fleet: &[VehicleTrace]) -> usize {
+    bsms(fleet) / fleet.len() * FRAGMENT_NS_PER_BSM
+}
+
+/// The window fragment of one trace labelled `malicious`, or `None` when
+/// the trace is too short to yield a feature row.
+fn fragment(
+    trace: &VehicleTrace,
+    malicious: bool,
+    window: WindowConfig,
+    scaler: &MinMaxScaler,
+) -> Option<WindowFragment> {
+    engineer_trace(trace, malicious, window.representation)
+        .map(|rows| build_fragment(&rows, window, scaler))
+}
+
 /// A reusable evaluation data plane over one fleet: the benign window
 /// fragment of every vehicle, computed once and shared by every dataset
 /// assembled from this plane.
@@ -51,15 +68,15 @@ fn bsms(fleet: &[VehicleTrace]) -> usize {
 /// use vehigan_core::CampaignPlane;
 /// use vehigan_features::{fit_scaler, WindowConfig};
 /// use vehigan_sim::{SimConfig, TrafficSimulator};
-/// use vehigan_vasp::{Attack, DatasetBuilder, DatasetConfig};
+/// use vehigan_vasp::{Attack, DatasetConfig};
 ///
 /// let fleet = TrafficSimulator::new(SimConfig::quick_test()).run();
 /// let config = WindowConfig::default();
-/// let builder = DatasetBuilder::new(&fleet, DatasetConfig::default());
-/// let scaler = fit_scaler(&builder.benign_dataset(), config.representation);
+/// let scaler = fit_scaler(&fleet, config.representation);
 /// let plane = CampaignPlane::new(&fleet, DatasetConfig::default(), config, &scaler);
 /// let campaign = plane.campaign(&Attack::catalog());
 /// assert_eq!(campaign.len(), 35);
+/// assert!(plane.benign_windows().labels.iter().all(|&malicious| !malicious));
 /// ```
 pub struct CampaignPlane<'a> {
     fleet: &'a [VehicleTrace],
@@ -86,15 +103,8 @@ impl<'a> CampaignPlane<'a> {
         scaler: &'a MinMaxScaler,
     ) -> Self {
         assert!(!fleet.is_empty(), "need at least one trace");
-        let mean_bsms = bsms(fleet) / fleet.len();
-        let benign = fork_map(fleet.iter(), mean_bsms * FRAGMENT_NS_PER_BSM, |trace| {
-            let labeled = LabeledTrace {
-                labels: vec![false; trace.len()],
-                trace: trace.clone(),
-                is_attacker: false,
-            };
-            engineer_trace(&labeled, window.representation)
-                .map(|rows| build_fragment(&rows, window, scaler))
+        let benign = fork_map(fleet.iter(), fragment_ns(fleet), |trace| {
+            fragment(trace, false, window, scaler)
         });
         CampaignPlane {
             fleet,
@@ -105,29 +115,20 @@ impl<'a> CampaignPlane<'a> {
         }
     }
 
-    /// The benign dataset's windows — assembled from the cached
-    /// fragments, bitwise identical to
-    /// `build_windows(&builder.benign_dataset(), …)`.
+    /// The benign dataset's windows, in fleet order, every label `false`.
     pub fn benign_windows(&self) -> WindowDataset {
         assemble_fragments(self.benign.iter().flatten(), self.window)
     }
 
-    /// One attack's labelled windows: the attacker fragments are built
-    /// fresh (they differ per attack), every other vehicle reuses its
-    /// cached benign fragment. Bitwise identical to
-    /// `build_windows(&builder.attack_dataset(attack), …)`.
-    pub(crate) fn attack_windows(&self, attack: Attack) -> WindowDataset {
+    /// One attack's labelled windows, in fleet order: each attacker's
+    /// fragment (labelled malicious) is built fresh, every other vehicle
+    /// reuses its cached benign fragment.
+    pub fn attack_windows(&self, attack: Attack) -> WindowDataset {
         let builder = DatasetBuilder::new(self.fleet, self.dataset_config.clone());
         let attackers: Vec<(usize, Option<WindowFragment>)> = builder
             .attacker_traces(attack)
             .iter()
-            .map(|(i, t)| {
-                (
-                    *i,
-                    engineer_trace(t, self.window.representation)
-                        .map(|rows| build_fragment(&rows, self.window, self.scaler)),
-                )
-            })
+            .map(|(i, t)| (*i, fragment(t, true, self.window, self.scaler)))
             .collect();
         let mut next_attacker = attackers.iter().peekable();
         let spliced = (0..self.fleet.len()).filter_map(|i| {
@@ -164,7 +165,7 @@ pub fn score_matrix(members: &[&Wgan], datasets: &[&WindowDataset]) -> Vec<Vec<V
 mod tests {
     use super::*;
     use crate::config::WganConfig;
-    use vehigan_features::{build_windows, fit_scaler};
+    use vehigan_features::fit_scaler;
     use vehigan_sim::{SimConfig, TrafficSimulator};
 
     fn fleet() -> Vec<VehicleTrace> {
@@ -183,8 +184,7 @@ mod tests {
             stride: 3,
             ..WindowConfig::default()
         };
-        let builder = DatasetBuilder::new(&fleet, DatasetConfig::default());
-        let scaler = fit_scaler(&builder.benign_dataset(), config.representation);
+        let scaler = fit_scaler(&fleet, config.representation);
         (fleet, config, scaler)
     }
 
@@ -193,27 +193,6 @@ mod tests {
         assert_eq!(a.x.as_slice(), b.x.as_slice(), "window bytes must match");
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.vehicles, b.vehicles);
-    }
-
-    #[test]
-    fn benign_windows_match_the_monolithic_build() {
-        let (fleet, config, scaler) = setup();
-        let plane = CampaignPlane::new(&fleet, DatasetConfig::default(), config, &scaler);
-        let builder = DatasetBuilder::new(&fleet, DatasetConfig::default());
-        let want = build_windows(&builder.benign_dataset(), config, &scaler);
-        assert_identical(&plane.benign_windows(), &want);
-    }
-
-    #[test]
-    fn attack_windows_match_the_monolithic_build() {
-        let (fleet, config, scaler) = setup();
-        let plane = CampaignPlane::new(&fleet, DatasetConfig::default(), config, &scaler);
-        let builder = DatasetBuilder::new(&fleet, DatasetConfig::default());
-        for name in ["RandomPosition", "HighSpeed", "OppositeHeading"] {
-            let attack = Attack::by_name(name).unwrap();
-            let want = build_windows(&builder.attack_dataset(attack), config, &scaler);
-            assert_identical(&plane.attack_windows(attack), &want);
-        }
     }
 
     #[test]

@@ -21,11 +21,13 @@
 //!
 //! ```no_run
 //! use vehigan_core::{Pipeline, PipelineConfig};
+//! use vehigan_features::Representation;
 //! use vehigan_vasp::Attack;
 //! use vehigan_metrics::auroc;
 //!
 //! let pipeline = Pipeline::run(PipelineConfig::quick());
-//! let test = pipeline.test_attack_windows(Attack::by_name("HighSpeed").unwrap());
+//! let plane = pipeline.plane(pipeline.test_fleet(), Representation::Engineered);
+//! let test = plane.attack_windows(Attack::by_name("HighSpeed").unwrap());
 //! let members: Vec<usize> = (0..pipeline.vehigan.k()).collect();
 //! let result = pipeline.vehigan.score_with_members(&members, &test.x).unwrap();
 //! println!("HighSpeed AUROC: {:.3}", auroc(&result.scores, &test.labels));

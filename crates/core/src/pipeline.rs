@@ -1,7 +1,7 @@
 //! End-to-end VehiGAN pipeline: simulate → engineer features → train the
 //! zoo → pre-evaluate → select → calibrate → deploy (Fig 2).
 
-use crate::campaign::CampaignPlane;
+use crate::campaign::{fragment_ns, CampaignPlane};
 use crate::config::{GridConfig, WganConfig};
 use crate::ensemble::{CriticMember, EnsembleError, VehiGan};
 use crate::wgan::Wgan;
@@ -9,14 +9,14 @@ use crate::zoo::{ModelZoo, QuarantineRecord, ZooError, ZooTrainOptions};
 use std::fmt;
 use std::path::PathBuf;
 use vehigan_features::{
-    build_windows, build_windows_from_rows, engineer_rows, fit_scaler_from_rows, MinMaxScaler,
-    Representation, WindowConfig, WindowDataset,
+    assemble_fragments, build_fragment, engineer_trace, fit_scaler, fit_scaler_from_rows,
+    MinMaxScaler, Representation, TraceRows, WindowConfig, WindowDataset,
 };
 use vehigan_sim::{SimConfig, TrafficSimulator, VehicleTrace};
 use vehigan_tensor::forkjoin::fork_map;
 use vehigan_tensor::serialize::ModelFormatError;
 use vehigan_tensor::Tensor;
-use vehigan_vasp::{Attack, DatasetBuilder, DatasetConfig};
+use vehigan_vasp::{Attack, DatasetConfig};
 
 /// Error from the fallible pipeline entry point [`Pipeline::try_run`].
 #[derive(Debug)]
@@ -205,8 +205,8 @@ pub struct Pipeline {
     /// healthy run).
     pub quarantined: Vec<QuarantineRecord>,
     /// Scaler for the raw 6-field representation (used by the `Base`
-    /// baselines of Table III).
-    pub(crate) raw_scaler: MinMaxScaler,
+    /// baselines of Table III), fitted on the same benign training rows.
+    raw_scaler: MinMaxScaler,
     train_fleet: Vec<VehicleTrace>,
     test_fleet: Vec<VehicleTrace>,
 }
@@ -274,16 +274,20 @@ impl Pipeline {
         let valid_fleet = &fleet[n_train..n_train + n_valid];
         let test_fleet = fleet[n_train + n_valid..].to_vec();
 
-        // 2. Features: fit the scalers on benign training data only. Rows
-        //    are engineered once per representation and reused for both the
-        //    scaler fit and the window build (the old fit-then-build path
-        //    recomputed every feature row twice).
-        let train_builder = DatasetBuilder::new(&train_fleet, config.dataset.clone());
-        let benign_train = train_builder.benign_dataset();
-        let train_rows = engineer_rows(&benign_train, config.window.representation);
+        // 2. Features: fit the scalers on benign training data only. The
+        //    training rows are engineered once, fit the scaler, and are
+        //    cut into fragments, forked across vehicles as a plane forks.
+        let train_rows: Vec<TraceRows> = train_fleet
+            .iter()
+            .filter_map(|t| engineer_trace(t, false, config.window.representation))
+            .collect();
         let scaler = fit_scaler_from_rows(&train_rows);
-        let raw_scaler = fit_scaler_from_rows(&engineer_rows(&benign_train, Representation::Raw));
-        let train_windows = build_windows_from_rows(&train_rows, config.window, &scaler);
+        let raw_scaler = fit_scaler(&train_fleet, Representation::Raw);
+        let train_fragments = fork_map(train_rows.iter(), fragment_ns(&train_fleet), |rows| {
+            build_fragment(rows, config.window, &scaler)
+        });
+        let train_windows = assemble_fragments(&train_fragments, config.window);
+        drop((train_rows, train_fragments));
 
         // 3. Validation datasets with representative attacks, assembled
         //    through the campaign plane so each benign validation trace is
@@ -349,35 +353,6 @@ impl Pipeline {
         })
     }
 
-    /// The raw-representation window config (same `w`/stride, raw fields).
-    fn raw_window_config(&self) -> WindowConfig {
-        WindowConfig {
-            representation: Representation::Raw,
-            ..self.config.window
-        }
-    }
-
-    /// Benign training windows in the raw representation (for the `Base`
-    /// baselines).
-    pub fn train_benign_windows_raw(&self) -> WindowDataset {
-        let builder = DatasetBuilder::new(&self.train_fleet, self.config.dataset.clone());
-        build_windows(
-            &builder.benign_dataset(),
-            self.raw_window_config(),
-            &self.raw_scaler,
-        )
-    }
-
-    /// Raw-representation labelled test windows for one attack.
-    pub fn test_attack_windows_raw(&self, attack: Attack) -> WindowDataset {
-        let builder = DatasetBuilder::new(&self.test_fleet, self.config.dataset.clone());
-        build_windows(
-            &builder.attack_dataset(attack),
-            self.raw_window_config(),
-            &self.raw_scaler,
-        )
-    }
-
     /// The held-out test fleet (never seen in training or selection).
     pub fn test_fleet(&self) -> &[VehicleTrace] {
         &self.test_fleet
@@ -391,34 +366,31 @@ impl Pipeline {
         &self.train_fleet
     }
 
-    /// A campaign evaluation plane over the held-out test fleet: each
-    /// benign trace's windows are computed once and shared across all 35
-    /// attack datasets (plus the benign one). Datasets assembled from the
-    /// plane are bitwise identical to [`Self::test_attack_windows`] /
-    /// [`Self::test_benign_windows`].
-    pub fn campaign_plane(&self) -> CampaignPlane<'_> {
-        CampaignPlane::new(
-            &self.test_fleet,
-            self.config.dataset.clone(),
-            self.config.window,
-            &self.scaler,
-        )
-    }
-
-    /// Builds labelled test windows for one attack on the held-out fleet.
-    pub fn test_attack_windows(&self, attack: Attack) -> WindowDataset {
-        let builder = DatasetBuilder::new(&self.test_fleet, self.config.dataset.clone());
-        build_windows(
-            &builder.attack_dataset(attack),
-            self.config.window,
-            &self.scaler,
-        )
-    }
-
-    /// Builds benign test windows on the held-out fleet.
-    pub fn test_benign_windows(&self) -> WindowDataset {
-        let builder = DatasetBuilder::new(&self.test_fleet, self.config.dataset.clone());
-        build_windows(&builder.benign_dataset(), self.config.window, &self.scaler)
+    /// The window plane over `fleet` (usually [`Self::test_fleet`] or
+    /// [`Self::train_fleet`]) in `representation`, windowed as
+    /// `config.window` and scaled by the scaler fitted on the training
+    /// rows of that representation: every labelled dataset of the system
+    /// is cut from one. Each benign trace's windows are computed once and
+    /// shared by every attack dataset the plane assembles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fleet` is empty, or if `representation` is
+    /// `Engineered` while `config.window` is `Raw`.
+    pub fn plane<'a>(
+        &'a self,
+        fleet: &'a [VehicleTrace],
+        representation: Representation,
+    ) -> CampaignPlane<'a> {
+        let scaler = match representation {
+            Representation::Engineered => &self.scaler,
+            Representation::Raw => &self.raw_scaler,
+        };
+        let window = WindowConfig {
+            representation,
+            ..self.config.window
+        };
+        CampaignPlane::new(fleet, self.config.dataset.clone(), window, scaler)
     }
 
     /// Compiles the deployed ensemble's int8 backend, calibrating
@@ -490,7 +462,8 @@ mod tests {
     #[test]
     fn ensemble_detects_gross_misbehavior_on_test_fleet() {
         let p = pipeline();
-        let ds = p.test_attack_windows(Attack::by_name("RandomPosition").unwrap());
+        let plane = p.plane(p.test_fleet(), Representation::Engineered);
+        let ds = plane.attack_windows(Attack::by_name("RandomPosition").unwrap());
         let all: Vec<usize> = (0..p.vehigan.m()).collect();
         let result = p.vehigan.score_with_members(&all, &ds.x).unwrap();
         let score = auroc(&result.scores, &ds.labels);
@@ -500,28 +473,14 @@ mod tests {
     #[test]
     fn benign_test_fpr_is_bounded() {
         let p = pipeline();
-        let ds = p.test_benign_windows();
+        let ds = p
+            .plane(p.test_fleet(), Representation::Engineered)
+            .benign_windows();
         let all: Vec<usize> = (0..p.vehigan.m()).collect();
         let result = p.vehigan.score_with_members(&all, &ds.x).unwrap();
         let flagged = result.scores.iter().filter(|&&s| s > result.threshold);
         let fpr = flagged.count() as f64 / ds.len() as f64;
         assert!(fpr < 0.15, "fpr={fpr}");
-    }
-
-    #[test]
-    fn campaign_plane_matches_the_serial_accessors() {
-        let p = pipeline();
-        let plane = p.campaign_plane();
-        let attack = Attack::by_name("HighSpeed").unwrap();
-        let via_plane = plane.attack_windows(attack);
-        let serial = p.test_attack_windows(attack);
-        assert_eq!(via_plane.x.as_slice(), serial.x.as_slice());
-        assert_eq!(via_plane.labels, serial.labels);
-        assert_eq!(via_plane.vehicles, serial.vehicles);
-        let benign = plane.benign_windows();
-        let serial_benign = p.test_benign_windows();
-        assert_eq!(benign.x.as_slice(), serial_benign.x.as_slice());
-        assert_eq!(benign.labels, serial_benign.labels);
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! The campaign data plane's contract: parallel, cache-aware assembly and
-//! scoring are *bitwise* identical to the serial monolithic path — same
-//! window bytes, labels, vehicle ids, and member scores, for every attack
-//! in the full Table III catalog.
+//! The campaign data plane's contract: every dataset it assembles — all
+//! 35 Table III attacks and the benign set, in either representation — is
+//! bitwise the windows a naive per-vehicle reference cuts, and its
+//! parallel score cache is bitwise the serial nest.
 
 use vehigan_core::{score_matrix, CampaignPlane, Wgan, WganConfig};
-use vehigan_features::{build_windows, fit_scaler, WindowConfig, WindowDataset};
+use vehigan_features::{
+    engineer_trace, fit_scaler, MinMaxScaler, Representation, WindowConfig, WindowDataset,
+};
 use vehigan_sim::{SimConfig, TrafficSimulator, VehicleTrace};
 use vehigan_vasp::{Attack, DatasetBuilder, DatasetConfig};
 
@@ -25,15 +27,64 @@ fn assert_identical(got: &WindowDataset, want: &WindowDataset, ctx: &str) {
     assert_eq!(got.vehicles, want.vehicles, "{ctx}: vehicle ids");
 }
 
-#[test]
-fn full_catalog_campaign_is_bitwise_identical_to_serial() {
+/// The dataset written out one window at a time: per vehicle, in fleet
+/// order, its attacked trace if `attack` names it (else its benign one);
+/// every feature row scaled by `transform_value` and rounded once to
+/// f32; each `w`-row span at `stride`; each window labelled by whether
+/// `attacker_traces` named its vehicle.
+fn reference(
+    fleet: &[VehicleTrace],
+    attack: Option<Attack>,
+    config: WindowConfig,
+    scaler: &MinMaxScaler,
+) -> WindowDataset {
+    let attackers = attack.map_or_else(Vec::new, |a| {
+        DatasetBuilder::new(fleet, DatasetConfig::default()).attacker_traces(a)
+    });
+    let (w, f) = (config.window, scaler.width());
+    let (mut data, mut labels, mut vehicles) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, benign) in fleet.iter().enumerate() {
+        let attacked = attackers.iter().find(|(j, _)| *j == i).map(|(_, t)| t);
+        let trace = attacked.unwrap_or(benign);
+        let Some(rows) = engineer_trace(trace, false, config.representation) else {
+            continue;
+        };
+        let scaled: Vec<Vec<f32>> = rows
+            .values
+            .chunks(f)
+            .map(|row| {
+                let scale = |(j, &v): (usize, &f64)| scaler.transform_value(j, v) as f32;
+                row.iter().enumerate().map(scale).collect()
+            })
+            .collect();
+        let mut start = 0;
+        while start + w <= scaled.len() {
+            for row in &scaled[start..start + w] {
+                data.extend_from_slice(row);
+            }
+            labels.push(attacked.is_some());
+            vehicles.push(trace.id);
+            start += config.stride;
+        }
+    }
+    let n = labels.len();
+    WindowDataset {
+        x: vehigan_tensor::Tensor::from_vec(data, &[n, w, f, 1]),
+        labels,
+        vehicles,
+    }
+}
+
+/// The full catalog and the benign set, assembled by the plane, against
+/// [`reference`].
+fn plane_matches_the_reference(representation: Representation, stride: usize) {
     let fleet = fleet();
     let window = WindowConfig {
-        stride: 3,
+        stride,
+        representation,
         ..WindowConfig::default()
     };
-    let builder = DatasetBuilder::new(&fleet, DatasetConfig::default());
-    let scaler = fit_scaler(&builder.benign_dataset(), window.representation);
+    let scaler = fit_scaler(&fleet, representation);
     let attacks = Attack::catalog();
 
     let plane = CampaignPlane::new(&fleet, DatasetConfig::default(), window, &scaler);
@@ -41,14 +92,27 @@ fn full_catalog_campaign_is_bitwise_identical_to_serial() {
     assert_eq!(parallel.len(), attacks.len());
 
     for (got, &attack) in parallel.iter().zip(&attacks) {
-        let want = build_windows(&builder.attack_dataset(attack), window, &scaler);
+        let want = reference(&fleet, Some(attack), window, &scaler);
+        assert!(want.labels.contains(&true), "{attack}: no attacker window");
         assert_identical(got, &want, &attack.name());
     }
-    assert_identical(
-        &plane.benign_windows(),
-        &build_windows(&builder.benign_dataset(), window, &scaler),
-        "benign",
-    );
+    let benign = reference(&fleet, None, window, &scaler);
+    assert_identical(&plane.benign_windows(), &benign, "benign");
+}
+
+#[test]
+fn full_catalog_campaign_matches_the_naive_reference() {
+    plane_matches_the_reference(Representation::Engineered, 3);
+}
+
+#[test]
+fn raw_campaign_matches_the_naive_reference() {
+    plane_matches_the_reference(Representation::Raw, 3);
+}
+
+#[test]
+fn stride_1_campaign_matches_the_naive_reference() {
+    plane_matches_the_reference(Representation::Engineered, 1);
 }
 
 #[test]
@@ -58,8 +122,7 @@ fn parallel_score_cache_is_bitwise_identical_to_serial() {
         stride: 3,
         ..WindowConfig::default()
     };
-    let builder = DatasetBuilder::new(&fleet, DatasetConfig::default());
-    let scaler = fit_scaler(&builder.benign_dataset(), window.representation);
+    let scaler = fit_scaler(&fleet, window.representation);
     let plane = CampaignPlane::new(&fleet, DatasetConfig::default(), window, &scaler);
 
     // A few catalog attacks plus benign — the exact dataset list the bench

@@ -11,23 +11,31 @@
 //! `Δθ ≈ ωΔt`) benign traffic satisfies and misbehaviors break.
 //!
 //! The crate then assembles `w × f` snapshots (paper: `10 × 12`) from the
-//! rows, batched for training ([`build_windows`]) or streamed per vehicle
-//! at test time ([`WindowBuffer`]), scaled to `[-1, 1]` by a
-//! [`MinMaxScaler`] fitted on benign data.
+//! rows, batched per trace for training and evaluation ([`build_fragment`],
+//! [`assemble_fragments`]) or streamed per vehicle at test time
+//! ([`WindowBuffer`]), scaled to `[-1, 1]` by a [`MinMaxScaler`] fitted on
+//! benign data.
 //!
 //! # Example
 //!
 //! ```
 //! use vehigan_sim::{SimConfig, TrafficSimulator};
-//! use vehigan_vasp::{DatasetBuilder, DatasetConfig};
-//! use vehigan_features::{build_windows, fit_scaler, Representation, WindowConfig};
+//! use vehigan_features::{
+//!     assemble_fragments, build_fragment, engineer_trace, fit_scaler, WindowConfig,
+//!     WindowFragment,
+//! };
 //!
 //! let fleet = TrafficSimulator::new(SimConfig::quick_test()).run();
-//! let builder = DatasetBuilder::new(&fleet, DatasetConfig::default());
-//! let benign = builder.benign_dataset();
-//! let scaler = fit_scaler(&benign, Representation::Engineered);
-//! let windows = build_windows(&benign, WindowConfig::default(), &scaler);
+//! let config = WindowConfig::default();
+//! let scaler = fit_scaler(&fleet, config.representation);
+//! let fragments: Vec<WindowFragment> = fleet
+//!     .iter()
+//!     .filter_map(|trace| engineer_trace(trace, false, config.representation))
+//!     .map(|rows| build_fragment(&rows, config, &scaler))
+//!     .collect();
+//! let windows = assemble_fragments(&fragments, config);
 //! assert_eq!(&windows.x.shape()[1..], &[10, 12, 1]);
+//! assert!(windows.labels.iter().all(|&malicious| !malicious));
 //! ```
 
 #![warn(missing_docs)]
@@ -47,7 +55,6 @@ pub use monitor::{
 pub use scaler::MinMaxScaler;
 pub use stream::{lru_key, EvictionConfig, WindowBuffer, WindowRing, WindowView};
 pub use window::{
-    assemble_fragments, build_fragment, build_windows, build_windows_from_rows, engineer_rows,
-    engineer_trace, fit_scaler, fit_scaler_from_rows, Representation, TraceRows, WindowConfig,
-    WindowDataset, WindowFragment,
+    assemble_fragments, build_fragment, engineer_trace, fit_scaler, fit_scaler_from_rows,
+    Representation, TraceRows, WindowConfig, WindowDataset, WindowFragment,
 };

@@ -840,9 +840,9 @@ mod tests {
         let mut benign_suppress = (0usize, 0usize);
         let mut attack_suppress = (0usize, 0usize);
         let attacker: Vec<(usize, _)> = builder.attacker_traces(attack);
-        for (_, lt) in &attacker {
+        for (_, trace) in &attacker {
             let mut m = Tier0Monitor::new(cal.params);
-            for bsm in &lt.trace.bsms {
+            for bsm in &trace.bsms {
                 m.push(bsm);
                 if m.rows() >= cal.warmup {
                     attack_suppress.1 += 1;

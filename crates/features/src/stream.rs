@@ -210,9 +210,11 @@ pub fn lru_key(last_seen: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{build_windows, fit_scaler, Representation, WindowConfig};
-    use vehigan_sim::{SimConfig, TrafficSimulator};
-    use vehigan_vasp::{DatasetBuilder, DatasetConfig};
+    use crate::window::{
+        assemble_fragments, build_fragment, engineer_trace, fit_scaler, Representation,
+        WindowConfig, WindowDataset,
+    };
+    use vehigan_sim::{SimConfig, TrafficSimulator, VehicleTrace};
 
     impl WindowBuffer {
         /// The window the last [`WindowBuffer::push`] completed, if the buffer
@@ -236,9 +238,15 @@ mod tests {
             ..SimConfig::default()
         })
         .run();
-        let builder = DatasetBuilder::new(&fleet, DatasetConfig::default());
-        let scaler = fit_scaler(&builder.benign_dataset(), Representation::Engineered);
+        let scaler = fit_scaler(&fleet, Representation::Engineered);
         (fleet, scaler)
+    }
+
+    /// The stride-1 batch windows of one trace.
+    fn batch_windows(trace: &VehicleTrace, scaler: &MinMaxScaler) -> WindowDataset {
+        let config = WindowConfig::default();
+        let rows = engineer_trace(trace, false, config.representation).expect("rows");
+        assemble_fragments([&build_fragment(&rows, config, scaler)], config)
     }
 
     #[test]
@@ -263,8 +271,7 @@ mod tests {
         // The last streamed window must equal the last batch window
         // (stride 1) of the same trace.
         let (fleet, scaler) = setup();
-        let builder = DatasetBuilder::new(&fleet[..1], DatasetConfig::default());
-        let batch = build_windows(&builder.benign_dataset(), WindowConfig::default(), &scaler);
+        let batch = batch_windows(&fleet[0], &scaler);
         let mut buf = WindowBuffer::new(10, scaler);
         let mut last = None;
         for bsm in &fleet[0] {
@@ -283,15 +290,7 @@ mod tests {
         // corresponding stride-1 batch window, across many ring
         // rollovers.
         let (fleet, scaler) = setup();
-        let builder = DatasetBuilder::new(&fleet[..1], DatasetConfig::default());
-        let batch = build_windows(
-            &builder.benign_dataset(),
-            WindowConfig {
-                stride: 1,
-                ..WindowConfig::default()
-            },
-            &scaler,
-        );
+        let batch = batch_windows(&fleet[0], &scaler);
         let mut buf = WindowBuffer::new(10, scaler);
         let mut streamed = Vec::new();
         for bsm in &fleet[0] {

@@ -1,8 +1,10 @@
-//! Labelled misbehavior dataset assembly.
+//! Attack dataset assembly.
 //!
 //! Mirrors the paper's data generation (§IV-A): benign traces from the
 //! traffic simulator plus, per attack, a copy of the fleet in which a
 //! fraction of vehicles (paper: 25%) persistently transmit falsified BSMs.
+//! Ground truth is one bit per vehicle: whether [`DatasetBuilder::attacker_traces`]
+//! names it.
 
 use crate::attack::Attack;
 use crate::inject::{inject, AttackParams, AttackPolicy};
@@ -34,27 +36,8 @@ impl Default for DatasetConfig {
 /// [`AttackParams::default`]'s value ranges.
 const ATTACK_POLICY: AttackPolicy = AttackPolicy::Persistent;
 
-/// One vehicle's labelled message stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LabeledTrace {
-    /// The messages as the MBDS receives them.
-    pub trace: VehicleTrace,
-    /// Per-message misbehavior ground truth.
-    pub labels: Vec<bool>,
-    /// Whether this vehicle is an attacker.
-    pub is_attacker: bool,
-}
-
-/// A full labelled dataset for one scenario (benign or one attack type).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MisbehaviorDataset {
-    /// The attack applied, or `None` for the benign dataset.
-    pub attack: Option<Attack>,
-    /// Per-vehicle labelled traces.
-    pub traces: Vec<LabeledTrace>,
-}
-
-/// Builds benign and per-attack datasets from a fleet of benign traces.
+/// Picks each attack's attackers from a fleet of benign traces and
+/// falsifies their messages.
 ///
 /// # Examples
 ///
@@ -62,10 +45,13 @@ pub struct MisbehaviorDataset {
 /// use vehigan_sim::{SimConfig, TrafficSimulator};
 /// use vehigan_vasp::{Attack, DatasetBuilder, DatasetConfig};
 ///
-/// let traces = TrafficSimulator::new(SimConfig::quick_test()).run();
-/// let builder = DatasetBuilder::new(&traces, DatasetConfig::default());
-/// let ds = builder.attack_dataset(Attack::by_name("HighSpeed").unwrap());
-/// assert!(ds.traces.iter().any(|t| t.is_attacker));
+/// let fleet = TrafficSimulator::new(SimConfig::quick_test()).run();
+/// let builder = DatasetBuilder::new(&fleet, DatasetConfig::default());
+/// let attackers = builder.attacker_traces(Attack::by_name("HighSpeed").unwrap());
+/// assert!(!attackers.is_empty());
+/// for (i, trace) in &attackers {
+///     assert_eq!(trace.id, fleet[*i].id);
+/// }
 /// ```
 #[derive(Debug)]
 pub struct DatasetBuilder<'a> {
@@ -89,32 +75,16 @@ impl<'a> DatasetBuilder<'a> {
         DatasetBuilder { benign, config }
     }
 
-    /// The fully benign dataset (labels all `false`).
-    pub fn benign_dataset(&self) -> MisbehaviorDataset {
-        MisbehaviorDataset {
-            attack: None,
-            traces: self
-                .benign
-                .iter()
-                .map(|t| LabeledTrace {
-                    labels: vec![false; t.len()],
-                    trace: t.clone(),
-                    is_attacker: false,
-                })
-                .collect(),
-        }
-    }
-
-    /// Only the attacked traces of [`Self::attack_dataset`], keyed by
-    /// fleet index and sorted by it.
+    /// The attacked traces of `attack`'s dataset, keyed by fleet index
+    /// and sorted by it; every other vehicle of the dataset transmits its
+    /// benign trace.
     ///
-    /// Drives the exact RNG stream `attack_dataset` uses (selection
-    /// shuffle, then per-attacker injection in ascending fleet order), so
-    /// splicing these traces over the benign fleet reproduces
-    /// `attack_dataset` bit for bit. The campaign evaluation plane relies
-    /// on this to rebuild only the ~25% attacker slice per attack while
-    /// sharing the benign 75% across all 35 datasets.
-    pub fn attacker_traces(&self, attack: Attack) -> Vec<(usize, LabeledTrace)> {
+    /// A `malicious_fraction` of the fleet attacks. Which vehicles do is
+    /// deterministic in `(config.seed, attack)`, so different attacks pick
+    /// (mostly) different vehicle subsets, like separate VASP runs. One
+    /// RNG shuffles the fleet, then injects each attacker in ascending
+    /// fleet order.
+    pub fn attacker_traces(&self, attack: Attack) -> Vec<(usize, VehicleTrace)> {
         let attack_salt = attack
             .name()
             .bytes()
@@ -126,8 +96,6 @@ impl<'a> DatasetBuilder<'a> {
         let mut indices: Vec<usize> = (0..n).collect();
         indices.shuffle(&mut rng);
         let mut attacker_indices: Vec<usize> = indices.into_iter().take(n_attackers).collect();
-        // Injection must consume the RNG in ascending fleet order — the
-        // stream contract the monolithic builder established.
         attacker_indices.sort_unstable();
 
         let params = AttackParams::default();
@@ -135,45 +103,9 @@ impl<'a> DatasetBuilder<'a> {
             .into_iter()
             .map(|i| {
                 let attacked = inject(&self.benign[i], attack, ATTACK_POLICY, &params, &mut rng);
-                (
-                    i,
-                    LabeledTrace {
-                        trace: attacked.trace,
-                        labels: attacked.labels,
-                        is_attacker: true,
-                    },
-                )
+                (i, attacked.trace)
             })
             .collect()
-    }
-
-    /// A dataset where a `malicious_fraction` of vehicles run `attack`.
-    ///
-    /// Attacker selection is deterministic in `(config.seed, attack)` so
-    /// different attacks pick (mostly) different vehicle subsets, like
-    /// separate VASP runs.
-    pub fn attack_dataset(&self, attack: Attack) -> MisbehaviorDataset {
-        let mut attackers = self.attacker_traces(attack).into_iter().peekable();
-        let traces = self
-            .benign
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                if attackers.peek().is_some_and(|&(j, _)| j == i) {
-                    attackers.next().expect("peeked").1
-                } else {
-                    LabeledTrace {
-                        labels: vec![false; t.len()],
-                        trace: t.clone(),
-                        is_attacker: false,
-                    }
-                }
-            })
-            .collect();
-        MisbehaviorDataset {
-            attack: Some(attack),
-            traces,
-        }
     }
 }
 
@@ -181,10 +113,6 @@ impl<'a> DatasetBuilder<'a> {
 mod tests {
     use super::*;
     use vehigan_sim::{SimConfig, TrafficSimulator};
-
-    fn num_attackers(ds: &MisbehaviorDataset) -> usize {
-        ds.traces.iter().filter(|t| t.is_attacker).count()
-    }
 
     fn fleet() -> Vec<VehicleTrace> {
         TrafficSimulator::new(SimConfig {
@@ -196,34 +124,32 @@ mod tests {
         .run()
     }
 
-    #[test]
-    fn benign_dataset_has_no_positive_labels() {
-        let traces = fleet();
-        let ds = DatasetBuilder::new(&traces, DatasetConfig::default()).benign_dataset();
-        assert!(ds.attack.is_none());
-        assert!(ds.traces.iter().all(|t| t.labels.iter().all(|&l| !l)));
-        assert_eq!(num_attackers(&ds), 0);
+    fn attacker_set(builder: &DatasetBuilder<'_>, attack: Attack) -> Vec<usize> {
+        builder
+            .attacker_traces(attack)
+            .iter()
+            .map(|(i, _)| *i)
+            .collect()
     }
 
     #[test]
     fn attacker_fraction_respected() {
         let traces = fleet();
-        let ds = DatasetBuilder::new(&traces, DatasetConfig::default())
-            .attack_dataset(Attack::by_name("RandomSpeed").unwrap());
-        assert_eq!(num_attackers(&ds), 2); // 25% of 8
+        let builder = DatasetBuilder::new(&traces, DatasetConfig::default());
+        let attackers = attacker_set(&builder, Attack::by_name("RandomSpeed").unwrap());
+        assert_eq!(attackers.len(), 2); // 25% of 8
     }
 
     #[test]
-    fn attacker_traces_are_labelled() {
+    fn attacker_traces_are_sorted_and_stand_in_for_their_vehicle() {
         let traces = fleet();
-        let ds = DatasetBuilder::new(&traces, DatasetConfig::default())
-            .attack_dataset(Attack::by_name("HighSpeed").unwrap());
-        for t in &ds.traces {
-            if t.is_attacker {
-                assert!(t.labels.iter().all(|&l| l)); // persistent policy
-            } else {
-                assert!(t.labels.iter().all(|&l| !l));
-            }
+        let builder = DatasetBuilder::new(&traces, DatasetConfig::default());
+        let attackers = builder.attacker_traces(Attack::by_name("HighSpeed").unwrap());
+        assert!(attackers.windows(2).all(|w| w[0].0 < w[1].0));
+        for (i, t) in &attackers {
+            assert_eq!(t.id, traces[*i].id);
+            assert_eq!(t.len(), traces[*i].len());
+            assert_ne!(t, &traces[*i]);
         }
     }
 
@@ -231,8 +157,8 @@ mod tests {
     fn deterministic_per_seed() {
         let traces = fleet();
         let attack = Attack::by_name("RandomHeading").unwrap();
-        let a = DatasetBuilder::new(&traces, DatasetConfig::default()).attack_dataset(attack);
-        let b = DatasetBuilder::new(&traces, DatasetConfig::default()).attack_dataset(attack);
+        let a = DatasetBuilder::new(&traces, DatasetConfig::default()).attacker_traces(attack);
+        let b = DatasetBuilder::new(&traces, DatasetConfig::default()).attacker_traces(attack);
         assert_eq!(a, b);
     }
 
@@ -240,26 +166,19 @@ mod tests {
     fn different_attacks_pick_different_attackers_sometimes() {
         let traces = fleet();
         let builder = DatasetBuilder::new(&traces, DatasetConfig::default());
-        let sets: Vec<Vec<bool>> = Attack::catalog()
+        let sets: Vec<Vec<usize>> = Attack::catalog()
             .iter()
             .take(6)
-            .map(|&a| {
-                builder
-                    .attack_dataset(a)
-                    .traces
-                    .iter()
-                    .map(|t| t.is_attacker)
-                    .collect()
-            })
+            .map(|&a| attacker_set(&builder, a))
             .collect();
         assert!(sets.windows(2).any(|w| w[0] != w[1]));
     }
 
     #[test]
     fn attacker_traces_preserve_the_monolithic_rng_stream() {
-        // Reimplements the pre-refactor attack_dataset (one RNG, shuffle
-        // then inject-on-the-fly in fleet order) and checks the staged
-        // attacker_traces/splice path reproduces it bit for bit.
+        // The dataset's original RNG contract, written out: one RNG
+        // shuffles the fleet, then falsifies each attacker on the fly in
+        // fleet order. attacker_traces must reproduce it bit for bit.
         let traces = fleet();
         let config = DatasetConfig::default();
         let attack = Attack::by_name("RandomPosition").unwrap();
@@ -275,35 +194,18 @@ mod tests {
         indices.shuffle(&mut rng);
         let attacker_set: std::collections::HashSet<usize> =
             indices.into_iter().take(n_attackers).collect();
-        let expected: Vec<LabeledTrace> = traces
+        let expected: Vec<(usize, VehicleTrace)> = traces
             .iter()
             .enumerate()
+            .filter(|(i, _)| attacker_set.contains(i))
             .map(|(i, t)| {
-                if attacker_set.contains(&i) {
-                    let attacked =
-                        inject(t, attack, ATTACK_POLICY, &AttackParams::default(), &mut rng);
-                    LabeledTrace {
-                        trace: attacked.trace,
-                        labels: attacked.labels,
-                        is_attacker: true,
-                    }
-                } else {
-                    LabeledTrace {
-                        labels: vec![false; t.len()],
-                        trace: t.clone(),
-                        is_attacker: false,
-                    }
-                }
+                let attacked = inject(t, attack, ATTACK_POLICY, &AttackParams::default(), &mut rng);
+                (i, attacked.trace)
             })
             .collect();
 
-        let ds = DatasetBuilder::new(&traces, config.clone()).attack_dataset(attack);
-        assert_eq!(ds.traces, expected);
-
         let staged = DatasetBuilder::new(&traces, config).attacker_traces(attack);
         assert_eq!(staged.len(), n_attackers);
-        for (i, t) in &staged {
-            assert_eq!(&expected[*i], t);
-        }
+        assert_eq!(staged, expected);
     }
 }

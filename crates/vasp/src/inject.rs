@@ -145,15 +145,11 @@ impl InjectorState {
     }
 }
 
-/// A falsified trace: the transmitted BSMs plus per-message ground truth.
+/// A falsified trace: the BSMs an attacker transmits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttackedTrace {
     /// The messages as received by the MBDS (every one falsified).
     pub trace: VehicleTrace,
-    /// `labels[i]` is `true` iff message `i` was falsified.
-    pub labels: Vec<bool>,
-    /// The attack that was applied.
-    pub(crate) attack: Attack,
 }
 
 /// Applies `attack` to every message of a benign trace (`policy` is
@@ -195,11 +191,7 @@ pub fn inject(
         prev_tx_heading = Some(tx.heading);
         out.bsms.push(tx);
     }
-    AttackedTrace {
-        labels: vec![true; out.len()],
-        trace: out,
-        attack,
-    }
+    AttackedTrace { trace: out }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -334,10 +326,6 @@ mod tests {
     use rand::SeedableRng;
     use vehigan_sim::{SensorModel, SimConfig, TrafficSimulator};
 
-    fn num_malicious(attacked: &AttackedTrace) -> usize {
-        attacked.labels.iter().filter(|&&l| l).count()
-    }
-
     fn benign_trace() -> VehicleTrace {
         let config = SimConfig {
             n_vehicles: 1,
@@ -369,7 +357,13 @@ mod tests {
     fn persistent_policy_falsifies_everything() {
         let attack = Attack::by_name("RandomSpeed").unwrap();
         let (benign, attacked) = run(attack);
-        assert_eq!(num_malicious(&attacked), benign.len());
+        assert_eq!(attacked.trace.len(), benign.len());
+        for (b, a) in benign.iter().zip(&attacked.trace) {
+            assert_ne!(
+                b.speed, a.speed,
+                "a transmitted speed kept its benign value"
+            );
+        }
     }
 
     #[test]

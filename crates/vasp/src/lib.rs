@@ -22,8 +22,9 @@
 //! let fleet = TrafficSimulator::new(SimConfig::quick_test()).run();
 //! let builder = DatasetBuilder::new(&fleet, DatasetConfig::default());
 //! for attack in Attack::catalog() {
-//!     let dataset = builder.attack_dataset(attack);
-//!     assert!(dataset.traces.iter().any(|t| t.is_attacker), "{attack}");
+//!     // Each attack's dataset: these vehicles attack, the rest are benign.
+//!     let attackers = builder.attacker_traces(attack);
+//!     assert!(!attackers.is_empty(), "{attack}");
 //! }
 //! ```
 
@@ -34,5 +35,5 @@ mod dataset;
 mod inject;
 
 pub use attack::{Attack, AttackKind, InvalidAttackError, TargetField};
-pub use dataset::{DatasetBuilder, DatasetConfig, LabeledTrace, MisbehaviorDataset};
+pub use dataset::{DatasetBuilder, DatasetConfig};
 pub use inject::{inject, AttackParams, AttackPolicy, AttackedTrace};

@@ -7,6 +7,7 @@
 
 use vehigan::core::adversarial::{afn_attack, afp_attack, multi_model_afp, random_noise};
 use vehigan::core::{Pipeline, PipelineConfig};
+use vehigan::features::Representation;
 use vehigan::tensor::init::seeded_rng;
 use vehigan::tensor::Sequential;
 
@@ -17,7 +18,9 @@ fn rate_above(scores: &[f32], tau: f32) -> f64 {
 fn main() {
     println!("=== VehiGAN adversarial robustness demo ===\n");
     let mut pipeline = Pipeline::run(PipelineConfig::demo());
-    let benign = pipeline.test_benign_windows();
+    let benign = pipeline
+        .plane(pipeline.test_fleet(), Representation::Engineered)
+        .benign_windows();
     // Cap gradient work.
     let indices: Vec<usize> = (0..benign.len().min(200)).collect();
     let x = benign.x.take(&indices);
@@ -81,7 +84,9 @@ fn main() {
 
     println!("\n[4/4] AFN attacks on misbehavior windows (intrinsic robustness)…");
     let attack = vehigan::vasp::Attack::by_name("RandomSpeed").expect("catalog");
-    let mal_ds = pipeline.test_attack_windows(attack);
+    let mal_ds = pipeline
+        .plane(pipeline.test_fleet(), Representation::Engineered)
+        .attack_windows(attack);
     let mal_idx: Vec<usize> = mal_ds.malicious_indices().into_iter().take(200).collect();
     let mal = mal_ds.x.take(&mal_idx);
     let best = &mut pipeline.vehigan.members_mut()[0];

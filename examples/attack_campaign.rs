@@ -6,6 +6,7 @@
 //! ```
 
 use vehigan::core::{Pipeline, PipelineConfig};
+use vehigan::features::Representation;
 use vehigan::metrics::auroc;
 use vehigan::vasp::Attack;
 
@@ -23,8 +24,9 @@ fn main() {
     let mut advanced_n = 0;
     let mut total = 0.0;
     let catalog = Attack::catalog();
+    let plane = pipeline.plane(pipeline.test_fleet(), Representation::Engineered);
     for &attack in &catalog {
-        let test = pipeline.test_attack_windows(attack);
+        let test = plane.attack_windows(attack);
         let result = pipeline
             .vehigan
             .score_with_members(&members, &test.x)

@@ -11,6 +11,7 @@
 //! attack.
 
 use vehigan::core::{Pipeline, PipelineConfig};
+use vehigan::features::Representation;
 use vehigan::metrics::{auroc, Confusion};
 use vehigan::vasp::Attack;
 
@@ -38,7 +39,9 @@ fn main() {
 
     println!("\n[2/3] building a held-out attack scenario (25% of vehicles misbehave)…");
     let attack = Attack::by_name("HighHeadingYawRate").expect("catalog attack");
-    let test = pipeline.test_attack_windows(attack);
+    let test = pipeline
+        .plane(pipeline.test_fleet(), Representation::Engineered)
+        .attack_windows(attack);
     println!(
         "      attack: {attack} ({} windows, {} malicious)",
         test.len(),

@@ -23,14 +23,17 @@
 //!
 //! ```no_run
 //! use vehigan::core::{Pipeline, PipelineConfig};
+//! use vehigan::features::Representation;
 //! use vehigan::vasp::Attack;
 //! use vehigan::metrics::auroc;
 //!
 //! // Train the full system (simulate → features → WGAN zoo → ensemble).
 //! let pipeline = Pipeline::run(PipelineConfig::quick());
 //!
-//! // Evaluate against a Table III attack on held-out traffic.
-//! let test = pipeline.test_attack_windows(Attack::by_name("RandomSpeed").unwrap());
+//! // Evaluate against a Table III attack on held-out traffic: the plane
+//! // cuts every labelled dataset from one fleet's per-vehicle windows.
+//! let plane = pipeline.plane(pipeline.test_fleet(), Representation::Engineered);
+//! let test = plane.attack_windows(Attack::by_name("RandomSpeed").unwrap());
 //! let members: Vec<usize> = (0..pipeline.vehigan.k()).collect();
 //! let result = pipeline.vehigan.score_with_members(&members, &test.x).unwrap();
 //! println!("RandomSpeed AUROC = {:.3}", auroc(&result.scores, &test.labels));

@@ -8,6 +8,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use vehigan::core::adversarial::{afn_attack, afp_attack, multi_model_afp};
 use vehigan::core::{Pipeline, PipelineConfig};
+use vehigan::features::{Representation, WindowDataset};
 use vehigan::lite::Int8Ensemble;
 use vehigan::metrics::auroc;
 use vehigan::tensor::Sequential;
@@ -26,6 +27,18 @@ fn pipeline() -> MutexGuard<'static, Pipeline> {
         })
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One attack's windows on the held-out fleet.
+fn test_attack(p: &Pipeline, attack: Attack) -> WindowDataset {
+    p.plane(p.test_fleet(), Representation::Engineered)
+        .attack_windows(attack)
+}
+
+/// The benign windows of the held-out fleet.
+fn test_benign(p: &Pipeline) -> WindowDataset {
+    p.plane(p.test_fleet(), Representation::Engineered)
+        .benign_windows()
 }
 
 fn rate_above(scores: &[f32], tau: f32) -> f64 {
@@ -68,7 +81,7 @@ fn advanced_coupled_attacks_are_detected() {
     let mut sum = 0.0;
     let mut n = 0;
     for attack in Attack::catalog().into_iter().filter(Attack::is_advanced) {
-        let ds = p.test_attack_windows(attack);
+        let ds = test_attack(&p, attack);
         let result = p.vehigan.score_with_members(&members, &ds.x).unwrap();
         sum += auroc(&result.scores, &ds.labels);
         n += 1;
@@ -86,7 +99,7 @@ fn whitebox_afp_cripples_single_model_but_not_ensemble() {
     // achieve against the whole ensemble — the diverse-loss-landscape /
     // non-transferability property the paper credits for robustness.
     let mut p = pipeline();
-    let benign = p.test_benign_windows();
+    let benign = test_benign(&p);
     let idx: Vec<usize> = (0..benign.len().min(300)).collect();
     let x = benign.x.take(&idx);
     let eps = 0.01;
@@ -136,7 +149,7 @@ fn whitebox_afp_cripples_single_model_but_not_ensemble() {
 fn afn_attacks_are_intrinsically_ineffective() {
     // Fig 5b: pushing misbehavior toward "benign" does not make it benign.
     let mut p = pipeline();
-    let ds = p.test_attack_windows(Attack::by_name("RandomPosition").unwrap());
+    let ds = test_attack(&p, Attack::by_name("RandomPosition").unwrap());
     let mal: Vec<usize> = ds.malicious_indices().into_iter().take(150).collect();
     let x = ds.x.take(&mal);
     let member = &mut p.vehigan.members_mut()[0];
@@ -153,7 +166,7 @@ fn afn_attacks_are_intrinsically_ineffective() {
 fn benign_false_positive_rate_respects_calibration() {
     // §III-F: τ at the 99th percentile keeps un-attacked FPR low.
     let p = pipeline();
-    let benign = p.test_benign_windows();
+    let benign = test_benign(&p);
     let all: Vec<usize> = (0..p.vehigan.m()).collect();
     let result = p.vehigan.score_with_members(&all, &benign.x).unwrap();
     let fpr = rate_above(&result.scores, result.threshold);
@@ -164,7 +177,7 @@ fn benign_false_positive_rate_respects_calibration() {
 fn lite_critic_preserves_detection_quality() {
     // Fig 8's implicit claim: the quantized path detects as well as float.
     let mut p = pipeline();
-    let ds = p.test_attack_windows(Attack::by_name("RandomSpeed").unwrap());
+    let ds = test_attack(&p, Attack::by_name("RandomSpeed").unwrap());
     let member = &mut p.vehigan.members_mut()[0];
     let float_scores = member.wgan.score_batch(&ds.x);
     let snap = member.wgan.critic().save();
@@ -250,14 +263,18 @@ fn feature_engineering_beats_raw_for_autoencoder() {
     let attack = Attack::by_name("RandomSpeedOffset").unwrap();
 
     let eng_train = &p.train_windows;
-    let eng_test = p.test_attack_windows(attack);
+    let eng_test = test_attack(&p, attack);
     let mut vehi_ae = AeDetector::new(config);
     vehi_ae.fit(&flatten_windows(&eng_train.x));
     let vehi_scores = vehi_ae.score_batch(&flatten_windows(&eng_test.x));
     let vehi = auroc(&vehi_scores, &eng_test.labels);
 
-    let raw_train = p.train_benign_windows_raw();
-    let raw_test = p.test_attack_windows_raw(attack);
+    let raw_train = p
+        .plane(p.train_fleet(), Representation::Raw)
+        .benign_windows();
+    let raw_test = p
+        .plane(p.test_fleet(), Representation::Raw)
+        .attack_windows(attack);
     let mut base_ae = AeDetector::new(config);
     base_ae.fit(&flatten_windows(&raw_train.x));
     let base_scores = base_ae.score_batch(&flatten_windows(&raw_test.x));

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use vehigan::features::{decompose_trace, fit_scaler, Representation};
 use vehigan::sim::{Bsm, SensorModel, SimConfig, TrafficSimulator, BSM_INTERVAL_S};
 use vehigan::tensor::init::seeded_rng;
-use vehigan::vasp::{inject, Attack, AttackParams, AttackPolicy, DatasetBuilder, DatasetConfig};
+use vehigan::vasp::{inject, Attack, AttackParams, AttackPolicy};
 
 fn noiseless_sim(seed: u64, vehicles: usize) -> Vec<vehigan::sim::VehicleTrace> {
     TrafficSimulator::new(SimConfig {
@@ -109,11 +109,9 @@ proptest! {
     #[test]
     fn scaler_bounds_all_benign_rows(seed in 0u64..500) {
         let traces = noiseless_sim(seed, 2);
-        let builder = DatasetBuilder::new(&traces, DatasetConfig::default());
-        let benign = builder.benign_dataset();
-        let scaler = fit_scaler(&benign, Representation::Engineered);
-        for t in &benign.traces {
-            for row in decompose_trace(&t.trace) {
+        let scaler = fit_scaler(&traces, Representation::Engineered);
+        for t in &traces {
+            for row in decompose_trace(t) {
                 for (j, &v) in row.values.iter().enumerate() {
                     let s = scaler.transform_value(j, v);
                     prop_assert!((-1.0..=1.0).contains(&s));
